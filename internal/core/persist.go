@@ -17,20 +17,20 @@ import (
 // engineMetaKey is the metadata KV prefix for persisted engine state.
 const engineMetaKey = "engine:"
 
-// engineFormatVersion 2 added the persisted formula set, making Load
-// snapshot-free.
+// engineFormatVersion is the one engine manifest layout this build reads
+// and writes (the formula set is persisted beside it); Load refuses any
+// other.
 const engineFormatVersion = 2
 
 // engineManifest is the engine state that lives outside the hybrid store:
 // which store backs the sheet (it changes on Optimize), the content bounds
-// and the migration sequence counter. Since format v2 the formula cell set
-// (refs + source text) is persisted alongside under its own meta key
+// and the migration sequence counter. The formula cell set (refs + source
+// text) is persisted alongside under its own meta key
 // ("engine:<name>:formulas"), rewritten only when a formula changed —
 // bounds growth from an edit never re-serializes the formula population.
 // Persisting the formulas lets Load re-register them and rebuild the
 // dependency graph directly, touching O(formulas) state instead of
-// snapshotting the whole sheet to find them. Version-1 manifests (no
-// formula set) still load through the snapshot path.
+// snapshotting the whole sheet to find them.
 type engineManifest struct {
 	Version int    `json:"version,omitempty"`
 	Store   string `json:"store"`
@@ -136,8 +136,7 @@ func (e *Engine) saveManifests() error {
 
 // SheetNames lists the sheets persisted in the database. Auxiliary keys
 // sharing the prefix (the per-sheet formula sets) are excluded by their
-// exact ":formulas" suffix, so legacy sheets whose names contain ':'
-// (created before validateSheetName) still list.
+// exact ":formulas" suffix, so sheets whose names contain ':' still list.
 func SheetNames(db *rdbms.DB) []string {
 	keys := db.MetaKeys(engineMetaKey)
 	out := make([]string, 0, len(keys))
@@ -155,8 +154,7 @@ func SheetNames(db *rdbms.DB) []string {
 // manifest over the already-loaded catalog, and formulas are re-registered
 // from the manifest's formula set (their cached values were persisted with
 // their cells, so nothing is recomputed and no sheet snapshot is taken —
-// opening touches O(formulas) state, not O(cells)). Version-1 manifests
-// predate the formula set and fall back to the full-sheet snapshot scan.
+// opening touches O(formulas) state, not O(cells)).
 func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	blob, ok, err := db.MetaValue(engineMetaKey + name)
 	if err != nil {
@@ -168,6 +166,10 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	var m engineManifest
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return nil, fmt.Errorf("core: corrupt manifest for sheet %q: %w", name, err)
+	}
+	if m.Version != engineFormatVersion {
+		return nil, fmt.Errorf("core: sheet %q manifest is format version %d, this build reads only version %d",
+			name, m.Version, engineFormatVersion)
 	}
 	if opts.CostParams == (hybrid.CostParams{}) {
 		opts.CostParams = hybrid.PostgresCost
@@ -192,65 +194,39 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	}
 	e.cache = newEngineCache(e)
 	e.startRecalc(opts)
-	if m.Version >= engineFormatVersion {
-		fblob, ok, err := db.MetaValue(formulasKey(name))
-		if err != nil {
-			// An unreadable formula set must fail the load: treating it as
-			// absent would silently demote every formula to a static value.
-			return nil, fmt.Errorf("core: sheet %q formula set unreadable: %w", name, err)
-		}
-		if ok {
-			var formulas []formulaManifest
-			if err := json.Unmarshal(fblob, &formulas); err != nil {
-				return nil, fmt.Errorf("core: corrupt formula set for sheet %q: %w", name, err)
-			}
-			for _, f := range formulas {
-				ref := sheet.Ref{Row: f.Row, Col: f.Col}
-				if f.Cyc {
-					// Poisoned at save time: restore into the cycle set
-					// (value #CYCLE! is in the stored cell), not the graph.
-					e.cycles[ref] = f.Src
-					continue
-				}
-				if err := e.registerFormula(ref, f.Src); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// The registered state is by construction identical to the stored
-		// blob: the first save after a reload has nothing to re-serialize.
-		e.formulasDirty = false
-		return e.finishLoad()
+	fblob, ok, err := db.MetaValue(formulasKey(name))
+	if err != nil {
+		// An unreadable formula set must fail the load: treating it as
+		// absent would silently demote every formula to a static value.
+		return nil, fmt.Errorf("core: sheet %q formula set unreadable: %w", name, err)
 	}
-	// Legacy (v1) manifest: the formula set was not persisted; find the
-	// formulas by snapshotting the sheet, exactly as before.
-	if m.MaxRow > 0 && m.MaxCol > 0 {
-		snap, err := hs.Snapshot(name, sheet.NewRange(1, 1, m.MaxRow, m.MaxCol))
-		if err != nil {
-			return nil, err
+	if ok {
+		var formulas []formulaManifest
+		if err := json.Unmarshal(fblob, &formulas); err != nil {
+			return nil, fmt.Errorf("core: corrupt formula set for sheet %q: %w", name, err)
 		}
-		var regErr error
-		snap.EachSorted(func(r sheet.Ref, c sheet.Cell) {
-			if c.HasFormula() && regErr == nil {
-				if err := e.registerFormula(r, c.Formula); err != nil {
-					regErr = err
-				}
+		for _, f := range formulas {
+			ref := sheet.Ref{Row: f.Row, Col: f.Col}
+			if f.Cyc {
+				// Poisoned at save time: restore into the cycle set
+				// (value #CYCLE! is in the stored cell), not the graph.
+				e.cycles[ref] = f.Src
+				continue
 			}
-		})
-		if regErr != nil {
-			return nil, regErr
+			if err := e.registerFormula(ref, f.Src); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return e.finishLoad()
-}
-
-// finishLoad completes Load: in async mode every reloaded formula is marked
-// pending and the scheduler woken. Persisted values can lag persisted
-// formulas (the saving session may have crashed between a formula-durable
-// edit and its next drain-save), so a reloaded async sheet revalidates in
-// the background — viewport-first, like any other recalculation — instead
-// of trusting the stored values or blocking the open on a full recompute.
-func (e *Engine) finishLoad() (*Engine, error) {
+	// The registered state is by construction identical to the stored
+	// blob: the first save after a reload has nothing to re-serialize.
+	e.formulasDirty = false
+	// In async mode every reloaded formula is marked pending and the
+	// scheduler woken. Persisted values can lag persisted formulas (the
+	// saving session may have crashed between a formula-durable edit and its
+	// next drain-save), so a reloaded async sheet revalidates in the
+	// background — viewport-first, like any other recalculation — instead of
+	// trusting the stored values or blocking the open on a full recompute.
 	if e.sched != nil && len(e.exprs) > 0 {
 		for ref := range e.exprs {
 			e.cache.MarkPending(ref)

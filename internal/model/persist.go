@@ -16,7 +16,7 @@ import (
 // positional-map orderings (the RID sequences), ROM column indirections and
 // RCV surrogate maps.
 //
-// Format v3 is segmented and dirty-tracked so Save cost follows what
+// The format is segmented and dirty-tracked so Save cost follows what
 // changed, not sheet size:
 //
 //	sheet:<name>               root: rects, kinds, segment ids (tiny)
@@ -33,9 +33,7 @@ import (
 // a 100-row insert on a 1M-cell sheet persists ~100 ops, not the whole
 // ordering. Unchanged segments are skipped outright (and the rdbms meta KV
 // double-checks with byte equality, so even rewritten-but-identical blobs
-// cost nothing at commit). Databases written in the monolithic v2 format
-// still load, and are transparently upgraded to segments by their next
-// SaveManifest.
+// cost nothing at commit).
 //
 // B+ tree key indexes (RCV) are not serialized: the backing table carries
 // the key attribute, so they are rebuilt by a heap scan on load, exactly
@@ -44,10 +42,11 @@ import (
 // storeMetaKey is the metadata KV key prefix for store manifests.
 const storeMetaKey = "sheet:"
 
-// storeFormatVersion marks the segmented manifest layout.
+// storeFormatVersion is the one store manifest layout this build reads and
+// writes; LoadHybridStore refuses any other.
 const storeFormatVersion = 3
 
-// storeRoot is the v3 root manifest: the region map and segment directory.
+// storeRoot is the root manifest: the region map and segment directory.
 type storeRoot struct {
 	Version  int          `json:"version"`
 	Name     string       `json:"name"`
@@ -302,7 +301,7 @@ func (h *HybridStore) deleteSegment(seg int) {
 // isSegKeyTail reports whether the remainder of a meta key after
 // "sheet:<name>:" follows the segment grammar: "seg:<digits>" optionally
 // suffixed by ":order" or ":delta". Listing and GC match this exactly, so
-// legacy stores whose names happen to share a prefix are never touched.
+// stores whose names happen to share a prefix are never touched.
 func isSegKeyTail(tail string) bool {
 	rest, ok := strings.CutPrefix(tail, "seg:")
 	if !ok {
@@ -329,7 +328,7 @@ func isSegKeyTail(tail string) bool {
 // DropManifest removes the store's persisted manifest — the root and every
 // segment key of the store (used when a store is replaced during
 // migration). Only keys matching the segment grammar are deleted, so a
-// legacy store whose name extends this store's prefix survives.
+// store whose name extends this store's prefix survives.
 func (h *HybridStore) DropManifest() {
 	h.db.DeleteMeta(h.rootKey())
 	prefix := storeMetaKey + h.name + ":"
@@ -359,7 +358,7 @@ func (h *HybridStore) Drop() error {
 
 // StoreNames lists the names of stores with a persisted manifest. Segment
 // keys (which share the prefix) are excluded by the exact segment grammar,
-// so legacy stores whose names contain ':' still list.
+// so stores whose names contain ':' still list.
 func StoreNames(db *rdbms.DB) []string {
 	keys := db.MetaKeys(storeMetaKey)
 	out := make([]string, 0, len(keys))
@@ -376,8 +375,6 @@ func StoreNames(db *rdbms.DB) []string {
 // LoadHybridStore reattaches a persisted store: region translators are
 // rebuilt over the (already loaded) catalog tables, positional maps from
 // their order segments plus delta replay, and RCV key indexes by heap scan.
-// Monolithic v2 manifests load through the legacy path and upgrade to
-// segments on their next save.
 func LoadHybridStore(db *rdbms.DB, name string) (*HybridStore, error) {
 	blob, ok, err := db.MetaValue(storeMetaKey + name)
 	if err != nil {
@@ -386,22 +383,13 @@ func LoadHybridStore(db *rdbms.DB, name string) (*HybridStore, error) {
 	if !ok {
 		return nil, fmt.Errorf("model: no persisted store %q", name)
 	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(blob, &probe); err != nil {
-		return nil, fmt.Errorf("model: corrupt manifest for store %q: %w", name, err)
-	}
-	if probe.Version >= storeFormatVersion {
-		return loadSegmented(db, name, blob)
-	}
-	return loadMonolithic(db, name, blob)
-}
-
-func loadSegmented(db *rdbms.DB, name string, blob []byte) (*HybridStore, error) {
 	var root storeRoot
 	if err := json.Unmarshal(blob, &root); err != nil {
 		return nil, fmt.Errorf("model: corrupt root manifest for store %q: %w", name, err)
+	}
+	if root.Version != storeFormatVersion {
+		return nil, fmt.Errorf("model: store %q manifest is format version %d, this build reads only version %d",
+			name, root.Version, storeFormatVersion)
 	}
 	h := &HybridStore{db: db, scheme: root.Scheme, name: root.Name, seq: root.Seq, nextSeg: root.NextSeg}
 	ov, err := h.loadRCVSegment(root.Overflow)
@@ -603,145 +591,4 @@ func (h *HybridStore) loadRCVSegment(seg int) (*RCV, error) {
 		return true
 	})
 	return r, nil
-}
-
-// --- Legacy monolithic format (v2), load-only -------------------------------
-
-type storeManifest struct {
-	Name     string           `json:"name"`
-	Scheme   string           `json:"scheme"`
-	Seq      int              `json:"seq"`
-	Overflow rcvManifest      `json:"overflow"`
-	Regions  []regionManifest `json:"regions,omitempty"`
-}
-
-type regionManifest struct {
-	Rect [4]int       `json:"rect"`
-	Kind string       `json:"kind"` // "rom", "com", "rcv", "tom"
-	ROM  *romManifest `json:"rom,omitempty"`
-	RCV  *rcvManifest `json:"rcv,omitempty"`
-	TOM  *tomManifest `json:"tom,omitempty"`
-}
-
-type romManifest struct {
-	Table   string   `json:"table"`
-	ColPos  []int    `json:"col_pos"`
-	NextCol int      `json:"next_col"`
-	RowRIDs []uint64 `json:"row_rids"` // packed page<<16|slot, in display order
-}
-
-type rcvManifest struct {
-	Table     string  `json:"table"`
-	RowIDs    []int64 `json:"row_ids"` // surrogates in display order
-	ColIDs    []int64 `json:"col_ids"`
-	NextRowID int64   `json:"next_row_id"`
-	NextColID int64   `json:"next_col_id"`
-}
-
-type tomManifest struct {
-	Table   string   `json:"table"`
-	Headers bool     `json:"headers"`
-	RowRIDs []uint64 `json:"row_rids"`
-}
-
-// rebuildPosmap restores an ordering from a legacy full RID dump. The
-// resulting map has no persisted base in the segmented format, so the next
-// save serializes it fully — the transparent v2 -> v3 upgrade.
-func rebuildPosmap(scheme string, packed []uint64) *posmap.Tracked {
-	m := posmap.NewTracked(scheme)
-	for i, v := range packed {
-		m.Insert(i+1, unpackRID(v))
-	}
-	return m
-}
-
-func loadROM(db *rdbms.DB, scheme string, m *romManifest) (*ROM, error) {
-	table := db.Table(m.Table)
-	if table == nil {
-		return nil, fmt.Errorf("model: manifest references missing table %q", m.Table)
-	}
-	return &ROM{
-		cfg:     Config{DB: db, Scheme: scheme, TableName: m.Table},
-		table:   table,
-		rowMap:  rebuildPosmap(scheme, m.RowRIDs),
-		colPos:  append([]int(nil), m.ColPos...),
-		nextCol: m.NextCol,
-	}, nil
-}
-
-func loadRCV(db *rdbms.DB, scheme string, m rcvManifest) (*RCV, error) {
-	table := db.Table(m.Table)
-	if table == nil {
-		return nil, fmt.Errorf("model: manifest references missing table %q", m.Table)
-	}
-	r := &RCV{
-		cfg:       Config{DB: db, Scheme: scheme, TableName: m.Table},
-		table:     table,
-		rowIDs:    newIDMap(scheme),
-		colIDs:    newIDMap(scheme),
-		nextRowID: m.NextRowID,
-		nextColID: m.NextColID,
-		index:     rdbms.NewBTree(64),
-	}
-	for i, id := range m.RowIDs {
-		r.rowIDs.Insert(i+1, id)
-	}
-	for i, id := range m.ColIDs {
-		r.colIDs.Insert(i+1, id)
-	}
-	table.Scan(func(rid rdbms.RID, row rdbms.Row) bool {
-		r.index.Insert(row[0].Int64(), rid)
-		r.cells++
-		return true
-	})
-	return r, nil
-}
-
-func loadTOM(db *rdbms.DB, scheme string, m *tomManifest) (*TOM, error) {
-	table := db.Table(m.Table)
-	if table == nil {
-		return nil, fmt.Errorf("model: manifest references missing linked table %q", m.Table)
-	}
-	return &TOM{
-		db:      table,
-		rowMap:  rebuildPosmap(scheme, m.RowRIDs),
-		headers: m.Headers,
-	}, nil
-}
-
-func loadMonolithic(db *rdbms.DB, name string, blob []byte) (*HybridStore, error) {
-	var m storeManifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("model: corrupt manifest for store %q: %w", name, err)
-	}
-	ov, err := loadRCV(db, m.Scheme, m.Overflow)
-	if err != nil {
-		return nil, err
-	}
-	h := &HybridStore{db: db, scheme: m.Scheme, name: m.Name, overflow: ov, seq: m.Seq, nextSeg: 1}
-	for _, rm := range m.Regions {
-		rect := sheet.NewRange(rm.Rect[0], rm.Rect[1], rm.Rect[2], rm.Rect[3])
-		var tr Translator
-		switch rm.Kind {
-		case "rom":
-			tr, err = loadROM(db, m.Scheme, rm.ROM)
-		case "com":
-			var inner *ROM
-			inner, err = loadROM(db, m.Scheme, rm.ROM)
-			if err == nil {
-				tr = &COM{inner: inner}
-			}
-		case "rcv":
-			tr, err = loadRCV(db, m.Scheme, *rm.RCV)
-		case "tom":
-			tr, err = loadTOM(db, m.Scheme, rm.TOM)
-		default:
-			err = fmt.Errorf("model: unknown region kind %q", rm.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		h.regions = append(h.regions, storeRegion{rect: rect, tr: tr, seg: h.allocSeg()})
-	}
-	return h, nil
 }

@@ -697,7 +697,6 @@ func replayArchive(f *os.File, opts RestoreOptions, baseGen uint64, pages int, m
 	applied := baseGen
 	target := opts.TargetGen
 	batch := make(map[PageID][]byte)
-scan:
 	for _, seq := range seqs {
 		if target > 0 && applied >= target {
 			break
@@ -710,60 +709,35 @@ scan:
 		if err != nil {
 			return fail(err)
 		}
-		if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-			return fail(fmt.Errorf("rdbms: %s: bad archive segment magic: %w", name, ErrBackupCorrupt))
-		}
-		off := len(walMagic)
-		for off < len(data) {
-			switch data[off] {
-			case walPageRec:
-				if off+walPageRecSize > len(data) {
-					return fail(fmt.Errorf("rdbms: %s: truncated archive page record: %w", name, ErrBackupCorrupt))
-				}
-				rec := data[off : off+walPageRecSize]
-				if crc32.Checksum(rec[:walPageRecSize-4], castagnoli) !=
-					binary.LittleEndian.Uint32(rec[walPageRecSize-4:]) {
-					return fail(fmt.Errorf("rdbms: %s: archive page record checksum mismatch: %w", name, ErrBackupCorrupt))
-				}
-				id := PageID(binary.LittleEndian.Uint32(rec[1:5]))
-				batch[id] = rec[5 : 5+PageSize]
-				off += walPageRecSize
-			case walCommitRec2:
-				if off+walCommitRec2Size > len(data) {
-					return fail(fmt.Errorf("rdbms: %s: truncated archive commit record: %w", name, ErrBackupCorrupt))
-				}
-				rec := data[off : off+walCommitRec2Size]
-				if crc32.Checksum(rec[:walCommitRec2Size-4], castagnoli) !=
-					binary.LittleEndian.Uint32(rec[walCommitRec2Size-4:]) {
-					return fail(fmt.Errorf("rdbms: %s: archive commit record checksum mismatch: %w", name, ErrBackupCorrupt))
-				}
-				g := binary.LittleEndian.Uint64(rec[13:21])
-				if g > applied {
-					if g != applied+1 {
-						return fail(fmt.Errorf("rdbms: archive jumps from generation %d to %d: %w",
-							applied, g, ErrArchiveGap))
-					}
-					for id, img := range batch {
-						if err := writeSlot(f, id, img); err != nil {
-							return fail(err)
-						}
-					}
-					applied = g
-					pages = int(binary.LittleEndian.Uint32(rec[1:5]))
-					metaHead = PageID(binary.LittleEndian.Uint32(rec[5:9]))
-					metaLen = binary.LittleEndian.Uint32(rec[9:13])
-				}
-				batch = make(map[PageID][]byte)
-				off += walCommitRec2Size
-				if target > 0 && applied >= target {
-					continue scan // later records in this file are past the target
-				}
-			case walCommitRec:
-				return fail(fmt.Errorf("rdbms: %s: legacy commit record in archive (no generation stamp): %w",
-					name, ErrBackupCorrupt))
-			default:
-				return fail(fmt.Errorf("rdbms: %s: unknown archive record type %d: %w", name, data[off], ErrBackupCorrupt))
+		// Archive files are committed prefixes: unlike a live log they have
+		// no tail a crash could tear, so any way the scan stops short is
+		// damage.
+		sc := scanWAL(data)
+		for sc.next() {
+			if !sc.commit {
+				batch[sc.id] = sc.image
+				continue
 			}
+			if sc.gen > applied {
+				if sc.gen != applied+1 {
+					return fail(fmt.Errorf("rdbms: archive jumps from generation %d to %d: %w",
+						applied, sc.gen, ErrArchiveGap))
+				}
+				for id, img := range batch {
+					if err := writeSlot(f, id, img); err != nil {
+						return fail(err)
+					}
+				}
+				applied = sc.gen
+				pages, metaHead, metaLen = int(sc.pages), PageID(sc.metaHead), sc.metaLen
+			}
+			batch = make(map[PageID][]byte)
+			if target > 0 && applied >= target {
+				break // later records in this file are past the target
+			}
+		}
+		if sc.err != nil {
+			return fail(fmt.Errorf("rdbms: %s: %w: %w", name, ErrBackupCorrupt, sc.err))
 		}
 	}
 	if target > 0 && applied < target {

@@ -27,8 +27,7 @@ import (
 //
 //	per segment: 8-byte magic, then records:
 //	  page record:   0x01, u32 page id, 8 KiB image, u32 CRC-32C
-//	  commit record: 0x02, u32 page count, u32 meta head, u32 meta len, u32 CRC-32C
-//	  commit v2:     0x03, u32 page count, u32 meta head, u32 meta len,
+//	  commit record: 0x03, u32 page count, u32 meta head, u32 meta len,
 //	                 u64 durable generation, u32 CRC-32C
 //
 // Write path: mutated pages accumulate in an in-memory shadow overlay (the
@@ -42,9 +41,7 @@ import (
 // checkpoint into their data-file slots, fsyncs, and deletes every sealed
 // segment (compaction). On open, committed WAL batches
 // are redone across all segments in order before anything is read (crash
-// recovery); uncommitted or torn tails are discarded. A pre-rotation
-// single-file WAL is simply a database whose log never rotated — the v2/v3
-// open path is unchanged.
+// recovery); uncommitted or torn tails are discarded.
 //
 // Failure semantics: any WAL append/fsync or checkpoint write/fsync error
 // poisons the pager — every later commit and checkpoint returns a sticky
@@ -102,8 +99,7 @@ type FilePager struct {
 
 	walSize int64 // append offset in the active WAL segment
 	// walSeq numbers the active WAL segment: 0 is <path>.wal (every
-	// database starts there, which is also what keeps pre-rotation
-	// databases openable), rotations move to <path>.wal.0001 and up.
+	// database starts there), rotations move to <path>.wal.0001 and up.
 	// sealed lists the full segments behind the active one, oldest first;
 	// they are deleted when a checkpoint makes them redundant.
 	walSeq int
@@ -214,13 +210,10 @@ type walSegment struct {
 const (
 	fileMagic = "DSPDB001"
 	walMagic  = "DSWAL001"
-	// fileVersion 2 added the persisted free-page list (carried in the
-	// catalog manifest); version 3 added the 8-byte durable commit
-	// generation to the header. Older files are still readable — they
-	// simply have no free list / start at generation 0 — and are upgraded
-	// in place by the next checkpoint.
-	fileVersion       = 3
-	oldestFileVersion = 1
+	// fileVersion is the one data-file format this build reads and writes
+	// (header with the 8-byte durable generation, free-page list in the
+	// catalog manifest). Any other version fails OpenFile.
+	fileVersion = 3
 
 	// fileHeaderSize keeps page slots page-aligned.
 	fileHeaderSize = PageSize
@@ -230,16 +223,17 @@ const (
 	// hold the next-page pointer).
 	metaPayload = PageSize - 4
 
-	walPageRec   byte = 1
-	walCommitRec byte = 2
-	// walCommitRec2 is the generation-stamped commit record every new
-	// commit writes; the legacy walCommitRec is still replayed (its batch
-	// predates generation tracking and leaves the generation untouched).
+	walPageRec byte = 1
+	// walRemovedCommitRec is the commit record without a generation stamp
+	// that earlier builds wrote. It is recognized only to be refused: an
+	// intact one fails the scan instead of passing for a torn tail.
+	walRemovedCommitRec byte = 2
+	// walCommitRec2 is the generation-stamped commit record.
 	walCommitRec2 byte = 3
 
-	walPageRecSize    = 1 + 4 + PageSize + 4
-	walCommitRecSize  = 1 + 12 + 4
-	walCommitRec2Size = 1 + 12 + 8 + 4
+	walPageRecSize          = 1 + 4 + PageSize + 4
+	walRemovedCommitRecSize = 1 + 12 + 4
+	walCommitRec2Size       = 1 + 12 + 8 + 4
 )
 
 // noPage is the nil page id (meta chain terminator).
@@ -313,8 +307,8 @@ func (fp *FilePager) openFilesLocked() error {
 		if err := f.Sync(); err != nil {
 			return fail(err)
 		}
-	} else {
-		hdrErr = fp.readHeader()
+	} else if hdrErr = fp.readHeader(); errors.Is(hdrErr, errFormatVersion) {
+		return fail(hdrErr)
 	}
 	// The header is rewritten in place at checkpoint, so a crash can tear
 	// it. The WAL commit record carries the same fields: when recovery
@@ -375,7 +369,7 @@ func (fp *FilePager) writeHeader() error {
 	return writeStoreHeader(fp.f, fp.pages, fp.metaHead, fp.metaLen, fp.gen.Load())
 }
 
-// writeStoreHeader writes a v3 data-file header block. Shared by the pager
+// writeStoreHeader writes a data-file header block. Shared by the pager
 // (checkpoint, recovery) and the restore path, which rebuilds a store
 // without ever opening a pager on it.
 func writeStoreHeader(w io.WriterAt, pages int, metaHead PageID, metaLen uint32, gen uint64) error {
@@ -391,6 +385,12 @@ func writeStoreHeader(w io.WriterAt, pages int, metaHead PageID, metaLen uint32,
 	return err
 }
 
+// errFormatVersion marks a file whose header is intact but names a format
+// version other than the one this build reads. Unlike a torn header it is
+// never rescued from the WAL: replaying a log over a file of another format
+// would misread it.
+var errFormatVersion = errors.New("unsupported format version")
+
 func (fp *FilePager) readHeader() error {
 	var b [36]byte
 	if _, err := fp.f.ReadAt(b[:], 0); err != nil {
@@ -399,27 +399,21 @@ func (fp *FilePager) readHeader() error {
 	if string(b[0:8]) != fileMagic {
 		return fmt.Errorf("rdbms: %s is not a DataSpread database (bad magic)", fp.path)
 	}
-	v := binary.LittleEndian.Uint32(b[8:])
-	if v < oldestFileVersion || v > fileVersion {
-		return fmt.Errorf("rdbms: unsupported database version %d", v)
+	// Magic and version are the same bytes in every header write, so a torn
+	// checkpoint cannot change them: a mismatch is a different format, not
+	// damage, and is checked before the CRC (whose position moved between
+	// versions).
+	if v := binary.LittleEndian.Uint32(b[8:]); v != fileVersion {
+		return fmt.Errorf("rdbms: %s: data file format version %d, this build reads only version %d: %w",
+			fp.path, v, fileVersion, errFormatVersion)
 	}
-	// Version 3 added the 8-byte durable generation, which shifted the
-	// header CRC; pre-3 headers checksum only their first 24 bytes and
-	// carry no generation.
-	if v >= 3 {
-		if crc32.Checksum(b[0:32], castagnoli) != binary.LittleEndian.Uint32(b[32:]) {
-			return fmt.Errorf("rdbms: header checksum mismatch (corrupt database)")
-		}
-		fp.gen.Store(binary.LittleEndian.Uint64(b[24:32]))
-	} else {
-		if crc32.Checksum(b[0:24], castagnoli) != binary.LittleEndian.Uint32(b[24:28]) {
-			return fmt.Errorf("rdbms: header checksum mismatch (corrupt database)")
-		}
-		fp.gen.Store(0)
+	if crc32.Checksum(b[0:32], castagnoli) != binary.LittleEndian.Uint32(b[32:]) {
+		return fmt.Errorf("rdbms: header checksum mismatch (corrupt database)")
 	}
 	fp.pages = int(binary.LittleEndian.Uint32(b[12:]))
 	fp.metaHead = PageID(binary.LittleEndian.Uint32(b[16:]))
 	fp.metaLen = binary.LittleEndian.Uint32(b[20:])
+	fp.gen.Store(binary.LittleEndian.Uint64(b[24:32]))
 	return nil
 }
 
@@ -771,7 +765,7 @@ func (fp *FilePager) commitWALLocked() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, len(ids)*walPageRecSize+walCommitRecSize)
+	buf := make([]byte, 0, len(ids)*walPageRecSize+walCommitRec2Size)
 	for _, id := range ids {
 		p := fp.shadow[id]
 		if p == nil {
@@ -844,8 +838,8 @@ func (fp *FilePager) rotateWALLocked() error {
 }
 
 // walSegPath names a WAL segment file: segment 0 is the plain <path>.wal
-// (so never-rotated and legacy databases share the layout), later segments
-// are numbered.
+// (a log that never rotated has only this file), later segments are
+// numbered.
 func (fp *FilePager) walSegPath(seq int) string {
 	if seq == 0 {
 		return fp.path + ".wal"
@@ -1018,6 +1012,88 @@ func (fp *FilePager) resetWAL() error {
 	return nil
 }
 
+// errWALTorn marks a WAL scan that stopped at bytes a crash mid-append can
+// leave behind: a segment without its magic, a record cut short, one that
+// fails its checksum, or a byte that starts no known record.
+var errWALTorn = errors.New("torn or corrupt WAL record")
+
+// walScanner decodes the records of one WAL segment image. It is the only
+// WAL decoder: crash recovery and archive replay both drive it and apply
+// their own policy to how a scan ends. After next returns false, off is the
+// offset just past the last record decoded and err says why the scan stopped
+// there: nil at the clean end of the data, an error wrapping errWALTorn for
+// damage, and a plain error for an intact record of a type this format no
+// longer defines (which no caller may treat as a torn tail).
+type walScanner struct {
+	data []byte
+	off  int
+	err  error
+
+	// The current record, valid after next returned true. A page record
+	// fills id and image (aliasing data); a commit record sets commit and
+	// the header fields it carries.
+	commit                   bool
+	id                       PageID
+	image                    []byte
+	pages, metaHead, metaLen uint32
+	gen                      uint64
+}
+
+func scanWAL(data []byte) *walScanner {
+	s := &walScanner{data: data}
+	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
+		s.err = fmt.Errorf("bad segment magic: %w", errWALTorn)
+		return s
+	}
+	s.off = len(walMagic)
+	return s
+}
+
+func (s *walScanner) next() bool {
+	if s.err != nil || s.off >= len(s.data) {
+		return false
+	}
+	var size int
+	switch typ := s.data[s.off]; typ {
+	case walPageRec:
+		size = walPageRecSize
+	case walCommitRec2:
+		size = walCommitRec2Size
+	case walRemovedCommitRec:
+		size = walRemovedCommitRecSize
+	default:
+		s.err = fmt.Errorf("unknown record type %d at offset %d: %w", typ, s.off, errWALTorn)
+		return false
+	}
+	if s.off+size > len(s.data) {
+		s.err = fmt.Errorf("record at offset %d cut short: %w", s.off, errWALTorn)
+		return false
+	}
+	rec := s.data[s.off : s.off+size]
+	if crc32.Checksum(rec[:size-4], castagnoli) != binary.LittleEndian.Uint32(rec[size-4:]) {
+		s.err = fmt.Errorf("record at offset %d fails its checksum: %w", s.off, errWALTorn)
+		return false
+	}
+	switch rec[0] {
+	case walPageRec:
+		s.commit = false
+		s.id = PageID(binary.LittleEndian.Uint32(rec[1:5]))
+		s.image = rec[5 : 5+PageSize]
+	case walCommitRec2:
+		s.commit = true
+		s.pages = binary.LittleEndian.Uint32(rec[1:5])
+		s.metaHead = binary.LittleEndian.Uint32(rec[5:9])
+		s.metaLen = binary.LittleEndian.Uint32(rec[9:13])
+		s.gen = binary.LittleEndian.Uint64(rec[13:21])
+	default:
+		s.err = fmt.Errorf("WAL commit record type %d (no generation stamp) at offset %d, this build reads only type %d: %w",
+			walRemovedCommitRec, s.off, walCommitRec2, errFormatVersion)
+		return false
+	}
+	s.off += size
+	return true
+}
+
 // recover redoes committed WAL batches into the data file (idempotent) and
 // discards uncommitted or torn tails. Called once on open. It reads every
 // segment on disk in sequence order — a checkpoint interrupted mid-
@@ -1025,7 +1101,8 @@ func (fp *FilePager) resetWAL() error {
 // numbered segments (a suffix of the log), and a batch never straddles a
 // boundary, so a continuous scan across segments is sound. The scan stops
 // at the first torn or corrupt record and ignores everything after it,
-// including later segments. It reports whether a committed batch was
+// including later segments; a record of an unsupported type fails the open
+// with the log left untouched. It reports whether a committed batch was
 // applied (which also rebuilds the header from the commit record), and
 // always leaves the log compacted back to an empty segment 0.
 func (fp *FilePager) recover() (bool, error) {
@@ -1040,13 +1117,10 @@ func (fp *FilePager) recover() (bool, error) {
 	gen := fp.gen.Load() // header generation; commit records advance it
 	haveCommit := false
 	sawData := false
-	// extents tracks how far into each segment the committed,
-	// generation-stamped prefix reaches, so the resetWAL below archives
-	// exactly the replayable bytes and never a torn tail. Legacy commit
-	// records are replayed but not archived — they carry no generation, so
-	// point-in-time replay could not order them.
+	// extents tracks how far into each segment the committed prefix
+	// reaches, so the resetWAL below archives exactly the replayable bytes
+	// and never a torn tail.
 	extents := make(map[int]int64)
-scan:
 	for _, seq := range seqs {
 		data, err := os.ReadFile(fp.walSegPath(seq))
 		if err != nil {
@@ -1056,65 +1130,25 @@ scan:
 			continue // truncated by a past compaction, or a fresh rotation
 		}
 		sawData = true
-		if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-			break scan
-		}
-		off := len(walMagic)
-		for off < len(data) {
-			switch data[off] {
-			case walPageRec:
-				if off+walPageRecSize > len(data) {
-					break scan
-				}
-				rec := data[off : off+walPageRecSize]
-				if crc32.Checksum(rec[:walPageRecSize-4], castagnoli) !=
-					binary.LittleEndian.Uint32(rec[walPageRecSize-4:]) {
-					break scan
-				}
-				id := PageID(binary.LittleEndian.Uint32(rec[1:5]))
-				batch[id] = rec[5 : 5+PageSize]
-				off += walPageRecSize
-			case walCommitRec:
-				if off+walCommitRecSize > len(data) {
-					break scan
-				}
-				rec := data[off : off+walCommitRecSize]
-				if crc32.Checksum(rec[:walCommitRecSize-4], castagnoli) !=
-					binary.LittleEndian.Uint32(rec[walCommitRecSize-4:]) {
-					break scan
-				}
-				for id, img := range batch {
-					committed[id] = img
-				}
-				batch = make(map[PageID][]byte)
-				pages = binary.LittleEndian.Uint32(rec[1:5])
-				metaHead = binary.LittleEndian.Uint32(rec[5:9])
-				metaLen = binary.LittleEndian.Uint32(rec[9:13])
-				haveCommit = true
-				off += walCommitRecSize
-			case walCommitRec2:
-				if off+walCommitRec2Size > len(data) {
-					break scan
-				}
-				rec := data[off : off+walCommitRec2Size]
-				if crc32.Checksum(rec[:walCommitRec2Size-4], castagnoli) !=
-					binary.LittleEndian.Uint32(rec[walCommitRec2Size-4:]) {
-					break scan
-				}
-				for id, img := range batch {
-					committed[id] = img
-				}
-				batch = make(map[PageID][]byte)
-				pages = binary.LittleEndian.Uint32(rec[1:5])
-				metaHead = binary.LittleEndian.Uint32(rec[5:9])
-				metaLen = binary.LittleEndian.Uint32(rec[9:13])
-				gen = binary.LittleEndian.Uint64(rec[13:21])
-				haveCommit = true
-				off += walCommitRec2Size
-				extents[seq] = int64(off)
-			default:
-				break scan
+		sc := scanWAL(data)
+		for sc.next() {
+			if !sc.commit {
+				batch[sc.id] = sc.image
+				continue
 			}
+			for id, img := range batch {
+				committed[id] = img
+			}
+			batch = make(map[PageID][]byte)
+			pages, metaHead, metaLen, gen = sc.pages, sc.metaHead, sc.metaLen, sc.gen
+			haveCommit = true
+			extents[seq] = int64(sc.off)
+		}
+		if sc.err != nil {
+			if !errors.Is(sc.err, errWALTorn) {
+				return false, fmt.Errorf("%s: %w", fp.walSegPath(seq), sc.err)
+			}
+			break
 		}
 	}
 	// Adopt the on-disk segments so resetWAL compacts exactly what exists,

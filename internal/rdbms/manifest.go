@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -21,15 +22,10 @@ import (
 // the indexed column names.
 type dbManifest struct {
 	Tables []tableManifest `json:"tables"`
-	// Meta carried every metadata value inline up to format v2. Still read
-	// (legacy databases upgrade transparently on their next commit), never
-	// written.
-	Meta map[string][]byte `json:"meta,omitempty"`
 	// MetaDir lists the out-of-line metadata value chains, sorted by key.
 	MetaDir []metaDirEntry `json:"meta_dir,omitempty"`
-	// FreePages is the pager's free-page list (format v2): pages owned by
-	// dropped or truncated heaps, reused by later allocations. Absent in
-	// v1 manifests, which predate space reclamation.
+	// FreePages is the pager's free-page list: pages owned by dropped or
+	// truncated heaps, reused by later allocations.
 	FreePages []uint32 `json:"free_pages,omitempty"`
 }
 
@@ -43,9 +39,7 @@ type metaDirEntry struct {
 type tableManifest struct {
 	Name string           `json:"name"`
 	Cols []columnManifest `json:"cols"`
-	// Pages is the legacy explicit page list; still read, never written.
-	Pages []uint32 `json:"pages,omitempty"`
-	// PageRuns is the run-length form: {first page, count} per contiguous
+	// PageRuns is the heap's page extent: {first page, count} per contiguous
 	// ascending run. Large heaps serialize to a handful of runs instead of
 	// one integer per page, keeping the per-commit catalog blob small.
 	PageRuns []pageRun `json:"page_runs,omitempty"`
@@ -77,12 +71,9 @@ func packPageRuns(pages []PageID) []pageRun {
 	return runs
 }
 
-// heapPages expands a table manifest's page extent (either encoding).
+// heapPages expands a table manifest's page extent.
 func (tm *tableManifest) heapPages() []PageID {
 	var out []PageID
-	for _, id := range tm.Pages {
-		out = append(out, PageID(id))
-	}
 	for _, r := range tm.PageRuns {
 		for i := uint32(0); i < r.Count; i++ {
 			out = append(out, PageID(r.First+i))
@@ -111,10 +102,6 @@ func (db *DB) manifestLocked() ([]byte, error) {
 			}
 			m.MetaDir = append(m.MetaDir, e)
 		}
-	} else {
-		// In-memory databases never commit, but keep the inline form
-		// coherent for any direct serialization.
-		m.Meta = db.meta
 	}
 	keys := make([]string, 0, len(db.tables))
 	for k := range db.tables {
@@ -142,12 +129,16 @@ func (db *DB) manifestLocked() ([]byte, error) {
 // loadManifest rebuilds the catalog from a serialized manifest: schemas and
 // heap extents are restored directly, B+ tree indexes by scanning the heaps.
 // Metadata values referenced by the directory stay on disk until GetMeta
-// asks for them; legacy inline values are adopted into the cache and marked
-// dirty so the next commit restages them out-of-line.
+// asks for them. The manifest carries no version of its own (the data-file
+// header's covers it), so decoding is strict instead: a field this format
+// does not define — inline metadata values, an explicit page list — fails
+// the open rather than being dropped on the floor.
 func (db *DB) loadManifest(blob []byte) error {
 	var m dbManifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return fmt.Errorf("rdbms: corrupt catalog manifest: %w", err)
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		return fmt.Errorf("rdbms: catalog manifest is corrupt or not of data file format version %d: %w", fileVersion, err)
 	}
 	for _, e := range m.MetaDir {
 		loc := metaChainLoc{n: e.Len}
@@ -155,10 +146,6 @@ func (db *DB) loadManifest(blob []byte) error {
 			loc.pages = append(loc.pages, PageID(id))
 		}
 		db.metaLoc[e.Key] = loc
-	}
-	for k, v := range m.Meta {
-		db.meta[k] = v
-		db.metaDirty[k] = true
 	}
 	if fp := db.filePager(); fp != nil {
 		fp.setFreePageIDs(m.FreePages)
