@@ -7,9 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,12 +21,7 @@ import (
 //	header block (8 KiB): magic, version, page count, meta chain head+length, CRC
 //	page slots: per page, 4-byte CRC-32C + 4-byte page id + 8 KiB image
 //
-// WAL layout (<path>.wal, rotated into <path>.wal.0001, .0002, ...):
-//
-//	per segment: 8-byte magic, then records:
-//	  page record:   0x01, u32 page id, 8 KiB image, u32 CRC-32C
-//	  commit record: 0x03, u32 page count, u32 meta head, u32 meta len,
-//	                 u64 durable generation, u32 CRC-32C
+// The WAL layout (<path>.wal, rotated into <path>.wal.0001, ...) is in wal.go.
 //
 // Write path: mutated pages accumulate in an in-memory shadow overlay (the
 // write-back target of buffer-pool evictions and flushes). A WAL commit
@@ -201,15 +194,8 @@ type filePagerOptions struct {
 	faults *FaultSchedule
 }
 
-// walSegment records one sealed (rotated-out) WAL segment.
-type walSegment struct {
-	seq  int
-	size int64
-}
-
 const (
 	fileMagic = "DSPDB001"
-	walMagic  = "DSWAL001"
 	// fileVersion is the one data-file format this build reads and writes
 	// (header with the 8-byte durable generation, free-page list in the
 	// catalog manifest). Any other version fails OpenFile.
@@ -222,18 +208,6 @@ const (
 	// metaPayload is the usable payload of a meta-chain page (first 4 bytes
 	// hold the next-page pointer).
 	metaPayload = PageSize - 4
-
-	walPageRec byte = 1
-	// walRemovedCommitRec is the commit record without a generation stamp
-	// that earlier builds wrote. It is recognized only to be refused: an
-	// intact one fails the scan instead of passing for a torn tail.
-	walRemovedCommitRec byte = 2
-	// walCommitRec2 is the generation-stamped commit record.
-	walCommitRec2 byte = 3
-
-	walPageRecSize          = 1 + 4 + PageSize + 4
-	walRemovedCommitRecSize = 1 + 12 + 4
-	walCommitRec2Size       = 1 + 12 + 8 + 4
 )
 
 // noPage is the nil page id (meta chain terminator).
@@ -577,145 +551,6 @@ func (fp *FilePager) pageCount() int {
 	return fp.pages
 }
 
-// commitWAL makes every page dirtied since the last commit durable: page
-// images plus a commit record are appended to the WAL and fsynced. The data
-// file is untouched (write-back happens at checkpoint) unless the commit
-// pushes the shadow overlay past the auto-checkpoint threshold. With group
-// commit enabled the request is handed to the background flusher, which
-// coalesces concurrent committers into one append + one fsync; the call
-// still blocks until the covering flush completes, so durability semantics
-// are unchanged.
-func (fp *FilePager) commitWAL() error {
-	if fp.gcond != nil {
-		return fp.groupCommit()
-	}
-	return fp.commitSync()
-}
-
-// commitSync is the direct commit path: one WAL append + fsync on the
-// caller's thread, then an auto-checkpoint when the dirty-since-checkpoint
-// set has outgrown its threshold. The gate excludes concurrent staging for the
-// whole commit, so the committed batch is always a fully staged one.
-func (fp *FilePager) commitSync() error {
-	if fp.gate != nil {
-		fp.gate.RLock()
-		defer fp.gate.RUnlock()
-	}
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	if err := fp.commitWALLocked(); err != nil {
-		return err
-	}
-	if fp.opts.autoCheckpointPages > 0 && len(fp.ckptDirty) >= fp.opts.autoCheckpointPages {
-		return fp.checkpointLocked()
-	}
-	if fp.opts.walMaxSegments > 0 && len(fp.sealed)+1 > fp.opts.walMaxSegments {
-		// Too many live segments: checkpoint to compact the log. The
-		// caller's batch is already durable; a checkpoint failure here
-		// poisons the pager but is reported to this (conservative) caller.
-		return fp.checkpointLocked()
-	}
-	return nil
-}
-
-// groupCommit enqueues a commit request and blocks until a flush that
-// started after the request completes. Because callers stage their dirty
-// pages (under fp.mu) before requesting, any flush that starts later is
-// guaranteed to cover them.
-func (fp *FilePager) groupCommit() error {
-	fp.gmu.Lock()
-	defer fp.gmu.Unlock()
-	if fp.gstopped {
-		return errors.New("rdbms: pager closed")
-	}
-	target := fp.gstart + 1
-	fp.gpending++
-	fp.gcond.Signal()
-	for fp.gdoneSeq < target && !fp.gexited {
-		fp.gdone.Wait()
-	}
-	if fp.gdoneSeq < target {
-		return errors.New("rdbms: pager closed before commit completed")
-	}
-	// glastErr is the newest flush's outcome. Reading a newer flush's
-	// result is sound: a failed flush poisons the pager, so every flush
-	// after it reports the same sticky error — a commit is never silently
-	// re-tried behind a caller's back (and a newer failure covering an
-	// older success is merely a conservative report).
-	return fp.glastErr
-}
-
-// flushLoop is the background group-commit flusher: it waits for commit
-// requests, holds a short coalescing window so concurrent committers share
-// the fsync, commits, and wakes every waiter.
-func (fp *FilePager) flushLoop() {
-	fp.gmu.Lock()
-	for {
-		for fp.gpending == 0 && !fp.gstopped {
-			fp.gcond.Wait()
-		}
-		if fp.gpending == 0 && fp.gstopped {
-			fp.gexited = true
-			fp.gdone.Broadcast()
-			fp.gmu.Unlock()
-			return
-		}
-		if !fp.gstopped && fp.gpending < fp.opts.groupBatch && fp.opts.groupInterval > 0 {
-			// Coalescing window: let more committers join this flush.
-			// Requests arriving during the sleep are covered — the flush
-			// has not started yet.
-			fp.gmu.Unlock()
-			time.Sleep(fp.opts.groupInterval)
-			fp.gmu.Lock()
-		}
-		fp.gpending = 0
-		fp.gstart++
-		fp.gmu.Unlock()
-
-		err := fp.commitSync()
-
-		fp.gmu.Lock()
-		fp.gdoneSeq = fp.gstart
-		fp.glastErr = err
-		fp.gdone.Broadcast()
-	}
-}
-
-// stopFlusher shuts the group-commit goroutine down, serving any commits
-// already enqueued first. No-op when group commit is off.
-func (fp *FilePager) stopFlusher() {
-	if fp.gcond == nil {
-		return
-	}
-	fp.gmu.Lock()
-	if !fp.gstopped {
-		fp.gstopped = true
-		fp.gcond.Signal()
-	}
-	for !fp.gexited {
-		fp.gdone.Wait()
-	}
-	fp.gmu.Unlock()
-}
-
-// startFlusher relaunches the group-commit flusher after stopFlusher — the
-// recovery path stops it (its commits hold the gate, which Recover needs
-// exclusively), reopens the files and starts it again. No-op when group
-// commit is off or the flusher is already running.
-func (fp *FilePager) startFlusher() {
-	if fp.gcond == nil {
-		return
-	}
-	fp.gmu.Lock()
-	defer fp.gmu.Unlock()
-	if !fp.gstopped || !fp.gexited {
-		return
-	}
-	fp.gstopped = false
-	fp.gexited = false
-	go fp.flushLoop()
-}
-
 // poison records the first durability-critical failure and returns the
 // sticky error for it. Every later commit or checkpoint fails with the same
 // cause until the database is reopened.
@@ -745,137 +580,6 @@ func (fp *FilePager) clearPoison() {
 	fp.pmu.Lock()
 	fp.poisonCause = nil
 	fp.pmu.Unlock()
-}
-
-func (fp *FilePager) commitWALLocked() error {
-	if err := fp.poisonedErr(); err != nil {
-		return err
-	}
-	if len(fp.walDirty) == 0 {
-		return nil
-	}
-	if fp.walSize == 0 {
-		if _, err := fp.wal.WriteAt([]byte(walMagic), 0); err != nil {
-			return fp.poison(fmt.Errorf("rdbms: WAL magic write: %w", err))
-		}
-		fp.walSize = int64(len(walMagic))
-	}
-	ids := make([]PageID, 0, len(fp.walDirty))
-	for id := range fp.walDirty {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf := make([]byte, 0, len(ids)*walPageRecSize+walCommitRec2Size)
-	for _, id := range ids {
-		p := fp.shadow[id]
-		if p == nil {
-			return fmt.Errorf("rdbms: WAL-dirty page %d missing from shadow", id)
-		}
-		rec := make([]byte, walPageRecSize)
-		rec[0] = walPageRec
-		binary.LittleEndian.PutUint32(rec[1:5], uint32(id))
-		copy(rec[5:5+PageSize], p.buf[:])
-		binary.LittleEndian.PutUint32(rec[5+PageSize:], crc32.Checksum(rec[:5+PageSize], castagnoli))
-		buf = append(buf, rec...)
-		fp.walAppends.Add(1)
-	}
-	gen := fp.gen.Load() + 1
-	var c [walCommitRec2Size]byte
-	c[0] = walCommitRec2
-	binary.LittleEndian.PutUint32(c[1:], uint32(fp.pages))
-	binary.LittleEndian.PutUint32(c[5:], uint32(fp.metaHead))
-	binary.LittleEndian.PutUint32(c[9:], fp.metaLen)
-	binary.LittleEndian.PutUint64(c[13:], gen)
-	binary.LittleEndian.PutUint32(c[21:], crc32.Checksum(c[:21], castagnoli))
-	buf = append(buf, c[:]...)
-	if _, err := fp.wal.WriteAt(buf, fp.walSize); err != nil {
-		// The append may have landed partially (a torn record); walSize is
-		// not advanced, but the handle's durable state is now unknown, so
-		// the pager poisons rather than re-append over the tear. Recovery
-		// discards the torn tail on reopen.
-		return fp.poison(fmt.Errorf("rdbms: WAL append: %w", err))
-	}
-	fp.walSize += int64(len(buf))
-	fp.walBytes.Add(int64(len(buf)))
-	if err := fp.wal.Sync(); err != nil {
-		// fsyncgate: a failed WAL fsync may have dropped the very pages it
-		// failed on from the kernel's dirty set, so retrying the fsync and
-		// trusting a later success would be wrong. Poison instead.
-		return fp.poison(fmt.Errorf("rdbms: WAL fsync: %w", err))
-	}
-	fp.walSyncs.Add(1)
-	// The batch is durable: its generation stamp is now the database's.
-	fp.gen.Store(gen)
-	fp.walDirty = make(map[PageID]bool)
-	if fp.opts.walSegmentBytes > 0 && fp.walSize >= fp.opts.walSegmentBytes {
-		if err := fp.rotateWALLocked(); err != nil {
-			// The batch just committed is durable; only the rotation
-			// failed. Poison quietly so later commits refuse, but report
-			// success for this one.
-			fp.poison(fmt.Errorf("rdbms: WAL rotation: %w", err))
-		}
-	}
-	return nil
-}
-
-// rotateWALLocked seals the active WAL segment and starts appending to the
-// next numbered one. Called only between commits, so no batch ever
-// straddles a segment boundary. fp.mu must be held.
-func (fp *FilePager) rotateWALLocked() error {
-	if err := fp.wal.Close(); err != nil {
-		return err
-	}
-	fp.sealed = append(fp.sealed, walSegment{seq: fp.walSeq, size: fp.walSize})
-	fp.walSeq++
-	raw, err := os.OpenFile(fp.walSegPath(fp.walSeq), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	fp.wal = wrapFaultFile(raw, FaultFileWAL, fp.opts.faults)
-	fp.walSize = 0
-	fp.walRotations.Add(1)
-	return nil
-}
-
-// walSegPath names a WAL segment file: segment 0 is the plain <path>.wal
-// (a log that never rotated has only this file), later segments are
-// numbered.
-func (fp *FilePager) walSegPath(seq int) string {
-	if seq == 0 {
-		return fp.path + ".wal"
-	}
-	return fmt.Sprintf("%s.wal.%04d", fp.path, seq)
-}
-
-// listWALSegments finds the numbered segment files on disk, sorted
-// ascending. Segment 0 (<path>.wal) is not listed; it always exists once
-// the pager is open.
-func (fp *FilePager) listWALSegments() ([]int, error) {
-	matches, err := filepath.Glob(fp.path + ".wal.*")
-	if err != nil {
-		return nil, err
-	}
-	prefix := fp.path + ".wal."
-	var out []int
-	for _, m := range matches {
-		n, err := strconv.Atoi(m[len(prefix):])
-		if err != nil || n <= 0 {
-			continue // not one of ours (e.g. editor backup files)
-		}
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// walDiskBytes sums the live WAL footprint: sealed segments plus the
-// active append offset. fp.mu must be held (shared suffices).
-func (fp *FilePager) walDiskBytes() int64 {
-	n := fp.walSize
-	for _, s := range fp.sealed {
-		n += s.size
-	}
-	return n
 }
 
 // checkpoint commits the WAL, writes every dirty page into its data-file
@@ -953,238 +657,6 @@ func (fp *FilePager) trimShadowLocked() {
 		}
 		delete(fp.shadow, id)
 	}
-}
-
-// resetWAL compacts the log after a checkpoint: the active handle moves
-// back to segment 0, which is truncated, and every now-redundant numbered
-// segment file is deleted. The order matters for crash safety: segment 0 —
-// the oldest — is emptied and synced before any deletions, and deletions
-// run oldest-first, so a crash at any point leaves a contiguous *suffix* of
-// segments on disk. Replaying a suffix of committed batches over a
-// checkpointed data file reconverges to the checkpoint state (later images
-// overwrite earlier ones); replaying a prefix would regress it.
-func (fp *FilePager) resetWAL() error {
-	if fp.opts.archiveDir != "" {
-		if err := fp.archiveSegmentsLocked(); err != nil {
-			return fmt.Errorf("archive: %w", err)
-		}
-	}
-	fp.recoveredExtents = nil
-	if fp.walSeq != 0 {
-		if err := fp.wal.Close(); err != nil {
-			return err
-		}
-		raw, err := os.OpenFile(fp.walSegPath(0), os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return err
-		}
-		fp.wal = wrapFaultFile(raw, FaultFileWAL, fp.opts.faults)
-	}
-	if err := fp.wal.Truncate(0); err != nil {
-		return err
-	}
-	if err := fp.wal.Sync(); err != nil {
-		return err
-	}
-	removed := 0
-	for _, s := range fp.sealed {
-		if s.seq == 0 {
-			continue
-		}
-		// A failed deletion must not be ignored: a stale old segment
-		// surviving next to a fresh segment 0 would replay stale images
-		// *after* newer ones on recovery.
-		if err := os.Remove(fp.walSegPath(s.seq)); err != nil {
-			return err
-		}
-		removed++
-	}
-	if fp.walSeq != 0 {
-		if err := os.Remove(fp.walSegPath(fp.walSeq)); err != nil {
-			return err
-		}
-		removed++
-	}
-	fp.walCompacted.Add(int64(removed))
-	fp.sealed = nil
-	fp.walSeq = 0
-	fp.walSize = 0
-	return nil
-}
-
-// errWALTorn marks a WAL scan that stopped at bytes a crash mid-append can
-// leave behind: a segment without its magic, a record cut short, one that
-// fails its checksum, or a byte that starts no known record.
-var errWALTorn = errors.New("torn or corrupt WAL record")
-
-// walScanner decodes the records of one WAL segment image. It is the only
-// WAL decoder: crash recovery and archive replay both drive it and apply
-// their own policy to how a scan ends. After next returns false, off is the
-// offset just past the last record decoded and err says why the scan stopped
-// there: nil at the clean end of the data, an error wrapping errWALTorn for
-// damage, and a plain error for an intact record of a type this format no
-// longer defines (which no caller may treat as a torn tail).
-type walScanner struct {
-	data []byte
-	off  int
-	err  error
-
-	// The current record, valid after next returned true. A page record
-	// fills id and image (aliasing data); a commit record sets commit and
-	// the header fields it carries.
-	commit                   bool
-	id                       PageID
-	image                    []byte
-	pages, metaHead, metaLen uint32
-	gen                      uint64
-}
-
-func scanWAL(data []byte) *walScanner {
-	s := &walScanner{data: data}
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		s.err = fmt.Errorf("bad segment magic: %w", errWALTorn)
-		return s
-	}
-	s.off = len(walMagic)
-	return s
-}
-
-func (s *walScanner) next() bool {
-	if s.err != nil || s.off >= len(s.data) {
-		return false
-	}
-	var size int
-	switch typ := s.data[s.off]; typ {
-	case walPageRec:
-		size = walPageRecSize
-	case walCommitRec2:
-		size = walCommitRec2Size
-	case walRemovedCommitRec:
-		size = walRemovedCommitRecSize
-	default:
-		s.err = fmt.Errorf("unknown record type %d at offset %d: %w", typ, s.off, errWALTorn)
-		return false
-	}
-	if s.off+size > len(s.data) {
-		s.err = fmt.Errorf("record at offset %d cut short: %w", s.off, errWALTorn)
-		return false
-	}
-	rec := s.data[s.off : s.off+size]
-	if crc32.Checksum(rec[:size-4], castagnoli) != binary.LittleEndian.Uint32(rec[size-4:]) {
-		s.err = fmt.Errorf("record at offset %d fails its checksum: %w", s.off, errWALTorn)
-		return false
-	}
-	switch rec[0] {
-	case walPageRec:
-		s.commit = false
-		s.id = PageID(binary.LittleEndian.Uint32(rec[1:5]))
-		s.image = rec[5 : 5+PageSize]
-	case walCommitRec2:
-		s.commit = true
-		s.pages = binary.LittleEndian.Uint32(rec[1:5])
-		s.metaHead = binary.LittleEndian.Uint32(rec[5:9])
-		s.metaLen = binary.LittleEndian.Uint32(rec[9:13])
-		s.gen = binary.LittleEndian.Uint64(rec[13:21])
-	default:
-		s.err = fmt.Errorf("WAL commit record type %d (no generation stamp) at offset %d, this build reads only type %d: %w",
-			walRemovedCommitRec, s.off, walCommitRec2, errFormatVersion)
-		return false
-	}
-	s.off += size
-	return true
-}
-
-// recover redoes committed WAL batches into the data file (idempotent) and
-// discards uncommitted or torn tails. Called once on open. It reads every
-// segment on disk in sequence order — a checkpoint interrupted mid-
-// compaction legitimately leaves an empty segment 0 ahead of surviving
-// numbered segments (a suffix of the log), and a batch never straddles a
-// boundary, so a continuous scan across segments is sound. The scan stops
-// at the first torn or corrupt record and ignores everything after it,
-// including later segments; a record of an unsupported type fails the open
-// with the log left untouched. It reports whether a committed batch was
-// applied (which also rebuilds the header from the commit record), and
-// always leaves the log compacted back to an empty segment 0.
-func (fp *FilePager) recover() (bool, error) {
-	numbered, err := fp.listWALSegments()
-	if err != nil {
-		return false, err
-	}
-	seqs := append([]int{0}, numbered...)
-	batch := make(map[PageID][]byte)
-	committed := make(map[PageID][]byte)
-	var pages, metaHead, metaLen uint32
-	gen := fp.gen.Load() // header generation; commit records advance it
-	haveCommit := false
-	sawData := false
-	// extents tracks how far into each segment the committed prefix
-	// reaches, so the resetWAL below archives exactly the replayable bytes
-	// and never a torn tail.
-	extents := make(map[int]int64)
-	for _, seq := range seqs {
-		data, err := os.ReadFile(fp.walSegPath(seq))
-		if err != nil {
-			return false, err
-		}
-		if len(data) == 0 {
-			continue // truncated by a past compaction, or a fresh rotation
-		}
-		sawData = true
-		sc := scanWAL(data)
-		for sc.next() {
-			if !sc.commit {
-				batch[sc.id] = sc.image
-				continue
-			}
-			for id, img := range batch {
-				committed[id] = img
-			}
-			batch = make(map[PageID][]byte)
-			pages, metaHead, metaLen, gen = sc.pages, sc.metaHead, sc.metaLen, sc.gen
-			haveCommit = true
-			extents[seq] = int64(sc.off)
-		}
-		if sc.err != nil {
-			if !errors.Is(sc.err, errWALTorn) {
-				return false, fmt.Errorf("%s: %w", fp.walSegPath(seq), sc.err)
-			}
-			break
-		}
-	}
-	// Adopt the on-disk segments so resetWAL compacts exactly what exists,
-	// whatever state the scan stopped in, and hand it the committed extents
-	// so compaction archives them first.
-	fp.sealed = fp.sealed[:0]
-	for _, seq := range numbered {
-		fp.sealed = append(fp.sealed, walSegment{seq: seq})
-	}
-	fp.recoveredExtents = extents
-	if !haveCommit {
-		if !sawData && len(numbered) == 0 {
-			// Nothing to discard; skip the reset so a fresh open performs
-			// no WAL writes at all.
-			return false, nil
-		}
-		return false, fp.resetWAL()
-	}
-	for id, img := range committed {
-		p := &page{}
-		copy(p.buf[:], img)
-		if err := fp.writePageToFile(id, p); err != nil {
-			return false, err
-		}
-	}
-	fp.pages = int(pages)
-	fp.metaHead = PageID(metaHead)
-	fp.metaLen = metaLen
-	fp.gen.Store(gen)
-	if err := fp.writeHeader(); err != nil {
-		return false, err
-	}
-	if err := fp.f.Sync(); err != nil {
-		return false, err
-	}
-	return true, fp.resetWAL()
 }
 
 // writeMeta stores the serialized catalog manifest into the meta page
