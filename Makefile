@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serve test-faults bench bench-disk bench-scan bench-struct bench-commit bench-serve bench-maint bench-backup bench-recalc soak lint staticcheck fmt ci
+.PHONY: all build test test-serve test-faults bench bench-smoke bench-disk bench-scan bench-struct bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
 
 # Rounds for the crash-fuzz soak (`make soak`); ~200 is 60-90s locally.
 SOAK_ROUNDS ?= 200
@@ -28,6 +28,12 @@ test-serve:
 # the file-backed pager via BenchmarkDurable*) run on every push.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench/ is a module of its own that the driver builds from this checkout:
+# vet it and run its smoke test, so an API change that breaks it fails here
+# first.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test -run TestSmoke .
 
 # Disk-throughput snapshot: measures the batched write path (SetCells, one
 # WAL fsync per batch) against per-cell Save on the file-backed pager and
@@ -61,8 +67,8 @@ bench-struct:
 # 100-row structural edit persists a delta, not a full re-serialization of
 # every positional map) and the snapshot-free Load on the 1M-cell sheet,
 # and writes BENCH_commit.json; fails if the incremental save stages less
-# than 5x fewer manifest bytes than a full rewrite, if Load snapshots the
-# sheet, or if Load reads more than O(formula rows) heap pages.
+# than 5x fewer manifest bytes than a full rewrite, or if Load reads more
+# than O(formula rows) heap pages.
 bench-commit:
 	BENCH_COMMIT_JSON=BENCH_commit.json $(GO) test -run=TestCommitSnapshot -v .
 	@cat BENCH_commit.json
@@ -84,16 +90,6 @@ soak:
 	SOAK_SEEDS=100 $(GO) test -run=TestSoakSeeds -timeout 10m -v ./internal/workload/soak/
 	BENCH_SOAK_JSON=BENCH_soak.json SOAK_ROUNDS=$(SOAK_ROUNDS) $(GO) test -run=TestSoakCrashFuzz -timeout 20m -v .
 	@cat BENCH_soak.json
-
-# Serving snapshot: boots a dsserver on a file-backed pager, seeds 100k
-# cells through the wire, then runs the mixed read/write driver and writes
-# BENCH_serve.json; fails if get-range p99 under sustained 4096-cell write
-# batches exceeds 10x the idle p99 (snapshot reads must not queue behind
-# bulk loads; needs >=2 CPUs) or if 4 readers fail to beat 1 reader by
-# >2x aggregate throughput (needs >=4 CPUs).
-bench-serve:
-	BENCH_SERVE_JSON=BENCH_serve.json $(GO) test -run=TestServeThroughputSnapshot -v .
-	@cat BENCH_serve.json
 
 # Maintenance snapshot: runs the self-healing storage workload (bulk load,
 # small delta, drop, vacuum, scrub) on the file-backed pager and writes
@@ -124,6 +120,15 @@ bench-recalc:
 	BENCH_RECALC_JSON=BENCH_recalc.json $(GO) test -run=TestRecalcSnapshot -v .
 	@cat BENCH_recalc.json
 
+# Non-test Go lines per package (bench/ is the driver's, not counted) and
+# the total — the size half of the trajectory: ROADMAP tracks it alongside
+# the perf numbers.
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
+
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
@@ -144,4 +149,4 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck build test test-serve test-faults bench bench-disk bench-scan bench-struct bench-commit bench-serve bench-maint bench-backup bench-recalc soak
+ci: lint staticcheck build loc test test-serve test-faults bench bench-smoke bench-disk bench-scan bench-struct bench-commit bench-maint bench-backup bench-recalc soak

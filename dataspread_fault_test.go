@@ -12,7 +12,6 @@ import (
 	"dataspread"
 	"dataspread/internal/core"
 	"dataspread/internal/serve"
-	"dataspread/internal/serve/client"
 )
 
 // TestServeReadOnlyDegradation is the tentpole's end-to-end check: a WAL
@@ -39,7 +38,7 @@ func TestServeReadOnlyDegradation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
-	c, err := client.Dial(ln.Addr().String())
+	c, err := serve.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,8 @@ func TestServeReadOnlyDegradation(t *testing.T) {
 	if st.InjectedFaults == 0 {
 		t.Fatal("Stats.InjectedFaults = 0, want > 0")
 	}
-	if st.WALSegments < 1 {
-		t.Fatalf("Stats.WALSegments = %d, want >= 1", st.WALSegments)
+	if st.IO.WALSegments < 1 {
+		t.Fatalf("Stats.WALSegments = %d, want >= 1", st.IO.WALSegments)
 	}
 
 	c.Close()
@@ -192,7 +191,7 @@ func TestClientRetriesIdempotentOnly(t *testing.T) {
 	defer func() { srv.Close(); <-done }()
 
 	// Seed a sheet directly.
-	direct, err := client.Dial(ln.Addr().String())
+	direct, err := serve.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestClientRetriesIdempotentOnly(t *testing.T) {
 	// get-range must reconnect and succeed within the retry budget.
 	addr, stop := flakyProxy(t, ln.Addr().String(), 2)
 	defer stop()
-	c, err := client.DialOptions(addr, client.Options{
+	c, err := serve.DialOptions(addr, serve.ClientOptions{
 		DialTimeout:    time.Second,
 		RequestTimeout: 2 * time.Second,
 		RetryAttempts:  4,
@@ -234,7 +233,7 @@ func TestClientRetriesIdempotentOnly(t *testing.T) {
 	// keeps its value.
 	addr2, stop2 := flakyProxy(t, ln.Addr().String(), 1)
 	defer stop2()
-	c2, err := client.DialOptions(addr2, client.Options{
+	c2, err := serve.DialOptions(addr2, serve.ClientOptions{
 		RequestTimeout: 2 * time.Second,
 		RetryAttempts:  4,
 		RetryBackoff:   time.Millisecond,

@@ -91,11 +91,3 @@ func (c *Cache) PeekRange(g sheet.Range) ([][]sheet.Cell, bool) {
 	}
 	return out, true
 }
-
-// Resident returns the number of blocks currently cached (serving-layer
-// stats).
-func (c *Cache) Resident() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.blocks)
-}

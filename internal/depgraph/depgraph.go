@@ -377,8 +377,8 @@ func (g *Graph) AffectedByRefs(refs []sheet.Ref) (order []sheet.Ref, cycles []sh
 }
 
 // frontierForRefs returns the formulas directly reading any of the exact
-// changed cells, deduplicated and sorted — the BFS frontier shared by
-// AffectedByRefs and ConeFromRefs.
+// changed cells, deduplicated and sorted — the BFS frontier of
+// AffectedByRefs.
 func (g *Graph) frontierForRefs(refs []sheet.Ref) []sheet.Ref {
 	if len(refs) == 0 {
 		return nil
@@ -597,11 +597,6 @@ func (c *Cone) Waves() [][]sheet.Ref {
 // verbatim plus every formula transitively reading them, with adjacency.
 func (g *Graph) ConeFrom(seeds []sheet.Ref) *Cone {
 	return g.coneFrom(append([]sheet.Ref(nil), seeds...))
-}
-
-// ConeFromRefs is AffectedByRefs returning the full cone structure.
-func (g *Graph) ConeFromRefs(refs []sheet.Ref) *Cone {
-	return g.coneFrom(g.frontierForRefs(refs))
 }
 
 // affectedFrom runs the reachability BFS and topological sort from an

@@ -61,12 +61,6 @@ func NewGridConstrained(s *sheet.Sheet, rowBreaks, colBreaks []int) (*Grid, bool
 	return newGridFromOcc(occ, box.From.Row, box.From.Col, true, br, bc), true
 }
 
-// NewGridFromOcc builds a grid from a raw occupancy matrix whose [0][0]
-// corresponds to absolute sheet position (baseRow, baseCol).
-func NewGridFromOcc(occ [][]bool, baseRow, baseCol int, collapse bool) *Grid {
-	return newGridFromOcc(occ, baseRow, baseCol, collapse, nil, nil)
-}
-
 func newGridFromOcc(occ [][]bool, baseRow, baseCol int, collapse bool, rowBreaks, colBreaks map[int]bool) *Grid {
 	rows := len(occ)
 	cols := 0

@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"dataspread/internal/hybrid"
 	"dataspread/internal/rdbms"
@@ -464,18 +463,9 @@ func (h *HybridStore) StorageBytes() int64 {
 	return n
 }
 
-// snapshotCalls counts Snapshot invocations (test hook: the snapshot-free
-// Load path must keep this flat).
-var snapshotCalls atomic.Int64
-
-// SnapshotCalls reports how many times any store snapshotted itself since
-// process start (test hook for the snapshot-free Load acceptance).
-func SnapshotCalls() int64 { return snapshotCalls.Load() }
-
 // Snapshot reads the whole store back into a sheet (used by recoverability
 // tests and by migration).
 func (h *HybridStore) Snapshot(name string, bounds sheet.Range) (*sheet.Sheet, error) {
-	snapshotCalls.Add(1)
 	s := sheet.New(name)
 	cells, err := h.GetCells(bounds)
 	if err != nil {

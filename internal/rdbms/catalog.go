@@ -107,7 +107,7 @@ type Options struct {
 	// file (<path>.wal.0001, ...) once the active segment reaches this
 	// size; commits never straddle a boundary, and checkpoints delete the
 	// sealed segments. 0 means the default of 4 MiB; negative disables
-	// rotation (single-file WAL, the pre-rotation layout).
+	// rotation (a single-file WAL).
 	WALSegmentBytes int64
 	// WALMaxSegments checkpoints automatically when the live segment
 	// count (active + sealed) exceeds it, which bounds WAL disk usage to

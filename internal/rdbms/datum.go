@@ -210,15 +210,6 @@ func (s Schema) ColIndex(name string) int {
 	return -1
 }
 
-// ColNames returns the column names in order.
-func (s Schema) ColNames() []string {
-	out := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 func boolToInt(b bool) int64 {
 	if b {
 		return 1

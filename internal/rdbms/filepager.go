@@ -871,92 +871,50 @@ func (fp *FilePager) closeFiles() error {
 	return errors.Join(ferr, werr)
 }
 
-// fileCounters is the snapshot of real-I/O counters surfaced via IOStats.
-type fileCounters struct {
-	diskReads, diskWrites           int64
-	walAppends, walSyncs, walBytes  int64
-	checkpoints, checkpointPages    int64
-	freePages                       int64
-	shadowPages, dirtyPages         int64
-	manifestBytes, manifestSegments int64
-	walSegments, walRotations       int64
-	walCompacted, walDiskBytes      int64
-	scrubRuns, scrubPages           int64
-	scrubRepaired, scrubBad         int64
-	quarantinedPages                int64
-	vacuums, vacuumPagesMoved       int64
-	vacuumBytesFreed, recoveries    int64
-	backups, backupPages            int64
-	backupBytes, walArchived        int64
-	archiveBytes                    int64
-	durableGen                      int64
+// pagerCounter pairs one cumulative pager counter with the IOStats field it
+// is reported through.
+type pagerCounter struct {
+	ctr   *atomic.Int64
+	field *int64
 }
 
-func (fp *FilePager) ioCounters() fileCounters {
+// counters is the table of the pager's cumulative counters: fillIOStats
+// loads each into its field of s, resetIOCounters zeroes each.
+func (fp *FilePager) counters(s *IOStats) []pagerCounter {
+	return []pagerCounter{
+		{&fp.diskReads, &s.DiskReads}, {&fp.diskWrites, &s.DiskWrites},
+		{&fp.walAppends, &s.WALAppends}, {&fp.walSyncs, &s.WALSyncs}, {&fp.walBytes, &s.WALBytes},
+		{&fp.checkpointCount, &s.Checkpoints}, {&fp.checkpointPages, &s.CheckpointPages},
+		{&fp.manifestBytes, &s.ManifestBytes}, {&fp.manifestSegments, &s.ManifestSegments},
+		{&fp.walRotations, &s.WALRotations}, {&fp.walCompacted, &s.WALCompacted},
+		{&fp.scrubRuns, &s.ScrubRuns}, {&fp.scrubPages, &s.ScrubPages},
+		{&fp.scrubRepaired, &s.ScrubRepaired}, {&fp.scrubBad, &s.ScrubBad},
+		{&fp.vacuumRuns, &s.Vacuums}, {&fp.vacuumPagesMoved, &s.VacuumPagesMoved},
+		{&fp.vacuumBytesFreed, &s.VacuumBytesFreed}, {&fp.recoveries, &s.Recoveries},
+		{&fp.backupRuns, &s.Backups}, {&fp.backupPagesStreamed, &s.BackupPages},
+		{&fp.backupByteCount, &s.BackupBytes},
+		{&fp.walArchived, &s.WALArchived}, {&fp.archiveByteCount, &s.ArchiveBytes},
+	}
+}
+
+// fillIOStats adds the pager's real-I/O counters and current gauges to s.
+func (fp *FilePager) fillIOStats(s *IOStats) {
 	fp.mu.RLock()
-	freePages := int64(len(fp.freeList) + len(fp.pendingFree))
-	shadowPages := int64(len(fp.shadow))
-	dirtyPages := int64(len(fp.ckptDirty))
-	quarantined := int64(len(fp.quarantined))
-	walSegments := int64(len(fp.sealed) + 1)
-	walDiskBytes := fp.walDiskBytes()
+	s.FreePages = int64(len(fp.freeList) + len(fp.pendingFree))
+	s.ShadowPages = int64(len(fp.shadow))
+	s.DirtyPages = int64(len(fp.ckptDirty))
+	s.QuarantinedPages = int64(len(fp.quarantined))
+	s.WALSegments = int64(len(fp.sealed) + 1)
+	s.WALDiskBytes = fp.walDiskBytes()
 	fp.mu.RUnlock()
-	return fileCounters{
-		diskReads:        fp.diskReads.Load(),
-		diskWrites:       fp.diskWrites.Load(),
-		walAppends:       fp.walAppends.Load(),
-		walSyncs:         fp.walSyncs.Load(),
-		walBytes:         fp.walBytes.Load(),
-		checkpoints:      fp.checkpointCount.Load(),
-		checkpointPages:  fp.checkpointPages.Load(),
-		freePages:        freePages,
-		shadowPages:      shadowPages,
-		dirtyPages:       dirtyPages,
-		manifestBytes:    fp.manifestBytes.Load(),
-		manifestSegments: fp.manifestSegments.Load(),
-		walSegments:      walSegments,
-		walRotations:     fp.walRotations.Load(),
-		walCompacted:     fp.walCompacted.Load(),
-		walDiskBytes:     walDiskBytes,
-		scrubRuns:        fp.scrubRuns.Load(),
-		scrubPages:       fp.scrubPages.Load(),
-		scrubRepaired:    fp.scrubRepaired.Load(),
-		scrubBad:         fp.scrubBad.Load(),
-		quarantinedPages: quarantined,
-		vacuums:          fp.vacuumRuns.Load(),
-		vacuumPagesMoved: fp.vacuumPagesMoved.Load(),
-		vacuumBytesFreed: fp.vacuumBytesFreed.Load(),
-		recoveries:       fp.recoveries.Load(),
-		backups:          fp.backupRuns.Load(),
-		backupPages:      fp.backupPagesStreamed.Load(),
-		backupBytes:      fp.backupByteCount.Load(),
-		walArchived:      fp.walArchived.Load(),
-		archiveBytes:     fp.archiveByteCount.Load(),
-		durableGen:       int64(fp.gen.Load()),
+	s.DurableGen = int64(fp.gen.Load())
+	for _, c := range fp.counters(s) {
+		*c.field = c.ctr.Load()
 	}
 }
 
 func (fp *FilePager) resetIOCounters() {
-	fp.diskReads.Store(0)
-	fp.diskWrites.Store(0)
-	fp.walAppends.Store(0)
-	fp.walSyncs.Store(0)
-	fp.walBytes.Store(0)
-	fp.checkpointCount.Store(0)
-	fp.checkpointPages.Store(0)
-	fp.manifestBytes.Store(0)
-	fp.manifestSegments.Store(0)
-	fp.scrubRuns.Store(0)
-	fp.scrubPages.Store(0)
-	fp.scrubRepaired.Store(0)
-	fp.scrubBad.Store(0)
-	fp.vacuumRuns.Store(0)
-	fp.vacuumPagesMoved.Store(0)
-	fp.vacuumBytesFreed.Store(0)
-	fp.recoveries.Store(0)
-	fp.backupRuns.Store(0)
-	fp.backupPagesStreamed.Store(0)
-	fp.backupByteCount.Store(0)
-	fp.walArchived.Store(0)
-	fp.archiveByteCount.Store(0)
+	for _, c := range fp.counters(&IOStats{}) {
+		c.ctr.Store(0)
+	}
 }

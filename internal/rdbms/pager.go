@@ -72,6 +72,24 @@ type IOStats struct {
 	DurableGen   int64 // current durable generation (see DB.DurableGen)
 }
 
+// Counters lists every IOStats field in declaration order — the one field
+// table. The serve stats codec ships exactly this list, so a new counter is
+// added to the struct and here, filled where it is counted and printed where
+// it is shown; nothing in between names it.
+func (s *IOStats) Counters() []*int64 {
+	return []*int64{
+		&s.Reads, &s.Writes, &s.Hits, &s.PoolHits, &s.PoolMisses, &s.PagesRead,
+		&s.DiskReads, &s.DiskWrites, &s.WALAppends, &s.WALSyncs, &s.WALBytes,
+		&s.Checkpoints, &s.CheckpointPages, &s.FreePages, &s.ShadowPages, &s.DirtyPages,
+		&s.WALSegments, &s.WALRotations, &s.WALCompacted, &s.WALDiskBytes,
+		&s.ManifestBytes, &s.ManifestSegments,
+		&s.ScrubRuns, &s.ScrubPages, &s.ScrubRepaired, &s.ScrubBad, &s.QuarantinedPages,
+		&s.Vacuums, &s.VacuumPagesMoved, &s.VacuumBytesFreed, &s.Recoveries,
+		&s.Backups, &s.BackupPages, &s.BackupBytes, &s.WALArchived, &s.ArchiveBytes,
+		&s.DurableGen,
+	}
+}
+
 // Pager is the stable-storage layer beneath the buffer pool: a growable
 // array of 8 KiB pages. Two implementations exist: MemPager, the original
 // in-memory simulated disk (machine-independent logical I/O for the paper's
@@ -386,23 +404,7 @@ func (b *BufferPool) Stats() IOStats {
 		PagesRead:  b.pagesRead.Load(),
 	}
 	if fp, ok := b.disk.(*FilePager); ok {
-		fc := fp.ioCounters()
-		s.DiskReads, s.DiskWrites, s.WALAppends = fc.diskReads, fc.diskWrites, fc.walAppends
-		s.WALSyncs, s.WALBytes, s.Checkpoints = fc.walSyncs, fc.walBytes, fc.checkpoints
-		s.CheckpointPages = fc.checkpointPages
-		s.FreePages = fc.freePages
-		s.ShadowPages, s.DirtyPages = fc.shadowPages, fc.dirtyPages
-		s.ManifestBytes, s.ManifestSegments = fc.manifestBytes, fc.manifestSegments
-		s.WALSegments, s.WALRotations = fc.walSegments, fc.walRotations
-		s.WALCompacted, s.WALDiskBytes = fc.walCompacted, fc.walDiskBytes
-		s.ScrubRuns, s.ScrubPages = fc.scrubRuns, fc.scrubPages
-		s.ScrubRepaired, s.ScrubBad = fc.scrubRepaired, fc.scrubBad
-		s.QuarantinedPages = fc.quarantinedPages
-		s.Vacuums, s.VacuumPagesMoved = fc.vacuums, fc.vacuumPagesMoved
-		s.VacuumBytesFreed, s.Recoveries = fc.vacuumBytesFreed, fc.recoveries
-		s.Backups, s.BackupPages, s.BackupBytes = fc.backups, fc.backupPages, fc.backupBytes
-		s.WALArchived, s.ArchiveBytes = fc.walArchived, fc.archiveBytes
-		s.DurableGen = fc.durableGen
+		fp.fillIOStats(&s)
 	}
 	return s
 }

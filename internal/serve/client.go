@@ -39,8 +39,7 @@ type ClientOptions struct {
 // Client is one connection to a dsserver, speaking the wire protocol of
 // this package. It is safe for concurrent use; requests serialize on the
 // connection (the server processes one request per connection at a time —
-// open more clients for parallelism). dsshell's .connect mode and the
-// mixed-workload benchmark driver use it via internal/serve/client.
+// open more clients for parallelism).
 type Client struct {
 	addr string
 	opts ClientOptions

@@ -76,8 +76,8 @@ func TestServeDiskFullRecover(t *testing.T) {
 	if st.Poisoned {
 		t.Fatal("still poisoned after Recover")
 	}
-	if st.Recoveries != 1 {
-		t.Fatalf("Recoveries = %d, want 1", st.Recoveries)
+	if st.IO.Recoveries != 1 {
+		t.Fatalf("Recoveries = %d, want 1", st.IO.Recoveries)
 	}
 
 	// The acked batch survived; the torn one vanished whole.
@@ -150,8 +150,8 @@ func TestServeScrubVacuumOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ScrubRuns != 1 || st.ScrubPages == 0 || st.Vacuums != 1 {
-		t.Fatalf("maintenance counters = scrub %d/%d vacuum %d", st.ScrubRuns, st.ScrubPages, st.Vacuums)
+	if st.IO.ScrubRuns != 1 || st.IO.ScrubPages == 0 || st.IO.Vacuums != 1 {
+		t.Fatalf("maintenance counters = scrub %d/%d vacuum %d", st.IO.ScrubRuns, st.IO.ScrubPages, st.IO.Vacuums)
 	}
 	// The sheet is still fully served after both passes.
 	cells, _, err := c.GetRange("s", 512, 1, 512, 1)
@@ -225,9 +225,9 @@ func TestServeBackupStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Backups != 1 || st.BackupBytes != sum.Bytes || st.DurableGen != int64(sum.Gen) {
+	if st.IO.Backups != 1 || st.IO.BackupBytes != sum.Bytes || st.IO.DurableGen != int64(sum.Gen) {
 		t.Fatalf("backup counters = backups %d bytes %d gen %d, want 1/%d/%d",
-			st.Backups, st.BackupBytes, st.DurableGen, sum.Bytes, sum.Gen)
+			st.IO.Backups, st.IO.BackupBytes, st.IO.DurableGen, sum.Bytes, sum.Gen)
 	}
 
 	// The backup restores to a database serving the same cells, including

@@ -354,13 +354,6 @@ type Stats struct {
 	// durability-critical I/O failure made every further mutation fail,
 	// while reads keep serving from the committed state.
 	Poisoned bool
-	// WALSegments is the number of live WAL segment files (active plus
-	// sealed); WALRotations and WALCompacted count segment rotations and
-	// segments removed by checkpoint compaction since the server opened
-	// the database.
-	WALSegments  int64
-	WALRotations int64
-	WALCompacted int64
 	// InjectedFaults counts scheduled I/O faults fired so far when the
 	// database was opened over a fault-injection schedule (zero otherwise).
 	InjectedFaults int64
@@ -371,28 +364,10 @@ type Stats struct {
 	// fault schedule.
 	InjectedByKind rdbms.FaultCounts
 	Faults         []rdbms.FaultRuleStat
-	// Maintenance counters (self-healing storage): incremental-checkpoint
-	// page writes, scrub progress and findings, vacuum reclamation, and
-	// in-place poison recoveries. See rdbms.IOStats for field semantics.
-	CheckpointPages  int64
-	ScrubRuns        int64
-	ScrubPages       int64
-	ScrubRepaired    int64
-	ScrubBad         int64
-	QuarantinedPages int64
-	Vacuums          int64
-	VacuumPagesMoved int64
-	VacuumBytesFreed int64
-	Recoveries       int64
-	// Disaster-recovery counters: online backups streamed, WAL segments
-	// preserved into the archive, and the durable generation backups pin
-	// (see rdbms.IOStats for field semantics).
-	Backups      int64
-	BackupPages  int64
-	BackupBytes  int64
-	WALArchived  int64
-	ArchiveBytes int64
-	DurableGen   int64
+	// IO is the storage layer's whole counter snapshot (buffer pool, data
+	// file, WAL, checkpoints, maintenance, backups); see rdbms.IOStats for
+	// field semantics.
+	IO rdbms.IOStats
 	// Sheets lists the open sheets and their snapshot generations.
 	Sheets []SheetStat
 }
@@ -431,9 +406,6 @@ func appendStats(b []byte, st Stats) []byte {
 		poisoned = 1
 	}
 	b = append(b, poisoned)
-	b = binary.AppendUvarint(b, uint64(st.WALSegments))
-	b = binary.AppendUvarint(b, uint64(st.WALRotations))
-	b = binary.AppendUvarint(b, uint64(st.WALCompacted))
 	b = binary.AppendUvarint(b, uint64(st.InjectedFaults))
 	b = binary.AppendUvarint(b, uint64(st.InjectedByKind.IOErrs))
 	b = binary.AppendUvarint(b, uint64(st.InjectedByKind.NoSpace))
@@ -448,22 +420,13 @@ func appendStats(b []byte, st Stats) []byte {
 		b = binary.AppendUvarint(b, uint64(fr.Matched))
 		b = binary.AppendUvarint(b, uint64(fr.Injected))
 	}
-	b = binary.AppendUvarint(b, uint64(st.CheckpointPages))
-	b = binary.AppendUvarint(b, uint64(st.ScrubRuns))
-	b = binary.AppendUvarint(b, uint64(st.ScrubPages))
-	b = binary.AppendUvarint(b, uint64(st.ScrubRepaired))
-	b = binary.AppendUvarint(b, uint64(st.ScrubBad))
-	b = binary.AppendUvarint(b, uint64(st.QuarantinedPages))
-	b = binary.AppendUvarint(b, uint64(st.Vacuums))
-	b = binary.AppendUvarint(b, uint64(st.VacuumPagesMoved))
-	b = binary.AppendUvarint(b, uint64(st.VacuumBytesFreed))
-	b = binary.AppendUvarint(b, uint64(st.Recoveries))
-	b = binary.AppendUvarint(b, uint64(st.Backups))
-	b = binary.AppendUvarint(b, uint64(st.BackupPages))
-	b = binary.AppendUvarint(b, uint64(st.BackupBytes))
-	b = binary.AppendUvarint(b, uint64(st.WALArchived))
-	b = binary.AppendUvarint(b, uint64(st.ArchiveBytes))
-	b = binary.AppendUvarint(b, uint64(st.DurableGen))
+	// The IO counters travel as a counted list in rdbms.IOStats.Counters
+	// order, so a peer built with more or fewer counters still decodes.
+	io := st.IO.Counters()
+	b = binary.AppendUvarint(b, uint64(len(io)))
+	for _, c := range io {
+		b = binary.AppendUvarint(b, uint64(*c))
+	}
 	b = binary.AppendUvarint(b, uint64(len(st.Sheets)))
 	for _, sh := range st.Sheets {
 		b = appendString(b, sh.Name)
@@ -481,9 +444,6 @@ func (d *decoder) stats() Stats {
 		CommitGen: d.uvarint(),
 	}
 	st.Poisoned = d.byte() != 0
-	st.WALSegments = int64(d.uvarint())
-	st.WALRotations = int64(d.uvarint())
-	st.WALCompacted = int64(d.uvarint())
 	st.InjectedFaults = int64(d.uvarint())
 	st.InjectedByKind = rdbms.FaultCounts{
 		IOErrs:      int64(d.uvarint()),
@@ -511,22 +471,13 @@ func (d *decoder) stats() Stats {
 			}
 		}
 	}
-	st.CheckpointPages = int64(d.uvarint())
-	st.ScrubRuns = int64(d.uvarint())
-	st.ScrubPages = int64(d.uvarint())
-	st.ScrubRepaired = int64(d.uvarint())
-	st.ScrubBad = int64(d.uvarint())
-	st.QuarantinedPages = int64(d.uvarint())
-	st.Vacuums = int64(d.uvarint())
-	st.VacuumPagesMoved = int64(d.uvarint())
-	st.VacuumBytesFreed = int64(d.uvarint())
-	st.Recoveries = int64(d.uvarint())
-	st.Backups = int64(d.uvarint())
-	st.BackupPages = int64(d.uvarint())
-	st.BackupBytes = int64(d.uvarint())
-	st.WALArchived = int64(d.uvarint())
-	st.ArchiveBytes = int64(d.uvarint())
-	st.DurableGen = int64(d.uvarint())
+	io := st.IO.Counters()
+	nio := d.num("io counter count", 1<<10)
+	for i := 0; i < nio && d.err == nil; i++ {
+		if v := int64(d.uvarint()); i < len(io) {
+			*io[i] = v
+		}
+	}
 	n := d.num("sheet count", 1<<16)
 	if d.err != nil {
 		return st

@@ -131,32 +131,13 @@ func (s *Server) Close() error {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
-	io := s.db.Pool().Stats()
 	st := Stats{
-		Conns:            s.nconns.Load(),
-		InFlight:         s.inflight.Load(),
-		Requests:         s.requests.Load(),
-		CommitGen:        s.db.CommitGen(),
-		Poisoned:         s.db.Poisoned() != nil,
-		WALSegments:      io.WALSegments,
-		WALRotations:     io.WALRotations,
-		WALCompacted:     io.WALCompacted,
-		CheckpointPages:  io.CheckpointPages,
-		ScrubRuns:        io.ScrubRuns,
-		ScrubPages:       io.ScrubPages,
-		ScrubRepaired:    io.ScrubRepaired,
-		ScrubBad:         io.ScrubBad,
-		QuarantinedPages: io.QuarantinedPages,
-		Vacuums:          io.Vacuums,
-		VacuumPagesMoved: io.VacuumPagesMoved,
-		VacuumBytesFreed: io.VacuumBytesFreed,
-		Recoveries:       io.Recoveries,
-		Backups:          io.Backups,
-		BackupPages:      io.BackupPages,
-		BackupBytes:      io.BackupBytes,
-		WALArchived:      io.WALArchived,
-		ArchiveBytes:     io.ArchiveBytes,
-		DurableGen:       io.DurableGen,
+		Conns:     s.nconns.Load(),
+		InFlight:  s.inflight.Load(),
+		Requests:  s.requests.Load(),
+		CommitGen: s.db.CommitGen(),
+		Poisoned:  s.db.Poisoned() != nil,
+		IO:        s.db.Pool().Stats(),
 	}
 	if fs := s.db.Faults(); fs != nil {
 		st.InjectedByKind = fs.Injected()

@@ -64,9 +64,15 @@ func TickerMarket(spec TickerSpec) *sheet.Sheet {
 	return s
 }
 
+// Edit is one cell edit, following the engine's Set convention ("=..."
+// installs a formula, "" clears, anything else is a literal).
+type Edit struct {
+	Row, Col int
+	Input    string
+}
+
 // Edits flattens a sheet into one bulk edit batch (formulas as "=...",
-// values as literal text) for MixedSession.SetCells or the engine's bulk
-// path.
+// values as literal text) for the engine's bulk path.
 func Edits(s *sheet.Sheet) []Edit {
 	var edits []Edit
 	s.EachSorted(func(r sheet.Ref, c sheet.Cell) {
