@@ -79,7 +79,7 @@ bench-commit:
 # CI runs this as a dedicated step so failure-semantics regressions are
 # named, not buried in ./...
 test-faults:
-	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
+	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|CatalogDDL' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
 
 # Crash-fuzz soak (~60-90s at the default SOAK_ROUNDS): mixed edits over a
 # fault-injected disk with kill-points at WAL rotation and checkpoint

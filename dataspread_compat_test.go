@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -17,8 +16,8 @@ import (
 	"dataspread/internal/hybrid"
 )
 
-// The golden fixture under testdata/golden-v3 is a small database in the one
-// format this build reads and writes (data file version 3, store manifest
+// The golden fixture under testdata/golden-v4 is a small database in the one
+// format this build reads and writes (data file version 4, store manifest
 // version 3, engine manifest version 2), frozen as a crashed session left it:
 //
 //	golden.dsdb           data file, checkpointed before the last edits
@@ -35,7 +34,7 @@ import (
 //
 //	GOLDEN_REGEN=1 go test -run TestGoldenCurrentFormat .
 const (
-	goldenDir  = "testdata/golden-v3"
+	goldenDir  = "testdata/golden-v4"
 	goldenName = "golden.dsdb"
 )
 
@@ -298,9 +297,45 @@ func rewriteMetaJSON(t *testing.T, path, key string, edit func(m map[string]any)
 	}
 }
 
+// editCatalogRoot damages the catalog root of the closed database at path:
+// edit gets the data-file header and the root's bytes inside its one
+// checksummed meta page, and both are written back with the page's checksum
+// (the header's is edit's to redo).
+func editCatalogRoot(edit func(t *testing.T, hdr, root []byte)) func(*testing.T, string) {
+	return func(t *testing.T, path string) {
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		hdr := make([]byte, 36)
+		if _, err := f.ReadAt(hdr, 0); err != nil {
+			t.Fatal(err)
+		}
+		head, n := binary.LittleEndian.Uint32(hdr[16:]), binary.LittleEndian.Uint32(hdr[20:])
+		const pageSize = 8192
+		if n >= pageSize-4 {
+			t.Fatalf("catalog root spans several pages (%d bytes)", n)
+		}
+		slot := make([]byte, 8+pageSize)
+		off := int64(pageSize) + int64(head)*int64(len(slot))
+		if _, err := f.ReadAt(slot, off); err != nil {
+			t.Fatal(err)
+		}
+		edit(t, hdr, slot[8+4:8+4+n])
+		binary.LittleEndian.PutUint32(slot[0:4], crc32.Checksum(slot[8:], castagnoli))
+		if _, err := f.WriteAt(slot, off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(hdr, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFormatVersionChecksAreExact: every persisted structure is read for
 // exactly the version this build writes. An older or a newer one — data-file
-// header, WAL commit record, catalog manifest, store manifest, engine
+// header, WAL commit record, catalog root, store manifest, engine
 // manifest — fails the open or the load with an error naming what was found
 // and what is supported; it is never misparsed as current, and an old log
 // is never mistaken for a torn tail and truncated.
@@ -336,8 +371,9 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 		damage func(t *testing.T, path string)
 		want   []string
 	}{
-		{"header older", headerVersion(2), []string{"format version 2", "only version 3"}},
-		{"header newer", headerVersion(4), []string{"format version 4", "only version 3"}},
+		{"header older", headerVersion(2), []string{"format version 2", "only version 4"}},
+		{"header of the JSON catalog", headerVersion(3), []string{"format version 3", "only version 4"}},
+		{"header newer", headerVersion(5), []string{"format version 5", "only version 4"}},
 		{"wal commit record without generation", func(t *testing.T, path string) {
 			// An intact record of the removed type 2: u32 page count, meta
 			// head, meta length, CRC-32C.
@@ -349,41 +385,22 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, []string{"record type 2", "only type 3"}},
-		{"catalog manifest with explicit page list", func(t *testing.T, path string) {
-			// Rewrite the first table's page_runs as the removed "pages"
-			// list, padded to the same length, inside the catalog's
-			// checksummed meta page.
-			f, err := os.OpenFile(path, os.O_RDWR, 0)
-			if err != nil {
-				t.Fatal(err)
+		{"catalog root with an unknown record tag", editCatalogRoot(func(t *testing.T, hdr, root []byte) {
+			// The first record: frame length, datum count, then the tag
+			// as a one-byte int datum (type byte 1, zigzag varint).
+			_, n := binary.Uvarint(root)
+			_, m := binary.Uvarint(root[n:])
+			tag := root[n+m:]
+			if tag[0] != 1 || tag[1] >= 0x80 {
+				t.Fatalf("catalog root does not start with a small int tag: % x", root[:8])
 			}
-			defer f.Close()
-			var hdr [24]byte
-			if _, err := f.ReadAt(hdr[:], 0); err != nil {
-				t.Fatal(err)
-			}
-			head, n := binary.LittleEndian.Uint32(hdr[16:]), binary.LittleEndian.Uint32(hdr[20:])
-			const pageSize = 8192
-			if n > pageSize-4 {
-				t.Fatalf("catalog manifest spans several pages (%d bytes)", n)
-			}
-			slot := make([]byte, 8+pageSize)
-			off := int64(pageSize) + int64(head)*int64(len(slot))
-			if _, err := f.ReadAt(slot, off); err != nil {
-				t.Fatal(err)
-			}
-			blob := slot[8+4 : 8+4+n]
-			loc := regexp.MustCompile(`"page_runs":\[[^\]]*\]`).FindIndex(blob)
-			if loc == nil {
-				t.Fatalf("no page_runs in catalog manifest %s", blob)
-			}
-			repl := `"pages":[0]`
-			copy(blob[loc[0]:loc[1]], repl+strings.Repeat(" ", loc[1]-loc[0]-len(repl)))
-			binary.LittleEndian.PutUint32(slot[0:4], crc32.Checksum(slot[8:], castagnoli))
-			if _, err := f.WriteAt(slot, off); err != nil {
-				t.Fatal(err)
-			}
-		}, []string{"catalog manifest", `unknown field "pages"`}},
+			tag[1] = 2 * 9
+		}), []string{"catalog root record 0", "record tag 9"}},
+		{"catalog root with trailing bytes", editCatalogRoot(func(t *testing.T, hdr, root []byte) {
+			// One more byte than the records fill, in the header's length.
+			binary.LittleEndian.PutUint32(hdr[20:], uint32(len(root))+1)
+			binary.LittleEndian.PutUint32(hdr[32:], crc32.Checksum(hdr[:32], castagnoli))
+		}), []string{"catalog root record"}},
 		{"store manifest older", setVersion("sheet:fix", 2), []string{"format version 2", "only version 3"}},
 		{"store manifest unversioned", setVersion("sheet:fix", nil), []string{"format version 0", "only version 3"}},
 		{"store manifest newer", setVersion("sheet:fix", 4), []string{"format version 4", "only version 3"}},

@@ -123,7 +123,17 @@ func TestFig15aShape(t *testing.T) {
 func TestFig15bShape(t *testing.T) {
 	cfg := smallCfg()
 	cfg.SheetsPerCorpus = 16
+	// One run times a few microseconds per layout once; a scheduling hiccup
+	// in one of them flips the comparison. Compare each layout's best of
+	// three runs.
 	rows := Fig15b(cfg)
+	for rep := 1; rep < 3; rep++ {
+		for i, r := range Fig15b(cfg) {
+			rows[i].ROM = min(rows[i].ROM, r.ROM)
+			rows[i].RCV = min(rows[i].RCV, r.RCV)
+			rows[i].Agg = min(rows[i].Agg, r.Agg)
+		}
+	}
 	for _, r := range rows {
 		if r.ROM == 0 && r.RCV == 0 && r.Agg == 0 {
 			continue // corpus sample had no formulas

@@ -29,6 +29,10 @@ type Table struct {
 	db      *DB
 	heap    *heapFile
 	indexes map[string]*tableIndex // by indexed column name (lower-cased)
+	// schemaDirty marks a schema record (columns, indexed columns) that
+	// differs from the staged one: set by DDL, cleared when the next commit
+	// stages the record.
+	schemaDirty bool
 }
 
 type tableIndex struct {
@@ -221,16 +225,9 @@ func OpenFile(path string, opts Options) (*DB, error) {
 	// while staging, the pager holds it shared while committing), so the
 	// background flusher can never commit a half-staged batch.
 	fp.gate = &db.mu
-	blob, err := fp.readMeta()
-	if err != nil {
+	if err := db.loadCatalog(fp); err != nil {
 		fp.closeFiles()
 		return nil, err
-	}
-	if len(blob) > 0 {
-		if err := db.loadManifest(blob); err != nil {
-			fp.closeFiles()
-			return nil, err
-		}
 	}
 	return db, nil
 }
@@ -248,10 +245,12 @@ func (db *DB) filePager() *FilePager {
 }
 
 // FlushWAL makes the current database state durable in the write-ahead
-// log: the catalog manifest is re-serialized into the meta pages, every
+// log: changed schema records and metadata values are staged, the catalog
+// root is re-serialized and the meta pages it changed are staged, every
 // dirty buffer-pool frame is staged, and the batch is committed to the WAL
-// with an fsync. The data file itself is untouched — a crash after FlushWAL
-// is recovered by redo on the next OpenFile. No-op for in-memory databases.
+// with an fsync (a batch that staged nothing costs neither). The data file
+// itself is untouched — a crash after FlushWAL is recovered by redo on the
+// next OpenFile. No-op for in-memory databases.
 func (db *DB) FlushWAL() error {
 	fp := db.filePager()
 	if fp == nil {
@@ -264,13 +263,7 @@ func (db *DB) FlushWAL() error {
 	// db.mu shared via the pager's gate, so they still cannot overlap the
 	// staging itself.)
 	db.mu.Lock()
-	fp.promotePendingFree() // the manifest below no longer references them
-	db.stageMetaLocked(fp)
-	blob, err := db.manifestLocked()
-	if err == nil {
-		fp.writeMeta(blob)
-		err = db.pool.flushDirty()
-	}
+	err := db.stageLocked(fp)
 	db.mu.Unlock()
 	if err != nil {
 		return err
@@ -315,19 +308,37 @@ func (db *DB) Checkpoint() error {
 	return db.commitCheckpointLocked(fp)
 }
 
-// commitCheckpointLocked is the full checkpoint sequence — promote pending
-// frees, stage dirty metadata, serialize and stage the manifest, flush the
-// pool, checkpoint the pager — for callers already holding db.mu
-// exclusively (Checkpoint, Vacuum).
-func (db *DB) commitCheckpointLocked(fp *FilePager) error {
+// stageLocked stages everything a commit covers: dirty schema records and
+// metadata values go to their chains, the catalog root to the meta chain,
+// and dirty pool frames to the pager. Pending frees are promoted on both
+// sides of the value staging — before it so that it can reuse the pages of
+// dropped heaps, after it so that the chains it released are on the free
+// list this root records, not unlisted until the next commit. (Pages the
+// root chain itself gives up are known only once the root is encoded; they
+// wait for the next staging.) db.mu must be held exclusively.
+func (db *DB) stageLocked(fp *FilePager) error {
 	fp.promotePendingFree()
 	db.stageMetaLocked(fp)
-	blob, err := db.manifestLocked()
-	if err != nil {
+	fp.promotePendingFree()
+	fp.writeMeta(db.manifestLocked(fp))
+	return db.pool.flushDirty()
+}
+
+// loadCatalog rebuilds the catalog from the meta chain of a freshly opened
+// (or reopened) pager; a database that was never flushed has none.
+func (db *DB) loadCatalog(fp *FilePager) error {
+	root, err := fp.readMeta()
+	if err != nil || len(root) == 0 {
 		return err
 	}
-	fp.writeMeta(blob)
-	if err := db.pool.flushDirty(); err != nil {
+	return db.loadManifest(fp, root)
+}
+
+// commitCheckpointLocked is the full checkpoint sequence — stage, then
+// checkpoint the pager — for callers already holding db.mu exclusively
+// (Checkpoint, Vacuum).
+func (db *DB) commitCheckpointLocked(fp *FilePager) error {
+	if err := db.stageLocked(fp); err != nil {
 		return err
 	}
 	if err := fp.checkpoint(); err != nil {
@@ -412,10 +423,16 @@ func (db *DB) PutMeta(key string, val []byte) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.putMetaLocked(key, append([]byte(nil), val...))
+}
+
+// putMetaLocked is PutMeta for callers holding db.mu exclusively; it keeps
+// val.
+func (db *DB) putMetaLocked(key string, val []byte) {
 	if cur, ok := db.meta[key]; ok && !db.metaDel[key] && bytes.Equal(cur, val) {
 		return
 	}
-	db.meta[key] = append([]byte(nil), val...)
+	db.meta[key] = val
 	delete(db.metaDel, key)
 	db.metaDirty[key] = true
 }
@@ -426,6 +443,10 @@ func (db *DB) PutMeta(key string, val []byte) {
 func (db *DB) DeleteMeta(key string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.deleteMetaLocked(key)
+}
+
+func (db *DB) deleteMetaLocked(key string) {
 	_, cached := db.meta[key]
 	_, staged := db.metaLoc[key]
 	if (!cached && !staged) || db.metaDel[key] {
@@ -498,15 +519,16 @@ func (db *DB) MetaValue(key string) ([]byte, bool, error) {
 }
 
 // MetaKeys lists metadata keys with the prefix, sorted: cached and staged
-// keys alike, minus pending deletions. This is the prefix iteration upper
-// layers use to enumerate (and GC) manifest segments.
+// keys alike, minus pending deletions and the catalog's own schema records.
+// This is the prefix iteration upper layers use to enumerate (and GC)
+// manifest segments.
 func (db *DB) MetaKeys(prefix string) []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	seen := make(map[string]bool)
 	var out []string
 	add := func(k string) {
-		if strings.HasPrefix(k, prefix) && !db.metaDel[k] && !seen[k] {
+		if strings.HasPrefix(k, prefix) && !strings.HasPrefix(k, schemaKeyPrefix) && !db.metaDel[k] && !seen[k] {
 			seen[k] = true
 			out = append(out, k)
 		}
@@ -521,11 +543,18 @@ func (db *DB) MetaKeys(prefix string) []string {
 	return out
 }
 
-// stageMetaLocked writes every dirty metadata value into its out-of-line
-// page chain and reclaims the chains of deleted keys, so the manifest
-// serialized next references exactly the staged state. Cost is proportional
-// to the dirty set. db.mu must be held; fp is the database's file pager.
+// stageMetaLocked writes every dirty metadata value — first among them the
+// schema records of tables DDL touched — into its out-of-line page chain and
+// reclaims the chains of deleted keys, so the root serialized next
+// references exactly the staged state. Cost is one flag test per table plus
+// the dirty set. db.mu must be held; fp is the database's file pager.
 func (db *DB) stageMetaLocked(fp *FilePager) {
+	for k, t := range db.tables {
+		if t.schemaDirty {
+			db.putMetaLocked(schemaKey(k), encodeSchema(t))
+			t.schemaDirty = false
+		}
+	}
 	if len(db.metaDirty) == 0 {
 		return
 	}
@@ -571,11 +600,12 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 		seen[lc] = true
 	}
 	t := &Table{
-		Name:    name,
-		Schema:  schema,
-		db:      db,
-		heap:    newHeapFile(db.disk, db.pool),
-		indexes: make(map[string]*tableIndex),
+		Name:        name,
+		Schema:      schema,
+		db:          db,
+		heap:        newHeapFile(db.disk, db.pool),
+		indexes:     make(map[string]*tableIndex),
+		schemaDirty: true,
 	}
 	// Allocate the first page up front: a table always costs one page.
 	id := db.disk.alloc()
@@ -599,6 +629,7 @@ func (db *DB) DropTable(name string) error {
 		return fmt.Errorf("rdbms: table %q does not exist", name)
 	}
 	delete(db.tables, key)
+	db.deleteMetaLocked(schemaKey(key))
 	db.reclaimLocked(t.heap.pages)
 	return nil
 }
@@ -770,6 +801,7 @@ func (t *Table) AddColumn(c Column) error {
 		return fmt.Errorf("rdbms: %s: column %q already exists", t.Name, c.Name)
 	}
 	t.Schema.Cols = append(t.Schema.Cols, c)
+	t.schemaDirty = true
 	return nil
 }
 
@@ -791,6 +823,7 @@ func (t *Table) CreateIndex(col string) error {
 		return true
 	})
 	t.indexes[key] = idx
+	t.schemaDirty = true
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -259,6 +260,163 @@ func TestCrashFuzzSegmentedManifests(t *testing.T) {
 			for _, key := range db.MetaKeys("") {
 				if _, ok := want[key]; !ok {
 					t.Fatalf("prefix %d: meta %q leaked from an uncommitted batch", k, key)
+				}
+			}
+			if err := db.VerifyChecksums(); err != nil {
+				t.Fatalf("corrupt page after recovery: %v", err)
+			}
+		})
+	}
+}
+
+// TestCrashFuzzCatalogDDL is the torn-tail property for the split catalog:
+// batches interleave CreateTable, AddColumn, CreateIndex and DropTable with
+// inserts, so each commit carries root changes together with new, rewritten
+// and deleted schema records (some longer than a page). The WAL is cut at
+// every batch boundary and at random offsets inside batches; each reopen
+// must land on the catalog of exactly the last whole batch — every table
+// with its columns, indexes and rows — and never on a table without its
+// schema record or a schema record without its table (either fails the
+// open).
+func TestCrashFuzzCatalogDDL(t *testing.T) {
+	const (
+		batches      = 12
+		rowsPerBatch = 30
+		trials       = 24
+	)
+	type tableState struct {
+		cols    []string
+		indexed bool
+		rows    int
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ddlfuzz.dsdb")
+	db, err := OpenFile(path, Options{AutoCheckpointPages: -1, WALSegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := func(b int) string { return fmt.Sprintf("d%02d", b) }
+
+	// expect[k] is the catalog after batches 0..k-1; ends[k] the WAL length.
+	live := map[string]*tableState{}
+	expect := []map[string]tableState{{}}
+	ends := []int64{0}
+	for b := 0; b < batches; b++ {
+		// A new table; every fourth one has a schema record of several pages.
+		ncols := 3 + b%3
+		if b%4 == 1 {
+			ncols = 1500
+		}
+		cols := []Column{{Name: "id", Type: DTInt}}
+		for len(cols) < ncols {
+			cols = append(cols, Column{Name: fmt.Sprintf("c%d", len(cols)), Type: DTText})
+		}
+		tab, err := db.CreateTable(name(b), NewSchema(cols...))
+		must(err)
+		st := &tableState{rows: rowsPerBatch}
+		for _, c := range cols {
+			st.cols = append(st.cols, c.Name)
+		}
+		live[name(b)] = st
+		for i := 0; i < rowsPerBatch; i++ {
+			row := make(Row, ncols)
+			row[0] = Int(int64(i))
+			_, err := tab.Insert(row)
+			must(err)
+		}
+		if b >= 1 {
+			must(db.Table(name(b - 1)).AddColumn(Column{Name: "late", Type: DTInt}))
+			live[name(b-1)].cols = append(live[name(b-1)].cols, "late")
+		}
+		if b >= 2 {
+			must(db.Table(name(b - 2)).CreateIndex("id"))
+			live[name(b-2)].indexed = true
+		}
+		if b >= 3 {
+			must(db.DropTable(name(b - 3)))
+			delete(live, name(b-3))
+		}
+		must(db.FlushWAL())
+		snap := make(map[string]tableState, len(live))
+		for k, v := range live {
+			snap[k] = tableState{cols: append([]string(nil), v.cols...), indexed: v.indexed, rows: v.rows}
+		}
+		expect = append(expect, snap)
+		ends = append(ends, db.filePager().walSize)
+	}
+	must(db.SimulateCrash())
+
+	walPath := path + ".wal"
+	snapData := filepath.Join(dir, "snap.dsdb")
+	snapWAL := filepath.Join(dir, "snap.wal")
+	copyFile(t, path, snapData)
+	copyFile(t, walPath, snapWAL)
+
+	cuts := append([]int64(nil), ends...)
+	rng := rand.New(rand.NewSource(20260926))
+	for i := 0; i < trials; i++ {
+		cuts = append(cuts, rng.Int63n(ends[batches]+1))
+	}
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			copyFile(t, snapData, path)
+			copyFile(t, snapWAL, walPath)
+			if err := os.Truncate(walPath, cut); err != nil {
+				t.Fatal(err)
+			}
+			db, err := OpenFile(path, Options{})
+			if err != nil {
+				t.Fatalf("recovery open failed: %v", err)
+			}
+			defer db.SimulateCrash()
+			// The last whole batch is the last one that ends at or before
+			// the cut.
+			k := 0
+			for k < batches && ends[k+1] <= cut {
+				k++
+			}
+			want := expect[k]
+			if got := db.TableNames(); len(got) != len(want) {
+				t.Fatalf("prefix %d: tables %v, want %d of them", k, got, len(want))
+			}
+			for tname, st := range want {
+				tab := db.Table(tname)
+				if tab == nil {
+					t.Fatalf("prefix %d: table %s missing", k, tname)
+				}
+				var cols []string
+				for _, c := range tab.Schema.Cols {
+					cols = append(cols, c.Name)
+				}
+				if fmt.Sprint(cols) != fmt.Sprint(st.cols) {
+					t.Fatalf("prefix %d: table %s has %d columns ending %v, want %d ending %v",
+						k, tname, len(cols), cols[len(cols)-1], len(st.cols), st.cols[len(st.cols)-1])
+				}
+				if _, indexed := tab.indexes["id"]; indexed != st.indexed {
+					t.Fatalf("prefix %d: table %s indexed = %v, want %v", k, tname, indexed, st.indexed)
+				}
+				if tab.RowCount() != st.rows {
+					t.Fatalf("prefix %d: table %s has %d rows, want %d", k, tname, tab.RowCount(), st.rows)
+				}
+				if st.indexed {
+					n := 0
+					tab.IndexScan("id", 0, rowsPerBatch, func(RID, Row) bool { n++; return true })
+					if n != st.rows {
+						t.Fatalf("prefix %d: index of %s reaches %d rows, want %d", k, tname, n, st.rows)
+					}
+				}
+			}
+			for key := range db.metaLoc {
+				if strings.HasPrefix(key, schemaKeyPrefix) {
+					if _, ok := want[key[len(schemaKeyPrefix):]]; !ok {
+						t.Fatalf("prefix %d: schema record %q has no table", k, key)
+					}
 				}
 			}
 			if err := db.VerifyChecksums(); err != nil {

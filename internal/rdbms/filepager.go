@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -197,9 +198,10 @@ type filePagerOptions struct {
 const (
 	fileMagic = "DSPDB001"
 	// fileVersion is the one data-file format this build reads and writes
-	// (header with the 8-byte durable generation, free-page list in the
-	// catalog manifest). Any other version fails OpenFile.
-	fileVersion = 3
+	// (header with the 8-byte durable generation; catalog root and per-table
+	// schema records in the row codec, see manifest.go). Any other version
+	// fails OpenFile.
+	fileVersion = 4
 
 	// fileHeaderSize keeps page slots page-aligned.
 	fileHeaderSize = PageSize
@@ -491,25 +493,18 @@ func (fp *FilePager) promotePendingFree() {
 	fp.pendingFree = nil
 }
 
-// freePageIDs snapshots the free list for the catalog manifest.
-func (fp *FilePager) freePageIDs() []uint32 {
+// freePages snapshots the free list for the catalog root.
+func (fp *FilePager) freePages() []PageID {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
-	out := make([]uint32, len(fp.freeList))
-	for i, id := range fp.freeList {
-		out[i] = uint32(id)
-	}
-	return out
+	return append([]PageID(nil), fp.freeList...)
 }
 
-// setFreePageIDs restores the free list from a loaded manifest.
-func (fp *FilePager) setFreePageIDs(ids []uint32) {
+// setFreePages restores the free list from a loaded catalog root.
+func (fp *FilePager) setFreePages(ids []PageID) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
-	fp.freeList = fp.freeList[:0]
-	for _, id := range ids {
-		fp.freeList = append(fp.freeList, PageID(id))
-	}
+	fp.freeList = ids
 }
 
 // fetch implements Pager: the shadow overlay wins over the data file. The
@@ -659,10 +654,14 @@ func (fp *FilePager) trimShadowLocked() {
 	}
 }
 
-// writeMeta stores the serialized catalog manifest into the meta page
-// chain, reusing existing chain pages and allocating more as needed. The
-// pages are staged like any other dirty page; durability comes from the
-// next WAL commit or checkpoint.
+// writeMeta stores the serialized catalog root into the meta page chain,
+// reusing existing chain pages, allocating more as the root grows and
+// queueing surplus pages for reclamation as it shrinks. Only pages whose
+// link or payload differs from their overlay image are staged (a page
+// without an overlay image is rewritten, never assumed current), so a
+// commit that changed nothing stages nothing and commitWALLocked returns
+// before the append and the fsync. Durability of what is staged comes from
+// the next WAL commit or checkpoint.
 func (fp *FilePager) writeMeta(blob []byte) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -670,33 +669,37 @@ func (fp *FilePager) writeMeta(blob []byte) {
 	for len(fp.metaPages) < need {
 		fp.metaPages = append(fp.metaPages, fp.allocLocked())
 	}
-	chain := fp.metaPages[:need]
-	for i, id := range chain {
+	if len(fp.metaPages) > need {
+		fp.pendingFree = append(fp.pendingFree, fp.metaPages[need:]...)
+		fp.metaPages = fp.metaPages[:need]
+	}
+	head := fp.metaPages[0] // the root is never empty
+	// The commit record carries head and length: when either moves, a batch
+	// must be committed even if every page image already matches.
+	headerMoved := head != fp.metaHead || uint32(len(blob)) != fp.metaLen
+	for i, id := range fp.metaPages {
+		next := noPage
+		if i+1 < need {
+			next = fp.metaPages[i+1]
+		}
+		payload := blob[i*metaPayload : min((i+1)*metaPayload, len(blob))]
 		p := fp.shadow[id]
+		current := p != nil && PageID(binary.LittleEndian.Uint32(p.buf[0:4])) == next &&
+			bytes.Equal(p.buf[4:4+len(payload)], payload)
+		if current && !(i == 0 && headerMoved) {
+			continue
+		}
 		if p == nil {
 			p = &page{}
 			fp.shadow[id] = p
 		}
-		next := noPage
-		if i+1 < need {
-			next = chain[i+1]
-		}
 		binary.LittleEndian.PutUint32(p.buf[0:4], uint32(next))
-		lo := i * metaPayload
-		hi := lo + metaPayload
-		if hi > len(blob) {
-			hi = len(blob)
-		}
-		copy(p.buf[4:], blob[lo:hi])
+		copy(p.buf[4:], payload)
 		fp.markDirtyLocked(id)
+		fp.manifestBytes.Add(int64(len(payload)))
 	}
-	if need > 0 {
-		fp.metaHead = chain[0]
-	} else {
-		fp.metaHead = noPage
-	}
+	fp.metaHead = head
 	fp.metaLen = uint32(len(blob))
-	fp.manifestBytes.Add(int64(len(blob)))
 }
 
 // writeMetaValue stages one out-of-line metadata value into its own page
@@ -745,6 +748,9 @@ func (fp *FilePager) writeMetaValue(chain []PageID, blob []byte) []PageID {
 func (fp *FilePager) readMetaValue(chain []PageID, n int) ([]byte, error) {
 	fp.mu.RLock()
 	defer fp.mu.RUnlock()
+	if n < 0 || n > len(chain)*PageSize {
+		return nil, fmt.Errorf("rdbms: truncated meta value chain (%d pages for %d bytes)", len(chain), n)
+	}
 	out := make([]byte, 0, n)
 	remaining := n
 	for _, id := range chain {
@@ -768,9 +774,6 @@ func (fp *FilePager) readMetaValue(chain []PageID, n int) ([]byte, error) {
 		}
 		out = append(out, p.buf[:take]...)
 		remaining -= take
-	}
-	if remaining > 0 {
-		return nil, fmt.Errorf("rdbms: truncated meta value chain (%d of %d bytes)", n-remaining, n)
 	}
 	return out, nil
 }

@@ -60,14 +60,8 @@ func (db *DB) Recover() error {
 	db.metaDirty = make(map[string]bool)
 	db.metaDel = make(map[string]bool)
 	db.metaLoc = make(map[string]metaChainLoc)
-	blob, err := fp.readMeta()
-	if err != nil {
+	if err := db.loadCatalog(fp); err != nil {
 		return fmt.Errorf("rdbms: recover: %w", err)
-	}
-	if len(blob) > 0 {
-		if err := db.loadManifest(blob); err != nil {
-			return fmt.Errorf("rdbms: recover: %w", err)
-		}
 	}
 	// Page verification gates the poison clear: a store that recovered its
 	// WAL but still holds unreadable slots is not healed.
@@ -318,10 +312,11 @@ func (db *DB) Vacuum() (VacuumResult, error) {
 // relocateMetaLocked moves meta-chain pages from the top of the file into
 // lower free slots: highest live meta page ↔ lowest free slot, while the
 // move shrinks the file's live extent. The page image is copied into the
-// target slot through the shadow overlay (value-chain pages carry raw
-// payload; catalog-chain pages are fully rewritten by the next writeMeta
-// anyway), the owning chain is repointed, and the old page is queued for
-// reclamation. db.mu must be held exclusively; the caller commits the moves.
+// target slot through the shadow overlay, the owning chain is repointed, and
+// the old page is queued for reclamation. A catalog-chain page carries the
+// id of its successor: the caller's next writeMeta compares every link with
+// the repointed chain and restages the predecessor of a page that moved.
+// db.mu must be held exclusively; the caller commits the moves.
 func (db *DB) relocateMetaLocked(fp *FilePager) (int, error) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()

@@ -3,7 +3,9 @@ package rdbms
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -286,6 +288,175 @@ func TestVacuumTruncatesAfterDrop(t *testing.T) {
 	}
 	if res2.BytesReclaimed != 0 {
 		t.Fatalf("second Vacuum reclaimed %d bytes, want 0", res2.BytesReclaimed)
+	}
+}
+
+// accountPages fails the test unless every page of the file is either on
+// the free list or owned by exactly one live structure: a heap, the catalog
+// root chain or a metadata value chain.
+func accountPages(t *testing.T, db *DB) {
+	t.Helper()
+	fp := db.filePager()
+	owner := make(map[PageID]string)
+	claim := func(who string, ids []PageID) {
+		for _, id := range ids {
+			if prev, ok := owner[id]; ok {
+				t.Fatalf("page %d belongs to both %s and %s", id, prev, who)
+			}
+			owner[id] = who
+		}
+	}
+	claim("the free list", fp.freeList)
+	claim("the catalog root", fp.metaPages)
+	for k, loc := range db.metaLoc {
+		claim(fmt.Sprintf("meta %q", k), loc.pages)
+	}
+	for _, tab := range db.tables {
+		claim("table "+tab.Name, tab.heap.pages)
+	}
+	if len(fp.pendingFree) != 0 {
+		t.Fatalf("%d pages still pending free", len(fp.pendingFree))
+	}
+	for id := 0; id < fp.pages; id++ {
+		if _, ok := owner[PageID(id)]; !ok {
+			t.Fatalf("page %d of %d is neither live nor free", id, fp.pages)
+		}
+	}
+}
+
+// TestVacuumReclaimsShrunkCatalog: when the catalog shrinks — 40 tables of
+// 256 columns dropped, a hundred long metadata keys deleted — the pages its
+// schema records and its root chain no longer need go to the free list.
+// After a checkpoint and a reopen every page of the file is accounted for,
+// and Vacuum returns the space.
+func TestVacuumReclaimsShrunkCatalog(t *testing.T) {
+	path := tempDBPath(t)
+	db := mustOpenFile(t, path)
+	keep, err := db.CreateTable("keep", NewSchema(Column{Name: "id", Type: DTInt}, Column{Name: "name", Type: DTText}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillTable(t, keep, 0, 50)
+	longKey := func(i int) string { return fmt.Sprintf("k%03d:%s", i, strings.Repeat("x", 200)) }
+	for i := 0; i < 40; i++ {
+		if _, err := db.CreateTable(fmt.Sprintf("wide%02d", i), wideSchema(256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		db.PutMeta(longKey(i), []byte{byte(i)})
+	}
+	if err := db.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.filePager().metaPages); n < 3 {
+		t.Fatalf("catalog root spans %d pages, want several", n)
+	}
+	for i := 0; i < 40; i++ {
+		if err := db.DropTable(fmt.Sprintf("wide%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		db.DeleteMeta(longKey(i))
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.filePager().metaPages); n != 1 {
+		t.Fatalf("catalog root still spans %d pages", n)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = mustOpenFile(t, path)
+	defer db.Close()
+	accountPages(t, db)
+	res, err := db.Vacuum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PagesAfter > res.PagesBefore/4 {
+		t.Fatalf("Vacuum pages %d -> %d, want the dropped catalog's space back", res.PagesBefore, res.PagesAfter)
+	}
+	accountPages(t, db)
+	if got := db.Table("keep").RowCount(); got != 50 {
+		t.Fatalf("keep.RowCount = %d after vacuum, want 50", got)
+	}
+}
+
+// TestDropThenCloseAccountsForEveryPage: the chain of a dropped table's
+// schema record is released while the closing commit is staged, and must be
+// on the free list that same commit records — there is no later one.
+func TestDropThenCloseAccountsForEveryPage(t *testing.T) {
+	path := tempDBPath(t)
+	db := mustOpenFile(t, path)
+	if _, err := db.CreateTable("gone", wideSchema(1500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropTable("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpenFile(t, path)
+	defer db.Close()
+	accountPages(t, db)
+}
+
+// TestVacuumRelocatesRootChain: Vacuum moves the tail of a multi-page
+// catalog root chain into lower free slots and truncates its old home.
+// Each chain page names its successor, so the head page must be restaged
+// with the new link although its payload did not change; the reopen walks
+// the chain.
+func TestVacuumRelocatesRootChain(t *testing.T) {
+	path := tempDBPath(t)
+	db := mustOpenFile(t, path)
+	// One page at the bottom of the file, freed below.
+	if _, err := db.CreateTable("hole", NewSchema(Column{Name: "id", Type: DTInt})); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("k%03d:%s", i, strings.Repeat("x", 200))
+		want[k] = []byte{byte(i)}
+		db.PutMeta(k, want[k])
+	}
+	// The values are staged first, the root chain above them at the top.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fp := db.filePager()
+	chain := append([]PageID(nil), fp.metaPages...)
+	last := len(chain) - 1
+	if last < 2 || int(chain[last]) != fp.pages-1 {
+		t.Fatalf("catalog root chain %v in a %d-page file, want several pages ending the file", chain, fp.pages)
+	}
+	if err := db.DropTable("hole"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Vacuum(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fp.metaPages; got[0] != chain[0] || got[last] >= chain[0] {
+		t.Fatalf("Vacuum turned root chain %v into %v, want the head in place and the tail moved down", chain, got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = mustOpenFile(t, path)
+	defer db.Close()
+	accountPages(t, db)
+	for k, v := range want {
+		if got, ok := db.GetMeta(k); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("meta %q = %v, %v after vacuum and reopen", k[:4], got, ok)
+		}
 	}
 }
 

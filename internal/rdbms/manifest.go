@@ -1,184 +1,301 @@
 package rdbms
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
 )
 
-// The catalog manifest is the serialized system-table state written into
-// the meta page chain on every WAL commit: table schemas, heap extents and
-// index definitions, plus the *directory* of the generic metadata key-value
-// store that upper layers (the hybrid store, the engine) use to persist
-// their own manifests. Metadata values themselves live out-of-line in
-// per-key page chains (see writeMetaValue): a commit restages only the
-// chains of keys that actually changed, so manifest write cost follows the
-// dirty set instead of the total metadata size. Heap tuples live in
-// checksummed pages; the manifest only records which pages belong to which
-// heap (as contiguous runs — heaps allocate mostly sequentially). B+ tree
-// indexes are rebuilt from the heaps on open, so the manifest stores just
-// the indexed column names.
-type dbManifest struct {
-	Tables []tableManifest `json:"tables"`
-	// MetaDir lists the out-of-line metadata value chains, sorted by key.
-	MetaDir []metaDirEntry `json:"meta_dir,omitempty"`
-	// FreePages is the pager's free-page list: pages owned by dropped or
-	// truncated heaps, reused by later allocations.
-	FreePages []uint32 `json:"free_pages,omitempty"`
+// The system catalog is persisted in two parts, split by how often they
+// change, both in the row codec of codec.go (rows of text and ints, each
+// framed by its byte length):
+//
+// The root is written into the meta page chain on every commit and holds
+// only what moves with data: per table its name, free hint, tuple count and
+// heap extent; the directory of the metadata key-value store (per key the
+// value's byte length and page chain); and the pager's free-page list. Page
+// lists are contiguous runs — heaps allocate mostly sequentially — so the
+// root grows with the number of tables and keys, not with their size.
+//
+// A table's schema record — column names and types, indexed columns — changes
+// only on DDL. It is an out-of-line value of the metadata store under a
+// reserved key (schemaKey), staged by the same path as any other value: a
+// commit rewrites the records of the tables whose schema changed and no
+// other. B+ tree indexes are rebuilt from the heaps on open, so a schema
+// record stores just the indexed column names.
+//
+// Neither part carries a version of its own (the data-file header's covers
+// them), so decoding is strict instead: a record tag this format does not
+// define, a datum of the wrong type or bytes after the last record fail the
+// open rather than being dropped on the floor.
+
+// Root record tags: the first datum of every root record.
+const (
+	recTable = 1 + iota // name, free hint, tuple count, then page runs
+	recMeta             // key, value length, then page runs
+	recFree             // page runs of the free list
+	recMore             // further page runs of the record before it
+)
+
+const (
+	// maxRecordPairs bounds one record — page runs as (first, count),
+	// columns as (name, type) — to well under the codec's limit on datums
+	// per row; longer lists continue in further records.
+	maxRecordPairs = 1 << 16
+
+	// schemaKeyPrefix reserves the metadata keys that hold schema records.
+	// MetaKeys never lists them.
+	schemaKeyPrefix = "\x00schema:"
+)
+
+// schemaKey is the metadata key of a table's schema record; name is the
+// table's lower-cased catalog key.
+func schemaKey(name string) string { return schemaKeyPrefix + name }
+
+// appendRecord frames one catalog record: its encoded length, then the row.
+func appendRecord(dst []byte, r Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(encodedSize(r)))
+	return encodeRow(dst, r)
 }
 
-// metaDirEntry locates one out-of-line metadata value.
-type metaDirEntry struct {
-	Key   string   `json:"k"`
-	Pages []uint32 `json:"p,omitempty"`
-	Len   int      `json:"n"`
-}
-
-type tableManifest struct {
-	Name string           `json:"name"`
-	Cols []columnManifest `json:"cols"`
-	// PageRuns is the heap's page extent: {first page, count} per contiguous
-	// ascending run. Large heaps serialize to a handful of runs instead of
-	// one integer per page, keeping the per-commit catalog blob small.
-	PageRuns []pageRun `json:"page_runs,omitempty"`
-	FreeHint int       `json:"free_hint"`
-	Tuples   int       `json:"tuples"`
-	Indexes  []string  `json:"indexes,omitempty"`
-}
-
-type pageRun struct {
-	First uint32 `json:"f"`
-	Count uint32 `json:"c"`
-}
-
-type columnManifest struct {
-	Name string `json:"name"`
-	Type uint8  `json:"type"`
-}
-
-// packPageRuns run-length encodes a heap's page list.
-func packPageRuns(pages []PageID) []pageRun {
-	var runs []pageRun
-	for _, id := range pages {
-		if n := len(runs); n > 0 && uint32(id) == runs[n-1].First+runs[n-1].Count {
-			runs[n-1].Count++
-			continue
-		}
-		runs = append(runs, pageRun{First: uint32(id), Count: 1})
+// nextRecord decodes the record at the front of buf and returns the bytes
+// after it. The frame must hold exactly one canonically encoded row.
+func nextRecord(buf []byte) (*recordReader, []byte, error) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 || n > uint64(len(buf)-sz) {
+		return nil, nil, fmt.Errorf("record frame of %d bytes runs past the %d that remain", n, len(buf))
 	}
-	return runs
+	frame := buf[sz : sz+int(n)]
+	row, err := decodeRow(frame)
+	if err != nil {
+		return nil, nil, err
+	}
+	if encodedSize(row) != len(frame) {
+		return nil, nil, fmt.Errorf("record frame of %d bytes holds a %d-byte row", len(frame), encodedSize(row))
+	}
+	return &recordReader{row: row}, buf[sz+int(n):], nil
 }
 
-// heapPages expands a table manifest's page extent.
-func (tm *tableManifest) heapPages() []PageID {
-	var out []PageID
-	for _, r := range tm.PageRuns {
-		for i := uint32(0); i < r.Count; i++ {
-			out = append(out, PageID(r.First+i))
-		}
-	}
-	return out
+// recordReader hands out the datums of one decoded record in order. A datum
+// that is missing or of the wrong type sets err; callers check it once they
+// have read what the record must hold.
+type recordReader struct {
+	row Row
+	i   int
+	err error
 }
 
-// manifestLocked serializes the catalog and the metadata directory. Every
-// dirty metadata value must already be staged (stageMetaLocked) so the
-// directory reflects the chains being committed. db.mu must be held.
-func (db *DB) manifestLocked() ([]byte, error) {
-	m := dbManifest{}
-	if fp := db.filePager(); fp != nil {
-		m.FreePages = fp.freePageIDs()
-		keys := make([]string, 0, len(db.metaLoc))
-		for k := range db.metaLoc {
-			keys = append(keys, k)
+func (r *recordReader) next(want DType) Datum {
+	if r.i >= len(r.row) || r.row[r.i].typ != want {
+		if r.err == nil {
+			r.err = fmt.Errorf("datum %d is missing or not %v", r.i, want)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			loc := db.metaLoc[k]
-			e := metaDirEntry{Key: k, Len: loc.n}
-			for _, id := range loc.pages {
-				e.Pages = append(e.Pages, uint32(id))
-			}
-			m.MetaDir = append(m.MetaDir, e)
+		return Datum{}
+	}
+	r.i++
+	return r.row[r.i-1]
+}
+
+func (r *recordReader) int() int64   { return r.next(DTInt).i }
+func (r *recordReader) text() string { return r.next(DTText).s }
+func (r *recordReader) more() bool   { return r.err == nil && r.i < len(r.row) }
+
+// pages expands the rest of the record as page runs (first, count pairs),
+// appending to dst. limit is the file's page count: no run may reach past it.
+func (r *recordReader) pages(dst []PageID, limit int) []PageID {
+	for r.more() {
+		first, count := r.int(), r.int()
+		if r.err != nil {
+			break
+		}
+		if first < 0 || count <= 0 || first > int64(limit) || count > int64(limit)-first {
+			r.err = fmt.Errorf("page run of %d from %d is outside the %d-page file", count, first, limit)
+			break
+		}
+		for i := int64(0); i < count; i++ {
+			dst = append(dst, PageID(first+i))
 		}
 	}
-	keys := make([]string, 0, len(db.tables))
+	return dst
+}
+
+// appendRunRecords appends the record head followed by ids as page runs,
+// continuing in recMore records when there are more runs than one holds.
+func appendRunRecords(dst []byte, head Row, ids []PageID) []byte {
+	runs := 0
+	for i := 0; i < len(ids); {
+		if runs == maxRecordPairs {
+			dst = appendRecord(dst, head)
+			head, runs = Row{Int(recMore)}, 0
+		}
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[j-1]+1 {
+			j++
+		}
+		head = append(head, Int(int64(ids[i])), Int(int64(j-i)))
+		runs++
+		i = j
+	}
+	return appendRecord(dst, head)
+}
+
+// manifestLocked serializes the catalog root. Every dirty metadata value —
+// schema records included — must already be staged (stageMetaLocked) so the
+// directory reflects the chains being committed. Cost follows the number of
+// tables, keys and page runs; no schema is encoded here. db.mu must be held.
+func (db *DB) manifestLocked(fp *FilePager) []byte {
+	var out []byte
+	names := make([]string, 0, len(db.tables))
 	for k := range db.tables {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		t := db.tables[k]
+		head := Row{Int(recTable), Text(t.Name), Int(int64(t.heap.freeHint)), Int(int64(t.heap.tuples))}
+		out = appendRunRecords(out, head, t.heap.pages)
+	}
+	keys := make([]string, 0, len(db.metaLoc))
+	for k := range db.metaLoc {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		t := db.tables[k]
-		tm := tableManifest{Name: t.Name, FreeHint: t.heap.freeHint, Tuples: t.heap.tuples}
-		for _, c := range t.Schema.Cols {
-			tm.Cols = append(tm.Cols, columnManifest{Name: c.Name, Type: uint8(c.Type)})
-		}
-		tm.PageRuns = packPageRuns(t.heap.pages)
-		idxCols := make([]string, 0, len(t.indexes))
-		for col := range t.indexes {
-			idxCols = append(idxCols, col)
-		}
-		sort.Strings(idxCols)
-		tm.Indexes = idxCols
-		m.Tables = append(m.Tables, tm)
+		loc := db.metaLoc[k]
+		out = appendRunRecords(out, Row{Int(recMeta), Text(k), Int(int64(loc.n))}, loc.pages)
 	}
-	return json.Marshal(m)
+	// Written even when empty: the root is never zero bytes long, so there is
+	// always a chain page to carry a change of it.
+	return appendRunRecords(out, Row{Int(recFree)}, fp.freePages())
 }
 
-// loadManifest rebuilds the catalog from a serialized manifest: schemas and
-// heap extents are restored directly, B+ tree indexes by scanning the heaps.
-// Metadata values referenced by the directory stay on disk until GetMeta
-// asks for them. The manifest carries no version of its own (the data-file
-// header's covers it), so decoding is strict instead: a field this format
-// does not define — inline metadata values, an explicit page list — fails
-// the open rather than being dropped on the floor.
-func (db *DB) loadManifest(blob []byte) error {
-	var m dbManifest
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
-		return fmt.Errorf("rdbms: catalog manifest is corrupt or not of data file format version %d: %w", fileVersion, err)
+// encodeSchema serializes a table's schema record: a head record with the
+// indexed column names, then the columns as (name, type) pairs.
+func encodeSchema(t *Table) []byte {
+	idxCols := make([]string, 0, len(t.indexes))
+	for col := range t.indexes {
+		idxCols = append(idxCols, col)
 	}
-	for _, e := range m.MetaDir {
-		loc := metaChainLoc{n: e.Len}
-		for _, id := range e.Pages {
-			loc.pages = append(loc.pages, PageID(id))
-		}
-		db.metaLoc[e.Key] = loc
+	sort.Strings(idxCols)
+	head := make(Row, 0, len(idxCols))
+	for _, col := range idxCols {
+		head = append(head, Text(col))
 	}
-	if fp := db.filePager(); fp != nil {
-		fp.setFreePageIDs(m.FreePages)
+	out := appendRecord(nil, head)
+	for cols := t.Schema.Cols; len(cols) > 0; {
+		n := min(len(cols), maxRecordPairs)
+		r := make(Row, 0, 2*n)
+		for _, c := range cols[:n] {
+			r = append(r, Text(c.Name), Int(int64(c.Type)))
+		}
+		out = appendRecord(out, r)
+		cols = cols[n:]
 	}
-	for _, tm := range m.Tables {
-		schema := Schema{}
-		for _, c := range tm.Cols {
-			schema.Cols = append(schema.Cols, Column{Name: c.Name, Type: DType(c.Type)})
+	return out
+}
+
+// decodeSchema parses a schema record: the columns and the names of the
+// indexed ones.
+func decodeSchema(blob []byte) (Schema, []string, error) {
+	rec, rest, err := nextRecord(blob)
+	if err != nil {
+		return Schema{}, nil, err
+	}
+	var indexed []string
+	for rec.more() {
+		indexed = append(indexed, rec.text())
+	}
+	var schema Schema
+	for rec.err == nil && len(rest) > 0 {
+		if rec, rest, err = nextRecord(rest); err != nil {
+			return Schema{}, nil, err
 		}
-		h := newHeapFile(db.disk, db.pool)
-		h.pages = tm.heapPages()
-		h.freeHint = tm.FreeHint
-		h.tuples = tm.Tuples
-		t := &Table{
-			Name:    tm.Name,
-			Schema:  schema,
-			db:      db,
-			heap:    h,
-			indexes: make(map[string]*tableIndex),
+		for rec.more() {
+			schema.Cols = append(schema.Cols, Column{Name: rec.text(), Type: DType(rec.int())})
 		}
-		for _, col := range tm.Indexes {
-			i := schema.ColIndex(col)
+	}
+	return schema, indexed, rec.err
+}
+
+// loadManifest rebuilds the catalog from the root read off the meta chain:
+// heap extents, the metadata directory and the free list come from the
+// root, each table's schema from its schema record, and B+ tree indexes by
+// scanning the heaps. Other metadata values stay on disk until GetMeta asks
+// for them. A table without a schema record, or a schema record without its
+// table, fails the open.
+func (db *DB) loadManifest(fp *FilePager, root []byte) error {
+	limit := fp.pageCount()
+	// pages collects the page list of the current record and of the recMore
+	// records after it; keep stores it once the next record starts.
+	var pages []PageID
+	var keep func([]PageID)
+	for n := 0; len(root) > 0; n++ {
+		rec, rest, err := nextRecord(root)
+		if err != nil {
+			return fmt.Errorf("rdbms: catalog root record %d: %w", n, err)
+		}
+		root = rest
+		tag := rec.int()
+		if tag != recMore && keep != nil {
+			keep(pages)
+			pages = nil
+		}
+		switch tag {
+		case recTable:
+			t := &Table{Name: rec.text(), db: db, heap: newHeapFile(db.disk, db.pool), indexes: make(map[string]*tableIndex)}
+			t.heap.freeHint, t.heap.tuples = int(rec.int()), int(rec.int())
+			db.tables[strings.ToLower(t.Name)] = t
+			keep = func(p []PageID) { t.heap.pages = p }
+		case recMeta:
+			key, size := rec.text(), int(rec.int())
+			keep = func(p []PageID) { db.metaLoc[key] = metaChainLoc{pages: p, n: size} }
+		case recFree:
+			keep = fp.setFreePages
+		default:
+			if rec.err == nil && (tag != recMore || keep == nil) {
+				rec.err = fmt.Errorf("unknown or misplaced record tag %d", tag)
+			}
+		}
+		pages = rec.pages(pages, limit)
+		if rec.err != nil {
+			return fmt.Errorf("rdbms: catalog root record %d: %w", n, rec.err)
+		}
+	}
+	if keep != nil {
+		keep(pages)
+	}
+
+	for k := range db.metaLoc {
+		if strings.HasPrefix(k, schemaKeyPrefix) && db.tables[k[len(schemaKeyPrefix):]] == nil {
+			return fmt.Errorf("rdbms: catalog holds schema record %q without its table", k)
+		}
+	}
+	for k, t := range db.tables {
+		loc, ok := db.metaLoc[schemaKey(k)]
+		if !ok {
+			return fmt.Errorf("rdbms: catalog holds table %q without its schema record", t.Name)
+		}
+		val, err := fp.readMetaValue(loc.pages, loc.n)
+		if err != nil {
+			return fmt.Errorf("rdbms: schema record of table %q: %w", t.Name, err)
+		}
+		var indexed []string
+		if t.Schema, indexed, err = decodeSchema(val); err != nil {
+			return fmt.Errorf("rdbms: schema record of table %q: %w", t.Name, err)
+		}
+		for _, col := range indexed {
+			i := t.Schema.ColIndex(col)
 			if i < 0 {
-				return fmt.Errorf("rdbms: manifest index on unknown column %q of %q", col, tm.Name)
+				return fmt.Errorf("rdbms: schema record of table %q indexes unknown column %q", t.Name, col)
 			}
 			idx := &tableIndex{col: i, tree: NewBTree(64)}
-			h.scan(func(rid RID, r Row) bool {
+			t.heap.scan(func(rid RID, r Row) bool {
 				idx.tree.Insert(indexKey(attrAt(r, i)), rid)
 				return true
 			})
 			t.indexes[strings.ToLower(col)] = idx
 		}
-		db.tables[strings.ToLower(tm.Name)] = t
 	}
 	return nil
 }

@@ -47,7 +47,7 @@ type IOStats struct {
 	// chains, and how many out-of-line metadata values (manifest segments)
 	// were rewritten. With dirty-tracked segmented manifests these grow
 	// with what changed, not with sheet size.
-	ManifestBytes    int64 // manifest bytes staged (catalog blob + rewritten values)
+	ManifestBytes    int64 // manifest bytes staged (changed catalog root pages + rewritten values)
 	ManifestSegments int64 // out-of-line metadata values rewritten
 	// Self-healing counters (the degrade→repair→resume lifecycle): online
 	// scrub progress and findings, vacuum reclamation, and in-place
