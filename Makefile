@@ -16,13 +16,13 @@ build:
 test:
 	$(GO) test -race -timeout 10m ./...
 
-# Serving stack and async-recalc surface alone under the race detector:
+# Serving stack and recalc surface alone under the race detector:
 # snapshot reads, per-table latches, session lifecycle, the disconnect
-# fuzz, plus the background scheduler, staleness bits and viewport
-# priority. CI runs this as a dedicated step so latch and scheduler
-# regressions are named, not buried in ./...
+# fuzz, plus the one edit pipeline in both recalc modes (Pipeline),
+# staleness bits and viewport priority. CI runs this as a dedicated step so
+# latch and executor regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push.
@@ -75,11 +75,11 @@ bench-commit:
 
 # Fault-injection suites alone under the race detector: poisoning,
 # read-only degradation, WAL rotation/compaction, client retry, the soak
-# smoke, and the self-healing surface (scrub, vacuum, in-place recovery).
-# CI runs this as a dedicated step so failure-semantics regressions are
-# named, not buried in ./...
+# smoke, the self-healing surface (scrub, vacuum, in-place recovery), and
+# the all-or-nothing edit batch (Pipeline). CI runs this as a dedicated step
+# so failure-semantics regressions are named, not buried in ./...
 test-faults:
-	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|CatalogDDL' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
+	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|CatalogDDL|Pipeline' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
 
 # Crash-fuzz soak (~60-90s at the default SOAK_ROUNDS): mixed edits over a
 # fault-injected disk with kill-points at WAL rotation and checkpoint
@@ -112,9 +112,10 @@ bench-backup:
 	@cat BENCH_backup.json
 
 # Async-recalc snapshot (LazyBrowsing): one tick into a >=100k-cell
-# dependency cone on the background scheduler, and writes
+# dependency cone on the background dispatcher, and writes
 # BENCH_recalc.json; fails if the registered viewport converges less than
-# 10x faster than the inline recalc served the same edit, or if the
+# 10x sooner than the same engine's full drain of that tick (an absolute
+# pair from one engine, not a ratio against the inline path), or if the
 # drained background state diverges from the synchronous shadow engine.
 bench-recalc:
 	BENCH_RECALC_JSON=BENCH_recalc.json $(GO) test -run=TestRecalcSnapshot -v .

@@ -1,9 +1,10 @@
 // Package cache provides the LRU cell cache of DataSpread's execution
 // engine (Section VI): cells fetched from the storage layer are kept in
-// memory in a read-through manner, and updates are pushed write-through to
-// the storage layer. Caching is block-granular (rectangular tiles of the
-// sheet), matching the scrolling access pattern where a viewport's worth of
-// cells is needed at once.
+// memory in a read-through manner. It is a read cache: writers persist
+// through the storage layer and call Poke to keep resident blocks coherent.
+// Caching is block-granular (rectangular tiles of the sheet), matching the
+// scrolling access pattern where a viewport's worth of cells is needed at
+// once.
 //
 // Blocks are dense row-major []sheet.Cell arrays filled by one block-aligned
 // GetCells call against the backing store, so a warm viewport read is a
@@ -12,7 +13,7 @@
 // readers: hits touch only a read lock and per-block reference bits
 // (second-chance eviction instead of exact LRU move-to-front keeps the hit
 // path mutation-free), and misses load from the backing outside the cache
-// lock so cold scans overlap their storage reads. Writers (Put, Poke,
+// lock so cold scans overlap their storage reads. Writers (Poke,
 // Invalidate) take the exclusive lock; they must not run concurrently with
 // readers of the same engine, matching the engine's single-writer contract.
 package cache
@@ -41,8 +42,6 @@ type Backing interface {
 	// LoadBlock materializes the block range as a dense row-major grid of
 	// exactly g.Rows() x g.Cols() cells, blank cells as zero values.
 	LoadBlock(g sheet.Range) ([][]sheet.Cell, error)
-	// StoreCell persists one cell (write-through).
-	StoreCell(r sheet.Ref, c sheet.Cell) error
 }
 
 type blockKey struct{ br, bc int }
@@ -195,27 +194,10 @@ func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
 	}
 }
 
-// Put writes the cell through to the backing and updates the cached block
-// if present (loading it if not — write-allocate keeps subsequent reads
-// warm).
-func (c *Cache) Put(r sheet.Ref, cell sheet.Cell) error {
-	if err := c.backing.StoreCell(r, cell); err != nil {
-		return err
-	}
-	k := keyFor(r)
-	c.load(k)
-	c.mu.Lock()
-	if e, ok := c.blocks[k]; ok {
-		e.Value.(*block).cells[cellIndex(k, r)] = cell
-	}
-	c.mu.Unlock()
-	return nil
-}
-
 // Poke updates r inside its cached block when the block is resident,
-// without touching the backing store. Bulk write paths persist whole
-// batches through the storage layer directly and call Poke to keep resident
-// blocks coherent; non-resident blocks read through on their next load.
+// without touching the backing store: the engine's write-through persists
+// whole batches through the storage layer and pokes the cells it wrote;
+// non-resident blocks read through on their next load.
 func (c *Cache) Poke(r sheet.Ref, cell sheet.Cell) {
 	k := keyFor(r)
 	c.mu.Lock()

@@ -40,11 +40,6 @@ func (b *sheetBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
 	return out, nil
 }
 
-func (b *sheetBacking) StoreCell(r sheet.Ref, c sheet.Cell) error {
-	b.s.Set(r, c)
-	return nil
-}
-
 func TestCacheReadThrough(t *testing.T) {
 	s := sheet.New("t")
 	s.SetValue(1, 1, sheet.Number(42))
@@ -69,27 +64,36 @@ func TestCacheReadThrough(t *testing.T) {
 	}
 }
 
-func TestCacheWriteThrough(t *testing.T) {
+// TestCachePokeKeepsResidentBlocksCoherent: the cache is a read cache —
+// the writer persists to the backing itself and pokes what it wrote. A
+// resident block shows the poked cell without a reload; a non-resident block
+// is left alone and reads the backing's cell through on its next load.
+func TestCachePokeKeepsResidentBlocksCoherent(t *testing.T) {
 	s := sheet.New("t")
 	b := &sheetBacking{s: s}
 	c := New(b, 4)
-	if err := c.Put(sheet.Ref{Row: 1, Col: 1}, sheet.Cell{Value: sheet.Number(7)}); err != nil {
-		t.Fatal(err)
+	a1 := sheet.Ref{Row: 1, Col: 1}
+	c.Get(a1) // make the block resident
+	s.Set(a1, sheet.Cell{Value: sheet.Number(7)})
+	c.Poke(a1, sheet.Cell{Value: sheet.Number(7)})
+	if !c.Get(a1).Value.Equal(sheet.Number(7)) || b.loads != 1 {
+		t.Fatalf("resident poke: cell %v after %d loads, want 7 after 1", c.Get(a1), b.loads)
 	}
-	// Backing sees the write immediately.
-	if !s.GetRC(1, 1).Value.Equal(sheet.Number(7)) {
-		t.Fatal("write did not reach backing")
+	// Blank poke clears.
+	s.Set(a1, sheet.Cell{})
+	c.Poke(a1, sheet.Cell{})
+	if !c.Get(a1).IsBlank() {
+		t.Fatal("blank poke did not clear")
 	}
-	// Cached read agrees.
-	if !c.Get(sheet.Ref{Row: 1, Col: 1}).Value.Equal(sheet.Number(7)) {
-		t.Fatal("cached read disagrees")
+	// A poke into a block that is not resident neither loads nor caches it.
+	far := sheet.Ref{Row: BlockRows*3 + 1, Col: 1}
+	s.Set(far, sheet.Cell{Value: sheet.Number(9)})
+	c.Poke(far, sheet.Cell{Value: sheet.Number(-1)})
+	if b.loads != 1 {
+		t.Fatalf("poke loaded a block: %d loads", b.loads)
 	}
-	// Blank write removes.
-	if err := c.Put(sheet.Ref{Row: 1, Col: 1}, sheet.Cell{}); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Get(sheet.Ref{Row: 1, Col: 1}).IsBlank() {
-		t.Fatal("blank write did not clear")
+	if !c.Get(far).Value.Equal(sheet.Number(9)) {
+		t.Fatalf("non-resident block read %v, want the backing's 9", c.Get(far))
 	}
 }
 

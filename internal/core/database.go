@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"dataspread/internal/hybrid"
@@ -16,8 +17,8 @@ import (
 // inferred from the first data row) and then linked; when it exists, the
 // range must be empty and sized to the table.
 func (e *Engine) LinkTable(g sheet.Range, tableName string) (*model.TOM, error) {
-	unlock := e.lockWrites()
-	defer unlock()
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
 	table := e.db.Table(tableName)
 	if table == nil {
 		var err error
@@ -26,25 +27,30 @@ func (e *Engine) LinkTable(g sheet.Range, tableName string) (*model.TOM, error) 
 			return nil, err
 		}
 		// The region's loose cells move into the linked table, so clear
-		// them from their current homes first.
+		// them — values and formulas alike — from their current homes first.
+		blanks := make([]cellWrite, 0, g.Rows()*g.Cols())
 		for row := g.From.Row; row <= g.To.Row; row++ {
 			for col := g.From.Col; col <= g.To.Col; col++ {
-				if err := e.cache.Put(sheet.Ref{Row: row, Col: col}, sheet.Cell{}); err != nil {
-					return nil, err
-				}
+				blanks = append(blanks, cellWrite{ref: sheet.Ref{Row: row, Col: col}})
 			}
+		}
+		if err := e.applyLocked(blanks); err != nil {
+			return nil, err
 		}
 	}
 	rows := table.RowCount() + 1 // headers
 	rect := sheet.NewRange(g.From.Row, g.From.Col, g.From.Row+rows-1, g.From.Col+table.Schema.Arity()-1)
 	tom, err := e.store.LinkTable(rect, table, true)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		e.grow(rect.To.Row, rect.To.Col)
+		e.cache.Invalidate(rect)
+		// Formulas reading the rectangle now read the table's rows.
+		e.mark(e.deps.DirectDependents(rect), nil)
+		e.bumpGeneration()
 	}
-	e.grow(rect.To.Row, rect.To.Col)
-	e.cache.Invalidate(rect)
-	e.bumpGeneration()
-	return tom, nil
+	// Settle on every exit: clearing the range marked its readers pending
+	// whether or not the link then succeeded.
+	return tom, errors.Join(err, e.settle())
 }
 
 // createTableFromRange infers a schema from the range and loads its data.
@@ -165,17 +171,17 @@ func (e *Engine) RangeTable(g sheet.Range, headers bool) *rel.TableValue {
 // the expansion step of the index(...) function family — and returns the
 // covered range (including the header row).
 func (e *Engine) PlaceTable(tv *rel.TableValue, anchor sheet.Ref) (sheet.Range, error) {
+	batch := make([]cellWrite, 0, (tv.Len()+1)*tv.Arity())
 	for j, name := range tv.Cols {
-		if err := e.SetValue(anchor.Row, anchor.Col+j, sheet.Str(name)); err != nil {
-			return sheet.Range{}, err
-		}
+		batch = append(batch, cellWrite{ref: sheet.Ref{Row: anchor.Row, Col: anchor.Col + j}, value: sheet.Str(name)})
 	}
 	for i, row := range tv.Rows {
 		for j, v := range row {
-			if err := e.SetValue(anchor.Row+1+i, anchor.Col+j, v); err != nil {
-				return sheet.Range{}, err
-			}
+			batch = append(batch, cellWrite{ref: sheet.Ref{Row: anchor.Row + 1 + i, Col: anchor.Col + j}, value: v})
 		}
+	}
+	if err := e.apply(batch); err != nil {
+		return sheet.Range{}, err
 	}
 	return sheet.NewRange(anchor.Row, anchor.Col,
 		anchor.Row+tv.Len(), anchor.Col+tv.Arity()-1), nil
@@ -191,7 +197,7 @@ func (e *Engine) Optimize(algo string, eta float64) (*hybrid.IncrementalResult, 
 	// snapshot must carry converged values into the new decomposition.
 	unlock := e.lockWritesDrained()
 	defer unlock()
-	bounds := sheet.NewRange(1, 1, maxI(e.maxRow, 1), maxI(e.maxCol, 1))
+	bounds := sheet.NewRange(1, 1, max(e.maxRow, 1), max(e.maxCol, 1))
 	snap, err := e.store.Snapshot(e.name, bounds)
 	if err != nil {
 		return nil, err
@@ -206,7 +212,7 @@ func (e *Engine) Optimize(algo string, eta float64) (*hybrid.IncrementalResult, 
 	}
 	// Rebuild the store under the new decomposition.
 	e.seq++
-	hs, err := model.Materialize(e.db, fmt.Sprintf("%s_v%d", e.name, e.seq), e.scheme(), snap, res.Decomposition)
+	hs, err := model.Materialize(e.db, fmt.Sprintf("%s_v%d", e.name, e.seq), e.store.Scheme(), snap, res.Decomposition)
 	if err != nil {
 		return nil, err
 	}
@@ -220,13 +226,4 @@ func (e *Engine) Optimize(algo string, eta float64) (*hybrid.IncrementalResult, 
 	e.cache = newEngineCache(e)
 	e.bumpGeneration()
 	return res, nil
-}
-
-func (e *Engine) scheme() string { return "hierarchical" }
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,12 +30,13 @@ type Options struct {
 	CacheBlocks int
 	// CostParams drives the hybrid optimizer (zero value: PostgresCost).
 	CostParams hybrid.CostParams
-	// AsyncRecalc enables the background recalc scheduler (the paper's
-	// LazyBrowsing direction): edits mark their dependency cone pending
-	// and return immediately; a bounded worker pool evaluates the cone in
-	// topological waves, cells inside registered viewports first. Default
-	// false: formulas evaluate inline with the edit (tests, single-user
-	// CLI). See recalc.go.
+	// AsyncRecalc decides who runs the one recalc executor (recalc.go) — the
+	// paper's LazyBrowsing direction. True: edits mark their dependency cone
+	// pending and return immediately; a background dispatcher evaluates the
+	// cone in topological waves on a bounded worker pool, cells inside
+	// registered viewports first. False (default; tests, single-user CLI):
+	// the edit runs the same plan on the calling goroutine and returns with
+	// nothing pending.
 	AsyncRecalc bool
 	// RecalcWorkers bounds the scheduler's evaluation worker pool (0:
 	// GOMAXPROCS capped at 4). Meaningful only with AsyncRecalc.
@@ -77,11 +78,12 @@ type Engine struct {
 	// single-goroutine use.
 	gen     atomic.Uint64
 	latches latchTable
-	// writeMu serializes edit paths against the background recalc
-	// scheduler's commit chunks. Locked only in async mode (sched != nil);
-	// synchronous engines keep their existing single-writer discipline.
+	// writeMu serializes edit paths against each other and against the
+	// recalc dispatcher's commit chunks (uncontended on a synchronous,
+	// single-goroutine engine).
 	writeMu sync.Mutex
-	// sched is the background recalc scheduler (nil in synchronous mode).
+	// sched holds the recalc executor's state: viewports, plan flags and —
+	// on an AsyncRecalc engine — the dispatcher goroutine.
 	sched *recalcScheduler
 }
 
@@ -95,22 +97,18 @@ func (b storeBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
 	return b.hs.GetCells(g)
 }
 
-func (b storeBacking) StoreCell(r sheet.Ref, c sheet.Cell) error {
-	return b.hs.Update(r.Row, r.Col, c)
+// params returns the hybrid optimizer's cost parameters (zero value:
+// PostgresCost).
+func (o Options) params() hybrid.CostParams {
+	if o.CostParams == (hybrid.CostParams{}) {
+		return hybrid.PostgresCost
+	}
+	return o.CostParams
 }
 
-// New opens an empty spreadsheet named name on the database.
-func New(db *rdbms.DB, name string, opts Options) (*Engine, error) {
-	if err := validateSheetName(name); err != nil {
-		return nil, err
-	}
-	if opts.CostParams == (hybrid.CostParams{}) {
-		opts.CostParams = hybrid.PostgresCost
-	}
-	hs, err := model.NewHybridStore(db, name, opts.Scheme)
-	if err != nil {
-		return nil, err
-	}
+// buildEngine builds the engine over an existing store: empty formula state,
+// a cold cache and the recalc executor New, Open and Load all start from.
+func buildEngine(db *rdbms.DB, name string, hs *model.HybridStore, opts Options) *Engine {
 	e := &Engine{
 		name:        name,
 		db:          db,
@@ -119,12 +117,24 @@ func New(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 		exprs:       make(map[sheet.Ref]formula.Expr),
 		constants:   make(map[sheet.Ref]struct{}),
 		cycles:      make(map[sheet.Ref]string),
-		params:      opts.CostParams,
+		params:      opts.params(),
 		cacheBlocks: opts.CacheBlocks,
 	}
 	e.cache = newEngineCache(e)
 	e.startRecalc(opts)
-	return e, nil
+	return e
+}
+
+// New opens an empty spreadsheet named name on the database.
+func New(db *rdbms.DB, name string, opts Options) (*Engine, error) {
+	if err := validateSheetName(name); err != nil {
+		return nil, err
+	}
+	hs, err := model.NewHybridStore(db, name, opts.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	return buildEngine(db, name, hs, opts), nil
 }
 
 // newEngineCache builds the LRU cell cache over the engine's current store.
@@ -133,15 +143,13 @@ func newEngineCache(e *Engine) *cache.Cache {
 }
 
 // Open loads a sheet into a new engine, choosing the physical layout with
-// the hybrid optimizer (algo: "dp", "greedy", "agg", "rom", "com", "rcv").
+// the hybrid optimizer (algo: "dp", "greedy", "agg", "rom", "com", "rcv"),
+// and recalculates every formula (RecalcAll).
 func Open(db *rdbms.DB, name string, s *sheet.Sheet, algo string, opts Options) (*Engine, error) {
 	if err := validateSheetName(name); err != nil {
 		return nil, err
 	}
-	if opts.CostParams == (hybrid.CostParams{}) {
-		opts.CostParams = hybrid.PostgresCost
-	}
-	d, err := hybrid.Decompose(s, algo, hybrid.Options{Params: opts.CostParams, Models: hybrid.AllModels})
+	d, err := hybrid.Decompose(s, algo, hybrid.Options{Params: opts.params(), Models: hybrid.AllModels})
 	if err != nil {
 		return nil, err
 	}
@@ -149,27 +157,12 @@ func Open(db *rdbms.DB, name string, s *sheet.Sheet, algo string, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		name:        name,
-		db:          db,
-		store:       hs,
-		deps:        depgraph.New(),
-		exprs:       make(map[sheet.Ref]formula.Expr),
-		constants:   make(map[sheet.Ref]struct{}),
-		cycles:      make(map[sheet.Ref]string),
-		params:      opts.CostParams,
-		cacheBlocks: opts.CacheBlocks,
-	}
-	e.cache = newEngineCache(e)
-	e.startRecalc(opts)
-	// Register formulas and evaluate the sheet once.
+	e := buildEngine(db, name, hs, opts)
 	var regErr error
 	s.EachSorted(func(r sheet.Ref, c sheet.Cell) {
 		e.grow(r.Row, r.Col)
 		if c.HasFormula() && regErr == nil {
-			if err := e.registerFormula(r, c.Formula); err != nil {
-				regErr = err
-			}
+			regErr = e.registerFormula(r, c.Formula)
 		}
 	})
 	if regErr != nil {
@@ -273,123 +266,6 @@ func (e *Engine) writeGuard() error {
 	return nil
 }
 
-// Set writes user input: text beginning with '=' installs a formula,
-// anything else a literal value; empty text clears the cell.
-func (e *Engine) Set(row, col int, input string) error {
-	if strings.HasPrefix(input, "=") {
-		return e.SetFormula(row, col, input[1:])
-	}
-	return e.SetValue(row, col, sheet.ParseLiteral(input))
-}
-
-// SetValue writes a plain value and recomputes dependents (updateCell of
-// Section III). In async mode dependents are marked pending instead and
-// recompute in the background.
-func (e *Engine) SetValue(row, col int, v sheet.Value) error {
-	if err := e.writeGuard(); err != nil {
-		return err
-	}
-	unlock := e.lockWrites()
-	defer unlock()
-	ref := sheet.Ref{Row: row, Col: col}
-	e.dropFormula(ref)
-	if err := e.cache.Put(ref, sheet.Cell{Value: v}); err != nil {
-		return err
-	}
-	e.grow(row, col)
-	if err := e.finishEdit([]sheet.Ref{ref}); err != nil {
-		return err
-	}
-	e.bumpGeneration()
-	return nil
-}
-
-// Clear blanks a cell.
-func (e *Engine) Clear(row, col int) error {
-	if err := e.writeGuard(); err != nil {
-		return err
-	}
-	unlock := e.lockWrites()
-	defer unlock()
-	ref := sheet.Ref{Row: row, Col: col}
-	e.dropFormula(ref)
-	if err := e.cache.Put(ref, sheet.Cell{}); err != nil {
-		return err
-	}
-	if err := e.finishEdit([]sheet.Ref{ref}); err != nil {
-		return err
-	}
-	e.bumpGeneration()
-	return nil
-}
-
-// SetFormula installs a formula (source without '='), evaluates it, and
-// recomputes dependents. Cycles poison the cell with #CYCLE!. In async
-// mode the cell and its dependents are marked pending instead and
-// evaluate in the background.
-func (e *Engine) SetFormula(row, col int, src string) error {
-	if err := e.writeGuard(); err != nil {
-		return err
-	}
-	unlock := e.lockWrites()
-	defer unlock()
-	ref := sheet.Ref{Row: row, Col: col}
-	if err := e.installFormula(ref, src); err != nil {
-		return err
-	}
-	// Finish even when the install poisoned a cycle: dependents reading
-	// the now-#CYCLE! cell must re-evaluate, exactly as the batch path's
-	// seeded propagation does.
-	if err := e.finishEdit([]sheet.Ref{ref}); err != nil {
-		return err
-	}
-	e.bumpGeneration()
-	return nil
-}
-
-// installFormula parses, registers and evaluates a formula at ref without
-// recomputing dependents (the caller propagates). Cycles poison the cell
-// with #CYCLE! and move its registration to the cycle set. In async mode
-// evaluation is deferred: the cell keeps its previous displayed value and
-// is marked pending for the scheduler.
-func (e *Engine) installFormula(ref sheet.Ref, src string) error {
-	expr, err := formula.Parse(src)
-	if err != nil {
-		return err
-	}
-	reads := formula.Refs(expr)
-	e.dropFormula(ref)
-	if e.deps.HasCycleAt(ref, reads) {
-		if err := e.cache.Put(ref, sheet.Cell{Value: sheet.ErrCycle, Formula: src}); err != nil {
-			return err
-		}
-		e.cycles[ref] = src
-		e.formulasDirty = true
-		e.grow(ref.Row, ref.Col)
-		return nil
-	}
-	e.exprs[ref] = expr
-	e.setDeps(ref, reads)
-	e.formulasDirty = true
-	if e.sched != nil {
-		// LazyBrowsing: defer evaluation — keep whatever value the cell
-		// showed, attach the formula text, and mark the cell pending.
-		old := e.cache.Get(ref)
-		if err := e.cache.Put(ref, sheet.Cell{Value: old.Value, Formula: src}); err != nil {
-			return err
-		}
-		e.cache.MarkPending(ref)
-		e.grow(ref.Row, ref.Col)
-		return nil
-	}
-	v := formula.Eval(expr, e)
-	if err := e.cache.Put(ref, sheet.Cell{Value: v, Formula: src}); err != nil {
-		return err
-	}
-	e.grow(ref.Row, ref.Col)
-	return nil
-}
-
 // CellEdit is one entry of a SetCells batch: user input addressed to a
 // cell, following Set's convention ("=..." installs a formula, "" clears,
 // anything else is a literal).
@@ -398,14 +274,65 @@ type CellEdit struct {
 	Input    string
 }
 
-// SetCells applies a batch of edits through the bulk write path: plain
-// values flow to the hybrid store in one batch (row-oriented regions
-// rewrite each covered tuple once), dependent formulas recompute in a
-// single propagation pass, and the whole batch is persisted with a single
-// WAL commit — N edits cost one fsync instead of N (the group-commit write
+// cellWrite is one typed entry of a cell-edit batch: a formula (expr, parsed
+// once from src) or a literal value; the zero value clears the cell.
+type cellWrite struct {
+	ref   sheet.Ref
+	value sheet.Value
+	src   string
+	expr  formula.Expr
+}
+
+// formulaWrite parses a formula source (without '=') into a batch entry.
+func formulaWrite(ref sheet.Ref, src string) (cellWrite, error) {
+	expr, err := formula.Parse(src)
+	if err != nil {
+		return cellWrite{}, fmt.Errorf("core: formula at %v: %w", ref, err)
+	}
+	return cellWrite{ref: ref, src: src, expr: expr}, nil
+}
+
+// parseEdit types one user input.
+func parseEdit(ed CellEdit) (cellWrite, error) {
+	ref := sheet.Ref{Row: ed.Row, Col: ed.Col}
+	if strings.HasPrefix(ed.Input, "=") {
+		return formulaWrite(ref, ed.Input[1:])
+	}
+	return cellWrite{ref: ref, value: sheet.ParseLiteral(ed.Input)}, nil
+}
+
+// Set writes user input: text beginning with '=' installs a formula,
+// anything else a literal value; empty text clears the cell.
+func (e *Engine) Set(row, col int, input string) error {
+	return e.ApplyCells([]CellEdit{{Row: row, Col: col, Input: input}})
+}
+
+// SetValue writes a plain value (updateCell of Section III); text beginning
+// with '=' stays text.
+func (e *Engine) SetValue(row, col int, v sheet.Value) error {
+	return e.apply([]cellWrite{{ref: sheet.Ref{Row: row, Col: col}, value: v}})
+}
+
+// Clear blanks a cell.
+func (e *Engine) Clear(row, col int) error {
+	return e.apply([]cellWrite{{ref: sheet.Ref{Row: row, Col: col}}})
+}
+
+// SetFormula installs a formula (source without '='). A formula that closes
+// a dependency cycle is poisoned with #CYCLE!.
+func (e *Engine) SetFormula(row, col int, src string) error {
+	w, err := formulaWrite(sheet.Ref{Row: row, Col: col}, src)
+	if err != nil {
+		return err
+	}
+	return e.apply([]cellWrite{w})
+}
+
+// SetCells applies a batch of edits and persists it with a single WAL
+// commit — N edits cost one fsync instead of N (the group-commit write
 // path; per-edit Set+Save costs one fsync each). Edits to the same cell
-// apply in order: the last one wins. On an in-memory database the batch
-// write path still applies, the WAL commit is a no-op.
+// apply in order: the last one wins. On an in-memory database the WAL
+// commit is a no-op.
 func (e *Engine) SetCells(edits []CellEdit) error {
 	if len(edits) == 0 {
 		return nil
@@ -420,91 +347,139 @@ func (e *Engine) SetCells(edits []CellEdit) error {
 // the store, cache, and dependency graph, but durability is the caller's.
 // The serving layer uses the split to commit visibility (generation bump,
 // overlay retirement) under its latches and run the WAL fsync after
-// releasing them, so snapshot readers never wait on disk.
+// releasing them, so snapshot readers never wait on disk. A malformed
+// formula rejects the whole batch before anything is touched.
 func (e *Engine) ApplyCells(edits []CellEdit) error {
-	if len(edits) == 0 {
+	batch := make([]cellWrite, len(edits))
+	for i, ed := range edits {
+		w, err := parseEdit(ed)
+		if err != nil {
+			return err
+		}
+		batch[i] = w
+	}
+	return e.apply(batch)
+}
+
+// apply is the one cell-edit entry: every cell mutation (Set, SetValue,
+// SetFormula, Clear, SetCells/ApplyCells, PlaceTable, LinkTable's clear)
+// builds a batch and takes the pipeline apply -> mark pending -> settle ->
+// write through. On return a synchronous engine has nothing pending; an
+// AsyncRecalc engine has the batch's dependency cone marked and the
+// dispatcher woken.
+func (e *Engine) apply(batch []cellWrite) error {
+	if len(batch) == 0 {
 		return nil
 	}
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	if err := e.applyLocked(batch); err != nil {
+		return err
+	}
+	return e.settle()
+}
+
+// applyLocked applies a batch up to and including the pending marks (the
+// caller settles). Order: validate; one store write carrying the values and
+// the formula cells — if it fails (ENOSPC, a poisoned pager, a read-only
+// linked header) formula registrations, cache, dependency graph and bounds
+// are exactly as they were, no half-applied batch; then the in-memory
+// mutation; then the marks. Row-oriented regions rewrite each covered tuple
+// once per batch.
+func (e *Engine) applyLocked(batch []cellWrite) error {
 	if err := e.writeGuard(); err != nil {
 		return err
 	}
-	// Validate the whole batch before mutating anything, so a malformed
-	// edit rejects the batch instead of leaving it half-applied (per-cell
-	// Set never exposes a value change without its propagation).
-	for _, ed := range edits {
-		if ed.Row < 1 || ed.Col < 1 {
-			return fmt.Errorf("core: SetCells position (%d,%d) out of range", ed.Row, ed.Col)
+	// The last edit to a cell wins: superseded edits never reach the store
+	// or the formula registry, so values and formulas cannot reorder.
+	last := make(map[sheet.Ref]int, len(batch))
+	for i, w := range batch {
+		if w.ref.Row < 1 || w.ref.Col < 1 {
+			return fmt.Errorf("core: cell position (%d,%d) out of range", w.ref.Row, w.ref.Col)
 		}
-		if strings.HasPrefix(ed.Input, "=") {
-			if _, err := formula.Parse(ed.Input[1:]); err != nil {
-				return fmt.Errorf("core: SetCells formula at (%d,%d): %w", ed.Row, ed.Col, err)
-			}
-		}
+		last[w.ref] = i
 	}
-	unlock := e.lockWrites()
-	defer unlock()
-	// "Edits to the same cell apply in order: the last one wins" — keep
-	// only the final edit per cell up front, so partitioning values from
-	// formulas below cannot reorder same-cell edits (a literal following
-	// a formula edit used to be overwritten by the formula's later
-	// install).
-	last := make(map[sheet.Ref]int, len(edits))
-	for i, ed := range edits {
-		last[sheet.Ref{Row: ed.Row, Col: ed.Col}] = i
-	}
-	var writes []model.CellWrite
-	type formulaEdit struct {
-		ref sheet.Ref
-		src string
-	}
-	var formulas []formulaEdit
+	kept := make([]cellWrite, 0, len(last))
 	refs := make([]sheet.Ref, 0, len(last))
-	for i, ed := range edits {
-		ref := sheet.Ref{Row: ed.Row, Col: ed.Col}
-		if last[ref] != i {
-			continue // superseded by a later edit to the same cell
-		}
-		refs = append(refs, ref)
-		if strings.HasPrefix(ed.Input, "=") {
-			formulas = append(formulas, formulaEdit{ref, ed.Input[1:]})
+	writes := make([]model.CellWrite, 0, len(last))
+	for i, w := range batch {
+		if last[w.ref] != i {
 			continue
 		}
-		var c sheet.Cell
-		if v := sheet.ParseLiteral(ed.Input); !v.IsEmpty() {
-			c = sheet.Cell{Value: v}
+		cell := sheet.Cell{Value: w.value}
+		if w.expr != nil {
+			// LazyBrowsing: a formula cell keeps the value it was showing
+			// until the executor computes it.
+			cell = sheet.Cell{Value: e.cache.Get(w.ref).Value, Formula: w.src}
 		}
-		writes = append(writes, model.CellWrite{Row: ed.Row, Col: ed.Col, Cell: c})
+		kept = append(kept, w)
+		refs = append(refs, w.ref)
+		writes = append(writes, model.CellWrite{Row: w.ref.Row, Col: w.ref.Col, Cell: cell})
 	}
-	// The store write runs before any in-memory mutation: if it fails
-	// (ENOSPC, a poisoned pager), formula registrations, the cache, the
-	// dependency graph and the bounds are exactly as they were — no
-	// half-applied batch.
+	if err := e.commit(writes); err != nil {
+		return err
+	}
+	for _, w := range kept {
+		e.dropFormula(w.ref)
+		if w.expr != nil || !w.value.IsEmpty() {
+			e.grow(w.ref.Row, w.ref.Col)
+		}
+	}
+	// Formulas register after every overwritten registration is gone, in
+	// batch order. A formula closing a cycle goes to the cycle set instead;
+	// marked like the others, it gets its #CYCLE! from the executor.
+	var seeds []sheet.Ref
+	for _, w := range kept {
+		if w.expr == nil {
+			continue
+		}
+		e.formulasDirty = true
+		seeds = append(seeds, w.ref)
+		if reads := formula.Refs(w.expr); e.deps.HasCycleAt(w.ref, reads) {
+			e.cycles[w.ref] = w.src
+		} else {
+			e.exprs[w.ref] = w.expr
+			e.setDeps(w.ref, reads)
+		}
+	}
+	// One propagation pass for the whole batch: the installed formulas, the
+	// formulas whose cycle the batch broke, and everything reading an edited
+	// cell.
+	e.mark(append(seeds, e.reviveCycles()...), refs)
+	e.bumpGeneration()
+	return nil
+}
+
+// commit is the engine's one write-through: the cells reach the store in
+// one batch (row- and column-oriented regions rewrite each covered tuple
+// once), resident cache blocks are poked coherent, and the cells' pending
+// bits clear — what was written is their definitive value until something
+// marks them again.
+func (e *Engine) commit(writes []model.CellWrite) error {
+	if len(writes) == 0 {
+		return nil
+	}
 	if err := e.store.UpdateCells(writes); err != nil {
 		return err
 	}
 	for _, w := range writes {
 		ref := sheet.Ref{Row: w.Row, Col: w.Col}
-		e.dropFormula(ref)
 		e.cache.Poke(ref, w.Cell)
-		if !w.Cell.Value.IsEmpty() {
-			e.grow(w.Row, w.Col)
-		}
+		e.cache.ClearPending(ref)
 	}
-	// Formulas install after the values they (typically) read.
-	for _, f := range formulas {
-		if err := e.installFormula(f.ref, f.src); err != nil {
-			return err
-		}
-	}
-	// One propagation pass seeded by the exact edited cells replaces the
-	// per-edit recomputation of Set.
-	if err := e.finishEdit(refs); err != nil {
-		return err
-	}
-	e.bumpGeneration()
 	return nil
 }
 
+// mark sets the pending bits a mutation owes: the seed formulas themselves
+// plus every formula transitively reading a seed or a changed cell. It
+// returns how many cells were newly marked. Marking is O(cone) — no
+// topological sort happens on the edit path.
+func (e *Engine) mark(seeds, changed []sheet.Ref) int {
+	cone := e.deps.Reach(append(changed[:len(changed):len(changed)], seeds...))
+	return e.cache.MarkPendingBatch(append(cone, seeds...))
+}
+
+// dropFormula forgets whatever formula ref held.
 func (e *Engine) dropFormula(ref sheet.Ref) {
 	if _, ok := e.exprs[ref]; ok {
 		e.formulasDirty = true
@@ -515,41 +490,34 @@ func (e *Engine) dropFormula(ref sheet.Ref) {
 	delete(e.constants, ref)
 	delete(e.cycles, ref)
 	e.deps.Remove(ref)
-	if e.sched != nil {
-		// The cell no longer computes anything: whatever is written next
-		// is its definitive value.
-		e.cache.ClearPending(ref)
-	}
 }
 
-// poisonCycles marks every ref in refs cycle-poisoned, unifying the
-// bookkeeping with installFormula's cycle path: the cell keeps its formula
-// text but displays #CYCLE!, and any live registration moves out of the
-// formula set (exprs, constants, dependency graph) into e.cycles, so the
-// persisted manifest records the poisoning — a Save/Load round-trip must
-// not silently revive the formula as a live registration that re-evaluates
-// to a value. Poisoned cells recover only when directly re-edited.
+// poisonCycles is the executor's write of #CYCLE!: every ref in refs — found
+// on a cycle by the plan, or installed closing one — keeps its formula text
+// but displays #CYCLE!, and any live registration moves out of the formula
+// set (exprs, constants, dependency graph) into e.cycles, so the persisted
+// manifest records the poisoning — a Save/Load round-trip must not silently
+// revive the formula as a live registration that re-evaluates to a value.
+// Poisoned cells recover when an edit breaks their cycle (reviveCycles).
 func (e *Engine) poisonCycles(refs []sheet.Ref) error {
-	for _, ref := range refs {
-		old := e.cache.Get(ref)
-		src := old.Formula
+	writes := make([]model.CellWrite, len(refs))
+	for i, ref := range refs {
+		src := e.cache.Get(ref).Formula
 		if src == "" {
-			if s, ok := e.cycles[ref]; ok {
-				src = s
-			}
+			src = e.cycles[ref]
 		}
-		if err := e.cache.Put(ref, sheet.Cell{Value: sheet.ErrCycle, Formula: src}); err != nil {
-			return err
-		}
+		writes[i] = model.CellWrite{Row: ref.Row, Col: ref.Col, Cell: sheet.Cell{Value: sheet.ErrCycle, Formula: src}}
+	}
+	if err := e.commit(writes); err != nil {
+		return err
+	}
+	for i, ref := range refs {
 		if _, ok := e.exprs[ref]; ok {
 			delete(e.exprs, ref)
 			delete(e.constants, ref)
 			e.deps.Remove(ref)
-			e.cycles[ref] = src
+			e.cycles[ref] = writes[i].Cell.Formula
 			e.formulasDirty = true
-		}
-		if e.sched != nil {
-			e.cache.ClearPending(ref)
 		}
 	}
 	return nil
@@ -566,35 +534,13 @@ func (e *Engine) setDeps(ref sheet.Ref, reads []sheet.Range) {
 	}
 }
 
-// finishEdit completes an edit after its primary mutation: formulas whose
-// cycle the edit broke are revived (re-registered), then the affected cone
-// — the revived cells plus every dependent of the changed cells — is
-// recomputed inline, or marked pending for the background scheduler.
-func (e *Engine) finishEdit(changed []sheet.Ref) error {
-	revived := e.reviveCycles()
-	if e.sched != nil {
-		for _, r := range revived {
-			e.cache.MarkPending(r)
-		}
-		e.enqueueRecalc(append(changed, revived...))
-		return nil
-	}
-	order, cycles := e.deps.AffectedBySeeds(revived, changed)
-	for _, dep := range order {
-		if err := e.reevaluate(dep); err != nil {
-			return err
-		}
-	}
-	return e.poisonCycles(cycles)
-}
-
 // reviveCycles re-registers poisoned formulas whose cycle no longer exists
 // after the current edit changed the dependency graph, returning the
 // revived cells (row-major order, so a mutually-poisoned pair revives
-// deterministically; the caller re-evaluates them). Breaking a cycle
-// brings its cells back to life — standard spreadsheet behavior, and what
-// keeps per-cell Set equivalent to batched SetCells, where a cycle
-// transient within one batch never poisons at all.
+// deterministically; the caller marks them for re-evaluation). Breaking a
+// cycle brings its cells back to life — standard spreadsheet behavior, and
+// what keeps a batch equivalent to its edits applied one by one, where a
+// cycle transient within the batch never poisons at all.
 func (e *Engine) reviveCycles() []sheet.Ref {
 	if len(e.cycles) == 0 {
 		return nil
@@ -628,65 +574,26 @@ func (e *Engine) reviveCycles() []sheet.Ref {
 	return revived
 }
 
-func (e *Engine) reevaluate(ref sheet.Ref) error {
-	expr, ok := e.exprs[ref]
-	if !ok {
-		return nil
-	}
-	v := formula.Eval(expr, e)
-	if e.sched != nil {
-		// An inline pass (RecalcAll on an async engine) computes the
-		// definitive value: the cell is no longer stale.
-		defer e.cache.ClearPending(ref)
-	}
-	old := e.cache.Get(ref)
-	if old.Value.Equal(v) {
-		return nil
-	}
-	return e.cache.Put(ref, sheet.Cell{Value: v, Formula: old.Formula})
-}
-
-// RecalcAll evaluates every formula (initial load, or after structural
-// edits), respecting dependencies.
+// RecalcAll recalculates every formula in dependency order (the initial
+// load of Open): all of them are marked pending, then settled.
 func (e *Engine) RecalcAll() error {
-	unlock := e.lockWrites()
-	defer unlock()
-	// Evaluate in dependency order by repeatedly relaxing; with the
-	// dependency graph acyclic this converges in one topological pass via
-	// Affected from a virtual change covering everything.
-	order, cycles := e.deps.AffectedByRange(sheet.NewRange(1, 1, e.maxRow+1, e.maxCol+1))
-	seen := make(map[sheet.Ref]bool, len(order))
-	for _, ref := range order {
-		seen[ref] = true
-		if err := e.reevaluate(ref); err != nil {
-			return err
-		}
-	}
-	for _, ref := range cycles {
-		seen[ref] = true
-	}
-	if err := e.poisonCycles(cycles); err != nil {
-		return err
-	}
-	// Formulas reading nothing inside bounds (constants) may be missed by
-	// the range trigger; evaluate any leftovers.
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	all := make([]sheet.Ref, 0, len(e.exprs))
 	for ref := range e.exprs {
-		if !seen[ref] {
-			if err := e.reevaluate(ref); err != nil {
-				return err
-			}
-		}
+		all = append(all, ref)
 	}
-	return nil
+	e.cache.MarkPendingBatch(all)
+	return e.settle()
 }
 
 func (e *Engine) registerFormula(ref sheet.Ref, src string) error {
-	expr, err := formula.Parse(src)
+	w, err := formulaWrite(ref, src)
 	if err != nil {
-		return fmt.Errorf("core: formula at %v: %w", ref, err)
+		return err
 	}
-	e.exprs[ref] = expr
-	e.setDeps(ref, formula.Refs(expr))
+	e.exprs[ref] = w.expr
+	e.setDeps(ref, formula.Refs(w.expr))
 	e.formulasDirty = true
 	return nil
 }

@@ -36,8 +36,8 @@ import (
 // group-commit flusher.
 //
 // Single-goroutine users (dsshell's local mode, the test harness) never
-// touch this file: the engine's plain methods stay latch-free and the
-// latch table stays empty.
+// touch this file: a synchronous engine's plain methods stay latch-free and
+// the latch table stays empty.
 
 // latchTable is the engine's per-table latch registry.
 type latchTable struct {
@@ -162,17 +162,13 @@ func (e *Engine) SnapshotRange(g sheet.Range) ([][]sheet.Cell, uint64, error) {
 }
 
 // AffectedRefs returns the full dirty set of a prospective cell-edit
-// batch: the edited cells themselves plus every formula cell the current
-// dependency graph would recompute (transitive dependents and cycle
-// members). The serving layer pre-images exactly these cells' blocks
-// before letting the writer loose, so snapshot readers keep serving the
-// prior generation while the batch applies. Sorted and deduplicated.
+// batch: the edited cells themselves plus every formula cell the edit would
+// mark pending (depgraph.Reach). The serving layer pre-images exactly these
+// cells' blocks — and, around a synchronous engine, write-latches their
+// tables — before letting the writer loose, so snapshot readers keep serving
+// the prior generation while the batch applies. Sorted and deduplicated.
 func (e *Engine) AffectedRefs(refs []sheet.Ref) []sheet.Ref {
-	order, cycles := e.deps.AffectedByRefs(refs)
-	out := make([]sheet.Ref, 0, len(refs)+len(order)+len(cycles))
-	out = append(out, refs...)
-	out = append(out, order...)
-	out = append(out, cycles...)
+	out := append(e.deps.Reach(refs), refs...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Row != out[j].Row {
 			return out[i].Row < out[j].Row

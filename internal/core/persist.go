@@ -6,9 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"dataspread/internal/depgraph"
-	"dataspread/internal/formula"
-	"dataspread/internal/hybrid"
 	"dataspread/internal/model"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
@@ -56,18 +53,18 @@ type formulaManifest struct {
 // Save persists the engine into the database and commits the write-ahead
 // log: the hybrid store manifest (only its dirty segments), the engine
 // manifest, and every dirty page become durable. On an in-memory database
-// the manifests are written but the WAL commit is a no-op. In async-recalc
-// mode Save serializes against the background scheduler (which mutates the
-// formula maps when it poisons cycles) but does not wait for convergence;
-// call Drain first for a converged save.
+// the manifests are written but the WAL commit is a no-op. Save serializes
+// against the recalc dispatcher (which mutates the formula maps when it
+// poisons cycles) but does not wait for convergence; on an AsyncRecalc
+// engine call Drain first for a converged save.
 func (e *Engine) Save() error {
-	unlock := e.lockWrites()
-	defer unlock()
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
 	return e.saveLocked()
 }
 
 // saveLocked is Save for callers already holding the edit lock (structural
-// edits, the scheduler's drain-save).
+// edits, the dispatcher's drain-save).
 func (e *Engine) saveLocked() error {
 	if err := e.saveManifests(); err != nil {
 		return err
@@ -78,8 +75,8 @@ func (e *Engine) saveLocked() error {
 // Checkpoint is Save plus a full data-file checkpoint (pages written to
 // their slots, WAL truncated).
 func (e *Engine) Checkpoint() error {
-	unlock := e.lockWrites()
-	defer unlock()
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
 	if err := e.saveManifests(); err != nil {
 		return err
 	}
@@ -171,29 +168,12 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: sheet %q manifest is format version %d, this build reads only version %d",
 			name, m.Version, engineFormatVersion)
 	}
-	if opts.CostParams == (hybrid.CostParams{}) {
-		opts.CostParams = hybrid.PostgresCost
-	}
 	hs, err := model.LoadHybridStore(db, m.Store)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		name:        name,
-		db:          db,
-		store:       hs,
-		deps:        depgraph.New(),
-		exprs:       make(map[sheet.Ref]formula.Expr),
-		constants:   make(map[sheet.Ref]struct{}),
-		cycles:      make(map[sheet.Ref]string),
-		params:      opts.CostParams,
-		seq:         m.Seq,
-		maxRow:      m.MaxRow,
-		maxCol:      m.MaxCol,
-		cacheBlocks: opts.CacheBlocks,
-	}
-	e.cache = newEngineCache(e)
-	e.startRecalc(opts)
+	e := buildEngine(db, name, hs, opts)
+	e.seq, e.maxRow, e.maxCol = m.Seq, m.MaxRow, m.MaxCol
 	fblob, ok, err := db.MetaValue(formulasKey(name))
 	if err != nil {
 		// An unreadable formula set must fail the load: treating it as
@@ -221,17 +201,15 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	// The registered state is by construction identical to the stored
 	// blob: the first save after a reload has nothing to re-serialize.
 	e.formulasDirty = false
-	// In async mode every reloaded formula is marked pending and the
-	// scheduler woken. Persisted values can lag persisted formulas (the
-	// saving session may have crashed between a formula-durable edit and its
-	// next drain-save), so a reloaded async sheet revalidates in the
-	// background — viewport-first, like any other recalculation — instead of
-	// trusting the stored values or blocking the open on a full recompute.
-	if e.sched != nil && len(e.exprs) > 0 {
-		for ref := range e.exprs {
-			e.cache.MarkPending(ref)
-		}
-		e.sched.wake()
+	// An AsyncRecalc engine revalidates a reloaded sheet in the background:
+	// persisted values can lag persisted formulas (the saving session may
+	// have crashed between a formula-durable edit and its next drain-save),
+	// so every formula recalculates — viewport-first, like any other
+	// recalculation — instead of the open trusting the stored values or
+	// blocking on a full recompute. A synchronous engine saved nothing it
+	// had not computed.
+	if e.sched.async && len(e.exprs) > 0 {
+		return e, e.RecalcAll()
 	}
 	return e, nil
 }

@@ -1,26 +1,48 @@
-// Background recalc scheduler — the paper's LazyBrowsing direction: an
-// edit returns as soon as its own cells are written, with the dependency
-// cone marked pending (a staleness bit in the cache sidecar, surfaced to
-// readers); a single dispatcher evaluates the cone in topological waves on
-// a bounded worker pool, prioritizing cells inside registered viewports so
-// what the user can see converges first.
+// The recalc executor — the paper's LazyBrowsing direction, and the engine's
+// one recalculation path. Every mutation marks the cells it makes stale
+// pending (a staleness bit in the cache sidecar, surfaced to readers:
+// Engine.mark) and then settles: the executor derives a plan from the
+// pending bits — the viewport's stale cells and their stale ancestors first,
+// then the whole cone in topological waves cut into bounded chunks —
+// evaluates each chunk, and commits it through the engine's one
+// write-through (Engine.commit). Options.AsyncRecalc decides only who runs
+// it:
+//
+//   - AsyncRecalc: the edit returns with its cone marked; a single
+//     dispatcher goroutine runs the plan, evaluating each chunk on a bounded
+//     worker pool, so what the user can see converges first and the edit
+//     never waits for a 100k-cell cone. Between the viewport pass and the
+//     rest of the cone it waits until edits have paused for coldDelay, or
+//     until somebody waits on it (Drain, WaitRange, Close).
+//   - otherwise: the edit runs the plan itself, serially, before it returns.
+//     On return nothing is pending and every recomputed value is in the
+//     store; durability stays the caller's Save. An error leaves the
+//     unfinished cells pending; with no dispatcher to wait for, the next
+//     edit, Drain, WaitRange or Close runs the plan again itself, so a
+//     synchronous engine never waits on a cell nobody will compute.
 //
 // Concurrency contract (lock order: table latches → writeMu → sched.mu →
 // pending sidecar):
 //
-//   - Every edit path (SetValue/Clear/SetFormula/ApplyCells, structural
-//     edits, Optimize, Save) holds writeMu in async mode, so engine maps
-//     (exprs, constants, cycles, depgraph, bounds) have a single writer at
-//     a time.
+//   - Every edit path (apply, shift, LinkTable, Optimize, Save) holds
+//     writeMu, so engine maps (exprs, constants, cycles, depgraph, bounds)
+//     have a single writer at a time.
 //   - The dispatcher commits one bounded chunk at a time: it write-latches
 //     the chunk's table segments (readers of other segments never wait),
 //     takes writeMu, evaluates the chunk's cells in parallel (reads only —
 //     chunk members are mutually independent, same topological wave), then
-//     commits serially and clears their pending bits.
-//   - Edits concurrent with a running plan set the restructure flag; the
-//     dispatcher abandons its stale plan at the next chunk boundary and
-//     rebuilds from the pending bits, whose closure property (every
-//     dependent of a pending cell is pending) makes the rebuild exact.
+//     commits them in one batch and clears their pending bits.
+//   - An inline settle runs under the writeMu its edit already holds and
+//     under whatever latches the edit's caller took: the serving layer
+//     latches Engine.AffectedRefs around a synchronous engine's batch;
+//     embedded callers are single-goroutine. It takes no lock of its own and
+//     starts no goroutine (recalcScheduler.lock is where the two differ).
+//   - Edits concurrent with a running plan set the restructure flag (under
+//     writeMu); the executor abandons its stale plan at the next chunk
+//     boundary and rebuilds from the pending bits, whose closure property
+//     (every dependent of a pending cell is pending) makes the rebuild
+//     exact. A chunk that won its locks just after such an edit commits
+//     only the cells that read no pending cell.
 //   - When the pending set drains to zero the dispatcher persists the
 //     recomputed values (manifest save + WAL flush), so a cleanly closed
 //     async engine is as durable as a synchronous one. Values computed
@@ -33,9 +55,11 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dataspread/internal/depgraph"
 	"dataspread/internal/formula"
+	"dataspread/internal/model"
 	"dataspread/internal/sheet"
 )
 
@@ -44,60 +68,75 @@ import (
 // small enough that a viewport read never waits behind a long commit.
 const recalcChunkSize = 512
 
+// coldDelay is the dispatcher's quiet window: how long after the latest edit
+// it leaves the cells nobody is looking at alone. The full plan costs O(cone)
+// to build, under the edit lock, and the next edit throws it away, so a burst
+// (a ticking feed, a paste in pieces) pays for the viewport after each edit
+// and for the rest of the cone once, when it pauses. A variable for tests.
+var coldDelay = 40 * time.Millisecond
+
 var errEngineClosed = fmt.Errorf("core: engine closed")
 
 type recalcScheduler struct {
-	e       *Engine
+	e *Engine
+	// async is Options.AsyncRecalc: a dispatcher goroutine runs the plans.
+	async   bool
 	workers int
-	done    chan struct{}
+	// done closes when the dispatcher has exited (at once when there is
+	// none).
+	done chan struct{}
 
 	mu   sync.Mutex
 	cond *sync.Cond // new work, chunk completion, viewport change, close
 
-	// restructure tells the dispatcher its plan is stale: an edit changed
+	// restructure tells the executor its plan is stale: an edit changed
 	// the pending set (or a viewport moved), so the evaluation plan must
 	// be rebuilt from the pending bits.
 	restructure bool
 	closed      bool
 	// stalled is set when an evaluation or commit error left cells
-	// pending; the dispatcher backs off until the next enqueue instead of
+	// pending; the dispatcher backs off until the next edit instead of
 	// hot-looping against a poisoned store.
 	stalled bool
 	lastErr error
 
 	viewports map[int]sheet.Range
 	nextVP    int
+
+	// edited is when the latest edit settled, waiters how many callers are
+	// blocked in wait: the two ends of the quiet window.
+	edited  time.Time
+	waiters int
 }
 
-// startRecalc attaches the background scheduler when opts ask for it.
+// startRecalc attaches the recalc executor, with its dispatcher when opts
+// ask for one.
 func (e *Engine) startRecalc(opts Options) {
-	if !opts.AsyncRecalc {
-		return
-	}
-	workers := opts.RecalcWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 4 {
-			workers = 4
-		}
-	}
 	s := &recalcScheduler{
 		e:         e,
-		workers:   workers,
+		workers:   1,
 		done:      make(chan struct{}),
 		viewports: make(map[int]sheet.Range),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	e.sched = s
+	if !opts.AsyncRecalc {
+		close(s.done)
+		return
+	}
+	s.async = true
+	if s.workers = opts.RecalcWorkers; s.workers <= 0 {
+		s.workers = min(runtime.GOMAXPROCS(0), 4)
+	}
 	go s.run()
 }
 
 // AsyncRecalc reports whether this engine evaluates formulas in the
 // background (Options.AsyncRecalc).
-func (e *Engine) AsyncRecalc() bool { return e.sched != nil }
+func (e *Engine) AsyncRecalc() bool { return e.sched.async }
 
-// PendingCount returns how many cells await background recalculation
-// (always 0 in synchronous mode).
+// PendingCount returns how many cells await recalculation (0 whenever a
+// synchronous engine's edit has returned without error).
 func (e *Engine) PendingCount() int { return e.cache.PendingCount() }
 
 // PendingInRange counts the pending cells inside g.
@@ -115,78 +154,62 @@ func (e *Engine) IsPending(row, col int) bool {
 // RegisterViewport registers a region whose cells jump the recalc queue
 // (together with their pending ancestors), returning a handle for
 // UpdateViewport/UnregisterViewport. Sessions register the region their
-// user is looking at; 0 is returned (and ignored by the other calls) in
-// synchronous mode.
+// user is looking at.
 func (e *Engine) RegisterViewport(g sheet.Range) int {
-	if e.sched == nil {
-		return 0
-	}
-	return e.sched.registerViewport(g)
+	s := e.sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextVP++
+	s.viewports[s.nextVP] = g
+	s.restructure = true
+	s.cond.Broadcast()
+	return s.nextVP
 }
 
 // UpdateViewport moves a registered viewport (scrolling).
 func (e *Engine) UpdateViewport(id int, g sheet.Range) {
-	if e.sched != nil {
-		e.sched.updateViewport(id, g)
+	s := e.sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.viewports[id]; ok {
+		s.viewports[id] = g
+		s.restructure = true
+		s.cond.Broadcast()
 	}
 }
 
 // UnregisterViewport drops a registered viewport (session end).
 func (e *Engine) UnregisterViewport(id int) {
-	if e.sched != nil {
-		e.sched.unregisterViewport(id)
-	}
+	s := e.sched
+	s.mu.Lock()
+	delete(s.viewports, id)
+	s.mu.Unlock()
 }
 
-// Drain blocks until no cell is pending, returning the scheduler's error
-// when it is stalled instead (poisoned store). A no-op in synchronous mode.
+// Drain blocks until no cell is pending, returning the executor's error
+// when it is stalled instead (poisoned store).
 func (e *Engine) Drain() error {
-	if e.sched == nil {
-		return nil
-	}
 	return e.sched.wait(func() bool { return e.cache.PendingCount() == 0 })
 }
 
 // WaitRange blocks until no cell inside g is pending — "the viewport has
-// converged". A no-op in synchronous mode.
+// converged".
 func (e *Engine) WaitRange(g sheet.Range) error {
-	if e.sched == nil {
-		return nil
-	}
 	return e.sched.wait(func() bool { return e.cache.PendingInRange(g) == 0 })
 }
 
-// Close stops the background recalc scheduler after a best-effort drain
-// (a stalled scheduler stops without draining; its error is returned).
-// Idempotent; a synchronous engine has nothing to stop. The engine remains
-// readable, but async edits after Close stay pending forever.
-func (e *Engine) Close() error {
-	if e.sched == nil {
-		return nil
-	}
-	return e.sched.close()
-}
-
-// lockWrites serializes an edit path against the scheduler's commit
-// chunks; a no-op in synchronous mode, preserving the existing
-// single-writer discipline there.
-func (e *Engine) lockWrites() func() {
-	if e.sched == nil {
-		return func() {}
-	}
-	e.writeMu.Lock()
-	return e.writeMu.Unlock
-}
+// Close stops the recalc dispatcher after a best-effort drain (a stalled
+// one stops without draining; its error is returned). Idempotent. The
+// engine remains readable, but async edits after Close stay pending
+// forever; a synchronous engine has no dispatcher and keeps working.
+func (e *Engine) Close() error { return e.sched.close() }
 
 // lockWritesDrained acquires the edit lock at a moment when no cell is
 // pending: structural shifts relocate cells, and no staleness bit may be
-// left pointing at a pre-shift position. If the scheduler is stalled the
+// left pointing at a pre-shift position. If the executor is stalled the
 // lock is taken anyway — the caller's writeGuard rejects the mutation on
-// the same poisoned store that stalled the scheduler.
+// the same poisoned store that stalled it.
 func (e *Engine) lockWritesDrained() func() {
-	if e.sched == nil {
-		return func() {}
-	}
 	for {
 		e.writeMu.Lock()
 		if e.cache.PendingCount() == 0 {
@@ -200,54 +223,61 @@ func (e *Engine) lockWritesDrained() func() {
 	}
 }
 
-// enqueueRecalc marks the dependency cone of the changed cells pending and
-// wakes the dispatcher. Callers hold writeMu. Marking is O(cone) — no
-// topological sort happens on the edit path; that is what makes an edit
-// touching a 100k-cell cone return immediately.
-func (e *Engine) enqueueRecalc(changed []sheet.Ref) {
-	e.cache.MarkPendingBatch(e.deps.Reach(changed))
-	e.sched.wake()
-}
-
-func (s *recalcScheduler) wake() {
+// settle is the one way marked cells get computed. Callers hold writeMu. An
+// AsyncRecalc engine wakes the dispatcher and returns; otherwise the plan
+// runs here, on the caller, until nothing is pending.
+func (e *Engine) settle() error {
+	s := e.sched
 	s.mu.Lock()
 	s.restructure = true
 	s.stalled = false
+	s.edited = time.Now()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-func (s *recalcScheduler) registerViewport(g sheet.Range) int {
-	s.mu.Lock()
-	s.nextVP++
-	id := s.nextVP
-	s.viewports[id] = g
-	s.restructure = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return id
-}
-
-func (s *recalcScheduler) updateViewport(id int, g sheet.Range) {
-	s.mu.Lock()
-	if _, ok := s.viewports[id]; ok {
-		s.viewports[id] = g
-		s.restructure = true
-		s.cond.Broadcast()
+	if s.async {
+		return nil
 	}
-	s.mu.Unlock()
+	for e.cache.PendingCount() > 0 {
+		if err := s.process(); err != nil {
+			s.noteErr(err)
+			return err
+		}
+	}
+	return nil
 }
 
-func (s *recalcScheduler) unregisterViewport(id int) {
-	s.mu.Lock()
-	delete(s.viewports, id)
-	s.mu.Unlock()
+// lock takes what one executor step needs — the write latches of the tables
+// owning refs, then the edit lock — and returns the release. The caller of an
+// inline settle already holds both.
+func (s *recalcScheduler) lock(refs []sheet.Ref) (unlock func()) {
+	if !s.async {
+		return func() {}
+	}
+	release := s.e.WLatchRefs(refs)
+	s.e.writeMu.Lock()
+	return func() {
+		s.e.writeMu.Unlock()
+		release()
+	}
 }
 
-// wait blocks until done() holds, the scheduler stalls, or it closes.
+// wait blocks until done() holds, the executor stalls, or it closes. A
+// synchronous engine has no dispatcher to wait for: the waiter settles
+// whatever a failed edit left pending itself, under the locks a dispatcher
+// step would take, so Drain, Close and the drained edit lock never hang.
 func (s *recalcScheduler) wait(done func() bool) error {
+	if e := s.e; !s.async {
+		release := e.WLatchRefs(e.cache.PendingRefs())
+		defer release()
+		e.writeMu.Lock()
+		defer e.writeMu.Unlock()
+		return e.settle()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waiters++
+	defer func() { s.waiters-- }()
+	s.cond.Broadcast() // somebody is waiting: the quiet window is over
 	for {
 		if done() {
 			return nil
@@ -266,32 +296,19 @@ func (s *recalcScheduler) wait(done func() bool) error {
 }
 
 func (s *recalcScheduler) close() error {
+	// Best-effort drain, so recomputed values reach the store before the
+	// dispatcher stops; its last act is the drain-save that makes them
+	// durable.
+	_ = s.wait(func() bool { return s.e.cache.PendingCount() == 0 })
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.done
-		return nil
-	}
-	// Best-effort drain, so recomputed values reach the store before it
-	// stops.
-	for s.e.cache.PendingCount() > 0 && !s.stalled {
-		s.cond.Wait()
-	}
-	err := s.lastErr
-	drained := !s.stalled
 	s.closed = true
+	s.restructure = true // a plan still running stops at its next chunk
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	<-s.done
-	if drained && err == nil {
-		// The dispatcher may have seen the close flag between its last
-		// commit and its drain-save; save here so a drained Close always
-		// leaves the recomputed values durable.
-		s.e.writeMu.Lock()
-		err = s.e.saveLocked()
-		s.e.writeMu.Unlock()
-	}
-	return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastErr
 }
 
 func (s *recalcScheduler) noteErr(err error) {
@@ -306,11 +323,11 @@ func (s *recalcScheduler) noteErr(err error) {
 func (s *recalcScheduler) interrupted() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.closed || s.restructure
+	return s.restructure
 }
 
-// run is the dispatcher: sleep until woken, rebuild the plan from the
-// pending bits, execute it chunk by chunk.
+// run is the dispatcher: sleep until woken, run a plan, and persist what it
+// computed once nothing is pending — one last time on the way out.
 func (s *recalcScheduler) run() {
 	defer close(s.done)
 	for {
@@ -318,13 +335,21 @@ func (s *recalcScheduler) run() {
 		for !s.closed && !s.restructure {
 			s.cond.Wait()
 		}
-		if s.closed {
-			s.mu.Unlock()
+		closed := s.closed
+		s.mu.Unlock()
+		var err error
+		if !closed {
+			err = s.process()
+		}
+		if err == nil {
+			err = s.drainSave()
+		}
+		if err != nil {
+			s.noteErr(err)
+		}
+		if closed {
 			return
 		}
-		s.restructure = false
-		s.mu.Unlock()
-		s.process()
 	}
 }
 
@@ -335,43 +360,84 @@ type recalcChunk struct {
 	cycle bool
 }
 
-func (s *recalcScheduler) process() {
-	// Viewport fast path first: the pending cells a user is looking at
-	// (plus their pending ancestors) commit before the full plan's
-	// cone-wide topological sort even starts — on a 100k-cell cone the
-	// sort alone costs more than the whole hot pass.
-	for _, chunk := range s.buildHotPlan() {
-		if s.interrupted() {
-			return
-		}
-		if err := s.commitChunk(chunk); err != nil {
-			s.noteErr(err)
-			return
-		}
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
+// process runs one plan, rebuilt from the pending bits, until it completes
+// or is interrupted. The viewport fast path goes first: the pending cells a
+// user is looking at (plus their pending ancestors) commit before the full
+// plan's cone-wide topological sort even starts — on a 100k-cell cone the
+// sort alone costs more than the whole hot pass.
+func (s *recalcScheduler) process() error {
+	s.mu.Lock()
+	s.restructure = false
+	s.mu.Unlock()
+	if err := s.commitPlan(s.buildHotPlan()); err != nil {
+		return err
 	}
-	plan := s.buildPlan()
-	for _, chunk := range plan {
+	if !s.quiet() {
+		return nil // a new edit, or Close: the dispatcher plans again from the top
+	}
+	return s.commitPlan(s.buildPlan())
+}
+
+// commitPlan commits a plan's chunks in order, each under its own locks,
+// stopping at the first chunk boundary after the plan went stale.
+func (s *recalcScheduler) commitPlan(chunks []recalcChunk) error {
+	for _, chunk := range chunks {
 		if s.interrupted() {
-			return
+			return nil
 		}
-		if err := s.commitChunk(chunk); err != nil {
-			s.noteErr(err)
-			return
+		unlock := s.lock(chunk.refs)
+		err := s.commitChunk(chunk)
+		unlock()
+		if err != nil {
+			return err
 		}
 		s.mu.Lock()
 		s.cond.Broadcast() // wake Drain / WaitRange watchers
 		s.mu.Unlock()
 	}
-	if s.interrupted() {
-		return
+	return nil
+}
+
+// quiet stands between the viewport pass and the full plan: the dispatcher
+// blocks until coldDelay has passed since the latest edit, or somebody waits
+// (Drain, WaitRange, Close, a structural edit), and learns whether the full
+// plan is still worth building — not after a new edit or Close. An inline
+// settle has its caller waiting and goes straight on.
+func (s *recalcScheduler) quiet() bool {
+	if !s.async {
+		return true
 	}
-	s.drainSave()
 	s.mu.Lock()
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	for !s.restructure && !s.closed && s.waiters == 0 && s.e.cache.PendingCount() > 0 {
+		d := time.Until(s.edited.Add(coldDelay))
+		if d <= 0 {
+			break
+		}
+		t := time.AfterFunc(d, s.cond.Broadcast)
+		s.cond.Wait()
+		t.Stop()
+	}
+	return !s.restructure && !s.closed
+}
+
+// appendChunks cuts one wave into bounded commit units.
+func appendChunks(chunks []recalcChunk, wave []sheet.Ref, cycle bool) []recalcChunk {
+	for lo := 0; lo < len(wave); lo += recalcChunkSize {
+		chunks = append(chunks, recalcChunk{refs: wave[lo:min(lo+recalcChunkSize, len(wave))], cycle: cycle})
+	}
+	return chunks
+}
+
+// viewportList snapshots the registered viewports.
+func (s *recalcScheduler) viewportList() []sheet.Range {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vps := make([]sheet.Range, 0, len(s.viewports))
+	for _, g := range s.viewports {
+		vps = append(vps, g)
+	}
+	return vps
 }
 
 // buildHotPlan is the viewport fast path: pending cells inside registered
@@ -379,18 +445,13 @@ func (s *recalcScheduler) process() {
 // in O(viewport cone). Ancestors on dependency cycles are left out (and
 // left pending) — the full plan poisons them and everything downstream.
 func (s *recalcScheduler) buildHotPlan() []recalcChunk {
-	s.mu.Lock()
-	vps := make([]sheet.Range, 0, len(s.viewports))
-	for _, g := range s.viewports {
-		vps = append(vps, g)
-	}
-	s.mu.Unlock()
+	vps := s.viewportList()
 	if len(vps) == 0 {
 		return nil
 	}
 	e := s.e
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
+	unlock := s.lock(nil)
+	defer unlock()
 	var seeds []sheet.Ref
 	for _, g := range vps {
 		seeds = append(seeds, e.cache.PendingRefsIn(g)...)
@@ -398,16 +459,9 @@ func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 	if len(seeds) == 0 {
 		return nil
 	}
-	pending := func(r sheet.Ref) bool { return e.cache.IsPending(r) }
 	var chunks []recalcChunk
-	for _, wave := range e.deps.UpstreamWaves(seeds, pending) {
-		for lo := 0; lo < len(wave); lo += recalcChunkSize {
-			hi := lo + recalcChunkSize
-			if hi > len(wave) {
-				hi = len(wave)
-			}
-			chunks = append(chunks, recalcChunk{refs: wave[lo:hi]})
-		}
+	for _, wave := range e.deps.UpstreamWaves(seeds, e.cache.IsPending) {
+		chunks = appendChunks(chunks, wave, false)
 	}
 	return chunks
 }
@@ -418,33 +472,34 @@ func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 // chunks.
 func (s *recalcScheduler) buildPlan() []recalcChunk {
 	e := s.e
-	e.writeMu.Lock()
-	pending := e.cache.PendingRefs()
-	if len(pending) == 0 {
-		e.writeMu.Unlock()
-		return nil
+	unlock := s.lock(nil)
+	var cone *depgraph.Cone
+	// An edit that held the lock meanwhile has marked and flagged: a plan
+	// built now would be abandoned at its first chunk, after the O(cone)
+	// sort, and that edit's viewport cells would have waited behind it.
+	if pending := e.cache.PendingRefs(); len(pending) > 0 && !s.interrupted() {
+		cone = e.deps.ConeFrom(pending)
 	}
-	cone := e.deps.ConeFrom(pending)
-	e.writeMu.Unlock()
+	unlock()
 	if cone == nil {
 		return nil
 	}
-
-	var chunks []recalcChunk
 	// Cycle members (and everything downstream of them) poison first:
 	// their value is #CYCLE! regardless of inputs, and poisoning them
 	// unblocks nothing — but readers stop seeing them as pending.
-	for lo := 0; lo < len(cone.Cycles); lo += recalcChunkSize {
-		hi := lo + recalcChunkSize
-		if hi > len(cone.Cycles) {
-			hi = len(cone.Cycles)
-		}
-		chunks = append(chunks, recalcChunk{refs: cone.Cycles[lo:hi], cycle: true})
-	}
-
-	hot := s.hotSet(cone)
+	chunks := appendChunks(nil, cone.Cycles, true)
 	waves := cone.Waves()
-	appendWaves := func(want bool) {
+	hot := s.hotSet(cone)
+	if len(hot) == 0 {
+		for _, wave := range waves {
+			chunks = appendChunks(chunks, wave, false)
+		}
+		return chunks
+	}
+	// Hot waves before cold. The hot pass is topologically closed: hotSet
+	// marks every pending ancestor of a viewport cell hot, so hot waves
+	// never read an uncommitted cold cell.
+	for _, want := range []bool{true, false} {
 		for _, wave := range waves {
 			var sel []sheet.Ref
 			for _, r := range wave {
@@ -452,22 +507,9 @@ func (s *recalcScheduler) buildPlan() []recalcChunk {
 					sel = append(sel, r)
 				}
 			}
-			for lo := 0; lo < len(sel); lo += recalcChunkSize {
-				hi := lo + recalcChunkSize
-				if hi > len(sel) {
-					hi = len(sel)
-				}
-				chunks = append(chunks, recalcChunk{refs: sel[lo:hi]})
-			}
+			chunks = appendChunks(chunks, sel, false)
 		}
 	}
-	if len(hot) > 0 {
-		// The hot pass is topologically closed: hotSet marks every
-		// pending ancestor of a viewport cell hot, so hot waves never
-		// read an uncommitted cold cell.
-		appendWaves(true)
-	}
-	appendWaves(false)
 	return chunks
 }
 
@@ -476,12 +518,7 @@ func (s *recalcScheduler) buildPlan() []recalcChunk {
 // every cone ancestor of a hot cell (its precedents must commit first
 // anyway, so they are promoted together).
 func (s *recalcScheduler) hotSet(cone *depgraph.Cone) map[sheet.Ref]bool {
-	s.mu.Lock()
-	vps := make([]sheet.Range, 0, len(s.viewports))
-	for _, g := range s.viewports {
-		vps = append(vps, g)
-	}
-	s.mu.Unlock()
+	vps := s.viewportList()
 	if len(vps) == 0 {
 		return nil
 	}
@@ -507,50 +544,58 @@ func (s *recalcScheduler) hotSet(cone *depgraph.Cone) map[sheet.Ref]bool {
 			}
 		}
 	}
-	if len(hot) == 0 {
-		return nil
-	}
 	return hot
 }
 
-// commitChunk evaluates and commits one chunk: write-latch the chunk's
-// table segments, take the edit lock, evaluate in parallel (reads only),
-// commit serially, clear pending bits.
+// commitChunk evaluates and commits one chunk under its locks: evaluate
+// in parallel (reads only), write the changed values through in one batch,
+// clear pending bits. An edit may have slipped in between the plan and the
+// locks (it marks and flags under writeMu, so the flag is exact here): the
+// plan's order is then stale, and only the cells that read no pending cell
+// — right to evaluate under any plan — commit; the rest stay pending for the
+// rebuilt plan.
 func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 	e := s.e
-	release := e.WLatchRefs(ch.refs)
-	defer release()
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	if ch.cycle {
-		live := ch.refs[:0:0]
-		for _, r := range ch.refs {
-			if e.cache.IsPending(r) {
-				live = append(live, r)
+	stale := s.interrupted()
+	if stale && ch.cycle {
+		return nil
+	}
+	readsPending := func(r sheet.Ref) bool {
+		for _, g := range e.deps.Precedents(r) {
+			if e.cache.PendingInRange(g) > 0 {
+				return true
 			}
 		}
-		return e.poisonCycles(live)
+		return false
 	}
 	type job struct {
 		ref  sheet.Ref
 		expr formula.Expr
 	}
 	jobs := make([]job, 0, len(ch.refs))
+	var cycle []sheet.Ref
 	for _, r := range ch.refs {
 		if !e.cache.IsPending(r) {
 			continue // committed or superseded since the plan was built
 		}
-		expr, ok := e.exprs[r]
-		if !ok {
-			// The formula was dropped or poisoned after planning; the
-			// cell's current contents are definitive.
+		expr, live := e.exprs[r]
+		_, poisoned := e.cycles[r]
+		switch {
+		case ch.cycle || poisoned:
+			// On a cycle the plan found, or installed closing one.
+			cycle = append(cycle, r)
+		case !live:
+			// The formula was dropped after planning; the cell's current
+			// contents are definitive.
 			e.cache.ClearPending(r)
-			continue
+		case stale && readsPending(r):
+			// Stays pending: the rebuilt plan orders it after its reads.
+		default:
+			jobs = append(jobs, job{r, expr})
 		}
-		jobs = append(jobs, job{r, expr})
 	}
-	if len(jobs) == 0 {
-		return nil
+	if err := e.poisonCycles(cycle); err != nil {
+		return err
 	}
 	vals := make([]sheet.Value, len(jobs))
 	if nw := min(s.workers, len(jobs)); nw > 1 {
@@ -575,32 +620,27 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 			vals[i] = formula.Eval(jobs[i].expr, e)
 		}
 	}
+	writes := make([]model.CellWrite, 0, len(jobs))
 	for i, j := range jobs {
 		old := e.cache.Get(j.ref)
-		if !old.Value.Equal(vals[i]) {
-			if err := e.cache.Put(j.ref, sheet.Cell{Value: vals[i], Formula: old.Formula}); err != nil {
-				return err
-			}
+		if old.Value.Equal(vals[i]) {
+			e.cache.ClearPending(j.ref)
+			continue
 		}
-		e.cache.ClearPending(j.ref)
+		writes = append(writes, model.CellWrite{Row: j.ref.Row, Col: j.ref.Col,
+			Cell: sheet.Cell{Value: vals[i], Formula: old.Formula}})
 	}
-	return nil
+	return e.commit(writes)
 }
 
 // drainSave persists the recomputed values once the pending set is empty:
 // one manifest save plus one WAL flush, mirroring what Save would do.
-func (s *recalcScheduler) drainSave() {
+func (s *recalcScheduler) drainSave() error {
 	e := s.e
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	if e.cache.PendingCount() != 0 {
-		return
+		return nil
 	}
-	if err := e.saveManifests(); err != nil {
-		s.noteErr(err)
-		return
-	}
-	if err := e.db.FlushWAL(); err != nil {
-		s.noteErr(err)
-	}
+	return e.saveLocked()
 }

@@ -268,13 +268,26 @@ func TestRecalcAsyncCyclePoisoning(t *testing.T) {
 	}
 }
 
-// WaitRange returns once a registered viewport has converged; the viewport
-// API is a no-op (id 0) on synchronous engines.
+// WaitRange returns once a registered viewport has converged. A synchronous
+// engine keeps the same viewport state (it only orders the inline plan): its
+// edits still return with nothing pending, so the waits return at once.
 func TestRecalcViewportWaitRange(t *testing.T) {
 	sync := newEngine(t)
-	if id := sync.RegisterViewport(sheet.NewRange(1, 1, 10, 10)); id != 0 {
-		t.Fatalf("sync RegisterViewport = %d, want 0", id)
+	syncVP := sheet.NewRange(1, 1, 10, 10)
+	syncID := sync.RegisterViewport(syncVP)
+	if err := sync.SetCells([]CellEdit{{Row: 1, Col: 1, Input: "2"}, {Row: 2, Col: 1, Input: "=A1+1"}, {Row: 50, Col: 1, Input: "=A2+1"}}); err != nil {
+		t.Fatal(err)
 	}
+	if n := sync.PendingCount(); n != 0 {
+		t.Fatalf("sync engine returned with %d cells pending", n)
+	}
+	if err := sync.WaitRange(syncVP); err != nil {
+		t.Fatal(err)
+	}
+	if got := cellNum(t, sync, 50, 1); got != 4 {
+		t.Fatalf("sync A50 = %v, want 4", got)
+	}
+	sync.UnregisterViewport(syncID)
 
 	e := newAsyncEngine(t)
 	edits := []CellEdit{{Row: 1, Col: 1, Input: "2"}}
@@ -479,9 +492,9 @@ func colA(col int) string { return string(rune('A' + col - 1)) }
 // Property (satellite): applying a batch per-cell via Set must leave the
 // same final values and formulas as one SetCells call, across positional
 // schemes and in both recalc modes — including same-cell overwrites,
-// clears, and cycle churn. Bounds may legitimately differ (per-cell clears
-// grow them, batched clears do not), so the comparison is over cell state,
-// never Bounds.
+// clears, and cycle churn. (TestPipelineEquivalenceProperty compares the
+// formula registry, cycle set and bounds too, across layouts and structural
+// edits.)
 func TestRecalcPropertySetVsSetCells(t *testing.T) {
 	const (
 		maxRow = 10

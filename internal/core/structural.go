@@ -5,6 +5,7 @@ import (
 
 	"dataspread/internal/depgraph"
 	"dataspread/internal/formula"
+	"dataspread/internal/model"
 	"dataspread/internal/sheet"
 )
 
@@ -59,40 +60,7 @@ func (e *Engine) InsertRowAfter(row int) error { return e.InsertRowsAfter(row, 1
 // shift-aware formula pass, recalculation limited to formulas reading
 // across the edit, and one WAL commit.
 func (e *Engine) InsertRowsAfter(row, count int) error {
-	if count < 1 {
-		return fmt.Errorf("core: insert of %d rows", count)
-	}
-	if row < 0 {
-		return fmt.Errorf("core: insert after row %d", row)
-	}
-	if err := e.writeGuard(); err != nil {
-		return err
-	}
-	unlock := e.lockWritesDrained()
-	defer unlock()
-	e.lastEdit = EditStats{}
-	if err := e.store.InsertRowsAfter(row, count); err != nil {
-		return err
-	}
-	at := row + 1
-	// The extent grows only when the insert displaces content: blank rows
-	// appended past the last filled row do not move anything (mirrors the
-	// delete-side clamp).
-	if row < e.maxRow {
-		e.maxRow += count
-	}
-	e.cache.ShiftRows(at, count)
-	if err := e.applyShift(formula.InsertRows(at, count), depgraph.Rows, at, count); err != nil {
-		return err
-	}
-	// Only formulas whose (post-shift) ranges absorb the inserted blank
-	// band can change value; purely-shifted references read the same cells.
-	band := sheet.NewRange(at, 1, at+count-1, maxCoord)
-	if err := e.recalcSeeds(e.deps.DirectDependents(band)); err != nil {
-		return err
-	}
-	e.bumpGeneration()
-	return e.saveLocked()
+	return e.shift(depgraph.Rows, row+1, max(count, 0))
 }
 
 // DeleteRow removes one spreadsheet row.
@@ -101,40 +69,7 @@ func (e *Engine) DeleteRow(row int) error { return e.DeleteRows(row, 1) }
 // DeleteRows removes the count rows [row, row+count-1] as one batched
 // structural edit, mirroring InsertRowsAfter.
 func (e *Engine) DeleteRows(row, count int) error {
-	if count < 1 {
-		return fmt.Errorf("core: delete of %d rows", count)
-	}
-	if row < 1 {
-		return fmt.Errorf("core: delete of row %d", row)
-	}
-	if err := e.writeGuard(); err != nil {
-		return err
-	}
-	unlock := e.lockWritesDrained()
-	defer unlock()
-	e.lastEdit = EditStats{}
-	// Formulas reading the doomed band recompute after the shift (their
-	// aggregates lose values; single references become #REF!). Collected
-	// pre-shift, mapped through the edit below.
-	band := sheet.NewRange(row, 1, row+count-1, maxCoord)
-	seeds := e.deps.DirectDependents(band)
-	if err := e.store.DeleteRows(row, count); err != nil {
-		return err
-	}
-	// Clamp the bounds decrement to rows that actually held content, so
-	// repeated out-of-range deletes cannot shrink bounds below live data.
-	if over := min(e.maxRow, row+count-1) - row + 1; over > 0 {
-		e.maxRow -= over
-	}
-	e.cache.ShiftRows(row, -count)
-	if err := e.applyShift(formula.DeleteRows(row, count), depgraph.Rows, row, -count); err != nil {
-		return err
-	}
-	if err := e.recalcSeeds(shiftSeeds(seeds, depgraph.Rows, row, count)); err != nil {
-		return err
-	}
-	e.bumpGeneration()
-	return e.saveLocked()
+	return e.shift(depgraph.Rows, row, -max(count, 0))
 }
 
 // InsertColumnAfter inserts one spreadsheet column after `col`.
@@ -143,35 +78,7 @@ func (e *Engine) InsertColumnAfter(col int) error { return e.InsertColumnsAfter(
 // InsertColumnsAfter inserts count columns after `col` as one batched
 // structural edit.
 func (e *Engine) InsertColumnsAfter(col, count int) error {
-	if count < 1 {
-		return fmt.Errorf("core: insert of %d columns", count)
-	}
-	if col < 0 {
-		return fmt.Errorf("core: insert after column %d", col)
-	}
-	if err := e.writeGuard(); err != nil {
-		return err
-	}
-	unlock := e.lockWritesDrained()
-	defer unlock()
-	e.lastEdit = EditStats{}
-	if err := e.store.InsertColumnsAfter(col, count); err != nil {
-		return err
-	}
-	at := col + 1
-	if col < e.maxCol {
-		e.maxCol += count
-	}
-	e.cache.ShiftCols(at, count)
-	if err := e.applyShift(formula.InsertCols(at, count), depgraph.Cols, at, count); err != nil {
-		return err
-	}
-	band := sheet.NewRange(1, at, maxCoord, at+count-1)
-	if err := e.recalcSeeds(e.deps.DirectDependents(band)); err != nil {
-		return err
-	}
-	e.bumpGeneration()
-	return e.saveLocked()
+	return e.shift(depgraph.Cols, col+1, max(count, 0))
 }
 
 // DeleteColumn removes one spreadsheet column.
@@ -180,11 +87,20 @@ func (e *Engine) DeleteColumn(col int) error { return e.DeleteColumns(col, 1) }
 // DeleteColumns removes the count columns [col, col+count-1] as one batched
 // structural edit.
 func (e *Engine) DeleteColumns(col, count int) error {
-	if count < 1 {
-		return fmt.Errorf("core: delete of %d columns", count)
-	}
-	if col < 1 {
-		return fmt.Errorf("core: delete of column %d", col)
+	return e.shift(depgraph.Cols, col, -max(count, 0))
+}
+
+// shift is the one structural-edit entry, in depgraph.Shift's convention: a
+// positive delta inserts delta blank rows or columns before index `at`, a
+// negative one deletes the -delta rows or columns starting at `at` (the
+// wrappers turn a count below 1 into delta 0, which is rejected). It takes
+// the same pipeline as a cell edit — apply (the store's positional shift,
+// bounds, cache, formula relocation) -> mark pending -> settle -> write
+// through — followed by one WAL commit.
+func (e *Engine) shift(axis depgraph.Axis, at, delta int) error {
+	sh := formula.Shift{Rows: axis == depgraph.Rows, At: at, Count: max(delta, -delta), Delete: delta < 0}
+	if sh.Count < 1 || at < 1 {
+		return fmt.Errorf("core: structural edit of %d rows/columns at index %d", delta, at)
 	}
 	if err := e.writeGuard(); err != nil {
 		return err
@@ -192,22 +108,66 @@ func (e *Engine) DeleteColumns(col, count int) error {
 	unlock := e.lockWritesDrained()
 	defer unlock()
 	e.lastEdit = EditStats{}
-	band := sheet.NewRange(1, col, maxCoord, col+count-1)
-	seeds := e.deps.DirectDependents(band)
-	if err := e.store.DeleteColumns(col, count); err != nil {
+	band, extent := sheet.NewRange(1, at, maxCoord, at+sh.Count-1), &e.maxCol
+	if sh.Rows {
+		band, extent = sheet.NewRange(at, 1, at+sh.Count-1, maxCoord), &e.maxRow
+	}
+	// Formulas reading the doomed band recompute after a delete (their
+	// aggregates lose values; single references become #REF!). Collected
+	// pre-shift, mapped through the edit below.
+	var seeds []sheet.Ref
+	if sh.Delete {
+		seeds = e.deps.DirectDependents(band)
+	}
+	var err error
+	switch {
+	case sh.Rows && sh.Delete:
+		err = e.store.DeleteRows(at, sh.Count)
+	case sh.Rows:
+		err = e.store.InsertRowsAfter(at-1, sh.Count)
+	case sh.Delete:
+		err = e.store.DeleteColumns(at, sh.Count)
+	default:
+		err = e.store.InsertColumnsAfter(at-1, sh.Count)
+	}
+	if err != nil {
 		return err
 	}
-	if over := min(e.maxCol, col+count-1) - col + 1; over > 0 {
-		e.maxCol -= over
+	if !sh.Delete {
+		// The extent grows only when the insert displaces content: blank
+		// rows appended past the last filled row do not move anything.
+		if at <= *extent {
+			*extent += sh.Count
+		}
+	} else if over := min(*extent, at+sh.Count-1) - at + 1; over > 0 {
+		// Clamp the decrement to rows that actually held content, so
+		// repeated out-of-range deletes cannot shrink bounds below live data.
+		*extent -= over
 	}
-	e.cache.ShiftCols(col, -count)
-	if err := e.applyShift(formula.DeleteCols(col, count), depgraph.Cols, col, -count); err != nil {
+	if sh.Rows {
+		e.cache.ShiftRows(at, delta)
+	} else {
+		e.cache.ShiftCols(at, delta)
+	}
+	if err := e.applyShift(sh, axis, at, delta); err != nil {
 		return err
 	}
-	if err := e.recalcSeeds(shiftSeeds(seeds, depgraph.Cols, col, count)); err != nil {
-		return err
+	if sh.Delete {
+		seeds = shiftSeeds(seeds, axis, at, sh.Count)
+	} else {
+		// Only formulas whose (post-shift) ranges absorb the inserted blank
+		// band can change value; purely-shifted references read the same
+		// cells.
+		seeds = e.deps.DirectDependents(band)
 	}
+	// The edit may have broken a previously-poisoned cycle (e.g. by deleting
+	// one of its members): those formulas come back to life alongside the
+	// seeds. Never a full recalculation.
+	e.lastEdit.Recomputed = e.mark(append(seeds, e.reviveCycles()...), nil)
 	e.bumpGeneration()
+	if err := e.settle(); err != nil {
+		return err
+	}
 	return e.saveLocked()
 }
 
@@ -217,9 +177,9 @@ const maxCoord = 1 << 29
 // applyShift relocates the engine's formula state under a structural edit:
 // the dependency graph shifts its registrations in place and reports which
 // formulas moved, which read across the edit, and which were deleted; only
-// the crossing formulas get their ASTs rewritten and their stored source
-// updated. delta follows depgraph.Shift: positive inserts before `at`,
-// negative deletes -delta rows/columns starting at `at`.
+// the crossing formulas (and cycle-poisoned sources) get their text
+// rewritten, and all of it reaches storage in one write. sh is the same
+// edit as (axis, at, delta), in the form the formula rewriter takes.
 func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int) error {
 	// Classify the graph-invisible constants BEFORE any key mutation: their
 	// pre-shift positions must be judged against the pre-shift sheet.
@@ -259,6 +219,7 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 	// the cell their stored text moved with.
 	var cycleMoves []constMove
 	var cycleDrops []sheet.Ref
+	var retext []textWrite
 	if len(e.cycles) > 0 {
 		refs := make([]sheet.Ref, 0, len(e.cycles))
 		for ref := range e.cycles {
@@ -280,27 +241,17 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 		// references shift exactly like a live formula's, or the persisted
 		// text goes stale and re-registers against unrelated cells after a
 		// later reload. Poisoned sources parsed at install time, so Parse
-		// cannot fail here; the same unreadable-block guard as the crosser
-		// rewrite protects the stored cell.
+		// cannot fail here.
 		for ref, src := range e.cycles {
 			expr, err := formula.Parse(src)
 			if err != nil {
 				continue
 			}
-			txt := sh.Apply(expr).String()
-			if txt == src {
-				continue
+			if txt := sh.Apply(expr).String(); txt != src {
+				e.cycles[ref] = txt
+				e.formulasDirty = true
+				retext = append(retext, textWrite{ref, txt})
 			}
-			e.cycles[ref] = txt
-			cell := e.cache.Get(ref)
-			if err := e.cache.TakeErr(); err != nil {
-				return fmt.Errorf("core: structural edit reading cycle cell %v: %w", ref, err)
-			}
-			cell.Formula = txt
-			if err := e.cache.Put(ref, cell); err != nil {
-				return err
-			}
-			e.formulasDirty = true
 		}
 	}
 	e.lastEdit.Relocated += len(res.MovedNew) + len(constMoves) + len(cycleMoves)
@@ -310,8 +261,7 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 	}
 
 	// Rewrite the crossers: AST reference rewrite (no reparse — the parsed
-	// expression is shifted directly), authoritative re-registration, and
-	// one storage write for the changed source text.
+	// expression is shifted directly) and authoritative re-registration.
 	for _, ref := range res.Rewritten {
 		old, ok := e.exprs[ref]
 		if !ok {
@@ -320,20 +270,30 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 		expr := sh.Apply(old)
 		e.exprs[ref] = expr
 		e.setDeps(ref, formula.Refs(expr))
-		cell := e.cache.Get(ref)
+		retext = append(retext, textWrite{ref, expr.String()})
+	}
+	e.lastEdit.Rewritten += len(res.Rewritten)
+
+	// One storage write carries every changed source text.
+	writes := make([]model.CellWrite, len(retext))
+	for i, t := range retext {
+		cell := e.cache.Get(t.ref)
 		// An unreadable block renders blank and records the failure; writing
 		// that blank through would silently replace the cell's stored value.
 		// Fail the edit instead of persisting it.
 		if err := e.cache.TakeErr(); err != nil {
-			return fmt.Errorf("core: structural edit reading formula cell %v: %w", ref, err)
+			return fmt.Errorf("core: structural edit reading formula cell %v: %w", t.ref, err)
 		}
-		cell.Formula = expr.String()
-		if err := e.cache.Put(ref, cell); err != nil {
-			return err
-		}
+		cell.Formula = t.src
+		writes[i] = model.CellWrite{Row: t.ref.Row, Col: t.ref.Col, Cell: cell}
 	}
-	e.lastEdit.Rewritten += len(res.Rewritten)
-	return nil
+	return e.commit(writes)
+}
+
+// textWrite is a formula cell whose source text a structural edit rewrote.
+type textWrite struct {
+	ref sheet.Ref
+	src string
 }
 
 type constMove struct{ old, nw sheet.Ref }
@@ -397,47 +357,4 @@ func shiftSeeds(seeds []sheet.Ref, axis depgraph.Axis, at, count int) []sheet.Re
 		out = append(out, r)
 	}
 	return out
-}
-
-// recalcSeeds re-evaluates the seed formulas and their transitive
-// dependents in topological order (the incremental replacement for
-// RecalcAll after structural edits).
-func (e *Engine) recalcSeeds(seeds []sheet.Ref) error {
-	// A structural edit may have broken a previously-poisoned cycle (e.g. by
-	// deleting one of its members), so give stored cycle formulas a chance to
-	// come back to life alongside the shifted seeds.
-	seeds = append(seeds, e.reviveCycles()...)
-	if len(seeds) == 0 {
-		return nil
-	}
-	if e.sched != nil {
-		// Async: mark the affected cone pending and let the scheduler
-		// evaluate it viewport-first. Kahn leftovers (cycle members and
-		// their downstream) are marked too — the scheduler's cycle chunk
-		// poisons them, matching the synchronous tail below.
-		order, cycles := e.deps.AffectedFrom(seeds)
-		for _, ref := range order {
-			if _, ok := e.exprs[ref]; !ok {
-				continue
-			}
-			e.cache.MarkPending(ref)
-			e.lastEdit.Recomputed++
-		}
-		for _, ref := range cycles {
-			e.cache.MarkPending(ref)
-		}
-		e.sched.wake()
-		return nil
-	}
-	order, cycles := e.deps.AffectedFrom(seeds)
-	for _, ref := range order {
-		if _, ok := e.exprs[ref]; !ok {
-			continue
-		}
-		e.lastEdit.Recomputed++
-		if err := e.reevaluate(ref); err != nil {
-			return err
-		}
-	}
-	return e.poisonCycles(cycles)
 }

@@ -9,7 +9,7 @@
 // spanning many stripes — whole-column references — go to a small "wide"
 // list instead), and formula cells themselves are filed under the stripe of
 // their own row. A dependents query therefore touches only the stripes the
-// changed range intersects, so Affected costs O(dependents · log n) instead
+// changed range intersects, so a cone query costs O(dependents · log n) instead
 // of a scan over every formula, and structural edits relocate registrations
 // in place through Shift instead of re-registering the whole sheet.
 package depgraph
@@ -336,49 +336,25 @@ func (g *Graph) DirectDependents(changed sheet.Range) []sheet.Ref {
 	return out
 }
 
-// Affected returns every formula cell that must be recomputed when the
-// given cell changes, in a valid evaluation order (precedents before
-// dependents). Cells participating in a dependency cycle are returned
-// separately.
-func (g *Graph) Affected(changed sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.AffectedByRange(sheet.Range{From: changed, To: changed})
-}
-
-// AffectedByRange is Affected for a rectangular change.
-func (g *Graph) AffectedByRange(changed sheet.Range) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.affectedFrom(g.DirectDependents(changed))
-}
-
-// AffectedFrom is Affected seeded with an explicit set of formula cells
-// that must themselves be recomputed (the incremental-recalculation entry
-// point after a structural edit): the result includes the seeds verbatim —
-// even seeds no longer registered in the graph, such as formulas whose
-// reads all collapsed to #REF! — plus every formula transitively reading
-// them, topologically ordered.
+// AffectedFrom returns the dependency cone of an explicit set of formula
+// cells that must themselves be recomputed, in a valid evaluation order
+// (precedents before dependents): the seeds verbatim — even seeds no longer
+// registered in the graph, such as formulas whose reads all collapsed to
+// #REF! — plus every formula transitively reading them. Cells participating
+// in a dependency cycle (and everything downstream of one) are returned
+// separately. It is ConeFrom without the edge structure.
 func (g *Graph) AffectedFrom(seeds []sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.affectedFrom(append([]sheet.Ref(nil), seeds...))
-}
-
-// AffectedBySeeds combines AffectedFrom and AffectedByRefs into one
-// topologically ordered cone: the seed formulas themselves plus every
-// formula affected by a value change at refs. It is the engine's post-edit
-// pass, where cycle-revived formulas must re-evaluate alongside the edit's
-// dependents in a single valid order.
-func (g *Graph) AffectedBySeeds(seeds, refs []sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.affectedFrom(append(g.frontierForRefs(refs), seeds...))
-}
-
-// AffectedByRefs is Affected for a set of individually changed cells (a
-// bulk edit batch): the seed is the formulas reading any of the exact
-// cells, not the batch's bounding rectangle — scattered edits do not drag
-// every formula in their envelope into the recomputation.
-func (g *Graph) AffectedByRefs(refs []sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	return g.affectedFrom(g.frontierForRefs(refs))
+	c := g.ConeFrom(seeds)
+	if c == nil {
+		return nil, nil
+	}
+	return c.Order, c.Cycles
 }
 
 // frontierForRefs returns the formulas directly reading any of the exact
-// changed cells, deduplicated and sorted — the BFS frontier of
-// AffectedByRefs.
+// changed cells (not their bounding rectangle — scattered edits do not drag
+// every formula in their envelope along), deduplicated and sorted: Reach's
+// BFS frontier.
 func (g *Graph) frontierForRefs(refs []sheet.Ref) []sheet.Ref {
 	if len(refs) == 0 {
 		return nil
@@ -593,20 +569,11 @@ func (c *Cone) Waves() [][]sheet.Ref {
 	return waves
 }
 
-// ConeFrom is AffectedFrom returning the full cone structure: the seeds
-// verbatim plus every formula transitively reading them, with adjacency.
+// ConeFrom returns the full cone structure of an explicit set of formula
+// cells: the seeds verbatim plus every formula transitively reading them,
+// topologically sorted, with adjacency (nil when empty).
 func (g *Graph) ConeFrom(seeds []sheet.Ref) *Cone {
 	return g.coneFrom(append([]sheet.Ref(nil), seeds...))
-}
-
-// affectedFrom runs the reachability BFS and topological sort from an
-// initial frontier of directly affected formulas.
-func (g *Graph) affectedFrom(frontier []sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
-	c := g.coneFrom(frontier)
-	if c == nil {
-		return nil, nil
-	}
-	return c.Order, c.Cycles
 }
 
 // coneFrom collects the reachable set via BFS over direct-dependent edges

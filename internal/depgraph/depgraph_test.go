@@ -30,6 +30,12 @@ func TestDirectDependents(t *testing.T) {
 	}
 }
 
+// affected is the engine's recalculation query: mark what a change at refs
+// reaches (Reach), then order the marked set (AffectedFrom / ConeFrom).
+func affected(g *Graph, refs ...sheet.Ref) (order, cycles []sheet.Ref) {
+	return g.AffectedFrom(g.Reach(refs))
+}
+
 func TestAffectedTopologicalOrder(t *testing.T) {
 	g := New()
 	// Chain: B1 <- A1, C1 <- B1, D1 <- C1.
@@ -37,7 +43,7 @@ func TestAffectedTopologicalOrder(t *testing.T) {
 	g.Set(ref(1, 3), cellRange(1, 2))
 	g.Set(ref(1, 4), cellRange(1, 3))
 
-	order, cycles := g.Affected(ref(1, 1))
+	order, cycles := affected(g, ref(1, 1))
 	if len(cycles) != 0 {
 		t.Fatalf("unexpected cycles: %v", cycles)
 	}
@@ -59,7 +65,7 @@ func TestAffectedDiamond(t *testing.T) {
 	g.Set(ref(1, 3), cellRange(1, 1))
 	g.Set(ref(1, 4), []sheet.Range{sheet.NewRange(1, 2, 1, 3)})
 
-	order, cycles := g.Affected(ref(1, 1))
+	order, cycles := affected(g, ref(1, 1))
 	if len(cycles) != 0 || len(order) != 3 {
 		t.Fatalf("order=%v cycles=%v", order, cycles)
 	}
@@ -74,7 +80,7 @@ func TestAffectedCycleDetection(t *testing.T) {
 	g.Set(ref(1, 2), []sheet.Range{sheet.NewRange(1, 1, 1, 1), sheet.NewRange(1, 3, 1, 3)})
 	g.Set(ref(1, 3), cellRange(1, 2))
 
-	order, cycles := g.Affected(ref(1, 1))
+	order, cycles := affected(g, ref(1, 1))
 	if len(cycles) != 2 {
 		t.Fatalf("want 2 cycle members, got order=%v cycles=%v", order, cycles)
 	}
@@ -347,7 +353,7 @@ func TestGraphConcurrentReaders(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				g.DirectDependents(spanRange(w*50+i%50+1, 1, w*50+i%50+3, 1))
-				g.Affected(ref(i%200+1, 1))
+				affected(g, ref(i%200+1, 1))
 				g.Precedents(ref(i%200+1, 2))
 			}
 		}(w)
@@ -385,16 +391,16 @@ func TestHasCycleAtRangeReads(t *testing.T) {
 	}
 }
 
-// TestAffectedBySeedsMergesFrontiers pins the engine's post-edit pass:
-// seeds (revived formulas) and the dependents of changed refs evaluate in
-// one topological order, without duplicates.
-func TestAffectedBySeedsMergesFrontiers(t *testing.T) {
+// TestAffectedFromMergesSeedsAndReach pins the engine's post-edit pass:
+// seeds (revived formulas) and the cells a change reaches evaluate in one
+// topological order, without duplicates.
+func TestAffectedFromMergesSeedsAndReach(t *testing.T) {
 	g := New()
 	g.Set(ref(1, 2), cellRange(1, 1)) // B1 = A1
 	g.Set(ref(1, 3), cellRange(1, 2)) // C1 = B1
 	g.Set(ref(2, 2), cellRange(2, 1)) // B2 = A2 (the "revived" seed)
 
-	order, cycles := g.AffectedBySeeds([]sheet.Ref{ref(2, 2)}, []sheet.Ref{ref(1, 1)})
+	order, cycles := g.AffectedFrom(append(g.Reach([]sheet.Ref{ref(1, 1)}), ref(2, 2)))
 	if len(cycles) != 0 {
 		t.Fatalf("cycles = %v", cycles)
 	}
@@ -416,7 +422,7 @@ func TestAffectedBySeedsMergesFrontiers(t *testing.T) {
 		t.Fatalf("B1 must precede C1: %v", order)
 	}
 	// A seed that is also in the changed cone appears exactly once.
-	order, _ = g.AffectedBySeeds([]sheet.Ref{ref(1, 2)}, []sheet.Ref{ref(1, 1)})
+	order, _ = g.AffectedFrom(append(g.Reach([]sheet.Ref{ref(1, 1)}), ref(1, 2)))
 	n := 0
 	for _, r := range order {
 		if r == ref(1, 2) {

@@ -168,6 +168,9 @@ func (h *HybridStore) LinkTable(rect sheet.Range, table *rdbms.Table, headers bo
 // Name returns the store's table-name prefix (its manifest key).
 func (h *HybridStore) Name() string { return h.name }
 
+// Scheme returns the positional-mapping scheme of the store's regions.
+func (h *HybridStore) Scheme() string { return h.scheme }
+
 // Regions returns the current region rectangles and kinds.
 func (h *HybridStore) Regions() []hybrid.Region {
 	out := make([]hybrid.Region, 0, len(h.regions))

@@ -530,11 +530,11 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		g := sheet.NewRange(r1, c1, r2, c2)
 		if id, ok := sess.viewports[name]; ok {
 			h.eng.UpdateViewport(id, g)
-		} else if id := h.eng.RegisterViewport(g); id != 0 {
+		} else {
 			if sess.viewports == nil {
 				sess.viewports = make(map[string]int)
 			}
-			sess.viewports[name] = id
+			sess.viewports[name] = h.eng.RegisterViewport(g)
 		}
 		return append(b, StatusOK)
 
