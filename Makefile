@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serve test-faults bench bench-smoke bench-disk bench-scan bench-struct bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
+.PHONY: all build test test-serve test-faults bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
 
 # Rounds for the crash-fuzz soak (`make soak`); ~200 is 60-90s locally.
 SOAK_ROUNDS ?= 200
@@ -16,13 +16,14 @@ build:
 test:
 	$(GO) test -race -timeout 10m ./...
 
-# Serving stack and recalc surface alone under the race detector:
-# snapshot reads, per-table latches, session lifecycle, the disconnect
+# Serving stack and recalc surface alone under the race detector: the cell
+# cache's publish and the generation-stamped reads beside it (Publish),
+# per-table latches for cold blocks, session lifecycle, the disconnect
 # fuzz, plus the one edit pipeline in both recalc modes (Pipeline),
 # staleness bits and viewport priority. CI runs this as a dedicated step so
-# latch and executor regressions are named, not buried in ./...
+# visibility, latch and executor regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push.
@@ -41,15 +42,6 @@ bench-smoke:
 bench-disk:
 	BENCH_DISK_JSON=BENCH_disk.json $(GO) test -run=TestDiskThroughputSnapshot -v .
 	@cat BENCH_disk.json
-
-# Scan-throughput snapshot: measures the batched, projection-pushdown read
-# path (viewport scans, warm cache, parallel readers) against the seed
-# per-cell path and writes BENCH_scan.json; fails if the cold wide-sheet
-# speedup drops below 5x (and, on >=4-CPU machines, if 4 parallel readers
-# fail to beat 1 by >2x aggregate throughput on the file-backed pager).
-bench-scan:
-	BENCH_SCAN_JSON=BENCH_scan.json $(GO) test -run=TestScanThroughputSnapshot -v .
-	@cat BENCH_scan.json
 
 # Structural-edit snapshot: measures the batched structural path (one
 # count-aware positional shift, shift-aware formula pass, incremental
@@ -150,4 +142,4 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck build loc test test-serve test-faults bench bench-smoke bench-disk bench-scan bench-struct bench-commit bench-maint bench-backup bench-recalc soak
+ci: lint staticcheck build loc test test-serve test-faults bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak

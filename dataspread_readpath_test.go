@@ -84,6 +84,34 @@ func TestReadErrSurfacesCorruptPage(t *testing.T) {
 	if err := eng2.ReadErr(); err != nil {
 		t.Fatalf("ReadErr did not clear: %v", err)
 	}
+	// The slot ReadErr drains is engine-wide; a stamped read returns the error
+	// of its own loads instead. With the first reader's error recorded and not
+	// yet taken, a second reader's SnapshotRange over intact rows at the far
+	// end returns its cells without that error, and the first reader still
+	// finds it.
+	_ = eng2.GetCells(dataspread.MustRange(fmt.Sprintf("A1:J%d", rows)))
+	far, _, err := eng2.SnapshotRange(dataspread.MustRange(fmt.Sprintf("A%d:J%d", rows-9, rows)))
+	if err != nil {
+		t.Fatalf("read of intact rows returned another reader's error: %v", err)
+	}
+	for i, row := range far {
+		for j, c := range row {
+			if want := dataspread.Number(float64((rows-9+i)*100 + j + 1)); !c.Value.Equal(want) {
+				t.Fatalf("intact cell (%d,%d) = %v, want %v", rows-9+i, j+1, c.Value, want)
+			}
+		}
+	}
+	if err := eng2.ReadErr(); err == nil {
+		t.Fatal("the first reader's error was handed to another reader: ReadErr = nil")
+	}
+	// The corrupt range fails through the stamped read too, and leaves nothing
+	// behind in the slot.
+	if _, _, err := eng2.SnapshotRange(dataspread.MustRange(fmt.Sprintf("A1:J%d", rows))); err == nil {
+		t.Fatal("stamped read over the corrupt pages returned no error")
+	}
+	if err := eng2.ReadErr(); err != nil {
+		t.Fatalf("stamped read left its error in the shared slot: %v", err)
+	}
 	// A clean re-read of an intact region stays error-free.
 	_ = eng2.GetCells(dataspread.MustRange("A1:B2"))
 	if rerr := eng2.ReadErr(); rerr != nil {

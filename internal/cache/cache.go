@@ -1,7 +1,7 @@
 // Package cache provides the LRU cell cache of DataSpread's execution
 // engine (Section VI): cells fetched from the storage layer are kept in
 // memory in a read-through manner. It is a read cache: writers persist
-// through the storage layer and call Poke to keep resident blocks coherent.
+// through the storage layer and call Publish to make resident blocks show it.
 // Caching is block-granular (rectangular tiles of the sheet), matching the
 // scrolling access pattern where a viewport's worth of cells is needed at
 // once.
@@ -13,9 +13,10 @@
 // readers: hits touch only a read lock and per-block reference bits
 // (second-chance eviction instead of exact LRU move-to-front keeps the hit
 // path mutation-free), and misses load from the backing outside the cache
-// lock so cold scans overlap their storage reads. Writers (Poke,
-// Invalidate) take the exclusive lock; they must not run concurrently with
-// readers of the same engine, matching the engine's single-writer contract.
+// lock so cold scans overlap their storage reads. Publish takes the
+// exclusive lock and may run beside Snapshot readers; Invalidate and the
+// shifts must not run concurrently with readers of the same engine, matching
+// the engine's single-writer contract.
 package cache
 
 import (
@@ -114,42 +115,65 @@ func cellIndex(k blockKey, r sheet.Ref) int {
 // render the cell blank and are surfaced by TakeErr.
 func (c *Cache) Get(r sheet.Ref) sheet.Cell {
 	k := keyFor(r)
-	b := c.load(k)
+	b := c.loadOrBlank(k)
 	c.mu.RLock()
 	cell := b.cells[cellIndex(k, r)]
 	c.mu.RUnlock()
 	return cell
 }
 
-// GetRange materializes a rectangular range through the cache: one flat
-// output allocation, filled block by block with row-segment slice copies.
-func (c *Cache) GetRange(g sheet.Range) [][]sheet.Cell {
+// newGrid allocates the dense output for g: one flat backing array.
+func newGrid(g sheet.Range) [][]sheet.Cell {
 	rows, cols := g.Rows(), g.Cols()
 	flat := make([]sheet.Cell, rows*cols)
 	out := make([][]sheet.Cell, rows)
 	for i := range out {
 		out[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	k1 := keyFor(g.From)
-	k2 := keyFor(g.To)
+	return out
+}
+
+// copyTile copies the part of g that tile k (held in b) covers into g's grid,
+// one row segment at a time. k is one of g's tiles; the caller holds the cache
+// lock.
+func copyTile(out [][]sheet.Cell, g sheet.Range, k blockKey, b *block) {
+	bg := blockRange(k)
+	ov, _ := g.Intersect(bg)
+	for row := ov.From.Row; row <= ov.To.Row; row++ {
+		src := (row - bg.From.Row) * BlockCols
+		lo := src + ov.From.Col - bg.From.Col
+		hi := src + ov.To.Col - bg.From.Col + 1
+		copy(out[row-g.From.Row][ov.From.Col-g.From.Col:], b.cells[lo:hi])
+	}
+}
+
+// ReadRange materializes a rectangular range through the cache, block by
+// block, and returns the first failure among the loads it performed itself
+// (the failed tiles render blank).
+func (c *Cache) ReadRange(g sheet.Range) ([][]sheet.Cell, error) {
+	out := newGrid(g)
+	var first error
+	k1, k2 := keyFor(g.From), keyFor(g.To)
 	for br := k1.br; br <= k2.br; br++ {
 		for bc := k1.bc; bc <= k2.bc; bc++ {
 			k := blockKey{br, bc}
-			b := c.load(k)
-			bg := blockRange(k)
-			ov, ok := g.Intersect(bg)
-			if !ok {
-				continue
+			b, err := c.load(k)
+			if err != nil && first == nil {
+				first = err
 			}
 			c.mu.RLock()
-			for row := ov.From.Row; row <= ov.To.Row; row++ {
-				src := (row - bg.From.Row) * BlockCols
-				lo := src + ov.From.Col - bg.From.Col
-				hi := src + ov.To.Col - bg.From.Col + 1
-				copy(out[row-g.From.Row][ov.From.Col-g.From.Col:], b.cells[lo:hi])
-			}
+			copyTile(out, g, k, b)
 			c.mu.RUnlock()
 		}
+	}
+	return out, first
+}
+
+// GetRange is ReadRange with the failure left for TakeErr.
+func (c *Cache) GetRange(g sheet.Range) [][]sheet.Cell {
+	out, err := c.ReadRange(g)
+	if err != nil {
+		c.setErr(err)
 	}
 	return out
 }
@@ -167,7 +191,7 @@ func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
 	band := make([]*block, k2.bc-k1.bc+1)
 	for br := k1.br; br <= k2.br; br++ {
 		for bc := k1.bc; bc <= k2.bc; bc++ {
-			band[bc-k1.bc] = c.load(blockKey{br, bc})
+			band[bc-k1.bc] = c.loadOrBlank(blockKey{br, bc})
 		}
 		loRow := max(g.From.Row, br*BlockRows+1)
 		hiRow := min(g.To.Row, (br+1)*BlockRows)
@@ -192,19 +216,6 @@ func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
 			}
 		}
 	}
-}
-
-// Poke updates r inside its cached block when the block is resident,
-// without touching the backing store: the engine's write-through persists
-// whole batches through the storage layer and pokes the cells it wrote;
-// non-resident blocks read through on their next load.
-func (c *Cache) Poke(r sheet.Ref, cell sheet.Cell) {
-	k := keyFor(r)
-	c.mu.Lock()
-	if e, ok := c.blocks[k]; ok {
-		e.Value.(*block).cells[cellIndex(k, r)] = cell
-	}
-	c.mu.Unlock()
 }
 
 // Invalidate drops every cached block intersecting g (used after
@@ -345,18 +356,27 @@ func (c *Cache) ResetStats() {
 	c.evictions.Store(0)
 }
 
+// loadOrBlank is load for the readers that render an unreadable block blank
+// and leave the failure to TakeErr.
+func (c *Cache) loadOrBlank(k blockKey) *block {
+	b, err := c.load(k)
+	if err != nil {
+		c.setErr(err)
+	}
+	return b
+}
+
 // load returns the block for k, reading it through from the backing on a
-// miss. Failed loads are recorded for TakeErr and return an uncached blank
-// block, so a later read retries the backing instead of caching the
-// failure.
-func (c *Cache) load(k blockKey) *block {
+// miss. A failed load returns the error with an uncached blank block, so a
+// later read retries the backing instead of caching the failure.
+func (c *Cache) load(k blockKey) (*block, error) {
 	c.mu.RLock()
 	if e, ok := c.blocks[k]; ok {
 		b := e.Value.(*block)
 		b.used.Store(true)
 		c.mu.RUnlock()
 		c.hits.Add(1)
-		return b
+		return b, nil
 	}
 	c.mu.RUnlock()
 	c.misses.Add(1)
@@ -364,11 +384,10 @@ func (c *Cache) load(k blockKey) *block {
 	// concurrent cold readers should overlap, not serialize.
 	g := blockRange(k)
 	cells, err := c.backing.LoadBlock(g)
-	if err != nil {
-		c.setErr(err)
-		return &block{key: k, cells: make([]sheet.Cell, BlockRows*BlockCols)}
-	}
 	b := &block{key: k, cells: make([]sheet.Cell, BlockRows*BlockCols)}
+	if err != nil {
+		return b, err
+	}
 	for i := range cells {
 		copy(b.cells[i*BlockCols:(i+1)*BlockCols], cells[i])
 	}
@@ -376,7 +395,7 @@ func (c *Cache) load(k blockKey) *block {
 	defer c.mu.Unlock()
 	if e, ok := c.blocks[k]; ok {
 		// A concurrent loader won the race; use its block.
-		return e.Value.(*block)
+		return e.Value.(*block), nil
 	}
 	for c.lru.Len() >= c.capacity {
 		tail := c.lru.Back()
@@ -393,5 +412,5 @@ func (c *Cache) load(k blockKey) *block {
 		c.evictions.Add(1)
 	}
 	c.blocks[k] = c.lru.PushFront(b)
-	return b
+	return b, nil
 }

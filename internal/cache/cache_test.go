@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dataspread/internal/sheet"
@@ -64,36 +65,130 @@ func TestCacheReadThrough(t *testing.T) {
 	}
 }
 
-// TestCachePokeKeepsResidentBlocksCoherent: the cache is a read cache —
-// the writer persists to the backing itself and pokes what it wrote. A
-// resident block shows the poked cell without a reload; a non-resident block
-// is left alone and reads the backing's cell through on its next load.
-func TestCachePokeKeepsResidentBlocksCoherent(t *testing.T) {
+// TestCachePublishKeepsResidentBlocksCoherent: the cache is a read cache —
+// the writer persists to the backing itself and publishes what it wrote. A
+// resident block shows the published cell without a reload; a non-resident
+// block is left alone and reads the backing's cell through on its next load.
+// The same step clears the written cells' pending bits, flags the cells it is
+// told to, and advances the generation when given one.
+func TestCachePublishKeepsResidentBlocksCoherent(t *testing.T) {
 	s := sheet.New("t")
 	b := &sheetBacking{s: s}
 	c := New(b, 4)
-	a1 := sheet.Ref{Row: 1, Col: 1}
+	var gen atomic.Uint64
+	a1, b1 := sheet.Ref{Row: 1, Col: 1}, sheet.Ref{Row: 1, Col: 2}
 	c.Get(a1) // make the block resident
+	c.MarkPending(a1)
 	s.Set(a1, sheet.Cell{Value: sheet.Number(7)})
-	c.Poke(a1, sheet.Cell{Value: sheet.Number(7)})
+	c.Publish([]Write{{a1, sheet.Cell{Value: sheet.Number(7)}}}, []sheet.Ref{b1}, &gen)
 	if !c.Get(a1).Value.Equal(sheet.Number(7)) || b.loads != 1 {
-		t.Fatalf("resident poke: cell %v after %d loads, want 7 after 1", c.Get(a1), b.loads)
+		t.Fatalf("resident publish: cell %v after %d loads, want 7 after 1", c.Get(a1), b.loads)
 	}
-	// Blank poke clears.
+	if c.IsPending(a1) || !c.IsPending(b1) || c.PendingCount() != 1 || gen.Load() != 1 {
+		t.Fatalf("publish left A1 pending=%v B1 pending=%v count=%d gen=%d, want false true 1 1",
+			c.IsPending(a1), c.IsPending(b1), c.PendingCount(), gen.Load())
+	}
+	// A written cell that is also flagged (an installed formula) ends pending.
+	c.Publish([]Write{{b1, sheet.Cell{Formula: "A1"}}}, []sheet.Ref{b1}, nil)
+	if !c.IsPending(b1) || gen.Load() != 1 {
+		t.Fatalf("written-and-flagged cell pending=%v, gen %d; want true, 1", c.IsPending(b1), gen.Load())
+	}
+	// Blank publish clears.
 	s.Set(a1, sheet.Cell{})
-	c.Poke(a1, sheet.Cell{})
+	c.Publish([]Write{{a1, sheet.Cell{}}}, nil, nil)
 	if !c.Get(a1).IsBlank() {
-		t.Fatal("blank poke did not clear")
+		t.Fatal("blank publish did not clear")
 	}
-	// A poke into a block that is not resident neither loads nor caches it.
+	// A publish into a block that is not resident neither loads nor caches it.
 	far := sheet.Ref{Row: BlockRows*3 + 1, Col: 1}
 	s.Set(far, sheet.Cell{Value: sheet.Number(9)})
-	c.Poke(far, sheet.Cell{Value: sheet.Number(-1)})
+	c.Publish([]Write{{far, sheet.Cell{Value: sheet.Number(-1)}}}, nil, nil)
 	if b.loads != 1 {
-		t.Fatalf("poke loaded a block: %d loads", b.loads)
+		t.Fatalf("publish loaded a block: %d loads", b.loads)
 	}
 	if !c.Get(far).Value.Equal(sheet.Number(9)) {
 		t.Fatalf("non-resident block read %v, want the backing's 9", c.Get(far))
+	}
+}
+
+// TestCachePublishSnapshotAtomic is the visibility point under -race: a
+// writer publishes uniform batches across 2 x 2 tiles, each with its
+// generation; every concurrent Snapshot sees one value everywhere and the
+// generation that goes with it. A Snapshot with a tile evicted reports
+// not-resident rather than a partial grid, and counts nothing.
+func TestCachePublishSnapshotAtomic(t *testing.T) {
+	const batches = 200
+	g := sheet.NewRange(1, 1, 2*BlockRows, 2*BlockCols)
+	s := sheet.New("t")
+	c := New(&sheetBacking{s: s}, 8)
+	c.GetRange(g) // all four tiles resident, blank: generation 0 shows value 0
+	writes := make([]Write, 0, g.Area())
+	for row := g.From.Row; row <= g.To.Row; row++ {
+		for col := g.From.Col; col <= g.To.Col; col++ {
+			writes = append(writes, Write{Ref: sheet.Ref{Row: row, Col: col}})
+		}
+	}
+	var gen atomic.Uint64
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for !done.Load() {
+				before := c.Stats()
+				cells, _, at, ok := c.Snapshot(g, &gen)
+				if !ok {
+					t.Error("resident range reported not resident")
+					return
+				}
+				if after := c.Stats(); after.Hits < before.Hits+4 || after.Misses != before.Misses {
+					t.Errorf("stats %+v -> %+v across a 4-tile resident read", before, after)
+					return
+				}
+				if at < last {
+					t.Errorf("generation went backwards: %d after %d", at, last)
+					return
+				}
+				last = at
+				want := sheet.Value{}
+				if at > 0 {
+					want = sheet.Number(float64(at))
+				}
+				for _, row := range cells {
+					for _, cell := range row {
+						if !cell.Value.Equal(want) {
+							t.Errorf("generation %d shows %v, want %v everywhere", at, cell.Value, want)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	for v := 1; v <= batches; v++ {
+		for i := range writes {
+			writes[i].Cell = sheet.Cell{Value: sheet.Number(float64(v))}
+		}
+		c.Publish(writes, nil, &gen)
+	}
+	done.Store(true)
+	wg.Wait()
+
+	c.Invalidate(sheet.NewRange(1, 1, 1, 1)) // evict the top-left tile
+	before := c.Stats()
+	if cells, _, _, ok := c.Snapshot(g, &gen); ok || cells != nil {
+		t.Fatalf("snapshot with an evicted tile: ok=%v cells=%v, want not resident", ok, cells != nil)
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("failed snapshot moved the counters: %+v -> %+v", before, after)
+	}
+	if _, err := c.ReadRange(g); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.Stats(); after.Misses != before.Misses+1 || after.Hits != before.Hits+3 {
+		t.Fatalf("read-through after the eviction: %+v -> %+v, want 1 miss and 3 hits", before, after)
 	}
 }
 

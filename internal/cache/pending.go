@@ -13,11 +13,12 @@ import (
 // separate structure that is independent of residency, so evicting a block
 // does not forget which of its cells are pending.
 //
-// The engine's background recalc scheduler (internal/core/recalc.go) is the
-// only writer in practice: edits mark the dependency cone pending, the
-// scheduler clears bits as waves commit, and readers (the serving layer's
-// get-range path) surface the bits as staleness flags. All methods are safe
-// for concurrent use and independent of the cache's block lock.
+// The engine's recalc executor (internal/core/recalc.go) is the only writer
+// in practice: edits mark the dependency cone pending, committed waves clear
+// their bits in the Publish that pokes the recomputed values, and readers
+// surface the bits as staleness flags (Snapshot samples them in the same hold
+// as the cells). All methods are safe for concurrent use; the sidecar's lock
+// nests inside the cache's block lock, never the other way round.
 
 // pendingWords is the mask length for one block's BlockRows×BlockCols cells.
 const pendingWords = (BlockRows*BlockCols + 63) / 64
@@ -33,12 +34,10 @@ func (p *pendingSet) bitFor(r sheet.Ref) (blockKey, int) {
 	return k, cellIndex(k, r)
 }
 
-// MarkPending sets the pending bit for r, reporting whether it was newly set.
-func (c *Cache) MarkPending(r sheet.Ref) bool {
-	k, bit := c.pending.bitFor(r)
-	p := &c.pending
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// set sets r's bit, reporting whether it was newly set. The caller holds
+// p.mu.
+func (p *pendingSet) set(r sheet.Ref) bool {
+	k, bit := p.bitFor(r)
 	if p.masks == nil {
 		p.masks = make(map[blockKey][]uint64)
 	}
@@ -56,44 +55,9 @@ func (c *Cache) MarkPending(r sheet.Ref) bool {
 	return true
 }
 
-// MarkPendingBatch sets the pending bit for every ref, returning how many
-// were newly set. One lock acquisition covers the whole batch — the edit
-// path marks 100k-cell dependency cones through this.
-func (c *Cache) MarkPendingBatch(refs []sheet.Ref) int {
-	if len(refs) == 0 {
-		return 0
-	}
-	p := &c.pending
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.masks == nil {
-		p.masks = make(map[blockKey][]uint64)
-	}
-	n := 0
-	for _, r := range refs {
-		k := keyFor(r)
-		m := p.masks[k]
-		if m == nil {
-			m = make([]uint64, pendingWords)
-			p.masks[k] = m
-		}
-		bit := cellIndex(k, r)
-		w, b := bit/64, uint64(1)<<(bit%64)
-		if m[w]&b == 0 {
-			m[w] |= b
-			p.count++
-			n++
-		}
-	}
-	return n
-}
-
-// ClearPending clears the pending bit for r, reporting whether it was set.
-func (c *Cache) ClearPending(r sheet.Ref) bool {
-	k, bit := c.pending.bitFor(r)
-	p := &c.pending
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// clear clears r's bit, reporting whether it was set. The caller holds p.mu.
+func (p *pendingSet) clear(r sheet.Ref) bool {
+	k, bit := p.bitFor(r)
 	m := p.masks[k]
 	if m == nil {
 		return false
@@ -111,6 +75,40 @@ func (c *Cache) ClearPending(r sheet.Ref) bool {
 	}
 	delete(p.masks, k)
 	return true
+}
+
+// MarkPending sets the pending bit for r, reporting whether it was newly set.
+func (c *Cache) MarkPending(r sheet.Ref) bool {
+	c.pending.mu.Lock()
+	defer c.pending.mu.Unlock()
+	return c.pending.set(r)
+}
+
+// MarkPendingBatch sets the pending bit for every ref, returning how many
+// were newly set. One lock acquisition covers the whole batch — the edit
+// path marks 100k-cell dependency cones through this.
+func (c *Cache) MarkPendingBatch(refs []sheet.Ref) int {
+	if len(refs) == 0 {
+		return 0
+	}
+	c.pending.mu.Lock()
+	defer c.pending.mu.Unlock()
+	n := 0
+	for _, r := range refs {
+		if c.pending.set(r) {
+			n++
+		}
+	}
+	return n
+}
+
+// ClearPending clears the pending bit for r, reporting whether it was set.
+// Only for a cell whose displayed value is already its definitive one; a
+// recomputed value and its bit change together, in Publish.
+func (c *Cache) ClearPending(r sheet.Ref) bool {
+	c.pending.mu.Lock()
+	defer c.pending.mu.Unlock()
+	return c.pending.clear(r)
 }
 
 // IsPending reports whether r's displayed value awaits recalculation.

@@ -1,31 +1,28 @@
 package cache
 
-import "dataspread/internal/sheet"
+import (
+	"sync/atomic"
 
-// Snapshot support: the serving layer gives concurrent readers
-// generation-stamped snapshot reads while a writer mutates the engine. The
-// substrate is this cache's resident blocks — reads that can be satisfied
-// without touching the backing store are safe concurrently with a storage
-// writer (all block access is under the cache lock), and the serving layer
-// overlays pre-images of the blocks the writer dirties. This file exports
-// the block geometry those overlays align to, plus PeekRange, the
-// resident-only read primitive.
+	"dataspread/internal/sheet"
+)
+
+// The visibility point. A batch of cell writes becomes visible in one step,
+// inside this cache: Publish pokes the written cells into resident blocks,
+// clears their staleness bits, flags the batch's own formula cells and
+// advances the generation under one exclusive hold of the cache lock (the
+// pending sidecar's lock nested inside it); Snapshot assembles cells,
+// staleness mask and generation under one shared hold. A Snapshot therefore
+// shows all of a batch together with its generation, or none of it, and a
+// recomputed value never shows without its bit cleared or the reverse. The
+// writer's side of the bargain: between a batch's storage write and its
+// Publish nothing may load a block from the backing store (it would show the
+// batch under the old generation); the engine's table latches keep cold
+// readers out for exactly that window.
 
 // BlockKey identifies one cache tile: the sheet is partitioned into
 // BlockRows x BlockCols rectangles, and (BR, BC) are the zero-based tile
 // coordinates (row band, column band).
 type BlockKey struct{ BR, BC int }
-
-// BlockKeyFor returns the tile containing the cell.
-func BlockKeyFor(r sheet.Ref) BlockKey {
-	k := keyFor(r)
-	return BlockKey{BR: k.br, BC: k.bc}
-}
-
-// Range returns the sheet rectangle the tile covers.
-func (k BlockKey) Range() sheet.Range {
-	return blockRange(blockKey{br: k.BR, bc: k.BC})
-}
 
 // BlockCover returns the tiles covering g, in row-major order.
 func BlockCover(g sheet.Range) []BlockKey {
@@ -51,43 +48,66 @@ func AlignToBlocks(g sheet.Range) sheet.Range {
 	)
 }
 
-// PeekRange materializes the range from resident blocks only, never
-// touching the backing store. It returns (nil, false) when any covering
-// block is not resident. Unlike GetRange it is safe concurrently with a
-// storage-layer writer: everything it reads is under the cache lock, and
-// the lock is held across the whole assembly, so the result is one
-// consistent point-in-time view of the resident blocks.
-func (c *Cache) PeekRange(g sheet.Range) ([][]sheet.Cell, bool) {
-	rows, cols := g.Rows(), g.Cols()
-	flat := make([]sheet.Cell, rows*cols)
-	out := make([][]sheet.Cell, rows)
-	for i := range out {
-		out[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
+// Write is one cell of a published batch.
+type Write struct {
+	Ref  sheet.Ref
+	Cell sheet.Cell
+}
+
+// Publish makes one batch, already persisted by the caller, visible: every
+// written cell is poked into its block when the block is resident (a
+// non-resident block reads the batch through on its next load) and its pending
+// bit cleared — what was written is the cell's definitive value until
+// something marks it again — then the flag cells are marked pending, and gen,
+// when not nil, advances.
+func (c *Cache) Publish(writes []Write, flag []sheet.Ref, gen *atomic.Uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := &c.pending
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, w := range writes {
+		k := keyFor(w.Ref)
+		if e, ok := c.blocks[k]; ok {
+			e.Value.(*block).cells[cellIndex(k, w.Ref)] = w.Cell
+		}
+		p.clear(w.Ref)
 	}
+	for _, r := range flag {
+		p.set(r)
+	}
+	if gen != nil {
+		gen.Add(1)
+	}
+}
+
+// Snapshot materializes g from resident blocks only, with its staleness mask
+// (nil when nothing in g is pending) and the value of gen, all under one hold
+// of the cache lock: a point-in-time view no Publish can split. It never
+// touches the backing store; when a covering block is not resident it reports
+// ok false and counts nothing — the caller's read through the cache counts
+// that range's hits and misses instead.
+func (c *Cache) Snapshot(g sheet.Range, gen *atomic.Uint64) (cells [][]sheet.Cell, pending [][]bool, at uint64, ok bool) {
 	k1, k2 := keyFor(g.From), keyFor(g.To)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	// Residency first: a cold range costs no allocation here.
 	for br := k1.br; br <= k2.br; br++ {
 		for bc := k1.bc; bc <= k2.bc; bc++ {
-			k := blockKey{br, bc}
-			e, ok := c.blocks[k]
-			if !ok {
-				return nil, false
-			}
-			b := e.Value.(*block)
-			b.used.Store(true)
-			bg := blockRange(k)
-			ov, ok := g.Intersect(bg)
-			if !ok {
-				continue
-			}
-			for row := ov.From.Row; row <= ov.To.Row; row++ {
-				src := (row - bg.From.Row) * BlockCols
-				lo := src + ov.From.Col - bg.From.Col
-				hi := src + ov.To.Col - bg.From.Col + 1
-				copy(out[row-g.From.Row][ov.From.Col-g.From.Col:], b.cells[lo:hi])
+			if _, ok := c.blocks[blockKey{br, bc}]; !ok {
+				return nil, nil, 0, false
 			}
 		}
 	}
-	return out, true
+	cells = newGrid(g)
+	for br := k1.br; br <= k2.br; br++ {
+		for bc := k1.bc; bc <= k2.bc; bc++ {
+			k := blockKey{br, bc}
+			b := c.blocks[k].Value.(*block)
+			b.used.Store(true)
+			copyTile(cells, g, k, b)
+		}
+	}
+	c.hits.Add(int64((k2.br - k1.br + 1) * (k2.bc - k1.bc + 1)))
+	return cells, c.PendingMask(g), gen.Load(), true
 }

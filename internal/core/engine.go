@@ -237,16 +237,20 @@ func (e *Engine) GetCell(row, col int) sheet.Cell {
 func (e *Engine) GetCells(g sheet.Range) [][]sheet.Cell { return e.cache.GetRange(g) }
 
 // PeekCells materializes g from resident cache blocks only, returning
-// (nil, false) when any covering block would need a storage read. Safe
-// concurrently with a storage-layer writer — the serving layer's snapshot
-// reads are built on it.
-func (e *Engine) PeekCells(g sheet.Range) ([][]sheet.Cell, bool) { return e.cache.PeekRange(g) }
+// (nil, false) when any covering block would need a storage read: ReadRange's
+// resident step alone.
+func (e *Engine) PeekCells(g sheet.Range) ([][]sheet.Cell, bool) {
+	cells, _, _, ok := e.cache.Snapshot(g, &e.gen)
+	return cells, ok
+}
 
 // ReadErr returns the first storage read error recorded since the last call
 // and clears it (nil when none). The read primitives (GetCell, GetCells,
 // VisitRange, CellValue) render unreadable cells blank rather than failing
 // mid-render; callers that must distinguish blank from unreadable — a
 // checksum-corrupt page, a torn data file — check ReadErr after reading.
+// The slot is engine-wide: concurrent readers use ReadRange, which returns
+// the error of its own loads.
 func (e *Engine) ReadErr() error { return e.cache.TakeErr() }
 
 // CacheStats returns the cell cache's hit/miss/eviction counters.
@@ -345,10 +349,9 @@ func (e *Engine) SetCells(edits []CellEdit) error {
 
 // ApplyCells is SetCells without the trailing Save: the batch applies to
 // the store, cache, and dependency graph, but durability is the caller's.
-// The serving layer uses the split to commit visibility (generation bump,
-// overlay retirement) under its latches and run the WAL fsync after
-// releasing them, so snapshot readers never wait on disk. A malformed
-// formula rejects the whole batch before anything is touched.
+// The serving layer uses the split to apply under its write latches and run
+// the WAL fsync after releasing them, so cold readers never wait on disk. A
+// malformed formula rejects the whole batch before anything is touched.
 func (e *Engine) ApplyCells(edits []CellEdit) error {
 	batch := make([]cellWrite, len(edits))
 	for i, ed := range edits {
@@ -379,13 +382,17 @@ func (e *Engine) apply(batch []cellWrite) error {
 	return e.settle()
 }
 
-// applyLocked applies a batch up to and including the pending marks (the
-// caller settles). Order: validate; one store write carrying the values and
-// the formula cells — if it fails (ENOSPC, a poisoned pager, a read-only
-// linked header) formula registrations, cache, dependency graph and bounds
-// are exactly as they were, no half-applied batch; then the in-memory
-// mutation; then the marks. Row-oriented regions rewrite each covered tuple
-// once per batch.
+// applyLocked applies a batch up to and including its publish (the caller
+// settles). Order: validate; one store write carrying the values and the
+// formula cells — if it fails (ENOSPC, a poisoned pager, a read-only linked
+// header) nothing is visible and formula registrations, cache, dependency
+// graph and bounds are exactly as they were, no half-applied batch; then the
+// in-memory mutation; then the cone's pending marks (a cell flagged a moment
+// early is harmless, a stale one unflagged is not); then the publish, the one
+// step in which readers see the batch, its generation and its own formula
+// cells flagged. Between the store write and the publish nothing may read
+// through the cache: a block loaded in that window would show the batch under
+// the old generation. Row-oriented regions rewrite each covered tuple once.
 func (e *Engine) applyLocked(batch []cellWrite) error {
 	if err := e.writeGuard(); err != nil {
 		return err
@@ -416,7 +423,7 @@ func (e *Engine) applyLocked(batch []cellWrite) error {
 		refs = append(refs, w.ref)
 		writes = append(writes, model.CellWrite{Row: w.ref.Row, Col: w.ref.Col, Cell: cell})
 	}
-	if err := e.commit(writes); err != nil {
+	if err := e.store.UpdateCells(writes); err != nil {
 		return err
 	}
 	for _, w := range kept {
@@ -427,14 +434,14 @@ func (e *Engine) applyLocked(batch []cellWrite) error {
 	}
 	// Formulas register after every overwritten registration is gone, in
 	// batch order. A formula closing a cycle goes to the cycle set instead;
-	// marked like the others, it gets its #CYCLE! from the executor.
-	var seeds []sheet.Ref
+	// flagged like the others, it gets its #CYCLE! from the executor.
+	var installed []sheet.Ref
 	for _, w := range kept {
 		if w.expr == nil {
 			continue
 		}
 		e.formulasDirty = true
-		seeds = append(seeds, w.ref)
+		installed = append(installed, w.ref)
 		if reads := formula.Refs(w.expr); e.deps.HasCycleAt(w.ref, reads) {
 			e.cycles[w.ref] = w.src
 		} else {
@@ -442,19 +449,17 @@ func (e *Engine) applyLocked(batch []cellWrite) error {
 			e.setDeps(w.ref, reads)
 		}
 	}
-	// One propagation pass for the whole batch: the installed formulas, the
-	// formulas whose cycle the batch broke, and everything reading an edited
-	// cell.
-	e.mark(append(seeds, e.reviveCycles()...), refs)
-	e.bumpGeneration()
+	// One propagation pass for the whole batch: the formulas whose cycle the
+	// batch broke and everything reading an edited cell are marked here; the
+	// publish clears the bits of written cells, so it flags the installed ones.
+	e.mark(e.reviveCycles(), refs)
+	e.publish(writes, installed, &e.gen)
 	return nil
 }
 
-// commit is the engine's one write-through: the cells reach the store in
-// one batch (row- and column-oriented regions rewrite each covered tuple
-// once), resident cache blocks are poked coherent, and the cells' pending
-// bits clear — what was written is their definitive value until something
-// marks them again.
+// commit is the write-through for everything but an edit batch (wave
+// results, #CYCLE! poisoning, a structural edit's rewritten formula text):
+// one store write, then a publish without a generation of its own.
 func (e *Engine) commit(writes []model.CellWrite) error {
 	if len(writes) == 0 {
 		return nil
@@ -462,12 +467,18 @@ func (e *Engine) commit(writes []model.CellWrite) error {
 	if err := e.store.UpdateCells(writes); err != nil {
 		return err
 	}
-	for _, w := range writes {
-		ref := sheet.Ref{Row: w.Row, Col: w.Col}
-		e.cache.Poke(ref, w.Cell)
-		e.cache.ClearPending(ref)
-	}
+	e.publish(writes, nil, nil)
 	return nil
+}
+
+// publish makes a batch the store already holds visible in one hold of the
+// cache lock (cache.Publish).
+func (e *Engine) publish(writes []model.CellWrite, flag []sheet.Ref, gen *atomic.Uint64) {
+	pub := make([]cache.Write, len(writes))
+	for i, w := range writes {
+		pub[i] = cache.Write{Ref: sheet.Ref{Row: w.Row, Col: w.Col}, Cell: w.Cell}
+	}
+	e.cache.Publish(pub, flag, gen)
 }
 
 // mark sets the pending bits a mutation owes: the seed formulas themselves

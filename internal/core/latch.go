@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"dataspread/internal/cache"
@@ -17,8 +16,8 @@ import (
 // contract with per-table latches keyed by the hybrid store's manifest
 // segment ids, under a structure lock that freezes the region layout:
 //
-//   - readers take the structure lock shared plus a read latch on every
-//     table their (block-aligned) range can touch,
+//   - a reader that has to load a block takes the structure lock shared plus
+//     a read latch on every table its (block-aligned) range can touch,
 //   - cell writers take the structure lock shared plus a write latch on
 //     every table their dirty cells live in — so two engines over the same
 //     database, or two writes to disjoint regions, run in parallel,
@@ -28,16 +27,20 @@ import (
 // Latches are acquired in ascending segment order (SegsFor/SegsForRefs
 // return sorted ids), so overlapping writers cannot deadlock.
 //
-// Visibility hangs off a per-engine generation: every applied mutation
-// batch bumps it, and SnapshotRange stamps each read with the generation
-// it observed. The serving layer pins these stamps to give scrolling
-// viewports snapshot-isolated reads while a bulk load is mid-flight; the
-// database-wide durable counterpart is rdbms.DB.CommitGen, advanced by the
-// group-commit flusher.
+// Visibility is not decided here but inside the cell cache
+// (cache/snapshot.go): a cell-edit batch becomes visible, with its
+// generation, in the one publish that ends Engine.applyLocked, and ReadRange
+// — the one read entry — assembles a warm range with its staleness mask and
+// generation under one shared hold of the cache lock, touching no table
+// latch. A reply shows all of a batch with its generation or none of it, and a
+// writer's latch hold is invisible to a warm viewport; the latches only keep
+// block loads out of the window between a batch's storage write and its
+// publish. The database-wide durable counterpart of the generation is
+// rdbms.DB.CommitGen, advanced by the group-commit flusher.
 //
 // Single-goroutine users (dsshell's local mode, the test harness) never
-// touch this file: a synchronous engine's plain methods stay latch-free and
-// the latch table stays empty.
+// touch this file: the engine's plain methods stay latch-free and the latch
+// table stays empty.
 
 // latchTable is the engine's per-table latch registry.
 type latchTable struct {
@@ -71,11 +74,12 @@ func (lt *latchTable) forSegs(segs []int) []*sync.RWMutex {
 
 // Generation returns the engine's mutation generation: the number of
 // applied mutation batches (cell edits, structural edits, migrations).
-// Reads taken under a read latch observe a stable generation; the serving
-// layer uses the stamp to hand snapshot-isolated viewports to clients.
+// ReadRange stamps every read with the generation its cells belong to.
 func (e *Engine) Generation() uint64 { return e.gen.Load() }
 
-// bumpGeneration records one applied mutation batch.
+// bumpGeneration records one applied mutation batch that excludes readers
+// (structural edits, LinkTable, Optimize); a cell-edit batch's generation
+// advances inside its publish instead.
 func (e *Engine) bumpGeneration() { e.gen.Add(1) }
 
 // RLatchRange takes read latches covering the absolute range g and returns
@@ -95,38 +99,17 @@ func (e *Engine) RLatchRange(g sheet.Range) func() {
 	}
 }
 
-// TryRLatchRange is RLatchRange without blocking: it returns (release,
-// true) when every latch was free, and (nil, false) when a writer holds —
-// or is queued for — any of them, in which case nothing is held on return.
-// The serving layer uses this to decide between a direct engine read and
-// the snapshot (overlay + resident cache) path.
-func (e *Engine) TryRLatchRange(g sheet.Range) (func(), bool) {
-	if !e.latches.structure.TryRLock() {
-		return nil, false
-	}
-	ls := e.latches.forSegs(e.store.SegsFor(cache.AlignToBlocks(g)))
-	for i, l := range ls {
-		if !l.TryRLock() {
-			for j := i - 1; j >= 0; j-- {
-				ls[j].RUnlock()
-			}
-			e.latches.structure.RUnlock()
-			return nil, false
-		}
-	}
-	return func() {
-		for i := len(ls) - 1; i >= 0; i-- {
-			ls[i].RUnlock()
-		}
-		e.latches.structure.RUnlock()
-	}, true
-}
-
-// WLatchRefs takes write latches on every table owning one of the given
-// cells and returns the release function. Concurrent writers with disjoint
+// WLatchRefs takes write latches on every table a write of the given cells
+// mutates before it returns, and returns the release function: the tables
+// owning the cells and, on an engine without a dispatcher, those of the cone
+// the write settles inline (callers are the engine's one writer at a time, so
+// the dependency graph is read unlocked). Concurrent writers with disjoint
 // table sets proceed in parallel; acquisition is in segment order, so
 // overlapping writers queue instead of deadlocking.
 func (e *Engine) WLatchRefs(refs []sheet.Ref) func() {
+	if !e.sched.async {
+		refs = append(e.deps.Reach(refs), refs...)
+	}
 	e.latches.structure.RLock()
 	ls := e.latches.forSegs(e.store.SegsForRefs(refs))
 	for _, l := range ls {
@@ -149,37 +132,31 @@ func (e *Engine) LatchExclusive() func() {
 	return e.latches.structure.Unlock
 }
 
-// SnapshotRange is the latched snapshot read: it takes read latches over
-// g, materializes the range, and stamps it with the generation it
-// observed. While the latches are held no writer can touch the underlying
-// tables, so the cells and the stamp are one consistent point-in-time
-// view.
-func (e *Engine) SnapshotRange(g sheet.Range) ([][]sheet.Cell, uint64, error) {
-	release := e.RLatchRange(g)
-	defer release()
-	cells := e.GetCells(g)
-	return cells, e.Generation(), e.ReadErr()
-}
-
-// AffectedRefs returns the full dirty set of a prospective cell-edit
-// batch: the edited cells themselves plus every formula cell the edit would
-// mark pending (depgraph.Reach). The serving layer pre-images exactly these
-// cells' blocks — and, around a synchronous engine, write-latches their
-// tables — before letting the writer loose, so snapshot readers keep serving
-// the prior generation while the batch applies. Sorted and deduplicated.
-func (e *Engine) AffectedRefs(refs []sheet.Ref) []sheet.Ref {
-	out := append(e.deps.Reach(refs), refs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Row != out[j].Row {
-			return out[i].Row < out[j].Row
-		}
-		return out[i].Col < out[j].Col
-	})
-	dedup := out[:0]
-	for i, r := range out {
-		if i == 0 || r != out[i-1] {
-			dedup = append(dedup, r)
+// ReadRange is the one read entry for concurrent use: the cells of g, their
+// staleness mask (nil when nothing in g is pending), the generation they
+// belong to, and the error of the block loads this call performed itself.
+// Resident, and no structural edit in flight or queued: cells, mask and
+// generation come out of one shared hold of the cache lock (cache.Snapshot);
+// no table latch is computed or taken. Otherwise the read latches are taken,
+// blocking, the range is read through the cache, and mask and generation are
+// sampled while still latched — no batch on these tables can be between its
+// storage write and its publish, so the three agree.
+func (e *Engine) ReadRange(g sheet.Range) ([][]sheet.Cell, [][]bool, uint64, error) {
+	if e.latches.structure.TryRLock() {
+		cells, pending, gen, ok := e.cache.Snapshot(g, &e.gen)
+		e.latches.structure.RUnlock()
+		if ok {
+			return cells, pending, gen, nil
 		}
 	}
-	return dedup
+	release := e.RLatchRange(g)
+	defer release()
+	cells, err := e.cache.ReadRange(g)
+	return cells, e.cache.PendingMask(g), e.Generation(), err
+}
+
+// SnapshotRange is ReadRange without the staleness mask.
+func (e *Engine) SnapshotRange(g sheet.Range) ([][]sheet.Cell, uint64, error) {
+	cells, _, gen, err := e.ReadRange(g)
+	return cells, gen, err
 }

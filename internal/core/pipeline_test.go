@@ -319,7 +319,7 @@ func TestPipelineSyncEngineDrainsItself(t *testing.T) {
 // B1 had changed, and by the time it commits C1, which it reads, is pending
 // too. The chunk must not evaluate D1 over the old C1 and un-mark it. The
 // test parks the dispatcher on the chunk's latch (a queued writer makes
-// TryRLatchRange fail), edits, and lets it go.
+// TryRLock on the table's latch fail), edits, and lets it go.
 func TestPipelineStaleChunkKeepsCellsPending(t *testing.T) {
 	e, err := New(rdbms.Open(rdbms.Options{}), "p", Options{AsyncRecalc: true})
 	if err != nil {
@@ -338,13 +338,10 @@ func TestPipelineStaleChunkKeepsCellsPending(t *testing.T) {
 	if err := e.Set(1, 2, "3"); err != nil { // plan: [D1]
 		t.Fatal(err)
 	}
+	latch := e.latches.forSegs(e.store.SegsForRefs([]sheet.Ref{d1.From}))[0]
 	within(t, "the dispatcher reaching D1's latch", func() {
-		for {
-			free, ok := e.TryRLatchRange(d1)
-			if !ok {
-				return
-			}
-			free()
+		for latch.TryRLock() {
+			latch.RUnlock()
 			time.Sleep(time.Millisecond)
 		}
 	})

@@ -31,12 +31,14 @@
 //     the chunk's table segments (readers of other segments never wait),
 //     takes writeMu, evaluates the chunk's cells in parallel (reads only —
 //     chunk members are mutually independent, same topological wave), then
-//     commits them in one batch and clears their pending bits.
+//     commits them in one batch: one store write, one publish that pokes the
+//     values and clears their pending bits together.
 //   - An inline settle runs under the writeMu its edit already holds and
-//     under whatever latches the edit's caller took: the serving layer
-//     latches Engine.AffectedRefs around a synchronous engine's batch;
+//     under whatever latches the edit's caller took: around a synchronous
+//     engine's batch the serving layer's WLatchRefs covers the cone too;
 //     embedded callers are single-goroutine. It takes no lock of its own and
-//     starts no goroutine (recalcScheduler.lock is where the two differ).
+//     starts no goroutine (recalcScheduler.lock and WLatchRefs are where the
+//     two differ).
 //   - Edits concurrent with a running plan set the restructure flag (under
 //     writeMu); the executor abandons its stale plan at the next chunk
 //     boundary and rebuilds from the pending bits, whose closure property
@@ -143,7 +145,8 @@ func (e *Engine) PendingCount() int { return e.cache.PendingCount() }
 func (e *Engine) PendingInRange(g sheet.Range) int { return e.cache.PendingInRange(g) }
 
 // PendingMask returns a per-cell staleness grid for g, nil when g is fully
-// converged — the serving layer's get-range staleness flags.
+// converged. Sampled on its own it is advisory; ReadRange returns the mask
+// that belongs to the cells it read.
 func (e *Engine) PendingMask(g sheet.Range) [][]bool { return e.cache.PendingMask(g) }
 
 // IsPending reports whether one cell's displayed value is stale.

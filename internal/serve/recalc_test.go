@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,5 +159,108 @@ func TestServeViewportSyncNoop(t *testing.T) {
 	}
 	if err := c.ClearViewport("s"); err != nil {
 		t.Fatalf("clear viewport: %v", err)
+	}
+}
+
+// TestServePendingMaskMatchesCells: the staleness mask of a reply belongs to
+// the cells of that reply. On a sheet with a row sum on every row, while one
+// writer pastes rows and the dispatcher recomputes the sums behind it, every
+// reply shows each sum either flagged pending or equal to the sum of its
+// row's inputs in that same reply — never a stale sum without its flag — and
+// generations never go backwards for a reader.
+func TestServePendingMaskMatchesCells(t *testing.T) {
+	const (
+		rows, inputs = 48, 4
+		batches      = 60
+		readers      = 4
+	)
+	db := rdbms.Open(rdbms.Options{})
+	_, addr := startServer(t, db, core.Options{AsyncRecalc: true})
+	w := dialT(t, addr)
+	if err := w.Open("m"); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	paste := func(v int) []core.CellEdit {
+		edits := make([]core.CellEdit, 0, rows*inputs)
+		for r := 1; r <= rows; r++ {
+			for c := 1; c <= inputs; c++ {
+				edits = append(edits, core.CellEdit{Row: r, Col: c, Input: fmt.Sprint(v*r + c)})
+			}
+		}
+		return edits
+	}
+	seed := paste(0)
+	for r := 1; r <= rows; r++ {
+		seed = append(seed, core.CellEdit{Row: r, Col: inputs + 1, Input: fmt.Sprintf("=SUM(A%d:D%d)", r, r)})
+	}
+	if _, err := w.SetCells("m", seed); err != nil {
+		t.Fatalf("seed: %v", err)
+	}
+	// A viewport over the sums, so the dispatcher recomputes them after every
+	// paste instead of waiting for the writer to pause.
+	if err := w.RegisterViewport("m", 1, 1, rows, inputs+1); err != nil {
+		t.Fatalf("register viewport: %v", err)
+	}
+	waitConverged(t, w, "m", 1, 1, rows, inputs+1)
+
+	// check returns how many sums the reply showed settled.
+	check := func(cells [][]sheet.Cell, pending [][]bool) (settled int, err error) {
+		for r, row := range cells {
+			if pending != nil && pending[r][inputs] {
+				continue
+			}
+			want := 0.0
+			for c := 0; c < inputs; c++ {
+				v, _ := row[c].Value.Num()
+				want += v
+			}
+			if got, _ := row[inputs].Value.Num(); got != want {
+				return 0, fmt.Errorf("row %d: unflagged sum %v beside inputs adding up to %v", r+1, row[inputs].Value, want)
+			}
+			settled++
+		}
+		return settled, nil
+	}
+	var done atomic.Bool
+	var settled atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := dialT(t, addr)
+			var last uint64
+			for !done.Load() {
+				cells, pending, gen, err := c.GetRangePending("m", 1, 1, rows, inputs+1)
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				if gen < last {
+					t.Errorf("generation went backwards: %d after %d", gen, last)
+					return
+				}
+				last = gen
+				n, err := check(cells, pending)
+				if err != nil {
+					t.Errorf("generation %d: %v", gen, err)
+					return
+				}
+				settled.Add(int64(n))
+			}
+		}()
+	}
+	for v := 1; v <= batches; v++ {
+		if _, err := w.SetCells("m", paste(v)); err != nil {
+			t.Errorf("paste %d: %v", v, err)
+			break
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	t.Logf("%d settled sums checked beside the writer", settled.Load())
+	cells := waitConverged(t, w, "m", 1, 1, rows, inputs+1)
+	if n, err := check(cells, nil); err != nil || n != rows {
+		t.Fatalf("converged sheet: %d of %d sums right, %v", n, rows, err)
 	}
 }

@@ -336,6 +336,74 @@ func TestServeSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestServeColdReaderDuringBatch takes the path a warm viewport never does: the
+// cell cache holds one block and the range spans two, so every read has to
+// load from storage and therefore waits, on the read latches, for the batch in
+// flight. Every reply must still be one whole batch, stamped with that batch's
+// generation — the writer is alone, so batch v is generation g0+v.
+func TestServeColdReaderDuringBatch(t *testing.T) {
+	const (
+		rows, cols = 128, 16 // two cache blocks
+		batches    = 25
+	)
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			db := rdbms.Open(rdbms.Options{})
+			_, addr := startServer(t, db, core.Options{CacheBlocks: 1, AsyncRecalc: async})
+			w := dialT(t, addr)
+			if err := w.Open("cold"); err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			batch := func(v int) []core.CellEdit {
+				edits := make([]core.CellEdit, 0, rows*cols)
+				for r := 1; r <= rows; r++ {
+					for c := 1; c <= cols; c++ {
+						edits = append(edits, core.CellEdit{Row: r, Col: c, Input: fmt.Sprint(v)})
+					}
+				}
+				return edits
+			}
+			g0, err := w.SetCells("cold", batch(0))
+			if err != nil {
+				t.Fatalf("seed: %v", err)
+			}
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			for i := 0; i < 3; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r := dialT(t, addr)
+					for !done.Load() {
+						cells, gen, err := r.GetRange("cold", 1, 1, rows, cols)
+						if err != nil {
+							t.Errorf("read: %v", err)
+							return
+						}
+						want := sheet.Number(float64(gen - g0))
+						for ri, row := range cells {
+							for ci, cell := range row {
+								if !cell.Value.Equal(want) {
+									t.Errorf("generation %d (batch %d): (%d,%d)=%v", gen, gen-g0, ri+1, ci+1, cell.Value)
+									return
+								}
+							}
+						}
+					}
+				}()
+			}
+			for v := 1; v <= batches; v++ {
+				if gen, err := w.SetCells("cold", batch(v)); err != nil || gen != g0+uint64(v) {
+					t.Errorf("batch %d: generation %d, %v", v, gen, err)
+					break
+				}
+			}
+			done.Store(true)
+			wg.Wait()
+		})
+	}
+}
+
 // TestServeConcurrentWriters checks writer batches from different
 // connections interleave without loss: each writer owns a row band and
 // the union must survive.

@@ -16,8 +16,8 @@ import (
 )
 
 // Server serves one database to many clients: one goroutine per
-// connection, engines shared across connections and synchronized through
-// the sheetHandle protocol.
+// connection, engines shared across connections, a sheet's writers ordered
+// by its sheetHandle.
 type Server struct {
 	db   *rdbms.DB
 	opts core.Options
@@ -148,7 +148,7 @@ func (s *Server) Stats() Stats {
 	for name, h := range s.sheets {
 		st.Sheets = append(st.Sheets, SheetStat{
 			Name:    name,
-			Gen:     h.generation(),
+			Gen:     h.eng.Generation(),
 			Pending: uint64(h.eng.PendingCount()),
 		})
 	}
@@ -296,7 +296,7 @@ func (s *Server) sheetHandleFor(name string, create bool) (*sheetHandle, error) 
 	if err != nil {
 		return nil, err
 	}
-	h := newSheetHandle(name, eng)
+	h := &sheetHandle{name: name, eng: eng}
 	s.sheets[name] = h
 	return h, nil
 }
@@ -435,17 +435,12 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		if err != nil {
 			return appendErr(b, err)
 		}
-		g := sheet.NewRange(r1, c1, r2, c2)
-		cells, gen, err := h.getRange(g)
+		cells, pending, gen, err := h.eng.ReadRange(sheet.NewRange(r1, c1, r2, c2))
 		if err != nil {
 			return appendErr(b, err)
 		}
 		b = append(b, StatusOK)
-		// The staleness mask is advisory (a background commit may race the
-		// read), so it is sampled lock-free after the snapshot: a cell can
-		// at worst be flagged pending when it just converged, never the
-		// reverse for the snapshot the client received.
-		return appendRange(b, gen, cells, h.eng.PendingMask(g))
+		return appendRange(b, gen, cells, pending)
 
 	case OpSetCells:
 		name := d.str()
