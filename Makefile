@@ -17,13 +17,15 @@ test:
 	$(GO) test -race -timeout 10m ./...
 
 # Serving stack and recalc surface alone under the race detector: the cell
-# cache's publish and the generation-stamped reads beside it (Publish),
-# per-table latches for cold blocks, session lifecycle, the disconnect
-# fuzz, plus the one edit pipeline in both recalc modes (Pipeline),
-# staleness bits and viewport priority. CI runs this as a dedicated step so
-# visibility, latch and executor regressions are named, not buried in ./...
+# cache's publish and the generation-stamped reads beside it (Publish), the
+# engine's own locks — it, not the serving layer, owns the latches — with
+# readers beside a bare engine's writers (Concurrent), session lifecycle,
+# the disconnect fuzz, plus the one edit pipeline in both recalc modes
+# (Pipeline), staleness bits and viewport priority. CI runs this as a
+# dedicated step so visibility, latch and executor regressions are named,
+# not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push.

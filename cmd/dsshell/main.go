@@ -674,10 +674,14 @@ func syncClose(f *os.File) error {
 	return err
 }
 
+// printGrid renders one ReadRange: cells and staleness marks from one point
+// in time, also beside a background recalc.
 func printGrid(eng *core.Engine, g sheet.Range) {
-	cells := eng.GetCells(g)
-	pending := eng.PendingMask(g)
+	cells, pending, _, err := eng.ReadRange(g)
 	printCells(g, cells, pending)
+	if err != nil {
+		fmt.Println("warning: read error:", err)
+	}
 	if n := countPending(pending); n > 0 {
 		fmt.Printf("(%d cells pending background recalc; * = stale value)\n", n)
 	}

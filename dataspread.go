@@ -15,7 +15,7 @@
 //	cells := eng.GetCells(dataspread.MustRange("A1:B1"))
 //
 // See the examples directory for complete programs, internal/exp for the
-// paper's experiment harness, and DESIGN.md for the system inventory.
+// paper's experiment harness, and README.md for the system inventory.
 package dataspread
 
 import (

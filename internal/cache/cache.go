@@ -15,8 +15,7 @@
 // path mutation-free), and misses load from the backing outside the cache
 // lock so cold scans overlap their storage reads. Publish takes the
 // exclusive lock and may run beside Snapshot readers; Invalidate and the
-// shifts must not run concurrently with readers of the same engine, matching
-// the engine's single-writer contract.
+// shifts run with the engine's structure lock held exclusively, readers out.
 package cache
 
 import (
@@ -173,7 +172,7 @@ func (c *Cache) ReadRange(g sheet.Range) ([][]sheet.Cell, error) {
 func (c *Cache) GetRange(g sheet.Range) [][]sheet.Cell {
 	out, err := c.ReadRange(g)
 	if err != nil {
-		c.setErr(err)
+		c.NoteErr(err)
 	}
 	return out
 }
@@ -332,7 +331,8 @@ func (c *Cache) TakeErr() error {
 	return err
 }
 
-func (c *Cache) setErr(err error) {
+// NoteErr leaves a read failure for TakeErr, unless one is already held.
+func (c *Cache) NoteErr(err error) {
 	c.errMu.Lock()
 	if c.lastErr == nil {
 		c.lastErr = err
@@ -361,7 +361,7 @@ func (c *Cache) ResetStats() {
 func (c *Cache) loadOrBlank(k blockKey) *block {
 	b, err := c.load(k)
 	if err != nil {
-		c.setErr(err)
+		c.NoteErr(err)
 	}
 	return b
 }

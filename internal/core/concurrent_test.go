@@ -1,0 +1,252 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dataspread/internal/rdbms"
+	"dataspread/internal/sheet"
+)
+
+// Tests of the engine's own concurrency (latch.go): a bare engine, no server
+// around it, readers on other goroutines than the writer. Run under -race.
+
+// An AsyncRecalc engine ticking a 5,280-cell cone while two goroutines read
+// the cone's table cold (the cache holds 2 of the range's 6 tiles): nothing
+// races, and every ReadRange reply is self-consistent — a formula cell not
+// flagged pending equals its input as that same reply shows it — with
+// generations that never go backwards.
+func TestConcurrentReadersBesideAsyncRecalc(t *testing.T) {
+	const rows, cols, ticks = 352, 16, 25 // formulas in B..P of every row
+	e, err := New(rdbms.Open(rdbms.Options{}), "c", Options{AsyncRecalc: true, CacheBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	offset := func(r, c int) float64 { return float64(r*100 + c) }
+	seed := []CellEdit{{Row: 1, Col: 1, Input: "0"}}
+	for r := 1; r <= rows; r++ {
+		for c := 2; c <= cols; c++ {
+			seed = append(seed, CellEdit{Row: r, Col: c, Input: fmt.Sprintf("=A1+%v", offset(r, c))})
+		}
+	}
+	if err := e.SetCells(seed); err != nil {
+		t.Fatal(err)
+	}
+	mustDrain(t, e)
+	all := sheet.NewRange(1, 1, rows, cols)
+	// check returns how many formula cells the reply showed settled.
+	check := func(cells [][]sheet.Cell, pending [][]bool) (int, error) {
+		tick, _ := cells[0][0].Value.Num()
+		settled := 0
+		for r := 1; r <= rows; r++ {
+			for c := 2; c <= cols; c++ {
+				if pending != nil && pending[r-1][c-1] {
+					continue
+				}
+				if got, _ := cells[r-1][c-1].Value.Num(); got != tick+offset(r, c) {
+					return 0, fmt.Errorf("(%d,%d) = %v unflagged beside A1 = %v", r, c, cells[r-1][c-1].Value, tick)
+				}
+				settled++
+			}
+		}
+		return settled, nil
+	}
+	var done atomic.Bool
+	var settled atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for !done.Load() {
+				cells, pending, gen, err := e.ReadRange(all)
+				if err != nil || gen < last {
+					t.Errorf("ReadRange: generation %d after %d, %v", gen, last, err)
+					return
+				}
+				last = gen
+				n, err := check(cells, pending)
+				if err != nil {
+					t.Errorf("generation %d: %v", gen, err)
+					return
+				}
+				settled.Add(int64(n))
+				// The other read entries, beside the same dispatcher.
+				if got := len(e.GetCells(all)); got != rows {
+					t.Errorf("GetCells returned %d rows", got)
+					return
+				}
+				seen := 0
+				e.VisitRange(all, func(sheet.Ref, sheet.Value) bool { seen++; return true })
+				if seen != rows*(cols-1)+1 {
+					t.Errorf("VisitRange saw %d cells", seen)
+					return
+				}
+			}
+		}()
+	}
+	for tick := 1; tick <= ticks && !t.Failed(); tick++ {
+		if err := e.Set(1, 1, fmt.Sprint(tick)); err != nil {
+			t.Errorf("tick %d: %v", tick, err)
+		}
+		if tick%5 == 0 {
+			mustDrain(t, e)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if err := e.ReadErr(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d settled formula cells checked beside the dispatcher", settled.Load())
+	mustDrain(t, e)
+	cells, pending, _, err := e.ReadRange(all)
+	if n, cerr := check(cells, pending); err != nil || cerr != nil || n != rows*(cols-1) {
+		t.Fatalf("drained sheet: %d of %d formula cells right, %v, %v", n, rows*(cols-1), err, cerr)
+	}
+}
+
+// Readers beside everything that moves the region layout — structural edits,
+// LinkTable (one that succeeds, one that fails after clearing its range) and
+// Optimize — called directly on a bare engine, in both recalc modes: every
+// stamped read shows, in its unflagged cells, the sheet as it stood at that
+// generation, nothing hangs, nothing stays pending after a Drain.
+func TestConcurrentReadersBesideStructureChanges(t *testing.T) {
+	bothModes(t, func(t *testing.T, e *Engine) {
+		const rows, cols = 140, 8
+		all := sheet.NewRange(1, 1, rows, cols)
+		edits := []CellEdit{
+			{Row: 1, Col: 1, Input: "id"}, {Row: 1, Col: 2, Input: "amount"},
+			{Row: 2, Col: 1, Input: "1"}, {Row: 2, Col: 2, Input: "100"},
+			{Row: 3, Col: 1, Input: "2"}, {Row: 3, Col: 2, Input: "200"},
+			{Row: 1, Col: 8, Input: "=SUM(B2:B3)"},   // reads the linked range
+			{Row: 2, Col: 8, Input: "=SUM(A5:A130)"}, // absorbs inserted rows
+			{Row: 3, Col: 8, Input: "=SUM(A5:F5)"},   // loses a deleted column
+			{Row: 4, Col: 8, Input: "=SUM(A60:B62)"}, // reads the range of the failing link
+		}
+		for r := 5; r <= 130; r++ {
+			for c := 1; c <= 6; c++ {
+				edits = append(edits, CellEdit{Row: r, Col: c, Input: fmt.Sprint(r*100 + c)})
+			}
+		}
+		if err := e.SetCells(edits); err != nil {
+			t.Fatal(err)
+		}
+		mustDrain(t, e)
+
+		// states holds the sheet at each generation; a read of a generation
+		// not in it yet waits in stash.
+		type sample struct {
+			cells   [][]sheet.Cell
+			pending [][]bool
+			gen     uint64
+		}
+		var mu sync.Mutex
+		states := map[uint64][][]sheet.Cell{}
+		var stash []sample
+		verify := func(s sample) {
+			want := states[s.gen]
+			for i, row := range s.cells {
+				for j, c := range row {
+					if (s.pending == nil || !s.pending[i][j]) && c != want[i][j] {
+						t.Errorf("generation %d: (%d,%d) = %+v, want %+v", s.gen, i+1, j+1, c, want[i][j])
+						return
+					}
+				}
+			}
+		}
+		// settled records the drained sheet under its generation.
+		settled := func(what string) {
+			within(t, "Drain after "+what, func() {
+				if err := e.Drain(); err != nil {
+					t.Errorf("Drain after %s: %v", what, err)
+				}
+			})
+			cells, pending, gen, err := e.ReadRange(all)
+			if err != nil || pending != nil || e.PendingCount() != 0 {
+				t.Fatalf("after %s: %d cells pending, %v", what, e.PendingCount(), err)
+			}
+			mu.Lock()
+			states[gen] = cells
+			mu.Unlock()
+		}
+		settled("the seed")
+
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		// One reader of the whole sheet and one of its first tile.
+		for _, g := range []sheet.Range{all, sheet.NewRange(1, 1, 60, cols)} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var last uint64
+				for !done.Load() {
+					cells, pending, gen, err := e.ReadRange(g)
+					if err != nil || gen < last {
+						t.Errorf("ReadRange: generation %d after %d, %v", gen, last, err)
+						return
+					}
+					last = gen
+					mu.Lock()
+					if s := (sample{cells, pending, gen}); states[gen] != nil {
+						verify(s)
+					} else {
+						stash = append(stash, s)
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+		step := func(what string, op func() error, wantErr bool) {
+			within(t, what, func() {
+				if err := op(); (err != nil) != wantErr {
+					t.Errorf("%s: %v", what, err)
+				}
+			})
+			settled(what)
+		}
+		// cleared predicts the generation between a LinkTable's clearing of its
+		// range and its link: the sheet before it, the range blank (the formulas
+		// reading the range are flagged throughout).
+		cleared := func(g sheet.Range) {
+			cells, _, gen, _ := e.ReadRange(all)
+			for r := g.From.Row; r <= g.To.Row; r++ {
+				for c := g.From.Col; c <= g.To.Col; c++ {
+					cells[r-1][c-1] = sheet.Cell{}
+				}
+			}
+			mu.Lock()
+			states[gen+1] = cells
+			mu.Unlock()
+		}
+		structural := func(when string) {
+			step("InsertRowsAfter "+when, func() error { return e.InsertRowsAfter(50, 3) }, false)
+			step("DeleteColumns "+when, func() error { return e.DeleteColumns(5, 1) }, false)
+		}
+		structural("in the overflow table")
+		linked := sheet.NewRange(1, 1, 3, 2)
+		cleared(linked)
+		step("LinkTable", func() error { _, err := e.LinkTable(linked, "inv"); return err }, false)
+		step("Optimize", func() error { _, err := e.Optimize("rom", 1); return err }, false)
+		// Over a row-oriented region now: the link fails after its range is
+		// cleared, so the cleared sheet is also what the step leaves behind.
+		step("failing LinkTable", func() error { _, err := e.LinkTable(sheet.NewRange(60, 1, 62, 2), "t"); return err }, true)
+		if c := e.GetCell(60, 1); !c.IsBlank() {
+			t.Fatalf("A60 = %+v after the failing LinkTable, want its range cleared", c)
+		}
+		structural("in a row-oriented region")
+		done.Store(true)
+		wg.Wait()
+		for _, s := range stash {
+			if states[s.gen] == nil {
+				t.Fatalf("a read was stamped with generation %d, at which no step left the sheet", s.gen)
+			}
+			verify(s)
+		}
+		t.Logf("%d reads waited for their generation's state", len(stash))
+	})
+}

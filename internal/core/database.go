@@ -15,10 +15,11 @@ import (
 // grid range and a database table. When the table does not exist it is
 // created from the range's contents (first row = column names, types
 // inferred from the first data row) and then linked; when it exists, the
-// range must be empty and sized to the table.
+// range must be empty and sized to the table. Readers see the clearing of the
+// range and the link as two generations.
 func (e *Engine) LinkTable(g sheet.Range, tableName string) (*model.TOM, error) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
+	// Drained, so that the table is created from converged values.
+	defer e.lockWritesDrained()()
 	table := e.db.Table(tableName)
 	if table == nil {
 		var err error
@@ -34,20 +35,22 @@ func (e *Engine) LinkTable(g sheet.Range, tableName string) (*model.TOM, error) 
 				blanks = append(blanks, cellWrite{ref: sheet.Ref{Row: row, Col: col}})
 			}
 		}
-		if err := e.applyLocked(blanks); err != nil {
+		if _, err := e.applyLocked(blanks); err != nil {
 			return nil, err
 		}
 	}
 	rows := table.RowCount() + 1 // headers
 	rect := sheet.NewRange(g.From.Row, g.From.Col, g.From.Row+rows-1, g.From.Col+table.Schema.Arity()-1)
+	e.latches.structure.Lock()
 	tom, err := e.store.LinkTable(rect, table, true)
 	if err == nil {
 		e.grow(rect.To.Row, rect.To.Col)
 		e.cache.Invalidate(rect)
 		// Formulas reading the rectangle now read the table's rows.
 		e.mark(e.deps.DirectDependents(rect), nil)
-		e.bumpGeneration()
+		e.gen.Add(1)
 	}
+	e.latches.structure.Unlock()
 	// Settle on every exit: clearing the range marked its readers pending
 	// whether or not the link then succeeded.
 	return tom, errors.Join(err, e.settle())
@@ -55,8 +58,8 @@ func (e *Engine) LinkTable(g sheet.Range, tableName string) (*model.TOM, error) 
 
 // createTableFromRange infers a schema from the range and loads its data.
 func (e *Engine) createTableFromRange(g sheet.Range, tableName string) (*rdbms.Table, error) {
-	cells := e.GetCells(g)
-	if err := e.ReadErr(); err != nil {
+	cells, err := e.cache.ReadRange(g)
+	if err != nil {
 		return nil, fmt.Errorf("core: linkTable range read: %w", err)
 	}
 	if len(cells) < 2 {
@@ -77,7 +80,7 @@ func (e *Engine) createTableFromRange(g sheet.Range, tableName string) (*rdbms.T
 	for _, row := range cells[1:] {
 		tuple := make(rdbms.Row, len(schema.Cols))
 		for j := range schema.Cols {
-			d, err := cellToDatum(row[j].Value, schema.Cols[j].Type)
+			d, err := model.ValueToDatum(row[j].Value, schema.Cols[j].Type)
 			if err != nil {
 				return nil, err
 			}
@@ -112,33 +115,13 @@ func inferType(rows [][]sheet.Cell, col int) rdbms.DType {
 	return rdbms.DTText
 }
 
-func cellToDatum(v sheet.Value, t rdbms.DType) (rdbms.Datum, error) {
-	if v.IsEmpty() {
-		return rdbms.Null, nil
-	}
-	switch t {
-	case rdbms.DTFloat:
-		f, ok := v.Num()
-		if !ok {
-			return rdbms.Null, fmt.Errorf("core: %q is not numeric", v.Text())
-		}
-		return rdbms.Float(f), nil
-	case rdbms.DTBool:
-		b, ok := v.BoolVal()
-		if !ok {
-			return rdbms.Null, fmt.Errorf("core: %q is not boolean", v.Text())
-		}
-		return rdbms.Bool(b), nil
-	}
-	return rdbms.Text(v.Text()), nil
-}
-
 // SQL runs the sql(query, params...) spreadsheet function (Appendix B),
 // returning a composite table value.
 func (e *Engine) SQL(query string, params ...sheet.Value) (*rel.TableValue, error) {
 	datums := make([]rdbms.Datum, len(params))
 	for i, p := range params {
-		d, err := cellToDatum(p, valueType(p))
+		// A parameter's type is the one a column holding only it would get.
+		d, err := model.ValueToDatum(p, inferType([][]sheet.Cell{{{Value: p}}}, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -149,16 +132,6 @@ func (e *Engine) SQL(query string, params ...sheet.Value) (*rel.TableValue, erro
 		return nil, err
 	}
 	return rel.FromResult(res), nil
-}
-
-func valueType(v sheet.Value) rdbms.DType {
-	switch v.Kind() {
-	case sheet.KindNumber:
-		return rdbms.DTFloat
-	case sheet.KindBool:
-		return rdbms.DTBool
-	}
-	return rdbms.DTText
 }
 
 // RangeTable converts a grid range into a composite table value (headers
@@ -180,7 +153,7 @@ func (e *Engine) PlaceTable(tv *rel.TableValue, anchor sheet.Ref) (sheet.Range, 
 			batch = append(batch, cellWrite{ref: sheet.Ref{Row: anchor.Row + 1 + i, Col: anchor.Col + j}, value: v})
 		}
 	}
-	if err := e.apply(batch); err != nil {
+	if _, err := e.apply(batch); err != nil {
 		return sheet.Range{}, err
 	}
 	return sheet.NewRange(anchor.Row, anchor.Col,
@@ -192,12 +165,11 @@ func (e *Engine) PlaceTable(tv *rel.TableValue, anchor sheet.Ref) (sheet.Range, 
 // incremental result (Appendix A-C2). Linked TOM regions are preserved
 // as-is.
 func (e *Engine) Optimize(algo string, eta float64) (*hybrid.IncrementalResult, error) {
-	// Drain before snapshotting: the migration replaces the cache (and its
-	// pending sidecar), so no staleness bit may be outstanding, and the
-	// snapshot must carry converged values into the new decomposition.
-	unlock := e.lockWritesDrained()
-	defer unlock()
-	bounds := sheet.NewRange(1, 1, max(e.maxRow, 1), max(e.maxCol, 1))
+	// Drain before snapshotting: the snapshot must carry converged values into
+	// the new decomposition.
+	defer e.lockWritesDrained()()
+	rows, cols := e.Bounds()
+	bounds := sheet.NewRange(1, 1, max(rows, 1), max(cols, 1))
 	snap, err := e.store.Snapshot(e.name, bounds)
 	if err != nil {
 		return nil, err
@@ -216,14 +188,16 @@ func (e *Engine) Optimize(algo string, eta float64) (*hybrid.IncrementalResult, 
 	if err != nil {
 		return nil, err
 	}
-	// The old store is replaced wholesale; drop its backing tables and
+	// The old store is replaced wholesale, readers out; drop its tables and
 	// persisted manifest so neither the catalog nor a reopened database
 	// carries a dead copy of every cell.
+	e.latches.structure.Lock()
+	defer e.latches.structure.Unlock()
 	if err := e.store.Drop(); err != nil {
 		return nil, err
 	}
 	e.store = hs
-	e.cache = newEngineCache(e)
-	e.bumpGeneration()
+	e.cache.InvalidateAll()
+	e.gen.Add(1)
 	return res, nil
 }

@@ -61,11 +61,11 @@ type Engine struct {
 	// exprs and the graph), but their source must ride along in the engine
 	// manifest so a snapshot-free Load can re-register them.
 	cycles map[sheet.Ref]string
-	// bounds tracks the content extent.
-	maxRow, maxCol int
+	// bounds tracks the content extent (written under writeMu, read from
+	// anywhere).
+	maxRow, maxCol atomic.Int64
 	params         hybrid.CostParams
 	seq            int
-	cacheBlocks    int
 	// lastEdit records the work done by the most recent structural edit.
 	lastEdit EditStats
 	// formulasDirty marks the formula population as changed since the last
@@ -73,28 +73,26 @@ type Engine struct {
 	// set entirely (the meta KV's byte-equality check backstops false
 	// positives).
 	formulasDirty bool
-	// gen counts applied mutation batches; latches serializes concurrent
-	// readers and writers per table (see latch.go). Both are inert for
-	// single-goroutine use.
+	// gen counts applied mutation batches. writeMu is the edit lock: every
+	// field above but the bounds is read and written under it. latches keeps
+	// block loads out of a batch's write window (latch.go).
 	gen     atomic.Uint64
-	latches latchTable
-	// writeMu serializes edit paths against each other and against the
-	// recalc dispatcher's commit chunks (uncontended on a synchronous,
-	// single-goroutine engine).
 	writeMu sync.Mutex
+	latches latchTable
 	// sched holds the recalc executor's state: viewports, plan flags and —
 	// on an AsyncRecalc engine — the dispatcher goroutine.
 	sched *recalcScheduler
 }
 
-// storeBacking adapts the hybrid store to the cache's Backing interface:
-// block loads are exactly the store's dense range reads (one page pin per
-// heap page, projection pushed down to the viewport's columns), and load
-// errors flow into the cache where Engine.ReadErr surfaces them.
-type storeBacking struct{ hs *model.HybridStore }
+// storeBacking adapts the engine's current hybrid store (Optimize swaps it)
+// to the cache's Backing interface: block loads are exactly the store's dense
+// range reads (one page pin per heap page, projection pushed down to the
+// viewport's columns), and load errors flow into the cache where
+// Engine.ReadErr surfaces them.
+type storeBacking struct{ e *Engine }
 
 func (b storeBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
-	return b.hs.GetCells(g)
+	return b.e.store.GetCells(g)
 }
 
 // params returns the hybrid optimizer's cost parameters (zero value:
@@ -110,17 +108,16 @@ func (o Options) params() hybrid.CostParams {
 // a cold cache and the recalc executor New, Open and Load all start from.
 func buildEngine(db *rdbms.DB, name string, hs *model.HybridStore, opts Options) *Engine {
 	e := &Engine{
-		name:        name,
-		db:          db,
-		store:       hs,
-		deps:        depgraph.New(),
-		exprs:       make(map[sheet.Ref]formula.Expr),
-		constants:   make(map[sheet.Ref]struct{}),
-		cycles:      make(map[sheet.Ref]string),
-		params:      opts.params(),
-		cacheBlocks: opts.CacheBlocks,
+		name:      name,
+		db:        db,
+		store:     hs,
+		deps:      depgraph.New(),
+		exprs:     make(map[sheet.Ref]formula.Expr),
+		constants: make(map[sheet.Ref]struct{}),
+		cycles:    make(map[sheet.Ref]string),
+		params:    opts.params(),
 	}
-	e.cache = newEngineCache(e)
+	e.cache = cache.New(storeBacking{e}, opts.CacheBlocks)
 	e.startRecalc(opts)
 	return e
 }
@@ -135,11 +132,6 @@ func New(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	return buildEngine(db, name, hs, opts), nil
-}
-
-// newEngineCache builds the LRU cell cache over the engine's current store.
-func newEngineCache(e *Engine) *cache.Cache {
-	return cache.New(storeBacking{e.store}, e.cacheBlocks)
 }
 
 // Open loads a sheet into a new engine, choosing the physical layout with
@@ -191,57 +183,45 @@ func validateSheetName(name string) error {
 // DB exposes the backing database.
 func (e *Engine) DB() *rdbms.DB { return e.db }
 
-// Store exposes the hybrid store (for storage accounting in benchmarks).
-func (e *Engine) Store() *model.HybridStore { return e.store }
+// Store exposes the hybrid store (for storage accounting in benchmarks; using
+// it beside a writer is the caller's business).
+func (e *Engine) Store() *model.HybridStore {
+	e.latches.structure.RLock()
+	defer e.latches.structure.RUnlock()
+	return e.store
+}
 
 // Bounds returns the tracked content extent.
-func (e *Engine) Bounds() (rows, cols int) { return e.maxRow, e.maxCol }
+func (e *Engine) Bounds() (rows, cols int) { return int(e.maxRow.Load()), int(e.maxCol.Load()) }
 
 func (e *Engine) grow(row, col int) {
-	if row > e.maxRow {
-		e.maxRow = row
+	if int64(row) > e.maxRow.Load() {
+		e.maxRow.Store(int64(row))
 	}
-	if col > e.maxCol {
-		e.maxCol = col
+	if int64(col) > e.maxCol.Load() {
+		e.maxCol.Store(int64(col))
 	}
 }
 
-// CellValue implements formula.Resolver through the cache.
-func (e *Engine) CellValue(r sheet.Ref) sheet.Value { return e.cache.Get(r).Value }
-
-// VisitRange implements formula.Resolver: the range streams out of the cell
-// cache block by block (one reused row buffer, no materialized output grid),
-// so aggregations over large ranges stay allocation-light.
-func (e *Engine) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Value) bool) {
-	// Clip to content bounds to avoid materializing vast empty ranges.
-	if g.To.Row > e.maxRow {
-		g.To.Row = e.maxRow
-	}
-	if g.To.Col > e.maxCol {
-		g.To.Col = e.maxCol
-	}
-	if g.To.Row < g.From.Row || g.To.Col < g.From.Col {
-		return
-	}
-	e.cache.VisitRange(g, func(r sheet.Ref, c sheet.Cell) bool {
-		return fn(r, c.Value)
-	})
+// clip cuts g to the content bounds (a whole-column reference must not walk
+// vast empty ranges); ok is false when nothing is left.
+func (e *Engine) clip(g sheet.Range) (sheet.Range, bool) {
+	rows, cols := e.Bounds()
+	g.To.Row, g.To.Col = min(g.To.Row, rows), min(g.To.Col, cols)
+	return g, g.To.Row >= g.From.Row && g.To.Col >= g.From.Col
 }
 
-// GetCell returns one cell.
-func (e *Engine) GetCell(row, col int) sheet.Cell {
-	return e.cache.Get(sheet.Ref{Row: row, Col: col})
-}
+// evalReader is the evaluator's formula.Resolver. It runs under writeMu, so
+// it reads the cache unlatched; ranges stream out block by block (one reused
+// row buffer, no materialized grid): large aggregations stay allocation-light.
+type evalReader struct{ e *Engine }
 
-// GetCells is the getCells(range) primitive of Section III.
-func (e *Engine) GetCells(g sheet.Range) [][]sheet.Cell { return e.cache.GetRange(g) }
+func (r evalReader) CellValue(ref sheet.Ref) sheet.Value { return r.e.cache.Get(ref).Value }
 
-// PeekCells materializes g from resident cache blocks only, returning
-// (nil, false) when any covering block would need a storage read: ReadRange's
-// resident step alone.
-func (e *Engine) PeekCells(g sheet.Range) ([][]sheet.Cell, bool) {
-	cells, _, _, ok := e.cache.Snapshot(g, &e.gen)
-	return cells, ok
+func (r evalReader) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Value) bool) {
+	if g, ok := r.e.clip(g); ok {
+		r.e.cache.VisitRange(g, func(ref sheet.Ref, c sheet.Cell) bool { return fn(ref, c.Value) })
+	}
 }
 
 // ReadErr returns the first storage read error recorded since the last call
@@ -308,28 +288,31 @@ func parseEdit(ed CellEdit) (cellWrite, error) {
 // Set writes user input: text beginning with '=' installs a formula,
 // anything else a literal value; empty text clears the cell.
 func (e *Engine) Set(row, col int, input string) error {
-	return e.ApplyCells([]CellEdit{{Row: row, Col: col, Input: input}})
+	_, err := e.ApplyCells([]CellEdit{{Row: row, Col: col, Input: input}})
+	return err
 }
 
 // SetValue writes a plain value (updateCell of Section III); text beginning
 // with '=' stays text.
 func (e *Engine) SetValue(row, col int, v sheet.Value) error {
-	return e.apply([]cellWrite{{ref: sheet.Ref{Row: row, Col: col}, value: v}})
+	_, err := e.apply([]cellWrite{{ref: sheet.Ref{Row: row, Col: col}, value: v}})
+	return err
 }
 
 // Clear blanks a cell.
 func (e *Engine) Clear(row, col int) error {
-	return e.apply([]cellWrite{{ref: sheet.Ref{Row: row, Col: col}}})
+	_, err := e.apply([]cellWrite{{ref: sheet.Ref{Row: row, Col: col}}})
+	return err
 }
 
 // SetFormula installs a formula (source without '='). A formula that closes
 // a dependency cycle is poisoned with #CYCLE!.
 func (e *Engine) SetFormula(row, col int, src string) error {
 	w, err := formulaWrite(sheet.Ref{Row: row, Col: col}, src)
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = e.apply([]cellWrite{w})
 	}
-	return e.apply([]cellWrite{w})
+	return err
 }
 
 // SetCells applies a batch of edits and persists it with a single WAL
@@ -341,23 +324,23 @@ func (e *Engine) SetCells(edits []CellEdit) error {
 	if len(edits) == 0 {
 		return nil
 	}
-	if err := e.ApplyCells(edits); err != nil {
+	if _, err := e.ApplyCells(edits); err != nil {
 		return err
 	}
 	return e.Save()
 }
 
 // ApplyCells is SetCells without the trailing Save: the batch applies to
-// the store, cache, and dependency graph, but durability is the caller's.
-// The serving layer uses the split to apply under its write latches and run
-// the WAL fsync after releasing them, so cold readers never wait on disk. A
+// the store, cache, and dependency graph, but durability is the caller's
+// (the serving layer saves after it, with nothing held). It returns the
+// generation the batch published; Generation() may have moved on by then. A
 // malformed formula rejects the whole batch before anything is touched.
-func (e *Engine) ApplyCells(edits []CellEdit) error {
+func (e *Engine) ApplyCells(edits []CellEdit) (uint64, error) {
 	batch := make([]cellWrite, len(edits))
 	for i, ed := range edits {
 		w, err := parseEdit(ed)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		batch[i] = w
 	}
@@ -369,17 +352,18 @@ func (e *Engine) ApplyCells(edits []CellEdit) error {
 // builds a batch and takes the pipeline apply -> mark pending -> settle ->
 // write through. On return a synchronous engine has nothing pending; an
 // AsyncRecalc engine has the batch's dependency cone marked and the
-// dispatcher woken.
-func (e *Engine) apply(batch []cellWrite) error {
+// dispatcher woken. It returns the batch's generation.
+func (e *Engine) apply(batch []cellWrite) (uint64, error) {
 	if len(batch) == 0 {
-		return nil
+		return e.gen.Load(), nil
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if err := e.applyLocked(batch); err != nil {
-		return err
+	gen, err := e.applyLocked(batch)
+	if err != nil {
+		return 0, err
 	}
-	return e.settle()
+	return gen, e.settle()
 }
 
 // applyLocked applies a batch up to and including its publish (the caller
@@ -391,18 +375,19 @@ func (e *Engine) apply(batch []cellWrite) error {
 // early is harmless, a stale one unflagged is not); then the publish, the one
 // step in which readers see the batch, its generation and its own formula
 // cells flagged. Between the store write and the publish nothing may read
-// through the cache: a block loaded in that window would show the batch under
-// the old generation. Row-oriented regions rewrite each covered tuple once.
-func (e *Engine) applyLocked(batch []cellWrite) error {
+// through the cache — a block loaded in that window would show the batch under
+// the old generation — so that window, and nothing else, holds the tables'
+// write latches. Row-oriented regions rewrite each covered tuple once.
+func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 	if err := e.writeGuard(); err != nil {
-		return err
+		return 0, err
 	}
 	// The last edit to a cell wins: superseded edits never reach the store
 	// or the formula registry, so values and formulas cannot reorder.
 	last := make(map[sheet.Ref]int, len(batch))
 	for i, w := range batch {
 		if w.ref.Row < 1 || w.ref.Col < 1 {
-			return fmt.Errorf("core: cell position (%d,%d) out of range", w.ref.Row, w.ref.Col)
+			return 0, fmt.Errorf("core: cell position (%d,%d) out of range", w.ref.Row, w.ref.Col)
 		}
 		last[w.ref] = i
 	}
@@ -423,8 +408,9 @@ func (e *Engine) applyLocked(batch []cellWrite) error {
 		refs = append(refs, w.ref)
 		writes = append(writes, model.CellWrite{Row: w.ref.Row, Col: w.ref.Col, Cell: cell})
 	}
+	defer e.latches.release(e.wlatch(writes), true)
 	if err := e.store.UpdateCells(writes); err != nil {
-		return err
+		return 0, err
 	}
 	for _, w := range kept {
 		e.dropFormula(w.ref)
@@ -454,16 +440,23 @@ func (e *Engine) applyLocked(batch []cellWrite) error {
 	// publish clears the bits of written cells, so it flags the installed ones.
 	e.mark(e.reviveCycles(), refs)
 	e.publish(writes, installed, &e.gen)
-	return nil
+	return e.gen.Load(), nil
 }
 
 // commit is the write-through for everything but an edit batch (wave
-// results, #CYCLE! poisoning, a structural edit's rewritten formula text):
-// one store write, then a publish without a generation of its own.
+// results, #CYCLE! poisoning): one store write, then a publish without a
+// generation of its own, under the tables' write latches.
 func (e *Engine) commit(writes []model.CellWrite) error {
 	if len(writes) == 0 {
 		return nil
 	}
+	defer e.latches.release(e.wlatch(writes), true)
+	return e.commitLatched(writes)
+}
+
+// commitLatched is commit for a caller that already keeps block loads out: a
+// structural edit's rewritten formula text, under the structure lock.
+func (e *Engine) commitLatched(writes []model.CellWrite) error {
 	if err := e.store.UpdateCells(writes); err != nil {
 		return err
 	}

@@ -4,72 +4,107 @@ import (
 	"sync"
 
 	"dataspread/internal/cache"
+	"dataspread/internal/model"
 	"dataspread/internal/sheet"
 )
 
-// Concurrency façade for serving the engine to many clients at once.
+// The engine's concurrency. Every exported Engine method may be called from
+// any goroutine, in both recalc modes; every lock is taken in this package.
 //
-// The storage substrate is single-writer per table: concurrent readers are
-// fully supported (shared-lock pager fetches, lock-protected cell cache),
-// and writers to *different* tables may proceed in parallel, but a reader
-// must never overlap a writer of the same table. This file enforces that
-// contract with per-table latches keyed by the hybrid store's manifest
-// segment ids, under a structure lock that freezes the region layout:
+// The one lock order:
 //
-//   - a reader that has to load a block takes the structure lock shared plus
-//     a read latch on every table its (block-aligned) range can touch,
-//   - cell writers take the structure lock shared plus a write latch on
-//     every table their dirty cells live in — so two engines over the same
-//     database, or two writes to disjoint regions, run in parallel,
-//   - structural edits (and anything else that moves the region layout)
-//     take the structure lock exclusively, excluding everyone.
+//	writeMu → structure lock → table latches, ascending → cache lock → pending sidecar
 //
-// Latches are acquired in ascending segment order (SegsFor/SegsForRefs
-// return sorted ids), so overlapping writers cannot deadlock.
+// (Two leaves beside it: sched.mu, the executor's flags, is taken under
+// writeMu or alone and holds nothing but the pending sidecar; latchTable.mu,
+// the latch registry, is held across no other acquisition.)
 //
-// Visibility is not decided here but inside the cell cache
-// (cache/snapshot.go): a cell-edit batch becomes visible, with its
-// generation, in the one publish that ends Engine.applyLocked, and ReadRange
-// — the one read entry — assembles a warm range with its staleness mask and
-// generation under one shared hold of the cache lock, touching no table
-// latch. A reply shows all of a batch with its generation or none of it, and a
-// writer's latch hold is invisible to a warm viewport; the latches only keep
-// block loads out of the window between a batch's storage write and its
-// publish. The database-wide durable counterpart of the generation is
-// rdbms.DB.CommitGen, advanced by the group-commit flusher.
-//
-// Single-goroutine users (dsshell's local mode, the test harness) never
-// touch this file: the engine's plain methods stay latch-free and the latch
-// table stays empty.
+//   - writeMu is the edit lock: every mutation (cell batch, structural edit,
+//     LinkTable, Optimize, Save) and every executor step holds it, so the
+//     engine's maps, the dependency graph and the store have one writer at a
+//     time, and the evaluator, which runs under it, reads the cache unlatched.
+//   - The structure lock freezes the region layout (which table owns which
+//     cell). Shared by everything below; exclusive, inside writeMu, around the
+//     in-memory and store mutation of a structural edit, LinkTable's link and
+//     Optimize's swap — not around their settle or their fsync.
+//   - A table latch, keyed by the hybrid store's manifest segment id, is
+//     write-held around one thing: a batch's store write through its publish
+//     (applyLocked, commit), the window in which a block loaded from the store
+//     would show the batch under the old generation (cache/snapshot.go). A
+//     reader that has to load a block read-holds the latch of every table its
+//     block-aligned range can touch: it waits out that window and nothing
+//     else — not a chunk's evaluation, not an inline cone, not a Save.
+//   - Visibility is decided inside the cell cache: a batch becomes visible,
+//     with its generation, in the publish that ends the window, and a resident
+//     range is read, with its mask and generation, under one shared hold of the
+//     cache lock, touching no latch. The database-wide durable counterpart of
+//     the generation is rdbms.DB.CommitGen.
 
 // latchTable is the engine's per-table latch registry.
 type latchTable struct {
-	// structure freezes the region layout: held shared by cell readers and
-	// writers, exclusively by structural edits.
 	structure sync.RWMutex
 	// mu guards segs; the per-segment latches are created lazily.
 	mu   sync.Mutex
 	segs map[int]*sync.RWMutex
+	// wsegs and wheld are the one writer's latch set, reused from batch to
+	// batch under writeMu so that an edit allocates nothing to latch.
+	wsegs []int
+	wheld []*sync.RWMutex
 }
 
-// forSegs returns the latches for the given (sorted) segment ids, creating
-// missing ones.
-func (lt *latchTable) forSegs(segs []int) []*sync.RWMutex {
+// hold appends to ls the latches of the given (sorted) segment ids, creating
+// missing ones, and takes them; the caller holds the structure lock shared.
+func (lt *latchTable) hold(ls []*sync.RWMutex, segs []int, write bool) []*sync.RWMutex {
 	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	if lt.segs == nil {
 		lt.segs = make(map[int]*sync.RWMutex)
 	}
-	out := make([]*sync.RWMutex, len(segs))
-	for i, s := range segs {
+	for _, s := range segs {
 		l, ok := lt.segs[s]
 		if !ok {
 			l = &sync.RWMutex{}
 			lt.segs[s] = l
 		}
-		out[i] = l
+		ls = append(ls, l)
 	}
-	return out
+	lt.mu.Unlock()
+	for _, l := range ls {
+		if write {
+			l.Lock()
+		} else {
+			l.RLock()
+		}
+	}
+	return ls
+}
+
+// release drops what hold took, then the structure lock's shared hold.
+func (lt *latchTable) release(ls []*sync.RWMutex, write bool) {
+	for i := len(ls) - 1; i >= 0; i-- {
+		if write {
+			ls[i].Unlock()
+		} else {
+			ls[i].RUnlock()
+		}
+	}
+	lt.structure.RUnlock()
+}
+
+// rlatch read-latches the tables under the block-aligned expansion of g (a
+// cache-miss block load reads whole tiles).
+func (e *Engine) rlatch(g sheet.Range) []*sync.RWMutex {
+	e.latches.structure.RLock()
+	return e.latches.hold(nil, e.store.SegsFor(cache.AlignToBlocks(g)), false)
+}
+
+// wlatch write-latches the tables owning the cells of a batch, for its store
+// write through its publish. The caller holds writeMu.
+func (e *Engine) wlatch(writes []model.CellWrite) []*sync.RWMutex {
+	lt := &e.latches
+	lt.structure.RLock()
+	lt.wsegs = e.store.SegsForWrites(lt.wsegs[:0], writes)
+	lt.wheld = lt.hold(lt.wheld[:0], lt.wsegs, true)
+	return lt.wheld
 }
 
 // Generation returns the engine's mutation generation: the number of
@@ -77,86 +112,75 @@ func (lt *latchTable) forSegs(segs []int) []*sync.RWMutex {
 // ReadRange stamps every read with the generation its cells belong to.
 func (e *Engine) Generation() uint64 { return e.gen.Load() }
 
-// bumpGeneration records one applied mutation batch that excludes readers
-// (structural edits, LinkTable, Optimize); a cell-edit batch's generation
-// advances inside its publish instead.
-func (e *Engine) bumpGeneration() { e.gen.Add(1) }
-
-// RLatchRange takes read latches covering the absolute range g and returns
-// the release function. The latch set is computed over the block-aligned
-// expansion of g, because a cache-miss block load reads whole tiles.
-func (e *Engine) RLatchRange(g sheet.Range) func() {
-	e.latches.structure.RLock()
-	ls := e.latches.forSegs(e.store.SegsFor(cache.AlignToBlocks(g)))
-	for _, l := range ls {
-		l.RLock()
+// snapshot is the read's resident step: cells, mask and generation out of one
+// shared hold of the cache lock (cache.Snapshot), unless a covering block is
+// not resident or a structural mutation is in flight or queued.
+func (e *Engine) snapshot(g sheet.Range) (cells [][]sheet.Cell, pending [][]bool, gen uint64, ok bool) {
+	if !e.latches.structure.TryRLock() {
+		return nil, nil, 0, false
 	}
-	return func() {
-		for i := len(ls) - 1; i >= 0; i-- {
-			ls[i].RUnlock()
-		}
-		e.latches.structure.RUnlock()
-	}
+	defer e.latches.structure.RUnlock()
+	return e.cache.Snapshot(g, &e.gen)
 }
 
-// WLatchRefs takes write latches on every table a write of the given cells
-// mutates before it returns, and returns the release function: the tables
-// owning the cells and, on an engine without a dispatcher, those of the cone
-// the write settles inline (callers are the engine's one writer at a time, so
-// the dependency graph is read unlocked). Concurrent writers with disjoint
-// table sets proceed in parallel; acquisition is in segment order, so
-// overlapping writers queue instead of deadlocking.
-func (e *Engine) WLatchRefs(refs []sheet.Ref) func() {
-	if !e.sched.async {
-		refs = append(e.deps.Reach(refs), refs...)
-	}
-	e.latches.structure.RLock()
-	ls := e.latches.forSegs(e.store.SegsForRefs(refs))
-	for _, l := range ls {
-		l.Lock()
-	}
-	return func() {
-		for i := len(ls) - 1; i >= 0; i-- {
-			ls[i].Unlock()
-		}
-		e.latches.structure.RUnlock()
-	}
-}
-
-// LatchExclusive takes the structure lock exclusively, excluding every
-// latched reader and writer — the envelope for structural edits, layout
-// migrations (Optimize), and any operation that must see a quiesced
-// engine.
-func (e *Engine) LatchExclusive() func() {
-	e.latches.structure.Lock()
-	return e.latches.structure.Unlock
-}
-
-// ReadRange is the one read entry for concurrent use: the cells of g, their
-// staleness mask (nil when nothing in g is pending), the generation they
-// belong to, and the error of the block loads this call performed itself.
-// Resident, and no structural edit in flight or queued: cells, mask and
-// generation come out of one shared hold of the cache lock (cache.Snapshot);
-// no table latch is computed or taken. Otherwise the read latches are taken,
-// blocking, the range is read through the cache, and mask and generation are
-// sampled while still latched — no batch on these tables can be between its
-// storage write and its publish, so the three agree.
+// ReadRange is the one read path: the cells of g, their staleness mask (nil
+// when nothing in g is pending), the generation they belong to, and the error
+// of the block loads this call performed itself. Resident: the snapshot.
+// Otherwise the read latches are taken, blocking, the range is read through
+// the cache, and mask and generation are sampled while still latched — no
+// batch on these tables can be in its write window, so the three agree.
 func (e *Engine) ReadRange(g sheet.Range) ([][]sheet.Cell, [][]bool, uint64, error) {
-	if e.latches.structure.TryRLock() {
-		cells, pending, gen, ok := e.cache.Snapshot(g, &e.gen)
-		e.latches.structure.RUnlock()
-		if ok {
-			return cells, pending, gen, nil
-		}
+	if cells, pending, gen, ok := e.snapshot(g); ok {
+		return cells, pending, gen, nil
 	}
-	release := e.RLatchRange(g)
-	defer release()
+	defer e.latches.release(e.rlatch(g), false)
 	cells, err := e.cache.ReadRange(g)
-	return cells, e.cache.PendingMask(g), e.Generation(), err
+	return cells, e.cache.PendingMask(g), e.gen.Load(), err
 }
 
 // SnapshotRange is ReadRange without the staleness mask.
 func (e *Engine) SnapshotRange(g sheet.Range) ([][]sheet.Cell, uint64, error) {
 	cells, _, gen, err := e.ReadRange(g)
 	return cells, gen, err
+}
+
+// PeekCells is ReadRange's resident step alone: (nil, false) when any
+// covering block would need a storage read.
+func (e *Engine) PeekCells(g sheet.Range) ([][]sheet.Cell, bool) {
+	cells, _, _, ok := e.snapshot(g)
+	return cells, ok
+}
+
+// GetCells is the getCells(range) primitive of Section III: ReadRange with
+// unreadable cells blank and the failure left for ReadErr.
+func (e *Engine) GetCells(g sheet.Range) [][]sheet.Cell {
+	cells, _, _, err := e.ReadRange(g)
+	if err != nil {
+		e.cache.NoteErr(err)
+	}
+	return cells
+}
+
+// GetCell returns one cell.
+func (e *Engine) GetCell(row, col int) sheet.Cell {
+	return e.GetCells(sheet.NewRange(row, col, row, col))[0][0]
+}
+
+// CellValue returns one cell's value.
+func (e *Engine) CellValue(r sheet.Ref) sheet.Value { return e.GetCell(r.Row, r.Col).Value }
+
+// VisitRange visits the filled cells of g, clipped to the content bounds, in
+// row-major order until fn returns false.
+func (e *Engine) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Value) bool) {
+	g, ok := e.clip(g)
+	if !ok {
+		return
+	}
+	for i, row := range e.GetCells(g) {
+		for j, c := range row {
+			if !c.IsBlank() && !fn(sheet.Ref{Row: g.From.Row + i, Col: g.From.Col + j}, c.Value) {
+				return
+			}
+		}
+	}
 }

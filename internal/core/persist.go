@@ -117,11 +117,12 @@ func (e *Engine) saveManifests() error {
 		e.db.PutMeta(formulasKey(e.name), blob)
 		e.formulasDirty = false
 	}
+	rows, cols := e.Bounds()
 	blob, err := json.Marshal(engineManifest{
 		Version: engineFormatVersion,
 		Store:   e.store.Name(),
-		MaxRow:  e.maxRow,
-		MaxCol:  e.maxCol,
+		MaxRow:  rows,
+		MaxCol:  cols,
 		Seq:     e.seq,
 	})
 	if err != nil {
@@ -173,7 +174,8 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := buildEngine(db, name, hs, opts)
-	e.seq, e.maxRow, e.maxCol = m.Seq, m.MaxRow, m.MaxCol
+	e.seq = m.Seq
+	e.grow(m.MaxRow, m.MaxCol)
 	fblob, ok, err := db.MetaValue(formulasKey(name))
 	if err != nil {
 		// An unreadable formula set must fail the load: treating it as

@@ -118,7 +118,7 @@ func TestPipelineFaultBatchLeavesNothingHalfApplied(t *testing.T) {
 		}
 		before := captureState(t, e, 20, 6)
 
-		err := e.ApplyCells([]CellEdit{
+		_, err := e.ApplyCells([]CellEdit{
 			{Row: 10, Col: 1, Input: "5"},        // a value the live formulas read
 			{Row: 12, Col: 1, Input: "9"},        // a value that would grow the bounds
 			{Row: 15, Col: 4, Input: "=A12+1"},   // a formula before the failing one
@@ -314,18 +314,18 @@ func TestPipelineSyncEngineDrainsItself(t *testing.T) {
 	}
 }
 
-// An edit that slips in between the dispatcher's plan and the locks of the
+// An edit that slips in between the dispatcher's plan and the edit lock of the
 // plan's next chunk makes the chunk's order stale: D1 was planned when only
 // B1 had changed, and by the time it commits C1, which it reads, is pending
-// too. The chunk must not evaluate D1 over the old C1 and un-mark it. The
-// test parks the dispatcher on the chunk's latch (a queued writer makes
-// TryRLock on the table's latch fail), edits, and lets it go.
+// too. The chunk must not evaluate D1 over the old C1 and un-mark it. With the
+// edit lock outermost there is nothing between a plan and its chunk to park a
+// running dispatcher on, so the test closes the engine — no dispatcher, edits
+// keep marking — and takes the dispatcher's steps itself, in that order.
 func TestPipelineStaleChunkKeepsCellsPending(t *testing.T) {
 	e, err := New(rdbms.Open(rdbms.Options{}), "p", Options{AsyncRecalc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = e.Close() })
 	if err := e.SetCells([]CellEdit{
 		{Row: 1, Col: 1, Input: "1"}, {Row: 1, Col: 2, Input: "2"},
 		{Row: 1, Col: 3, Input: "=A1*10"}, {Row: 1, Col: 4, Input: "=B1+C1"},
@@ -333,25 +333,40 @@ func TestPipelineStaleChunkKeepsCellsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustDrain(t, e)
-	d1 := sheet.NewRange(1, 4, 1, 4)
-	release := e.RLatchRange(d1)
-	if err := e.Set(1, 2, "3"); err != nil { // plan: [D1]
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	latch := e.latches.forSegs(e.store.SegsForRefs([]sheet.Ref{d1.From}))[0]
-	within(t, "the dispatcher reaching D1's latch", func() {
-		for latch.TryRLock() {
-			latch.RUnlock()
-			time.Sleep(time.Millisecond)
-		}
-	})
+	s := e.sched
+	plan := func() []recalcChunk { // what process does before it plans
+		s.mu.Lock()
+		s.restructure = false
+		s.mu.Unlock()
+		return s.buildPlan()
+	}
+	if err := e.Set(1, 2, "3"); err != nil {
+		t.Fatal(err)
+	}
+	chunks := plan()
+	if len(chunks) != 1 || len(chunks[0].refs) != 1 || chunks[0].refs[0] != (sheet.Ref{Row: 1, Col: 4}) {
+		t.Fatalf("plan = %+v, want [D1]", chunks)
+	}
 	if err := e.Set(1, 1, "5"); err != nil { // marks C1; D1's chunk is stale
 		t.Fatal(err)
 	}
-	release()
-	mustDrain(t, e)
-	if got := cellNum(t, e, 1, 4); got != 53 {
-		t.Fatalf("D1 = %v, want B1 + A1*10 = 53", got)
+	unlock := s.lock()
+	err = s.commitChunk(chunks[0])
+	unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.IsPending(1, 4) {
+		t.Fatalf("the stale chunk un-marked D1 = %v", cellNum(t, e, 1, 4))
+	}
+	if err := s.commitPlan(plan()); err != nil {
+		t.Fatal(err)
+	}
+	if got := cellNum(t, e, 1, 4); got != 53 || e.PendingCount() != 0 {
+		t.Fatalf("D1 = %v with %d cells pending, want B1 + A1*10 = 53 and none", got, e.PendingCount())
 	}
 }
 

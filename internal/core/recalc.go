@@ -21,24 +21,19 @@
 //     edit, Drain, WaitRange or Close runs the plan again itself, so a
 //     synchronous engine never waits on a cell nobody will compute.
 //
-// Concurrency contract (lock order: table latches → writeMu → sched.mu →
-// pending sidecar):
+// Concurrency contract (the lock order is stated once, in latch.go):
 //
-//   - Every edit path (apply, shift, LinkTable, Optimize, Save) holds
-//     writeMu, so engine maps (exprs, constants, cycles, depgraph, bounds)
-//     have a single writer at a time.
-//   - The dispatcher commits one bounded chunk at a time: it write-latches
-//     the chunk's table segments (readers of other segments never wait),
-//     takes writeMu, evaluates the chunk's cells in parallel (reads only —
-//     chunk members are mutually independent, same topological wave), then
-//     commits them in one batch: one store write, one publish that pokes the
-//     values and clears their pending bits together.
-//   - An inline settle runs under the writeMu its edit already holds and
-//     under whatever latches the edit's caller took: around a synchronous
-//     engine's batch the serving layer's WLatchRefs covers the cone too;
-//     embedded callers are single-goroutine. It takes no lock of its own and
-//     starts no goroutine (recalcScheduler.lock and WLatchRefs are where the
-//     two differ).
+//   - Every executor step — building a plan, committing a chunk, the
+//     drain-save — runs under writeMu, like every edit: the dispatcher takes
+//     it per step, an inline settle's caller holds it already
+//     (recalcScheduler.lock is the one place the two differ). An inline
+//     settle starts no goroutine.
+//   - A chunk is evaluated under writeMu alone (reads only — chunk members
+//     are mutually independent, same topological wave; in parallel on the
+//     dispatcher), then committed in one batch through Engine.commit: one
+//     store write and one publish that pokes the values and clears their
+//     pending bits together, the tables' write latches held for just that, so
+//     a reader loading a cold block never waits for an evaluation.
 //   - Edits concurrent with a running plan set the restructure flag (under
 //     writeMu); the executor abandons its stale plan at the next chunk
 //     boundary and rebuilds from the pending bits, whose closure property
@@ -65,9 +60,9 @@ import (
 	"dataspread/internal/sheet"
 )
 
-// recalcChunkSize bounds how many cells one commit holds write latches
-// for: large enough to amortize latch churn and fan work to the pool,
-// small enough that a viewport read never waits behind a long commit.
+// recalcChunkSize bounds how many cells one executor step holds the edit lock
+// for: large enough to amortize lock churn and fan work to the pool, small
+// enough that an edit never waits behind a long evaluation.
 const recalcChunkSize = 512
 
 // coldDelay is the dispatcher's quiet window: how long after the latest edit
@@ -143,11 +138,6 @@ func (e *Engine) PendingCount() int { return e.cache.PendingCount() }
 
 // PendingInRange counts the pending cells inside g.
 func (e *Engine) PendingInRange(g sheet.Range) int { return e.cache.PendingInRange(g) }
-
-// PendingMask returns a per-cell staleness grid for g, nil when g is fully
-// converged. Sampled on its own it is advisory; ReadRange returns the mask
-// that belongs to the cells it read.
-func (e *Engine) PendingMask(g sheet.Range) [][]bool { return e.cache.PendingMask(g) }
 
 // IsPending reports whether one cell's displayed value is stale.
 func (e *Engine) IsPending(row, col int) bool {
@@ -249,29 +239,22 @@ func (e *Engine) settle() error {
 	return nil
 }
 
-// lock takes what one executor step needs — the write latches of the tables
-// owning refs, then the edit lock — and returns the release. The caller of an
-// inline settle already holds both.
-func (s *recalcScheduler) lock(refs []sheet.Ref) (unlock func()) {
+// lock takes the edit lock for one executor step and returns the release: the
+// dispatcher takes writeMu, an inline settle's caller holds it.
+func (s *recalcScheduler) lock() (unlock func()) {
 	if !s.async {
 		return func() {}
 	}
-	release := s.e.WLatchRefs(refs)
 	s.e.writeMu.Lock()
-	return func() {
-		s.e.writeMu.Unlock()
-		release()
-	}
+	return s.e.writeMu.Unlock
 }
 
 // wait blocks until done() holds, the executor stalls, or it closes. A
-// synchronous engine has no dispatcher to wait for: the waiter settles
-// whatever a failed edit left pending itself, under the locks a dispatcher
-// step would take, so Drain, Close and the drained edit lock never hang.
+// synchronous engine has no dispatcher to wait for: the waiter becomes the
+// caller of an inline settle of whatever a failed edit left pending, so
+// Drain, Close and the drained edit lock never hang.
 func (s *recalcScheduler) wait(done func() bool) error {
 	if e := s.e; !s.async {
-		release := e.WLatchRefs(e.cache.PendingRefs())
-		defer release()
 		e.writeMu.Lock()
 		defer e.writeMu.Unlock()
 		return e.settle()
@@ -381,14 +364,14 @@ func (s *recalcScheduler) process() error {
 	return s.commitPlan(s.buildPlan())
 }
 
-// commitPlan commits a plan's chunks in order, each under its own locks,
-// stopping at the first chunk boundary after the plan went stale.
+// commitPlan commits a plan's chunks in order, each under its own hold of the
+// edit lock, stopping at the first chunk boundary after the plan went stale.
 func (s *recalcScheduler) commitPlan(chunks []recalcChunk) error {
 	for _, chunk := range chunks {
 		if s.interrupted() {
 			return nil
 		}
-		unlock := s.lock(chunk.refs)
+		unlock := s.lock()
 		err := s.commitChunk(chunk)
 		unlock()
 		if err != nil {
@@ -453,7 +436,7 @@ func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 		return nil
 	}
 	e := s.e
-	unlock := s.lock(nil)
+	unlock := s.lock()
 	defer unlock()
 	var seeds []sheet.Ref
 	for _, g := range vps {
@@ -475,7 +458,7 @@ func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 // chunks.
 func (s *recalcScheduler) buildPlan() []recalcChunk {
 	e := s.e
-	unlock := s.lock(nil)
+	unlock := s.lock()
 	var cone *depgraph.Cone
 	// An edit that held the lock meanwhile has marked and flagged: a plan
 	// built now would be abandoned at its first chunk, after the O(cone)
@@ -550,10 +533,10 @@ func (s *recalcScheduler) hotSet(cone *depgraph.Cone) map[sheet.Ref]bool {
 	return hot
 }
 
-// commitChunk evaluates and commits one chunk under its locks: evaluate
+// commitChunk evaluates and commits one chunk under the edit lock: evaluate
 // in parallel (reads only), write the changed values through in one batch,
 // clear pending bits. An edit may have slipped in between the plan and the
-// locks (it marks and flags under writeMu, so the flag is exact here): the
+// lock (it marks and flags under writeMu, so the flag is exact here): the
 // plan's order is then stale, and only the cells that read no pending cell
 // — right to evaluate under any plan — commit; the rest stay pending for the
 // rebuilt plan.
@@ -613,14 +596,14 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 					if i >= len(jobs) {
 						return
 					}
-					vals[i] = formula.Eval(jobs[i].expr, e)
+					vals[i] = formula.Eval(jobs[i].expr, evalReader{e})
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		for i := range jobs {
-			vals[i] = formula.Eval(jobs[i].expr, e)
+			vals[i] = formula.Eval(jobs[i].expr, evalReader{e})
 		}
 	}
 	writes := make([]model.CellWrite, 0, len(jobs))

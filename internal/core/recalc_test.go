@@ -114,7 +114,7 @@ func TestApplyCellsStoreFailureKeepsFormulas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := e.ApplyCells([]CellEdit{
+	_, err := e.ApplyCells([]CellEdit{
 		{Row: 10, Col: 2, Input: "7"},      // would overwrite the formula...
 		{Row: 1, Col: 1, Input: "clobber"}, // ...but this header write fails
 	})
@@ -233,7 +233,7 @@ func TestRecalcAsyncConverges(t *testing.T) {
 			t.Fatalf("after re-edit B%d = %v, want %d", i, got, 4*i)
 		}
 	}
-	if mask := e.PendingMask(sheet.NewRange(1, 1, 60, 2)); mask != nil {
+	if _, mask, _, _ := e.ReadRange(sheet.NewRange(1, 1, 60, 2)); mask != nil {
 		t.Fatalf("pending mask after drain = %v, want nil", mask)
 	}
 }

@@ -49,7 +49,11 @@ type EditStats struct {
 }
 
 // LastEditStats returns the counters of the most recent structural edit.
-func (e *Engine) LastEditStats() EditStats { return e.lastEdit }
+func (e *Engine) LastEditStats() EditStats {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	return e.lastEdit
+}
 
 // InsertRowAfter inserts one spreadsheet row after `row` (Section III:
 // insertRowAfter).
@@ -90,23 +94,45 @@ func (e *Engine) DeleteColumns(col, count int) error {
 	return e.shift(depgraph.Cols, col, -max(count, 0))
 }
 
-// shift is the one structural-edit entry, in depgraph.Shift's convention: a
+// shift is Shift for the wrappers above, which hand back no generation.
+func (e *Engine) shift(axis depgraph.Axis, at, delta int) error {
+	_, err := e.Shift(axis, at, delta)
+	return err
+}
+
+// Shift is the one structural-edit entry, in depgraph.Shift's convention: a
 // positive delta inserts delta blank rows or columns before index `at`, a
 // negative one deletes the -delta rows or columns starting at `at` (the
 // wrappers turn a count below 1 into delta 0, which is rejected). It takes
-// the same pipeline as a cell edit — apply (the store's positional shift,
-// bounds, cache, formula relocation) -> mark pending -> settle -> write
-// through — followed by one WAL commit.
-func (e *Engine) shift(axis depgraph.Axis, at, delta int) error {
+// the same pipeline as a cell edit — apply (shiftLocked) -> mark pending ->
+// settle -> write through — followed by one WAL commit, and returns the
+// generation the edit published.
+func (e *Engine) Shift(axis depgraph.Axis, at, delta int) (uint64, error) {
 	sh := formula.Shift{Rows: axis == depgraph.Rows, At: at, Count: max(delta, -delta), Delete: delta < 0}
 	if sh.Count < 1 || at < 1 {
-		return fmt.Errorf("core: structural edit of %d rows/columns at index %d", delta, at)
+		return 0, fmt.Errorf("core: structural edit of %d rows/columns at index %d", delta, at)
 	}
 	if err := e.writeGuard(); err != nil {
-		return err
+		return 0, err
 	}
-	unlock := e.lockWritesDrained()
-	defer unlock()
+	defer e.lockWritesDrained()()
+	gen, err := e.shiftLocked(sh, axis, at, delta)
+	if err != nil {
+		return 0, err
+	}
+	if err := e.settle(); err != nil {
+		return 0, err
+	}
+	return gen, e.saveLocked()
+}
+
+// shiftLocked is the structural edit up to the point where readers may see
+// it, with the structure lock held exclusively: the store's positional shift,
+// bounds, cache, formula relocation, the pending marks of the formulas reading
+// across the edit, the generation — not the settle or the save that follow.
+func (e *Engine) shiftLocked(sh formula.Shift, axis depgraph.Axis, at, delta int) (uint64, error) {
+	e.latches.structure.Lock()
+	defer e.latches.structure.Unlock()
 	e.lastEdit = EditStats{}
 	band, extent := sheet.NewRange(1, at, maxCoord, at+sh.Count-1), &e.maxCol
 	if sh.Rows {
@@ -131,18 +157,18 @@ func (e *Engine) shift(axis depgraph.Axis, at, delta int) error {
 		err = e.store.InsertColumnsAfter(at-1, sh.Count)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if !sh.Delete {
+	if last := int(extent.Load()); !sh.Delete {
 		// The extent grows only when the insert displaces content: blank
 		// rows appended past the last filled row do not move anything.
-		if at <= *extent {
-			*extent += sh.Count
+		if at <= last {
+			extent.Add(int64(sh.Count))
 		}
-	} else if over := min(*extent, at+sh.Count-1) - at + 1; over > 0 {
+	} else if over := min(last, at+sh.Count-1) - at + 1; over > 0 {
 		// Clamp the decrement to rows that actually held content, so
 		// repeated out-of-range deletes cannot shrink bounds below live data.
-		*extent -= over
+		extent.Add(-int64(over))
 	}
 	if sh.Rows {
 		e.cache.ShiftRows(at, delta)
@@ -150,7 +176,7 @@ func (e *Engine) shift(axis depgraph.Axis, at, delta int) error {
 		e.cache.ShiftCols(at, delta)
 	}
 	if err := e.applyShift(sh, axis, at, delta); err != nil {
-		return err
+		return 0, err
 	}
 	if sh.Delete {
 		seeds = shiftSeeds(seeds, axis, at, sh.Count)
@@ -164,11 +190,7 @@ func (e *Engine) shift(axis depgraph.Axis, at, delta int) error {
 	// one of its members): those formulas come back to life alongside the
 	// seeds. Never a full recalculation.
 	e.lastEdit.Recomputed = e.mark(append(seeds, e.reviveCycles()...), nil)
-	e.bumpGeneration()
-	if err := e.settle(); err != nil {
-		return err
-	}
-	return e.saveLocked()
+	return e.gen.Add(1), nil
 }
 
 // maxCoord bounds the open edge of an edit band (any real reference fits).
@@ -287,7 +309,7 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 		cell.Formula = t.src
 		writes[i] = model.CellWrite{Row: t.ref.Row, Col: t.ref.Col, Cell: cell}
 	}
-	return e.commit(writes)
+	return e.commitLatched(writes)
 }
 
 // textWrite is a formula cell whose source text a structural edit rewrote.

@@ -23,9 +23,9 @@ type AblationWeightedRow struct {
 	MeanGridReduction float64 // collapsed cells / raw cells
 }
 
-// AblationWeighted quantifies design decision 2 of DESIGN.md: the weighted
-// collapse must preserve the optimum (Theorem 5) while shrinking the DP
-// grid substantially.
+// AblationWeighted quantifies the weighted collapse of the optimizer's DP
+// grid: it must preserve the optimum (Theorem 5) while shrinking the grid
+// substantially.
 func AblationWeighted(cfg Config) []AblationWeightedRow {
 	cfg = cfg.Resolve()
 	corp := cfg.buildCorpora()

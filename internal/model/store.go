@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dataspread/internal/hybrid"
@@ -198,21 +199,19 @@ func (h *HybridStore) SegsFor(g sheet.Range) []int {
 	return segs
 }
 
-// SegsForRefs returns the segment ids of the backing tables a write of the
+// SegsForWrites returns the segment ids of the backing tables a write of the
 // given cells mutates: the owning region of each cell, or the overflow RCV
-// for cells outside every region. Sorted ascending (the latch order).
-func (h *HybridStore) SegsForRefs(refs []sheet.Ref) []int {
-	seen := map[int]bool{}
-	for _, r := range refs {
+// for cells outside every region, appended to segs (empty, for its capacity)
+// and sorted ascending (the latch order).
+func (h *HybridStore) SegsForWrites(segs []int, writes []CellWrite) []int {
+	for _, w := range writes {
 		seg := overflowSeg
-		if reg := h.regionAt(r.Row, r.Col); reg != nil {
+		if reg := h.regionAt(w.Row, w.Col); reg != nil {
 			seg = reg.seg
 		}
-		seen[seg] = true
-	}
-	segs := make([]int, 0, len(seen))
-	for s := range seen {
-		segs = append(segs, s)
+		if !slices.Contains(segs, seg) {
+			segs = append(segs, seg)
+		}
 	}
 	sortInts(segs)
 	return segs

@@ -81,7 +81,7 @@ func (t *TOM) Get(row, col int) (sheet.Cell, error) {
 	if !ok {
 		return sheet.Cell{}, fmt.Errorf("model: TOM dangling pointer %v", rid)
 	}
-	return sheet.Cell{Value: datumToValue(tuple[col-1])}, nil
+	return sheet.Cell{Value: DatumToValue(tuple[col-1])}, nil
 }
 
 // GetCells implements Translator: the header row renders from the schema,
@@ -121,7 +121,7 @@ func (t *TOM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	err := t.db.GetMany(rids, proj, func(i int, vals rdbms.Row) error {
 		rowOut := out[rowOff+i]
 		for j, d := range vals {
-			rowOut[j] = sheet.Cell{Value: datumToValue(d)}
+			rowOut[j] = sheet.Cell{Value: DatumToValue(d)}
 		}
 		return nil
 	})
@@ -152,7 +152,7 @@ func (t *TOM) Update(row, col int, c sheet.Cell) error {
 	if !ok {
 		return fmt.Errorf("model: TOM dangling pointer %v", rid)
 	}
-	d, err := valueToDatum(c.Value, t.db.Schema.Cols[col-1].Type)
+	d, err := ValueToDatum(c.Value, t.db.Schema.Cols[col-1].Type)
 	if err != nil {
 		return err
 	}
@@ -263,8 +263,10 @@ func (t *TOM) StorageBytes() int64 { return t.db.StorageBytes() }
 // the region only severs it.
 func (t *TOM) Drop() error { return nil }
 
-// datumToValue converts a database datum to a spreadsheet value.
-func datumToValue(d rdbms.Datum) sheet.Value {
+// DatumToValue converts a database datum to a spreadsheet value: the one
+// Datum<->Value conversion, with ValueToDatum, for linked tables, sql(...)
+// parameters and relational results.
+func DatumToValue(d rdbms.Datum) sheet.Value {
 	switch d.Type() {
 	case rdbms.DTNull:
 		return sheet.Empty
@@ -276,8 +278,8 @@ func datumToValue(d rdbms.Datum) sheet.Value {
 	return sheet.Str(d.Str())
 }
 
-// valueToDatum converts a spreadsheet value into the column's type.
-func valueToDatum(v sheet.Value, t rdbms.DType) (rdbms.Datum, error) {
+// ValueToDatum converts a spreadsheet value into the column's type.
+func ValueToDatum(v sheet.Value, t rdbms.DType) (rdbms.Datum, error) {
 	if v.IsEmpty() {
 		return rdbms.Null, nil
 	}

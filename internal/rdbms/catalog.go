@@ -750,9 +750,15 @@ func (t *Table) Update(rid RID, r Row) (RID, error) {
 	if len(r) != t.Schema.Arity() {
 		return RID{}, fmt.Errorf("rdbms: %s: row arity %d != schema arity %d", t.Name, len(r), t.Schema.Arity())
 	}
-	old, ok := t.heap.get(rid)
-	if !ok {
-		return RID{}, fmt.Errorf("rdbms: %s: update of missing tuple %v", t.Name, rid)
+	// The old row is decoded only for the index entries it has to leave; a
+	// table without indexes (every sheet table) skips the read, and a
+	// missing tuple is reported by the heap's own update.
+	var old Row
+	if len(t.indexes) > 0 {
+		var ok bool
+		if old, ok = t.heap.get(rid); !ok {
+			return RID{}, fmt.Errorf("rdbms: %s: update of missing tuple %v", t.Name, rid)
+		}
 	}
 	newRID, err := t.heap.update(rid, r)
 	if err != nil {

@@ -82,6 +82,9 @@ func TestTableCRUD(t *testing.T) {
 	if tab.Delete(nrid) {
 		t.Fatal("double delete must fail")
 	}
+	if _, err := tab.Update(nrid, Row{Int(1), Text("carol")}); err == nil {
+		t.Fatal("update of a deleted tuple must fail")
+	}
 }
 
 func TestTableIndex(t *testing.T) {

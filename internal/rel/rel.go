@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dataspread/internal/model"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -58,7 +59,7 @@ func FromResult(r *rdbms.Result) *TableValue {
 	for _, row := range r.Rows {
 		out := make([]sheet.Value, len(row))
 		for i, d := range row {
-			out[i] = datumValue(d)
+			out[i] = model.DatumToValue(d)
 		}
 		tv.Rows = append(tv.Rows, out)
 	}
@@ -92,18 +93,6 @@ func FromCells(cells [][]sheet.Cell, headers bool) *TableValue {
 		tv.Rows = append(tv.Rows, out)
 	}
 	return tv
-}
-
-func datumValue(d rdbms.Datum) sheet.Value {
-	switch d.Type() {
-	case rdbms.DTNull:
-		return sheet.Empty
-	case rdbms.DTInt, rdbms.DTFloat:
-		return sheet.Number(d.Float64())
-	case rdbms.DTBool:
-		return sheet.Bool(d.BoolVal())
-	}
-	return sheet.Str(d.Str())
 }
 
 func rowKey(row []sheet.Value) string {

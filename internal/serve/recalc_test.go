@@ -119,7 +119,7 @@ func TestServeAsyncViewportPending(t *testing.T) {
 		s.mu.Lock()
 		h := s.sheets["s"]
 		s.mu.Unlock()
-		if h != nil && h.eng.PendingCount() == 0 {
+		if h != nil && h.PendingCount() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -465,6 +465,92 @@ func TestServeConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestServeConcurrentWritersReplyGenerations: a set-cells reply carries the
+// generation its own batch published, not whatever the sheet has reached by the
+// time the reply is written. Two connections paste uniform batches over one
+// range; no two replies share a generation, and a read stamped with a reply's
+// generation shows exactly that reply's batch.
+func TestServeConcurrentWritersReplyGenerations(t *testing.T) {
+	const (
+		writers, rounds = 2, 40
+		rows, cols      = 8, 8
+	)
+	db := rdbms.Open(rdbms.Options{})
+	_, addr := startServer(t, db, core.Options{AsyncRecalc: true})
+	boot := dialT(t, addr)
+	if err := boot.Open("g"); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	var mu sync.Mutex
+	batchAt := map[uint64]float64{} // reply generation -> the value its batch pasted
+	var done atomic.Bool
+	var wg, readers sync.WaitGroup
+	for id := 0; id < writers; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := dialT(t, addr)
+			for v := 1; v <= rounds; v++ {
+				value := float64(id*1000 + v)
+				edits := make([]core.CellEdit, 0, rows*cols)
+				for r := 1; r <= rows; r++ {
+					for col := 1; col <= cols; col++ {
+						edits = append(edits, core.CellEdit{Row: r, Col: col, Input: fmt.Sprint(value)})
+					}
+				}
+				gen, err := c.SetCells("g", edits)
+				if err != nil {
+					t.Errorf("writer %d: %v", id, err)
+					return
+				}
+				mu.Lock()
+				if other, dup := batchAt[gen]; dup {
+					t.Errorf("batches %v and %v were both answered with generation %d", other, value, gen)
+				}
+				batchAt[gen] = value
+				mu.Unlock()
+			}
+		}()
+	}
+	type seen struct {
+		gen   uint64
+		value sheet.Value
+	}
+	var reads []seen
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		c := dialT(t, addr)
+		for !done.Load() {
+			cells, gen, err := c.GetRange("g", 1, 1, rows, cols)
+			if err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+			for _, row := range cells {
+				for _, cell := range row {
+					if !cell.Value.Equal(cells[0][0].Value) {
+						t.Errorf("generation %d: torn read, %v beside %v", gen, cell.Value, cells[0][0].Value)
+						return
+					}
+				}
+			}
+			reads = append(reads, seen{gen, cells[0][0].Value})
+		}
+	}()
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+	if len(batchAt) != writers*rounds {
+		t.Fatalf("%d distinct reply generations for %d batches", len(batchAt), writers*rounds)
+	}
+	for _, r := range reads {
+		if want, ok := batchAt[r.gen]; ok && !r.value.Equal(sheet.Number(want)) {
+			t.Fatalf("a read stamped generation %d shows %v, the batch answered with it pasted %v", r.gen, r.value, want)
+		}
+	}
+}
+
 // TestServeReadersDuringStructural checks reads stay coherent (right
 // values, no panics) while rows shift underneath them.
 func TestServeReadersDuringStructural(t *testing.T) {

@@ -7,23 +7,26 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"dataspread/internal/core"
+	"dataspread/internal/depgraph"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
 
-// Server serves one database to many clients: one goroutine per
-// connection, engines shared across connections, a sheet's writers ordered
-// by its sheetHandle.
+// Server serves one database to many clients: one goroutine per connection,
+// one engine per sheet shared across connections. The engine orders its own
+// readers and writers (core/latch.go); a session calls its plain methods.
 type Server struct {
 	db   *rdbms.DB
 	opts core.Options
 
 	mu     sync.Mutex
-	sheets map[string]*sheetHandle
+	sheets map[string]*core.Engine
 
 	connMu sync.Mutex
 	ln     net.Listener
@@ -42,7 +45,7 @@ func New(db *rdbms.DB, opts core.Options) *Server {
 	return &Server{
 		db:     db,
 		opts:   opts,
-		sheets: make(map[string]*sheetHandle),
+		sheets: make(map[string]*core.Engine),
 		conns:  make(map[net.Conn]struct{}),
 	}
 }
@@ -112,17 +115,23 @@ func (s *Server) Close() error {
 	}
 	s.connMu.Unlock()
 	s.wg.Wait()
-	var errs []error
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, h := range s.sheets {
+	return s.stopSheets()
+}
+
+// stopSheets stops every open sheet's background recalc and saves the sheet.
+// The caller holds s.mu.
+func (s *Server) stopSheets() error {
+	var errs []error
+	for name, eng := range s.sheets {
 		// Stop the background recalc first: it drains outstanding pending
 		// cells (best effort) and performs its own final save, so the
 		// explicit Save below persists a converged sheet.
-		if err := h.eng.Close(); err != nil {
+		if err := eng.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("sheet %q recalc: %w", name, err))
 		}
-		if err := h.eng.Save(); err != nil {
+		if err := eng.Save(); err != nil {
 			errs = append(errs, fmt.Errorf("sheet %q: %w", name, err))
 		}
 	}
@@ -145,15 +154,15 @@ func (s *Server) Stats() Stats {
 		st.Faults = fs.RuleStats()
 	}
 	s.mu.Lock()
-	for name, h := range s.sheets {
+	for name, eng := range s.sheets {
 		st.Sheets = append(st.Sheets, SheetStat{
 			Name:    name,
-			Gen:     h.eng.Generation(),
-			Pending: uint64(h.eng.PendingCount()),
+			Gen:     eng.Generation(),
+			Pending: uint64(eng.PendingCount()),
 		})
 	}
 	s.mu.Unlock()
-	sortSheetStats(st.Sheets)
+	slices.SortFunc(st.Sheets, func(a, b SheetStat) int { return strings.Compare(a.Name, b.Name) })
 	return st
 }
 
@@ -180,11 +189,8 @@ func (s *Server) Scrub(rate int) (ScrubSummary, error) {
 func (s *Server) SaveSheets() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, h := range s.sheets {
-		h.wmu.Lock()
-		err := h.eng.Save()
-		h.wmu.Unlock()
-		if err != nil {
+	for name, eng := range s.sheets {
+		if err := eng.Save(); err != nil {
 			return fmt.Errorf("serve: save sheet %q: %w", name, err)
 		}
 	}
@@ -241,52 +247,30 @@ func (s *Server) Backup(w io.Writer, rate int) (BackupSummary, error) {
 func (s *Server) Recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, h := range s.sheets {
-		h.wmu.Lock()
-		// Stop the recalc scheduler before the engine is dropped (its
-		// dispatcher would otherwise outlive the handle); on a poisoned
-		// store both the drain-save and the explicit save fail, and
-		// recovery proceeds from the last durable commit regardless.
-		_ = h.eng.Close()
-		_ = h.eng.Save()
-		h.wmu.Unlock()
-	}
+	// No dispatcher may outlive its engine; on a poisoned store its drain-save
+	// and the explicit save both fail, which is what recovery is for.
+	_ = s.stopSheets()
 	if err := s.db.Recover(); err != nil {
 		return err
 	}
-	s.sheets = make(map[string]*sheetHandle)
+	s.sheets = make(map[string]*core.Engine)
 	return nil
 }
 
-func sortSheetStats(sh []SheetStat) {
-	for i := 1; i < len(sh); i++ {
-		for j := i; j > 0 && sh[j].Name < sh[j-1].Name; j-- {
-			sh[j], sh[j-1] = sh[j-1], sh[j]
-		}
-	}
-}
-
-// sheetHandleFor returns the handle for name, opening (or creating) the
-// sheet on first use.
-func (s *Server) sheetHandleFor(name string, create bool) (*sheetHandle, error) {
+// engineFor returns the engine for name, opening (or creating) the sheet on
+// first use.
+func (s *Server) engineFor(name string, create bool) (*core.Engine, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h, ok := s.sheets[name]; ok {
-		return h, nil
-	}
-	exists := false
-	for _, n := range core.SheetNames(s.db) {
-		if n == name {
-			exists = true
-			break
-		}
+	if eng, ok := s.sheets[name]; ok {
+		return eng, nil
 	}
 	var (
 		eng *core.Engine
 		err error
 	)
 	switch {
-	case exists:
+	case slices.Contains(core.SheetNames(s.db), name):
 		eng, err = core.Load(s.db, name, s.opts)
 	case create:
 		eng, err = core.New(s.db, name, s.opts)
@@ -296,9 +280,8 @@ func (s *Server) sheetHandleFor(name string, create bool) (*sheetHandle, error) 
 	if err != nil {
 		return nil, err
 	}
-	h := &sheetHandle{name: name, eng: eng}
-	s.sheets[name] = h
-	return h, nil
+	s.sheets[name] = eng
+	return eng, nil
 }
 
 // sessionState is the per-connection state dispatch threads through:
@@ -374,8 +357,8 @@ func (s *Server) dropViewports(sess *sessionState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, id := range sess.viewports {
-		if h, ok := s.sheets[name]; ok {
-			h.eng.UnregisterViewport(id)
+		if eng, ok := s.sheets[name]; ok {
+			eng.UnregisterViewport(id)
 		}
 	}
 	sess.viewports = nil
@@ -401,18 +384,13 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		if err := d.done(); err != nil {
 			return appendErr(b, err)
 		}
-		h, err := s.sheetHandleFor(name, op == OpOpen)
+		eng, err := s.engineFor(name, op == OpOpen)
+		if err == nil && op == OpClose {
+			// Close flushes; the engine stays open for other sessions.
+			err = eng.Save()
+		}
 		if err != nil {
 			return appendErr(b, err)
-		}
-		if op == OpClose {
-			// Close flushes; the engine stays open for other sessions.
-			h.wmu.Lock()
-			err = h.eng.Save()
-			h.wmu.Unlock()
-			if err != nil {
-				return appendErr(b, err)
-			}
 		}
 		return append(b, StatusOK)
 
@@ -431,11 +409,11 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		if area := (r2 - r1 + 1) * (c2 - c1 + 1); area > MaxRangeCells {
 			return appendErr(b, fmt.Errorf("serve: range of %d cells exceeds cap %d", area, MaxRangeCells))
 		}
-		h, err := s.sheetHandleFor(name, false)
+		eng, err := s.engineFor(name, false)
 		if err != nil {
 			return appendErr(b, err)
 		}
-		cells, pending, gen, err := h.eng.ReadRange(sheet.NewRange(r1, c1, r2, c2))
+		cells, pending, gen, err := eng.ReadRange(sheet.NewRange(r1, c1, r2, c2))
 		if err != nil {
 			return appendErr(b, err)
 		}
@@ -459,11 +437,16 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		if err := d.done(); err != nil {
 			return appendErr(b, err)
 		}
-		h, err := s.sheetHandleFor(name, false)
+		eng, err := s.engineFor(name, false)
 		if err != nil {
 			return appendErr(b, err)
 		}
-		gen, err := h.setCells(edits)
+		// Apply, then fsync, nothing held: a reader waits for neither. The
+		// reply carries the generation this batch published.
+		gen, err := eng.ApplyCells(edits)
+		if err == nil {
+			err = eng.Save()
+		}
 		if err != nil {
 			return appendErr(b, err)
 		}
@@ -477,20 +460,21 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		if err := d.done(); err != nil {
 			return appendErr(b, err)
 		}
-		h, err := s.sheetHandleFor(name, false)
+		eng, err := s.engineFor(name, false)
 		if err != nil {
 			return appendErr(b, err)
 		}
+		// Engine.Shift inserts before an index; the wire ops insert after one.
 		var gen uint64
 		switch op {
 		case OpInsertRows:
-			gen, err = h.structural(func() error { return h.eng.InsertRowsAfter(at, count) })
+			gen, err = eng.Shift(depgraph.Rows, at+1, count)
 		case OpDeleteRows:
-			gen, err = h.structural(func() error { return h.eng.DeleteRows(at, count) })
+			gen, err = eng.Shift(depgraph.Rows, at, -count)
 		case OpInsertCols:
-			gen, err = h.structural(func() error { return h.eng.InsertColumnsAfter(at, count) })
+			gen, err = eng.Shift(depgraph.Cols, at+1, count)
 		case OpDeleteCols:
-			gen, err = h.structural(func() error { return h.eng.DeleteColumns(at, count) })
+			gen, err = eng.Shift(depgraph.Cols, at, -count)
 		}
 		if err != nil {
 			return appendErr(b, err)
@@ -507,14 +491,14 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		if err := d.done(); err != nil {
 			return appendErr(b, err)
 		}
-		h, err := s.sheetHandleFor(name, false)
+		eng, err := s.engineFor(name, false)
 		if err != nil {
 			return appendErr(b, err)
 		}
 		if r1 == 0 && c1 == 0 && r2 == 0 && c2 == 0 {
 			// Clear the session's registration on this sheet.
 			if id, ok := sess.viewports[name]; ok {
-				h.eng.UnregisterViewport(id)
+				eng.UnregisterViewport(id)
 				delete(sess.viewports, name)
 			}
 			return append(b, StatusOK)
@@ -524,12 +508,12 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		}
 		g := sheet.NewRange(r1, c1, r2, c2)
 		if id, ok := sess.viewports[name]; ok {
-			h.eng.UpdateViewport(id, g)
+			eng.UpdateViewport(id, g)
 		} else {
 			if sess.viewports == nil {
 				sess.viewports = make(map[string]int)
 			}
-			sess.viewports[name] = h.eng.RegisterViewport(g)
+			sess.viewports[name] = eng.RegisterViewport(g)
 		}
 		return append(b, StatusOK)
 

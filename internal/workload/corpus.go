@@ -1,8 +1,8 @@
 // Package workload generates the synthetic workloads behind every
 // experiment in the reproduction: statistical spreadsheet corpora
 // calibrated to the four datasets of Table I (the real corpora are not
-// redistributable; see DESIGN.md for the substitution argument), the large
-// synthetic sheets of Section VII-B.e, the VCF-scale genomics data of
+// redistributable; sheets are drawn to match their published statistics),
+// the large synthetic sheets of Section VII-B.e, the VCF-scale genomics data of
 // Example 1, the update-operation mix of Appendix C-A2, and the published
 // user-survey distribution of Figure 6.
 //
