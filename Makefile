@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serve test-faults bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
+.PHONY: all build test test-serve test-faults test-format bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
 
 # Rounds for the crash-fuzz soak (`make soak`); ~200 is 60-90s locally.
 SOAK_ROUNDS ?= 200
@@ -75,6 +75,19 @@ bench-commit:
 test-faults:
 	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|CatalogDDL|Pipeline' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
 
+# The on-disk format alone: the compat tests over the golden fixture (every
+# damaged or foreign-version structure refused by name), ten seconds of each
+# manifest decoder's fuzz target, and a guard that no non-test file of
+# internal/core or internal/model imports encoding/json — both persist in the
+# heap's row codec, and the format must not drift back by accident.
+test-format:
+	$(GO) test -run 'Golden|FormatVersion' -v .
+	$(GO) test -run '^$$' -fuzz FuzzFormulaSetDecode -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzStoreManifestDecode -fuzztime 10s ./internal/model/
+	@if $(GO) list -f '{{.ImportPath}}: {{.Imports}}' ./internal/core ./internal/model | grep encoding/json; then \
+		echo "internal/core and internal/model persist in the row codec: no encoding/json"; exit 1; \
+	fi
+
 # Crash-fuzz soak (~60-90s at the default SOAK_ROUNDS): mixed edits over a
 # fault-injected disk with kill-points at WAL rotation and checkpoint
 # boundaries; every reopen is byte-compared against a shadow model. Writes
@@ -144,4 +157,4 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck build loc test test-serve test-faults bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak
+ci: lint staticcheck build loc test test-serve test-faults test-format bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak

@@ -3,7 +3,6 @@ package dataspread_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -14,11 +13,12 @@ import (
 	"dataspread"
 	"dataspread/internal/core"
 	"dataspread/internal/hybrid"
+	"dataspread/internal/rdbms"
 )
 
-// The golden fixture under testdata/golden-v4 is a small database in the one
-// format this build reads and writes (data file version 4, store manifest
-// version 3, engine manifest version 2), frozen as a crashed session left it:
+// The golden fixture under testdata/golden-v5 is a small database in the one
+// format this build reads and writes (data file version 5, which covers the
+// store and engine manifests too), frozen as a crashed session left it:
 //
 //	golden.dsdb           data file, checkpointed before the last edits
 //	golden.dsdb.wal       a sealed (rotated-out) WAL segment, never replayed
@@ -30,11 +30,11 @@ import (
 // ROM region), a two-cell #CYCLE!, and — in the unreplayed log — a two-row
 // insert after row 10 plus three later edits. It exists so accidental drift
 // of any persisted structure fails a test; an intended format change bumps
-// the version constants and regenerates it:
+// the data-file version and regenerates it:
 //
 //	GOLDEN_REGEN=1 go test -run TestGoldenCurrentFormat .
 const (
-	goldenDir  = "testdata/golden-v4"
+	goldenDir  = "testdata/golden-v5"
 	goldenName = "golden.dsdb"
 )
 
@@ -183,12 +183,18 @@ func assertGolden(t *testing.T, db *dataspread.DB, eng *dataspread.Engine) {
 		t.Fatalf("fixture regions = %v, want two ROM and one TOM", eng.Store().Regions())
 	}
 	// Segment 0 is the overflow RCV; it holds the diagonal and the cycle.
-	var overflow struct {
-		RowIDs []int64 `json:"row_ids"`
-	}
 	blob, _ := db.GetMeta("sheet:fix:seg:0:order")
-	if err := json.Unmarshal(blob, &overflow); err != nil || len(overflow.RowIDs) < 24 {
-		t.Fatalf("overflow RCV order %s: %v", blob, err)
+	if _, err := rdbms.EachRecord(blob, func(_ int, rec *rdbms.RecordReader) error {
+		rec.Int()
+		rec.Int()
+		// The row ordering leads with its entry count.
+		if n, _ := binary.Uvarint([]byte(rec.Text())); n < 24 {
+			return fmt.Errorf("row ordering of %d entries", n)
+		}
+		rec.Text()
+		return nil
+	}); err != nil {
+		t.Fatalf("overflow RCV order % x: %v", blob, err)
 	}
 	if err := eng.ReadErr(); err != nil {
 		t.Fatalf("read error over the golden fixture: %v", err)
@@ -253,7 +259,7 @@ func TestGoldenCurrentFormat(t *testing.T) {
 		if w, ok := after[k]; !ok {
 			t.Errorf("manifest blob %q vanished across save/reopen", k)
 		} else if !bytes.Equal(v, w) {
-			t.Errorf("manifest blob %q changed across save/reopen:\n was %s\n now %s", k, v, w)
+			t.Errorf("manifest blob %q changed across save/reopen:\n was % x\n now % x", k, v, w)
 		}
 	}
 	for k := range after {
@@ -271,29 +277,56 @@ func TestGoldenCurrentFormat(t *testing.T) {
 // castagnoli is the checksum polynomial of every on-disk structure.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// rewriteMetaJSON edits one JSON manifest blob of the closed database at
-// path through the metadata KV and closes it again (checkpointed).
-func rewriteMetaJSON(t *testing.T, path, key string, edit func(m map[string]any)) {
-	t.Helper()
-	db, err := dataspread.OpenFileDB(path)
-	if err != nil {
-		t.Fatal(err)
+// rewriteMeta edits one manifest value of the closed database at path
+// through the metadata KV and closes it again (checkpointed).
+func rewriteMeta(key string, edit func(t *testing.T, blob []byte) []byte) func(*testing.T, string) {
+	return func(t *testing.T, path string) {
+		db, err := dataspread.OpenFileDB(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, ok := db.GetMeta(key)
+		if !ok {
+			t.Fatalf("no meta key %q", key)
+		}
+		db.PutMeta(key, edit(t, blob))
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	blob, ok := db.GetMeta(key)
-	if !ok {
-		t.Fatalf("no meta key %q", key)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
-	edit(m)
-	if blob, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	db.PutMeta(key, blob)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// editRecord re-encodes the value's n-th record — its datums are ints and
+// texts as layout spells them ("iiti") — with edit applied, and leaves the
+// records around it as they are.
+func editRecord(n int, layout string, edit func(row rdbms.Row)) func(*testing.T, []byte) []byte {
+	return func(t *testing.T, blob []byte) []byte {
+		var out []byte
+		for i := 0; len(blob) > 0; i++ {
+			rec, rest, err := rdbms.NextRecord(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == n {
+				var row rdbms.Row
+				for _, c := range layout {
+					if c == 'i' {
+						row = append(row, rdbms.Int(rec.Int()))
+					} else {
+						row = append(row, rdbms.Text(rec.Text()))
+					}
+				}
+				if err := rec.Done(); err != nil {
+					t.Fatalf("record %d is not laid out %q: %v", n, layout, err)
+				}
+				edit(row)
+				out = rdbms.AppendRecord(out, row)
+			} else {
+				out = append(out, blob[:len(blob)-len(rest)]...)
+			}
+			blob = rest
+		}
+		return out
 	}
 }
 
@@ -335,22 +368,14 @@ func editCatalogRoot(edit func(t *testing.T, hdr, root []byte)) func(*testing.T,
 
 // TestFormatVersionChecksAreExact: every persisted structure is read for
 // exactly the version this build writes. An older or a newer one — data-file
-// header, WAL commit record, catalog root, store manifest, engine
-// manifest — fails the open or the load with an error naming what was found
-// and what is supported; it is never misparsed as current, and an old log
-// is never mistaken for a torn tail and truncated.
+// header, WAL commit record — fails the open with an error naming what was
+// found and what is supported; it is never misparsed as current, and an old
+// log is never mistaken for a torn tail and truncated. The structures the
+// header's version covers — catalog root, store manifest, engine manifest,
+// formula set — carry none of their own and are decoded strictly instead: a
+// damaged one fails the open or the load naming the store or sheet and the
+// record, and never opens a sheet with less in it than was saved.
 func TestFormatVersionChecksAreExact(t *testing.T) {
-	setVersion := func(key string, v any) func(*testing.T, string) {
-		return func(t *testing.T, path string) {
-			rewriteMetaJSON(t, path, key, func(m map[string]any) {
-				if v == nil {
-					delete(m, "version")
-				} else {
-					m["version"] = v
-				}
-			})
-		}
-	}
 	headerVersion := func(v uint32) func(*testing.T, string) {
 		return func(t *testing.T, path string) {
 			f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -371,9 +396,9 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 		damage func(t *testing.T, path string)
 		want   []string
 	}{
-		{"header older", headerVersion(2), []string{"format version 2", "only version 4"}},
-		{"header of the JSON catalog", headerVersion(3), []string{"format version 3", "only version 4"}},
-		{"header newer", headerVersion(5), []string{"format version 5", "only version 4"}},
+		{"header of the JSON catalog", headerVersion(3), []string{"format version 3", "only version 5"}},
+		{"header of the JSON manifests", headerVersion(4), []string{"format version 4", "only version 5"}},
+		{"header newer", headerVersion(6), []string{"format version 6", "only version 5"}},
 		{"wal commit record without generation", func(t *testing.T, path string) {
 			// An intact record of the removed type 2: u32 page count, meta
 			// head, meta length, CRC-32C.
@@ -401,11 +426,29 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 			binary.LittleEndian.PutUint32(hdr[20:], uint32(len(root))+1)
 			binary.LittleEndian.PutUint32(hdr[32:], crc32.Checksum(hdr[:32], castagnoli))
 		}), []string{"catalog root record"}},
-		{"store manifest older", setVersion("sheet:fix", 2), []string{"format version 2", "only version 3"}},
-		{"store manifest unversioned", setVersion("sheet:fix", nil), []string{"format version 0", "only version 3"}},
-		{"store manifest newer", setVersion("sheet:fix", 4), []string{"format version 4", "only version 3"}},
-		{"engine manifest unversioned", setVersion("engine:fix", nil), []string{"format version 0", "only version 2"}},
-		{"engine manifest newer", setVersion("engine:fix", 3), []string{"format version 3", "only version 2"}},
+		{"store root with an unknown region kind", rewriteMeta("sheet:fix", editRecord(1, "iiiiti", func(row rdbms.Row) {
+			row[4] = rdbms.Text("rox")
+		})), []string{`store "fix" root`, "record 1", `region kind "rox"`}},
+		{"segment order with a trailing byte", rewriteMeta("sheet:fix:seg:1:order", func(t *testing.T, blob []byte) []byte {
+			return append(blob, 0)
+		}), []string{`store "fix" segment 1 order`, "record 1"}},
+		{"engine manifest with a datum of the wrong type", rewriteMeta("engine:fix", editRecord(0, "tiii", func(row rdbms.Row) {
+			row[1] = rdbms.Text("47")
+		})), []string{`sheet "fix" manifest`, "record 0", "datum 1"}},
+		{"formula record whose count is 0", rewriteMeta("engine:fix:formulas", editRecord(1, "iiiit", func(row rdbms.Row) {
+			row[2] = rdbms.Int(0)
+		})), []string{`sheet "fix" formula set`, "record 1", "run of 0 cells"}},
+		{"formula set cut short at a record", rewriteMeta("engine:fix:formulas", func(t *testing.T, blob []byte) []byte {
+			_, rest, err := rdbms.NextRecord(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rest, err = rdbms.NextRecord(rest)
+			if err != nil || len(rest) == 0 {
+				t.Fatalf("formula set holds one run only: %v", err)
+			}
+			return blob[:len(blob)-len(rest)]
+		}), []string{`sheet "fix" formula set`, "formula cells in 2 records"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -105,7 +105,8 @@ func (o Options) params() hybrid.CostParams {
 }
 
 // buildEngine builds the engine over an existing store: empty formula state,
-// a cold cache and the recalc executor New, Open and Load all start from.
+// a cold cache and the recalc executor New, Open and Load all start from,
+// its dispatcher not yet running (launch).
 func buildEngine(db *rdbms.DB, name string, hs *model.HybridStore, opts Options) *Engine {
 	e := &Engine{
 		name:      name,
@@ -131,7 +132,7 @@ func New(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildEngine(db, name, hs, opts), nil
+	return buildEngine(db, name, hs, opts).launch(false)
 }
 
 // Open loads a sheet into a new engine, choosing the physical layout with
@@ -160,10 +161,7 @@ func Open(db *rdbms.DB, name string, s *sheet.Sheet, algo string, opts Options) 
 	if regErr != nil {
 		return nil, regErr
 	}
-	if err := e.RecalcAll(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return e.launch(true)
 }
 
 // validateSheetName rejects names that would collide with the manifest
@@ -591,6 +589,7 @@ func (e *Engine) RecalcAll() error {
 	return e.settle()
 }
 
+// registerFormula installs one formula of the sheet Open materialized.
 func (e *Engine) registerFormula(ref sheet.Ref, src string) error {
 	w, err := formulaWrite(ref, src)
 	if err != nil {

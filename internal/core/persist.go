@@ -1,54 +1,53 @@
 package core
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"dataspread/internal/formula"
 	"dataspread/internal/model"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
 
+// The engine state that lives outside the hybrid store is persisted under two
+// metadata keys, both length-framed rows of the heap's row codec
+// (rdbms.AppendRecord / rdbms.EachRecord) like the store's own manifests:
+//
+//	engine:<name>           the engine manifest, one record: which store backs
+//	                        the sheet (it changes on Optimize), the content
+//	                        bounds and the migration sequence counter
+//	engine:<name>:formulas  the formula set: a record holding the number of
+//	                        formula cells, then one record per fill-down run
+//
+// The formula set is rewritten only when a formula changed — bounds growth
+// from an edit never re-serializes it — and lets Load re-register the
+// formulas and rebuild the dependency graph directly, touching O(formulas)
+// state instead of snapshotting the whole sheet to find them.
+//
+// A run is a maximal vertical stretch of one formula filled down a column:
+// (column, first row, count, flags, source of the first cell). Runs are
+// vertical, heads are ordinary A1 text without the leading '=', and member k
+// of a run is its head moved down k rows (formula.MoveDown: every row
+// reference that is not $-absolute grows by k). A cycle-poisoned cell is a
+// run of one with flagCycle set and the source it was given, which Load
+// restores into the engine's cycle set instead of registering — a reloaded
+// session keeps exactly the saving session's graph. Records are in (column,
+// row) order and every run is as long as it can be, so one formula
+// population has one encoding. Neither value carries a version (the
+// data-file header's covers them); decoding is strict instead, and an error
+// names the sheet and the record.
+
 // engineMetaKey is the metadata KV prefix for persisted engine state.
 const engineMetaKey = "engine:"
 
-// engineFormatVersion is the one engine manifest layout this build reads
-// and writes (the formula set is persisted beside it); Load refuses any
-// other.
-const engineFormatVersion = 2
-
-// engineManifest is the engine state that lives outside the hybrid store:
-// which store backs the sheet (it changes on Optimize), the content bounds
-// and the migration sequence counter. The formula cell set (refs + source
-// text) is persisted alongside under its own meta key
-// ("engine:<name>:formulas"), rewritten only when a formula changed —
-// bounds growth from an edit never re-serializes the formula population.
-// Persisting the formulas lets Load re-register them and rebuild the
-// dependency graph directly, touching O(formulas) state instead of
-// snapshotting the whole sheet to find them.
-type engineManifest struct {
-	Version int    `json:"version,omitempty"`
-	Store   string `json:"store"`
-	MaxRow  int    `json:"max_row"`
-	MaxCol  int    `json:"max_col"`
-	Seq     int    `json:"seq"`
-}
+// flagCycle marks the formula record of a cycle-poisoned cell.
+const flagCycle = 1
 
 // formulasKey is the meta key carrying a sheet's formula set.
 func formulasKey(name string) string { return engineMetaKey + name + ":formulas" }
-
-// formulaManifest records one formula cell: position and source (without
-// the leading '='). Cyc marks cycle-poisoned cells, which Load restores
-// into the engine's cycle set instead of registering them — a reloaded
-// session keeps exactly the saving session's graph.
-type formulaManifest struct {
-	Row int    `json:"r"`
-	Col int    `json:"c"`
-	Src string `json:"f"`
-	Cyc bool   `json:"cyc,omitempty"`
-}
 
 // Save persists the engine into the database and commits the write-ahead
 // log: the hybrid store manifest (only its dirty segments), the engine
@@ -83,26 +82,118 @@ func (e *Engine) Checkpoint() error {
 	return e.db.Checkpoint()
 }
 
-// formulaManifests serializes the live formula set: registered expressions
+// encodeFormulaSet serializes the live formula set: registered expressions
 // plus cycle-poisoned cells (which the dependency graph does not track but
-// whose source must survive a reload), sorted for deterministic output —
-// an unchanged formula population serializes to identical bytes, which the
-// metadata KV's equality check turns into a free commit.
-func (e *Engine) formulaManifests() []formulaManifest {
-	out := make([]formulaManifest, 0, len(e.exprs)+len(e.cycles))
+// whose source must survive a reload). The walk is in (column, row) order and
+// extends a run for as long as the next cell down holds the head moved down
+// that far, so only run heads are ever rendered to text, and an unchanged
+// formula population serializes to identical bytes, which the metadata KV's
+// equality check turns into a free commit.
+func (e *Engine) encodeFormulaSet() []byte {
+	type cell struct {
+		ref  sheet.Ref
+		expr formula.Expr // nil: cycle-poisoned
+	}
+	cells := make([]cell, 0, len(e.exprs)+len(e.cycles))
 	for ref, expr := range e.exprs {
-		out = append(out, formulaManifest{Row: ref.Row, Col: ref.Col, Src: expr.String()})
+		cells = append(cells, cell{ref, expr})
 	}
-	for ref, src := range e.cycles {
-		out = append(out, formulaManifest{Row: ref.Row, Col: ref.Col, Src: src, Cyc: true})
+	for ref := range e.cycles {
+		cells = append(cells, cell{ref: ref})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Row != out[j].Row {
-			return out[i].Row < out[j].Row
-		}
-		return out[i].Col < out[j].Col
+	slices.SortFunc(cells, func(a, b cell) int {
+		return cmp.Or(cmp.Compare(a.ref.Col, b.ref.Col), cmp.Compare(a.ref.Row, b.ref.Row))
 	})
+	out := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(int64(len(cells)))})
+	for i := 0; i < len(cells); {
+		head, n, flags := cells[i], 1, 0
+		var src string
+		if head.expr == nil {
+			src, flags = e.cycles[head.ref], flagCycle
+		} else {
+			for ; i+n < len(cells); n++ {
+				next := cells[i+n]
+				if next.expr == nil || next.ref.Col != head.ref.Col || next.ref.Row != head.ref.Row+n ||
+					!formula.IsMovedDown(head.expr, next.expr, n) {
+					break
+				}
+			}
+			src = head.expr.String()
+		}
+		out = rdbms.AppendRecord(out, rdbms.Row{rdbms.Int(int64(head.ref.Col)), rdbms.Int(int64(head.ref.Row)),
+			rdbms.Int(int64(n)), rdbms.Int(int64(flags)), rdbms.Text(src)})
+		i += n
+	}
 	return out
+}
+
+// formulaSet is a decoded formula set, ready to register: the live formulas
+// in (column, row) order with the ranges each reads, how many of them read
+// nothing, and the cycle-poisoned cells by source.
+type formulaSet struct {
+	cells     []formulaCell
+	constants int
+	cycles    map[sheet.Ref]string
+}
+
+type formulaCell struct {
+	ref   sheet.Ref
+	expr  formula.Expr
+	reads []sheet.Range
+}
+
+// decodeFormulaSet is encodeFormulaSet's inverse over a sheet of the given
+// bounds: each head is parsed once and its run's members are copies of that
+// tree moved down. Records out of order or overlapping, a cell outside the
+// bounds, a run of no cells, an unknown flag, a head that does not parse and a
+// cell count other than the one the first record holds are all errors —
+// never a shorter set.
+func decodeFormulaSet(blob []byte, rows, cols int) (formulaSet, error) {
+	set := formulaSet{cycles: make(map[sheet.Ref]string)}
+	total, last := 0, sheet.Ref{}
+	n, err := rdbms.EachRecord(blob, func(i int, rec *rdbms.RecordReader) error {
+		if i == 0 {
+			if total = int(rec.Int()); total < 0 || total > rows*cols {
+				return fmt.Errorf("%d formula cells in a %dx%d sheet", total, rows, cols)
+			}
+			set.cells = make([]formulaCell, 0, total)
+			return nil
+		}
+		col, row, count, flags, src := int(rec.Int()), int(rec.Int()), int(rec.Int()), rec.Int(), rec.Text()
+		ref := sheet.Ref{Row: row, Col: col}
+		switch {
+		case count < 1 || flags&^flagCycle != 0 || flags == flagCycle && count != 1:
+			return fmt.Errorf("run of %d cells with flags %d", count, flags)
+		case row < 1 || col < 1 || col > cols || count > rows-row+1:
+			return fmt.Errorf("run of %d cells from %v in a %dx%d sheet", count, ref, rows, cols)
+		case col < last.Col || col == last.Col && row <= last.Row:
+			return fmt.Errorf("run from %v after the cell %v", ref, last)
+		}
+		last = sheet.Ref{Row: row + count - 1, Col: col}
+		if flags == flagCycle {
+			set.cycles[ref] = src
+			return nil
+		}
+		head, err := formula.Parse(src)
+		if err != nil {
+			return fmt.Errorf("formula at %v: %w", ref, err)
+		}
+		for k := 0; k < count; k++ {
+			c := formulaCell{ref: sheet.Ref{Row: row + k, Col: col}, expr: head}
+			if k > 0 {
+				c.expr = formula.MoveDown(head, k)
+			}
+			if c.reads = formula.Refs(c.expr); len(c.reads) == 0 {
+				set.constants++
+			}
+			set.cells = append(set.cells, c)
+		}
+		return nil
+	})
+	if err == nil && (n == 0 || len(set.cells)+len(set.cycles) != total) {
+		err = fmt.Errorf("%d formula cells in %d records where %d belong", len(set.cells)+len(set.cycles), n, total)
+	}
+	return set, err
 }
 
 func (e *Engine) saveManifests() error {
@@ -110,25 +201,12 @@ func (e *Engine) saveManifests() error {
 		return err
 	}
 	if e.formulasDirty {
-		blob, err := json.Marshal(e.formulaManifests())
-		if err != nil {
-			return err
-		}
-		e.db.PutMeta(formulasKey(e.name), blob)
+		e.db.PutMeta(formulasKey(e.name), e.encodeFormulaSet())
 		e.formulasDirty = false
 	}
 	rows, cols := e.Bounds()
-	blob, err := json.Marshal(engineManifest{
-		Version: engineFormatVersion,
-		Store:   e.store.Name(),
-		MaxRow:  rows,
-		MaxCol:  cols,
-		Seq:     e.seq,
-	})
-	if err != nil {
-		return err
-	}
-	e.db.PutMeta(engineMetaKey+e.name, blob)
+	e.db.PutMeta(engineMetaKey+e.name, rdbms.AppendRecord(nil, rdbms.Row{
+		rdbms.Text(e.store.Name()), rdbms.Int(int64(rows)), rdbms.Int(int64(cols)), rdbms.Int(int64(e.seq))}))
 	return nil
 }
 
@@ -150,9 +228,11 @@ func SheetNames(db *rdbms.DB) []string {
 
 // Load reattaches a persisted sheet: the hybrid store is rebuilt from its
 // manifest over the already-loaded catalog, and formulas are re-registered
-// from the manifest's formula set (their cached values were persisted with
-// their cells, so nothing is recomputed and no sheet snapshot is taken —
-// opening touches O(formulas) state, not O(cells)).
+// from the formula set (their cached values were persisted with their cells,
+// so nothing is recomputed and no sheet snapshot is taken — opening touches
+// O(formulas) state, not O(cells)). The two halves share nothing until
+// registration, so the formula set is read, parsed and instantiated on a
+// goroutine of its own while this one rebuilds the store.
 func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	blob, ok, err := db.MetaValue(engineMetaKey + name)
 	if err != nil {
@@ -161,48 +241,47 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no persisted sheet %q", name)
 	}
-	var m engineManifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("core: corrupt manifest for sheet %q: %w", name, err)
+	var store string
+	var rows, cols, seq int
+	n, err := rdbms.EachRecord(blob, func(_ int, rec *rdbms.RecordReader) error {
+		store, rows, cols, seq = rec.Text(), int(rec.Int()), int(rec.Int()), int(rec.Int())
+		return nil
+	})
+	if err == nil && n != 1 {
+		err = fmt.Errorf("%d records where 1 belongs", n)
 	}
-	if m.Version != engineFormatVersion {
-		return nil, fmt.Errorf("core: sheet %q manifest is format version %d, this build reads only version %d",
-			name, m.Version, engineFormatVersion)
+	if err != nil {
+		return nil, fmt.Errorf("core: sheet %q manifest: %w", name, err)
 	}
-	hs, err := model.LoadHybridStore(db, m.Store)
+	var set formulaSet
+	var setErr error
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		set, setErr = loadFormulaSet(db, name, rows, cols)
+	}()
+	hs, err := model.LoadHybridStore(db, store)
+	<-joined
+	if err == nil {
+		err = setErr
+	}
 	if err != nil {
 		return nil, err
 	}
 	e := buildEngine(db, name, hs, opts)
-	e.seq = m.Seq
-	e.grow(m.MaxRow, m.MaxCol)
-	fblob, ok, err := db.MetaValue(formulasKey(name))
-	if err != nil {
-		// An unreadable formula set must fail the load: treating it as
-		// absent would silently demote every formula to a static value.
-		return nil, fmt.Errorf("core: sheet %q formula set unreadable: %w", name, err)
+	e.seq = seq
+	e.grow(rows, cols)
+	// The formula count is known before anything registers: size the maps once.
+	e.exprs = make(map[sheet.Ref]formula.Expr, len(set.cells))
+	e.constants = make(map[sheet.Ref]struct{}, set.constants)
+	e.deps.Grow(len(set.cells) - set.constants)
+	for _, c := range set.cells {
+		e.exprs[c.ref] = c.expr
+		e.setDeps(c.ref, c.reads)
 	}
-	if ok {
-		var formulas []formulaManifest
-		if err := json.Unmarshal(fblob, &formulas); err != nil {
-			return nil, fmt.Errorf("core: corrupt formula set for sheet %q: %w", name, err)
-		}
-		for _, f := range formulas {
-			ref := sheet.Ref{Row: f.Row, Col: f.Col}
-			if f.Cyc {
-				// Poisoned at save time: restore into the cycle set
-				// (value #CYCLE! is in the stored cell), not the graph.
-				e.cycles[ref] = f.Src
-				continue
-			}
-			if err := e.registerFormula(ref, f.Src); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// The registered state is by construction identical to the stored
-	// blob: the first save after a reload has nothing to re-serialize.
-	e.formulasDirty = false
+	// Poisoned at save time: back into the cycle set (value #CYCLE! is in the
+	// stored cell), not the graph.
+	e.cycles = set.cycles
 	// An AsyncRecalc engine revalidates a reloaded sheet in the background:
 	// persisted values can lag persisted formulas (the saving session may
 	// have crashed between a formula-durable edit and its next drain-save),
@@ -210,10 +289,26 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	// recalculation — instead of the open trusting the stored values or
 	// blocking on a full recompute. A synchronous engine saved nothing it
 	// had not computed.
-	if e.sched.async && len(e.exprs) > 0 {
-		return e, e.RecalcAll()
+	return e.launch(e.sched.async && len(e.exprs) > 0)
+}
+
+// loadFormulaSet reads and decodes a sheet's formula set (empty when the
+// sheet never saved one).
+func loadFormulaSet(db *rdbms.DB, name string, rows, cols int) (formulaSet, error) {
+	blob, ok, err := db.MetaValue(formulasKey(name))
+	if err != nil {
+		// An unreadable formula set must fail the load: treating it as
+		// absent would silently demote every formula to a static value.
+		return formulaSet{}, fmt.Errorf("core: sheet %q formula set unreadable: %w", name, err)
 	}
-	return e, nil
+	if !ok {
+		return formulaSet{cycles: make(map[sheet.Ref]string)}, nil
+	}
+	set, err := decodeFormulaSet(blob, rows, cols)
+	if err != nil {
+		err = fmt.Errorf("core: sheet %q formula set: %w", name, err)
+	}
+	return set, err
 }
 
 // Recover heals a poisoned database in place (rdbms.DB.Recover: fresh file

@@ -1,8 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"dataspread/internal/formula"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -143,4 +151,237 @@ func TestStructuralEditShiftsCycleSources(t *testing.T) {
 	if src := e2.cycles[moved]; src != "A25" {
 		t.Fatalf("reloaded poisoned source = %q, want A25", src)
 	}
+}
+
+// TestFailedLoadAndOpenLeaveNoDispatcher: an AsyncRecalc Load over a damaged
+// formula set, and an AsyncRecalc Open of a sheet holding a formula that does
+// not parse, must fail naming the sheet or cell, return no engine, and leave
+// no dispatcher goroutine (and the engine it pins) behind.
+func TestFailedLoadAndOpenLeaveNoDispatcher(t *testing.T) {
+	settled := func(want int) int {
+		for i := 0; i < 100 && runtime.NumGoroutine() > want; i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return runtime.NumGoroutine()
+	}
+	db := rdbms.Open(rdbms.Options{})
+	e, err := New(db, "s", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= 40; r++ {
+		if err := e.SetFormula(r, 1, fmt.Sprintf("B%d*%d", r, r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	blob, ok := db.GetMeta(formulasKey("s"))
+	if !ok || len(blob) < 16 {
+		t.Fatalf("formula set value: %d bytes, %v", len(blob), ok)
+	}
+	db.PutMeta(formulasKey("s"), blob[:len(blob)-5])
+	before := runtime.NumGoroutine()
+	eng, err := Load(db, "s", Options{AsyncRecalc: true})
+	if err == nil || eng != nil {
+		t.Fatalf("Load over a truncated formula set = %v, %v", eng, err)
+	}
+	if !strings.Contains(err.Error(), `sheet "s"`) || !strings.Contains(err.Error(), "formula set") {
+		t.Errorf("error %q does not name the sheet and its formula set", err)
+	}
+	if after := settled(before); after > before {
+		t.Errorf("failed Load left goroutines behind: %d before, %d after", before, after)
+	}
+
+	sh := sheet.New("bad")
+	sh.SetValue(1, 1, sheet.Number(1))
+	sh.SetFormula(2, 1, "SUM((")
+	before = runtime.NumGoroutine()
+	eng, err = Open(db, "bad", sh, "rom", Options{AsyncRecalc: true})
+	if err == nil || eng != nil {
+		t.Fatalf("Open with an unparsable formula = %v, %v", eng, err)
+	}
+	if after := settled(before); after > before {
+		t.Errorf("failed Open left goroutines behind: %d before, %d after", before, after)
+	}
+}
+
+// fillDown is one shape a formula takes as it is filled down a column.
+var fillDown = []func(r int) string{
+	func(r int) string { return fmt.Sprintf("SUM(A%d:D%d)", r, r) },
+	func(r int) string { return fmt.Sprintf("$A$1+A%d", r) },
+	func(r int) string { return fmt.Sprintf("A$1*$B%d", r) },
+	func(r int) string { return fmt.Sprintf("IF(A%d>0,ROUND(SUM(A%d:$B%d)/3,2),-C%d%%)", r, r+1, r+3, r) },
+	func(r int) string { return fmt.Sprintf("SUM($A$1:A%d)&\"x\"", r) },
+	func(r int) string { return fmt.Sprintf("#REF!+B%d", r) },
+	func(r int) string { return fmt.Sprintf("A1*%d", r) }, // never a run: the factor changes, the row does not
+	func(r int) string { return "1+2" },                   // no reads: every row equals the head
+	func(r int) string { return fmt.Sprintf("D%d:A$2", r) },
+}
+
+// randomFormulaEngine builds a seeded formula population on a fresh sheet:
+// values in columns A-E, fill-down columns from F on with holes, runs
+// interrupted by one different formula, adjacent columns of different shapes,
+// a cycle-poisoned pair, then a few structural edits (which shift references,
+// split runs and leave #REF! behind).
+func randomFormulaEngine(t testing.TB, seed int64) (*rdbms.DB, *Engine) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	db := rdbms.Open(rdbms.Options{})
+	e, err := New(db, "p", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var edits []CellEdit
+	for r := 1; r <= 30; r++ {
+		for c := 1; c <= 5; c++ {
+			edits = append(edits, CellEdit{Row: r, Col: c, Input: fmt.Sprint(rng.Intn(100) - 20)})
+		}
+	}
+	for c := 6; c < 6+3+rng.Intn(8); c++ {
+		shape := fillDown[rng.Intn(len(fillDown))]
+		top := 1 + rng.Intn(10)
+		for r := top; r < top+2+rng.Intn(60); r++ {
+			switch rng.Intn(12) {
+			case 0: // a hole
+			case 1: // one different formula in the run
+				edits = append(edits, CellEdit{Row: r, Col: c, Input: "=" + fillDown[rng.Intn(len(fillDown))](r+1)})
+			default:
+				edits = append(edits, CellEdit{Row: r, Col: c, Input: "=" + shape(r)})
+			}
+		}
+	}
+	_, err = e.ApplyCells(edits)
+	must(err)
+	must(e.SetFormula(5, 30, "AE5+1")) // AD5 = AE5+1
+	must(e.SetFormula(5, 31, "AD5+1")) // AE5 = AD5+1: poisoned
+	must(e.SetFormula(6, 31, "AE6"))   // reads itself: poisoned, right below
+	for i := rng.Intn(4); i > 0; i-- {
+		if at := 2 + rng.Intn(40); rng.Intn(2) == 0 {
+			must(e.InsertRowsAfter(at, 1+rng.Intn(3)))
+		} else {
+			must(e.DeleteRows(at, 1+rng.Intn(2)))
+		}
+	}
+	return db, e
+}
+
+// TestFormulaRunsRoundTripProperty: seeded random formula populations go
+// through save -> reopen -> save. Every cell's expression text and the
+// graph's precedents equal the original, the cycle and constant sets too, and
+// the two saved values are byte-identical (one population, one encoding); on
+// every vertical pair the walk that extends a run agrees with comparing text.
+func TestFormulaRunsRoundTripProperty(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		db, e := randomFormulaEngine(t, seed)
+		if err := e.Save(); err != nil {
+			t.Fatal(err)
+		}
+		blob, ok := db.GetMeta(formulasKey("p"))
+		if !ok {
+			t.Fatalf("seed %d: no formula set saved", seed)
+		}
+		if len(e.cycles) == 0 || len(e.exprs) < 6 {
+			t.Fatalf("seed %d: population of %d formulas, %d poisoned", seed, len(e.exprs), len(e.cycles))
+		}
+		records := 0
+		for rest := blob; len(rest) > 0; records++ {
+			var err error
+			if _, rest, err = rdbms.NextRecord(rest); err != nil {
+				t.Fatalf("seed %d: record %d: %v", seed, records, err)
+			}
+		}
+		e2, err := Load(db, "p", Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(e2.exprs) != len(e.exprs) {
+			t.Fatalf("seed %d: %d formulas saved in %d records, %d loaded", seed, len(e.exprs), records, len(e2.exprs))
+		}
+		for ref, expr := range e.exprs {
+			got, ok := e2.exprs[ref]
+			if !ok || got.String() != expr.String() {
+				t.Fatalf("seed %d: %v = %q reloads as %v", seed, ref, expr, got)
+			}
+			if want := e.deps.Precedents(ref); !reflect.DeepEqual(e2.deps.Precedents(ref), want) {
+				t.Fatalf("seed %d: %v = %q reads %v, reloaded %v", seed, ref, expr, want, e2.deps.Precedents(ref))
+			}
+			// The cell below: the structural walk and the text must agree.
+			below := sheet.Ref{Row: ref.Row + 1, Col: ref.Col}
+			if next, ok := e.exprs[below]; ok {
+				head, err := formula.Parse(expr.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if walk, text := formula.IsMovedDown(expr, next, 1), formula.MoveDown(head, 1).String() == next.String(); walk != text {
+					t.Fatalf("seed %d: %v = %q over %q: walk says %v, text says %v", seed, ref, expr, next, walk, text)
+				}
+			}
+		}
+		if !reflect.DeepEqual(e2.cycles, e.cycles) || !reflect.DeepEqual(e2.constants, e.constants) {
+			t.Fatalf("seed %d: cycles %v / constants %v reload as %v / %v", seed, e.cycles, e.constants, e2.cycles, e2.constants)
+		}
+		if e2.deps.Len() != e.deps.Len() {
+			t.Fatalf("seed %d: graph of %d reloads as %d", seed, e.deps.Len(), e2.deps.Len())
+		}
+		if again := e2.encodeFormulaSet(); !bytes.Equal(again, blob) {
+			t.Fatalf("seed %d: the reloaded set encodes differently:\n was % x\n now % x", seed, blob, again)
+		}
+		if records-1 >= len(e.exprs)+len(e.cycles) {
+			t.Fatalf("seed %d: %d records for %d formula cells: nothing ran", seed, records-1, len(e.exprs)+len(e.cycles))
+		}
+	}
+}
+
+// FuzzFormulaSetDecode feeds mutated formula-set values to the decoder: an
+// error, or a set that holds as many cells as its first record says and
+// survives its own encoding — never a panic, never a silently shorter set.
+func FuzzFormulaSetDecode(f *testing.F) {
+	const rows, cols = 120, 40
+	for seed := int64(1); seed <= 4; seed++ {
+		_, e := randomFormulaEngine(f, seed)
+		if r, c := e.Bounds(); r > rows || c > cols {
+			f.Fatalf("seed %d: population spans %dx%d", seed, r, c)
+		}
+		f.Add(e.encodeFormulaSet())
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		set, err := decodeFormulaSet(blob, rows, cols)
+		if err != nil {
+			return
+		}
+		rec, _, err := rdbms.NextRecord(blob)
+		if err != nil {
+			t.Fatalf("decoded a value whose first record does not: %v", err)
+		}
+		if want := int(rec.Int()); len(set.cells)+len(set.cycles) != want {
+			t.Fatalf("decoded %d cells where the value holds %d", len(set.cells)+len(set.cycles), want)
+		}
+		e := &Engine{exprs: map[sheet.Ref]formula.Expr{}, cycles: set.cycles}
+		for _, c := range set.cells {
+			e.exprs[c.ref] = c.expr
+		}
+		if len(e.exprs) != len(set.cells) {
+			t.Fatalf("%d cells at %d positions", len(set.cells), len(e.exprs))
+		}
+		again, err := decodeFormulaSet(e.encodeFormulaSet(), rows, cols)
+		if err != nil {
+			t.Fatalf("the decoded set does not survive its own encoding: %v", err)
+		}
+		if len(again.cells) != len(set.cells) || again.constants != set.constants || !reflect.DeepEqual(again.cycles, set.cycles) {
+			t.Fatalf("re-encoded set differs: %d/%d cells, %d/%d constants", len(again.cells), len(set.cells), again.constants, set.constants)
+		}
+		for i, c := range set.cells {
+			if d := again.cells[i]; d.ref != c.ref || d.expr.String() != c.expr.String() || !reflect.DeepEqual(d.reads, c.reads) {
+				t.Fatalf("cell %d: %v = %q re-encodes as %v = %q", i, c.ref, c.expr, d.ref, d.expr)
+			}
+		}
+	})
 }

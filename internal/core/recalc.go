@@ -106,8 +106,8 @@ type recalcScheduler struct {
 	waiters int
 }
 
-// startRecalc attaches the recalc executor, with its dispatcher when opts
-// ask for one.
+// startRecalc attaches the recalc executor; launch starts the dispatcher when
+// opts ask for one.
 func (e *Engine) startRecalc(opts Options) {
 	s := &recalcScheduler{
 		e:         e,
@@ -125,7 +125,23 @@ func (e *Engine) startRecalc(opts Options) {
 	if s.workers = opts.RecalcWorkers; s.workers <= 0 {
 		s.workers = min(runtime.GOMAXPROCS(0), 4)
 	}
-	go s.run()
+}
+
+// launch is the last step of New, Open and Load: it starts the dispatcher of
+// an AsyncRecalc engine — only now that nothing can fail to build any more; a
+// dispatcher started earlier would outlive an error return and pin the engine
+// forever — and, when recalc is set, marks every formula and settles.
+func (e *Engine) launch(recalc bool) (*Engine, error) {
+	if e.sched.async {
+		go e.sched.run()
+	}
+	if recalc {
+		if err := e.RecalcAll(); err != nil {
+			e.Close()
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
 // AsyncRecalc reports whether this engine evaluates formulas in the

@@ -85,6 +85,15 @@ func New() *Graph {
 	}
 }
 
+// Grow sizes an empty graph for n formulas, so a bulk registration (core.Load
+// knows the count before it registers anything) does not grow the registry
+// through a dozen doublings.
+func (g *Graph) Grow(n int) {
+	if len(g.deps) == 0 {
+		g.deps = make(map[sheet.Ref]*entry, n)
+	}
+}
+
 func stripeOf(row int) int {
 	if row < 1 {
 		return 0
@@ -134,11 +143,27 @@ func (g *Graph) unregisterPoint(key sheet.Ref, e *entry) {
 	}
 }
 
+// stripeSet returns the set registerReads and unregisterReads keep an entry to
+// one filing per stripe with. Only an entry with two or more multi-cell ranges
+// can meet a stripe twice; the usual single range (a row's SUM) gets nil and
+// allocates nothing.
+func stripeSet(reads []sheet.Range) map[int]bool {
+	multi := 0
+	for _, r := range reads {
+		if r.From != r.To {
+			if multi++; multi > 1 {
+				return make(map[int]bool)
+			}
+		}
+	}
+	return nil
+}
+
 // registerReads files the entry's ranges into the index: single-cell reads
 // into the point map, multi-cell ranges into the stripe/wide buckets. Each
 // stripe (and the wide list) holds the entry at most once.
 func (g *Graph) registerReads(e *entry) {
-	var seen map[int]bool
+	seen := stripeSet(e.reads)
 	for _, r := range e.reads {
 		if r.From == r.To {
 			g.registerPoint(r.From, e)
@@ -153,13 +178,12 @@ func (g *Graph) registerReads(e *entry) {
 			continue
 		}
 		for s := lo; s <= hi; s++ {
-			if seen[s] {
-				continue
+			if seen != nil {
+				if seen[s] {
+					continue
+				}
+				seen[s] = true
 			}
-			if seen == nil {
-				seen = make(map[int]bool, hi-lo+1)
-			}
-			seen[s] = true
 			g.stripes[s] = append(g.stripes[s], e)
 		}
 	}
@@ -167,7 +191,7 @@ func (g *Graph) registerReads(e *entry) {
 
 // unregisterReads removes the entry from every bucket its ranges cover.
 func (g *Graph) unregisterReads(e *entry) {
-	var seen map[int]bool
+	seen := stripeSet(e.reads)
 	for _, r := range e.reads {
 		if r.From == r.To {
 			g.unregisterPoint(r.From, e)
@@ -178,13 +202,12 @@ func (g *Graph) unregisterReads(e *entry) {
 			continue
 		}
 		for s := lo; s <= hi; s++ {
-			if seen[s] {
-				continue
+			if seen != nil {
+				if seen[s] {
+					continue
+				}
+				seen[s] = true
 			}
-			if seen == nil {
-				seen = make(map[int]bool, hi-lo+1)
-			}
-			seen[s] = true
 			if rest := removeEntry(g.stripes[s], e); len(rest) > 0 {
 				g.stripes[s] = rest
 			} else {

@@ -130,6 +130,24 @@ func TestSetRemove(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatal("Set(nil) should remove")
 	}
+	// Two ranges sharing a stripe file the formula there once, and Remove
+	// leaves no bucket behind; one range alone needs no dedup set.
+	g.Set(ref(9, 9), []sheet.Range{sheet.NewRange(1, 1, 70, 1), sheet.NewRange(60, 2, 130, 2)})
+	for s, want := range map[int]int{0: 1, 1: 1, 2: 1} {
+		if got := len(g.stripes[s]); got != want {
+			t.Fatalf("stripe %d holds the two-range formula %d times, want %d", s, got, want)
+		}
+	}
+	if deps := g.DirectDependents(sheet.NewRange(65, 1, 65, 2)); len(deps) != 1 {
+		t.Fatalf("row 65 change: deps = %v", deps)
+	}
+	g.Remove(ref(9, 9))
+	if g.Len() != 0 || len(g.stripes) != 0 || len(g.keyStripes) != 0 {
+		t.Fatalf("Remove left %d stripes, %d key stripes behind", len(g.stripes), len(g.keyStripes))
+	}
+	if stripeSet([]sheet.Range{sheet.NewRange(1, 1, 70, 1), {From: ref(3, 3), To: ref(3, 3)}}) != nil {
+		t.Fatal("a single multi-cell range allocated a dedup set")
+	}
 }
 
 func TestRangeDependencyGranularity(t *testing.T) {

@@ -164,3 +164,46 @@ func TestMultiCountShiftEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestMoveDownAgreesWithText: IsMovedDown(a, b, k) must say exactly what
+// comparing MoveDown(a, k)'s text with b's says, on every pair tried — moved
+// by the right offset, by a wrong one, and against a different formula — and
+// a moved formula's text must parse back to itself (what a fill-down run
+// stores is its head's text alone).
+func TestMoveDownAgreesWithText(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	srcs := []string{
+		"A1", "$A$1", "A$1", "$A1", "SUM(A1:P1)", "SUM($A$1:A1)", "SUM(A$1:$B7)+C3*2",
+		"IF(A5>0,SUM(A5:A10),-B7%)", `A1&"x""y"`, "#REF!+A2", "1+2", "TRUE", "-(A1+B1)^2",
+		"VLOOKUP(A3,$B$1:$D$20,2)", "ROUND(A1/3,2)", "B5:A$1",
+	}
+	parse := func(src string) Expr {
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		return e
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a := parse(srcs[rng.Intn(len(srcs))])
+		k := rng.Intn(40)
+		moved := MoveDown(a, k)
+		if !IsMovedDown(a, moved, k) {
+			t.Fatalf("%q moved down %d = %q is not recognized", a, k, moved)
+		}
+		if back := parse(moved.String()); back.String() != moved.String() || !IsMovedDown(a, back, k) {
+			t.Fatalf("%q moved down %d = %q parses back to %q", a, k, moved, back)
+		}
+		// A wrong offset, another formula, or the same one: walk and text agree.
+		b, j := moved, k+rng.Intn(3)-1
+		if rng.Intn(2) == 0 {
+			b = MoveDown(parse(srcs[rng.Intn(len(srcs))]), rng.Intn(3))
+		}
+		if j < 0 {
+			j = 0
+		}
+		if got, want := IsMovedDown(a, b, j), MoveDown(a, j).String() == b.String(); got != want {
+			t.Fatalf("IsMovedDown(%q, %q, %d) = %v, the texts say %v", a, b, j, got, want)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package formula
 
-import "dataspread/internal/sheet"
+import (
+	"math"
+
+	"dataspread/internal/sheet"
+)
 
 // Shift describes a structural edit that moves cell coordinates:
 // inserting or deleting rows/columns (Section III operations 3).
@@ -137,4 +141,78 @@ func (sh Shift) shiftRange(from, to sheet.Ref) (sheet.Ref, sheet.Ref, bool) {
 		return sheet.Ref{}, sheet.Ref{}, false
 	}
 	return nf, nt, true
+}
+
+// MoveDown returns e as it reads k rows further down — what filling a formula
+// down k rows makes of it: every row reference that is not $-absolute grows by
+// k, everything else stays. Literals are shared with e, like Apply's.
+func MoveDown(e Expr, k int) Expr {
+	switch v := e.(type) {
+	case *RefNode:
+		n := v.movedDown(k)
+		return &n
+	case *RangeNode:
+		return &RangeNode{From: v.From.movedDown(k), To: v.To.movedDown(k)}
+	case *Call:
+		out := &Call{Name: v.Name, Args: make([]Expr, len(v.Args))}
+		for i, a := range v.Args {
+			out.Args[i] = MoveDown(a, k)
+		}
+		return out
+	case *Unary:
+		return &Unary{Op: v.Op, X: MoveDown(v.X, k)}
+	case *Binary:
+		return &Binary{Op: v.Op, L: MoveDown(v.L, k), R: MoveDown(v.R, k)}
+	}
+	return e
+}
+
+func (r RefNode) movedDown(k int) RefNode {
+	if !r.AbsRow {
+		r.Ref.Row += k
+	}
+	return r
+}
+
+// IsMovedDown reports whether b is MoveDown(a, k), by walking the two trees
+// side by side: no expression and no text is built.
+func IsMovedDown(a, b Expr, k int) bool {
+	switch x := a.(type) {
+	case *NumberLit:
+		y, ok := b.(*NumberLit)
+		return ok && math.Float64bits(x.Val) == math.Float64bits(y.Val)
+	case *StringLit:
+		y, ok := b.(*StringLit)
+		return ok && *x == *y
+	case *BoolLit:
+		y, ok := b.(*BoolLit)
+		return ok && *x == *y
+	case *ErrorLit:
+		y, ok := b.(*ErrorLit)
+		return ok && *x == *y
+	case *RefNode:
+		y, ok := b.(*RefNode)
+		return ok && x.movedDown(k) == *y
+	case *RangeNode:
+		y, ok := b.(*RangeNode)
+		return ok && x.From.movedDown(k) == y.From && x.To.movedDown(k) == y.To
+	case *Call:
+		y, ok := b.(*Call)
+		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !IsMovedDown(x.Args[i], y.Args[i], k) {
+				return false
+			}
+		}
+		return true
+	case *Unary:
+		y, ok := b.(*Unary)
+		return ok && x.Op == y.Op && IsMovedDown(x.X, y.X, k)
+	case *Binary:
+		y, ok := b.(*Binary)
+		return ok && x.Op == y.Op && IsMovedDown(x.L, y.L, k) && IsMovedDown(x.R, y.R, k)
+	}
+	return false
 }

@@ -1,8 +1,10 @@
 package model
 
 import (
-	"encoding/json"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dataspread/internal/posmap"
@@ -35,6 +37,27 @@ import (
 // double-checks with byte equality, so even rewritten-but-identical blobs
 // cost nothing at commit).
 //
+// Every value is length-framed rows of the heap's own row codec
+// (rdbms.AppendRecord / rdbms.EachRecord), the catalog root's encoding:
+//
+//	root    (name, scheme, seq, next segment, overflow segment, regions),
+//	        then per region (from row, from col, to row, to col, kind, segment)
+//	header  (kind, table, next column, headers, next row id, next column id,
+//	        column indirection)
+//	order   (generation, column generation, rows, columns)
+//	delta   (generation, column generation, row ops, column ops), then per
+//	        op (kind, position, count, pointers)
+//
+// An ordering — tuple pointers packed page<<16|slot, or RCV surrogates, which
+// pack the same way — and a column indirection are one text datum each: the
+// entry count, then each entry as the varint of its difference from the one
+// before (consecutive slots of one page differ by 1, so a dense table costs a
+// byte a row). No value carries a
+// version of its own; the data-file header's covers them, and decoding is
+// strict instead: a missing or mistyped datum, one too many, an unknown kind,
+// a count that does not match or a trailing byte fails the load with an
+// error naming store, segment and record.
+//
 // B+ tree key indexes (RCV) are not serialized: the backing table carries
 // the key attribute, so they are rebuilt by a heap scan on load, exactly
 // like catalog indexes.
@@ -42,102 +65,76 @@ import (
 // storeMetaKey is the metadata KV key prefix for store manifests.
 const storeMetaKey = "sheet:"
 
-// storeFormatVersion is the one store manifest layout this build reads and
-// writes; LoadHybridStore refuses any other.
-const storeFormatVersion = 3
-
-// storeRoot is the root manifest: the region map and segment directory.
-type storeRoot struct {
-	Version  int          `json:"version"`
-	Name     string       `json:"name"`
-	Scheme   string       `json:"scheme"`
-	Seq      int          `json:"seq"`
-	NextSeg  int          `json:"next_seg"`
-	Overflow int          `json:"overflow_seg"`
-	Regions  []regionRoot `json:"regions,omitempty"`
-}
-
-type regionRoot struct {
-	// Rect is {fromRow, fromCol, toRow, toCol} in absolute coordinates.
-	Rect [4]int `json:"rect"`
-	Kind string `json:"kind"` // "rom", "com", "rcv", "tom"
-	Seg  int    `json:"seg"`
-}
-
 // segHeader is a segment's non-positional state (O(cols), rewritten freely
 // — the meta KV's byte-equality check skips unchanged headers at commit).
 type segHeader struct {
-	Kind      string `json:"kind"`
-	Table     string `json:"table"`
-	ColPos    []int  `json:"col_pos,omitempty"`
-	NextCol   int    `json:"next_col,omitempty"`
-	Headers   bool   `json:"headers,omitempty"`
-	NextRowID int64  `json:"next_row_id,omitempty"`
-	NextColID int64  `json:"next_col_id,omitempty"`
-}
-
-// segOrder is a segment's full positional ordering, stamped with the
-// generation its deltas must match.
-type segOrder struct {
-	Gen     uint64   `json:"gen"`
-	RowRIDs []uint64 `json:"rids,omitempty"` // rom/com/tom: packed page<<16|slot
-	ColGen  uint64   `json:"col_gen,omitempty"`
-	RowIDs  []int64  `json:"row_ids,omitempty"` // rcv surrogates
-	ColIDs  []int64  `json:"col_ids,omitempty"`
-}
-
-// segDelta is the op log accumulated since the segment's order write.
-type segDelta struct {
-	Gen    uint64  `json:"gen"`
-	ColGen uint64  `json:"col_gen,omitempty"`
-	Ops    []opRec `json:"ops,omitempty"`
-	ColOps []opRec `json:"col_ops,omitempty"`
-}
-
-// opRec is one serialized posmap mutation.
-type opRec struct {
-	K uint8    `json:"k"`
-	P int      `json:"p"`
-	N int      `json:"n,omitempty"`
-	V []uint64 `json:"v,omitempty"`
+	Kind      string // "rom", "com", "rcv", "tom"
+	Table     string
+	ColPos    []int
+	NextCol   int
+	Headers   bool
+	NextRowID int64
+	NextColID int64
 }
 
 func packRID(r rdbms.RID) uint64   { return uint64(r.Page)<<16 | uint64(r.Slot) }
 func unpackRID(v uint64) rdbms.RID { return rdbms.RID{Page: rdbms.PageID(v >> 16), Slot: uint16(v)} }
 
-func mapRIDs(m posmap.Map) []uint64 {
-	rids := m.FetchRange(1, m.Len())
-	out := make([]uint64, len(rids))
-	for i, r := range rids {
-		out[i] = packRID(r)
+// packDatum packs a sequence of integers — key gives each element's — into one
+// text datum (see the encoding above).
+func packDatum[T any](vs []T, key func(T) uint64) rdbms.Datum {
+	buf := binary.AppendUvarint(make([]byte, 0, len(vs)+binary.MaxVarintLen64), uint64(len(vs)))
+	prev := uint64(0)
+	for _, v := range vs {
+		k := key(v)
+		buf = binary.AppendVarint(buf, int64(k-prev))
+		prev = k
 	}
-	return out
+	return rdbms.Text(string(buf))
 }
 
-func encodeOps(ops []posmap.Op) []opRec {
-	out := make([]opRec, len(ops))
-	for i, op := range ops {
-		rec := opRec{K: uint8(op.Kind), P: op.Pos, N: op.N}
-		if len(op.RIDs) > 0 {
-			rec.V = make([]uint64, len(op.RIDs))
-			for j, r := range op.RIDs {
-				rec.V[j] = packRID(r)
-			}
-		}
-		out[i] = rec
+// unpackDatum unpacks packDatum's text: exactly the entries it counts.
+func unpackDatum[T any](s string, val func(uint64) T) ([]T, error) {
+	buf := []byte(s)
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 || n > uint64(len(buf)-sz) {
+		return nil, fmt.Errorf("sequence of %d entries in %d bytes", n, len(buf))
 	}
-	return out
+	buf = buf[sz:]
+	out := make([]T, n)
+	prev := uint64(0)
+	for i := range out {
+		d, sz := binary.Varint(buf)
+		if sz <= 0 {
+			return nil, fmt.Errorf("sequence ends at entry %d of %d", i, n)
+		}
+		buf = buf[sz:]
+		prev += uint64(d)
+		out[i] = val(prev)
+	}
+	if len(buf) > 0 {
+		return nil, fmt.Errorf("%d bytes after the sequence's %d entries", len(buf), n)
+	}
+	return out, nil
 }
 
-func decodeOp(rec opRec) posmap.Op {
-	op := posmap.Op{Kind: posmap.OpKind(rec.K), Pos: rec.P, N: rec.N}
-	if len(rec.V) > 0 {
-		op.RIDs = make([]rdbms.RID, len(rec.V))
-		for j, v := range rec.V {
-			op.RIDs[j] = unpackRID(v)
-		}
+// wantRecords closes a value's decode: the records it must hold, all there.
+func wantRecords(n, want int, err error) error {
+	if err == nil && n != want {
+		err = fmt.Errorf("%d records where %d belong", n, want)
 	}
-	return op
+	return err
+}
+
+// encode serializes the header as its one record (see the encoding above).
+func (hdr *segHeader) encode() []byte {
+	headers := int64(0)
+	if hdr.Headers {
+		headers = 1
+	}
+	return rdbms.AppendRecord(nil, rdbms.Row{rdbms.Text(hdr.Kind), rdbms.Text(hdr.Table), rdbms.Int(int64(hdr.NextCol)),
+		rdbms.Int(headers), rdbms.Int(hdr.NextRowID), rdbms.Int(hdr.NextColID),
+		packDatum(hdr.ColPos, func(c int) uint64 { return uint64(c) })})
 }
 
 func (h *HybridStore) rootKey() string { return storeMetaKey + h.name }
@@ -150,15 +147,6 @@ func (h *HybridStore) segKey(seg int, suffix string) string {
 	return k
 }
 
-func putJSON(db *rdbms.DB, key string, v any) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	db.PutMeta(key, blob)
-	return nil
-}
-
 // SaveManifest writes the store manifest into the database metadata KV,
 // rewriting only the segments whose state changed since the last save.
 // Call it before rdbms.DB.FlushWAL/Checkpoint/Close so the store state is
@@ -167,7 +155,7 @@ func (h *HybridStore) SaveManifest() error { return h.saveManifest(false) }
 
 // SaveManifestFull is SaveManifest with dirty tracking bypassed: every
 // segment rewrites its full ordering. It is the reference writer the
-// incremental path is tested against, and a repair hook.
+// incremental path is tested against.
 func (h *HybridStore) SaveManifestFull() error { return h.saveManifest(true) }
 
 func (h *HybridStore) saveManifest(full bool) error {
@@ -176,118 +164,87 @@ func (h *HybridStore) saveManifest(full bool) error {
 		h.deleteSegment(seg)
 	}
 	h.deadSegs = nil
-	root := storeRoot{
-		Version:  storeFormatVersion,
-		Name:     h.name,
-		Scheme:   h.scheme,
-		Seq:      h.seq,
-		NextSeg:  h.nextSeg,
-		Overflow: overflowSeg,
-	}
-	if err := h.saveRCVSegment(root.Overflow, h.overflow, full); err != nil {
+	if _, err := h.saveSegment(overflowSeg, h.overflow, full); err != nil {
 		return err
 	}
+	root := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Text(h.name), rdbms.Text(h.scheme), rdbms.Int(int64(h.seq)),
+		rdbms.Int(int64(h.nextSeg)), rdbms.Int(overflowSeg), rdbms.Int(int64(len(h.regions)))})
 	for _, reg := range h.regions {
-		rr := regionRoot{Rect: [4]int{
-			reg.rect.From.Row, reg.rect.From.Col, reg.rect.To.Row, reg.rect.To.Col,
-		}, Seg: reg.seg}
-		var err error
-		switch tr := reg.tr.(type) {
-		case *ROM:
-			rr.Kind = "rom"
-			err = h.saveROMSegment(reg.seg, "rom", tr, full)
-		case *COM:
-			rr.Kind = "com"
-			err = h.saveROMSegment(reg.seg, "com", tr.inner, full)
-		case *RCV:
-			rr.Kind = "rcv"
-			err = h.saveRCVSegment(reg.seg, tr, full)
-		case *TOM:
-			rr.Kind = "tom"
-			err = h.saveTOMSegment(reg.seg, tr, full)
-		default:
-			err = fmt.Errorf("model: cannot serialize translator %T", reg.tr)
-		}
+		kind, err := h.saveSegment(reg.seg, reg.tr, full)
 		if err != nil {
 			return err
 		}
-		root.Regions = append(root.Regions, rr)
+		root = rdbms.AppendRecord(root, rdbms.Row{
+			rdbms.Int(int64(reg.rect.From.Row)), rdbms.Int(int64(reg.rect.From.Col)),
+			rdbms.Int(int64(reg.rect.To.Row)), rdbms.Int(int64(reg.rect.To.Col)),
+			rdbms.Text(kind), rdbms.Int(int64(reg.seg))})
 	}
-	return putJSON(h.db, h.rootKey(), &root)
-}
-
-func (h *HybridStore) saveROMSegment(seg int, kind string, r *ROM, full bool) error {
-	hdr := segHeader{Kind: kind, Table: r.cfg.TableName, ColPos: r.colPos, NextCol: r.nextCol}
-	if err := putJSON(h.db, h.segKey(seg, ""), &hdr); err != nil {
-		return err
-	}
-	return h.saveMapOrder(seg, r.rowMap, full)
-}
-
-func (h *HybridStore) saveTOMSegment(seg int, t *TOM, full bool) error {
-	hdr := segHeader{Kind: "tom", Table: t.db.Name, Headers: t.headers}
-	if err := putJSON(h.db, h.segKey(seg, ""), &hdr); err != nil {
-		return err
-	}
-	return h.saveMapOrder(seg, t.rowMap, full)
-}
-
-// saveMapOrder persists one tracked ordering: the full dump when the map
-// has no usable base (or the caller forces it), the op log when it grew,
-// nothing when the segment is clean.
-func (h *HybridStore) saveMapOrder(seg int, t *posmap.Tracked, full bool) error {
-	switch {
-	case full || t.NeedsFull():
-		ord := segOrder{Gen: t.Gen() + 1, RowRIDs: mapRIDs(t)}
-		if err := putJSON(h.db, h.segKey(seg, "order"), &ord); err != nil {
-			return err
-		}
-		h.db.DeleteMeta(h.segKey(seg, "delta"))
-		t.MarkBase()
-	case t.DeltaDirty():
-		d := segDelta{Gen: t.Gen(), Ops: encodeOps(t.Ops())}
-		if err := putJSON(h.db, h.segKey(seg, "delta"), &d); err != nil {
-			return err
-		}
-		t.MarkDeltaSaved()
-	}
+	h.db.PutMeta(h.rootKey(), root)
 	return nil
 }
 
-func (h *HybridStore) saveRCVSegment(seg int, r *RCV, full bool) error {
-	hdr := segHeader{
-		Kind: "rcv", Table: r.cfg.TableName,
-		NextRowID: r.nextRowID, NextColID: r.nextColID,
+// saveSegment persists one translator as segment seg — its header, then its
+// orderings as far as they changed — and returns its kind.
+func (h *HybridStore) saveSegment(seg int, tr Translator, full bool) (string, error) {
+	var hdr segHeader
+	var rows, cols *posmap.Tracked
+	rom := "rom"
+	if com, ok := tr.(*COM); ok {
+		tr, rom = com.inner, "com" // a COM is its inner ROM, transposed
 	}
-	if err := putJSON(h.db, h.segKey(seg, ""), &hdr); err != nil {
-		return err
+	switch tr := tr.(type) {
+	case *ROM:
+		hdr, rows = segHeader{Kind: rom, Table: tr.cfg.TableName, ColPos: tr.colPos, NextCol: tr.nextCol}, tr.rowMap
+	case *RCV:
+		hdr = segHeader{Kind: "rcv", Table: tr.cfg.TableName, NextRowID: tr.nextRowID, NextColID: tr.nextColID}
+		rows, cols = tr.rowIDs.m, tr.colIDs.m
+	case *TOM:
+		hdr, rows = segHeader{Kind: "tom", Table: tr.db.Name, Headers: tr.headers}, tr.rowMap
+	default:
+		return "", fmt.Errorf("model: cannot serialize translator %T", tr)
 	}
-	rt, ct := r.rowIDs.m, r.colIDs.m
+	h.db.PutMeta(h.segKey(seg, ""), hdr.encode())
+	h.saveOrder(seg, full, rows, cols)
+	return hdr.Kind, nil
+}
+
+// saveOrder persists a segment's tracked orderings (cols is nil but for an
+// rcv segment): the full dump when either has no usable base (or the caller
+// forces it), the op logs when one grew, nothing when the segment is clean.
+func (h *HybridStore) saveOrder(seg int, full bool, rows, cols *posmap.Tracked) {
+	maps := []*posmap.Tracked{rows}
+	if cols != nil {
+		maps = append(maps, cols)
+	}
+	var gen [2]uint64
+	needFull, dirty := full, false
+	for i, t := range maps {
+		gen[i] = t.Gen()
+		needFull = needFull || t.NeedsFull()
+		dirty = dirty || t.DeltaDirty()
+	}
 	switch {
-	case full || rt.NeedsFull() || ct.NeedsFull():
-		ord := segOrder{
-			Gen: rt.Gen() + 1, ColGen: ct.Gen() + 1,
-			RowIDs: r.rowIDs.Range(1, rt.Len()),
-			ColIDs: r.colIDs.Range(1, ct.Len()),
+	case needFull:
+		row := rdbms.Row{rdbms.Int(int64(gen[0] + 1)), rdbms.Int(0), packDatum(nil, packRID), packDatum(nil, packRID)}
+		for i, t := range maps {
+			row[i], row[2+i] = rdbms.Int(int64(gen[i]+1)), packDatum(t.FetchRange(1, t.Len()), packRID)
+			t.MarkBase()
 		}
-		if err := putJSON(h.db, h.segKey(seg, "order"), &ord); err != nil {
-			return err
-		}
+		h.db.PutMeta(h.segKey(seg, "order"), rdbms.AppendRecord(nil, row))
 		h.db.DeleteMeta(h.segKey(seg, "delta"))
-		rt.MarkBase()
-		ct.MarkBase()
-	case rt.DeltaDirty() || ct.DeltaDirty():
-		d := segDelta{
-			Gen: rt.Gen(), ColGen: ct.Gen(),
-			Ops: encodeOps(rt.Ops()), ColOps: encodeOps(ct.Ops()),
+	case dirty:
+		head := rdbms.Row{rdbms.Int(int64(gen[0])), rdbms.Int(int64(gen[1])), rdbms.Int(0), rdbms.Int(0)}
+		var ops []byte
+		for i, t := range maps {
+			head[2+i] = rdbms.Int(int64(len(t.Ops())))
+			for _, op := range t.Ops() {
+				ops = rdbms.AppendRecord(ops, rdbms.Row{rdbms.Int(int64(op.Kind)), rdbms.Int(int64(op.Pos)),
+					rdbms.Int(int64(op.N)), packDatum(op.RIDs, packRID)})
+			}
+			t.MarkDeltaSaved()
 		}
-		if err := putJSON(h.db, h.segKey(seg, "delta"), &d); err != nil {
-			return err
-		}
-		rt.MarkDeltaSaved()
-		ct.MarkDeltaSaved()
+		h.db.PutMeta(h.segKey(seg, "delta"), append(rdbms.AppendRecord(nil, head), ops...))
 	}
-	return nil
 }
 
 // deleteSegment drops a segment's meta keys (region retired by a structural
@@ -372,213 +329,173 @@ func StoreNames(db *rdbms.DB) []string {
 	return out
 }
 
+// loadValue reads one manifest value of a store and decodes it; what names it
+// ("root", "segment 3 order") in the error of a value that cannot be read or
+// decoded. found is false, with no error, when the key does not exist.
+func loadValue(db *rdbms.DB, store, key, what string, decode func(blob []byte) error) (found bool, err error) {
+	blob, ok, err := db.MetaValue(key)
+	if err != nil {
+		return false, fmt.Errorf("model: store %q %s unreadable: %w", store, what, err)
+	}
+	if ok {
+		if err = decode(blob); err != nil {
+			err = fmt.Errorf("model: store %q %s: %w", store, what, err)
+		}
+	}
+	return ok, err
+}
+
 // LoadHybridStore reattaches a persisted store: region translators are
 // rebuilt over the (already loaded) catalog tables, positional maps from
 // their order segments plus delta replay, and RCV key indexes by heap scan.
 func LoadHybridStore(db *rdbms.DB, name string) (*HybridStore, error) {
-	blob, ok, err := db.MetaValue(storeMetaKey + name)
-	if err != nil {
-		return nil, fmt.Errorf("model: store %q manifest unreadable: %w", name, err)
+	h := &HybridStore{db: db}
+	type regionRoot struct {
+		rect sheet.Range
+		kind string
+		seg  int
 	}
-	if !ok {
-		return nil, fmt.Errorf("model: no persisted store %q", name)
-	}
-	var root storeRoot
-	if err := json.Unmarshal(blob, &root); err != nil {
-		return nil, fmt.Errorf("model: corrupt root manifest for store %q: %w", name, err)
-	}
-	if root.Version != storeFormatVersion {
-		return nil, fmt.Errorf("model: store %q manifest is format version %d, this build reads only version %d",
-			name, root.Version, storeFormatVersion)
-	}
-	h := &HybridStore{db: db, scheme: root.Scheme, name: root.Name, seq: root.Seq, nextSeg: root.NextSeg}
-	ov, err := h.loadRCVSegment(root.Overflow)
+	var regions []regionRoot
+	overflow, declared := 0, 0
+	found, err := loadValue(db, name, storeMetaKey+name, "root", func(blob []byte) error {
+		n, err := rdbms.EachRecord(blob, func(i int, rec *rdbms.RecordReader) error {
+			if i == 0 {
+				h.name, h.scheme, h.seq, h.nextSeg = rec.Text(), rec.Text(), int(rec.Int()), int(rec.Int())
+				overflow, declared = int(rec.Int()), int(rec.Int())
+				if !slices.Contains(posmap.Schemes(), h.scheme) {
+					return fmt.Errorf("unknown positional scheme %q", h.scheme)
+				}
+				return nil
+			}
+			rr := regionRoot{rect: sheet.NewRange(int(rec.Int()), int(rec.Int()), int(rec.Int()), int(rec.Int())),
+				kind: rec.Text(), seg: int(rec.Int())}
+			switch rr.kind {
+			case "rom", "com", "rcv", "tom":
+				regions = append(regions, rr)
+				return nil
+			}
+			return fmt.Errorf("unknown region kind %q", rr.kind)
+		})
+		return wantRecords(n, 1+declared, err)
+	})
 	if err != nil {
 		return nil, err
 	}
-	h.overflow = ov
-	for _, rr := range root.Regions {
-		rect := sheet.NewRange(rr.Rect[0], rr.Rect[1], rr.Rect[2], rr.Rect[3])
-		var tr Translator
-		switch rr.Kind {
-		case "rom":
-			tr, err = h.loadROMSegment(rr.Seg)
-		case "com":
-			var inner *ROM
-			inner, err = h.loadROMSegment(rr.Seg)
-			if err == nil {
-				tr = &COM{inner: inner}
-			}
-		case "rcv":
-			tr, err = h.loadRCVSegment(rr.Seg)
-		case "tom":
-			tr, err = h.loadTOMSegment(rr.Seg)
-		default:
-			err = fmt.Errorf("model: unknown region kind %q", rr.Kind)
-		}
+	if !found {
+		return nil, fmt.Errorf("model: no persisted store %q", name)
+	}
+	ov, err := h.loadSegment(overflow, "rcv")
+	if err != nil {
+		return nil, err
+	}
+	h.overflow = ov.(*RCV)
+	for _, rr := range regions {
+		tr, err := h.loadSegment(rr.seg, rr.kind)
 		if err != nil {
 			return nil, err
 		}
-		h.regions = append(h.regions, storeRegion{rect: rect, tr: tr, seg: rr.Seg})
+		h.regions = append(h.regions, storeRegion{rect: rr.rect, tr: tr, seg: rr.seg})
 	}
 	return h, nil
 }
 
-func (h *HybridStore) loadSegHeader(seg int) (*segHeader, error) {
-	blob, ok, err := h.db.MetaValue(h.segKey(seg, ""))
-	if err != nil {
-		return nil, fmt.Errorf("model: store %q segment %d header unreadable: %w", h.name, seg, err)
+// loadSegment rebuilds one translator from its segment: the header — it must
+// be of the kind the root (or, for the overflow segment, the format) says —
+// names its table, and its orderings are the order value's base with the
+// delta value's ops replayed over it.
+func (h *HybridStore) loadSegment(seg int, kind string) (Translator, error) {
+	value := func(suffix string, decode func(i int, rec *rdbms.RecordReader) error, want func() int) error {
+		what := fmt.Sprintf("segment %d %s", seg, cmp.Or(suffix, "header"))
+		found, err := loadValue(h.db, h.name, h.segKey(seg, suffix), what, func(blob []byte) error {
+			n, err := rdbms.EachRecord(blob, decode)
+			return wantRecords(n, want(), err)
+		})
+		if err == nil && !found && suffix != "delta" {
+			err = fmt.Errorf("model: store %q missing %s", h.name, what)
+		}
+		return err
 	}
-	if !ok {
-		return nil, fmt.Errorf("model: store %q missing segment %d header", h.name, seg)
-	}
+	one := func() int { return 1 }
 	var hdr segHeader
-	if err := json.Unmarshal(blob, &hdr); err != nil {
-		return nil, fmt.Errorf("model: corrupt segment %d header for store %q: %w", seg, h.name, err)
-	}
-	return &hdr, nil
-}
-
-func (h *HybridStore) loadSegOrder(seg int) (*segOrder, *segDelta, error) {
-	blob, ok, err := h.db.MetaValue(h.segKey(seg, "order"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("model: store %q segment %d order unreadable: %w", h.name, seg, err)
-	}
-	if !ok {
-		return nil, nil, fmt.Errorf("model: store %q missing segment %d order", h.name, seg)
-	}
-	var ord segOrder
-	if err := json.Unmarshal(blob, &ord); err != nil {
-		return nil, nil, fmt.Errorf("model: corrupt segment %d order for store %q: %w", seg, h.name, err)
-	}
-	dblob, ok, err := h.db.MetaValue(h.segKey(seg, "delta"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("model: store %q segment %d delta unreadable: %w", h.name, seg, err)
-	}
-	if !ok {
-		return &ord, nil, nil
-	}
-	var d segDelta
-	if err := json.Unmarshal(dblob, &d); err != nil {
-		return nil, nil, fmt.Errorf("model: corrupt segment %d delta for store %q: %w", seg, h.name, err)
-	}
-	// Order and delta commit atomically (one WAL batch), so a generation
-	// mismatch means a manifest bug, not a torn write — refuse to guess.
-	if d.Gen != ord.Gen || d.ColGen != ord.ColGen {
-		return nil, nil, fmt.Errorf("model: store %q segment %d delta generation %d/%d does not match order %d/%d",
-			h.name, seg, d.Gen, d.ColGen, ord.Gen, ord.ColGen)
-	}
-	return &ord, &d, nil
-}
-
-// rebuildTracked reconstructs one ordering from its base RIDs, generation
-// and replay ops.
-func rebuildTracked(scheme string, base []rdbms.RID, gen uint64, ops []opRec) (*posmap.Tracked, error) {
-	t := posmap.NewTracked(scheme)
-	if len(base) > 0 && !t.InsertMany(1, base) {
-		return nil, fmt.Errorf("model: positional map rejected %d base entries", len(base))
-	}
-	t.BeginDelta(gen)
-	for _, rec := range ops {
-		if err := t.Apply(decodeOp(rec)); err != nil {
-			return nil, err
+	if err := value("", func(_ int, rec *rdbms.RecordReader) (err error) {
+		hdr.Kind, hdr.Table, hdr.NextCol, hdr.Headers = rec.Text(), rec.Text(), int(rec.Int()), rec.Int() != 0
+		hdr.NextRowID, hdr.NextColID = rec.Int(), rec.Int()
+		if hdr.Kind != kind {
+			return fmt.Errorf("a %q segment where the root holds a %q region", hdr.Kind, kind)
 		}
-	}
-	t.MarkDeltaSaved()
-	return t, nil
-}
-
-func (h *HybridStore) loadMapOrder(seg int) (*posmap.Tracked, error) {
-	ord, d, err := h.loadSegOrder(seg)
-	if err != nil {
-		return nil, err
-	}
-	base := make([]rdbms.RID, len(ord.RowRIDs))
-	for i, v := range ord.RowRIDs {
-		base[i] = unpackRID(v)
-	}
-	var ops []opRec
-	if d != nil {
-		ops = d.Ops
-	}
-	return rebuildTracked(h.scheme, base, ord.Gen, ops)
-}
-
-func (h *HybridStore) loadROMSegment(seg int) (*ROM, error) {
-	hdr, err := h.loadSegHeader(seg)
-	if err != nil {
+		hdr.ColPos, err = unpackDatum(rec.Text(), func(v uint64) int { return int(v) })
+		return err
+	}, one); err != nil {
 		return nil, err
 	}
 	table := h.db.Table(hdr.Table)
 	if table == nil {
-		return nil, fmt.Errorf("model: manifest references missing table %q", hdr.Table)
+		return nil, fmt.Errorf("model: store %q segment %d references missing table %q", h.name, seg, hdr.Table)
 	}
-	rowMap, err := h.loadMapOrder(seg)
-	if err != nil {
-		return nil, err
-	}
-	return &ROM{
-		cfg:     Config{DB: h.db, Scheme: h.scheme, TableName: hdr.Table},
-		table:   table,
-		rowMap:  rowMap,
-		colPos:  append([]int(nil), hdr.ColPos...),
-		nextCol: hdr.NextCol,
-	}, nil
-}
-
-func (h *HybridStore) loadTOMSegment(seg int) (*TOM, error) {
-	hdr, err := h.loadSegHeader(seg)
-	if err != nil {
-		return nil, err
-	}
-	table := h.db.Table(hdr.Table)
-	if table == nil {
-		return nil, fmt.Errorf("model: manifest references missing linked table %q", hdr.Table)
-	}
-	rowMap, err := h.loadMapOrder(seg)
-	if err != nil {
-		return nil, err
-	}
-	return &TOM{db: table, rowMap: rowMap, headers: hdr.Headers}, nil
-}
-
-func (h *HybridStore) loadRCVSegment(seg int) (*RCV, error) {
-	hdr, err := h.loadSegHeader(seg)
-	if err != nil {
-		return nil, err
-	}
-	table := h.db.Table(hdr.Table)
-	if table == nil {
-		return nil, fmt.Errorf("model: manifest references missing table %q", hdr.Table)
-	}
-	ord, d, err := h.loadSegOrder(seg)
-	if err != nil {
-		return nil, err
-	}
-	toRIDs := func(ids []int64) []rdbms.RID {
-		out := make([]rdbms.RID, len(ids))
-		for i, id := range ids {
-			out[i] = idToRID(id)
+	// The order value: generations and full orderings, rows then columns.
+	var gen, colGen int64
+	var base, colBase []rdbms.RID
+	if err := value("order", func(_ int, rec *rdbms.RecordReader) (err error) {
+		gen, colGen = rec.Int(), rec.Int()
+		if base, err = unpackDatum(rec.Text(), unpackRID); err == nil {
+			colBase, err = unpackDatum(rec.Text(), unpackRID)
 		}
-		return out
-	}
-	var rowOps, colOps []opRec
-	if d != nil {
-		rowOps, colOps = d.Ops, d.ColOps
-	}
-	rowT, err := rebuildTracked(h.scheme, toRIDs(ord.RowIDs), ord.Gen, rowOps)
-	if err != nil {
+		return err
+	}, one); err != nil {
 		return nil, err
 	}
-	colT, err := rebuildTracked(h.scheme, toRIDs(ord.ColIDs), ord.ColGen, colOps)
-	if err != nil {
+	// The delta value, when there is one: the ops logged since, rows' first.
+	var ops, colOps []posmap.Op
+	nOps, nColOps := 0, 0
+	if err := value("delta", func(i int, rec *rdbms.RecordReader) (err error) {
+		if i == 0 {
+			dGen, dColGen := rec.Int(), rec.Int()
+			nOps, nColOps = int(rec.Int()), int(rec.Int())
+			// Order and delta commit atomically (one WAL batch), so a generation
+			// mismatch means a manifest bug, not a torn write — refuse to guess.
+			if rec.Err == nil && (dGen != gen || dColGen != colGen) {
+				err = fmt.Errorf("generation %d/%d does not match the order's %d/%d", dGen, dColGen, gen, colGen)
+			}
+			return err
+		}
+		op := posmap.Op{Kind: posmap.OpKind(rec.Int()), Pos: int(rec.Int()), N: int(rec.Int())}
+		if op.RIDs, err = unpackDatum(rec.Text(), unpackRID); err != nil {
+			return err
+		}
+		if i <= nOps {
+			ops = append(ops, op)
+		} else {
+			colOps = append(colOps, op)
+		}
+		return nil
+	}, func() int { return 1 + nOps + nColOps }); err != nil {
 		return nil, err
+	}
+	rows, err := rebuildTracked(h.scheme, base, uint64(gen), ops)
+	if err != nil {
+		return nil, fmt.Errorf("model: store %q segment %d: %w", h.name, seg, err)
+	}
+	if kind != "rcv" && len(colBase)+len(colOps) > 0 {
+		return nil, fmt.Errorf("model: store %q segment %d: a column ordering in a %q segment", h.name, seg, kind)
+	}
+	cfg := Config{DB: h.db, Scheme: h.scheme, TableName: hdr.Table}
+	switch kind {
+	case "rom":
+		return &ROM{cfg: cfg, table: table, rowMap: rows, colPos: hdr.ColPos, nextCol: hdr.NextCol}, nil
+	case "com":
+		return &COM{inner: &ROM{cfg: cfg, table: table, rowMap: rows, colPos: hdr.ColPos, nextCol: hdr.NextCol}}, nil
+	case "tom":
+		return &TOM{db: table, rowMap: rows, headers: hdr.Headers}, nil
+	}
+	cols, err := rebuildTracked(h.scheme, colBase, uint64(colGen), colOps)
+	if err != nil {
+		return nil, fmt.Errorf("model: store %q segment %d: %w", h.name, seg, err)
 	}
 	r := &RCV{
-		cfg:       Config{DB: h.db, Scheme: h.scheme, TableName: hdr.Table},
+		cfg:       cfg,
 		table:     table,
-		rowIDs:    idMap{m: rowT},
-		colIDs:    idMap{m: colT},
+		rowIDs:    idMap{m: rows},
+		colIDs:    idMap{m: cols},
 		nextRowID: hdr.NextRowID,
 		nextColID: hdr.NextColID,
 		index:     rdbms.NewBTree(64),
@@ -591,4 +508,21 @@ func (h *HybridStore) loadRCVSegment(seg int) (*RCV, error) {
 		return true
 	})
 	return r, nil
+}
+
+// rebuildTracked reconstructs one ordering from its base, generation and
+// replay ops.
+func rebuildTracked(scheme string, base []rdbms.RID, gen uint64, ops []posmap.Op) (*posmap.Tracked, error) {
+	t := posmap.NewTracked(scheme)
+	if len(base) > 0 && !t.InsertMany(1, base) {
+		return nil, fmt.Errorf("positional map rejected %d base entries", len(base))
+	}
+	t.BeginDelta(gen)
+	for _, op := range ops {
+		if err := t.Apply(op); err != nil {
+			return nil, err
+		}
+	}
+	t.MarkDeltaSaved()
+	return t, nil
 }

@@ -2,6 +2,8 @@ package model
 
 import (
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dataspread/internal/hybrid"
@@ -190,4 +192,72 @@ func TestStoreNames(t *testing.T) {
 	if names := StoreNames(db); len(names) != 0 {
 		t.Fatalf("after drop: %v", names)
 	}
+}
+
+// fuzzStore builds the saved store FuzzStoreManifestDecode damages: buildSheet
+// in one row-oriented region, a cell outside it in the overflow RCV, and one
+// row inserted after the first save, so order and delta values both exist.
+func fuzzStore(t testing.TB) (*rdbms.DB, *HybridStore) {
+	t.Helper()
+	db := rdbms.Open(rdbms.Options{})
+	s := buildSheet()
+	d, err := hybrid.Decompose(s, "rom", hybrid.Options{Params: hybrid.PostgresCost, Models: hybrid.AllModels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := Materialize(db, "hs", "hierarchical", s, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.Update(30, 15, sheet.Cell{Value: sheet.Str("far out")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.SaveManifest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.InsertRowAfter(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.SaveManifest(); err != nil {
+		t.Fatal(err)
+	}
+	return db, hs
+}
+
+// FuzzStoreManifestDecode puts a mutated value under one of a saved store's
+// manifest keys and loads it: an error, or a store that reads without
+// panicking and survives its own full save — never a panic in a decoder.
+func FuzzStoreManifestDecode(f *testing.F) {
+	db, _ := fuzzStore(f)
+	keys := db.MetaKeys(storeMetaKey + "hs")
+	deltas := 0
+	for i, k := range keys {
+		blob, _ := db.GetMeta(k)
+		f.Add(uint8(i), blob)
+		if strings.HasSuffix(k, ":delta") {
+			deltas++
+		}
+	}
+	if deltas == 0 {
+		f.Fatalf("the seed store saved no delta value: %v", keys)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, blob []byte) {
+		db, _ := fuzzStore(t)
+		db.PutMeta(keys[int(which)%len(keys)], blob)
+		hs, err := LoadHybridStore(db, "hs")
+		if err != nil {
+			return
+		}
+		hs.GetCells(sheet.NewRange(1, 1, 32, 16)) // a wrong pointer is a read error, not a panic
+		if err := hs.SaveManifestFull(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadHybridStore(db, "hs")
+		if err != nil {
+			t.Fatalf("the loaded store does not survive its own save: %v", err)
+		}
+		if !reflect.DeepEqual(again.Regions(), hs.Regions()) {
+			t.Fatalf("regions %v reload as %v", hs.Regions(), again.Regions())
+		}
+	})
 }

@@ -129,10 +129,16 @@ func (h *Hierarchical) Insert(pos int, rid rdbms.RID) bool {
 
 // InsertMany implements Map: each insert lands in the already-located
 // region of the tree, so a k-row shift costs O(k log N) with no cascading
-// updates — the count only pays tree maintenance, never renumbering.
+// updates — the count only pays tree maintenance, never renumbering. Into an
+// empty map (a store reloading its ordering, a bulk import) the tree is built
+// bottom-up instead, in O(N).
 func (h *Hierarchical) InsertMany(pos int, rids []rdbms.RID) bool {
 	if pos < 1 || pos > h.size+1 {
 		return false
+	}
+	if h.size == 0 && len(rids) > 0 {
+		h.build(rids)
+		return true
 	}
 	for i, rid := range rids {
 		if !h.Insert(pos+i, rid) {
@@ -140,6 +146,38 @@ func (h *Hierarchical) InsertMany(pos int, rids []rdbms.RID) bool {
 		}
 	}
 	return true
+}
+
+// build makes rids the whole content of an empty map: full leaves cut from one
+// copy of the slice and chained left to right, then level upon level of full
+// inner nodes over them until one node is left.
+func (h *Hierarchical) build(rids []rdbms.RID) {
+	all := append([]rdbms.RID(nil), rids...)
+	level := make([]hnode, 0, len(all)/h.order+1)
+	var prev *hleaf
+	for len(all) > 0 {
+		n := min(len(all), h.order)
+		leaf := &hleaf{rids: all[:n:n]}
+		if prev != nil {
+			prev.next = leaf
+		}
+		prev, all, level = leaf, all[n:], append(level, leaf)
+	}
+	for len(level) > 1 {
+		up := make([]hnode, 0, len(level)/h.order+1)
+		for len(level) > 0 {
+			n := min(len(level), h.order)
+			in := &hinner{children: level[:n:n], counts: make([]int, n)}
+			for i, c := range in.children {
+				in.counts[i] = c.count()
+				in.total += in.counts[i]
+			}
+			up, level = append(up, in), level[n:]
+		}
+		level = up
+	}
+	h.root, h.size = level[0], len(rids)
+	h.bump()
 }
 
 // DeleteMany implements Map.

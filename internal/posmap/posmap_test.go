@@ -2,6 +2,7 @@ package posmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -516,6 +517,60 @@ func assertSameOrder(t *testing.T, scheme string, a, b Map) {
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatalf("%s: position %d: %v vs %v", scheme, i+1, ga[i], gb[i])
+		}
+	}
+}
+
+// TestBulkBuildEqualsInserts: a hierarchical map built bottom-up by one
+// InsertMany into an empty map answers FetchRange over every position like
+// the one built an insert at a time, and stays equal to it under 1,000 random
+// single inserts and deletes.
+func TestBulkBuildEqualsInserts(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 5, 63, 64, 65, 4096, 4097, 10_000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		rids := make([]rdbms.RID, n)
+		for i := range rids {
+			rids[i] = rdbms.RID{Page: rdbms.PageID(rng.Intn(1 << 20)), Slot: uint16(rng.Intn(1 << 16))}
+		}
+		for _, order := range []int{4, DefaultOrder} {
+			bulk, slow := NewHierarchical(order), NewHierarchical(order)
+			if !bulk.InsertMany(1, rids) {
+				t.Fatalf("n=%d: bulk InsertMany refused", n)
+			}
+			for i, r := range rids {
+				slow.Insert(i+1, r)
+			}
+			rids[0].Slot++ // the caller's slice is the caller's: the map took a copy
+			check := func(when string) {
+				t.Helper()
+				if bulk.Len() != slow.Len() {
+					t.Fatalf("n=%d order=%d %s: Len %d vs %d", n, order, when, bulk.Len(), slow.Len())
+				}
+				for pos := 1; pos <= slow.Len(); pos += 1 + rng.Intn(3) {
+					count := 1 + rng.Intn(2*order)
+					if got, want := bulk.FetchRange(pos, count), slow.FetchRange(pos, count); !slices.Equal(got, want) {
+						t.Fatalf("n=%d order=%d %s: FetchRange(%d,%d) = %v, want %v", n, order, when, pos, count, got, want)
+					}
+					if got, _ := bulk.Fetch(pos); got != slow.FetchRange(pos, 1)[0] {
+						t.Fatalf("n=%d order=%d %s: Fetch(%d) = %v", n, order, when, pos, got)
+					}
+				}
+			}
+			check("as built")
+			for i := 0; i < 1000; i++ {
+				if pos := 1 + rng.Intn(slow.Len()+1); rng.Intn(2) == 0 || slow.Len() < 2 {
+					r := rdbms.RID{Page: rdbms.PageID(i), Slot: uint16(i)}
+					bulk.Insert(pos, r)
+					slow.Insert(pos, r)
+				} else {
+					pos = min(pos, slow.Len())
+					a, _ := bulk.Delete(pos)
+					if b, _ := slow.Delete(pos); a != b {
+						t.Fatalf("n=%d order=%d: Delete(%d) = %v vs %v", n, order, pos, a, b)
+					}
+				}
+			}
+			check("after 1,000 edits")
 		}
 	}
 }

@@ -247,3 +247,87 @@ func varintLen(v int64) int {
 	}
 	return uvarintLen(uv)
 }
+
+// AppendRecord frames one record of a manifest value — the catalog root, a
+// schema record, the store and engine manifests of internal/model and
+// internal/core: the row's encoded length, then the row.
+func AppendRecord(dst []byte, r Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(encodedSize(r)))
+	return encodeRow(dst, r)
+}
+
+// NextRecord decodes the record at the front of buf and returns the bytes
+// after it. The frame must hold exactly one canonically encoded row.
+func NextRecord(buf []byte) (*RecordReader, []byte, error) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 || n > uint64(len(buf)-sz) {
+		return nil, nil, fmt.Errorf("record frame of %d bytes runs past the %d that remain", n, len(buf))
+	}
+	frame := buf[sz : sz+int(n)]
+	row, err := decodeRow(frame)
+	if err != nil {
+		return nil, nil, err
+	}
+	if encodedSize(row) != len(frame) {
+		return nil, nil, fmt.Errorf("record frame of %d bytes holds a %d-byte row", len(frame), encodedSize(row))
+	}
+	return &RecordReader{row: row}, buf[sz+int(n):], nil
+}
+
+// RecordReader hands out the datums of one decoded record in order. A datum
+// that is missing or of the wrong type sets Err; callers check it (or Done)
+// once they have read what the record must hold.
+type RecordReader struct {
+	row Row
+	i   int
+	Err error
+}
+
+func (r *RecordReader) next(want DType) Datum {
+	if r.i >= len(r.row) || r.row[r.i].typ != want {
+		if r.Err == nil {
+			r.Err = fmt.Errorf("datum %d is missing or not %v", r.i, want)
+		}
+		return Datum{}
+	}
+	r.i++
+	return r.row[r.i-1]
+}
+
+// Int and Text return the next datum, which must be of that type.
+func (r *RecordReader) Int() int64   { return r.next(DTInt).i }
+func (r *RecordReader) Text() string { return r.next(DTText).s }
+
+// More reports whether datums remain (false once an error is set).
+func (r *RecordReader) More() bool { return r.Err == nil && r.i < len(r.row) }
+
+// Done ends a record of fixed length: Err, or an error if datums remain.
+func (r *RecordReader) Done() error {
+	if r.More() {
+		return fmt.Errorf("%d datums where %d belong", len(r.row), r.i)
+	}
+	return r.Err
+}
+
+// EachRecord decodes a manifest value record by record, handing fn each
+// record and its index, and returns how many there were. A frame that does
+// not hold one row (a trailing byte is one), a datum fn asked for that is
+// missing or of another type, and a datum fn left unread all end the walk
+// with an error naming the record.
+func EachRecord(blob []byte, fn func(i int, rec *RecordReader) error) (int, error) {
+	n := 0
+	for ; len(blob) > 0; n++ {
+		rec, rest, err := NextRecord(blob)
+		if err == nil {
+			// A datum that was not there comes before what fn made of its zero.
+			if err = fn(n, rec); rec.Err != nil || err == nil {
+				err = rec.Done()
+			}
+		}
+		if err != nil {
+			return n, fmt.Errorf("record %d: %w", n, err)
+		}
+		blob = rest
+	}
+	return n, nil
+}

@@ -198,10 +198,11 @@ type filePagerOptions struct {
 const (
 	fileMagic = "DSPDB001"
 	// fileVersion is the one data-file format this build reads and writes
-	// (header with the 8-byte durable generation; catalog root and per-table
-	// schema records in the row codec, see manifest.go). Any other version
-	// fails OpenFile.
-	fileVersion = 4
+	// (header with the 8-byte durable generation; catalog root, per-table
+	// schema records and the sheets' store and engine manifests in the row
+	// codec, see manifest.go — none of them carries a version of its own).
+	// Any other version fails OpenFile.
+	fileVersion = 5
 
 	// fileHeaderSize keeps page slots page-aligned.
 	fileHeaderSize = PageSize

@@ -1,7 +1,6 @@
 package rdbms
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -53,64 +52,16 @@ const (
 // table's lower-cased catalog key.
 func schemaKey(name string) string { return schemaKeyPrefix + name }
 
-// appendRecord frames one catalog record: its encoded length, then the row.
-func appendRecord(dst []byte, r Row) []byte {
-	dst = binary.AppendUvarint(dst, uint64(encodedSize(r)))
-	return encodeRow(dst, r)
-}
-
-// nextRecord decodes the record at the front of buf and returns the bytes
-// after it. The frame must hold exactly one canonically encoded row.
-func nextRecord(buf []byte) (*recordReader, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)-sz) {
-		return nil, nil, fmt.Errorf("record frame of %d bytes runs past the %d that remain", n, len(buf))
-	}
-	frame := buf[sz : sz+int(n)]
-	row, err := decodeRow(frame)
-	if err != nil {
-		return nil, nil, err
-	}
-	if encodedSize(row) != len(frame) {
-		return nil, nil, fmt.Errorf("record frame of %d bytes holds a %d-byte row", len(frame), encodedSize(row))
-	}
-	return &recordReader{row: row}, buf[sz+int(n):], nil
-}
-
-// recordReader hands out the datums of one decoded record in order. A datum
-// that is missing or of the wrong type sets err; callers check it once they
-// have read what the record must hold.
-type recordReader struct {
-	row Row
-	i   int
-	err error
-}
-
-func (r *recordReader) next(want DType) Datum {
-	if r.i >= len(r.row) || r.row[r.i].typ != want {
-		if r.err == nil {
-			r.err = fmt.Errorf("datum %d is missing or not %v", r.i, want)
-		}
-		return Datum{}
-	}
-	r.i++
-	return r.row[r.i-1]
-}
-
-func (r *recordReader) int() int64   { return r.next(DTInt).i }
-func (r *recordReader) text() string { return r.next(DTText).s }
-func (r *recordReader) more() bool   { return r.err == nil && r.i < len(r.row) }
-
 // pages expands the rest of the record as page runs (first, count pairs),
 // appending to dst. limit is the file's page count: no run may reach past it.
-func (r *recordReader) pages(dst []PageID, limit int) []PageID {
-	for r.more() {
-		first, count := r.int(), r.int()
-		if r.err != nil {
+func (r *RecordReader) pages(dst []PageID, limit int) []PageID {
+	for r.More() {
+		first, count := r.Int(), r.Int()
+		if r.Err != nil {
 			break
 		}
 		if first < 0 || count <= 0 || first > int64(limit) || count > int64(limit)-first {
-			r.err = fmt.Errorf("page run of %d from %d is outside the %d-page file", count, first, limit)
+			r.Err = fmt.Errorf("page run of %d from %d is outside the %d-page file", count, first, limit)
 			break
 		}
 		for i := int64(0); i < count; i++ {
@@ -126,7 +77,7 @@ func appendRunRecords(dst []byte, head Row, ids []PageID) []byte {
 	runs := 0
 	for i := 0; i < len(ids); {
 		if runs == maxRecordPairs {
-			dst = appendRecord(dst, head)
+			dst = AppendRecord(dst, head)
 			head, runs = Row{Int(recMore)}, 0
 		}
 		j := i + 1
@@ -137,7 +88,7 @@ func appendRunRecords(dst []byte, head Row, ids []PageID) []byte {
 		runs++
 		i = j
 	}
-	return appendRecord(dst, head)
+	return AppendRecord(dst, head)
 }
 
 // manifestLocked serializes the catalog root. Every dirty metadata value —
@@ -182,14 +133,14 @@ func encodeSchema(t *Table) []byte {
 	for _, col := range idxCols {
 		head = append(head, Text(col))
 	}
-	out := appendRecord(nil, head)
+	out := AppendRecord(nil, head)
 	for cols := t.Schema.Cols; len(cols) > 0; {
 		n := min(len(cols), maxRecordPairs)
 		r := make(Row, 0, 2*n)
 		for _, c := range cols[:n] {
 			r = append(r, Text(c.Name), Int(int64(c.Type)))
 		}
-		out = appendRecord(out, r)
+		out = AppendRecord(out, r)
 		cols = cols[n:]
 	}
 	return out
@@ -198,24 +149,24 @@ func encodeSchema(t *Table) []byte {
 // decodeSchema parses a schema record: the columns and the names of the
 // indexed ones.
 func decodeSchema(blob []byte) (Schema, []string, error) {
-	rec, rest, err := nextRecord(blob)
+	rec, rest, err := NextRecord(blob)
 	if err != nil {
 		return Schema{}, nil, err
 	}
 	var indexed []string
-	for rec.more() {
-		indexed = append(indexed, rec.text())
+	for rec.More() {
+		indexed = append(indexed, rec.Text())
 	}
 	var schema Schema
-	for rec.err == nil && len(rest) > 0 {
-		if rec, rest, err = nextRecord(rest); err != nil {
+	for rec.Err == nil && len(rest) > 0 {
+		if rec, rest, err = NextRecord(rest); err != nil {
 			return Schema{}, nil, err
 		}
-		for rec.more() {
-			schema.Cols = append(schema.Cols, Column{Name: rec.text(), Type: DType(rec.int())})
+		for rec.More() {
+			schema.Cols = append(schema.Cols, Column{Name: rec.Text(), Type: DType(rec.Int())})
 		}
 	}
-	return schema, indexed, rec.err
+	return schema, indexed, rec.Err
 }
 
 // loadManifest rebuilds the catalog from the root read off the meta chain:
@@ -231,35 +182,35 @@ func (db *DB) loadManifest(fp *FilePager, root []byte) error {
 	var pages []PageID
 	var keep func([]PageID)
 	for n := 0; len(root) > 0; n++ {
-		rec, rest, err := nextRecord(root)
+		rec, rest, err := NextRecord(root)
 		if err != nil {
 			return fmt.Errorf("rdbms: catalog root record %d: %w", n, err)
 		}
 		root = rest
-		tag := rec.int()
+		tag := rec.Int()
 		if tag != recMore && keep != nil {
 			keep(pages)
 			pages = nil
 		}
 		switch tag {
 		case recTable:
-			t := &Table{Name: rec.text(), db: db, heap: newHeapFile(db.disk, db.pool), indexes: make(map[string]*tableIndex)}
-			t.heap.freeHint, t.heap.tuples = int(rec.int()), int(rec.int())
+			t := &Table{Name: rec.Text(), db: db, heap: newHeapFile(db.disk, db.pool), indexes: make(map[string]*tableIndex)}
+			t.heap.freeHint, t.heap.tuples = int(rec.Int()), int(rec.Int())
 			db.tables[strings.ToLower(t.Name)] = t
 			keep = func(p []PageID) { t.heap.pages = p }
 		case recMeta:
-			key, size := rec.text(), int(rec.int())
+			key, size := rec.Text(), int(rec.Int())
 			keep = func(p []PageID) { db.metaLoc[key] = metaChainLoc{pages: p, n: size} }
 		case recFree:
 			keep = fp.setFreePages
 		default:
-			if rec.err == nil && (tag != recMore || keep == nil) {
-				rec.err = fmt.Errorf("unknown or misplaced record tag %d", tag)
+			if rec.Err == nil && (tag != recMore || keep == nil) {
+				rec.Err = fmt.Errorf("unknown or misplaced record tag %d", tag)
 			}
 		}
 		pages = rec.pages(pages, limit)
-		if rec.err != nil {
-			return fmt.Errorf("rdbms: catalog root record %d: %w", n, rec.err)
+		if rec.Err != nil {
+			return fmt.Errorf("rdbms: catalog root record %d: %w", n, rec.Err)
 		}
 	}
 	if keep != nil {

@@ -29,7 +29,7 @@ func TestCatalogRecordsContinue(t *testing.T) {
 	var got []PageID
 	records := 0
 	for len(blob) > 0 {
-		rec, rest, err := nextRecord(blob)
+		rec, rest, err := NextRecord(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,12 +37,12 @@ func TestCatalogRecordsContinue(t *testing.T) {
 		if records == 0 {
 			want = recFree
 		}
-		if tag := rec.int(); tag != want {
+		if tag := rec.Int(); tag != want {
 			t.Fatalf("record %d has tag %d, want %d", records, tag, want)
 		}
 		got = rec.pages(got, 2*len(ids))
-		if rec.err != nil {
-			t.Fatal(rec.err)
+		if rec.Err != nil {
+			t.Fatal(rec.Err)
 		}
 		blob = rest
 		records++
@@ -65,24 +65,24 @@ func TestCatalogRecordsContinue(t *testing.T) {
 // frame longer than its row, a datum of the wrong type, a page run outside
 // the file — is refused with an error that says what is wrong.
 func TestCatalogRecordDecodeIsStrict(t *testing.T) {
-	padded := appendRecord(nil, Row{Int(recFree)})
+	padded := AppendRecord(nil, Row{Int(recFree)})
 	padded[0]++ // the frame claims one byte more than the row fills
-	if _, _, err := nextRecord(append(padded, 0)); err == nil || !strings.Contains(err.Error(), "holds a") {
+	if _, _, err := NextRecord(append(padded, 0)); err == nil || !strings.Contains(err.Error(), "holds a") {
 		t.Errorf("frame with a byte after its row: %v", err)
 	}
-	rec, _, err := nextRecord(appendRecord(nil, Row{Int(recMeta), Int(7)}))
+	rec, _, err := NextRecord(AppendRecord(nil, Row{Int(recMeta), Int(7)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.int(); rec.text() != "" || rec.err == nil || !strings.Contains(rec.err.Error(), "datum 1") {
-		t.Errorf("int where the key belongs: %v", rec.err)
+	if rec.Int(); rec.Text() != "" || rec.Err == nil || !strings.Contains(rec.Err.Error(), "datum 1") {
+		t.Errorf("int where the key belongs: %v", rec.Err)
 	}
-	rec, _, err = nextRecord(appendRunRecords(nil, Row{Int(recFree)}, []PageID{8, 9, 10}))
+	rec, _, err = NextRecord(appendRunRecords(nil, Row{Int(recFree)}, []PageID{8, 9, 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.int(); rec.pages(nil, 10) != nil || rec.err == nil || !strings.Contains(rec.err.Error(), "outside the 10-page file") {
-		t.Errorf("run past the end of the file: %v", rec.err)
+	if rec.Int(); rec.pages(nil, 10) != nil || rec.Err == nil || !strings.Contains(rec.Err.Error(), "outside the 10-page file") {
+		t.Errorf("run past the end of the file: %v", rec.Err)
 	}
 }
 
