@@ -77,15 +77,21 @@ test-faults:
 
 # The on-disk format alone: the compat tests over the golden fixture (every
 # damaged or foreign-version structure refused by name), ten seconds of each
-# manifest decoder's fuzz target, and a guard that no non-test file of
-# internal/core or internal/model imports encoding/json — both persist in the
-# heap's row codec, and the format must not drift back by accident.
+# manifest decoder's and the cell decoder's fuzz target, and two guards: no
+# non-test file of internal/core or internal/model imports encoding/json —
+# both persist in the heap's row codec — and internal/model does not import
+# strconv — a number is stored as a typed datum, never as its decimal text.
+# The format must not drift back by accident.
 test-format:
 	$(GO) test -run 'Golden|FormatVersion' -v .
 	$(GO) test -run '^$$' -fuzz FuzzFormulaSetDecode -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzStoreManifestDecode -fuzztime 10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz FuzzCellDecode -fuzztime 10s ./internal/model/
 	@if $(GO) list -f '{{.ImportPath}}: {{.Imports}}' ./internal/core ./internal/model | grep encoding/json; then \
 		echo "internal/core and internal/model persist in the row codec: no encoding/json"; exit 1; \
+	fi
+	@if $(GO) list -f '{{.Imports}}' ./internal/model | grep -w strconv; then \
+		echo "internal/model stores numbers as typed datums: no strconv"; exit 1; \
 	fi
 
 # Crash-fuzz soak (~60-90s at the default SOAK_ROUNDS): mixed edits over a

@@ -16,8 +16,8 @@ import (
 	"dataspread/internal/rdbms"
 )
 
-// The golden fixture under testdata/golden-v5 is a small database in the one
-// format this build reads and writes (data file version 5, which covers the
+// The golden fixture under testdata/golden-v6 is a small database in the one
+// format this build reads and writes (data file version 6, which covers the
 // store and engine manifests too), frozen as a crashed session left it:
 //
 //	golden.dsdb           data file, checkpointed before the last edits
@@ -34,7 +34,7 @@ import (
 //
 //	GOLDEN_REGEN=1 go test -run TestGoldenCurrentFormat .
 const (
-	goldenDir  = "testdata/golden-v5"
+	goldenDir  = "testdata/golden-v6"
 	goldenName = "golden.dsdb"
 )
 
@@ -396,9 +396,9 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 		damage func(t *testing.T, path string)
 		want   []string
 	}{
-		{"header of the JSON catalog", headerVersion(3), []string{"format version 3", "only version 5"}},
-		{"header of the JSON manifests", headerVersion(4), []string{"format version 4", "only version 5"}},
-		{"header newer", headerVersion(6), []string{"format version 6", "only version 5"}},
+		{"header of the JSON manifests", headerVersion(4), []string{"format version 4", "only version 6"}},
+		{"header of the text-encoded cells", headerVersion(5), []string{"format version 5, this build reads only version 6"}},
+		{"header newer", headerVersion(7), []string{"format version 7", "only version 6"}},
 		{"wal commit record without generation", func(t *testing.T, path string) {
 			// An intact record of the removed type 2: u32 page count, meta
 			// head, meta length, CRC-32C.
@@ -449,6 +449,25 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 			}
 			return blob[:len(blob)-len(rest)]
 		}), []string{`sheet "fix" formula set`, "formula cells in 2 records"}},
+		{"cell datum with an unknown tag", func(t *testing.T, path string) {
+			// A cell column admits any datum, so the damage goes in through
+			// the table: the first tuple of the region holding A1.
+			db, err := dataspread.OpenFileDB(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := db.Table("fix_r1")
+			tab.Scan(func(rid rdbms.RID, row rdbms.Row) bool {
+				row[0] = rdbms.Text("Zbogus")
+				if _, err := tab.Update(rid, row); err != nil {
+					t.Fatal(err)
+				}
+				return false
+			})
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{`table "fix_r1" rid (`, "column c0", "unknown cell tag 'Z'"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -467,7 +486,12 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 
 			db, err = dataspread.OpenFileDB(path)
 			if err == nil {
-				_, err = dataspread.LoadEngine(db, "fix")
+				var eng *dataspread.Engine
+				if eng, err = dataspread.LoadEngine(db, "fix"); err == nil {
+					// Cells are not read by the load: damage to one shows
+					// when a view reaches it.
+					_, _, err = eng.SnapshotRange(dataspread.MustRange("A1:F50"))
+				}
 				db.SimulateCrash()
 			}
 			if err == nil {

@@ -117,23 +117,6 @@ func (r *ROM) UpdateRowCells(row int, cols []int, cells []sheet.Cell) error {
 	return nil
 }
 
-// UpdateColCells writes several cells of one COM column with a single tuple
-// rewrite (the transpose of ROM.UpdateRowCells).
-func (c *COM) UpdateColCells(col int, rows []int, cells []sheet.Cell) error {
-	return c.inner.UpdateRowCells(col, rows, cells)
-}
-
-// rowBatcher is implemented by translators that can write several cells of
-// one row in a single tuple operation.
-type rowBatcher interface {
-	UpdateRowCells(row int, cols []int, cells []sheet.Cell) error
-}
-
-// colBatcher is the column-oriented mirror of rowBatcher.
-type colBatcher interface {
-	UpdateColCells(col int, rows []int, cells []sheet.Cell) error
-}
-
 // CellWrite is one absolute-position cell write within a batch.
 type CellWrite struct {
 	Row, Col int
@@ -168,42 +151,40 @@ func (h *HybridStore) UpdateCells(writes []CellWrite) error {
 	}
 	for _, reg := range regOrder {
 		ws := byRegion[reg]
-		rb, isRow := reg.tr.(rowBatcher)
-		cb, isCol := reg.tr.(colBatcher)
-		switch {
-		case isRow:
-			sort.SliceStable(ws, func(i, j int) bool { return ws[i].Row < ws[j].Row })
-			if err := groupedApply(ws, func(w CellWrite) int { return w.Row },
-				func(row int, group []CellWrite) error {
-					cols := make([]int, len(group))
-					cells := make([]sheet.Cell, len(group))
-					for k, g := range group {
-						cols[k] = g.Col - reg.rect.From.Col + 1
-						cells[k] = g.Cell
-					}
-					return rb.UpdateRowCells(row-reg.rect.From.Row+1, cols, cells)
-				}); err != nil {
-				return err
+		rom, _ := reg.tr.(*ROM)
+		com, isCol := reg.tr.(*COM)
+		if isCol {
+			rom = com.inner
+		}
+		// Region-local coordinates, transposed for a column-oriented region:
+		// either way Row is now the tuple a write lands in.
+		for k := range ws {
+			ws[k].Row -= reg.rect.From.Row - 1
+			ws[k].Col -= reg.rect.From.Col - 1
+			if isCol {
+				ws[k].Row, ws[k].Col = ws[k].Col, ws[k].Row
 			}
-		case isCol:
-			sort.SliceStable(ws, func(i, j int) bool { return ws[i].Col < ws[j].Col })
-			if err := groupedApply(ws, func(w CellWrite) int { return w.Col },
-				func(col int, group []CellWrite) error {
-					rows := make([]int, len(group))
-					cells := make([]sheet.Cell, len(group))
-					for k, g := range group {
-						rows[k] = g.Row - reg.rect.From.Row + 1
-						cells[k] = g.Cell
-					}
-					return cb.UpdateColCells(col-reg.rect.From.Col+1, rows, cells)
-				}); err != nil {
-				return err
-			}
-		default:
+		}
+		if rom == nil {
 			for _, w := range ws {
-				if err := reg.tr.Update(w.Row-reg.rect.From.Row+1, w.Col-reg.rect.From.Col+1, w.Cell); err != nil {
+				if err := reg.tr.Update(w.Row, w.Col, w.Cell); err != nil {
 					return err
 				}
+			}
+			continue
+		}
+		sort.SliceStable(ws, func(i, j int) bool { return ws[i].Row < ws[j].Row })
+		for i, j := 0, 0; i < len(ws); i = j {
+			for j = i + 1; j < len(ws) && ws[j].Row == ws[i].Row; {
+				j++
+			}
+			cols := make([]int, j-i)
+			cells := make([]sheet.Cell, j-i)
+			for k, w := range ws[i:j] {
+				cols[k], cells[k] = w.Col, w.Cell
+			}
+			if err := rom.UpdateRowCells(ws[i].Row, cols, cells); err != nil {
+				return err
 			}
 		}
 	}
@@ -211,22 +192,6 @@ func (h *HybridStore) UpdateCells(writes []CellWrite) error {
 		if err := h.overflow.Update(w.Row, w.Col, w.Cell); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// groupedApply slices the (sorted) writes into runs with equal key and
-// applies fn once per run.
-func groupedApply(ws []CellWrite, key func(CellWrite) int, fn func(k int, group []CellWrite) error) error {
-	for i := 0; i < len(ws); {
-		j := i + 1
-		for j < len(ws) && key(ws[j]) == key(ws[i]) {
-			j++
-		}
-		if err := fn(key(ws[i]), ws[i:j]); err != nil {
-			return err
-		}
-		i = j
 	}
 	return nil
 }

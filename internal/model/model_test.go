@@ -34,39 +34,6 @@ func newTranslators(t *testing.T) []Translator {
 
 func num(f float64) sheet.Cell { return sheet.Cell{Value: sheet.Number(f)} }
 
-func TestCellCodecRoundTrip(t *testing.T) {
-	cells := []sheet.Cell{
-		{},
-		{Value: sheet.Number(42)},
-		{Value: sheet.Number(-2.5)},
-		{Value: sheet.Str("hello")},
-		{Value: sheet.Str("with \x1f separator and 'quotes'")},
-		{Value: sheet.Bool(true)},
-		{Value: sheet.Bool(false)},
-		{Value: sheet.Errorf("#REF!")},
-		{Value: sheet.Number(85), Formula: "AVERAGE(B2:C2)+D2+E2"},
-		{Formula: "SUM(A1:A9)"},
-	}
-	for _, c := range cells {
-		got, err := decodeCell(encodeCell(c))
-		if err != nil {
-			t.Fatalf("decode(%+v): %v", c, err)
-		}
-		if !got.Value.Equal(c.Value) || got.Formula != c.Formula {
-			t.Fatalf("round trip %+v -> %+v", c, got)
-		}
-	}
-	if _, err := decodeCell(rdbms.Text("")); err == nil {
-		t.Fatal("empty encoding must fail")
-	}
-	if _, err := decodeCell(rdbms.Text("Zbogus")); err == nil {
-		t.Fatal("unknown tag must fail")
-	}
-	if _, err := decodeCell(rdbms.Text("Nnotanumber")); err == nil {
-		t.Fatal("bad number must fail")
-	}
-}
-
 func TestTranslatorBasicReadWrite(t *testing.T) {
 	for _, tr := range newTranslators(t) {
 		name := tr.Kind().String()

@@ -43,7 +43,7 @@ func NewRCV(cfg Config, rows, cols int) (*RCV, error) {
 	}
 	t, err := cfg.DB.CreateTable(cfg.TableName, rdbms.NewSchema(
 		rdbms.Column{Name: "rck", Type: rdbms.DTInt},
-		rdbms.Column{Name: "val", Type: rdbms.DTText},
+		rdbms.Column{Name: "val", Type: rdbms.DTAny},
 	))
 	if err != nil {
 		return nil, err
@@ -114,7 +114,7 @@ func (r *RCV) Get(row, col int) (sheet.Cell, error) {
 	if !ok {
 		return sheet.Cell{}, fmt.Errorf("model: RCV dangling pointer %v", rid)
 	}
-	return decodeCell(tuple[1])
+	return cellAt(r.table, rid, 1, tuple[1])
 }
 
 // rcvValProj projects the value attribute only: range reads never decode
@@ -152,7 +152,7 @@ func (r *RCV) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	}
 	*bufp = rids
 	err := r.table.GetMany(rids, rcvValProj, func(idx int, vals rdbms.Row) error {
-		c, err := decodeCell(vals[0])
+		c, err := cellAt(r.table, rids[idx], 1, vals[0])
 		if err != nil {
 			return err
 		}

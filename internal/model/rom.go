@@ -37,7 +37,7 @@ func NewROM(cfg Config, cols int) (*ROM, error) {
 	}
 	schema := rdbms.Schema{}
 	for i := 0; i < cols; i++ {
-		schema.Cols = append(schema.Cols, rdbms.Column{Name: colName(i), Type: rdbms.DTText})
+		schema.Cols = append(schema.Cols, rdbms.Column{Name: colName(i), Type: rdbms.DTAny})
 	}
 	t, err := cfg.DB.CreateTable(cfg.TableName, schema)
 	if err != nil {
@@ -74,7 +74,7 @@ func (r *ROM) Get(row, col int) (sheet.Cell, error) {
 	if !ok {
 		return sheet.Cell{}, fmt.Errorf("model: ROM row %d dangling pointer %v", row, rid)
 	}
-	return decodeCell(attr(tuple, r.colPos[col-1]))
+	return cellAt(r.table, rid, r.colPos[col-1], attr(tuple, r.colPos[col-1]))
 }
 
 // GetCells implements Translator. This is the scrolling hot path: the
@@ -104,7 +104,7 @@ func (r *ROM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	err := r.table.GetMany(rids, proj, func(i int, vals rdbms.Row) error {
 		rowOut := out[i]
 		for k, j := range offs {
-			c, err := decodeCell(vals[k])
+			c, err := cellAt(r.table, rids[i], proj[k], vals[k])
 			if err != nil {
 				return err
 			}
@@ -126,34 +126,13 @@ func (r *ROM) Update(row, col int, c sheet.Cell) error {
 
 // UpdateRect implements Translator: one tuple rewrite per covered row.
 func (r *ROM) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
-	if g.From.Col < 1 || g.To.Col > len(r.colPos) {
-		return fmt.Errorf("model: ROM UpdateRect columns %d..%d out of range", g.From.Col, g.To.Col)
+	cols := make([]int, g.Cols())
+	for j := range cols {
+		cols[j] = g.From.Col + j
 	}
-	for r.rowMap.Len() < g.To.Row {
-		rid, err := r.table.Insert(r.emptyRow())
-		if err != nil {
+	for i, row := range cells {
+		if err := r.UpdateRowCells(g.From.Row+i, cols, row); err != nil {
 			return err
-		}
-		if !r.rowMap.Insert(r.rowMap.Len()+1, rid) {
-			return fmt.Errorf("model: ROM rowMap append failed")
-		}
-	}
-	rids := r.rowMap.FetchRange(g.From.Row, g.Rows())
-	for i, rid := range rids {
-		tuple, ok := r.table.Get(rid)
-		if !ok {
-			return fmt.Errorf("model: ROM dangling pointer %v", rid)
-		}
-		tuple = padRow(tuple, r.table.Schema.Arity())
-		for j := 0; j < g.Cols(); j++ {
-			tuple[r.colPos[g.From.Col-1+j]] = encodeCell(cells[i][j])
-		}
-		newRID, err := r.table.Update(rid, tuple)
-		if err != nil {
-			return err
-		}
-		if newRID != rid {
-			r.rowMap.Update(g.From.Row+i, newRID)
 		}
 	}
 	return nil
@@ -228,7 +207,7 @@ func (r *ROM) InsertColsAfter(col, count int) error {
 	for i := range phys {
 		p := r.nextCol
 		r.nextCol++
-		if err := r.table.AddColumn(rdbms.Column{Name: colName(p), Type: rdbms.DTText}); err != nil {
+		if err := r.table.AddColumn(rdbms.Column{Name: colName(p), Type: rdbms.DTAny}); err != nil {
 			return err
 		}
 		phys[i] = r.table.Schema.Arity() - 1

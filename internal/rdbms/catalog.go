@@ -686,6 +686,7 @@ func (t *Table) Truncate() {
 	t.heap.pages = t.heap.pages[:0]
 	t.heap.freeHint = 0
 	t.heap.tuples = 0
+	t.heap.free, t.heap.index = nil, nil
 	t.heap.pages = append(t.heap.pages, t.db.disk.alloc())
 	for _, idx := range t.indexes {
 		idx.tree = NewBTree(64)
@@ -870,7 +871,7 @@ func (t *Table) LiveBytes() int64 { return t.heap.liveBytes() }
 func indexKey(d Datum) int64 { return d.Int64() }
 
 func datumFits(d Datum, t DType) bool {
-	if d.typ == DTNull {
+	if d.typ == DTNull || t == DTAny {
 		return true
 	}
 	if t == DTFloat && d.typ == DTInt {

@@ -1,14 +1,15 @@
-// Package rdbms is a from-scratch, single-node, in-memory row store that
-// stands in for the PostgreSQL back-end of the DataSpread paper. It
-// reproduces the cost shape the paper's storage experiments depend on:
-// slotted 8 KiB pages, a fixed per-tuple header overhead, per-column catalog
-// overhead, a buffer pool with LRU eviction, B+ tree indexes, and a small
-// SQL engine (SELECT with WHERE / JOIN / GROUP BY / ORDER BY / LIMIT,
-// prepared-statement '?' parameters, and basic DML/DDL).
+// Package rdbms is a from-scratch, single-node row store that stands in for
+// the PostgreSQL back-end of the DataSpread paper, with the cost shape the
+// paper's storage experiments depend on: slotted 8 KiB pages, a fixed
+// per-tuple header, per-column catalog overhead, a buffer pool with LRU
+// eviction, B+ tree indexes, and a small SQL engine (SELECT with WHERE / JOIN
+// / GROUP BY / ORDER BY / LIMIT, '?' parameters, basic DML/DDL).
 //
-// The store is deliberately a simulator of storage behaviour rather than a
-// durable database: pages live in an in-memory "disk" and I/O is counted,
-// which is what the paper's storage and access experiments measure.
+// A DB sits on a Pager. OpenFile's is durable: checksummed pages in one data
+// file, a write-ahead log of page images fsynced at FlushWAL, replayed on
+// open and folded into the file by Checkpoint, with scrub, vacuum and online
+// backup beside it. Open's keeps pages in memory and only counts I/O, which
+// is all the paper's storage and access experiments measure.
 package rdbms
 
 import (
@@ -31,6 +32,9 @@ const (
 	DTText
 	// DTBool is a boolean.
 	DTBool
+	// DTAny is a column type only, never a datum's: the column admits any
+	// datum. Spreadsheet cell columns are declared with it.
+	DTAny
 )
 
 // String names the type in SQL spelling.
@@ -46,6 +50,8 @@ func (t DType) String() string {
 		return "TEXT"
 	case DTBool:
 		return "BOOLEAN"
+	case DTAny:
+		return "ANY"
 	}
 	return fmt.Sprintf("DType(%d)", uint8(t))
 }

@@ -200,9 +200,10 @@ const (
 	// fileVersion is the one data-file format this build reads and writes
 	// (header with the 8-byte durable generation; catalog root, per-table
 	// schema records and the sheets' store and engine manifests in the row
-	// codec, see manifest.go — none of them carries a version of its own).
-	// Any other version fails OpenFile.
-	fileVersion = 5
+	// codec, see manifest.go — none of them carries a version of its own;
+	// sheet cells as typed datums, see internal/model/codec.go). Any other
+	// version fails OpenFile.
+	fileVersion = 6
 
 	// fileHeaderSize keeps page slots page-aligned.
 	fileHeaderSize = PageSize

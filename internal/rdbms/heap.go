@@ -29,8 +29,7 @@ var endChunk = RID{Page: ^PageID(0), Slot: ^uint16(0)}
 const maxInline = PageSize - pageHeaderSize - slotSize - TupleHeaderSize
 
 // heapFile is an unordered collection of tuples across pages, the physical
-// body of one table. It keeps a simple free-space hint list so inserts
-// don't scan every page.
+// body of one table.
 type heapFile struct {
 	disk  Pager
 	pool  *BufferPool
@@ -38,6 +37,36 @@ type heapFile struct {
 	// freeHint is the index into pages from which to try inserting.
 	freeHint int
 	tuples   int
+	// free[i] is pages[i]'s potentialFree() as the write path last saw it (-1
+	// until it has fetched the page) and index maps a page id to its place in
+	// pages, so an insert fetches no page known to be too full and a delete
+	// walks no list. Neither is persisted; sidecars builds them from pages on
+	// the first write, and only the table's single writer touches them.
+	free  []int32
+	index map[PageID]int
+}
+
+func (h *heapFile) sidecars() {
+	if h.index != nil {
+		return
+	}
+	h.index = make(map[PageID]int, len(h.pages))
+	h.free = make([]int32, len(h.pages))
+	for i, id := range h.pages {
+		h.index[id], h.free[i] = i, -1
+	}
+}
+
+// noteFree records the room left on a page the write path just changed and
+// returns the page's place in pages (len(pages) for a page of another heap).
+func (h *heapFile) noteFree(id PageID, p *page) int {
+	h.sidecars()
+	i, ok := h.index[id]
+	if !ok {
+		return len(h.pages)
+	}
+	h.free[i] = int32(p.potentialFree())
+	return i
 }
 
 func newHeapFile(disk Pager, pool *BufferPool) *heapFile {
@@ -56,7 +85,12 @@ func pageReadErr(what string, id PageID, cause error) error {
 
 // insertRaw places one already-framed record and returns its RID.
 func (h *heapFile) insertRaw(payload []byte) (RID, error) {
+	h.sidecars()
+	need := int32(len(payload) + TupleHeaderSize + slotSize)
 	for i := h.freeHint; i < len(h.pages); i++ {
+		if h.free[i] >= 0 && h.free[i] < need {
+			continue
+		}
 		id := h.pages[i]
 		p := h.pool.fetch(id)
 		if p == nil {
@@ -65,14 +99,22 @@ func (h *heapFile) insertRaw(payload []byte) (RID, error) {
 			// than crash — the insert lands on a later or fresh page.
 			continue
 		}
+		if h.free[i] < 0 {
+			h.free[i] = int32(p.potentialFree())
+		}
+		// An insert takes exactly need bytes of that room, or fails.
 		if slot, ok := p.insert(payload); ok {
+			h.free[i] -= need
 			h.pool.markDirty(id, p)
 			h.freeHint = i
 			return RID{Page: id, Slot: slot}, nil
 		}
+		h.free[i] = int32(p.potentialFree()) // the entry read high: correct it
 	}
 	id := h.disk.alloc()
+	h.index[id] = len(h.pages)
 	h.pages = append(h.pages, id)
+	h.free = append(h.free, PageSize-pageHeaderSize-need)
 	h.freeHint = len(h.pages) - 1
 	p := h.pool.fetch(id)
 	if p == nil {
@@ -273,21 +315,15 @@ func (h *heapFile) get(rid RID) (Row, bool) {
 	return row, true
 }
 
-// delRecord tombstones one stored record and refreshes the free hint.
+// delRecord tombstones one stored record and lets the next insert start its
+// search no later than the page it left room on.
 func (h *heapFile) delRecord(rid RID) bool {
 	p := h.pool.fetch(rid.Page)
 	if p == nil || !p.del(rid.Slot) {
 		return false
 	}
 	h.pool.markDirty(rid.Page, p)
-	for i, id := range h.pages {
-		if id == rid.Page {
-			if i < h.freeHint {
-				h.freeHint = i
-			}
-			break
-		}
-	}
+	h.freeHint = min(h.freeHint, h.noteFree(rid.Page, p))
 	return true
 }
 
@@ -329,15 +365,19 @@ func (h *heapFile) del(rid RID) bool {
 	return true
 }
 
-// update rewrites the tuple, in place when the existing record is inline
-// and the new encoding fits its slot, otherwise by delete+insert
-// (returning the possibly new RID).
+// update rewrites the tuple under its RID when the existing record is inline
+// and its page has room for the new encoding, otherwise by delete+insert
+// (returning the new RID).
 func (h *heapFile) update(rid RID, r Row) (RID, error) {
 	payload := encodeRow(nil, r)
 	p := h.pool.fetch(rid.Page)
 	if p != nil && len(payload)+1 <= maxInline {
 		if buf := p.read(rid.Slot); len(buf) > 0 && buf[0] == tupInline {
-			if p.updateInPlace(rid.Slot, append([]byte{tupInline}, payload...)) {
+			was := len(buf)
+			if p.replace(rid.Slot, append([]byte{tupInline}, payload...)) {
+				if was != len(payload)+1 {
+					h.noteFree(rid.Page, p)
+				}
 				h.pool.markDirty(rid.Page, p)
 				return rid, nil
 			}

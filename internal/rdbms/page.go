@@ -141,20 +141,31 @@ func (p *page) del(slot uint16) bool {
 	return true
 }
 
-// updateInPlace overwrites the payload when the new one is no larger.
-func (p *page) updateInPlace(slot uint16, payload []byte) bool {
+// replace rewrites the slot's tuple under the same slot number: over the old
+// bytes when it is no longer than they are, else elsewhere on the page
+// (compacting first if it must) when the page's reclaimable space plus the
+// old tuple covers it. A row that grows keeps its RID as long as its page
+// has the room.
+func (p *page) replace(slot uint16, payload []byte) bool {
 	i := int(slot)
-	if i >= p.slotCount() {
+	if i >= p.slotCount() || p.slotLen(i) == 0 {
 		return false
 	}
-	length := p.slotLen(i)
-	if length == 0 || len(payload)+TupleHeaderSize > length {
-		return false
+	off, old, need := p.slotOff(i), p.slotLen(i), len(payload)+TupleHeaderSize
+	if need > old {
+		if p.potentialFree()+old < need {
+			return false
+		}
+		p.setSlot(i, 0, 0)
+		if p.freeSpace() < need {
+			p.compact()
+		}
+		off = p.upper() - need
+		p.setUpper(off)
 	}
-	off := p.slotOff(i)
 	copy(p.buf[off+TupleHeaderSize:], payload)
-	// Shrink the recorded length so liveBytes stays accurate.
-	p.setSlot(i, off, len(payload)+TupleHeaderSize)
+	// A shorter tuple records its own length so liveBytes stays accurate.
+	p.setSlot(i, off, need)
 	return true
 }
 

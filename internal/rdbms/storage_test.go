@@ -124,18 +124,28 @@ func TestPageFillsUp(t *testing.T) {
 	}
 }
 
-func TestPageUpdateInPlace(t *testing.T) {
+func TestPageReplace(t *testing.T) {
 	p := &page{}
 	p.init()
 	s, _ := p.insert([]byte("0123456789"))
-	if !p.updateInPlace(s, []byte("abcde")) {
-		t.Fatal("shrinking update must succeed in place")
+	other, _ := p.insert([]byte("neighbour"))
+	if !p.replace(s, []byte("abcde")) {
+		t.Fatal("shrinking replace must succeed")
 	}
 	if string(p.read(s)) != "abcde" {
-		t.Fatalf("read after update = %q", p.read(s))
+		t.Fatalf("read after replace = %q", p.read(s))
 	}
-	if p.updateInPlace(s, []byte("this is much longer than before")) {
-		t.Fatal("growing update must not succeed in place")
+	if !p.replace(s, []byte("this is much longer than before")) {
+		t.Fatal("growing replace must succeed while the page has room")
+	}
+	if string(p.read(s)) != "this is much longer than before" || string(p.read(other)) != "neighbour" {
+		t.Fatalf("after growth: %q, %q", p.read(s), p.read(other))
+	}
+	if p.replace(s, make([]byte, PageSize)) {
+		t.Fatal("a tuple larger than the page must not be placed")
+	}
+	if string(p.read(s)) != "this is much longer than before" {
+		t.Fatal("a refused replace must leave the tuple alone")
 	}
 }
 
@@ -199,6 +209,95 @@ func TestHeapUpdateMoves(t *testing.T) {
 	}
 	if h.tupleCount() != 1 {
 		t.Fatalf("tupleCount after move = %d", h.tupleCount())
+	}
+}
+
+// TestHeapGrownTupleKeepsSlot: a row that shrinks and regrows on a page with
+// room for it keeps its page and its slot — no RID change for the positional
+// map to chase, no slot-directory entry leaked per move.
+func TestHeapGrownTupleKeepsSlot(t *testing.T) {
+	disk := &MemPager{}
+	h := newHeapFile(disk, newBufferPool(disk, 16))
+	var rids []RID
+	for i := 0; i < 20; i++ {
+		rid, err := h.insert(Row{Int(int64(i)), Text("a neighbour of fifty bytes or so, to fill the page")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	rid := rids[7]
+	slots, pages := h.pool.fetch(rid.Page).slotCount(), len(h.pages)
+	for i := 0; i < 10000; i++ {
+		text := "s"
+		if i%2 == 1 {
+			text = strings.Repeat("long", 40)
+		}
+		got, err := h.update(rid, Row{Int(7), Text(text)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != rid {
+			t.Fatalf("update %d moved the tuple from %v to %v", i, rid, got)
+		}
+	}
+	if n := h.pool.fetch(rid.Page).slotCount(); n != slots || len(h.pages) != pages {
+		t.Fatalf("slots %d -> %d, pages %d -> %d", slots, n, pages, len(h.pages))
+	}
+	for i, r := range rids {
+		if row, ok := h.get(r); !ok || row[0].Int64() != int64(i) {
+			t.Fatalf("row %d at %v reads %v, %v", i, r, row, ok)
+		}
+	}
+}
+
+// TestHeapRelocationReadsNoFullPages: a tuple that outgrows a full page of a
+// full heap leaves it without fetching the pages in between to learn that
+// they are full too — the heap remembers.
+func TestHeapRelocationReadsNoFullPages(t *testing.T) {
+	disk := &MemPager{}
+	h := newHeapFile(disk, newBufferPool(disk, 64))
+	filler := Text(strings.Repeat("x", 900))
+	var first RID
+	for i := 0; len(h.pages) <= 2000; i++ {
+		rid, err := h.insert(Row{Int(int64(i)), filler})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = rid
+		}
+	}
+	before := h.pool.Stats()
+	moved, err := h.update(first, Row{Int(0), Text(strings.Repeat("y", 2000))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved.Page == first.Page {
+		t.Fatalf("the grown tuple still fits page %d: the heap is not full", first.Page)
+	}
+	if misses := h.pool.Stats().PoolMisses - before.PoolMisses; misses > 2 {
+		t.Fatalf("one relocation cost %d pool misses over %d pages, want at most 2", misses, len(h.pages))
+	}
+	if row, ok := h.get(moved); !ok || len(row[1].Str()) != 2000 {
+		t.Fatalf("relocated tuple reads %v, %v", row, ok)
+	}
+	// Entries that read high (a rollback restored the pages under them) are
+	// corrected by the insert they mislead; the next search over the same
+	// pages skips them again.
+	for i := range h.free {
+		h.free[i] = PageSize
+	}
+	big := Row{Int(1), Text(strings.Repeat("z", 5000))}
+	for n, limit := range []int64{int64(len(h.pages)) + 1, 2} {
+		h.freeHint = 0
+		before = h.pool.Stats()
+		if _, err := h.insert(big); err != nil {
+			t.Fatal(err)
+		}
+		if misses := h.pool.Stats().PoolMisses - before.PoolMisses; misses > limit {
+			t.Fatalf("insert %d after stale entries cost %d pool misses, want at most %d", n, misses, limit)
+		}
 	}
 }
 
