@@ -77,7 +77,9 @@ test-faults:
 
 # The on-disk format alone: the compat tests over the golden fixture (every
 # damaged or foreign-version structure refused by name), ten seconds of each
-# manifest decoder's and the cell decoder's fuzz target, and two guards: no
+# manifest decoder's, the cell decoder's and the WAL scanner's fuzz target
+# (whose inputs are segments of tens of KB: without -fuzzminimizetime 1x the
+# ten seconds go to minimizing the first interesting one), and two guards: no
 # non-test file of internal/core or internal/model imports encoding/json —
 # both persist in the heap's row codec — and internal/model does not import
 # strconv — a number is stored as a typed datum, never as its decimal text.
@@ -87,6 +89,7 @@ test-format:
 	$(GO) test -run '^$$' -fuzz FuzzFormulaSetDecode -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzStoreManifestDecode -fuzztime 10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzCellDecode -fuzztime 10s ./internal/model/
+	$(GO) test -run '^$$' -fuzz FuzzWALScan -fuzztime 10s -fuzzminimizetime 1x ./internal/rdbms/
 	@if $(GO) list -f '{{.ImportPath}}: {{.Imports}}' ./internal/core ./internal/model | grep encoding/json; then \
 		echo "internal/core and internal/model persist in the row codec: no encoding/json"; exit 1; \
 	fi

@@ -596,8 +596,8 @@ func printIOStats(ps rdbms.IOStats) {
 		ps.CheckpointPages, ps.DirtyPages, ps.ShadowPages)
 	fmt.Printf("manifest: %d bytes staged, %d segment writes\n",
 		ps.ManifestBytes, ps.ManifestSegments)
-	fmt.Printf("wal: %d segments live (%d KiB on disk), %d rotations, %d compacted\n",
-		ps.WALSegments, ps.WALDiskBytes/1024, ps.WALRotations, ps.WALCompacted)
+	fmt.Printf("wal: %d page images and %d page deltas logged, %d segments live (%d KiB on disk), %d rotations, %d compacted\n",
+		ps.WALAppends-ps.WALDeltas, ps.WALDeltas, ps.WALSegments, ps.WALDiskBytes/1024, ps.WALRotations, ps.WALCompacted)
 	if ps.ScrubRuns > 0 || ps.Vacuums > 0 || ps.Recoveries > 0 || ps.QuarantinedPages > 0 {
 		fmt.Printf("maintenance: %d scrub passes (%d slots, %d repaired, %d bad), %d vacuums (%d pages moved, %d KiB reclaimed), %d recoveries\n",
 			ps.ScrubRuns, ps.ScrubPages, ps.ScrubRepaired, ps.ScrubBad,

@@ -20,8 +20,10 @@ func bulkEdits(n int) []dataspread.CellEdit {
 }
 
 // TestSetCellsOneFsyncPerBatch is the acceptance check for the batched
-// write path: an N-edit SetCells batch commits with exactly one WAL fsync,
-// where the per-cell Set+Save loop pays one fsync per edit.
+// write path: an N-edit SetCells batch commits with exactly one WAL fsync and
+// one record for each page it touched, where the per-cell Set+Save loop pays
+// one fsync per edit — and, once the edited pages are in the log, under 256
+// bytes for each.
 func TestSetCellsOneFsyncPerBatch(t *testing.T) {
 	const n = 1000
 	dir := t.TempDir()
@@ -46,7 +48,11 @@ func TestSetCellsOneFsyncPerBatch(t *testing.T) {
 	if st.WALBytes == 0 || st.WALAppends == 0 {
 		t.Fatalf("SetCells wrote nothing to the WAL: %+v", st)
 	}
-	bulkBytes := st.WALBytes
+	// A page touched k times in the batch is logged once, not k times: the
+	// batch's page records are no more than the pages dirty since open.
+	if st.WALAppends > st.DirtyPages {
+		t.Fatalf("SetCells(%d edits) logged %d page records for %d dirty pages", n, st.WALAppends, st.DirtyPages)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,22 +85,25 @@ func TestSetCellsOneFsyncPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	db3.Pool().ResetStats()
+	var lastCommit int64
 	for _, ed := range bulkEdits(m) {
+		before := db3.Pool().Stats().WALBytes
 		if err := eng3.Set(ed.Row, ed.Col, ed.Input); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng3.Save(); err != nil {
 			t.Fatal(err)
 		}
+		lastCommit = db3.Pool().Stats().WALBytes - before
 	}
 	st3 := db3.Pool().Stats()
 	if st3.WALSyncs != m {
 		t.Fatalf("per-cell loop: WALSyncs = %d, want %d", st3.WALSyncs, m)
 	}
-	// The batch also amortizes WAL volume: a page touched k times in one
-	// batch is logged once, not k times.
-	if perEditBulk, perEditSingle := bulkBytes/n, st3.WALBytes/m; perEditBulk >= perEditSingle {
-		t.Fatalf("WAL bytes/edit: bulk %d >= per-cell %d (no amortization)", perEditBulk, perEditSingle)
+	// In the steady state every page the edit changes is in the log already
+	// and the commit carries what changed, not page images.
+	if lastCommit == 0 || lastCommit >= 256 {
+		t.Fatalf("per-cell loop: the last Set+Save logged %d bytes, want under 256", lastCommit)
 	}
 }
 

@@ -16,13 +16,18 @@ import (
 	"dataspread/internal/rdbms"
 )
 
-// The golden fixture under testdata/golden-v6 is a small database in the one
-// format this build reads and writes (data file version 6, which covers the
-// store and engine manifests too), frozen as a crashed session left it:
+// The golden fixture under testdata/golden-v7 is a small database in the one
+// format this build reads and writes (data file version 7, which covers the
+// store and engine manifests and the WAL records too), frozen as a crashed
+// session left it:
 //
 //	golden.dsdb           data file, checkpointed before the last edits
-//	golden.dsdb.wal       a sealed (rotated-out) WAL segment, never replayed
-//	golden.dsdb.wal.0001  the active segment with one more commit
+//	golden.dsdb.wal       a sealed (rotated-out) WAL segment, never replayed:
+//	                      page images, each page's first record since the
+//	                      checkpoint
+//	golden.dsdb.wal.0001  the active segment with one more commit, whose
+//	                      pages are all in the sealed segment already: page
+//	                      deltas
 //
 // Sheet "fix" holds a dense 40x6 block of r*100+c (a ROM region), a sparse
 // diagonal (in the overflow RCV table), a 3x2 range linked to the catalog
@@ -34,7 +39,7 @@ import (
 //
 //	GOLDEN_REGEN=1 go test -run TestGoldenCurrentFormat .
 const (
-	goldenDir  = "testdata/golden-v6"
+	goldenDir  = "testdata/golden-v7"
 	goldenName = "golden.dsdb"
 )
 
@@ -118,6 +123,33 @@ func copyGolden(t *testing.T) string {
 		}
 	}
 	return filepath.Join(dir, goldenName)
+}
+
+// walRecordKinds walks one WAL segment by its record framing alone — type
+// byte, then a fixed size, or for a delta the u16 payload length at offset 5 —
+// and counts the records of each type.
+func walRecordKinds(t *testing.T, name string) map[byte]int {
+	t.Helper()
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[byte]int{}
+	for off := len("DSWAL001"); off < len(data); {
+		typ := data[off]
+		kinds[typ]++
+		switch typ {
+		case 1:
+			off += 1 + 4 + 8192 + 4
+		case 3:
+			off += 1 + 12 + 8 + 4
+		case 4:
+			off += 1 + 4 + 2 + int(binary.LittleEndian.Uint16(data[off+5:])) + 4
+		default:
+			t.Fatalf("%s: record type %d at offset %d", name, typ, off)
+		}
+	}
+	return kinds
 }
 
 // assertGolden checks the fixture's contents as the crashed session
@@ -226,6 +258,14 @@ func TestGoldenCurrentFormat(t *testing.T) {
 		writeGolden(t, goldenDir)
 	}
 	path := copyGolden(t)
+	// Every record type is in the fixture: the sealed segment holds first
+	// touches (images), the active one pages already logged (deltas).
+	if k := walRecordKinds(t, path+".wal"); k[1] == 0 || k[4] != 0 || k[3] != 1 {
+		t.Fatalf("sealed segment holds records %v, want images and one commit", k)
+	}
+	if k := walRecordKinds(t, path+".wal.0001"); k[4] == 0 || k[3] != 1 {
+		t.Fatalf("active segment holds records %v, want deltas and one commit", k)
+	}
 	db, err := dataspread.OpenFileDB(path)
 	if err != nil {
 		t.Fatalf("golden fixture no longer opens: %v", err)
@@ -396,9 +436,10 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 		damage func(t *testing.T, path string)
 		want   []string
 	}{
-		{"header of the JSON manifests", headerVersion(4), []string{"format version 4", "only version 6"}},
-		{"header of the text-encoded cells", headerVersion(5), []string{"format version 5, this build reads only version 6"}},
-		{"header newer", headerVersion(7), []string{"format version 7", "only version 6"}},
+		{"header of the JSON manifests", headerVersion(4), []string{"format version 4", "only version 7"}},
+		{"header of the text-encoded cells", headerVersion(5), []string{"format version 5", "only version 7"}},
+		{"header of the image-only log", headerVersion(6), []string{"format version 6, this build reads only version 7"}},
+		{"header newer", headerVersion(8), []string{"format version 8", "only version 7"}},
 		{"wal commit record without generation", func(t *testing.T, path string) {
 			// An intact record of the removed type 2: u32 page count, meta
 			// head, meta length, CRC-32C.

@@ -696,7 +696,7 @@ func replayArchive(f *os.File, opts RestoreOptions, baseGen uint64, pages int, m
 	}
 	applied := baseGen
 	target := opts.TargetGen
-	batch := make(map[PageID][]byte)
+	redo := newWALRedo(f)
 	for _, seq := range seqs {
 		if target > 0 && applied >= target {
 			break
@@ -715,23 +715,22 @@ func replayArchive(f *os.File, opts RestoreOptions, baseGen uint64, pages int, m
 		sc := scanWAL(data)
 		for sc.next() {
 			if !sc.commit {
-				batch[sc.id] = sc.image
+				redo.stage(sc)
 				continue
 			}
-			if sc.gen > applied {
-				if sc.gen != applied+1 {
-					return fail(fmt.Errorf("rdbms: archive jumps from generation %d to %d: %w",
-						applied, sc.gen, ErrArchiveGap))
-				}
-				for id, img := range batch {
-					if err := writeSlot(f, id, img); err != nil {
-						return fail(err)
-					}
-				}
-				applied = sc.gen
-				pages, metaHead, metaLen = int(sc.pages), PageID(sc.metaHead), sc.metaLen
+			if sc.gen <= applied {
+				redo.drop()
+				continue
 			}
-			batch = make(map[PageID][]byte)
+			if sc.gen != applied+1 {
+				return fail(fmt.Errorf("rdbms: archive jumps from generation %d to %d: %w",
+					applied, sc.gen, ErrArchiveGap))
+			}
+			if err := redo.commit(); err != nil {
+				return fail(fmt.Errorf("rdbms: %s: %w: %w", name, ErrBackupCorrupt, err))
+			}
+			applied = sc.gen
+			pages, metaHead, metaLen = int(sc.pages), PageID(sc.metaHead), sc.metaLen
 			if target > 0 && applied >= target {
 				break // later records in this file are past the target
 			}
@@ -743,6 +742,9 @@ func replayArchive(f *os.File, opts RestoreOptions, baseGen uint64, pages int, m
 	if target > 0 && applied < target {
 		return fail(fmt.Errorf("rdbms: generation %d not reachable from the archive (replay stopped at %d): %w",
 			target, applied, ErrArchiveGap))
+	}
+	if err := redo.flush(); err != nil {
+		return fail(err)
 	}
 	return applied, pages, metaHead, metaLen, nil
 }

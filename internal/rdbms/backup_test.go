@@ -299,11 +299,20 @@ func TestHotBackupUnderConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestPITRRestoreToExactGeneration restores to each generation committed
+// after a base backup. One heap page is followed through them: within the one
+// checkpoint epoch after the backup it is logged as an image, then as deltas,
+// the last of them in a later segment than the image, and at every target the
+// restored page must equal, byte for byte, the page as it was live at that
+// generation.
 func TestPITRRestoreToExactGeneration(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "src.dsdb")
 	archive := filepath.Join(dir, "archive")
-	db, err := OpenFile(path, Options{ArchiveDir: archive})
+	// Small segments, and nothing but the explicit checkpoints compacts them.
+	opts := segmentOptions(-1)
+	opts.ArchiveDir = archive
+	db, err := OpenFile(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,18 +324,28 @@ func TestPITRRestoreToExactGeneration(t *testing.T) {
 	type snap struct {
 		gen   uint64
 		model map[int64]string
+		page  []byte // the followed page, once it is chosen
 	}
+	followed := noPage
 	commit := func() snap {
 		t.Helper()
 		if err := db.FlushWAL(); err != nil {
 			t.Fatal(err)
 		}
-		return snap{db.DurableGen(), scanModel(tab)}
+		s := snap{gen: db.DurableGen(), model: scanModel(tab)}
+		if followed != noPage {
+			fp := db.filePager()
+			fp.mu.RLock()
+			s.page = append([]byte(nil), fp.shadow[followed].buf[:]...)
+			fp.mu.RUnlock()
+		}
+		return s
 	}
 	fillTable(t, tab, 0, 300)
 	s1 := commit()
 	rids := fillTable(t, tab, 300, 300)
 	s2 := commit()
+	followed = rids[200].Page
 	// Base backup lands between s2 and s3 (its checkpoint archives
 	// everything up to here).
 	buf, res := backupToBuf(t, db, BackupOptions{})
@@ -334,15 +353,29 @@ func TestPITRRestoreToExactGeneration(t *testing.T) {
 	if res.Gen < s2.gen {
 		t.Fatalf("backup gen %d predates committed %d", res.Gen, s2.gen)
 	}
+	retouch := func(name string) {
+		t.Helper()
+		if rid, err := tab.Update(rids[200], Row{Int(int64(500)), Text(name)}); err != nil || rid != rids[200] {
+			t.Fatalf("update of row 500: now at %v, err %v", rid, err)
+		}
+	}
 	fillTable(t, tab, 600, 300)
 	for i := 0; i < 100; i++ {
 		tab.Delete(rids[i])
 	}
+	retouch("first")
 	s3 := commit()
-	if _, err := tab.Update(rids[200], Row{Int(int64(500)), Text("final")}); err != nil {
-		t.Fatal(err)
-	}
+	retouch("again")
 	s4 := commit()
+	// A batch that outgrows the segment: the log rotates under the page.
+	rotations := db.Pool().Stats().WALRotations
+	fillTable(t, tab, 900, 3000)
+	commit()
+	if db.Pool().Stats().WALRotations == rotations {
+		t.Fatal("the bulk batch did not rotate the log")
+	}
+	retouch("final")
+	s5 := commit()
 	// Archive the tail: generations still sitting in the live WAL are not
 	// archived until compaction runs.
 	if err := db.Checkpoint(); err != nil {
@@ -362,19 +395,60 @@ func TestPITRRestoreToExactGeneration(t *testing.T) {
 		t.Cleanup(func() { rdb.Close() })
 		return rdb
 	}
-	for _, s := range []snap{s3, s4} {
+	// The archive holds the followed page as planned: since the backup, an
+	// image, then deltas only, the last in a later file than the image.
+	seqs, err := listArchiveSeqs(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([]string, len(seqs))
+	for i, seq := range seqs {
+		files[i] = archivePath(archive, seq)
+	}
+	var kinds []byte
+	var kindFiles []int
+	pending, pendingFile := byte(0), 0
+	for _, r := range walkSegments(t, files...) {
+		switch {
+		case !r.commit && r.id == followed:
+			pending, pendingFile = 'i', r.seg
+			if r.delta {
+				pending = 'd'
+			}
+		case r.commit:
+			if pending != 0 && r.gen > res.Gen {
+				kinds, kindFiles = append(kinds, pending), append(kindFiles, pendingFile)
+			}
+			pending = 0
+		}
+	}
+	if got := string(kinds); got != "idd" && got != "iddd" {
+		t.Fatalf("page %d archived as %q since the backup, want an image then deltas", followed, got)
+	}
+	if last := len(kinds) - 1; kindFiles[0] == kindFiles[last] {
+		t.Fatalf("page %d's image and last delta share archive file %s", followed, files[kindFiles[0]])
+	}
+
+	for _, s := range []snap{s3, s4, s5} {
 		rdb := restoreTo(s.gen)
 		if g := rdb.DurableGen(); g != s.gen {
 			t.Fatalf("restored gen = %d, want %d", g, s.gen)
 		}
 		requireModel(t, rdb.Table("t"), s.model, fmt.Sprintf("gen %d", s.gen))
+		p, err := rdb.filePager().readPageFromFile(followed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.buf[:], s.page) {
+			t.Fatalf("gen %d: restored page %d differs from the live page at that generation", s.gen, followed)
+		}
 	}
-	// TargetGen 0: as far as the archive reaches — at least s4.
+	// TargetGen 0: as far as the archive reaches — at least s5.
 	rdb := restoreTo(0)
-	if g := rdb.DurableGen(); g < s4.gen {
-		t.Fatalf("restore-to-latest reached gen %d, want >= %d", g, s4.gen)
+	if g := rdb.DurableGen(); g < s5.gen {
+		t.Fatalf("restore-to-latest reached gen %d, want >= %d", g, s5.gen)
 	}
-	requireModel(t, rdb.Table("t"), s4.model, "latest")
+	requireModel(t, rdb.Table("t"), s5.model, "latest")
 	// A target before the base backup is a gap, not a silent approximation.
 	dest := filepath.Join(t.TempDir(), "tooearly.dsdb")
 	if err := Restore(base, dest, RestoreOptions{ArchiveDir: archive, TargetGen: s1.gen}); !errors.Is(err, ErrArchiveGap) {

@@ -25,9 +25,10 @@ import (
 // The WAL layout (<path>.wal, rotated into <path>.wal.0001, ...) is in wal.go.
 //
 // Write path: mutated pages accumulate in an in-memory shadow overlay (the
-// write-back target of buffer-pool evictions and flushes). A WAL commit
-// snapshots every page dirtied since the previous commit into the log,
-// appends a commit record and fsyncs — at that point the batch is durable.
+// write-back target of buffer-pool evictions and flushes). A WAL commit logs
+// every page dirtied since the previous commit — its image the first time
+// after a checkpoint, the byte ranges that changed after that — appends a
+// commit record and fsyncs — at that point the batch is durable.
 // When the active segment outgrows its bound the log rotates: appends move
 // to the next numbered segment (commits never straddle a boundary), and a
 // checkpoint — triggered explicitly, by dirty-page count, or by the
@@ -67,8 +68,17 @@ type FilePager struct {
 	// ckptDirty marks pages modified since the last checkpoint. Checkpoints
 	// are incremental: only these pages are written back, not the whole
 	// shadow overlay. Invariant: walDirty ⊆ ckptDirty ⊆ shadow keys, and
-	// every shadow entry outside ckptDirty matches its on-disk slot.
+	// every shadow entry outside ckptDirty matches its on-disk slot. A page
+	// with a record in the log stays here, dead or alive, until a checkpoint
+	// has written its slot (forgetPageLocked, truncateTail): whatever suffix
+	// of the log a crash leaves, each of its deltas has a base.
 	ckptDirty map[PageID]bool
+	// walBase holds, for each page in walDirty that was in ckptDirty before
+	// this batch touched it, the image the log already holds for it — what
+	// the next commit's delta record is taken against. A walDirty page
+	// without a base is in no log record since the last checkpoint and logs
+	// its image. The bases live only until the commit that consumes them.
+	walBase map[PageID]*page
 	// quarantined marks page slots the scrubber found corrupt and could not
 	// repair. Reads of them keep failing with ErrChecksum (the region is
 	// degraded); the store as a whole is not poisoned. A page leaves
@@ -141,6 +151,7 @@ type FilePager struct {
 	gate *sync.RWMutex
 
 	diskReads, diskWrites, walAppends   atomic.Int64
+	walDeltas                           atomic.Int64
 	walSyncs, walBytes, checkpointCount atomic.Int64
 	manifestBytes, manifestSegments     atomic.Int64
 	walRotations, walCompacted          atomic.Int64
@@ -201,9 +212,10 @@ const (
 	// (header with the 8-byte durable generation; catalog root, per-table
 	// schema records and the sheets' store and engine manifests in the row
 	// codec, see manifest.go — none of them carries a version of its own;
-	// sheet cells as typed datums, see internal/model/codec.go). Any other
-	// version fails OpenFile.
-	fileVersion = 6
+	// sheet cells as typed datums, see internal/model/codec.go; a log of
+	// page images and page deltas, see wal.go). Any other version fails
+	// OpenFile.
+	fileVersion = 7
 
 	// fileHeaderSize keeps page slots page-aligned.
 	fileHeaderSize = PageSize
@@ -234,6 +246,7 @@ func newFilePager(path string, opts filePagerOptions) (*FilePager, error) {
 		shadow:      make(map[PageID]*page),
 		walDirty:    make(map[PageID]bool),
 		ckptDirty:   make(map[PageID]bool),
+		walBase:     make(map[PageID]*page),
 		quarantined: make(map[PageID]bool),
 		metaHead:    noPage,
 	}
@@ -320,6 +333,7 @@ func (fp *FilePager) reopenLocked() error {
 	fp.shadow = make(map[PageID]*page)
 	fp.walDirty = make(map[PageID]bool)
 	fp.ckptDirty = make(map[PageID]bool)
+	fp.walBase = make(map[PageID]*page)
 	fp.quarantined = make(map[PageID]bool)
 	fp.freeList = nil
 	fp.pendingFree = nil
@@ -397,11 +411,20 @@ func (fp *FilePager) readHeader() error {
 
 // readPageFromFile loads and checksum-verifies one page slot.
 func (fp *FilePager) readPageFromFile(id PageID) (*page, error) {
+	p, err := readSlot(fp.f, id)
+	if err == nil || errors.Is(err, ErrChecksum) {
+		fp.diskReads.Add(1)
+	}
+	return p, err
+}
+
+// readSlot loads and checksum-verifies one page slot through any positioned
+// reader. Shared by the pager and the restore path.
+func readSlot(r io.ReaderAt, id PageID) (*page, error) {
 	buf := make([]byte, pageSlotSize)
-	if _, err := fp.f.ReadAt(buf, pageOffset(id)); err != nil {
+	if _, err := r.ReadAt(buf, pageOffset(id)); err != nil {
 		return nil, fmt.Errorf("rdbms: read page %d: %w", id, err)
 	}
-	fp.diskReads.Add(1)
 	if stored := binary.LittleEndian.Uint32(buf[4:8]); stored != uint32(id) {
 		return nil, fmt.Errorf("rdbms: page %d slot holds page %d (misplaced write): %w", id, stored, ErrChecksum)
 	}
@@ -453,17 +476,49 @@ func (fp *FilePager) allocLocked() PageID {
 	}
 	p := &page{}
 	p.init()
-	fp.shadow[id] = p
-	fp.markDirtyLocked(id)
+	fp.stageLocked(id, p)
 	return id
 }
 
+// stageLocked makes p page id's newest image and stages it. The image it
+// replaces, when that is the one the log holds, becomes the base of the
+// commit's delta record. fp.mu must be held exclusively.
+func (fp *FilePager) stageLocked(id PageID, p *page) {
+	if fp.loggedCleanLocked(id) {
+		fp.walBase[id] = fp.shadow[id]
+	}
+	fp.shadow[id] = p
+	fp.markDirtyLocked(id)
+}
+
+// stageInPlaceLocked stages page id and returns its overlay image (zeroed
+// when it had none) for the caller to modify; the delta base, when one is
+// due, is a copy taken first. fp.mu must be held exclusively.
+func (fp *FilePager) stageInPlaceLocked(id PageID) *page {
+	p := fp.shadow[id]
+	if p == nil {
+		p = &page{}
+		fp.shadow[id] = p
+	} else if fp.loggedCleanLocked(id) {
+		cp := *p
+		fp.walBase[id] = &cp
+	}
+	fp.markDirtyLocked(id)
+	return p
+}
+
 // markDirtyLocked stages page id for the next WAL commit and the next
-// (incremental) checkpoint. fp.mu must be held exclusively and fp.shadow
-// must already hold the page's newest image.
+// (incremental) checkpoint.
 func (fp *FilePager) markDirtyLocked(id PageID) {
 	fp.walDirty[id] = true
 	fp.ckptDirty[id] = true
+}
+
+// loggedCleanLocked reports whether page id's overlay image is exactly what
+// the log holds for it: logged since the last checkpoint, untouched since the
+// last commit.
+func (fp *FilePager) loggedCleanLocked(id PageID) bool {
+	return fp.ckptDirty[id] && !fp.walDirty[id]
 }
 
 // free implements Pager: the pages are queued for reclamation. They are not
@@ -486,13 +541,30 @@ func (fp *FilePager) promotePendingFree() {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	for _, id := range fp.pendingFree {
-		delete(fp.shadow, id)
-		delete(fp.walDirty, id)
-		delete(fp.ckptDirty, id)
-		delete(fp.quarantined, id)
+		fp.forgetPageLocked(id)
 	}
 	fp.freeList = append(fp.freeList, fp.pendingFree...)
 	fp.pendingFree = nil
+}
+
+// forgetPageLocked drops a dead page from the overlay, as far as the log
+// allows. A page with a record in the log since the last checkpoint stays in
+// ckptDirty with the image the log holds for it (its uncommitted change is
+// undone): the checkpoint still writes its slot, so a suffix of the log that
+// survives a crash inside resetWAL finds every delta's base, and if the id is
+// allocated again before that, the new page is logged against that image. A
+// page in no log record is forgotten outright and logs an image in its next
+// life.
+func (fp *FilePager) forgetPageLocked(id PageID) {
+	if base := fp.walBase[id]; base != nil {
+		fp.shadow[id] = base
+		delete(fp.walBase, id)
+	} else if fp.walDirty[id] || !fp.ckptDirty[id] {
+		delete(fp.shadow, id)
+		delete(fp.ckptDirty, id)
+	}
+	delete(fp.walDirty, id)
+	delete(fp.quarantined, id)
 }
 
 // freePages snapshots the free list for the catalog root.
@@ -536,8 +608,7 @@ func (fp *FilePager) writeBack(id PageID, p *page) error {
 	defer fp.mu.Unlock()
 	cp := &page{}
 	*cp = *p
-	fp.shadow[id] = cp
-	fp.markDirtyLocked(id)
+	fp.stageLocked(id, cp)
 	return nil
 }
 
@@ -691,13 +762,9 @@ func (fp *FilePager) writeMeta(blob []byte) {
 		if current && !(i == 0 && headerMoved) {
 			continue
 		}
-		if p == nil {
-			p = &page{}
-			fp.shadow[id] = p
-		}
+		p = fp.stageInPlaceLocked(id)
 		binary.LittleEndian.PutUint32(p.buf[0:4], uint32(next))
 		copy(p.buf[4:], payload)
-		fp.markDirtyLocked(id)
 		fp.manifestBytes.Add(int64(len(payload)))
 	}
 	fp.metaHead = head
@@ -705,9 +772,10 @@ func (fp *FilePager) writeMeta(blob []byte) {
 }
 
 // writeMetaValue stages one out-of-line metadata value into its own page
-// chain, reusing the existing chain's pages in place (safe under WAL
-// full-page redo: the previous content is recoverable from the last
-// committed batch until the new one commits), allocating more pages as the
+// chain, reusing the existing chain's pages in place (safe under WAL redo:
+// the previous content is recoverable from the committed batches until the
+// new one commits, and stageInPlaceLocked keeps the image a delta against it
+// needs), allocating more pages as the
 // value grows and queueing surplus pages for reclamation as it shrinks.
 // Unlike the catalog chain, value pages carry raw payload — the page list
 // and byte length live in the catalog manifest's meta directory. Returns
@@ -724,11 +792,7 @@ func (fp *FilePager) writeMetaValue(chain []PageID, blob []byte) []PageID {
 		chain = append([]PageID(nil), chain[:need]...)
 	}
 	for i, id := range chain {
-		p := fp.shadow[id]
-		if p == nil {
-			p = &page{}
-			fp.shadow[id] = p
-		}
+		p := fp.stageInPlaceLocked(id)
 		lo := i * PageSize
 		hi := lo + PageSize
 		if hi > len(blob) {
@@ -738,7 +802,6 @@ func (fp *FilePager) writeMetaValue(chain []PageID, blob []byte) []PageID {
 		for j := n; j < PageSize; j++ {
 			p.buf[j] = 0
 		}
-		fp.markDirtyLocked(id)
 	}
 	fp.manifestBytes.Add(int64(len(blob)))
 	fp.manifestSegments.Add(1)
@@ -888,7 +951,8 @@ type pagerCounter struct {
 func (fp *FilePager) counters(s *IOStats) []pagerCounter {
 	return []pagerCounter{
 		{&fp.diskReads, &s.DiskReads}, {&fp.diskWrites, &s.DiskWrites},
-		{&fp.walAppends, &s.WALAppends}, {&fp.walSyncs, &s.WALSyncs}, {&fp.walBytes, &s.WALBytes},
+		{&fp.walAppends, &s.WALAppends}, {&fp.walDeltas, &s.WALDeltas},
+		{&fp.walSyncs, &s.WALSyncs}, {&fp.walBytes, &s.WALBytes},
 		{&fp.checkpointCount, &s.Checkpoints}, {&fp.checkpointPages, &s.CheckpointPages},
 		{&fp.manifestBytes, &s.ManifestBytes}, {&fp.manifestSegments, &s.ManifestSegments},
 		{&fp.walRotations, &s.WALRotations}, {&fp.walCompacted, &s.WALCompacted},

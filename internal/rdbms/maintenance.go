@@ -363,8 +363,7 @@ func (db *DB) relocateMetaLocked(fp *FilePager) (int, error) {
 		fi++
 		cp := &page{}
 		*cp = *img
-		fp.shadow[lo] = cp
-		fp.markDirtyLocked(lo)
+		fp.stageLocked(lo, cp)
 		own := owners[hi]
 		own.chain[own.idx] = lo
 		if own.idx == 0 && len(fp.metaPages) > 0 && fp.metaPages[0] == lo {
@@ -395,8 +394,10 @@ func (db *DB) relocateMetaLocked(fp *FilePager) (int, error) {
 
 // truncateTail shrinks the logical page count past trailing free pages and
 // filters them off the free list, returning how many pages were reclaimed.
-// The caller must commit the new count and free list durably before
-// physically truncating the file.
+// It stops at a free page the log still holds a record of (see
+// forgetPageLocked): that page keeps its slot until the next checkpoint has
+// written it. The caller must commit the new count and free list durably
+// before physically truncating the file.
 func (fp *FilePager) truncateTail() int {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -405,7 +406,7 @@ func (fp *FilePager) truncateTail() int {
 		freed[id] = true
 	}
 	n := 0
-	for fp.pages > 0 && freed[PageID(fp.pages-1)] {
+	for fp.pages > 0 && freed[PageID(fp.pages-1)] && !fp.ckptDirty[PageID(fp.pages-1)] {
 		fp.pages--
 		n++
 	}
@@ -421,10 +422,7 @@ func (fp *FilePager) truncateTail() int {
 	fp.freeList = nf
 	for id := range fp.shadow {
 		if int(id) >= fp.pages {
-			delete(fp.shadow, id)
-			delete(fp.walDirty, id)
-			delete(fp.ckptDirty, id)
-			delete(fp.quarantined, id)
+			fp.forgetPageLocked(id)
 		}
 	}
 	return n

@@ -23,7 +23,8 @@ type IOStats struct {
 	// in-memory simulator).
 	DiskReads   int64 // page reads from the data file
 	DiskWrites  int64 // page writes to the data file (checkpoint, recovery)
-	WALAppends  int64 // page images appended to the write-ahead log
+	WALAppends  int64 // page records (images and deltas) appended to the write-ahead log
+	WALDeltas   int64 // of those, delta records: the byte ranges that changed, not the image
 	WALSyncs    int64 // fsyncs of the write-ahead log (one per commit batch)
 	WALBytes    int64 // bytes appended to the write-ahead log
 	Checkpoints int64 // data-file checkpoints (manual and automatic)
@@ -79,7 +80,7 @@ type IOStats struct {
 func (s *IOStats) Counters() []*int64 {
 	return []*int64{
 		&s.Reads, &s.Writes, &s.Hits, &s.PoolHits, &s.PoolMisses, &s.PagesRead,
-		&s.DiskReads, &s.DiskWrites, &s.WALAppends, &s.WALSyncs, &s.WALBytes,
+		&s.DiskReads, &s.DiskWrites, &s.WALAppends, &s.WALDeltas, &s.WALSyncs, &s.WALBytes,
 		&s.Checkpoints, &s.CheckpointPages, &s.FreePages, &s.ShadowPages, &s.DirtyPages,
 		&s.WALSegments, &s.WALRotations, &s.WALCompacted, &s.WALDiskBytes,
 		&s.ManifestBytes, &s.ManifestSegments,
