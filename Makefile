@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serve test-faults test-format bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
+.PHONY: all build test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
 
 # Rounds for the crash-fuzz soak (`make soak`); ~200 is 60-90s locally.
 SOAK_ROUNDS ?= 200
@@ -44,18 +44,6 @@ bench-smoke:
 bench-disk:
 	BENCH_DISK_JSON=BENCH_disk.json $(GO) test -run=TestDiskThroughputSnapshot -v .
 	@cat BENCH_disk.json
-
-# Structural-edit snapshot: measures the batched structural path (one
-# count-aware positional shift, shift-aware formula pass, incremental
-# recalc, one WAL commit) against single-row loops on a 1M-cell sheet with
-# 1k formulas, and writes BENCH_struct.json; fails if the batched 100-row
-# insert beats 100 single-row inserts by less than 5x in memory / 10x on
-# disk (incremental manifests made single-insert saves O(1), shrinking the
-# amortization headroom), if a mid-sheet single insert touches any formula,
-# or if its cost scales with the formula count.
-bench-struct:
-	BENCH_STRUCT_JSON=BENCH_struct.json $(GO) test -run=TestStructuralEditSnapshot -v .
-	@cat BENCH_struct.json
 
 # Commit/persistence snapshot: measures the incremental manifest path (one
 # 100-row structural edit persists a delta, not a full re-serialization of
@@ -166,4 +154,4 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck build loc test test-serve test-faults test-format bench bench-smoke bench-disk bench-struct bench-commit bench-maint bench-backup bench-recalc soak
+ci: lint staticcheck build loc test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-maint bench-backup bench-recalc soak

@@ -69,8 +69,7 @@ func TestCommitSnapshot(t *testing.T) {
 		"formulas": structFormulas, "edit_row": structEditRow,
 	}
 
-	eng, cleanup := buildStructEngine(t, dir, true, structFormulas)
-	defer cleanup()
+	eng := buildStructEngine(t, filepath.Join(dir, "struct.dsdb"), structRows)
 	db := eng.DB()
 	path := db.Path()
 

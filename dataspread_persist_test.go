@@ -32,7 +32,7 @@ func TestPersistReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A structural edit: positional order must survive the reopen.
-	if err := eng.InsertRowAfter(1); err != nil {
+	if err := eng.InsertRowsAfter(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Set(2, 1, "999"); err != nil {

@@ -91,7 +91,7 @@ func main() {
 
 	// Row edits remain O(log N): insert a row in the middle.
 	t0 := time.Now()
-	if err := rom.InsertRowAfter(*rows / 2); err != nil {
+	if err := rom.Shift(true, *rows/2+1, 1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nInsert row at position %d: %s (no cascading updates)\n",

@@ -53,7 +53,7 @@ func main() {
 	// Insert a row: positional maps shift, formulas rewrite — no cascading
 	// updates in storage.
 	fmt.Println("\nInsert a row after row 2 (class average formula follows):")
-	must(eng.InsertRowAfter(2))
+	must(eng.InsertRowsAfter(2, 1))
 	fmt.Printf("class average moved to F8 = %s (formula %q)\n",
 		eng.GetCell(8, 6).Value, eng.GetCell(8, 6).Formula)
 }

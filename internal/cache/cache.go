@@ -241,20 +241,16 @@ func (c *Cache) InvalidateAll() {
 	c.lru.Init()
 }
 
-// ShiftRows adjusts resident blocks for a row-structural edit: delta > 0
-// inserts delta rows before row `at` (rows >= at move down by delta);
-// delta < 0 deletes the -delta rows [at, at-delta-1]. Blocks strictly above
-// the edit stay resident untouched — a mid-sheet insert no longer cools the
-// viewport the user is looking at. Blocks whose rows move are renumbered in
-// place when the shift preserves block alignment (delta a multiple of
-// BlockRows) and dropped otherwise; blocks straddling the edit or
-// intersecting a deleted band always drop.
-func (c *Cache) ShiftRows(at, delta int) { c.shift(at, delta, true) }
-
-// ShiftCols is ShiftRows for column edits (BlockCols alignment).
-func (c *Cache) ShiftCols(at, delta int) { c.shift(at, delta, false) }
-
-func (c *Cache) shift(at, delta int, rows bool) {
+// Shift adjusts resident blocks for a structural edit on the rows (or
+// columns) axis: delta > 0 inserts delta rows before row `at` (rows >= at
+// move down by delta); delta < 0 deletes the -delta rows [at, at-delta-1].
+// Blocks strictly above (left of) the edit stay resident untouched — a
+// mid-sheet insert no longer cools the viewport the user is looking at.
+// Blocks whose rows move are renumbered in place when the shift preserves
+// block alignment (delta a multiple of BlockRows, or BlockCols for columns)
+// and dropped otherwise; blocks straddling the edit or intersecting a deleted
+// band always drop.
+func (c *Cache) Shift(rows bool, at, delta int) {
 	if delta == 0 {
 		return
 	}

@@ -406,7 +406,7 @@ func TestCacheShiftRowsKeepsBlocksAbove(t *testing.T) {
 	// The backing mutates first (as the engine's store does), then the
 	// cache learns about the shift.
 	s.InsertRowAfter(200) // rows >= 201 move down 1
-	c.ShiftRows(201, 1)
+	c.Shift(true, 201, 1)
 
 	// Above the edit: still resident.
 	got := c.Get(sheet.Ref{Row: 1, Col: 1})
@@ -441,7 +441,7 @@ func TestCacheShiftRowsAlignedRenumber(t *testing.T) {
 
 	s.InsertRowAfter(64) // rows >= 65 move down; 200 -> 264
 	// BlockRows-aligned insert at a block boundary: rows >= 65 shift by 64.
-	c.ShiftRows(65, BlockRows)
+	c.Shift(true, 65, BlockRows)
 
 	got := c.Get(sheet.Ref{Row: 200 + BlockRows, Col: 3})
 	if !got.Value.Equal(sheet.Number(7)) {
@@ -475,7 +475,7 @@ func TestCacheShiftRowsDeleteDropsBand(t *testing.T) {
 	for i := 0; i < BlockRows; i++ {
 		s.DeleteRow(65)
 	}
-	c.ShiftRows(65, -BlockRows)
+	c.Shift(true, 65, -BlockRows)
 
 	if got := c.Get(sheet.Ref{Row: 1, Col: 1}); !got.Value.Equal(sheet.Number(1)) {
 		t.Fatalf("A1 = %v", got)
@@ -500,7 +500,7 @@ func TestCacheShiftColsKeepsBlocksLeft(t *testing.T) {
 	loadsBefore := b.loads
 
 	s.InsertColumnAfter(50)
-	c.ShiftCols(51, 1)
+	c.Shift(false, 51, 1)
 
 	if got := c.Get(sheet.Ref{Row: 1, Col: 1}); !got.Value.Equal(sheet.Number(1)) {
 		t.Fatalf("A1 = %v", got)
@@ -540,8 +540,8 @@ func TestCacheShiftConcurrentWithReaders(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 200; i++ {
-		c.ShiftRows(128, BlockRows)
-		c.ShiftRows(128, -BlockRows)
+		c.Shift(true, 128, BlockRows)
+		c.Shift(true, 128, -BlockRows)
 	}
 	close(stop)
 	wg.Wait()

@@ -69,7 +69,7 @@ func BenchmarkEngineInsertRow(b *testing.B) {
 	e := benchEngine(b, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.InsertRowAfter(500); err != nil {
+		if err := e.InsertRowsAfter(500, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -149,7 +149,7 @@ func TestEngineInsertRowShiftsFormulas(t *testing.T) {
 	}
 	before := cellNum(t, e, 7, 6)
 	// Insert a row above Bob (after row 2).
-	if err := e.InsertRowAfter(2); err != nil {
+	if err := e.InsertRowsAfter(2, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The sum moved to row 8 and still sees all four totals.
@@ -184,7 +184,7 @@ func TestEngineDeleteRowPoisonsRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete Bob's row (3): F3 becomes #REF!.
-	if err := e.DeleteRow(3); err != nil {
+	if err := e.DeleteRows(3, 1); err != nil {
 		t.Fatal(err)
 	}
 	got := e.GetCell(6, 1)
@@ -203,7 +203,7 @@ func TestEngineDeleteRowPoisonsRefs(t *testing.T) {
 func TestEngineInsertColumn(t *testing.T) {
 	e := newEngine(t)
 	figure7(t, e)
-	if err := e.InsertColumnAfter(1); err != nil {
+	if err := e.InsertColumnsAfter(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Totals moved to column G and still evaluate.
@@ -214,7 +214,7 @@ func TestEngineInsertColumn(t *testing.T) {
 		t.Fatalf("shifted formula = %q", got)
 	}
 	// Delete it again.
-	if err := e.DeleteColumn(2); err != nil {
+	if err := e.DeleteColumns(2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := cellNum(t, e, 2, 6); got != 75 {
@@ -280,13 +280,13 @@ func TestEngineAcrossPositionalSchemes(t *testing.T) {
 		if got := cellNum(t, e, 2, 6); got != 75 {
 			t.Fatalf("%s: F2 = %v", scheme, got)
 		}
-		if err := e.InsertRowAfter(2); err != nil {
+		if err := e.InsertRowsAfter(2, 1); err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 		if got := cellNum(t, e, 4, 6); got != 63.5 {
 			t.Fatalf("%s: shifted Bob total = %v", scheme, got)
 		}
-		if err := e.DeleteRow(3); err != nil {
+		if err := e.DeleteRows(3, 1); err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 		if got := cellNum(t, e, 3, 6); got != 63.5 {

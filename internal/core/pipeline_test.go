@@ -644,7 +644,7 @@ func TestPipelineEquivalenceProperty(t *testing.T) {
 					}
 					label += fmt.Sprintf(" shift(axis %d, at %d, delta %d)", axis, at, delta)
 					for _, e := range engines {
-						if err := e.shift(axis, at, delta); err != nil {
+						if _, err := e.Shift(axis, at, delta); err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
 					}

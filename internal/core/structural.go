@@ -14,8 +14,8 @@ import (
 // the positional maps; this file makes the engine layer scale with the
 // *affected region* rather than the sheet:
 //
-//   - one count-aware shift per region (InsertRowsAfter(row, 100) is one
-//     positional pass and one WAL commit, not 100),
+//   - one count-aware shift per region (HybridStore.Shift: inserting 100
+//     rows is one positional pass and one WAL commit, not 100),
 //   - a shift-aware formula pass: formulas whose cell and reads all lie
 //     strictly before the edit are never looked at — no reparse, no tuple
 //     rewrite; the dependency graph relocates moved registrations in place
@@ -25,7 +25,7 @@ import (
 //     or absorb the edited band re-evaluate (inserted blanks and deleted
 //     values change range aggregates; purely-shifted references do not),
 //     plus their transitive dependents — never RecalcAll,
-//   - targeted cache maintenance: cache.ShiftRows/ShiftCols keeps blocks
+//   - targeted cache maintenance: cache.Shift keeps blocks
 //     strictly above/left of the edit resident and renumbers aligned
 //     blocks, instead of invalidating the whole read cache.
 
@@ -55,48 +55,32 @@ func (e *Engine) LastEditStats() EditStats {
 	return e.lastEdit
 }
 
-// InsertRowAfter inserts one spreadsheet row after `row` (Section III:
-// insertRowAfter).
-func (e *Engine) InsertRowAfter(row int) error { return e.InsertRowsAfter(row, 1) }
-
-// InsertRowsAfter inserts count rows after `row` as one batched structural
-// edit: a single count-aware positional shift per stored region, one
-// shift-aware formula pass, recalculation limited to formulas reading
-// across the edit, and one WAL commit.
+// InsertRowsAfter inserts count rows after `row` (Section III:
+// insertRowAfter; 0 prepends) as one batched structural edit: a single
+// count-aware positional shift per stored region, one shift-aware formula
+// pass, recalculation limited to formulas reading across the edit, and one
+// WAL commit. It, DeleteRows, InsertColumnsAfter and DeleteColumns are Shift
+// in the insert-after convention, without the generation.
 func (e *Engine) InsertRowsAfter(row, count int) error {
-	return e.shift(depgraph.Rows, row+1, max(count, 0))
+	_, err := e.Shift(depgraph.Rows, row+1, max(count, 0))
+	return err
 }
 
-// DeleteRow removes one spreadsheet row.
-func (e *Engine) DeleteRow(row int) error { return e.DeleteRows(row, 1) }
-
-// DeleteRows removes the count rows [row, row+count-1] as one batched
-// structural edit, mirroring InsertRowsAfter.
+// DeleteRows removes the count rows [row, row+count-1].
 func (e *Engine) DeleteRows(row, count int) error {
-	return e.shift(depgraph.Rows, row, -max(count, 0))
+	_, err := e.Shift(depgraph.Rows, row, -max(count, 0))
+	return err
 }
 
-// InsertColumnAfter inserts one spreadsheet column after `col`.
-func (e *Engine) InsertColumnAfter(col int) error { return e.InsertColumnsAfter(col, 1) }
-
-// InsertColumnsAfter inserts count columns after `col` as one batched
-// structural edit.
+// InsertColumnsAfter inserts count columns after `col`.
 func (e *Engine) InsertColumnsAfter(col, count int) error {
-	return e.shift(depgraph.Cols, col+1, max(count, 0))
+	_, err := e.Shift(depgraph.Cols, col+1, max(count, 0))
+	return err
 }
 
-// DeleteColumn removes one spreadsheet column.
-func (e *Engine) DeleteColumn(col int) error { return e.DeleteColumns(col, 1) }
-
-// DeleteColumns removes the count columns [col, col+count-1] as one batched
-// structural edit.
+// DeleteColumns removes the count columns [col, col+count-1].
 func (e *Engine) DeleteColumns(col, count int) error {
-	return e.shift(depgraph.Cols, col, -max(count, 0))
-}
-
-// shift is Shift for the wrappers above, which hand back no generation.
-func (e *Engine) shift(axis depgraph.Axis, at, delta int) error {
-	_, err := e.Shift(axis, at, delta)
+	_, err := e.Shift(depgraph.Cols, col, -max(count, 0))
 	return err
 }
 
@@ -145,18 +129,9 @@ func (e *Engine) shiftLocked(sh formula.Shift, axis depgraph.Axis, at, delta int
 	if sh.Delete {
 		seeds = e.deps.DirectDependents(band)
 	}
-	var err error
-	switch {
-	case sh.Rows && sh.Delete:
-		err = e.store.DeleteRows(at, sh.Count)
-	case sh.Rows:
-		err = e.store.InsertRowsAfter(at-1, sh.Count)
-	case sh.Delete:
-		err = e.store.DeleteColumns(at, sh.Count)
-	default:
-		err = e.store.InsertColumnsAfter(at-1, sh.Count)
-	}
-	if err != nil {
+	// The store decides every refusal before it mutates anything, so a
+	// refused edit returns here with the store, cache and graph untouched.
+	if err := e.store.Shift(sh.Rows, at, delta); err != nil {
 		return 0, err
 	}
 	if last := int(extent.Load()); !sh.Delete {
@@ -170,11 +145,7 @@ func (e *Engine) shiftLocked(sh formula.Shift, axis depgraph.Axis, at, delta int
 		// repeated out-of-range deletes cannot shrink bounds below live data.
 		extent.Add(-int64(over))
 	}
-	if sh.Rows {
-		e.cache.ShiftRows(at, delta)
-	} else {
-		e.cache.ShiftCols(at, delta)
-	}
+	e.cache.Shift(sh.Rows, at, delta)
 	if err := e.applyShift(sh, axis, at, delta); err != nil {
 		return 0, err
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"dataspread/internal/hybrid"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -79,7 +81,7 @@ func seedStructuralSheet(t *testing.T, e *Engine, rng *rand.Rand) {
 
 // TestBatchedInsertEquivalence: InsertRowsAfter(r, k) must be observably
 // identical (cells, formula texts, recalculated values) to k times
-// InsertRowAfter(r), across all positional schemes; same for columns and
+// InsertRowsAfter(r, 1), across all positional schemes; same for columns and
 // for deletes, including an insert-then-delete round trip.
 func TestBatchedStructuralEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -102,7 +104,7 @@ func TestBatchedStructuralEquivalence(t *testing.T) {
 				t.Fatalf("%s: batched insert: %v", scheme, err)
 			}
 			for i := 0; i < k; i++ {
-				if err := looped.InsertRowAfter(at); err != nil {
+				if err := looped.InsertRowsAfter(at, 1); err != nil {
 					t.Fatalf("%s: single insert: %v", scheme, err)
 				}
 			}
@@ -125,7 +127,7 @@ func TestBatchedStructuralEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < k; i++ {
-				if err := looped.InsertColumnAfter(atC); err != nil {
+				if err := looped.InsertColumnsAfter(atC, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -138,7 +140,7 @@ func TestBatchedStructuralEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < k; i++ {
-				if err := looped.DeleteRow(delAt); err != nil {
+				if err := looped.DeleteRows(delAt, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -148,7 +150,7 @@ func TestBatchedStructuralEquivalence(t *testing.T) {
 			if err := batched.DeleteColumns(delAt, 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := looped.DeleteColumn(delAt); err != nil {
+			if err := looped.DeleteColumns(delAt, 1); err != nil {
 				t.Fatal(err)
 			}
 			label = fmt.Sprintf("%s delete col at %d", scheme, delAt)
@@ -179,7 +181,7 @@ func TestStructuralEditCounters(t *testing.T) {
 
 	// Insert far below every read range: nothing recomputes, nothing is
 	// rewritten, nothing moves.
-	if err := e.InsertRowAfter(2000); err != nil {
+	if err := e.InsertRowsAfter(2000, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := e.LastEditStats()
@@ -190,7 +192,7 @@ func TestStructuralEditCounters(t *testing.T) {
 	// Insert above the reads: formulas move and their references rewrite,
 	// but none straddle the band (reads start at their own row), so only
 	// straddlers recompute.
-	if err := e.InsertRowAfter(0); err != nil {
+	if err := e.InsertRowsAfter(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	st = e.LastEditStats()
@@ -202,7 +204,7 @@ func TestStructuralEditCounters(t *testing.T) {
 	}
 
 	// Insert inside the read band: every straddling formula recomputes.
-	if err := e.InsertRowAfter(10); err != nil {
+	if err := e.InsertRowsAfter(10, 1); err != nil {
 		t.Fatal(err)
 	}
 	st = e.LastEditStats()
@@ -257,10 +259,10 @@ func TestDeleteBeyondBoundsKeepsBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := e.DeleteRow(10); err != nil {
+		if err := e.DeleteRows(10, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.DeleteColumn(10); err != nil {
+		if err := e.DeleteColumns(10, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,4 +357,136 @@ func TestConstantFormulaRelocates(t *testing.T) {
 	if e.GetCell(12, 1).HasFormula() || e.GetCell(15, 1).HasFormula() {
 		t.Fatal("constant survived deletion of its row")
 	}
+}
+
+// assertEngineMatchesSheet compares what the engine serves over g (through
+// its cache) and what its store holds there with the reference sheet.
+func assertEngineMatchesSheet(t *testing.T, label string, e *Engine, s *sheet.Sheet, g sheet.Range) {
+	t.Helper()
+	stored, err := e.Store().GetCells(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range e.GetCells(g) {
+		for j, served := range row {
+			want := s.GetRC(g.From.Row+i, g.From.Col+j)
+			for _, got := range []sheet.Cell{served, stored[i][j]} {
+				if !got.Value.Equal(want.Value) || got.Formula != want.Formula {
+					t.Fatalf("%s: (%d,%d) = %+v, want %+v", label, g.From.Row+i, g.From.Col+j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestShiftDropsCoveredRegion: a band covering a region's whole extent on
+// the edit's axis drops the region, whatever the layout — deleting every
+// column of a ROM region (or every row of a COM one) used to be refused by
+// the translator ("cannot delete its last column") with nothing moved.
+func TestShiftDropsCoveredRegion(t *testing.T) {
+	const rows, cols = 50, 4
+	g := sheet.NewRange(1, 1, rows+5, cols+5)
+	for _, layout := range []string{"rom", "com", "rcv"} {
+		for _, byRows := range []bool{false, true} {
+			s := sheet.New("s")
+			for r := 1; r <= rows; r++ {
+				for c := 1; c <= cols; c++ {
+					s.SetValue(r, c, sheet.Number(float64(r*10+c)))
+				}
+			}
+			e, err := Open(rdbms.Open(rdbms.Options{}), "s", s, layout, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s: delete every column", layout)
+			if byRows {
+				label = fmt.Sprintf("%s: delete every row", layout)
+				err = e.DeleteRows(1, rows)
+				for i := 0; i < rows; i++ {
+					s.DeleteRow(1)
+				}
+			} else {
+				err = e.DeleteColumns(1, cols)
+				for i := 0; i < cols; i++ {
+					s.DeleteColumn(1)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if regs := e.Store().Regions(); len(regs) != 0 {
+				t.Fatalf("%s: regions %v survive", label, regs)
+			}
+			assertEngineMatchesSheet(t, label, e, s, g)
+			// The grid where the region was takes writes and edits again.
+			if err := e.SetValue(2, 3, sheet.Number(7)); err != nil {
+				t.Fatal(err)
+			}
+			s.SetValue(2, 3, sheet.Number(7))
+			if err := e.InsertRowsAfter(1, 2); err != nil {
+				t.Fatal(err)
+			}
+			s.InsertRowAfter(1)
+			s.InsertRowAfter(1)
+			assertEngineMatchesSheet(t, label+", then edited", e, s, g)
+		}
+	}
+}
+
+// TestRefusedShiftLeavesEngineIntact: a row delete that covers a linked
+// table's header row is refused whole — regions, catalog tables, stored
+// cells and what the engine serves (cache, formula values) are as before.
+// The store used to drop and shrink the regions it met before the refusal,
+// while the engine's cache and dependency graph stayed where they were.
+func TestRefusedShiftLeavesEngineIntact(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	e, err := New(db, "s", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sheet.New("ref")
+	for _, rect := range []sheet.Range{sheet.NewRange(1, 1, 2, 2), sheet.NewRange(1, 4, 5, 5)} {
+		if _, err := e.store.AddRegion(rect, hybrid.ROM); err != nil {
+			t.Fatal(err)
+		}
+		for r := rect.From.Row; r <= rect.To.Row; r++ {
+			for c := rect.From.Col; c <= rect.To.Col; c++ {
+				v := sheet.Number(float64(r*10 + c))
+				if err := e.SetValue(r, c, v); err != nil {
+					t.Fatal(err)
+				}
+				ref.SetValue(r, c, v)
+			}
+		}
+	}
+	if err := e.SetFormula(1, 10, "SUM(D1:E5)"); err != nil {
+		t.Fatal(err)
+	}
+	ref.Set(sheet.Ref{Row: 1, Col: 10}, sheet.Cell{Value: sheet.Number(345), Formula: "SUM(D1:E5)"})
+	table, err := db.CreateTable("lt", rdbms.NewSchema(rdbms.Column{Name: "x", Type: rdbms.DTFloat}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := table.Insert(rdbms.Row{rdbms.Float(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LinkTable(sheet.NewRange(2, 8, 3, 8), "lt"); err != nil {
+		t.Fatal(err)
+	}
+	ref.SetValue(2, 8, sheet.Str("x"))
+	ref.SetValue(3, 8, sheet.Number(7))
+	g := sheet.NewRange(1, 1, 8, 12)
+	assertEngineMatchesSheet(t, "before", e, ref, g)
+	regions, tables := e.Store().Regions(), db.TableNames()
+
+	if err := e.DeleteRows(1, 2); err == nil {
+		t.Fatal("a row delete covering a linked header row must be refused")
+	}
+	if got := e.Store().Regions(); !reflect.DeepEqual(got, regions) {
+		t.Fatalf("regions after refusal %v, want %v", got, regions)
+	}
+	if got := db.TableNames(); !reflect.DeepEqual(got, tables) {
+		t.Fatalf("tables after refusal %v, want %v", got, tables)
+	}
+	assertEngineMatchesSheet(t, "after refusal", e, ref, g)
 }

@@ -287,7 +287,7 @@ func Fig23(cfg Config) (byDensity, byCols, byRows []SweepPoint) {
 		baseRows = 500
 	}
 	insert := func(tr model.Translator, rng *rand.Rand) {
-		tr.InsertRowAfter(rng.Intn(tr.Rows())) //nolint:errcheck
+		tr.Shift(true, rng.Intn(tr.Rows())+1, 1) //nolint:errcheck
 	}
 	byDensity = sweep(cfg, "Figure 23(a): insert row vs density",
 		[]float64{0.2, 0.4, 0.6, 0.8, 1.0},

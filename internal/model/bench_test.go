@@ -62,7 +62,7 @@ func BenchmarkROMInsertRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rom.InsertRowAfter(rng.Intn(rom.Rows())); err != nil {
+		if err := rom.Shift(true, rng.Intn(rom.Rows())+1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

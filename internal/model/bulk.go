@@ -201,11 +201,13 @@ type rectLoader interface {
 	LoadRect([][]sheet.Cell) error
 }
 
-// addRegionBulk creates a region translator and bulk-loads its contents.
-func (h *HybridStore) addRegionBulk(rect sheet.Range, kind hybrid.Kind, cells [][]sheet.Cell) error {
+// addRegionBulk creates a region translator and bulk-loads its contents:
+// the full rectangle, blanks included, so ROM gets every row and COM every
+// column of the region's extent.
+func (h *HybridStore) addRegionBulk(rect sheet.Range, kind hybrid.Kind, cells [][]sheet.Cell) (Translator, error) {
 	for _, r := range h.regions {
 		if r.rect.Intersects(rect) {
-			return fmt.Errorf("model: region %v overlaps existing %v", rect, r.rect)
+			return nil, fmt.Errorf("model: region %v overlaps existing %v", rect, r.rect)
 		}
 	}
 	h.seq++
@@ -220,17 +222,14 @@ func (h *HybridStore) addRegionBulk(rect sheet.Range, kind hybrid.Kind, cells []
 	case hybrid.RCV:
 		tr, err = NewRCV(cfg, rect.Rows(), rect.Cols())
 	default:
-		return fmt.Errorf("model: unsupported region kind %v", kind)
+		return nil, fmt.Errorf("model: unsupported region kind %v", kind)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := tr.(rectLoader).LoadRect(cells); err != nil {
-		return err
+		return nil, err
 	}
-	// COM regions still need their full column extent even when trailing
-	// columns are blank; ROM likewise for rows. LoadRect established the
-	// extent of whatever was passed, which covers the full rectangle.
 	h.regions = append(h.regions, storeRegion{rect: rect, tr: tr, seg: h.allocSeg()})
-	return nil
+	return tr, nil
 }

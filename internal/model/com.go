@@ -69,29 +69,8 @@ func (c *COM) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
 	return c.inner.UpdateRect(transposeRange(g), t)
 }
 
-// InsertRowAfter implements Translator (a column insert in the inner ROM).
-func (c *COM) InsertRowAfter(row int) error { return c.inner.InsertColAfter(row) }
-
-// InsertRowsAfter implements Translator.
-func (c *COM) InsertRowsAfter(row, count int) error { return c.inner.InsertColsAfter(row, count) }
-
-// DeleteRow implements Translator.
-func (c *COM) DeleteRow(row int) error { return c.inner.DeleteCol(row) }
-
-// DeleteRows implements Translator.
-func (c *COM) DeleteRows(row, count int) error { return c.inner.DeleteCols(row, count) }
-
-// InsertColAfter implements Translator (a row insert in the inner ROM).
-func (c *COM) InsertColAfter(col int) error { return c.inner.InsertRowAfter(col) }
-
-// InsertColsAfter implements Translator.
-func (c *COM) InsertColsAfter(col, count int) error { return c.inner.InsertRowsAfter(col, count) }
-
-// DeleteCol implements Translator.
-func (c *COM) DeleteCol(col int) error { return c.inner.DeleteRow(col) }
-
-// DeleteCols implements Translator.
-func (c *COM) DeleteCols(col, count int) error { return c.inner.DeleteRows(col, count) }
+// Shift implements Translator: the inner ROM's shift on the other axis.
+func (c *COM) Shift(rows bool, at, delta int) error { return c.inner.Shift(!rows, at, delta) }
 
 // StorageBytes implements Translator.
 func (c *COM) StorageBytes() int64 { return c.inner.StorageBytes() }

@@ -36,25 +36,11 @@ type Translator interface {
 	// models rewrite each covered tuple a single time (one "query" per
 	// row, as in the paper's Figure 22 setup), instead of once per cell.
 	UpdateRect(g sheet.Range, cells [][]sheet.Cell) error
-	// InsertRowAfter makes room for one row after the local row (0 inserts
-	// at the top).
-	InsertRowAfter(row int) error
-	// InsertRowsAfter makes room for count rows after the local row in one
-	// count-aware positional shift (the batched structural edit of the
-	// fast path; InsertRowAfter is its count-1 wrapper).
-	InsertRowsAfter(row, count int) error
-	// DeleteRow removes the local row.
-	DeleteRow(row int) error
-	// DeleteRows removes the count local rows starting at row in one pass.
-	DeleteRows(row, count int) error
-	// InsertColAfter makes room for one column after the local column.
-	InsertColAfter(col int) error
-	// InsertColsAfter makes room for count columns after the local column.
-	InsertColsAfter(col, count int) error
-	// DeleteCol removes the local column.
-	DeleteCol(col int) error
-	// DeleteCols removes the count local columns starting at col.
-	DeleteCols(col, count int) error
+	// Shift is the structural edit, in depgraph.Shift's convention on the
+	// axis rows selects: delta > 0 makes room for delta blank rows or columns
+	// before local index at (at = extent+1 appends), delta < 0 removes the
+	// -delta starting at at — one count-aware positional shift either way.
+	Shift(rows bool, at, delta int) error
 	// StorageBytes reports the physical footprint of the region.
 	StorageBytes() int64
 	// Drop removes the backing tables.
@@ -76,6 +62,53 @@ func (c Config) scheme() string {
 		return "hierarchical"
 	}
 	return c.Scheme
+}
+
+// checkShift validates a Shift against the region's extent on its axis: an
+// insert goes before an index in 1..extent+1, a delete covers indexes inside
+// 1..extent.
+func checkShift(kind hybrid.Kind, rows bool, at, delta, extent int) error {
+	axis := "column"
+	if rows {
+		axis = "row"
+	}
+	switch {
+	case delta == 0:
+		return fmt.Errorf("model: %v shift of zero %ss", kind, axis)
+	case delta > 0 && (at < 1 || at > extent+1):
+		return fmt.Errorf("model: %v insert before %s %d out of range", kind, axis, at)
+	case delta < 0 && (at < 1 || at-delta-1 > extent):
+		return fmt.Errorf("model: %v delete %ss %d..%d out of range", kind, axis, at, at-delta-1)
+	}
+	return nil
+}
+
+// shiftTuples is the row shift of a tuple-per-row region (ROM, TOM): an
+// insert writes delta empty tuples and splices their pointers in with one
+// positional-map shift; a delete removes the band from the map in one pass
+// and deletes the freed tuples. No other tuple is touched — no cascading
+// updates (Section V).
+func shiftTuples(table *rdbms.Table, rowMap *posmap.Tracked, at, delta int) error {
+	if delta < 0 {
+		for _, rid := range rowMap.DeleteMany(at, -delta) {
+			if !table.Delete(rid) {
+				return fmt.Errorf("model: %s: dangling pointer %v on delete", table.Name, rid)
+			}
+		}
+		return nil
+	}
+	rids := make([]rdbms.RID, delta)
+	for i := range rids {
+		rid, err := table.Insert(make(rdbms.Row, table.Schema.Arity()))
+		if err != nil {
+			return err
+		}
+		rids[i] = rid
+	}
+	if !rowMap.InsertMany(at, rids) {
+		return fmt.Errorf("model: %s: positional insert failed", table.Name)
+	}
+	return nil
 }
 
 func (c Config) validate() error {
@@ -129,11 +162,6 @@ func (im idMap) InsertMany(pos int, ids []int64) bool {
 		rids[i] = idToRID(id)
 	}
 	return im.m.InsertMany(pos, rids)
-}
-
-func (im idMap) Delete(pos int) (int64, bool) {
-	rid, ok := im.m.Delete(pos)
-	return ridToID(rid), ok
 }
 
 func (im idMap) DeleteMany(pos, count int) []int64 {

@@ -138,25 +138,25 @@ func TestTranslatorEquivalence(t *testing.T) {
 		case r < 0.70 && rows < maxDim: // insert row
 			at := rng.Intn(rows + 1)
 			apply(
-				func(tr Translator) error { return tr.InsertRowAfter(at) },
+				func(tr Translator) error { return tr.Shift(true, at+1, 1) },
 				func() { ref.InsertRowAfter(at); rows++ },
 			)
 		case r < 0.80 && rows > 2: // delete row
 			at := rng.Intn(rows) + 1
 			apply(
-				func(tr Translator) error { return tr.DeleteRow(at) },
+				func(tr Translator) error { return tr.Shift(true, at, -1) },
 				func() { ref.DeleteRow(at); rows-- },
 			)
 		case r < 0.92 && cols < maxDim: // insert col
 			at := rng.Intn(cols + 1)
 			apply(
-				func(tr Translator) error { return tr.InsertColAfter(at) },
+				func(tr Translator) error { return tr.Shift(false, at+1, 1) },
 				func() { ref.InsertColumnAfter(at); cols++ },
 			)
 		case cols > 2: // delete col
 			at := rng.Intn(cols) + 1
 			apply(
-				func(tr Translator) error { return tr.DeleteCol(at) },
+				func(tr Translator) error { return tr.Shift(false, at, -1) },
 				func() { ref.DeleteColumn(at); cols-- },
 			)
 		}
@@ -207,7 +207,7 @@ func TestROMColumnOps(t *testing.T) {
 	rom.Update(1, 2, num(2))
 	rom.Update(1, 3, num(3))
 	// Insert between 1 and 2.
-	if err := rom.InsertColAfter(1); err != nil {
+	if err := rom.Shift(false, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if rom.Cols() != 4 {
@@ -223,7 +223,7 @@ func TestROMColumnOps(t *testing.T) {
 	}
 	// Write into the new column, then delete it.
 	rom.Update(1, 2, num(99))
-	if err := rom.DeleteCol(2); err != nil {
+	if err := rom.Shift(false, 2, -1); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = rom.Get(1, 2)
@@ -232,7 +232,7 @@ func TestROMColumnOps(t *testing.T) {
 	}
 	// Cannot delete below one column.
 	rom2, _ := NewROM(testCfg(t, "r2"), 1)
-	if err := rom2.DeleteCol(1); err == nil {
+	if err := rom2.Shift(false, 1, -1); err == nil {
 		t.Fatal("deleting last column must fail")
 	}
 }
@@ -245,10 +245,10 @@ func TestROMBoundsErrors(t *testing.T) {
 	if err := rom.Update(0, 1, num(1)); err == nil {
 		t.Fatal("row 0 must error")
 	}
-	if err := rom.InsertRowAfter(5); err == nil {
+	if err := rom.Shift(true, 6, 1); err == nil {
 		t.Fatal("insert beyond extent must error")
 	}
-	if err := rom.DeleteRow(1); err == nil {
+	if err := rom.Shift(true, 1, -1); err == nil {
 		t.Fatal("delete of missing row must error")
 	}
 	if _, err := NewROM(testCfg(t, "r0"), 0); err == nil {
@@ -319,20 +319,20 @@ func TestTOMLinkedTable(t *testing.T) {
 	}
 
 	// Row insert adds a NULL tuple; row delete removes a tuple.
-	if err := tom.InsertRowAfter(3); err != nil {
+	if err := tom.Shift(true, 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	if db.Table("invoice").RowCount() != 3 {
 		t.Fatal("insert did not reach table")
 	}
-	if err := tom.DeleteRow(4); err != nil {
+	if err := tom.Shift(true, 4, -1); err != nil {
 		t.Fatal(err)
 	}
 	if db.Table("invoice").RowCount() != 2 {
 		t.Fatal("delete did not reach table")
 	}
 	// Schema is fixed.
-	if err := tom.InsertColAfter(1); err == nil {
+	if err := tom.Shift(false, 2, 1); err == nil {
 		t.Fatal("TOM column insert must fail")
 	}
 

@@ -67,7 +67,7 @@ func TestStoreRoundTripSurvivesStructuralEdits(t *testing.T) {
 	// Mutate through the store before saving: insert a row through the
 	// middle of the dense region and write into it, then update a cell.
 	hs2, _ := persistRoundTrip(t, s, "agg", func(hs *HybridStore) {
-		if err := hs.InsertRowAfter(2); err != nil {
+		if err := hs.InsertRowsAfter(2, 1); err != nil {
 			t.Fatal(err)
 		}
 		if err := hs.Update(3, 2, sheet.Cell{Value: sheet.Str("inserted")}); err != nil {
@@ -215,7 +215,7 @@ func fuzzStore(t testing.TB) (*rdbms.DB, *HybridStore) {
 	if err := hs.SaveManifest(); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.InsertRowAfter(2); err != nil {
+	if err := hs.InsertRowsAfter(2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := hs.SaveManifest(); err != nil {

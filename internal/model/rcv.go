@@ -230,127 +230,64 @@ func (r *RCV) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
 	return nil
 }
 
-// InsertRowAfter implements Translator: a single positional-map insert.
-func (r *RCV) InsertRowAfter(row int) error { return r.InsertRowsAfter(row, 1) }
-
-// InsertRowsAfter implements Translator: count fresh surrogates placed with
-// one positional-map shift — no tuple is touched at all.
-func (r *RCV) InsertRowsAfter(row, count int) error {
-	if row < 0 || row > r.rowIDs.Len() {
-		return fmt.Errorf("model: RCV insert after row %d out of range", row)
+// Shift implements Translator. An insert places fresh surrogates with one
+// positional-map shift and touches no tuple at all. A row delete sweeps one
+// key range per deleted row; a column delete scans the whole index once
+// (cells of a column are scattered across row key ranges), so count columns
+// cost the same sweep as one. The surrogates leave in one positional pass.
+func (r *RCV) Shift(rows bool, at, delta int) error {
+	ids := r.colIDs
+	if rows {
+		ids = r.rowIDs
 	}
-	if count < 1 {
-		return fmt.Errorf("model: RCV insert of %d rows", count)
+	if err := checkShift(hybrid.RCV, rows, at, delta, ids.Len()); err != nil {
+		return err
 	}
-	ids := make([]int64, count)
-	for i := range ids {
-		ids[i] = r.allocRow()
-	}
-	r.rowIDs.InsertMany(row+1, ids)
-	return nil
-}
-
-// DeleteRow implements Translator: removes the row's tuples then the
-// surrogate.
-func (r *RCV) DeleteRow(row int) error { return r.DeleteRows(row, 1) }
-
-// DeleteRows implements Translator: one key-range sweep per deleted row,
-// one positional-map pass for the surrogates.
-func (r *RCV) DeleteRows(row, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: RCV delete of %d rows", count)
-	}
-	if row < 1 || row+count-1 > r.rowIDs.Len() {
-		return fmt.Errorf("model: RCV delete rows %d..%d out of range", row, row+count-1)
-	}
-	for i := 0; i < count; i++ {
-		rowID, ok := r.rowIDs.At(row + i)
-		if !ok {
-			return fmt.Errorf("model: RCV delete of missing row %d", row+i)
+	if delta > 0 {
+		fresh := make([]int64, delta)
+		for i := range fresh {
+			var err error
+			if rows {
+				fresh[i] = r.allocRow()
+			} else if fresh[i], err = r.allocCol(); err != nil {
+				return err
+			}
 		}
-		r.deleteKeyRange(key(rowID, 0), key(rowID, 1<<rcvColBits-1))
+		ids.InsertMany(at, fresh)
+		return nil
 	}
-	r.rowIDs.DeleteMany(row, count)
-	return nil
-}
-
-// InsertColAfter implements Translator.
-func (r *RCV) InsertColAfter(col int) error { return r.InsertColsAfter(col, 1) }
-
-// InsertColsAfter implements Translator.
-func (r *RCV) InsertColsAfter(col, count int) error {
-	if col < 0 || col > r.colIDs.Len() {
-		return fmt.Errorf("model: RCV insert after column %d out of range", col)
-	}
-	if count < 1 {
-		return fmt.Errorf("model: RCV insert of %d columns", count)
-	}
-	ids := make([]int64, count)
-	for i := range ids {
-		id, err := r.allocCol()
-		if err != nil {
-			return err
-		}
-		ids[i] = id
-	}
-	r.colIDs.InsertMany(col+1, ids)
-	return nil
-}
-
-// DeleteCol implements Translator: scans the whole index (cells of a column
-// are scattered across row key ranges).
-func (r *RCV) DeleteCol(col int) error { return r.DeleteCols(col, 1) }
-
-// DeleteCols implements Translator: one index scan collects the victims of
-// every deleted column at once (count columns cost the same sweep as one).
-func (r *RCV) DeleteCols(col, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: RCV delete of %d columns", count)
-	}
-	if col < 1 || col+count-1 > r.colIDs.Len() {
-		return fmt.Errorf("model: RCV delete cols %d..%d out of range", col, col+count-1)
-	}
-	doomed := make(map[int64]bool, count)
-	for i := 0; i < count; i++ {
-		colID, ok := r.colIDs.At(col + i)
-		if !ok {
-			return fmt.Errorf("model: RCV delete of missing column %d", col+i)
-		}
-		doomed[colID] = true
-	}
-	var victims []int64
-	r.index.Scan(0, 1<<62, func(k int64, _ rdbms.RID) bool {
-		if doomed[k&(1<<rcvColBits-1)] {
-			victims = append(victims, k)
-		}
-		return true
-	})
-	for _, k := range victims {
-		if rid, ok := r.index.Search(k); ok {
-			r.table.Delete(rid)
-			r.index.DeleteKey(k)
-			r.cells--
-		}
-	}
-	r.colIDs.DeleteMany(col, count)
-	return nil
-}
-
-func (r *RCV) deleteKeyRange(lo, hi int64) {
+	doomed := ids.DeleteMany(at, -delta)
 	type ent struct {
 		k   int64
 		rid rdbms.RID
 	}
 	var victims []ent
-	r.index.Scan(lo, hi, func(k int64, rid rdbms.RID) bool {
+	collect := func(k int64, rid rdbms.RID) bool {
 		victims = append(victims, ent{k, rid})
 		return true
-	})
+	}
+	if rows {
+		for _, id := range doomed {
+			r.index.Scan(key(id, 0), key(id, 1<<rcvColBits-1), collect)
+		}
+	} else {
+		cols := make(map[int64]bool, len(doomed))
+		for _, id := range doomed {
+			cols[id] = true
+		}
+		r.index.Scan(0, 1<<62, func(k int64, rid rdbms.RID) bool {
+			if cols[k&(1<<rcvColBits-1)] {
+				collect(k, rid)
+			}
+			return true
+		})
+	}
 	for _, v := range victims {
 		r.table.Delete(v.rid)
 		r.index.Delete(v.k, v.rid)
 		r.cells--
 	}
+	return nil
 }
 
 // StorageBytes implements Translator (index entries are costed by the

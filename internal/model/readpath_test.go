@@ -94,10 +94,10 @@ func TestROMGetCellsPinsEachPageOnce(t *testing.T) {
 // is no longer the identity (inserted + deleted display columns).
 func TestROMGetCellsAfterColumnChurn(t *testing.T) {
 	rom := fillROM(t, rdbms.Open(rdbms.Options{}), "hierarchical", 10, 6)
-	if err := rom.InsertColAfter(2); err != nil { // new blank display col 3
+	if err := rom.Shift(false, 3, 1); err != nil { // new blank display col 3
 		t.Fatal(err)
 	}
-	if err := rom.DeleteCol(5); err != nil { // drops old physical col 4
+	if err := rom.Shift(false, 5, -1); err != nil { // drops old physical col 4
 		t.Fatal(err)
 	}
 	if err := rom.Update(4, 3, sheet.Cell{Value: sheet.Str("new")}); err != nil {
@@ -140,7 +140,7 @@ func propTranslator(t *testing.T, db *rdbms.DB, kind, scheme string, seq int) Tr
 			t.Fatal(err)
 		}
 		for j := 0; j < 6; j++ {
-			if err := tr.InsertColAfter(j); err != nil {
+			if err := tr.Shift(false, j+1, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -234,20 +234,20 @@ func TestRangeReadEquivalenceProperty(t *testing.T) {
 					if isTOM && at < hdr {
 						continue
 					}
-					if err := tr.InsertRowAfter(at); err != nil {
+					if err := tr.Shift(true, at+1, 1); err != nil {
 						t.Fatalf("%s: insert row: %v", label, err)
 					}
 				case r < 0.8 && rows > hdr+2:
 					at := rng.Intn(rows-hdr) + 1 + hdr
-					if err := tr.DeleteRow(at); err != nil {
+					if err := tr.Shift(true, at, -1); err != nil {
 						t.Fatalf("%s: delete row %d: %v", label, at, err)
 					}
 				case r < 0.9 && !isTOM:
-					if err := tr.InsertColAfter(rng.Intn(cols + 1)); err != nil {
+					if err := tr.Shift(false, rng.Intn(cols+1)+1, 1); err != nil {
 						t.Fatalf("%s: insert col: %v", label, err)
 					}
 				case !isTOM && cols > 2:
-					if err := tr.DeleteCol(rng.Intn(cols) + 1); err != nil {
+					if err := tr.Shift(false, rng.Intn(cols)+1, -1); err != nil {
 						t.Fatalf("%s: delete col: %v", label, err)
 					}
 				}

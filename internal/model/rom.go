@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"dataspread/internal/hybrid"
 	"dataspread/internal/posmap"
@@ -138,103 +139,39 @@ func (r *ROM) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
 	return nil
 }
 
-// InsertRowAfter implements Translator: one tuple insert plus one
-// positional-map insert — no cascading updates.
-func (r *ROM) InsertRowAfter(row int) error { return r.InsertRowsAfter(row, 1) }
-
-// InsertRowsAfter implements Translator: count tuple inserts plus one
-// count-aware positional-map shift.
-func (r *ROM) InsertRowsAfter(row, count int) error {
-	if row < 0 || row > r.rowMap.Len() {
-		return fmt.Errorf("model: ROM insert after row %d out of range", row)
-	}
-	if count < 1 {
-		return fmt.Errorf("model: ROM insert of %d rows", count)
-	}
-	rids := make([]rdbms.RID, count)
-	for i := range rids {
-		rid, err := r.table.Insert(r.emptyRow())
-		if err != nil {
+// Shift implements Translator. Rows shift as tuples (shiftTuples). A column
+// insert appends physical attributes and splices them into the display order
+// with one copy; a column delete drops the display mapping and orphans the
+// attributes (reclaimed only on migration, like a dropped column in a row
+// store). Either way no existing tuple is rewritten: reads pad missing
+// attributes with NULL.
+func (r *ROM) Shift(rows bool, at, delta int) error {
+	if rows {
+		if err := checkShift(hybrid.ROM, rows, at, delta, r.rowMap.Len()); err != nil {
 			return err
 		}
-		rids[i] = rid
+		return shiftTuples(r.table, r.rowMap, at, delta)
 	}
-	if !r.rowMap.InsertMany(row+1, rids) {
-		return fmt.Errorf("model: ROM rowMap insert failed")
+	if err := checkShift(hybrid.ROM, rows, at, delta, len(r.colPos)); err != nil {
+		return err
 	}
-	return nil
-}
-
-// DeleteRow implements Translator.
-func (r *ROM) DeleteRow(row int) error { return r.DeleteRows(row, 1) }
-
-// DeleteRows implements Translator: one positional-map pass removes the
-// band, then the freed tuples are deleted from the heap.
-func (r *ROM) DeleteRows(row, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: ROM delete of %d rows", count)
-	}
-	if row < 1 || row+count-1 > r.rowMap.Len() {
-		return fmt.Errorf("model: ROM delete rows %d..%d out of range", row, row+count-1)
-	}
-	rids := r.rowMap.DeleteMany(row, count)
-	if len(rids) != count {
-		return fmt.Errorf("model: ROM delete of missing row %d", row+len(rids))
-	}
-	for _, rid := range rids {
-		if !r.table.Delete(rid) {
-			return fmt.Errorf("model: ROM dangling pointer %v on delete", rid)
+	at--
+	if delta < 0 {
+		if -delta == len(r.colPos) {
+			return fmt.Errorf("model: ROM cannot delete its last column")
 		}
+		r.colPos = append(r.colPos[:at], r.colPos[at-delta:]...)
+		return nil
 	}
-	return nil
-}
-
-// InsertColAfter implements Translator: appends a physical attribute and
-// splices it into the display order. Existing tuples are untouched (reads
-// pad missing attributes with NULL).
-func (r *ROM) InsertColAfter(col int) error { return r.InsertColsAfter(col, 1) }
-
-// InsertColsAfter implements Translator: count appended attributes spliced
-// into the display order with one copy.
-func (r *ROM) InsertColsAfter(col, count int) error {
-	if col < 0 || col > len(r.colPos) {
-		return fmt.Errorf("model: ROM insert after column %d out of range", col)
-	}
-	if count < 1 {
-		return fmt.Errorf("model: ROM insert of %d columns", count)
-	}
-	phys := make([]int, count)
+	phys := make([]int, delta)
 	for i := range phys {
-		p := r.nextCol
-		r.nextCol++
-		if err := r.table.AddColumn(rdbms.Column{Name: colName(p), Type: rdbms.DTAny}); err != nil {
+		if err := r.table.AddColumn(rdbms.Column{Name: colName(r.nextCol), Type: rdbms.DTAny}); err != nil {
 			return err
 		}
+		r.nextCol++
 		phys[i] = r.table.Schema.Arity() - 1
 	}
-	r.colPos = append(r.colPos, make([]int, count)...)
-	copy(r.colPos[col+count:], r.colPos[col:])
-	copy(r.colPos[col:], phys)
-	return nil
-}
-
-// DeleteCol implements Translator: drops the display mapping; the physical
-// attribute is orphaned (its storage is reclaimed only on migration,
-// mirroring dropped-column behaviour in row stores).
-func (r *ROM) DeleteCol(col int) error { return r.DeleteCols(col, 1) }
-
-// DeleteCols implements Translator.
-func (r *ROM) DeleteCols(col, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: ROM delete of %d columns", count)
-	}
-	if col < 1 || col+count-1 > len(r.colPos) {
-		return fmt.Errorf("model: ROM delete of missing column %d", col)
-	}
-	if len(r.colPos) == count {
-		return fmt.Errorf("model: ROM cannot delete its last column")
-	}
-	r.colPos = append(r.colPos[:col-1], r.colPos[col-1+count:]...)
+	r.colPos = slices.Insert(r.colPos, at, phys...)
 	return nil
 }
 

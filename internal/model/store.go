@@ -81,7 +81,7 @@ func Materialize(db *rdbms.DB, name, scheme string, s *sheet.Sheet, d *hybrid.De
 		if reg.Kind == hybrid.RCV {
 			continue // cells flow to the shared overflow below
 		}
-		if err := hs.addRegionBulk(reg.Rect, reg.Kind, s.GetRange(reg.Rect)); err != nil {
+		if _, err := hs.addRegionBulk(reg.Rect, reg.Kind, s.GetRange(reg.Rect)); err != nil {
 			return nil, err
 		}
 	}
@@ -100,52 +100,10 @@ func Materialize(db *rdbms.DB, name, scheme string, s *sheet.Sheet, d *hybrid.De
 	return hs, nil
 }
 
-// AddRegion creates a translator for the rectangle. Regions must not
-// overlap existing ones.
+// AddRegion creates a blank translator of the rectangle's full extent.
+// Regions must not overlap existing ones.
 func (h *HybridStore) AddRegion(rect sheet.Range, kind hybrid.Kind) (Translator, error) {
-	for _, r := range h.regions {
-		if r.rect.Intersects(rect) {
-			return nil, fmt.Errorf("model: region %v overlaps existing %v", rect, r.rect)
-		}
-	}
-	h.seq++
-	cfg := Config{DB: h.db, Scheme: h.scheme, TableName: fmt.Sprintf("%s_r%d", h.name, h.seq)}
-	var tr Translator
-	var err error
-	switch kind {
-	case hybrid.ROM, hybrid.TOM:
-		var rom *ROM
-		rom, err = NewROM(cfg, rect.Cols())
-		if err == nil {
-			// Materialize the rows so the region has its full extent.
-			for i := 0; i < rect.Rows(); i++ {
-				if e := rom.InsertRowAfter(i); e != nil {
-					return nil, e
-				}
-			}
-		}
-		tr = rom
-	case hybrid.COM:
-		var com *COM
-		com, err = NewCOM(cfg, rect.Rows())
-		if err == nil {
-			for j := 0; j < rect.Cols(); j++ {
-				if e := com.InsertColAfter(j); e != nil {
-					return nil, e
-				}
-			}
-		}
-		tr = com
-	case hybrid.RCV:
-		tr, err = NewRCV(cfg, rect.Rows(), rect.Cols())
-	default:
-		return nil, fmt.Errorf("model: unsupported region kind %v", kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	h.regions = append(h.regions, storeRegion{rect: rect, tr: tr, seg: h.allocSeg()})
-	return tr, nil
+	return h.addRegionBulk(rect, kind, newCellGrid(rect.Rows(), rect.Cols()))
 }
 
 // LinkTable registers a linked TOM region displaying the catalog table at
@@ -298,163 +256,115 @@ func (h *HybridStore) Update(row, col int, c sheet.Cell) error {
 	return h.overflow.Update(row, col, c)
 }
 
-// InsertRowAfter inserts one spreadsheet row after the absolute row:
-// regions strictly below shift down, regions spanning the row grow, the
-// overflow RCV shifts its own positional map.
-func (h *HybridStore) InsertRowAfter(row int) error { return h.InsertRowsAfter(row, 1) }
+// Shift is the store's one structural edit, in absolute coordinates and
+// depgraph.Shift's convention: delta > 0 inserts delta blank rows (rows true)
+// or columns before index at, delta < 0 deletes the -delta starting at at. Each
+// region is decided on its own — several disjoint regions may span the band:
+// one wholly past the edit moves, one the edit crosses grows or shrinks by
+// its overlap through a single count-aware Translator.Shift, and one a
+// delete covers on this axis is dropped without asking its translator. The
+// overflow RCV shifts its own positional maps.
+//
+// Every refusal is decided before the first mutation — a linked region
+// refuses a column edit that crosses it and a row delete that covers its
+// header row — so a refused edit leaves the store exactly as it was.
+func (h *HybridStore) Shift(rows bool, at, delta int) error {
+	if delta == 0 || at < 1 {
+		return fmt.Errorf("model: structural edit of %d at index %d", delta, at)
+	}
+	// A region meets the edit when it spans [at, last]: for a delete that is
+	// the band; an insert meets only regions it splits (f < at <= t).
+	last := at - delta - 1
+	if delta > 0 {
+		last = at - 1
+	}
+	drops := 0
+	for _, r := range h.regions {
+		tom, linked := r.tr.(*TOM)
+		f, t := axisSpan(&r.rect, rows)
+		switch {
+		case *t < at || *f > last: // the edit does not meet it
+		case linked && !rows:
+			return errFixedSchema
+		case linked && delta < 0 && tom.headers && at <= *f:
+			return errHeaderRow
+		case delta < 0 && at <= *f && *t <= last:
+			drops++
+		}
+	}
+	// Rectangles move in place. A drop rebuilds the list into a fresh slice
+	// (compacting in place would list a region twice if a later one failed);
+	// an edit that drops nothing allocates nothing.
+	regions := h.regions
+	if drops > 0 {
+		regions = make([]storeRegion, 0, len(h.regions)-drops)
+	}
+	for i := range h.regions {
+		r := &h.regions[i]
+		f, t := axisSpan(&r.rect, rows)
+		switch {
+		case *t < at: // before the edit: untouched
+		case *f > last: // past it: moves
+			*f += delta
+			*t += delta
+		case delta < 0 && at <= *f && *t <= last: // covered: dropped
+			if err := r.tr.Drop(); err != nil {
+				return err
+			}
+			h.deadSegs = append(h.deadSegs, r.seg)
+			continue
+		default: // crossed: grows, or shrinks by its overlap with the band
+			lo, d := at, delta
+			if delta < 0 {
+				lo = max(at, *f)
+				d = lo - min(*t, last) - 1
+			}
+			if err := r.tr.Shift(rows, lo-*f+1, d); err != nil {
+				return err
+			}
+			size := *t - *f + 1 + d
+			*f = min(*f, at)
+			*t = *f + size - 1
+		}
+		if drops > 0 {
+			regions = append(regions, *r)
+		}
+	}
+	h.regions = regions
+	ext := h.overflow.Cols()
+	if rows {
+		ext = h.overflow.Rows()
+	}
+	if at > ext {
+		return nil // past the overflow's extent: none of its cells move
+	}
+	return h.overflow.Shift(rows, at, max(delta, at-ext-1))
+}
 
-// InsertRowsAfter inserts count spreadsheet rows after the absolute row in
-// one pass: each region's rectangle adjusts once and each spanning region
-// performs a single count-aware positional shift.
+// axisSpan points at g's first and last index on the edit's axis.
+func axisSpan(g *sheet.Range, rows bool) (f, t *int) {
+	if rows {
+		return &g.From.Row, &g.To.Row
+	}
+	return &g.From.Col, &g.To.Col
+}
+
+// InsertRowsAfter inserts count rows after the absolute row (0 prepends):
+// Shift in insertRowAfter's convention, like the three below.
 func (h *HybridStore) InsertRowsAfter(row, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: insert of %d rows", count)
-	}
-	for i := range h.regions {
-		r := &h.regions[i]
-		switch {
-		case r.rect.From.Row > row:
-			r.rect.From.Row += count
-			r.rect.To.Row += count
-		case r.rect.To.Row > row: // spans the boundary: grow
-			if err := r.tr.InsertRowsAfter(row-r.rect.From.Row+1, count); err != nil {
-				return err
-			}
-			r.rect.To.Row += count
-		}
-	}
-	if row < h.overflow.Rows() {
-		return h.overflow.InsertRowsAfter(row, count)
-	}
-	return nil
+	return h.Shift(true, row+1, max(count, 0))
 }
 
-// DeleteRow removes one spreadsheet row. Several disjoint regions may span
-// the same row band; each shrinks independently, and regions emptied by the
-// delete are dropped.
-func (h *HybridStore) DeleteRow(row int) error { return h.DeleteRows(row, 1) }
+// DeleteRows deletes the count rows starting at the absolute row.
+func (h *HybridStore) DeleteRows(row, count int) error { return h.Shift(true, row, -max(count, 0)) }
 
-// DeleteRows removes the count spreadsheet rows [row, row+count-1] in one
-// pass per region: each region deletes its overlap with the band through a
-// single count-aware positional shift, regions entirely below shift up, and
-// regions emptied by the delete are dropped.
-func (h *HybridStore) DeleteRows(row, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: delete of %d rows", count)
-	}
-	b1, b2 := row, row+count-1
-	kept := h.regions[:0]
-	for i := range h.regions {
-		r := h.regions[i]
-		f, t := r.rect.From.Row, r.rect.To.Row
-		switch {
-		case f > b2: // entirely below: shift up
-			r.rect.From.Row -= count
-			r.rect.To.Row -= count
-		case t >= b1: // intersects the band
-			localFrom := max(f, b1) - f + 1
-			n := min(t, b2) - max(f, b1) + 1
-			if err := r.tr.DeleteRows(localFrom, n); err != nil {
-				return err
-			}
-			newF := f
-			if f >= b1 {
-				newF = b1
-			}
-			newT := newF + (t - f + 1 - n) - 1
-			if newT < newF {
-				if err := r.tr.Drop(); err != nil {
-					return err
-				}
-				h.deadSegs = append(h.deadSegs, r.seg)
-				continue // dropped
-			}
-			r.rect.From.Row, r.rect.To.Row = newF, newT
-		}
-		kept = append(kept, r)
-	}
-	h.regions = kept
-	if n := min(count, h.overflow.Rows()-row+1); row >= 1 && n >= 1 {
-		return h.overflow.DeleteRows(row, n)
-	}
-	return nil
-}
-
-// InsertColumnAfter inserts one spreadsheet column after the absolute
-// column.
-func (h *HybridStore) InsertColumnAfter(col int) error { return h.InsertColumnsAfter(col, 1) }
-
-// InsertColumnsAfter inserts count spreadsheet columns after the absolute
-// column in one pass, mirroring InsertRowsAfter.
+// InsertColumnsAfter inserts count columns after the absolute column.
 func (h *HybridStore) InsertColumnsAfter(col, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: insert of %d columns", count)
-	}
-	for i := range h.regions {
-		r := &h.regions[i]
-		switch {
-		case r.rect.From.Col > col:
-			r.rect.From.Col += count
-			r.rect.To.Col += count
-		case r.rect.To.Col > col:
-			if err := r.tr.InsertColsAfter(col-r.rect.From.Col+1, count); err != nil {
-				return err
-			}
-			r.rect.To.Col += count
-		}
-	}
-	if col < h.overflow.Cols() {
-		return h.overflow.InsertColsAfter(col, count)
-	}
-	return nil
+	return h.Shift(false, col+1, max(count, 0))
 }
 
-// DeleteColumn removes one spreadsheet column, mirroring DeleteRow.
-func (h *HybridStore) DeleteColumn(col int) error { return h.DeleteColumns(col, 1) }
-
-// DeleteColumns removes the count spreadsheet columns [col, col+count-1] in
-// one pass per region, mirroring DeleteRows.
-func (h *HybridStore) DeleteColumns(col, count int) error {
-	if count < 1 {
-		return fmt.Errorf("model: delete of %d columns", count)
-	}
-	b1, b2 := col, col+count-1
-	kept := h.regions[:0]
-	for i := range h.regions {
-		r := h.regions[i]
-		f, t := r.rect.From.Col, r.rect.To.Col
-		switch {
-		case f > b2:
-			r.rect.From.Col -= count
-			r.rect.To.Col -= count
-		case t >= b1:
-			localFrom := max(f, b1) - f + 1
-			n := min(t, b2) - max(f, b1) + 1
-			if err := r.tr.DeleteCols(localFrom, n); err != nil {
-				return err
-			}
-			newF := f
-			if f >= b1 {
-				newF = b1
-			}
-			newT := newF + (t - f + 1 - n) - 1
-			if newT < newF {
-				if err := r.tr.Drop(); err != nil {
-					return err
-				}
-				h.deadSegs = append(h.deadSegs, r.seg)
-				continue
-			}
-			r.rect.From.Col, r.rect.To.Col = newF, newT
-		}
-		kept = append(kept, r)
-	}
-	h.regions = kept
-	if n := min(count, h.overflow.Cols()-col+1); col >= 1 && n >= 1 {
-		return h.overflow.DeleteCols(col, n)
-	}
-	return nil
-}
+// DeleteColumns deletes the count columns starting at the absolute column.
+func (h *HybridStore) DeleteColumns(col, count int) error { return h.Shift(false, col, -max(count, 0)) }
 
 // StorageBytes reports the footprint of all regions plus the overflow.
 func (h *HybridStore) StorageBytes() int64 {

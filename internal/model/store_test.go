@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dataspread/internal/hybrid"
@@ -108,12 +110,12 @@ func TestHybridStoreStructuralOps(t *testing.T) {
 		store func() error
 		mirr  func()
 	}{
-		{"insertRow4", func() error { return hs.InsertRowAfter(4) }, func() { s.InsertRowAfter(4) }},
-		{"insertRow0", func() error { return hs.InsertRowAfter(0) }, func() { s.InsertRowAfter(0) }},
-		{"deleteRow2", func() error { return hs.DeleteRow(2) }, func() { s.DeleteRow(2) }},
-		{"insertCol2", func() error { return hs.InsertColumnAfter(2) }, func() { s.InsertColumnAfter(2) }},
-		{"deleteCol4", func() error { return hs.DeleteColumn(4) }, func() { s.DeleteColumn(4) }},
-		{"deleteRow1", func() error { return hs.DeleteRow(1) }, func() { s.DeleteRow(1) }},
+		{"insertRow4", func() error { return hs.Shift(true, 5, 1) }, func() { s.InsertRowAfter(4) }},
+		{"insertRow0", func() error { return hs.Shift(true, 1, 1) }, func() { s.InsertRowAfter(0) }},
+		{"deleteRow2", func() error { return hs.Shift(true, 2, -1) }, func() { s.DeleteRow(2) }},
+		{"insertCol2", func() error { return hs.Shift(false, 3, 1) }, func() { s.InsertColumnAfter(2) }},
+		{"deleteCol4", func() error { return hs.Shift(false, 4, -1) }, func() { s.DeleteColumn(4) }},
+		{"deleteRow1", func() error { return hs.Shift(true, 1, -1) }, func() { s.DeleteRow(1) }},
 	}
 	for _, op := range ops {
 		if err := op.store(); err != nil {
@@ -124,50 +126,133 @@ func TestHybridStoreStructuralOps(t *testing.T) {
 	}
 }
 
+// TestHybridStoreRandomizedStructural drives the store through random cell
+// writes and band edits of 1..8 rows or columns under every layout, with one
+// linked TOM region (header row shown) beside the sheet, against the plain
+// sheet as reference. Bands may cover whole regions (which then drop) and
+// may hit the linked region where it refuses; a refused edit must leave the
+// store's regions and cells exactly as they were.
 func TestHybridStoreRandomizedStructural(t *testing.T) {
-	s := buildSheet()
-	hs := materialized(t, s, "dp")
-	rng := rand.New(rand.NewSource(4))
-	for step := 0; step < 120; step++ {
-		box, _ := s.Bounds()
-		switch r := rng.Float64(); {
-		case r < 0.35:
-			row, col := rng.Intn(box.To.Row+2)+1, rng.Intn(box.To.Col+2)+1
-			c := num(float64(step))
-			if err := hs.Update(row, col, c); err != nil {
-				t.Fatalf("update(%d,%d): %v", row, col, err)
+	for li, algo := range []string{"rom", "com", "rcv", "dp", "agg"} {
+		t.Run(algo, func(t *testing.T) {
+			s := buildSheet()
+			hs := materialized(t, s, algo)
+			linkTestTable(t, hs, s, sheet.NewRange(4, 11, 7, 12))
+			rng := rand.New(rand.NewSource(int64(4 + li)))
+			refused := 0
+			for step := 0; step < 150; step++ {
+				box, _ := s.Bounds()
+				var tom sheet.Range
+				for _, reg := range hs.Regions() {
+					if reg.Kind == hybrid.TOM {
+						tom = reg.Rect
+					}
+				}
+				rows := rng.Intn(2) == 0
+				extent, tf, tt := box.To.Col, tom.From.Col, tom.To.Col
+				if rows {
+					extent, tf, tt = box.To.Row, tom.From.Row, tom.To.Row
+				}
+				k := rng.Intn(8) + 1
+				var at, delta int
+				var mirror func()
+				var refuse bool
+				switch r := rng.Float64(); {
+				case r < 0.35:
+					row, col := rng.Intn(box.To.Row+2)+1, rng.Intn(box.To.Col+2)+1
+					if tom.Contains(sheet.Ref{Row: row, Col: col}) {
+						continue // linked cells are typed table data, covered elsewhere
+					}
+					c := num(float64(step))
+					if err := hs.Update(row, col, c); err != nil {
+						t.Fatalf("step %d: update(%d,%d): %v", step, row, col, err)
+					}
+					s.Set(sheet.Ref{Row: row, Col: col}, c)
+					continue
+				case r < 0.65:
+					at, delta = rng.Intn(extent+1)+1, k
+					refuse = !rows && tf < at && at <= tt
+					mirror = func() {
+						for i := 0; i < k; i++ {
+							if rows {
+								s.InsertRowAfter(at - 1)
+							} else {
+								s.InsertColumnAfter(at - 1)
+							}
+						}
+					}
+				default:
+					at, delta = rng.Intn(extent)+1, -k
+					last := at + k - 1
+					refuse = at <= tt && tf <= last && (!rows || at <= tf)
+					mirror = func() {
+						for i := 0; i < k; i++ {
+							if rows {
+								s.DeleteRow(at)
+							} else {
+								s.DeleteColumn(at)
+							}
+						}
+					}
+				}
+				label := fmt.Sprintf("step %d: Shift(rows=%v, %d, %d)", step, rows, at, delta)
+				before := hs.Regions()
+				err := hs.Shift(rows, at, delta)
+				switch {
+				case refuse && err == nil:
+					t.Fatalf("%s: crosses linked %v, want a refusal", label, tom)
+				case !refuse && err != nil:
+					t.Fatalf("%s: %v", label, err)
+				case refuse:
+					refused++
+					if got := hs.Regions(); !reflect.DeepEqual(got, before) {
+						t.Fatalf("%s: refused edit moved regions %v -> %v", label, before, got)
+					}
+					assertStoreMatchesSheet(t, hs, s)
+					continue
+				}
+				mirror()
+				if step%10 == 9 {
+					assertStoreMatchesSheet(t, hs, s)
+				}
 			}
-			s.Set(sheet.Ref{Row: row, Col: col}, c)
-		case r < 0.55:
-			at := rng.Intn(box.To.Row + 1)
-			if err := hs.InsertRowAfter(at); err != nil {
-				t.Fatalf("insertRow(%d): %v", at, err)
-			}
-			s.InsertRowAfter(at)
-		case r < 0.7 && box.To.Row > 2:
-			at := rng.Intn(box.To.Row) + 1
-			if err := hs.DeleteRow(at); err != nil {
-				t.Fatalf("deleteRow(%d): %v", at, err)
-			}
-			s.DeleteRow(at)
-		case r < 0.9:
-			at := rng.Intn(box.To.Col + 1)
-			if err := hs.InsertColumnAfter(at); err != nil {
-				t.Fatalf("insertCol(%d): %v", at, err)
-			}
-			s.InsertColumnAfter(at)
-		case box.To.Col > 2:
-			at := rng.Intn(box.To.Col) + 1
-			if err := hs.DeleteColumn(at); err != nil {
-				t.Fatalf("deleteCol(%d): %v", at, err)
-			}
-			s.DeleteColumn(at)
-		}
-		if step%20 == 19 {
 			assertStoreMatchesSheet(t, hs, s)
+			if refused == 0 {
+				t.Fatal("no edit hit the linked region's refusals")
+			}
+		})
+	}
+}
+
+// linkTestTable links a fresh text table at rect (header row shown, one
+// column per rect column, a data row per remaining rect row) and mirrors
+// its rendering into the reference sheet.
+func linkTestTable(t *testing.T, hs *HybridStore, s *sheet.Sheet, rect sheet.Range) {
+	t.Helper()
+	schema := rdbms.Schema{}
+	for j := 0; j < rect.Cols(); j++ {
+		name := fmt.Sprintf("a%d", j)
+		schema.Cols = append(schema.Cols, rdbms.Column{Name: name, Type: rdbms.DTText})
+		s.SetValue(rect.From.Row, rect.From.Col+j, sheet.Str(name))
+	}
+	table, err := hs.db.CreateTable("linked", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < rect.Rows(); i++ {
+		row := make(rdbms.Row, rect.Cols())
+		for j := range row {
+			v := fmt.Sprintf("t%d_%d", i, j)
+			row[j] = rdbms.Text(v)
+			s.SetValue(rect.From.Row+i, rect.From.Col+j, sheet.Str(v))
+		}
+		if _, err := table.Insert(row); err != nil {
+			t.Fatal(err)
 		}
 	}
-	assertStoreMatchesSheet(t, hs, s)
+	if _, err := hs.LinkTable(rect, table, true); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAddRegionOverlapRejected(t *testing.T) {
@@ -187,6 +272,54 @@ func TestAddRegionOverlapRejected(t *testing.T) {
 	if got := len(hs.Regions()); got != 2 {
 		t.Fatalf("regions = %d", got)
 	}
+}
+
+// TestHybridStoreRefusedShiftLeavesStoreIntact: a row delete whose band
+// covers two ROM regions and a linked region's header row is refused whole.
+// Before the refusal was decided up front, the covered region was already
+// dropped (its table gone), the second had lost two rows, and the region list,
+// compacted in place, held one translator twice.
+func TestHybridStoreRefusedShiftLeavesStoreIntact(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	hs, err := NewHybridStore(db, "hs", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rect := range []sheet.Range{sheet.NewRange(1, 1, 2, 2), sheet.NewRange(1, 4, 5, 5)} {
+		if _, err := hs.AddRegion(rect, hybrid.ROM); err != nil {
+			t.Fatal(err)
+		}
+		for r := rect.From.Row; r <= rect.To.Row; r++ {
+			for c := rect.From.Col; c <= rect.To.Col; c++ {
+				if err := hs.Update(r, c, num(float64(r*10+c))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	linkTestTable(t, hs, sheet.New("ref"), sheet.NewRange(2, 8, 3, 8))
+	if err := hs.Update(9, 1, num(91)); err != nil { // an overflow cell below the band
+		t.Fatal(err)
+	}
+	bounds := sheet.NewRange(1, 1, 12, 10)
+	read := func() [][]sheet.Cell {
+		cells, err := hs.GetCells(bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells
+	}
+	regions, tables, cells := hs.Regions(), db.TableNames(), read()
+	if err := hs.DeleteRows(1, 2); err == nil {
+		t.Fatal("a row delete covering a linked header row must be refused")
+	}
+	if got := hs.Regions(); !reflect.DeepEqual(got, regions) {
+		t.Fatalf("regions after refusal %v, want %v", got, regions)
+	}
+	if got := db.TableNames(); !reflect.DeepEqual(got, tables) {
+		t.Fatalf("tables after refusal %v, want %v", got, tables)
+	}
+	assertSameGrid(t, "after refusal", read(), cells)
 }
 
 func TestHybridStoreLinkTable(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dataspread/internal/hybrid"
 	"dataspread/internal/posmap"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
@@ -21,7 +22,7 @@ func buildTranslator(t *testing.T, db *rdbms.DB, kind, scheme, name string, rows
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rom.InsertRowsAfter(0, rows); err != nil {
+		if err := rom.Shift(true, 1, rows); err != nil {
 			t.Fatal(err)
 		}
 		tr = rom
@@ -30,7 +31,7 @@ func buildTranslator(t *testing.T, db *rdbms.DB, kind, scheme, name string, rows
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := com.InsertColsAfter(0, cols); err != nil {
+		if err := com.Shift(false, 1, cols); err != nil {
 			t.Fatal(err)
 		}
 		tr = com
@@ -98,72 +99,63 @@ func assertSameGrid(t *testing.T, label string, a, b [][]sheet.Cell) {
 	}
 }
 
+// shiftOnes applies k single-row (or -column) Shifts of sign delta at the
+// same index: the loop a batched Shift(rows, at, k*delta) must equal.
+func shiftOnes(t *testing.T, label string, tr interface{ Shift(bool, int, int) error }, rows bool, at, delta, k int) {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		if err := tr.Shift(rows, at, delta); err != nil {
+			t.Fatalf("%s: single shift %d of %d: %v", label, i+1, k, err)
+		}
+	}
+}
+
 // TestTranslatorBatchedEquivalence: for every translator kind × positional
-// scheme, InsertRowsAfter(r, k) must equal k× InsertRowAfter(r), and
-// likewise for deletes and for the column axis (where supported).
+// scheme, Shift(rows, at, ±k) must equal k× Shift(rows, at, ±1), on the row
+// axis and (where supported) the column axis.
 func TestTranslatorBatchedEquivalence(t *testing.T) {
 	const rows, cols, k = 9, 4, 3
 	for _, scheme := range posmap.Schemes() {
 		for _, kind := range []string{"rom", "com", "rcv", "tom"} {
-			for _, at := range []int{0, 4, rows} {
+			for _, at := range []int{1, 5, rows + 1} {
 				db := rdbms.Open(rdbms.Options{})
 				batched := buildTranslator(t, db, kind, scheme, "b", rows, cols)
 				looped := buildTranslator(t, db, kind, scheme, "l", rows, cols)
-				label := fmt.Sprintf("%s/%s insert at %d", kind, scheme, at)
+				label := fmt.Sprintf("%s/%s insert before %d", kind, scheme, at)
 
-				if err := batched.InsertRowsAfter(at, k); err != nil {
+				if err := batched.Shift(true, at, k); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				for i := 0; i < k; i++ {
-					if err := looped.InsertRowAfter(at); err != nil {
-						t.Fatalf("%s: single: %v", label, err)
-					}
-				}
+				shiftOnes(t, label, looped, true, at, 1, k)
 				assertSameGrid(t, label, translatorSnapshot(t, batched), translatorSnapshot(t, looped))
 
 				// Round trip: delete the inserted band, back to the start.
-				if err := batched.DeleteRows(at+1, k); err != nil {
+				if err := batched.Shift(true, at, -k); err != nil {
 					t.Fatalf("%s: round-trip delete: %v", label, err)
 				}
 				fresh := buildTranslator(t, db, kind, scheme, fmt.Sprintf("f%d", at), rows, cols)
 				assertSameGrid(t, label+" round-trip", translatorSnapshot(t, batched), translatorSnapshot(t, fresh))
 
 				// Batched delete vs k single deletes of interior rows.
-				if err := batched.DeleteRows(2, k); err != nil {
+				if err := batched.Shift(true, 2, -k); err != nil {
 					t.Fatalf("%s: batched delete: %v", label, err)
 				}
-				for i := 0; i < k; i++ {
-					if err := looped.DeleteRow(at + 1); err != nil { // remove the inserted band first
-						t.Fatalf("%s: %v", label, err)
-					}
-				}
-				for i := 0; i < k; i++ {
-					if err := looped.DeleteRow(2); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-				}
+				shiftOnes(t, label, looped, true, at, -1, k) // remove the inserted band first
+				shiftOnes(t, label, looped, true, 2, -1, k)
 				assertSameGrid(t, label+" delete", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
 
 				if kind == "tom" {
 					continue // fixed schema: no column edits
 				}
-				if err := batched.InsertColsAfter(1, 2); err != nil {
+				if err := batched.Shift(false, 2, 2); err != nil {
 					t.Fatalf("%s: cols: %v", label, err)
 				}
-				for i := 0; i < 2; i++ {
-					if err := looped.InsertColAfter(1); err != nil {
-						t.Fatalf("%s: cols single: %v", label, err)
-					}
-				}
+				shiftOnes(t, label+" cols", looped, false, 2, 1, 2)
 				assertSameGrid(t, label+" inscols", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
-				if err := batched.DeleteCols(2, 2); err != nil {
+				if err := batched.Shift(false, 2, -2); err != nil {
 					t.Fatalf("%s: delcols: %v", label, err)
 				}
-				for i := 0; i < 2; i++ {
-					if err := looped.DeleteCol(2); err != nil {
-						t.Fatalf("%s: delcols single: %v", label, err)
-					}
-				}
+				shiftOnes(t, label+" delcols", looped, false, 2, -1, 2)
 				assertSameGrid(t, label+" delcols", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
 			}
 		}
@@ -172,7 +164,7 @@ func TestTranslatorBatchedEquivalence(t *testing.T) {
 
 // TestHybridStoreBatchedBandArithmetic: a multi-region store under batched
 // edits whose bands partially overlap, cover, and miss regions must match
-// the equivalent single-row loop.
+// the equivalent loop of single-row Shifts.
 func TestHybridStoreBatchedBandArithmetic(t *testing.T) {
 	build := func(name string, db *rdbms.DB) *HybridStore {
 		hs, err := NewHybridStore(db, name, "hierarchical")
@@ -180,10 +172,10 @@ func TestHybridStoreBatchedBandArithmetic(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Two disjoint regions with a gap, plus overflow cells.
-		if _, err := hs.AddRegion(sheet.NewRange(2, 1, 5, 3), 0); err != nil { // ROM kind = 0
+		if _, err := hs.AddRegion(sheet.NewRange(2, 1, 5, 3), hybrid.ROM); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := hs.AddRegion(sheet.NewRange(8, 1, 12, 3), 0); err != nil {
+		if _, err := hs.AddRegion(sheet.NewRange(8, 1, 12, 3), hybrid.ROM); err != nil {
 			t.Fatal(err)
 		}
 		for r := 1; r <= 14; r++ {
@@ -202,29 +194,23 @@ func TestHybridStoreBatchedBandArithmetic(t *testing.T) {
 		}
 		return cells
 	}
-	for _, tc := range []struct{ at, k int }{{3, 4}, {6, 2}, {1, 3}, {9, 6}} {
+	for _, tc := range []struct{ at, k int }{{4, 4}, {7, 2}, {2, 3}, {10, 6}} {
 		dbA, dbB := rdbms.Open(rdbms.Options{}), rdbms.Open(rdbms.Options{})
 		a, b := build("a", dbA), build("b", dbB)
-		if err := a.InsertRowsAfter(tc.at, tc.k); err != nil {
-			t.Fatalf("insert at %d x%d: %v", tc.at, tc.k, err)
+		label := fmt.Sprintf("store insert before %d x%d", tc.at, tc.k)
+		if err := a.Shift(true, tc.at, tc.k); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		for i := 0; i < tc.k; i++ {
-			if err := b.InsertRowAfter(tc.at); err != nil {
-				t.Fatal(err)
-			}
-		}
-		assertSameGrid(t, fmt.Sprintf("store insert at %d x%d", tc.at, tc.k), snapshot(a), snapshot(b))
+		shiftOnes(t, label, b, true, tc.at, 1, tc.k)
+		assertSameGrid(t, label, snapshot(a), snapshot(b))
 
 		// Now delete a band that straddles region boundaries.
-		if err := a.DeleteRows(tc.at+1, tc.k); err != nil {
-			t.Fatalf("delete at %d x%d: %v", tc.at+1, tc.k, err)
+		label = fmt.Sprintf("store delete at %d x%d", tc.at, tc.k)
+		if err := a.Shift(true, tc.at, -tc.k); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-		for i := 0; i < tc.k; i++ {
-			if err := b.DeleteRow(tc.at + 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		assertSameGrid(t, fmt.Sprintf("store delete at %d x%d", tc.at+1, tc.k), snapshot(a), snapshot(b))
+		shiftOnes(t, label, b, true, tc.at, -1, tc.k)
+		assertSameGrid(t, label, snapshot(a), snapshot(b))
 	}
 }
 
@@ -235,11 +221,11 @@ func TestTOMDeleteRowsOutOfRangeLeavesStateIntact(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	tr := buildTranslator(t, db, "tom", "hierarchical", "tomrange", 10, 3)
 	before := translatorSnapshot(t, tr)
-	if err := tr.DeleteRows(5, 100); err == nil {
-		t.Fatal("out-of-range DeleteRows must error")
+	if err := tr.Shift(true, 5, -100); err == nil {
+		t.Fatal("out-of-range row delete must error")
 	}
-	if err := tr.DeleteRows(0, 2); err == nil {
-		t.Fatal("DeleteRows(0,2) must error")
+	if err := tr.Shift(true, 0, -2); err == nil {
+		t.Fatal("row delete at 0 must error")
 	}
 	if tr.Rows() != 10 {
 		t.Fatalf("Rows = %d after failed deletes, want 10", tr.Rows())

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 
 	"dataspread/internal/hybrid"
@@ -181,79 +182,29 @@ func (t *TOM) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
 	return nil
 }
 
-// InsertRowAfter implements Translator: inserts a NULL row into the linked
-// table.
-func (t *TOM) InsertRowAfter(row int) error { return t.InsertRowsAfter(row, 1) }
+// The refusals of a linked region's structural edits: the relation's
+// attributes are the catalog's, not the grid's, and the header row shows
+// them.
+var (
+	errFixedSchema = errors.New("model: TOM regions have a fixed schema; alter the table instead")
+	errHeaderRow   = errors.New("model: TOM header row cannot be deleted")
+)
 
-// InsertRowsAfter implements Translator: count NULL tuples inserted into
-// the linked table with one positional-map shift.
-func (t *TOM) InsertRowsAfter(row, count int) error {
-	dataRow := row - t.headerRows()
-	if dataRow < 0 || dataRow > t.rowMap.Len() {
-		return fmt.Errorf("model: TOM insert after row %d out of range", row)
+// Shift implements Translator: rows become NULL tuples inserted into, or
+// tuples deleted from, the linked table (shiftTuples). The header row, when
+// shown, cannot be deleted or displaced, and columns do not shift at all.
+func (t *TOM) Shift(rows bool, at, delta int) error {
+	if !rows {
+		return errFixedSchema
 	}
-	if count < 1 {
-		return fmt.Errorf("model: TOM insert of %d rows", count)
+	if t.headers && delta < 0 && at <= 1 {
+		return errHeaderRow
 	}
-	rids := make([]rdbms.RID, count)
-	for i := range rids {
-		rid, err := t.db.Insert(make(rdbms.Row, t.db.Schema.Arity()))
-		if err != nil {
-			return err
-		}
-		rids[i] = rid
+	at -= t.headerRows()
+	if err := checkShift(hybrid.TOM, rows, at, delta, t.rowMap.Len()); err != nil {
+		return err
 	}
-	if !t.rowMap.InsertMany(dataRow+1, rids) {
-		return fmt.Errorf("model: TOM rowMap insert failed")
-	}
-	return nil
-}
-
-// DeleteRow implements Translator: deletes the tuple from the linked table.
-func (t *TOM) DeleteRow(row int) error { return t.DeleteRows(row, 1) }
-
-// DeleteRows implements Translator.
-func (t *TOM) DeleteRows(row, count int) error {
-	if t.headers && row <= 1 && row+count-1 >= 1 {
-		return fmt.Errorf("model: TOM header row cannot be deleted")
-	}
-	if count < 1 {
-		return fmt.Errorf("model: TOM delete of %d rows", count)
-	}
-	dataRow := row - t.headerRows()
-	if dataRow < 1 || dataRow+count-1 > t.rowMap.Len() {
-		return fmt.Errorf("model: TOM delete rows %d..%d out of range", row, row+count-1)
-	}
-	rids := t.rowMap.DeleteMany(dataRow, count)
-	if len(rids) != count {
-		return fmt.Errorf("model: TOM delete of missing row %d", row+len(rids))
-	}
-	for _, rid := range rids {
-		if !t.db.Delete(rid) {
-			return fmt.Errorf("model: TOM dangling pointer %v on delete", rid)
-		}
-	}
-	return nil
-}
-
-// InsertColAfter implements Translator; linked relations have fixed schemas.
-func (t *TOM) InsertColAfter(int) error {
-	return fmt.Errorf("model: TOM regions have a fixed schema; alter the table instead")
-}
-
-// InsertColsAfter implements Translator; linked relations have fixed schemas.
-func (t *TOM) InsertColsAfter(int, int) error {
-	return fmt.Errorf("model: TOM regions have a fixed schema; alter the table instead")
-}
-
-// DeleteCol implements Translator; linked relations have fixed schemas.
-func (t *TOM) DeleteCol(int) error {
-	return fmt.Errorf("model: TOM regions have a fixed schema; alter the table instead")
-}
-
-// DeleteCols implements Translator; linked relations have fixed schemas.
-func (t *TOM) DeleteCols(int, int) error {
-	return fmt.Errorf("model: TOM regions have a fixed schema; alter the table instead")
+	return shiftTuples(t.db, t.rowMap, at, delta)
 }
 
 // StorageBytes implements Translator.
