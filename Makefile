@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-maint bench-backup bench-recalc soak loc lint staticcheck fmt ci
+.PHONY: all build test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-recalc soak loc lint staticcheck fmt ci
 
 # Rounds for the crash-fuzz soak (`make soak`); ~200 is 60-90s locally.
 SOAK_ROUNDS ?= 200
@@ -95,26 +95,6 @@ soak:
 	BENCH_SOAK_JSON=BENCH_soak.json SOAK_ROUNDS=$(SOAK_ROUNDS) $(GO) test -run=TestSoakCrashFuzz -timeout 20m -v .
 	@cat BENCH_soak.json
 
-# Maintenance snapshot: runs the self-healing storage workload (bulk load,
-# small delta, drop, vacuum, scrub) on the file-backed pager and writes
-# BENCH_maint.json; fails if an incremental checkpoint writes more than
-# O(dirty) pages (or less than 10x under the full baseline), if a vacuum
-# after dropping the churn table reclaims less than half the bytes on disk
-# (checked against os.Stat), or if the post-vacuum scrub finds a bad slot.
-bench-maint:
-	BENCH_MAINT_JSON=BENCH_maint.json $(GO) test -run=TestMaintenanceSnapshot -v .
-	@cat BENCH_maint.json
-
-# Disaster-recovery snapshot: takes a paced online backup while a writer
-# keeps committing, restores it, and writes BENCH_backup.json; fails if the
-# writer's commit p99 during the stream exceeds 10x its idle p99, or if the
-# restored database is not fully verified at exactly the generation the
-# backup stamped (bulk table identical, hot table an exact committed
-# prefix).
-bench-backup:
-	BENCH_BACKUP_JSON=BENCH_backup.json $(GO) test -run=TestBackupSnapshot -v .
-	@cat BENCH_backup.json
-
 # Async-recalc snapshot (LazyBrowsing): one tick into a >=100k-cell
 # dependency cone on the background dispatcher, and writes
 # BENCH_recalc.json; fails if the registered viewport converges less than
@@ -154,4 +134,4 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck build loc test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-maint bench-backup bench-recalc soak
+ci: lint staticcheck build loc test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-recalc soak

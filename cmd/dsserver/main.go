@@ -88,14 +88,13 @@ func main() {
 	// open sheets first so the durable manifest reflects what clients see.
 	if *dbPath != "" {
 		err := db.StartMaintenance(rdbms.MaintenanceOptions{
-			ScrubEvery:   *scrubEvery,
-			ScrubRate:    *scrubRate,
-			VacuumEvery:  *vacuumEvery,
-			BackupEvery:  *backupEvery,
-			BackupDir:    *backupDir,
-			BackupRate:   *backupRate,
-			BeforeVacuum: srv.SaveSheets,
-			BeforeBackup: srv.SaveSheets,
+			ScrubEvery:  *scrubEvery,
+			ScrubRate:   *scrubRate,
+			VacuumEvery: *vacuumEvery,
+			BackupEvery: *backupEvery,
+			BackupDir:   *backupDir,
+			BackupRate:  *backupRate,
+			Prepare:     srv.SaveSheets,
 			OnResult: func(op string, err error) {
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "dsserver: %s: %v\n", op, err)

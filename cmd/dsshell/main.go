@@ -154,6 +154,14 @@ type shell struct {
 	remoteSheet string
 }
 
+// where tags a maintenance report with who ran the pass.
+func (sh *shell) where() string {
+	if sh.remote != nil {
+		return " (server)"
+	}
+	return ""
+}
+
 func (sh *shell) disconnect() {
 	if sh.remote != nil {
 		sh.remote.Close()
@@ -211,87 +219,66 @@ func dispatch(sh *shell, line string) error {
 				return fmt.Errorf("usage: .scrub [pages/sec]")
 			}
 		}
-		if sh.remote != nil {
-			sum, err := sh.remote.Scrub(rate)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("scrub (server): %d slots clean, %d skipped, %d repaired, %d quarantined\n",
-				sum.Scanned, sum.Skipped, sum.Repaired, sum.Bad)
-			return nil
-		}
-		if sh.db.Path() == "" {
+		var res rdbms.ScrubResult
+		var err error
+		switch {
+		case sh.remote != nil:
+			res, err = sh.remote.Scrub(rate)
+		case sh.db.Path() == "":
 			fmt.Println("scrub: in-memory database, nothing on disk to verify")
 			return nil
+		default:
+			res, err = sh.db.Scrub(rdbms.PassOptions{PagesPerSecond: rate})
 		}
-		res, err := sh.db.Scrub(rdbms.ScrubOptions{PagesPerSecond: rate})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scrub: %d slots clean, %d skipped, %d repaired, %d quarantined\n",
-			res.Scanned, res.Skipped, len(res.Repaired), len(res.Bad))
+		fmt.Printf("scrub%s: %d slots clean, %d skipped, %d repaired, %d quarantined\n",
+			sh.where(), res.Scanned, res.Skipped, len(res.Repaired), len(res.Bad))
 		if len(res.Bad) > 0 {
 			fmt.Printf("quarantined pages (degraded, reads of them fail): %v\n", res.Bad)
 		}
 		return nil
 	case ".vacuum":
-		if sh.remote != nil {
-			sum, err := sh.remote.Vacuum()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("vacuum (server): %d -> %d pages, %d meta pages moved, %d KiB reclaimed\n",
-				sum.PagesBefore, sum.PagesAfter, sum.PagesMoved, sum.BytesReclaimed/1024)
-			return nil
-		}
-		if sh.db.Path() == "" {
+		var res rdbms.VacuumResult
+		var err error
+		switch {
+		case sh.remote != nil:
+			res, err = sh.remote.Vacuum()
+		case sh.db.Path() == "":
 			fmt.Println("vacuum: in-memory database, nothing to defragment")
 			return nil
+		default:
+			// Save first so the durable manifest matches the session state
+			// and the pass can relocate against a current free list.
+			if err = eng.Save(); err == nil {
+				res, err = sh.db.Vacuum()
+			}
 		}
-		// Save first so the durable manifest matches the session state and
-		// the pass can relocate against a current free list.
-		if err := eng.Save(); err != nil {
-			return err
-		}
-		res, err := sh.db.Vacuum()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("vacuum: %d -> %d pages, %d meta pages moved, %d KiB reclaimed\n",
-			res.PagesBefore, res.PagesAfter, res.PagesMoved, res.BytesReclaimed/1024)
+		fmt.Printf("vacuum%s: %d -> %d pages, %d meta pages moved, %d KiB reclaimed\n",
+			sh.where(), res.PagesBefore, res.PagesAfter, res.PagesMoved, res.BytesReclaimed/1024)
 		return nil
 	case ".backup":
 		if rest == "" {
 			return fmt.Errorf("usage: .backup <path>")
 		}
+		if sh.remote == nil && sh.db.Path() == "" {
+			return fmt.Errorf("backup: in-memory database, nothing durable to back up")
+		}
 		f, err := os.OpenFile(rest, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return err
 		}
-		if sh.remote != nil {
-			sum, err := sh.remote.Backup(f, 0)
-			if cerr := syncClose(f); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				os.Remove(rest)
-				return err
-			}
-			fmt.Printf("backup (server): %d pages + %d free slots, %d KiB, pinned generation %d\n",
-				sum.Pages, sum.FreePages, sum.Bytes/1024, sum.Gen)
-			return nil
-		}
-		if sh.db.Path() == "" {
-			f.Close()
-			os.Remove(rest)
-			return fmt.Errorf("backup: in-memory database, nothing durable to back up")
-		}
-		// Save first so the backup pins the session's current state, not the
-		// last explicit save.
-		err = eng.Save()
 		var res rdbms.BackupResult
-		if err == nil {
-			res, err = sh.db.Backup(f, rdbms.BackupOptions{})
+		if sh.remote != nil {
+			res, err = sh.remote.Backup(f, 0)
+		} else if err = eng.Save(); err == nil {
+			// Saved first so the backup pins the session's current state,
+			// not the last explicit save.
+			res, err = sh.db.Backup(f, rdbms.PassOptions{})
 		}
 		if cerr := syncClose(f); err == nil {
 			err = cerr
@@ -300,8 +287,8 @@ func dispatch(sh *shell, line string) error {
 			os.Remove(rest)
 			return err
 		}
-		fmt.Printf("backup: %d pages + %d free slots, %d KiB, pinned generation %d\n",
-			res.Pages, res.FreePages, res.Bytes/1024, res.Gen)
+		fmt.Printf("backup%s: %d pages + %d free slots, %d KiB, pinned generation %d\n",
+			sh.where(), res.Pages, res.FreePages, res.Bytes/1024, res.Gen)
 		return nil
 	case ".restore":
 		fields := strings.Fields(rest)

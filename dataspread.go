@@ -64,8 +64,8 @@ type (
 	FaultSchedule = rdbms.FaultSchedule
 	// FaultRule schedules one injected fault within a FaultSchedule.
 	FaultRule = rdbms.FaultRule
-	// BackupOptions tunes one online backup pass (DB.Backup).
-	BackupOptions = rdbms.BackupOptions
+	// BackupOptions tunes one paced backup or scrub (DB.Backup, DB.Scrub).
+	BackupOptions = rdbms.PassOptions
 	// BackupResult reports one completed backup.
 	BackupResult = rdbms.BackupResult
 	// RestoreOptions tunes a point-in-time restore (Restore).

@@ -1,42 +1,35 @@
 package dataspread_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
-	"time"
 
 	"dataspread/internal/rdbms"
 )
 
-// TestBackupSnapshot emits BENCH_backup.json (path from the
-// BENCH_BACKUP_JSON env var; skipped when unset) and enforces the
-// disaster-recovery targets:
+// TestBackupUnderWriterRestoresPinnedGen takes a paced hot backup while a
+// writer keeps committing, and holds it to the disaster-recovery targets:
 //
-//   - a paced hot backup barely disturbs a concurrent writer: the writer's
-//     commit p99 while the backup streams stays within 10x its idle p99;
+//   - the writer keeps committing through the stream: at least 20 of its
+//     commits overlap the paced walk, each costing exactly one WAL fsync
+//     (counted from IOStats.WALSyncs, not timed);
 //   - the backup restores to a fully verified database pinned at exactly
 //     the generation the backup stamped: the bulk table is identical to the
-//     source, and the hot table holds precisely the prefix of writer
-//     commits that were durable when the backup pinned its generation —
-//     never a torn suffix.
-func TestBackupSnapshot(t *testing.T) {
-	out := os.Getenv("BENCH_BACKUP_JSON")
-	if out == "" {
-		t.Skip("set BENCH_BACKUP_JSON=<path> to emit the backup snapshot")
-	}
+//     source, and the hot table holds precisely a prefix of the writer's
+//     rows — at least every row committed before the backup started, never
+//     a torn suffix.
+func TestBackupUnderWriterRestoresPinnedGen(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.ds")
+	path := filepath.Join(dir, "src.ds")
 	db, err := rdbms.OpenFile(path, rdbms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 
-	const baseRows = 30000
+	const baseRows = 20000
 	base, err := db.CreateTable("base", rdbms.NewSchema(
 		rdbms.Column{Name: "id", Type: rdbms.DTInt},
 		rdbms.Column{Name: "pad", Type: rdbms.DTText},
@@ -56,64 +49,42 @@ func TestBackupSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.FlushWAL(); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
-	// One writer commit: a small durable batch into the hot table, exactly
-	// the same work in the idle and hot phases.
+	// One writer commit: a small durable batch into the hot table. It
+	// reports the WAL fsyncs that happened while it ran.
 	hotN := 0
-	writerCommit := func() (float64, error) {
-		t0 := time.Now()
+	writerCommit := func() int64 {
+		t.Helper()
+		before := db.Pool().Stats().WALSyncs
 		for j := 0; j < 8; j++ {
 			if _, err := hot.Insert(rdbms.Row{rdbms.Int(int64(hotN)), rdbms.Text("hot-row")}); err != nil {
-				return 0, err
+				t.Fatal(err)
 			}
 			hotN++
 		}
 		if err := db.FlushWAL(); err != nil {
-			return 0, err
-		}
-		return time.Since(t0).Seconds() * 1e3, nil
-	}
-	p99 := func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		i := len(s) * 99 / 100
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
-
-	// Idle baseline.
-	var idle []float64
-	for i := 0; i < 200; i++ {
-		ms, err := writerCommit()
-		if err != nil {
 			t.Fatal(err)
 		}
-		idle = append(idle, ms)
+		return db.Pool().Stats().WALSyncs - before
+	}
+	const idleCommits = 100
+	for i := 0; i < idleCommits; i++ {
+		if n := writerCommit(); n != 1 {
+			t.Fatalf("idle writer commit cost %d WAL fsyncs, want 1", n)
+		}
 	}
 
-	// Pace the backup to roughly one second over the current file, so the
-	// writer phase genuinely overlaps the stream.
+	// Pace the backup to roughly half a second over the current file, so
+	// the writer genuinely overlaps the stream.
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := int(fi.Size() / int64(rdbms.PageSize))
-	if rate < 64 {
-		rate = 64
-	}
-
-	bak := filepath.Join(dir, "bench.dsb")
+	rate := max(64, int(2*fi.Size()/rdbms.PageSize))
+	bak := filepath.Join(dir, "src.dsb")
 	f, err := os.Create(bak)
 	if err != nil {
 		t.Fatal(err)
@@ -123,26 +94,24 @@ func TestBackupSnapshot(t *testing.T) {
 		berr error
 	)
 	done := make(chan struct{})
-	backupStart := time.Now()
 	go func() {
 		defer close(done)
-		bres, berr = db.Backup(f, rdbms.BackupOptions{PagesPerSecond: rate, BatchPages: 16})
+		bres, berr = db.Backup(f, rdbms.PassOptions{PagesPerSecond: rate, BatchPages: 16})
 	}()
-	var during []float64
-	streaming := true
-	for streaming {
+	// A commit racing the backup's pinning checkpoint may have its batch
+	// committed by that checkpoint (and cost no fsync of its own); every
+	// other overlapping commit costs exactly one.
+	overlapped := 0
+	for streaming := true; streaming; {
 		select {
 		case <-done:
 			streaming = false
 		default:
-			ms, err := writerCommit()
-			if err != nil {
-				t.Fatal(err)
+			if writerCommit() == 1 {
+				overlapped++
 			}
-			during = append(during, ms)
 		}
 	}
-	backupSecs := time.Since(backupStart).Seconds()
 	if berr != nil {
 		t.Fatalf("hot backup: %v", berr)
 	}
@@ -152,33 +121,14 @@ func TestBackupSnapshot(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	idleP99, hotP99 := p99(idle), p99(during)
-	snap := map[string]any{
-		"base_rows":            baseRows,
-		"hot_commits_idle":     len(idle),
-		"hot_commits_during":   len(during),
-		"backup_secs":          backupSecs,
-		"backup_rate_pages":    rate,
-		"backup_pages":         bres.Pages,
-		"backup_free_pages":    bres.FreePages,
-		"backup_bytes":         bres.Bytes,
-		"backup_gen":           bres.Gen,
-		"writer_p99_idle_ms":   idleP99,
-		"writer_p99_backup_ms": hotP99,
-	}
-	gateP99 := hotP99 <= 10*idleP99
-	snap["gate_writer_p99_10x"] = gateP99
-	if !gateP99 {
-		t.Errorf("writer p99 during backup = %.3fms, idle = %.3fms: over the 10x budget", hotP99, idleP99)
-	}
-	if len(during) < 20 {
-		t.Errorf("only %d writer commits overlapped the backup; pacing too fast for a meaningful p99", len(during))
+	t.Logf("%d one-fsync writer commits overlapped a %d-page backup paced at %d pages/s", overlapped, bres.Pages, rate)
+	if overlapped < 20 {
+		t.Errorf("only %d one-fsync writer commits overlapped the paced backup, want >= 20", overlapped)
 	}
 
 	// Restore and verify: full page verification, the stamped generation,
-	// the bulk table byte-identical, and the hot table an exact prefix of
-	// the writer's committed batches.
+	// the bulk table identical, and the hot table an exact prefix of the
+	// writer's rows.
 	restored := filepath.Join(dir, "restored.ds")
 	if err := rdbms.Restore(bak, restored, rdbms.RestoreOptions{}); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -191,71 +141,46 @@ func TestBackupSnapshot(t *testing.T) {
 	if err := rdb.VerifyChecksums(); err != nil {
 		t.Fatalf("restored verification: %v", err)
 	}
-	gateGen := rdb.DurableGen() == bres.Gen
-	snap["restored_gen"] = rdb.DurableGen()
-	snap["gate_restored_at_stamped_gen"] = gateGen
-	if !gateGen {
-		t.Errorf("restored generation = %d, backup stamped %d", rdb.DurableGen(), bres.Gen)
+	if got := rdb.DurableGen(); got != bres.Gen {
+		t.Errorf("restored generation = %d, backup stamped %d", got, bres.Gen)
 	}
 
 	rbase := rdb.Table("base")
-	gateBase := rbase != nil && rbase.RowCount() == baseRows
-	if gateBase {
-		seen := 0
-		rbase.Scan(func(_ rdbms.RID, r rdbms.Row) bool {
-			id := r[0].Int64()
-			if r[1].Str() != fmt.Sprintf("base-row-payload-%d", id) {
-				gateBase = false
-				return false
-			}
-			seen++
-			return true
-		})
-		gateBase = gateBase && seen == baseRows
+	if rbase == nil || rbase.RowCount() != baseRows {
+		t.Fatal("restored base table lost rows")
 	}
-	snap["gate_base_identical"] = gateBase
-	if !gateBase {
-		t.Error("restored base table is not identical to the source")
-	}
-
-	rhot := rdb.Table("hot")
-	hotIDs := make(map[int64]bool)
-	prefix := true
-	var maxID int64 = -1
-	rhot.Scan(func(_ rdbms.RID, r rdbms.Row) bool {
-		id := r[0].Int64()
-		if hotIDs[id] {
-			prefix = false
+	seen := 0
+	rbase.Scan(func(_ rdbms.RID, r rdbms.Row) bool {
+		if id := r[0].Int64(); r[1].Str() != fmt.Sprintf("base-row-payload-%d", id) {
+			t.Errorf("restored base row %d = %q", id, r[1].Str())
 			return false
 		}
-		hotIDs[id] = true
-		if id > maxID {
-			maxID = id
-		}
+		seen++
 		return true
 	})
-	// A consistent single-generation snapshot holds ids 0..K-1 exactly,
-	// with every idle-phase commit (durable before the backup pinned its
-	// generation) included and nothing past what was durable at the pin.
-	// K need not land on a writer-batch boundary: the backup's pinning
-	// checkpoint makes staged edits durable, mid-batch included.
-	gotHot := len(hotIDs)
-	prefix = prefix && int64(gotHot) == maxID+1
-	idlePhaseRows := len(idle) * 8
-	gateHot := prefix && gotHot >= idlePhaseRows && gotHot <= hotN
-	snap["hot_rows_source"] = hotN
-	snap["hot_rows_restored"] = gotHot
-	snap["gate_hot_exact_prefix"] = gateHot
-	if !gateHot {
-		t.Errorf("restored hot table: %d rows, max id %d, prefix=%v (idle-phase rows %d, source rows %d)",
-			gotHot, maxID, prefix, idlePhaseRows, hotN)
+	if seen != baseRows {
+		t.Errorf("restored base table scanned %d rows, want %d", seen, baseRows)
 	}
 
-	blob, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	// A consistent single-generation snapshot holds hot ids 0..K-1 exactly,
+	// with every idle-phase row (durable before the backup pinned its
+	// generation) and nothing past what the writer wrote. K need not land on
+	// a writer-batch boundary: the pinning checkpoint makes staged edits
+	// durable, mid-batch included.
+	hotIDs := make(map[int64]bool)
+	var maxID int64 = -1
+	rdb.Table("hot").Scan(func(_ rdbms.RID, r rdbms.Row) bool {
+		id := r[0].Int64()
+		if hotIDs[id] {
+			t.Errorf("restored hot table holds id %d twice", id)
+		}
+		hotIDs[id] = true
+		maxID = max(maxID, id)
+		return true
+	})
+	got := len(hotIDs)
+	if int64(got) != maxID+1 || got < idleCommits*8 || got > hotN {
+		t.Errorf("restored hot table: %d rows, max id %d (idle-phase rows %d, source rows %d): not an exact prefix",
+			got, maxID, idleCommits*8, hotN)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // This file is the disaster-recovery layer over the durable pager: online
@@ -68,35 +67,6 @@ const (
 	backupTrailerRec byte = 2
 )
 
-// stopErr is the non-blocking poll maintenance loops run between batches; a
-// nil channel never fires.
-func stopErr(stop <-chan struct{}) error {
-	select {
-	case <-stop:
-		return ErrStopped
-	default:
-		return nil
-	}
-}
-
-// BackupOptions tunes one online backup pass.
-type BackupOptions struct {
-	// PagesPerSecond bounds the backup's read rate so a background pass
-	// does not starve foreground traffic; 0 means unthrottled.
-	PagesPerSecond int
-	// BatchPages is how many page slots are copied per lock acquisition
-	// (readers and writers are served between batches); 0 means 64.
-	BatchPages int
-	// Progress, when non-nil, is called after every batch with the slots
-	// processed so far and the snapshot's page count. Returning an error
-	// aborts the backup with that error — also the soak harness's hook for
-	// killing the process mid-stream.
-	Progress func(done, total int) error
-	// Stop aborts the backup with ErrStopped when closed, including during
-	// the pacing sleep, so a paced backup never stalls graceful shutdown.
-	Stop <-chan struct{}
-}
-
 // BackupResult reports one completed backup.
 type BackupResult struct {
 	Pages     int    // live page slots streamed
@@ -114,7 +84,7 @@ type BackupResult struct {
 // traffic is served between batches. One backup may run at a time; Vacuum
 // is refused while one is active (truncation would invalidate slots the
 // walker has not reached). Fails on a poisoned or in-memory database.
-func (db *DB) Backup(w io.Writer, opts BackupOptions) (BackupResult, error) {
+func (db *DB) Backup(w io.Writer, opts PassOptions) (BackupResult, error) {
 	fp := db.filePager()
 	if fp == nil {
 		return BackupResult{}, errors.New("rdbms: backup requires a file-backed database")
@@ -147,7 +117,6 @@ func (db *DB) Backup(w io.Writer, opts BackupOptions) (BackupResult, error) {
 	}
 	fp.backupActive = true
 	fp.backupPages = fp.pages
-	fp.backupGen = fp.gen.Load()
 	// Only freeList pages are skipped: that is the free set the durable
 	// manifest records, so the restored store's verification skips exactly
 	// these slots. pendingFree pages (freed since the last manifest
@@ -158,10 +127,8 @@ func (db *DB) Backup(w io.Writer, opts BackupOptions) (BackupResult, error) {
 		fp.backupFree[id] = true
 	}
 	fp.backupPre = make(map[PageID]*page)
-	fp.backupErr = nil
 	fp.backupCursor.Store(0)
-	metaHead, metaLen := fp.metaHead, fp.metaLen
-	total, gen := fp.backupPages, fp.backupGen
+	metaHead, metaLen, total, gen := fp.metaHead, fp.metaLen, fp.pages, fp.gen.Load()
 	fp.mu.Unlock()
 	db.mu.Unlock()
 	defer fp.endBackup()
@@ -178,10 +145,7 @@ func (db *DB) Backup(w io.Writer, opts BackupOptions) (BackupResult, error) {
 // endBackup tears the walk state down whether the backup completed or not.
 func (fp *FilePager) endBackup() {
 	fp.mu.Lock()
-	fp.backupActive = false
-	fp.backupFree = nil
-	fp.backupPre = nil
-	fp.backupErr = nil
+	fp.backupActive, fp.backupFree, fp.backupPre, fp.backupErr = false, nil, nil, nil
 	fp.mu.Unlock()
 }
 
@@ -214,18 +178,11 @@ func (fp *FilePager) preserveBackupImageLocked(id PageID) {
 	fp.backupPre[id] = p
 }
 
-// streamBackup is the paced walk: header, then page records in batches
-// copied under the shared lock and written outside it, then the trailer
-// with the free-page manifest and the stream checksum.
-func (fp *FilePager) streamBackup(w io.Writer, opts BackupOptions, total int, gen uint64, metaHead PageID, metaLen uint32) (BackupResult, error) {
-	batch := opts.BatchPages
-	if batch <= 0 {
-		batch = 64
-	}
-	var pause time.Duration
-	if opts.PagesPerSecond > 0 {
-		pause = time.Second * time.Duration(batch) / time.Duration(opts.PagesPerSecond)
-	}
+// streamBackup writes the header, then walks the pinned slots: page records
+// are copied under the shared lock and written outside it, pinned free
+// slots are skipped and listed in the trailer, which ends with the stream
+// checksum.
+func (fp *FilePager) streamBackup(w io.Writer, opts PassOptions, total int, gen uint64, metaHead PageID, metaLen uint32) (BackupResult, error) {
 	res := BackupResult{Gen: gen}
 	cw := &crcWriter{w: w}
 	var hdr [backupHeaderSize]byte
@@ -240,69 +197,42 @@ func (fp *FilePager) streamBackup(w io.Writer, opts BackupOptions, total int, ge
 		return res, err
 	}
 	var freeIDs []PageID
-	buf := make([]byte, 0, batch*walPageRecSize)
-	for lo := 0; lo < total; lo += batch {
-		if err := stopErr(opts.Stop); err != nil {
-			return res, err
-		}
-		hi := lo + batch
-		if hi > total {
-			hi = total
+	var buf []byte
+	err := fp.walkSlots(opts, total, func(lo, hi int) error {
+		if fp.backupErr != nil {
+			return fp.backupErr
 		}
 		buf = buf[:0]
-		streamed := 0
-		fp.mu.RLock()
-		if fp.closed {
-			fp.mu.RUnlock()
-			return res, errors.New("rdbms: pager closed")
-		}
-		if err := fp.backupErr; err != nil {
-			fp.mu.RUnlock()
-			return res, err
-		}
-		for id := lo; id < hi; id++ {
-			pid := PageID(id)
-			if fp.backupFree[pid] {
-				freeIDs = append(freeIDs, pid)
+		for id := PageID(lo); int(id) < hi; id++ {
+			if fp.backupFree[id] {
+				freeIDs = append(freeIDs, id)
 				continue
 			}
-			p := fp.backupPre[pid]
+			p := fp.backupPre[id]
 			if p == nil {
 				var err error
-				p, err = fp.readPageFromFile(pid)
-				if err != nil {
-					fp.mu.RUnlock()
-					return res, fmt.Errorf("rdbms: backup read: %w", err)
+				if p, err = fp.readPageFromFile(id); err != nil {
+					return fmt.Errorf("rdbms: backup read: %w", err)
 				}
 			}
 			off := len(buf)
 			buf = append(buf, backupPageRec)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(pid))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 			buf = append(buf, p.buf[:]...)
-			buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[off:off+5+PageSize], castagnoli))
-			streamed++
+			buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[off:], castagnoli))
+			res.Pages++
 		}
 		// Advance the cursor while still holding the lock: the images are
 		// captured, so checkpoints may now overwrite these slots without
 		// pre-imaging them.
 		fp.backupCursor.Store(int64(hi))
-		fp.mu.RUnlock()
-		if _, err := cw.Write(buf); err != nil {
-			return res, err
-		}
-		res.Pages += streamed
-		if opts.Progress != nil {
-			if err := opts.Progress(hi, total); err != nil {
-				return res, err
-			}
-		}
-		if pause > 0 && hi < total {
-			select {
-			case <-time.After(pause):
-			case <-opts.Stop:
-				return res, ErrStopped
-			}
-		}
+		return nil
+	}, func(int, int) error {
+		_, err := cw.Write(buf)
+		return err
+	})
+	if err != nil {
+		return res, err
 	}
 	tr := make([]byte, 0, 1+4+4+len(freeIDs)*4+8)
 	tr = append(tr, backupTrailerRec)

@@ -45,7 +45,7 @@ func requireModel(t *testing.T, tab *Table, want map[int64]string, label string)
 }
 
 // backupToBuf takes one backup into memory.
-func backupToBuf(t *testing.T, db *DB, opts BackupOptions) (*bytes.Buffer, BackupResult) {
+func backupToBuf(t *testing.T, db *DB, opts PassOptions) (*bytes.Buffer, BackupResult) {
 	t.Helper()
 	var buf bytes.Buffer
 	res, err := db.Backup(&buf, opts)
@@ -90,7 +90,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	db.DeleteMeta("app:cfg")
 	model := scanModel(tab)
 
-	buf, res := backupToBuf(t, db, BackupOptions{BatchPages: 16})
+	buf, res := backupToBuf(t, db, PassOptions{BatchPages: 16})
 	if res.Gen == 0 || res.Gen != db.DurableGen() {
 		t.Fatalf("backup gen = %d, durable gen = %d", res.Gen, db.DurableGen())
 	}
@@ -153,7 +153,7 @@ func TestHotBackupConsistentUnderCheckpoints(t *testing.T) {
 
 	step := 0
 	var buf bytes.Buffer
-	res, err := db.Backup(&buf, BackupOptions{BatchPages: 2, Progress: func(done, total int) error {
+	res, err := db.Backup(&buf, PassOptions{BatchPages: 2, Progress: func(done, total int) error {
 		step++
 		// Overwrite a row near the front (already streamed) and one near the
 		// back (not yet streamed), then checkpoint so the slots really change
@@ -251,7 +251,7 @@ func TestHotBackupUnderConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	var buf bytes.Buffer
-	res, err := db.Backup(&buf, BackupOptions{BatchPages: 8, PagesPerSecond: 20000})
+	res, err := db.Backup(&buf, PassOptions{BatchPages: 8, PagesPerSecond: 20000})
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -348,7 +348,7 @@ func TestPITRRestoreToExactGeneration(t *testing.T) {
 	followed = rids[200].Page
 	// Base backup lands between s2 and s3 (its checkpoint archives
 	// everything up to here).
-	buf, res := backupToBuf(t, db, BackupOptions{})
+	buf, res := backupToBuf(t, db, PassOptions{})
 	base := writeBackupFile(t, dir, buf.Bytes())
 	if res.Gen < s2.gen {
 		t.Fatalf("backup gen %d predates committed %d", res.Gen, s2.gen)
@@ -464,7 +464,7 @@ func TestRestoreRejectsHostileArtifacts(t *testing.T) {
 	db := mustOpenFile(t, path)
 	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
 	fillTable(t, tab, 0, 800)
-	buf, _ := backupToBuf(t, db, BackupOptions{})
+	buf, _ := backupToBuf(t, db, PassOptions{})
 	good := buf.Bytes()
 	db.Close()
 
@@ -530,7 +530,7 @@ func TestRestoreRejectsArchiveGap(t *testing.T) {
 	defer db.Close()
 	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
 	fillTable(t, tab, 0, 50)
-	buf, res := backupToBuf(t, db, BackupOptions{})
+	buf, res := backupToBuf(t, db, PassOptions{})
 	base := writeBackupFile(t, dir, buf.Bytes())
 	// Three more archived batches, one checkpoint each so every generation
 	// lands in its own archive file.
@@ -580,7 +580,7 @@ func TestBackupAndScrubStopPromptly(t *testing.T) {
 	// 4 pages/s over hundreds of pages would run for minutes; the stop
 	// signal must cut through the pacing sleep.
 	var buf bytes.Buffer
-	_, err := db.Backup(&buf, BackupOptions{BatchPages: 4, PagesPerSecond: 4, Stop: stop})
+	_, err := db.Backup(&buf, PassOptions{BatchPages: 4, PagesPerSecond: 4, Stop: stop})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("Backup = %v, want ErrStopped", err)
 	}
@@ -590,12 +590,12 @@ func TestBackupAndScrubStopPromptly(t *testing.T) {
 	if st := db.Pool().Stats(); st.Backups != 0 {
 		t.Fatalf("stopped backup counted as a run: Backups = %d", st.Backups)
 	}
-	_, err = db.Scrub(ScrubOptions{BatchPages: 4, PagesPerSecond: 4, Stop: stop})
+	_, err = db.Scrub(PassOptions{BatchPages: 4, PagesPerSecond: 4, Stop: stop})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("Scrub with closed stop = %v, want ErrStopped", err)
 	}
 	// A stopped backup leaves no walk state behind: the next one runs.
-	if _, err := db.Backup(&buf, BackupOptions{}); err != nil {
+	if _, err := db.Backup(&buf, PassOptions{}); err != nil {
 		t.Fatalf("backup after stopped backup: %v", err)
 	}
 }
@@ -608,7 +608,7 @@ func TestVacuumRefusedDuringBackup(t *testing.T) {
 	fillTable(t, tab, 0, 1000)
 	var sawRefusal bool
 	var buf bytes.Buffer
-	_, err := db.Backup(&buf, BackupOptions{BatchPages: 8, Progress: func(done, total int) error {
+	_, err := db.Backup(&buf, PassOptions{BatchPages: 8, Progress: func(done, total int) error {
 		if !sawRefusal {
 			sawRefusal = true
 			if _, verr := db.Vacuum(); verr == nil {
@@ -656,7 +656,6 @@ func TestMaintenanceSchedulerRunsAndStops(t *testing.T) {
 		ScrubEvery:  5 * time.Millisecond,
 		BackupEvery: 5 * time.Millisecond,
 		BackupDir:   backups,
-		Jitter:      2 * time.Millisecond,
 		OnResult: func(op string, err error) {
 			select {
 			case results <- result{op, err}:

@@ -399,17 +399,6 @@ func (db *DB) Faults() *FaultSchedule {
 	return fp.opts.faults
 }
 
-// VerifyChecksums reads every page slot in the data file and validates its
-// checksum, returning the first corruption found. Pages pending write-back
-// are skipped (they have no on-disk slot yet). Nil for in-memory databases.
-func (db *DB) VerifyChecksums() error {
-	fp := db.filePager()
-	if fp == nil {
-		return nil
-	}
-	return fp.verify()
-}
-
 // PutMeta stores an entry in the metadata KV (persisted with the catalog
 // manifest on the next FlushWAL/Checkpoint). A nil value deletes the key.
 // Writing a value byte-identical to the current one is a no-op: the key's

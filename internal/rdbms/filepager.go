@@ -133,7 +133,6 @@ type FilePager struct {
 	// by fp.mu.
 	backupActive bool
 	backupPages  int
-	backupGen    uint64
 	backupFree   map[PageID]bool
 	backupPre    map[PageID]*page
 	backupErr    error
@@ -878,26 +877,6 @@ func (fp *FilePager) readMeta() ([]byte, error) {
 		id = PageID(binary.LittleEndian.Uint32(p.buf[0:4]))
 	}
 	return out, nil
-}
-
-// verify checksum-checks every page slot in the data file. Pages dirtied
-// since the last checkpoint have no current on-disk slot yet; free and
-// pending-free pages hold dead (often never-written) slots. Both are
-// skipped. Retained clean shadow entries are NOT skipped: their slots were
-// written by a past checkpoint and must verify.
-func (fp *FilePager) verify() error {
-	fp.mu.RLock()
-	defer fp.mu.RUnlock()
-	skip := fp.unverifiableLocked()
-	for id := 0; id < fp.pages; id++ {
-		if skip[PageID(id)] {
-			continue
-		}
-		if _, err := fp.readPageFromFile(PageID(id)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // unverifiableLocked builds the set of pages whose data-file slot is not

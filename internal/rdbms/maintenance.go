@@ -65,7 +65,7 @@ func (db *DB) Recover() error {
 	}
 	// Page verification gates the poison clear: a store that recovered its
 	// WAL but still holds unreadable slots is not healed.
-	if err := fp.verify(); err != nil {
+	if err := db.VerifyChecksums(); err != nil {
 		return fmt.Errorf("rdbms: recover: page verification: %w", err)
 	}
 	fp.clearPoison()
@@ -77,23 +77,122 @@ func (db *DB) Recover() error {
 	return nil
 }
 
-// ScrubOptions tunes an online checksum scrub pass.
-type ScrubOptions struct {
-	// PagesPerSecond bounds the scrub's read rate so a background pass
-	// does not starve foreground readers; 0 means unthrottled.
+// PassOptions tunes one paced pass over the data file's page slots: an
+// online scrub (DB.Scrub) or a hot backup (DB.Backup).
+type PassOptions struct {
+	// PagesPerSecond bounds the pass's read rate so a background pass does
+	// not starve foreground traffic; 0 means unthrottled.
 	PagesPerSecond int
-	// BatchPages is how many page slots are verified per lock acquisition
+	// BatchPages is how many page slots are visited per lock acquisition
 	// (readers and writers are served between batches); 0 means 64.
 	BatchPages int
 	// Progress, when non-nil, is called after every batch with the slots
-	// processed so far and the page count at scan start. Returning an
-	// error aborts the scrub with that error — this is also the hook the
-	// soak harness uses to kill the process mid-scrub.
+	// processed so far and the page count the pass started with. Returning
+	// an error aborts the pass with that error — also the hook the soak
+	// harness uses to kill the process mid-pass.
 	Progress func(done, total int) error
-	// Stop aborts the scrub with ErrStopped when closed, including during
-	// the pacing sleep, so a rate-limited pass never stalls graceful
+	// Stop aborts the pass with ErrStopped when closed, including during
+	// the pacing pause, so a rate-limited pass never stalls graceful
 	// shutdown.
 	Stop <-chan struct{}
+}
+
+// stopErr is the non-blocking poll of a Stop channel; a nil channel never
+// fires.
+func stopErr(stop <-chan struct{}) error {
+	select {
+	case <-stop:
+		return ErrStopped
+	default:
+		return nil
+	}
+}
+
+// walkSlots is the one walk over the data file's page slots, shared by
+// scrub, the backup stream and verification. It visits slots [0, total) in
+// batches of opts.BatchPages: visit runs under the shared pager lock, so
+// readers and writers are served between batches, and after, when non-nil,
+// once the lock is released, for work that must not hold it. Progress
+// follows every batch, then a paced pass pauses batch/PagesPerSecond. Stop
+// is polled before every batch and during the pause.
+func (fp *FilePager) walkSlots(opts PassOptions, total int, visit, after func(lo, hi int) error) error {
+	batch := opts.BatchPages
+	if batch <= 0 {
+		batch = 64
+	}
+	var pause time.Duration
+	if opts.PagesPerSecond > 0 {
+		pause = time.Second * time.Duration(batch) / time.Duration(opts.PagesPerSecond)
+	}
+	for lo := 0; lo < total; lo += batch {
+		if err := stopErr(opts.Stop); err != nil {
+			return err
+		}
+		hi := min(lo+batch, total)
+		var err error
+		fp.mu.RLock()
+		if fp.closed {
+			err = errors.New("rdbms: pager closed")
+		} else {
+			err = visit(lo, hi)
+		}
+		fp.mu.RUnlock()
+		if err == nil && after != nil {
+			err = after(lo, hi)
+		}
+		if err == nil && opts.Progress != nil {
+			err = opts.Progress(hi, total)
+		}
+		if err != nil {
+			return err
+		}
+		if pause > 0 && hi < total {
+			select {
+			case <-time.After(pause):
+			case <-opts.Stop:
+				return ErrStopped
+			}
+		}
+	}
+	return nil
+}
+
+// verifySlotsLocked checksum-reads every slot in [lo, hi) that should hold a
+// current image and reports each to check (with the read error, nil when
+// clean), returning how many slots it skipped and the first error check
+// returns. Pages dirtied since the last checkpoint have no current on-disk
+// slot yet; free and pending-free pages hold dead (often never-written)
+// slots. Both are skipped. Retained clean shadow entries are NOT skipped:
+// their slots were written by a past checkpoint and must verify. fp.mu must
+// be held (shared suffices).
+func (fp *FilePager) verifySlotsLocked(lo, hi int, check func(PageID, error) error) (int, error) {
+	skip := fp.unverifiableLocked()
+	skipped := 0
+	for id := PageID(lo); int(id) < min(hi, fp.pages); id++ {
+		if skip[id] {
+			skipped++
+			continue
+		}
+		_, err := fp.readPageFromFile(id)
+		if err := check(id, err); err != nil {
+			return skipped, err
+		}
+	}
+	return skipped, nil
+}
+
+// VerifyChecksums reads every page slot in the data file that should hold a
+// current image and validates its checksum, returning the first corruption
+// found. Nil for in-memory databases.
+func (db *DB) VerifyChecksums() error {
+	fp := db.filePager()
+	if fp == nil {
+		return nil
+	}
+	return fp.walkSlots(PassOptions{}, fp.pageCount(), func(lo, hi int) error {
+		_, err := fp.verifySlotsLocked(lo, hi, func(_ PageID, err error) error { return err })
+		return err
+	}, nil)
 }
 
 // ScrubResult reports one scrub pass.
@@ -113,74 +212,37 @@ type ScrubResult struct {
 // store as a whole is not poisoned and writes continue. Progress and
 // findings surface through IOStats (ScrubRuns/ScrubPages/ScrubRepaired/
 // ScrubBad/QuarantinedPages). No-op for in-memory databases.
-func (db *DB) Scrub(opts ScrubOptions) (ScrubResult, error) {
+func (db *DB) Scrub(opts PassOptions) (ScrubResult, error) {
+	var res ScrubResult
 	fp := db.filePager()
 	if fp == nil {
-		return ScrubResult{}, nil
+		return res, nil
 	}
-	return fp.scrub(opts, db.pool.peek)
-}
-
-// scrub is the pager half of DB.Scrub. lookup fetches a clean buffer-pool
-// frame copy as a fallback repair source.
-func (fp *FilePager) scrub(opts ScrubOptions, lookup func(PageID) *page) (ScrubResult, error) {
-	batch := opts.BatchPages
-	if batch <= 0 {
-		batch = 64
-	}
-	var pause time.Duration
-	if opts.PagesPerSecond > 0 {
-		pause = time.Second * time.Duration(batch) / time.Duration(opts.PagesPerSecond)
-	}
-	var res ScrubResult
-	fp.mu.RLock()
-	total := fp.pages
-	fp.mu.RUnlock()
-	for lo := 0; lo < total; lo += batch {
-		if err := stopErr(opts.Stop); err != nil {
-			return res, err
-		}
-		hi := lo + batch
-		if hi > total {
-			hi = total
-		}
-		var bad []PageID
-		fp.mu.RLock()
-		if fp.closed {
-			fp.mu.RUnlock()
-			return res, errors.New("rdbms: pager closed")
-		}
-		skip := fp.unverifiableLocked()
-		for id := lo; id < hi && id < fp.pages; id++ {
-			if skip[PageID(id)] {
-				res.Skipped++
-				continue
-			}
-			if _, err := fp.readPageFromFile(PageID(id)); err != nil {
-				bad = append(bad, PageID(id))
+	var bad []PageID
+	err := fp.walkSlots(opts, fp.pageCount(), func(lo, hi int) error {
+		bad = bad[:0]
+		skipped, _ := fp.verifySlotsLocked(lo, hi, func(id PageID, err error) error {
+			if err != nil {
+				bad = append(bad, id)
 			} else {
 				res.Scanned++
 			}
-		}
-		fp.mu.RUnlock()
+			return nil
+		})
+		res.Skipped += skipped
+		return nil
+	}, func(lo, hi int) error {
 		for _, id := range bad {
-			// The pool copy must be taken before fp.mu: markDirty holds the
-			// pool lock while calling back into the pager.
-			fp.repairOrQuarantine(id, lookup(id), &res)
+			// A clean pool frame is the fallback repair source. Its copy must
+			// be taken before fp.mu: markDirty holds the pool lock while
+			// calling back into the pager.
+			fp.repairOrQuarantine(id, db.pool.peek(id), &res)
 		}
 		fp.scrubPages.Add(int64(hi - lo))
-		if opts.Progress != nil {
-			if err := opts.Progress(hi, total); err != nil {
-				return res, err
-			}
-		}
-		if pause > 0 && hi < total {
-			select {
-			case <-time.After(pause):
-			case <-opts.Stop:
-				return res, ErrStopped
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
 	fp.scrubRuns.Add(1)
 	return res, nil

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // corruptSlot smashes a few bytes in the middle of page id's data-file
@@ -25,6 +29,170 @@ func corruptSlot(t *testing.T, path string, id PageID) {
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// slotRecorder notes every page slot read through the data file.
+type slotRecorder struct {
+	dbFile
+	mu   sync.Mutex
+	read map[PageID]bool
+}
+
+func (r *slotRecorder) ReadAt(p []byte, off int64) (int, error) {
+	if off >= fileHeaderSize {
+		r.mu.Lock()
+		r.read[PageID((off-fileHeaderSize)/pageSlotSize)] = true
+		r.mu.Unlock()
+	}
+	return r.dbFile.ReadAt(p, off)
+}
+
+// walkStore builds a store whose slot walk meets every kind of slot: a
+// checkpointed heap page corrupted with no in-memory repair source, free
+// pages, pending-free pages and pages dirty since the last checkpoint. It
+// returns the open store, a recorder on its data file, and the corrupt page.
+func walkStore(t *testing.T) (*DB, *slotRecorder, PageID) {
+	t.Helper()
+	path := tempDBPath(t)
+	db := mustOpenFile(t, path)
+	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "id", Type: DTInt}, Column{Name: "name", Type: DTText}))
+	rids := fillTable(t, tab, 0, 3000)
+	for _, name := range []string{"free", "pending"} {
+		tab, _ := db.CreateTable(name, NewSchema(Column{Name: "v", Type: DTInt}))
+		fillTable(t, tab, 0, 2000)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := rids[len(rids)/2].Page
+	corruptSlot(t, path, corrupt)
+
+	db = mustOpenFile(t, path)
+	t.Cleanup(func() { db.Close() })
+	db.PutMeta("dirty", []byte("committed, not checkpointed"))
+	if err := db.DropTable("free"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropTable("pending"); err != nil {
+		t.Fatal(err)
+	}
+	fp := db.filePager()
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	if len(fp.freeList) == 0 || len(fp.pendingFree) == 0 || len(fp.ckptDirty) == 0 {
+		t.Fatalf("store holds %d free, %d pending-free, %d dirty pages; want some of each",
+			len(fp.freeList), len(fp.pendingFree), len(fp.ckptDirty))
+	}
+	if fp.unverifiableLocked()[corrupt] {
+		t.Fatalf("corrupt page %d is not a checkpointed slot", corrupt)
+	}
+	rec := &slotRecorder{dbFile: fp.f, read: make(map[PageID]bool)}
+	fp.f = rec
+	return db, rec, corrupt
+}
+
+// TestScrubBackupVerifyShareOneWalk runs the three slot walks over the same
+// kind of store. Scrub and verify read exactly the slots outside the
+// unverifiable set (dirty, free, pending free), backup exactly those outside
+// the free set it pinned; verify and backup stop at the corrupt slot, scrub
+// quarantines it and goes on. The paced passes report progress once per
+// batch against a fixed total, and a Stop closed during the pacing pause
+// ends them with ErrStopped.
+func TestScrubBackupVerifyShareOneWalk(t *testing.T) {
+	const batch = 4
+	cases := []struct {
+		name string
+		run  func(db *DB, opts PassOptions) error
+		// pinned: the pass skips the free set it pinned (read after the
+		// pass), not the unverifiable set (read before it). stops: the pass
+		// fails on the corrupt slot. paced: it takes PassOptions.
+		pinned, stops, paced bool
+	}{
+		{"scrub", func(db *DB, opts PassOptions) error {
+			res, err := db.Scrub(opts)
+			if err == nil && len(res.Bad) != 1 {
+				err = fmt.Errorf("scrub quarantined %v, want one page", res.Bad)
+			}
+			return err
+		}, false, false, true},
+		{"backup", func(db *DB, opts PassOptions) error {
+			_, err := db.Backup(io.Discard, opts)
+			return err
+		}, true, true, true},
+		{"verify", func(db *DB, _ PassOptions) error { return db.VerifyChecksums() }, false, true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db, rec, corrupt := walkStore(t)
+			fp := db.filePager()
+			fp.mu.RLock()
+			skip := fp.unverifiableLocked()
+			fp.mu.RUnlock()
+			type call struct{ done, total int }
+			var calls []call
+			err := tc.run(db, PassOptions{BatchPages: batch, Progress: func(done, total int) error {
+				calls = append(calls, call{done, total})
+				return nil
+			}})
+			total := fp.pageCount()
+			if tc.pinned {
+				skip = make(map[PageID]bool)
+				for _, id := range fp.freePages() {
+					skip[id] = true
+				}
+			}
+			// end bounds the slots the pass gets through.
+			end := total
+			if tc.stops {
+				if !errors.Is(err, ErrChecksum) {
+					t.Fatalf("%s = %v, want ErrChecksum", tc.name, err)
+				}
+				end = int(corrupt)
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			var want, got []PageID
+			for id := PageID(0); int(id) < total; id++ {
+				if !skip[id] && int(id) <= end {
+					want = append(want, id)
+				}
+				if rec.read[id] {
+					got = append(got, id)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s read slots %v,\nwant %v", tc.name, got, want)
+			}
+			if !tc.paced {
+				return
+			}
+			// Every batch that ends before the pass does reports once.
+			var wantCalls []call
+			for lo := 0; lo < total && min(lo+batch, total) <= end; lo += batch {
+				wantCalls = append(wantCalls, call{min(lo+batch, total), total})
+			}
+			if !slices.Equal(calls, wantCalls) {
+				t.Fatalf("%s progress calls %v, want %v", tc.name, calls, wantCalls)
+			}
+
+			// A Stop closed during the pause (a second per four-page
+			// batch) ends the pass at once.
+			db, _, _ = walkStore(t)
+			stop := make(chan struct{})
+			start := time.Now()
+			err = tc.run(db, PassOptions{BatchPages: batch, PagesPerSecond: 1, Stop: stop,
+				Progress: func(int, int) error { close(stop); return nil }})
+			if !errors.Is(err, ErrStopped) {
+				t.Fatalf("%s with Stop closed in the pause = %v, want ErrStopped", tc.name, err)
+			}
+			if d := time.Since(start); d > 2*time.Second {
+				t.Fatalf("%s took %v to stop; the pause ignored Stop", tc.name, d)
+			}
+		})
 	}
 }
 
@@ -89,7 +257,7 @@ func TestScrubRepairsFromCleanCache(t *testing.T) {
 		t.Fatalf("VerifyChecksums = %v, want checksum failure before scrub", err)
 	}
 
-	res, err := db.Scrub(ScrubOptions{BatchPages: 16})
+	res, err := db.Scrub(PassOptions{BatchPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +302,7 @@ func TestScrubQuarantinesWithoutPoisoning(t *testing.T) {
 	// not poisoned.
 	db2 := mustOpenFile(t, path)
 	defer db2.Close()
-	res, err := db2.Scrub(ScrubOptions{})
+	res, err := db2.Scrub(PassOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +329,7 @@ func TestScrubQuarantinesWithoutPoisoning(t *testing.T) {
 		t.Fatalf("commit on degraded store: %v", err)
 	}
 	// A second scrub pass does not double-count the same quarantined slot.
-	if _, err := db2.Scrub(ScrubOptions{}); err != nil {
+	if _, err := db2.Scrub(PassOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := db2.Pool().Stats(); st.ScrubBad != 1 || st.QuarantinedPages != 1 {
@@ -180,7 +348,7 @@ func TestScrubProgressAbort(t *testing.T) {
 	}
 	abort := errors.New("stop here")
 	calls := 0
-	_, err := db.Scrub(ScrubOptions{BatchPages: 4, Progress: func(done, total int) error {
+	_, err := db.Scrub(PassOptions{BatchPages: 4, Progress: func(done, total int) error {
 		calls++
 		if done >= total/2 {
 			return abort
@@ -613,7 +781,7 @@ func TestRecoverInMemoryNoop(t *testing.T) {
 	if err := db.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Scrub(ScrubOptions{}); err != nil {
+	if _, err := db.Scrub(PassOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Vacuum(); err != nil {

@@ -3,7 +3,6 @@ package rdbms
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,11 +22,11 @@ type MaintenanceOptions struct {
 	// ScrubEvery runs an online checksum scrub (DB.Scrub) at this cadence.
 	ScrubEvery time.Duration
 	// ScrubRate bounds the scrub's read rate in pages per second
-	// (ScrubOptions.PagesPerSecond); 0 means unthrottled.
+	// (PassOptions.PagesPerSecond); 0 means unthrottled.
 	ScrubRate int
 	// VacuumEvery runs free-space defragmentation (DB.Vacuum) at this
 	// cadence. Vacuum invalidates open Table handles; embedders that hold
-	// them must save and reopen in BeforeVacuum / OnResult.
+	// them must save and reopen in Prepare / OnResult.
 	VacuumEvery time.Duration
 	// BackupEvery takes an online backup (DB.Backup) into BackupDir at this
 	// cadence. Backups are named backup-<generation>.dsb by the durable
@@ -40,18 +39,11 @@ type MaintenanceOptions struct {
 	// BackupRate bounds the backup's read rate in pages per second; 0 means
 	// unthrottled.
 	BackupRate int
-	// Jitter spreads each wait uniformly over [interval, interval+Jitter),
-	// so many engines started together do not scrub or back up in
-	// lockstep.
-	Jitter time.Duration
-	// BeforeVacuum, when non-nil, runs before each scheduled vacuum; a
-	// non-nil error skips that vacuum tick. Embedders use it to quiesce or
-	// snapshot state that vacuum invalidates.
-	BeforeVacuum func() error
-	// BeforeBackup, when non-nil, runs before each scheduled backup; a
-	// non-nil error skips that backup tick. Embedders use it to save
-	// in-memory state (open sheets) so the backup captures it.
-	BeforeBackup func() error
+	// Prepare, when non-nil, runs before each scheduled vacuum and backup;
+	// a non-nil error skips that tick. Both passes work from the durable
+	// manifest: embedders use it to save in-memory state (open sheets) so
+	// the pass captures it.
+	Prepare func() error
 	// OnResult, when non-nil, is called after every completed operation
 	// ("scrub", "vacuum", "backup") with its error (nil on success;
 	// shutdown interruptions are reported as success).
@@ -76,7 +68,9 @@ func (db *DB) StartMaintenance(opts MaintenanceOptions) error {
 	}
 	db.StopMaintenance()
 	m := &maintenance{stop: make(chan struct{})}
-	run := func(every time.Duration, op string, f func() error) {
+	// run starts one operation's ticker; prepare (nil for scrub, which
+	// needs no saved state) runs first on every tick.
+	run := func(every time.Duration, op string, prepare, f func() error) {
 		if every <= 0 {
 			return
 		}
@@ -84,16 +78,18 @@ func (db *DB) StartMaintenance(opts MaintenanceOptions) error {
 		go func() {
 			defer m.wg.Done()
 			for {
-				wait := every
-				if opts.Jitter > 0 {
-					wait += time.Duration(rand.Int63n(int64(opts.Jitter)))
-				}
 				select {
 				case <-m.stop:
 					return
-				case <-time.After(wait):
+				case <-time.After(every):
 				}
-				err := f()
+				var err error
+				if prepare != nil {
+					err = prepare()
+				}
+				if err == nil {
+					err = f()
+				}
 				if errors.Is(err, ErrStopped) {
 					err = nil
 				}
@@ -103,25 +99,15 @@ func (db *DB) StartMaintenance(opts MaintenanceOptions) error {
 			}
 		}()
 	}
-	run(opts.ScrubEvery, "scrub", func() error {
-		_, err := db.Scrub(ScrubOptions{PagesPerSecond: opts.ScrubRate, Stop: m.stop})
+	run(opts.ScrubEvery, "scrub", nil, func() error {
+		_, err := db.Scrub(PassOptions{PagesPerSecond: opts.ScrubRate, Stop: m.stop})
 		return err
 	})
-	run(opts.VacuumEvery, "vacuum", func() error {
-		if opts.BeforeVacuum != nil {
-			if err := opts.BeforeVacuum(); err != nil {
-				return err
-			}
-		}
+	run(opts.VacuumEvery, "vacuum", opts.Prepare, func() error {
 		_, err := db.Vacuum()
 		return err
 	})
-	run(opts.BackupEvery, "backup", func() error {
-		if opts.BeforeBackup != nil {
-			if err := opts.BeforeBackup(); err != nil {
-				return err
-			}
-		}
+	run(opts.BackupEvery, "backup", opts.Prepare, func() error {
 		return db.backupToDir(opts.BackupDir, opts.BackupRate, m.stop)
 	})
 	db.maintMu.Lock()
@@ -158,7 +144,7 @@ func (db *DB) backupToDir(dir string, rate int, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	res, err := db.Backup(f, BackupOptions{PagesPerSecond: rate, Stop: stop})
+	res, err := db.Backup(f, PassOptions{PagesPerSecond: rate, Stop: stop})
 	if err == nil {
 		err = f.Sync()
 	}

@@ -12,9 +12,7 @@ import (
 // signal alongside timings. With a file-backed pager the Disk*/WAL* fields
 // additionally count real file I/O.
 type IOStats struct {
-	Reads  int64 // page fetches that missed the pool (same as PoolMisses)
 	Writes int64 // page write-backs (evictions and flushes of dirty pages)
-	Hits   int64 // page fetches served from the pool (same as PoolHits)
 	// Read-path counters (the scrolling workload's hot signal).
 	PoolHits   int64 // fetches served from a resident frame
 	PoolMisses int64 // fetches that had to go to the pager
@@ -31,7 +29,8 @@ type IOStats struct {
 	// CheckpointPages counts data-file page writes performed by checkpoints.
 	// Checkpoints are incremental — only pages dirtied since the previous
 	// checkpoint are written — so this grows with what changed, not with the
-	// overlay size (the incremental-checkpoint signal gated in BENCH_maint).
+	// overlay size (the incremental-checkpoint signal
+	// TestMaintenanceCheckpointVacuumScrub asserts).
 	CheckpointPages int64
 	FreePages       int64 // pages currently on the free list, awaiting reuse
 	ShadowPages     int64 // pages resident in the in-memory overlay (dirty + retained clean cache)
@@ -79,7 +78,7 @@ type IOStats struct {
 // it is shown; nothing in between names it.
 func (s *IOStats) Counters() []*int64 {
 	return []*int64{
-		&s.Reads, &s.Writes, &s.Hits, &s.PoolHits, &s.PoolMisses, &s.PagesRead,
+		&s.Writes, &s.PoolHits, &s.PoolMisses, &s.PagesRead,
 		&s.DiskReads, &s.DiskWrites, &s.WALAppends, &s.WALDeltas, &s.WALSyncs, &s.WALBytes,
 		&s.Checkpoints, &s.CheckpointPages, &s.FreePages, &s.ShadowPages, &s.DirtyPages,
 		&s.WALSegments, &s.WALRotations, &s.WALCompacted, &s.WALDiskBytes,
@@ -397,9 +396,7 @@ func (b *BufferPool) Err() error {
 // Stats returns a snapshot of the I/O counters.
 func (b *BufferPool) Stats() IOStats {
 	s := IOStats{
-		Reads:      b.misses.Load(),
 		Writes:     b.writes.Load(),
-		Hits:       b.hits.Load(),
 		PoolHits:   b.hits.Load(),
 		PoolMisses: b.misses.Load(),
 		PagesRead:  b.pagesRead.Load(),

@@ -114,13 +114,16 @@ func (c *Client) backoff(try int) {
 	time.Sleep(d)
 }
 
-// roundTrip sends one request payload and returns a decoder positioned
-// after the status byte (a StatusErr response becomes a Go error; a
-// StatusReadOnly response becomes an error wrapping rdbms.ErrReadOnly).
-// Idempotent requests that fail at the connection level are retried per
-// ClientOptions, reconnecting between attempts; mutations never are — an
-// ambiguous ack must surface to the caller, not double-apply.
-func (c *Client) roundTrip(payload []byte, idempotent bool) (decoder, error) {
+// roundTrip sends one request payload and hands the response body, past
+// the status byte, to decode (nil: the body must be empty), which must
+// consume all of it. decode runs under the connection lock: the body
+// aliases the connection's read buffer, which the next request reuses. A
+// StatusErr response becomes a Go error; a StatusReadOnly response an error
+// wrapping rdbms.ErrReadOnly. Idempotent requests that fail at the
+// connection level are retried per ClientOptions, reconnecting between
+// attempts; mutations never are — an ambiguous ack must surface to the
+// caller, not double-apply.
+func (c *Client) roundTrip(payload []byte, idempotent bool, decode func(*decoder)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	retries := 0
@@ -129,20 +132,37 @@ func (c *Client) roundTrip(payload []byte, idempotent bool) (decoder, error) {
 	}
 	for try := 0; ; try++ {
 		d, err := c.attemptLocked(payload)
-		if err == nil || !transientErr(err) {
-			return d, err
+		if err == nil {
+			if decode != nil {
+				decode(&d)
+			}
+			return d.done()
+		}
+		if !transientErr(err) {
+			return err
 		}
 		// The stream may hold a half-written or half-read frame; the
 		// connection is unusable either way.
 		c.conn.Close()
 		if try >= retries {
-			return decoder{}, err
+			return err
 		}
 		c.backoff(try)
 		// Best effort: on failure the closed conn stays and the next
 		// attempt fails fast, consuming the retry budget.
 		_ = c.dialLocked()
 	}
+}
+
+// call round-trips a request whose response body decode turns into a T;
+// any error comes back with the zero T.
+func call[T any](c *Client, payload []byte, idempotent bool, decode func(*decoder) T) (T, error) {
+	var v T
+	if err := c.roundTrip(payload, idempotent, func(d *decoder) { v = decode(d) }); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
 }
 
 func (c *Client) attemptLocked(payload []byte) (decoder, error) {
@@ -162,47 +182,42 @@ func (c *Client) attemptLocked(payload []byte) (decoder, error) {
 	}
 	c.buf = resp
 	d := decoder{b: resp}
-	switch d.byte() {
+	switch status := d.byte(); status {
 	case StatusOK:
 		return d, nil
 	case StatusErr, StatusReadOnly:
-		msg := d.str()
-		if err := d.done(); err != nil {
-			return decoder{}, err
-		}
-		if resp[0] == StatusReadOnly {
-			return decoder{}, fmt.Errorf("dsserver: %s: %w", msg, rdbms.ErrReadOnly)
-		}
-		return decoder{}, fmt.Errorf("dsserver: %s", msg)
+		return decoder{}, statusErr(status, &d)
 	}
 	return decoder{}, fmt.Errorf("serve: malformed response status")
 }
 
-// Ping round-trips an empty request.
-func (c *Client) Ping() error {
-	d, err := c.roundTrip([]byte{OpPing}, true)
-	if err != nil {
+// statusErr decodes the body of a StatusErr or StatusReadOnly response —
+// the server's message — into the error the caller sees; read-only
+// degradation wraps rdbms.ErrReadOnly.
+func statusErr(status byte, d *decoder) error {
+	msg := d.str()
+	if err := d.done(); err != nil {
 		return err
 	}
-	return d.done()
+	if status == StatusReadOnly {
+		return fmt.Errorf("dsserver: %s: %w", msg, rdbms.ErrReadOnly)
+	}
+	return fmt.Errorf("dsserver: %s", msg)
+}
+
+// Ping round-trips an empty request.
+func (c *Client) Ping() error {
+	return c.roundTrip([]byte{OpPing}, true, nil)
 }
 
 // Open opens (creating if absent) the named sheet on the server.
 func (c *Client) Open(name string) error {
-	d, err := c.roundTrip(appendString([]byte{OpOpen}, name), true)
-	if err != nil {
-		return err
-	}
-	return d.done()
+	return c.roundTrip(appendString([]byte{OpOpen}, name), true, nil)
 }
 
 // CloseSheet flushes the named sheet on the server.
 func (c *Client) CloseSheet(name string) error {
-	d, err := c.roundTrip(appendString([]byte{OpClose}, name), true)
-	if err != nil {
-		return err
-	}
-	return d.done()
+	return c.roundTrip(appendString([]byte{OpClose}, name), true, nil)
 }
 
 // GetRange reads the rectangle (r1,c1)-(r2,c2) and reports the snapshot
@@ -223,12 +238,10 @@ func (c *Client) GetRangePending(name string, r1, c1, r2, c2 int) ([][]sheet.Cel
 	p = binary.AppendUvarint(p, uint64(c1))
 	p = binary.AppendUvarint(p, uint64(r2))
 	p = binary.AppendUvarint(p, uint64(c2))
-	d, err := c.roundTrip(p, true)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	gen, cells, pending := d.rangeBody()
-	if err := d.done(); err != nil {
+	var gen uint64
+	var cells [][]sheet.Cell
+	var pending [][]bool
+	if err := c.roundTrip(p, true, func(d *decoder) { gen, cells, pending = d.rangeBody() }); err != nil {
 		return nil, nil, 0, err
 	}
 	return cells, pending, gen, nil
@@ -254,11 +267,7 @@ func (c *Client) viewportOp(name string, r1, c1, r2, c2 int) error {
 	p = binary.AppendUvarint(p, uint64(c1))
 	p = binary.AppendUvarint(p, uint64(r2))
 	p = binary.AppendUvarint(p, uint64(c2))
-	d, err := c.roundTrip(p, true)
-	if err != nil {
-		return err
-	}
-	return d.done()
+	return c.roundTrip(p, true, nil)
 }
 
 // SetCells applies a batch of edits (Set semantics per cell: "=..."
@@ -302,40 +311,24 @@ func (c *Client) DeleteCols(name string, col, count int) (uint64, error) {
 
 // Stats fetches the server counters.
 func (c *Client) Stats() (Stats, error) {
-	d, err := c.roundTrip([]byte{OpStats}, true)
-	if err != nil {
-		return Stats{}, err
-	}
-	st := d.stats()
-	if err := d.done(); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
+	return call(c, []byte{OpStats}, true, (*decoder).stats)
 }
 
 // Scrub runs one online checksum scrub pass on the server at the given
-// read rate (pages per second, 0 = unthrottled). Idempotent: a pass that
+// read rate (pages per second, 0 = unthrottled) and returns its findings,
+// the repaired and quarantined page ids included. Idempotent: a pass that
 // may have run twice verified twice, nothing more.
-func (c *Client) Scrub(rate int) (ScrubSummary, error) {
-	p := binary.AppendUvarint([]byte{OpScrub}, uint64(rate))
-	d, err := c.roundTrip(p, true)
-	if err != nil {
-		return ScrubSummary{}, err
-	}
-	sum := d.scrubSummary()
-	if err := d.done(); err != nil {
-		return ScrubSummary{}, err
-	}
-	return sum, nil
+func (c *Client) Scrub(rate int) (rdbms.ScrubResult, error) {
+	return call(c, binary.AppendUvarint([]byte{OpScrub}, uint64(rate)), true, (*decoder).scrubResult)
 }
 
 // Backup streams an online backup of the server's database into w and
-// returns its summary. The response arrives as StatusChunk frames
+// returns its result. The response arrives as StatusChunk frames
 // terminated by a status frame; RequestTimeout, when set, bounds each
 // frame rather than the whole stream. Not retried: a reconnect would
 // restart the stream mid-file against a database that has moved on — on a
 // connection failure the caller re-invokes with a fresh writer.
-func (c *Client) Backup(w io.Writer, rate int) (BackupSummary, error) {
+func (c *Client) Backup(w io.Writer, rate int) (rdbms.BackupResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.opts.RequestTimeout > 0 {
@@ -344,9 +337,9 @@ func (c *Client) Backup(w io.Writer, rate int) (BackupSummary, error) {
 	// A failure mid-stream leaves unread chunk frames in flight; the
 	// connection is unusable for the next request, so close it rather
 	// than drain an arbitrarily large remainder.
-	fail := func(err error) (BackupSummary, error) {
+	fail := func(err error) (rdbms.BackupResult, error) {
 		c.conn.Close()
-		return BackupSummary{}, err
+		return rdbms.BackupResult{}, err
 	}
 	if c.opts.RequestTimeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.RequestTimeout))
@@ -368,26 +361,19 @@ func (c *Client) Backup(w io.Writer, rate int) (BackupSummary, error) {
 		}
 		c.buf = resp
 		d := decoder{b: resp}
-		switch d.byte() {
+		switch status := d.byte(); status {
 		case StatusChunk:
 			if _, err := w.Write(resp[1:]); err != nil {
 				return fail(err)
 			}
 		case StatusOK:
-			sum := d.backupSummary()
+			res := d.backupResult()
 			if err := d.done(); err != nil {
-				return BackupSummary{}, err
+				return rdbms.BackupResult{}, err
 			}
-			return sum, nil
+			return res, nil
 		case StatusErr, StatusReadOnly:
-			msg := d.str()
-			if err := d.done(); err != nil {
-				return BackupSummary{}, err
-			}
-			if resp[0] == StatusReadOnly {
-				return BackupSummary{}, fmt.Errorf("dsserver: %s: %w", msg, rdbms.ErrReadOnly)
-			}
-			return BackupSummary{}, fmt.Errorf("dsserver: %s", msg)
+			return rdbms.BackupResult{}, statusErr(status, &d)
 		default:
 			return fail(fmt.Errorf("serve: malformed response status"))
 		}
@@ -398,16 +384,8 @@ func (c *Client) Backup(w io.Writer, rate int) (BackupSummary, error) {
 // space to the filesystem. Not retried: a vacuum saves open sheets, which
 // commits state — on an ambiguous ack the caller must observe, not
 // re-apply.
-func (c *Client) Vacuum() (VacuumSummary, error) {
-	d, err := c.roundTrip([]byte{OpVacuum}, false)
-	if err != nil {
-		return VacuumSummary{}, err
-	}
-	sum := d.vacuumSummary()
-	if err := d.done(); err != nil {
-		return VacuumSummary{}, err
-	}
-	return sum, nil
+func (c *Client) Vacuum() (rdbms.VacuumResult, error) {
+	return call(c, []byte{OpVacuum}, false, (*decoder).vacuumResult)
 }
 
 // Recover asks the server to heal a poisoned database in place (reopen,
@@ -415,11 +393,7 @@ func (c *Client) Vacuum() (VacuumSummary, error) {
 // database reverts it to its last committed state, the same state a
 // duplicate delivery would find.
 func (c *Client) Recover() error {
-	d, err := c.roundTrip([]byte{OpRecover}, true)
-	if err != nil {
-		return err
-	}
-	return d.done()
+	return c.roundTrip([]byte{OpRecover}, true, nil)
 }
 
 func structuralReq(op byte, name string, at, count int) []byte {
@@ -432,13 +406,5 @@ func structuralReq(op byte, name string, at, count int) []byte {
 // genOp round-trips a mutation whose response body is one generation;
 // never retried (see roundTrip).
 func (c *Client) genOp(payload []byte) (uint64, error) {
-	d, err := c.roundTrip(payload, false)
-	if err != nil {
-		return 0, err
-	}
-	gen := d.uvarint()
-	if err := d.done(); err != nil {
-		return 0, err
-	}
-	return gen, nil
+	return call(c, payload, false, (*decoder).uvarint)
 }

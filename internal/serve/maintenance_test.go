@@ -2,9 +2,12 @@ package serve
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"dataspread/internal/core"
 	"dataspread/internal/rdbms"
@@ -136,7 +139,7 @@ func TestServeScrubVacuumOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
 	}
-	if sum.Scanned == 0 || sum.Bad != 0 || sum.Repaired != 0 {
+	if sum.Scanned == 0 || len(sum.Bad) != 0 || len(sum.Repaired) != 0 {
 		t.Fatalf("scrub on healthy disk = %+v, want clean scan", sum)
 	}
 	vs, err := c.Vacuum()
@@ -160,6 +163,151 @@ func TestServeScrubVacuumOps(t *testing.T) {
 	}
 	if cells[0][0].Value.Text() != "payload payload payload" {
 		t.Fatalf("cell after maintenance = %q", cells[0][0].Value.Text())
+	}
+}
+
+// corruptSlot smashes bytes in the middle of page id's data-file slot
+// behind the database's back (the slot layout of rdbms.FilePager: an 8 KiB
+// header, then a CRC, the page id and the page image per slot).
+func corruptSlot(t *testing.T, path string, id rdbms.PageID) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	off := int64(rdbms.PageSize) + int64(id)*(8+rdbms.PageSize) + 512
+	if _, err := f.WriteAt([]byte("CORRUPTCORRUPT"), off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeScrubReportsQuarantinedPages: a checkpointed slot corrupted with
+// no in-memory repair source is quarantined, and a scrub over the wire
+// returns the same findings — the quarantined page ids included — as the
+// same pass run in-process on a twin of the file.
+func TestServeScrubReportsQuarantinedPages(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "serve.ds")
+	db, err := rdbms.OpenFile(path, rdbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.CreateTable("t", rdbms.NewSchema(rdbms.Column{Name: "v", Type: rdbms.DTInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim rdbms.PageID
+	for i := 0; i < 3000; i++ {
+		rid, err := tab.Insert(rdbms.Row{rdbms.Int(int64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1500 {
+			victim = rid.Page
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := filepath.Join(dir, "twin.ds")
+	if err := os.WriteFile(twin, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corruptSlot(t, path, victim)
+	corruptSlot(t, twin, victim)
+
+	db, err = rdbms.OpenFile(path, rdbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	_, addr := startServer(t, db, core.Options{})
+	got, err := dialT(t, addr).Scrub(0)
+	if err != nil {
+		t.Fatalf("Scrub over the wire: %v", err)
+	}
+	tdb, err := rdbms.OpenFile(twin, rdbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tdb.Close()
+	want, err := tdb.Scrub(rdbms.PassOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Bad) != 1 || want.Bad[0] != victim {
+		t.Fatalf("in-process scrub quarantined %v, want [%d]", want.Bad, victim)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wire scrub = %+v, in-process scrub of the twin = %+v", got, want)
+	}
+}
+
+// TestServeCloseStopsPacedPass: a paced scrub or backup a client started
+// does not hold up Server.Close — the server stops the pass — so a
+// SIGTERM'd dsserver shuts down promptly.
+func TestServeCloseStopsPacedPass(t *testing.T) {
+	for _, op := range []string{"scrub", "backup"} {
+		t.Run(op, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "serve.ds")
+			db, err := rdbms.OpenFile(path, rdbms.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			tab, err := db.CreateTable("t", rdbms.NewSchema(rdbms.Column{Name: "v", Type: rdbms.DTText}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20000; i++ {
+				if _, err := tab.Insert(rdbms.Row{rdbms.Text("a row long enough to fill pages quickly")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() <= 65*rdbms.PageSize {
+				t.Fatalf("store fits one 64-page batch (stat %v); the pass would never pause", err)
+			}
+			srv, addr := startServer(t, db, core.Options{})
+			c := dialT(t, addr)
+			reads := db.Pool().Stats().DiskReads
+			passDone := make(chan struct{})
+			go func() {
+				defer close(passDone)
+				// 8 pages/s: each 64-page batch is followed by an 8 s pause.
+				if op == "scrub" {
+					c.Scrub(8)
+				} else {
+					c.Backup(io.Discard, 8)
+				}
+			}()
+			// Once the first batch is read, the pass is in its pause.
+			for db.Pool().Stats().DiskReads-reads < 64 {
+				select {
+				case <-passDone:
+					t.Fatalf("the %s ended before its first pause", op)
+				case <-time.After(time.Millisecond):
+				}
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("Close still blocked 1s after a paced %s started over the wire", op)
+			}
+			<-passDone
+		})
 	}
 }
 

@@ -2,7 +2,8 @@
 // length-prefixed binary protocol (open sheet, get-range, set-cells,
 // structural edits, stats) served by one goroutine per connection, with
 // generation-stamped snapshot reads so a scrolling viewport never blocks
-// behind a bulk load (see sheet.go for the concurrency protocol).
+// behind a bulk load (see internal/core/latch.go for the concurrency
+// protocol).
 package serve
 
 import (
@@ -49,7 +50,7 @@ const (
 	OpRecover
 	// OpBackup streams an online backup of the server's database. The
 	// response is a sequence of StatusChunk frames carrying the raw backup
-	// stream, terminated by a StatusOK frame with a BackupSummary (or a
+	// stream, terminated by a StatusOK frame with a BackupResult (or a
 	// StatusErr frame; the chunks received so far must be discarded).
 	OpBackup
 	// OpRegisterViewport registers (or moves) this session's viewport on a
@@ -372,30 +373,6 @@ type Stats struct {
 	Sheets []SheetStat
 }
 
-// ScrubSummary is the wire form of one scrub pass's findings.
-type ScrubSummary struct {
-	Scanned  int // slots read and verified clean
-	Skipped  int // dirty or free slots with nothing on disk to verify
-	Repaired int // corrupt slots rewritten from a clean in-memory image
-	Bad      int // corrupt slots left quarantined
-}
-
-// VacuumSummary is the wire form of one vacuum pass's result.
-type VacuumSummary struct {
-	PagesBefore    int
-	PagesAfter     int
-	PagesMoved     int
-	BytesReclaimed int64
-}
-
-// BackupSummary is the wire form of one completed backup.
-type BackupSummary struct {
-	Pages     int    // live page slots streamed
-	FreePages int    // free slots recorded in the trailer
-	Bytes     int64  // bytes in the backup stream
-	Gen       uint64 // durable generation the backup pinned
-}
-
 func appendStats(b []byte, st Stats) []byte {
 	b = binary.AppendUvarint(b, uint64(st.Conns))
 	b = binary.AppendUvarint(b, uint64(st.InFlight))
@@ -489,33 +466,53 @@ func (d *decoder) stats() Stats {
 	return st
 }
 
-func appendScrubSummary(b []byte, s ScrubSummary) []byte {
-	b = binary.AppendUvarint(b, uint64(s.Scanned))
-	b = binary.AppendUvarint(b, uint64(s.Skipped))
-	b = binary.AppendUvarint(b, uint64(s.Repaired))
-	b = binary.AppendUvarint(b, uint64(s.Bad))
+// maxPageIDs caps a page-id list in a scrub reply.
+const maxPageIDs = 1 << 20
+
+// appendScrubResult encodes a scrub pass: the two counts, then the repaired
+// and the quarantined page ids as counted lists.
+func appendScrubResult(b []byte, r rdbms.ScrubResult) []byte {
+	b = binary.AppendUvarint(b, uint64(r.Scanned))
+	b = binary.AppendUvarint(b, uint64(r.Skipped))
+	for _, ids := range [][]rdbms.PageID{r.Repaired, r.Bad} {
+		b = binary.AppendUvarint(b, uint64(len(ids)))
+		for _, id := range ids {
+			b = binary.AppendUvarint(b, uint64(id))
+		}
+	}
 	return b
 }
 
-func (d *decoder) scrubSummary() ScrubSummary {
-	return ScrubSummary{
+func (d *decoder) scrubResult() rdbms.ScrubResult {
+	return rdbms.ScrubResult{
 		Scanned:  int(d.uvarint()),
 		Skipped:  int(d.uvarint()),
-		Repaired: int(d.uvarint()),
-		Bad:      int(d.uvarint()),
+		Repaired: d.pageIDs(),
+		Bad:      d.pageIDs(),
 	}
 }
 
-func appendVacuumSummary(b []byte, v VacuumSummary) []byte {
+func (d *decoder) pageIDs() []rdbms.PageID {
+	n := d.num("page id count", maxPageIDs)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	ids := make([]rdbms.PageID, n)
+	for i := range ids {
+		ids[i] = rdbms.PageID(d.uvarint())
+	}
+	return ids
+}
+
+func appendVacuumResult(b []byte, v rdbms.VacuumResult) []byte {
 	b = binary.AppendUvarint(b, uint64(v.PagesBefore))
 	b = binary.AppendUvarint(b, uint64(v.PagesAfter))
 	b = binary.AppendUvarint(b, uint64(v.PagesMoved))
-	b = binary.AppendUvarint(b, uint64(v.BytesReclaimed))
-	return b
+	return binary.AppendUvarint(b, uint64(v.BytesReclaimed))
 }
 
-func (d *decoder) vacuumSummary() VacuumSummary {
-	return VacuumSummary{
+func (d *decoder) vacuumResult() rdbms.VacuumResult {
+	return rdbms.VacuumResult{
 		PagesBefore:    int(d.uvarint()),
 		PagesAfter:     int(d.uvarint()),
 		PagesMoved:     int(d.uvarint()),
@@ -523,16 +520,15 @@ func (d *decoder) vacuumSummary() VacuumSummary {
 	}
 }
 
-func appendBackupSummary(b []byte, s BackupSummary) []byte {
-	b = binary.AppendUvarint(b, uint64(s.Pages))
-	b = binary.AppendUvarint(b, uint64(s.FreePages))
-	b = binary.AppendUvarint(b, uint64(s.Bytes))
-	b = binary.AppendUvarint(b, s.Gen)
-	return b
+func appendBackupResult(b []byte, r rdbms.BackupResult) []byte {
+	b = binary.AppendUvarint(b, uint64(r.Pages))
+	b = binary.AppendUvarint(b, uint64(r.FreePages))
+	b = binary.AppendUvarint(b, uint64(r.Bytes))
+	return binary.AppendUvarint(b, r.Gen)
 }
 
-func (d *decoder) backupSummary() BackupSummary {
-	return BackupSummary{
+func (d *decoder) backupResult() rdbms.BackupResult {
+	return rdbms.BackupResult{
 		Pages:     int(d.uvarint()),
 		FreePages: int(d.uvarint()),
 		Bytes:     int64(d.uvarint()),

@@ -465,6 +465,59 @@ func TestServeConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestServeConcurrentSharedClient: one Client used from several goroutines
+// decodes every reply whole. A reply's body aliases the connection's read
+// buffer, so it must be decoded before the next request may reuse that
+// buffer.
+func TestServeConcurrentSharedClient(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	_, addr := startServer(t, db, core.Options{})
+	c := dialT(t, addr)
+	if err := c.Open("s"); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]core.CellEdit, 64)
+	for j := range want {
+		want[j] = core.CellEdit{Row: 1, Col: j + 1, Input: fmt.Sprintf("cell %d of a row wide enough to fill the buffer", j)}
+	}
+	if _, err := c.SetCells("s", want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if g%2 == 1 {
+					if _, err := c.Stats(); err != nil {
+						errs <- err
+						return
+					}
+					continue
+				}
+				cells, _, err := c.GetRange("s", 1, 1, 1, len(want))
+				if err != nil {
+					errs <- err
+					return
+				}
+				for j, ed := range want {
+					if got := cells[0][j].Value.Text(); got != ed.Input {
+						errs <- fmt.Errorf("cell %d = %q, want %q", j+1, got, ed.Input)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 // TestServeConcurrentWritersReplyGenerations: a set-cells reply carries the
 // generation its own batch published, not whatever the sheet has reached by the
 // time the reply is written. Two connections paste uniform batches over one

@@ -36,7 +36,11 @@ type Server struct {
 	inflight atomic.Int64
 	requests atomic.Uint64
 	closed   atomic.Bool
-	wg       sync.WaitGroup
+	// stop is closed first thing in Close: every scrub and backup a client
+	// started passes it as its Stop, so a paced pass never holds up
+	// shutdown.
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // New builds a server over an open database. opts configures the engines
@@ -47,6 +51,7 @@ func New(db *rdbms.DB, opts core.Options) *Server {
 		opts:   opts,
 		sheets: make(map[string]*core.Engine),
 		conns:  make(map[net.Conn]struct{}),
+		stop:   make(chan struct{}),
 	}
 }
 
@@ -102,10 +107,13 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops accepting, closes every live connection, waits for all
-// sessions to drain, and saves every open sheet. Safe to call once.
+// Close stops every scrub and backup clients started, stops accepting,
+// closes every live connection, waits for all sessions to drain, and saves
+// every open sheet.
 func (s *Server) Close() error {
-	s.closed.Store(true)
+	if !s.closed.Swap(true) {
+		close(s.stop)
+	}
 	s.connMu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
@@ -169,23 +177,14 @@ func (s *Server) Stats() Stats {
 // Scrub runs one online checksum scrub pass over the database at the
 // given read rate (pages per second, 0 = unthrottled). Reads and writes
 // keep being served; corrupt slots are repaired from clean in-memory
-// images where possible and quarantined otherwise.
-func (s *Server) Scrub(rate int) (ScrubSummary, error) {
-	res, err := s.db.Scrub(rdbms.ScrubOptions{PagesPerSecond: rate})
-	if err != nil {
-		return ScrubSummary{}, err
-	}
-	return ScrubSummary{
-		Scanned:  res.Scanned,
-		Skipped:  res.Skipped,
-		Repaired: len(res.Repaired),
-		Bad:      len(res.Bad),
-	}, nil
+// images where possible and quarantined otherwise. Close stops the pass.
+func (s *Server) Scrub(rate int) (rdbms.ScrubResult, error) {
+	return s.db.Scrub(rdbms.PassOptions{PagesPerSecond: rate, Stop: s.stop})
 }
 
 // SaveSheets saves every open sheet, so the durable manifest reflects what
 // clients currently see. Maintenance passes (vacuum, backup) run it first;
-// it is also the BeforeVacuum hook dsserver hands the engine scheduler.
+// it is also the Prepare hook dsserver hands the engine scheduler.
 func (s *Server) SaveSheets() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,40 +200,23 @@ func (s *Server) SaveSheets() error {
 // state) and defragments the data file, returning trailing free space to
 // the filesystem. The pass holds the database exclusively; concurrent
 // requests queue behind it.
-func (s *Server) Vacuum() (VacuumSummary, error) {
+func (s *Server) Vacuum() (rdbms.VacuumResult, error) {
 	if err := s.SaveSheets(); err != nil {
-		return VacuumSummary{}, fmt.Errorf("serve: before vacuum: %w", err)
+		return rdbms.VacuumResult{}, fmt.Errorf("serve: before vacuum: %w", err)
 	}
-	res, err := s.db.Vacuum()
-	if err != nil {
-		return VacuumSummary{}, err
-	}
-	return VacuumSummary{
-		PagesBefore:    res.PagesBefore,
-		PagesAfter:     res.PagesAfter,
-		PagesMoved:     res.PagesMoved,
-		BytesReclaimed: res.BytesReclaimed,
-	}, nil
+	return s.db.Vacuum()
 }
 
 // Backup saves every open sheet (so the backup captures what clients
 // currently see) and streams an online backup of the database to w at the
 // given read rate (pages per second, 0 = unthrottled). Reads and writes
-// keep being served while the backup walks the data file.
-func (s *Server) Backup(w io.Writer, rate int) (BackupSummary, error) {
+// keep being served while the backup walks the data file. Close stops the
+// stream.
+func (s *Server) Backup(w io.Writer, rate int) (rdbms.BackupResult, error) {
 	if err := s.SaveSheets(); err != nil {
-		return BackupSummary{}, fmt.Errorf("serve: before backup: %w", err)
+		return rdbms.BackupResult{}, fmt.Errorf("serve: before backup: %w", err)
 	}
-	res, err := s.db.Backup(w, rdbms.BackupOptions{PagesPerSecond: rate})
-	if err != nil {
-		return BackupSummary{}, err
-	}
-	return BackupSummary{
-		Pages:     res.Pages,
-		FreePages: res.FreePages,
-		Bytes:     res.Bytes,
-		Gen:       res.Gen,
-	}, nil
+	return s.db.Backup(w, rdbms.PassOptions{PagesPerSecond: rate, Stop: s.stop})
 }
 
 // Recover heals a poisoned database in place: open sheets are saved
@@ -529,23 +511,23 @@ func (s *Server) dispatch(b, payload []byte, sess *sessionState) []byte {
 		if err := d.done(); err != nil {
 			return appendErr(b, err)
 		}
-		sum, err := s.Scrub(rate)
+		res, err := s.Scrub(rate)
 		if err != nil {
 			return appendErr(b, err)
 		}
 		b = append(b, StatusOK)
-		return appendScrubSummary(b, sum)
+		return appendScrubResult(b, res)
 
 	case OpVacuum:
 		if err := d.done(); err != nil {
 			return appendErr(b, err)
 		}
-		sum, err := s.Vacuum()
+		res, err := s.Vacuum()
 		if err != nil {
 			return appendErr(b, err)
 		}
 		b = append(b, StatusOK)
-		return appendVacuumSummary(b, sum)
+		return appendVacuumResult(b, res)
 
 	case OpRecover:
 		if err := d.done(); err != nil {
@@ -600,12 +582,12 @@ func (s *Server) backupSession(bw *bufio.Writer, payload []byte) error {
 		return writeFrame(bw, appendErr(nil, err))
 	}
 	cw := &chunkWriter{bw: bw}
-	sum, err := s.Backup(cw, rate)
+	res, err := s.Backup(cw, rate)
 	if cw.err != nil {
 		return cw.err
 	}
 	if err != nil {
 		return writeFrame(bw, appendErr(nil, err))
 	}
-	return writeFrame(bw, appendBackupSummary([]byte{StatusOK}, sum))
+	return writeFrame(bw, appendBackupResult([]byte{StatusOK}, res))
 }

@@ -363,7 +363,7 @@ func Run(cfg Config) (Result, error) {
 					killAfter = rng.Intn(4) + 1
 				}
 				batches := 0
-				sres, err := db.Scrub(rdbms.ScrubOptions{
+				sres, err := db.Scrub(rdbms.PassOptions{
 					BatchPages: 8,
 					Progress: func(done, total int) error {
 						batches++
@@ -445,7 +445,7 @@ func Run(cfg Config) (Result, error) {
 					return res, fmt.Errorf("soak: round %d: backup create: %w", round, err)
 				}
 				steps := 0
-				_, err = db.Backup(f, rdbms.BackupOptions{
+				_, err = db.Backup(f, rdbms.PassOptions{
 					BatchPages: 4,
 					Progress: func(done, total int) error {
 						steps++
@@ -505,7 +505,7 @@ func Run(cfg Config) (Result, error) {
 					db.SimulateCrash()
 					return res, fmt.Errorf("soak: round %d: backup create: %w", round, err)
 				}
-				bres, err := db.Backup(f, rdbms.BackupOptions{})
+				bres, err := db.Backup(f, rdbms.PassOptions{})
 				f.Close()
 				if err != nil {
 					if db.Poisoned() == nil {
