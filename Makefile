@@ -57,11 +57,12 @@ bench-commit:
 
 # Fault-injection suites alone under the race detector: poisoning,
 # read-only degradation, WAL rotation/compaction, client retry, the soak
-# smoke, the self-healing surface (scrub, vacuum, in-place recovery), and
-# the all-or-nothing edit batch (Pipeline). CI runs this as a dedicated step
-# so failure-semantics regressions are named, not buried in ./...
+# smoke, the self-healing surface (scrub, vacuum, in-place recovery), the
+# concurrent committers sharing fsyncs on the one commit path (Committers),
+# and the all-or-nothing edit batch (Pipeline). CI runs this as a dedicated
+# step so failure-semantics regressions are named, not buried in ./...
 test-faults:
-	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|CatalogDDL|Pipeline' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
+	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|Committers|CatalogDDL|Pipeline' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
 
 # The on-disk format alone: the compat tests over the golden fixture (every
 # damaged or foreign-version structure refused by name), ten seconds of each

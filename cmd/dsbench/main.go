@@ -25,15 +25,14 @@ import (
 
 func main() {
 	var (
-		which       = flag.String("exp", "all", "experiment id or 'all'")
-		sheets      = flag.Int("sheets", 120, "sheets per generated corpus")
-		maxRows     = flag.Int("maxrows", 1_000_000, "row-count ceiling for sweeps")
-		reps        = flag.Int("reps", 20, "repetitions per timed point")
-		seed        = flag.Int64("seed", 2018, "generator seed")
-		disk        = flag.Bool("disk", false, "run on the file-backed pager (WAL + checksummed data files in a temp dir) instead of the in-memory simulator")
-		diskDir     = flag.String("diskdir", "", "directory for -disk database files (default: a temp dir, removed on exit)")
-		groupCommit = flag.Bool("group-commit", false, "with -disk: coalesce concurrent WAL commits into shared fsyncs")
-		ckptPages   = flag.Int("checkpoint-pages", 0, "with -disk: auto-checkpoint threshold in dirty pages (0: default 4096, negative: disable)")
+		which     = flag.String("exp", "all", "experiment id or 'all'")
+		sheets    = flag.Int("sheets", 120, "sheets per generated corpus")
+		maxRows   = flag.Int("maxrows", 1_000_000, "row-count ceiling for sweeps")
+		reps      = flag.Int("reps", 20, "repetitions per timed point")
+		seed      = flag.Int64("seed", 2018, "generator seed")
+		disk      = flag.Bool("disk", false, "run on the file-backed pager (WAL + checksummed data files in a temp dir) instead of the in-memory simulator")
+		diskDir   = flag.String("diskdir", "", "directory for -disk database files (default: a temp dir, removed on exit)")
+		ckptPages = flag.Int("checkpoint-pages", 0, "with -disk: auto-checkpoint threshold in dirty pages (0: default 4096, negative: disable)")
 	)
 	flag.Parse()
 
@@ -43,7 +42,6 @@ func main() {
 		MaxRows:             *maxRows,
 		Reps:                *reps,
 		Seed:                *seed,
-		GroupCommit:         *groupCommit,
 		AutoCheckpointPages: *ckptPages,
 	}
 	if *disk {

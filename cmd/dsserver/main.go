@@ -10,9 +10,9 @@
 //	> .connect localhost:7529
 //
 // Without -db the database is in-memory and nothing survives exit
-// (useful for demos and tests). Group commit defaults on — the server
-// exists to take concurrent writers, which is exactly the workload that
-// amortizes shared fsyncs. SIGINT/SIGTERM shut down gracefully: stop
+// (useful for demos and tests). Concurrent writers share WAL fsyncs with no
+// flag or timer: a save that stages while another commit is in flight is
+// logged by the next one. SIGINT/SIGTERM shut down gracefully: stop
 // accepting, drain sessions, flush every sheet, close the database.
 package main
 
@@ -32,7 +32,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":7529", "TCP listen address")
 	dbPath := flag.String("db", "", "durable database file (default: in-memory, nothing survives exit)")
-	groupCommit := flag.Bool("group-commit", true, "coalesce concurrent WAL commits into shared fsyncs")
 	poolPages := flag.Int("pool-pages", 0, "buffer pool size in pages (0: default 1024)")
 	cacheBlocks := flag.Int("cache-blocks", 2048, "cell cache size in 64x16 blocks, per sheet")
 	asyncRecalc := flag.Bool("async-recalc", true, "evaluate formula cones in the background, viewport-first; edits return immediately with dependents flagged pending")
@@ -54,7 +53,6 @@ func main() {
 	if *dbPath != "" {
 		db, err = rdbms.OpenFile(*dbPath, rdbms.Options{
 			BufferPoolPages:     *poolPages,
-			GroupCommit:         *groupCommit,
 			AutoCheckpointPages: *checkpointPages,
 			WALSegmentBytes:     *walSegBytes,
 			WALMaxSegments:      *walMaxSegs,

@@ -40,7 +40,6 @@ const sheetName = "shell"
 
 func main() {
 	dbPath := flag.String("db", "", "durable database file (default: in-memory, nothing survives exit)")
-	groupCommit := flag.Bool("group-commit", false, "coalesce concurrent WAL commits into shared fsyncs (background flusher)")
 	checkpointPages := flag.Int("checkpoint-pages", 0, "auto-checkpoint when this many pages are dirty since the last checkpoint (0: default 4096, negative: disable)")
 	asyncRecalc := flag.Bool("async-recalc", false, "evaluate formula cones in the background; stale cells are flagged * in view until they converge")
 	flag.Parse()
@@ -51,7 +50,6 @@ func main() {
 	var err error
 	if *dbPath != "" {
 		db, err = rdbms.OpenFile(*dbPath, rdbms.Options{
-			GroupCommit:         *groupCommit,
 			AutoCheckpointPages: *checkpointPages,
 		})
 		if err != nil {

@@ -19,8 +19,6 @@
 package dataspread
 
 import (
-	"time"
-
 	"dataspread/internal/core"
 	"dataspread/internal/hybrid"
 	"dataspread/internal/rdbms"
@@ -150,19 +148,6 @@ type FileDBOption func(*rdbms.Options)
 // WithBufferPoolPages caps the buffer pool (default 1024 pages, 8 MiB).
 func WithBufferPoolPages(n int) FileDBOption {
 	return func(o *rdbms.Options) { o.BufferPoolPages = n }
-}
-
-// WithGroupCommit enables the background WAL flusher: concurrent Save calls
-// coalesce into one WAL append + one fsync. batch is how many commits force
-// a flush (0: default 8); interval is the coalescing window a flush stays
-// open for more committers (0: default 1ms). Commits still block until
-// durable — only the fsync is shared.
-func WithGroupCommit(batch int, interval time.Duration) FileDBOption {
-	return func(o *rdbms.Options) {
-		o.GroupCommit = true
-		o.GroupCommitBatch = batch
-		o.GroupCommitInterval = interval
-	}
 }
 
 // WithAutoCheckpoint checkpoints the data file automatically whenever a WAL

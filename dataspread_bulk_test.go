@@ -107,12 +107,11 @@ func TestSetCellsOneFsyncPerBatch(t *testing.T) {
 	}
 }
 
-// TestSetCellsDurableUnderGroupCommit runs the bulk path on a group-commit
-// database and checks crash recovery sees the whole batch.
-func TestSetCellsDurableUnderGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "gc.dsdb")
-	db, err := dataspread.OpenFileDB(path,
-		dataspread.WithGroupCommit(8, 200*time.Microsecond))
+// TestSetCellsDurableAcrossCrash runs the bulk path and checks crash
+// recovery sees the whole batch.
+func TestSetCellsDurableAcrossCrash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crash.dsdb")
+	db, err := dataspread.OpenFileDB(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestSetCellsDurableUnderGroupCommit(t *testing.T) {
 // BENCH_disk.json snapshot.
 func measureBulkLoad(t testing.TB, dir string, n int) (cellsPerSec, walBytesPerEdit float64) {
 	path := filepath.Join(dir, "bulkload.dsdb")
-	db, err := dataspread.OpenFileDB(path, dataspread.WithGroupCommit(0, 0))
+	db, err := dataspread.OpenFileDB(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,8 +314,8 @@ func (e *Engine) SetFormula(row, col int, src string) error {
 }
 
 // SetCells applies a batch of edits and persists it with a single WAL
-// commit — N edits cost one fsync instead of N (the group-commit write
-// path; per-edit Set+Save costs one fsync each). Edits to the same cell
+// commit — N edits cost one fsync instead of N (the batched write path;
+// per-edit Set+Save costs one fsync each). Edits to the same cell
 // apply in order: the last one wins. On an in-memory database the WAL
 // commit is a no-op.
 func (e *Engine) SetCells(edits []CellEdit) error {

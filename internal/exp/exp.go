@@ -45,9 +45,6 @@ type Config struct {
 	// experiment database) created under the directory — the dsbench
 	// -disk mode. CloseDiskDBs releases the files between experiments.
 	DiskDir string
-	// GroupCommit enables the background WAL flusher on -disk databases
-	// (coalesced commit fsyncs).
-	GroupCommit bool
 	// AutoCheckpointPages tunes -disk auto-checkpointing (0: default 4096
 	// dirty pages, negative: disable).
 	AutoCheckpointPages int
@@ -101,7 +98,6 @@ func (c Config) openDB(pages int) *rdbms.DB {
 	diskDBs.mu.Unlock()
 	db, err := rdbms.OpenFile(path, rdbms.Options{
 		BufferPoolPages:     pages,
-		GroupCommit:         c.GroupCommit,
 		AutoCheckpointPages: c.AutoCheckpointPages,
 	})
 	if err != nil {

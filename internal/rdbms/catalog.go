@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Catalog overhead constants emulate the system-table footprint that the
@@ -86,20 +85,6 @@ type metaChainLoc struct {
 type Options struct {
 	// BufferPoolPages caps the buffer pool; 0 means 1024 pages (8 MiB).
 	BufferPoolPages int
-
-	// GroupCommit enables the background WAL flusher: concurrent FlushWAL
-	// calls are coalesced into one WAL append + one fsync. Commits still
-	// block until their covering flush is durable, so crash semantics are
-	// unchanged — only the fsync is shared. Off by default (sync-on-commit:
-	// each FlushWAL fsyncs inline), which is what the test suite exercises.
-	GroupCommit bool
-	// GroupCommitBatch flushes as soon as this many commits are waiting
-	// (default 8). Only meaningful with GroupCommit.
-	GroupCommitBatch int
-	// GroupCommitInterval is the coalescing window: how long the flusher
-	// holds a flush open for more committers to join before paying the
-	// fsync (default 1ms). Only meaningful with GroupCommit.
-	GroupCommitInterval time.Duration
 	// AutoCheckpointPages bounds the shadow overlay: when a WAL commit
 	// leaves at least this many pages dirty since the last checkpoint, the
 	// pager checkpoints automatically (pages written to their data-file
@@ -132,10 +117,8 @@ type Options struct {
 	ArchiveDir string
 }
 
-// Resolved group-commit / checkpoint defaults.
+// Resolved checkpoint and WAL-segment defaults.
 const (
-	defaultGroupCommitBatch    = 8
-	defaultGroupCommitInterval = time.Millisecond
 	defaultAutoCheckpointPages = 4096
 	defaultWALSegmentBytes     = 4 << 20
 	defaultWALMaxSegments      = 4
@@ -143,20 +126,11 @@ const (
 
 func (o Options) filePagerOptions() filePagerOptions {
 	fo := filePagerOptions{
-		groupCommit:         o.GroupCommit,
-		groupBatch:          o.GroupCommitBatch,
-		groupInterval:       o.GroupCommitInterval,
 		autoCheckpointPages: o.AutoCheckpointPages,
 		walSegmentBytes:     o.WALSegmentBytes,
 		walMaxSegments:      o.WALMaxSegments,
 		faults:              o.Faults,
 		archiveDir:          o.ArchiveDir,
-	}
-	if fo.groupBatch <= 0 {
-		fo.groupBatch = defaultGroupCommitBatch
-	}
-	if fo.groupInterval <= 0 {
-		fo.groupInterval = defaultGroupCommitInterval
 	}
 	switch {
 	case fo.autoCheckpointPages == 0:
@@ -207,13 +181,7 @@ func OpenFile(path string, opts Options) (*DB, error) {
 	if opts.BufferPoolPages == 0 {
 		opts.BufferPoolPages = 1024
 	}
-	fp, err := newFilePager(path, opts.filePagerOptions())
-	if err != nil {
-		return nil, err
-	}
 	db := &DB{
-		disk:      fp,
-		pool:      newBufferPool(fp, opts.BufferPoolPages),
 		tables:    make(map[string]*Table),
 		meta:      make(map[string][]byte),
 		metaDirty: make(map[string]bool),
@@ -221,10 +189,15 @@ func OpenFile(path string, opts Options) (*DB, error) {
 		metaLoc:   make(map[string]metaChainLoc),
 		path:      path,
 	}
-	// Commits serialize against staging (FlushWAL holds db.mu exclusively
-	// while staging, the pager holds it shared while committing), so the
-	// background flusher can never commit a half-staged batch.
-	fp.gate = &db.mu
+	// db.mu is the pager's gate: FlushWAL holds it exclusively while
+	// staging and the pager holds it shared while committing, so a commit
+	// never logs a half-staged batch.
+	fp, err := newFilePager(path, opts.filePagerOptions(), &db.mu)
+	if err != nil {
+		return nil, err
+	}
+	db.disk = fp
+	db.pool = newBufferPool(fp, opts.BufferPoolPages)
 	if err := db.loadCatalog(fp); err != nil {
 		fp.closeFiles()
 		return nil, err
@@ -257,18 +230,20 @@ func (db *DB) FlushWAL() error {
 		db.commitGen.Add(1)
 		return nil
 	}
-	// Stage under db.mu, but commit outside it: with group commit enabled
-	// the commit blocks on the background flusher, and holding db.mu there
-	// would serialize committers and defeat the coalescing. (Commits take
-	// db.mu shared via the pager's gate, so they still cannot overlap the
-	// staging itself.)
+	// Stage under db.mu, but commit outside it: another committer can stage
+	// while this one waits for the commit ahead of it, and that commit then
+	// logs both batches under one fsync (the leader/follower rule, see
+	// commitWAL). Commits take db.mu shared via the pager's gate, so they
+	// never overlap a staging. The epoch read here lets the commit refuse a
+	// batch that a Recover in between discarded.
 	db.mu.Lock()
+	epoch := fp.epoch
 	err := db.stageLocked(fp)
 	db.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := fp.commitWAL(); err != nil {
+	if err := fp.commitWAL(epoch); err != nil {
 		return err
 	}
 	db.commitGen.Add(1)

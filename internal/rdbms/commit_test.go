@@ -6,35 +6,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-// groupOpts opens with the background flusher and a short coalescing window
-// so tests do not sleep long, and with auto-checkpointing off so WAL-size
-// assertions are deterministic.
-func groupOpts() Options {
-	return Options{
-		GroupCommit:         true,
-		GroupCommitBatch:    4,
-		GroupCommitInterval: 200 * time.Microsecond,
-		AutoCheckpointPages: -1,
-	}
-}
-
-func TestGroupCommitDurability(t *testing.T) {
+func TestCommitDurability(t *testing.T) {
 	path := tempDBPath(t)
-	db, err := OpenFile(path, groupOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := mustOpenFile(t, path)
 	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
 	fillTable(t, tab, 0, 500)
 	if err := db.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
-	// Writes after the commit must not survive the crash, exactly as with
-	// sync-on-commit: group commit changes who pays the fsync, not the
-	// durability point.
+	// Writes after the commit must not survive the crash.
 	fillTable(t, tab, 10_000, 50)
 	if err := db.SimulateCrash(); err != nil {
 		t.Fatal(err)
@@ -46,17 +28,11 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 }
 
-// TestGroupCommitParallelCommitters exercises the coalescing path under
-// -race: several goroutines write to their own tables and call FlushWAL
-// concurrently while the background flusher batches the commits.
-func TestGroupCommitParallelCommitters(t *testing.T) {
-	path := tempDBPath(t)
-	db, err := OpenFile(path, groupOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers = 6
-	const rowsPerWriter = 200
+// commitRows runs writers goroutines, each inserting 0..rows-1 into its own
+// table with a FlushWAL after every insert, and returns the WAL fsyncs the
+// commits took. Every commit must be acked.
+func commitRows(t *testing.T, db *DB, writers, rows int) int64 {
+	t.Helper()
 	tables := make([]*Table, writers)
 	for i := range tables {
 		tab, err := db.CreateTable(fmt.Sprintf("w%d", i), NewSchema(Column{Name: "v", Type: DTInt}))
@@ -65,53 +41,120 @@ func TestGroupCommitParallelCommitters(t *testing.T) {
 		}
 		tables[i] = tab
 	}
+	if err := db.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db.Pool().ResetStats()
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
-	for i := 0; i < writers; i++ {
+	for _, tab := range tables {
 		wg.Add(1)
 		go func(tab *Table) {
 			defer wg.Done()
-			for j := 0; j < rowsPerWriter; j++ {
+			for j := 0; j < rows; j++ {
 				if _, err := tab.Insert(Row{Int(int64(j))}); err != nil {
 					errs <- err
 					return
 				}
-				if j%20 == 19 {
-					if err := db.FlushWAL(); err != nil {
-						errs <- err
-						return
-					}
+				if err := db.FlushWAL(); err != nil {
+					errs <- fmt.Errorf("%s commit %d: %w", tab.Name, j, err)
+					return
 				}
 			}
-			errs <- db.FlushWAL()
-		}(tables[i])
+		}(tab)
 	}
 	wg.Wait()
-	for i := 0; i < writers; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
-	commits := db.Pool().Stats().WALSyncs
+	return db.Pool().Stats().WALSyncs
+}
+
+// TestConcurrentCommittersShareFsyncs: with no timer anywhere, committers
+// that stage while another commit holds the log ride its fsync — the
+// leader/follower rule of commitWAL. Six writers must need fewer fsyncs than
+// commit requests, one writer exactly one per commit, and every acked row
+// must survive a crash.
+func TestConcurrentCommittersShareFsyncs(t *testing.T) {
+	single := mustOpenFile(t, tempDBPath(t))
+	defer single.Close()
+	if syncs := commitRows(t, single, 1, 100); syncs != 100 {
+		t.Fatalf("one writer: %d fsyncs for 100 commits, want one each", syncs)
+	}
+
+	const writers, rows = 6, 200
+	path := tempDBPath(t)
+	db := mustOpenFile(t, path)
+	syncs := commitRows(t, db, writers, rows)
+	requests := int64(writers * rows)
+	t.Logf("%d commit requests served by %d fsyncs (%.2f per commit)", requests, syncs, float64(syncs)/float64(requests))
+	if syncs >= requests {
+		t.Fatalf("WALSyncs = %d for %d concurrent commit requests: no fsync was shared", syncs, requests)
+	}
 	if err := db.SimulateCrash(); err != nil {
 		t.Fatal(err)
 	}
 	db2 := mustOpenFile(t, path)
 	defer db2.Close()
 	for i := 0; i < writers; i++ {
-		if got := db2.Table(fmt.Sprintf("w%d", i)).RowCount(); got != rowsPerWriter {
-			t.Fatalf("table w%d: RowCount = %d, want %d", i, got, rowsPerWriter)
+		seen := make(map[int64]bool, rows)
+		db2.Table(fmt.Sprintf("w%d", i)).Scan(func(_ RID, r Row) bool {
+			seen[r[0].Int64()] = true
+			return true
+		})
+		for j := 0; j < rows; j++ {
+			if !seen[int64(j)] {
+				t.Fatalf("table w%d: acked row %d lost in recovery", i, j)
+			}
 		}
 	}
-	// Total commit requests: writers*(rowsPerWriter/20 + 1). The flusher
-	// must not have needed more fsyncs than requests (and usually far
-	// fewer); this guards against a regression where each request fsyncs
-	// more than once.
-	requests := int64(writers * (rowsPerWriter/20 + 1))
-	if commits > requests {
-		t.Fatalf("WALSyncs = %d > %d commit requests", commits, requests)
+}
+
+// TestCommitRacingRecoverIsNotAcked: FlushWAL stages under db.mu and commits
+// after releasing it, so a Recover can run in between and discard the staged
+// batch. The commit must then fail instead of acking a batch that is gone.
+func TestCommitRacingRecoverIsNotAcked(t *testing.T) {
+	path := tempDBPath(t)
+	db := mustOpenFile(t, path)
+	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+	fillTable(t, tab, 0, 10)
+	if err := db.FlushWAL(); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("group commit: %d commit requests served by %d fsyncs", requests, commits)
+	fillTable(t, tab, 10, 50)
+	fp := db.filePager()
+	// FlushWAL's staging half, then a Recover before its commit half.
+	db.mu.Lock()
+	epoch := fp.epoch
+	err := db.stageLocked(fp)
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	gen := db.CommitGen()
+	if err := fp.commitWAL(epoch); err == nil {
+		t.Fatal("the commit of a batch Recover discarded was acked")
+	}
+	// The recovered database keeps taking commits.
+	fillTable(t, db.Table("t"), 100, 5)
+	if err := db.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if db.CommitGen() != gen+1 {
+		t.Fatalf("CommitGen = %d after one acked commit past %d", db.CommitGen(), gen)
+	}
+	if err := db.SimulateCrash(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := mustOpenFile(t, path)
+	defer db2.Close()
+	if got := db2.Table("t").RowCount(); got != 15 {
+		t.Fatalf("RowCount after reopen = %d, want the 15 acked rows", got)
+	}
 }
 
 func TestAutoCheckpointFiresAtThreshold(t *testing.T) {

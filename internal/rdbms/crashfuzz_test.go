@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func copyFile(t *testing.T, src, dst string) {
@@ -23,7 +22,7 @@ func copyFile(t *testing.T, src, dst string) {
 }
 
 // TestCrashFuzzWALTruncation is the crash-injection property test: write a
-// sequence of committed batches under group commit, crash, truncate the WAL
+// sequence of committed batches, crash, truncate the WAL
 // at random offsets (simulating a torn write at any point), and assert that
 // recovery always converges to an exact committed prefix of the history —
 // never a partial batch, never uncommitted data, never a corrupt database.
@@ -36,8 +35,6 @@ func TestCrashFuzzWALTruncation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fuzz.dsdb")
 	db, err := OpenFile(path, Options{
-		GroupCommit:         true,
-		GroupCommitInterval: 100 * time.Microsecond,
 		AutoCheckpointPages: -1, // keep every batch in the WAL
 	})
 	if err != nil {
@@ -147,8 +144,6 @@ func TestCrashFuzzSegmentedManifests(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "segfuzz.dsdb")
 	db, err := OpenFile(path, Options{
-		GroupCommit:         true,
-		GroupCommitInterval: 100 * time.Microsecond,
 		AutoCheckpointPages: -1, // keep every batch in the WAL
 	})
 	if err != nil {

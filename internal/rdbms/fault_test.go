@@ -175,14 +175,14 @@ func TestCheckpointDataFsyncFailure(t *testing.T) {
 	}
 }
 
-// TestENOSPCGroupCommitConcurrent fills the disk mid-run while several
-// goroutines commit through the group-commit path: every ack must be
+// TestENOSPCConcurrentCommitters fills the disk mid-run while several
+// goroutines commit concurrently, sharing fsyncs: every ack must be
 // durable, every post-poison commit must fail with ErrReadOnly, and the
 // recovered database must hold every acked key.
-func TestENOSPCGroupCommitConcurrent(t *testing.T) {
+func TestENOSPCConcurrentCommitters(t *testing.T) {
 	path := tempDBPath(t)
 	fs := NewFaultSchedule(7, FaultRule{File: FaultFileWAL, Op: FaultWrite, Kind: FaultENOSPC, After: 15, Count: -1})
-	db, err := OpenFile(path, Options{Faults: fs, GroupCommit: true})
+	db, err := OpenFile(path, Options{Faults: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

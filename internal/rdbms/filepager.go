@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // FilePager is the durable stable-storage layer: 8 KiB pages persisted to a
@@ -143,11 +142,16 @@ type FilePager struct {
 	pmu         sync.Mutex
 	poisonCause error
 
-	// gate, when set (always, for pagers owned by a DB), is held shared
-	// around every commit. Staging — manifest serialization plus the
-	// write-back of dirty pool frames — holds it exclusively, so a commit
-	// can never snapshot a half-staged batch into a durable commit record.
+	// gate is the owning DB's lock, held shared around every commit.
+	// Staging — manifest serialization plus the write-back of dirty pool
+	// frames — holds it exclusively, so a commit can never snapshot a
+	// half-staged batch into a durable commit record.
 	gate *sync.RWMutex
+	// epoch counts reopens (reopenLocked). A batch is staged in one epoch;
+	// a commit in a later one refuses it, because the reopen between them
+	// discarded it. Written under fp.mu with the gate held exclusively, so
+	// a holder of either reads it.
+	epoch uint64
 
 	diskReads, diskWrites, walAppends   atomic.Int64
 	walDeltas                           atomic.Int64
@@ -162,30 +166,10 @@ type FilePager struct {
 	backupRuns, backupPagesStreamed     atomic.Int64
 	backupByteCount, walArchived        atomic.Int64
 	archiveByteCount                    atomic.Int64
-
-	// Group-commit flusher state (see flushLoop). All g* fields are
-	// guarded by gmu, never fp.mu.
-	gmu      sync.Mutex
-	gcond    *sync.Cond // wakes the flusher when commits are pending
-	gdone    *sync.Cond // broadcast after every completed flush
-	gpending int        // commit requests since the last flush started
-	gstart   int64      // flushes started
-	gdoneSeq int64      // flushes completed
-	glastErr error      // outcome of the most recent flush
-	gstopped bool       // no new requests accepted
-	gexited  bool       // flusher goroutine has returned
 }
 
 // filePagerOptions carries the durability tuning knobs resolved by OpenFile.
 type filePagerOptions struct {
-	// groupCommit starts the background flusher; commitWAL requests are
-	// then coalesced: many committers, one WAL append + one fsync.
-	groupCommit bool
-	// groupBatch flushes as soon as this many commits wait (default 8).
-	groupBatch int
-	// groupInterval is the coalescing window: how long a flush waits for
-	// more committers to join before fsyncing.
-	groupInterval time.Duration
 	// autoCheckpointPages checkpoints automatically when a commit leaves
 	// the shadow overlay holding at least this many pages (0: disabled).
 	autoCheckpointPages int
@@ -237,11 +221,12 @@ func pageOffset(id PageID) int64 {
 // newFilePager opens or creates the data file at path (WAL at path+".wal"),
 // takes an exclusive advisory lock on it, and runs crash recovery: committed
 // WAL batches are applied to the data file, torn or uncommitted tails
-// discarded.
-func newFilePager(path string, opts filePagerOptions) (*FilePager, error) {
+// discarded. gate is the owning DB's lock (see FilePager.gate).
+func newFilePager(path string, opts filePagerOptions, gate *sync.RWMutex) (*FilePager, error) {
 	fp := &FilePager{
 		path:        path,
 		opts:        opts,
+		gate:        gate,
 		shadow:      make(map[PageID]*page),
 		walDirty:    make(map[PageID]bool),
 		ckptDirty:   make(map[PageID]bool),
@@ -251,11 +236,6 @@ func newFilePager(path string, opts filePagerOptions) (*FilePager, error) {
 	}
 	if err := fp.openFilesLocked(); err != nil {
 		return nil, err
-	}
-	if opts.groupCommit {
-		fp.gcond = sync.NewCond(&fp.gmu)
-		fp.gdone = sync.NewCond(&fp.gmu)
-		go fp.flushLoop()
 	}
 	return fp, nil
 }
@@ -318,8 +298,9 @@ func (fp *FilePager) openFilesLocked() error {
 // handles and every piece of in-memory state derived from them (uncommitted
 // staged work is lost, exactly as a crash would lose it), then re-runs the
 // open sequence — header read plus WAL redo recovery — so the pager
-// converges to the last durably committed state on fresh handles. fp.mu
-// must be held exclusively and the group-commit flusher must be stopped.
+// converges to the last durably committed state on fresh handles. Both the
+// gate and fp.mu must be held exclusively. The epoch moves on, so a batch
+// staged before the reopen is refused by its commit instead of acked.
 // On failure the pager is left closed; a later reopen attempt may still
 // succeed (e.g. once the disk stops rejecting writes).
 func (fp *FilePager) reopenLocked() error {
@@ -328,6 +309,7 @@ func (fp *FilePager) reopenLocked() error {
 	fp.f.Close()
 	fp.wal.Close()
 	fp.closed = true
+	fp.epoch++
 	fp.pages = 0
 	fp.shadow = make(map[PageID]*page)
 	fp.walDirty = make(map[PageID]bool)
@@ -896,12 +878,10 @@ func (fp *FilePager) unverifiableLocked() map[PageID]bool {
 	return skip
 }
 
-// closeFiles stops the group-commit flusher (serving commits already
-// enqueued) and releases the file handles without flushing anything — the
+// closeFiles releases the file handles without flushing anything — the
 // crash-simulation path. Close goes through DB.Close, which checkpoints
 // first. Closing the data file also drops its advisory lock.
 func (fp *FilePager) closeFiles() error {
-	fp.stopFlusher()
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	if fp.closed {

@@ -28,21 +28,17 @@ import (
 // Uncommitted staged work is lost, exactly as a crash would lose it.
 // Every Table handle and upper-layer engine opened before Recover is stale
 // afterwards and must be discarded and re-fetched/reloaded — the serve
-// layer drops its sheet handles for this reason. Concurrent commits during
-// recovery fail with "pager closed"; concurrent reads may observe the
-// pre-recovery state until Recover returns. Recover on a healthy database
-// is permitted and simply reverts it to its last committed state. No-op
-// for in-memory databases.
+// layer drops its sheet handles for this reason. A commit waits for
+// recovery to finish; one whose batch was staged before Recover fails,
+// since the reopen discarded that batch, and is never acked. Concurrent
+// reads may observe the pre-recovery state until Recover returns. Recover
+// on a healthy database is permitted and simply reverts it to its last
+// committed state. No-op for in-memory databases.
 func (db *DB) Recover() error {
 	fp := db.filePager()
 	if fp == nil {
 		return nil
 	}
-	// The flusher's commits hold the gate (db.mu shared); stop it before
-	// taking db.mu exclusively, or recovery would deadlock behind its own
-	// blocked flusher.
-	fp.stopFlusher()
-	defer fp.startFlusher()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	fp.mu.Lock()

@@ -11,12 +11,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"time"
 )
 
-// This file is the write-ahead-log half of FilePager: segments, the commit
-// path (direct and group commit), rotation, compaction, crash recovery and
-// the one record decoder.
+// This file is the write-ahead-log half of FilePager: segments, the one
+// commit path (leader/follower: see commitWAL), rotation, compaction, crash
+// recovery and the one record decoder.
 //
 // WAL layout (<path>.wal, rotated into <path>.wal.0001, .0002, ...):
 //
@@ -66,32 +65,30 @@ type walSegment struct {
 	size int64
 }
 
-// commitWAL makes every page dirtied since the last commit durable: page
-// images plus a commit record are appended to the WAL and fsynced. The data
-// file is untouched (write-back happens at checkpoint) unless the commit
-// pushes the shadow overlay past the auto-checkpoint threshold. With group
-// commit enabled the request is handed to the background flusher, which
-// coalesces concurrent committers into one append + one fsync; the call
-// still blocks until the covering flush completes, so durability semantics
-// are unchanged.
-func (fp *FilePager) commitWAL() error {
-	if fp.gcond != nil {
-		return fp.groupCommit()
-	}
-	return fp.commitSync()
-}
-
-// commitSync is the direct commit path: one WAL append + fsync on the
-// caller's thread, then an auto-checkpoint when the dirty-since-checkpoint
-// set has outgrown its threshold. The gate excludes concurrent staging for the
-// whole commit, so the committed batch is always a fully staged one.
-func (fp *FilePager) commitSync() error {
-	if fp.gate != nil {
-		fp.gate.RLock()
-		defer fp.gate.RUnlock()
-	}
+// commitWAL makes every page dirtied since the last commit durable: one
+// record per page plus a commit record are appended to the WAL and fsynced
+// on the caller's thread, then an auto-checkpoint runs when the
+// dirty-since-checkpoint set or the live-segment count has outgrown its
+// bound. The data file is otherwise untouched (write-back happens at
+// checkpoint). epoch is the pager epoch the caller staged its batch in.
+//
+// The commit holds the gate shared and fp.mu exclusively for its whole
+// length, fsync included. Staging holds the gate exclusively, so a commit
+// logs either all of a concurrent staging or none of it, and concurrent
+// committers form a leader/follower queue with no timer: a committer whose
+// staged pages a preceding commit already logged finds nothing left to log
+// and returns once that commit's fsync is done — it shared that fsync.
+//
+// A batch staged before a reopen (Recover) was discarded by it; committing
+// then would ack a batch that is gone, so the commit fails instead.
+func (fp *FilePager) commitWAL(epoch uint64) error {
+	fp.gate.RLock()
+	defer fp.gate.RUnlock()
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
+	if fp.epoch != epoch {
+		return errors.New("rdbms: commit lost: the database was recovered after the batch was staged")
+	}
 	if err := fp.commitWALLocked(); err != nil {
 		return err
 	}
@@ -105,104 +102,6 @@ func (fp *FilePager) commitSync() error {
 		return fp.checkpointLocked()
 	}
 	return nil
-}
-
-// groupCommit enqueues a commit request and blocks until a flush that
-// started after the request completes. Because callers stage their dirty
-// pages (under fp.mu) before requesting, any flush that starts later is
-// guaranteed to cover them.
-func (fp *FilePager) groupCommit() error {
-	fp.gmu.Lock()
-	defer fp.gmu.Unlock()
-	if fp.gstopped {
-		return errors.New("rdbms: pager closed")
-	}
-	target := fp.gstart + 1
-	fp.gpending++
-	fp.gcond.Signal()
-	for fp.gdoneSeq < target && !fp.gexited {
-		fp.gdone.Wait()
-	}
-	if fp.gdoneSeq < target {
-		return errors.New("rdbms: pager closed before commit completed")
-	}
-	// glastErr is the newest flush's outcome. Reading a newer flush's
-	// result is sound: a failed flush poisons the pager, so every flush
-	// after it reports the same sticky error — a commit is never silently
-	// re-tried behind a caller's back (and a newer failure covering an
-	// older success is merely a conservative report).
-	return fp.glastErr
-}
-
-// flushLoop is the background group-commit flusher: it waits for commit
-// requests, holds a short coalescing window so concurrent committers share
-// the fsync, commits, and wakes every waiter.
-func (fp *FilePager) flushLoop() {
-	fp.gmu.Lock()
-	for {
-		for fp.gpending == 0 && !fp.gstopped {
-			fp.gcond.Wait()
-		}
-		if fp.gpending == 0 && fp.gstopped {
-			fp.gexited = true
-			fp.gdone.Broadcast()
-			fp.gmu.Unlock()
-			return
-		}
-		if !fp.gstopped && fp.gpending < fp.opts.groupBatch && fp.opts.groupInterval > 0 {
-			// Coalescing window: let more committers join this flush.
-			// Requests arriving during the sleep are covered — the flush
-			// has not started yet.
-			fp.gmu.Unlock()
-			time.Sleep(fp.opts.groupInterval)
-			fp.gmu.Lock()
-		}
-		fp.gpending = 0
-		fp.gstart++
-		fp.gmu.Unlock()
-
-		err := fp.commitSync()
-
-		fp.gmu.Lock()
-		fp.gdoneSeq = fp.gstart
-		fp.glastErr = err
-		fp.gdone.Broadcast()
-	}
-}
-
-// stopFlusher shuts the group-commit goroutine down, serving any commits
-// already enqueued first. No-op when group commit is off.
-func (fp *FilePager) stopFlusher() {
-	if fp.gcond == nil {
-		return
-	}
-	fp.gmu.Lock()
-	if !fp.gstopped {
-		fp.gstopped = true
-		fp.gcond.Signal()
-	}
-	for !fp.gexited {
-		fp.gdone.Wait()
-	}
-	fp.gmu.Unlock()
-}
-
-// startFlusher relaunches the group-commit flusher after stopFlusher — the
-// recovery path stops it (its commits hold the gate, which Recover needs
-// exclusively), reopens the files and starts it again. No-op when group
-// commit is off or the flusher is already running.
-func (fp *FilePager) startFlusher() {
-	if fp.gcond == nil {
-		return
-	}
-	fp.gmu.Lock()
-	defer fp.gmu.Unlock()
-	if !fp.gstopped || !fp.gexited {
-		return
-	}
-	fp.gstopped = false
-	fp.gexited = false
-	go fp.flushLoop()
 }
 
 func (fp *FilePager) commitWALLocked() error {

@@ -319,7 +319,7 @@ func TestRecoverBaseSurvivesTruncateTail(t *testing.T) {
 	defer db.Close()
 	fp := db.filePager()
 	id := fp.alloc()
-	if err := fp.commitWAL(); err != nil {
+	if err := fp.commitWAL(fp.epoch); err != nil {
 		t.Fatal(err)
 	}
 	fp.free([]PageID{id})

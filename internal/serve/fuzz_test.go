@@ -24,8 +24,8 @@ import (
 func TestServeDisconnectFuzz(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	// In-memory, no group commit: the database runs no background
-	// goroutines, so the leak check sees only the server's.
+	// In-memory: the database runs no background goroutines, so the leak
+	// check sees only the server's.
 	db := rdbms.Open(rdbms.Options{})
 	srv := New(db, core.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
