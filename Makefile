@@ -59,10 +59,12 @@ bench-commit:
 # read-only degradation, WAL rotation/compaction, client retry, the soak
 # smoke, the self-healing surface (scrub, vacuum, in-place recovery), the
 # concurrent committers sharing fsyncs on the one commit path (Committers),
-# and the all-or-nothing edit batch (Pipeline). CI runs this as a dedicated
-# step so failure-semantics regressions are named, not buried in ./...
+# the all-or-nothing edit batch (Pipeline), and the refused edit or write
+# that leaves the store as it was (Refused: decided before the first tuple
+# is written). CI runs this as a dedicated step so failure-semantics
+# regressions are named, not buried in ./...
 test-faults:
-	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|Committers|CatalogDDL|Pipeline' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/workload/soak/ .
+	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|Committers|CatalogDDL|Pipeline|Refused' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/model/ ./internal/workload/soak/ .
 
 # The on-disk format alone: the compat tests over the golden fixture (every
 # damaged or foreign-version structure refused by name), ten seconds of each

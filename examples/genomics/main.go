@@ -36,12 +36,12 @@ func main() {
 
 	fmt.Printf("Importing %d x %d synthetic VCF...\n", *rows+1, cols)
 	start := time.Now()
-	buf := make([]sheet.Cell, cols)
+	row := make([]model.CellWrite, cols)
 	for i := 1; i <= *rows+1; i++ {
 		for j, v := range workload.VCFRow(spec, i) {
-			buf[j] = sheet.Cell{Value: v}
+			row[j] = model.CellWrite{Row: i, Col: j + 1, Cell: sheet.Cell{Value: v}}
 		}
-		if err := rom.AppendRow(buf); err != nil {
+		if err := rom.UpdateCells(row); err != nil { // one built tuple past the extent
 			log.Fatal(err)
 		}
 		if i%100_000 == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -34,7 +35,8 @@ func bothModes(t *testing.T, fn func(t *testing.T, e *Engine)) {
 // engineState is everything an edit may change, in comparable form.
 type engineState struct {
 	cells    map[sheet.Ref]sheet.Cell
-	formulas map[sheet.Ref]string // live registrations, canonical text
+	stored   map[sheet.Ref]sheet.Cell // read cold from the store: what a reload shows
+	formulas map[sheet.Ref]string     // live registrations, canonical text
 	cycles   map[sheet.Ref]string
 	graph    int
 	rows     int
@@ -48,16 +50,25 @@ func captureState(t *testing.T, e *Engine, rows, cols int) engineState {
 	mustDrain(t, e)
 	st := engineState{
 		cells:    make(map[sheet.Ref]sheet.Cell),
+		stored:   make(map[sheet.Ref]sheet.Cell),
 		formulas: make(map[sheet.Ref]string),
 		cycles:   make(map[sheet.Ref]string),
 		graph:    e.deps.Len(),
 		pending:  e.PendingCount(),
 	}
 	st.rows, st.cols = e.Bounds()
+	stored, err := e.store.GetCells(sheet.NewRange(1, 1, rows, cols))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r := 1; r <= rows; r++ {
 		for c := 1; c <= cols; c++ {
+			ref := sheet.Ref{Row: r, Col: c}
 			if cell := e.GetCell(r, c); !cell.IsBlank() {
-				st.cells[sheet.Ref{Row: r, Col: c}] = cell
+				st.cells[ref] = cell
+			}
+			if cell := stored[r-1][c-1]; !cell.IsBlank() {
+				st.stored[ref] = cell
 			}
 		}
 	}
@@ -77,6 +88,7 @@ func captureState(t *testing.T, e *Engine, rows, cols int) engineState {
 func assertSameState(t *testing.T, label string, a, b engineState) {
 	t.Helper()
 	assertSameContent(t, label, a.cells, b.cells)
+	assertSameContent(t, label+" (stored)", a.stored, b.stored)
 	if fmt.Sprint(a.formulas) != fmt.Sprint(b.formulas) {
 		t.Fatalf("%s: formula sets differ:\n%v\n%v", label, a.formulas, b.formulas)
 	}
@@ -95,8 +107,11 @@ func assertSameState(t *testing.T, label string, a, b engineState) {
 // left half-applied — the values written and in memory, the formulas before
 // the failing one registered, the failing one registered without its text in
 // storage. Every store write now precedes every in-memory mutation, so the
-// engine is exactly as it was. The store error is a formula aimed at a
-// linked table's data row, which the table translator rejects.
+// engine is exactly as it was. The store refusals are a formula aimed at a
+// linked table's data row, which the table translator rejects, and a value
+// its column's type rejects. Each batch writes the linked table first: the
+// store used to keep that write while the engine showed the old value, until
+// the block left the cache — the cold read in captureState sees it.
 func TestPipelineFaultBatchLeavesNothingHalfApplied(t *testing.T) {
 	bothModes(t, func(t *testing.T, e *Engine) {
 		for i, r := range [][]string{{"invid", "amount"}, {"1", "100"}, {"2", "200"}} {
@@ -119,6 +134,7 @@ func TestPipelineFaultBatchLeavesNothingHalfApplied(t *testing.T) {
 		before := captureState(t, e, 20, 6)
 
 		_, err := e.ApplyCells([]CellEdit{
+			{Row: 3, Col: 2, Input: "300"},       // a linked data row the table accepts
 			{Row: 10, Col: 1, Input: "5"},        // a value the live formulas read
 			{Row: 12, Col: 1, Input: "9"},        // a value that would grow the bounds
 			{Row: 15, Col: 4, Input: "=A12+1"},   // a formula before the failing one
@@ -131,6 +147,16 @@ func TestPipelineFaultBatchLeavesNothingHalfApplied(t *testing.T) {
 		}
 		assertSameState(t, "after the failed batch", before, captureState(t, e, 20, 6))
 
+		_, err = e.ApplyCells([]CellEdit{
+			{Row: 3, Col: 2, Input: "300"},  // a linked data row the table accepts
+			{Row: 10, Col: 1, Input: "7"},   // a value the live formulas read
+			{Row: 2, Col: 1, Input: "oops"}, // not a number: the column's type rejects it
+		})
+		if err == nil {
+			t.Fatal("text written into a numeric linked column was accepted")
+		}
+		assertSameState(t, "after the mistyped batch", before, captureState(t, e, 20, 6))
+
 		// The engine still works: the surviving formulas follow their input.
 		if err := e.Set(10, 1, "6"); err != nil {
 			t.Fatal(err)
@@ -140,6 +166,50 @@ func TestPipelineFaultBatchLeavesNothingHalfApplied(t *testing.T) {
 			t.Fatalf("B11 after the next edit = %v, want 6*2+100", got)
 		}
 	})
+}
+
+// TestRefusedFarColumnWriteGrowsNothing: a write past the overflow RCV's 2^20
+// column surrogates is refused before the overflow allocates one. It used to
+// allocate the 1,048,575 it could, then fail; the next Save wrote them all —
+// a megabyte of column ordering into the store manifest of a sheet with one
+// cell. The wire accepts columns up to 2^30, so any client could do it.
+func TestRefusedFarColumnWriteGrowsNothing(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	e, err := New(db, "far", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	if err := e.Set(1, 1, "1"); err != nil {
+		t.Fatal(err)
+	}
+	// The store manifest after a Save: its overflow segment holds the RCV's
+	// column ordering and surrogate counter.
+	manifest := func() map[string]string {
+		t.Helper()
+		if err := e.Save(); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string)
+		for _, k := range db.MetaKeys("sheet:") {
+			blob, _ := db.GetMeta(k)
+			out[k] = string(blob)
+		}
+		return out
+	}
+	before := manifest()
+	if err := e.Set(1, 1<<20, "x"); err == nil {
+		t.Fatal("a write past the overflow's column capacity was accepted")
+	}
+	if after := manifest(); !maps.Equal(after, before) {
+		t.Fatal("the refused write changed the store manifest")
+	}
+	if rows, cols := e.Bounds(); rows != 1 || cols != 1 {
+		t.Fatalf("bounds %dx%d after the refused write, want 1x1", rows, cols)
+	}
+	if err := e.Set(1, 2, "y"); err != nil {
+		t.Fatalf("the next write: %v", err)
+	}
 }
 
 // Regression: Optimize re-materialized every sheet under the hierarchical

@@ -201,14 +201,12 @@ func VCFScroll(cfg Config) VCFScrollResult {
 		panic(err)
 	}
 	start := time.Now()
-	buf := make([]sheet.Cell, cols)
+	row := make([]model.CellWrite, cols)
 	for i := 1; i <= rows+1; i++ {
-		vals := workload.VCFRow(spec, i)
-		for j, v := range vals {
-			buf[j].Value = v
-			buf[j].Formula = ""
+		for j, v := range workload.VCFRow(spec, i) {
+			row[j] = model.CellWrite{Row: i, Col: j + 1, Cell: sheet.Cell{Value: v}}
 		}
-		if err := rom.AppendRow(buf); err != nil {
+		if err := rom.UpdateCells(row); err != nil {
 			panic(err)
 		}
 	}

@@ -179,44 +179,35 @@ type SweepPoint struct {
 }
 
 // buildTranslator materializes a dense sheet region in one primitive model
-// with the hierarchical positional scheme.
+// with the hierarchical positional scheme, one UpdateCells per row (blanks
+// included, so a ROM gets every row; an RCV stores nothing for them).
 func buildTranslator(cfg Config, kind string, rows, cols int, density float64, seed int64) model.Translator {
 	db := cfg.openDB(1 << 14)
 	mcfg := model.Config{DB: db, TableName: "sweep"}
-	s := workload.Dense(rows, cols, density, seed)
+	var tr model.Translator
+	var err error
 	switch kind {
 	case "rom":
-		rom, err := model.NewROM(mcfg, cols)
-		if err != nil {
-			panic(err)
-		}
-		for r := 1; r <= rows; r++ {
-			rowCells := make([]sheet.Cell, cols)
-			for c := 1; c <= cols; c++ {
-				rowCells[c-1] = s.GetRC(r, c)
-			}
-			if err := rom.AppendRow(rowCells); err != nil {
-				panic(err)
-			}
-		}
-		return rom
+		tr, err = model.NewROM(mcfg, cols)
 	case "rcv":
-		rcv, err := model.NewRCV(mcfg, rows, cols)
-		if err != nil {
+		tr, err = model.NewRCV(mcfg, rows, cols)
+	default:
+		panic("unknown model " + kind)
+	}
+	if err != nil {
+		panic(err)
+	}
+	s := workload.Dense(rows, cols, density, seed)
+	row := make([]model.CellWrite, cols)
+	for r := 1; r <= rows; r++ {
+		for c := range row {
+			row[c] = model.CellWrite{Row: r, Col: c + 1, Cell: s.GetRC(r, c+1)}
+		}
+		if err := tr.UpdateCells(row); err != nil {
 			panic(err)
 		}
-		var loadErr error
-		s.EachSorted(func(ref sheet.Ref, c sheet.Cell) {
-			if loadErr == nil {
-				loadErr = rcv.Update(ref.Row, ref.Col, c)
-			}
-		})
-		if loadErr != nil {
-			panic(loadErr)
-		}
-		return rcv
 	}
-	panic("unknown model " + kind)
+	return tr
 }
 
 // sweep runs op for RCV and ROM across the x-axis points.
@@ -251,15 +242,15 @@ func Fig22(cfg Config) (byDensity, byCols, byRows []SweepPoint) {
 	update := func(tr model.Translator, rng *rand.Rand) {
 		r0 := rng.Intn(maxIntE(tr.Rows()-100, 1)) + 1
 		c0 := rng.Intn(maxIntE(tr.Cols()-20, 1)) + 1
-		g := sheet.NewRange(r0, c0, minIntE(r0+99, tr.Rows()), minIntE(c0+19, tr.Cols()))
-		cells := make([][]sheet.Cell, g.Rows())
-		for i := range cells {
-			cells[i] = make([]sheet.Cell, g.Cols())
-			for j := range cells[i] {
-				cells[i][j] = sheet.Cell{Value: sheet.Number(1)}
+		// One UpdateCells of the block: one tuple rewrite per row on ROM, one
+		// tuple operation per cell on RCV.
+		writes := make([]model.CellWrite, 0, 100*20)
+		for r := r0; r <= minIntE(r0+99, tr.Rows()); r++ {
+			for c := c0; c <= minIntE(c0+19, tr.Cols()); c++ {
+				writes = append(writes, model.CellWrite{Row: r, Col: c, Cell: sheet.Cell{Value: sheet.Number(1)}})
 			}
 		}
-		tr.UpdateRect(g, cells) //nolint:errcheck
+		tr.UpdateCells(writes) //nolint:errcheck
 	}
 	byDensity = sweep(cfg, "Figure 22(a): update 100x20 region vs density",
 		[]float64{0.2, 0.4, 0.6, 0.8, 1.0},

@@ -14,14 +14,14 @@ func benchROM(b *testing.B, rows, cols int) *ROM {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]sheet.Cell, cols)
-	for r := 1; r <= rows; r++ {
-		for c := range buf {
-			buf[c] = sheet.Cell{Value: sheet.Number(float64(r*cols + c))}
+	cells := newCellGrid(rows, cols)
+	for i := range cells {
+		for c := range cells[i] {
+			cells[i][c] = sheet.Cell{Value: sheet.Number(float64((i+1)*cols + c))}
 		}
-		if err := rom.AppendRow(buf); err != nil {
-			b.Fatal(err)
-		}
+	}
+	if err := rom.UpdateCells(blockWrites(1, 1, cells)); err != nil {
+		b.Fatal(err)
 	}
 	return rom
 }
@@ -33,14 +33,16 @@ func benchRCV(b *testing.B, rows, cols int, density float64) *RCV {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	var ws []CellWrite
 	for r := 1; r <= rows; r++ {
 		for c := 1; c <= cols; c++ {
 			if density >= 1 || rng.Float64() < density {
-				if err := rcv.Update(r, c, sheet.Cell{Value: sheet.Number(float64(r))}); err != nil {
-					b.Fatal(err)
-				}
+				ws = append(ws, CellWrite{r, c, sheet.Cell{Value: sheet.Number(float64(r))}})
 			}
 		}
+	}
+	if err := rcv.UpdateCells(ws); err != nil {
+		b.Fatal(err)
 	}
 	return rcv
 }
@@ -74,7 +76,7 @@ func BenchmarkROMUpdateCell(b *testing.B) {
 	cell := sheet.Cell{Value: sheet.Number(42)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rom.Update(rng.Intn(10_000)+1, rng.Intn(50)+1, cell); err != nil {
+		if err := setCell(rom, rng.Intn(10_000)+1, rng.Intn(50)+1, cell); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,21 +100,23 @@ func BenchmarkRCVUpdateCell(b *testing.B) {
 	cell := sheet.Cell{Value: sheet.Number(42)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rcv.Update(rng.Intn(10_000)+1, rng.Intn(50)+1, cell); err != nil {
+		if err := setCell(rcv, rng.Intn(10_000)+1, rng.Intn(50)+1, cell); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkROMAppendRowBulk(b *testing.B) {
+// BenchmarkROMUpdateCellsAppend appends one full row per iteration: one
+// built tuple past the extent.
+func BenchmarkROMUpdateCellsAppend(b *testing.B) {
 	rom := benchROM(b, 100, 50)
-	buf := make([]sheet.Cell, 50)
-	for c := range buf {
-		buf[c] = sheet.Cell{Value: sheet.Number(float64(c))}
+	row := newCellGrid(1, 50)
+	for c := range row[0] {
+		row[0][c] = sheet.Cell{Value: sheet.Number(float64(c))}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rom.AppendRow(buf); err != nil {
+		if err := rom.UpdateCells(blockWrites(rom.Rows()+1, 1, row)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func sameCell(a, b sheet.Cell) bool {
 }
 
 // TestCellCodecRoundTripProperty: every kind of cell survives encodeCell and
-// decodeCell, a bulk load, GetCell and GetCells, an UpdateCells that rewrites
+// decodeCell, a bulk load, 1x1 and range reads, an UpdateCells that rewrites
 // every tuple with other kinds, and Save -> Load, in each translator.
 func TestCellCodecRoundTripProperty(t *testing.T) {
 	cells := codecCells()
@@ -106,12 +106,12 @@ func TestCellCodecRoundTripProperty(t *testing.T) {
 		}
 		for r := box.From.Row; r <= box.To.Row; r++ {
 			for c := box.From.Col; c <= box.To.Col; c++ {
-				one, err := hs.Get(r, c)
+				one, err := getCell(hs, r, c)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if w := want.GetRC(r, c); !sameCell(one, w) || !sameCell(grid[r-1][c-1], w) {
-					t.Fatalf("(%d,%d): Get %+v, GetCells %+v, want %+v", r, c, one, grid[r-1][c-1], w)
+					t.Fatalf("(%d,%d): 1x1 read %+v, range read %+v, want %+v", r, c, one, grid[r-1][c-1], w)
 				}
 			}
 		}
@@ -203,32 +203,29 @@ func TestNumericRecalcRelocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := make([]sheet.Cell, cols)
-			coneCols := make([]int, 0, cols-2)
-			for c := 3; c <= cols; c++ {
-				coneCols = append(coneCols, c)
-			}
-			for r := 1; r <= rows; r++ {
-				for c := range row {
-					row[c] = sheet.Cell{Value: sheet.Number(float64(10000 + r + c))}
+			load := newCellGrid(rows, cols)
+			for i := range load {
+				r := i + 1
+				for c := range load[i] {
+					load[i][c] = sheet.Cell{Value: sheet.Number(float64(10000 + r + c))}
 					if r <= coneRows && c >= 2 {
-						row[c] = sheet.Cell{Formula: fmt.Sprintf("$A%d*%d", r, c)}
+						load[i][c] = sheet.Cell{Formula: fmt.Sprintf("$A%d*%d", r, c)}
 					}
 				}
-				if err := rom.AppendRow(row); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := rom.UpdateCells(blockWrites(1, 1, load)); err != nil {
+				t.Fatal(err)
 			}
 			tick := func(n int) {
 				t.Helper()
-				cells := make([]sheet.Cell, len(coneCols))
+				cone := make([]CellWrite, 0, coneRows*(cols-2))
 				for r := 1; r <= coneRows; r++ {
-					for k, c := range coneCols {
-						cells[k] = sheet.Cell{Value: result[n%2], Formula: fmt.Sprintf("$A%d*%d", r, c-1)}
+					for c := 3; c <= cols; c++ {
+						cone = append(cone, CellWrite{r, c, sheet.Cell{Value: result[n%2], Formula: fmt.Sprintf("$A%d*%d", r, c-1)}})
 					}
-					if err := rom.UpdateRowCells(r, coneCols, cells); err != nil {
-						t.Fatal(err)
-					}
+				}
+				if err := rom.UpdateCells(cone); err != nil {
+					t.Fatal(err)
 				}
 				paste := newCellGrid(rows-coneRows, cols)
 				for i := range paste {
@@ -236,7 +233,7 @@ func TestNumericRecalcRelocatesNothing(t *testing.T) {
 						paste[i][j] = sheet.Cell{Value: sheet.Number(float64(20000 + n + i + j))}
 					}
 				}
-				if err := rom.UpdateRect(sheet.NewRange(coneRows+1, 1, rows, cols), paste); err != nil {
+				if err := rom.UpdateCells(blockWrites(coneRows+1, 1, paste)); err != nil {
 					t.Fatal(err)
 				}
 				if err := db.FlushWAL(); err != nil {

@@ -33,18 +33,14 @@ func (c *COM) Rows() int { return c.inner.Cols() }
 // Cols implements Translator (the transposed inner's row count).
 func (c *COM) Cols() int { return c.inner.Rows() }
 
-// Get implements Translator.
-func (c *COM) Get(row, col int) (sheet.Cell, error) { return c.inner.Get(col, row) }
-
 // GetCells implements Translator.
 func (c *COM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	t, err := c.inner.GetCells(transposeRange(g))
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]sheet.Cell, g.Rows())
+	out := newCellGrid(g.Rows(), g.Cols())
 	for i := range out {
-		out[i] = make([]sheet.Cell, g.Cols())
 		for j := range out[i] {
 			out[i][j] = t[j][i]
 		}
@@ -52,21 +48,20 @@ func (c *COM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	return out, nil
 }
 
-// Update implements Translator.
-func (c *COM) Update(row, col int, cell sheet.Cell) error {
-	return c.inner.Update(col, row, cell)
-}
+// UpdateCells implements Translator: the inner ROM's write of the transposed
+// batch, so each touched column tuple is written once (columns grow on
+// demand).
+func (c *COM) UpdateCells(ws []CellWrite) error { return c.inner.UpdateCells(transpose(ws)) }
 
-// UpdateRect implements Translator (transposed: one tuple per column).
-func (c *COM) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
-	t := make([][]sheet.Cell, g.Cols())
-	for j := range t {
-		t[j] = make([]sheet.Cell, g.Rows())
-		for i := range t[j] {
-			t[j][i] = cells[i][j]
-		}
+func (c *COM) refuse(ws []CellWrite) error { return c.inner.refuse(transpose(ws)) }
+
+// transpose swaps each write's row and column.
+func transpose(ws []CellWrite) []CellWrite {
+	t := make([]CellWrite, len(ws))
+	for i, w := range ws {
+		t[i] = CellWrite{Row: w.Col, Col: w.Row, Cell: w.Cell}
 	}
-	return c.inner.UpdateRect(transposeRange(g), t)
+	return t
 }
 
 // Shift implements Translator: the inner ROM's shift on the other axis.

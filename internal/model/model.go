@@ -17,7 +17,8 @@ import (
 )
 
 // Translator is the "collection of cells" abstraction of Section VI: a
-// region of the sheet stored physically in the database. Coordinates are
+// region of the sheet stored physically in the database, with one read
+// (getCells of Section III) and one write (updateCells). Coordinates are
 // region-local and 1-based.
 type Translator interface {
 	// Kind identifies the physical model.
@@ -25,17 +26,20 @@ type Translator interface {
 	// Rows and Cols return the region's current logical dimensions.
 	Rows() int
 	Cols() int
-	// Get returns the cell at the local position (blank when unfilled).
-	Get(row, col int) (sheet.Cell, error)
-	// GetCells materializes a local rectangular range (getCells of
-	// Section III).
+	// GetCells materializes a local rectangular range; unfilled cells are
+	// blank. A point read is the 1×1 range.
 	GetCells(g sheet.Range) ([][]sheet.Cell, error)
-	// Update writes the cell at the local position (updateCell).
-	Update(row, col int, c sheet.Cell) error
-	// UpdateRect writes a rectangular block of cells at once. Row-oriented
-	// models rewrite each covered tuple a single time (one "query" per
-	// row, as in the paper's Figure 22 setup), instead of once per cell.
-	UpdateRect(g sheet.Range, cells [][]sheet.Cell) error
+	// UpdateCells writes a batch of cells, blanks clearing. Writes to one
+	// cell apply in batch order (the last wins), and a write past the extent
+	// on an axis the model grows materializes the region up to it. Every
+	// refusal — a position out of range, a linked region's header row, a
+	// formula or a mistyped value in a linked region, an RCV column past its
+	// surrogate capacity — is decided for the whole batch before the first
+	// tuple is written; after that only I/O can fail. Row-oriented models
+	// rewrite each touched tuple once (one "query" per row, as in the
+	// paper's Figure 22 setup), and append a row past the extent as one
+	// built tuple.
+	UpdateCells(ws []CellWrite) error
 	// Shift is the structural edit, in depgraph.Shift's convention on the
 	// axis rows selects: delta > 0 makes room for delta blank rows or columns
 	// before local index at (at = extent+1 appends), delta < 0 removes the
@@ -45,6 +49,20 @@ type Translator interface {
 	StorageBytes() int64
 	// Drop removes the backing tables.
 	Drop() error
+}
+
+// CellWrite is one cell write of a batch: in absolute coordinates at the
+// HybridStore, region-local at a Translator.
+type CellWrite struct {
+	Row, Col int
+	Cell     sheet.Cell
+}
+
+// refuser is what every translator implements besides Translator: the
+// refusals UpdateCells would meet on ws, decided without writing. The store
+// asks each region of a batch before it writes to any.
+type refuser interface {
+	refuse(ws []CellWrite) error
 }
 
 // Config carries construction parameters shared by the translators.

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dataspread/internal/rdbms"
@@ -34,34 +35,67 @@ func newTranslators(t *testing.T) []Translator {
 
 func num(f float64) sheet.Cell { return sheet.Cell{Value: sheet.Number(f)} }
 
+// cellStore is what the point helpers read and write through: a Translator
+// (region-local coordinates) or a HybridStore (absolute ones).
+type cellStore interface {
+	GetCells(g sheet.Range) ([][]sheet.Cell, error)
+	UpdateCells(ws []CellWrite) error
+}
+
+// getCell is a point read: the 1×1 GetCells.
+func getCell(s cellStore, row, col int) (sheet.Cell, error) {
+	cells, err := s.GetCells(sheet.NewRange(row, col, row, col))
+	if err != nil {
+		return sheet.Cell{}, err
+	}
+	return cells[0][0], nil
+}
+
+// setCell is a point write: the one-write UpdateCells.
+func setCell(s cellStore, row, col int, c sheet.Cell) error {
+	return s.UpdateCells([]CellWrite{{Row: row, Col: col, Cell: c}})
+}
+
+// blockWrites lists a block of cells whose top-left cell is at (row, col) as
+// one batch, row-major.
+func blockWrites(row, col int, cells [][]sheet.Cell) []CellWrite {
+	var ws []CellWrite
+	for i := range cells {
+		for j, c := range cells[i] {
+			ws = append(ws, CellWrite{Row: row + i, Col: col + j, Cell: c})
+		}
+	}
+	return ws
+}
+
 func TestTranslatorBasicReadWrite(t *testing.T) {
 	for _, tr := range newTranslators(t) {
 		name := tr.Kind().String()
-		if err := tr.Update(2, 3, num(7)); err != nil {
+		if err := setCell(tr, 2, 3, num(7)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := tr.Get(2, 3)
+		got, err := getCell(tr, 2, 3)
 		if err != nil || !got.Value.Equal(sheet.Number(7)) {
-			t.Fatalf("%s: Get = %+v, %v", name, got, err)
+			t.Fatalf("%s: read = %+v, %v", name, got, err)
 		}
 		// Unfilled cells are blank.
-		got, err = tr.Get(1, 1)
+		got, err = getCell(tr, 1, 1)
 		if err != nil || !got.IsBlank() {
-			t.Fatalf("%s: blank Get = %+v, %v", name, got, err)
+			t.Fatalf("%s: blank read = %+v, %v", name, got, err)
 		}
 		// Formula cells round-trip.
-		if err := tr.Update(1, 1, sheet.Cell{Value: sheet.Number(85), Formula: "SUM(A1:B2)"}); err != nil {
+		if err := setCell(tr, 1, 1, sheet.Cell{Value: sheet.Number(85), Formula: "SUM(A1:B2)"}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, _ = tr.Get(1, 1)
+		got, _ = getCell(tr, 1, 1)
 		if got.Formula != "SUM(A1:B2)" {
 			t.Fatalf("%s: formula lost: %+v", name, got)
 		}
 		// Blanking removes.
-		if err := tr.Update(2, 3, sheet.Cell{}); err != nil {
+		if err := setCell(tr, 2, 3, sheet.Cell{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, _ = tr.Get(2, 3)
+		got, _ = getCell(tr, 2, 3)
 		if !got.IsBlank() {
 			t.Fatalf("%s: blank write did not clear", name)
 		}
@@ -73,7 +107,7 @@ func TestTranslatorGetCells(t *testing.T) {
 		name := tr.Kind().String()
 		for row := 1; row <= 4; row++ {
 			for col := 1; col <= 4; col++ {
-				if err := tr.Update(row, col, num(float64(row*10+col))); err != nil {
+				if err := setCell(tr, row, col, num(float64(row*10+col))); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
@@ -113,10 +147,10 @@ func TestTranslatorEquivalence(t *testing.T) {
 	// Materialize the full extent first: ROM/COM materialize rows lazily,
 	// and structural ops address the logical grid.
 	for _, tr := range trs {
-		if err := tr.Update(rows, cols, num(0)); err != nil {
+		if err := setCell(tr, rows, cols, num(0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Update(rows, cols, sheet.Cell{}); err != nil {
+		if err := setCell(tr, rows, cols, sheet.Cell{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +166,7 @@ func TestTranslatorEquivalence(t *testing.T) {
 				c = sheet.Cell{}
 			}
 			apply(
-				func(tr Translator) error { return tr.Update(row, col, c) },
+				func(tr Translator) error { return setCell(tr, row, col, c) },
 				func() { ref.Set(sheet.Ref{Row: row, Col: col}, c) },
 			)
 		case r < 0.70 && rows < maxDim: // insert row
@@ -172,9 +206,9 @@ func compareAll(t *testing.T, trs []Translator, ref *sheet.Sheet, rows, cols int
 	for _, tr := range trs {
 		for row := 1; row <= rows; row++ {
 			for col := 1; col <= cols; col++ {
-				got, err := tr.Get(row, col)
+				got, err := getCell(tr, row, col)
 				if err != nil {
-					t.Fatalf("%s: Get(%d,%d): %v", tr.Kind(), row, col, err)
+					t.Fatalf("%s: read (%d,%d): %v", tr.Kind(), row, col, err)
 				}
 				want := ref.GetRC(row, col)
 				if !got.Value.Equal(want.Value) || got.Formula != want.Formula {
@@ -182,7 +216,7 @@ func compareAll(t *testing.T, trs []Translator, ref *sheet.Sheet, rows, cols int
 				}
 			}
 		}
-		// GetCells agrees with point reads.
+		// A range read agrees with point reads.
 		cells, err := tr.GetCells(sheet.NewRange(1, 1, rows, cols))
 		if err != nil {
 			t.Fatalf("%s: GetCells: %v", tr.Kind(), err)
@@ -203,9 +237,9 @@ func TestROMColumnOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rom.Update(1, 1, num(1))
-	rom.Update(1, 2, num(2))
-	rom.Update(1, 3, num(3))
+	if err := rom.UpdateCells([]CellWrite{{1, 1, num(1)}, {1, 2, num(2)}, {1, 3, num(3)}}); err != nil {
+		t.Fatal(err)
+	}
 	// Insert between 1 and 2.
 	if err := rom.Shift(false, 2, 1); err != nil {
 		t.Fatal(err)
@@ -213,20 +247,22 @@ func TestROMColumnOps(t *testing.T) {
 	if rom.Cols() != 4 {
 		t.Fatalf("Cols = %d", rom.Cols())
 	}
-	got, _ := rom.Get(1, 2)
+	got, _ := getCell(rom, 1, 2)
 	if !got.IsBlank() {
 		t.Fatalf("inserted column not blank: %+v", got)
 	}
-	got, _ = rom.Get(1, 3)
+	got, _ = getCell(rom, 1, 3)
 	if !got.Value.Equal(sheet.Number(2)) {
 		t.Fatalf("old column 2 should be at 3: %+v", got)
 	}
 	// Write into the new column, then delete it.
-	rom.Update(1, 2, num(99))
+	if err := setCell(rom, 1, 2, num(99)); err != nil {
+		t.Fatal(err)
+	}
 	if err := rom.Shift(false, 2, -1); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = rom.Get(1, 2)
+	got, _ = getCell(rom, 1, 2)
 	if !got.Value.Equal(sheet.Number(2)) {
 		t.Fatalf("after delete col 2: %+v", got)
 	}
@@ -239,11 +275,14 @@ func TestROMColumnOps(t *testing.T) {
 
 func TestROMBoundsErrors(t *testing.T) {
 	rom, _ := NewROM(testCfg(t, "r"), 2)
-	if _, err := rom.Get(1, 5); err == nil {
+	if err := setCell(rom, 1, 5, num(1)); err == nil {
 		t.Fatal("column out of range must error")
 	}
-	if err := rom.Update(0, 1, num(1)); err == nil {
+	if err := setCell(rom, 0, 1, num(1)); err == nil {
 		t.Fatal("row 0 must error")
+	}
+	if rom.Rows() != 0 {
+		t.Fatalf("refused writes materialized %d rows", rom.Rows())
 	}
 	if err := rom.Shift(true, 6, 1); err == nil {
 		t.Fatal("insert beyond extent must error")
@@ -264,7 +303,7 @@ func TestRCVSparseStorageProportionalToCells(t *testing.T) {
 	rcv, _ := NewRCV(Config{DB: db, TableName: "sparse"}, 10000, 100)
 	// 20 cells scattered in a 10000x100 region.
 	for i := 0; i < 20; i++ {
-		if err := rcv.Update(i*500+1, i*5+1, num(float64(i))); err != nil {
+		if err := setCell(rcv, i*500+1, i*5+1, num(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,18 +327,18 @@ func TestTOMLinkedTable(t *testing.T) {
 		t.Fatalf("dims = %dx%d", tom.Rows(), tom.Cols())
 	}
 	// Header row.
-	h, err := tom.Get(1, 2)
+	h, err := getCell(tom, 1, 2)
 	if err != nil || h.Value.Text() != "amount" {
 		t.Fatalf("header = %+v, %v", h, err)
 	}
 	// Data row.
-	c, _ := tom.Get(2, 2)
+	c, _ := getCell(tom, 2, 2)
 	if !c.Value.Equal(sheet.Number(100)) {
 		t.Fatalf("data = %+v", c)
 	}
 
 	// Spreadsheet edit flows into the table (two-way sync).
-	if err := tom.Update(2, 2, num(175)); err != nil {
+	if err := setCell(tom, 2, 2, num(175)); err != nil {
 		t.Fatal(err)
 	}
 	r := db.MustExec("SELECT amount FROM invoice WHERE invid = 1")
@@ -307,15 +346,19 @@ func TestTOMLinkedTable(t *testing.T) {
 		t.Fatalf("update did not reach table: %v", r.Rows)
 	}
 
-	// Type checking.
-	if err := tom.Update(2, 1, sheet.Cell{Value: sheet.Str("oops")}); err == nil {
-		t.Fatal("non-integer into BIGINT must fail")
-	}
-	if err := tom.Update(1, 1, num(1)); err == nil {
-		t.Fatal("header row must be read-only")
-	}
-	if err := tom.Update(2, 2, sheet.Cell{Value: sheet.Number(1), Formula: "SUM(A1)"}); err == nil {
-		t.Fatal("formulas must be rejected on linked regions")
+	// Type checking, each refusal behind a valid write it must keep out.
+	for _, bad := range []CellWrite{
+		{2, 1, sheet.Cell{Value: sheet.Str("oops")}}, // non-integer into BIGINT
+		{1, 1, num(1)},                         // the header row is read-only
+		{2, 2, sheet.Cell{Formula: "SUM(A1)"}}, // no formulas in linked regions
+		{5, 2, num(1)},                         // past the table's rows
+	} {
+		if err := tom.UpdateCells([]CellWrite{{3, 2, num(-1)}, bad}); err == nil {
+			t.Fatalf("write %+v must be refused", bad)
+		}
+		if c, _ := getCell(tom, 3, 2); !c.Value.Equal(sheet.Number(250.5)) {
+			t.Fatalf("refused batch %+v wrote %+v", bad, c)
+		}
 	}
 
 	// Row insert adds a NULL tuple; row delete removes a tuple.
@@ -344,53 +387,59 @@ func TestTOMLinkedTable(t *testing.T) {
 	}
 }
 
-func TestUpdateRectEquivalence(t *testing.T) {
-	// UpdateRect must produce exactly the same state as per-cell updates,
-	// for every translator.
+// TestUpdateCellsBlockEquivalence: one UpdateCells of a block must produce
+// exactly the state of one write per cell, for every translator, whatever
+// order the batch lists its rows in and with the last write to a cell
+// winning.
+func TestUpdateCellsBlockEquivalence(t *testing.T) {
 	for _, tr := range newTranslators(t) {
 		// Materialize a 6x6 extent.
-		if err := tr.Update(6, 6, num(0)); err != nil {
+		if err := setCell(tr, 6, 6, num(0)); err != nil {
 			t.Fatal(err)
 		}
 		g := sheet.NewRange(2, 2, 5, 4)
-		cells := make([][]sheet.Cell, g.Rows())
+		cells := newCellGrid(g.Rows(), g.Cols())
 		for i := range cells {
-			cells[i] = make([]sheet.Cell, g.Cols())
 			for j := range cells[i] {
 				cells[i][j] = num(float64(i*10 + j))
 			}
 		}
-		if err := tr.UpdateRect(g, cells); err != nil {
+		// Bottom row first, each cell after a write it overrides.
+		var ws []CellWrite
+		for _, w := range slices.Backward(blockWrites(g.From.Row, g.From.Col, cells)) {
+			ws = append(ws, CellWrite{w.Row, w.Col, num(-1)}, w)
+		}
+		if err := tr.UpdateCells(ws); err != nil {
 			t.Fatalf("%s: %v", tr.Kind(), err)
 		}
 		for i := 0; i < g.Rows(); i++ {
 			for j := 0; j < g.Cols(); j++ {
-				got, err := tr.Get(g.From.Row+i, g.From.Col+j)
+				got, err := getCell(tr, g.From.Row+i, g.From.Col+j)
 				if err != nil || !got.Value.Equal(cells[i][j].Value) {
 					t.Fatalf("%s: cell (%d,%d) = %+v, %v", tr.Kind(), g.From.Row+i, g.From.Col+j, got, err)
 				}
 			}
 		}
-		// Blank cells in the rect clear existing content.
-		blank := make([][]sheet.Cell, g.Rows())
-		for i := range blank {
-			blank[i] = make([]sheet.Cell, g.Cols())
-		}
-		if err := tr.UpdateRect(g, blank); err != nil {
+		// Blank cells in the block clear existing content.
+		if err := tr.UpdateCells(blockWrites(g.From.Row, g.From.Col, newCellGrid(g.Rows(), g.Cols()))); err != nil {
 			t.Fatalf("%s: %v", tr.Kind(), err)
 		}
-		got, _ := tr.Get(2, 2)
+		got, _ := getCell(tr, 2, 2)
 		if !got.IsBlank() {
-			t.Fatalf("%s: blank UpdateRect did not clear", tr.Kind())
+			t.Fatalf("%s: blank block did not clear", tr.Kind())
 		}
 	}
 }
 
-func TestUpdateRectBounds(t *testing.T) {
+// TestUpdateCellsBounds: a batch with a write outside the region is refused
+// whole — the valid writes before it land nowhere, and no row materializes.
+func TestUpdateCellsBounds(t *testing.T) {
 	rom, _ := NewROM(testCfg(t, "r"), 3)
-	g := sheet.NewRange(1, 1, 2, 5) // 5 columns > 3
-	cells := [][]sheet.Cell{make([]sheet.Cell, 5), make([]sheet.Cell, 5)}
-	if err := rom.UpdateRect(g, cells); err == nil {
-		t.Fatal("out-of-range UpdateRect must error")
+	ws := blockWrites(1, 1, [][]sheet.Cell{{num(1), num(2), num(3), num(4), num(5)}}) // 5 columns > 3
+	if err := rom.UpdateCells(ws); err == nil {
+		t.Fatal("an out-of-range write must error")
+	}
+	if rom.Rows() != 0 {
+		t.Fatalf("a refused batch materialized %d rows", rom.Rows())
 	}
 }

@@ -50,13 +50,13 @@ func makePropStore(t *testing.T, path, kind, scheme string) (*rdbms.DB, *HybridS
 	}
 	for r := rect.From.Row; r <= rect.To.Row; r++ {
 		for c := rect.From.Col; c <= rect.To.Col; c++ {
-			if err := hs.Update(r, c, sheet.Cell{Value: sheet.Str(fmt.Sprintf("v%d_%d", r, c))}); err != nil {
+			if err := setCell(hs, r, c, sheet.Cell{Value: sheet.Str(fmt.Sprintf("v%d_%d", r, c))}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for _, rc := range [][2]int{{1, 9}, {18, 1}, {20, 10}} {
-		if err := hs.Update(rc[0], rc[1], sheet.Cell{Value: sheet.Str(fmt.Sprintf("ov%d_%d", rc[0], rc[1]))}); err != nil {
+		if err := setCell(hs, rc[0], rc[1], sheet.Cell{Value: sheet.Str(fmt.Sprintf("ov%d_%d", rc[0], rc[1]))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestIncrementalManifestProperty(t *testing.T) {
 						if rng.Intn(6) == 0 {
 							cell = sheet.Cell{} // blank
 						}
-						apply(step, func(h *HybridStore) error { return h.Update(r, c, cell) })
+						apply(step, func(h *HybridStore) error { return setCell(h, r, c, cell) })
 					case op < 6: // batched row insert
 						at, n := rng.Intn(20), rng.Intn(3)+1
 						apply(step, func(h *HybridStore) error { return h.InsertRowsAfter(at, n) })

@@ -70,30 +70,30 @@ func TestStoreRoundTripSurvivesStructuralEdits(t *testing.T) {
 		if err := hs.InsertRowsAfter(2, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := hs.Update(3, 2, sheet.Cell{Value: sheet.Str("inserted")}); err != nil {
+		if err := setCell(hs, 3, 2, sheet.Cell{Value: sheet.Str("inserted")}); err != nil {
 			t.Fatal(err)
 		}
-		if err := hs.Update(1, 2, sheet.Cell{Value: sheet.Str("edited")}); err != nil {
+		if err := setCell(hs, 1, 2, sheet.Cell{Value: sheet.Str("edited")}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// Positional order survives: row 3 holds the inserted row, old row 3
 	// moved to row 4.
-	got, err := hs2.Get(3, 2)
+	got, err := getCell(hs2, 3, 2)
 	if err != nil || got.Value.Text() != "inserted" {
-		t.Fatalf("Get(3,2) = %v, %v; want inserted", got.Value, err)
+		t.Fatalf("(3,2) = %v, %v; want inserted", got.Value, err)
 	}
-	shifted, err := hs2.Get(4, 2)
+	shifted, err := getCell(hs2, 4, 2)
 	if n, _ := shifted.Value.Num(); err != nil || n != 302 {
-		t.Fatalf("Get(4,2) = %v, %v; want 302 (shifted down)", got.Value, err)
+		t.Fatalf("(4,2) = %v, %v; want 302 (shifted down)", got.Value, err)
 	}
-	edited, err := hs2.Get(1, 2)
+	edited, err := getCell(hs2, 1, 2)
 	if err != nil || edited.Value.Text() != "edited" {
-		t.Fatalf("Get(1,2) = %v, %v; want edited", edited.Value, err)
+		t.Fatalf("(1,2) = %v, %v; want edited", edited.Value, err)
 	}
 	// Writing through the reloaded store keeps working.
-	if err := hs2.Update(4, 2, sheet.Cell{Value: sheet.Number(999)}); err != nil {
-		t.Fatalf("Update after reload: %v", err)
+	if err := setCell(hs2, 4, 2, sheet.Cell{Value: sheet.Number(999)}); err != nil {
+		t.Fatalf("write after reload: %v", err)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestStoreRoundTripFormulaCells(t *testing.T) {
 	s := buildSheet()
 	s.Set(sheet.Ref{Row: 1, Col: 2}, sheet.Cell{Value: sheet.Number(603), Formula: "SUM(B2:B6)"})
 	hs2, _ := persistRoundTrip(t, s, "agg", nil)
-	c, err := hs2.Get(1, 2)
+	c, err := getCell(hs2, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,16 +151,16 @@ func TestLinkedTOMRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := hs2.Get(1, 2)
+	hdr, err := getCell(hs2, 1, 2)
 	if err != nil || hdr.Value.Text() != "name" {
 		t.Fatalf("header = %v, %v", hdr.Value, err)
 	}
-	c, err := hs2.Get(3, 2)
+	c, err := getCell(hs2, 3, 2)
 	if err != nil || c.Value.Text() != "b" {
 		t.Fatalf("linked cell = %v, %v", c.Value, err)
 	}
 	// The link is two-way after reload: a grid edit lands in the table.
-	if err := hs2.Update(3, 2, sheet.Cell{Value: sheet.Str("bob")}); err != nil {
+	if err := setCell(hs2, 3, 2, sheet.Cell{Value: sheet.Str("bob")}); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -209,7 +209,7 @@ func fuzzStore(t testing.TB) (*rdbms.DB, *HybridStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.Update(30, 15, sheet.Cell{Value: sheet.Str("far out")}); err != nil {
+	if err := setCell(hs, 30, 15, sheet.Cell{Value: sheet.Str("far out")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := hs.SaveManifest(); err != nil {

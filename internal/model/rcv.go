@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 
 	"dataspread/internal/hybrid"
@@ -76,9 +77,11 @@ func (r *RCV) allocRow() int64 {
 	return id
 }
 
+var errColCapacity = errors.New("model: RCV column capacity exceeded")
+
 func (r *RCV) allocCol() (int64, error) {
 	if r.nextColID >= 1<<rcvColBits {
-		return 0, fmt.Errorf("model: RCV column capacity exceeded")
+		return 0, errColCapacity
 	}
 	id := r.nextColID
 	r.nextColID++
@@ -98,24 +101,6 @@ func (r *RCV) Cols() int { return r.colIDs.Len() }
 func (r *RCV) CellCount() int { return r.cells }
 
 func key(rowID, colID int64) int64 { return rowID<<rcvColBits | colID }
-
-// Get implements Translator.
-func (r *RCV) Get(row, col int) (sheet.Cell, error) {
-	rowID, okR := r.rowIDs.At(row)
-	colID, okC := r.colIDs.At(col)
-	if !okR || !okC {
-		return sheet.Cell{}, nil
-	}
-	rid, ok := r.index.Search(key(rowID, colID))
-	if !ok {
-		return sheet.Cell{}, nil
-	}
-	tuple, ok := r.table.Get(rid)
-	if !ok {
-		return sheet.Cell{}, fmt.Errorf("model: RCV dangling pointer %v", rid)
-	}
-	return cellAt(r.table, rid, 1, tuple[1])
-}
 
 // rcvValProj projects the value attribute only: range reads never decode
 // (or re-materialize) the composite key, which the index scan already knows.
@@ -166,38 +151,64 @@ func (r *RCV) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	return out, nil
 }
 
-// Update implements Translator. Blank cells delete the tuple; new cells
-// insert; existing cells update in place.
-func (r *RCV) Update(row, col int, c sheet.Cell) error {
-	// Grow the surrogate maps on demand (writing beyond the current extent
-	// extends the region).
-	for r.rowIDs.Len() < row {
-		r.rowIDs.Insert(r.rowIDs.Len()+1, r.allocRow())
-	}
-	for r.colIDs.Len() < col {
-		id, err := r.allocCol()
-		if err != nil {
-			return err
+// refuse refuses a batch with a write above the first row or left of the
+// first column, or one that would grow the columns past the 2^20 surrogate
+// capacity — decided before a single surrogate is allocated.
+func (r *RCV) refuse(ws []CellWrite) error {
+	cols := 0
+	for _, w := range ws {
+		if w.Row < 1 || w.Col < 1 {
+			return fmt.Errorf("model: RCV position (%d,%d) out of range", w.Row, w.Col)
 		}
-		r.colIDs.Insert(r.colIDs.Len()+1, id)
+		cols = max(cols, w.Col)
 	}
-	rowID, okR := r.rowIDs.At(row)
-	colID, okC := r.colIDs.At(col)
-	if !okR || !okC {
-		return fmt.Errorf("model: RCV position (%d,%d) out of range", row, col)
+	if grow := int64(cols - r.colIDs.Len()); grow > 0 && r.nextColID+grow > 1<<rcvColBits {
+		return errColCapacity
 	}
-	k := key(rowID, colID)
-	rid, exists := r.index.Search(k)
-	if c.IsBlank() {
-		if exists {
-			r.table.Delete(rid)
-			r.index.DeleteKey(k)
-			r.cells--
+	return nil
+}
+
+// UpdateCells implements Translator: the key-value model has no batching
+// lever — one tuple operation per cell (the paper's 2000-query behaviour).
+// Blank cells delete the tuple; new cells insert; existing cells update in
+// place. Writing beyond the current extent grows the surrogate maps.
+func (r *RCV) UpdateCells(ws []CellWrite) error {
+	if err := r.refuse(ws); err != nil {
+		return err
+	}
+	for _, w := range ws {
+		for r.rowIDs.Len() < w.Row {
+			r.rowIDs.Insert(r.rowIDs.Len()+1, r.allocRow())
 		}
-		return nil
-	}
-	tuple := rdbms.Row{rdbms.Int(k), encodeCell(c)}
-	if exists {
+		for r.colIDs.Len() < w.Col {
+			id, err := r.allocCol()
+			if err != nil {
+				return err
+			}
+			r.colIDs.Insert(r.colIDs.Len()+1, id)
+		}
+		rowID, _ := r.rowIDs.At(w.Row)
+		colID, _ := r.colIDs.At(w.Col)
+		k := key(rowID, colID)
+		rid, exists := r.index.Search(k)
+		if w.Cell.IsBlank() {
+			if exists {
+				r.table.Delete(rid)
+				r.index.DeleteKey(k)
+				r.cells--
+			}
+			continue
+		}
+		tuple := rdbms.Row{rdbms.Int(k), encodeCell(w.Cell)}
+		if !exists {
+			newRID, err := r.table.Insert(tuple)
+			if err != nil {
+				return err
+			}
+			r.index.Insert(k, newRID)
+			r.cells++
+			continue
+		}
 		newRID, err := r.table.Update(rid, tuple)
 		if err != nil {
 			return err
@@ -205,26 +216,6 @@ func (r *RCV) Update(row, col int, c sheet.Cell) error {
 		if newRID != rid {
 			r.index.DeleteKey(k)
 			r.index.Insert(k, newRID)
-		}
-		return nil
-	}
-	newRID, err := r.table.Insert(tuple)
-	if err != nil {
-		return err
-	}
-	r.index.Insert(k, newRID)
-	r.cells++
-	return nil
-}
-
-// UpdateRect implements Translator: the key-value model has no batching
-// lever — one tuple operation per cell (the paper's 2000-query behaviour).
-func (r *RCV) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
-	for i := range cells {
-		for j := range cells[i] {
-			if err := r.Update(g.From.Row+i, g.From.Col+j, cells[i][j]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -19,22 +19,22 @@ func fillROM(t testing.TB, db *rdbms.DB, scheme string, rows, cols int) *ROM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]sheet.Cell, cols)
-	for r := 1; r <= rows; r++ {
-		for c := range buf {
-			buf[c] = sheet.Cell{Value: sheet.Number(float64(r*1000 + c + 1))}
+	cells := newCellGrid(rows, cols)
+	for i := range cells {
+		for c := range cells[i] {
+			cells[i][c] = sheet.Cell{Value: sheet.Number(float64((i+1)*1000 + c + 1))}
 		}
-		if err := rom.AppendRow(buf); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := rom.UpdateCells(blockWrites(1, 1, cells)); err != nil {
+		t.Fatal(err)
 	}
 	return rom
 }
 
 // TestROMProjectionPushdown is the decode-counter acceptance check: a
 // k-column viewport over an n-column region materializes exactly k
-// attributes per row, while the per-cell seed path pays the full n-attribute
-// decode for every cell it touches.
+// attributes per row, while reading the same rows whole pays the full
+// n-attribute decode.
 func TestROMProjectionPushdown(t *testing.T) {
 	const rows, cols = 300, 64
 	const vpRows, vpCols = 200, 4
@@ -55,18 +55,13 @@ func TestROMProjectionPushdown(t *testing.T) {
 		t.Fatalf("viewport corner = %v", cells[0][0].Value)
 	}
 
-	// Seed per-cell path over the same viewport decodes O(n) per cell.
+	// The same rows read whole decode all n attributes per row.
 	rdbms.ResetDecodedAttrCount()
-	for r := g.From.Row; r <= g.To.Row; r++ {
-		for c := g.From.Col; c <= g.To.Col; c++ {
-			if _, err := rom.Get(r, c); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if _, err := rom.GetCells(sheet.NewRange(g.From.Row, 1, g.To.Row, cols)); err != nil {
+		t.Fatal(err)
 	}
-	perCell := rdbms.DecodedAttrCount()
-	if perCell < batched*10 {
-		t.Fatalf("per-cell path decoded %d attrs vs batched %d — projection pushdown is not pulling its weight", perCell, batched)
+	if whole := rdbms.DecodedAttrCount(); whole != int64(vpRows*cols) || whole < batched*10 {
+		t.Fatalf("whole rows decoded %d attrs vs the viewport's %d — projection pushdown is not pulling its weight", whole, batched)
 	}
 }
 
@@ -100,7 +95,7 @@ func TestROMGetCellsAfterColumnChurn(t *testing.T) {
 	if err := rom.Shift(false, 5, -1); err != nil { // drops old physical col 4
 		t.Fatal(err)
 	}
-	if err := rom.Update(4, 3, sheet.Cell{Value: sheet.Str("new")}); err != nil {
+	if err := setCell(rom, 4, 3, sheet.Cell{Value: sheet.Str("new")}); err != nil {
 		t.Fatal(err)
 	}
 	g := sheet.NewRange(1, 1, rom.Rows(), rom.Cols())
@@ -110,15 +105,20 @@ func TestROMGetCellsAfterColumnChurn(t *testing.T) {
 	}
 	for r := 1; r <= rom.Rows(); r++ {
 		for c := 1; c <= rom.Cols(); c++ {
-			want, err := rom.Get(r, c)
+			want, err := getCell(rom, r, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := cells[r-1][c-1]
 			if !got.Value.Equal(want.Value) || got.Formula != want.Formula {
-				t.Fatalf("cell (%d,%d): GetCells %+v != Get %+v", r, c, got, want)
+				t.Fatalf("cell (%d,%d): range read %+v != 1x1 read %+v", r, c, got, want)
 			}
 		}
+	}
+	// Physical column 4 was dropped, the inserted column 3 is blank but for
+	// its one write: the 1x1 reads see the churned projection too.
+	if c, _ := getCell(rom, 1, 4); !c.Value.Equal(sheet.Number(1003)) {
+		t.Fatalf("(1,4) = %+v, want old column 3", c)
 	}
 }
 
@@ -175,8 +175,9 @@ func propTranslator(t *testing.T, db *rdbms.DB, kind, scheme string, seq int) Tr
 
 // TestRangeReadEquivalenceProperty drives every translator kind under every
 // positional-mapping scheme through random edits and structural churn, then
-// checks GetCells over random rectangles against per-cell Get — the batched
-// read path must be observationally identical to the seed path.
+// checks GetCells over random rectangles against 1×1 reads of each cell — a
+// range read must be observationally identical to reading its cells one by
+// one.
 func TestRangeReadEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	seq := 0
@@ -210,7 +211,7 @@ func TestRangeReadEquivalenceProperty(t *testing.T) {
 							continue
 						}
 						row = rng.Intn(rows-hdr) + 1 + hdr // headers read-only; no auto-grow
-						if err := tr.Update(row, col, sheet.Cell{Value: sheet.Number(float64(op))}); err != nil {
+						if err := setCell(tr, row, col, sheet.Cell{Value: sheet.Number(float64(op))}); err != nil {
 							t.Fatalf("%s: update: %v", label, err)
 						}
 						continue
@@ -226,7 +227,7 @@ func TestRangeReadEquivalenceProperty(t *testing.T) {
 					default:
 						c = sheet.Cell{Value: sheet.Bool(op%2 == 0)}
 					}
-					if err := tr.Update(row, col, c); err != nil {
+					if err := setCell(tr, row, col, c); err != nil {
 						t.Fatalf("%s: update(%d,%d): %v", label, row, col, err)
 					}
 				case r < 0.7:
@@ -277,14 +278,14 @@ func TestRangeReadEquivalenceProperty(t *testing.T) {
 						row, col := r0+i, c0+j
 						var want sheet.Cell
 						if row <= tr.Rows() && col <= tr.Cols() {
-							want, err = tr.Get(row, col)
+							want, err = getCell(tr, row, col)
 							if err != nil {
-								t.Fatalf("%s: Get(%d,%d): %v", label, row, col, err)
+								t.Fatalf("%s: 1x1 read (%d,%d): %v", label, row, col, err)
 							}
 						}
 						got := cells[i][j]
 						if !got.Value.Equal(want.Value) || got.Formula != want.Formula {
-							t.Fatalf("%s: rect %v cell (%d,%d): GetCells %+v != Get %+v",
+							t.Fatalf("%s: rect %v cell (%d,%d): range read %+v != 1x1 read %+v",
 								label, g, row, col, got, want)
 						}
 					}
@@ -321,7 +322,7 @@ func buildPropStore(t testing.TB, db *rdbms.DB) (*HybridStore, *sheet.Sheet) {
 		row := rng.Intn(170) + 1
 		col := rng.Intn(20) + 1
 		c := sheet.Cell{Value: sheet.Number(float64(row*100 + col))}
-		if err := hs.Update(row, col, c); err != nil {
+		if err := setCell(hs, row, col, c); err != nil {
 			t.Fatal(err)
 		}
 		ref.Set(sheet.Ref{Row: row, Col: col}, c)

@@ -62,22 +62,6 @@ func (r *ROM) Rows() int { return r.rowMap.Len() }
 // Cols implements Translator.
 func (r *ROM) Cols() int { return len(r.colPos) }
 
-// Get implements Translator.
-func (r *ROM) Get(row, col int) (sheet.Cell, error) {
-	if col < 1 || col > len(r.colPos) {
-		return sheet.Cell{}, fmt.Errorf("model: ROM column %d out of range", col)
-	}
-	rid, ok := r.rowMap.Fetch(row)
-	if !ok {
-		return sheet.Cell{}, nil // row not materialized: blank
-	}
-	tuple, ok := r.table.Get(rid)
-	if !ok {
-		return sheet.Cell{}, fmt.Errorf("model: ROM row %d dangling pointer %v", row, rid)
-	}
-	return cellAt(r.table, rid, r.colPos[col-1], attr(tuple, r.colPos[col-1]))
-}
-
 // GetCells implements Translator. This is the scrolling hot path: the
 // viewport's tuple pointers come from one positional-map range walk into a
 // pooled buffer, the rows are fetched with one buffer-pool pin per heap page
@@ -119,22 +103,100 @@ func (r *ROM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	return out, nil
 }
 
-// Update implements Translator. Rows are materialized on demand: writing to
-// a row beyond the current extent appends empty tuples up to it.
-func (r *ROM) Update(row, col int, c sheet.Cell) error {
-	return r.UpdateRowCells(row, []int{col}, []sheet.Cell{c})
+// UpdateCells implements Translator. The batch is grouped by row with one
+// stable bucket pass over its row span — batch order kept within a row, so
+// the last write to a cell wins — and each touched tuple is written once. Rows
+// grow on demand: a row past the extent is appended as one built tuple, the
+// unwritten rows before it as empty ones.
+func (r *ROM) UpdateCells(ws []CellWrite) error {
+	if err := r.refuse(ws); err != nil || len(ws) == 0 {
+		return err
+	}
+	lo, hi := ws[0].Row, ws[0].Row
+	for _, w := range ws {
+		lo, hi = min(lo, w.Row), max(hi, w.Row)
+	}
+	// Counting sort on the row: ends[b] counts row lo+b's writes, then holds
+	// where its bucket starts in order, then — every write placed — where it
+	// ends.
+	ends := make([]int32, hi-lo+1)
+	for _, w := range ws {
+		ends[w.Row-lo]++
+	}
+	sum := int32(0)
+	for b, n := range ends {
+		ends[b], sum = sum, sum+n
+	}
+	order := make([]int32, len(ws))
+	for i, w := range ws {
+		order[ends[w.Row-lo]] = int32(i)
+		ends[w.Row-lo]++
+	}
+	start := int32(0)
+	for b, end := range ends {
+		if start < end {
+			if err := r.writeRow(lo+b, ws, order[start:end]); err != nil {
+				return err
+			}
+		}
+		start = end
+	}
+	return nil
 }
 
-// UpdateRect implements Translator: one tuple rewrite per covered row.
-func (r *ROM) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
-	cols := make([]int, g.Cols())
-	for j := range cols {
-		cols[j] = g.From.Col + j
+// refuse refuses a batch with a write outside the region's columns or above
+// its first row.
+func (r *ROM) refuse(ws []CellWrite) error {
+	for _, w := range ws {
+		if w.Row < 1 || w.Col < 1 || w.Col > len(r.colPos) {
+			return fmt.Errorf("model: ROM cell (%d,%d) out of range", w.Row, w.Col)
+		}
 	}
-	for i, row := range cells {
-		if err := r.UpdateRowCells(g.From.Row+i, cols, row); err != nil {
+	return nil
+}
+
+// writeRow applies the writes ws[k], k in group, to one row with one tuple
+// write: an update of the row's tuple, or the insert of a built one past the
+// extent.
+func (r *ROM) writeRow(row int, ws []CellWrite, group []int32) error {
+	for r.rowMap.Len() < row-1 {
+		if err := r.appendTuple(r.emptyRow()); err != nil {
 			return err
 		}
+	}
+	var tuple rdbms.Row
+	rid, exists := r.rowMap.Fetch(row)
+	if !exists {
+		tuple = r.emptyRow()
+	} else if old, ok := r.table.Get(rid); ok {
+		tuple = padRow(old, r.table.Schema.Arity())
+	} else {
+		return fmt.Errorf("model: ROM row %d dangling pointer %v", row, rid)
+	}
+	for _, k := range group {
+		tuple[r.colPos[ws[k].Col-1]] = encodeCell(ws[k].Cell)
+	}
+	if !exists {
+		return r.appendTuple(tuple)
+	}
+	newRID, err := r.table.Update(rid, tuple)
+	if err != nil {
+		return err
+	}
+	if newRID != rid {
+		r.rowMap.Update(row, newRID)
+	}
+	return nil
+}
+
+// appendTuple inserts a tuple as the region's new last row.
+func (r *ROM) appendTuple(tuple rdbms.Row) error {
+	rid, err := r.table.Insert(tuple)
+	if err != nil {
+		return err
+	}
+	if !r.rowMap.Insert(r.rowMap.Len()+1, rid) {
+		return fmt.Errorf("model: ROM rowMap append failed")
 	}
 	return nil
 }
@@ -185,14 +247,7 @@ func (r *ROM) emptyRow() rdbms.Row {
 	return make(rdbms.Row, r.table.Schema.Arity())
 }
 
-// attr returns the i-th attribute, padding short (pre-AddColumn) tuples.
-func attr(row rdbms.Row, i int) rdbms.Datum {
-	if i >= len(row) {
-		return rdbms.Null
-	}
-	return row[i]
-}
-
+// padRow pads a short (pre-AddColumn) tuple with NULLs to arity.
 func padRow(row rdbms.Row, arity int) rdbms.Row {
 	for len(row) < arity {
 		row = append(row, rdbms.Null)

@@ -66,44 +66,89 @@ func NewHybridStore(db *rdbms.DB, name, scheme string) (*HybridStore, error) {
 	return &HybridStore{db: db, scheme: scheme, name: name, overflow: ov, nextSeg: overflowSeg + 1}, nil
 }
 
-// Materialize builds a store from a sheet and its decomposition,
-// bulk-loading every ROM/COM region (whole tuples at a time). RCV regions
-// are not given dedicated tables: their cells land in the store's shared
-// overflow RCV table, matching the cost model's single-RCV-table assumption
-// (Appendix A-C1). The decomposition must be recoverable with respect to
-// the sheet.
+// Materialize builds a store from a sheet and its decomposition, loading
+// every ROM/COM region with one UpdateCells (whole tuples at a time). RCV
+// regions are not given dedicated tables: their cells land in the store's
+// shared overflow RCV table, matching the cost model's single-RCV-table
+// assumption (Appendix A-C1). The decomposition must be recoverable with
+// respect to the sheet.
 func Materialize(db *rdbms.DB, name, scheme string, s *sheet.Sheet, d *hybrid.Decomposition) (*HybridStore, error) {
 	hs, err := NewHybridStore(db, name, scheme)
 	if err != nil {
 		return nil, err
 	}
+	// One pass over the sheet splits its cells into each region's batch, in
+	// region-local coordinates, and the overflow's.
+	var regions []hybrid.Region
+	var loads [][]CellWrite
 	for _, reg := range d.Regions {
-		if reg.Kind == hybrid.RCV {
-			continue // cells flow to the shared overflow below
-		}
-		if _, err := hs.addRegionBulk(reg.Rect, reg.Kind, s.GetRange(reg.Rect)); err != nil {
-			return nil, err
+		if reg.Kind != hybrid.RCV { // an RCV region's cells flow to the overflow
+			regions = append(regions, reg)
+			loads = append(loads, []CellWrite{farCorner(reg.Rect)})
 		}
 	}
-	var loadErr error
+	var loose []CellWrite
 	s.EachSorted(func(r sheet.Ref, c sheet.Cell) {
-		if loadErr != nil {
-			return
+		for i, reg := range regions {
+			if reg.Rect.Contains(r) {
+				loads[i] = append(loads[i], CellWrite{Row: r.Row - reg.Rect.From.Row + 1, Col: r.Col - reg.Rect.From.Col + 1, Cell: c})
+				return
+			}
 		}
-		if hs.regionAt(r.Row, r.Col) == nil {
-			loadErr = hs.overflow.Update(r.Row, r.Col, c)
-		}
+		loose = append(loose, CellWrite{Row: r.Row, Col: r.Col, Cell: c})
 	})
-	if loadErr != nil {
-		return nil, loadErr
+	for i, reg := range regions {
+		if _, err := hs.addRegion(reg.Rect, reg.Kind, loads[i]); err != nil {
+			return nil, err
+		}
+		loads[i] = nil // loaded: the collector may have it before the next region's
+	}
+	if err := hs.overflow.UpdateCells(loose); err != nil {
+		return nil, err
 	}
 	return hs, nil
 }
 
+// farCorner is a blank write at a region's last cell: loaded first, it makes
+// ROM materialize every row and COM every column of the region's extent.
+func farCorner(rect sheet.Range) CellWrite { return CellWrite{Row: rect.Rows(), Col: rect.Cols()} }
+
 // AddRegion creates a blank translator of the rectangle's full extent.
 // Regions must not overlap existing ones.
 func (h *HybridStore) AddRegion(rect sheet.Range, kind hybrid.Kind) (Translator, error) {
-	return h.addRegionBulk(rect, kind, newCellGrid(rect.Rows(), rect.Cols()))
+	return h.addRegion(rect, kind, []CellWrite{farCorner(rect)})
+}
+
+// addRegion creates a region translator and loads its cells, region-local
+// writes that open with the region's farCorner, with one UpdateCells.
+func (h *HybridStore) addRegion(rect sheet.Range, kind hybrid.Kind, load []CellWrite) (Translator, error) {
+	for _, r := range h.regions {
+		if r.rect.Intersects(rect) {
+			return nil, fmt.Errorf("model: region %v overlaps existing %v", rect, r.rect)
+		}
+	}
+	h.seq++
+	cfg := Config{DB: h.db, Scheme: h.scheme, TableName: fmt.Sprintf("%s_r%d", h.name, h.seq)}
+	var tr Translator
+	var err error
+	switch kind {
+	case hybrid.ROM, hybrid.TOM:
+		tr, err = NewROM(cfg, rect.Cols())
+	case hybrid.COM:
+		tr, err = NewCOM(cfg, rect.Rows())
+	case hybrid.RCV:
+		tr, err = NewRCV(cfg, rect.Rows(), rect.Cols())
+	default:
+		return nil, fmt.Errorf("model: unsupported region kind %v", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := tr.UpdateCells(load); err != nil {
+		return nil, err
+	}
+	h.regions = append(h.regions, storeRegion{rect: rect, tr: tr, seg: h.allocSeg()})
+	return tr, nil
 }
 
 // LinkTable registers a linked TOM region displaying the catalog table at
@@ -153,7 +198,7 @@ func (h *HybridStore) SegsFor(g sheet.Range) []int {
 			segs = append(segs, h.regions[i].seg)
 		}
 	}
-	sortInts(segs)
+	slices.Sort(segs)
 	return segs
 }
 
@@ -171,16 +216,8 @@ func (h *HybridStore) SegsForWrites(segs []int, writes []CellWrite) []int {
 			segs = append(segs, seg)
 		}
 	}
-	sortInts(segs)
+	slices.Sort(segs)
 	return segs
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // regionAt returns the region containing the cell, or nil.
@@ -193,33 +230,21 @@ func (h *HybridStore) regionAt(row, col int) *storeRegion {
 	return nil
 }
 
-// Get returns the cell at the absolute position.
-func (h *HybridStore) Get(row, col int) (sheet.Cell, error) {
-	if r := h.regionAt(row, col); r != nil {
-		return r.tr.Get(row-r.rect.From.Row+1, col-r.rect.From.Col+1)
-	}
-	return h.overflow.Get(row, col)
-}
-
 // GetCells materializes an absolute rectangular range across regions. The
 // output grid is backed by one flat allocation, and every region fills its
 // overlap through its batched, projection-pushdown GetCells — the seam
 // between the viewport abstraction and the per-region read paths.
 func (h *HybridStore) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	out := newCellGrid(g.Rows(), g.Cols())
-	fill := func(rect sheet.Range, tr Translator, local bool) error {
+	fill := func(rect sheet.Range, tr Translator) error {
 		overlap, ok := g.Intersect(rect)
 		if !ok {
 			return nil
 		}
-		q := overlap
-		if local {
-			q = sheet.NewRange(
-				overlap.From.Row-rect.From.Row+1, overlap.From.Col-rect.From.Col+1,
-				overlap.To.Row-rect.From.Row+1, overlap.To.Col-rect.From.Col+1,
-			)
-		}
-		cells, err := tr.GetCells(q)
+		cells, err := tr.GetCells(sheet.NewRange(
+			overlap.From.Row-rect.From.Row+1, overlap.From.Col-rect.From.Col+1,
+			overlap.To.Row-rect.From.Row+1, overlap.To.Col-rect.From.Col+1,
+		))
 		if err != nil {
 			return err
 		}
@@ -234,26 +259,63 @@ func (h *HybridStore) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 		return nil
 	}
 	for _, r := range h.regions {
-		if err := fill(r.rect, r.tr, true); err != nil {
+		if err := fill(r.rect, r.tr); err != nil {
 			return nil, err
 		}
 	}
-	// Overflow spans the whole grid in absolute coordinates.
+	// Overflow spans the whole grid: its local coordinates are absolute.
 	if h.overflow.CellCount() > 0 {
-		if err := fill(sheet.NewRange(1, 1, 1<<30, 1<<20-1), h.overflow, false); err != nil {
+		if err := fill(sheet.NewRange(1, 1, 1<<30, 1<<20-1), h.overflow); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// Update writes a cell at the absolute position, routing to the owning
-// region or the overflow RCV.
-func (h *HybridStore) Update(row, col int, c sheet.Cell) error {
-	if r := h.regionAt(row, col); r != nil {
-		return r.tr.Update(row-r.rect.From.Row+1, col-r.rect.From.Col+1, c)
+// UpdateCells is the store's one cell write, in absolute coordinates. Each
+// write is routed, in region-local coordinates, to the region holding it or
+// to the overflow RCV outside every region. Then every part of the batch
+// decides its refusals before any part is written — a linked region's header
+// row, a formula or a value its column's type rejects in a linked region, an
+// overflow column past the RCV's 2^20 surrogate capacity — so a refused batch
+// writes nothing. Each region then takes its part with one
+// Translator.UpdateCells, in first-seen order, the overflow last; from there
+// only I/O can fail, and that poisons the database. Writes to one cell apply
+// in batch order: the last one wins.
+//
+// UpdateCells performs no durability work itself; callers commit the whole
+// batch with one DB.FlushWAL (one fsync) — see core.Engine.SetCells.
+func (h *HybridStore) UpdateCells(writes []CellWrite) error {
+	type part struct {
+		tr Translator
+		ws []CellWrite
 	}
-	return h.overflow.Update(row, col, c)
+	parts := []part{{tr: h.overflow}}
+	for _, w := range writes {
+		var tr Translator = h.overflow
+		if reg := h.regionAt(w.Row, w.Col); reg != nil {
+			tr = reg.tr
+			w.Row -= reg.rect.From.Row - 1
+			w.Col -= reg.rect.From.Col - 1
+		}
+		i := slices.IndexFunc(parts, func(p part) bool { return p.tr == tr })
+		if i < 0 {
+			i, parts = len(parts), append(parts, part{tr: tr})
+		}
+		parts[i].ws = append(parts[i].ws, w)
+	}
+	parts = append(parts[1:], parts[0]) // the overflow's part last
+	for _, p := range parts {
+		if err := p.tr.(refuser).refuse(p.ws); err != nil {
+			return err
+		}
+	}
+	for _, p := range parts {
+		if err := p.tr.UpdateCells(p.ws); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Shift is the store's one structural edit, in absolute coordinates and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dataspread/internal/hybrid"
@@ -81,18 +82,18 @@ func TestHybridStorePointOps(t *testing.T) {
 	s := buildSheet()
 	hs := materialized(t, s, "agg")
 	// In-region update.
-	if err := hs.Update(3, 3, num(999)); err != nil {
+	if err := setCell(hs, 3, 3, num(999)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := hs.Get(3, 3)
+	got, err := getCell(hs, 3, 3)
 	if err != nil || !got.Value.Equal(sheet.Number(999)) {
-		t.Fatalf("Get = %+v, %v", got, err)
+		t.Fatalf("read = %+v, %v", got, err)
 	}
 	// Out-of-region update goes to overflow.
-	if err := hs.Update(50, 50, num(123)); err != nil {
+	if err := setCell(hs, 50, 50, num(123)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = hs.Get(50, 50)
+	got, _ = getCell(hs, 50, 50)
 	if !got.Value.Equal(sheet.Number(123)) {
 		t.Fatalf("overflow Get = %+v", got)
 	}
@@ -164,7 +165,7 @@ func TestHybridStoreRandomizedStructural(t *testing.T) {
 						continue // linked cells are typed table data, covered elsewhere
 					}
 					c := num(float64(step))
-					if err := hs.Update(row, col, c); err != nil {
+					if err := setCell(hs, row, col, c); err != nil {
 						t.Fatalf("step %d: update(%d,%d): %v", step, row, col, err)
 					}
 					s.Set(sheet.Ref{Row: row, Col: col}, c)
@@ -291,14 +292,14 @@ func TestHybridStoreRefusedShiftLeavesStoreIntact(t *testing.T) {
 		}
 		for r := rect.From.Row; r <= rect.To.Row; r++ {
 			for c := rect.From.Col; c <= rect.To.Col; c++ {
-				if err := hs.Update(r, c, num(float64(r*10+c))); err != nil {
+				if err := setCell(hs, r, c, num(float64(r*10+c))); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
 	linkTestTable(t, hs, sheet.New("ref"), sheet.NewRange(2, 8, 3, 8))
-	if err := hs.Update(9, 1, num(91)); err != nil { // an overflow cell below the band
+	if err := setCell(hs, 9, 1, num(91)); err != nil { // an overflow cell below the band
 		t.Fatal(err)
 	}
 	bounds := sheet.NewRange(1, 1, 12, 10)
@@ -322,6 +323,86 @@ func TestHybridStoreRefusedShiftLeavesStoreIntact(t *testing.T) {
 	assertSameGrid(t, "after refusal", read(), cells)
 }
 
+// TestHybridStoreRefusedWriteTouchesNothing: a batch the store refuses writes
+// nothing anywhere. Each batch writes a ROM region, the overflow and a linked
+// region's data row before its refused write — the linked header row, a
+// formula in a linked row, a value the linked column's type rejects, an
+// overflow column past the RCV's surrogate capacity. Before the refusals were
+// decided up front, the writes ahead of the refused one stayed in the tables,
+// and the far column had grown the overflow by 2^20 column surrogates.
+func TestHybridStoreRefusedWriteTouchesNothing(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	db.MustExec("CREATE TABLE supp (suppid BIGINT, name TEXT)")
+	db.MustExec("INSERT INTO supp VALUES (1,'Acme'),(2,'Globex')")
+	hs, err := NewHybridStore(db, "hs", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.AddRegion(sheet.NewRange(1, 1, 4, 3), hybrid.ROM); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hs.LinkTable(sheet.NewRange(2, 6, 4, 7), db.Table("supp"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.UpdateCells([]CellWrite{{2, 2, num(22)}, {8, 8, num(88)}}); err != nil {
+		t.Fatal(err)
+	}
+	bounds := sheet.NewRange(1, 1, 10, 10)
+	state := func() ([][]sheet.Cell, map[string]string) {
+		t.Helper()
+		if err := hs.SaveManifest(); err != nil {
+			t.Fatal(err)
+		}
+		cells, err := hs.GetCells(bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := make(map[string]string)
+		for _, k := range db.MetaKeys(storeMetaKey) {
+			blob, _ := db.GetMeta(k)
+			meta[k] = string(blob)
+		}
+		return cells, meta
+	}
+	cells, meta := state()
+	overflowCols := hs.overflow.Cols()
+	valid := []CellWrite{
+		{2, 2, sheet.Cell{Value: sheet.Str("rom")}},       // a ROM region
+		{8, 8, sheet.Cell{Value: sheet.Str("overflow")}},  // the overflow
+		{3, 7, sheet.Cell{Value: sheet.Str("Acme Corp")}}, // a linked data row
+	}
+	for _, tc := range []struct {
+		name string
+		bad  CellWrite
+	}{
+		{"header row", CellWrite{2, 6, num(9)}},
+		{"formula", CellWrite{4, 7, sheet.Cell{Value: sheet.Number(1), Formula: "B2+1"}}},
+		{"type", CellWrite{4, 6, sheet.Cell{Value: sheet.Str("oops")}}},
+		{"far column", CellWrite{1, 1 << 20, sheet.Cell{Value: sheet.Str("x")}}},
+	} {
+		if err := hs.UpdateCells(append(slices.Clone(valid), tc.bad)); err == nil {
+			t.Fatalf("%s: write %+v accepted", tc.name, tc.bad)
+		}
+		if got := hs.overflow.Cols(); got != overflowCols {
+			t.Fatalf("%s: the overflow grew from %d to %d columns", tc.name, overflowCols, got)
+		}
+		gotCells, gotMeta := state()
+		assertSameGrid(t, tc.name, gotCells, cells)
+		if !reflect.DeepEqual(gotMeta, meta) {
+			t.Fatalf("%s: the refused batch changed the store manifest", tc.name)
+		}
+	}
+	// The valid writes alone land, each where the batch put it.
+	if err := hs.UpdateCells(valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range valid {
+		if got, _ := getCell(hs, w.Row, w.Col); !got.Value.Equal(w.Cell.Value) {
+			t.Fatalf("(%d,%d) = %+v after the valid batch", w.Row, w.Col, got)
+		}
+	}
+}
+
 func TestHybridStoreLinkTable(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	db.MustExec("CREATE TABLE supp (suppid BIGINT, name TEXT)")
@@ -338,12 +419,12 @@ func TestHybridStoreLinkTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hs.Get(2, 2)
+	got, err := getCell(hs, 2, 2)
 	if err != nil || got.Value.Text() != "Acme" {
-		t.Fatalf("linked Get = %+v, %v", got, err)
+		t.Fatalf("linked read = %+v, %v", got, err)
 	}
 	// Edit through the store reaches the table.
-	if err := hs.Update(2, 2, sheet.Cell{Value: sheet.Str("Acme Corp")}); err != nil {
+	if err := setCell(hs, 2, 2, sheet.Cell{Value: sheet.Str("Acme Corp")}); err != nil {
 		t.Fatal(err)
 	}
 	r := db.MustExec("SELECT name FROM supp WHERE suppid = 1")

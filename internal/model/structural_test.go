@@ -59,13 +59,14 @@ func buildTranslator(t *testing.T, db *rdbms.DB, kind, scheme, name string, rows
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}
-	for r := 1; r <= rows; r++ {
-		for c := 1; c <= cols; c++ {
-			cell := sheet.Cell{Value: sheet.Str(fmt.Sprintf("v%d_%d", r, c))}
-			if err := tr.Update(r, c, cell); err != nil {
-				t.Fatal(err)
-			}
+	cells := newCellGrid(rows, cols)
+	for i := range cells {
+		for j := range cells[i] {
+			cells[i][j] = sheet.Cell{Value: sheet.Str(fmt.Sprintf("v%d_%d", i+1, j+1))}
 		}
+	}
+	if err := tr.UpdateCells(blockWrites(1, 1, cells)); err != nil {
+		t.Fatal(err)
 	}
 	return tr
 }
@@ -178,12 +179,14 @@ func TestHybridStoreBatchedBandArithmetic(t *testing.T) {
 		if _, err := hs.AddRegion(sheet.NewRange(8, 1, 12, 3), hybrid.ROM); err != nil {
 			t.Fatal(err)
 		}
-		for r := 1; r <= 14; r++ {
-			for c := 1; c <= 4; c++ {
-				if err := hs.Update(r, c, sheet.Cell{Value: sheet.Number(float64(r*10 + c))}); err != nil {
-					t.Fatal(err)
-				}
+		cells := newCellGrid(14, 4)
+		for i := range cells {
+			for j := range cells[i] {
+				cells[i][j] = sheet.Cell{Value: sheet.Number(float64((i+1)*10 + j + 1))}
 			}
+		}
+		if err := hs.UpdateCells(blockWrites(1, 1, cells)); err != nil {
+			t.Fatal(err)
 		}
 		return hs
 	}

@@ -66,25 +66,6 @@ func (t *TOM) headerRows() int {
 	return 0
 }
 
-// Get implements Translator.
-func (t *TOM) Get(row, col int) (sheet.Cell, error) {
-	if col < 1 || col > t.Cols() {
-		return sheet.Cell{}, fmt.Errorf("model: TOM column %d out of range", col)
-	}
-	if t.headers && row == 1 {
-		return sheet.Cell{Value: sheet.Str(t.db.Schema.Cols[col-1].Name)}, nil
-	}
-	rid, ok := t.rowMap.Fetch(row - t.headerRows())
-	if !ok {
-		return sheet.Cell{}, nil
-	}
-	tuple, ok := t.db.Get(rid)
-	if !ok {
-		return sheet.Cell{}, fmt.Errorf("model: TOM dangling pointer %v", rid)
-	}
-	return sheet.Cell{Value: DatumToValue(tuple[col-1])}, nil
-}
-
 // GetCells implements Translator: the header row renders from the schema,
 // and the data rows flow through the batched read path — one positional-map
 // range walk, one buffer-pool pin per heap page, only the covered attributes
@@ -132,51 +113,59 @@ func (t *TOM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	return out, nil
 }
 
-// Update implements Translator: a typed in-place update of the linked
-// relation — the two-way synchronization of linkTable.
-func (t *TOM) Update(row, col int, c sheet.Cell) error {
-	if col < 1 || col > t.Cols() {
-		return fmt.Errorf("model: TOM column %d out of range", col)
+// datums converts a batch into the linked relation's types, refusing a write
+// to a column or data row the table does not have, to the header row, of a
+// formula, or of a value its column's type rejects.
+func (t *TOM) datums(ws []CellWrite) ([]rdbms.Datum, error) {
+	ds := make([]rdbms.Datum, len(ws))
+	for k, w := range ws {
+		switch dataRow := w.Row - t.headerRows(); {
+		case w.Col < 1 || w.Col > t.Cols():
+			return nil, fmt.Errorf("model: TOM column %d out of range", w.Col)
+		case t.headers && w.Row == 1:
+			return nil, fmt.Errorf("model: TOM header row is read-only")
+		case w.Cell.Formula != "":
+			return nil, fmt.Errorf("model: TOM cells cannot hold formulas (linked table data only)")
+		case dataRow < 1 || dataRow > t.rowMap.Len():
+			return nil, fmt.Errorf("model: TOM row %d out of range", w.Row)
+		}
+		d, err := ValueToDatum(w.Cell.Value, t.db.Schema.Cols[w.Col-1].Type)
+		if err != nil {
+			return nil, err
+		}
+		ds[k] = d
 	}
-	if t.headers && row == 1 {
-		return fmt.Errorf("model: TOM header row is read-only")
-	}
-	if c.Formula != "" {
-		return fmt.Errorf("model: TOM cells cannot hold formulas (linked table data only)")
-	}
-	dataRow := row - t.headerRows()
-	rid, ok := t.rowMap.Fetch(dataRow)
-	if !ok {
-		return fmt.Errorf("model: TOM row %d out of range", row)
-	}
-	tuple, ok := t.db.Get(rid)
-	if !ok {
-		return fmt.Errorf("model: TOM dangling pointer %v", rid)
-	}
-	d, err := ValueToDatum(c.Value, t.db.Schema.Cols[col-1].Type)
-	if err != nil {
-		return err
-	}
-	nt := tuple.Clone()
-	nt[col-1] = d
-	newRID, err := t.db.Update(rid, nt)
-	if err != nil {
-		return err
-	}
-	if newRID != rid {
-		t.rowMap.Update(dataRow, newRID)
-	}
-	return nil
+	return ds, nil
 }
 
-// UpdateRect implements Translator: typed per-cell updates (linked tables
-// validate each attribute).
-func (t *TOM) UpdateRect(g sheet.Range, cells [][]sheet.Cell) error {
-	for i := range cells {
-		for j := range cells[i] {
-			if err := t.Update(g.From.Row+i, g.From.Col+j, cells[i][j]); err != nil {
-				return err
-			}
+func (t *TOM) refuse(ws []CellWrite) error {
+	_, err := t.datums(ws)
+	return err
+}
+
+// UpdateCells implements Translator: typed in-place updates of the linked
+// relation — the two-way synchronization of linkTable — one per write, once
+// the whole batch converted.
+func (t *TOM) UpdateCells(ws []CellWrite) error {
+	ds, err := t.datums(ws)
+	if err != nil {
+		return err
+	}
+	for k, w := range ws {
+		dataRow := w.Row - t.headerRows()
+		rid, _ := t.rowMap.Fetch(dataRow)
+		tuple, ok := t.db.Get(rid)
+		if !ok {
+			return fmt.Errorf("model: TOM dangling pointer %v", rid)
+		}
+		nt := tuple.Clone()
+		nt[w.Col-1] = ds[k]
+		newRID, err := t.db.Update(rid, nt)
+		if err != nil {
+			return err
+		}
+		if newRID != rid {
+			t.rowMap.Update(dataRow, newRID)
 		}
 	}
 	return nil
