@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-recalc soak loc lint staticcheck fmt ci
+.PHONY: all build test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit soak loc lint staticcheck fmt ci
 
 # Rounds for the crash-fuzz soak (`make soak`); ~200 is 60-90s locally.
 SOAK_ROUNDS ?= 200
@@ -21,11 +21,12 @@ test:
 # engine's own locks — it, not the serving layer, owns the latches — with
 # readers beside a bare engine's writers (Concurrent), session lifecycle,
 # the disconnect fuzz, plus the one edit pipeline in both recalc modes
-# (Pipeline), staleness bits and viewport priority. CI runs this as a
-# dedicated step so visibility, latch and executor regressions are named,
-# not buried in ./...
+# (Pipeline), staleness bits and viewport priority, and the recalc graph
+# walks (Cone, Mark: the plan and the edit-time mark against a brute-force
+# reference). CI runs this as a dedicated step so visibility, latch and
+# executor regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push.
@@ -98,16 +99,6 @@ soak:
 	BENCH_SOAK_JSON=BENCH_soak.json SOAK_ROUNDS=$(SOAK_ROUNDS) $(GO) test -run=TestSoakCrashFuzz -timeout 20m -v .
 	@cat BENCH_soak.json
 
-# Async-recalc snapshot (LazyBrowsing): one tick into a >=100k-cell
-# dependency cone on the background dispatcher, and writes
-# BENCH_recalc.json; fails if the registered viewport converges less than
-# 10x sooner than the same engine's full drain of that tick (an absolute
-# pair from one engine, not a ratio against the inline path), or if the
-# drained background state diverges from the synchronous shadow engine.
-bench-recalc:
-	BENCH_RECALC_JSON=BENCH_recalc.json $(GO) test -run=TestRecalcSnapshot -v .
-	@cat BENCH_recalc.json
-
 # Non-test Go lines per package (bench/ is the driver's, not counted) and
 # the total — the size half of the trajectory: ROADMAP tracks it alongside
 # the perf numbers.
@@ -137,4 +128,4 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck build loc test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit bench-recalc soak
+ci: lint staticcheck build loc test test-serve test-faults test-format bench bench-smoke bench-disk bench-commit soak

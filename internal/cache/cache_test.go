@@ -78,7 +78,7 @@ func TestCachePublishKeepsResidentBlocksCoherent(t *testing.T) {
 	var gen atomic.Uint64
 	a1, b1 := sheet.Ref{Row: 1, Col: 1}, sheet.Ref{Row: 1, Col: 2}
 	c.Get(a1) // make the block resident
-	c.MarkPending(a1)
+	markOne(c, a1)
 	s.Set(a1, sheet.Cell{Value: sheet.Number(7)})
 	c.Publish([]Write{{a1, sheet.Cell{Value: sheet.Number(7)}}}, []sheet.Ref{b1}, &gen)
 	if !c.Get(a1).Value.Equal(sheet.Number(7)) || b.loads != 1 {

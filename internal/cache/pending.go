@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"sort"
 	"sync"
 
 	"dataspread/internal/sheet"
@@ -77,29 +76,46 @@ func (p *pendingSet) clear(r sheet.Ref) bool {
 	return true
 }
 
-// MarkPending sets the pending bit for r, reporting whether it was newly set.
-func (c *Cache) MarkPending(r sheet.Ref) bool {
-	c.pending.mu.Lock()
-	defer c.pending.mu.Unlock()
-	return c.pending.set(r)
+// pendingHold bounds how many bits a PendingMarker sets in one hold of the
+// sidecar's lock.
+const pendingHold = 256
+
+// PendingMarker sets pending bits for the edit path, which marks 100k-cell
+// dependency cones through it: it takes the sidecar's lock at its first mark
+// and then once per pendingHold marks, releasing it between holds, so a
+// reader's pending mask never waits behind a whole cone. Between its first
+// Mark and Release the caller must not call into the cache.
+type PendingMarker struct {
+	p       *pendingSet
+	n, held int
 }
 
-// MarkPendingBatch sets the pending bit for every ref, returning how many
-// were newly set. One lock acquisition covers the whole batch — the edit
-// path marks 100k-cell dependency cones through this.
-func (c *Cache) MarkPendingBatch(refs []sheet.Ref) int {
-	if len(refs) == 0 {
-		return 0
+// PendingMarker starts a marking pass.
+func (c *Cache) PendingMarker() PendingMarker { return PendingMarker{p: &c.pending} }
+
+// Mark sets r's pending bit, reporting whether it was newly set.
+func (m *PendingMarker) Mark(r sheet.Ref) bool {
+	if m.held == pendingHold {
+		m.Release()
 	}
-	c.pending.mu.Lock()
-	defer c.pending.mu.Unlock()
-	n := 0
-	for _, r := range refs {
-		if c.pending.set(r) {
-			n++
-		}
+	if m.held++; m.held == 1 {
+		m.p.mu.Lock()
 	}
-	return n
+	if !m.p.set(r) {
+		return false
+	}
+	m.n++
+	return true
+}
+
+// Release drops the lock if a hold is open and returns how many bits the pass
+// has newly set. The marker may mark again after it.
+func (m *PendingMarker) Release() int {
+	if m.held > 0 {
+		m.held = 0
+		m.p.mu.Unlock()
+	}
+	return m.n
 }
 
 // ClearPending clears the pending bit for r, reporting whether it was set.
@@ -139,8 +155,8 @@ func (c *Cache) PendingInRange(g sheet.Range) int {
 	return n
 }
 
-// PendingRefs returns every pending cell, sorted row-major — the recalc
-// scheduler's rebuild source of truth.
+// PendingRefs returns every pending cell, in no particular order — the recalc
+// scheduler's rebuild source of truth (its plan sorts each wave itself).
 func (c *Cache) PendingRefs() []sheet.Ref {
 	p := &c.pending
 	p.mu.RLock()
@@ -157,16 +173,14 @@ func (c *Cache) PendingRefs() []sheet.Ref {
 		}
 	}
 	p.mu.RUnlock()
-	sortPendingRefs(out)
 	return out
 }
 
-// PendingRefsIn returns the pending cells inside g, sorted row-major —
+// PendingRefsIn returns the pending cells inside g, in no particular order —
 // the recalc scheduler's viewport fast-path seeds.
 func (c *Cache) PendingRefsIn(g sheet.Range) []sheet.Ref {
 	var out []sheet.Ref
 	c.visitPending(g, func(r sheet.Ref) { out = append(out, r) })
-	sortPendingRefs(out)
 	return out
 }
 
@@ -223,13 +237,4 @@ func (c *Cache) ClearAllPending() {
 	p.masks = nil
 	p.count = 0
 	p.mu.Unlock()
-}
-
-func sortPendingRefs(refs []sheet.Ref) {
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Row != refs[j].Row {
-			return refs[i].Row < refs[j].Row
-		}
-		return refs[i].Col < refs[j].Col
-	})
 }

@@ -11,6 +11,13 @@ import (
 // eviction, clear exactly once, and the range views (count, refs, mask)
 // agree with the per-cell bits.
 
+// markOne sets one pending bit through a one-mark pass.
+func markOne(c *Cache, r sheet.Ref) bool {
+	m := c.PendingMarker()
+	defer m.Release()
+	return m.Mark(r)
+}
+
 func TestPendingBits(t *testing.T) {
 	c := New(&sheetBacking{s: sheet.New("t")}, 4)
 
@@ -19,14 +26,14 @@ func TestPendingBits(t *testing.T) {
 	if c.IsPending(a) || c.PendingCount() != 0 {
 		t.Fatal("fresh cache has pending cells")
 	}
-	if !c.MarkPending(a) {
-		t.Fatal("first MarkPending(a) = false, want newly set")
+	if !markOne(c, a) {
+		t.Fatal("first mark of a = false, want newly set")
 	}
-	if c.MarkPending(a) {
-		t.Fatal("second MarkPending(a) = true, want already set")
+	if markOne(c, a) {
+		t.Fatal("second mark of a = true, want already set")
 	}
-	if !c.MarkPending(b) {
-		t.Fatal("MarkPending(b) = false")
+	if !markOne(c, b) {
+		t.Fatal("mark of b = false")
 	}
 	if !c.IsPending(a) || !c.IsPending(b) || c.PendingCount() != 2 {
 		t.Fatalf("IsPending(a)=%v IsPending(b)=%v count=%d, want true/true/2",
@@ -34,8 +41,12 @@ func TestPendingBits(t *testing.T) {
 	}
 
 	refs := c.PendingRefs()
-	if len(refs) != 2 || refs[0] != a || refs[1] != b {
-		t.Fatalf("PendingRefs = %v, want row-major [%v %v]", refs, a, b)
+	got := map[sheet.Ref]bool{}
+	for _, r := range refs {
+		got[r] = true
+	}
+	if len(refs) != 2 || !got[a] || !got[b] {
+		t.Fatalf("PendingRefs = %v, want the set {%v %v}", refs, a, b)
 	}
 
 	if !c.ClearPending(a) {
@@ -62,7 +73,7 @@ func TestPendingRangeViews(t *testing.T) {
 		{Row: BlockRows + 1, Col: 2}, // next block row
 	}
 	for _, r := range marked {
-		c.MarkPending(r)
+		markOne(c, r)
 	}
 
 	g := sheet.NewRange(1, 1, 3, 3)
@@ -87,6 +98,38 @@ func TestPendingRangeViews(t *testing.T) {
 	}
 }
 
+// A reader's pending query gets in while a long marking pass runs: the pass
+// keeps marking until the reader is done, so a marker that held the lock
+// throughout would run to its cap of a million cells.
+func TestPendingMarkerBoundsEachHold(t *testing.T) {
+	c := New(&sheetBacking{s: sheet.New("t")}, 4)
+	const limit = 1_000_000
+	done := make(chan struct{})
+	m := c.PendingMarker()
+marking:
+	for row := 1; row <= limit; row++ {
+		m.Mark(sheet.Ref{Row: row, Col: 1})
+		if row == 10 {
+			go func() {
+				c.PendingCount()
+				close(done)
+			}()
+		}
+		select {
+		case <-done:
+			break marking
+		default:
+		}
+	}
+	n := m.Release()
+	if n >= limit {
+		t.Fatalf("the reader waited behind all %d marks", n)
+	}
+	if got := c.PendingCount(); got != n {
+		t.Fatalf("PendingCount = %d after %d new marks", got, n)
+	}
+}
+
 func TestPendingConcurrentMarkClear(t *testing.T) {
 	c := New(&sheetBacking{s: sheet.New("t")}, 4)
 	const workers, perWorker = 8, 200
@@ -97,7 +140,7 @@ func TestPendingConcurrentMarkClear(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r := sheet.Ref{Row: w*perWorker + i + 1, Col: 1}
-				c.MarkPending(r)
+				markOne(c, r)
 				c.IsPending(r)
 				c.ClearPending(r)
 			}

@@ -175,9 +175,13 @@ func TestSetCellsScatteredEditsPropagatePrecisely(t *testing.T) {
 	if err := e.Set(50, 5, "=SUM(C2:C40)"); err != nil { // inside envelope, reads no edit
 		t.Fatal(err)
 	}
-	reach := e.deps.Reach([]sheet.Ref{{Row: 1, Col: 1}, {Row: 100, Col: 100}})
+	var reach []sheet.Ref
+	e.deps.Mark([]sheet.Ref{{Row: 1, Col: 1}, {Row: 100, Col: 100}}, func(r sheet.Ref) bool {
+		reach = append(reach, r)
+		return true
+	})
 	if len(reach) != 1 || reach[0] != (sheet.Ref{Row: 1, Col: 5}) {
-		t.Fatalf("Reach = %v, want only E1", reach)
+		t.Fatalf("Mark visited %v, want only E1", reach)
 	}
 	if err := e.SetCells([]CellEdit{
 		{Row: 1, Col: 1, Input: "7"},

@@ -474,11 +474,17 @@ func (e *Engine) publish(writes []model.CellWrite, flag []sheet.Ref, gen *atomic
 
 // mark sets the pending bits a mutation owes: the seed formulas themselves
 // plus every formula transitively reading a seed or a changed cell. It
-// returns how many cells were newly marked. Marking is O(cone) — no
-// topological sort happens on the edit path.
+// returns how many cells were newly marked. The walk stops at cells already
+// pending (their dependents are pending too), so marking costs O(newly
+// marked cells), in bounded holds of the pending lock.
 func (e *Engine) mark(seeds, changed []sheet.Ref) int {
-	cone := e.deps.Reach(append(changed[:len(changed):len(changed)], seeds...))
-	return e.cache.MarkPendingBatch(append(cone, seeds...))
+	m := e.cache.PendingMarker()
+	defer m.Release()
+	for _, r := range seeds {
+		m.Mark(r)
+	}
+	e.deps.Mark(append(changed[:len(changed):len(changed)], seeds...), m.Mark)
+	return m.Release()
 }
 
 // dropFormula forgets whatever formula ref held.
@@ -581,11 +587,11 @@ func (e *Engine) reviveCycles() []sheet.Ref {
 func (e *Engine) RecalcAll() error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	all := make([]sheet.Ref, 0, len(e.exprs))
+	m := e.cache.PendingMarker()
 	for ref := range e.exprs {
-		all = append(all, ref)
+		m.Mark(ref)
 	}
-	e.cache.MarkPendingBatch(all)
+	m.Release()
 	return e.settle()
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -565,6 +566,57 @@ func TestRecalcPropertySetVsSetCells(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// Marking stops at cells already pending and is exact by the pending set's
+// closure: two edits whose cones overlap but differ leave exactly their union
+// pending (the quiet window at an hour and no viewport, so nothing computes
+// before Drain), and the drained cells equal a synchronous engine's.
+func TestMarkStopsAtPendingCells(t *testing.T) {
+	old := coldDelay
+	coldDelay = time.Hour
+	t.Cleanup(func() { coldDelay = old })
+	setup := []CellEdit{
+		{Row: 1, Col: 1, Input: "1"}, {Row: 2, Col: 1, Input: "2"},
+		{Row: 1, Col: 2, Input: "=A1*2"}, {Row: 2, Col: 2, Input: "=A2+B1"},
+		{Row: 1, Col: 3, Input: "=B1+1"}, {Row: 2, Col: 3, Input: "=B2*3"},
+		{Row: 1, Col: 4, Input: "=SUM(B1:C2)"}, {Row: 2, Col: 5, Input: "=A2*10"},
+		{Row: 1, Col: 6, Input: "=SUM(E1:E5)"},
+	}
+	sync, async := newEngine(t), newAsyncEngine(t)
+	for _, e := range []*Engine{sync, async} {
+		if err := e.SetCells(setup); err != nil {
+			t.Fatal(err)
+		}
+		mustDrain(t, e)
+		// A1's cone is B1 B2 C1 C2 D1; A2's is B2 C2 D1 E2 F1.
+		if err := e.Set(1, 1, "5"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Set(2, 1, "7"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[sheet.Ref]bool{}
+	for _, r := range []sheet.Ref{{Row: 1, Col: 2}, {Row: 2, Col: 2}, {Row: 1, Col: 3}, {Row: 2, Col: 3},
+		{Row: 1, Col: 4}, {Row: 2, Col: 5}, {Row: 1, Col: 6}} {
+		want[r] = true
+	}
+	got := map[sheet.Ref]bool{}
+	for _, r := range async.cache.PendingRefs() {
+		got[r] = true
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("pending after both edits = %v, want the union of the cones %v", got, want)
+	}
+	mustDrain(t, async)
+	for row := 1; row <= 5; row++ {
+		for col := 1; col <= 6; col++ {
+			if a, b := sync.GetCell(row, col), async.GetCell(row, col); !a.Value.Equal(b.Value) || a.Formula != b.Formula {
+				t.Fatalf("(%d,%d): sync %v/%q, async %v/%q", row, col, a.Value, a.Formula, b.Value, b.Formula)
+			}
 		}
 	}
 }

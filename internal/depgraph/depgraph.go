@@ -12,9 +12,19 @@
 // changed range intersects, so a cone query costs O(dependents · log n) instead
 // of a scan over every formula, and structural edits relocate registrations
 // in place through Shift instead of re-registering the whole sheet.
+//
+// The recalc executor's two walks are flat passes over that index. Mark, the
+// edit-time walk, keeps no visited set of its own: its caller's visit (the
+// pending bits) is one, and it stops at a cell already marked. ConeFrom, the
+// plan, numbers cone members with dense int32 ids through one map per plan,
+// records each dependent edge as the walk finds it, keeps successors in CSR
+// arrays and emits Kahn-by-level waves straight from them — no per-cell map
+// of edges, degrees or levels.
 package depgraph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"dataspread/internal/sheet"
@@ -371,90 +381,63 @@ func (g *Graph) AffectedFrom(seeds []sheet.Ref) (order []sheet.Ref, cycles []she
 	if c == nil {
 		return nil, nil
 	}
-	return c.Order, c.Cycles
+	return c.Refs[:len(c.Refs)-len(c.Cycles)], c.Cycles
 }
 
-// frontierForRefs returns the formulas directly reading any of the exact
-// changed cells (not their bounding rectangle — scattered edits do not drag
-// every formula in their envelope along), deduplicated and sorted: Reach's
-// BFS frontier.
-func (g *Graph) frontierForRefs(refs []sheet.Ref) []sheet.Ref {
-	if len(refs) == 0 {
-		return nil
-	}
-	sorted := append([]sheet.Ref(nil), refs...)
-	sortRefs(sorted)
-	seen := make(map[*entry]bool)
-	var frontier []sheet.Ref
-	collect := func(e *entry) {
-		if seen[e] {
-			return
-		}
-		seen[e] = true
-		for _, r := range e.reads {
-			if rangeContainsAny(r, sorted) {
-				frontier = append(frontier, e.ref)
-				return
-			}
-		}
-	}
-	// Point readers resolve with one exact probe per changed cell; one
-	// stripe probe per distinct changed row covers range readers, keeping
-	// the candidate walk proportional to the touched stripes, not the
-	// whole graph.
-	lastRow := 0
+// readers streams to fn every formula directly reading one of the cells in
+// sorted (row-major, as sortRefs leaves it): one point probe per cell and one
+// stripe probe per distinct stripe, matched against the exact cells —
+// scattered edits do not drag every formula in their bounding rectangle
+// along. An entry may be produced more than once.
+func (g *Graph) readers(sorted []sheet.Ref, fn func(*entry)) {
+	last := -1
 	for _, ref := range sorted {
 		for _, e := range g.points[ref] {
-			collect(e)
+			fn(e)
 		}
-		if ref.Row == lastRow {
+		if stripeOf(ref.Row) == last {
 			continue
 		}
-		lastRow = ref.Row
-		g.stripeCandidates(ref.Row, ref.Row, collect)
-	}
-	sortRefs(frontier)
-	return frontier
-}
-
-// Reach returns the cells whose formulas must eventually recompute when
-// the given cells change: every formula transitively reading any of them
-// (the dependency cone's member set, in unspecified order — no sorting at
-// all). The background recalc scheduler uses it to mark staleness at edit
-// time, so it is deliberately the leanest possible BFS: point-index
-// probes plus one stripe probe per visited cell, no per-node dependent
-// sort — an edit touching a 100k-cell cone must return in milliseconds.
-func (g *Graph) Reach(refs []sheet.Ref) []sheet.Ref {
-	queue := g.frontierForRefs(refs)
-	reach := make(map[sheet.Ref]bool, len(queue))
-	for i := 0; i < len(queue); i++ {
-		ref := queue[i]
-		if reach[ref] {
-			continue
-		}
-		reach[ref] = true
-		for _, e := range g.points[ref] {
-			if !reach[e.ref] {
-				queue = append(queue, e.ref)
-			}
-		}
+		last = stripeOf(ref.Row)
 		g.stripeCandidates(ref.Row, ref.Row, func(e *entry) {
-			if reach[e.ref] {
-				return
-			}
 			for _, r := range e.reads {
-				if r.Contains(ref) {
-					queue = append(queue, e.ref)
+				if r.From != r.To && rangeContainsAny(r, sorted) {
+					fn(e)
 					return
 				}
 			}
 		})
 	}
-	out := make([]sheet.Ref, 0, len(reach))
-	for ref := range reach {
-		out = append(out, ref)
+}
+
+// Mark is the edit-time walk over the dependency cone of refs: every formula
+// directly reading one of refs goes to visit, and the readers of a formula
+// for which visit reports true are visited in turn; the walk does not pass a
+// formula for which it reports false. refs themselves are not visited. The
+// recalc executor's visit sets the pending bit and reports whether it was
+// newly set, so the walk stops at a cell already pending — exact by the
+// pending set's closure (every dependent of a pending cell is pending) — and
+// keeps no visited set of its own: an edit into a 100k-cell cone must return
+// in milliseconds.
+func (g *Graph) Mark(refs []sheet.Ref, visit func(sheet.Ref) bool) {
+	sorted := refs
+	if !slices.IsSortedFunc(refs, cmpRefs) {
+		sorted = slices.Clone(refs)
+		sortRefs(sorted)
 	}
-	return out
+	// Depth first: the stack holds a fan-out, not the cone.
+	var stack []sheet.Ref
+	step := func(e *entry) {
+		if visit(e.ref) {
+			stack = append(stack, e.ref)
+		}
+	}
+	g.readers(sorted, step)
+	for len(stack) > 0 {
+		top := [1]sheet.Ref{stack[len(stack)-1]}
+		stack = stack[:len(stack)-1]
+		g.readers(top[:], step)
+	}
 }
 
 // UpstreamWaves returns the member-filtered transitive precedent closure
@@ -464,75 +447,40 @@ func (g *Graph) Reach(refs []sheet.Ref) []sheet.Ref {
 // omitted — the caller's full plan poisons them. The background recalc
 // scheduler uses it with member = "is pending" to evaluate a viewport's
 // stale cells and their stale ancestors ahead of everything else, in
-// O(viewport cone), without first paying the full cone's topological
-// sort.
+// O(viewport cone), without first paying the full cone's plan.
 func (g *Graph) UpstreamWaves(seeds []sheet.Ref, member func(sheet.Ref) bool) [][]sheet.Ref {
-	set := make(map[sheet.Ref]bool)
-	var queue []sheet.Ref
-	add := func(r sheet.Ref) bool {
-		if !set[r] && member(r) {
-			set[r] = true
-			queue = append(queue, r)
-		}
-		return false
-	}
+	b := newConeBuilder(len(seeds))
 	for _, s := range seeds {
-		add(s)
-	}
-	for i := 0; i < len(queue); i++ {
-		if e, ok := g.deps[queue[i]]; ok {
-			for _, r := range e.reads {
-				g.formulasIn(r, add)
-			}
+		if member(s) {
+			b.add(s)
 		}
 	}
-	if len(set) == 0 {
-		return nil
-	}
-	indeg := make(map[sheet.Ref]int, len(set))
-	adj := make(map[sheet.Ref][]sheet.Ref, len(set))
-	for v := range set {
-		e, ok := g.deps[v]
+	for v := 0; v < len(b.refs); v++ {
+		e, ok := g.deps[b.refs[v]]
 		if !ok {
 			continue
 		}
 		for _, r := range e.reads {
-			v := v
 			g.formulasIn(r, func(p sheet.Ref) bool {
-				if set[p] {
-					adj[p] = append(adj[p], v)
-					indeg[v]++
+				if _, ok := b.ids[cellKey(p)]; ok || member(p) {
+					b.edge(b.add(p), int32(v))
 				}
 				return false
 			})
 		}
 	}
-	wave := make([]sheet.Ref, 0, len(set))
-	for v := range set {
-		if indeg[v] == 0 {
-			wave = append(wave, v)
-		}
+	if c := b.cone(); c != nil {
+		return c.Waves
 	}
-	var waves [][]sheet.Ref
-	for len(wave) > 0 {
-		sortRefs(wave)
-		waves = append(waves, wave)
-		var next []sheet.Ref
-		for _, v := range wave {
-			for _, w := range adj[v] {
-				if indeg[w]--; indeg[w] == 0 {
-					next = append(next, w)
-				}
-			}
-		}
-		wave = next
-	}
-	return waves
+	return nil
 }
 
 // rangeContainsAny reports whether r contains any of the refs (sorted by
 // row, then column): binary search to the range's first row, then walk.
 func rangeContainsAny(r sheet.Range, sorted []sheet.Ref) bool {
+	if len(sorted) == 1 { // a walk step: skip the search
+		return r.Contains(sorted[0])
+	}
 	i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Row >= r.From.Row })
 	for ; i < len(sorted) && sorted[i].Row <= r.To.Row; i++ {
 		if c := sorted[i].Col; c >= r.From.Col && c <= r.To.Col {
@@ -542,138 +490,144 @@ func rangeContainsAny(r sheet.Range, sorted []sheet.Ref) bool {
 	return false
 }
 
-// Cone is a dependency cone with its internal edge structure: the result
-// of a reachability query that keeps the topological machinery instead of
-// discarding it, so the background recalc scheduler can partition the cone
-// into evaluation waves and walk dependent edges without re-deriving them.
+// Cone is a dependency cone laid out flat for the recalc planner: members are
+// positions in Refs, which lists them in evaluation order, and the dependent
+// edges between them are CSR arrays over those positions.
 type Cone struct {
-	// Order is a valid evaluation order of the acyclic members
-	// (precedents before dependents).
-	Order []sheet.Ref
-	// Cycles lists members on dependency cycles, sorted; they have no
-	// valid order and must be poisoned.
+	// Refs lists the members: the acyclic ones wave by wave, each wave
+	// sorted row-major, then the cycle members, sorted.
+	Refs []sheet.Ref
+	// Waves partitions the acyclic members (sub-slices of Refs) into
+	// topological levels: wave k holds the members whose longest chain of
+	// precedents within the cone has length k, so every member's cone-internal
+	// precedents complete strictly before its wave runs — the members of one
+	// wave are mutually independent and may evaluate in parallel.
+	Waves [][]sheet.Ref
+	// Cycles is the tail of Refs on or downstream of a dependency cycle; it
+	// has no valid order and must be poisoned.
 	Cycles []sheet.Ref
-	// Adj maps a member u to the members reading it (edge u -> v when
-	// formula v reads cell u), restricted to the cone.
-	Adj map[sheet.Ref][]sheet.Ref
-}
-
-// Len returns the cone's member count (acyclic plus cyclic).
-func (c *Cone) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.Order) + len(c.Cycles)
-}
-
-// Waves partitions Order into topological levels: wave k holds the members
-// whose longest chain of precedents within the cone has length k, so every
-// member's cone-internal precedents complete strictly before its wave runs
-// — the members of one wave are mutually independent and may evaluate in
-// parallel on a worker pool.
-func (c *Cone) Waves() [][]sheet.Ref {
-	if c == nil || len(c.Order) == 0 {
-		return nil
-	}
-	level := make(map[sheet.Ref]int, len(c.Order))
-	var waves [][]sheet.Ref
-	for _, v := range c.Order {
-		l := level[v]
-		if l == len(waves) {
-			waves = append(waves, nil)
-		}
-		waves[l] = append(waves[l], v)
-		for _, w := range c.Adj[v] {
-			if level[w] < l+1 {
-				level[w] = l + 1
-			}
-		}
-	}
-	return waves
+	// Succ[Off[i]:Off[i+1]] are the positions of the members reading member
+	// i (edge i -> j when formula j reads cell i). An acyclic member's
+	// readers all sit after it in Refs.
+	Off, Succ []int32
 }
 
 // ConeFrom returns the full cone structure of an explicit set of formula
 // cells: the seeds verbatim plus every formula transitively reading them,
-// topologically sorted, with adjacency (nil when empty).
+// in evaluation order, with their dependent edges (nil when empty). Each
+// member is walked once, and the readers it yields are its edges.
 func (g *Graph) ConeFrom(seeds []sheet.Ref) *Cone {
-	return g.coneFrom(append([]sheet.Ref(nil), seeds...))
+	b := newConeBuilder(len(seeds))
+	for _, s := range seeds {
+		b.add(s)
+	}
+	for u := 0; u < len(b.refs); u++ {
+		g.readers(b.refs[u:u+1], func(e *entry) { b.edge(int32(u), b.add(e.ref)) })
+	}
+	return b.cone()
 }
 
-// coneFrom collects the reachable set via BFS over direct-dependent edges
-// and topologically sorts it, returning the cone (nil when empty).
-func (g *Graph) coneFrom(frontier []sheet.Ref) *Cone {
-	reach := make(map[sheet.Ref]bool)
-	for len(frontier) > 0 {
-		var next []sheet.Ref
-		for _, ref := range frontier {
-			if reach[ref] {
-				continue
-			}
-			reach[ref] = true
-			next = append(next, g.DirectDependents(sheet.Range{From: ref, To: ref})...)
-		}
-		frontier = next
+// coneBuilder numbers cone members with dense ids — the one map of a plan —
+// and collects the dependent edges between them as the walk finds them.
+type coneBuilder struct {
+	ids      map[uint64]int32 // by cellKey
+	refs     []sheet.Ref
+	from, to []int32
+}
+
+func newConeBuilder(n int) *coneBuilder {
+	return &coneBuilder{ids: make(map[uint64]int32, n), refs: make([]sheet.Ref, 0, n)}
+}
+
+// add returns r's id, numbering r when it is new.
+func (b *coneBuilder) add(r sheet.Ref) int32 {
+	id, ok := b.ids[cellKey(r)]
+	if !ok {
+		id = int32(len(b.refs))
+		b.ids[cellKey(r)] = id
+		b.refs = append(b.refs, r)
 	}
-	if len(reach) == 0 {
+	return id
+}
+
+// cellKey packs a ref into one word, the cheapest map key to hash.
+func cellKey(r sheet.Ref) uint64 { return uint64(r.Row)<<32 | uint64(uint32(r.Col)) }
+
+// edge records that member v reads member u. A formula reading a cell twice
+// records it twice; Kahn counts and releases both.
+func (b *coneBuilder) edge(u, v int32) {
+	b.from = append(b.from, u)
+	b.to = append(b.to, v)
+}
+
+// cone lays the members out by Kahn levels over the edges in CSR form, each
+// wave sorted row-major, the members no wave reaches (on or downstream of a
+// cycle) last, and renumbers the edges by position (nil when empty).
+func (b *coneBuilder) cone() *Cone {
+	n := len(b.refs)
+	if n == 0 {
 		return nil
 	}
-
-	// Topologically sort the reachable subgraph: edge u -> v when formula v
-	// reads formula cell u. Members of each range are located by binary
-	// search over the sorted reachable set, so the edge build costs
-	// O(reach · ranges · (log reach + hits)) instead of O(reach²·ranges).
-	sorted := make([]sheet.Ref, 0, len(reach))
-	for v := range reach {
-		sorted = append(sorted, v)
+	off := make([]int32, n+1)
+	indeg := make([]int32, n)
+	for i, u := range b.from {
+		off[u+1]++
+		indeg[b.to[i]]++
 	}
-	sortRefs(sorted)
-	indeg := make(map[sheet.Ref]int, len(reach))
-	adj := make(map[sheet.Ref][]sheet.Ref, len(reach))
-	for v := range reach {
-		e := g.deps[v]
-		if e == nil {
-			continue
+	for i := range n {
+		off[i+1] += off[i]
+	}
+	succ := make([]int32, len(b.from))
+	fill := slices.Clone(off[:n])
+	for i, u := range b.from {
+		succ[fill[u]] = b.to[i]
+		fill[u]++
+	}
+	byRef := func(x, y int32) int { return cmpRefs(b.refs[x], b.refs[y]) }
+	order := make([]int32, 0, n)
+	for v, d := range indeg {
+		if d == 0 {
+			order = append(order, int32(v))
 		}
-		for _, r := range e.reads {
-			i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Row >= r.From.Row })
-			for ; i < len(sorted) && sorted[i].Row <= r.To.Row; i++ {
-				u := sorted[i]
-				if u != v && u.Col >= r.From.Col && u.Col <= r.To.Col {
-					adj[u] = append(adj[u], v)
-					indeg[v]++
+	}
+	var ends []int
+	for lo := 0; lo < len(order); lo = ends[len(ends)-1] {
+		ends = append(ends, len(order))
+		slices.SortFunc(order[lo:], byRef)
+		for _, v := range order[lo:ends[len(ends)-1]] {
+			for _, w := range succ[off[v]:off[v+1]] {
+				if indeg[w]--; indeg[w] == 0 {
+					order = append(order, w)
 				}
 			}
 		}
 	}
-	c := &Cone{Adj: adj}
-	var queue []sheet.Ref
-	for v := range reach {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
+	acyclic := len(order)
+	for v, d := range indeg {
+		if d > 0 {
+			order = append(order, int32(v))
 		}
 	}
-	sortRefs(queue)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		c.Order = append(c.Order, v)
-		next := adj[v]
-		sortRefs(next)
-		for _, w := range next {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
+	slices.SortFunc(order[acyclic:], byRef)
+
+	pos := fill // id -> position in order
+	for i, v := range order {
+		pos[v] = int32(i)
 	}
-	if len(c.Order) < len(reach) {
-		for v := range reach {
-			if indeg[v] > 0 {
-				c.Cycles = append(c.Cycles, v)
-			}
+	c := &Cone{Refs: make([]sheet.Ref, n), Off: make([]int32, n+1), Succ: make([]int32, 0, len(succ))}
+	for i, v := range order {
+		c.Refs[i] = b.refs[v]
+		for _, w := range succ[off[v]:off[v+1]] {
+			c.Succ = append(c.Succ, pos[w])
 		}
-		sortRefs(c.Cycles)
+		c.Off[i+1] = int32(len(c.Succ))
 	}
+	lo := 0
+	for _, hi := range ends {
+		c.Waves = append(c.Waves, c.Refs[lo:hi])
+		lo = hi
+	}
+	c.Cycles = c.Refs[acyclic:]
 	return c
 }
 
@@ -839,8 +793,9 @@ func (g *Graph) Shift(axis Axis, at, delta int) ShiftResult {
 			classify(e)
 		}
 	}
-	sort.Slice(movers, func(i, j int) bool { return refLess(movers[i].ref, movers[j].ref) })
-	sort.Slice(dropped, func(i, j int) bool { return refLess(dropped[i].ref, dropped[j].ref) })
+	byRef := func(a, b *entry) int { return cmpRefs(a.ref, b.ref) }
+	slices.SortFunc(movers, byRef)
+	slices.SortFunc(dropped, byRef)
 
 	// Locate crossers: entries with a read range ending at or after the
 	// edit. The stripe walk bounds this to entries actually reading near or
@@ -989,13 +944,12 @@ func shiftRange(r sheet.Range, axis Axis, at, delta int) (sheet.Range, bool) {
 	return sheet.NewRange(r.From.Row, lo, r.To.Row, hi), true
 }
 
-func refLess(a, b sheet.Ref) bool {
+// cmpRefs orders refs row-major.
+func cmpRefs(a, b sheet.Ref) int {
 	if a.Row != b.Row {
-		return a.Row < b.Row
+		return cmp.Compare(a.Row, b.Row)
 	}
-	return a.Col < b.Col
+	return cmp.Compare(a.Col, b.Col)
 }
 
-func sortRefs(refs []sheet.Ref) {
-	sort.Slice(refs, func(i, j int) bool { return refLess(refs[i], refs[j]) })
-}
+func sortRefs(refs []sheet.Ref) { slices.SortFunc(refs, cmpRefs) }

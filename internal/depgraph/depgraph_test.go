@@ -30,10 +30,25 @@ func TestDirectDependents(t *testing.T) {
 	}
 }
 
+// reach is what Mark walks from refs over an empty pending set.
+func reach(g *Graph, refs ...sheet.Ref) []sheet.Ref {
+	seen := map[sheet.Ref]bool{}
+	var out []sheet.Ref
+	g.Mark(refs, func(r sheet.Ref) bool {
+		if seen[r] {
+			return false
+		}
+		seen[r] = true
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
 // affected is the engine's recalculation query: mark what a change at refs
-// reaches (Reach), then order the marked set (AffectedFrom / ConeFrom).
+// reaches (Mark), then order the marked set (AffectedFrom / ConeFrom).
 func affected(g *Graph, refs ...sheet.Ref) (order, cycles []sheet.Ref) {
-	return g.AffectedFrom(g.Reach(refs))
+	return g.AffectedFrom(reach(g, refs...))
 }
 
 func TestAffectedTopologicalOrder(t *testing.T) {
@@ -418,7 +433,7 @@ func TestAffectedFromMergesSeedsAndReach(t *testing.T) {
 	g.Set(ref(1, 3), cellRange(1, 2)) // C1 = B1
 	g.Set(ref(2, 2), cellRange(2, 1)) // B2 = A2 (the "revived" seed)
 
-	order, cycles := g.AffectedFrom(append(g.Reach([]sheet.Ref{ref(1, 1)}), ref(2, 2)))
+	order, cycles := g.AffectedFrom(append(reach(g, ref(1, 1)), ref(2, 2)))
 	if len(cycles) != 0 {
 		t.Fatalf("cycles = %v", cycles)
 	}
@@ -440,7 +455,7 @@ func TestAffectedFromMergesSeedsAndReach(t *testing.T) {
 		t.Fatalf("B1 must precede C1: %v", order)
 	}
 	// A seed that is also in the changed cone appears exactly once.
-	order, _ = g.AffectedFrom(append(g.Reach([]sheet.Ref{ref(1, 1)}), ref(1, 2)))
+	order, _ = g.AffectedFrom(append(reach(g, ref(1, 1)), ref(1, 2)))
 	n := 0
 	for _, r := range order {
 		if r == ref(1, 2) {
