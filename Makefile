@@ -13,8 +13,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# Every package under the race detector, then ten seconds of the SQL
+# front end's fuzz target (parse, bind and run against a live catalog; its
+# seeds, the TestSQLCorpus statements, already ran in the first line).
 test:
 	$(GO) test -race -timeout 10m ./...
+	$(GO) test -run '^$$' -fuzz FuzzSQL -fuzztime 10s ./internal/rdbms/
 
 # Serving stack and recalc surface alone under the race detector: the cell
 # cache's publish and the generation-stamped reads beside it (Publish), the

@@ -1,5 +1,5 @@
-// Command dsshell is a minimal interactive shell over the DataSpread
-// engine: set cells and formulas, view regions, link tables and run SQL.
+// Command dsshell is a minimal interactive shell over the DataSpread engine:
+// set cells and formulas, view regions, link tables, run read-only SQL.
 //
 //	> set A1 42
 //	> set B1 =A1*2
@@ -93,7 +93,7 @@ func main() {
 	}()
 
 	fmt.Println("DataSpread shell. Commands: set <ref> <value|=formula>, view <range>,")
-	fmt.Println("sql <query>, link <range> <table>, optimize <dp|greedy|agg>, insrow <n> [count],")
+	fmt.Println("sql <select>, link <range> <table>, optimize <dp|greedy|agg>, insrow <n> [count],")
 	fmt.Println("delrow <n> [count], inscol <n> [count], delcol <n> [count], load <file.grid>,")
 	fmt.Println("save, .stats, .scrub [pages/sec], .vacuum, .recover,")
 	fmt.Println(".backup <path>, .restore <backup> <dest> [archive-dir [gen]],")

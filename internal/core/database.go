@@ -116,7 +116,9 @@ func inferType(rows [][]sheet.Cell, col int) rdbms.DType {
 }
 
 // SQL runs the sql(query, params...) spreadsheet function (Appendix B),
-// returning a composite table value.
+// returning a composite table value. It only reads: a write would go behind
+// the grid of a linked region, which would show stale cells or none. It
+// holds the edit lock, so its scan never races an edit of a linked region.
 func (e *Engine) SQL(query string, params ...sheet.Value) (*rel.TableValue, error) {
 	datums := make([]rdbms.Datum, len(params))
 	for i, p := range params {
@@ -127,7 +129,9 @@ func (e *Engine) SQL(query string, params ...sheet.Value) (*rel.TableValue, erro
 		}
 		datums[i] = d
 	}
-	res, err := e.db.Exec(query, datums...)
+	e.writeMu.Lock()
+	res, err := e.db.Query(query, datums...)
+	e.writeMu.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dataspread/internal/rdbms"
@@ -116,6 +118,110 @@ func TestSQLWithParams(t *testing.T) {
 	}
 	if _, err := e.SQL("SELECT nope FROM nums"); err == nil {
 		t.Fatal("bad SQL must error")
+	}
+}
+
+// TestSQLCannotWriteThroughSheet: sql() only reads. A DELETE, UPDATE,
+// INSERT or CREATE through it fails, and a linked region reads as before —
+// its cells and a formula over them — also after Save and Load. A write
+// through it would go behind the grid: a DELETE left the region unreadable,
+// an UPDATE left the grid and its formulas showing the old values.
+func TestSQLCannotWriteThroughSheet(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	e, err := New(db, "s", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range [][]string{{"id", "qty"}, {"1", "10"}, {"2", "20"}, {"3", "30"}} {
+		for j, v := range row {
+			if err := e.Set(i+1, j+1, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.SetFormula(1, 4, "SUM(B2:B3)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.LinkTable(sheet.NewRange(1, 1, 4, 2), "inv"); err != nil {
+		t.Fatal(err)
+	}
+	grid := func(e *Engine) string {
+		var b strings.Builder
+		for _, row := range e.GetCells(sheet.NewRange(1, 1, 4, 4)) {
+			for _, c := range row {
+				b.WriteString(c.Value.Text() + "|")
+			}
+		}
+		if err := e.ReadErr(); err != nil {
+			t.Fatalf("region read: %v", err)
+		}
+		return b.String()
+	}
+	want := grid(e)
+	for _, q := range []string{
+		"DELETE FROM inv WHERE id = 3",
+		"UPDATE inv SET qty = 99",
+		"INSERT INTO inv VALUES (4, 40)",
+		"CREATE TABLE other (x BIGINT)",
+	} {
+		if _, err := e.SQL(q); err == nil {
+			t.Errorf("SQL(%q) succeeded; sql() must only read", q)
+		}
+	}
+	if got := grid(e); got != want {
+		t.Fatalf("region after refused writes = %s, want %s", got, want)
+	}
+	if tv, err := e.SQL("SELECT COUNT(*), SUM(qty) FROM inv"); err != nil || tv.Rows[0][1].Text() != "60" {
+		t.Fatalf("SQL read after refused writes = %v, %v", tv, err)
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Load(db, "s", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := grid(e2); got != want {
+		t.Fatalf("region after Save and Load = %s, want %s", got, want)
+	}
+}
+
+// TestSQLBesideLinkedEdits: sql() scans a linked table while another
+// goroutine edits the region; under -race the two must not touch the heap
+// at once, and every scan sees whole edits.
+func TestSQLBesideLinkedEdits(t *testing.T) {
+	e := newEngine(t)
+	for i, row := range [][]string{{"id", "qty"}, {"1", "10"}, {"2", "20"}} {
+		for j, v := range row {
+			if err := e.Set(i+1, j+1, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := e.LinkTable(sheet.NewRange(1, 1, 3, 2), "inv"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if err := e.SetCells([]CellEdit{{Row: 2, Col: 2, Input: fmt.Sprint(i)}, {Row: 3, Col: 2, Input: fmt.Sprint(-i)}}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 200; i++ {
+		tv, err := e.SQL("SELECT SUM(qty) FROM inv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tv.Rows[0][0].Text(); got != "0" && got != "30" {
+			t.Fatalf("SUM(qty) = %s mid-edit, want 0 (or 30 before the first edit)", got)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,113 +2,96 @@ package rdbms
 
 // SQL abstract syntax tree. Only the subset the DataSpread front-end needs
 // (Appendix B): single-block SELECT with joins, grouping, ordering and '?'
-// parameters, plus basic DDL/DML for linked tables.
+// parameters, plus basic DDL/DML for linked tables. A statement is one of
+// the *Stmt types.
 
-type sqlStmt interface{ isStmt() }
+type (
+	selectStmt struct {
+		Distinct bool
+		Items    []selectItem
+		From     []tableRef // empty: the statement reads one empty row
+		Where    sqlExpr
+		GroupBy  []sqlExpr
+		Having   sqlExpr
+		OrderBy  []orderItem
+		Limit    int // -1 when absent
+	}
+	selectItem struct {
+		Expr  sqlExpr // a *starExpr for '*' and 't.*'
+		Alias string  // optional
+	}
+	tableRef struct {
+		Table, Alias string
+		On           sqlExpr // JOIN's condition; nil for the first table and a comma join
+	}
+	orderItem struct {
+		Expr sqlExpr
+		Desc bool
+	}
+	createStmt struct {
+		Table string
+		Cols  []Column
+	}
+	insertStmt struct {
+		Table string
+		Cols  []string // optional explicit column list
+		Rows  [][]sqlExpr
+	}
+	// changeStmt is UPDATE, or DELETE when Delete is set: both rewrite each
+	// row of Table that matches Where. UPDATE sets Cols[i] to Set[i].
+	changeStmt struct {
+		Table  string
+		Cols   []string
+		Set    []sqlExpr
+		Where  sqlExpr
+		Delete bool
+	}
+	dropStmt struct{ Table string }
+)
 
-type selectStmt struct {
-	Distinct bool
-	Items    []selectItem // empty means '*'
-	From     []tableRef   // first is the base table; rest are joins
-	Joins    []sqlExpr    // ON condition per join (len == len(From)-1); nil = cross
-	Where    sqlExpr
-	GroupBy  []sqlExpr
-	Having   sqlExpr
-	OrderBy  []orderItem
-	Limit    int // -1 when absent
-}
-
-type selectItem struct {
-	Expr  sqlExpr
-	Alias string // optional
-	Star  bool   // bare '*' or qualified 't.*'
-	Qual  string // qualifier for 't.*'
-}
-
-type tableRef struct {
-	Table string
-	Alias string
-}
-
-type orderItem struct {
-	Expr sqlExpr
-	Desc bool
-}
-
-type createStmt struct {
-	Table string
-	Cols  []Column
-}
-
-type insertStmt struct {
-	Table string
-	Cols  []string // optional explicit column list
-	Rows  [][]sqlExpr
-}
-
-type updateStmt struct {
-	Table string
-	Set   []setClause
-	Where sqlExpr
-}
-
-type setClause struct {
-	Col  string
-	Expr sqlExpr
-}
-
-type deleteStmt struct {
-	Table string
-	Where sqlExpr
-}
-
-type dropStmt struct{ Table string }
-
-func (*selectStmt) isStmt() {}
-func (*createStmt) isStmt() {}
-func (*insertStmt) isStmt() {}
-func (*updateStmt) isStmt() {}
-func (*deleteStmt) isStmt() {}
-func (*dropStmt) isStmt()   {}
-
-// Expressions.
-
-type sqlExpr interface{ isExpr() }
-
-type litExpr struct{ Val Datum }
-
-type paramExpr struct{ Index int } // '?' placeholder, 0-based
-
-type colExpr struct {
-	Qual string // optional table/alias qualifier
-	Name string
-}
-
-type unaryExpr struct {
-	Op string // "-" or "NOT"
-	X  sqlExpr
-}
-
-type binExpr struct {
-	Op   string // + - * / % = != < <= > >= AND OR
-	L, R sqlExpr
-}
-
-type isNullExpr struct {
-	X   sqlExpr
-	Not bool // IS NOT NULL
-}
-
-type funcExpr struct {
-	Name string // upper-cased
-	Args []sqlExpr
-	Star bool // COUNT(*)
-}
+// Expressions. The parser builds litExpr through funcExpr. Binding replaces
+// each colExpr by a colRef, each paramExpr by a litExpr and each aggregate
+// call by an aggExpr, and admits a starExpr only as a select item or as
+// COUNT's argument.
+type (
+	sqlExpr   interface{ isExpr() }
+	litExpr   struct{ Val Datum }
+	paramExpr struct{ Index int } // '?' placeholder, 0-based
+	colExpr   struct {
+		Qual string // optional table/alias qualifier
+		Name string
+	}
+	starExpr  struct{ Qual string } // '*' or 't.*'
+	unaryExpr struct {
+		Op string // "-" or "NOT"
+		X  sqlExpr
+	}
+	binExpr struct {
+		Op   string // + - * / % = <> < <= > >= AND OR
+		L, R sqlExpr
+	}
+	isNullExpr struct {
+		X   sqlExpr
+		Not bool // IS NOT NULL
+	}
+	funcExpr struct {
+		Name string // upper-cased
+		Args []sqlExpr
+	}
+	colRef  struct{ idx int } // a bound column: its offset in the statement's row
+	aggExpr struct {
+		Name string
+		Arg  sqlExpr // nil for COUNT(*)
+	}
+)
 
 func (*litExpr) isExpr()    {}
 func (*paramExpr) isExpr()  {}
 func (*colExpr) isExpr()    {}
+func (*starExpr) isExpr()   {}
 func (*unaryExpr) isExpr()  {}
 func (*binExpr) isExpr()    {}
 func (*isNullExpr) isExpr() {}
 func (*funcExpr) isExpr()   {}
+func (*colRef) isExpr()     {}
+func (*aggExpr) isExpr()    {}

@@ -19,34 +19,14 @@ type Result struct {
 // from params in order (prepared-statement style, as the paper's sql()
 // spreadsheet function requires).
 func (db *DB) Exec(query string, params ...Datum) (*Result, error) {
-	stmt, nparams, err := parseSQL(query)
-	if err != nil {
-		return nil, err
-	}
-	if nparams != len(params) {
-		return nil, fmt.Errorf("sql: query has %d parameters, got %d", nparams, len(params))
-	}
-	switch s := stmt.(type) {
-	case *selectStmt:
-		return db.execSelect(s, params)
-	case *createStmt:
-		if _, err := db.CreateTable(s.Table, Schema{Cols: s.Cols}); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *dropStmt:
-		if err := db.DropTable(s.Table); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *insertStmt:
-		return db.execInsert(s, params)
-	case *updateStmt:
-		return db.execUpdate(s, params)
-	case *deleteStmt:
-		return db.execDelete(s, params)
-	}
-	return nil, fmt.Errorf("sql: unhandled statement type %T", stmt)
+	return db.exec(query, params, false)
+}
+
+// Query is Exec for SELECT only: any other statement is refused before it
+// touches the catalog. The sql() spreadsheet function runs through it, so a
+// formula cannot write behind a sheet's linked tables.
+func (db *DB) Query(query string, params ...Datum) (*Result, error) {
+	return db.exec(query, params, true)
 }
 
 // MustExec is Exec for tests and examples; it panics on error.
@@ -58,481 +38,429 @@ func (db *DB) MustExec(query string, params ...Datum) *Result {
 	return r
 }
 
-// binding maps qualified column names to flat row positions.
-type binding struct {
-	quals []string // per position: table alias (lower-cased)
-	names []string // per position: column name (lower-cased)
-	disp  []string // display name per position
+// exec runs a statement in three steps: parse, bind every name and
+// parameter, then read the rows.
+func (db *DB) exec(query string, params []Datum, selectOnly bool) (*Result, error) {
+	stmt, nparams, err := parseSQL(query)
+	if err != nil {
+		return nil, err
+	}
+	if nparams != len(params) {
+		return nil, fmt.Errorf("sql: query has %d parameters, got %d", nparams, len(params))
+	}
+	if _, ok := stmt.(*selectStmt); selectOnly && !ok {
+		return nil, fmt.Errorf("sql: a read-only query must be a SELECT")
+	}
+	switch s := stmt.(type) {
+	case *selectStmt:
+		return db.execSelect(s, params)
+	case *createStmt:
+		_, err = db.CreateTable(s.Table, Schema{Cols: s.Cols})
+	case *dropStmt:
+		err = db.DropTable(s.Table)
+	case *insertStmt:
+		return db.execInsert(s, params)
+	case *changeStmt:
+		return db.execChange(s, params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{}, nil
 }
 
-func (b *binding) resolve(qual, name string) (int, error) {
-	qual = strings.ToLower(qual)
-	name = strings.ToLower(name)
+// binder resolves a statement's names to row offsets, its '?' to their
+// datums and its aggregate calls, once and before any row is read, so a
+// query's errors do not depend on its data. It keeps the first error.
+type binder struct {
+	scope  []scopeCol
+	params []Datum
+	aggOK  bool // aggregates are allowed in the clause being bound
+	inAgg  bool
+	naggs  int // aggregates bound so far
+	err    error
+}
+
+// scopeCol is a column of the statement's row; qual is its table's alias or name.
+type scopeCol struct{ qual, name string }
+
+// sqlFuncs are the functions a query may call, with their least and
+// greatest argument counts (-1: any).
+var sqlFuncs = map[string][2]int{
+	"ABS": {1, 1}, "UPPER": {1, 1}, "LOWER": {1, 1}, "LENGTH": {1, 1},
+	"ROUND": {1, -1}, "COALESCE": {0, -1},
+	"COUNT": {1, 1}, "SUM": {1, 1}, "AVG": {1, 1}, "MIN": {1, 1}, "MAX": {1, 1},
+}
+
+var aggregates = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
+
+func (b *binder) fail(format string, args ...any) sqlExpr {
+	if b.err == nil {
+		b.err = fmt.Errorf("sql: "+format, args...)
+	}
+	return &litExpr{}
+}
+
+// bind returns e with its names resolved, rewriting the statement's own
+// tree in place; nil stays nil.
+func (b *binder) bind(e sqlExpr) sqlExpr {
+	switch v := e.(type) {
+	case *paramExpr:
+		return &litExpr{Val: b.params[v.Index]}
+	case *colExpr:
+		return b.column(v)
+	case *starExpr:
+		return b.fail("* is not allowed here")
+	case *unaryExpr:
+		v.X = b.bind(v.X)
+	case *binExpr:
+		v.L, v.R = b.bind(v.L), b.bind(v.R)
+	case *isNullExpr:
+		v.X = b.bind(v.X)
+	case *funcExpr:
+		return b.call(v)
+	}
+	return e
+}
+
+func (b *binder) column(c *colExpr) sqlExpr {
 	found := -1
-	for i := range b.names {
-		if b.names[i] != name {
-			continue
-		}
-		if qual != "" && b.quals[i] != qual {
+	for i, sc := range b.scope {
+		if !strings.EqualFold(sc.name, c.Name) || c.Qual != "" && !strings.EqualFold(sc.qual, c.Qual) {
 			continue
 		}
 		if found >= 0 {
-			return 0, fmt.Errorf("sql: ambiguous column %q", name)
+			return b.fail("ambiguous column %q", c.Name)
 		}
 		found = i
 	}
-	if found < 0 {
-		if qual != "" {
-			return 0, fmt.Errorf("sql: unknown column %s.%s", qual, name)
-		}
-		return 0, fmt.Errorf("sql: unknown column %q", name)
+	if found < 0 && c.Qual != "" {
+		return b.fail("unknown column %s.%s", c.Qual, c.Name)
+	} else if found < 0 {
+		return b.fail("unknown column %q", c.Name)
 	}
-	return found, nil
+	return &colRef{idx: found}
 }
 
-type evalCtx struct {
-	bind   *binding
-	params []Datum
-	row    Row   // current row (non-grouped / per-member)
-	group  []Row // group members when aggregating; nil otherwise
+func (b *binder) call(f *funcExpr) sqlExpr {
+	arity, ok := sqlFuncs[f.Name]
+	switch {
+	case !ok:
+		return b.fail("unknown function %q", f.Name)
+	case len(f.Args) < arity[0] || arity[1] >= 0 && len(f.Args) > arity[1]:
+		return b.fail("%s takes %d argument(s), got %d", f.Name, arity[0], len(f.Args))
+	case !aggregates[f.Name]:
+		for i, a := range f.Args {
+			f.Args[i] = b.bind(a)
+		}
+		return f
+	case !b.aggOK:
+		return b.fail("aggregate %s is not allowed here", f.Name)
+	case b.inAgg:
+		return b.fail("aggregate %s inside another aggregate", f.Name)
+	}
+	b.naggs++
+	if star, ok := f.Args[0].(*starExpr); ok && f.Name == "COUNT" && star.Qual == "" {
+		return &aggExpr{Name: f.Name} // COUNT(*)
+	}
+	b.inAgg = true
+	arg := b.bind(f.Args[0])
+	b.inAgg = false
+	return &aggExpr{Name: f.Name, Arg: arg}
 }
 
-func (db *DB) execSelect(s *selectStmt, params []Datum) (*Result, error) {
-	// Resolve tables and build the combined binding.
-	tables := make([]*Table, len(s.From))
-	bind := &binding{}
-	for i, tr := range s.From {
+// rowSource is where every statement reads its rows: the FROM tables,
+// joined by nested loop under their ON filters; one empty row for a SELECT
+// without FROM; or an INSERT's VALUES rows. WHERE is applied inside the
+// scan, so a consumer sees, and copies, matching rows only. The row handed
+// to fn is reused: fn copies what it keeps. rid is the first table's.
+type rowSource struct {
+	tables []*Table
+	off    []int     // offset of each table's first column in the row
+	on     []sqlExpr // per table; nil: no filter
+	values [][]sqlExpr
+	where  sqlExpr
+	width  int
+}
+
+// source resolves FROM's tables into a row source and a binder over their
+// columns; each ON condition is bound against the tables up to its own.
+func (db *DB) source(from []tableRef, params []Datum) (*rowSource, *binder, error) {
+	src := &rowSource{}
+	b := &binder{params: params}
+	for _, tr := range from {
 		t := db.Table(tr.Table)
 		if t == nil {
-			return nil, fmt.Errorf("sql: table %q does not exist", tr.Table)
+			return nil, nil, fmt.Errorf("sql: table %q does not exist", tr.Table)
 		}
-		tables[i] = t
 		qual := tr.Alias
 		if qual == "" {
 			qual = tr.Table
 		}
+		src.tables = append(src.tables, t)
+		src.off = append(src.off, len(b.scope))
 		for _, c := range t.Schema.Cols {
-			bind.quals = append(bind.quals, strings.ToLower(qual))
-			bind.names = append(bind.names, strings.ToLower(c.Name))
-			bind.disp = append(bind.disp, c.Name)
+			b.scope = append(b.scope, scopeCol{qual, c.Name})
 		}
+		src.on = append(src.on, b.bind(tr.On))
 	}
+	src.width = len(b.scope)
+	return src, b, nil
+}
 
-	// Materialize the joined row stream with nested loops.
-	rows := make([]Row, 0, 64)
-	tables[0].Scan(func(_ RID, r Row) bool {
-		rows = append(rows, r.Clone())
-		return true
-	})
-	for i := 1; i < len(tables); i++ {
-		var next []Row
-		var right []Row
-		tables[i].Scan(func(_ RID, r Row) bool {
-			right = append(right, r.Clone())
+func (s *rowSource) scan(fn func(rid RID, row Row) error) error {
+	row := make(Row, s.width)
+	if len(s.tables) == 0 {
+		values := s.values
+		if values == nil {
+			values = [][]sqlExpr{nil} // a SELECT without FROM reads one empty row
+		}
+		for _, exprs := range values {
+			for j, e := range exprs {
+				v, err := eval(e, nil, nil)
+				if err != nil {
+					return err
+				}
+				row[j] = v
+			}
+			if err := s.emit(RID{}, row, fn); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// The joined tables are read once; the first streams beneath them.
+	inner := make([][]Row, len(s.tables))
+	for i := 1; i < len(s.tables); i++ {
+		s.tables[i].Scan(func(_ RID, r Row) bool {
+			inner[i] = append(inner[i], r.Clone())
 			return true
 		})
-		cond := s.Joins[i-1]
-		for _, l := range rows {
-			for _, r := range right {
-				combined := append(append(Row{}, l...), r...)
-				if cond != nil {
-					v, err := evalSQL(cond, &evalCtx{bind: bind, params: params, row: combined})
-					if err != nil {
-						return nil, err
-					}
-					if !truthy(v) {
-						continue
-					}
-				}
-				next = append(next, combined)
-			}
-		}
-		rows = next
 	}
-
-	// WHERE.
-	if s.Where != nil {
-		kept := rows[:0]
-		for _, r := range rows {
-			v, err := evalSQL(s.Where, &evalCtx{bind: bind, params: params, row: r})
+	var rid RID
+	var join func(i int) error
+	join = func(i int) error {
+		if i == len(s.tables) {
+			return s.emit(rid, row, fn)
+		}
+		for _, r := range inner[i] {
+			s.place(row, i, r)
+			ok, err := match(s.on[i], row, nil)
+			if err == nil && ok {
+				err = join(i + 1)
+			}
 			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				kept = append(kept, r)
+				return err
 			}
 		}
-		rows = kept
+		return nil
 	}
+	var err error
+	s.tables[0].Scan(func(r RID, tuple Row) bool {
+		rid = r
+		s.place(row, 0, tuple)
+		err = join(1)
+		return err == nil
+	})
+	return err
+}
 
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(s)
+// place copies table i's tuple into its columns of row; a tuple written
+// before an AddColumn is short, and reads NULL for the columns it lacks.
+func (s *rowSource) place(row Row, i int, tuple Row) {
+	cols := row[s.off[i] : s.off[i]+s.tables[i].Schema.Arity()]
+	clear(cols[copy(cols, tuple):])
+}
 
-	// Expand the select list (stars) into concrete output expressions.
-	type outCol struct {
-		expr sqlExpr
-		name string
+func (s *rowSource) emit(rid RID, row Row, fn func(RID, Row) error) error {
+	if ok, err := match(s.where, row, nil); !ok || err != nil {
+		return err
 	}
-	var out []outCol
-	for _, item := range s.Items {
-		if item.Star {
-			for i := range bind.names {
-				if item.Qual != "" && bind.quals[i] != strings.ToLower(item.Qual) {
-					continue
-				}
-				idx := i
-				out = append(out, outCol{expr: &colRefByIndex{idx}, name: bind.disp[i]})
+	return fn(rid, row)
+}
+
+// group scans the source into groups keyed by the values of by, in order of
+// first appearance, and hands fn each group with its first row. Without
+// GROUP BY there is one group, even of no rows. GROUP BY and DISTINCT key a
+// row by its row-codec encoding, which tags each datum with its type: NULL
+// and the text 'NULL' are different keys.
+func (s *rowSource) group(by []sqlExpr, fn func(first Row, group []Row) error) error {
+	ids := map[string]int{}
+	var groups [][]Row
+	var buf []byte
+	key := make(Row, len(by))
+	err := s.scan(func(_ RID, row Row) error {
+		for i, g := range by {
+			v, err := eval(g, row, nil)
+			if err != nil {
+				return err
 			}
+			key[i] = v
+		}
+		buf = encodeRow(buf[:0], key)
+		id, ok := ids[string(buf)]
+		if !ok {
+			id = len(groups)
+			ids[string(buf)] = id
+			groups = append(groups, nil)
+		}
+		groups[id] = append(groups[id], row.Clone())
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(by) == 0 && len(groups) == 0 {
+		groups = append(groups, nil)
+	}
+	for _, g := range groups {
+		var first Row
+		if len(g) > 0 {
+			first = g[0]
+		}
+		if err := fn(first, g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// match reports whether row passes the filter cond, whose aggregates (in
+// HAVING) fold group; a nil cond passes every row.
+func match(cond sqlExpr, row Row, group []Row) (bool, error) {
+	if cond == nil {
+		return true, nil
+	}
+	v, err := eval(cond, row, group)
+	return truthy(v), err
+}
+
+func (db *DB) execSelect(s *selectStmt, params []Datum) (*Result, error) {
+	src, b, err := db.source(s.From, params)
+	if err != nil {
+		return nil, err
+	}
+	src.where = b.bind(s.Where)
+	for i, g := range s.GroupBy {
+		s.GroupBy[i] = b.bind(g)
+	}
+	b.aggOK = true
+	res := &Result{}
+	var out []sqlExpr
+	for _, item := range s.Items {
+		star, ok := item.Expr.(*starExpr)
+		if !ok {
+			name := item.Alias
+			if name == "" {
+				name = displayName(item.Expr)
+			}
+			res.Columns = append(res.Columns, name)
+			out = append(out, b.bind(item.Expr))
 			continue
 		}
-		name := item.Alias
-		if name == "" {
-			name = exprDisplayName(item.Expr)
+		n := len(out)
+		for i, c := range b.scope {
+			if star.Qual == "" || strings.EqualFold(c.qual, star.Qual) {
+				res.Columns = append(res.Columns, c.name)
+				out = append(out, &colRef{idx: i})
+			}
 		}
-		out = append(out, outCol{expr: item.Expr, name: name})
+		if star.Qual != "" && len(out) == n {
+			b.fail("unknown table %q in %s.*", star.Qual, star.Qual)
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("sql: empty select list")
 	}
-
-	res := &Result{}
-	for _, c := range out {
-		res.Columns = append(res.Columns, c.name)
+	having := b.bind(s.Having)
+	exprs := out[:len(out):len(out)]
+	for _, ob := range s.OrderBy {
+		exprs = append(exprs, b.orderKey(ob.Expr, res.Columns, out))
+	}
+	if b.err != nil {
+		return nil, b.err
 	}
 
-	// ORDER BY may reference select-list aliases ("ORDER BY total") or
-	// 1-based output positions ("ORDER BY 2"); rewrite those to the
-	// underlying expressions.
-	for i, ob := range s.OrderBy {
-		if ce, ok := ob.Expr.(*colExpr); ok && ce.Qual == "" {
-			for _, c := range out {
-				if strings.EqualFold(c.name, ce.Name) {
-					s.OrderBy[i].Expr = c.expr
-					break
-				}
-			}
-			continue
+	// A result row holds the outputs, then the ORDER BY keys.
+	var results []Row
+	project := func(row Row, group []Row) error {
+		if ok, err := match(having, row, group); !ok || err != nil {
+			return err
 		}
-		if le, ok := ob.Expr.(*litExpr); ok && le.Val.Type() == DTInt {
-			pos := int(le.Val.Int64())
-			if pos < 1 || pos > len(out) {
-				return nil, fmt.Errorf("sql: ORDER BY position %d out of range", pos)
-			}
-			s.OrderBy[i].Expr = out[pos-1].expr
-		}
-	}
-
-	type sortable struct {
-		row  Row
-		keys Row
-	}
-	var results []sortable
-
-	project := func(ctx *evalCtx) error {
-		if s.Having != nil {
-			hv, err := evalSQL(s.Having, ctx)
-			if err != nil {
-				return err
-			}
-			if !truthy(hv) {
-				return nil
-			}
-		}
-		r := make(Row, len(out))
-		for i, c := range out {
-			v, err := evalSQL(c.expr, ctx)
+		r := make(Row, len(exprs))
+		for i, e := range exprs {
+			v, err := eval(e, row, group)
 			if err != nil {
 				return err
 			}
 			r[i] = v
 		}
-		var keys Row
-		for _, ob := range s.OrderBy {
-			v, err := evalSQL(ob.Expr, ctx)
-			if err != nil {
-				return err
-			}
-			keys = append(keys, v)
-		}
-		results = append(results, sortable{row: r, keys: keys})
+		results = append(results, r)
 		return nil
 	}
-
-	if grouped {
-		// Hash rows into groups by the GROUP BY key.
-		groups := make(map[string][]Row)
-		var order []string
-		for _, r := range rows {
-			var key strings.Builder
-			for _, g := range s.GroupBy {
-				v, err := evalSQL(g, &evalCtx{bind: bind, params: params, row: r})
-				if err != nil {
-					return nil, err
-				}
-				key.WriteString(v.String())
-				key.WriteByte(0)
-			}
-			k := key.String()
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], r)
-		}
-		if len(s.GroupBy) == 0 && len(rows) == 0 {
-			// Global aggregate over empty input still yields one row.
-			groups[""] = nil
-			order = append(order, "")
-		}
-		for _, k := range order {
-			members := groups[k]
-			ctx := &evalCtx{bind: bind, params: params, group: members}
-			if len(members) > 0 {
-				ctx.row = members[0]
-			}
-			if err := project(ctx); err != nil {
-				return nil, err
-			}
-		}
+	if len(s.GroupBy) == 0 && having == nil && b.naggs == 0 {
+		err = src.scan(func(_ RID, row Row) error { return project(row, nil) })
 	} else {
-		for _, r := range rows {
-			if err := project(&evalCtx{bind: bind, params: params, row: r}); err != nil {
-				return nil, err
-			}
-		}
+		err = src.group(s.GroupBy, project)
+	}
+	if err != nil {
+		return nil, err
 	}
 
+	n := len(out)
 	if s.Distinct {
-		seen := make(map[string]bool)
+		seen := map[string]bool{}
+		var buf []byte
 		kept := results[:0]
 		for _, r := range results {
-			var key strings.Builder
-			for _, d := range r.row {
-				key.WriteString(d.String())
-				key.WriteByte(0)
-			}
-			if !seen[key.String()] {
-				seen[key.String()] = true
+			if buf = encodeRow(buf[:0], r[:n]); !seen[string(buf)] {
+				seen[string(buf)] = true
 				kept = append(kept, r)
 			}
 		}
 		results = kept
 	}
-
 	if len(s.OrderBy) > 0 {
 		sort.SliceStable(results, func(i, j int) bool {
 			for k, ob := range s.OrderBy {
-				c := results[i].keys[k].Compare(results[j].keys[k])
-				if c == 0 {
-					continue
+				if c := results[i][n+k].Compare(results[j][n+k]); c != 0 {
+					return (c < 0) != ob.Desc
 				}
-				if ob.Desc {
-					return c > 0
-				}
-				return c < 0
 			}
 			return false
 		})
 	}
-
 	if s.Limit >= 0 && len(results) > s.Limit {
 		results = results[:s.Limit]
 	}
 	for _, r := range results {
-		res.Rows = append(res.Rows, r.row)
+		res.Rows = append(res.Rows, r[:n:n])
 	}
 	return res, nil
 }
 
-// colRefByIndex is an internal expression used for star expansion.
-type colRefByIndex struct{ idx int }
-
-func (*colRefByIndex) isExpr() {}
-
-func (db *DB) execInsert(s *insertStmt, params []Datum) (*Result, error) {
-	t := db.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("sql: table %q does not exist", s.Table)
-	}
-	colIdx := make([]int, 0, len(s.Cols))
-	for _, c := range s.Cols {
-		i := t.Schema.ColIndex(c)
-		if i < 0 {
-			return nil, fmt.Errorf("sql: table %q has no column %q", s.Table, c)
-		}
-		colIdx = append(colIdx, i)
-	}
-	n := 0
-	for _, exprs := range s.Rows {
-		row := make(Row, t.Schema.Arity())
-		if len(s.Cols) > 0 {
-			if len(exprs) != len(s.Cols) {
-				return nil, fmt.Errorf("sql: INSERT arity mismatch: %d values for %d columns", len(exprs), len(s.Cols))
-			}
-			for j, e := range exprs {
-				v, err := evalSQL(e, &evalCtx{params: params})
-				if err != nil {
-					return nil, err
-				}
-				row[colIdx[j]] = coerce(v, t.Schema.Cols[colIdx[j]].Type)
-			}
-		} else {
-			if len(exprs) != t.Schema.Arity() {
-				return nil, fmt.Errorf("sql: INSERT arity mismatch: %d values for %d columns", len(exprs), t.Schema.Arity())
-			}
-			for j, e := range exprs {
-				v, err := evalSQL(e, &evalCtx{params: params})
-				if err != nil {
-					return nil, err
-				}
-				row[j] = coerce(v, t.Schema.Cols[j].Type)
+// orderKey binds an ORDER BY key. A key that names a select-list alias
+// ("ORDER BY total") or a 1-based output position ("ORDER BY 2") sorts by
+// that output's expression.
+func (b *binder) orderKey(e sqlExpr, names []string, out []sqlExpr) sqlExpr {
+	switch k := e.(type) {
+	case *colExpr:
+		for j, name := range names {
+			if k.Qual == "" && strings.EqualFold(name, k.Name) {
+				return out[j]
 			}
 		}
-		if _, err := t.Insert(row); err != nil {
-			return nil, err
+	case *litExpr:
+		if pos := k.Val.Int64(); k.Val.Type() == DTInt && (pos < 1 || pos > int64(len(out))) {
+			return b.fail("ORDER BY position %d out of range", pos)
+		} else if k.Val.Type() == DTInt {
+			return out[pos-1]
 		}
-		n++
 	}
-	return &Result{RowsAffected: n}, nil
+	return b.bind(e)
 }
 
-func (db *DB) execUpdate(s *updateStmt, params []Datum) (*Result, error) {
-	t := db.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("sql: table %q does not exist", s.Table)
-	}
-	bind := tableBinding(t, s.Table)
-	setIdx := make([]int, len(s.Set))
-	for i, sc := range s.Set {
-		j := t.Schema.ColIndex(sc.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("sql: table %q has no column %q", s.Table, sc.Col)
-		}
-		setIdx[i] = j
-	}
-	type change struct {
-		rid RID
-		row Row
-	}
-	var changes []change
-	var scanErr error
-	t.Scan(func(rid RID, r Row) bool {
-		ctx := &evalCtx{bind: bind, params: params, row: r}
-		if s.Where != nil {
-			v, err := evalSQL(s.Where, ctx)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
-		nr := r.Clone()
-		for i, sc := range s.Set {
-			v, err := evalSQL(sc.Expr, ctx)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			nr[setIdx[i]] = coerce(v, t.Schema.Cols[setIdx[i]].Type)
-		}
-		changes = append(changes, change{rid, nr})
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	for _, c := range changes {
-		if _, err := t.Update(c.rid, c.row); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{RowsAffected: len(changes)}, nil
-}
-
-func (db *DB) execDelete(s *deleteStmt, params []Datum) (*Result, error) {
-	t := db.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("sql: table %q does not exist", s.Table)
-	}
-	bind := tableBinding(t, s.Table)
-	var rids []RID
-	var scanErr error
-	t.Scan(func(rid RID, r Row) bool {
-		if s.Where != nil {
-			v, err := evalSQL(s.Where, &evalCtx{bind: bind, params: params, row: r})
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !truthy(v) {
-				return true
-			}
-		}
-		rids = append(rids, rid)
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	for _, rid := range rids {
-		t.Delete(rid)
-	}
-	return &Result{RowsAffected: len(rids)}, nil
-}
-
-func tableBinding(t *Table, qual string) *binding {
-	b := &binding{}
-	for _, c := range t.Schema.Cols {
-		b.quals = append(b.quals, strings.ToLower(qual))
-		b.names = append(b.names, strings.ToLower(c.Name))
-		b.disp = append(b.disp, c.Name)
-	}
-	return b
-}
-
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-func anyAggregate(s *selectStmt) bool {
-	for _, it := range s.Items {
-		if it.Expr != nil && exprHasAggregate(it.Expr) {
-			return true
-		}
-	}
-	if s.Having != nil && exprHasAggregate(s.Having) {
-		return true
-	}
-	for _, ob := range s.OrderBy {
-		if exprHasAggregate(ob.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func exprHasAggregate(e sqlExpr) bool {
-	switch v := e.(type) {
-	case *funcExpr:
-		if aggregateFuncs[v.Name] {
-			return true
-		}
-		for _, a := range v.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *binExpr:
-		return exprHasAggregate(v.L) || exprHasAggregate(v.R)
-	case *unaryExpr:
-		return exprHasAggregate(v.X)
-	case *isNullExpr:
-		return exprHasAggregate(v.X)
-	}
-	return false
-}
-
-func exprDisplayName(e sqlExpr) string {
+func displayName(e sqlExpr) string {
 	switch v := e.(type) {
 	case *colExpr:
 		return v.Name
@@ -542,279 +470,269 @@ func exprDisplayName(e sqlExpr) string {
 	return "?column?"
 }
 
-func truthy(d Datum) bool {
-	if d.IsNull() {
-		return false
+func (db *DB) execInsert(s *insertStmt, params []Datum) (*Result, error) {
+	t := db.Table(s.Table)
+	if t == nil {
+		return nil, fmt.Errorf("sql: table %q does not exist", s.Table)
 	}
-	return d.BoolVal() || (d.typ == DTText && d.s != "")
+	// An INSERT without a column list names every column.
+	cols := s.Cols
+	if cols == nil {
+		for _, c := range t.Schema.Cols {
+			cols = append(cols, c.Name)
+		}
+	}
+	idx, err := columns(t, cols)
+	if err != nil {
+		return nil, err
+	}
+	b := &binder{params: params}
+	for _, exprs := range s.Rows {
+		if len(exprs) != len(cols) {
+			return nil, fmt.Errorf("sql: INSERT arity mismatch: %d values for %d columns", len(exprs), len(cols))
+		}
+		for j, e := range exprs {
+			exprs[j] = b.bind(e)
+		}
+	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	n := 0
+	src := &rowSource{values: s.Rows, width: len(cols)}
+	err = src.scan(func(_ RID, vals Row) error {
+		row := make(Row, t.Schema.Arity())
+		for j, v := range vals {
+			row[idx[j]] = coerce(v, t.Schema.Cols[idx[j]].Type)
+		}
+		if _, err := t.Insert(row); err != nil {
+			return err
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{RowsAffected: n}, nil
 }
 
-func coerce(d Datum, t DType) Datum {
-	if d.IsNull() {
-		return d
+// columns returns the positions of the named columns of t.
+func columns(t *Table, names []string) ([]int, error) {
+	idx := make([]int, len(names))
+	for j, c := range names {
+		if idx[j] = t.Schema.ColIndex(c); idx[j] < 0 {
+			return nil, fmt.Errorf("sql: table %q has no column %q", t.Name, c)
+		}
 	}
-	switch t {
-	case DTInt:
-		if d.typ == DTFloat {
-			return Int(int64(d.f))
+	return idx, nil
+}
+
+// execChange runs UPDATE and DELETE as one "for each matching row". Every
+// change is computed before the first is written: the heap is not written
+// under its own scan, and an expression error leaves the table as it was.
+func (db *DB) execChange(s *changeStmt, params []Datum) (*Result, error) {
+	src, b, err := db.source([]tableRef{{Table: s.Table}}, params)
+	if err != nil {
+		return nil, err
+	}
+	t := src.tables[0]
+	set, err := columns(t, s.Cols)
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range s.Set {
+		s.Set[i] = b.bind(e)
+	}
+	src.where = b.bind(s.Where)
+	if b.err != nil {
+		return nil, b.err
+	}
+	var rids []RID
+	var rows []Row
+	err = src.scan(func(rid RID, row Row) error {
+		rids = append(rids, rid)
+		if s.Delete {
+			return nil
 		}
-	case DTFloat:
-		if d.typ == DTInt {
-			return Float(float64(d.i))
+		nr := row.Clone()
+		for i, j := range set {
+			v, err := eval(s.Set[i], row, nil)
+			if err != nil {
+				return err
+			}
+			nr[j] = coerce(v, t.Schema.Cols[j].Type)
 		}
+		rows = append(rows, nr)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, rid := range rids {
+		if s.Delete {
+			t.Delete(rid)
+		} else if _, err := t.Update(rid, rows[i]); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{RowsAffected: len(rids)}, nil
+}
+
+func truthy(d Datum) bool { return d.BoolVal() || d.typ == DTText && d.s != "" }
+
+// coerce converts a number to the numeric type of the column it is stored in.
+func coerce(d Datum, t DType) Datum {
+	switch {
+	case t == DTInt && d.typ == DTFloat:
+		return Int(int64(d.f))
+	case t == DTFloat && d.typ == DTInt:
+		return Float(float64(d.i))
 	}
 	return d
 }
 
-func evalSQL(e sqlExpr, ctx *evalCtx) (Datum, error) {
+// eval computes a bound expression over row. group holds the rows an
+// aggregate folds: nil outside a grouped query, and for the empty group.
+func eval(e sqlExpr, row Row, group []Row) (Datum, error) {
 	switch v := e.(type) {
 	case *litExpr:
 		return v.Val, nil
-	case *paramExpr:
-		if v.Index >= len(ctx.params) {
-			return Null, fmt.Errorf("sql: missing parameter %d", v.Index+1)
-		}
-		return ctx.params[v.Index], nil
-	case *colRefByIndex:
-		if ctx.row == nil || v.idx >= len(ctx.row) {
+	case *colRef:
+		if v.idx >= len(row) { // the empty group's row
 			return Null, nil
 		}
-		return ctx.row[v.idx], nil
-	case *colExpr:
-		if ctx.bind == nil {
-			return Null, fmt.Errorf("sql: column %q not allowed here", v.Name)
-		}
-		i, err := ctx.bind.resolve(v.Qual, v.Name)
-		if err != nil {
-			return Null, err
-		}
-		if ctx.row == nil || i >= len(ctx.row) {
-			return Null, nil
-		}
-		return ctx.row[i], nil
+		return row[v.idx], nil
 	case *unaryExpr:
-		x, err := evalSQL(v.X, ctx)
-		if err != nil {
+		x, err := eval(v.X, row, group)
+		switch {
+		case err != nil || x.IsNull():
 			return Null, err
-		}
-		switch v.Op {
-		case "-":
-			if x.IsNull() {
-				return Null, nil
-			}
-			if x.typ == DTInt {
-				return Int(-x.i), nil
-			}
-			return Float(-x.Float64()), nil
-		case "NOT":
-			if x.IsNull() {
-				return Null, nil
-			}
+		case v.Op == "NOT":
 			return Bool(!truthy(x)), nil
+		case x.typ == DTInt:
+			return Int(-x.i), nil
 		}
-		return Null, fmt.Errorf("sql: unknown unary op %q", v.Op)
+		return Float(-x.Float64()), nil
 	case *isNullExpr:
-		x, err := evalSQL(v.X, ctx)
-		if err != nil {
-			return Null, err
-		}
-		return Bool(x.IsNull() != v.Not), nil
+		x, err := eval(v.X, row, group)
+		return Bool(x.IsNull() != v.Not), err
 	case *binExpr:
-		return evalBin(v, ctx)
+		return evalBin(v, row, group)
 	case *funcExpr:
-		return evalFunc(v, ctx)
+		return evalFunc(v, row, group)
+	case *aggExpr:
+		return v.fold(group)
 	}
 	return Null, fmt.Errorf("sql: unhandled expression %T", e)
 }
 
-func evalBin(v *binExpr, ctx *evalCtx) (Datum, error) {
-	// Short-circuit logical operators.
+func evalBin(v *binExpr, row Row, group []Row) (Datum, error) {
+	l, err := eval(v.L, row, group)
+	if err != nil {
+		return Null, err
+	}
+	// AND and OR short-circuit.
 	if v.Op == "AND" || v.Op == "OR" {
-		l, err := evalSQL(v.L, ctx)
-		if err != nil {
-			return Null, err
+		if lt := truthy(l); lt == (v.Op == "OR") {
+			return Bool(lt), nil
 		}
-		lt := truthy(l)
-		if v.Op == "AND" && !lt {
-			return Bool(false), nil
-		}
-		if v.Op == "OR" && lt {
-			return Bool(true), nil
-		}
-		r, err := evalSQL(v.R, ctx)
-		if err != nil {
-			return Null, err
-		}
-		return Bool(truthy(r)), nil
+		r, err := eval(v.R, row, group)
+		return Bool(truthy(r)), err
 	}
-	l, err := evalSQL(v.L, ctx)
-	if err != nil {
+	r, err := eval(v.R, row, group)
+	if err != nil || l.IsNull() || r.IsNull() {
 		return Null, err
 	}
-	r, err := evalSQL(v.R, ctx)
-	if err != nil {
-		return Null, err
-	}
-	switch v.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
+	// A comparison holds when its operator's spelling has the sign of the
+	// outcome: <> is < or >, and the parser spells != as <>.
+	if op := v.Op; strings.ContainsAny(op, "<=>") {
 		c := l.Compare(r)
-		switch v.Op {
-		case "=":
-			return Bool(c == 0), nil
-		case "!=":
-			return Bool(c != 0), nil
-		case "<":
-			return Bool(c < 0), nil
-		case "<=":
-			return Bool(c <= 0), nil
-		case ">":
-			return Bool(c > 0), nil
-		case ">=":
-			return Bool(c >= 0), nil
-		}
-	case "+", "-", "*", "/", "%":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		if v.Op == "+" && (l.typ == DTText || r.typ == DTText) {
-			return Text(l.String() + r.String()), nil
-		}
-		if !l.IsNumeric() || !r.IsNumeric() {
-			return Null, fmt.Errorf("sql: %s on non-numeric values", v.Op)
-		}
-		if l.typ == DTInt && r.typ == DTInt && v.Op != "/" {
-			a, b := l.i, r.i
-			switch v.Op {
-			case "+":
-				return Int(a + b), nil
-			case "-":
-				return Int(a - b), nil
-			case "*":
-				return Int(a * b), nil
-			case "%":
-				if b == 0 {
-					return Null, fmt.Errorf("sql: division by zero")
-				}
-				return Int(a % b), nil
-			}
-		}
-		a, b := l.Float64(), r.Float64()
-		switch v.Op {
-		case "+":
-			return Float(a + b), nil
-		case "-":
-			return Float(a - b), nil
-		case "*":
-			return Float(a * b), nil
-		case "/":
-			if b == 0 {
-				return Null, fmt.Errorf("sql: division by zero")
-			}
-			return Float(a / b), nil
-		case "%":
-			if b == 0 {
-				return Null, fmt.Errorf("sql: division by zero")
-			}
-			return Float(math.Mod(a, b)), nil
-		}
+		return Bool(c < 0 && strings.Contains(op, "<") || c > 0 && strings.Contains(op, ">") || c == 0 && strings.Contains(op, "=")), nil
 	}
-	return Null, fmt.Errorf("sql: unknown operator %q", v.Op)
+	if v.Op == "+" && (l.typ == DTText || r.typ == DTText) {
+		return Text(l.String() + r.String()), nil
+	}
+	if !l.IsNumeric() || !r.IsNumeric() {
+		return Null, fmt.Errorf("sql: %s on non-numeric values", v.Op)
+	}
+	if (v.Op == "/" || v.Op == "%") && r.Float64() == 0 {
+		return Null, fmt.Errorf("sql: division by zero")
+	}
+	f := arithmetic[v.Op]
+	if l.typ == DTInt && r.typ == DTInt && f.ints != nil {
+		return Int(f.ints(l.i, r.i)), nil
+	}
+	return Float(f.floats(l.Float64(), r.Float64())), nil
 }
 
-func evalFunc(v *funcExpr, ctx *evalCtx) (Datum, error) {
-	if aggregateFuncs[v.Name] {
-		return evalAggregate(v, ctx)
-	}
+// arithmetic holds each operator over BIGINTs and over DOUBLEs; '/' is
+// always a DOUBLE division.
+var arithmetic = map[string]struct {
+	ints   func(a, b int64) int64
+	floats func(a, b float64) float64
+}{
+	"+": {func(a, b int64) int64 { return a + b }, func(a, b float64) float64 { return a + b }},
+	"-": {func(a, b int64) int64 { return a - b }, func(a, b float64) float64 { return a - b }},
+	"*": {func(a, b int64) int64 { return a * b }, func(a, b float64) float64 { return a * b }},
+	"/": {nil, func(a, b float64) float64 { return a / b }},
+	"%": {func(a, b int64) int64 { return a % b }, math.Mod},
+}
+
+func evalFunc(v *funcExpr, row Row, group []Row) (Datum, error) {
 	args := make([]Datum, len(v.Args))
 	for i, a := range v.Args {
-		d, err := evalSQL(a, ctx)
+		d, err := eval(a, row, group)
 		if err != nil {
 			return Null, err
 		}
 		args[i] = d
 	}
-	switch v.Name {
-	case "ABS":
-		if len(args) != 1 {
-			return Null, fmt.Errorf("sql: ABS takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		if args[0].typ == DTInt {
-			if args[0].i < 0 {
-				return Int(-args[0].i), nil
-			}
-			return args[0], nil
-		}
-		return Float(math.Abs(args[0].Float64())), nil
-	case "UPPER":
-		if len(args) != 1 {
-			return Null, fmt.Errorf("sql: UPPER takes 1 argument")
-		}
-		return Text(strings.ToUpper(args[0].String())), nil
-	case "LOWER":
-		if len(args) != 1 {
-			return Null, fmt.Errorf("sql: LOWER takes 1 argument")
-		}
-		return Text(strings.ToLower(args[0].String())), nil
-	case "LENGTH":
-		if len(args) != 1 {
-			return Null, fmt.Errorf("sql: LENGTH takes 1 argument")
-		}
-		return Int(int64(len(args[0].String()))), nil
-	case "COALESCE":
+	if v.Name == "COALESCE" {
 		for _, a := range args {
 			if !a.IsNull() {
 				return a, nil
 			}
 		}
 		return Null, nil
-	case "ROUND":
-		if len(args) < 1 {
-			return Null, fmt.Errorf("sql: ROUND takes at least 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		scale := 0.0
-		if len(args) > 1 {
-			scale = args[1].Float64()
-		}
-		m := math.Pow(10, scale)
-		return Float(math.Round(args[0].Float64()*m) / m), nil
 	}
-	return Null, fmt.Errorf("sql: unknown function %q", v.Name)
+	switch a := args[0]; {
+	case v.Name == "UPPER":
+		return Text(strings.ToUpper(a.String())), nil
+	case v.Name == "LOWER":
+		return Text(strings.ToLower(a.String())), nil
+	case v.Name == "LENGTH":
+		return Int(int64(len(a.String()))), nil
+	case a.IsNull():
+		return Null, nil
+	case v.Name == "ABS" && a.typ == DTInt:
+		return Int(max(a.i, -a.i)), nil
+	case v.Name == "ABS":
+		return Float(math.Abs(a.Float64())), nil
+	}
+	// ROUND
+	scale := 0.0
+	if len(args) > 1 {
+		scale = args[1].Float64()
+	}
+	m := math.Pow(10, scale)
+	return Float(math.Round(args[0].Float64()*m) / m), nil
 }
 
-func evalAggregate(v *funcExpr, ctx *evalCtx) (Datum, error) {
-	if ctx.group == nil && !v.Star && len(v.Args) == 0 {
-		return Null, fmt.Errorf("sql: %s needs an argument", v.Name)
-	}
-	members := ctx.group
-	if members == nil {
-		// Aggregate outside a grouped context (e.g. in HAVING of a global
-		// aggregate with zero rows).
-		members = []Row{}
-	}
-	if v.Name == "COUNT" && v.Star {
-		return Int(int64(len(members))), nil
-	}
-	if len(v.Args) != 1 {
-		return Null, fmt.Errorf("sql: %s takes 1 argument", v.Name)
+// fold computes the aggregate over group. SUM of BIGINTs is exact: it adds
+// in int64, and an overflow is an error.
+func (a *aggExpr) fold(group []Row) (Datum, error) {
+	if a.Arg == nil {
+		return Int(int64(len(group))), nil // COUNT(*)
 	}
 	var (
-		count int64
-		sum   float64
-		best  Datum
-		first = true
-		isInt = true
+		count, isum    int64
+		fsum           float64
+		ints, overflow = true, false
+		best           Datum
 	)
-	for _, m := range members {
-		d, err := evalSQL(v.Args[0], &evalCtx{bind: ctx.bind, params: ctx.params, row: m})
+	for _, m := range group {
+		d, err := eval(a.Arg, m, nil)
 		if err != nil {
 			return Null, err
 		}
@@ -822,36 +740,28 @@ func evalAggregate(v *funcExpr, ctx *evalCtx) (Datum, error) {
 			continue
 		}
 		count++
-		if d.typ != DTInt {
-			isInt = false
+		fsum += d.Float64()
+		if d.typ == DTInt {
+			overflow = overflow || d.i > 0 && isum > math.MaxInt64-d.i || d.i < 0 && isum < math.MinInt64-d.i
+			isum += d.i
+		} else {
+			ints = false
 		}
-		sum += d.Float64()
-		if first || (v.Name == "MIN" && d.Compare(best) < 0) || (v.Name == "MAX" && d.Compare(best) > 0) {
+		if count == 1 || a.Name == "MIN" && d.Compare(best) < 0 || a.Name == "MAX" && d.Compare(best) > 0 {
 			best = d
-			first = false
 		}
 	}
-	switch v.Name {
-	case "COUNT":
+	switch {
+	case a.Name == "COUNT":
 		return Int(count), nil
-	case "SUM":
-		if count == 0 {
-			return Null, nil
-		}
-		if isInt {
-			return Int(int64(sum)), nil
-		}
-		return Float(sum), nil
-	case "AVG":
-		if count == 0 {
-			return Null, nil
-		}
-		return Float(sum / float64(count)), nil
-	case "MIN", "MAX":
-		if first {
-			return Null, nil
-		}
+	case a.Name == "MIN" || a.Name == "MAX" || count == 0:
 		return best, nil
+	case a.Name == "AVG":
+		return Float(fsum / float64(count)), nil
+	case !ints:
+		return Float(fsum), nil
+	case overflow:
+		return Null, fmt.Errorf("sql: SUM overflows BIGINT")
 	}
-	return Null, fmt.Errorf("sql: unknown aggregate %q", v.Name)
+	return Int(isum), nil
 }

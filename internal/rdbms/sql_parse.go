@@ -6,667 +6,481 @@ import (
 	"strings"
 )
 
+type tokKind uint8
+
+const (
+	tkEOF    tokKind = iota
+	tkWord           // bare identifier or keyword, as written
+	tkQuoted         // "quoted identifier": a name, never a keyword
+	tkNumber
+	tkString // 'string' literal, quotes removed and '' unescaped
+	tkOp     // ( ) , . * ? ; = != <> < <= > >= + - / %
+)
+
+type token struct {
+	kind tokKind
+	text string
+}
+
+// sqlParser is a cursor over the query: it lexes one token at a time and
+// keeps the first error, as RecordReader does. After an error the current
+// token is EOF, so every accept fails and every loop ends: a statement
+// parser is a straight run of expects, checked once by parseSQL.
 type sqlParser struct {
-	toks   []token
-	pos    int
-	params int // number of '?' seen
+	src    string
+	pos    int // offset of the first byte not yet lexed
+	tok    token
+	err    error
+	params int // '?' seen so far
 }
 
-func parseSQL(query string) (sqlStmt, int, error) {
-	toks, err := lexSQL(query)
-	if err != nil {
-		return nil, 0, err
-	}
-	p := &sqlParser{toks: toks}
-	stmt, err := p.parseStmt()
-	if err != nil {
-		return nil, 0, err
-	}
-	// Allow a trailing semicolon.
-	if p.peek().kind == tkPunct && p.peek().text == ";" {
-		p.next()
-	}
-	if p.peek().kind != tkEOF {
-		return nil, 0, fmt.Errorf("sql: unexpected trailing input at %q", p.peek().text)
-	}
-	return stmt, p.params, nil
-}
-
-func (p *sqlParser) peek() token { return p.toks[p.pos] }
-func (p *sqlParser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *sqlParser) atKw(k string) bool {
-	t := p.peek()
-	return t.kind == tkKeyword && t.text == k
-}
-
-func (p *sqlParser) acceptKw(k string) bool {
-	if p.atKw(k) {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *sqlParser) expectKw(k string) error {
-	if !p.acceptKw(k) {
-		return fmt.Errorf("sql: expected %s, got %q", k, p.peek().text)
-	}
-	return nil
-}
-
-func (p *sqlParser) acceptPunct(s string) bool {
-	t := p.peek()
-	if t.kind == tkPunct && t.text == s {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *sqlParser) expectPunct(s string) error {
-	if !p.acceptPunct(s) {
-		return fmt.Errorf("sql: expected %q, got %q", s, p.peek().text)
-	}
-	return nil
-}
-
-func (p *sqlParser) expectIdent() (string, error) {
-	t := p.peek()
-	if t.kind != tkIdent {
-		return "", fmt.Errorf("sql: expected identifier, got %q", t.text)
-	}
-	p.pos++
-	return t.text, nil
-}
-
-func (p *sqlParser) parseStmt() (sqlStmt, error) {
+func parseSQL(query string) (any, int, error) {
+	p := &sqlParser{src: query}
+	p.next()
+	var st any
 	switch {
-	case p.atKw("SELECT"):
-		return p.parseSelect()
-	case p.atKw("CREATE"):
-		return p.parseCreate()
-	case p.atKw("INSERT"):
-		return p.parseInsert()
-	case p.atKw("UPDATE"):
-		return p.parseUpdate()
-	case p.atKw("DELETE"):
-		return p.parseDelete()
-	case p.atKw("DROP"):
-		return p.parseDrop()
+	case p.kw("SELECT"):
+		st = p.selectStmt()
+	case p.kw("CREATE", "TABLE"):
+		st = p.createStmt()
+	case p.kw("INSERT", "INTO"):
+		st = p.insertStmt()
+	case p.kw("UPDATE"):
+		st = p.changeStmt(false)
+	case p.kw("DELETE", "FROM"):
+		st = p.changeStmt(true)
+	case p.kw("DROP", "TABLE"):
+		st = &dropStmt{Table: p.name()}
+	default:
+		p.fail("expected statement, got %q", p.tok.text)
 	}
-	return nil, fmt.Errorf("sql: expected statement, got %q", p.peek().text)
+	p.accept(";")
+	if p.tok.kind != tkEOF {
+		p.fail("unexpected trailing input at %q", p.tok.text)
+	}
+	return st, p.params, p.err
 }
 
-func (p *sqlParser) parseSelect() (*selectStmt, error) {
-	if err := p.expectKw("SELECT"); err != nil {
-		return nil, err
+func (p *sqlParser) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf("sql: "+format, args...)
 	}
-	s := &selectStmt{Limit: -1}
-	s.Distinct = p.acceptKw("DISTINCT")
+	p.tok = token{}
+}
 
-	// Select list.
+// next lexes the token after the current one.
+func (p *sqlParser) next() {
+	s := p.src
+	i := len(s) - len(strings.TrimLeft(s[p.pos:], " \t\n\r"))
+	if p.err != nil || i == len(s) {
+		p.tok, p.pos = token{}, len(s)
+		return
+	}
+	c, j, kind := s[i], i+1, tkOp
+	switch {
+	case isDigit(c) || c == '.' && j < len(s) && isDigit(s[j]):
+		kind, j = tkNumber, numberEnd(s, i)
+	case c == '\'':
+		for {
+			k := strings.IndexByte(s[j:], '\'')
+			if k < 0 {
+				p.fail("unterminated string at %d", i)
+				return
+			}
+			j += k + 1
+			if j == len(s) || s[j] != '\'' {
+				break
+			}
+			j++ // '' is an escaped quote
+		}
+		p.tok, p.pos = token{tkString, strings.ReplaceAll(s[i+1:j-1], "''", "'")}, j
+		return
+	case c == '"':
+		k := strings.IndexByte(s[j:], '"')
+		if k < 0 {
+			p.fail("unterminated quoted identifier at %d", i)
+			return
+		}
+		p.tok, p.pos = token{tkQuoted, s[j : j+k]}, j+k+1
+		return
+	case isIdentStart(c):
+		for j < len(s) && (isIdentStart(s[j]) || isDigit(s[j])) {
+			j++
+		}
+		kind = tkWord
+	case c == '<' || c == '>' || c == '!' || c == '=':
+		if j < len(s) && (s[j] == '=' || c == '<' && s[j] == '>') {
+			j++
+		}
+	case strings.IndexByte("+-/%(),.*?;", c) < 0:
+		p.fail("unexpected character %q at %d", c, i)
+		return
+	}
+	p.tok, p.pos = token{kind, s[i:j]}, j
+}
+
+// numberEnd returns the end of the number starting at s[i]: digits, an
+// optional fraction, and an optional exponent with an optional sign.
+func numberEnd(s string, i int) int {
+	digits := func(j int) int {
+		for j < len(s) && isDigit(s[j]) {
+			j++
+		}
+		return j
+	}
+	j := digits(i)
+	if j < len(s) && s[j] == '.' {
+		j = digits(j + 1)
+	}
+	if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
+		j++
+		if j < len(s) && (s[j] == '+' || s[j] == '-') {
+			j++
+		}
+		j = digits(j)
+	}
+	return j
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+func isIdentStart(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+}
+
+func (p *sqlParser) isKw(word string) bool {
+	return p.tok.kind == tkWord && strings.EqualFold(p.tok.text, word)
+}
+
+// kw consumes the keyword sequence words when the current token is its
+// first word, and then expects the rest. A keyword is a bare word in any
+// case, and only where the grammar asks for it: elsewhere it is a name.
+func (p *sqlParser) kw(words ...string) bool {
+	if !p.isKw(words[0]) {
+		return false
+	}
+	for _, w := range words[1:] {
+		p.next()
+		if !p.isKw(w) {
+			p.fail("expected %s, got %q", w, p.tok.text)
+		}
+	}
+	p.next()
+	return true
+}
+
+func (p *sqlParser) expectKw(word string) {
+	if !p.kw(word) {
+		p.fail("expected %s, got %q", word, p.tok.text)
+	}
+}
+
+func (p *sqlParser) accept(op string) bool {
+	if p.tok.kind == tkOp && p.tok.text == op {
+		p.next()
+		return true
+	}
+	return false
+}
+
+func (p *sqlParser) expect(op string) {
+	if !p.accept(op) {
+		p.fail("expected %q, got %q", op, p.tok.text)
+	}
+}
+
+// name consumes an identifier: a bare word or a quoted one.
+func (p *sqlParser) name() string {
+	t := p.tok
+	if t.kind != tkWord && t.kind != tkQuoted {
+		p.fail("expected identifier, got %q", t.text)
+	}
+	p.next()
+	return t.text
+}
+
+// alias consumes an optional alias: AS and a name, or a bare name that is
+// not a word that may follow an expression or a table. LEFT is among them
+// so that "a LEFT JOIN b", which is not supported, fails instead of
+// joining an a aliased LEFT.
+func (p *sqlParser) alias() string {
+	if p.kw("AS") || p.tok.kind == tkQuoted {
+		return p.name()
+	}
+	for _, w := range [...]string{"FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "JOIN", "INNER", "LEFT", "ON"} {
+		if p.isKw(w) {
+			return ""
+		}
+	}
+	if p.tok.kind != tkWord {
+		return ""
+	}
+	return p.name()
+}
+
+func (p *sqlParser) exprList() []sqlExpr {
+	var xs []sqlExpr
 	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
+		xs = append(xs, p.expr(precOr))
+		if !p.accept(",") {
+			return xs
+		}
+	}
+}
+
+func (p *sqlParser) selectStmt() *selectStmt {
+	s := &selectStmt{Limit: -1, Distinct: p.kw("DISTINCT")}
+	for {
+		item := selectItem{Expr: p.expr(precOr)}
+		if _, star := item.Expr.(*starExpr); !star {
+			item.Alias = p.alias()
 		}
 		s.Items = append(s.Items, item)
-		if !p.acceptPunct(",") {
+		if !p.accept(",") {
 			break
 		}
 	}
-
-	if err := p.expectKw("FROM"); err != nil {
-		return nil, err
-	}
-	tr, err := p.parseTableRef()
-	if err != nil {
-		return nil, err
-	}
-	s.From = append(s.From, tr)
-
-	for {
-		// [INNER] JOIN t ON expr  |  ',' t (cross join)
-		if p.acceptKw("INNER") {
-			if err := p.expectKw("JOIN"); err != nil {
-				return nil, err
-			}
-		} else if !p.acceptKw("JOIN") {
-			if p.acceptPunct(",") {
-				tr, err := p.parseTableRef()
-				if err != nil {
-					return nil, err
-				}
-				s.From = append(s.From, tr)
-				s.Joins = append(s.Joins, nil)
-				continue
-			}
-			break
-		}
-		tr, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("ON"); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.From = append(s.From, tr)
-		s.Joins = append(s.Joins, cond)
-	}
-
-	if p.acceptKw("WHERE") {
-		if s.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	if p.acceptKw("GROUP") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
+	if p.kw("FROM") {
+		s.From = []tableRef{p.tableRef()}
 		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if !p.acceptPunct(",") {
+			join := p.kw("JOIN") || p.kw("INNER", "JOIN")
+			if !join && !p.accept(",") {
 				break
 			}
-		}
-	}
-	if p.acceptKw("HAVING") {
-		if s.Having, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	if p.acceptKw("ORDER") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+			tr := p.tableRef()
+			if join {
+				p.expectKw("ON")
+				tr.On = p.expr(precOr)
 			}
-			item := orderItem{Expr: e}
-			if p.acceptKw("DESC") {
-				item.Desc = true
-			} else {
-				p.acceptKw("ASC")
+			s.From = append(s.From, tr)
+		}
+	}
+	if p.kw("WHERE") {
+		s.Where = p.expr(precOr)
+	}
+	if p.kw("GROUP", "BY") {
+		s.GroupBy = p.exprList()
+	}
+	if p.kw("HAVING") {
+		s.Having = p.expr(precOr)
+	}
+	if p.kw("ORDER", "BY") {
+		for {
+			item := orderItem{Expr: p.expr(precOr), Desc: p.kw("DESC")}
+			if !item.Desc {
+				p.kw("ASC")
 			}
 			s.OrderBy = append(s.OrderBy, item)
-			if !p.acceptPunct(",") {
+			if !p.accept(",") {
 				break
 			}
 		}
 	}
-	if p.acceptKw("LIMIT") {
-		t := p.peek()
-		if t.kind != tkNumber {
-			return nil, fmt.Errorf("sql: LIMIT expects a number, got %q", t.text)
-		}
-		p.pos++
-		n, err := strconv.Atoi(t.text)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("sql: invalid LIMIT %q", t.text)
+	if p.kw("LIMIT") {
+		n, err := strconv.Atoi(p.tok.text)
+		if p.tok.kind != tkNumber || err != nil || n < 0 {
+			p.fail("invalid LIMIT %q", p.tok.text)
 		}
 		s.Limit = n
-	}
-	return s, nil
-}
-
-func (p *sqlParser) parseSelectItem() (selectItem, error) {
-	// '*' or 't.*'
-	if p.peek().kind == tkPunct && p.peek().text == "*" {
-		p.pos++
-		return selectItem{Star: true}, nil
-	}
-	if p.peek().kind == tkIdent && p.pos+2 < len(p.toks) &&
-		p.toks[p.pos+1].kind == tkPunct && p.toks[p.pos+1].text == "." &&
-		p.toks[p.pos+2].kind == tkPunct && p.toks[p.pos+2].text == "*" {
-		qual := p.next().text
 		p.next()
-		p.next()
-		return selectItem{Star: true, Qual: qual}, nil
 	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return selectItem{}, err
-	}
-	item := selectItem{Expr: e}
-	if p.acceptKw("AS") {
-		alias, err := p.expectIdent()
-		if err != nil {
-			return selectItem{}, err
-		}
-		item.Alias = alias
-	} else if p.peek().kind == tkIdent {
-		item.Alias = p.next().text
-	}
-	return item, nil
+	return s
 }
 
-func (p *sqlParser) parseTableRef() (tableRef, error) {
-	name, err := p.expectIdent()
-	if err != nil {
-		return tableRef{}, err
-	}
-	tr := tableRef{Table: name}
-	if p.acceptKw("AS") {
-		if tr.Alias, err = p.expectIdent(); err != nil {
-			return tableRef{}, err
-		}
-	} else if p.peek().kind == tkIdent {
-		tr.Alias = p.next().text
-	}
-	return tr, nil
+func (p *sqlParser) tableRef() tableRef { return tableRef{Table: p.name(), Alias: p.alias()} }
+
+// sqlTypes are the column type names CREATE TABLE accepts.
+var sqlTypes = map[string]DType{
+	"BIGINT": DTInt, "INT": DTInt, "INTEGER": DTInt, "DOUBLE": DTFloat, "FLOAT": DTFloat,
+	"TEXT": DTText, "VARCHAR": DTText, "BOOLEAN": DTBool, "BOOL": DTBool,
 }
 
-func (p *sqlParser) parseCreate() (sqlStmt, error) {
-	if err := p.expectKw("CREATE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	st := &createStmt{Table: name}
+func (p *sqlParser) createStmt() *createStmt {
+	st := &createStmt{Table: p.name()}
+	p.expect("(")
 	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
+		name := p.name()
+		typ, ok := sqlTypes[strings.ToUpper(p.tok.text)]
+		if p.tok.kind != tkWord || !ok {
+			p.fail("expected column type, got %q", p.tok.text)
 		}
-		t := p.peek()
-		if t.kind != tkKeyword {
-			return nil, fmt.Errorf("sql: expected column type, got %q", t.text)
-		}
-		p.pos++
-		var dt DType
-		switch t.text {
-		case "BIGINT", "INT", "INTEGER":
-			dt = DTInt
-		case "DOUBLE", "FLOAT":
-			dt = DTFloat
-		case "TEXT", "VARCHAR":
-			dt = DTText
-			// Allow VARCHAR(n).
-			if p.acceptPunct("(") {
-				if p.peek().kind != tkNumber {
-					return nil, fmt.Errorf("sql: expected length in VARCHAR(n)")
-				}
-				p.pos++
-				if err := p.expectPunct(")"); err != nil {
-					return nil, err
-				}
+		p.next()
+		if typ == DTText && p.accept("(") { // VARCHAR(n)
+			if p.tok.kind != tkNumber {
+				p.fail("expected length in VARCHAR(n)")
 			}
-		case "BOOLEAN", "BOOL":
-			dt = DTBool
-		default:
-			return nil, fmt.Errorf("sql: unsupported column type %q", t.text)
+			p.next()
+			p.expect(")")
 		}
-		st.Cols = append(st.Cols, Column{Name: col, Type: dt})
-		if !p.acceptPunct(",") {
+		st.Cols = append(st.Cols, Column{Name: name, Type: typ})
+		if !p.accept(",") {
 			break
 		}
 	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return st, nil
+	p.expect(")")
+	return st
 }
 
-func (p *sqlParser) parseInsert() (sqlStmt, error) {
-	if err := p.expectKw("INSERT"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("INTO"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := &insertStmt{Table: name}
-	if p.acceptPunct("(") {
+func (p *sqlParser) insertStmt() *insertStmt {
+	st := &insertStmt{Table: p.name()}
+	if p.accept("(") {
 		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, col)
-			if !p.acceptPunct(",") {
+			st.Cols = append(st.Cols, p.name())
+			if !p.accept(",") {
 				break
 			}
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
+		p.expect(")")
 	}
-	if err := p.expectKw("VALUES"); err != nil {
-		return nil, err
-	}
+	p.expectKw("VALUES")
 	for {
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
+		p.expect("(")
+		st.Rows = append(st.Rows, p.exprList())
+		p.expect(")")
+		if !p.accept(",") {
+			break
 		}
-		var row []sqlExpr
+	}
+	return st
+}
+
+func (p *sqlParser) changeStmt(del bool) *changeStmt {
+	st := &changeStmt{Table: p.name(), Delete: del}
+	if !del {
+		p.expectKw("SET")
 		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptPunct(",") {
+			st.Cols = append(st.Cols, p.name())
+			p.expect("=")
+			st.Set = append(st.Set, p.expr(precOr))
+			if !p.accept(",") {
 				break
 			}
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		st.Rows = append(st.Rows, row)
-		if !p.acceptPunct(",") {
-			break
-		}
 	}
-	return st, nil
+	if p.kw("WHERE") {
+		st.Where = p.expr(precOr)
+	}
+	return st
 }
 
-func (p *sqlParser) parseUpdate() (sqlStmt, error) {
-	if err := p.expectKw("UPDATE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("SET"); err != nil {
-		return nil, err
-	}
-	st := &updateStmt{Table: name}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		t := p.peek()
-		if t.kind != tkOp || t.text != "=" {
-			return nil, fmt.Errorf("sql: expected '=' in SET, got %q", t.text)
-		}
-		p.pos++
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Set = append(st.Set, setClause{Col: col, Expr: e})
-		if !p.acceptPunct(",") {
-			break
-		}
-	}
-	if p.acceptKw("WHERE") {
-		if st.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
+// Binary operator precedence, lowest first; 0 is not an operator.
+const (
+	precOr = 1 + iota
+	precAnd
+	precCmp
+	precAdd
+	precMul
+)
+
+// binaryOps is the one precedence table of the expression grammar.
+var binaryOps = [...]struct {
+	op   string
+	prec int
+}{
+	{"OR", precOr}, {"AND", precAnd},
+	{"=", precCmp}, {"!=", precCmp}, {"<>", precCmp}, {"<", precCmp}, {"<=", precCmp},
+	{">", precCmp}, {">=", precCmp}, {"IS", precCmp},
+	{"+", precAdd}, {"-", precAdd}, {"*", precMul}, {"/", precMul}, {"%", precMul},
 }
 
-func (p *sqlParser) parseDelete() (sqlStmt, error) {
-	if err := p.expectKw("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := &deleteStmt{Table: name}
-	if p.acceptKw("WHERE") {
-		if st.Where, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-func (p *sqlParser) parseDrop() (sqlStmt, error) {
-	if err := p.expectKw("DROP"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	return &dropStmt{Table: name}, nil
-}
-
-// Expression grammar: OR > AND > NOT > comparison > additive > multiplicative > unary.
-
-func (p *sqlParser) parseExpr() (sqlExpr, error) { return p.parseOr() }
-
-func (p *sqlParser) parseOr() (sqlExpr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &binExpr{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseAnd() (sqlExpr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("AND") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &binExpr{Op: "AND", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseNot() (sqlExpr, error) {
-	if p.acceptKw("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{Op: "NOT", X: x}, nil
-	}
-	return p.parseCmp()
-}
-
-func (p *sqlParser) parseCmp() (sqlExpr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if p.acceptKw("IS") {
-		not := p.acceptKw("NOT")
-		if err := p.expectKw("NULL"); err != nil {
-			return nil, err
-		}
-		return &isNullExpr{X: l, Not: not}, nil
-	}
-	t := p.peek()
-	if t.kind == tkOp {
-		switch t.text {
-		case "=", "!=", "<>", "<", "<=", ">", ">=":
-			p.pos++
-			r, err := p.parseAdd()
-			if err != nil {
-				return nil, err
+func (p *sqlParser) binaryOp() (string, int) {
+	if p.tok.kind == tkOp || p.tok.kind == tkWord {
+		for _, o := range binaryOps {
+			if strings.EqualFold(p.tok.text, o.op) {
+				return o.op, o.prec
 			}
-			op := t.text
-			if op == "<>" {
-				op = "!="
-			}
-			return &binExpr{Op: op, L: l, R: r}, nil
 		}
 	}
-	return l, nil
+	return "", 0
 }
 
-func (p *sqlParser) parseAdd() (sqlExpr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
+// expr parses an expression whose binary operators bind at least as
+// tightly as min, by precedence climbing over binaryOps. NOT and unary
+// minus are prefixes: NOT binds looser than a comparison and only where an
+// AND or OR operand may start, minus tighter than '*'. Comparisons do not
+// chain, and a NOT's operand ends at its comparison.
+func (p *sqlParser) expr(min int) sqlExpr {
+	var x sqlExpr
+	limit := precMul + 1 // operators at or above limit end the expression
+	switch {
+	case min <= precCmp && p.kw("NOT"):
+		x, limit = &unaryExpr{Op: "NOT", X: p.expr(precCmp)}, precCmp
+	case p.accept("-"):
+		x = &unaryExpr{Op: "-", X: p.expr(precMul + 1)}
+	default:
+		x = p.primary()
 	}
 	for {
-		t := p.peek()
-		if t.kind == tkOp && (t.text == "+" || t.text == "-") {
-			p.pos++
-			r, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			l = &binExpr{Op: t.text, L: l, R: r}
+		op, prec := p.binaryOp()
+		if prec < min || prec >= limit {
+			return x
+		}
+		p.next()
+		if prec == precCmp {
+			limit = precCmp
+		}
+		if op == "!=" {
+			op = "<>"
+		}
+		if op == "IS" {
+			not := p.kw("NOT")
+			p.expectKw("NULL")
+			x = &isNullExpr{X: x, Not: not}
 			continue
 		}
-		return l, nil
+		x = &binExpr{Op: op, L: x, R: p.expr(prec + 1)}
 	}
 }
 
-func (p *sqlParser) parseMul() (sqlExpr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		isStar := t.kind == tkPunct && t.text == "*"
-		if (t.kind == tkOp && (t.text == "/" || t.text == "%")) || isStar {
-			p.pos++
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			op := t.text
-			l = &binExpr{Op: op, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *sqlParser) parseUnary() (sqlExpr, error) {
-	t := p.peek()
-	if t.kind == tkOp && t.text == "-" {
-		p.pos++
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{Op: "-", X: x}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *sqlParser) parsePrimary() (sqlExpr, error) {
-	t := p.peek()
+func (p *sqlParser) primary() sqlExpr {
+	t := p.tok
 	switch {
 	case t.kind == tkNumber:
-		p.pos++
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %q", t.text)
+		p.next()
+		if !strings.ContainsAny(t.text, ".eE") {
+			if n, err := strconv.ParseInt(t.text, 10, 64); err == nil {
+				return &litExpr{Val: Int(n)}
 			}
-			return &litExpr{Val: Float(f)}, nil
 		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, fmt.Errorf("sql: bad number %q", t.text)
-			}
-			return &litExpr{Val: Float(f)}, nil
+			p.fail("bad number %q", t.text)
 		}
-		return &litExpr{Val: Int(n)}, nil
+		return &litExpr{Val: Float(f)}
 	case t.kind == tkString:
-		p.pos++
-		return &litExpr{Val: Text(t.text)}, nil
-	case t.kind == tkKeyword && t.text == "NULL":
-		p.pos++
-		return &litExpr{Val: Null}, nil
-	case t.kind == tkKeyword && t.text == "TRUE":
-		p.pos++
-		return &litExpr{Val: Bool(true)}, nil
-	case t.kind == tkKeyword && t.text == "FALSE":
-		p.pos++
-		return &litExpr{Val: Bool(false)}, nil
-	case t.kind == tkPunct && t.text == "?":
-		p.pos++
-		e := &paramExpr{Index: p.params}
+		p.next()
+		return &litExpr{Val: Text(t.text)}
+	case p.kw("NULL"):
+		return &litExpr{Val: Null}
+	case p.kw("TRUE") || p.kw("FALSE"):
+		return &litExpr{Val: Bool(strings.EqualFold(t.text, "TRUE"))}
+	case p.accept("?"):
 		p.params++
-		return e, nil
-	case t.kind == tkPunct && t.text == "(":
-		p.pos++
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tkIdent:
-		name := p.next().text
-		// Function call?
-		if p.acceptPunct("(") {
-			f := &funcExpr{Name: strings.ToUpper(name)}
-			if p.peek().kind == tkPunct && p.peek().text == "*" {
-				p.pos++
-				f.Star = true
-			} else if !(p.peek().kind == tkPunct && p.peek().text == ")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					f.Args = append(f.Args, a)
-					if !p.acceptPunct(",") {
-						break
-					}
-				}
+		return &paramExpr{Index: p.params - 1}
+	case p.accept("*"):
+		return &starExpr{}
+	case p.accept("("):
+		e := p.expr(precOr)
+		p.expect(")")
+		return e
+	case t.kind == tkWord || t.kind == tkQuoted:
+		p.next()
+		if p.accept("(") {
+			f := &funcExpr{Name: strings.ToUpper(t.text)}
+			if !p.accept(")") {
+				f.Args = p.exprList()
+				p.expect(")")
 			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return f, nil
+			return f
 		}
-		// Qualified column?
-		if p.acceptPunct(".") {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			return &colExpr{Qual: name, Name: col}, nil
+		if !p.accept(".") {
+			return &colExpr{Name: t.text}
 		}
-		return &colExpr{Name: name}, nil
+		if p.accept("*") {
+			return &starExpr{Qual: t.text}
+		}
+		return &colExpr{Qual: t.text, Name: p.name()}
 	}
-	return nil, fmt.Errorf("sql: unexpected token %q in expression", t.text)
+	p.fail("unexpected token %q in expression", t.text)
+	return &litExpr{}
 }

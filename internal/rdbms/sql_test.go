@@ -261,3 +261,87 @@ func TestSQLSemicolonAndQuotedIdent(t *testing.T) {
 		t.Fatalf("quoted ident = %v", r.Rows)
 	}
 }
+
+func TestSQLNullAndTextNullAreDifferentKeys(t *testing.T) {
+	db := testDB()
+	db.MustExec("CREATE TABLE k (name TEXT, n BIGINT)")
+	db.MustExec("INSERT INTO k VALUES (NULL, 1), ('NULL', 2), ('a', 3)")
+	r := db.MustExec("SELECT name, SUM(n) FROM k GROUP BY name")
+	if len(r.Rows) != 3 || !r.Rows[0][0].IsNull() || r.Rows[1][0].Str() != "NULL" || r.Rows[1][1].Int64() != 2 {
+		t.Fatalf("groups = %v, want NULL, 'NULL' and 'a' apart", r.Rows)
+	}
+	if r := db.MustExec("SELECT DISTINCT name FROM k"); len(r.Rows) != 3 {
+		t.Fatalf("distinct = %v, want 3 rows", r.Rows)
+	}
+}
+
+func TestSQLSumIsExact(t *testing.T) {
+	db := testDB()
+	db.MustExec("CREATE TABLE big (x BIGINT)")
+	db.MustExec("INSERT INTO big VALUES (9007199254740993), (1)")
+	r := db.MustExec("SELECT SUM(x) FROM big")
+	if r.Rows[0][0].Type() != DTInt || r.Rows[0][0].Int64() != 9007199254740994 {
+		t.Fatalf("SUM = %v, want the BIGINT 9007199254740994", r.Rows[0][0])
+	}
+	db.MustExec("INSERT INTO big VALUES (9223372036854775807)")
+	if r, err := db.Exec("SELECT SUM(x) FROM big"); err == nil {
+		t.Fatalf("SUM past the BIGINT range = %v, want an error", r.Rows)
+	}
+}
+
+// TestSQLWordsReservedOnlyInPlace: a type name or LEFT is a column name
+// (LinkTable takes column names from a sheet's header row), and a SELECT
+// needs no FROM.
+func TestSQLWordsReservedOnlyInPlace(t *testing.T) {
+	db := testDB()
+	if _, err := db.CreateTable("h", NewSchema(Column{"Text", DTText}, Column{"Left", DTInt})); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("INSERT INTO h VALUES ('a', 1)")
+	for _, q := range []string{"SELECT Text FROM h", "SELECT Left FROM h", "SELECT h.text, left AS int FROM h"} {
+		if r, err := db.Exec(q); err != nil || len(r.Rows) != 1 {
+			t.Errorf("%s: %v, %v", q, r, err)
+		}
+	}
+	r := db.MustExec("SELECT 1+1")
+	if len(r.Rows) != 1 || r.Rows[0][0].Int64() != 2 {
+		t.Fatalf("SELECT 1+1 = %v", r.Rows)
+	}
+	for _, q := range []string{"SELECT FROM h", "SELECT * FROM h LEFT JOIN h g ON h.left = g.left"} {
+		if _, err := db.Exec(q); err == nil {
+			t.Errorf("%s must fail", q)
+		}
+	}
+}
+
+// TestSQLBindErrorsOnAnyInput: a name or an aggregate the statement cannot
+// have is an error before any row is read, so also over an empty table.
+func TestSQLBindErrorsOnAnyInput(t *testing.T) {
+	db := testDB()
+	db.MustExec("CREATE TABLE e (x BIGINT)")
+	for _, q := range []string{
+		"SELECT nope FROM e",
+		"SELECT x FROM e WHERE nope = 1",
+		"SELECT x FROM e WHERE SUM(x) > 0",
+		"SELECT SUM(COUNT(*)) FROM e",
+	} {
+		if r, err := db.Exec(q); err == nil {
+			t.Errorf("%s = %v, want an error", q, r.Rows)
+		}
+	}
+}
+
+func TestSQLQueryOnlySelects(t *testing.T) {
+	db := invoiceDB(t)
+	if r, err := db.Query("SELECT COUNT(*) FROM supp"); err != nil || r.Rows[0][0].Int64() != 3 {
+		t.Fatalf("Query(SELECT) = %v, %v", r, err)
+	}
+	for _, q := range []string{"DELETE FROM supp", "UPDATE supp SET name = 'x'", "INSERT INTO supp VALUES (9, 'x', 'y')", "CREATE TABLE t (a INT)", "DROP TABLE supp"} {
+		if _, err := db.Query(q); err == nil {
+			t.Errorf("Query(%q) must fail", q)
+		}
+	}
+	if r := db.MustExec("SELECT COUNT(*) FROM supp"); r.Rows[0][0].Int64() != 3 || db.Table("t") != nil {
+		t.Fatalf("a refused Query changed the catalog: %v", r.Rows)
+	}
+}
