@@ -2,7 +2,45 @@ package rdbms
 
 import (
 	"testing"
+	"testing/quick"
 )
+
+// TestSQLParserNeverPanics: arbitrary input must yield a statement or an
+// error, never a panic.
+func TestSQLParserNeverPanics(t *testing.T) {
+	f := func(query string) (ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		parseSQL(query) //nolint:errcheck // robustness only
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLexerProperty: the token cursor either errors or walks the whole
+// input to EOF, every token it yields consuming at least one byte.
+func TestLexerProperty(t *testing.T) {
+	f := func(s string) bool {
+		p := &sqlParser{src: s}
+		for last := -1; ; last = p.pos {
+			if p.next(); p.tok.kind == tkEOF {
+				break
+			}
+			if p.pos <= last || p.pos > len(s) {
+				return false
+			}
+		}
+		return p.err != nil || p.pos == len(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
 
 // FuzzSQL: any input must yield a Result or an error against a live
 // catalog, never a panic. It starts from the statements of TestSQLCorpus;
