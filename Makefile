@@ -22,8 +22,9 @@ test:
 
 # Serving stack and recalc surface alone under the race detector: the cell
 # cache's publish and the generation-stamped reads beside it (Publish), the
-# engine's own locks — it, not the serving layer, owns the latches — with
-# readers beside a bare engine's writers (Concurrent), session lifecycle,
+# engine's write-window latch — it, not the serving layer, keeps cold block
+# loads out of a batch's store write through its publish — with cold and
+# warm readers beside a bare engine's writers (Concurrent), session lifecycle,
 # the disconnect fuzz, plus the one edit pipeline in both recalc modes
 # (Pipeline), staleness bits and viewport priority, and the recalc graph
 # walks (Cone, Mark: the plan and the edit-time mark against a brute-force

@@ -168,15 +168,6 @@ func (c *Cache) ReadRange(g sheet.Range) ([][]sheet.Cell, error) {
 	return out, first
 }
 
-// GetRange is ReadRange with the failure left for TakeErr.
-func (c *Cache) GetRange(g sheet.Range) [][]sheet.Cell {
-	out, err := c.ReadRange(g)
-	if err != nil {
-		c.NoteErr(err)
-	}
-	return out
-}
-
 // VisitRange streams the range's non-blank cells to fn in row-major order
 // without materializing an output grid: per block-row band it pins the
 // band's blocks once, then walks each sheet row across the band copying one

@@ -121,7 +121,7 @@ func TestCachePublishSnapshotAtomic(t *testing.T) {
 	g := sheet.NewRange(1, 1, 2*BlockRows, 2*BlockCols)
 	s := sheet.New("t")
 	c := New(&sheetBacking{s: s}, 8)
-	c.GetRange(g) // all four tiles resident, blank: generation 0 shows value 0
+	c.ReadRange(g) // all four tiles resident, blank: generation 0 shows value 0
 	writes := make([]Write, 0, g.Area())
 	for row := g.From.Row; row <= g.To.Row; row++ {
 		for col := g.From.Col; col <= g.To.Col; col++ {
@@ -223,7 +223,7 @@ func TestCacheGetRangeSpansBlocks(t *testing.T) {
 	b := &sheetBacking{s: s}
 	c := New(b, 16)
 	g := sheet.NewRange(BlockRows-2, BlockCols-2, BlockRows+2, BlockCols+2)
-	m := c.GetRange(g)
+	m, _ := c.ReadRange(g)
 	if len(m) != g.Rows() || len(m[0]) != g.Cols() {
 		t.Fatalf("dims = %dx%d", len(m), len(m[0]))
 	}
@@ -334,7 +334,7 @@ func TestCacheLoadErrorSurfaced(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentReaders hammers Get/GetRange/VisitRange from several
+// TestCacheConcurrentReaders hammers Get/ReadRange/VisitRange from several
 // goroutines (run under -race) and checks every reader sees consistent
 // values.
 func TestCacheConcurrentReaders(t *testing.T) {
@@ -356,12 +356,12 @@ func TestCacheConcurrentReaders(t *testing.T) {
 				r0 := (w*37+it*13)%(rows-20) + 1
 				c0 := (w*11+it*7)%(cols-5) + 1
 				g := sheet.NewRange(r0, c0, r0+19, c0+4)
-				m := c.GetRange(g)
+				m, _ := c.ReadRange(g)
 				for i := range m {
 					for j := range m[i] {
 						want := float64((r0+i)*1000 + c0 + j)
 						if !m[i][j].Value.Equal(sheet.Number(want)) {
-							errs <- fmt.Errorf("GetRange(%d,%d) = %v want %v", r0+i, c0+j, m[i][j].Value, want)
+							errs <- fmt.Errorf("ReadRange(%d,%d) = %v want %v", r0+i, c0+j, m[i][j].Value, want)
 							return
 						}
 					}
@@ -535,7 +535,7 @@ func TestCacheShiftConcurrentWithReaders(t *testing.T) {
 				default:
 				}
 				c.Get(sheet.Ref{Row: (i+w*100)%512 + 1, Col: 1})
-				c.GetRange(sheet.NewRange((i%400)+1, 1, (i%400)+30, 2))
+				c.ReadRange(sheet.NewRange((i%400)+1, 1, (i%400)+30, 2))
 			}
 		}(w)
 	}

@@ -16,7 +16,7 @@ import (
 // recomputed value never shows without its bit cleared or the reverse. The
 // writer's side of the bargain: between a batch's storage write and its
 // Publish nothing may load a block from the backing store (it would show the
-// batch under the old generation); the engine's table latches keep cold
+// batch under the old generation); the engine's write-window latch keeps cold
 // readers out for exactly that window.
 
 // BlockKey identifies one cache tile: the sheet is partitioned into
@@ -34,18 +34,6 @@ func BlockCover(g sheet.Range) []BlockKey {
 		}
 	}
 	return out
-}
-
-// AlignToBlocks expands g to the smallest block-aligned rectangle
-// containing it. Reads latch the tables under the aligned range, not the
-// requested one: a block load touches every region its tile intersects,
-// so the latch set must cover the whole tile.
-func AlignToBlocks(g sheet.Range) sheet.Range {
-	k1, k2 := keyFor(g.From), keyFor(g.To)
-	return sheet.NewRange(
-		k1.br*BlockRows+1, k1.bc*BlockCols+1,
-		(k2.br+1)*BlockRows, (k2.bc+1)*BlockCols,
-	)
 }
 
 // Write is one cell of a published batch.

@@ -43,6 +43,35 @@ func BenchmarkEngineGetCellsViewport(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineColdReadParallel reads 50x10 viewports of a 1,000-row sheet
+// from every P with a 2-block cache, so most reads load from the store and
+// take the read latches.
+func BenchmarkEngineColdReadParallel(b *testing.B) {
+	e, err := New(rdbms.Open(rdbms.Options{}), "bench", Options{CacheBlocks: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	edits := make([]CellEdit, 0, 10_000)
+	for r := 1; r <= 1000; r++ {
+		for c := 1; c <= 10; c++ {
+			edits = append(edits, CellEdit{Row: r, Col: c, Input: fmt.Sprint(r * c)})
+		}
+	}
+	if _, err := e.ApplyCells(edits); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			r := (i*137)%951 + 1
+			if _, _, _, err := e.ReadRange(sheet.NewRange(r, 1, r+49, 10)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 func BenchmarkEngineFormulaChainPropagation(b *testing.B) {
 	e := benchEngine(b, 10)
 	// A 50-deep dependency chain off A1.

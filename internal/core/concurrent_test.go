@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dataspread/internal/hybrid"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -108,6 +109,83 @@ func TestConcurrentReadersBesideAsyncRecalc(t *testing.T) {
 	if n, cerr := check(cells, pending); err != nil || cerr != nil || n != rows*(cols-1) {
 		t.Fatalf("drained sheet: %d of %d formula cells right, %v, %v", n, rows*(cols-1), err, cerr)
 	}
+}
+
+// Cold readers beside a writer whose every batch spans a row-oriented region,
+// a column-oriented one and the overflow table: the cache holds 2 of the
+// range's 6 tiles, so every read loads from the store and waits out the write
+// window, whichever tables the batch in it writes. Every reply is one whole
+// batch, stamped with its generation — the writer is alone and writes no
+// formula, so batch v is generation g0+v.
+func TestConcurrentColdReadersAcrossRegions(t *testing.T) {
+	const rows, cols, batches = 130, 20, 20
+	bothModes(t, func(t *testing.T, e *Engine) {
+		for _, reg := range []hybrid.Region{
+			{Rect: sheet.NewRange(1, 1, rows, 6), Kind: hybrid.ROM},
+			{Rect: sheet.NewRange(1, 7, rows, 12), Kind: hybrid.COM},
+		} {
+			if _, err := e.Store().AddRegion(reg.Rect, reg.Kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+		regions := e.Store().Regions()
+		if len(regions) != 2 {
+			t.Fatalf("%d regions, want 2", len(regions))
+		}
+		for _, reg := range regions {
+			if reg.Rect.Contains(sheet.Ref{Row: 1, Col: cols}) {
+				t.Fatalf("region %v covers column %d: the range has no overflow cells", reg.Rect, cols)
+			}
+		}
+		all := sheet.NewRange(1, 1, rows, cols)
+		batch := func(v int) []CellEdit {
+			edits := make([]CellEdit, 0, all.Area())
+			for r := 1; r <= rows; r++ {
+				for c := 1; c <= cols; c++ {
+					edits = append(edits, CellEdit{Row: r, Col: c, Input: fmt.Sprint(v)})
+				}
+			}
+			return edits
+		}
+		g0, err := e.ApplyCells(batch(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !done.Load() {
+					cells, _, gen, err := e.ReadRange(all)
+					if err != nil {
+						t.Errorf("ReadRange: %v", err)
+						return
+					}
+					want := sheet.Number(float64(gen - g0))
+					for i, row := range cells {
+						for j, c := range row {
+							if !c.Value.Equal(want) {
+								t.Errorf("generation %d (batch %d): (%d,%d) = %v", gen, gen-g0, i+1, j+1, c.Value)
+								return
+							}
+						}
+					}
+				}
+			}()
+		}
+		for v := 1; v <= batches && !t.Failed(); v++ {
+			if gen, err := e.ApplyCells(batch(v)); err != nil || gen != g0+uint64(v) {
+				t.Errorf("batch %d: generation %d, %v", v, gen, err)
+			}
+		}
+		done.Store(true)
+		wg.Wait()
+		if misses := e.CacheStats().Misses; misses == 0 {
+			t.Fatal("no read loaded a block from the store")
+		}
+	}, Options{CacheBlocks: 2})
 }
 
 // Readers beside everything that moves the region layout — structural edits,

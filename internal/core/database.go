@@ -16,8 +16,12 @@ import (
 // created from the range's contents (first row = column names, types
 // inferred from the first data row) and then linked; when it exists, the
 // range must be empty and sized to the table. Readers see the clearing of the
-// range and the link as two generations.
+// range and the link as two generations. A range outside the sheet is refused
+// before anything is created.
 func (e *Engine) LinkTable(g sheet.Range, tableName string) (*model.TOM, error) {
+	if err := inSheet(g); err != nil {
+		return nil, err
+	}
 	// Drained, so that the table is created from converged values.
 	defer e.lockWritesDrained()()
 	table := e.db.Table(tableName)

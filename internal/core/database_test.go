@@ -12,6 +12,47 @@ import (
 	"dataspread/internal/workload"
 )
 
+// A LinkTable whose range reaches above row 1, or whose From is past its To,
+// is refused before it creates anything: the catalog, the grid and the
+// generation are as they were. It used to create the table from the range,
+// fail to clear row 0 and leave the table in the catalog; a reversed range
+// panicked.
+func TestRefusedLinkTableCreatesNothing(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	e, err := New(db, "l", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sheet.New("ref")
+	for r := 1; r <= 3; r++ {
+		for c := 1; c <= 2; c++ {
+			v := sheet.Number(float64(r*10 + c))
+			if err := e.SetValue(r, c, v); err != nil {
+				t.Fatal(err)
+			}
+			ref.SetValue(r, c, v)
+		}
+	}
+	grid := sheet.NewRange(1, 1, 5, 4)
+	tables, gen := db.TableNames(), e.Generation()
+	for _, g := range []sheet.Range{
+		sheet.NewRange(0, 1, 3, 2),
+		sheet.NewRange(1, 0, 3, 2),
+		{From: sheet.Ref{Row: 3, Col: 2}, To: sheet.Ref{Row: 1, Col: 1}},
+	} {
+		if _, err := e.LinkTable(g, "t0"); err == nil {
+			t.Errorf("LinkTable(%+v) was accepted", g)
+		}
+		if got := db.TableNames(); strings.Join(got, ",") != strings.Join(tables, ",") {
+			t.Errorf("LinkTable(%+v): catalog %v, want %v", g, got, tables)
+		}
+		assertEngineMatchesSheet(t, fmt.Sprintf("after LinkTable(%+v)", g), e, ref, grid)
+	}
+	if got := e.Generation(); got != gen {
+		t.Errorf("generation %d after the refused links, want %d", got, gen)
+	}
+}
+
 func TestOpenFromSheet(t *testing.T) {
 	s := sheet.New("t")
 	for row := 1; row <= 10; row++ {

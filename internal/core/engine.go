@@ -74,11 +74,12 @@ type Engine struct {
 	// positives).
 	formulasDirty bool
 	// gen counts applied mutation batches. writeMu is the edit lock: every
-	// field above but the bounds is read and written under it. latches keeps
-	// block loads out of a batch's write window (latch.go).
+	// field above but the bounds is read and written under it. latches holds
+	// the region-layout lock and the write-window latch, which keeps block
+	// loads out of a batch's store write through its publish (latch.go).
 	gen     atomic.Uint64
 	writeMu sync.Mutex
-	latches latchTable
+	latches struct{ structure, window sync.RWMutex }
 	// sched holds the recalc executor's state: viewports, plan flags and —
 	// on an AsyncRecalc engine — the dispatcher goroutine.
 	sched *recalcScheduler
@@ -201,10 +202,11 @@ func (e *Engine) grow(row, col int) {
 	}
 }
 
-// clip cuts g to the content bounds (a whole-column reference must not walk
-// vast empty ranges); ok is false when nothing is left.
+// clip cuts g to A1 and the content bounds (a whole-column reference must not
+// walk vast empty ranges); ok is false when nothing is left.
 func (e *Engine) clip(g sheet.Range) (sheet.Range, bool) {
 	rows, cols := e.Bounds()
+	g.From.Row, g.From.Col = max(g.From.Row, 1), max(g.From.Col, 1)
 	g.To.Row, g.To.Col = min(g.To.Row, rows), min(g.To.Col, cols)
 	return g, g.To.Row >= g.From.Row && g.To.Col >= g.From.Col
 }
@@ -374,8 +376,9 @@ func (e *Engine) apply(batch []cellWrite) (uint64, error) {
 // step in which readers see the batch, its generation and its own formula
 // cells flagged. Between the store write and the publish nothing may read
 // through the cache — a block loaded in that window would show the batch under
-// the old generation — so that window, and nothing else, holds the tables'
-// write latches. Row-oriented regions rewrite each covered tuple once.
+// the old generation — so that window, and nothing else, holds the
+// write-window latch exclusively. Row-oriented regions rewrite each covered
+// tuple once.
 func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 	if err := e.writeGuard(); err != nil {
 		return 0, err
@@ -384,7 +387,7 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 	// or the formula registry, so values and formulas cannot reorder.
 	last := make(map[sheet.Ref]int, len(batch))
 	for i, w := range batch {
-		if w.ref.Row < 1 || w.ref.Col < 1 {
+		if !w.ref.Valid() {
 			return 0, fmt.Errorf("core: cell position (%d,%d) out of range", w.ref.Row, w.ref.Col)
 		}
 		last[w.ref] = i
@@ -406,7 +409,8 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 		refs = append(refs, w.ref)
 		writes = append(writes, model.CellWrite{Row: w.ref.Row, Col: w.ref.Col, Cell: cell})
 	}
-	defer e.latches.release(e.wlatch(writes), true)
+	e.latches.window.Lock()
+	defer e.latches.window.Unlock()
 	if err := e.store.UpdateCells(writes); err != nil {
 		return 0, err
 	}
@@ -442,19 +446,15 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 }
 
 // commit is the write-through for everything but an edit batch (wave
-// results, #CYCLE! poisoning): one store write, then a publish without a
-// generation of its own, under the tables' write latches.
+// results, #CYCLE! poisoning, a structural edit's rewritten formula text,
+// which commits inside the structure lock): one store write, then a publish
+// without a generation of its own, inside the write window.
 func (e *Engine) commit(writes []model.CellWrite) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	defer e.latches.release(e.wlatch(writes), true)
-	return e.commitLatched(writes)
-}
-
-// commitLatched is commit for a caller that already keeps block loads out: a
-// structural edit's rewritten formula text, under the structure lock.
-func (e *Engine) commitLatched(writes []model.CellWrite) error {
+	e.latches.window.Lock()
+	defer e.latches.window.Unlock()
 	if err := e.store.UpdateCells(writes); err != nil {
 		return err
 	}

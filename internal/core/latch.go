@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sync"
+	"fmt"
 
-	"dataspread/internal/cache"
-	"dataspread/internal/model"
 	"dataspread/internal/sheet"
 )
 
@@ -13,104 +11,49 @@ import (
 //
 // The one lock order:
 //
-//	writeMu → structure lock → table latches, ascending → cache lock → pending sidecar
+//	writeMu → structure → window → cache lock → pending sidecar
 //
-// (Two leaves beside it: sched.mu, the executor's flags, is taken under
-// writeMu or alone and holds nothing but the pending sidecar; latchTable.mu,
-// the latch registry, is held across no other acquisition.)
+// (One leaf beside it: sched.mu, the executor's flags, is taken under writeMu
+// or alone and holds nothing but the pending sidecar.)
 //
 //   - writeMu is the edit lock: every mutation (cell batch, structural edit,
 //     LinkTable, Optimize, Save) and every executor step holds it, so the
 //     engine's maps, the dependency graph and the store have one writer at a
 //     time, and the evaluator, which runs under it, reads the cache unlatched.
-//   - The structure lock freezes the region layout (which table owns which
-//     cell). Shared by everything below; exclusive, inside writeMu, around the
-//     in-memory and store mutation of a structural edit, LinkTable's link and
-//     Optimize's swap — not around their settle or their fsync.
-//   - A table latch, keyed by the hybrid store's manifest segment id, is
-//     write-held around one thing: a batch's store write through its publish
-//     (applyLocked, commit), the window in which a block loaded from the store
-//     would show the batch under the old generation (cache/snapshot.go). A
-//     reader that has to load a block read-holds the latch of every table its
-//     block-aligned range can touch: it waits out that window and nothing
-//     else — not a chunk's evaluation, not an inline cone, not a Save.
+//   - structure freezes the region layout (which table owns which cell).
+//     Readers hold it shared; it is held exclusively, inside writeMu, around
+//     the in-memory and store mutation of a structural edit, LinkTable's link
+//     and Optimize's swap — not around their settle or their fsync. A batch
+//     writer holds writeMu, so it can never overlap a layout change, and does
+//     not take structure at all.
+//   - window is held exclusively by a batch from its store write through its
+//     publish (applyLocked, commit): the window in which a block loaded from
+//     the store would show the batch under the old generation
+//     (cache/snapshot.go). For an edit it covers the store write, formula
+//     registration, the pending-mark walk and the publish; for a chunk or a
+//     structural edit's rewritten formula text, the store write and the
+//     publish. A reader that has to load a block holds it shared: it waits out
+//     that window and nothing else — not a chunk's evaluation, not a settle,
+//     not a Save.
 //   - Visibility is decided inside the cell cache: a batch becomes visible,
 //     with its generation, in the publish that ends the window, and a resident
 //     range is read, with its mask and generation, under one shared hold of the
 //     cache lock, touching no latch. The database-wide durable counterpart of
 //     the generation is rdbms.DB.CommitGen.
 
-// latchTable is the engine's per-table latch registry.
-type latchTable struct {
-	structure sync.RWMutex
-	// mu guards segs; the per-segment latches are created lazily.
-	mu   sync.Mutex
-	segs map[int]*sync.RWMutex
-	// wsegs and wheld are the one writer's latch set, reused from batch to
-	// batch under writeMu so that an edit allocates nothing to latch.
-	wsegs []int
-	wheld []*sync.RWMutex
-}
-
-// hold appends to ls the latches of the given (sorted) segment ids, creating
-// missing ones, and takes them; the caller holds the structure lock shared.
-func (lt *latchTable) hold(ls []*sync.RWMutex, segs []int, write bool) []*sync.RWMutex {
-	lt.mu.Lock()
-	if lt.segs == nil {
-		lt.segs = make(map[int]*sync.RWMutex)
-	}
-	for _, s := range segs {
-		l, ok := lt.segs[s]
-		if !ok {
-			l = &sync.RWMutex{}
-			lt.segs[s] = l
-		}
-		ls = append(ls, l)
-	}
-	lt.mu.Unlock()
-	for _, l := range ls {
-		if write {
-			l.Lock()
-		} else {
-			l.RLock()
-		}
-	}
-	return ls
-}
-
-// release drops what hold took, then the structure lock's shared hold.
-func (lt *latchTable) release(ls []*sync.RWMutex, write bool) {
-	for i := len(ls) - 1; i >= 0; i-- {
-		if write {
-			ls[i].Unlock()
-		} else {
-			ls[i].RUnlock()
-		}
-	}
-	lt.structure.RUnlock()
-}
-
-// rlatch read-latches the tables under the block-aligned expansion of g (a
-// cache-miss block load reads whole tiles).
-func (e *Engine) rlatch(g sheet.Range) []*sync.RWMutex {
-	e.latches.structure.RLock()
-	return e.latches.hold(nil, e.store.SegsFor(cache.AlignToBlocks(g)), false)
-}
-
-// wlatch write-latches the tables owning the cells of a batch, for its store
-// write through its publish. The caller holds writeMu.
-func (e *Engine) wlatch(writes []model.CellWrite) []*sync.RWMutex {
-	lt := &e.latches
-	lt.structure.RLock()
-	lt.wsegs = e.store.SegsForWrites(lt.wsegs[:0], writes)
-	lt.wheld = lt.hold(lt.wheld[:0], lt.wsegs, true)
-	return lt.wheld
-}
-
 // Generation returns the engine's mutation generation: the number of
 // applied mutation batches (cell edits, structural edits, migrations).
 // ReadRange stamps every read with the generation its cells belong to.
 func (e *Engine) Generation() uint64 { return e.gen.Load() }
+
+// inSheet refuses a range that reaches above row 1 or left of column 1, or
+// whose From is past its To: every read and LinkTable checks it at the door.
+func inSheet(g sheet.Range) error {
+	if !g.From.Valid() || g.From.Row > g.To.Row || g.From.Col > g.To.Col {
+		return fmt.Errorf("core: range (%d,%d)-(%d,%d) is outside the sheet", g.From.Row, g.From.Col, g.To.Row, g.To.Col)
+	}
+	return nil
+}
 
 // snapshot is the read's resident step: cells, mask and generation out of one
 // shared hold of the cache lock (cache.Snapshot), unless a covering block is
@@ -125,15 +68,22 @@ func (e *Engine) snapshot(g sheet.Range) (cells [][]sheet.Cell, pending [][]bool
 
 // ReadRange is the one read path: the cells of g, their staleness mask (nil
 // when nothing in g is pending), the generation they belong to, and the error
-// of the block loads this call performed itself. Resident: the snapshot.
-// Otherwise the read latches are taken, blocking, the range is read through
-// the cache, and mask and generation are sampled while still latched — no
-// batch on these tables can be in its write window, so the three agree.
+// of the block loads this call performed itself. A range outside the sheet is
+// refused. Resident: the snapshot. Otherwise both latches are read-held,
+// blocking, the range is read through the cache, and mask and generation are
+// sampled while still latched — no batch can be in its write window, so the
+// three agree.
 func (e *Engine) ReadRange(g sheet.Range) ([][]sheet.Cell, [][]bool, uint64, error) {
+	if err := inSheet(g); err != nil {
+		return nil, nil, 0, err
+	}
 	if cells, pending, gen, ok := e.snapshot(g); ok {
 		return cells, pending, gen, nil
 	}
-	defer e.latches.release(e.rlatch(g), false)
+	e.latches.structure.RLock()
+	defer e.latches.structure.RUnlock()
+	e.latches.window.RLock()
+	defer e.latches.window.RUnlock()
 	cells, err := e.cache.ReadRange(g)
 	return cells, e.cache.PendingMask(g), e.gen.Load(), err
 }
@@ -145,8 +95,11 @@ func (e *Engine) SnapshotRange(g sheet.Range) ([][]sheet.Cell, uint64, error) {
 }
 
 // PeekCells is ReadRange's resident step alone: (nil, false) when any
-// covering block would need a storage read.
+// covering block would need a storage read, or g is outside the sheet.
 func (e *Engine) PeekCells(g sheet.Range) ([][]sheet.Cell, bool) {
+	if inSheet(g) != nil {
+		return nil, false
+	}
 	cells, _, _, ok := e.snapshot(g)
 	return cells, ok
 }
@@ -161,16 +114,20 @@ func (e *Engine) GetCells(g sheet.Range) [][]sheet.Cell {
 	return cells
 }
 
-// GetCell returns one cell.
+// GetCell returns one cell; a cell outside the sheet reads blank, the refusal
+// left for ReadErr.
 func (e *Engine) GetCell(row, col int) sheet.Cell {
-	return e.GetCells(sheet.NewRange(row, col, row, col))[0][0]
+	if cells := e.GetCells(sheet.NewRange(row, col, row, col)); cells != nil {
+		return cells[0][0]
+	}
+	return sheet.Cell{}
 }
 
 // CellValue returns one cell's value.
 func (e *Engine) CellValue(r sheet.Ref) sheet.Value { return e.GetCell(r.Row, r.Col).Value }
 
-// VisitRange visits the filled cells of g, clipped to the content bounds, in
-// row-major order until fn returns false.
+// VisitRange visits the filled cells of g, clipped to the sheet and the
+// content bounds, in row-major order until fn returns false.
 func (e *Engine) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Value) bool) {
 	g, ok := e.clip(g)
 	if !ok {

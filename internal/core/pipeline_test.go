@@ -18,11 +18,17 @@ import (
 // through): every test runs on a synchronous and on an AsyncRecalc engine,
 // because the two differ only in who runs "settle".
 
-// bothModes runs fn against a fresh synchronous and a fresh async engine.
-func bothModes(t *testing.T, fn func(t *testing.T, e *Engine)) {
+// bothModes runs fn against a fresh synchronous and a fresh async engine,
+// built with opts (at most one) but for AsyncRecalc.
+func bothModes(t *testing.T, fn func(t *testing.T, e *Engine), opts ...Options) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			e, err := New(rdbms.Open(rdbms.Options{}), "p", Options{AsyncRecalc: async})
+			o := Options{}
+			if len(opts) > 0 {
+				o = opts[0]
+			}
+			o.AsyncRecalc = async
+			e, err := New(rdbms.Open(rdbms.Options{}), "p", o)
 			if err != nil {
 				t.Fatal(err)
 			}

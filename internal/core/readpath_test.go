@@ -9,6 +9,60 @@ import (
 	"dataspread/internal/sheet"
 )
 
+// A rectangle reaching above row 1 or left of column 1, or whose From is past
+// its To, is refused at the door of the read path: ReadRange and
+// SnapshotRange return an error, PeekCells (nil, false), GetCell and
+// CellValue a blank with the refusal left for ReadErr, RangeTable an empty
+// table. VisitRange clips to A1 instead. Each of these panicked before.
+func TestReadRangeRefusesCellsOutsideTheSheet(t *testing.T) {
+	e := newEngine(t)
+	if err := e.Set(1, 1, "7"); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []sheet.Range{
+		sheet.NewRange(0, 1, 0, 1),
+		sheet.NewRange(1, 0, 1, 0),
+		sheet.NewRange(0, 0, 3, 3),
+		{From: sheet.Ref{Row: 3, Col: 2}, To: sheet.Ref{Row: 1, Col: 1}},
+		{From: sheet.Ref{Row: 1, Col: 2}, To: sheet.Ref{Row: 1, Col: 1}},
+	} {
+		if cells, _, _, err := e.ReadRange(g); err == nil || cells != nil {
+			t.Errorf("ReadRange(%+v) = %d rows, %v; want refused", g, len(cells), err)
+		}
+		if cells, ok := e.PeekCells(g); ok || cells != nil {
+			t.Errorf("PeekCells(%+v) = %d rows, %v; want (nil, false)", g, len(cells), ok)
+		}
+	}
+	if _, _, err := e.SnapshotRange(sheet.NewRange(1, 0, 5, 0)); err == nil {
+		t.Error("SnapshotRange of column 0 was accepted")
+	}
+	if err := e.ReadErr(); err != nil {
+		t.Fatalf("a refused ReadRange left %v for ReadErr", err)
+	}
+	for _, c := range []sheet.Cell{e.GetCell(0, 1), e.GetCell(1, 0), {Value: e.CellValue(sheet.Ref{})}} {
+		if !c.IsBlank() {
+			t.Errorf("a cell outside the sheet reads %+v", c)
+		}
+	}
+	if err := e.ReadErr(); err == nil {
+		t.Error("GetCell outside the sheet left no error for ReadErr")
+	}
+	if tv := e.RangeTable(sheet.NewRange(0, 0, 0, 0), true); tv.Len() != 0 || tv.Arity() != 0 {
+		t.Errorf("RangeTable outside the sheet = %d x %d", tv.Len(), tv.Arity())
+	}
+	var seen []sheet.Ref
+	e.VisitRange(sheet.NewRange(0, 0, 5, 5), func(r sheet.Ref, _ sheet.Value) bool {
+		seen = append(seen, r)
+		return true
+	})
+	if len(seen) != 1 || seen[0] != (sheet.Ref{Row: 1, Col: 1}) {
+		t.Errorf("VisitRange from (0,0) visited %v, want A1", seen)
+	}
+	if v := e.CellValue(sheet.Ref{Row: 1, Col: 1}); !v.Equal(sheet.Number(7)) {
+		t.Errorf("A1 = %v after the refused reads", v)
+	}
+}
+
 // TestVisitRangeEquivalenceProperty: the streaming VisitRange must agree
 // with per-cell GetCell (and GetCells) for every physical layout the
 // optimizer can choose, over random sheets and rectangles.

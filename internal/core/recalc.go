@@ -32,7 +32,7 @@
 //     are mutually independent, same topological wave; in parallel on the
 //     dispatcher), then committed in one batch through Engine.commit: one
 //     store write and one publish that pokes the values and clears their
-//     pending bits together, the tables' write latches held for just that, so
+//     pending bits together, the write-window latch held for just that, so
 //     a reader loading a cold block never waits for an evaluation.
 //   - Edits concurrent with a running plan set the restructure flag (under
 //     writeMu); the executor abandons its stale plan at the next chunk

@@ -280,7 +280,7 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 		cell.Formula = t.src
 		writes[i] = model.CellWrite{Row: t.ref.Row, Col: t.ref.Col, Cell: cell}
 	}
-	return e.commitLatched(writes)
+	return e.commit(writes)
 }
 
 // textWrite is a formula cell whose source text a structural edit rewrote.

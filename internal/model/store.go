@@ -184,42 +184,6 @@ func (h *HybridStore) Regions() []hybrid.Region {
 	return out
 }
 
-// SegsFor returns the manifest segment ids of every backing table a read
-// of the absolute range g can touch: each region intersecting g plus the
-// shared overflow RCV (which spans the whole grid, so any range may read
-// it). Segment ids are the stable per-table identity the engine's latch
-// table keys on — callers latch these before reading concurrently with
-// writers. The result is sorted ascending, giving a global latch
-// acquisition order.
-func (h *HybridStore) SegsFor(g sheet.Range) []int {
-	segs := []int{overflowSeg}
-	for i := range h.regions {
-		if h.regions[i].rect.Intersects(g) {
-			segs = append(segs, h.regions[i].seg)
-		}
-	}
-	slices.Sort(segs)
-	return segs
-}
-
-// SegsForWrites returns the segment ids of the backing tables a write of the
-// given cells mutates: the owning region of each cell, or the overflow RCV
-// for cells outside every region, appended to segs (empty, for its capacity)
-// and sorted ascending (the latch order).
-func (h *HybridStore) SegsForWrites(segs []int, writes []CellWrite) []int {
-	for _, w := range writes {
-		seg := overflowSeg
-		if reg := h.regionAt(w.Row, w.Col); reg != nil {
-			seg = reg.seg
-		}
-		if !slices.Contains(segs, seg) {
-			segs = append(segs, seg)
-		}
-	}
-	slices.Sort(segs)
-	return segs
-}
-
 // regionAt returns the region containing the cell, or nil.
 func (h *HybridStore) regionAt(row, col int) *storeRegion {
 	for i := range h.regions {
