@@ -21,17 +21,18 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzSQL -fuzztime 10s ./internal/rdbms/
 
 # Serving stack and recalc surface alone under the race detector: the cell
-# cache's publish and the generation-stamped reads beside it (Publish), the
-# engine's write-window latch — it, not the serving layer, keeps cold block
-# loads out of a batch's store write through its publish — with cold and
-# warm readers beside a bare engine's writers (Concurrent), session lifecycle,
-# the disconnect fuzz, plus the one edit pipeline in both recalc modes
-# (Pipeline), staleness bits and viewport priority, and the recalc graph
-# walks (Cone, Mark: the plan and the edit-time mark against a brute-force
-# reference). CI runs this as a dedicated step so visibility, latch and
-# executor regressions are named, not buried in ./...
+# cache's publish and the generation-stamped reads beside it (Publish), its
+# typed tiles against every read path, a map reference and a per-tile heap
+# bound (Tile), the engine's write-window latch — it, not the serving layer,
+# keeps cold block loads out of a batch's store write through its publish —
+# with cold and warm readers beside a bare engine's writers (Concurrent),
+# session lifecycle, the disconnect fuzz, plus the one edit pipeline in both
+# recalc modes (Pipeline), staleness bits and viewport priority, and the
+# recalc graph walks (Cone, Mark: the plan and the edit-time mark against a
+# brute-force reference). CI runs this as a dedicated step so visibility,
+# latch and executor regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push.

@@ -6,16 +6,15 @@
 // scrolling access pattern where a viewport's worth of cells is needed at
 // once.
 //
-// Blocks are dense row-major []sheet.Cell arrays filled by one block-aligned
-// GetCells call against the backing store, so a warm viewport read is a
-// handful of slice copies — no per-cell map lookups, no per-range
-// materialization of intermediate maps. The cache is safe for concurrent
-// readers: hits touch only a read lock and per-block reference bits
-// (second-chance eviction instead of exact LRU move-to-front keeps the hit
-// path mutation-free), and misses load from the backing outside the cache
-// lock so cold scans overlap their storage reads. Publish takes the
-// exclusive lock and may run beside Snapshot readers; Invalidate and the
-// shifts run with the engine's structure lock held exclusively, readers out.
+// A block is typed columns over the columns it holds (about 9 KiB a dense
+// numeric tile, 2 KiB a formula column, none a blank one), composed into
+// sheet.Cells on the way out without per-cell map lookups. The cache is safe
+// for concurrent readers: hits touch only a read lock and per-block reference
+// bits (second-chance eviction instead of exact LRU move-to-front keeps the
+// hit path mutation-free), and misses load from the backing outside the cache
+// lock so cold scans overlap their storage reads. Publish takes the exclusive
+// lock and may run beside Snapshot readers; Invalidate and the shifts run
+// with the engine's structure lock held exclusively, readers out.
 package cache
 
 import (
@@ -48,12 +47,111 @@ type blockKey struct{ br, bc int }
 
 type block struct {
 	key blockKey
-	// cells is the dense row-major tile: cells[r*BlockCols+c] holds the
-	// cell at block-local (r, c).
-	cells []sheet.Cell
+	// Typed columns over the tile's column extent lo..hi (none when hi < lo):
+	// block-local (r, c) is index r*(hi-lo+1)+c-lo of kind (a sheet.Kind, with
+	// formulaBit for a formula; 0 is blank), num (a number, or a bool as 0/1)
+	// and the text tables str and formula, nil until a cell needs one. Publish
+	// may swap the slices for wider ones: read them only under the cache lock.
+	lo, hi       int
+	kind         []uint8
+	num          []float64
+	str, formula []string
 	// used is the second-chance reference bit, set by hits and cleared by
 	// the eviction sweep.
 	used atomic.Bool
+}
+
+const formulaBit = 0x80 // set in the kind byte of a cell that carries a formula
+
+// newBlock builds the tile for k from a dense grid of its cells (nil: blank),
+// numbers and bools in line, text through set. kind and num are never nil.
+func newBlock(k blockKey, grid [][]sheet.Cell) *block {
+	lo, hi := BlockCols, -1
+	for _, row := range grid {
+		for c := range row {
+			if !row[c].IsBlank() {
+				lo, hi = min(lo, c), max(hi, c)
+			}
+		}
+	}
+	w := max(0, hi-lo+1)
+	b := &block{key: k, lo: lo, hi: hi, kind: make([]uint8, BlockRows*w), num: make([]float64, BlockRows*w)}
+	for r, row := range grid {
+		row, kind, num := row[lo:max(lo, hi+1)], b.kind[r*w:(r+1)*w], b.num[r*w:(r+1)*w]
+		for c := range row {
+			vk, n, s := row[c].Value.Parts()
+			kind[c], num[c] = uint8(vk), n
+			if s != "" || row[c].Formula != "" {
+				b.set(r, lo+c, &row[c])
+			}
+		}
+	}
+	return b
+}
+
+func (b *block) width() int { return max(0, b.hi-b.lo+1) }
+
+// put composes cell i of the extent into the blank *d field by field (a whole-Cell store costs more).
+func (b *block) put(i int, d *sheet.Cell) {
+	var str string
+	if b.str != nil {
+		str = b.str[i]
+	}
+	d.Value = sheet.ValueOf(sheet.Kind(b.kind[i]&^formulaBit), b.num[i], str)
+	if b.formula != nil {
+		d.Formula = b.formula[i]
+	}
+}
+
+// set stores cell at block-local (r, c), widening the extent to c when the
+// cell is not blank. The caller owns b or holds the cache lock exclusively.
+func (b *block) set(r, c int, cell *sheet.Cell) {
+	k, num, str := cell.Value.Parts()
+	kb := uint8(k)
+	if cell.Formula != "" {
+		kb |= formulaBit
+	}
+	if c < b.lo || c > b.hi {
+		if kb == 0 {
+			return
+		}
+		b.widen(min(b.lo, c), max(b.hi, c))
+	}
+	i := r*b.width() + c - b.lo
+	b.kind[i], b.num[i] = kb, num
+	setText(&b.str, i, str, len(b.kind))
+	setText(&b.formula, i, cell.Formula, len(b.kind))
+}
+
+// setText stores s at i of a text table of n cells, allocated for a non-empty s.
+func setText(table *[]string, i int, s string, n int) {
+	if *table == nil && s != "" {
+		*table = make([]string, n)
+	}
+	if *table != nil {
+		(*table)[i] = s
+	}
+}
+
+// widen reallocates the tile's columns over the extent lo..hi, which covers
+// the current one, and copies the cells across.
+func (b *block) widen(lo, hi int) {
+	w, nw, off := b.width(), hi-lo+1, b.lo-lo
+	b.kind, b.num = regrid(b.kind, w, nw, off), regrid(b.num, w, nw, off)
+	b.str, b.formula, b.lo, b.hi = regrid(b.str, w, nw, off), regrid(b.formula, w, nw, off), lo, hi
+}
+
+// regrid copies BlockRows rows of width w into new ones of width nw, each
+// row moved right by off. A nil table stays nil: kind and num never are.
+func regrid[T any](old []T, w, nw, off int) []T {
+	if old == nil {
+		return nil
+	}
+	out := make([]T, BlockRows*nw)
+	for r := 0; w > 0 && r < BlockRows; r++ {
+		copy(out[r*nw+off:], old[r*w:(r+1)*w])
+	}
+	return out
 }
 
 // Cache is a block-granular cell cache with second-chance eviction.
@@ -105,9 +203,9 @@ func blockRange(k blockKey) sheet.Range {
 	)
 }
 
-// cellIndex returns the dense offset of ref within its block.
-func cellIndex(k blockKey, r sheet.Ref) int {
-	return (r.Row-1-k.br*BlockRows)*BlockCols + (r.Col - 1 - k.bc*BlockCols)
+// local returns ref's block-local row and column within its block k.
+func local(k blockKey, r sheet.Ref) (row, col int) {
+	return r.Row - 1 - k.br*BlockRows, r.Col - 1 - k.bc*BlockCols
 }
 
 // Get returns the cell at r, loading its block on a miss. Load failures
@@ -115,8 +213,11 @@ func cellIndex(k blockKey, r sheet.Ref) int {
 func (c *Cache) Get(r sheet.Ref) sheet.Cell {
 	k := keyFor(r)
 	b := c.loadOrBlank(k)
+	var cell sheet.Cell
 	c.mu.RLock()
-	cell := b.cells[cellIndex(k, r)]
+	if row, col := local(k, r); col >= b.lo && col <= b.hi {
+		b.put(row*b.width()+col-b.lo, &cell)
+	}
 	c.mu.RUnlock()
 	return cell
 }
@@ -132,17 +233,20 @@ func newGrid(g sheet.Range) [][]sheet.Cell {
 	return out
 }
 
-// copyTile copies the part of g that tile k (held in b) covers into g's grid,
-// one row segment at a time. k is one of g's tiles; the caller holds the cache
-// lock.
+// copyTile composes the part of g that tile k (held in b) covers into g's
+// grid, one row segment of the tile's extent at a time; the grid's cells
+// outside the extent stay blank, as newGrid left them. k is one of g's tiles;
+// the caller holds the cache lock.
 func copyTile(out [][]sheet.Cell, g sheet.Range, k blockKey, b *block) {
 	bg := blockRange(k)
 	ov, _ := g.Intersect(bg)
-	for row := ov.From.Row; row <= ov.To.Row; row++ {
-		src := (row - bg.From.Row) * BlockCols
-		lo := src + ov.From.Col - bg.From.Col
-		hi := src + ov.To.Col - bg.From.Col + 1
-		copy(out[row-g.From.Row][ov.From.Col-g.From.Col:], b.cells[lo:hi])
+	lo, hi := max(ov.From.Col-bg.From.Col, b.lo), min(ov.To.Col-bg.From.Col, b.hi)
+	for row := ov.From.Row; row <= ov.To.Row && lo <= hi; row++ {
+		dst := out[row-g.From.Row][bg.From.Col+lo-g.From.Col:][:hi-lo+1]
+		src := (row-bg.From.Row)*b.width() + lo - b.lo
+		for j := range dst {
+			b.put(src+j, &dst[j])
+		}
 	}
 }
 
@@ -170,12 +274,13 @@ func (c *Cache) ReadRange(g sheet.Range) ([][]sheet.Cell, error) {
 
 // VisitRange streams the range's non-blank cells to fn in row-major order
 // without materializing an output grid: per block-row band it pins the
-// band's blocks once, then walks each sheet row across the band copying one
-// row segment at a time into a reused buffer (fn runs outside the cache
-// lock, so it may re-enter the cache). Returning false stops the walk.
+// band's blocks once, then walks each sheet row across the band, composing
+// the row's non-blank cells (a blank is skipped by its kind byte) into a
+// reused row buffer under the cache lock. fn runs outside the lock, so it may
+// re-enter the cache. Returning false stops the walk.
 func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
-	cols := g.Cols()
-	rowBuf := make([]sheet.Cell, cols)
+	var buf [BlockCols]sheet.Cell // a row of one tile needs no heap buffer
+	rowBuf := append(buf[:0], make([]sheet.Cell, g.Cols())...)
 	k1 := keyFor(g.From)
 	k2 := keyFor(g.To)
 	band := make([]*block, k2.bc-k1.bc+1)
@@ -186,17 +291,21 @@ func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
 		loRow := max(g.From.Row, br*BlockRows+1)
 		hiRow := min(g.To.Row, (br+1)*BlockRows)
 		for row := loRow; row <= hiRow; row++ {
+			clear(rowBuf)
 			c.mu.RLock()
 			for bc := k1.bc; bc <= k2.bc; bc++ {
 				b := band[bc-k1.bc]
-				src := (row - 1 - br*BlockRows) * BlockCols
-				loCol := max(g.From.Col, bc*BlockCols+1)
-				hiCol := min(g.To.Col, (bc+1)*BlockCols)
-				copy(rowBuf[loCol-g.From.Col:],
-					b.cells[src+loCol-1-bc*BlockCols:src+hiCol-bc*BlockCols])
+				base := bc * BlockCols // sheet column of block-local column 0, less one
+				lo, hi := max(g.From.Col-1-base, b.lo), min(g.To.Col-1-base, b.hi)
+				src := (row-1-br*BlockRows)*b.width() - b.lo
+				for col := lo; col <= hi; col++ {
+					if b.kind[src+col] != 0 {
+						b.put(src+col, &rowBuf[base+1+col-g.From.Col])
+					}
+				}
 			}
 			c.mu.RUnlock()
-			for j := 0; j < cols; j++ {
+			for j := range rowBuf {
 				if rowBuf[j].IsBlank() {
 					continue
 				}
@@ -369,15 +478,11 @@ func (c *Cache) load(k blockKey) (*block, error) {
 	c.misses.Add(1)
 	// Load outside the lock: the storage read may be slow (disk), and
 	// concurrent cold readers should overlap, not serialize.
-	g := blockRange(k)
-	cells, err := c.backing.LoadBlock(g)
-	b := &block{key: k, cells: make([]sheet.Cell, BlockRows*BlockCols)}
+	cells, err := c.backing.LoadBlock(blockRange(k))
 	if err != nil {
-		return b, err
+		return newBlock(k, nil), err
 	}
-	for i := range cells {
-		copy(b.cells[i*BlockCols:(i+1)*BlockCols], cells[i])
-	}
+	b := newBlock(k, cells)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.blocks[k]; ok {

@@ -30,7 +30,8 @@ type pendingSet struct {
 
 func (p *pendingSet) bitFor(r sheet.Ref) (blockKey, int) {
 	k := keyFor(r)
-	return k, cellIndex(k, r)
+	row, col := local(k, r)
+	return k, row*BlockCols + col
 }
 
 // set sets r's bit, reporting whether it was newly set. The caller holds

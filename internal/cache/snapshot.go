@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"container/list"
 	"sync/atomic"
 
 	"dataspread/internal/sheet"
@@ -54,10 +55,15 @@ func (c *Cache) Publish(writes []Write, flag []sheet.Ref, gen *atomic.Uint64) {
 	p := &c.pending
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range writes {
-		k := keyFor(w.Ref)
-		if e, ok := c.blocks[k]; ok {
-			e.Value.(*block).cells[cellIndex(k, w.Ref)] = w.Cell
+	last, e := blockKey{-1, -1}, (*list.Element)(nil) // one map lookup per run of a tile
+	for i := range writes {
+		w := &writes[i]
+		if k := keyFor(w.Ref); k != last {
+			last, e = k, c.blocks[k]
+		}
+		if e != nil {
+			row, col := local(last, w.Ref)
+			e.Value.(*block).set(row, col, &w.Cell)
 		}
 		p.clear(w.Ref)
 	}

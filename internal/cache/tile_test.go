@@ -1,0 +1,332 @@
+package cache
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"dataspread/internal/sheet"
+)
+
+// sameCell reports whether two cells are identical as far as any reader can
+// tell: kind, value (NaN equal to NaN, -0 apart from +0) and formula.
+func sameCell(a, b sheet.Cell) bool {
+	if a.Formula != b.Formula || a.Value.Kind() != b.Value.Kind() || !a.Value.Equal(b.Value) {
+		return false
+	}
+	x, _ := a.Value.Num()
+	y, _ := b.Value.Num()
+	return math.Signbit(x) == math.Signbit(y)
+}
+
+// checkReads compares every read path over g with want (absent: blank):
+// Get per cell, ReadRange, Snapshot when g is resident, and VisitRange, which
+// must yield exactly want's non-blank cells in row-major order. It returns
+// whether Snapshot found g resident.
+func checkReads(t *testing.T, c *Cache, g sheet.Range, want map[sheet.Ref]sheet.Cell) bool {
+	t.Helper()
+	grid, err := c.ReadRange(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gen atomic.Uint64
+	snap, _, _, resident := c.Snapshot(g, &gen)
+	var visits []sheet.Ref
+	c.VisitRange(g, func(r sheet.Ref, cell sheet.Cell) bool {
+		if !sameCell(cell, want[r]) || cell.IsBlank() {
+			t.Fatalf("VisitRange %v = %#v, want %#v", r, cell, want[r])
+		}
+		visits = append(visits, r)
+		return true
+	})
+	n := 0
+	for row := g.From.Row; row <= g.To.Row; row++ {
+		for col := g.From.Col; col <= g.To.Col; col++ {
+			r := sheet.Ref{Row: row, Col: col}
+			w := want[r]
+			i, j := row-g.From.Row, col-g.From.Col
+			if got := grid[i][j]; !sameCell(got, w) {
+				t.Fatalf("ReadRange %v = %#v, want %#v", r, got, w)
+			}
+			if resident && !sameCell(snap[i][j], w) {
+				t.Fatalf("Snapshot %v = %#v, want %#v", r, snap[i][j], w)
+			}
+			if w.IsBlank() {
+				continue
+			}
+			if n >= len(visits) || visits[n] != r {
+				t.Fatalf("VisitRange's cell %d is not %v (%d visited)", n, r, len(visits))
+			}
+			n++
+		}
+	}
+	if n != len(visits) {
+		t.Fatalf("VisitRange visited %d cells, want %d", len(visits), n)
+	}
+	// Point reads tile by tile, so a small cache does not reload per cell.
+	for _, k := range BlockCover(g) {
+		ov, _ := g.Intersect(blockRange(blockKey{k.BR, k.BC}))
+		for row := ov.From.Row; row <= ov.To.Row; row++ {
+			for col := ov.From.Col; col <= ov.To.Col; col++ {
+				r := sheet.Ref{Row: row, Col: col}
+				if got := c.Get(r); !sameCell(got, want[r]) {
+					t.Fatalf("Get %v = %#v, want %#v", r, got, want[r])
+				}
+			}
+		}
+	}
+	checkTileLayout(t, c)
+	return resident
+}
+
+// checkTileLayout checks every resident tile's columns against the layout:
+// slices sized to the extent, the extent inside the tile, blanks all zero,
+// and formula text exactly where the kind byte says.
+func checkTileLayout(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for k, e := range c.blocks {
+		b := e.Value.(*block)
+		n := BlockRows * b.width()
+		if b.key != k || (b.hi >= b.lo && (b.lo < 0 || b.hi >= BlockCols)) || len(b.kind) != n || len(b.num) != n ||
+			(b.str != nil && len(b.str) != n) || (b.formula != nil && len(b.formula) != n) {
+			t.Fatalf("tile %v: key %v, extent %d..%d, %d kinds, %d nums, %d strs, %d formulas",
+				k, b.key, b.lo, b.hi, len(b.kind), len(b.num), len(b.str), len(b.formula))
+		}
+		for i, kb := range b.kind {
+			var str, formula string
+			if b.str != nil {
+				str = b.str[i]
+			}
+			if b.formula != nil {
+				formula = b.formula[i]
+			}
+			if kb == 0 && (b.num[i] != 0 || str != "") || (kb&formulaBit != 0) != (formula != "") {
+				t.Fatalf("tile %v cell %d: kind %#x, num %v, str %q, formula %q", k, i, kb, b.num[i], str, formula)
+			}
+		}
+	}
+}
+
+// tileCells is one cell of every shape a tile must keep: every kind, the
+// awkward floats, the empty string (not blank), both bools, an error, a
+// formula over each value kind and a formula still pending.
+func tileCells() []sheet.Cell {
+	vals := []sheet.Value{
+		sheet.Number(1.5), sheet.Number(math.NaN()), sheet.Number(math.Copysign(0, -1)),
+		sheet.Number(math.Inf(1)), sheet.Number(math.Inf(-1)), sheet.Str("text"),
+		sheet.Str(""), sheet.Bool(true), sheet.Bool(false), sheet.ErrDiv0,
+	}
+	var out []sheet.Cell
+	for _, v := range vals {
+		out = append(out, sheet.Cell{Value: v})
+	}
+	for _, v := range vals {
+		out = append(out, sheet.Cell{Value: v, Formula: "A1+" + v.Text()})
+	}
+	return append(out, sheet.Cell{Formula: "B2*2"})
+}
+
+// TestCacheTileRoundTrip stores every cell shape in one column of a tile,
+// once through LoadBlock and once through Publish, and reads each back
+// identically through every read path, again after an aligned Shift
+// renumbers the tile, after writes widen the one-column tile on both sides,
+// and after a write blanks a cell.
+func TestCacheTileRoundTrip(t *testing.T) {
+	cells := tileCells()
+	for _, viaPublish := range []bool{false, true} {
+		s := sheet.New("t")
+		want := map[sheet.Ref]sheet.Cell{}
+		for i, cell := range cells {
+			want[sheet.Ref{Row: i + 1, Col: 5}] = cell
+		}
+		if !viaPublish {
+			for r, cell := range want {
+				s.Set(r, cell)
+			}
+		}
+		b := &sheetBacking{s: s}
+		c := New(b, 4)
+		g := sheet.NewRange(1, 1, BlockRows, BlockCols)
+		c.Get(g.From)
+		if viaPublish {
+			var writes []Write
+			for r, cell := range want {
+				s.Set(r, cell)
+				writes = append(writes, Write{r, cell})
+			}
+			c.Publish(writes, nil, nil)
+		}
+		if !checkReads(t, c, g, want) {
+			t.Fatal("tile not resident")
+		}
+		for i, cell := range cells {
+			got := c.Get(sheet.Ref{Row: i + 1, Col: 5})
+			k1, n1, s1 := got.Value.Parts()
+			k2, n2, s2 := cell.Value.Parts()
+			if k1 != k2 || math.Float64bits(n1) != math.Float64bits(n2) || s1 != s2 {
+				t.Fatalf("cell %d: parts %v %v %q, want %v %v %q", i, k1, n1, s1, k2, n2, s2)
+			}
+		}
+
+		// Widen on both sides, then blank one cell.
+		var writes []Write
+		for i, cell := range cells {
+			writes = append(writes, Write{sheet.Ref{Row: i + 1, Col: 2}, cell}, Write{sheet.Ref{Row: 40 + i, Col: BlockCols}, cell})
+		}
+		writes = append(writes, Write{Ref: sheet.Ref{Row: 2, Col: 5}})
+		for _, w := range writes {
+			s.Set(w.Ref, w.Cell)
+			if w.Cell.IsBlank() {
+				delete(want, w.Ref)
+			} else {
+				want[w.Ref] = w.Cell
+			}
+		}
+		loads := b.loads
+		c.Publish(writes, nil, nil)
+		checkReads(t, c, g, want)
+
+		// An aligned insert above renumbers the tile without a reload.
+		moved := map[sheet.Ref]sheet.Cell{}
+		s2 := sheet.New("t")
+		for r, cell := range want {
+			r.Row += BlockRows
+			moved[r] = cell
+			s2.Set(r, cell)
+		}
+		b.s = s2
+		c.Shift(true, 1, BlockRows)
+		checkReads(t, c, sheet.NewRange(BlockRows+1, 1, 2*BlockRows, BlockCols), moved)
+		if b.loads != loads {
+			t.Fatalf("renumbered tile reloaded: %d loads, want %d", b.loads, loads)
+		}
+	}
+}
+
+// shiftCells applies a structural edit to a reference map with the cache's
+// convention: delta > 0 inserts before at, delta < 0 deletes from at.
+func shiftCells(m map[sheet.Ref]sheet.Cell, rows bool, at, delta int) map[sheet.Ref]sheet.Cell {
+	out := make(map[sheet.Ref]sheet.Cell, len(m))
+	for r, cell := range m {
+		x := &r.Col
+		if rows {
+			x = &r.Row
+		}
+		switch {
+		case *x < at:
+		case delta < 0 && *x < at-delta:
+			continue
+		default:
+			*x += delta
+		}
+		out[r] = cell
+	}
+	return out
+}
+
+// TestCacheTileDifferential runs seeded random operations against a map of
+// the sheet, with a three-tile cache so tiles are evicted and reloaded, and
+// checks every read against the map.
+func TestCacheTileDifferential(t *testing.T) {
+	shapes := tileCells()
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		want := map[sheet.Ref]sheet.Cell{}
+		b := &sheetBacking{s: sheet.New("t")}
+		c := New(b, 3)
+		const rows, cols = 3 * BlockRows, 3 * BlockCols
+		randRange := func() sheet.Range {
+			r0, c0 := rng.Intn(rows)+1, rng.Intn(cols)+1
+			return sheet.NewRange(r0, c0, r0+rng.Intn(BlockRows+8), c0+rng.Intn(BlockCols+4))
+		}
+		for op := 0; op < 400; op++ {
+			switch n := rng.Intn(10); {
+			case n < 4:
+				writes := make([]Write, rng.Intn(40)+1)
+				for i := range writes {
+					w := Write{Ref: sheet.Ref{Row: rng.Intn(rows) + 1, Col: rng.Intn(cols) + 1}}
+					if rng.Intn(4) > 0 {
+						w.Cell = shapes[rng.Intn(len(shapes))]
+					}
+					writes[i] = w
+					b.s.Set(w.Ref, w.Cell)
+					if w.Cell.IsBlank() {
+						delete(want, w.Ref)
+					} else {
+						want[w.Ref] = w.Cell
+					}
+				}
+				c.Publish(writes, nil, nil)
+			case n < 8:
+				checkReads(t, c, randRange(), want)
+			case n < 9:
+				rowsAxis := rng.Intn(2) == 0
+				span := BlockCols
+				if rowsAxis {
+					span = BlockRows
+				}
+				at, delta := rng.Intn(2*span)+1, rng.Intn(3)+1
+				if rng.Intn(2) == 0 {
+					delta *= span // aligned
+				}
+				if rng.Intn(2) == 0 {
+					delta = -delta
+				}
+				want = shiftCells(want, rowsAxis, at, delta)
+				s := sheet.New("t")
+				for r, cell := range want {
+					s.Set(r, cell)
+				}
+				b.s = s
+				c.Shift(rowsAxis, at, delta)
+			default:
+				c.Invalidate(randRange())
+			}
+		}
+		checkReads(t, c, sheet.NewRange(1, 1, rows, cols), want)
+	}
+}
+
+// TestCacheTileFootprint measures what a resident tile costs on the heap:
+// 256 tiles of one shape each, the HeapAlloc delta after a collection
+// divided by 256. Formula text is one shared literal, so only the tile's own
+// columns count.
+func TestCacheTileFootprint(t *testing.T) {
+	const tiles = 256
+	for _, tc := range []struct {
+		name  string
+		cell  func(sheet.Ref) sheet.Cell
+		bound uint64
+	}{
+		{"dense numeric 64x16", func(r sheet.Ref) sheet.Cell {
+			return sheet.Cell{Value: sheet.Number(float64(r.Row))}
+		}, 10 << 10},
+		{"formula column 64x1", func(r sheet.Ref) sheet.Cell {
+			if r.Col != 1 {
+				return sheet.Cell{}
+			}
+			return sheet.Cell{Value: sheet.Number(float64(r.Row)), Formula: "SUM(B1:P1)"}
+		}, 3 << 10},
+		{"blank", func(sheet.Ref) sheet.Cell { return sheet.Cell{} }, 512},
+	} {
+		c := New(funcBacking(tc.cell), tiles)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < tiles; i++ {
+			c.Get(sheet.Ref{Row: i*BlockRows + 1, Col: 1})
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		per := (after.HeapAlloc - min(after.HeapAlloc, before.HeapAlloc)) / tiles
+		t.Logf("%s: %d B per tile", tc.name, per)
+		if per > tc.bound {
+			t.Errorf("%s: %d B per resident tile, want at most %d", tc.name, per, tc.bound)
+		}
+	}
+}

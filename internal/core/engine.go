@@ -26,7 +26,7 @@ type Options struct {
 	// Scheme selects the positional mapping ("hierarchical" default;
 	// "position-as-is" and "monotonic" reproduce the paper's baselines).
 	Scheme string
-	// CacheBlocks caps the LRU cell cache (0: default).
+	// CacheBlocks caps the LRU cell cache in 64x16 tiles (0: 256); ~9 KiB a dense numeric tile.
 	CacheBlocks int
 	// CostParams drives the hybrid optimizer (zero value: PostgresCost).
 	CostParams hybrid.CostParams

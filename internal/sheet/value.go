@@ -78,6 +78,12 @@ var (
 	ErrCycle = Errorf("#CYCLE!")
 )
 
+// ValueOf composes a value from its raw parts, unchecked: Parts' inverse.
+func ValueOf(k Kind, num float64, str string) Value { return Value{kind: k, num: num, str: str} }
+
+// Parts returns the raw kind, number (a bool as 0/1) and text (string or error code).
+func (v Value) Parts() (Kind, float64, string) { return v.kind, v.num, v.str }
+
 // Kind reports the value's type.
 func (v Value) Kind() Kind { return v.kind }
 
