@@ -29,10 +29,12 @@ test:
 # session lifecycle, the disconnect fuzz, plus the one edit pipeline in both
 # recalc modes (Pipeline), staleness bits and viewport priority, and the
 # recalc graph walks (Cone, Mark: the plan and the edit-time mark against a
-# brute-force reference). CI runs this as a dedicated step so visibility,
+# brute-force reference), and the fill-down run registry behind them against
+# a per-cell reference, the formula set's runs round trip included (Run). CI
+# runs this as a dedicated step so visibility,
 # latch and executor regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push.

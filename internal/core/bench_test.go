@@ -6,6 +6,7 @@ import (
 
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
+	"dataspread/internal/workload"
 )
 
 func benchEngine(b *testing.B, rows int) *Engine {
@@ -111,6 +112,33 @@ func BenchmarkEngineSQLThrough(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.SQL("SELECT SUM(x) FROM t"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoad reopens a saved sheet shaped like the benchmark's
+// edit-contended one: workload.TickerMarket(1,334 x 14) — the ticker, 1,334
+// intermediates and 14 leaf columns, 15 formula columns — on rows 1..1,334,
+// then 30,000 row sums =SUM(A<r>:P<r>) in column Q below it, each row with
+// one number to sum. 50,010 formula cells in 1,349 fill-down runs.
+func BenchmarkLoad(b *testing.B) {
+	s := workload.TickerMarket(workload.TickerSpec{Intermediates: 1334, LeavesPer: 14})
+	for r := 1335; r < 1335+30_000; r++ {
+		s.SetValue(r, 1, sheet.Number(float64(r)))
+		s.SetFormula(r, 17, fmt.Sprintf("SUM(A%d:P%d)", r, r))
+	}
+	db := rdbms.Open(rdbms.Options{})
+	e, err := Open(db, "load", s, "rom", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Save(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Load(db, "load", Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,17 +49,15 @@ type Engine struct {
 	db    *rdbms.DB
 	store *model.HybridStore
 	cache *cache.Cache
-	deps  *depgraph.Graph
-	// exprs holds parsed formulas by cell.
-	exprs map[sheet.Ref]formula.Expr
-	// constants tracks formulas with no cell reads (literal arithmetic,
-	// #REF!-poisoned expressions). They are invisible to the dependency
-	// graph, so structural edits relocate them through this set.
-	constants map[sheet.Ref]struct{}
+	// deps is the formula registry and its dependency graph in one: every
+	// live formula, constants included, as a fill-down run — one head
+	// expression, its reads and its member rows (depgraph.Graph.Formula,
+	// formula.EvalAt) — the unit the formula set persists, too.
+	deps *depgraph.Graph
 	// cycles tracks cycle-poisoned formulas by source text: they are
-	// registered nowhere else in memory (installFormula leaves them out of
-	// exprs and the graph), but their source must ride along in the engine
-	// manifest so a snapshot-free Load can re-register them.
+	// registered nowhere else in memory (applyLocked leaves them out of the
+	// registry), but their source must ride along in the engine manifest so
+	// a snapshot-free Load can re-register them.
 	cycles map[sheet.Ref]string
 	// bounds tracks the content extent (written under writeMu, read from
 	// anywhere).
@@ -110,14 +108,12 @@ func (o Options) params() hybrid.CostParams {
 // its dispatcher not yet running (launch).
 func buildEngine(db *rdbms.DB, name string, hs *model.HybridStore, opts Options) *Engine {
 	e := &Engine{
-		name:      name,
-		db:        db,
-		store:     hs,
-		deps:      depgraph.New(),
-		exprs:     make(map[sheet.Ref]formula.Expr),
-		constants: make(map[sheet.Ref]struct{}),
-		cycles:    make(map[sheet.Ref]string),
-		params:    opts.params(),
+		name:   name,
+		db:     db,
+		store:  hs,
+		deps:   depgraph.New(),
+		cycles: make(map[sheet.Ref]string),
+		params: opts.params(),
 	}
 	e.cache = cache.New(storeBacking{e}, opts.CacheBlocks)
 	e.startRecalc(opts)
@@ -156,7 +152,11 @@ func Open(db *rdbms.DB, name string, s *sheet.Sheet, algo string, opts Options) 
 	s.EachSorted(func(r sheet.Ref, c sheet.Cell) {
 		e.grow(r.Row, r.Col)
 		if c.HasFormula() && regErr == nil {
-			regErr = e.registerFormula(r, c.Formula)
+			var w cellWrite
+			if w, regErr = formulaWrite(r, c.Formula); regErr == nil {
+				e.deps.SetFormula(r, w.expr)
+				e.formulasDirty = true
+			}
 		}
 	})
 	if regErr != nil {
@@ -430,11 +430,10 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 		}
 		e.formulasDirty = true
 		installed = append(installed, w.ref)
-		if reads := formula.Refs(w.expr); e.deps.HasCycleAt(w.ref, reads) {
+		if e.deps.HasCycleAt(w.ref, formula.Refs(w.expr)) {
 			e.cycles[w.ref] = w.src
 		} else {
-			e.exprs[w.ref] = w.expr
-			e.setDeps(w.ref, reads)
+			e.deps.SetFormula(w.ref, w.expr)
 		}
 	}
 	// One propagation pass for the whole batch: the formulas whose cycle the
@@ -489,23 +488,20 @@ func (e *Engine) mark(seeds, changed []sheet.Ref) int {
 
 // dropFormula forgets whatever formula ref held.
 func (e *Engine) dropFormula(ref sheet.Ref) {
-	if _, ok := e.exprs[ref]; ok {
+	_, _, live := e.deps.Formula(ref)
+	if _, poisoned := e.cycles[ref]; live || poisoned {
 		e.formulasDirty = true
-	} else if _, ok := e.cycles[ref]; ok {
-		e.formulasDirty = true
+		delete(e.cycles, ref)
+		e.deps.Remove(ref)
 	}
-	delete(e.exprs, ref)
-	delete(e.constants, ref)
-	delete(e.cycles, ref)
-	e.deps.Remove(ref)
 }
 
 // poisonCycles is the executor's write of #CYCLE!: every ref in refs — found
 // on a cycle by the plan, or installed closing one — keeps its formula text
-// but displays #CYCLE!, and any live registration moves out of the formula
-// set (exprs, constants, dependency graph) into e.cycles, so the persisted
-// manifest records the poisoning — a Save/Load round-trip must not silently
-// revive the formula as a live registration that re-evaluates to a value.
+// but displays #CYCLE!, and any live registration moves out of the registry
+// into e.cycles, so the persisted manifest records the poisoning — a
+// Save/Load round-trip must not silently revive the formula as a live
+// registration that re-evaluates to a value.
 // Poisoned cells recover when an edit breaks their cycle (reviveCycles).
 func (e *Engine) poisonCycles(refs []sheet.Ref) error {
 	writes := make([]model.CellWrite, len(refs))
@@ -520,26 +516,13 @@ func (e *Engine) poisonCycles(refs []sheet.Ref) error {
 		return err
 	}
 	for i, ref := range refs {
-		if _, ok := e.exprs[ref]; ok {
-			delete(e.exprs, ref)
-			delete(e.constants, ref)
+		if _, _, ok := e.deps.Formula(ref); ok {
 			e.deps.Remove(ref)
 			e.cycles[ref] = writes[i].Cell.Formula
 			e.formulasDirty = true
 		}
 	}
 	return nil
-}
-
-// setDeps registers a formula's reads, tracking read-less formulas in the
-// constants set (the dependency graph forgets them).
-func (e *Engine) setDeps(ref sheet.Ref, reads []sheet.Range) {
-	e.deps.Set(ref, reads)
-	if len(reads) == 0 {
-		e.constants[ref] = struct{}{}
-	} else {
-		delete(e.constants, ref)
-	}
 }
 
 // reviveCycles re-registers poisoned formulas whose cycle no longer exists
@@ -569,13 +552,11 @@ func (e *Engine) reviveCycles() []sheet.Ref {
 		if err != nil {
 			continue
 		}
-		reads := formula.Refs(expr)
-		if e.deps.HasCycleAt(ref, reads) {
+		if e.deps.HasCycleAt(ref, formula.Refs(expr)) {
 			continue
 		}
 		delete(e.cycles, ref)
-		e.exprs[ref] = expr
-		e.setDeps(ref, reads)
+		e.deps.SetFormula(ref, expr)
 		e.formulasDirty = true
 		revived = append(revived, ref)
 	}
@@ -588,21 +569,11 @@ func (e *Engine) RecalcAll() error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	m := e.cache.PendingMarker()
-	for ref := range e.exprs {
-		m.Mark(ref)
-	}
+	e.deps.Runs(func(first sheet.Ref, n int, _ formula.Expr) {
+		for k := range n {
+			m.Mark(sheet.Ref{Row: first.Row + k, Col: first.Col})
+		}
+	})
 	m.Release()
 	return e.settle()
-}
-
-// registerFormula installs one formula of the sheet Open materialized.
-func (e *Engine) registerFormula(ref sheet.Ref, src string) error {
-	w, err := formulaWrite(ref, src)
-	if err != nil {
-		return err
-	}
-	e.exprs[ref] = w.expr
-	e.setDeps(ref, formula.Refs(w.expr))
-	e.formulasDirty = true
-	return nil
 }

@@ -23,9 +23,9 @@ import (
 //	                        formula cells, then one record per fill-down run
 //
 // The formula set is rewritten only when a formula changed — bounds growth
-// from an edit never re-serializes it — and lets Load re-register the
-// formulas and rebuild the dependency graph directly, touching O(formulas)
-// state instead of snapshotting the whole sheet to find them.
+// from an edit never re-serializes it — and lets Load register each run as it
+// is, touching O(runs) state instead of snapshotting the whole sheet to find
+// the formulas.
 //
 // A run is a maximal vertical stretch of one formula filled down a column:
 // (column, first row, count, flags, source of the first cell). Runs are
@@ -82,81 +82,71 @@ func (e *Engine) Checkpoint() error {
 	return e.db.Checkpoint()
 }
 
-// encodeFormulaSet serializes the live formula set: registered expressions
-// plus cycle-poisoned cells (which the dependency graph does not track but
-// whose source must survive a reload). The walk is in (column, row) order and
-// extends a run for as long as the next cell down holds the head moved down
-// that far, so only run heads are ever rendered to text, and an unchanged
-// formula population serializes to identical bytes, which the metadata KV's
-// equality check turns into a free commit.
+// encodeFormulaSet serializes the live formula set: the registry's runs plus
+// cycle-poisoned cells (which it does not hold but whose source must survive
+// a reload), in (column, row) order. A run that continues the one above it —
+// a run an edit split and a later edit refilled — joins it, so only heads of
+// maximal runs are ever rendered to text, and an unchanged formula population
+// serializes to identical bytes, which the metadata KV's equality check turns
+// into a free commit.
 func (e *Engine) encodeFormulaSet() []byte {
-	type cell struct {
-		ref  sheet.Ref
-		expr formula.Expr // nil: cycle-poisoned
-	}
-	cells := make([]cell, 0, len(e.exprs)+len(e.cycles))
-	for ref, expr := range e.exprs {
-		cells = append(cells, cell{ref, expr})
-	}
+	var recs []formulaRun
+	e.deps.Runs(func(first sheet.Ref, n int, head formula.Expr) {
+		if i := len(recs) - 1; i >= 0 && recs[i].ref.Col == first.Col && recs[i].ref.Row+recs[i].n == first.Row &&
+			formula.IsMovedDown(recs[i].head, head, first.Row-recs[i].ref.Row) {
+			recs[i].n += n
+			return
+		}
+		recs = append(recs, formulaRun{first, n, head})
+	})
 	for ref := range e.cycles {
-		cells = append(cells, cell{ref: ref})
+		recs = append(recs, formulaRun{ref: ref, n: 1})
 	}
-	slices.SortFunc(cells, func(a, b cell) int {
+	slices.SortFunc(recs, func(a, b formulaRun) int {
 		return cmp.Or(cmp.Compare(a.ref.Col, b.ref.Col), cmp.Compare(a.ref.Row, b.ref.Row))
 	})
-	out := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(int64(len(cells)))})
-	for i := 0; i < len(cells); {
-		head, n, flags := cells[i], 1, 0
-		var src string
-		if head.expr == nil {
-			src, flags = e.cycles[head.ref], flagCycle
-		} else {
-			for ; i+n < len(cells); n++ {
-				next := cells[i+n]
-				if next.expr == nil || next.ref.Col != head.ref.Col || next.ref.Row != head.ref.Row+n ||
-					!formula.IsMovedDown(head.expr, next.expr, n) {
-					break
-				}
-			}
-			src = head.expr.String()
+	out := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(int64(e.deps.Len() + len(e.cycles)))})
+	for _, r := range recs {
+		src, flags := e.cycles[r.ref], flagCycle
+		if r.head != nil {
+			src, flags = r.head.String(), 0
 		}
-		out = rdbms.AppendRecord(out, rdbms.Row{rdbms.Int(int64(head.ref.Col)), rdbms.Int(int64(head.ref.Row)),
-			rdbms.Int(int64(n)), rdbms.Int(int64(flags)), rdbms.Text(src)})
-		i += n
+		out = rdbms.AppendRecord(out, rdbms.Row{rdbms.Int(int64(r.ref.Col)), rdbms.Int(int64(r.ref.Row)),
+			rdbms.Int(int64(r.n)), rdbms.Int(int64(flags)), rdbms.Text(src)})
 	}
 	return out
 }
 
-// formulaSet is a decoded formula set, ready to register: the live formulas
-// in (column, row) order with the ranges each reads, how many of them read
-// nothing, and the cycle-poisoned cells by source.
+// formulaSet is a decoded formula set, ready to register: the live runs in
+// (column, row) order and the cycle-poisoned cells by source.
 type formulaSet struct {
-	cells     []formulaCell
-	constants int
-	cycles    map[sheet.Ref]string
+	runs   []formulaRun
+	cycles map[sheet.Ref]string
 }
 
-type formulaCell struct {
-	ref   sheet.Ref
-	expr  formula.Expr
-	reads []sheet.Range
+// formulaRun is one fill-down run: n cells from ref, member k being head
+// moved down k rows (nil: a cycle-poisoned cell, while encoding).
+type formulaRun struct {
+	ref  sheet.Ref
+	n    int
+	head formula.Expr
 }
 
 // decodeFormulaSet is encodeFormulaSet's inverse over a sheet of the given
-// bounds: each head is parsed once and its run's members are copies of that
-// tree moved down. Records out of order or overlapping, a cell outside the
-// bounds, a run of no cells, an unknown flag, a head that does not parse and a
-// cell count other than the one the first record holds are all errors —
-// never a shorter set.
+// bounds: each head is parsed once, and a run stays one head. Records out of
+// order or overlapping, a cell outside the bounds, a run of no cells, an
+// unknown flag, a head that does not parse and a cell count other than the
+// one the first record holds are all errors — never a shorter set. Nothing is
+// sized by that count, which only the bounds limit: what the decode holds
+// grows with the records, which the blob's length limits.
 func decodeFormulaSet(blob []byte, rows, cols int) (formulaSet, error) {
 	set := formulaSet{cycles: make(map[sheet.Ref]string)}
-	total, last := 0, sheet.Ref{}
+	total, cells, last := 0, 0, sheet.Ref{}
 	n, err := rdbms.EachRecord(blob, func(i int, rec *rdbms.RecordReader) error {
 		if i == 0 {
 			if total = int(rec.Int()); total < 0 || total > rows*cols {
 				return fmt.Errorf("%d formula cells in a %dx%d sheet", total, rows, cols)
 			}
-			set.cells = make([]formulaCell, 0, total)
 			return nil
 		}
 		col, row, count, flags, src := int(rec.Int()), int(rec.Int()), int(rec.Int()), rec.Int(), rec.Text()
@@ -170,6 +160,7 @@ func decodeFormulaSet(blob []byte, rows, cols int) (formulaSet, error) {
 			return fmt.Errorf("run from %v after the cell %v", ref, last)
 		}
 		last = sheet.Ref{Row: row + count - 1, Col: col}
+		cells += count
 		if flags == flagCycle {
 			set.cycles[ref] = src
 			return nil
@@ -178,20 +169,11 @@ func decodeFormulaSet(blob []byte, rows, cols int) (formulaSet, error) {
 		if err != nil {
 			return fmt.Errorf("formula at %v: %w", ref, err)
 		}
-		for k := 0; k < count; k++ {
-			c := formulaCell{ref: sheet.Ref{Row: row + k, Col: col}, expr: head}
-			if k > 0 {
-				c.expr = formula.MoveDown(head, k)
-			}
-			if c.reads = formula.Refs(c.expr); len(c.reads) == 0 {
-				set.constants++
-			}
-			set.cells = append(set.cells, c)
-		}
+		set.runs = append(set.runs, formulaRun{ref, count, head})
 		return nil
 	})
-	if err == nil && (n == 0 || len(set.cells)+len(set.cycles) != total) {
-		err = fmt.Errorf("%d formula cells in %d records where %d belong", len(set.cells)+len(set.cycles), n, total)
+	if err == nil && (n == 0 || cells != total) {
+		err = fmt.Errorf("%d formula cells in %d records where %d belong", cells, n, total)
 	}
 	return set, err
 }
@@ -230,8 +212,8 @@ func SheetNames(db *rdbms.DB) []string {
 // manifest over the already-loaded catalog, and formulas are re-registered
 // from the formula set (their cached values were persisted with their cells,
 // so nothing is recomputed and no sheet snapshot is taken — opening touches
-// O(formulas) state, not O(cells)). The two halves share nothing until
-// registration, so the formula set is read, parsed and instantiated on a
+// O(runs) state, not O(cells)). The two halves share nothing until
+// registration, so the formula set is read and its heads parsed on a
 // goroutine of its own while this one rebuilds the store.
 func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	blob, ok, err := db.MetaValue(engineMetaKey + name)
@@ -271,13 +253,8 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	e := buildEngine(db, name, hs, opts)
 	e.seq = seq
 	e.grow(rows, cols)
-	// The formula count is known before anything registers: size the maps once.
-	e.exprs = make(map[sheet.Ref]formula.Expr, len(set.cells))
-	e.constants = make(map[sheet.Ref]struct{}, set.constants)
-	e.deps.Grow(len(set.cells) - set.constants)
-	for _, c := range set.cells {
-		e.exprs[c.ref] = c.expr
-		e.setDeps(c.ref, c.reads)
+	for _, r := range set.runs {
+		e.deps.AddRun(r.ref, r.n, r.head)
 	}
 	// Poisoned at save time: back into the cycle set (value #CYCLE! is in the
 	// stored cell), not the graph.
@@ -289,7 +266,7 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	// recalculation — instead of the open trusting the stored values or
 	// blocking on a full recompute. A synchronous engine saved nothing it
 	// had not computed.
-	return e.launch(e.sched.async && len(e.exprs) > 0)
+	return e.launch(e.sched.async && e.deps.Len() > 0)
 }
 
 // loadFormulaSet reads and decodes a sheet's formula set (empty when the

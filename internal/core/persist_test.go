@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"dataspread/internal/depgraph"
 	"dataspread/internal/formula"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
@@ -36,8 +39,8 @@ func TestLoadRestoresCyclePoisonedFormulas(t *testing.T) {
 	if !e.GetCell(1, 2).Value.IsError() {
 		t.Fatalf("B1 = %v, want #CYCLE!", e.GetCell(1, 2).Value)
 	}
-	if _, ok := e.cycles[b1]; !ok || len(e.exprs) != 1 {
-		t.Fatalf("saving engine state: %d exprs, cycles has B1: %v", len(e.exprs), ok)
+	if _, ok := e.cycles[b1]; !ok || len(exprsOf(e)) != 1 {
+		t.Fatalf("saving engine state: %d exprs, cycles has B1: %v", len(exprsOf(e)), ok)
 	}
 	if err := e.Save(); err != nil {
 		t.Fatal(err)
@@ -50,11 +53,11 @@ func TestLoadRestoresCyclePoisonedFormulas(t *testing.T) {
 	if src, ok := e2.cycles[b1]; !ok || src != "A1" {
 		t.Fatalf("reloaded cycle set = %v, want B1 -> A1", e2.cycles)
 	}
-	if _, ok := e2.exprs[b1]; ok {
+	if _, ok := exprsOf(e2)[b1]; ok {
 		t.Fatal("poisoned B1 leaked into the reloaded expression set")
 	}
-	if len(e2.exprs) != 1 {
-		t.Fatalf("reloaded engine has %d exprs, want 1", len(e2.exprs))
+	if len(exprsOf(e2)) != 1 {
+		t.Fatalf("reloaded engine has %d exprs, want 1", len(exprsOf(e2)))
 	}
 	if !e2.GetCell(1, 2).Value.IsError() {
 		t.Fatalf("reloaded B1 = %v, want #CYCLE!", e2.GetCell(1, 2).Value)
@@ -72,7 +75,7 @@ func TestLoadRestoresCyclePoisonedFormulas(t *testing.T) {
 		if _, ok := eng.cycles[b1]; ok {
 			t.Fatalf("%s: B1 still in the cycle set after revival", name)
 		}
-		if _, ok := eng.exprs[b1]; !ok {
+		if _, ok := exprsOf(eng)[b1]; !ok {
 			t.Fatalf("%s: revived B1 missing from the expression set", name)
 		}
 	}
@@ -84,7 +87,7 @@ func TestLoadRestoresCyclePoisonedFormulas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e3.exprs[b1]; !ok {
+	if _, ok := exprsOf(e3)[b1]; !ok {
 		t.Fatal("revived formula lost on the second round trip")
 	}
 	if v := e3.GetCell(1, 2).Value; !v.Equal(sheet.Number(9)) {
@@ -288,8 +291,8 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d: no formula set saved", seed)
 		}
-		if len(e.cycles) == 0 || len(e.exprs) < 6 {
-			t.Fatalf("seed %d: population of %d formulas, %d poisoned", seed, len(e.exprs), len(e.cycles))
+		if len(e.cycles) == 0 || len(exprsOf(e)) < 6 {
+			t.Fatalf("seed %d: population of %d formulas, %d poisoned", seed, len(exprsOf(e)), len(e.cycles))
 		}
 		records := 0
 		for rest := blob; len(rest) > 0; records++ {
@@ -302,11 +305,11 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(e2.exprs) != len(e.exprs) {
-			t.Fatalf("seed %d: %d formulas saved in %d records, %d loaded", seed, len(e.exprs), records, len(e2.exprs))
+		if len(exprsOf(e2)) != len(exprsOf(e)) {
+			t.Fatalf("seed %d: %d formulas saved in %d records, %d loaded", seed, len(exprsOf(e)), records, len(exprsOf(e2)))
 		}
-		for ref, expr := range e.exprs {
-			got, ok := e2.exprs[ref]
+		for ref, expr := range exprsOf(e) {
+			got, ok := exprsOf(e2)[ref]
 			if !ok || got.String() != expr.String() {
 				t.Fatalf("seed %d: %v = %q reloads as %v", seed, ref, expr, got)
 			}
@@ -315,7 +318,7 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 			}
 			// The cell below: the structural walk and the text must agree.
 			below := sheet.Ref{Row: ref.Row + 1, Col: ref.Col}
-			if next, ok := e.exprs[below]; ok {
+			if next, ok := exprsOf(e)[below]; ok {
 				head, err := formula.Parse(expr.String())
 				if err != nil {
 					t.Fatal(err)
@@ -325,8 +328,8 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(e2.cycles, e.cycles) || !reflect.DeepEqual(e2.constants, e.constants) {
-			t.Fatalf("seed %d: cycles %v / constants %v reload as %v / %v", seed, e.cycles, e.constants, e2.cycles, e2.constants)
+		if !reflect.DeepEqual(e2.cycles, e.cycles) {
+			t.Fatalf("seed %d: cycles %v reload as %v", seed, e.cycles, e2.cycles)
 		}
 		if e2.deps.Len() != e.deps.Len() {
 			t.Fatalf("seed %d: graph of %d reloads as %d", seed, e.deps.Len(), e2.deps.Len())
@@ -334,25 +337,31 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 		if again := e2.encodeFormulaSet(); !bytes.Equal(again, blob) {
 			t.Fatalf("seed %d: the reloaded set encodes differently:\n was % x\n now % x", seed, blob, again)
 		}
-		if records-1 >= len(e.exprs)+len(e.cycles) {
-			t.Fatalf("seed %d: %d records for %d formula cells: nothing ran", seed, records-1, len(e.exprs)+len(e.cycles))
+		if records-1 >= len(exprsOf(e))+len(e.cycles) {
+			t.Fatalf("seed %d: %d records for %d formula cells: nothing ran", seed, records-1, len(exprsOf(e))+len(e.cycles))
 		}
 	}
 }
 
-// FuzzFormulaSetDecode feeds mutated formula-set values to the decoder: an
-// error, or a set that holds as many cells as its first record says and
-// survives its own encoding — never a panic, never a silently shorter set.
+// FuzzFormulaSetDecode feeds mutated formula-set values to the decoder, over
+// the seeds' 120x40 sheet and over a 2^20 x 2^14 one: an error, or a set that
+// holds as many cells as its first record says and survives its own encoding
+// — never a panic, never a silently shorter set.
 func FuzzFormulaSetDecode(f *testing.F) {
-	const rows, cols = 120, 40
 	for seed := int64(1); seed <= 4; seed++ {
 		_, e := randomFormulaEngine(f, seed)
-		if r, c := e.Bounds(); r > rows || c > cols {
+		if r, c := e.Bounds(); r > 120 || c > 40 {
 			f.Fatalf("seed %d: population spans %dx%d", seed, r, c)
 		}
-		f.Add(e.encodeFormulaSet())
+		f.Add(e.encodeFormulaSet(), false)
+		f.Add(e.encodeFormulaSet(), true)
 	}
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	f.Add(hugeCountFormulaSet(), true)
+	f.Fuzz(func(t *testing.T, blob []byte, big bool) {
+		rows, cols := 120, 40
+		if big {
+			rows, cols = 1<<20, 1<<14
+		}
 		set, err := decodeFormulaSet(blob, rows, cols)
 		if err != nil {
 			return
@@ -361,27 +370,169 @@ func FuzzFormulaSetDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded a value whose first record does not: %v", err)
 		}
-		if want := int(rec.Int()); len(set.cells)+len(set.cycles) != want {
-			t.Fatalf("decoded %d cells where the value holds %d", len(set.cells)+len(set.cycles), want)
+		e := &Engine{deps: depgraph.New(), cycles: set.cycles}
+		for _, r := range set.runs {
+			e.deps.AddRun(r.ref, r.n, r.head)
 		}
-		e := &Engine{exprs: map[sheet.Ref]formula.Expr{}, cycles: set.cycles}
-		for _, c := range set.cells {
-			e.exprs[c.ref] = c.expr
-		}
-		if len(e.exprs) != len(set.cells) {
-			t.Fatalf("%d cells at %d positions", len(set.cells), len(e.exprs))
+		if want := int(rec.Int()); e.deps.Len()+len(set.cycles) != want {
+			t.Fatalf("decoded %d cells where the value holds %d", e.deps.Len()+len(set.cycles), want)
 		}
 		again, err := decodeFormulaSet(e.encodeFormulaSet(), rows, cols)
 		if err != nil {
 			t.Fatalf("the decoded set does not survive its own encoding: %v", err)
 		}
-		if len(again.cells) != len(set.cells) || again.constants != set.constants || !reflect.DeepEqual(again.cycles, set.cycles) {
-			t.Fatalf("re-encoded set differs: %d/%d cells, %d/%d constants", len(again.cells), len(set.cells), again.constants, set.constants)
+		e2 := &Engine{deps: depgraph.New(), cycles: again.cycles}
+		for _, r := range again.runs {
+			e2.deps.AddRun(r.ref, r.n, r.head)
 		}
-		for i, c := range set.cells {
-			if d := again.cells[i]; d.ref != c.ref || d.expr.String() != c.expr.String() || !reflect.DeepEqual(d.reads, c.reads) {
-				t.Fatalf("cell %d: %v = %q re-encodes as %v = %q", i, c.ref, c.expr, d.ref, d.expr)
+		if e2.deps.Len() != e.deps.Len() || !reflect.DeepEqual(again.cycles, set.cycles) {
+			t.Fatalf("re-encoded set differs: %d/%d cells, cycles %v / %v", e2.deps.Len(), e.deps.Len(), again.cycles, set.cycles)
+		}
+		// Runs the encoding joined must still hold each member's formula:
+		// check both ends of every decoded run against the re-decoded one.
+		for _, r := range set.runs {
+			for _, k := range []int{0, r.n - 1} {
+				ref := sheet.Ref{Row: r.ref.Row + k, Col: r.ref.Col}
+				head, j, ok := e2.deps.Formula(ref)
+				if want := formula.MoveDown(r.head, k).String(); !ok || formula.MoveDown(head, j).String() != want {
+					t.Fatalf("%v = %q re-encodes as %v", ref, want, head)
+				}
 			}
 		}
 	})
+}
+
+// hugeCountFormulaSet claims 1<<34 formula cells — as many as a 2^20 x 2^14
+// sheet holds — and carries one run of three.
+func hugeCountFormulaSet() []byte {
+	blob := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(1 << 34)})
+	return rdbms.AppendRecord(blob, rdbms.Row{rdbms.Int(1), rdbms.Int(1), rdbms.Int(3), rdbms.Int(0), rdbms.Text("B1+1")})
+}
+
+// TestFormulaSetDecodeHugeCountIsAnError: a damaged cell count the sheet's
+// bounds allow is an error, and the decode's allocation follows the blob, not
+// the count (sizing the decode by it used to end the process out of memory).
+func TestFormulaSetDecodeHugeCountIsAnError(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeFormulaSet(hugeCountFormulaSet(), 1<<20, 1<<14)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a set claiming 1<<34 cells with 3 decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a 3-cell set allocated %d bytes", grew)
+	}
+}
+
+// perCellEncoding is the formula set as a per-cell registry encodes it: every
+// formula cell and poisoned cell in (column, row) order, a run going on while
+// the next cell down holds its head moved down that far.
+func perCellEncoding(e *Engine) []byte {
+	type cell struct {
+		ref  sheet.Ref
+		expr formula.Expr // nil: cycle-poisoned
+	}
+	var cells []cell
+	for ref, expr := range exprsOf(e) {
+		cells = append(cells, cell{ref, expr})
+	}
+	for ref := range e.cycles {
+		cells = append(cells, cell{ref: ref})
+	}
+	slices.SortFunc(cells, func(a, b cell) int {
+		return cmp.Or(cmp.Compare(a.ref.Col, b.ref.Col), cmp.Compare(a.ref.Row, b.ref.Row))
+	})
+	out := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(int64(len(cells)))})
+	for i := 0; i < len(cells); {
+		head, n, flags, src := cells[i], 1, 0, ""
+		if head.expr == nil {
+			src, flags = e.cycles[head.ref], flagCycle
+		} else {
+			for ; i+n < len(cells); n++ {
+				next := cells[i+n]
+				if next.expr == nil || next.ref != (sheet.Ref{Row: head.ref.Row + n, Col: head.ref.Col}) ||
+					!formula.IsMovedDown(head.expr, next.expr, n) {
+					break
+				}
+			}
+			src = head.expr.String()
+		}
+		out = rdbms.AppendRecord(out, rdbms.Row{rdbms.Int(int64(head.ref.Col)), rdbms.Int(int64(head.ref.Row)),
+			rdbms.Int(int64(n)), rdbms.Int(int64(flags)), rdbms.Text(src)})
+		i += n
+	}
+	return out
+}
+
+// TestFormulaSetRunEncodingMatchesPerCell: one population, one encoding. The
+// run registry's encoding equals the per-cell walk's, byte for byte, on the
+// seeded populations and after a session that splits runs — a value or
+// another formula inside them, a row inserted into one — and refills them:
+// the formulas put back, the row deleted again. The refilled registry holds
+// split runs side by side; they still encode as maximal runs.
+func TestFormulaSetRunEncodingMatchesPerCell(t *testing.T) {
+	sideBySide := false
+	for seed := int64(1); seed <= 40; seed++ {
+		_, e := randomFormulaEngine(t, seed)
+		if got, want := e.encodeFormulaSet(), perCellEncoding(e); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: run encoding\n% x\nper-cell\n% x", seed, got, want)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var cells []sheet.Ref // the fill-down columns, not the cycle pair's
+		for ref := range exprsOf(e) {
+			if ref.Col < 30 {
+				cells = append(cells, ref)
+			}
+		}
+		slices.SortFunc(cells, func(a, b sheet.Ref) int { return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col)) })
+		before := e.encodeFormulaSet()
+		var refill []CellEdit
+		for range 6 {
+			c := cells[rng.Intn(len(cells))]
+			was := e.GetCell(c.Row, c.Col)
+			if was.Formula != "" {
+				was.Value = sheet.Str("=" + was.Formula)
+			}
+			refill = append(refill, CellEdit{Row: c.Row, Col: c.Col, Input: was.Value.Text()})
+			input := fmt.Sprint(rng.Intn(9))
+			if rng.Intn(2) == 0 {
+				input = "=" + fillDown[rng.Intn(len(fillDown))](c.Row)
+			}
+			if err := e.Set(c.Row, c.Col, input); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := cells[rng.Intn(len(cells))].Row
+		if err := e.InsertRowsAfter(at, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.encodeFormulaSet(), perCellEncoding(e); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d split: run encoding\n% x\nper-cell\n% x", seed, got, want)
+		}
+		if err := e.DeleteRows(at+1, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := len(refill) - 1; i >= 0; i-- {
+			if err := e.Set(refill[i].Row, refill[i].Col, refill[i].Input); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := e.encodeFormulaSet()
+		if want := perCellEncoding(e); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d refilled: run encoding\n% x\nper-cell\n% x", seed, got, want)
+		}
+		if !bytes.Equal(got, before) {
+			t.Fatalf("seed %d: split and refilled, the set encodes differently:\n was % x\n now % x", seed, before, got)
+		}
+		runs, records := 0, -1
+		e.deps.Runs(func(sheet.Ref, int, formula.Expr) { runs++ })
+		for rest := got; len(rest) > 0; records++ {
+			_, rest, _ = rdbms.NextRecord(rest)
+		}
+		sideBySide = sideBySide || runs > records-len(e.cycles)
+	}
+	if !sideBySide {
+		t.Fatal("no session left split runs side by side")
+	}
 }

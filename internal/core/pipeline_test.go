@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dataspread/internal/depgraph"
+	"dataspread/internal/formula"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/rel"
 	"dataspread/internal/sheet"
@@ -81,13 +82,25 @@ func captureState(t *testing.T, e *Engine, rows, cols int) engineState {
 	if err := e.ReadErr(); err != nil {
 		t.Fatal(err)
 	}
-	for ref, expr := range e.exprs {
+	for ref, expr := range exprsOf(e) {
 		st.formulas[ref] = expr.String()
 	}
 	for ref, src := range e.cycles {
 		st.cycles[ref] = src
 	}
 	return st
+}
+
+// exprsOf is the registry's per-cell view: every live formula, each run's
+// members instantiated (formula.MoveDown).
+func exprsOf(e *Engine) map[sheet.Ref]formula.Expr {
+	out := make(map[sheet.Ref]formula.Expr)
+	e.deps.Runs(func(first sheet.Ref, n int, head formula.Expr) {
+		for k := range n {
+			out[sheet.Ref{Row: first.Row + k, Col: first.Col}] = formula.MoveDown(head, k)
+		}
+	})
+	return out
 }
 
 // assertSameState fails unless a and b agree on every component.
@@ -279,7 +292,7 @@ func TestPipelineLinkTableDropsFormulasInRange(t *testing.T) {
 		}
 		mustDrain(t, e)
 		b3 := sheet.Ref{Row: 3, Col: 2}
-		if _, ok := e.exprs[b3]; ok || e.deps.Len() != 1 {
+		if _, ok := exprsOf(e)[b3]; ok || e.deps.Len() != 1 {
 			t.Fatalf("B3 registered after LinkTable: %v, graph holds %d formulas, want only A5", ok, e.deps.Len())
 		}
 		if got := cellNum(t, e, 5, 1); got != 110 {
@@ -634,8 +647,8 @@ func (g *scriptGen) batch(ref *Engine) []CellEdit {
 	} else {
 		add(dup, fmt.Sprint(g.rng.Intn(50)))
 	}
-	live := make([]sheet.Ref, 0, len(ref.exprs))
-	for r := range ref.exprs {
+	live := make([]sheet.Ref, 0, len(exprsOf(ref)))
+	for r := range exprsOf(ref) {
 		if len(ref.deps.Precedents(r)) > 0 {
 			live = append(live, r)
 		}
@@ -741,7 +754,7 @@ func TestPipelineEquivalenceProperty(t *testing.T) {
 				}
 				// The forward-reading formula is gone once its cell holds a value.
 				if g.backEdge != nil {
-					_, live := perCell.exprs[*g.backEdge]
+					_, live := exprsOf(perCell)[*g.backEdge]
 					_, poisoned := perCell.cycles[*g.backEdge]
 					if !live && !poisoned {
 						g.backEdge, g.backTarget = nil, nil

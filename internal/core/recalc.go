@@ -563,7 +563,8 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 	}
 	type job struct {
 		ref  sheet.Ref
-		expr formula.Expr
+		head formula.Expr // of the cell's run, evaluated k rows down
+		k    int
 	}
 	jobs := make([]job, 0, len(ch.refs))
 	var cycle []sheet.Ref
@@ -571,7 +572,7 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		if !e.cache.IsPending(r) {
 			continue // committed or superseded since the plan was built
 		}
-		expr, live := e.exprs[r]
+		head, k, live := e.deps.Formula(r)
 		_, poisoned := e.cycles[r]
 		switch {
 		case ch.cycle || poisoned:
@@ -584,7 +585,7 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		case stale && readsPending(r):
 			// Stays pending: the rebuilt plan orders it after its reads.
 		default:
-			jobs = append(jobs, job{r, expr})
+			jobs = append(jobs, job{r, head, k})
 		}
 	}
 	if err := e.poisonCycles(cycle); err != nil {
@@ -603,14 +604,14 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 					if i >= len(jobs) {
 						return
 					}
-					vals[i] = formula.Eval(jobs[i].expr, evalReader{e})
+					vals[i] = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		for i := range jobs {
-			vals[i] = formula.Eval(jobs[i].expr, evalReader{e})
+			vals[i] = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
 		}
 	}
 	writes := make([]model.CellWrite, 0, len(jobs))

@@ -127,7 +127,7 @@ func TestApplyCellsStoreFailureKeepsFormulas(t *testing.T) {
 	if c := e.GetCell(10, 2); c.Formula != "A10*2" {
 		t.Fatalf("formula after failed batch = %q, want %q", c.Formula, "A10*2")
 	}
-	if _, ok := e.exprs[sheet.Ref{Row: 10, Col: 2}]; !ok {
+	if _, ok := exprsOf(e)[sheet.Ref{Row: 10, Col: 2}]; !ok {
 		t.Fatal("formula registration dropped by failed batch")
 	}
 	// ...and the formula is still live: its precedent propagates.
@@ -140,7 +140,7 @@ func TestApplyCellsStoreFailureKeepsFormulas(t *testing.T) {
 }
 
 // Regression (bug 3): cells poisoned #CYCLE! by a propagation pass (not by
-// a direct install) stayed registered in e.exprs and never entered
+// a direct install) stayed registered as live formulas and never entered
 // e.cycles, so the persisted formula set recorded them as live formulas —
 // a Save/Load round-trip silently revived them as evaluating registrations
 // while the saving session displayed #CYCLE!. Cycle bookkeeping is now
@@ -164,7 +164,7 @@ func TestCycleSaveLoadRoundTrip(t *testing.T) {
 			if v := e.GetCell(ref.Row, ref.Col).Value; !v.Equal(sheet.ErrCycle) {
 				t.Fatalf("%s: %v = %v, want #CYCLE!", when, ref, v)
 			}
-			if _, ok := e.exprs[ref]; ok {
+			if _, ok := exprsOf(e)[ref]; ok {
 				t.Fatalf("%s: %v still registered in exprs", when, ref)
 			}
 			if _, ok := e.cycles[ref]; !ok {

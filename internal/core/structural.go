@@ -18,9 +18,10 @@ import (
 //     rows is one positional pass and one WAL commit, not 100),
 //   - a shift-aware formula pass: formulas whose cell and reads all lie
 //     strictly before the edit are never looked at — no reparse, no tuple
-//     rewrite; the dependency graph relocates moved registrations in place
-//     (depgraph.Shift) and only formulas whose references cross the edit
-//     get their expressions rewritten and re-persisted,
+//     rewrite; the formula registry moves whole fill-down runs
+//     (depgraph.Shift), splitting only those the edit straddles, and only
+//     formulas whose references cross the edit get their expressions
+//     rewritten and re-persisted,
 //   - incremental recalculation: only formulas whose read ranges straddle
 //     or absorb the edited band re-evaluate (inserted blanks and deleted
 //     values change range aggregates; purely-shifted references do not),
@@ -33,7 +34,7 @@ import (
 // (test hook and dsshell's interactive readout).
 type EditStats struct {
 	// Relocated counts formulas whose cell moved with the edit. Relocation
-	// is in-memory re-keying only — the stored tuple moved with its
+	// moves their run in memory only — the stored tuple moved with its
 	// region's positional map.
 	Relocated int
 	// Rewritten counts formulas whose reference text crossed the edit and
@@ -168,49 +169,19 @@ func (e *Engine) shiftLocked(sh formula.Shift, axis depgraph.Axis, at, delta int
 const maxCoord = 1 << 29
 
 // applyShift relocates the engine's formula state under a structural edit:
-// the dependency graph shifts its registrations in place and reports which
-// formulas moved, which read across the edit, and which were deleted; only
-// the crossing formulas (and cycle-poisoned sources) get their text
-// rewritten, and all of it reaches storage in one write. sh is the same
-// edit as (axis, at, delta), in the form the formula rewriter takes.
+// the registry moves its runs and reports which formulas moved, which read
+// across the edit (rewritten there), and which were deleted; only the crossing
+// formulas (and cycle-poisoned sources) get new text, and all of it reaches
+// storage in one write. sh is the same edit as (axis, at, delta), in the form
+// the formula rewriter takes.
 func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int) error {
-	// Classify the graph-invisible constants BEFORE any key mutation: their
-	// pre-shift positions must be judged against the pre-shift sheet.
-	constMoves, constDrops := e.classifyConstants(axis, at, delta)
 	res := e.deps.Shift(axis, at, delta)
-
-	// Re-key every moved expression (graph movers and constants alike) in
-	// phases: capture old entries, delete every vacated or deleted key,
-	// then write the new keys — a dropped cell's old key may be another
-	// formula's new home.
-	moved := make([]formula.Expr, len(res.MovedOld)+len(constMoves))
-	for i, old := range res.MovedOld {
-		moved[i] = e.exprs[old]
-		delete(e.exprs, old)
-	}
-	for i, m := range constMoves {
-		moved[len(res.MovedOld)+i] = e.exprs[m.old]
-		delete(e.exprs, m.old)
-		delete(e.constants, m.old)
-	}
-	for _, old := range res.Dropped {
-		delete(e.exprs, old)
-	}
-	for _, old := range constDrops {
-		delete(e.exprs, old)
-		delete(e.constants, old)
-	}
-	for i, nw := range res.MovedNew {
-		e.exprs[nw] = moved[i]
-	}
-	for i, m := range constMoves {
-		e.exprs[m.nw] = moved[len(res.MovedOld)+i]
-		e.constants[m.nw] = struct{}{}
-	}
 	// Cycle-poisoned formulas live only in e.cycles (no expression, no
-	// graph entry); re-key them the same way so their manifest entry tracks
-	// the cell their stored text moved with.
-	var cycleMoves []constMove
+	// registry entry): re-key them in phases — capture, delete every vacated
+	// or deleted key, write the new keys (a dropped cell's old key may be
+	// another's new home) — so their manifest entry tracks the cell their
+	// stored text moved with.
+	var cycleMoves []cellMove
 	var cycleDrops []sheet.Ref
 	var retext []textWrite
 	if len(e.cycles) > 0 {
@@ -247,25 +218,15 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 			}
 		}
 	}
-	e.lastEdit.Relocated += len(res.MovedNew) + len(constMoves) + len(cycleMoves)
-	e.lastEdit.Dropped += len(res.Dropped) + len(constDrops) + len(cycleDrops)
+	e.lastEdit.Relocated += len(res.MovedNew) + len(cycleMoves)
+	e.lastEdit.Dropped += len(res.Dropped) + len(cycleDrops)
+	e.lastEdit.Rewritten += len(res.Rewritten)
 	if e.lastEdit.Relocated+e.lastEdit.Dropped+len(res.Rewritten) > 0 {
 		e.formulasDirty = true
 	}
-
-	// Rewrite the crossers: AST reference rewrite (no reparse — the parsed
-	// expression is shifted directly) and authoritative re-registration.
-	for _, ref := range res.Rewritten {
-		old, ok := e.exprs[ref]
-		if !ok {
-			continue
-		}
-		expr := sh.Apply(old)
-		e.exprs[ref] = expr
-		e.setDeps(ref, formula.Refs(expr))
-		retext = append(retext, textWrite{ref, expr.String()})
+	for i, ref := range res.Rewritten {
+		retext = append(retext, textWrite{ref, res.Exprs[i].String()})
 	}
-	e.lastEdit.Rewritten += len(res.Rewritten)
 
 	// One storage write carries every changed source text.
 	writes := make([]model.CellWrite, len(retext))
@@ -289,25 +250,11 @@ type textWrite struct {
 	src string
 }
 
-type constMove struct{ old, nw sheet.Ref }
-
-// classifyConstants splits the read-less formulas (graph-invisible) into
-// those relocated and those destroyed by the edit. Their text never changes
-// — they reference nothing — so relocation is in-memory re-keying only.
-func (e *Engine) classifyConstants(axis depgraph.Axis, at, delta int) (moves []constMove, drops []sheet.Ref) {
-	if len(e.constants) == 0 {
-		return nil, nil
-	}
-	refs := make([]sheet.Ref, 0, len(e.constants))
-	for ref := range e.constants {
-		refs = append(refs, ref)
-	}
-	return classifyShift(refs, axis, at, delta)
-}
+type cellMove struct{ old, nw sheet.Ref }
 
 // classifyShift maps a set of cell keys through a structural shift,
 // splitting them into movers (with their new positions) and drops.
-func classifyShift(refs []sheet.Ref, axis depgraph.Axis, at, delta int) (moves []constMove, drops []sheet.Ref) {
+func classifyShift(refs []sheet.Ref, axis depgraph.Axis, at, delta int) (moves []cellMove, drops []sheet.Ref) {
 	for _, ref := range refs {
 		idx := ref.Col
 		if axis == depgraph.Rows {
@@ -323,7 +270,7 @@ func classifyShift(refs []sheet.Ref, axis depgraph.Axis, at, delta int) (moves [
 			} else {
 				nw.Col = nwIdx
 			}
-			moves = append(moves, constMove{ref, nw})
+			moves = append(moves, cellMove{ref, nw})
 		}
 	}
 	return moves, drops

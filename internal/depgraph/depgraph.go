@@ -4,14 +4,23 @@
 // cell changes. Recomputation order is topological; cycles are detected and
 // reported so the engine can poison the affected cells with #CYCLE!.
 //
-// Dependents are resolved through a row-bucketed interval index: every
-// registered read range is filed under the 64-row stripes it covers (ranges
-// spanning many stripes — whole-column references — go to a small "wide"
-// list instead), and formula cells themselves are filed under the stripe of
-// their own row. A dependents query therefore touches only the stripes the
-// changed range intersects, so a cone query costs O(dependents · log n) instead
-// of a scan over every formula, and structural edits relocate registrations
-// in place through Shift instead of re-registering the whole sheet.
+// The unit of registration is the fill-down run, the persisted formula set's
+// record: n cells down one column, member k being the run's head moved down k
+// rows (formula.MoveDown). A run keeps one head expression and the head's
+// reads, and member k's reads are arithmetic on them (formula.Read.At), so a
+// column of 30,000 row sums is one registration and one tree. Installing a
+// formula joins the run above or below it when it continues that run; an edit
+// inside a run splits it; the cell-level Set registers a run of one.
+//
+// Dependents are resolved through a row-bucketed interval index: every read
+// of a run is filed by its envelope — the union of what its members read —
+// under the 64-row stripes that envelope covers, single-cell reads by stripe
+// and column (envelopes spanning many stripes — whole-column references, long
+// runs — go to a small "wide" list instead). A candidate run answers a query
+// with O(1) member arithmetic: the members whose read meets a changed range
+// are one interval of the run. A cone query therefore touches only the
+// stripes the changed cells fall in, and structural edits move whole runs,
+// splitting only those the edit straddles.
 //
 // The recalc executor's two walks are flat passes over that index. Mark, the
 // edit-time walk, keeps no visited set of its own: its caller's visit (the
@@ -24,9 +33,11 @@ package depgraph
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sort"
 
+	"dataspread/internal/formula"
 	"dataspread/internal/sheet"
 )
 
@@ -42,65 +53,92 @@ const (
 const (
 	// stripeRows is the row granularity of the dependents index.
 	stripeRows = 64
-	// wideStripeSpan caps per-range index registrations: a range covering
-	// more stripes than this (≥ ~2k rows, e.g. a whole-column reference)
-	// registers once in the wide list instead of in O(rows/64) stripes.
+	// wideStripeSpan caps per-read index registrations: an envelope covering
+	// more stripes than this (≥ ~2k rows, e.g. a whole-column reference or a
+	// long relative run) registers once in the wide list instead of in
+	// O(rows/64) stripes.
 	wideStripeSpan = 32
+	// maxCoord bounds the open edge of a band (any real reference fits).
+	maxCoord = 1 << 29
 )
 
-// entry is one registered formula: its cell and the ranges it reads. The
-// index buckets hold *entry pointers, so relocating a formula under a
-// structural shift touches only the entry, never the buckets its unchanged
-// ranges live in.
-type entry struct {
-	ref   sheet.Ref
-	reads []sheet.Range
-	// wide marks registration in the wide list (at most once per entry).
+// run is one registration: n formula cells filled down column col from row
+// row. Member k sits at (row+k, col), is head moved down k rows and reads
+// reads[i].At(k). The
+// index buckets hold *run pointers, so moving a run under a structural shift
+// touches only the run, never the buckets its unchanged reads live in.
+type run struct {
+	col, row, n int
+	head        formula.Expr
+	reads       []formula.Read
+	// wide marks registration in the wide list (at most once per run).
 	wide bool
+}
+
+func (r *run) last() int { return r.row + r.n - 1 }
+
+func (r *run) at(k int) sheet.Ref { return sheet.Ref{Row: r.row + k, Col: r.col} }
+
+// Where the index files a read.
+const (
+	inStripes  = iota // multi-cell reads, under the stripes they cover
+	inPoints          // one cell every member reads, under that cell
+	inSegments        // one cell per member down a column, by stripe and column
+	inWide            // reads spanning more than wideStripeSpan stripes
+)
+
+// file returns where a read of r is filed and the stripes its envelope — the
+// union of what the members read through it — spans. The envelope runs from
+// the first member's top to the last member's bottom: both bounds of Read.At
+// only grow with the offset.
+func (r *run) file(rd formula.Read) (lo, hi, where int) {
+	bottom := rd.To.Row
+	if k := r.n - 1; k > 0 {
+		bottom = rd.At(k).To.Row
+	}
+	lo, hi = stripeOf(rd.From.Row), stripeOf(bottom)
+	switch {
+	case hi-lo+1 > wideStripeSpan:
+		return lo, hi, inWide
+	case rd.From != rd.To || rd.FromAbs != rd.ToAbs:
+		return lo, hi, inStripes
+	case rd.FromAbs || r.n == 1:
+		return lo, hi, inPoints
+	}
+	return lo, hi, inSegments
 }
 
 // Graph tracks dependencies between cells. Precedents are stored as ranges
 // (a compact representation of formula reads — takeaway 4); dependents are
 // resolved through the stripe index.
 type Graph struct {
-	// deps maps a formula cell to its registration.
-	deps map[sheet.Ref]*entry
-	// stripes indexes entries by the row stripes their read ranges cover.
-	stripes map[int][]*entry
-	// wide holds entries owning at least one stripe-spanning range.
-	wide []*entry
-	// keyStripes indexes entries by their own cell's row stripe, so
-	// structural shifts locate movers without scanning every formula.
-	keyStripes map[int][]*entry
-	// points indexes entries by the exact target of each single-cell read
-	// — the dominant read shape. A dependents query for one changed cell
-	// is then a map probe costing O(answer); without it, every cell in a
-	// dense row stripe (think 100 leaf formulas per row all reading that
-	// row's aggregate) drags the whole stripe bucket into every BFS step.
-	points map[sheet.Ref][]*entry
-	// pointKeys buckets the occupied point targets by row stripe, so
-	// range queries and row shifts find point readers without walking the
-	// whole points map.
-	pointKeys map[int]map[sheet.Ref]bool
+	// cols is the registry: each column's runs, sorted by first row.
+	cols map[int][]*run
+	// cells counts the formula cells the runs hold.
+	cells int
+	// stripes indexes runs by the row stripes their multi-cell reads cover.
+	stripes map[int][]*run
+	// points indexes runs by the exact target of each single-cell read all
+	// their members share — the dominant read shape. A dependents query for
+	// one changed cell is then a map probe costing O(answer); without it,
+	// every cell in a dense row stripe (think 100 leaf formulas per row all
+	// reading that row's aggregate) drags the whole stripe bucket into every
+	// walk step.
+	points map[sheet.Ref][]*run
+	// segments indexes runs whose members each read one cell further down a
+	// column (=B1+1 filled down) by the stripes and column those cells span.
+	segments map[uint64][]*run
+	// wide holds runs owning at least one stripe-spanning read.
+	wide []*run
 }
 
 // New returns an empty dependency graph.
 func New() *Graph {
 	return &Graph{
-		deps:       make(map[sheet.Ref]*entry),
-		stripes:    make(map[int][]*entry),
-		keyStripes: make(map[int][]*entry),
-		points:     make(map[sheet.Ref][]*entry),
-		pointKeys:  make(map[int]map[sheet.Ref]bool),
-	}
-}
-
-// Grow sizes an empty graph for n formulas, so a bulk registration (core.Load
-// knows the count before it registers anything) does not grow the registry
-// through a dozen doublings.
-func (g *Graph) Grow(n int) {
-	if len(g.deps) == 0 {
-		g.deps = make(map[sheet.Ref]*entry, n)
+		cols:     make(map[int][]*run),
+		stripes:  make(map[int][]*run),
+		points:   make(map[sheet.Ref][]*run),
+		segments: make(map[uint64][]*run),
 	}
 }
 
@@ -111,15 +149,12 @@ func stripeOf(row int) int {
 	return (row - 1) / stripeRows
 }
 
-// rangeStripes returns the stripe span of a range and whether it is wide.
-func rangeStripes(r sheet.Range) (lo, hi int, wide bool) {
-	lo, hi = stripeOf(r.From.Row), stripeOf(r.To.Row)
-	return lo, hi, hi-lo+1 > wideStripeSpan
-}
+// segmentKey packs a stripe and a column into one segments key.
+func segmentKey(stripe, col int) uint64 { return uint64(stripe)<<32 | uint64(uint32(col)) }
 
-func removeEntry(s []*entry, e *entry) []*entry {
+func removeEntry(s []*run, r *run) []*run {
 	for i, x := range s {
-		if x == e {
+		if x == r {
 			s[i] = s[len(s)-1]
 			return s[:len(s)-1]
 		}
@@ -127,34 +162,8 @@ func removeEntry(s []*entry, e *entry) []*entry {
 	return s
 }
 
-func (g *Graph) registerPoint(key sheet.Ref, e *entry) {
-	g.points[key] = append(g.points[key], e)
-	s := stripeOf(key.Row)
-	b := g.pointKeys[s]
-	if b == nil {
-		b = make(map[sheet.Ref]bool)
-		g.pointKeys[s] = b
-	}
-	b[key] = true
-}
-
-func (g *Graph) unregisterPoint(key sheet.Ref, e *entry) {
-	if rest := removeEntry(g.points[key], e); len(rest) > 0 {
-		g.points[key] = rest
-		return
-	}
-	delete(g.points, key)
-	s := stripeOf(key.Row)
-	if b := g.pointKeys[s]; b != nil {
-		delete(b, key)
-		if len(b) == 0 {
-			delete(g.pointKeys, s)
-		}
-	}
-}
-
-// stripeSet returns the set registerReads and unregisterReads keep an entry to
-// one filing per stripe with. Only an entry with two or more multi-cell ranges
+// stripeSet returns the set registerReads and unregisterReads keep a run to
+// one filing per stripe with. Only a run with two or more multi-cell ranges
 // can meet a stripe twice; the usual single range (a row's SUM) gets nil and
 // allocates nothing.
 func stripeSet(reads []sheet.Range) map[int]bool {
@@ -169,180 +178,344 @@ func stripeSet(reads []sheet.Range) map[int]bool {
 	return nil
 }
 
-// registerReads files the entry's ranges into the index: single-cell reads
-// into the point map, multi-cell ranges into the stripe/wide buckets. Each
-// stripe (and the wide list) holds the entry at most once.
-func (g *Graph) registerReads(e *entry) {
-	seen := stripeSet(e.reads)
-	for _, r := range e.reads {
-		if r.From == r.To {
-			g.registerPoint(r.From, e)
+// seenStripes is stripeSet over a run's head reads.
+func seenStripes(r *run) map[int]bool {
+	if len(r.reads) < 2 {
+		return nil
+	}
+	heads := make([]sheet.Range, len(r.reads))
+	for i, rd := range r.reads {
+		heads[i] = rd.Range
+	}
+	return stripeSet(heads)
+}
+
+// registerReads files the run's reads into the index (see file). Each stripe
+// (and the wide list) holds the run at most once.
+func (g *Graph) registerReads(r *run) {
+	seen := seenStripes(r)
+	for _, rd := range r.reads {
+		lo, hi, where := r.file(rd)
+		if where == inPoints {
+			g.points[rd.From] = append(g.points[rd.From], r)
 			continue
 		}
-		lo, hi, wide := rangeStripes(r)
-		if wide {
-			if !e.wide {
-				e.wide = true
-				g.wide = append(g.wide, e)
-			}
-			continue
-		}
-		for s := lo; s <= hi; s++ {
-			if seen != nil {
-				if seen[s] {
-					continue
+		for s := lo; s <= hi && where != inWide; s++ {
+			if where == inSegments {
+				key := segmentKey(s, rd.From.Col)
+				g.segments[key] = append(g.segments[key], r)
+			} else if seen == nil || !seen[s] {
+				if seen != nil {
+					seen[s] = true
 				}
-				seen[s] = true
+				g.stripes[s] = append(g.stripes[s], r)
 			}
-			g.stripes[s] = append(g.stripes[s], e)
+		}
+		if where == inWide && !r.wide {
+			r.wide = true
+			g.wide = append(g.wide, r)
 		}
 	}
 }
 
-// unregisterReads removes the entry from every bucket its ranges cover.
-func (g *Graph) unregisterReads(e *entry) {
-	seen := stripeSet(e.reads)
-	for _, r := range e.reads {
-		if r.From == r.To {
-			g.unregisterPoint(r.From, e)
-			continue
-		}
-		lo, hi, wide := rangeStripes(r)
-		if wide {
-			continue
-		}
-		for s := lo; s <= hi; s++ {
-			if seen != nil {
-				if seen[s] {
-					continue
-				}
-				seen[s] = true
-			}
-			if rest := removeEntry(g.stripes[s], e); len(rest) > 0 {
-				g.stripes[s] = rest
+// unregisterReads removes the run from every bucket its reads are filed in.
+func (g *Graph) unregisterReads(r *run) {
+	seen := seenStripes(r)
+	for _, rd := range r.reads {
+		lo, hi, where := r.file(rd)
+		if where == inPoints {
+			if rest := removeEntry(g.points[rd.From], r); len(rest) > 0 {
+				g.points[rd.From] = rest
 			} else {
-				delete(g.stripes, s)
+				delete(g.points, rd.From)
+			}
+			continue
+		}
+		for s := lo; s <= hi && where != inWide; s++ {
+			if where == inSegments {
+				key := segmentKey(s, rd.From.Col)
+				if rest := removeEntry(g.segments[key], r); len(rest) > 0 {
+					g.segments[key] = rest
+				} else {
+					delete(g.segments, key)
+				}
+			} else if seen == nil || !seen[s] {
+				if seen != nil {
+					seen[s] = true
+				}
+				if rest := removeEntry(g.stripes[s], r); len(rest) > 0 {
+					g.stripes[s] = rest
+				} else {
+					delete(g.stripes, s)
+				}
 			}
 		}
 	}
-	if e.wide {
-		e.wide = false
-		g.wide = removeEntry(g.wide, e)
+	if r.wide {
+		r.wide = false
+		g.wide = removeEntry(g.wide, r)
 	}
 }
 
-func (g *Graph) registerKey(e *entry) {
-	s := stripeOf(e.ref.Row)
-	g.keyStripes[s] = append(g.keyStripes[s], e)
+func byRow(x *run, row int) int { return cmp.Compare(x.row, row) }
+
+// add registers a run over cells no run holds.
+func (g *Graph) add(r *run) {
+	col := g.cols[r.col]
+	i, _ := slices.BinarySearchFunc(col, r.row, byRow)
+	g.cols[r.col] = slices.Insert(col, i, r)
+	g.cells += r.n
+	g.registerReads(r)
 }
 
-func (g *Graph) unregisterKey(e *entry) {
-	s := stripeOf(e.ref.Row)
-	if rest := removeEntry(g.keyStripes[s], e); len(rest) > 0 {
-		g.keyStripes[s] = rest
+// drop unregisters a run.
+func (g *Graph) drop(r *run) {
+	col := g.cols[r.col]
+	i, _ := slices.BinarySearchFunc(col, r.row, byRow)
+	if col = slices.Delete(col, i, i+1); len(col) > 0 {
+		g.cols[r.col] = col
 	} else {
-		delete(g.keyStripes, s)
+		delete(g.cols, r.col)
+	}
+	g.cells -= r.n
+	g.unregisterReads(r)
+}
+
+// reshape gives r new first row, length and head (whose reads have the same
+// shape as the old head's), refiling it only when a read's envelope changes
+// stripes: growing a run by a member does so once in 64 rows.
+func (g *Graph) reshape(r *run, row, n int, head formula.Expr) {
+	nr := run{col: r.col, row: row, n: n, head: head, reads: r.reads}
+	if head != r.head {
+		nr.reads = formula.Reads(head)
+	}
+	same := len(nr.reads) == len(r.reads)
+	for i := 0; same && i < len(r.reads); i++ {
+		lo, hi, where := r.file(r.reads[i])
+		nlo, nhi, nwhere := nr.file(nr.reads[i])
+		same = where == nwhere && (where == inWide || lo == nlo && hi == nhi) && r.reads[i].From == nr.reads[i].From
+	}
+	if !same {
+		g.unregisterReads(r)
+	}
+	g.cells += n - r.n
+	r.row, r.n, r.head, r.reads = row, n, head, nr.reads
+	if !same {
+		g.registerReads(r)
 	}
 }
 
-// Set registers (or replaces) the ranges read by the formula at ref.
+// find returns the run holding ref and ref's offset in it (nil when none).
+func (g *Graph) find(ref sheet.Ref) (*run, int) {
+	col := g.cols[ref.Col]
+	i, found := slices.BinarySearchFunc(col, ref.Row, byRow)
+	if !found {
+		i--
+	}
+	if i >= 0 && i < len(col) && ref.Row <= col[i].last() {
+		return col[i], ref.Row - col[i].row
+	}
+	return nil, 0
+}
+
+// moveDown is head moved down k rows.
+func moveDown(head formula.Expr, k int) formula.Expr {
+	if k == 0 {
+		return head
+	}
+	return formula.MoveDown(head, k)
+}
+
+// Set registers (or replaces) the ranges read by the formula at ref: a run of
+// one, whose head is a call reading the ranges with $-absolute rows.
 func (g *Graph) Set(ref sheet.Ref, reads []sheet.Range) {
+	g.Remove(ref)
 	if len(reads) == 0 {
-		g.Remove(ref)
 		return
 	}
-	if e, ok := g.deps[ref]; ok {
-		g.unregisterReads(e)
-		e.reads = reads
-		g.registerReads(e)
-		return
+	head := &formula.Call{Name: "READS"}
+	for _, rg := range reads {
+		head.Args = append(head.Args, &formula.RangeNode{
+			From: formula.RefNode{Ref: rg.From, AbsRow: true}, To: formula.RefNode{Ref: rg.To, AbsRow: true}})
 	}
-	e := &entry{ref: ref, reads: reads}
-	g.deps[ref] = e
-	g.registerReads(e)
-	g.registerKey(e)
+	g.AddRun(ref, 1, head)
 }
 
-// Remove drops the formula at ref.
+// SetFormula registers (or replaces) the formula at ref. It joins the run
+// above when it is that run's head moved down to ref, and the run below when
+// that run's head is it moved down a row (formula.IsMovedDown), so a column
+// filled down is one run however its cells were entered.
+func (g *Graph) SetFormula(ref sheet.Ref, expr formula.Expr) {
+	g.Remove(ref)
+	up, _ := g.find(sheet.Ref{Row: ref.Row - 1, Col: ref.Col})
+	down, _ := g.find(sheet.Ref{Row: ref.Row + 1, Col: ref.Col})
+	if down != nil && !formula.IsMovedDown(expr, down.head, 1) {
+		down = nil
+	}
+	switch {
+	case up != nil && formula.IsMovedDown(up.head, expr, ref.Row-up.row):
+		n := up.n + 1
+		if down != nil {
+			g.drop(down)
+			n += down.n
+		}
+		g.reshape(up, up.row, n, up.head)
+	case down != nil:
+		g.reshape(down, ref.Row, down.n+1, expr)
+	default:
+		g.add(&run{col: ref.Col, row: ref.Row, n: 1, head: expr, reads: formula.Reads(expr)})
+	}
+}
+
+// AddRun registers n formula cells filled down from ref over cells no run
+// holds: member k is head moved down k rows. It is a persisted run as it is,
+// with no per-cell copies.
+func (g *Graph) AddRun(ref sheet.Ref, n int, head formula.Expr) {
+	g.add(&run{col: ref.Col, row: ref.Row, n: n, head: head, reads: formula.Reads(head)})
+}
+
+// Remove drops the formula at ref, splitting its run around it.
 func (g *Graph) Remove(ref sheet.Ref) {
-	e, ok := g.deps[ref]
-	if !ok {
+	r, k := g.find(ref)
+	if r == nil {
 		return
 	}
-	g.unregisterReads(e)
-	g.unregisterKey(e)
-	delete(g.deps, ref)
+	if k+1 < r.n {
+		below := moveDown(r.head, k+1)
+		g.add(&run{col: r.col, row: ref.Row + 1, n: r.n - k - 1, head: below, reads: formula.Reads(below)})
+	}
+	if k == 0 {
+		g.drop(r)
+	} else {
+		g.reshape(r, r.row, k, r.head)
+	}
 }
 
 // Len returns the number of tracked formula cells.
-func (g *Graph) Len() int { return len(g.deps) }
+func (g *Graph) Len() int { return g.cells }
 
-// Precedents returns the ranges the formula at ref reads (nil when ref has
-// no formula).
-func (g *Graph) Precedents(ref sheet.Ref) []sheet.Range {
-	if e, ok := g.deps[ref]; ok {
-		return e.reads
+// Formula returns the formula at ref as its run's head and ref's offset in
+// the run — formula.EvalAt evaluates it there; ok is false when no formula is
+// registered at ref.
+func (g *Graph) Formula(ref sheet.Ref) (head formula.Expr, k int, ok bool) {
+	r, k := g.find(ref)
+	if r == nil {
+		return nil, 0, false
 	}
-	return nil
+	return r.head, k, true
 }
 
-// stripeCandidates streams every range-reader entry whose index bucket
-// intersects the row band [fromRow, toRow] (stripe buckets plus the wide
-// list) to fn. Single-cell reads live in the point index instead — pair
-// with pointCandidates for full coverage. An entry may be produced more
-// than once; callers dedup.
-func (g *Graph) stripeCandidates(fromRow, toRow int, fn func(*entry)) {
-	lo, hi := stripeOf(fromRow), stripeOf(toRow)
-	if span := hi - lo + 1; span < 0 || span > len(g.stripes) {
-		// The band covers more stripes than exist: walk the map instead.
+// Runs visits every run in (column, row) order: its first cell, its length
+// and its head.
+func (g *Graph) Runs(fn func(ref sheet.Ref, n int, head formula.Expr)) {
+	for _, c := range slices.Sorted(maps.Keys(g.cols)) {
+		for _, r := range g.cols[c] {
+			fn(r.at(0), r.n, r.head)
+		}
+	}
+}
+
+// Precedents returns the ranges the formula at ref reads (nil when ref has
+// no formula or reads nothing).
+func (g *Graph) Precedents(ref sheet.Ref) []sheet.Range {
+	r, k := g.find(ref)
+	if r == nil || len(r.reads) == 0 {
+		return nil
+	}
+	out := make([]sheet.Range, len(r.reads))
+	for i, rd := range r.reads {
+		out[i] = rd.At(k)
+	}
+	return out
+}
+
+// members returns the members [k1, k2] of an n-member run whose read rd
+// meets g (k1 > k2: none). Both bounds of rd.At(k) grow with k, so member k's
+// rows reach g's top from the first k either bound does, and start no lower
+// than g's bottom up to the last k either bound does.
+func members(rd formula.Read, n int, g sheet.Range) (k1, k2 int) {
+	if rd.To.Col < g.From.Col || rd.From.Col > g.To.Col {
+		return 0, -1
+	}
+	first := func(row int, abs bool) int {
+		switch {
+		case row >= g.From.Row:
+			return 0
+		case abs:
+			return n
+		}
+		return g.From.Row - row
+	}
+	last := func(row int, abs bool) int {
+		switch {
+		case row > g.To.Row:
+			return -1
+		case abs:
+			return n - 1
+		}
+		return g.To.Row - row
+	}
+	return max(0, min(first(rd.From.Row, rd.FromAbs), first(rd.To.Row, rd.ToAbs))),
+		min(n-1, max(last(rd.From.Row, rd.FromAbs), last(rd.To.Row, rd.ToAbs)))
+}
+
+// runsNear streams every run filed in a bucket rg meets — the stripe, point
+// and segment buckets of its rows and columns, and the wide list — scanning a
+// bucket map instead when rg spans more of its keys than it holds. A run may
+// come more than once; callers dedup.
+func (g *Graph) runsNear(rg sheet.Range, fn func(*run)) {
+	lo, hi := stripeOf(rg.From.Row), stripeOf(rg.To.Row)
+	if span := hi - lo + 1; span > len(g.stripes) {
 		for s, bucket := range g.stripes {
 			if s >= lo && s <= hi {
-				for _, e := range bucket {
-					fn(e)
+				for _, r := range bucket {
+					fn(r)
 				}
 			}
 		}
 	} else {
 		for s := lo; s <= hi; s++ {
-			for _, e := range g.stripes[s] {
-				fn(e)
+			for _, r := range g.stripes[s] {
+				fn(r)
 			}
 		}
 	}
-	for _, e := range g.wide {
-		fn(e)
-	}
-}
-
-// pointCandidates streams every entry registered as a point reader of a
-// cell inside changed. Entries may repeat; callers dedup.
-func (g *Graph) pointCandidates(changed sheet.Range, fn func(*entry)) {
-	if changed.From == changed.To {
-		for _, e := range g.points[changed.From] {
-			fn(e)
+	if rg.Area() > len(g.points) {
+		for key, bucket := range g.points {
+			if rg.Contains(key) {
+				for _, r := range bucket {
+					fn(r)
+				}
+			}
 		}
-		return
-	}
-	emit := func(bucket map[sheet.Ref]bool) {
-		for key := range bucket {
-			if changed.Contains(key) {
-				for _, e := range g.points[key] {
-					fn(e)
+	} else {
+		for row := rg.From.Row; row <= rg.To.Row; row++ {
+			for c := rg.From.Col; c <= rg.To.Col; c++ {
+				for _, r := range g.points[sheet.Ref{Row: row, Col: c}] {
+					fn(r)
 				}
 			}
 		}
 	}
-	lo, hi := stripeOf(changed.From.Row), stripeOf(changed.To.Row)
-	if span := hi - lo + 1; span < 0 || span > len(g.pointKeys) {
-		for s, bucket := range g.pointKeys {
-			if s >= lo && s <= hi {
-				emit(bucket)
+	if (hi-lo+1)*rg.Cols() > len(g.segments) {
+		for key, bucket := range g.segments {
+			if s, c := int(key>>32), int(uint32(key)); s >= lo && s <= hi && c >= rg.From.Col && c <= rg.To.Col {
+				for _, r := range bucket {
+					fn(r)
+				}
 			}
 		}
-		return
+	} else {
+		for s := lo; s <= hi; s++ {
+			for c := rg.From.Col; c <= rg.To.Col; c++ {
+				for _, r := range g.segments[segmentKey(s, c)] {
+					fn(r)
+				}
+			}
+		}
 	}
-	for s := lo; s <= hi; s++ {
-		emit(g.pointKeys[s])
+	for _, r := range g.wide {
+		fn(r)
 	}
 }
 
@@ -350,23 +523,21 @@ func (g *Graph) pointCandidates(changed sheet.Range, fn func(*entry)) {
 // the changed range, in deterministic order.
 func (g *Graph) DirectDependents(changed sheet.Range) []sheet.Ref {
 	var out []sheet.Ref
-	seen := make(map[*entry]bool)
-	collect := func(e *entry) {
-		if seen[e] {
+	seen := make(map[*run]bool)
+	g.runsNear(changed, func(r *run) {
+		if seen[r] {
 			return
 		}
-		seen[e] = true
-		for _, r := range e.reads {
-			if r.Intersects(changed) {
-				out = append(out, e.ref)
-				return
+		seen[r] = true
+		for _, rd := range r.reads {
+			k1, k2 := members(rd, r.n, changed)
+			for k := k1; k <= k2; k++ {
+				out = append(out, r.at(k))
 			}
 		}
-	}
-	g.pointCandidates(changed, collect)
-	g.stripeCandidates(changed.From.Row, changed.To.Row, collect)
+	})
 	sortRefs(out)
-	return out
+	return slices.Compact(out)
 }
 
 // AffectedFrom returns the dependency cone of an explicit set of formula
@@ -385,28 +556,66 @@ func (g *Graph) AffectedFrom(seeds []sheet.Ref) (order []sheet.Ref, cycles []she
 }
 
 // readers streams to fn every formula directly reading one of the cells in
-// sorted (row-major, as sortRefs leaves it): one point probe per cell and one
-// stripe probe per distinct stripe, matched against the exact cells —
-// scattered edits do not drag every formula in their bounding rectangle
-// along. An entry may be produced more than once.
-func (g *Graph) readers(sorted []sheet.Ref, fn func(*entry)) {
-	last := -1
-	for _, ref := range sorted {
-		for _, e := range g.points[ref] {
-			fn(e)
+// sorted (row-major, as sortRefs leaves it), as a run and a member: per cell
+// one point probe and one probe of its stripe's and column's segments, and
+// per distinct stripe one pass over its stripe bucket and the wide list,
+// matched against the exact cells — scattered edits do not drag every
+// formula in their bounding rectangle along. Each read of a run is matched
+// where it is filed, so a member comes once per read of it that meets the
+// cells.
+func (g *Graph) readers(sorted []sheet.Ref, fn func(*run, int)) {
+	for lo := 0; lo < len(sorted); {
+		s, hi := stripeOf(sorted[lo].Row), lo+1
+		for hi < len(sorted) && stripeOf(sorted[hi].Row) == s {
+			hi++
 		}
-		if stripeOf(ref.Row) == last {
-			continue
-		}
-		last = stripeOf(ref.Row)
-		g.stripeCandidates(ref.Row, ref.Row, func(e *entry) {
-			for _, r := range e.reads {
-				if r.From != r.To && rangeContainsAny(r, sorted) {
-					fn(e)
-					return
+		group := sorted[lo:hi]
+		lo = hi
+		for _, ref := range group {
+			for _, r := range g.points[ref] {
+				for k := range r.n {
+					fn(r, k)
 				}
 			}
-		})
+			if len(g.segments) == 0 {
+				continue
+			}
+			for _, r := range g.segments[segmentKey(s, ref.Col)] {
+				for _, rd := range r.reads {
+					if _, _, where := r.file(rd); where == inSegments && rd.From.Col == ref.Col {
+						if k := ref.Row - rd.From.Row; k >= 0 && k < r.n {
+							fn(r, k)
+						}
+					}
+				}
+			}
+		}
+		band := sheet.NewRange(group[0].Row, group[0].Col, group[len(group)-1].Row, group[0].Col)
+		for _, ref := range group {
+			band.From.Col, band.To.Col = min(band.From.Col, ref.Col), max(band.To.Col, ref.Col)
+		}
+		match := func(r *run, in int) {
+			for _, rd := range r.reads {
+				if rd.To.Col < band.From.Col || rd.From.Col > band.To.Col {
+					continue
+				}
+				if _, _, where := r.file(rd); where != in {
+					continue
+				}
+				k1, k2 := members(rd, r.n, band)
+				for k := k1; k <= k2; k++ {
+					if rangeContainsAny(rd.At(k), group) {
+						fn(r, k)
+					}
+				}
+			}
+		}
+		for _, r := range g.stripes[s] {
+			match(r, inStripes)
+		}
+		for _, r := range g.wide {
+			match(r, inWide)
+		}
 	}
 }
 
@@ -427,9 +636,9 @@ func (g *Graph) Mark(refs []sheet.Ref, visit func(sheet.Ref) bool) {
 	}
 	// Depth first: the stack holds a fan-out, not the cone.
 	var stack []sheet.Ref
-	step := func(e *entry) {
-		if visit(e.ref) {
-			stack = append(stack, e.ref)
+	step := func(r *run, k int) {
+		if ref := r.at(k); visit(ref) {
+			stack = append(stack, ref)
 		}
 	}
 	g.readers(sorted, step)
@@ -456,12 +665,12 @@ func (g *Graph) UpstreamWaves(seeds []sheet.Ref, member func(sheet.Ref) bool) []
 		}
 	}
 	for v := 0; v < len(b.refs); v++ {
-		e, ok := g.deps[b.refs[v]]
-		if !ok {
+		r, k := g.find(b.refs[v])
+		if r == nil {
 			continue
 		}
-		for _, r := range e.reads {
-			g.formulasIn(r, func(p sheet.Ref) bool {
+		for _, rd := range r.reads {
+			g.formulasIn(rd.At(k), func(p sheet.Ref) bool {
 				if _, ok := b.ids[cellKey(p)]; ok || member(p) {
 					b.edge(b.add(p), int32(v))
 				}
@@ -522,7 +731,7 @@ func (g *Graph) ConeFrom(seeds []sheet.Ref) *Cone {
 		b.add(s)
 	}
 	for u := 0; u < len(b.refs); u++ {
-		g.readers(b.refs[u:u+1], func(e *entry) { b.edge(int32(u), b.add(e.ref)) })
+		g.readers(b.refs[u:u+1], func(r *run, k int) { b.edge(int32(u), b.add(r.at(k))) })
 	}
 	return b.cone()
 }
@@ -682,33 +891,36 @@ func (g *Graph) HasCycleAt(ref sheet.Ref, reads []sheet.Range) bool {
 }
 
 // formulasIn visits every registered formula cell inside r, early-exiting
-// (and returning true) when visit does. Single-cell ranges resolve with one
-// map probe and larger ones walk the key-stripe index, so the cost tracks
-// the range's row span rather than the total number of registered formulas
-// — HasCycleAt runs once per formula install, and scanning the whole
-// registry there turns bulk loads quadratic. A range spanning more stripe
-// slots than are populated falls back to the full registry scan.
+// (and returning true) when visit does: per column of r, a binary search to
+// the first run reaching r's top, then the members of each run up to r's
+// bottom — the cost tracks the formulas inside r, not the registry.
+// HasCycleAt runs once per formula install, and scanning the whole registry
+// there turns bulk loads quadratic. A range spanning more columns than hold
+// formulas walks the registry's columns instead.
 func (g *Graph) formulasIn(r sheet.Range, visit func(sheet.Ref) bool) bool {
-	if r.From == r.To {
-		if _, ok := g.deps[r.From]; ok {
-			return visit(r.From)
+	inCol := func(runs []*run) bool {
+		i := sort.Search(len(runs), func(i int) bool { return runs[i].last() >= r.From.Row })
+		for ; i < len(runs) && runs[i].row <= r.To.Row; i++ {
+			x := runs[i]
+			for row := max(x.row, r.From.Row); row <= min(x.last(), r.To.Row); row++ {
+				if visit(sheet.Ref{Row: row, Col: x.col}) {
+					return true
+				}
+			}
 		}
 		return false
 	}
-	lo, hi := stripeOf(r.From.Row), stripeOf(r.To.Row)
-	if hi-lo+1 > len(g.keyStripes) {
-		for ref := range g.deps {
-			if r.Contains(ref) && visit(ref) {
+	if r.To.Col-r.From.Col+1 > len(g.cols) {
+		for c, runs := range g.cols {
+			if c >= r.From.Col && c <= r.To.Col && inCol(runs) {
 				return true
 			}
 		}
 		return false
 	}
-	for s := lo; s <= hi; s++ {
-		for _, e := range g.keyStripes[s] {
-			if r.Contains(e.ref) && visit(e.ref) {
-				return true
-			}
+	for c := r.From.Col; c <= r.To.Col; c++ {
+		if inCol(g.cols[c]) {
+			return true
 		}
 	}
 	return false
@@ -717,12 +929,13 @@ func (g *Graph) formulasIn(r sheet.Range, visit func(sheet.Ref) bool) bool {
 // ShiftResult reports what a structural Shift did to the registrations.
 type ShiftResult struct {
 	// MovedOld and MovedNew are parallel: formula cells that relocated,
-	// pre- and post-shift, ordered by pre-shift position.
+	// pre- and post-shift, in pre-shift (column, row) order.
 	MovedOld, MovedNew []sheet.Ref
-	// Rewritten lists formulas (post-shift positions) whose read ranges
-	// cross the edit: their expressions must be rewritten and re-registered
-	// by the caller (Set with the rewritten reads is authoritative).
+	// Rewritten lists formulas (post-shift positions, row-major) whose read
+	// ranges cross the edit, and Exprs their rewritten expressions: the graph
+	// holds them already; the caller persists their new text.
 	Rewritten []sheet.Ref
+	Exprs     []formula.Expr
 	// Dropped lists formulas (pre-shift positions) whose own cell was
 	// inside a deleted band; they have been removed from the graph.
 	Dropped []sheet.Ref
@@ -753,195 +966,120 @@ func ShiftIndex(idx, at, delta int) (nw int, ok bool) {
 // Shift relocates registrations under a structural edit on the given axis:
 // delta > 0 inserts delta rows/columns before index `at` (existing indexes
 // >= at move up by delta); delta < 0 deletes the -delta rows/columns
-// [at, at-delta-1]. Formula cells inside a deleted band are removed; read
-// ranges that do not cross the edit stay registered untouched (no
-// re-bucketing), which is what makes a structural edit cost
-// O(movers + crossers), not O(formulas).
+// [at, at-delta-1]. Formula cells inside a deleted band are removed; a run
+// with no cell at or past the edit and no read reaching it is not looked at,
+// and one that only moves moves whole. Members reading at or past the edit —
+// a suffix of each run — are rewritten (formula.Shift: inserts move and
+// absorb, deletes clip) and grouped into runs again.
 func (g *Graph) Shift(axis Axis, at, delta int) ShiftResult {
 	var res ShiftResult
 	if delta == 0 {
 		return res
 	}
+	sh := formula.Shift{Rows: axis == Rows, At: at, Count: max(delta, -delta), Delete: delta < 0}
+	reach := sheet.NewRange(1, at, maxCoord, maxCoord) // at or past the edit
+	if sh.Rows {
+		reach = sheet.NewRange(at, 1, maxCoord, maxCoord)
+	}
+	seen := make(map[*run]bool)
+	var runs []*run
+	near := func(r *run) {
+		if !seen[r] {
+			seen[r] = true
+			runs = append(runs, r)
+		}
+	}
+	for _, col := range g.cols {
+		for i := len(col) - 1; i >= 0 && (!sh.Rows || col[i].last() >= at); i-- {
+			near(col[i])
+		}
+	}
+	g.runsNear(reach, near)
+	slices.SortFunc(runs, func(a, b *run) int { return cmp.Or(cmp.Compare(a.col, b.col), cmp.Compare(a.row, b.row)) })
 
-	// Locate movers and dropped entries. The key index bounds the search to
-	// stripes at or after the edit for row shifts; column shifts scan the
-	// map (formula cells are not indexed by column).
-	var movers, dropped []*entry
-	classify := func(e *entry) {
-		idx := e.ref.Col
-		if axis == Rows {
-			idx = e.ref.Row
-		}
-		switch nw, ok := ShiftIndex(idx, at, delta); {
-		case !ok:
-			dropped = append(dropped, e)
-		case nw != idx:
-			movers = append(movers, e)
-		}
+	type rewrite struct {
+		ref  sheet.Ref
+		expr formula.Expr
 	}
-	if axis == Rows {
-		lo := stripeOf(at)
-		for s, bucket := range g.keyStripes {
-			if s >= lo {
-				for _, e := range bucket {
-					classify(e)
-				}
+	var rewrites []rewrite
+	var gone, pieces []*run
+	for _, r := range runs {
+		cross := r.n // members [cross, n) read at or past the edit
+		for _, rd := range r.reads {
+			if k1, k2 := members(rd, r.n, reach); k1 <= k2 {
+				cross = min(cross, k1)
 			}
 		}
-	} else {
-		for _, e := range g.deps {
-			classify(e)
-		}
-	}
-	byRef := func(a, b *entry) int { return cmpRefs(a.ref, b.ref) }
-	slices.SortFunc(movers, byRef)
-	slices.SortFunc(dropped, byRef)
-
-	// Locate crossers: entries with a read range ending at or after the
-	// edit. The stripe walk bounds this to entries actually reading near or
-	// past the edit (plus the wide list).
-	crosserSet := make(map[*entry]bool)
-	var crossers []*entry
-	collectCrosser := func(e *entry) {
-		if crosserSet[e] {
-			return
-		}
-		for _, r := range e.reads {
-			hi := r.To.Col
-			if axis == Rows {
-				hi = r.To.Row
-			}
-			if hi >= at {
-				crosserSet[e] = true
-				crossers = append(crossers, e)
-				return
-			}
-		}
-	}
-	if axis == Rows {
-		lo := stripeOf(at)
-		for s, bucket := range g.stripes {
-			if s >= lo {
-				for _, e := range bucket {
-					collectCrosser(e)
-				}
-			}
-		}
-		// Point reads at or past the edit: any read row >= at lives in a
-		// pointKeys stripe >= lo (collectCrosser re-checks the boundary for
-		// same-stripe keys before it).
-		for s, bucket := range g.pointKeys {
-			if s >= lo {
-				for key := range bucket {
-					for _, e := range g.points[key] {
-						collectCrosser(e)
-					}
-				}
-			}
-		}
-		for _, e := range g.wide {
-			collectCrosser(e)
-		}
-	} else {
-		for _, e := range g.deps {
-			collectCrosser(e)
-		}
-	}
-
-	// Apply: dropped entries leave the graph entirely.
-	for _, e := range dropped {
-		res.Dropped = append(res.Dropped, e.ref)
-		g.unregisterReads(e)
-		g.unregisterKey(e)
-		delete(g.deps, e.ref)
-		delete(crosserSet, e)
-	}
-	// Movers rekey in two phases so old and new key ranges may overlap.
-	for _, e := range movers {
-		res.MovedOld = append(res.MovedOld, e.ref)
-		g.unregisterKey(e)
-		delete(g.deps, e.ref)
-	}
-	for _, e := range movers {
-		if axis == Rows {
-			e.ref.Row += delta
-		} else {
-			e.ref.Col += delta
-		}
-		res.MovedNew = append(res.MovedNew, e.ref)
-		g.deps[e.ref] = e
-		g.registerKey(e)
-	}
-	// Crossers: shift their ranges in place (insert moves every boundary at
-	// or past the edit; delete clips into the surviving span). The caller
-	// re-Sets these entries from the rewritten expressions, so this keeps
-	// the graph coherent for queries issued in between.
-	for _, e := range crossers {
-		if !crosserSet[e] {
-			continue // dropped above
-		}
-		g.unregisterReads(e)
-		kept := e.reads[:0]
-		for _, r := range e.reads {
-			if nr, ok := shiftRange(r, axis, at, delta); ok {
-				kept = append(kept, nr)
-			}
-		}
-		e.reads = kept
-		if len(e.reads) == 0 {
-			// Every read vanished with a deleted band: the formula is now a
-			// constant (#REF!); it leaves the graph, but the caller still
-			// hears about it through Rewritten.
-			res.Rewritten = append(res.Rewritten, e.ref)
-			g.unregisterKey(e)
-			delete(g.deps, e.ref)
+		last := r.at(r.n - 1)
+		if cross == r.n && (sh.Rows && last.Row < at || !sh.Rows && last.Col < at) {
 			continue
 		}
-		g.registerReads(e)
-		res.Rewritten = append(res.Rewritten, e.ref)
+		gone = append(gone, r)
+		// Cut where crossing starts and where the cell mapping changes: each
+		// segment then drops, stays or moves as one, crossing or not.
+		cuts := []int{0, cross, r.n}
+		if sh.Rows {
+			cuts = append(cuts, at-r.row, at+sh.Count-r.row)
+		}
+		cuts = slices.DeleteFunc(cuts, func(c int) bool { return c < 0 || c > r.n })
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		for i := 0; i+1 < len(cuts); i++ {
+			a, b := cuts[i], cuts[i+1]
+			nw, ok := shiftRef(r.at(a), axis, at, delta)
+			for k := a; k < b; k++ {
+				if !ok {
+					res.Dropped = append(res.Dropped, r.at(k))
+				} else if nw != r.at(a) {
+					res.MovedOld = append(res.MovedOld, r.at(k))
+					res.MovedNew = append(res.MovedNew, sheet.Ref{Row: nw.Row + k - a, Col: nw.Col})
+				}
+			}
+			switch {
+			case !ok:
+			case a < cross: // reads nothing the edit moves: the members keep their formulas
+				pieces = append(pieces, &run{col: nw.Col, row: nw.Row, n: b - a, head: moveDown(r.head, a)})
+			default:
+				var cur *run
+				for k := a; k < b; k++ {
+					ref, e := sheet.Ref{Row: nw.Row + k - a, Col: nw.Col}, sh.Apply(formula.MoveDown(r.head, k))
+					rewrites = append(rewrites, rewrite{ref, e})
+					if cur != nil && formula.IsMovedDown(cur.head, e, ref.Row-cur.row) {
+						cur.n++
+						continue
+					}
+					cur = &run{col: ref.Col, row: ref.Row, n: 1, head: e}
+					pieces = append(pieces, cur)
+				}
+			}
+		}
 	}
-	sortRefs(res.Rewritten)
+	// Every run leaves before any piece arrives: old and new cells may
+	// overlap.
+	for _, r := range gone {
+		g.drop(r)
+	}
+	for _, p := range pieces {
+		p.reads = formula.Reads(p.head)
+		g.add(p)
+	}
+	slices.SortFunc(rewrites, func(a, b rewrite) int { return cmpRefs(a.ref, b.ref) })
+	for _, w := range rewrites {
+		res.Rewritten = append(res.Rewritten, w.ref)
+		res.Exprs = append(res.Exprs, w.expr)
+	}
 	return res
 }
 
-// shiftRange relocates one range under a shift, mirroring the reference
-// rewriting of formula.Shift (inserts move and absorb; deletes clip; ok is
-// false when the whole range falls inside a deleted band).
-func shiftRange(r sheet.Range, axis Axis, at, delta int) (sheet.Range, bool) {
-	lo, hi := r.From.Col, r.To.Col
+// shiftRef maps a cell through a structural shift (ShiftIndex on the axis).
+func shiftRef(ref sheet.Ref, axis Axis, at, delta int) (sheet.Ref, bool) {
+	idx := &ref.Col
 	if axis == Rows {
-		lo, hi = r.From.Row, r.To.Row
+		idx = &ref.Row
 	}
-	if delta > 0 {
-		if lo >= at {
-			lo += delta
-		}
-		if hi >= at {
-			hi += delta
-		}
-	} else {
-		count := -delta
-		end := at + count // first index past the deleted band
-		switch {
-		case lo >= end:
-			lo -= count
-		case lo >= at:
-			lo = at
-		}
-		switch {
-		case hi >= end:
-			hi -= count
-		case hi >= at:
-			hi = at - 1
-		}
-		if hi < lo {
-			return sheet.Range{}, false
-		}
-	}
-	if axis == Rows {
-		return sheet.NewRange(lo, r.From.Col, hi, r.To.Col), true
-	}
-	return sheet.NewRange(r.From.Row, lo, r.To.Row, hi), true
+	nw, ok := ShiftIndex(*idx, at, delta)
+	*idx = nw
+	return ref, ok
 }
 
 // cmpRefs orders refs row-major.

@@ -157,8 +157,8 @@ func TestSetRemove(t *testing.T) {
 		t.Fatalf("row 65 change: deps = %v", deps)
 	}
 	g.Remove(ref(9, 9))
-	if g.Len() != 0 || len(g.stripes) != 0 || len(g.keyStripes) != 0 {
-		t.Fatalf("Remove left %d stripes, %d key stripes behind", len(g.stripes), len(g.keyStripes))
+	if g.Len() != 0 || len(g.stripes) != 0 || len(g.cols) != 0 {
+		t.Fatalf("Remove left %d stripes, %d registry columns behind", len(g.stripes), len(g.cols))
 	}
 	if stripeSet([]sheet.Range{sheet.NewRange(1, 1, 70, 1), {From: ref(3, 3), To: ref(3, 3)}}) != nil {
 		t.Fatal("a single multi-cell range allocated a dedup set")
@@ -233,7 +233,7 @@ func TestShiftDeleteRowsDropsAndClips(t *testing.T) {
 	if len(res.Dropped) != 1 || res.Dropped[0] != ref(6, 1) {
 		t.Fatalf("Dropped = %v", res.Dropped)
 	}
-	if _, ok := g.deps[ref(6, 1)]; ok {
+	if r, _ := g.find(ref(6, 1)); r != nil {
 		t.Fatal("dropped entry still registered")
 	}
 	// (20,1) -> (17,1) with reads clipped to 5..5; (21,1) -> (18,1) with no
@@ -364,8 +364,12 @@ func TestIndexedDependentsMatchScan(t *testing.T) {
 	// Shift and re-check (the regs mirror is rebuilt from the graph).
 	g.Shift(Rows, 2500, 100)
 	regs = regs[:0]
-	for dep := range g.deps {
-		regs = append(regs, reg{dep, g.Precedents(dep)})
+	for _, col := range g.cols {
+		for _, r := range col {
+			for k := range r.n {
+				regs = append(regs, reg{r.at(k), g.Precedents(r.at(k))})
+			}
+		}
 	}
 	for i := 0; i < 50; i++ {
 		r1, c1 := rng.Intn(5200)+1, rng.Intn(40)+1

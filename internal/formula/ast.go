@@ -165,24 +165,59 @@ func (r *RangeNode) Range() sheet.Range {
 // dependency graph and the formula-access statistics of Section II.
 func Refs(e Expr) []sheet.Range {
 	var out []sheet.Range
-	collectRefs(e, &out)
+	for _, r := range Reads(e) {
+		out = append(out, r.Range)
+	}
 	return out
 }
 
-func collectRefs(e Expr, out *[]sheet.Range) {
+// Read is one reference as the dependency graph files it: the range it reads,
+// normalized, and which of its two row bounds are $-absolute, so the range a
+// fill-down member k rows below reads is arithmetic (At), not a moved tree.
+type Read struct {
+	sheet.Range
+	FromAbs, ToAbs bool
+}
+
+// At is the range r reads k rows further down: Refs(MoveDown(e, k)) holds
+// Reads(e)[i].At(k) at position i. Both bounds move unless $-absolute, so a
+// mixed range such as A$5:A1 may swap them.
+func (r Read) At(k int) sheet.Range {
+	f, t := r.From.Row, r.To.Row
+	if !r.FromAbs {
+		f += k
+	}
+	if !r.ToAbs {
+		t += k
+	}
+	return sheet.NewRange(f, r.From.Col, t, r.To.Col)
+}
+
+// Reads is Refs with each range's row anchors.
+func Reads(e Expr) []Read {
+	var out []Read
+	collectReads(e, &out)
+	return out
+}
+
+func collectReads(e Expr, out *[]Read) {
 	switch v := e.(type) {
 	case *RefNode:
-		*out = append(*out, sheet.Range{From: v.Ref, To: v.Ref})
+		*out = append(*out, Read{Range: sheet.Range{From: v.Ref, To: v.Ref}, FromAbs: v.AbsRow, ToAbs: v.AbsRow})
 	case *RangeNode:
-		*out = append(*out, v.Range())
+		from, to := v.From, v.To
+		if from.Ref.Row > to.Ref.Row {
+			from, to = to, from
+		}
+		*out = append(*out, Read{Range: v.Range(), FromAbs: from.AbsRow, ToAbs: to.AbsRow})
 	case *Call:
 		for _, a := range v.Args {
-			collectRefs(a, out)
+			collectReads(a, out)
 		}
 	case *Unary:
-		collectRefs(v.X, out)
+		collectReads(v.X, out)
 	case *Binary:
-		collectRefs(v.L, out)
-		collectRefs(v.R, out)
+		collectReads(v.L, out)
+		collectReads(v.R, out)
 	}
 }

@@ -20,7 +20,26 @@ type Resolver interface {
 
 // Eval evaluates the expression against the resolver. Errors surface as
 // spreadsheet error values, never as Go errors.
-func Eval(e Expr, res Resolver) sheet.Value {
+func Eval(e Expr, res Resolver) sheet.Value { return EvalAt(e, 0, res) }
+
+// EvalAt evaluates e as it reads k rows further down: Eval(MoveDown(e, k)),
+// without building the moved tree, so every member of a fill-down run
+// evaluates through its head.
+func EvalAt(e Expr, k int, res Resolver) sheet.Value { return at{res, k}.eval(e) }
+
+// at is one evaluation: the resolver and the row offset references move by.
+type at struct {
+	Resolver
+	k int
+}
+
+// rng is the range a RangeNode reads at the offset.
+func (res at) rng(r *RangeNode) sheet.Range {
+	f, t := r.From.movedDown(res.k).Ref, r.To.movedDown(res.k).Ref
+	return sheet.NewRange(f.Row, f.Col, t.Row, t.Col)
+}
+
+func (res at) eval(e Expr) sheet.Value {
 	switch v := e.(type) {
 	case *NumberLit:
 		return sheet.Number(v.Val)
@@ -31,7 +50,7 @@ func Eval(e Expr, res Resolver) sheet.Value {
 	case *ErrorLit:
 		return sheet.Errorf(v.Code)
 	case *RefNode:
-		return res.CellValue(v.Ref)
+		return res.CellValue(v.movedDown(res.k).Ref)
 	case *RangeNode:
 		// A bare range in scalar context yields #VALUE!.
 		return sheet.ErrValue
@@ -45,8 +64,8 @@ func Eval(e Expr, res Resolver) sheet.Value {
 	return sheet.ErrValue
 }
 
-func evalUnary(u *Unary, res Resolver) sheet.Value {
-	x := Eval(u.X, res)
+func evalUnary(u *Unary, res at) sheet.Value {
+	x := res.eval(u.X)
 	if x.IsError() {
 		return x
 	}
@@ -65,12 +84,12 @@ func evalUnary(u *Unary, res Resolver) sheet.Value {
 	return sheet.ErrValue
 }
 
-func evalBinary(b *Binary, res Resolver) sheet.Value {
-	l := Eval(b.L, res)
+func evalBinary(b *Binary, res at) sheet.Value {
+	l := res.eval(b.L)
 	if l.IsError() {
 		return l
 	}
-	r := Eval(b.R, res)
+	r := res.eval(b.R)
 	if r.IsError() {
 		return r
 	}
@@ -139,11 +158,11 @@ func evalComparison(op string, l, r sheet.Value) sheet.Value {
 // numeric interpretation (non-numeric strings are skipped, matching
 // spreadsheet aggregate semantics); ranges contribute every filled numeric
 // cell.
-func argNums(args []Expr, res Resolver) ([]float64, sheet.Value) {
+func argNums(args []Expr, res at) ([]float64, sheet.Value) {
 	var out []float64
 	for _, a := range args {
 		if rng, ok := a.(*RangeNode); ok {
-			res.VisitRange(rng.Range(), func(_ sheet.Ref, v sheet.Value) bool {
+			res.VisitRange(res.rng(rng), func(_ sheet.Ref, v sheet.Value) bool {
 				if v.Kind() == sheet.KindNumber {
 					f, _ := v.Num()
 					out = append(out, f)
@@ -152,7 +171,7 @@ func argNums(args []Expr, res Resolver) ([]float64, sheet.Value) {
 			})
 			continue
 		}
-		v := Eval(a, res)
+		v := res.eval(a)
 		if v.IsError() {
 			return nil, v
 		}
@@ -166,7 +185,7 @@ func argNums(args []Expr, res Resolver) ([]float64, sheet.Value) {
 	return out, sheet.Empty
 }
 
-func evalCall(c *Call, res Resolver) sheet.Value {
+func evalCall(c *Call, res at) sheet.Value {
 	switch c.Name {
 	case "SUM", "AVERAGE", "MIN", "MAX", "COUNT", "PRODUCT":
 		nums, errv := argNums(c.Args, res)
@@ -178,7 +197,7 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 		n := 0
 		for _, a := range c.Args {
 			if rng, ok := a.(*RangeNode); ok {
-				res.VisitRange(rng.Range(), func(_ sheet.Ref, v sheet.Value) bool {
+				res.VisitRange(res.rng(rng), func(_ sheet.Ref, v sheet.Value) bool {
 					if !v.IsEmpty() {
 						n++
 					}
@@ -186,7 +205,7 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 				})
 				continue
 			}
-			if !Eval(a, res).IsEmpty() {
+			if !res.eval(a).IsEmpty() {
 				n++
 			}
 		}
@@ -200,18 +219,18 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 			return sheet.ErrValue
 		}
 		filled := 0
-		res.VisitRange(rng.Range(), func(_ sheet.Ref, v sheet.Value) bool {
+		res.VisitRange(res.rng(rng), func(_ sheet.Ref, v sheet.Value) bool {
 			if !v.IsEmpty() {
 				filled++
 			}
 			return true
 		})
-		return sheet.Number(float64(rng.Range().Area() - filled))
+		return sheet.Number(float64(res.rng(rng).Area() - filled))
 	case "IF":
 		if len(c.Args) < 2 || len(c.Args) > 3 {
 			return sheet.ErrValue
 		}
-		cond := Eval(c.Args[0], res)
+		cond := res.eval(c.Args[0])
 		if cond.IsError() {
 			return cond
 		}
@@ -220,21 +239,21 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 			return sheet.ErrValue
 		}
 		if b {
-			return Eval(c.Args[1], res)
+			return res.eval(c.Args[1])
 		}
 		if len(c.Args) == 3 {
-			return Eval(c.Args[2], res)
+			return res.eval(c.Args[2])
 		}
 		return sheet.Bool(false)
 	case "ISBLANK", "ISBLK":
 		if len(c.Args) != 1 {
 			return sheet.ErrValue
 		}
-		return sheet.Bool(Eval(c.Args[0], res).IsEmpty())
+		return sheet.Bool(res.eval(c.Args[0]).IsEmpty())
 	case "AND", "OR":
 		result := c.Name == "AND"
 		for _, a := range c.Args {
-			v := Eval(a, res)
+			v := res.eval(a)
 			if v.IsError() {
 				return v
 			}
@@ -253,7 +272,7 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 		if len(c.Args) != 1 {
 			return sheet.ErrValue
 		}
-		v := Eval(c.Args[0], res)
+		v := res.eval(c.Args[0])
 		if v.IsError() {
 			return v
 		}
@@ -313,7 +332,7 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 	case "CONCATENATE", "CONCAT":
 		var sb strings.Builder
 		for _, a := range c.Args {
-			v := Eval(a, res)
+			v := res.eval(a)
 			if v.IsError() {
 				return v
 			}
@@ -324,12 +343,12 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 		if len(c.Args) != 1 {
 			return sheet.ErrValue
 		}
-		return sheet.Number(float64(len(Eval(c.Args[0], res).Text())))
+		return sheet.Number(float64(len(res.eval(c.Args[0]).Text())))
 	case "UPPER", "LOWER", "TRIM":
 		if len(c.Args) != 1 {
 			return sheet.ErrValue
 		}
-		v := Eval(c.Args[0], res)
+		v := res.eval(c.Args[0])
 		if v.IsError() {
 			return v
 		}
@@ -344,10 +363,10 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 		if len(c.Args) < 1 || len(c.Args) > 2 {
 			return sheet.ErrValue
 		}
-		s := Eval(c.Args[0], res).Text()
+		s := res.eval(c.Args[0]).Text()
 		n := 1
 		if len(c.Args) == 2 {
-			f, ok := Eval(c.Args[1], res).Num()
+			f, ok := res.eval(c.Args[1]).Num()
 			if !ok || f < 0 {
 				return sheet.ErrValue
 			}
@@ -364,9 +383,9 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 		if len(c.Args) != 3 {
 			return sheet.ErrValue
 		}
-		s := Eval(c.Args[0], res).Text()
-		start, ok1 := Eval(c.Args[1], res).Num()
-		count, ok2 := Eval(c.Args[2], res).Num()
+		s := res.eval(c.Args[0]).Text()
+		start, ok1 := res.eval(c.Args[1]).Num()
+		count, ok2 := res.eval(c.Args[2]).Num()
 		if !ok1 || !ok2 || start < 1 || count < 0 {
 			return sheet.ErrValue
 		}
@@ -384,11 +403,11 @@ func evalCall(c *Call, res Resolver) sheet.Value {
 		if len(c.Args) < 2 || len(c.Args) > 3 {
 			return sheet.ErrValue
 		}
-		needle := strings.ToUpper(Eval(c.Args[0], res).Text())
-		hay := strings.ToUpper(Eval(c.Args[1], res).Text())
+		needle := strings.ToUpper(res.eval(c.Args[0]).Text())
+		hay := strings.ToUpper(res.eval(c.Args[1]).Text())
 		start := 1
 		if len(c.Args) == 3 {
-			f, ok := Eval(c.Args[2], res).Num()
+			f, ok := res.eval(c.Args[2]).Num()
 			if !ok || f < 1 {
 				return sheet.ErrValue
 			}
@@ -451,7 +470,7 @@ func aggregate(name string, nums []float64) sheet.Value {
 }
 
 // numeric1 handles single-argument numeric functions.
-func numeric1(c *Call, res Resolver) sheet.Value {
+func numeric1(c *Call, res at) sheet.Value {
 	nums, errv := scalarNums(c.Args, res)
 	if errv.IsError() {
 		return errv
@@ -499,10 +518,10 @@ func numeric1(c *Call, res Resolver) sheet.Value {
 }
 
 // scalarNums evaluates scalar arguments to numbers, propagating errors.
-func scalarNums(args []Expr, res Resolver) ([]float64, sheet.Value) {
+func scalarNums(args []Expr, res at) ([]float64, sheet.Value) {
 	out := make([]float64, 0, len(args))
 	for _, a := range args {
-		v := Eval(a, res)
+		v := res.eval(a)
 		if v.IsError() {
 			return nil, v
 		}
@@ -517,11 +536,11 @@ func scalarNums(args []Expr, res Resolver) ([]float64, sheet.Value) {
 
 // evalVlookup implements VLOOKUP(key, range, colIndex[, exact]) with exact
 // matching (the relational-join workhorse the corpus study highlights).
-func evalVlookup(c *Call, res Resolver) sheet.Value {
+func evalVlookup(c *Call, res at) sheet.Value {
 	if len(c.Args) < 3 || len(c.Args) > 4 {
 		return sheet.ErrValue
 	}
-	key := Eval(c.Args[0], res)
+	key := res.eval(c.Args[0])
 	if key.IsError() {
 		return key
 	}
@@ -529,12 +548,12 @@ func evalVlookup(c *Call, res Resolver) sheet.Value {
 	if !ok {
 		return sheet.ErrValue
 	}
-	colF, ok := Eval(c.Args[2], res).Num()
+	colF, ok := res.eval(c.Args[2]).Num()
 	if !ok || colF < 1 {
 		return sheet.ErrValue
 	}
 	colOffset := int(colF) - 1
-	g := rng.Range()
+	g := res.rng(rng)
 	if colOffset >= g.Cols() {
 		return sheet.ErrRef
 	}
@@ -557,7 +576,7 @@ func evalVlookup(c *Call, res Resolver) sheet.Value {
 
 // evalSumif implements SUMIF(range, criteria[, sumRange]). Criteria may be
 // a value (equality) or a string like ">=10".
-func evalSumif(c *Call, res Resolver) sheet.Value {
+func evalSumif(c *Call, res at) sheet.Value {
 	if len(c.Args) < 2 || len(c.Args) > 3 {
 		return sheet.ErrValue
 	}
@@ -565,27 +584,28 @@ func evalSumif(c *Call, res Resolver) sheet.Value {
 	if !ok {
 		return sheet.ErrValue
 	}
-	crit := Eval(c.Args[1], res)
+	crit := res.eval(c.Args[1])
 	if crit.IsError() {
 		return crit
 	}
-	sumRange := rng.Range()
+	critRange := res.rng(rng)
+	sumRange := critRange
 	if len(c.Args) == 3 {
 		sr, ok := c.Args[2].(*RangeNode)
 		if !ok {
 			return sheet.ErrValue
 		}
-		sumRange = sr.Range()
+		sumRange = res.rng(sr)
 	}
 	match := parseCriteria(crit)
 	total := 0.0
-	res.VisitRange(rng.Range(), func(r sheet.Ref, v sheet.Value) bool {
+	res.VisitRange(critRange, func(r sheet.Ref, v sheet.Value) bool {
 		if !match(v) {
 			return true
 		}
 		target := sheet.Ref{
-			Row: sumRange.From.Row + (r.Row - rng.Range().From.Row),
-			Col: sumRange.From.Col + (r.Col - rng.Range().From.Col),
+			Row: sumRange.From.Row + (r.Row - critRange.From.Row),
+			Col: sumRange.From.Col + (r.Col - critRange.From.Col),
 		}
 		if f, ok := res.CellValue(target).Num(); ok {
 			total += f
@@ -601,7 +621,7 @@ func parseCriteria(crit sheet.Value) func(sheet.Value) bool {
 		if strings.HasPrefix(s, op) {
 			rhs := sheet.ParseLiteral(s[len(op):])
 			return func(v sheet.Value) bool {
-				out := evalComparison(opAlias(op), v, rhs)
+				out := evalComparison(op, v, rhs)
 				b, _ := out.BoolVal()
 				return b
 			}
@@ -609,8 +629,6 @@ func parseCriteria(crit sheet.Value) func(sheet.Value) bool {
 	}
 	return func(v sheet.Value) bool { return valueLooseEqual(v, crit) }
 }
-
-func opAlias(op string) string { return op }
 
 // valueLooseEqual compares with numeric coercion, mirroring spreadsheet
 // lookup semantics.

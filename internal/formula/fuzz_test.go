@@ -1,7 +1,9 @@
 package formula
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +167,16 @@ func TestMultiCountShiftEquivalence(t *testing.T) {
 	}
 }
 
+// fillDownSrcs are the heads the fill-down tests move: relative, $-absolute
+// and mixed rows, ranges whose bounds swap once moved far enough (A$5:A1),
+// #REF!, and formulas reading nothing.
+var fillDownSrcs = []string{
+	"A1", "$A$1", "A$1", "$A1", "SUM(A1:P1)", "SUM($A$1:A1)", "SUM(A$1:$B7)+C3*2",
+	"IF(A5>0,SUM(A5:A10),-B7%)", `A1&"x""y"`, "#REF!+A2", "1+2", "TRUE", "-(A1+B1)^2",
+	"VLOOKUP(A3,$B$1:$D$20,2)", "ROUND(A1/3,2)", "B5:A$1", "SUM(A$5:A1)", "COUNTBLANK(B1:A$9)",
+	"SUMIF(A$3:A1,\">2\",B1:B$3)", "AVERAGE(A1:A$1,$C2)",
+}
+
 // TestMoveDownAgreesWithText: IsMovedDown(a, b, k) must say exactly what
 // comparing MoveDown(a, k)'s text with b's says, on every pair tried — moved
 // by the right offset, by a wrong one, and against a different formula — and
@@ -172,11 +184,7 @@ func TestMultiCountShiftEquivalence(t *testing.T) {
 // stores is its head's text alone).
 func TestMoveDownAgreesWithText(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	srcs := []string{
-		"A1", "$A$1", "A$1", "$A1", "SUM(A1:P1)", "SUM($A$1:A1)", "SUM(A$1:$B7)+C3*2",
-		"IF(A5>0,SUM(A5:A10),-B7%)", `A1&"x""y"`, "#REF!+A2", "1+2", "TRUE", "-(A1+B1)^2",
-		"VLOOKUP(A3,$B$1:$D$20,2)", "ROUND(A1/3,2)", "B5:A$1",
-	}
+	srcs := fillDownSrcs
 	parse := func(src string) Expr {
 		e, err := Parse(src)
 		if err != nil {
@@ -206,4 +214,55 @@ func TestMoveDownAgreesWithText(t *testing.T) {
 			t.Fatalf("IsMovedDown(%q, %q, %d) = %v, the texts say %v", a, b, j, got, want)
 		}
 	}
+}
+
+// TestEvalAtAgreesWithMoveDown: evaluating a head at offset k is evaluating
+// the head moved down k rows, and its reads at k are the moved tree's Refs,
+// on every head of fillDownSrcs over a sheet of numbers, text and blanks.
+func TestEvalAtAgreesWithMoveDown(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := sheet.New("moved")
+	for r := 1; r <= 80; r++ {
+		for c := 1; c <= 16; c++ {
+			switch rng.Intn(6) {
+			case 0: // blank
+			case 1:
+				s.SetValue(r, c, sheet.Str(fmt.Sprint("t", rng.Intn(3))))
+			default:
+				s.SetValue(r, c, sheet.Number(float64(rng.Intn(20)-5)))
+			}
+		}
+	}
+	res := mapResolver{s}
+	for _, src := range fillDownSrcs {
+		head, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		reads := Reads(head)
+		if !slices.Equal(Refs(head), rangesOf(reads)) {
+			t.Fatalf("%q: Refs %v, Reads %v", src, Refs(head), reads)
+		}
+		for k := 0; k < 40; k++ {
+			moved := MoveDown(head, k)
+			if got, want := EvalAt(head, k, res), Eval(moved, res); !got.Equal(want) {
+				t.Fatalf("%q at %d = %v, %q = %v", src, k, got, moved, want)
+			}
+			at := make([]sheet.Range, len(reads))
+			for i, rd := range reads {
+				at[i] = rd.At(k)
+			}
+			if want := Refs(moved); !slices.Equal(at, want) {
+				t.Fatalf("%q at %d reads %v, %q reads %v", src, k, at, moved, want)
+			}
+		}
+	}
+}
+
+func rangesOf(reads []Read) []sheet.Range {
+	var out []sheet.Range
+	for _, r := range reads {
+		out = append(out, r.Range)
+	}
+	return out
 }
