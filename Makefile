@@ -79,11 +79,14 @@ test-faults:
 # damaged or foreign-version structure refused by name), ten seconds of each
 # manifest decoder's, the cell decoder's and the WAL scanner's fuzz target
 # (whose inputs are segments of tens of KB: without -fuzzminimizetime 1x the
-# ten seconds go to minimizing the first interesting one), and two guards: no
-# non-test file of internal/core or internal/model imports encoding/json —
-# both persist in the heap's row codec — and internal/model does not import
-# strconv — a number is stored as a typed datum, never as its decimal text.
-# The format must not drift back by accident.
+# ten seconds go to minimizing the first interesting one), and three guards:
+# no non-test file of internal/core or internal/model imports encoding/json —
+# both persist in the heap's row codec — internal/model does not import
+# strconv — a number is stored as a typed datum, never as its decimal text —
+# and the pager (filepager.go, wal.go) calls no os.OpenFile, os.Remove,
+# os.ReadFile or filepath.Glob: its files go through the fileSystem seam, so
+# an in-memory database and a file-backed one run the same code. The format
+# must not drift back by accident.
 test-format:
 	$(GO) test -run 'Golden|FormatVersion' -v .
 	$(GO) test -run '^$$' -fuzz FuzzFormulaSetDecode -fuzztime 10s ./internal/core/
@@ -95,6 +98,9 @@ test-format:
 	fi
 	@if $(GO) list -f '{{.Imports}}' ./internal/model | grep -w strconv; then \
 		echo "internal/model stores numbers as typed datums: no strconv"; exit 1; \
+	fi
+	@if grep -nE 'os\.(OpenFile|Remove|ReadFile)\b|filepath\.Glob\b' internal/rdbms/filepager.go internal/rdbms/wal.go; then \
+		echo "the pager opens, reads, removes and lists its files through its fileSystem seam (fsys.go)"; exit 1; \
 	fi
 
 # Crash-fuzz soak (~60-90s at the default SOAK_ROUNDS): mixed edits over a

@@ -14,13 +14,13 @@ import (
 	"dataspread/internal/exp"
 )
 
-// -disk reruns every experiment benchmark on the file-backed pager (WAL +
-// checksummed data files in a temp dir) instead of the in-memory simulator,
-// so BENCH_*.json runs can compare the two trajectories:
+// -disk reruns every experiment benchmark with the databases' files (data
+// file + WAL) on disk in a temp dir instead of in memory, so BENCH_*.json
+// runs can compare the two trajectories:
 //
 //	go test -run='^$' -bench=. -disk
 var diskMode = flag.Bool("disk", false,
-	"run experiment benchmarks on the file-backed pager instead of the in-memory simulator")
+	"run experiment benchmarks with the database files on disk instead of in memory")
 
 var diskDir string
 

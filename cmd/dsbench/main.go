@@ -30,9 +30,9 @@ func main() {
 		maxRows   = flag.Int("maxrows", 1_000_000, "row-count ceiling for sweeps")
 		reps      = flag.Int("reps", 20, "repetitions per timed point")
 		seed      = flag.Int64("seed", 2018, "generator seed")
-		disk      = flag.Bool("disk", false, "run on the file-backed pager (WAL + checksummed data files in a temp dir) instead of the in-memory simulator")
+		disk      = flag.Bool("disk", false, "keep the databases' files (data file + WAL) on disk in a temp dir instead of in memory")
 		diskDir   = flag.String("diskdir", "", "directory for -disk database files (default: a temp dir, removed on exit)")
-		ckptPages = flag.Int("checkpoint-pages", 0, "with -disk: auto-checkpoint threshold in dirty pages (0: default 4096, negative: disable)")
+		ckptPages = flag.Int("checkpoint-pages", 0, "auto-checkpoint threshold in dirty pages (0: default 4096, negative: disable)")
 	)
 	flag.Parse()
 

@@ -39,27 +39,28 @@ func main() {
 	checkpointPages := flag.Int("checkpoint-pages", 0, "auto-checkpoint when this many pages are dirty since the last checkpoint (0: default, negative: disable)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate the WAL into a new segment at this size (0: default 4MiB, negative: disable rotation)")
 	walMaxSegs := flag.Int("wal-max-segments", 0, "checkpoint-compact the WAL when more than this many segments are live (0: default 4, negative: disable)")
-	scrubEvery := flag.Duration("scrub-every", 0, "run an online checksum scrub at this interval (0: disabled; needs -db)")
+	scrubEvery := flag.Duration("scrub-every", 0, "run an online checksum scrub at this interval (0: disabled)")
 	scrubRate := flag.Int("scrub-rate", 1024, "scrub read budget in pages/sec (0: unthrottled)")
-	vacuumEvery := flag.Duration("vacuum-every", 0, "defragment the data file at this interval (0: disabled; needs -db)")
-	backupEvery := flag.Duration("backup-every", 0, "take an online backup at this interval (0: disabled; needs -db and -backup-dir)")
+	vacuumEvery := flag.Duration("vacuum-every", 0, "defragment the data file at this interval (0: disabled)")
+	backupEvery := flag.Duration("backup-every", 0, "take an online backup at this interval (0: disabled; needs -backup-dir)")
 	backupDir := flag.String("backup-dir", "", "directory scheduled backups land in, named backup-<generation>.dsb")
 	backupRate := flag.Int("backup-rate", 4096, "backup read budget in pages/sec (0: unthrottled)")
 	archiveDir := flag.String("archive-dir", "", "preserve committed WAL segments here before compaction deletes them (enables point-in-time restore)")
 	flag.Parse()
 
+	opts := rdbms.Options{
+		BufferPoolPages:     *poolPages,
+		AutoCheckpointPages: *checkpointPages,
+		WALSegmentBytes:     *walSegBytes,
+		WALMaxSegments:      *walMaxSegs,
+		ArchiveDir:          *archiveDir,
+	}
 	var db *rdbms.DB
 	var err error
 	if *dbPath != "" {
-		db, err = rdbms.OpenFile(*dbPath, rdbms.Options{
-			BufferPoolPages:     *poolPages,
-			AutoCheckpointPages: *checkpointPages,
-			WALSegmentBytes:     *walSegBytes,
-			WALMaxSegments:      *walMaxSegs,
-			ArchiveDir:          *archiveDir,
-		})
+		db, err = rdbms.OpenFile(*dbPath, opts)
 	} else {
-		db = rdbms.Open(rdbms.Options{BufferPoolPages: *poolPages})
+		db = rdbms.Open(opts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsserver:", err)
@@ -84,26 +85,24 @@ func main() {
 	// wrappers over it. Every pass is best-effort: a failed one is logged
 	// and retried at the next tick, never fatal. Vacuum and backup save
 	// open sheets first so the durable manifest reflects what clients see.
-	if *dbPath != "" {
-		err := db.StartMaintenance(rdbms.MaintenanceOptions{
-			ScrubEvery:  *scrubEvery,
-			ScrubRate:   *scrubRate,
-			VacuumEvery: *vacuumEvery,
-			BackupEvery: *backupEvery,
-			BackupDir:   *backupDir,
-			BackupRate:  *backupRate,
-			Prepare:     srv.SaveSheets,
-			OnResult: func(op string, err error) {
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "dsserver: %s: %v\n", op, err)
-				}
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dsserver:", err)
-			db.Close()
-			os.Exit(1)
-		}
+	err = db.StartMaintenance(rdbms.MaintenanceOptions{
+		ScrubEvery:  *scrubEvery,
+		ScrubRate:   *scrubRate,
+		VacuumEvery: *vacuumEvery,
+		BackupEvery: *backupEvery,
+		BackupDir:   *backupDir,
+		BackupRate:  *backupRate,
+		Prepare:     srv.SaveSheets,
+		OnResult: func(op string, err error) {
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "dsserver: %s: %v\n", op, err)
+			}
+		},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dsserver:", err)
+		db.Close()
+		os.Exit(1)
 	}
 	stopMaint := db.StopMaintenance
 

@@ -48,10 +48,9 @@ func main() {
 	var db *rdbms.DB
 	var eng *core.Engine
 	var err error
+	opts := rdbms.Options{AutoCheckpointPages: *checkpointPages}
 	if *dbPath != "" {
-		db, err = rdbms.OpenFile(*dbPath, rdbms.Options{
-			AutoCheckpointPages: *checkpointPages,
-		})
+		db, err = rdbms.OpenFile(*dbPath, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dsshell:", err)
 			os.Exit(1)
@@ -66,7 +65,7 @@ func main() {
 			eng, err = core.New(db, sheetName, engOpts)
 		}
 	} else {
-		db = rdbms.Open(rdbms.Options{})
+		db = rdbms.Open(opts)
 		eng, err = core.New(db, sheetName, engOpts)
 	}
 	if err != nil {
@@ -219,13 +218,9 @@ func dispatch(sh *shell, line string) error {
 		}
 		var res rdbms.ScrubResult
 		var err error
-		switch {
-		case sh.remote != nil:
+		if sh.remote != nil {
 			res, err = sh.remote.Scrub(rate)
-		case sh.db.Path() == "":
-			fmt.Println("scrub: in-memory database, nothing on disk to verify")
-			return nil
-		default:
+		} else {
 			res, err = sh.db.Scrub(rdbms.PassOptions{PagesPerSecond: rate})
 		}
 		if err != nil {
@@ -240,18 +235,12 @@ func dispatch(sh *shell, line string) error {
 	case ".vacuum":
 		var res rdbms.VacuumResult
 		var err error
-		switch {
-		case sh.remote != nil:
+		if sh.remote != nil {
 			res, err = sh.remote.Vacuum()
-		case sh.db.Path() == "":
-			fmt.Println("vacuum: in-memory database, nothing to defragment")
-			return nil
-		default:
-			// Save first so the durable manifest matches the session state
+		} else if err = eng.Save(); err == nil {
+			// Saved first so the durable manifest matches the session state
 			// and the pass can relocate against a current free list.
-			if err = eng.Save(); err == nil {
-				res, err = sh.db.Vacuum()
-			}
+			res, err = sh.db.Vacuum()
 		}
 		if err != nil {
 			return err
@@ -262,9 +251,6 @@ func dispatch(sh *shell, line string) error {
 	case ".backup":
 		if rest == "" {
 			return fmt.Errorf("usage: .backup <path>")
-		}
-		if sh.remote == nil && sh.db.Path() == "" {
-			return fmt.Errorf("backup: in-memory database, nothing durable to back up")
 		}
 		f, err := os.OpenFile(rest, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
@@ -316,10 +302,6 @@ func dispatch(sh *shell, line string) error {
 				return err
 			}
 			fmt.Println("recovered (server reopened its database; state is the last durable commit)")
-			return nil
-		}
-		if sh.db.Path() == "" {
-			fmt.Println("recover: in-memory database, nothing to recover")
 			return nil
 		}
 		// The engine is rebuilt from the recovered catalog: uncommitted

@@ -139,7 +139,8 @@ func NewFaultSchedule(seed int64, rules ...FaultRule) *FaultSchedule {
 	return rdbms.NewFaultSchedule(seed, rules...)
 }
 
-// OpenDB creates an empty in-memory database.
+// OpenDB creates an empty in-memory database: the pager OpenFileDB uses,
+// over files that live in memory, so nothing survives the process.
 func OpenDB() *DB { return rdbms.Open(rdbms.Options{}) }
 
 // FileDBOption tunes a durable database opened with OpenFileDB.

@@ -40,13 +40,13 @@ type Config struct {
 	// Actions is the user-operation count for the incremental-maintenance
 	// timeline (default 10000, matching Figure 26b).
 	Actions int
-	// DiskDir, when non-empty, switches the harness from the in-memory
-	// simulated disk to file-backed databases (one data file + WAL per
-	// experiment database) created under the directory — the dsbench
-	// -disk mode. CloseDiskDBs releases the files between experiments.
+	// DiskDir, when non-empty, puts each experiment database's files (one
+	// data file + WAL) on disk under the directory instead of in memory —
+	// the dsbench -disk mode; the pager is the same either way.
+	// CloseDiskDBs releases the files between experiments.
 	DiskDir string
-	// AutoCheckpointPages tunes -disk auto-checkpointing (0: default 4096
-	// dirty pages, negative: disable).
+	// AutoCheckpointPages tunes auto-checkpointing (0: default 4096 dirty
+	// pages, negative: disable).
 	AutoCheckpointPages int
 }
 
@@ -86,20 +86,18 @@ var diskDBs struct {
 	open []*rdbms.DB
 }
 
-// openDB opens an experiment database: the in-memory simulator by default,
-// or a fresh file-backed database under DiskDir in -disk mode.
+// openDB opens an experiment database: in memory by default, or a fresh
+// file-backed database under DiskDir in -disk mode.
 func (c Config) openDB(pages int) *rdbms.DB {
+	opts := rdbms.Options{BufferPoolPages: pages, AutoCheckpointPages: c.AutoCheckpointPages}
 	if c.DiskDir == "" {
-		return rdbms.Open(rdbms.Options{BufferPoolPages: pages})
+		return rdbms.Open(opts)
 	}
 	diskDBs.mu.Lock()
 	diskDBs.seq++
 	path := filepath.Join(c.DiskDir, fmt.Sprintf("exp%04d.dsdb", diskDBs.seq))
 	diskDBs.mu.Unlock()
-	db, err := rdbms.OpenFile(path, rdbms.Options{
-		BufferPoolPages:     pages,
-		AutoCheckpointPages: c.AutoCheckpointPages,
-	})
+	db, err := rdbms.OpenFile(path, opts)
 	if err != nil {
 		panic(fmt.Sprintf("exp: open disk database %s: %v", path, err))
 	}

@@ -83,12 +83,9 @@ type BackupResult struct {
 // copies slots in paced batches under the shared pager lock, so foreground
 // traffic is served between batches. One backup may run at a time; Vacuum
 // is refused while one is active (truncation would invalidate slots the
-// walker has not reached). Fails on a poisoned or in-memory database.
+// walker has not reached). Fails on a poisoned database.
 func (db *DB) Backup(w io.Writer, opts PassOptions) (BackupResult, error) {
-	fp := db.filePager()
-	if fp == nil {
-		return BackupResult{}, errors.New("rdbms: backup requires a file-backed database")
-	}
+	fp := db.disk
 	if err := fp.poisonedErr(); err != nil {
 		return BackupResult{}, err
 	}
@@ -377,7 +374,7 @@ func (fp *FilePager) archiveSegmentsLocked() error {
 		seqs = append(seqs, seq)
 	}
 	sort.Ints(seqs)
-	next, err := nextArchiveSeq(fp.opts.archiveDir)
+	next, err := nextArchiveSeq(fp.opts.ArchiveDir)
 	if err != nil {
 		return err
 	}
@@ -386,14 +383,14 @@ func (fp *FilePager) archiveSegmentsLocked() error {
 		if n <= int64(len(walMagic)) {
 			continue // no committed records to preserve
 		}
-		data, err := os.ReadFile(fp.walSegPath(seq))
+		data, err := fp.fs.readFile(fp.walSegPath(seq))
 		if err != nil {
 			return err
 		}
 		if int64(len(data)) < n {
 			return fmt.Errorf("segment %d shorter than its committed extent (%d < %d)", seq, len(data), n)
 		}
-		if err := writeArchiveFile(fp.opts.archiveDir, next, data[:n]); err != nil {
+		if err := writeArchiveFile(fp.opts.ArchiveDir, next, data[:n]); err != nil {
 			return err
 		}
 		next++

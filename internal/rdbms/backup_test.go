@@ -132,6 +132,32 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBackupInMemoryRestoresToFile: an in-memory database backs up like a
+// file-backed one, and the stream restores into a data file that opens with
+// the same rows.
+func TestBackupInMemoryRestoresToFile(t *testing.T) {
+	db := Open(Options{})
+	defer db.Close()
+	tab, _ := db.CreateTable("t", NewSchema(
+		Column{Name: "id", Type: DTInt},
+		Column{Name: "name", Type: DTText},
+	))
+	fillTable(t, tab, 0, 1500)
+	model := scanModel(tab)
+	buf, res := backupToBuf(t, db, PassOptions{})
+	if res.Pages == 0 || res.Gen != db.DurableGen() {
+		t.Fatalf("res = %+v, durable gen %d", res, db.DurableGen())
+	}
+	dir := t.TempDir()
+	dest := filepath.Join(dir, "restored.dsdb")
+	if err := Restore(writeBackupFile(t, dir, buf.Bytes()), dest, RestoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	rdb := mustOpenFile(t, dest)
+	defer rdb.Close()
+	requireModel(t, rdb.Table("t"), model, "restored")
+}
+
 // TestHotBackupConsistentUnderCheckpoints drives writes and checkpoints
 // from the walker's own progress callback — every batch boundary mutates
 // pages on both sides of the cursor and forces them into their slots — and
@@ -334,7 +360,7 @@ func TestPITRRestoreToExactGeneration(t *testing.T) {
 		}
 		s := snap{gen: db.DurableGen(), model: scanModel(tab)}
 		if followed != noPage {
-			fp := db.filePager()
+			fp := db.disk
 			fp.mu.RLock()
 			s.page = append([]byte(nil), fp.shadow[followed].buf[:]...)
 			fp.mu.RUnlock()
@@ -435,7 +461,7 @@ func TestPITRRestoreToExactGeneration(t *testing.T) {
 			t.Fatalf("restored gen = %d, want %d", g, s.gen)
 		}
 		requireModel(t, rdb.Table("t"), s.model, fmt.Sprintf("gen %d", s.gen))
-		p, err := rdb.filePager().readPageFromFile(followed)
+		p, err := rdb.disk.readPageFromFile(followed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func BenchmarkBTreeScan100(b *testing.B) {
 }
 
 func BenchmarkHeapInsert(b *testing.B) {
-	disk := &MemPager{}
+	disk := memFilePager(b)
 	h := newHeapFile(disk, newBufferPool(disk, 1024))
 	row := Row{Int(1), Text("benchmark-row-payload"), Float(3.14)}
 	b.ResetTimer()
@@ -54,7 +54,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 }
 
 func BenchmarkHeapGet(b *testing.B) {
-	disk := &MemPager{}
+	disk := memFilePager(b)
 	h := newHeapFile(disk, newBufferPool(disk, 1024))
 	rids := make([]RID, 10_000)
 	for i := range rids {

@@ -42,31 +42,27 @@ type tableIndex struct {
 // DB is the database: a pager, a buffer pool and a catalog of tables.
 type DB struct {
 	mu     sync.RWMutex
-	disk   Pager
+	disk   *FilePager
 	pool   *BufferPool
 	tables map[string]*Table // lower-cased name
 	// meta is a generic metadata key-value store, persisted with the
 	// catalog manifest. Upper layers use it to store their own manifests
 	// (sheet region maps, engine state) so a whole session round-trips.
-	// On a file-backed database it is a cache: values live out-of-line in
-	// per-key page chains (metaLoc) and are read in on first GetMeta;
-	// commits restage only the chains of dirty keys.
+	// It is a cache: values live out-of-line in per-key page chains
+	// (metaLoc) and are read in on first GetMeta; commits restage only the
+	// chains of dirty keys.
 	meta map[string][]byte
 	// metaDirty marks keys whose cached value diverged from the staged
 	// chain since the last commit; metaDel tombstones keys deleted but not
 	// yet unstaged.
 	metaDirty map[string]bool
 	metaDel   map[string]bool
-	// metaLoc locates each key's staged on-disk value chain (file-backed
-	// databases only).
+	// metaLoc locates each key's staged value chain.
 	metaLoc map[string]metaChainLoc
-	path    string // data file path; "" for in-memory databases
 	// commitGen counts committed WAL batches (FlushWAL/Checkpoint). It is
 	// the database-wide durable generation that snapshot readers pin: a
 	// reader holding generation g observes every batch up to g and nothing
-	// past it. In-memory databases advance it too (each FlushWAL is a
-	// zero-cost commit), so visibility stamps behave identically on both
-	// pagers.
+	// past it.
 	commitGen atomic.Uint64
 	// maint is the engine-side maintenance scheduler (StartMaintenance);
 	// maintMu serializes start/stop against Close.
@@ -81,7 +77,8 @@ type metaChainLoc struct {
 	n     int
 }
 
-// Options configures a DB.
+// Options configures a DB. Every field applies to Open and OpenFile alike;
+// ArchiveDir is a real directory either way.
 type Options struct {
 	// BufferPoolPages caps the buffer pool; 0 means 1024 pages (8 MiB).
 	BufferPoolPages int
@@ -104,9 +101,9 @@ type Options struct {
 	// of 4; negative disables the segment-count trigger.
 	WALMaxSegments int
 	// Faults, when set, injects the schedule's seeded failures into every
-	// data-file and WAL operation of the file-backed pager — the hostile
-	// disk used by fault-injection tests and the soak harness. Nil (the
-	// default) performs real I/O with zero overhead.
+	// data-file and WAL operation of the pager — the hostile disk used by
+	// fault-injection tests and the soak harness. Nil (the default) performs
+	// the I/O with zero overhead.
 	Faults *FaultSchedule
 	// ArchiveDir, when non-empty, preserves the committed prefix of every
 	// WAL segment into this directory before checkpoint compaction deletes
@@ -117,58 +114,48 @@ type Options struct {
 	ArchiveDir string
 }
 
-// Resolved checkpoint and WAL-segment defaults.
+// Resolved buffer-pool, checkpoint and WAL-segment defaults.
 const (
+	defaultBufferPoolPages     = 1024
 	defaultAutoCheckpointPages = 4096
 	defaultWALSegmentBytes     = 4 << 20
 	defaultWALMaxSegments      = 4
 )
 
-func (o Options) filePagerOptions() filePagerOptions {
-	fo := filePagerOptions{
-		autoCheckpointPages: o.AutoCheckpointPages,
-		walSegmentBytes:     o.WALSegmentBytes,
-		walMaxSegments:      o.WALMaxSegments,
-		faults:              o.Faults,
-		archiveDir:          o.ArchiveDir,
+// resolved fills in the defaults of the fields left 0. For the pager's
+// three knobs a negative value means disabled, which resolves to 0.
+func (o Options) resolved() Options {
+	if o.BufferPoolPages == 0 {
+		o.BufferPoolPages = defaultBufferPoolPages
 	}
-	switch {
-	case fo.autoCheckpointPages == 0:
-		fo.autoCheckpointPages = defaultAutoCheckpointPages
-	case fo.autoCheckpointPages < 0:
-		fo.autoCheckpointPages = 0
-	}
-	switch {
-	case fo.walSegmentBytes == 0:
-		fo.walSegmentBytes = defaultWALSegmentBytes
-	case fo.walSegmentBytes < 0:
-		fo.walSegmentBytes = 0
-	}
-	switch {
-	case fo.walMaxSegments == 0:
-		fo.walMaxSegments = defaultWALMaxSegments
-	case fo.walMaxSegments < 0:
-		fo.walMaxSegments = 0
-	}
-	return fo
+	o.AutoCheckpointPages = resolveKnob(o.AutoCheckpointPages, defaultAutoCheckpointPages)
+	o.WALSegmentBytes = resolveKnob(o.WALSegmentBytes, defaultWALSegmentBytes)
+	o.WALMaxSegments = resolveKnob(o.WALMaxSegments, defaultWALMaxSegments)
+	return o
 }
 
-// Open creates an empty in-memory database (the machine-independent
-// simulated disk used by tests and the experiment harness).
+func resolveKnob[T int | int64](v, def T) T {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
+		return 0
+	}
+	return v
+}
+
+// Open creates an empty in-memory database: the pager OpenFile uses — WAL,
+// checksummed page slots, checkpoints, poisoning and recovery — over files
+// in a namespace private to this DB, so nothing survives the process and
+// Path returns "". Every Options field applies; ArchiveDir, backup streams
+// and Restore name real paths. Open panics only when opts.Faults fails the
+// creation of the empty files.
 func Open(opts Options) *DB {
-	if opts.BufferPoolPages == 0 {
-		opts.BufferPoolPages = 1024
+	db, err := open(newMemFS(), "", opts)
+	if err != nil {
+		panic(err)
 	}
-	disk := &MemPager{}
-	return &DB{
-		disk:      disk,
-		pool:      newBufferPool(disk, opts.BufferPoolPages),
-		tables:    make(map[string]*Table),
-		meta:      make(map[string][]byte),
-		metaDirty: make(map[string]bool),
-		metaDel:   make(map[string]bool),
-		metaLoc:   make(map[string]metaChainLoc),
-	}
+	return db
 }
 
 // OpenFile opens (or creates) a durable database backed by the single data
@@ -178,27 +165,23 @@ func Open(opts Options) *DB {
 // released with Close (which checkpoints) — or abandoned with
 // SimulateCrash in recovery tests.
 func OpenFile(path string, opts Options) (*DB, error) {
-	if opts.BufferPoolPages == 0 {
-		opts.BufferPoolPages = 1024
-	}
-	db := &DB{
-		tables:    make(map[string]*Table),
-		meta:      make(map[string][]byte),
-		metaDirty: make(map[string]bool),
-		metaDel:   make(map[string]bool),
-		metaLoc:   make(map[string]metaChainLoc),
-		path:      path,
-	}
+	return open(osFS{}, path, opts)
+}
+
+// open is Open and OpenFile: the database whose data file is path in fs.
+func open(fs fileSystem, path string, opts Options) (*DB, error) {
+	opts = opts.resolved()
+	db := &DB{}
 	// db.mu is the pager's gate: FlushWAL holds it exclusively while
 	// staging and the pager holds it shared while committing, so a commit
 	// never logs a half-staged batch.
-	fp, err := newFilePager(path, opts.filePagerOptions(), &db.mu)
+	fp, err := newFilePager(fs, path, opts, &db.mu)
 	if err != nil {
 		return nil, err
 	}
 	db.disk = fp
 	db.pool = newBufferPool(fp, opts.BufferPoolPages)
-	if err := db.loadCatalog(fp); err != nil {
+	if err := db.loadCatalog(); err != nil {
 		fp.closeFiles()
 		return nil, err
 	}
@@ -209,13 +192,7 @@ func OpenFile(path string, opts Options) (*DB, error) {
 func (db *DB) Pool() *BufferPool { return db.pool }
 
 // Path returns the data file path, or "" for in-memory databases.
-func (db *DB) Path() string { return db.path }
-
-// filePager returns the durable pager, or nil for in-memory databases.
-func (db *DB) filePager() *FilePager {
-	fp, _ := db.disk.(*FilePager)
-	return fp
-}
+func (db *DB) Path() string { return db.disk.path }
 
 // FlushWAL makes the current database state durable in the write-ahead
 // log: changed schema records and metadata values are staged, the catalog
@@ -223,13 +200,8 @@ func (db *DB) filePager() *FilePager {
 // dirty buffer-pool frame is staged, and the batch is committed to the WAL
 // with an fsync (a batch that staged nothing costs neither). The data file
 // itself is untouched — a crash after FlushWAL is recovered by redo on the
-// next OpenFile. No-op for in-memory databases.
+// next OpenFile.
 func (db *DB) FlushWAL() error {
-	fp := db.filePager()
-	if fp == nil {
-		db.commitGen.Add(1)
-		return nil
-	}
 	// Stage under db.mu, but commit outside it: another committer can stage
 	// while this one waits for the commit ahead of it, and that commit then
 	// logs both batches under one fsync (the leader/follower rule, see
@@ -237,13 +209,13 @@ func (db *DB) FlushWAL() error {
 	// never overlap a staging. The epoch read here lets the commit refuse a
 	// batch that a Recover in between discarded.
 	db.mu.Lock()
-	epoch := fp.epoch
-	err := db.stageLocked(fp)
+	epoch := db.disk.epoch
+	err := db.stageLocked(db.disk)
 	db.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := fp.commitWAL(epoch); err != nil {
+	if err := db.disk.commitWAL(epoch); err != nil {
 		return err
 	}
 	db.commitGen.Add(1)
@@ -260,27 +232,15 @@ func (db *DB) CommitGen() uint64 { return db.commitGen.Load() }
 // the data-file header. It is the generation backups pin and point-in-time
 // restore targets. Unlike CommitGen (a process-local visibility counter
 // that restarts from zero), DurableGen survives reopen and is monotone
-// across the store's whole life. Zero for in-memory databases.
-func (db *DB) DurableGen() uint64 {
-	fp := db.filePager()
-	if fp == nil {
-		return 0
-	}
-	return fp.gen.Load()
-}
+// across the store's whole life.
+func (db *DB) DurableGen() uint64 { return db.disk.gen.Load() }
 
 // Checkpoint makes the state durable and writes every modified page into
-// its checksummed data-file slot, then truncates the WAL. No-op for
-// in-memory databases.
+// its checksummed data-file slot, then truncates the WAL.
 func (db *DB) Checkpoint() error {
-	fp := db.filePager()
-	if fp == nil {
-		db.commitGen.Add(1)
-		return nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.commitCheckpointLocked(fp)
+	return db.commitCheckpointLocked(db.disk)
 }
 
 // stageLocked stages everything a commit covers: dirty schema records and
@@ -299,14 +259,20 @@ func (db *DB) stageLocked(fp *FilePager) error {
 	return db.pool.flushDirty()
 }
 
-// loadCatalog rebuilds the catalog from the meta chain of a freshly opened
-// (or reopened) pager; a database that was never flushed has none.
-func (db *DB) loadCatalog(fp *FilePager) error {
-	root, err := fp.readMeta()
+// loadCatalog rebuilds the catalog, from empty, out of the meta chain of a
+// freshly opened (or reopened) pager; a database that was never flushed has
+// none.
+func (db *DB) loadCatalog() error {
+	db.tables = make(map[string]*Table)
+	db.meta = make(map[string][]byte)
+	db.metaDirty = make(map[string]bool)
+	db.metaDel = make(map[string]bool)
+	db.metaLoc = make(map[string]metaChainLoc)
+	root, err := db.disk.readMeta()
 	if err != nil || len(root) == 0 {
 		return err
 	}
-	return db.loadManifest(fp, root)
+	return db.loadManifest(db.disk, root)
 }
 
 // commitCheckpointLocked is the full checkpoint sequence — stage, then
@@ -324,55 +290,33 @@ func (db *DB) commitCheckpointLocked(fp *FilePager) error {
 }
 
 // Close stops background maintenance, checkpoints and releases the file
-// handles. No-op for in-memory databases (beyond stopping maintenance).
+// handles.
 func (db *DB) Close() error {
 	db.StopMaintenance()
-	fp := db.filePager()
-	if fp == nil {
-		return nil
+	err := db.Checkpoint()
+	if cerr := db.disk.closeFiles(); err == nil {
+		err = cerr
 	}
-	if err := db.Checkpoint(); err != nil {
-		fp.closeFiles()
-		return err
-	}
-	return fp.closeFiles()
+	return err
 }
 
 // SimulateCrash drops the file handles without flushing or checkpointing,
 // leaving the data file and WAL exactly as the last FlushWAL/Checkpoint
 // left them — the process-kill scenario for recovery tests. The DB must
 // not be used afterwards.
-func (db *DB) SimulateCrash() error {
-	fp := db.filePager()
-	if fp == nil {
-		return nil
-	}
-	return fp.closeFiles()
-}
+func (db *DB) SimulateCrash() error { return db.disk.closeFiles() }
 
 // Poisoned reports the database's sticky failure state: nil while healthy,
 // otherwise an error unwrapping to ErrPoisoned, ErrReadOnly and the
 // original I/O failure. A poisoned database keeps serving reads but every
 // commit (FlushWAL, Checkpoint, Close) fails until it is reopened — upper
 // layers use this to degrade to read-only instead of retrying a failed
-// fsync. Always nil for in-memory databases.
-func (db *DB) Poisoned() error {
-	fp := db.filePager()
-	if fp == nil {
-		return nil
-	}
-	return fp.poisonedErr()
-}
+// fsync.
+func (db *DB) Poisoned() error { return db.disk.poisonedErr() }
 
 // Faults returns the fault-injection schedule the database was opened with,
 // or nil when none is active.
-func (db *DB) Faults() *FaultSchedule {
-	fp := db.filePager()
-	if fp == nil {
-		return nil
-	}
-	return fp.opts.faults
-}
+func (db *DB) Faults() *FaultSchedule { return db.disk.opts.Faults }
 
 // PutMeta stores an entry in the metadata KV (persisted with the catalog
 // manifest on the next FlushWAL/Checkpoint). A nil value deletes the key.
@@ -470,11 +414,7 @@ func (db *DB) MetaValue(key string) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	fp := db.filePager()
-	if fp == nil {
-		return nil, false, nil
-	}
-	blob, err := fp.readMetaValue(loc.pages, loc.n)
+	blob, err := db.disk.readMetaValue(loc.pages, loc.n)
 	if err != nil {
 		return nil, false, fmt.Errorf("rdbms: meta %q: %w", key, err)
 	}

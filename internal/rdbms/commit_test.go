@@ -123,7 +123,7 @@ func TestCommitRacingRecoverIsNotAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillTable(t, tab, 10, 50)
-	fp := db.filePager()
+	fp := db.disk
 	// FlushWAL's staging half, then a Recover before its commit half.
 	db.mu.Lock()
 	epoch := fp.epoch
@@ -217,10 +217,38 @@ func TestAutoCheckpointBelowThresholdDoesNotFire(t *testing.T) {
 }
 
 // TestFreePageListReuse drops a table and checks that a similarly sized new
-// table reuses its pages instead of growing the data file.
+// table reuses its pages instead of growing the data file, on disk and in
+// memory alike: the pages are reusable from the commit after the drop.
 func TestFreePageListReuse(t *testing.T) {
-	path := tempDBPath(t)
-	db := mustOpenFile(t, path)
+	t.Run("file", func(t *testing.T) {
+		path := tempDBPath(t)
+		db := mustOpenFile(t, path)
+		dropAndRefill(t, db)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2 := mustOpenFile(t, path)
+		defer db2.Close()
+		checkRefilled(t, db2)
+	})
+	t.Run("memory", func(t *testing.T) {
+		db := Open(Options{})
+		defer db.Close()
+		dropAndRefill(t, db)
+		if err := db.FlushWAL(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		checkRefilled(t, db)
+	})
+}
+
+// dropAndRefill fills a table, commits, drops it, commits again and fills a
+// new table of the same size, which must fit in the dropped table's pages.
+func dropAndRefill(t *testing.T, db *DB) {
+	t.Helper()
 	tab, _ := db.CreateTable("big", NewSchema(
 		Column{Name: "v", Type: DTInt}, Column{Name: "pad", Type: DTText},
 	))
@@ -249,15 +277,21 @@ func TestFreePageListReuse(t *testing.T) {
 	if grown := db.disk.pageCount() - pagesBefore; grown > 1 {
 		t.Fatalf("data file grew by %d pages despite free list", grown)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db2 := mustOpenFile(t, path)
-	defer db2.Close()
-	if got := db2.Table("big2").RowCount(); got != 3000 {
+}
+
+// checkRefilled checks, after a reopen, that the table dropAndRefill wrote
+// into reused pages reads back whole.
+func checkRefilled(t *testing.T, db *DB) {
+	t.Helper()
+	if got := db.Table("big2").RowCount(); got != 3000 {
 		t.Fatalf("RowCount after reuse+reopen = %d, want 3000", got)
 	}
-	if err := db2.VerifyChecksums(); err != nil {
+	seen := 0
+	db.Table("big2").Scan(func(RID, Row) bool { seen++; return true })
+	if seen != 3000 {
+		t.Fatalf("scan over reused pages saw %d rows", seen)
+	}
+	if err := db.VerifyChecksums(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -310,28 +344,6 @@ func TestTruncateReclaimsPages(t *testing.T) {
 	n := 0
 	if ok := tab.IndexScan("v", 0, 99, func(RID, Row) bool { n++; return true }); !ok || n != 100 {
 		t.Fatalf("IndexScan after Truncate: ok=%v n=%d", ok, n)
-	}
-}
-
-// TestMemPagerFreeListReuse gives the in-memory simulator the same
-// reclamation behaviour.
-func TestMemPagerFreeListReuse(t *testing.T) {
-	db := Open(Options{})
-	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
-	fillTable(t, tab, 0, 2000)
-	pages := db.disk.pageCount()
-	if err := db.DropTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	tab2, _ := db.CreateTable("u", NewSchema(Column{Name: "v", Type: DTInt}))
-	fillTable(t, tab2, 0, 2000)
-	if grown := db.disk.pageCount() - pages; grown > 1 {
-		t.Fatalf("MemPager grew by %d pages despite free list", grown)
-	}
-	seen := 0
-	tab2.Scan(func(_ RID, r Row) bool { seen++; return true })
-	if seen != 2000 {
-		t.Fatalf("scan over reused pages saw %d rows", seen)
 	}
 }
 

@@ -343,7 +343,7 @@ func TestCrashFuzzCatalogDDL(t *testing.T) {
 			snap[k] = tableState{cols: append([]string(nil), v.cols...), indexed: v.indexed, rows: v.rows}
 		}
 		expect = append(expect, snap)
-		ends = append(ends, db.filePager().walSize)
+		ends = append(ends, db.disk.walSize)
 	}
 	must(db.SimulateCrash())
 

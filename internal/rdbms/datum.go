@@ -5,11 +5,11 @@
 // eviction, B+ tree indexes, and a small SQL engine (SELECT with WHERE / JOIN
 // / GROUP BY / ORDER BY / LIMIT, '?' parameters, basic DML/DDL).
 //
-// A DB sits on a Pager. OpenFile's is durable: checksummed pages in one data
-// file, a write-ahead log of page images fsynced at FlushWAL, replayed on
+// A DB sits on one pager: checksummed pages in one data file, a
+// write-ahead log of page images and deltas fsynced at FlushWAL, replayed on
 // open and folded into the file by Checkpoint, with scrub, vacuum and online
-// backup beside it. Open's keeps pages in memory and only counts I/O, which
-// is all the paper's storage and access experiments measure.
+// backup beside it. OpenFile's files are on disk; Open's live in memory,
+// private to the DB, and nothing survives the process.
 package rdbms
 
 import (

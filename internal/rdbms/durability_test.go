@@ -441,21 +441,36 @@ func TestFileIOStatsCounted(t *testing.T) {
 	}
 }
 
-func TestInMemoryDurabilityOpsAreNoops(t *testing.T) {
+// TestInMemoryDurabilityOps: an in-memory database runs the file pager, so
+// a commit logs and advances the durable generation and a checkpoint writes
+// page slots, as on disk.
+func TestInMemoryDurabilityOps(t *testing.T) {
 	db := Open(Options{})
+	if db.Path() != "" {
+		t.Fatalf("Path = %q", db.Path())
+	}
+	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+	fillTable(t, tab, 0, 100)
+	gen := db.DurableGen()
 	if err := db.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
+	if db.DurableGen() <= gen {
+		t.Fatalf("DurableGen = %d after FlushWAL, was %d", db.DurableGen(), gen)
+	}
+	if st := db.Pool().Stats(); st.WALSyncs == 0 || st.WALAppends == 0 {
+		t.Fatalf("WALSyncs=%d WALAppends=%d after FlushWAL", st.WALSyncs, st.WALAppends)
+	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if st := db.Pool().Stats(); st.Checkpoints == 0 || st.DiskWrites == 0 {
+		t.Fatalf("Checkpoints=%d DiskWrites=%d after Checkpoint", st.Checkpoints, st.DiskWrites)
 	}
 	if err := db.VerifyChecksums(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if db.Path() != "" {
-		t.Fatalf("Path = %q", db.Path())
 	}
 }

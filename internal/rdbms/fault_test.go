@@ -133,6 +133,39 @@ func TestWALFsyncFailurePoisons(t *testing.T) {
 	}
 }
 
+// TestWALFsyncFailurePoisonsInMemory: Options.Faults reaches an in-memory
+// database's files too. A failed WAL fsync poisons it, and Recover heals it
+// back to a committed state.
+func TestWALFsyncFailurePoisonsInMemory(t *testing.T) {
+	fs := NewFaultSchedule(7, FaultRule{File: FaultFileWAL, Op: FaultSync, Kind: FaultIOErr, After: 2})
+	db := Open(Options{Faults: fs})
+	defer db.Close()
+	if db.Faults() != fs {
+		t.Fatal("Faults() does not return the schedule")
+	}
+	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+	fillTable(t, tab, 0, 100)
+	if err := db.FlushWAL(); err != nil {
+		t.Fatalf("first commit (healthy): %v", err)
+	}
+	fillTable(t, tab, 100, 100)
+	if err := db.FlushWAL(); !errors.Is(err, ErrPoisoned) || !errors.Is(err, ErrInjected) {
+		t.Fatalf("second commit = %v, want poisoned/injected", err)
+	}
+	if !errors.Is(db.Poisoned(), ErrPoisoned) {
+		t.Fatalf("Poisoned() = %v after failed fsync", db.Poisoned())
+	}
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Poisoned() != nil {
+		t.Fatalf("Poisoned() = %v after Recover", db.Poisoned())
+	}
+	if got := db.Table("t").RowCount(); got != 100 && got != 200 {
+		t.Fatalf("recovered RowCount = %d, want the committed prefix (100) or the ambiguous batch too (200)", got)
+	}
+}
+
 // TestCheckpointDataFsyncFailure: the data-file fsync inside a checkpoint
 // fails. The pager must poison (no silent retry against the same handles)
 // and, because the WAL was not reset, a reopen recovers everything.
@@ -407,6 +440,101 @@ func TestRecoveryAcrossSegments(t *testing.T) {
 	}
 	if err := db2.VerifyChecksums(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStrayWALSegmentNamesIgnored: a file whose name parses as a segment
+// number but is not the name walSegPath gives (.wal.1, .wal.+1, .wal.00001)
+// is not part of the log. Reopen skips it after a clean close, and beside a
+// real rotated segment a crash left behind, where .wal.1 duplicates
+// .wal.0001.
+func TestStrayWALSegmentNamesIgnored(t *testing.T) {
+	for _, stray := range []string{".wal.1", ".wal.+1", ".wal.00001"} {
+		t.Run(stray, func(t *testing.T) {
+			path := tempDBPath(t)
+			db := mustOpenFile(t, path)
+			tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+			fillTable(t, tab, 0, 100)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path+stray, []byte("not a WAL segment"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db2 := mustOpenFile(t, path)
+			defer db2.Close()
+			if got := db2.Table("t").RowCount(); got != 100 {
+				t.Fatalf("RowCount = %d, want 100", got)
+			}
+		})
+	}
+	t.Run("duplicate", func(t *testing.T) {
+		path := tempDBPath(t)
+		opts := Options{WALSegmentBytes: 1, WALMaxSegments: -1, AutoCheckpointPages: -1}
+		db, err := OpenFile(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+		for i := 0; i < 2; i++ {
+			fillTable(t, tab, i*100, 100)
+			if err := db.FlushWAL(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.SimulateCrash(); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := os.ReadFile(path + ".wal.0001")
+		if err != nil || len(seg) == 0 {
+			t.Fatalf("rotated segment: %d bytes, %v", len(seg), err)
+		}
+		if err := os.WriteFile(path+".wal.1", seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := OpenFile(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db2.Close()
+		if got := db2.Table("t").RowCount(); got != 200 {
+			t.Fatalf("RowCount = %d, want 200", got)
+		}
+	})
+}
+
+// TestSegmentsFoundUnderRelativePath: recovery lists rotated segments by
+// the exact names walSegPath gives, so a data file named by a relative path
+// with a "./" prefix still finds them.
+func TestSegmentsFoundUnderRelativePath(t *testing.T) {
+	t.Chdir(t.TempDir())
+	path := "./rel.dsdb"
+	db, err := OpenFile(path, segmentOptions(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+	commits := 0
+	for db.Pool().Stats().WALRotations < 2 {
+		fillTable(t, tab, commits*40, 40)
+		if err := db.FlushWAL(); err != nil {
+			t.Fatal(err)
+		}
+		commits++
+		if commits > 200 {
+			t.Fatal("rotation never happened")
+		}
+	}
+	if err := db.SimulateCrash(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenFile(path, segmentOptions(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := db2.Table("t").RowCount(); got != commits*40 {
+		t.Fatalf("RowCount = %d, want %d (all %d commits across segments)", got, commits*40, commits)
 	}
 }
 

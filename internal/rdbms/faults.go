@@ -46,9 +46,9 @@ func (e *poisonedError) Unwrap() []error {
 	return []error{ErrPoisoned, ErrReadOnly, e.cause}
 }
 
-// dbFile is the file surface the pager performs I/O through. *os.File
-// satisfies it; faultFile wraps one to inject scheduled faults underneath a
-// real FilePager.
+// dbFile is the file surface the pager performs I/O through. *os.File and
+// memFile satisfy it; faultFile wraps either to inject scheduled faults
+// underneath a real FilePager.
 type dbFile interface {
 	io.ReaderAt
 	io.WriterAt

@@ -13,8 +13,10 @@ import (
 	"sync/atomic"
 )
 
-// FilePager is the durable stable-storage layer: 8 KiB pages persisted to a
-// single data file with per-page checksums, fronted by a write-ahead log.
+// FilePager is the stable-storage layer, the one pager of every database:
+// 8 KiB pages persisted to a single data file with per-page checksums,
+// fronted by a write-ahead log. Its files live in a fileSystem (fsys.go):
+// on disk for OpenFile, in memory for Open.
 //
 // Data file layout (<path>):
 //
@@ -50,10 +52,11 @@ type FilePager struct {
 	// mutation (alloc, write-back, commit, checkpoint, meta) takes it
 	// exclusively.
 	mu   sync.RWMutex
-	path string
-	f    dbFile // data file (possibly fault-wrapped)
-	wal  dbFile // active WAL segment (possibly fault-wrapped)
-	opts filePagerOptions
+	fs   fileSystem
+	path string  // data file name in fs; "" for an in-memory database
+	f    dbFile  // data file (possibly fault-wrapped)
+	wal  dbFile  // active WAL segment (possibly fault-wrapped)
+	opts Options // resolved
 
 	pages int
 	// shadow is the in-memory page overlay: the newest version of every
@@ -168,27 +171,6 @@ type FilePager struct {
 	archiveByteCount                    atomic.Int64
 }
 
-// filePagerOptions carries the durability tuning knobs resolved by OpenFile.
-type filePagerOptions struct {
-	// autoCheckpointPages checkpoints automatically when a commit leaves
-	// the shadow overlay holding at least this many pages (0: disabled).
-	autoCheckpointPages int
-	// walSegmentBytes rotates the WAL into a fresh segment once the
-	// active one reaches this size (0: disabled — single-file WAL).
-	walSegmentBytes int64
-	// walMaxSegments checkpoints automatically when the live segment
-	// count (active + sealed) exceeds it, bounding WAL disk usage
-	// (0: disabled).
-	walMaxSegments int
-	// archiveDir, when non-empty, preserves the committed prefix of every
-	// WAL segment in this directory before checkpoint compaction deletes
-	// it, enabling point-in-time restore on top of a base backup.
-	archiveDir string
-	// faults, when set, injects the schedule's failures into every data
-	// and WAL file operation.
-	faults *FaultSchedule
-}
-
 const (
 	fileMagic = "DSPDB001"
 	// fileVersion is the one data-file format this build reads and writes
@@ -222,18 +204,8 @@ func pageOffset(id PageID) int64 {
 // takes an exclusive advisory lock on it, and runs crash recovery: committed
 // WAL batches are applied to the data file, torn or uncommitted tails
 // discarded. gate is the owning DB's lock (see FilePager.gate).
-func newFilePager(path string, opts filePagerOptions, gate *sync.RWMutex) (*FilePager, error) {
-	fp := &FilePager{
-		path:        path,
-		opts:        opts,
-		gate:        gate,
-		shadow:      make(map[PageID]*page),
-		walDirty:    make(map[PageID]bool),
-		ckptDirty:   make(map[PageID]bool),
-		walBase:     make(map[PageID]*page),
-		quarantined: make(map[PageID]bool),
-		metaHead:    noPage,
-	}
+func newFilePager(fs fileSystem, path string, opts Options, gate *sync.RWMutex) (*FilePager, error) {
+	fp := &FilePager{fs: fs, path: path, opts: opts, gate: gate}
 	if err := fp.openFilesLocked(); err != nil {
 		return nil, err
 	}
@@ -242,35 +214,43 @@ func newFilePager(path string, opts filePagerOptions, gate *sync.RWMutex) (*File
 
 // openFilesLocked opens and locks the data file, opens the WAL, reads (or
 // initializes) the header and runs WAL redo recovery — the whole open
-// sequence. On failure both handles are closed. Shared by newFilePager
-// (no locking needed yet) and reopenLocked (fp.mu held exclusively).
+// sequence, from empty in-memory state. On failure both handles are closed.
+// Shared by newFilePager (no locking needed yet) and reopenLocked (fp.mu
+// held exclusively).
 func (fp *FilePager) openFilesLocked() error {
-	f, err := os.OpenFile(fp.path, os.O_RDWR|os.O_CREATE, 0o644)
+	fp.pages = 0
+	fp.shadow = make(map[PageID]*page)
+	fp.walDirty = make(map[PageID]bool)
+	fp.ckptDirty = make(map[PageID]bool)
+	fp.walBase = make(map[PageID]*page)
+	fp.quarantined = make(map[PageID]bool)
+	fp.freeList = nil
+	fp.pendingFree = nil
+	fp.metaHead = noPage
+	fp.metaLen = 0
+	fp.metaPages = nil
+	fp.walSize = 0
+	fp.walSeq = 0
+	fp.sealed = nil
+	fp.recoveredExtents = nil
+	f, size, err := fp.fs.openData(fp.path)
 	if err != nil {
 		return fmt.Errorf("rdbms: open data file: %w", err)
 	}
-	if err := lockFile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("rdbms: database %s is locked by another process: %w", fp.path, err)
-	}
-	wal, err := os.OpenFile(fp.path+".wal", os.O_RDWR|os.O_CREATE, 0o644)
+	wal, err := fp.fs.openLog(fp.walSegPath(0), false)
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("rdbms: open WAL: %w", err)
 	}
-	fp.f = wrapFaultFile(f, FaultFileData, fp.opts.faults)
-	fp.wal = wrapFaultFile(wal, FaultFileWAL, fp.opts.faults)
+	fp.f = wrapFaultFile(f, FaultFileData, fp.opts.Faults)
+	fp.wal = wrapFaultFile(wal, FaultFileWAL, fp.opts.Faults)
 	fail := func(err error) error {
 		fp.f.Close()
 		fp.wal.Close()
 		return err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return fail(err)
-	}
 	var hdrErr error
-	if st.Size() == 0 {
+	if size == 0 {
 		if err := fp.writeHeader(); err != nil {
 			return fail(err)
 		}
@@ -310,21 +290,6 @@ func (fp *FilePager) reopenLocked() error {
 	fp.wal.Close()
 	fp.closed = true
 	fp.epoch++
-	fp.pages = 0
-	fp.shadow = make(map[PageID]*page)
-	fp.walDirty = make(map[PageID]bool)
-	fp.ckptDirty = make(map[PageID]bool)
-	fp.walBase = make(map[PageID]*page)
-	fp.quarantined = make(map[PageID]bool)
-	fp.freeList = nil
-	fp.pendingFree = nil
-	fp.metaHead = noPage
-	fp.metaLen = 0
-	fp.metaPages = nil
-	fp.walSize = 0
-	fp.walSeq = 0
-	fp.sealed = nil
-	fp.recoveredExtents = nil
 	if fp.backupActive && fp.backupErr == nil {
 		// The slots an in-flight backup still has to stream are about to be
 		// rewritten by recovery; the walk cannot land on one generation any
@@ -439,7 +404,7 @@ func writeSlot(w io.WriterAt, id PageID, img []byte) error {
 	return nil
 }
 
-// alloc implements Pager.
+// alloc reserves a zeroed page, reusing a freed one before the file grows.
 func (fp *FilePager) alloc() PageID {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -502,7 +467,8 @@ func (fp *FilePager) loggedCleanLocked(id PageID) bool {
 	return fp.ckptDirty[id] && !fp.walDirty[id]
 }
 
-// free implements Pager: the pages are queued for reclamation. They are not
+// free queues the pages of a dropped or truncated heap for reclamation
+// (callers first discard their buffer-pool frames). They are not
 // reusable yet — the last staged manifest may still list them, so their
 // shadow/WAL images stay intact until the next manifest staging promotes
 // them to the free list (at which point the manifest and the image set
@@ -562,8 +528,8 @@ func (fp *FilePager) setFreePages(ids []PageID) {
 	fp.freeList = ids
 }
 
-// fetch implements Pager: the shadow overlay wins over the data file. The
-// caller receives a copy, never the shadow page itself: buffer-pool frames
+// fetch returns the newest image of a page, or (nil, nil) for an unknown
+// id: the shadow overlay wins over the data file. The caller receives a copy, never the shadow page itself: buffer-pool frames
 // are mutated in place by writers, and the shadow must stay a stable
 // snapshot of *staged* state for the (possibly concurrent) WAL commit to
 // read. Write-backs copy in the other direction. Holding mu shared lets
@@ -582,8 +548,8 @@ func (fp *FilePager) fetch(id PageID) (*page, error) {
 	return fp.readPageFromFile(id)
 }
 
-// writeBack implements Pager: a copy of the page joins the shadow overlay
-// and is staged for the next WAL commit. No file I/O happens here.
+// writeBack stages a buffer-pool frame: a copy joins the shadow overlay and
+// is staged for the next WAL commit. No file I/O happens here.
 func (fp *FilePager) writeBack(id PageID, p *page) error {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -593,7 +559,7 @@ func (fp *FilePager) writeBack(id PageID, p *page) error {
 	return nil
 }
 
-// pageCount implements Pager.
+// pageCount returns the number of allocated pages.
 func (fp *FilePager) pageCount() int {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
@@ -693,7 +659,7 @@ func (fp *FilePager) checkpointLocked() error {
 // particular order. The bound reuses the auto-checkpoint threshold so the
 // overlay never holds more than about twice the checkpoint working set.
 func (fp *FilePager) trimShadowLocked() {
-	bound := fp.opts.autoCheckpointPages
+	bound := fp.opts.AutoCheckpointPages
 	if bound <= 0 {
 		bound = defaultAutoCheckpointPages
 	}

@@ -31,7 +31,7 @@ const maxInline = PageSize - pageHeaderSize - slotSize - TupleHeaderSize
 // heapFile is an unordered collection of tuples across pages, the physical
 // body of one table.
 type heapFile struct {
-	disk  Pager
+	disk  *FilePager
 	pool  *BufferPool
 	pages []PageID // pages owned by this heap, in allocation order
 	// freeHint is the index into pages from which to try inserting.
@@ -69,7 +69,7 @@ func (h *heapFile) noteFree(id PageID, p *page) int {
 	return i
 }
 
-func newHeapFile(disk Pager, pool *BufferPool) *heapFile {
+func newHeapFile(disk *FilePager, pool *BufferPool) *heapFile {
 	return &heapFile{disk: disk, pool: pool}
 }
 
@@ -94,8 +94,8 @@ func (h *heapFile) insertRaw(payload []byte) (RID, error) {
 		id := h.pages[i]
 		p := h.pool.fetch(id)
 		if p == nil {
-			// Unreadable page (e.g. checksum mismatch on a file-backed
-			// pager; the error is retained in pool.Err()): skip it rather
+			// Unreadable page (e.g. a checksum mismatch; the error is
+			// retained in pool.Err()): skip it rather
 			// than crash — the insert lands on a later or fresh page.
 			continue
 		}

@@ -32,7 +32,7 @@ func TestPagerCountersFillAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	fp := db.filePager()
+	fp := db.disk
 	for i, c := range fp.counters(&IOStats{}) {
 		c.ctr.Store(int64(i + 1))
 	}

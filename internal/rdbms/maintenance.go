@@ -33,12 +33,9 @@ import (
 // since the reopen discarded that batch, and is never acked. Concurrent
 // reads may observe the pre-recovery state until Recover returns. Recover
 // on a healthy database is permitted and simply reverts it to its last
-// committed state. No-op for in-memory databases.
+// committed state.
 func (db *DB) Recover() error {
-	fp := db.filePager()
-	if fp == nil {
-		return nil
-	}
+	fp := db.disk
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	fp.mu.Lock()
@@ -51,12 +48,7 @@ func (db *DB) Recover() error {
 	// catalog structures may reference staged pages that the reopen just
 	// discarded.
 	db.pool.reset()
-	db.tables = make(map[string]*Table)
-	db.meta = make(map[string][]byte)
-	db.metaDirty = make(map[string]bool)
-	db.metaDel = make(map[string]bool)
-	db.metaLoc = make(map[string]metaChainLoc)
-	if err := db.loadCatalog(fp); err != nil {
+	if err := db.loadCatalog(); err != nil {
 		return fmt.Errorf("rdbms: recover: %w", err)
 	}
 	// Page verification gates the poison clear: a store that recovered its
@@ -179,12 +171,9 @@ func (fp *FilePager) verifySlotsLocked(lo, hi int, check func(PageID, error) err
 
 // VerifyChecksums reads every page slot in the data file that should hold a
 // current image and validates its checksum, returning the first corruption
-// found. Nil for in-memory databases.
+// found.
 func (db *DB) VerifyChecksums() error {
-	fp := db.filePager()
-	if fp == nil {
-		return nil
-	}
+	fp := db.disk
 	return fp.walkSlots(PassOptions{}, fp.pageCount(), func(lo, hi int) error {
 		_, err := fp.verifySlotsLocked(lo, hi, func(_ PageID, err error) error { return err })
 		return err
@@ -207,13 +196,10 @@ type ScrubResult struct {
 // keep failing with ErrChecksum, marking that region degraded, but the
 // store as a whole is not poisoned and writes continue. Progress and
 // findings surface through IOStats (ScrubRuns/ScrubPages/ScrubRepaired/
-// ScrubBad/QuarantinedPages). No-op for in-memory databases.
+// ScrubBad/QuarantinedPages).
 func (db *DB) Scrub(opts PassOptions) (ScrubResult, error) {
 	var res ScrubResult
-	fp := db.filePager()
-	if fp == nil {
-		return res, nil
-	}
+	fp := db.disk
 	var bad []PageID
 	err := fp.walkSlots(opts, fp.pageCount(), func(lo, hi int) error {
 		bad = bad[:0]
@@ -311,12 +297,9 @@ type VacuumResult struct {
 // truncate, and a crash at any point leaves either the old or the new state
 // (at worst a longer-than-needed file, which the next Vacuum trims).
 // Vacuum takes the database exclusively for the duration of the pass.
-// No-op for in-memory databases; fails on a poisoned database.
+// Fails on a poisoned database.
 func (db *DB) Vacuum() (VacuumResult, error) {
-	fp := db.filePager()
-	if fp == nil {
-		return VacuumResult{}, nil
-	}
+	fp := db.disk
 	if err := fp.poisonedErr(); err != nil {
 		return VacuumResult{}, err
 	}

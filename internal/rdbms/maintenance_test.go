@@ -80,7 +80,7 @@ func walkStore(t *testing.T) (*DB, *slotRecorder, PageID) {
 	if err := db.DropTable("pending"); err != nil {
 		t.Fatal(err)
 	}
-	fp := db.filePager()
+	fp := db.disk
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	if len(fp.freeList) == 0 || len(fp.pendingFree) == 0 || len(fp.ckptDirty) == 0 {
@@ -128,7 +128,7 @@ func TestScrubBackupVerifyShareOneWalk(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db, rec, corrupt := walkStore(t)
-			fp := db.filePager()
+			fp := db.disk
 			fp.mu.RLock()
 			skip := fp.unverifiableLocked()
 			fp.mu.RUnlock()
@@ -464,7 +464,7 @@ func TestVacuumTruncatesAfterDrop(t *testing.T) {
 // root chain or a metadata value chain.
 func accountPages(t *testing.T, db *DB) {
 	t.Helper()
-	fp := db.filePager()
+	fp := db.disk
 	owner := make(map[PageID]string)
 	claim := func(who string, ids []PageID) {
 		for _, id := range ids {
@@ -517,7 +517,7 @@ func TestVacuumReclaimsShrunkCatalog(t *testing.T) {
 	if err := db.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(db.filePager().metaPages); n < 3 {
+	if n := len(db.disk.metaPages); n < 3 {
 		t.Fatalf("catalog root spans %d pages, want several", n)
 	}
 	for i := 0; i < 40; i++ {
@@ -531,7 +531,7 @@ func TestVacuumReclaimsShrunkCatalog(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(db.filePager().metaPages); n != 1 {
+	if n := len(db.disk.metaPages); n != 1 {
 		t.Fatalf("catalog root still spans %d pages", n)
 	}
 	if err := db.Close(); err != nil {
@@ -599,7 +599,7 @@ func TestVacuumRelocatesRootChain(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	fp := db.filePager()
+	fp := db.disk
 	chain := append([]PageID(nil), fp.metaPages...)
 	last := len(chain) - 1
 	if last < 2 || int(chain[last]) != fp.pages-1 {
@@ -775,16 +775,60 @@ func TestRecoverKeepsPoisonWhenFaultPersists(t *testing.T) {
 	}
 }
 
-func TestRecoverInMemoryNoop(t *testing.T) {
+// TestRecoverInMemory: Recover reopens an in-memory database's files, so it
+// keeps what was committed and drops what was not, as on disk.
+func TestRecoverInMemory(t *testing.T) {
 	db := Open(Options{})
 	defer db.Close()
+	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+	fillTable(t, tab, 0, 1)
+	if err := db.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+	fillTable(t, tab, 1, 1)
 	if err := db.Recover(); err != nil {
 		t.Fatal(err)
+	}
+	var got []int64
+	db.Table("t").Scan(func(_ RID, r Row) bool { got = append(got, r[0].Int64()); return true })
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("rows after Recover = %v, want the committed [0]", got)
 	}
 	if _, err := db.Scrub(PassOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Vacuum(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScrubFindsInMemoryCorruption flips a bit in a checkpointed slot of an
+// in-memory database's data file: VerifyChecksums reports it, and Scrub
+// finds it and repairs it from the clean image it retains.
+func TestScrubFindsInMemoryCorruption(t *testing.T) {
+	db := Open(Options{})
+	defer db.Close()
+	tab, _ := db.CreateTable("t", NewSchema(Column{Name: "v", Type: DTInt}))
+	rids := fillTable(t, tab, 0, 500)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	id := rids[0].Page
+	file := db.disk.fs.(*memFS).files[db.Path()]
+	(*file)[pageOffset(id)+8+100] ^= 0x10
+	if err := db.VerifyChecksums(); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("VerifyChecksums = %v, want ErrChecksum", err)
+	}
+	res, err := db.Scrub(PassOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Repaired)+len(res.Bad) != 1 || !slices.Contains(append(res.Repaired, res.Bad...), id) {
+		t.Fatalf("scrub = %+v, want page %d found", res, id)
+	}
+	if len(res.Repaired) == 1 {
+		if err := db.VerifyChecksums(); err != nil {
+			t.Fatalf("after repair: %v", err)
+		}
 	}
 }

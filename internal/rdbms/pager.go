@@ -9,16 +9,15 @@ import (
 // IOStats counts I/O through the buffer pool. The paper's access experiments
 // report wall-clock time on PostgreSQL; our substrate exposes both time and
 // these logical I/O counters so benches can report a machine-independent
-// signal alongside timings. With a file-backed pager the Disk*/WAL* fields
-// additionally count real file I/O.
+// signal alongside timings. The Disk*/WAL* fields count the pager's file
+// I/O, on an in-memory database's files as on disk.
 type IOStats struct {
 	Writes int64 // page write-backs (evictions and flushes of dirty pages)
 	// Read-path counters (the scrolling workload's hot signal).
 	PoolHits   int64 // fetches served from a resident frame
 	PoolMisses int64 // fetches that had to go to the pager
 	PagesRead  int64 // pages actually loaded from the pager into the pool
-	// Real file I/O, populated only by the file-backed pager (zero in the
-	// in-memory simulator).
+	// File I/O of the pager.
 	DiskReads   int64 // page reads from the data file
 	DiskWrites  int64 // page writes to the data file (checkpoint, recovery)
 	WALAppends  int64 // page records (images and deltas) appended to the write-ahead log
@@ -90,87 +89,9 @@ func (s *IOStats) Counters() []*int64 {
 	}
 }
 
-// Pager is the stable-storage layer beneath the buffer pool: a growable
-// array of 8 KiB pages. Two implementations exist: MemPager, the original
-// in-memory simulated disk (machine-independent logical I/O for the paper's
-// experiments), and FilePager, a durable single-file store with per-page
-// checksums and a write-ahead log. Both are safe for concurrent fetches;
-// mutations (alloc, free, write-back) remain single-writer per table, as
-// documented on Table.
-type Pager interface {
-	// alloc reserves a zero-initialized page and returns its id, reusing a
-	// freed page when the free list is non-empty.
-	alloc() PageID
-	// fetch returns the page, or (nil, nil) when the id is unknown. The
-	// in-memory pager returns its live page object; the file pager returns
-	// the newest version (pending write-back or read from the data file).
-	// fetch may be called from concurrent readers.
-	fetch(id PageID) (*page, error)
-	// writeBack persists the modified frame contents. The in-memory pager
-	// aliases frames, so this is a no-op; the file pager stages the page
-	// for the next WAL commit.
-	writeBack(id PageID, p *page) error
-	// pageCount returns the number of allocated pages.
-	pageCount() int
-	// free returns pages to the allocator for reuse (dropped or truncated
-	// heaps). Callers must first discard any buffer-pool frames for them.
-	free(ids []PageID)
-}
-
-// MemPager is the in-memory simulated disk: pages live on the Go heap,
-// nothing survives process exit. It remains the default so tests and the
-// experiment harness keep their machine-independent logical-I/O mode.
-type MemPager struct {
-	mu       sync.RWMutex
-	pages    []*page
-	freeList []PageID
-}
-
-func (d *MemPager) alloc() PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n := len(d.freeList); n > 0 {
-		id := d.freeList[n-1]
-		d.freeList = d.freeList[:n-1]
-		p := d.pages[id]
-		*p = page{}
-		p.init()
-		return id
-	}
-	p := &page{}
-	p.init()
-	d.pages = append(d.pages, p)
-	return PageID(len(d.pages) - 1)
-}
-
-func (d *MemPager) fetch(id PageID) (*page, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(id) >= len(d.pages) {
-		return nil, nil
-	}
-	return d.pages[id], nil
-}
-
-// writeBack is a no-op: buffer-pool frames alias the stored pages.
-func (d *MemPager) writeBack(PageID, *page) error { return nil }
-
-func (d *MemPager) pageCount() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.pages)
-}
-
-func (d *MemPager) free(ids []PageID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.freeList = append(d.freeList, ids...)
-}
-
-// BufferPool caches page frames. With the in-memory pager frames alias the
-// pager's pages, so "eviction" only drops the cache entry and counts a write
-// when the frame was dirtied; with the file-backed pager the eviction
-// write-back is what stages dirty pages for the WAL.
+// BufferPool caches page frames over the pager. A frame is the pool's own
+// copy of a page: the eviction or flush of a dirty frame writes it back,
+// which is what stages the page for the next WAL commit.
 //
 // Concurrency: fetches from resident frames take only a read lock and flip a
 // per-frame reference bit, so concurrent range scans do not serialize on the
@@ -184,7 +105,7 @@ func (d *MemPager) free(ids []PageID) {
 type BufferPool struct {
 	mu       sync.RWMutex
 	capacity int
-	disk     Pager
+	disk     *FilePager
 	frames   map[PageID]*list.Element // -> *frame
 	lru      *list.List
 
@@ -207,7 +128,7 @@ type frame struct {
 }
 
 // newBufferPool creates a pool caching up to capacity pages.
-func newBufferPool(disk Pager, capacity int) *BufferPool {
+func newBufferPool(disk *FilePager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -386,7 +307,7 @@ func (b *BufferPool) setErr(err error) {
 }
 
 // Err returns the first fetch or write-back failure (nil when none).
-// Checksum mismatches on the file-backed pager surface here.
+// Checksum mismatches surface here.
 func (b *BufferPool) Err() error {
 	b.errMu.Lock()
 	defer b.errMu.Unlock()
@@ -401,9 +322,7 @@ func (b *BufferPool) Stats() IOStats {
 		PoolMisses: b.misses.Load(),
 		PagesRead:  b.pagesRead.Load(),
 	}
-	if fp, ok := b.disk.(*FilePager); ok {
-		fp.fillIOStats(&s)
-	}
+	b.disk.fillIOStats(&s)
 	return s
 }
 
@@ -413,7 +332,5 @@ func (b *BufferPool) ResetStats() {
 	b.misses.Store(0)
 	b.pagesRead.Store(0)
 	b.writes.Store(0)
-	if fp, ok := b.disk.(*FilePager); ok {
-		fp.resetIOCounters()
-	}
+	b.disk.resetIOCounters()
 }

@@ -298,7 +298,7 @@ func concurrentReadWorkload(t *testing.T, db *DB, poolPages int) {
 	_ = poolPages
 }
 
-func TestConcurrentReadersMemPager(t *testing.T) {
+func TestConcurrentReadersInMemory(t *testing.T) {
 	// A small pool forces concurrent evictions and reloads.
 	db := Open(Options{BufferPoolPages: 8})
 	concurrentReadWorkload(t, db, 8)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -149,8 +150,18 @@ func TestPageReplace(t *testing.T) {
 	}
 }
 
+// memFilePager is a pager over a fresh in-memory file system, for tests
+// that drive a heap or the buffer pool without a DB.
+func memFilePager(tb testing.TB) *FilePager {
+	fp, err := newFilePager(newMemFS(), "", Options{}.resolved(), new(sync.RWMutex))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fp
+}
+
 func TestHeapInsertGetDelete(t *testing.T) {
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 16))
 	var rids []RID
 	for i := 0; i < 1000; i++ {
@@ -183,7 +194,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 }
 
 func TestHeapUpdateMoves(t *testing.T) {
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 16))
 	rid, err := h.insert(Row{Text("short")})
 	if err != nil {
@@ -216,7 +227,7 @@ func TestHeapUpdateMoves(t *testing.T) {
 // room for it keeps its page and its slot — no RID change for the positional
 // map to chase, no slot-directory entry leaked per move.
 func TestHeapGrownTupleKeepsSlot(t *testing.T) {
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 16))
 	var rids []RID
 	for i := 0; i < 20; i++ {
@@ -255,7 +266,7 @@ func TestHeapGrownTupleKeepsSlot(t *testing.T) {
 // full heap leaves it without fetching the pages in between to learn that
 // they are full too — the heap remembers.
 func TestHeapRelocationReadsNoFullPages(t *testing.T) {
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 64))
 	filler := Text(strings.Repeat("x", 900))
 	var first RID
@@ -302,7 +313,7 @@ func TestHeapRelocationReadsNoFullPages(t *testing.T) {
 }
 
 func TestHeapScanOrderAndReuse(t *testing.T) {
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 4))
 	// Fill several pages, delete everything on the first page, insert again:
 	// the freed space must be reused.
@@ -331,7 +342,7 @@ func TestHeapScanOrderAndReuse(t *testing.T) {
 }
 
 func TestHeapOversizedTupleChunks(t *testing.T) {
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 64))
 	big := strings.Repeat("x", 3*PageSize) // spans ~4 chunks
 	small := "small"
@@ -389,7 +400,7 @@ func TestHeapOversizedTupleChunks(t *testing.T) {
 
 func TestHeapChunkedRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 64))
 	model := make(map[RID]string)
 	payload := func() string {
@@ -449,7 +460,7 @@ func TestHeapChunkedRandomized(t *testing.T) {
 }
 
 func TestBufferPoolLRU(t *testing.T) {
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	pool := newBufferPool(disk, 2)
 	a, b, c := disk.alloc(), disk.alloc(), disk.alloc()
 	pool.fetch(a)
@@ -474,7 +485,7 @@ func TestBufferPoolLRU(t *testing.T) {
 
 func TestHeapRandomizedAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	disk := &MemPager{}
+	disk := memFilePager(t)
 	h := newHeapFile(disk, newBufferPool(disk, 8))
 	model := make(map[RID]int64)
 	for op := 0; op < 5000; op++ {

@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 )
@@ -92,10 +90,10 @@ func (fp *FilePager) commitWAL(epoch uint64) error {
 	if err := fp.commitWALLocked(); err != nil {
 		return err
 	}
-	if fp.opts.autoCheckpointPages > 0 && len(fp.ckptDirty) >= fp.opts.autoCheckpointPages {
+	if fp.opts.AutoCheckpointPages > 0 && len(fp.ckptDirty) >= fp.opts.AutoCheckpointPages {
 		return fp.checkpointLocked()
 	}
-	if fp.opts.walMaxSegments > 0 && len(fp.sealed)+1 > fp.opts.walMaxSegments {
+	if fp.opts.WALMaxSegments > 0 && len(fp.sealed)+1 > fp.opts.WALMaxSegments {
 		// Too many live segments: checkpoint to compact the log. The
 		// caller's batch is already durable; a checkpoint failure here
 		// poisons the pager but is reported to this (conservative) caller.
@@ -173,7 +171,7 @@ func (fp *FilePager) commitWALLocked() error {
 	fp.gen.Store(gen)
 	fp.walDirty = make(map[PageID]bool)
 	fp.walBase = make(map[PageID]*page)
-	if fp.opts.walSegmentBytes > 0 && fp.walSize >= fp.opts.walSegmentBytes {
+	if fp.opts.WALSegmentBytes > 0 && fp.walSize >= fp.opts.WALSegmentBytes {
 		if err := fp.rotateWALLocked(); err != nil {
 			// The batch just committed is durable; only the rotation
 			// failed. Poison quietly so later commits refuse, but report
@@ -251,11 +249,11 @@ func (fp *FilePager) rotateWALLocked() error {
 	}
 	fp.sealed = append(fp.sealed, walSegment{seq: fp.walSeq, size: fp.walSize})
 	fp.walSeq++
-	raw, err := os.OpenFile(fp.walSegPath(fp.walSeq), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	raw, err := fp.fs.openLog(fp.walSegPath(fp.walSeq), true)
 	if err != nil {
 		return err
 	}
-	fp.wal = wrapFaultFile(raw, FaultFileWAL, fp.opts.faults)
+	fp.wal = wrapFaultFile(raw, FaultFileWAL, fp.opts.Faults)
 	fp.walSize = 0
 	fp.walRotations.Add(1)
 	return nil
@@ -271,20 +269,22 @@ func (fp *FilePager) walSegPath(seq int) string {
 	return fmt.Sprintf("%s.wal.%04d", fp.path, seq)
 }
 
-// listWALSegments finds the numbered segment files on disk, sorted
-// ascending. Segment 0 (<path>.wal) is not listed; it always exists once
-// the pager is open.
+// listWALSegments finds the numbered segment files, sorted ascending.
+// Segment 0 (<path>.wal) is not listed; it always exists once the pager is
+// open. A name is ours only when walSegPath gives it: <path>.wal.1,
+// .wal.+1 and .wal.00001 parse as segment 1 too, but are some other file
+// (an editor's backup, a stray copy), and recovery reads .wal.0001.
 func (fp *FilePager) listWALSegments() ([]int, error) {
-	matches, err := filepath.Glob(fp.path + ".wal.*")
+	prefix := fp.path + ".wal."
+	names, err := fp.fs.list(prefix)
 	if err != nil {
 		return nil, err
 	}
-	prefix := fp.path + ".wal."
 	var out []int
-	for _, m := range matches {
-		n, err := strconv.Atoi(m[len(prefix):])
-		if err != nil || n <= 0 {
-			continue // not one of ours (e.g. editor backup files)
+	for _, name := range names {
+		n, err := strconv.Atoi(name[len(prefix):])
+		if err != nil || n <= 0 || name != fp.walSegPath(n) {
+			continue
 		}
 		out = append(out, n)
 	}
@@ -313,7 +313,7 @@ func (fp *FilePager) walDiskBytes() int64 {
 // every page with a record in the log has such a slot — see ckptDirty);
 // replaying a prefix would regress it.
 func (fp *FilePager) resetWAL() error {
-	if fp.opts.archiveDir != "" {
+	if fp.opts.ArchiveDir != "" {
 		if err := fp.archiveSegmentsLocked(); err != nil {
 			return fmt.Errorf("archive: %w", err)
 		}
@@ -323,11 +323,11 @@ func (fp *FilePager) resetWAL() error {
 		if err := fp.wal.Close(); err != nil {
 			return err
 		}
-		raw, err := os.OpenFile(fp.walSegPath(0), os.O_RDWR|os.O_CREATE, 0o644)
+		raw, err := fp.fs.openLog(fp.walSegPath(0), false)
 		if err != nil {
 			return err
 		}
-		fp.wal = wrapFaultFile(raw, FaultFileWAL, fp.opts.faults)
+		fp.wal = wrapFaultFile(raw, FaultFileWAL, fp.opts.Faults)
 	}
 	if err := fp.wal.Truncate(0); err != nil {
 		return err
@@ -343,13 +343,13 @@ func (fp *FilePager) resetWAL() error {
 		// A failed deletion must not be ignored: a stale old segment
 		// surviving next to a fresh segment 0 would replay stale images
 		// *after* newer ones on recovery.
-		if err := os.Remove(fp.walSegPath(s.seq)); err != nil {
+		if err := fp.fs.remove(fp.walSegPath(s.seq)); err != nil {
 			return err
 		}
 		removed++
 	}
 	if fp.walSeq != 0 {
-		if err := os.Remove(fp.walSegPath(fp.walSeq)); err != nil {
+		if err := fp.fs.remove(fp.walSegPath(fp.walSeq)); err != nil {
 			return err
 		}
 		removed++
@@ -590,7 +590,7 @@ func (fp *FilePager) recover() (bool, error) {
 	// and never a torn tail.
 	extents := make(map[int]int64)
 	for _, seq := range seqs {
-		data, err := os.ReadFile(fp.walSegPath(seq))
+		data, err := fp.fs.readFile(fp.walSegPath(seq))
 		if err != nil {
 			return false, err
 		}

@@ -133,7 +133,7 @@ func TestRecoverTornSlotsRebuiltFromLog(t *testing.T) {
 		t.Fatalf("page %d logged as %q, want image then three deltas", rid.Page, kinds)
 	}
 	want := scanModel(tab)
-	fp := db.filePager()
+	fp := db.disk
 	fp.mu.RLock()
 	var dirty []PageID
 	for id := range fp.ckptDirty {
@@ -317,7 +317,7 @@ func TestRecoverSuffixOverFreedPages(t *testing.T) {
 func TestRecoverBaseSurvivesTruncateTail(t *testing.T) {
 	db := mustOpenFile(t, tempDBPath(t))
 	defer db.Close()
-	fp := db.filePager()
+	fp := db.disk
 	id := fp.alloc()
 	if err := fp.commitWAL(fp.epoch); err != nil {
 		t.Fatal(err)
