@@ -27,11 +27,13 @@ test:
 # keeps cold block loads out of a batch's store write through its publish —
 # with cold and warm readers beside a bare engine's writers (Concurrent),
 # session lifecycle, the disconnect fuzz, plus the one edit pipeline in both
-# recalc modes (Pipeline), staleness bits and viewport priority, and the
-# recalc graph walks (Cone, Mark: the plan and the edit-time mark against a
-# brute-force reference), and the fill-down run registry behind them against
-# a per-cell reference, the formula set's runs round trip included (Run). CI
-# runs this as a dedicated step so visibility,
+# recalc modes (Pipeline), staleness bits and viewport priority, the pending
+# marker's column segments and the sub-segments it reports newly set
+# (Pending), and the recalc graph walks (Cone, Mark: the plan and the
+# edit-time segment walk against a brute-force closure on random fill-down
+# runs, stopping at pre-marked cells), and the fill-down run registry behind
+# them against a per-cell reference, the formula set's runs round trip
+# included (Run). CI runs this as a dedicated step so visibility,
 # latch and executor regressions are named, not buried in ./...
 test-serve:
 	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...

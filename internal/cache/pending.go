@@ -34,10 +34,8 @@ func (p *pendingSet) bitFor(r sheet.Ref) (blockKey, int) {
 	return k, row*BlockCols + col
 }
 
-// set sets r's bit, reporting whether it was newly set. The caller holds
-// p.mu.
-func (p *pendingSet) set(r sheet.Ref) bool {
-	k, bit := p.bitFor(r)
+// mask returns block k's mask, creating it. The caller holds p.mu.
+func (p *pendingSet) mask(k blockKey) []uint64 {
 	if p.masks == nil {
 		p.masks = make(map[blockKey][]uint64)
 	}
@@ -46,6 +44,14 @@ func (p *pendingSet) set(r sheet.Ref) bool {
 		m = make([]uint64, pendingWords)
 		p.masks[k] = m
 	}
+	return m
+}
+
+// set sets r's bit, reporting whether it was newly set. The caller holds
+// p.mu.
+func (p *pendingSet) set(r sheet.Ref) bool {
+	k, bit := p.bitFor(r)
+	m := p.mask(k)
 	w, b := bit/64, uint64(1)<<(bit%64)
 	if m[w]&b != 0 {
 		return false
@@ -77,15 +83,15 @@ func (p *pendingSet) clear(r sheet.Ref) bool {
 	return true
 }
 
-// pendingHold bounds how many bits a PendingMarker sets in one hold of the
-// sidecar's lock.
+// pendingHold bounds how many cells a PendingMarker covers in one hold of
+// the sidecar's lock (a hold ends at a tile's last row, up to 63 past it).
 const pendingHold = 256
 
-// PendingMarker sets pending bits for the edit path, which marks 100k-cell
-// dependency cones through it: it takes the sidecar's lock at its first mark
-// and then once per pendingHold marks, releasing it between holds, so a
-// reader's pending mask never waits behind a whole cone. Between its first
-// Mark and Release the caller must not call into the cache.
+// PendingMarker sets pending bits for the edit path, which marks 40,400-cell
+// dependency cones through it by column segment: it takes the sidecar's lock
+// at its first mark and then once per pendingHold cells, releasing it between
+// holds, so a reader's pending mask never waits behind a whole cone. Between
+// its first Mark and Release the caller must not call into the cache.
 type PendingMarker struct {
 	p       *pendingSet
 	n, held int
@@ -94,19 +100,36 @@ type PendingMarker struct {
 // PendingMarker starts a marking pass.
 func (c *Cache) PendingMarker() PendingMarker { return PendingMarker{p: &c.pending} }
 
-// Mark sets r's pending bit, reporting whether it was newly set.
-func (m *PendingMarker) Mark(r sheet.Ref) bool {
-	if m.held == pendingHold {
-		m.Release()
+// Mark sets the pending bits of rows seg.From.Row..seg.To.Row of column
+// seg.From.Col — one mask lookup per 64-row tile, not per cell — and appends
+// to fresh the sub-segments whose bits it newly set, in row order.
+func (m *PendingMarker) Mark(seg sheet.Range, fresh []sheet.Range) []sheet.Range {
+	first := len(fresh)
+	for ref := seg.From; ref.Row <= seg.To.Row; {
+		if m.held >= pendingHold {
+			m.Release()
+		}
+		if m.held == 0 {
+			m.p.mu.Lock()
+		}
+		k := keyFor(ref)
+		end, mask := min(seg.To.Row, (k.br+1)*BlockRows), m.p.mask(k)
+		m.held += end - ref.Row + 1
+		for ; ref.Row <= end; ref.Row++ {
+			_, bit := m.p.bitFor(ref)
+			if w, b := bit/64, uint64(1)<<(bit%64); mask[w]&b == 0 {
+				mask[w] |= b
+				m.p.count++
+				m.n++
+				if last := len(fresh) - 1; last >= first && fresh[last].To.Row == ref.Row-1 {
+					fresh[last].To = ref
+				} else {
+					fresh = append(fresh, sheet.Range{From: ref, To: ref})
+				}
+			}
+		}
 	}
-	if m.held++; m.held == 1 {
-		m.p.mu.Lock()
-	}
-	if !m.p.set(r) {
-		return false
-	}
-	m.n++
-	return true
+	return fresh
 }
 
 // Release drops the lock if a hold is open and returns how many bits the pass

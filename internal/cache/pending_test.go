@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func markOne(c *Cache, r sheet.Ref) bool {
 	m := c.PendingMarker()
 	defer m.Release()
-	return m.Mark(r)
+	return len(m.Mark(sheet.Range{From: r, To: r}, nil)) == 1
 }
 
 func TestPendingBits(t *testing.T) {
@@ -98,6 +99,41 @@ func TestPendingRangeViews(t *testing.T) {
 	}
 }
 
+// The column marker sets a segment's bits tile by tile and reports exactly
+// the sub-segments it newly set — joined across a 64-row tile boundary, split
+// around bits already set — and PendingCount follows its count.
+func TestPendingMarkerColumnSegments(t *testing.T) {
+	c := New(&sheetBacking{s: sheet.New("t")}, 4)
+	seg := func(col, lo, hi int) sheet.Range { return sheet.NewRange(lo, col, hi, col) }
+	m := c.PendingMarker()
+	if got := m.Mark(seg(3, BlockRows-4, BlockRows+6), nil); !slices.Equal(got, []sheet.Range{seg(3, BlockRows-4, BlockRows+6)}) {
+		t.Fatalf("fresh segment across a tile boundary = %v", got)
+	}
+	pre := []sheet.Ref{{Row: 2*BlockRows - 2, Col: 20}, {Row: 2*BlockRows + 3, Col: 20}}
+	for _, r := range pre {
+		m.Mark(sheet.Range{From: r, To: r}, nil)
+	}
+	fresh := []sheet.Range{seg(9, 1, 2*BlockRows-5)} // appended to, never joined with
+	got := m.Mark(seg(20, 2*BlockRows-4, 2*BlockRows+6), fresh)
+	want := []sheet.Range{seg(9, 1, 2*BlockRows-5), seg(20, 2*BlockRows-4, 2*BlockRows-3),
+		seg(20, 2*BlockRows-1, 2*BlockRows+2), seg(20, 2*BlockRows+4, 2*BlockRows+6)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fresh sub-segments of a partly marked segment = %v, want %v", got, want)
+	}
+	if again := m.Mark(seg(20, 2*BlockRows-4, 2*BlockRows+6), nil); again != nil {
+		t.Fatalf("marking a marked segment again reported %v", again)
+	}
+	n := m.Release()
+	if n != 11+2+9 || c.PendingCount() != n {
+		t.Fatalf("Release = %d, PendingCount = %d, want both %d", n, c.PendingCount(), 11+2+9)
+	}
+	for row := 2*BlockRows - 4; row <= 2*BlockRows+6; row++ {
+		if !c.IsPending(sheet.Ref{Row: row, Col: 20}) || c.IsPending(sheet.Ref{Row: row, Col: 19}) {
+			t.Fatalf("row %d: the marked column or its neighbour is wrong", row)
+		}
+	}
+}
+
 // A reader's pending query gets in while a long marking pass runs: the pass
 // keeps marking until the reader is done, so a marker that held the lock
 // throughout would run to its cap of a million cells.
@@ -107,9 +143,9 @@ func TestPendingMarkerBoundsEachHold(t *testing.T) {
 	done := make(chan struct{})
 	m := c.PendingMarker()
 marking:
-	for row := 1; row <= limit; row++ {
-		m.Mark(sheet.Ref{Row: row, Col: 1})
-		if row == 10 {
+	for row := 1; row <= limit; row += 10 {
+		m.Mark(sheet.NewRange(row, 1, row+9, 1), nil)
+		if row == 11 {
 			go func() {
 				c.PendingCount()
 				close(done)

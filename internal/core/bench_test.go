@@ -143,3 +143,36 @@ func BenchmarkLoad(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTick times one tick of the async 400x100 ticker (the
+// ticker-recalc cone, 40,400 cells) as a client sees it: SetCells of the new
+// price, then WaitRange on the registered 50x10 viewport. The rest of the
+// cone drains between ticks, off the clock.
+func BenchmarkTick(b *testing.B) {
+	spec := workload.TickerSpec{Intermediates: 400, LeavesPer: 100}
+	e, err := Open(rdbms.Open(rdbms.Options{}), "ticker", workload.TickerMarket(spec), "rom", Options{AsyncRecalc: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	vp := spec.Viewport()
+	e.RegisterViewport(vp)
+	if err := e.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		tick := workload.Tick(i + 1)
+		if err := e.SetCells([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.WaitRange(vp); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := e.Drain(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -176,9 +176,11 @@ func TestSetCellsScatteredEditsPropagatePrecisely(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reach []sheet.Ref
-	e.deps.Mark([]sheet.Ref{{Row: 1, Col: 1}, {Row: 100, Col: 100}}, func(r sheet.Ref) bool {
-		reach = append(reach, r)
-		return true
+	e.deps.Mark([]sheet.Ref{{Row: 1, Col: 1}, {Row: 100, Col: 100}}, func(seg sheet.Range, fresh []sheet.Range) []sheet.Range {
+		for row := seg.From.Row; row <= seg.To.Row; row++ {
+			reach = append(reach, sheet.Ref{Row: row, Col: seg.From.Col})
+		}
+		return append(fresh, seg)
 	})
 	if len(reach) != 1 || reach[0] != (sheet.Ref{Row: 1, Col: 5}) {
 		t.Fatalf("Mark visited %v, want only E1", reach)

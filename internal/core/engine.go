@@ -473,14 +473,15 @@ func (e *Engine) publish(writes []model.CellWrite, flag []sheet.Ref, gen *atomic
 
 // mark sets the pending bits a mutation owes: the seed formulas themselves
 // plus every formula transitively reading a seed or a changed cell. It
-// returns how many cells were newly marked. The walk stops at cells already
-// pending (their dependents are pending too), so marking costs O(newly
-// marked cells), in bounded holds of the pending lock.
+// returns how many cells were newly marked. The walk moves column segments
+// and stops at cells already pending (their dependents are pending too); the
+// marker sets a segment's bits a 64-row tile at a time, in bounded holds of
+// the pending lock, so marking costs O(runs met + newly marked cells).
 func (e *Engine) mark(seeds, changed []sheet.Ref) int {
 	m := e.cache.PendingMarker()
 	defer m.Release()
 	for _, r := range seeds {
-		m.Mark(r)
+		m.Mark(sheet.Range{From: r, To: r}, nil)
 	}
 	e.deps.Mark(append(changed[:len(changed):len(changed)], seeds...), m.Mark)
 	return m.Release()
@@ -570,9 +571,7 @@ func (e *Engine) RecalcAll() error {
 	defer e.writeMu.Unlock()
 	m := e.cache.PendingMarker()
 	e.deps.Runs(func(first sheet.Ref, n int, _ formula.Expr) {
-		for k := range n {
-			m.Mark(sheet.Ref{Row: first.Row + k, Col: first.Col})
-		}
+		m.Mark(sheet.Range{From: first, To: sheet.Ref{Row: first.Row + n - 1, Col: first.Col}}, nil)
 	})
 	m.Release()
 	return e.settle()

@@ -67,8 +67,8 @@ const recalcChunkSize = 512
 
 // coldDelay is the dispatcher's quiet window: how long after the latest edit
 // it leaves the cells nobody is looking at alone. The full plan costs O(cone)
-// to build — ~7 ms for a 40,400-cell ticker cone, ~21 ms for 30,000 row sums
-// (BenchmarkConeFrom, 2-CPU VM) — under the edit lock, and the next edit
+// to build — ~19 ms for the 40,400-cell ticker cone, ~15 ms for 30,000 row
+// sums (BenchmarkConeFrom, 2-CPU VM) — under the edit lock, and the next edit
 // throws it away, so a burst (a ticking feed, a paste in pieces) pays for the
 // viewport after each edit and for the rest of the cone once, when it
 // pauses. A variable for tests.

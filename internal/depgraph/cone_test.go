@@ -1,11 +1,15 @@
 package depgraph
 
 import (
+	"cmp"
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"dataspread/internal/formula"
 	"dataspread/internal/sheet"
 )
 
@@ -33,6 +37,66 @@ func (m refGraph) closure(srcs []sheet.Ref, set map[sheet.Ref]bool) {
 				set[f] = true
 				queue = append(queue, f)
 			}
+		}
+	}
+}
+
+// visitSet is Mark's visit over a set standing in for the pending bits: it
+// marks seg's cells, hands each one it newly marks to fresh as a one-row
+// segment (the walk joins them) and to onFresh, and each cell offered to
+// offered when that is not nil.
+func visitSet(set map[sheet.Ref]bool, offered, onFresh func(sheet.Ref)) func(sheet.Range, []sheet.Range) []sheet.Range {
+	return func(seg sheet.Range, fresh []sheet.Range) []sheet.Range {
+		if seg.Cols() != 1 || seg.Rows() < 1 {
+			panic(fmt.Sprintf("Mark visited %v, not a column segment", seg))
+		}
+		for row := seg.From.Row; row <= seg.To.Row; row++ {
+			r := sheet.Ref{Row: row, Col: seg.From.Col}
+			if offered != nil {
+				offered(r)
+			}
+			if !set[r] {
+				set[r] = true
+				fresh = append(fresh, sheet.Range{From: r, To: r})
+				if onFresh != nil {
+					onFresh(r)
+				}
+			}
+		}
+		return fresh
+	}
+}
+
+// checkMark runs Mark from changed over pending, a closed pre-marked set as
+// the pending bits are, and checks it against the reference: it adds exactly
+// the cone of changed, and every cell it offers reads a changed cell or one
+// it newly marked, so it never passes a pre-marked cell.
+func checkMark(t *testing.T, label string, g *Graph, m refGraph, pending map[sheet.Ref]bool, changed []sheet.Ref) {
+	t.Helper()
+	want := maps.Clone(pending)
+	m.closure(changed, want)
+	sources := map[sheet.Ref]bool{}
+	for _, c := range changed {
+		sources[c] = true
+	}
+	var offered []sheet.Ref
+	g.Mark(changed, visitSet(pending,
+		func(r sheet.Ref) {
+			if offered = append(offered, r); len(offered) > 100*len(m) {
+				t.Fatalf("%s: Mark from %v offered %d cells of %d formulas: it passes marked cells", label, changed, len(offered), len(m))
+			}
+		},
+		func(r sheet.Ref) { sources[r] = true }))
+	if !maps.Equal(pending, want) {
+		t.Fatalf("%s: Mark from %v left %d cells marked, reference %d", label, changed, len(pending), len(want))
+	}
+	for _, v := range offered {
+		reads := false
+		for s := range sources {
+			reads = reads || m.reads(v, s)
+		}
+		if !reads {
+			t.Fatalf("%s: Mark from %v offered %v, which reads no changed or newly marked cell", label, changed, v)
 		}
 	}
 }
@@ -197,22 +261,8 @@ func TestConeMatchesReference(t *testing.T) {
 		// the cone of refs and never passes a pre-marked cell.
 		pending := map[sheet.Ref]bool{}
 		m.closure(pick(2), pending)
-		want := map[sheet.Ref]bool{}
-		for r := range pending {
-			want[r] = true
-		}
 		refs := append(pick(3), ref(rng.Intn(3000)+1, rng.Intn(6)+1))
-		m.closure(refs, want)
-		g.Mark(refs, func(r sheet.Ref) bool {
-			if pending[r] {
-				return false
-			}
-			pending[r] = true
-			return true
-		})
-		if !reflect.DeepEqual(pending, want) {
-			t.Fatalf("seed %d: Mark marked %d cells, reference %d", seed, len(pending), len(want))
-		}
+		checkMark(t, fmt.Sprintf("seed %d", seed), g, m, pending, refs)
 
 		// UpstreamWaves over that set: the member seeds and their member
 		// formula ancestors, laid out by the same rule.
@@ -246,8 +296,73 @@ func TestConeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMarkSegmentsMatchesReference checks the segment walk on random
+// fill-down populations registered with SetFormula — relative and
+// $-absolute rows, multi-cell and wide reads, runs of one between them —
+// from scattered, rectangular (row- or column-major) and one-cell changed
+// sets, over empty and closed pre-marked sets: Mark adds exactly the
+// brute-force closure and never passes a pre-marked cell.
+func TestMarkSegmentsMatchesReference(t *testing.T) {
+	sawRun, sawLong := false, false
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+		p := randomPopulation(t, rng, g)
+		m := p.refGraph()
+		cells := slices.SortedFunc(maps.Keys(p), cmpRefs)
+		anyCell := func() sheet.Ref {
+			if rng.Intn(2) == 0 {
+				return cells[rng.Intn(len(cells))]
+			}
+			return ref(rng.Intn(2600)+1, rng.Intn(9)+1)
+		}
+		g.Runs(func(_ sheet.Ref, n int, _ formula.Expr) { sawRun = sawRun || n > 1 })
+		for i := range 12 {
+			var changed []sheet.Ref
+			switch i % 3 {
+			case 0: // scattered, or every other row down a column
+				c, step := anyCell(), rng.Intn(2)
+				for k := range rng.Intn(20) + 2 {
+					if step == 0 {
+						c = anyCell()
+					}
+					changed = append(changed, ref(c.Row+2*k*step, c.Col))
+				}
+			case 1:
+				c, rows, cols := anyCell(), rng.Intn(70)+1, rng.Intn(4)+1
+				for r := c.Row; r < c.Row+rows; r++ {
+					for col := c.Col; col < c.Col+cols; col++ {
+						changed = append(changed, ref(r, col))
+					}
+				}
+				if rng.Intn(2) == 0 {
+					slices.SortFunc(changed, func(a, b sheet.Ref) int { return cmp.Or(a.Col-b.Col, a.Row-b.Row) })
+				}
+			default:
+				changed = []sheet.Ref{anyCell()}
+			}
+			pending := map[sheet.Ref]bool{}
+			if rng.Intn(2) == 0 {
+				m.closure([]sheet.Ref{anyCell(), anyCell()}, pending)
+			}
+			before := len(pending)
+			checkMark(t, fmt.Sprintf("seed %d set %d", seed, i), g, m, pending, changed)
+			sawLong = sawLong || len(pending)-before > 20
+		}
+	}
+	g, _ := tickerRuns(4, 3)
+	noop := func(_ sheet.Range, fresh []sheet.Range) []sheet.Range { return fresh }
+	if n := testing.AllocsPerRun(100, func() { g.Mark([]sheet.Ref{ref(2, 1)}, noop) }); n != 0 {
+		t.Fatalf("a one-cell Mark allocated %v times", n)
+	}
+	if !sawRun || !sawLong {
+		t.Fatalf("populations too tame: runs longer than a cell %v, a walk marking more than 20 cells %v", sawRun, sawLong)
+	}
+}
+
 // tickerGraph is workload.TickerMarket's shape: B{i} = A1*i for i in
-// 1..inter, and leaves C{i}.. = B{i}+j along each row.
+// 1..inter, and leaves C{i}.. = B{i}+j along each row, registered cell by
+// cell with Set, so each cell is a run of one.
 func tickerGraph(inter, leaves int) (*Graph, []sheet.Ref) {
 	g := New()
 	var cells []sheet.Ref
@@ -257,6 +372,29 @@ func tickerGraph(inter, leaves int) (*Graph, []sheet.Ref) {
 		for j := 1; j <= leaves; j++ {
 			g.Set(ref(i, 2+j), cellRange(i, 2))
 			cells = append(cells, ref(i, 2+j))
+		}
+	}
+	return g, cells
+}
+
+// tickerRuns is workload.TickerMarket as the engine registers it: its
+// formulas installed with SetFormula, so each leaf column is one fill-down
+// run of inter cells and column B is inter runs of one.
+func tickerRuns(inter, leaves int) (*Graph, []sheet.Ref) {
+	g := New()
+	var cells []sheet.Ref
+	set := func(at sheet.Ref, src string) {
+		e, err := formula.Parse(src)
+		if err != nil {
+			panic(err)
+		}
+		g.SetFormula(at, e)
+		cells = append(cells, at)
+	}
+	for i := 1; i <= inter; i++ {
+		set(ref(i, 2), fmt.Sprintf("A1*%d", i))
+		for j := 1; j <= leaves; j++ {
+			set(ref(i, 2+j), fmt.Sprintf("B%d+%d", i, j))
 		}
 	}
 	return g, cells
@@ -275,14 +413,16 @@ func rowSumGraph(rows int) (*Graph, []sheet.Ref) {
 }
 
 // BenchmarkConeFrom plans the whole pending set, as the recalc executor's
-// full plan does after a tick (ticker, 40,400 cells) or a load (rowsum,
+// full plan does after a tick (40,400 cells, the ticker registered as the
+// engine does and cell by cell, as BenchmarkMark's) or a load (rowsum,
 // 30,000 cells). The pending bits come out in no particular order.
 func BenchmarkConeFrom(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		build func() (*Graph, []sheet.Ref)
 	}{
-		{"ticker", func() (*Graph, []sheet.Ref) { return tickerGraph(400, 100) }},
+		{"ticker", func() (*Graph, []sheet.Ref) { return tickerRuns(400, 100) }},
+		{"ticker-cells", func() (*Graph, []sheet.Ref) { return tickerGraph(400, 100) }},
 		{"rowsum", func() (*Graph, []sheet.Ref) { return rowSumGraph(30_000) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -298,13 +438,23 @@ func BenchmarkConeFrom(b *testing.B) {
 
 // BenchmarkMark walks an edit's cone over an empty pending set, a dense
 // bitmap standing in for the pending bits: the ticker cell A1 (40,400
-// cells), and column A of every row of the row-sum sheet (30,000 cells).
+// cells), with the ticker registered as the engine does (ticker: 100
+// fill-down runs and 400 runs of one) and cell by cell (ticker-cells: 40,400
+// runs of one); column A of every row of the row-sum sheet (30,000 cells);
+// and two pastes of 4,096 cells into that sheet, 256 rows x 16 columns (256
+// row sums) and 16 rows x 256 columns (16 row sums).
 func BenchmarkMark(b *testing.B) {
-	column := make([]sheet.Ref, 30_000)
-	for i := range column {
-		column[i] = ref(i+1, 1)
+	rect := func(rows, cols int) []sheet.Ref {
+		var out []sheet.Ref
+		for r := 1; r <= rows; r++ {
+			for c := 1; c <= cols; c++ {
+				out = append(out, ref(r, c))
+			}
+		}
+		return out
 	}
-	ticker, _ := tickerGraph(400, 100)
+	ticker, _ := tickerRuns(400, 100)
+	tickerCells, _ := tickerGraph(400, 100)
 	rowSum, _ := rowSumGraph(30_000)
 	for _, bc := range []struct {
 		name string
@@ -312,27 +462,36 @@ func BenchmarkMark(b *testing.B) {
 		refs []sheet.Ref
 	}{
 		{"ticker", ticker, []sheet.Ref{ref(1, 1)}},
-		{"rowsum", rowSum, column},
+		{"ticker-cells", tickerCells, []sheet.Ref{ref(1, 1)}},
+		{"rowsum", rowSum, rect(30_000, 1)},
+		{"paste", rowSum, rect(256, 16)},
+		{"widepaste", rowSum, rect(16, 256)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			const stride = 128
 			marked := make([]bool, 30_001*stride)
 			var set []int
+			visit := func(seg sheet.Range, fresh []sheet.Range) []sheet.Range {
+				for row := seg.From.Row; row <= seg.To.Row; row++ {
+					if i := row*stride + seg.From.Col; !marked[i] {
+						marked[i] = true
+						set = append(set, i)
+						if n := len(fresh) - 1; n >= 0 && fresh[n].From.Col == seg.From.Col && fresh[n].To.Row == row-1 {
+							fresh[n].To.Row = row
+						} else {
+							fresh = append(fresh, sheet.NewRange(row, seg.From.Col, row, seg.From.Col))
+						}
+					}
+				}
+				return fresh
+			}
 			b.ReportAllocs()
 			for b.Loop() {
 				for _, i := range set {
 					marked[i] = false
 				}
 				set = set[:0]
-				bc.g.Mark(bc.refs, func(r sheet.Ref) bool {
-					i := r.Row*stride + r.Col
-					if marked[i] {
-						return false
-					}
-					marked[i] = true
-					set = append(set, i)
-					return true
-				})
+				bc.g.Mark(bc.refs, visit)
 			}
 		})
 	}

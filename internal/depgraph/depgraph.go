@@ -12,23 +12,28 @@
 // formula joins the run above or below it when it continues that run; an edit
 // inside a run splits it; the cell-level Set registers a run of one.
 //
-// Dependents are resolved through a row-bucketed interval index: every read
-// of a run is filed by its envelope — the union of what its members read —
-// under the 64-row stripes that envelope covers, single-cell reads by stripe
-// and column (envelopes spanning many stripes — whole-column references, long
-// runs — go to a small "wide" list instead). A candidate run answers a query
+// Dependents are resolved through a row-bucketed interval index: each read of
+// a run is filed on its own by its envelope — the union of what its members
+// read — under the 64-row stripes that envelope covers, single-cell reads by
+// stripe and column (envelopes spanning many stripes — whole-column
+// references, long runs — go to a small "wide" list instead). A candidate run answers a query
 // with O(1) member arithmetic: the members whose read meets a changed range
 // are one interval of the run. A cone query therefore touches only the
 // stripes the changed cells fall in, and structural edits move whole runs,
 // splitting only those the edit straddles.
 //
-// The recalc executor's two walks are flat passes over that index. Mark, the
-// edit-time walk, keeps no visited set of its own: its caller's visit (the
-// pending bits) is one, and it stops at a cell already marked. ConeFrom, the
-// plan, numbers cone members with dense int32 ids through one map per plan,
-// records each dependent edge as the walk finds it, keeps successors in CSR
-// arrays and emits Kahn-by-level waves straight from them — no per-cell map
-// of edges, degrees or levels.
+// The recalc executor's two walks share one dependents query: a column
+// segment (rows lo..hi of one column) in, each run reading it and the
+// interval of its members that do out, a read counting only in the first
+// bucket where its envelope meets the segment — no visited set. Mark, the
+// edit-time walk, moves segments a level at a time: its caller's visit sets
+// an interval's pending bits and hands back the sub-segments it newly set,
+// which, joined per column, are the next level, so a tick marks its
+// 40,400-cell cone in O(runs) and stops at cells already pending. ConeFrom,
+// the plan, queries one cell at a time, numbers cone members with dense
+// int32 ids through one map per plan, records each dependent edge as the
+// walk finds it, keeps successors in CSR arrays and emits Kahn-by-level
+// waves straight from them — no per-cell map of edges, degrees or levels.
 package depgraph
 
 import (
@@ -71,8 +76,6 @@ type run struct {
 	col, row, n int
 	head        formula.Expr
 	reads       []formula.Read
-	// wide marks registration in the wide list (at most once per run).
-	wide bool
 }
 
 func (r *run) last() int { return r.row + r.n - 1 }
@@ -116,8 +119,11 @@ type Graph struct {
 	cols map[int][]*run
 	// cells counts the formula cells the runs hold.
 	cells int
-	// stripes indexes runs by the row stripes their multi-cell reads cover.
-	stripes map[int][]*run
+	// stripes files multi-cell reads under the row stripes their envelopes
+	// cover, and stripeCols bounds the columns of the reads filed in each
+	// stripe (it only widens, until its stripe empties).
+	stripes    map[int][]filing
+	stripeCols map[int][2]int
 	// points indexes runs by the exact target of each single-cell read all
 	// their members share — the dominant read shape. A dependents query for
 	// one changed cell is then a map probe costing O(answer); without it,
@@ -125,20 +131,27 @@ type Graph struct {
 	// reading that row's aggregate) drags the whole stripe bucket into every
 	// walk step.
 	points map[sheet.Ref][]*run
-	// segments indexes runs whose members each read one cell further down a
-	// column (=B1+1 filled down) by the stripes and column those cells span.
-	segments map[uint64][]*run
-	// wide holds runs owning at least one stripe-spanning read.
-	wide []*run
+	// segments files reads of one cell further down a column per member
+	// (=B1+1 filled down) by the stripes and column those cells span.
+	segments map[uint64][]filing
+	// wide holds the stripe-spanning reads.
+	wide []filing
+}
+
+// filing is one read of a run as the index files it: r.reads[i].
+type filing struct {
+	r *run
+	i int
 }
 
 // New returns an empty dependency graph.
 func New() *Graph {
 	return &Graph{
-		cols:     make(map[int][]*run),
-		stripes:  make(map[int][]*run),
-		points:   make(map[sheet.Ref][]*run),
-		segments: make(map[uint64][]*run),
+		cols:       make(map[int][]*run),
+		stripes:    make(map[int][]filing),
+		stripeCols: make(map[int][2]int),
+		points:     make(map[sheet.Ref][]*run),
+		segments:   make(map[uint64][]filing),
 	}
 }
 
@@ -152,9 +165,9 @@ func stripeOf(row int) int {
 // segmentKey packs a stripe and a column into one segments key.
 func segmentKey(stripe, col int) uint64 { return uint64(stripe)<<32 | uint64(uint32(col)) }
 
-func removeEntry(s []*run, r *run) []*run {
-	for i, x := range s {
-		if x == r {
+func removeEntry[T comparable](s []T, x T) []T {
+	for i, y := range s {
+		if y == x {
 			s[i] = s[len(s)-1]
 			return s[:len(s)-1]
 		}
@@ -162,98 +175,65 @@ func removeEntry(s []*run, r *run) []*run {
 	return s
 }
 
-// stripeSet returns the set registerReads and unregisterReads keep a run to
-// one filing per stripe with. Only a run with two or more multi-cell ranges
-// can meet a stripe twice; the usual single range (a row's SUM) gets nil and
-// allocates nothing.
-func stripeSet(reads []sheet.Range) map[int]bool {
-	multi := 0
-	for _, r := range reads {
-		if r.From != r.To {
-			if multi++; multi > 1 {
-				return make(map[int]bool)
-			}
-		}
-	}
-	return nil
-}
-
-// seenStripes is stripeSet over a run's head reads.
-func seenStripes(r *run) map[int]bool {
-	if len(r.reads) < 2 {
-		return nil
-	}
-	heads := make([]sheet.Range, len(r.reads))
-	for i, rd := range r.reads {
-		heads[i] = rd.Range
-	}
-	return stripeSet(heads)
-}
-
-// registerReads files the run's reads into the index (see file). Each stripe
-// (and the wide list) holds the run at most once.
+// registerReads files each read of the run into the index (see file).
 func (g *Graph) registerReads(r *run) {
-	seen := seenStripes(r)
-	for _, rd := range r.reads {
-		lo, hi, where := r.file(rd)
-		if where == inPoints {
+	for i, rd := range r.reads {
+		f := filing{r, i}
+		switch lo, hi, where := r.file(rd); where {
+		case inPoints:
 			g.points[rd.From] = append(g.points[rd.From], r)
-			continue
-		}
-		for s := lo; s <= hi && where != inWide; s++ {
-			if where == inSegments {
+		case inWide:
+			g.wide = append(g.wide, f)
+		case inSegments:
+			for s := lo; s <= hi; s++ {
 				key := segmentKey(s, rd.From.Col)
-				g.segments[key] = append(g.segments[key], r)
-			} else if seen == nil || !seen[s] {
-				if seen != nil {
-					seen[s] = true
-				}
-				g.stripes[s] = append(g.stripes[s], r)
+				g.segments[key] = append(g.segments[key], f)
 			}
-		}
-		if where == inWide && !r.wide {
-			r.wide = true
-			g.wide = append(g.wide, r)
+		default:
+			for s := lo; s <= hi; s++ {
+				g.stripes[s] = append(g.stripes[s], f)
+				env, ok := g.stripeCols[s]
+				if !ok {
+					env = [2]int{rd.From.Col, rd.To.Col}
+				}
+				g.stripeCols[s] = [2]int{min(env[0], rd.From.Col), max(env[1], rd.To.Col)}
+			}
 		}
 	}
 }
 
-// unregisterReads removes the run from every bucket its reads are filed in.
+// unregisterReads removes each read of the run from where it is filed.
 func (g *Graph) unregisterReads(r *run) {
-	seen := seenStripes(r)
-	for _, rd := range r.reads {
-		lo, hi, where := r.file(rd)
-		if where == inPoints {
+	for i, rd := range r.reads {
+		f := filing{r, i}
+		switch lo, hi, where := r.file(rd); where {
+		case inPoints:
 			if rest := removeEntry(g.points[rd.From], r); len(rest) > 0 {
 				g.points[rd.From] = rest
 			} else {
 				delete(g.points, rd.From)
 			}
-			continue
-		}
-		for s := lo; s <= hi && where != inWide; s++ {
-			if where == inSegments {
+		case inWide:
+			g.wide = removeEntry(g.wide, f)
+		case inSegments:
+			for s := lo; s <= hi; s++ {
 				key := segmentKey(s, rd.From.Col)
-				if rest := removeEntry(g.segments[key], r); len(rest) > 0 {
+				if rest := removeEntry(g.segments[key], f); len(rest) > 0 {
 					g.segments[key] = rest
 				} else {
 					delete(g.segments, key)
 				}
-			} else if seen == nil || !seen[s] {
-				if seen != nil {
-					seen[s] = true
-				}
-				if rest := removeEntry(g.stripes[s], r); len(rest) > 0 {
+			}
+		default:
+			for s := lo; s <= hi; s++ {
+				if rest := removeEntry(g.stripes[s], f); len(rest) > 0 {
 					g.stripes[s] = rest
 				} else {
 					delete(g.stripes, s)
+					delete(g.stripeCols, s)
 				}
 			}
 		}
-	}
-	if r.wide {
-		r.wide = false
-		g.wide = removeEntry(g.wide, r)
 	}
 }
 
@@ -468,15 +448,15 @@ func (g *Graph) runsNear(rg sheet.Range, fn func(*run)) {
 	if span := hi - lo + 1; span > len(g.stripes) {
 		for s, bucket := range g.stripes {
 			if s >= lo && s <= hi {
-				for _, r := range bucket {
-					fn(r)
+				for _, f := range bucket {
+					fn(f.r)
 				}
 			}
 		}
 	} else {
 		for s := lo; s <= hi; s++ {
-			for _, r := range g.stripes[s] {
-				fn(r)
+			for _, f := range g.stripes[s] {
+				fn(f.r)
 			}
 		}
 	}
@@ -500,22 +480,22 @@ func (g *Graph) runsNear(rg sheet.Range, fn func(*run)) {
 	if (hi-lo+1)*rg.Cols() > len(g.segments) {
 		for key, bucket := range g.segments {
 			if s, c := int(key>>32), int(uint32(key)); s >= lo && s <= hi && c >= rg.From.Col && c <= rg.To.Col {
-				for _, r := range bucket {
-					fn(r)
+				for _, f := range bucket {
+					fn(f.r)
 				}
 			}
 		}
 	} else {
 		for s := lo; s <= hi; s++ {
 			for c := rg.From.Col; c <= rg.To.Col; c++ {
-				for _, r := range g.segments[segmentKey(s, c)] {
-					fn(r)
+				for _, f := range g.segments[segmentKey(s, c)] {
+					fn(f.r)
 				}
 			}
 		}
 	}
-	for _, r := range g.wide {
-		fn(r)
+	for _, f := range g.wide {
+		fn(f.r)
 	}
 }
 
@@ -555,98 +535,118 @@ func (g *Graph) AffectedFrom(seeds []sheet.Ref) (order []sheet.Ref, cycles []she
 	return c.Refs[:len(c.Refs)-len(c.Cycles)], c.Cycles
 }
 
-// readers streams to fn every formula directly reading one of the cells in
-// sorted (row-major, as sortRefs leaves it), as a run and a member: per cell
-// one point probe and one probe of its stripe's and column's segments, and
-// per distinct stripe one pass over its stripe bucket and the wide list,
-// matched against the exact cells — scattered edits do not drag every
-// formula in their bounding rectangle along. Each read of a run is matched
-// where it is filed, so a member comes once per read of it that meets the
-// cells.
-func (g *Graph) readers(sorted []sheet.Ref, fn func(*run, int)) {
-	for lo := 0; lo < len(sorted); {
-		s, hi := stripeOf(sorted[lo].Row), lo+1
-		for hi < len(sorted) && stripeOf(sorted[hi].Row) == s {
-			hi++
-		}
-		group := sorted[lo:hi]
-		lo = hi
-		for _, ref := range group {
-			for _, r := range g.points[ref] {
-				for k := range r.n {
-					fn(r, k)
-				}
-			}
-			if len(g.segments) == 0 {
-				continue
-			}
-			for _, r := range g.segments[segmentKey(s, ref.Col)] {
-				for _, rd := range r.reads {
-					if _, _, where := r.file(rd); where == inSegments && rd.From.Col == ref.Col {
-						if k := ref.Row - rd.From.Row; k >= 0 && k < r.n {
-							fn(r, k)
-						}
-					}
+// dependents streams to fn every member interval [k1, k2] of a run whose
+// members read a cell of seg — rows seg.From.Row..seg.To.Row of column
+// seg.From.Col — in O(runs it meets), with the members arithmetic: point
+// probes (or one pass over the points map, when seg is longer than it), the
+// stripe and segment buckets of seg's stripes and the wide list. A read
+// filed in several buckets counts only in the first one where its envelope
+// meets seg, so an interval comes once per read of its run that meets seg,
+// with no visited set.
+func (g *Graph) dependents(seg sheet.Range, fn func(r *run, k1, k2 int)) {
+	col, lo, hi := seg.From.Col, stripeOf(seg.From.Row), stripeOf(seg.To.Row)
+	// scan matches the reads filed in stripe s (s < 0: the wide list, where
+	// each read is filed once).
+	scan := func(bucket []filing, s int) {
+		for _, f := range bucket {
+			rd := f.r.reads[f.i]
+			if rd.To.Col >= col && rd.From.Col <= col && (s < 0 || max(stripeOf(rd.From.Row), lo) == s) {
+				if k1, k2 := members(rd, f.r.n, seg); k1 <= k2 {
+					fn(f.r, k1, k2)
 				}
 			}
 		}
-		band := sheet.NewRange(group[0].Row, group[0].Col, group[len(group)-1].Row, group[0].Col)
-		for _, ref := range group {
-			band.From.Col, band.To.Col = min(band.From.Col, ref.Col), max(band.To.Col, ref.Col)
-		}
-		match := func(r *run, in int) {
-			for _, rd := range r.reads {
-				if rd.To.Col < band.From.Col || rd.From.Col > band.To.Col {
-					continue
-				}
-				if _, _, where := r.file(rd); where != in {
-					continue
-				}
-				k1, k2 := members(rd, r.n, band)
-				for k := k1; k <= k2; k++ {
-					if rangeContainsAny(rd.At(k), group) {
-						fn(r, k)
-					}
+	}
+	if seg.Rows() > len(g.points) {
+		for key, bucket := range g.points {
+			if seg.Contains(key) {
+				for _, r := range bucket {
+					fn(r, 0, r.n-1)
 				}
 			}
 		}
-		for _, r := range g.stripes[s] {
-			match(r, inStripes)
+	} else {
+		for row := seg.From.Row; row <= seg.To.Row; row++ {
+			for _, r := range g.points[sheet.Ref{Row: row, Col: col}] {
+				fn(r, 0, r.n-1)
+			}
 		}
-		for _, r := range g.wide {
-			match(r, inWide)
+	}
+	for s := lo; s <= hi; s++ {
+		if env := g.stripeCols[s]; col >= env[0] && col <= env[1] {
+			scan(g.stripes[s], s)
 		}
+		scan(g.segments[segmentKey(s, col)], s)
+	}
+	scan(g.wide, -1)
+}
+
+// Mark is the edit-time walk over the dependency cone of the changed cells,
+// by column segment (a one-column sheet.Range), one level at a time: each
+// level's segments are queried for the member intervals reading them, visit
+// marks each interval and appends to fresh the sub-segments it newly marked,
+// and those, joined per column, are the next level. The walk does not pass
+// a cell visit did not newly mark, and the changed cells themselves are not
+// visited. The recalc executor's visit sets the pending bits, so the walk
+// stops at cells already pending — exact by the pending set's closure (every
+// dependent of a pending cell is pending) — and keeps no visited set of its
+// own: a tick into a 40,400-cell cone costs O(runs), not one probe per cell.
+func (g *Graph) Mark(changed []sheet.Ref, visit func(seg sheet.Range, fresh []sheet.Range) []sheet.Range) {
+	if len(changed) == 0 {
+		return
+	}
+	cell := [1]sheet.Range{{From: changed[0], To: changed[0]}} // a one-cell edit allocates nothing
+	level := cell[:]
+	if len(changed) > 1 {
+		var j joiner
+		for _, c := range changed {
+			j.add(sheet.Range{From: c, To: c})
+		}
+		level = j.out
+	}
+	var fresh []sheet.Range
+	for len(level) > 0 {
+		var j joiner
+		for _, seg := range level {
+			g.dependents(seg, func(r *run, k1, k2 int) {
+				fresh = visit(sheet.Range{From: r.at(k1), To: r.at(k2)}, fresh[:0])
+				for _, s := range fresh {
+					j.add(s)
+				}
+			})
+		}
+		level = j.out
 	}
 }
 
-// Mark is the edit-time walk over the dependency cone of refs: every formula
-// directly reading one of refs goes to visit, and the readers of a formula
-// for which visit reports true are visited in turn; the walk does not pass a
-// formula for which it reports false. refs themselves are not visited. The
-// recalc executor's visit sets the pending bit and reports whether it was
-// newly set, so the walk stops at a cell already pending — exact by the
-// pending set's closure (every dependent of a pending cell is pending) — and
-// keeps no visited set of its own: an edit into a 100k-cell cone must return
-// in milliseconds.
-func (g *Graph) Mark(refs []sheet.Ref, visit func(sheet.Ref) bool) {
-	sorted := refs
-	if !slices.IsSortedFunc(refs, cmpRefs) {
-		sorted = slices.Clone(refs)
-		sortRefs(sorted)
+// joiner groups column segments by column through a table over their
+// column span — no comparison sort — joining each to the last segment of
+// its column when they touch or overlap, so a row-major batch of cells comes
+// out as one segment per column and row run.
+type joiner struct {
+	lo   int
+	last []int32 // by column - lo: 1 + the index in out of its last segment
+	out  []sheet.Range
+}
+
+func (j *joiner) add(s sheet.Range) {
+	if len(j.last) == 0 {
+		j.lo = s.From.Col
 	}
-	// Depth first: the stack holds a fan-out, not the cone.
-	var stack []sheet.Ref
-	step := func(r *run, k int) {
-		if ref := r.at(k); visit(ref) {
-			stack = append(stack, ref)
-		}
+	if s.From.Col < j.lo { // grown by at least its length: descending columns stay linear
+		grow := max(j.lo-s.From.Col, len(j.last))
+		j.last, j.lo = slices.Insert(j.last, 0, make([]int32, grow)...), j.lo-grow
 	}
-	g.readers(sorted, step)
-	for len(stack) > 0 {
-		top := [1]sheet.Ref{stack[len(stack)-1]}
-		stack = stack[:len(stack)-1]
-		g.readers(top[:], step)
+	b := s.From.Col - j.lo
+	if b >= len(j.last) {
+		j.last = append(j.last, make([]int32, b+1-len(j.last))...)
 	}
+	if i := j.last[b] - 1; i >= 0 && s.From.Row >= j.out[i].From.Row && s.From.Row <= j.out[i].To.Row+1 {
+		j.out[i].To.Row = max(j.out[i].To.Row, s.To.Row)
+		return
+	}
+	j.out = append(j.out, s)
+	j.last[b] = int32(len(j.out))
 }
 
 // UpstreamWaves returns the member-filtered transitive precedent closure
@@ -684,21 +684,6 @@ func (g *Graph) UpstreamWaves(seeds []sheet.Ref, member func(sheet.Ref) bool) []
 	return nil
 }
 
-// rangeContainsAny reports whether r contains any of the refs (sorted by
-// row, then column): binary search to the range's first row, then walk.
-func rangeContainsAny(r sheet.Range, sorted []sheet.Ref) bool {
-	if len(sorted) == 1 { // a walk step: skip the search
-		return r.Contains(sorted[0])
-	}
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Row >= r.From.Row })
-	for ; i < len(sorted) && sorted[i].Row <= r.To.Row; i++ {
-		if c := sorted[i].Col; c >= r.From.Col && c <= r.To.Col {
-			return true
-		}
-	}
-	return false
-}
-
 // Cone is a dependency cone laid out flat for the recalc planner: members are
 // positions in Refs, which lists them in evaluation order, and the dependent
 // edges between them are CSR arrays over those positions.
@@ -731,7 +716,11 @@ func (g *Graph) ConeFrom(seeds []sheet.Ref) *Cone {
 		b.add(s)
 	}
 	for u := 0; u < len(b.refs); u++ {
-		g.readers(b.refs[u:u+1], func(r *run, k int) { b.edge(int32(u), b.add(r.at(k))) })
+		g.dependents(sheet.Range{From: b.refs[u], To: b.refs[u]}, func(r *run, k1, k2 int) {
+			for k := k1; k <= k2; k++ {
+				b.edge(int32(u), b.add(r.at(k)))
+			}
+		})
 	}
 	return b.cone()
 }

@@ -34,14 +34,7 @@ func TestDirectDependents(t *testing.T) {
 func reach(g *Graph, refs ...sheet.Ref) []sheet.Ref {
 	seen := map[sheet.Ref]bool{}
 	var out []sheet.Ref
-	g.Mark(refs, func(r sheet.Ref) bool {
-		if seen[r] {
-			return false
-		}
-		seen[r] = true
-		out = append(out, r)
-		return true
-	})
+	g.Mark(refs, visitSet(seen, nil, func(r sheet.Ref) { out = append(out, r) }))
 	return out
 }
 
@@ -145,23 +138,23 @@ func TestSetRemove(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatal("Set(nil) should remove")
 	}
-	// Two ranges sharing a stripe file the formula there once, and Remove
-	// leaves no bucket behind; one range alone needs no dedup set.
+	// Each of two ranges is filed once in every stripe it covers, the
+	// stripe's column bounds cover both, and Remove leaves no bucket behind.
 	g.Set(ref(9, 9), []sheet.Range{sheet.NewRange(1, 1, 70, 1), sheet.NewRange(60, 2, 130, 2)})
-	for s, want := range map[int]int{0: 1, 1: 1, 2: 1} {
+	for s, want := range map[int]int{0: 2, 1: 2, 2: 1} {
 		if got := len(g.stripes[s]); got != want {
-			t.Fatalf("stripe %d holds the two-range formula %d times, want %d", s, got, want)
+			t.Fatalf("stripe %d holds %d reads of the two-range formula, want %d", s, got, want)
 		}
+	}
+	if got := g.stripeCols[1]; got != [2]int{1, 2} {
+		t.Fatalf("stripe 1 bounds columns %v, want [1 2]", got)
 	}
 	if deps := g.DirectDependents(sheet.NewRange(65, 1, 65, 2)); len(deps) != 1 {
 		t.Fatalf("row 65 change: deps = %v", deps)
 	}
 	g.Remove(ref(9, 9))
-	if g.Len() != 0 || len(g.stripes) != 0 || len(g.cols) != 0 {
-		t.Fatalf("Remove left %d stripes, %d registry columns behind", len(g.stripes), len(g.cols))
-	}
-	if stripeSet([]sheet.Range{sheet.NewRange(1, 1, 70, 1), {From: ref(3, 3), To: ref(3, 3)}}) != nil {
-		t.Fatal("a single multi-cell range allocated a dedup set")
+	if g.Len() != 0 || len(g.stripes) != 0 || len(g.stripeCols) != 0 || len(g.cols) != 0 {
+		t.Fatalf("Remove left %d stripes, %d column bounds, %d registry columns behind", len(g.stripes), len(g.stripeCols), len(g.cols))
 	}
 }
 

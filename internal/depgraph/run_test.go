@@ -195,19 +195,8 @@ func checkRegistry(t *testing.T, label string, rng *rand.Rand, g *Graph, p popul
 	}
 
 	marked := map[sheet.Ref]bool{}
-	want := map[sheet.Ref]bool{}
 	refs := []sheet.Ref{pick(), pick()}
-	m.closure(refs, want)
-	g.Mark(refs, func(r sheet.Ref) bool {
-		if marked[r] {
-			return false
-		}
-		marked[r] = true
-		return true
-	})
-	if !reflect.DeepEqual(marked, want) {
-		t.Fatalf("%s: Mark from %v marked %d cells, reference %d", label, refs, len(marked), len(want))
-	}
+	checkMark(t, label, g, m, marked, refs)
 	up := map[sheet.Ref]bool{}
 	vpSeeds := append(refs, pick(), pick())
 	for _, s := range vpSeeds {
@@ -326,11 +315,7 @@ func TestRunRegistryMatchesReference(t *testing.T) {
 		}
 		sawSplit = sawSplit || runs < len(p)
 		checkRegistry(t, fmt.Sprintf("seed %d split and refilled", seed), rng, g, p)
-		for _, col := range g.cols {
-			for _, r := range col {
-				sawWide = sawWide || r.wide
-			}
-		}
+		sawWide = sawWide || len(g.wide) > 0
 
 		for i := range 4 {
 			axis, at, delta := Rows, []int{2, 65, 2495, 30}[rng.Intn(4)]+rng.Intn(12), rng.Intn(5)+1

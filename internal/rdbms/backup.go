@@ -101,7 +101,7 @@ func (db *DB) Backup(w io.Writer, opts PassOptions) (BackupResult, error) {
 		clean = len(db.metaDirty) == 0 && len(db.metaDel) == 0 && !db.pool.hasDirty()
 	}
 	if !clean {
-		if err := db.commitCheckpointLocked(fp); err != nil {
+		if err := db.commitCheckpointLocked(); err != nil {
 			db.mu.Unlock()
 			return BackupResult{}, err
 		}

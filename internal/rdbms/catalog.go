@@ -210,7 +210,7 @@ func (db *DB) FlushWAL() error {
 	// batch that a Recover in between discarded.
 	db.mu.Lock()
 	epoch := db.disk.epoch
-	err := db.stageLocked(db.disk)
+	err := db.stageLocked()
 	db.mu.Unlock()
 	if err != nil {
 		return err
@@ -240,7 +240,7 @@ func (db *DB) DurableGen() uint64 { return db.disk.gen.Load() }
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.commitCheckpointLocked(db.disk)
+	return db.commitCheckpointLocked()
 }
 
 // stageLocked stages everything a commit covers: dirty schema records and
@@ -251,11 +251,11 @@ func (db *DB) Checkpoint() error {
 // list this root records, not unlisted until the next commit. (Pages the
 // root chain itself gives up are known only once the root is encoded; they
 // wait for the next staging.) db.mu must be held exclusively.
-func (db *DB) stageLocked(fp *FilePager) error {
-	fp.promotePendingFree()
-	db.stageMetaLocked(fp)
-	fp.promotePendingFree()
-	fp.writeMeta(db.manifestLocked(fp))
+func (db *DB) stageLocked() error {
+	db.disk.promotePendingFree()
+	db.stageMetaLocked()
+	db.disk.promotePendingFree()
+	db.disk.writeMeta(db.manifestLocked())
 	return db.pool.flushDirty()
 }
 
@@ -272,17 +272,17 @@ func (db *DB) loadCatalog() error {
 	if err != nil || len(root) == 0 {
 		return err
 	}
-	return db.loadManifest(db.disk, root)
+	return db.loadManifest(root)
 }
 
 // commitCheckpointLocked is the full checkpoint sequence — stage, then
 // checkpoint the pager — for callers already holding db.mu exclusively
 // (Checkpoint, Vacuum).
-func (db *DB) commitCheckpointLocked(fp *FilePager) error {
-	if err := db.stageLocked(fp); err != nil {
+func (db *DB) commitCheckpointLocked() error {
+	if err := db.stageLocked(); err != nil {
 		return err
 	}
-	if err := fp.checkpoint(); err != nil {
+	if err := db.disk.checkpoint(); err != nil {
 		return err
 	}
 	db.commitGen.Add(1)
@@ -451,8 +451,8 @@ func (db *DB) MetaKeys(prefix string) []string {
 // schema records of tables DDL touched — into its out-of-line page chain and
 // reclaims the chains of deleted keys, so the root serialized next
 // references exactly the staged state. Cost is one flag test per table plus
-// the dirty set. db.mu must be held; fp is the database's file pager.
-func (db *DB) stageMetaLocked(fp *FilePager) {
+// the dirty set. db.mu must be held.
+func (db *DB) stageMetaLocked() {
 	for k, t := range db.tables {
 		if t.schemaDirty {
 			db.putMetaLocked(schemaKey(k), encodeSchema(t))
@@ -470,14 +470,14 @@ func (db *DB) stageMetaLocked(fp *FilePager) {
 	for _, k := range keys {
 		if db.metaDel[k] {
 			if loc, ok := db.metaLoc[k]; ok {
-				fp.free(loc.pages)
+				db.disk.free(loc.pages)
 				delete(db.metaLoc, k)
 			}
 			delete(db.metaDel, k)
 			continue
 		}
 		loc := db.metaLoc[k]
-		pages := fp.writeMetaValue(loc.pages, db.meta[k])
+		pages := db.disk.writeMetaValue(loc.pages, db.meta[k])
 		db.metaLoc[k] = metaChainLoc{pages: pages, n: len(db.meta[k])}
 	}
 	db.metaDirty = make(map[string]bool)

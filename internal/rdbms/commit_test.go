@@ -127,7 +127,7 @@ func TestCommitRacingRecoverIsNotAcked(t *testing.T) {
 	// FlushWAL's staging half, then a Recover before its commit half.
 	db.mu.Lock()
 	epoch := fp.epoch
-	err := db.stageLocked(fp)
+	err := db.stageLocked()
 	db.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

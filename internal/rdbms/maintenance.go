@@ -318,10 +318,10 @@ func (db *DB) Vacuum() (VacuumResult, error) {
 	// Flush everything first so the overlay is clean, pending frees are
 	// promoted and the durable manifest matches memory: relocation below
 	// may only target slots this manifest considers free.
-	if err := db.commitCheckpointLocked(fp); err != nil {
+	if err := db.commitCheckpointLocked(); err != nil {
 		return res, err
 	}
-	moved, err := db.relocateMetaLocked(fp)
+	moved, err := db.relocateMetaLocked()
 	if err != nil {
 		return res, err
 	}
@@ -331,7 +331,7 @@ func (db *DB) Vacuum() (VacuumResult, error) {
 	// final checkpoint below does, mirroring the FlushWAL ordering.
 	fp.promotePendingFree()
 	reclaimed := fp.truncateTail()
-	if err := db.commitCheckpointLocked(fp); err != nil {
+	if err := db.commitCheckpointLocked(); err != nil {
 		return res, err
 	}
 	if reclaimed > 0 {
@@ -358,7 +358,8 @@ func (db *DB) Vacuum() (VacuumResult, error) {
 // id of its successor: the caller's next writeMeta compares every link with
 // the repointed chain and restages the predecessor of a page that moved.
 // db.mu must be held exclusively; the caller commits the moves.
-func (db *DB) relocateMetaLocked(fp *FilePager) (int, error) {
+func (db *DB) relocateMetaLocked() (int, error) {
+	fp := db.disk
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	free := append([]PageID(nil), fp.freeList...)

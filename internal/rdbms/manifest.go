@@ -95,7 +95,7 @@ func appendRunRecords(dst []byte, head Row, ids []PageID) []byte {
 // schema records included — must already be staged (stageMetaLocked) so the
 // directory reflects the chains being committed. Cost follows the number of
 // tables, keys and page runs; no schema is encoded here. db.mu must be held.
-func (db *DB) manifestLocked(fp *FilePager) []byte {
+func (db *DB) manifestLocked() []byte {
 	var out []byte
 	names := make([]string, 0, len(db.tables))
 	for k := range db.tables {
@@ -118,7 +118,7 @@ func (db *DB) manifestLocked(fp *FilePager) []byte {
 	}
 	// Written even when empty: the root is never zero bytes long, so there is
 	// always a chain page to carry a change of it.
-	return appendRunRecords(out, Row{Int(recFree)}, fp.freePages())
+	return appendRunRecords(out, Row{Int(recFree)}, db.disk.freePages())
 }
 
 // encodeSchema serializes a table's schema record: a head record with the
@@ -175,8 +175,8 @@ func decodeSchema(blob []byte) (Schema, []string, error) {
 // scanning the heaps. Other metadata values stay on disk until GetMeta asks
 // for them. A table without a schema record, or a schema record without its
 // table, fails the open.
-func (db *DB) loadManifest(fp *FilePager, root []byte) error {
-	limit := fp.pageCount()
+func (db *DB) loadManifest(root []byte) error {
+	limit := db.disk.pageCount()
 	// pages collects the page list of the current record and of the recMore
 	// records after it; keep stores it once the next record starts.
 	var pages []PageID
@@ -202,7 +202,7 @@ func (db *DB) loadManifest(fp *FilePager, root []byte) error {
 			key, size := rec.Text(), int(rec.Int())
 			keep = func(p []PageID) { db.metaLoc[key] = metaChainLoc{pages: p, n: size} }
 		case recFree:
-			keep = fp.setFreePages
+			keep = db.disk.setFreePages
 		default:
 			if rec.Err == nil && (tag != recMore || keep == nil) {
 				rec.Err = fmt.Errorf("unknown or misplaced record tag %d", tag)
@@ -227,7 +227,7 @@ func (db *DB) loadManifest(fp *FilePager, root []byte) error {
 		if !ok {
 			return fmt.Errorf("rdbms: catalog holds table %q without its schema record", t.Name)
 		}
-		val, err := fp.readMetaValue(loc.pages, loc.n)
+		val, err := db.disk.readMetaValue(loc.pages, loc.n)
 		if err != nil {
 			return fmt.Errorf("rdbms: schema record of table %q: %w", t.Name, err)
 		}

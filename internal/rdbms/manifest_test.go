@@ -142,7 +142,7 @@ func TestCommitCostFollowsDDL(t *testing.T) {
 		}
 	})
 	db.mu.Lock()
-	root := len(db.manifestLocked(db.disk))
+	root := len(db.manifestLocked())
 	db.mu.Unlock()
 	record := len(encodeSchema(wide))
 	want := IOStats{
