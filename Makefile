@@ -78,7 +78,8 @@ test-faults:
 	$(GO) test -race -run 'Fault|Poison|Rotation|Segment|ENOSPC|BitFlip|ShortWrite|LegacySingleFileWAL|Retr|ReadOnly|Soak|Scrub|Vacuum|Recover|Maint|Backup|Restore|Archive|PITR|CommitCost|Committers|CatalogDDL|Pipeline|Refused' -timeout 10m -v ./internal/rdbms/ ./internal/core/ ./internal/model/ ./internal/workload/soak/ .
 
 # The on-disk format alone: the compat tests over the golden fixture (every
-# damaged or foreign-version structure refused by name), ten seconds of each
+# damaged or foreign-version structure refused by name), the check that a
+# formula cell's tuple holds its value and no source text, ten seconds of each
 # manifest decoder's, the cell decoder's and the WAL scanner's fuzz target
 # (whose inputs are segments of tens of KB: without -fuzzminimizetime 1x the
 # ten seconds go to minimizing the first interesting one), and three guards:
@@ -90,7 +91,7 @@ test-faults:
 # an in-memory database and a file-backed one run the same code. The format
 # must not drift back by accident.
 test-format:
-	$(GO) test -run 'Golden|FormatVersion' -v .
+	$(GO) test -run 'Golden|FormatVersion|FormulaCellStoresValueOnly' -v . ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzFormulaSetDecode -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzStoreManifestDecode -fuzztime 10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzCellDecode -fuzztime 10s ./internal/model/

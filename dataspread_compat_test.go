@@ -16,8 +16,8 @@ import (
 	"dataspread/internal/rdbms"
 )
 
-// The golden fixture under testdata/golden-v7 is a small database in the one
-// format this build reads and writes (data file version 7, which covers the
+// The golden fixture under testdata/golden-v8 is a small database in the one
+// format this build reads and writes (data file version 8, which covers the
 // store and engine manifests and the WAL records too), frozen as a crashed
 // session left it:
 //
@@ -39,7 +39,7 @@ import (
 //
 //	GOLDEN_REGEN=1 go test -run TestGoldenCurrentFormat .
 const (
-	goldenDir  = "testdata/golden-v7"
+	goldenDir  = "testdata/golden-v8"
 	goldenName = "golden.dsdb"
 )
 
@@ -436,10 +436,11 @@ func TestFormatVersionChecksAreExact(t *testing.T) {
 		damage func(t *testing.T, path string)
 		want   []string
 	}{
-		{"header of the JSON manifests", headerVersion(4), []string{"format version 4", "only version 7"}},
-		{"header of the text-encoded cells", headerVersion(5), []string{"format version 5", "only version 7"}},
-		{"header of the image-only log", headerVersion(6), []string{"format version 6, this build reads only version 7"}},
-		{"header newer", headerVersion(8), []string{"format version 8", "only version 7"}},
+		{"header of the JSON manifests", headerVersion(4), []string{"format version 4", "only version 8"}},
+		{"header of the text-encoded cells", headerVersion(5), []string{"format version 5", "only version 8"}},
+		{"header of the image-only log", headerVersion(6), []string{"format version 6", "only version 8"}},
+		{"header of formula source in the cells", headerVersion(7), []string{"format version 7, this build reads only version 8"}},
+		{"header newer", headerVersion(9), []string{"format version 9", "only version 8"}},
 		{"wal commit record without generation", func(t *testing.T, path string) {
 			// An intact record of the removed type 2: u32 page count, meta
 			// head, meta length, CRC-32C.

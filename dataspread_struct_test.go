@@ -59,7 +59,8 @@ func buildStructEngine(tb testing.TB, path string, rows int) *dataspread.Engine 
 // read above it touches no formula: nothing relocated, rewritten, dropped or
 // recomputed. On the file pager a 100-row insert commits with the WAL fsyncs
 // of one single-row insert, and the loop of 100 single-row inserts it
-// replaces costs 100 times that.
+// replaces costs 100 times that. A top-of-sheet insert over a row sum per
+// row rewrites every sum in the registry and no stored tuple.
 func TestStructuralEditCost(t *testing.T) {
 	const rows, at = 1000, 500
 	eng := buildStructEngine(t, filepath.Join(t.TempDir(), "struct.dsdb"), rows)
@@ -91,6 +92,53 @@ func TestStructuralEditCost(t *testing.T) {
 	})
 	if loop != 100*one {
 		t.Errorf("100 single-row inserts: %d WAL fsyncs, want %d", loop, 100*one)
+	}
+
+	// A top-of-sheet insert and its delete over 30,000 row sums move and
+	// re-text every formula in the registry, and write no cell: the store
+	// holds values only, and every tuple is as it was bar the inserted one.
+	const sums = 30_000
+	s := dataspread.NewSheet("sums")
+	for r := 1; r <= sums; r++ {
+		s.SetValue(r, 1, dataspread.Number(float64(r)))
+		s.SetFormula(r, 17, fmt.Sprintf("SUM(A%d:P%d)", r, r))
+	}
+	top, err := dataspread.OpenSheet(dataspread.OpenDB(), "sums", s, "rom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := func() map[dataspread.RID]string {
+		out := map[dataspread.RID]string{}
+		for _, name := range top.DB().TableNames() {
+			top.DB().Table(name).Scan(func(rid dataspread.RID, row dataspread.Row) bool {
+				out[rid] = fmt.Sprint(row)
+				return true
+			})
+		}
+		return out
+	}
+	before := tuples()
+	for _, edit := range []func() error{func() error { return top.InsertRowsAfter(1, 1) }, func() error { return top.DeleteRows(2, 1) }} {
+		if err := edit(); err != nil {
+			t.Fatal(err)
+		}
+		if st := top.LastEditStats(); st.Relocated != sums-1 || st.Rewritten != sums-1 || st.Recomputed != 0 {
+			t.Errorf("top-of-sheet edit: %+v, want %d relocated and re-texted in the registry, none recomputed", st, sums-1)
+		}
+		written, added := 0, 0
+		for rid, row := range tuples() {
+			if was, ok := before[rid]; !ok {
+				added++
+			} else if was != row {
+				written++
+			}
+		}
+		if written != 0 || added > 1 {
+			t.Errorf("top-of-sheet edit rewrote %d stored tuples and added %d, want none and at most the inserted row", written, added)
+		}
+	}
+	if c := top.GetCell(sums, 17); c.Formula != fmt.Sprintf("SUM(A%d:P%d)", sums, sums) || c.Value.String() != fmt.Sprint(sums) {
+		t.Errorf("row sum %d after insert and delete = %+v", sums, c)
 	}
 }
 

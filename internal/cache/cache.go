@@ -415,6 +415,24 @@ func (c *Cache) Shift(rows bool, at, delta int) {
 	}
 }
 
+// Retext replaces the formula text of the resident cells among refs, leaving
+// their values and pending bits as they are. text(i) is called for a resident
+// refs[i] only — a structural edit renders the text of the formulas a tile
+// holds and no other — and under the cache lock, so it must not call back
+// into the cache. A tile loaded later renders the new text itself.
+func (c *Cache) Retext(refs []sheet.Ref, text func(i int) string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, r := range refs {
+		if e, ok := c.blocks[keyFor(r)]; ok {
+			b := e.Value.(*block)
+			if row, col := local(b.key, r); col >= b.lo && col <= b.hi {
+				setText(&b.formula, row*b.width()+col-b.lo, text(i), len(b.kind))
+			}
+		}
+	}
+}
+
 // TakeErr returns the first block-load failure recorded since the last call
 // and clears it (nil when none). A failed load renders the affected cells
 // blank; callers that must distinguish blank from unreadable check this

@@ -176,3 +176,81 @@ func BenchmarkTick(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// tickerEngine opens the ticker-recalc cone — workload.TickerMarket(400 x
+// 100), 40,400 formula cells — on a synchronous in-memory engine.
+func tickerEngine(b *testing.B) *Engine {
+	b.Helper()
+	spec := workload.TickerSpec{Intermediates: 400, LeavesPer: 100}
+	e, err := Open(rdbms.Open(rdbms.Options{}), "ticker", workload.TickerMarket(spec), "rom", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkDrain times a full recalculation on a synchronous engine. ticker:
+// one tick of the ticker, whose whole 40,400-cell cone is evaluated and
+// written back before the edit returns.
+func BenchmarkDrain(b *testing.B) {
+	b.Run("ticker", func(b *testing.B) {
+		e := tickerEngine(b)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			tick := workload.Tick(i + 1)
+			if _, err := e.ApplyCells([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkFirstScreenTile times the first screen's tile of the ticker, the
+// 64 x 16 cells at A1, 960 of them formulas: load is the cache's block load
+// (the store's range read, formula text overlaid), render the overlay alone.
+func BenchmarkFirstScreenTile(b *testing.B) {
+	e := tickerEngine(b)
+	tile := sheet.NewRange(1, 1, 64, 16)
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := (storeBacking{e}).LoadBlock(tile); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("render", func(b *testing.B) {
+		cells, err := e.store.GetCells(tile)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			e.overlayFormulas(tile, cells)
+		}
+	})
+}
+
+// BenchmarkTopOfSheetShift times a row inserted after row 1 and deleted
+// again over 30,000 row sums =SUM(A<r>:P<r>), each row with one number to
+// sum: every sum moves and is re-texted in the registry, twice.
+func BenchmarkTopOfSheetShift(b *testing.B) {
+	s := sheet.New("sums")
+	for r := 1; r <= 30_000; r++ {
+		s.SetValue(r, 1, sheet.Number(float64(r)))
+		s.SetFormula(r, 17, fmt.Sprintf("SUM(A%d:P%d)", r, r))
+	}
+	e, err := Open(rdbms.Open(rdbms.Options{}), "sums", s, "rom", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := e.InsertRowsAfter(1, 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.DeleteRows(2, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dataspread/internal/formula"
 	"dataspread/internal/hybrid"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
@@ -327,4 +329,168 @@ func TestConcurrentReadersBesideStructureChanges(t *testing.T) {
 		}
 		t.Logf("%d reads waited for their generation's state", len(stash))
 	})
+}
+
+// TestConcurrentFormulaTextBesideRegistryEdits: cold tile loads (the cache
+// holds 2 of the range's 3 tiles) beside a writer that installs, drops and
+// shifts formulas and poisons cycles. Each round opens an async engine over a
+// sheet with cycles the executor finds only when it plans — it takes them out
+// of the registry while the readers load — then edits: fill-down runs typed
+// in lower case, clears, row and column shifts, a cycle closed and broken. A
+// tile load renders formula text from the registry, so every reply's texts
+// must be the registry's at the generation the reply carries; under -race, a
+// registry mutation outside both latches (poisonCycles' removal after its
+// write window, say) races with those loads.
+func TestConcurrentFormulaTextBesideRegistryEdits(t *testing.T) {
+	const rows, cols = 192, 16
+	all := sheet.NewRange(1, 1, rows, cols)
+	s := sheet.New("text")
+	for r := 1; r <= rows; r++ {
+		s.SetValue(r, 1, sheet.Number(float64(r)))
+		s.SetFormula(r, 4, fmt.Sprintf("A%d*2", r))
+		s.SetFormula(r, 5, fmt.Sprintf("SUM(A%d:D%d)", r, r))
+	}
+	for _, r := range []int{1, 70, 150} { // cycles in each tile
+		s.SetFormula(r, 2, fmt.Sprintf("C%d+1", r))
+		s.SetFormula(r, 3, fmt.Sprintf("B%d+1", r))
+	}
+	// texts is what the registry says of all's formulas; the caller holds
+	// the edit lock, which every registry mutation holds too.
+	texts := func(e *Engine) map[sheet.Ref]string {
+		out := map[sheet.Ref]string{}
+		e.deps.RunsIn(all, func(first sheet.Ref, k, n int, head formula.Expr) {
+			for i := range n {
+				out[sheet.Ref{Row: first.Row + i, Col: first.Col}] = string(formula.AppendAt(nil, head, k+i))
+			}
+		})
+		for ref, src := range e.cycles {
+			if all.Contains(ref) {
+				out[ref] = src
+			}
+		}
+		return out
+	}
+	served := func(cells [][]sheet.Cell) map[sheet.Ref]string {
+		out := map[sheet.Ref]string{}
+		for i, row := range cells {
+			for j, c := range row {
+				if c.Formula != "" {
+					out[sheet.Ref{Row: i + 1, Col: j + 1}] = c.Formula
+				}
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	checked := 0
+	for round := range 3 {
+		e, err := Open(rdbms.Open(rdbms.Options{}), "text", s, "rom", Options{AsyncRecalc: true, CacheBlocks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		want := map[uint64]map[sheet.Ref]string{}
+		type sample struct {
+			gen   uint64
+			texts map[sheet.Ref]string
+		}
+		var stash []sample
+		verify := func(sm sample) {
+			w := want[sm.gen]
+			for ref, text := range w {
+				if sm.texts[ref] != text {
+					t.Errorf("round %d generation %d: %v served %q, registry %q", round, sm.gen, ref, sm.texts[ref], text)
+					return
+				}
+			}
+			if len(sm.texts) != len(w) {
+				t.Errorf("round %d generation %d: %d formulas served, %d registered", round, sm.gen, len(sm.texts), len(w))
+			}
+		}
+		record := func() {
+			e.writeMu.Lock()
+			gen, w := e.gen.Load(), texts(e)
+			e.writeMu.Unlock()
+			mu.Lock()
+			want[gen] = w
+			mu.Unlock()
+		}
+		record()
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !done.Load() {
+					cells, _, gen, err := e.ReadRange(all)
+					if err != nil {
+						t.Errorf("ReadRange: %v", err)
+						return
+					}
+					sm := sample{gen, served(cells)}
+					mu.Lock()
+					if want[gen] != nil {
+						verify(sm)
+						checked++
+					} else {
+						stash = append(stash, sm)
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+		for step := 0; step < 30 && !t.Failed(); step++ {
+			r, c := rng.Intn(rows-20)+1, rng.Intn(8)+6
+			var err error
+			switch rng.Intn(6) {
+			case 0: // a fill-down run, typed in lower case
+				var edits []CellEdit
+				for i := range rng.Intn(20) + 1 {
+					edits = append(edits, CellEdit{Row: r + i, Col: c, Input: fmt.Sprintf("=a%d + %d", r+i, c)})
+				}
+				err = e.SetCells(edits)
+			case 1: // clear part of a run and of the seeded columns
+				var edits []CellEdit
+				for i := range rng.Intn(10) + 1 {
+					edits = append(edits, CellEdit{Row: r + i, Col: []int{4, 5, c}[i%3]})
+				}
+				err = e.SetCells(edits)
+			case 2:
+				err = e.InsertRowsAfter(r, rng.Intn(3)+1)
+			case 3:
+				err = e.DeleteRows(r, rng.Intn(2)+1)
+			case 4:
+				if rng.Intn(2) == 0 {
+					err = e.InsertColumnsAfter(c, 1)
+				} else {
+					err = e.DeleteColumns(c, 1)
+				}
+			case 5: // close a cycle; break it again half the time
+				err = e.SetCells([]CellEdit{{Row: r, Col: 14, Input: fmt.Sprintf("=O%d+1", r)}, {Row: r, Col: 15, Input: fmt.Sprintf("=N%d+1", r)}})
+				if err == nil && rng.Intn(2) == 0 {
+					record()
+					err = e.Set(r, 15, "7")
+				}
+			}
+			if err != nil {
+				t.Fatalf("round %d step %d: %v", round, step, err)
+			}
+			record()
+		}
+		done.Store(true)
+		wg.Wait()
+		mustDrain(t, e)
+		for _, sm := range stash {
+			if want[sm.gen] == nil {
+				t.Fatalf("round %d: a read was stamped with generation %d, at which no step left the sheet", round, sm.gen)
+			}
+			verify(sm)
+		}
+		checked += len(stash)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d replies' formula text checked against the registry", checked)
 }

@@ -52,12 +52,13 @@ type Engine struct {
 	// deps is the formula registry and its dependency graph in one: every
 	// live formula, constants included, as a fill-down run — one head
 	// expression, its reads and its member rows (depgraph.Graph.Formula,
-	// formula.EvalAt) — the unit the formula set persists, too.
+	// formula.EvalAt), the unit the formula set persists — and the only home
+	// of formula source: tile loads render it (overlayFormulas).
 	deps *depgraph.Graph
 	// cycles tracks cycle-poisoned formulas by source text: they are
 	// registered nowhere else in memory (applyLocked leaves them out of the
 	// registry), but their source must ride along in the engine manifest so
-	// a snapshot-free Load can re-register them.
+	// a snapshot-free Load can re-register them, and tile loads show it.
 	cycles map[sheet.Ref]string
 	// bounds tracks the content extent (written under writeMu, read from
 	// anywhere).
@@ -84,14 +85,61 @@ type Engine struct {
 }
 
 // storeBacking adapts the engine's current hybrid store (Optimize swaps it)
-// to the cache's Backing interface: block loads are exactly the store's dense
-// range reads (one page pin per heap page, projection pushed down to the
-// viewport's columns), and load errors flow into the cache where
-// Engine.ReadErr surfaces them.
+// to the cache's Backing interface: block loads are the store's dense range
+// reads (one page pin per heap page, projection pushed down to the viewport's
+// columns) with the formula text overlaid, and load errors flow into the
+// cache where Engine.ReadErr surfaces them.
 type storeBacking struct{ e *Engine }
 
 func (b storeBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
-	return b.e.store.GetCells(g)
+	cells, err := b.e.store.GetCells(g)
+	if err == nil {
+		b.e.overlayFormulas(g, cells)
+	}
+	return cells, err
+}
+
+// renderBufs recycles overlayFormulas' render buffer across tile loads.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// overlayFormulas writes the source text of every formula in g into its cell
+// of the grid the store returned for g, which holds values only: each run
+// member prints its head moved down to its row (formula.AppendAt) into one
+// buffer, one string a tile that the cells' texts slice, and a cycle-poisoned
+// cell takes its source from e.cycles. The caller keeps the registry still:
+// it holds the edit lock, or the structure and window latches shared, and
+// every registry mutation holds writeMu and one of those exclusively.
+func (e *Engine) overlayFormulas(g sheet.Range, cells [][]sheet.Cell) {
+	type member struct{ row, col, end int32 } // a cell of the grid, where its text ends
+	var stack [cache.BlockRows * cache.BlockCols]member
+	members, buf := stack[:0], renderBufs.Get().(*[]byte)
+	e.deps.RunsIn(g, func(first sheet.Ref, k, n int, head formula.Expr) {
+		for i := range n {
+			*buf = formula.AppendAt(*buf, head, k+i)
+			members = append(members, member{int32(first.Row - g.From.Row + i), int32(first.Col - g.From.Col), int32(len(*buf))})
+		}
+	})
+	text, start := string(*buf), int32(0)
+	for _, m := range members {
+		cells[m.row][m.col].Formula, start = text[start:m.end], m.end
+	}
+	*buf = (*buf)[:0]
+	renderBufs.Put(buf)
+	if len(e.cycles) <= g.Area() {
+		for ref, src := range e.cycles {
+			if g.Contains(ref) {
+				cells[ref.Row-g.From.Row][ref.Col-g.From.Col].Formula = src
+			}
+		}
+		return
+	}
+	for r := range cells { // more poisoned cells than the tile has: probe its cells
+		for c := range cells[r] {
+			if src, ok := e.cycles[sheet.Ref{Row: g.From.Row + r, Col: g.From.Col + c}]; ok {
+				cells[r][c].Formula = src
+			}
+		}
+	}
 }
 
 // params returns the hybrid optimizer's cost parameters (zero value:
@@ -267,13 +315,14 @@ type cellWrite struct {
 	expr  formula.Expr
 }
 
-// formulaWrite parses a formula source (without '=') into a batch entry.
+// formulaWrite parses a formula source (without '=') into a batch entry whose
+// src is the canonical text: the one the registry renders on every read.
 func formulaWrite(ref sheet.Ref, src string) (cellWrite, error) {
 	expr, err := formula.Parse(src)
 	if err != nil {
 		return cellWrite{}, fmt.Errorf("core: formula at %v: %w", ref, err)
 	}
-	return cellWrite{ref: ref, src: src, expr: expr}, nil
+	return cellWrite{ref: ref, src: expr.String(), expr: expr}, nil
 }
 
 // parseEdit types one user input.
@@ -444,11 +493,11 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 	return e.gen.Load(), nil
 }
 
-// commit is the write-through for everything but an edit batch (wave
-// results, #CYCLE! poisoning, a structural edit's rewritten formula text,
-// which commits inside the structure lock): one store write, then a publish
-// without a generation of its own, inside the write window.
-func (e *Engine) commit(writes []model.CellWrite) error {
+// commit is the write-through of a chunk's recomputed values and of #CYCLE!
+// poisoning: one store write, then moved (nil: nothing) — the registry
+// mutation that belongs with it — and a publish without a generation of its
+// own, inside the write window.
+func (e *Engine) commit(writes []model.CellWrite, moved func()) error {
 	if len(writes) == 0 {
 		return nil
 	}
@@ -456,6 +505,9 @@ func (e *Engine) commit(writes []model.CellWrite) error {
 	defer e.latches.window.Unlock()
 	if err := e.store.UpdateCells(writes); err != nil {
 		return err
+	}
+	if moved != nil {
+		moved()
 	}
 	e.publish(writes, nil, nil)
 	return nil
@@ -500,30 +552,29 @@ func (e *Engine) dropFormula(ref sheet.Ref) {
 // poisonCycles is the executor's write of #CYCLE!: every ref in refs — found
 // on a cycle by the plan, or installed closing one — keeps its formula text
 // but displays #CYCLE!, and any live registration moves out of the registry
-// into e.cycles, so the persisted manifest records the poisoning — a
-// Save/Load round-trip must not silently revive the formula as a live
-// registration that re-evaluates to a value.
-// Poisoned cells recover when an edit breaks their cycle (reviveCycles).
+// into e.cycles, inside the write window (tile loads render from both), so
+// the persisted manifest records the poisoning — a Save/Load round-trip must
+// not silently revive the formula as a live registration that re-evaluates
+// to a value. Poisoned cells recover when an edit breaks their cycle
+// (reviveCycles).
 func (e *Engine) poisonCycles(refs []sheet.Ref) error {
 	writes := make([]model.CellWrite, len(refs))
 	for i, ref := range refs {
-		src := e.cache.Get(ref).Formula
-		if src == "" {
-			src = e.cycles[ref]
+		src := e.cycles[ref]
+		if head, k, live := e.deps.Formula(ref); live {
+			src = string(formula.AppendAt(nil, head, k))
 		}
 		writes[i] = model.CellWrite{Row: ref.Row, Col: ref.Col, Cell: sheet.Cell{Value: sheet.ErrCycle, Formula: src}}
 	}
-	if err := e.commit(writes); err != nil {
-		return err
-	}
-	for i, ref := range refs {
-		if _, _, ok := e.deps.Formula(ref); ok {
-			e.deps.Remove(ref)
-			e.cycles[ref] = writes[i].Cell.Formula
-			e.formulasDirty = true
+	return e.commit(writes, func() {
+		for i, ref := range refs {
+			if _, _, live := e.deps.Formula(ref); live {
+				e.deps.Remove(ref)
+				e.cycles[ref] = writes[i].Cell.Formula
+				e.formulasDirty = true
+			}
 		}
-	}
-	return nil
+	})
 }
 
 // reviveCycles re-registers poisoned formulas whose cycle no longer exists

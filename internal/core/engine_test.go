@@ -113,6 +113,20 @@ func TestEngineCycleDetection(t *testing.T) {
 	if !e.GetCell(5, 5).Value.Equal(sheet.ErrCycle) {
 		t.Fatal("self-reference must be #CYCLE!")
 	}
+	// A tile load shows the poisoned cells' text, whether it ranges over
+	// the cycle set (a tile larger than it) or probes its own cells.
+	want := map[sheet.Ref]string{{Row: 1, Col: 1}: "B1+1", {Row: 1, Col: 2}: "A1+1", {Row: 5, Col: 5}: "E5"}
+	for _, g := range []sheet.Range{sheet.NewRange(1, 1, 5, 5), sheet.NewRange(1, 1, 1, 2), sheet.NewRange(5, 5, 5, 5)} {
+		cells, err := storeBacking{e}.LoadBlock(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ref, src := range want {
+			if g.Contains(ref) && cells[ref.Row-g.From.Row][ref.Col-g.From.Col].Formula != src {
+				t.Fatalf("load of %v: %v reads %+v, want formula %q", g, ref, cells[ref.Row-g.From.Row][ref.Col-g.From.Col], src)
+			}
+		}
+	}
 }
 
 func TestEngineSetParsesInput(t *testing.T) {

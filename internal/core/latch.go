@@ -30,11 +30,13 @@ import (
 //     publish (applyLocked, commit): the window in which a block loaded from
 //     the store would show the batch under the old generation
 //     (cache/snapshot.go). For an edit it covers the store write, formula
-//     registration, the pending-mark walk and the publish; for a chunk or a
-//     structural edit's rewritten formula text, the store write and the
-//     publish. A reader that has to load a block holds it shared: it waits out
-//     that window and nothing else — not a chunk's evaluation, not a settle,
-//     not a Save.
+//     registration, the pending-mark walk and the publish; for a chunk, the
+//     store write and the publish; for #CYCLE! poisoning, also the formulas'
+//     move to the cycle set. A reader that has to load a block holds it
+//     shared: it waits out that window and nothing else — not a chunk's
+//     evaluation, not a settle, not a Save. A block load renders formula text
+//     from the registry and the cycle set: their every mutation holds
+//     structure or window exclusively, besides writeMu.
 //   - Visibility is decided inside the cell cache: a batch becomes visible,
 //     with its generation, in the publish that ends the window, and a resident
 //     range is read, with its mask and generation, under one shared hold of the

@@ -66,12 +66,13 @@ import (
 const recalcChunkSize = 512
 
 // coldDelay is the dispatcher's quiet window: how long after the latest edit
-// it leaves the cells nobody is looking at alone. The full plan costs O(cone)
-// to build — ~19 ms for the 40,400-cell ticker cone, ~15 ms for 30,000 row
-// sums (BenchmarkConeFrom, 2-CPU VM) — under the edit lock, and the next edit
-// throws it away, so a burst (a ticking feed, a paste in pieces) pays for the
-// viewport after each edit and for the rest of the cone once, when it
-// pauses. A variable for tests.
+// it leaves the cells nobody is looking at alone. It amortizes the full plan
+// (~19 ms for the 40,400-cell ticker cone, BenchmarkConeFrom, 2-CPU VM),
+// which the next edit throws away, and it coalesces a paste burst's
+// recalculation and drain-saves and keeps the cold pass off a tick's and an
+// open's first reads: with it at 0, edit-contended lost paste throughput,
+// WAL bytes and tick latency, and opens got slower (ROADMAP item 17). A
+// variable for tests.
 var coldDelay = 40 * time.Millisecond
 
 var errEngineClosed = fmt.Errorf("core: engine closed")
@@ -624,7 +625,7 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		writes = append(writes, model.CellWrite{Row: j.ref.Row, Col: j.ref.Col,
 			Cell: sheet.Cell{Value: vals[i], Formula: old.Formula}})
 	}
-	return e.commit(writes)
+	return e.commit(writes, nil)
 }
 
 // drainSave persists the recomputed values once the pending set is empty:

@@ -5,7 +5,6 @@ import (
 
 	"dataspread/internal/depgraph"
 	"dataspread/internal/formula"
-	"dataspread/internal/model"
 	"dataspread/internal/sheet"
 )
 
@@ -37,9 +36,9 @@ type EditStats struct {
 	// moves their run in memory only — the stored tuple moved with its
 	// region's positional map.
 	Relocated int
-	// Rewritten counts formulas whose reference text crossed the edit and
-	// was rewritten (one AST rewrite + one storage write each). Formulas
-	// entirely before the edit are never rewritten.
+	// Rewritten counts formulas whose references crossed the edit and were
+	// rewritten in the registry (no storage write: the store holds values
+	// only). Formulas entirely before the edit are never rewritten.
 	Rewritten int
 	// Dropped counts formulas destroyed because their cell was deleted.
 	Dropped int
@@ -147,9 +146,7 @@ func (e *Engine) shiftLocked(sh formula.Shift, axis depgraph.Axis, at, delta int
 		extent.Add(-int64(over))
 	}
 	e.cache.Shift(sh.Rows, at, delta)
-	if err := e.applyShift(sh, axis, at, delta); err != nil {
-		return 0, err
-	}
+	e.applyShift(sh, axis, at, delta)
 	if sh.Delete {
 		seeds = shiftSeeds(seeds, axis, at, sh.Count)
 	} else {
@@ -170,20 +167,22 @@ const maxCoord = 1 << 29
 
 // applyShift relocates the engine's formula state under a structural edit:
 // the registry moves its runs and reports which formulas moved, which read
-// across the edit (rewritten there), and which were deleted; only the crossing
-// formulas (and cycle-poisoned sources) get new text, and all of it reaches
-// storage in one write. sh is the same edit as (axis, at, delta), in the form
-// the formula rewriter takes.
-func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int) error {
+// across the edit (rewritten there), and which were deleted; cycle-poisoned
+// sources are re-keyed and re-texted alongside. No cell is written: the store
+// holds values only, and its positional maps moved them. Resident tiles get
+// the rewritten text (cache.Retext renders it for them alone); a tile loaded
+// later renders it from the registry. sh is the same edit as (axis, at,
+// delta), in the form the formula rewriter takes.
+func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int) {
 	res := e.deps.Shift(axis, at, delta)
 	// Cycle-poisoned formulas live only in e.cycles (no expression, no
 	// registry entry): re-key them in phases — capture, delete every vacated
 	// or deleted key, write the new keys (a dropped cell's old key may be
 	// another's new home) — so their manifest entry tracks the cell their
-	// stored text moved with.
+	// stored value moved with.
 	var cycleMoves []cellMove
 	var cycleDrops []sheet.Ref
-	var retext []textWrite
+	retext := res.Rewritten
 	if len(e.cycles) > 0 {
 		refs := make([]sheet.Ref, 0, len(e.cycles))
 		for ref := range e.cycles {
@@ -214,7 +213,7 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 			if txt := sh.Apply(expr).String(); txt != src {
 				e.cycles[ref] = txt
 				e.formulasDirty = true
-				retext = append(retext, textWrite{ref, txt})
+				retext = append(retext, ref)
 			}
 		}
 	}
@@ -224,30 +223,12 @@ func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int)
 	if e.lastEdit.Relocated+e.lastEdit.Dropped+len(res.Rewritten) > 0 {
 		e.formulasDirty = true
 	}
-	for i, ref := range res.Rewritten {
-		retext = append(retext, textWrite{ref, res.Exprs[i].String()})
-	}
-
-	// One storage write carries every changed source text.
-	writes := make([]model.CellWrite, len(retext))
-	for i, t := range retext {
-		cell := e.cache.Get(t.ref)
-		// An unreadable block renders blank and records the failure; writing
-		// that blank through would silently replace the cell's stored value.
-		// Fail the edit instead of persisting it.
-		if err := e.cache.TakeErr(); err != nil {
-			return fmt.Errorf("core: structural edit reading formula cell %v: %w", t.ref, err)
+	e.cache.Retext(retext, func(i int) string {
+		if i < len(res.Exprs) {
+			return res.Exprs[i].String()
 		}
-		cell.Formula = t.src
-		writes[i] = model.CellWrite{Row: t.ref.Row, Col: t.ref.Col, Cell: cell}
-	}
-	return e.commit(writes)
-}
-
-// textWrite is a formula cell whose source text a structural edit rewrote.
-type textWrite struct {
-	ref sheet.Ref
-	src string
+		return e.cycles[retext[i]]
+	})
 }
 
 type cellMove struct{ old, nw sheet.Ref }

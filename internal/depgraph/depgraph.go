@@ -880,21 +880,44 @@ func (g *Graph) HasCycleAt(ref sheet.Ref, reads []sheet.Range) bool {
 }
 
 // formulasIn visits every registered formula cell inside r, early-exiting
-// (and returning true) when visit does: per column of r, a binary search to
-// the first run reaching r's top, then the members of each run up to r's
-// bottom — the cost tracks the formulas inside r, not the registry.
-// HasCycleAt runs once per formula install, and scanning the whole registry
-// there turns bulk loads quadratic. A range spanning more columns than hold
-// formulas walks the registry's columns instead.
+// (and returning true) when visit does. HasCycleAt runs once per formula
+// install, and scanning the whole registry there turns bulk loads quadratic:
+// runsIn keeps the cost to the formulas inside r.
 func (g *Graph) formulasIn(r sheet.Range, visit func(sheet.Ref) bool) bool {
+	return g.runsIn(r, func(x *run) bool {
+		for row := max(x.row, r.From.Row); row <= min(x.last(), r.To.Row); row++ {
+			if visit(sheet.Ref{Row: row, Col: x.col}) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// RunsIn visits the part inside r of every run meeting it, down each column
+// in row order: the part's first cell, that cell's offset k in its run, the
+// number n of members inside r, and the run's head, which member k+i is moved
+// down k+i rows. It is how the engine overlays formula text on a tile it
+// loads.
+func (g *Graph) RunsIn(r sheet.Range, fn func(first sheet.Ref, k, n int, head formula.Expr)) {
+	g.runsIn(r, func(x *run) bool {
+		lo, hi := max(x.row, r.From.Row), min(x.last(), r.To.Row)
+		fn(sheet.Ref{Row: lo, Col: x.col}, lo-x.row, hi-lo+1, x.head)
+		return false
+	})
+}
+
+// runsIn visits every run meeting r until visit returns true, and reports
+// whether it did: per column of r, a binary search to the first run reaching
+// r's top, then each run up to r's bottom — the cost tracks the runs inside
+// r, not the registry. A range spanning more columns than hold formulas walks
+// the registry's columns instead (in no particular order).
+func (g *Graph) runsIn(r sheet.Range, visit func(*run) bool) bool {
 	inCol := func(runs []*run) bool {
 		i := sort.Search(len(runs), func(i int) bool { return runs[i].last() >= r.From.Row })
 		for ; i < len(runs) && runs[i].row <= r.To.Row; i++ {
-			x := runs[i]
-			for row := max(x.row, r.From.Row); row <= min(x.last(), r.To.Row); row++ {
-				if visit(sheet.Ref{Row: row, Col: x.col}) {
-					return true
-				}
+			if visit(runs[i]) {
+				return true
 			}
 		}
 		return false

@@ -166,6 +166,24 @@ func checkRegistry(t *testing.T, label string, rng *rand.Rand, g *Graph, p popul
 		if got, want := g.HasCycleAt(c, reads), cycleAt(m, c, reads); got != want {
 			t.Fatalf("%s: HasCycleAt(%v, %v) = %v, reference %v", label, c, reads, got, want)
 		}
+		// RunsIn covers exactly the formula cells of a tile-sized box, each
+		// rendering its reference's text.
+		box := sheet.NewRange(c.Row, c.Col, c.Row+rng.Intn(64), c.Col+rng.Intn(16))
+		texts := map[sheet.Ref]string{}
+		g.RunsIn(box, func(first sheet.Ref, k, n int, head formula.Expr) {
+			for i := range n {
+				texts[sheet.Ref{Row: first.Row + i, Col: first.Col}] = string(formula.AppendAt(nil, head, k+i))
+			}
+		})
+		inBox := map[sheet.Ref]string{}
+		for f, e := range p {
+			if box.Contains(f) {
+				inBox[f] = e.String()
+			}
+		}
+		if !maps.Equal(texts, inBox) {
+			t.Fatalf("%s: formulas in %v = %v, reference %v", label, box, texts, inBox)
+		}
 	}
 
 	seeds := []sheet.Ref{pick(), pick(), pick()}

@@ -10,9 +10,8 @@
 package formula
 
 import (
-	"fmt"
+	"math"
 	"strconv"
-	"strings"
 
 	"dataspread/internal/sheet"
 )
@@ -66,55 +65,15 @@ type Binary struct {
 	L, R Expr
 }
 
-func (n *NumberLit) String() string {
-	return strconv.FormatFloat(n.Val, 'g', -1, 64)
-}
-
-func (s *StringLit) String() string {
-	return `"` + strings.ReplaceAll(s.Val, `"`, `""`) + `"`
-}
-
-func (b *BoolLit) String() string {
-	if b.Val {
-		return "TRUE"
-	}
-	return "FALSE"
-}
-
-func (e *ErrorLit) String() string { return e.Code }
-
-func (r *RefNode) String() string {
-	var sb strings.Builder
-	if r.AbsCol {
-		sb.WriteByte('$')
-	}
-	sb.WriteString(sheet.ColumnName(r.Ref.Col))
-	if r.AbsRow {
-		sb.WriteByte('$')
-	}
-	fmt.Fprintf(&sb, "%d", r.Ref.Row)
-	return sb.String()
-}
-
-func (r *RangeNode) String() string { return r.From.String() + ":" + r.To.String() }
-
-func (c *Call) String() string {
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
-	}
-	return c.Name + "(" + strings.Join(parts, ",") + ")"
-}
-
-func (u *Unary) String() string {
-	if u.Op == "%" {
-		return u.X.String() + "%"
-	}
-	if _, ok := u.X.(*Binary); ok {
-		return u.Op + "(" + u.X.String() + ")"
-	}
-	return u.Op + u.X.String()
-}
+func (n *NumberLit) String() string { return string(AppendAt(nil, n, 0)) }
+func (s *StringLit) String() string { return string(AppendAt(nil, s, 0)) }
+func (b *BoolLit) String() string   { return string(AppendAt(nil, b, 0)) }
+func (e *ErrorLit) String() string  { return e.Code }
+func (r *RefNode) String() string   { return string(AppendAt(nil, r, 0)) }
+func (r *RangeNode) String() string { return string(AppendAt(nil, r, 0)) }
+func (c *Call) String() string      { return string(AppendAt(nil, c, 0)) }
+func (u *Unary) String() string     { return string(AppendAt(nil, u, 0)) }
+func (b *Binary) String() string    { return string(AppendAt(nil, b, 0)) }
 
 // opPrec orders binary operators for minimal re-parenthesization:
 // comparisons < & < +- < */ < ^.
@@ -134,25 +93,90 @@ func opPrec(op string) int {
 	return 0
 }
 
-func (b *Binary) String() string {
-	p := opPrec(b.Op)
-	l := b.L.String()
-	if lb, ok := b.L.(*Binary); ok {
-		// Left child needs parens when weaker, or equal under the
-		// right-associative '^'.
-		if lp := opPrec(lb.Op); lp < p || (lp == p && b.Op == "^") {
-			l = "(" + l + ")"
+// AppendAt appends the canonical text of e moved down k rows — the String of
+// MoveDown(e, k) — to dst, building no tree and no intermediate string: the
+// one renderer behind every String.
+func AppendAt(dst []byte, e Expr, k int) []byte { return printer{k: k}.append(dst, e) }
+
+// printer renders canonical text k rows down.
+type printer struct{ k int }
+
+func (p printer) append(dst []byte, e Expr) []byte {
+	switch v := e.(type) {
+	case *NumberLit:
+		// 'g' prints an integer below 10^6 as its digits: skip the shortest-
+		// float search for the literals fill-down runs are made of.
+		if f := v.Val; f == math.Trunc(f) && math.Abs(f) < 1e6 && !(f == 0 && math.Signbit(f)) {
+			return strconv.AppendInt(dst, int64(f), 10)
 		}
-	}
-	r := b.R.String()
-	if rb, ok := b.R.(*Binary); ok {
-		// Right child needs parens when weaker, or equal under a
+		return strconv.AppendFloat(dst, v.Val, 'g', -1, 64)
+	case *StringLit:
+		dst = append(dst, '"')
+		for i := 0; i < len(v.Val); i++ {
+			if v.Val[i] == '"' {
+				dst = append(dst, '"')
+			}
+			dst = append(dst, v.Val[i])
+		}
+		return append(dst, '"')
+	case *BoolLit:
+		if v.Val {
+			return append(dst, "TRUE"...)
+		}
+		return append(dst, "FALSE"...)
+	case *ErrorLit:
+		return append(dst, v.Code...)
+	case *RefNode:
+		return p.ref(dst, *v)
+	case *RangeNode:
+		return p.ref(append(p.ref(dst, v.From), ':'), v.To)
+	case *Call:
+		dst = append(append(dst, v.Name...), '(')
+		for i, a := range v.Args {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = p.append(dst, a)
+		}
+		return append(dst, ')')
+	case *Unary:
+		if v.Op == "%" {
+			return append(p.append(dst, v.X), '%')
+		}
+		_, paren := v.X.(*Binary)
+		return p.operand(append(dst, v.Op...), v.X, paren)
+	case *Binary:
+		prec := opPrec(v.Op)
+		// The left child needs parens when weaker, or equal under the
+		// right-associative '^'; the right one when weaker, or equal under a
 		// left-associative operator (a-(b-c) != a-b-c).
-		if rp := opPrec(rb.Op); rp < p || (rp == p && b.Op != "^") {
-			r = "(" + r + ")"
-		}
+		l, lok := v.L.(*Binary)
+		r, rok := v.R.(*Binary)
+		dst = p.operand(dst, v.L, lok && (opPrec(l.Op) < prec || opPrec(l.Op) == prec && v.Op == "^"))
+		dst = append(dst, v.Op...)
+		return p.operand(dst, v.R, rok && (opPrec(r.Op) < prec || opPrec(r.Op) == prec && v.Op != "^"))
 	}
-	return l + b.Op + r
+	return append(dst, e.String()...)
+}
+
+// operand is append, in parentheses when paren is set.
+func (p printer) operand(dst []byte, e Expr, paren bool) []byte {
+	if !paren {
+		return p.append(dst, e)
+	}
+	return append(p.append(append(dst, '('), e), ')')
+}
+
+// ref appends the reference's A1 text, $-flags included.
+func (p printer) ref(dst []byte, r RefNode) []byte {
+	if r.AbsCol {
+		dst = append(dst, '$')
+	}
+	dst = sheet.AppendColumnName(dst, r.Ref.Col)
+	if r.AbsRow {
+		return strconv.AppendInt(append(dst, '$'), int64(r.Ref.Row), 10)
+	}
+	return strconv.AppendInt(dst, int64(r.Ref.Row+p.k), 10)
 }
 
 // Range returns the rectangular range a RangeNode denotes, normalized.

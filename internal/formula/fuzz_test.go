@@ -217,7 +217,8 @@ func TestMoveDownAgreesWithText(t *testing.T) {
 }
 
 // TestEvalAtAgreesWithMoveDown: evaluating a head at offset k is evaluating
-// the head moved down k rows, and its reads at k are the moved tree's Refs,
+// the head moved down k rows, rendering it there (AppendAt) is
+// rendering the moved tree, and its reads at k are the moved tree's Refs,
 // on every head of fillDownSrcs over a sheet of numbers, text and blanks.
 func TestEvalAtAgreesWithMoveDown(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -245,6 +246,9 @@ func TestEvalAtAgreesWithMoveDown(t *testing.T) {
 		}
 		for k := 0; k < 40; k++ {
 			moved := MoveDown(head, k)
+			if got := string(AppendAt(nil, head, k)); got != moved.String() {
+				t.Fatalf("%q rendered at %d = %q, moved down = %q", src, k, got, moved)
+			}
 			if got, want := EvalAt(head, k, res), Eval(moved, res); !got.Equal(want) {
 				t.Fatalf("%q at %d = %v, %q = %v", src, k, got, moved, want)
 			}

@@ -1,95 +1,65 @@
 package model
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
 
-// A cell is stored as the row codec's own typed datum, one encoding per cell:
+// A cell is stored as the row codec's own typed datum, one encoding per cell.
+// The datum is the cell's value alone: a formula's source lives in the
+// engine's run registry and its persisted formula set, never in the cell.
 //
-//	blank                         NULL
-//	number, no formula            DTInt when it is an integer of magnitude below
-//	                              2^53 and not -0 (a varint), else DTFloat
-//	bool, no formula              DTBool
-//	string or error, no formula   DTText: tagString/tagError, then the text
-//	formula cell                  DTText: tag of the value's kind, value slot,
-//	                              then the formula source to the datum's end
+//	blank                     NULL
+//	number                    DTInt when it is an integer of magnitude below
+//	                          2^53 and not -0 (a varint), else DTFloat; always
+//	                          DTFloat in a formula cell
+//	formula not evaluated     DTFloat holding unevaluatedBits
+//	bool                      DTBool
+//	string or error           DTText: tagString/tagError, then the text
 //
-// The value slot of a formula cell is valueSlot bytes for tagNumber (the IEEE
-// bits), tagBool (those of 0 or 1) and tagEmpty (not evaluated yet, zeroes),
-// so a recalculation that yields another number rewrites its tuple in place
-// whatever the digits; only a string or error result (tagFormulaString,
-// tagFormulaError: uvarint length, then the text) changes the tuple's width.
-// The datum frames the formula source, so nothing is escaped.
+// A formula cell's number and its not-yet-evaluated state are the same nine
+// bytes, so a recalculation that yields another number — the first one
+// included — rewrites its tuple in place whatever the digits; only a string,
+// error or bool result changes the tuple's width.
 const (
-	tagString        = 's'
-	tagError         = 'x'
-	tagNumber        = 'N'
-	tagBool          = 'B'
-	tagEmpty         = 'E'
-	tagFormulaString = 'S'
-	tagFormulaError  = 'X'
+	tagString = 's'
+	tagError  = 'x'
 
-	valueSlot = 8
+	// unevaluatedBits is a signalling NaN: arithmetic never yields one, and a
+	// number that carries it anyway (set or copied) is stored as math.NaN(),
+	// so no number a cell holds is mistaken for it.
+	unevaluatedBits = 0x7ff4_0000_0000_0000
 	// maxExactInt bounds the integers float64 holds exactly: 2^53.
 	maxExactInt = 1 << 53
 )
 
-// encodeCell converts a cell to its stored datum.
+// encodeCell converts a cell to its stored datum; of the formula it keeps
+// only that there is one.
 func encodeCell(c sheet.Cell) rdbms.Datum {
 	v := c.Value
-	var f float64
-	if v.Kind() != sheet.KindString {
-		f, _ = v.Num() // the number, a bool's 0 or 1, else 0; a string's would be parsed
-	}
-	if c.Formula == "" {
-		switch v.Kind() {
-		case sheet.KindNumber:
-			if -maxExactInt < f && f < maxExactInt && f == math.Trunc(f) && !(f == 0 && math.Signbit(f)) {
-				return rdbms.Int(int64(f))
-			}
-			return rdbms.Float(f)
-		case sheet.KindBool:
-			return rdbms.Bool(f != 0)
-		case sheet.KindString:
-			return rdbms.Text(string(tagString) + v.Text())
-		case sheet.KindError:
-			return rdbms.Text(string(tagError) + v.Text())
+	switch k, f, _ := v.Parts(); k {
+	case sheet.KindNumber:
+		if c.Formula == "" && -maxExactInt < f && f < maxExactInt && f == math.Trunc(f) && !(f == 0 && math.Signbit(f)) {
+			return rdbms.Int(int64(f))
 		}
-		return rdbms.Null
-	}
-	var sb strings.Builder
-	var slot [binary.MaxVarintLen64]byte
-	switch v.Kind() {
-	case sheet.KindString, sheet.KindError:
-		tag, text := byte(tagFormulaString), v.Text()
-		if v.IsError() {
-			tag = tagFormulaError
+		if math.Float64bits(f) == unevaluatedBits {
+			f = math.NaN() // a copied sentinel: keep it a number
 		}
-		sb.Grow(1 + len(slot) + len(text) + len(c.Formula))
-		sb.WriteByte(tag)
-		sb.Write(slot[:binary.PutUvarint(slot[:], uint64(len(text)))])
-		sb.WriteString(text)
-	default:
-		tag := byte(tagEmpty)
-		switch v.Kind() {
-		case sheet.KindNumber:
-			tag = tagNumber
-		case sheet.KindBool:
-			tag = tagBool
-		}
-		binary.LittleEndian.PutUint64(slot[:], math.Float64bits(f))
-		sb.Grow(1 + valueSlot + len(c.Formula))
-		sb.WriteByte(tag)
-		sb.Write(slot[:valueSlot])
+		return rdbms.Float(f)
+	case sheet.KindBool:
+		return rdbms.Bool(f != 0)
+	case sheet.KindString:
+		return rdbms.Text(string(tagString) + v.Text())
+	case sheet.KindError:
+		return rdbms.Text(string(tagError) + v.Text())
 	}
-	sb.WriteString(c.Formula)
-	return rdbms.Text(sb.String())
+	if c.Formula != "" {
+		return rdbms.Float(math.Float64frombits(unevaluatedBits))
+	}
+	return rdbms.Null
 }
 
 // cellAt decodes attribute col of the tuple at rid. A datum that is no cell
@@ -102,15 +72,20 @@ func cellAt(t *rdbms.Table, rid rdbms.RID, col int, d rdbms.Datum) (sheet.Cell, 
 	return c, err
 }
 
-// decodeCell parses a stored datum back into a cell. A datum encodeCell
-// cannot have produced — an unknown tag, a value slot cut short, a formula
-// tag with no formula after it — is an error naming the tag.
+// decodeCell parses a stored datum back into a cell's value. A text datum
+// encodeCell cannot have produced — no tag, an unknown one — is an error
+// naming the tag.
 func decodeCell(d rdbms.Datum) (sheet.Cell, error) {
 	switch d.Type() {
 	case rdbms.DTNull:
 		return sheet.Cell{}, nil
-	case rdbms.DTInt, rdbms.DTFloat:
+	case rdbms.DTInt:
 		return sheet.Cell{Value: sheet.Number(d.Float64())}, nil
+	case rdbms.DTFloat:
+		if f := d.Float64(); math.Float64bits(f) != unevaluatedBits {
+			return sheet.Cell{Value: sheet.Number(f)}, nil
+		}
+		return sheet.Cell{}, nil
 	case rdbms.DTBool:
 		return sheet.Cell{Value: sheet.Bool(d.BoolVal())}, nil
 	}
@@ -118,40 +93,12 @@ func decodeCell(d rdbms.Datum) (sheet.Cell, error) {
 	if s == "" {
 		return sheet.Cell{}, fmt.Errorf("model: empty cell encoding")
 	}
-	var v sheet.Value
-	rest := s[1:]
 	switch tag := s[0]; tag {
 	case tagString:
-		return sheet.Cell{Value: sheet.Str(rest)}, nil
+		return sheet.Cell{Value: sheet.Str(s[1:])}, nil
 	case tagError:
-		return sheet.Cell{Value: sheet.Errorf(rest)}, nil
-	case tagNumber, tagBool, tagEmpty:
-		if len(rest) < valueSlot {
-			return sheet.Cell{}, fmt.Errorf("model: cell tag %q: value slot of %d bytes, not %d", tag, len(rest), valueSlot)
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64([]byte(rest[:valueSlot])))
-		switch tag {
-		case tagNumber:
-			v = sheet.Number(f)
-		case tagBool:
-			v = sheet.Bool(f != 0)
-		}
-		rest = rest[valueSlot:]
-	case tagFormulaString, tagFormulaError:
-		n, sz := binary.Uvarint([]byte(rest[:min(len(rest), binary.MaxVarintLen64)]))
-		if sz <= 0 || n > uint64(len(rest)-sz) {
-			return sheet.Cell{}, fmt.Errorf("model: cell tag %q: value runs past the datum", tag)
-		}
-		text := rest[sz : sz+int(n)]
-		if v = sheet.Str(text); tag == tagFormulaError {
-			v = sheet.Errorf(text)
-		}
-		rest = rest[sz+int(n):]
+		return sheet.Cell{Value: sheet.Errorf(s[1:])}, nil
 	default:
 		return sheet.Cell{}, fmt.Errorf("model: unknown cell tag %q", tag)
 	}
-	if rest == "" {
-		return sheet.Cell{}, fmt.Errorf("model: cell tag %q: no formula source", s[0])
-	}
-	return sheet.Cell{Value: v, Formula: rest}, nil
 }

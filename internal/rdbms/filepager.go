@@ -177,10 +177,10 @@ const (
 	// (header with the 8-byte durable generation; catalog root, per-table
 	// schema records and the sheets' store and engine manifests in the row
 	// codec, see manifest.go — none of them carries a version of its own;
-	// sheet cells as typed datums, see internal/model/codec.go; a log of
-	// page images and page deltas, see wal.go). Any other version fails
-	// OpenFile.
-	fileVersion = 7
+	// sheet cells as typed datums holding values only, formula source being
+	// the engine's formula set, see internal/model/codec.go; a log of page
+	// images and page deltas, see wal.go). Any other version fails OpenFile.
+	fileVersion = 8
 
 	// fileHeaderSize keeps page slots page-aligned.
 	fileHeaderSize = PageSize

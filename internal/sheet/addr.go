@@ -81,9 +81,12 @@ func (g Range) String() string {
 
 // ColumnName converts a 1-based column number to spreadsheet letters:
 // 1 -> A, 26 -> Z, 27 -> AA, ...
-func ColumnName(col int) string {
+func ColumnName(col int) string { return string(AppendColumnName(nil, col)) }
+
+// AppendColumnName appends ColumnName(col) to dst.
+func AppendColumnName(dst []byte, col int) []byte {
 	if col < 1 {
-		return "?"
+		return append(dst, '?')
 	}
 	var b [8]byte
 	i := len(b)
@@ -93,7 +96,7 @@ func ColumnName(col int) string {
 		b[i] = byte('A' + col%26)
 		col /= 26
 	}
-	return string(b[i:])
+	return append(dst, b[i:]...)
 }
 
 // ColumnNumber converts spreadsheet letters to a 1-based column number.

@@ -1,7 +1,9 @@
 package sheet
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 )
 
 // Cell is the unit of the conceptual data model: a location with a value
@@ -82,20 +84,56 @@ func (s *Sheet) Each(fn func(Ref, Cell)) {
 }
 
 // EachSorted calls fn for every filled cell in row-major order. It is
-// deterministic and therefore used by tests and corpus statistics.
+// deterministic and therefore used by bulk loads, tests and corpus
+// statistics. One pass collects the cells with their references. When their
+// rows span at most twice as many rows as there are cells, a counting sort
+// buckets them by row; otherwise (far-apart rows of a sparse sheet) a sort by
+// row does, so memory stays O(cells) either way. Each row's cells are then
+// sorted by column.
 func (s *Sheet) EachSorted(fn func(Ref, Cell)) {
-	refs := make([]Ref, 0, len(s.cells))
-	for r := range s.cells {
-		refs = append(refs, r)
+	type entry struct {
+		ref  Ref
+		cell Cell
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Row != refs[j].Row {
-			return refs[i].Row < refs[j].Row
+	if len(s.cells) == 0 {
+		return
+	}
+	all := make([]entry, 0, len(s.cells))
+	lo, hi := math.MaxInt, math.MinInt
+	for r, c := range s.cells {
+		all = append(all, entry{r, c})
+		lo, hi = min(lo, r.Row), max(hi, r.Row)
+	}
+	// order is all's indexes in row-major order of their cells.
+	order := make([]int32, len(all))
+	if span := hi - lo + 1; span <= 2*len(all) {
+		next := make([]int32, span+1) // next[i]: where row lo+i's next cell goes
+		for _, e := range all {
+			next[e.ref.Row-lo+1]++
 		}
-		return refs[i].Col < refs[j].Col
-	})
-	for _, r := range refs {
-		fn(r, s.cells[r])
+		for i := 1; i < span; i++ {
+			next[i] += next[i-1]
+		}
+		for i, e := range all {
+			order[next[e.ref.Row-lo]] = int32(i)
+			next[e.ref.Row-lo]++
+		}
+	} else {
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(all[a].ref.Row, all[b].ref.Row) })
+	}
+	for i := 0; i < len(order); {
+		row, j := all[order[i]].ref.Row, i+1
+		for j < len(order) && all[order[j]].ref.Row == row {
+			j++
+		}
+		slices.SortFunc(order[i:j], func(a, b int32) int { return cmp.Compare(all[a].ref.Col, all[b].ref.Col) })
+		i = j
+	}
+	for _, i := range order {
+		fn(all[i].ref, all[i].cell)
 	}
 }
 

@@ -2,6 +2,8 @@ package sheet
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +185,40 @@ func TestEachSortedDeterministic(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("EachSorted order = %v", got)
+		}
+	}
+}
+
+// TestEachSortedMatchesSortOrder: EachSorted visits every cell, with its
+// contents, in the order a comparison sort of the references gives, on dense
+// sheets (the counting sort) and sparse ones with far-apart rows.
+func TestEachSortedMatchesSortOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		s := New("t")
+		rowSpan := []int{1, 10, 500, 1 << 28}[trial%4]
+		for range rng.Intn(400) {
+			s.SetValue(rng.Intn(rowSpan)+1, rng.Intn(40)+1, Number(float64(rng.Intn(1000))))
+		}
+		want := make([]Ref, 0, s.Len())
+		for r := range s.cells {
+			want = append(want, r)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Row != want[j].Row {
+				return want[i].Row < want[j].Row
+			}
+			return want[i].Col < want[j].Col
+		})
+		var got []Ref
+		s.EachSorted(func(r Ref, c Cell) {
+			if c != s.Get(r) {
+				t.Fatalf("trial %d: %v visited with %+v, holds %+v", trial, r, c, s.Get(r))
+			}
+			got = append(got, r)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (rows 1..%d): EachSorted order %v, sorted %v", trial, rowSpan, got, want)
 		}
 	}
 }
