@@ -33,10 +33,13 @@ test:
 # edit-time segment walk against a brute-force closure on random fill-down
 # runs, stopping at pre-marked cells), and the fill-down run registry behind
 # them against a per-cell reference, the formula set's runs round trip
-# included (Run). CI runs this as a dedicated step so visibility,
-# latch and executor regressions are named, not buried in ./...
+# included (Run), and dependency cycles: #CYCLE! exactly on a cycle, the
+# same values however the sheet was built, kept across Save/Load and
+# structural edits, and never read pending by the viewport pass (Cycle).
+# CI runs this as a dedicated step so visibility, latch and executor
+# regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run|Cycle' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push.

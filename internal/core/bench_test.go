@@ -254,3 +254,30 @@ func BenchmarkTopOfSheetShift(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEditBesideCycles times an unrelated one-cell SetValue on a
+// synchronous engine opened beside 0, 1,000 and 10,000 two-cell cycles
+// (A{i} = B{i}, B{i} = A{i}): the cycles are ordinary registrations, so the
+// edit's cost does not grow with them.
+func BenchmarkEditBesideCycles(b *testing.B) {
+	for _, n := range []int{0, 1_000, 10_000} {
+		b.Run(fmt.Sprintf("cycles=%d", n), func(b *testing.B) {
+			s := sheet.New("c")
+			for i := 1; i <= n; i++ {
+				s.SetFormula(i, 1, fmt.Sprintf("B%d", i))
+				s.SetFormula(i, 2, fmt.Sprintf("A%d", i))
+			}
+			s.SetValue(1, 9, sheet.Number(0))
+			e, err := Open(rdbms.Open(rdbms.Options{}), "c", s, "rom", Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				if err := e.SetValue(1, 9, sheet.Number(float64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

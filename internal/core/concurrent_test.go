@@ -333,14 +333,14 @@ func TestConcurrentReadersBesideStructureChanges(t *testing.T) {
 
 // TestConcurrentFormulaTextBesideRegistryEdits: cold tile loads (the cache
 // holds 2 of the range's 3 tiles) beside a writer that installs, drops and
-// shifts formulas and poisons cycles. Each round opens an async engine over a
-// sheet with cycles the executor finds only when it plans — it takes them out
-// of the registry while the readers load — then edits: fill-down runs typed
-// in lower case, clears, row and column shifts, a cycle closed and broken. A
-// tile load renders formula text from the registry, so every reply's texts
-// must be the registry's at the generation the reply carries; under -race, a
-// registry mutation outside both latches (poisonCycles' removal after its
-// write window, say) races with those loads.
+// shifts formulas and closes cycles. Each round opens an async engine over a
+// sheet with cycles the executor poisons while the readers load, then edits:
+// fill-down runs typed in lower case, clears, row and column shifts, a cycle
+// closed and broken. A tile load renders formula text from the registry —
+// the cycles' included — so every reply's texts must be the registry's at
+// the generation the reply carries; under -race, a registry mutation outside
+// both latches races with those loads. Once drained, every #CYCLE! shown is
+// a registered formula's.
 func TestConcurrentFormulaTextBesideRegistryEdits(t *testing.T) {
 	const rows, cols = 192, 16
 	all := sheet.NewRange(1, 1, rows, cols)
@@ -363,11 +363,6 @@ func TestConcurrentFormulaTextBesideRegistryEdits(t *testing.T) {
 				out[sheet.Ref{Row: first.Row + i, Col: first.Col}] = string(formula.AppendAt(nil, head, k+i))
 			}
 		})
-		for ref, src := range e.cycles {
-			if all.Contains(ref) {
-				out[ref] = src
-			}
-		}
 		return out
 	}
 	served := func(cells [][]sheet.Cell) map[sheet.Ref]string {
@@ -488,6 +483,20 @@ func TestConcurrentFormulaTextBesideRegistryEdits(t *testing.T) {
 			verify(sm)
 		}
 		checked += len(stash)
+		poisoned := 0
+		for i, row := range e.GetCells(all) {
+			for j, c := range row {
+				if c.Value.Equal(sheet.ErrCycle) {
+					poisoned++
+					if _, _, ok := e.deps.Formula(sheet.Ref{Row: i + 1, Col: j + 1}); !ok || c.Formula == "" {
+						t.Fatalf("round %d: %v shows #CYCLE! with formula %q, registered %v", round, sheet.Ref{Row: i + 1, Col: j + 1}, c.Formula, ok)
+					}
+				}
+			}
+		}
+		if poisoned == 0 {
+			t.Fatalf("round %d: no cell shows #CYCLE! after the drain", round)
+		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,16 +49,13 @@ type Engine struct {
 	store *model.HybridStore
 	cache *cache.Cache
 	// deps is the formula registry and its dependency graph in one: every
-	// live formula, constants included, as a fill-down run — one head
-	// expression, its reads and its member rows (depgraph.Graph.Formula,
-	// formula.EvalAt), the unit the formula set persists — and the only home
-	// of formula source: tile loads render it (overlayFormulas).
+	// formula, constants and formulas on a dependency cycle included, as a
+	// fill-down run — one head expression, its reads and its member rows
+	// (depgraph.Graph.Formula, formula.EvalAt), the unit the formula set
+	// persists — and the only home of formula source: tile loads render it
+	// (overlayFormulas). Whether a formula shows #CYCLE! is decided by the
+	// recalc plan from the graph alone, never recorded beside it.
 	deps *depgraph.Graph
-	// cycles tracks cycle-poisoned formulas by source text: they are
-	// registered nowhere else in memory (applyLocked leaves them out of the
-	// registry), but their source must ride along in the engine manifest so
-	// a snapshot-free Load can re-register them, and tile loads show it.
-	cycles map[sheet.Ref]string
 	// bounds tracks the content extent (written under writeMu, read from
 	// anywhere).
 	maxRow, maxCol atomic.Int64
@@ -105,10 +101,10 @@ var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 // overlayFormulas writes the source text of every formula in g into its cell
 // of the grid the store returned for g, which holds values only: each run
 // member prints its head moved down to its row (formula.AppendAt) into one
-// buffer, one string a tile that the cells' texts slice, and a cycle-poisoned
-// cell takes its source from e.cycles. The caller keeps the registry still:
-// it holds the edit lock, or the structure and window latches shared, and
-// every registry mutation holds writeMu and one of those exclusively.
+// buffer, one string a tile that the cells' texts slice. The caller keeps the
+// registry still: it holds the edit lock, or the structure and window latches
+// shared, and every registry mutation holds writeMu and one of those
+// exclusively.
 func (e *Engine) overlayFormulas(g sheet.Range, cells [][]sheet.Cell) {
 	type member struct{ row, col, end int32 } // a cell of the grid, where its text ends
 	var stack [cache.BlockRows * cache.BlockCols]member
@@ -125,21 +121,6 @@ func (e *Engine) overlayFormulas(g sheet.Range, cells [][]sheet.Cell) {
 	}
 	*buf = (*buf)[:0]
 	renderBufs.Put(buf)
-	if len(e.cycles) <= g.Area() {
-		for ref, src := range e.cycles {
-			if g.Contains(ref) {
-				cells[ref.Row-g.From.Row][ref.Col-g.From.Col].Formula = src
-			}
-		}
-		return
-	}
-	for r := range cells { // more poisoned cells than the tile has: probe its cells
-		for c := range cells[r] {
-			if src, ok := e.cycles[sheet.Ref{Row: g.From.Row + r, Col: g.From.Col + c}]; ok {
-				cells[r][c].Formula = src
-			}
-		}
-	}
 }
 
 // params returns the hybrid optimizer's cost parameters (zero value:
@@ -160,7 +141,6 @@ func buildEngine(db *rdbms.DB, name string, hs *model.HybridStore, opts Options)
 		db:     db,
 		store:  hs,
 		deps:   depgraph.New(),
-		cycles: make(map[sheet.Ref]string),
 		params: opts.params(),
 	}
 	e.cache = cache.New(storeBacking{e}, opts.CacheBlocks)
@@ -354,8 +334,8 @@ func (e *Engine) Clear(row, col int) error {
 	return err
 }
 
-// SetFormula installs a formula (source without '='). A formula that closes
-// a dependency cycle is poisoned with #CYCLE!.
+// SetFormula installs a formula (source without '='). A formula on a
+// dependency cycle shows #CYCLE!.
 func (e *Engine) SetFormula(row, col int, src string) error {
 	w, err := formulaWrite(sheet.Ref{Row: row, Col: col}, src)
 	if err == nil {
@@ -470,34 +450,29 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 		}
 	}
 	// Formulas register after every overwritten registration is gone, in
-	// batch order. A formula closing a cycle goes to the cycle set instead;
-	// flagged like the others, it gets its #CYCLE! from the executor.
+	// batch order, cycles and all: the executor gives a formula on a cycle
+	// its #CYCLE!.
 	var installed []sheet.Ref
 	for _, w := range kept {
-		if w.expr == nil {
-			continue
-		}
-		e.formulasDirty = true
-		installed = append(installed, w.ref)
-		if e.deps.HasCycleAt(w.ref, formula.Refs(w.expr)) {
-			e.cycles[w.ref] = w.src
-		} else {
+		if w.expr != nil {
+			e.formulasDirty = true
+			installed = append(installed, w.ref)
 			e.deps.SetFormula(w.ref, w.expr)
 		}
 	}
-	// One propagation pass for the whole batch: the formulas whose cycle the
-	// batch broke and everything reading an edited cell are marked here; the
-	// publish clears the bits of written cells, so it flags the installed ones.
-	e.mark(e.reviveCycles(), refs)
+	// One propagation pass for the whole batch: everything reading an edited
+	// cell is marked here — the members of a cycle the batch broke among them,
+	// since they read the edited cell through it; the publish clears the bits
+	// of written cells, so it flags the installed ones.
+	e.mark(nil, refs)
 	e.publish(writes, installed, &e.gen)
 	return e.gen.Load(), nil
 }
 
-// commit is the write-through of a chunk's recomputed values and of #CYCLE!
-// poisoning: one store write, then moved (nil: nothing) — the registry
-// mutation that belongs with it — and a publish without a generation of its
-// own, inside the write window.
-func (e *Engine) commit(writes []model.CellWrite, moved func()) error {
+// commit is the write-through of a chunk's recomputed values, #CYCLE!
+// included: one store write and a publish without a generation of its own,
+// inside the write window.
+func (e *Engine) commit(writes []model.CellWrite) error {
 	if len(writes) == 0 {
 		return nil
 	}
@@ -505,9 +480,6 @@ func (e *Engine) commit(writes []model.CellWrite, moved func()) error {
 	defer e.latches.window.Unlock()
 	if err := e.store.UpdateCells(writes); err != nil {
 		return err
-	}
-	if moved != nil {
-		moved()
 	}
 	e.publish(writes, nil, nil)
 	return nil
@@ -541,89 +513,27 @@ func (e *Engine) mark(seeds, changed []sheet.Ref) int {
 
 // dropFormula forgets whatever formula ref held.
 func (e *Engine) dropFormula(ref sheet.Ref) {
-	_, _, live := e.deps.Formula(ref)
-	if _, poisoned := e.cycles[ref]; live || poisoned {
+	if _, _, live := e.deps.Formula(ref); live {
 		e.formulasDirty = true
-		delete(e.cycles, ref)
 		e.deps.Remove(ref)
 	}
 }
 
-// poisonCycles is the executor's write of #CYCLE!: every ref in refs — found
-// on a cycle by the plan, or installed closing one — keeps its formula text
-// but displays #CYCLE!, and any live registration moves out of the registry
-// into e.cycles, inside the write window (tile loads render from both), so
-// the persisted manifest records the poisoning — a Save/Load round-trip must
-// not silently revive the formula as a live registration that re-evaluates
-// to a value. Poisoned cells recover when an edit breaks their cycle
-// (reviveCycles).
-func (e *Engine) poisonCycles(refs []sheet.Ref) error {
-	writes := make([]model.CellWrite, len(refs))
-	for i, ref := range refs {
-		src := e.cycles[ref]
-		if head, k, live := e.deps.Formula(ref); live {
-			src = string(formula.AppendAt(nil, head, k))
-		}
-		writes[i] = model.CellWrite{Row: ref.Row, Col: ref.Col, Cell: sheet.Cell{Value: sheet.ErrCycle, Formula: src}}
-	}
-	return e.commit(writes, func() {
-		for i, ref := range refs {
-			if _, _, live := e.deps.Formula(ref); live {
-				e.deps.Remove(ref)
-				e.cycles[ref] = writes[i].Cell.Formula
-				e.formulasDirty = true
-			}
-		}
-	})
-}
-
-// reviveCycles re-registers poisoned formulas whose cycle no longer exists
-// after the current edit changed the dependency graph, returning the
-// revived cells (row-major order, so a mutually-poisoned pair revives
-// deterministically; the caller marks them for re-evaluation). Breaking a
-// cycle brings its cells back to life — standard spreadsheet behavior, and
-// what keeps a batch equivalent to its edits applied one by one, where a
-// cycle transient within the batch never poisons at all.
-func (e *Engine) reviveCycles() []sheet.Ref {
-	if len(e.cycles) == 0 {
-		return nil
-	}
-	refs := make([]sheet.Ref, 0, len(e.cycles))
-	for ref := range e.cycles {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Row != refs[j].Row {
-			return refs[i].Row < refs[j].Row
-		}
-		return refs[i].Col < refs[j].Col
-	})
-	var revived []sheet.Ref
-	for _, ref := range refs {
-		expr, err := formula.Parse(e.cycles[ref])
-		if err != nil {
-			continue
-		}
-		if e.deps.HasCycleAt(ref, formula.Refs(expr)) {
-			continue
-		}
-		delete(e.cycles, ref)
-		e.deps.SetFormula(ref, expr)
-		e.formulasDirty = true
-		revived = append(revived, ref)
-	}
-	return revived
-}
-
 // RecalcAll recalculates every formula in dependency order (the initial
 // load of Open): all of them are marked pending, then settled.
-func (e *Engine) RecalcAll() error {
+func (e *Engine) RecalcAll() error { return e.recalc(true) }
+
+// recalc settles whatever is pending, after marking every formula when all
+// is set.
+func (e *Engine) recalc(all bool) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	m := e.cache.PendingMarker()
-	e.deps.Runs(func(first sheet.Ref, n int, _ formula.Expr) {
-		m.Mark(sheet.Range{From: first, To: sheet.Ref{Row: first.Row + n - 1, Col: first.Col}}, nil)
-	})
-	m.Release()
+	if all {
+		m := e.cache.PendingMarker()
+		e.deps.Runs(func(first sheet.Ref, n int, _ formula.Expr) {
+			m.Mark(sheet.Range{From: first, To: sheet.Ref{Row: first.Row + n - 1, Col: first.Col}}, nil)
+		})
+		m.Release()
+	}
 	return e.settle()
 }

@@ -113,9 +113,14 @@ func TestEngineCycleDetection(t *testing.T) {
 	if !e.GetCell(5, 5).Value.Equal(sheet.ErrCycle) {
 		t.Fatal("self-reference must be #CYCLE!")
 	}
-	// A tile load shows the poisoned cells' text, whether it ranges over
-	// the cycle set (a tile larger than it) or probes its own cells.
+	// Every member of a cycle is registered and shows #CYCLE!, and a tile
+	// load shows its text, whatever the tile's extent.
 	want := map[sheet.Ref]string{{Row: 1, Col: 1}: "B1+1", {Row: 1, Col: 2}: "A1+1", {Row: 5, Col: 5}: "E5"}
+	for ref, src := range want {
+		if expr, ok := exprsOf(e)[ref]; !ok || expr.String() != src || !e.GetCell(ref.Row, ref.Col).Value.Equal(sheet.ErrCycle) {
+			t.Fatalf("%v: registered %v, shows %v; want %q showing #CYCLE!", ref, expr, e.GetCell(ref.Row, ref.Col).Value, src)
+		}
+	}
 	for _, g := range []sheet.Range{sheet.NewRange(1, 1, 5, 5), sheet.NewRange(1, 1, 1, 2), sheet.NewRange(5, 5, 5, 5)} {
 		cells, err := storeBacking{e}.LoadBlock(g)
 		if err != nil {

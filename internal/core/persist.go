@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
 	"dataspread/internal/formula"
@@ -31,19 +29,20 @@ import (
 // (column, first row, count, flags, source of the first cell). Runs are
 // vertical, heads are ordinary A1 text without the leading '=', and member k
 // of a run is its head moved down k rows (formula.MoveDown: every row
-// reference that is not $-absolute grows by k). A cycle-poisoned cell is a
-// run of one with flagCycle set and the source it was given, which Load
-// restores into the engine's cycle set instead of registering — a reloaded
-// session keeps exactly the saving session's graph. Records are in (column,
-// row) order and every run is as long as it can be, so one formula
-// population has one encoding. Neither value carries a version (the
+// reference that is not $-absolute grows by k). Flags are 0. Flag 1
+// (flagCycle) is read, never written: earlier writers kept a cell they showed
+// #CYCLE! outside the registry and saved it as a run of one with that flag.
+// Load registers such a record like any run of one and settles the cell
+// again: a formula that only reads a cycle evaluates. Records
+// are in (column, row) order and every run is as long as it can be, so one
+// formula population has one encoding. Neither value carries a version (the
 // data-file header's covers them); decoding is strict instead, and an error
 // names the sheet and the record.
 
 // engineMetaKey is the metadata KV prefix for persisted engine state.
 const engineMetaKey = "engine:"
 
-// flagCycle marks the formula record of a cycle-poisoned cell.
+// flagCycle marks a run of one an earlier writer stored as cycle-poisoned.
 const flagCycle = 1
 
 // formulasKey is the meta key carrying a sheet's formula set.
@@ -53,9 +52,9 @@ func formulasKey(name string) string { return engineMetaKey + name + ":formulas"
 // log: the hybrid store manifest (only its dirty segments), the engine
 // manifest, and every dirty page become durable. On an in-memory database
 // the manifests are written but the WAL commit is a no-op. Save serializes
-// against the recalc dispatcher (which mutates the formula maps when it
-// poisons cycles) but does not wait for convergence; on an AsyncRecalc
-// engine call Drain first for a converged save.
+// against the recalc dispatcher (which writes the values it computes) but
+// does not wait for convergence; on an AsyncRecalc engine call Drain first
+// for a converged save.
 func (e *Engine) Save() error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -82,13 +81,11 @@ func (e *Engine) Checkpoint() error {
 	return e.db.Checkpoint()
 }
 
-// encodeFormulaSet serializes the live formula set: the registry's runs plus
-// cycle-poisoned cells (which it does not hold but whose source must survive
-// a reload), in (column, row) order. A run that continues the one above it —
-// a run an edit split and a later edit refilled — joins it, so only heads of
-// maximal runs are ever rendered to text, and an unchanged formula population
-// serializes to identical bytes, which the metadata KV's equality check turns
-// into a free commit.
+// encodeFormulaSet serializes the registry's runs in (column, row) order. A
+// run that continues the one above it — a run an edit split and a later edit
+// refilled — joins it, so only heads of maximal runs are ever rendered to
+// text, and an unchanged formula population serializes to identical bytes,
+// which the metadata KV's equality check turns into a free commit.
 func (e *Engine) encodeFormulaSet() []byte {
 	var recs []formulaRun
 	e.deps.Runs(func(first sheet.Ref, n int, head formula.Expr) {
@@ -99,33 +96,23 @@ func (e *Engine) encodeFormulaSet() []byte {
 		}
 		recs = append(recs, formulaRun{first, n, head})
 	})
-	for ref := range e.cycles {
-		recs = append(recs, formulaRun{ref: ref, n: 1})
-	}
-	slices.SortFunc(recs, func(a, b formulaRun) int {
-		return cmp.Or(cmp.Compare(a.ref.Col, b.ref.Col), cmp.Compare(a.ref.Row, b.ref.Row))
-	})
-	out := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(int64(e.deps.Len() + len(e.cycles)))})
+	out := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(int64(e.deps.Len()))})
 	for _, r := range recs {
-		src, flags := e.cycles[r.ref], flagCycle
-		if r.head != nil {
-			src, flags = r.head.String(), 0
-		}
 		out = rdbms.AppendRecord(out, rdbms.Row{rdbms.Int(int64(r.ref.Col)), rdbms.Int(int64(r.ref.Row)),
-			rdbms.Int(int64(r.n)), rdbms.Int(int64(flags)), rdbms.Text(src)})
+			rdbms.Int(int64(r.n)), rdbms.Int(0), rdbms.Text(r.head.String())})
 	}
 	return out
 }
 
-// formulaSet is a decoded formula set, ready to register: the live runs in
-// (column, row) order and the cycle-poisoned cells by source.
+// formulaSet is a decoded formula set, ready to register: its runs in
+// (column, row) order, and the cells of the flag-1 records among them.
 type formulaSet struct {
-	runs   []formulaRun
-	cycles map[sheet.Ref]string
+	runs     []formulaRun
+	poisoned []sheet.Ref
 }
 
 // formulaRun is one fill-down run: n cells from ref, member k being head
-// moved down k rows (nil: a cycle-poisoned cell, while encoding).
+// moved down k rows.
 type formulaRun struct {
 	ref  sheet.Ref
 	n    int
@@ -140,7 +127,7 @@ type formulaRun struct {
 // sized by that count, which only the bounds limit: what the decode holds
 // grows with the records, which the blob's length limits.
 func decodeFormulaSet(blob []byte, rows, cols int) (formulaSet, error) {
-	set := formulaSet{cycles: make(map[sheet.Ref]string)}
+	var set formulaSet
 	total, cells, last := 0, 0, sheet.Ref{}
 	n, err := rdbms.EachRecord(blob, func(i int, rec *rdbms.RecordReader) error {
 		if i == 0 {
@@ -161,15 +148,14 @@ func decodeFormulaSet(blob []byte, rows, cols int) (formulaSet, error) {
 		}
 		last = sheet.Ref{Row: row + count - 1, Col: col}
 		cells += count
-		if flags == flagCycle {
-			set.cycles[ref] = src
-			return nil
-		}
 		head, err := formula.Parse(src)
 		if err != nil {
 			return fmt.Errorf("formula at %v: %w", ref, err)
 		}
 		set.runs = append(set.runs, formulaRun{ref, count, head})
+		if flags == flagCycle {
+			set.poisoned = append(set.poisoned, ref)
+		}
 		return nil
 	})
 	if err == nil && (n == 0 || cells != total) {
@@ -211,10 +197,10 @@ func SheetNames(db *rdbms.DB) []string {
 // Load reattaches a persisted sheet: the hybrid store is rebuilt from its
 // manifest over the already-loaded catalog, and formulas are re-registered
 // from the formula set (their cached values were persisted with their cells,
-// so nothing is recomputed and no sheet snapshot is taken — opening touches
-// O(runs) state, not O(cells)). The two halves share nothing until
-// registration, so the formula set is read and its heads parsed on a
-// goroutine of its own while this one rebuilds the store.
+// so nothing but a flag-1 record's cell is recomputed and no sheet snapshot
+// is taken — opening touches O(runs) state, not O(cells)). The two halves
+// share nothing until registration, so the formula set is read and its heads
+// parsed on a goroutine of its own while this one rebuilds the store.
 func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	blob, ok, err := db.MetaValue(engineMetaKey + name)
 	if err != nil {
@@ -256,9 +242,9 @@ func Load(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	for _, r := range set.runs {
 		e.deps.AddRun(r.ref, r.n, r.head)
 	}
-	// Poisoned at save time: back into the cycle set (value #CYCLE! is in the
-	// stored cell), not the graph.
-	e.cycles = set.cycles
+	// A flag-1 cell stored #CYCLE! even when it only read a cycle: it
+	// settles again, on the caller (synchronous) or the dispatcher.
+	e.mark(set.poisoned, nil)
 	// An AsyncRecalc engine revalidates a reloaded sheet in the background:
 	// persisted values can lag persisted formulas (the saving session may
 	// have crashed between a formula-durable edit and its next drain-save),
@@ -279,7 +265,7 @@ func loadFormulaSet(db *rdbms.DB, name string, rows, cols int) (formulaSet, erro
 		return formulaSet{}, fmt.Errorf("core: sheet %q formula set unreadable: %w", name, err)
 	}
 	if !ok {
-		return formulaSet{cycles: make(map[sheet.Ref]string)}, nil
+		return formulaSet{}, nil
 	}
 	set, err := decodeFormulaSet(blob, rows, cols)
 	if err != nil {

@@ -19,10 +19,9 @@ import (
 )
 
 // TestLoadRestoresCyclePoisonedFormulas: a reloaded engine must hold
-// exactly the saving engine's formula state — cycle-poisoned cells come
-// back in the cycle set (source intact, value #CYCLE!), not registered
-// into the dependency graph, so edit behavior does not diverge after a
-// reload.
+// exactly the saving engine's formula state — both members of a cycle
+// registered like any formula, source intact, showing #CYCLE! — so edit
+// behavior does not diverge after a reload.
 func TestLoadRestoresCyclePoisonedFormulas(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	e, err := New(db, "s", Options{})
@@ -32,54 +31,45 @@ func TestLoadRestoresCyclePoisonedFormulas(t *testing.T) {
 	if err := e.SetFormula(1, 1, "B1"); err != nil { // A1 = B1
 		t.Fatal(err)
 	}
-	if err := e.SetFormula(1, 2, "A1"); err != nil { // B1 = A1: poisoned
+	if err := e.SetFormula(1, 2, "A1"); err != nil { // B1 = A1: a cycle
 		t.Fatal(err)
 	}
 	b1 := sheet.Ref{Row: 1, Col: 2}
-	if !e.GetCell(1, 2).Value.IsError() {
-		t.Fatalf("B1 = %v, want #CYCLE!", e.GetCell(1, 2).Value)
+	cycle := func(eng *Engine, when string) {
+		t.Helper()
+		exprs := exprsOf(eng)
+		if expr, ok := exprs[b1]; !ok || expr.String() != "A1" || len(exprs) != 2 {
+			t.Fatalf("%s: registry %v, want A1 = B1 and B1 = A1", when, exprs)
+		}
+		for col := 1; col <= 2; col++ {
+			if v := eng.GetCell(1, col).Value; !v.Equal(sheet.ErrCycle) {
+				t.Fatalf("%s: column %d = %v, want #CYCLE!", when, col, v)
+			}
+		}
 	}
-	if _, ok := e.cycles[b1]; !ok || len(exprsOf(e)) != 1 {
-		t.Fatalf("saving engine state: %d exprs, cycles has B1: %v", len(exprsOf(e)), ok)
-	}
+	cycle(e, "saving engine")
 	if err := e.Save(); err != nil {
 		t.Fatal(err)
 	}
-
 	e2, err := Load(db, "s", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src, ok := e2.cycles[b1]; !ok || src != "A1" {
-		t.Fatalf("reloaded cycle set = %v, want B1 -> A1", e2.cycles)
-	}
-	if _, ok := exprsOf(e2)[b1]; ok {
-		t.Fatal("poisoned B1 leaked into the reloaded expression set")
-	}
-	if len(exprsOf(e2)) != 1 {
-		t.Fatalf("reloaded engine has %d exprs, want 1", len(exprsOf(e2)))
-	}
-	if !e2.GetCell(1, 2).Value.IsError() {
-		t.Fatalf("reloaded B1 = %v, want #CYCLE!", e2.GetCell(1, 2).Value)
-	}
+	cycle(e2, "reloaded engine")
 	// Behavioral equivalence: replacing A1 with a literal formula breaks
-	// the cycle, so B1's stored formula revives identically in both
-	// sessions — re-registered into the graph and re-evaluated.
+	// the cycle, so B1 re-evaluates identically in both sessions.
 	for name, eng := range map[string]*Engine{"orig": e, "reloaded": e2} {
 		if err := eng.SetFormula(1, 1, "9"); err != nil {
 			t.Fatal(err)
 		}
 		if v := eng.GetCell(1, 2).Value; !v.Equal(sheet.Number(9)) {
-			t.Fatalf("%s: B1 = %v after A1 edit, want revived 9", name, v)
-		}
-		if _, ok := eng.cycles[b1]; ok {
-			t.Fatalf("%s: B1 still in the cycle set after revival", name)
+			t.Fatalf("%s: B1 = %v after A1 edit, want 9", name, v)
 		}
 		if _, ok := exprsOf(eng)[b1]; !ok {
-			t.Fatalf("%s: revived B1 missing from the expression set", name)
+			t.Fatalf("%s: B1 missing from the registry", name)
 		}
 	}
-	// And the revived registration survives a second save/load hop.
+	// And the registration survives a second save/load hop.
 	if err := e2.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +78,50 @@ func TestLoadRestoresCyclePoisonedFormulas(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := exprsOf(e3)[b1]; !ok {
-		t.Fatal("revived formula lost on the second round trip")
+		t.Fatal("B1 lost on the second round trip")
 	}
 	if v := e3.GetCell(1, 2).Value; !v.Equal(sheet.Number(9)) {
 		t.Fatalf("second round trip B1 = %v, want 9", v)
+	}
+}
+
+// TestLoadSettlesFlaggedCycleRecords: earlier writers saved every cell they
+// showed #CYCLE! — a reader downstream of a cycle included — as a flag-1
+// record with #CYCLE! stored. Load registers such a record as a run of one
+// and settles it: the cycle's members stay #CYCLE!, the reader evaluates.
+func TestLoadSettlesFlaggedCycleRecords(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		db := rdbms.Open(rdbms.Options{})
+		e, err := New(db, "s", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// C1 = A1 stores the #CYCLE! an earlier writer stored for COUNTA(A1).
+		if err := e.SetCells([]CellEdit{{Row: 1, Col: 1, Input: "=B1"}, {Row: 1, Col: 2, Input: "=A1"}, {Row: 1, Col: 3, Input: "=A1"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Save(); err != nil {
+			t.Fatal(err)
+		}
+		blob := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(3)})
+		for col, src := range []string{"B1", "A1", "COUNTA(A1)"} {
+			blob = rdbms.AppendRecord(blob, rdbms.Row{rdbms.Int(int64(col + 1)), rdbms.Int(1), rdbms.Int(1), rdbms.Int(flagCycle), rdbms.Text(src)})
+		}
+		db.PutMeta(formulasKey("s"), blob)
+		e2, err := Load(db, "s", Options{AsyncRecalc: async})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustDrain(t, e2)
+		want := []sheet.Value{sheet.ErrCycle, sheet.ErrCycle, sheet.Number(1)}
+		for col, v := range want {
+			if c := e2.GetCell(1, col+1); !c.Value.Equal(v) || !c.HasFormula() {
+				t.Fatalf("async=%v: column %d = %+v, want %v", async, col+1, c, v)
+			}
+		}
+		if err := e2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -109,8 +139,8 @@ func TestSheetNameValidation(t *testing.T) {
 	}
 }
 
-// TestStructuralEditShiftsCycleSources: a cycle-poisoned formula's source
-// text must track structural edits like any live formula's, so the
+// TestStructuralEditShiftsCycleSources: a formula on a cycle is registered
+// like any other, so its source text tracks structural edits and the
 // persisted text never goes stale relative to the cells it names.
 func TestStructuralEditShiftsCycleSources(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
@@ -121,28 +151,25 @@ func TestStructuralEditShiftsCycleSources(t *testing.T) {
 	if err := e.SetFormula(20, 1, "A30"); err != nil { // A20 = A30
 		t.Fatal(err)
 	}
-	if err := e.SetFormula(30, 1, "A20"); err != nil { // A30 = A20: poisoned
+	if err := e.SetFormula(30, 1, "A20"); err != nil { // A30 = A20: a cycle
 		t.Fatal(err)
 	}
-	if len(e.cycles) != 1 {
-		t.Fatalf("cycles = %v, want the poisoned A30", e.cycles)
-	}
-	// Insert 5 rows after row 10: the poisoned cell moves to A35 and its
-	// reference to A20 (now A25) must be rewritten in its source text.
+	// Insert 5 rows after row 10: A30 moves to A35 and its reference to A20
+	// (now A25) is rewritten.
 	if err := e.InsertRowsAfter(10, 5); err != nil {
 		t.Fatal(err)
 	}
 	moved := sheet.Ref{Row: 35, Col: 1}
-	src, ok := e.cycles[moved]
-	if !ok {
-		t.Fatalf("poisoned cell did not relocate: cycles = %v", e.cycles)
+	check := func(eng *Engine, when string) {
+		t.Helper()
+		if expr, ok := exprsOf(eng)[moved]; !ok || expr.String() != "A25" {
+			t.Fatalf("%s: registry holds %v at A35, want A25", when, expr)
+		}
+		if c := eng.GetCell(35, 1); c.Formula != "A25" || !c.Value.Equal(sheet.ErrCycle) {
+			t.Fatalf("%s: A35 = %+v, want A25 showing #CYCLE!", when, c)
+		}
 	}
-	if src != "A25" {
-		t.Fatalf("poisoned source = %q after shift, want A25", src)
-	}
-	if f := e.GetCell(35, 1).Formula; f != "A25" {
-		t.Fatalf("stored cell text = %q after shift, want A25", f)
-	}
+	check(e, "after the shift")
 	// And the shifted state round-trips.
 	if err := e.Save(); err != nil {
 		t.Fatal(err)
@@ -151,9 +178,7 @@ func TestStructuralEditShiftsCycleSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src := e2.cycles[moved]; src != "A25" {
-		t.Fatalf("reloaded poisoned source = %q, want A25", src)
-	}
+	check(e2, "reloaded")
 }
 
 // TestFailedLoadAndOpenLeaveNoDispatcher: an AsyncRecalc Load over a damaged
@@ -291,8 +316,14 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed %d: no formula set saved", seed)
 		}
-		if len(e.cycles) == 0 || len(exprsOf(e)) < 6 {
-			t.Fatalf("seed %d: population of %d formulas, %d poisoned", seed, len(exprsOf(e)), len(e.cycles))
+		poisoned := 0
+		for ref := range exprsOf(e) {
+			if e.GetCell(ref.Row, ref.Col).Value.Equal(sheet.ErrCycle) {
+				poisoned++
+			}
+		}
+		if poisoned == 0 || len(exprsOf(e)) < 6 {
+			t.Fatalf("seed %d: population of %d formulas, %d poisoned", seed, len(exprsOf(e)), poisoned)
 		}
 		records := 0
 		for rest := blob; len(rest) > 0; records++ {
@@ -327,9 +358,9 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 					t.Fatalf("seed %d: %v = %q over %q: walk says %v, text says %v", seed, ref, expr, next, walk, text)
 				}
 			}
-		}
-		if !reflect.DeepEqual(e2.cycles, e.cycles) {
-			t.Fatalf("seed %d: cycles %v reload as %v", seed, e.cycles, e2.cycles)
+			if v, v2 := e.GetCell(ref.Row, ref.Col).Value, e2.GetCell(ref.Row, ref.Col).Value; !v2.Equal(v) {
+				t.Fatalf("seed %d: %v = %q shows %v, reloaded %v", seed, ref, expr, v, v2)
+			}
 		}
 		if e2.deps.Len() != e.deps.Len() {
 			t.Fatalf("seed %d: graph of %d reloads as %d", seed, e.deps.Len(), e2.deps.Len())
@@ -337,16 +368,17 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 		if again := e2.encodeFormulaSet(); !bytes.Equal(again, blob) {
 			t.Fatalf("seed %d: the reloaded set encodes differently:\n was % x\n now % x", seed, blob, again)
 		}
-		if records-1 >= len(exprsOf(e))+len(e.cycles) {
-			t.Fatalf("seed %d: %d records for %d formula cells: nothing ran", seed, records-1, len(exprsOf(e))+len(e.cycles))
+		if records-1 >= len(exprsOf(e)) {
+			t.Fatalf("seed %d: %d records for %d formula cells: nothing ran", seed, records-1, len(exprsOf(e)))
 		}
 	}
 }
 
 // FuzzFormulaSetDecode feeds mutated formula-set values to the decoder, over
 // the seeds' 120x40 sheet and over a 2^20 x 2^14 one: an error, or a set that
-// holds as many cells as its first record says and survives its own encoding
-// — never a panic, never a silently shorter set.
+// holds as many cells as its first record says and survives its own encoding,
+// which writes no flag — never a panic, never a silently shorter set. One
+// seed holds flag-1 records, as earlier writers saved cycle-poisoned cells.
 func FuzzFormulaSetDecode(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		_, e := randomFormulaEngine(f, seed)
@@ -357,6 +389,7 @@ func FuzzFormulaSetDecode(f *testing.F) {
 		f.Add(e.encodeFormulaSet(), true)
 	}
 	f.Add(hugeCountFormulaSet(), true)
+	f.Add(flaggedFormulaSet(), false)
 	f.Fuzz(func(t *testing.T, blob []byte, big bool) {
 		rows, cols := 120, 40
 		if big {
@@ -370,23 +403,23 @@ func FuzzFormulaSetDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded a value whose first record does not: %v", err)
 		}
-		e := &Engine{deps: depgraph.New(), cycles: set.cycles}
+		e := &Engine{deps: depgraph.New()}
 		for _, r := range set.runs {
 			e.deps.AddRun(r.ref, r.n, r.head)
 		}
-		if want := int(rec.Int()); e.deps.Len()+len(set.cycles) != want {
-			t.Fatalf("decoded %d cells where the value holds %d", e.deps.Len()+len(set.cycles), want)
+		if want := int(rec.Int()); e.deps.Len() != want {
+			t.Fatalf("decoded %d cells where the value holds %d", e.deps.Len(), want)
 		}
 		again, err := decodeFormulaSet(e.encodeFormulaSet(), rows, cols)
 		if err != nil {
 			t.Fatalf("the decoded set does not survive its own encoding: %v", err)
 		}
-		e2 := &Engine{deps: depgraph.New(), cycles: again.cycles}
+		e2 := &Engine{deps: depgraph.New()}
 		for _, r := range again.runs {
 			e2.deps.AddRun(r.ref, r.n, r.head)
 		}
-		if e2.deps.Len() != e.deps.Len() || !reflect.DeepEqual(again.cycles, set.cycles) {
-			t.Fatalf("re-encoded set differs: %d/%d cells, cycles %v / %v", e2.deps.Len(), e.deps.Len(), again.cycles, set.cycles)
+		if e2.deps.Len() != e.deps.Len() || len(again.poisoned) != 0 {
+			t.Fatalf("re-encoded set differs: %d/%d cells, flag-1 records %v", e2.deps.Len(), e.deps.Len(), again.poisoned)
 		}
 		// Runs the encoding joined must still hold each member's formula:
 		// check both ends of every decoded run against the re-decoded one.
@@ -409,6 +442,20 @@ func hugeCountFormulaSet() []byte {
 	return rdbms.AppendRecord(blob, rdbms.Row{rdbms.Int(1), rdbms.Int(1), rdbms.Int(3), rdbms.Int(0), rdbms.Text("B1+1")})
 }
 
+// flaggedFormulaSet is a formula set as earlier writers saved a cycle: A1 and
+// B1 read each other, each a flag-1 run of one, and C1..C3 below read A1.
+func flaggedFormulaSet() []byte {
+	blob := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(5)})
+	for _, rec := range []struct {
+		col, n, flags int
+		src           string
+	}{{1, 1, flagCycle, "B1"}, {2, 1, flagCycle, "A1"}, {3, 3, 0, "COUNTA($A$1)"}} {
+		blob = rdbms.AppendRecord(blob, rdbms.Row{rdbms.Int(int64(rec.col)), rdbms.Int(1), rdbms.Int(int64(rec.n)),
+			rdbms.Int(int64(rec.flags)), rdbms.Text(rec.src)})
+	}
+	return blob
+}
+
 // TestFormulaSetDecodeHugeCountIsAnError: a damaged cell count the sheet's
 // bounds allow is an error, and the decode's allocation follows the blob, not
 // the count (sizing the decode by it used to end the process out of memory).
@@ -426,40 +473,31 @@ func TestFormulaSetDecodeHugeCountIsAnError(t *testing.T) {
 }
 
 // perCellEncoding is the formula set as a per-cell registry encodes it: every
-// formula cell and poisoned cell in (column, row) order, a run going on while
-// the next cell down holds its head moved down that far.
+// formula cell in (column, row) order, a run going on while the next cell down
+// holds its head moved down that far.
 func perCellEncoding(e *Engine) []byte {
 	type cell struct {
 		ref  sheet.Ref
-		expr formula.Expr // nil: cycle-poisoned
+		expr formula.Expr
 	}
 	var cells []cell
 	for ref, expr := range exprsOf(e) {
 		cells = append(cells, cell{ref, expr})
-	}
-	for ref := range e.cycles {
-		cells = append(cells, cell{ref: ref})
 	}
 	slices.SortFunc(cells, func(a, b cell) int {
 		return cmp.Or(cmp.Compare(a.ref.Col, b.ref.Col), cmp.Compare(a.ref.Row, b.ref.Row))
 	})
 	out := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Int(int64(len(cells)))})
 	for i := 0; i < len(cells); {
-		head, n, flags, src := cells[i], 1, 0, ""
-		if head.expr == nil {
-			src, flags = e.cycles[head.ref], flagCycle
-		} else {
-			for ; i+n < len(cells); n++ {
-				next := cells[i+n]
-				if next.expr == nil || next.ref != (sheet.Ref{Row: head.ref.Row + n, Col: head.ref.Col}) ||
-					!formula.IsMovedDown(head.expr, next.expr, n) {
-					break
-				}
+		head, n := cells[i], 1
+		for ; i+n < len(cells); n++ {
+			next := cells[i+n]
+			if next.ref != (sheet.Ref{Row: head.ref.Row + n, Col: head.ref.Col}) || !formula.IsMovedDown(head.expr, next.expr, n) {
+				break
 			}
-			src = head.expr.String()
 		}
 		out = rdbms.AppendRecord(out, rdbms.Row{rdbms.Int(int64(head.ref.Col)), rdbms.Int(int64(head.ref.Row)),
-			rdbms.Int(int64(n)), rdbms.Int(int64(flags)), rdbms.Text(src)})
+			rdbms.Int(int64(n)), rdbms.Int(0), rdbms.Text(head.expr.String())})
 		i += n
 	}
 	return out
@@ -530,7 +568,7 @@ func TestFormulaSetRunEncodingMatchesPerCell(t *testing.T) {
 		for rest := got; len(rest) > 0; records++ {
 			_, rest, _ = rdbms.NextRecord(rest)
 		}
-		sideBySide = sideBySide || runs > records-len(e.cycles)
+		sideBySide = sideBySide || runs > records
 	}
 	if !sideBySide {
 		t.Fatal("no session left split runs side by side")

@@ -133,13 +133,14 @@ func (e *Engine) startRecalc(opts Options) {
 // launch is the last step of New, Open and Load: it starts the dispatcher of
 // an AsyncRecalc engine — only now that nothing can fail to build any more; a
 // dispatcher started earlier would outlive an error return and pin the engine
-// forever — and, when recalc is set, marks every formula and settles.
+// forever — and, when recalc is set, marks every formula; then whatever is
+// pending settles.
 func (e *Engine) launch(recalc bool) (*Engine, error) {
 	if e.sched.async {
 		go e.sched.run()
 	}
-	if recalc {
-		if err := e.RecalcAll(); err != nil {
+	if recalc || e.cache.PendingCount() > 0 {
+		if err := e.recalc(recalc); err != nil {
 			e.Close()
 			return nil, err
 		}
@@ -359,7 +360,7 @@ func (s *recalcScheduler) run() {
 }
 
 // recalcChunk is one commit unit: refs are mutually independent (same
-// topological wave), or the cycle set to poison.
+// topological wave), or members of a cycle to poison.
 type recalcChunk struct {
 	refs  []sheet.Ref
 	cycle bool
@@ -426,6 +427,20 @@ func (s *recalcScheduler) quiet() bool {
 	return !s.restructure && !s.closed
 }
 
+// planChunks cuts a cone into a plan's commit units: the members on a cycle
+// first — their value is #CYCLE! whatever they read, and the waves may read
+// them — then the waves in order.
+func planChunks(c *depgraph.Cone) []recalcChunk {
+	if c == nil {
+		return nil
+	}
+	chunks := appendChunks(nil, c.Cycles, true)
+	for _, wave := range c.Waves {
+		chunks = appendChunks(chunks, wave, false)
+	}
+	return chunks
+}
+
 // appendChunks cuts one wave into bounded commit units.
 func appendChunks(chunks []recalcChunk, wave []sheet.Ref, cycle bool) []recalcChunk {
 	for lo := 0; lo < len(wave); lo += recalcChunkSize {
@@ -446,9 +461,9 @@ func (s *recalcScheduler) viewportList() []sheet.Range {
 }
 
 // buildHotPlan is the viewport fast path: pending cells inside registered
-// viewports plus their pending ancestors, in topological waves, computed
-// in O(viewport cone). Ancestors on dependency cycles are left out (and
-// left pending) — the full plan poisons them and everything downstream.
+// viewports plus their pending ancestors, computed in O(viewport cone) and
+// cut as the full plan is — the ancestors on a cycle poisoned first, so no
+// wave reads a pending one.
 func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 	vps := s.viewportList()
 	if len(vps) == 0 {
@@ -464,17 +479,14 @@ func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 	if len(seeds) == 0 {
 		return nil
 	}
-	var chunks []recalcChunk
-	for _, wave := range e.deps.UpstreamWaves(seeds, e.cache.IsPending) {
-		chunks = appendChunks(chunks, wave, false)
-	}
-	return chunks
+	return planChunks(e.deps.UpstreamCone(seeds, e.cache.IsPending))
 }
 
-// buildPlan derives the evaluation plan from the pending bits: the cone
-// over the pending set, partitioned into topological waves, hot (viewport
-// cells and their pending ancestors) before cold, waves cut into bounded
-// chunks.
+// buildPlan derives the evaluation plan from the pending bits: the cone over
+// the pending set, cut by planChunks. It needs no viewport ordering: the hot
+// plan has committed every pending viewport cell and its ancestors before
+// quiet lets this plan start, and an edit or viewport move since then sets
+// restructure, which abandons the plan before it builds or commits.
 func (s *recalcScheduler) buildPlan() []recalcChunk {
 	e := s.e
 	unlock := s.lock()
@@ -486,68 +498,17 @@ func (s *recalcScheduler) buildPlan() []recalcChunk {
 		cone = e.deps.ConeFrom(pending)
 	}
 	unlock()
-	if cone == nil {
-		return nil
-	}
-	// Cycle members (and everything downstream of them) poison first:
-	// their value is #CYCLE! regardless of inputs, and poisoning them
-	// unblocks nothing — but readers stop seeing them as pending.
-	chunks := appendChunks(nil, cone.Cycles, true)
-	hot := s.hotSet(cone)
-	if hot == nil {
-		for _, wave := range cone.Waves {
-			chunks = appendChunks(chunks, wave, false)
-		}
-		return chunks
-	}
-	// Hot waves before cold. The hot pass is topologically closed: hotSet
-	// marks every pending ancestor of a viewport cell hot, so hot waves
-	// never read an uncommitted cold cell.
-	for _, want := range []bool{true, false} {
-		i := 0
-		for _, wave := range cone.Waves {
-			var sel []sheet.Ref
-			for _, r := range wave {
-				if hot[i] == want {
-					sel = append(sel, r)
-				}
-				i++
-			}
-			chunks = appendChunks(chunks, sel, false)
-		}
-	}
-	return chunks
-}
-
-// hotSet marks, by position in cone.Refs, the members that should jump the
-// queue: cells inside a registered viewport, plus — one pass over the
-// acyclic members in reverse evaluation order — every cone ancestor of a hot
-// cell (its precedents must commit first anyway, so they are promoted
-// together). Nil when no viewport is registered.
-func (s *recalcScheduler) hotSet(cone *depgraph.Cone) []bool {
-	vps := s.viewportList()
-	if len(vps) == 0 {
-		return nil
-	}
-	hot := make([]bool, len(cone.Refs))
-	for v := len(cone.Refs) - len(cone.Cycles) - 1; v >= 0; v-- {
-		for _, w := range cone.Succ[cone.Off[v]:cone.Off[v+1]] {
-			hot[v] = hot[v] || hot[w]
-		}
-		for _, g := range vps {
-			hot[v] = hot[v] || g.Contains(cone.Refs[v])
-		}
-	}
-	return hot
+	return planChunks(cone)
 }
 
 // commitChunk evaluates and commits one chunk under the edit lock: evaluate
-// in parallel (reads only), write the changed values through in one batch,
-// clear pending bits. An edit may have slipped in between the plan and the
-// lock (it marks and flags under writeMu, so the flag is exact here): the
-// plan's order is then stale, and only the cells that read no pending cell
-// — right to evaluate under any plan — commit; the rest stay pending for the
-// rebuilt plan.
+// in parallel (reads only; a cycle chunk's value is #CYCLE!), write the
+// changed values through in one batch, clear pending bits. An edit may have
+// slipped in between the plan and the lock (it marks and flags under
+// writeMu, so the flag is exact here): the plan's order is then stale, and
+// only the cells that read no pending cell — right to evaluate under any plan
+// — commit; the rest, and a whole cycle chunk, whose cycle the edit may have
+// broken, stay pending for the rebuilt plan.
 func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 	e := s.e
 	stale := s.interrupted()
@@ -568,17 +529,12 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		k    int
 	}
 	jobs := make([]job, 0, len(ch.refs))
-	var cycle []sheet.Ref
 	for _, r := range ch.refs {
 		if !e.cache.IsPending(r) {
 			continue // committed or superseded since the plan was built
 		}
 		head, k, live := e.deps.Formula(r)
-		_, poisoned := e.cycles[r]
 		switch {
-		case ch.cycle || poisoned:
-			// On a cycle the plan found, or installed closing one.
-			cycle = append(cycle, r)
 		case !live:
 			// The formula was dropped after planning; the cell's current
 			// contents are definitive.
@@ -589,11 +545,12 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 			jobs = append(jobs, job{r, head, k})
 		}
 	}
-	if err := e.poisonCycles(cycle); err != nil {
-		return err
-	}
 	vals := make([]sheet.Value, len(jobs))
-	if nw := min(s.workers, len(jobs)); nw > 1 {
+	if ch.cycle {
+		for i := range vals {
+			vals[i] = sheet.ErrCycle
+		}
+	} else if nw := min(s.workers, len(jobs)); nw > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < nw; w++ {
@@ -625,7 +582,7 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		writes = append(writes, model.CellWrite{Row: j.ref.Row, Col: j.ref.Col,
 			Cell: sheet.Cell{Value: vals[i], Formula: old.Formula}})
 	}
-	return e.commit(writes, nil)
+	return e.commit(writes)
 }
 
 // drainSave persists the recomputed values once the pending set is empty:

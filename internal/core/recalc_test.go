@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -139,16 +140,12 @@ func TestApplyCellsStoreFailureKeepsFormulas(t *testing.T) {
 	}
 }
 
-// Regression (bug 3): cells poisoned #CYCLE! by a propagation pass (not by
-// a direct install) stayed registered as live formulas and never entered
-// e.cycles, so the persisted formula set recorded them as live formulas —
-// a Save/Load round-trip silently revived them as evaluating registrations
-// while the saving session displayed #CYCLE!. Cycle bookkeeping is now
-// unified: every poisoning moves the registration into the cycle set.
+// A sheet opened with a cycle and a reader of it (RecalcAll discovers the
+// cycle while it plans) keeps every formula registered across Save/Load: the
+// members show #CYCLE!, the reader propagates it, and breaking the cycle
+// evaluates all of them again.
 func TestCycleSaveLoadRoundTrip(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
-	// Open-time registration is the one path that installs formulas without
-	// cycle checks; RecalcAll then discovers the cycle during propagation.
 	s := sheet.New("cyc")
 	s.SetFormula(1, 1, "B1")   // A1: cycle member
 	s.SetFormula(1, 2, "A1")   // B1: cycle member
@@ -157,18 +154,15 @@ func TestCycleSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poisoned := []sheet.Ref{{Row: 1, Col: 1}, {Row: 1, Col: 2}, {Row: 1, Col: 3}}
 	checkPoisoned := func(e *Engine, when string) {
 		t.Helper()
-		for _, ref := range poisoned {
+		for col, src := range []string{"B1", "A1", "A1*2"} {
+			ref := sheet.Ref{Row: 1, Col: col + 1}
 			if v := e.GetCell(ref.Row, ref.Col).Value; !v.Equal(sheet.ErrCycle) {
 				t.Fatalf("%s: %v = %v, want #CYCLE!", when, ref, v)
 			}
-			if _, ok := exprsOf(e)[ref]; ok {
-				t.Fatalf("%s: %v still registered in exprs", when, ref)
-			}
-			if _, ok := e.cycles[ref]; !ok {
-				t.Fatalf("%s: %v missing from cycle set", when, ref)
+			if expr, ok := exprsOf(e)[ref]; !ok || expr.String() != src {
+				t.Fatalf("%s: %v registered as %v, want %q", when, ref, expr, src)
 			}
 		}
 	}
@@ -181,13 +175,10 @@ func TestCycleSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The persisted formula set must carry the poisoning: reloading must
-	// not revive any of the three as a live registration.
 	checkPoisoned(e2, "after reload")
 
-	// Breaking the cycle revives the stored formulas: overwriting B1 with a
-	// literal leaves A1 ("=B1") and C1 ("=A1*2") cycle-free, so the next
-	// edit pass re-registers and evaluates them.
+	// Breaking the cycle: overwriting B1 with a literal leaves A1 ("=B1")
+	// and C1 ("=A1*2") cycle-free, and the edit marks both.
 	if err := e2.Set(1, 2, "5"); err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +188,130 @@ func TestCycleSaveLoadRoundTrip(t *testing.T) {
 	if got := cellNum(t, e2, 1, 3); got != 10 {
 		t.Fatalf("C1 after breaking cycle = %v, want 10", got)
 	}
-	if len(e2.cycles) != 0 {
-		t.Fatalf("cycle set after revival = %v, want empty", e2.cycles)
+	if n := len(exprsOf(e2)); n != 2 {
+		t.Fatalf("registry holds %d formulas after B1 = 5, want A1 and C1", n)
+	}
+}
+
+// TestCycleValuesIndependentOfEditOrder: a sheet's values depend on its
+// formulas, not on the path that built it. A1 = B1 and B1 = A1 form a cycle
+// and show #CYCLE!; C1 = COUNTA(A1) only reads it, absorbs the error and
+// shows 1 — reached through core.Open or typed cell by cell, in both recalc
+// modes. An unrelated edit changes no displayed value, a Save/Load keeps
+// them, and breaking the cycle evaluates its members.
+func TestCycleValuesIndependentOfEditOrder(t *testing.T) {
+	formulas := []string{"B1", "A1", "COUNTA(A1)"}
+	for _, async := range []bool{false, true} {
+		for _, path := range []string{"open", "typed"} {
+			t.Run(fmt.Sprintf("%s/async=%v", path, async), func(t *testing.T) {
+				db, opts := rdbms.Open(rdbms.Options{}), Options{AsyncRecalc: async}
+				var e *Engine
+				var err error
+				if path == "open" {
+					s := sheet.New("c")
+					for col, src := range formulas {
+						s.SetFormula(1, col+1, src)
+					}
+					e, err = Open(db, "c", s, "rcv", opts)
+				} else if e, err = New(db, "c", opts); err == nil {
+					for col, src := range formulas {
+						if err = e.Set(1, col+1, "="+src); err != nil {
+							break
+						}
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				shown := func(e *Engine) [][]sheet.Cell {
+					mustDrain(t, e)
+					return e.GetCells(sheet.NewRange(1, 1, 9, 9))
+				}
+				check := func(e *Engine, when string, want ...sheet.Value) {
+					t.Helper()
+					for col, v := range want {
+						if c := shown(e)[0][col]; !c.Value.Equal(v) {
+							t.Fatalf("%s: column %d = %+v, want %v", when, col+1, c, v)
+						}
+					}
+				}
+				check(e, "built", sheet.ErrCycle, sheet.ErrCycle, sheet.Number(1))
+				before := shown(e)
+				for col, src := range formulas {
+					if before[0][col].Formula != src {
+						t.Fatalf("column %d shows formula %q, want %q", col+1, before[0][col].Formula, src)
+					}
+				}
+				if err := e.Set(9, 9, "1"); err != nil {
+					t.Fatal(err)
+				}
+				after := shown(e)
+				after[8][8] = before[8][8]
+				if !reflect.DeepEqual(after, before) {
+					t.Fatalf("an edit of I9 changed the sheet:\n%v\n%v", before, after)
+				}
+				if err := e.Save(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				e2, err := Load(db, "c", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = e2.Close() })
+				check(e2, "reloaded", sheet.ErrCycle, sheet.ErrCycle, sheet.Number(1))
+				if err := e2.Set(1, 2, "5"); err != nil {
+					t.Fatal(err)
+				}
+				check(e2, "B1 = 5", sheet.Number(5), sheet.Number(5), sheet.Number(1))
+			})
+		}
+	}
+}
+
+// TestCycleViewportNeverReadsPendingMember: with the quiet window at an hour,
+// only the viewport pass can compute C1 = A1+1 after B1 = A1 closes a cycle
+// with A1 = B1. It poisons the pending members first, so C1 never shows a
+// value computed from A1's stale 5 — and converges to #CYCLE!.
+func TestCycleViewportNeverReadsPendingMember(t *testing.T) {
+	old := coldDelay
+	coldDelay = time.Hour
+	t.Cleanup(func() { coldDelay = old })
+	e := newAsyncEngine(t)
+	if err := e.SetCells([]CellEdit{{Row: 1, Col: 1, Input: "=B1"}, {Row: 1, Col: 2, Input: "5"}, {Row: 1, Col: 3, Input: "=A1+1"}}); err != nil {
+		t.Fatal(err)
+	}
+	mustDrain(t, e)
+	vp := sheet.NewRange(1, 3, 1, 3)
+	e.RegisterViewport(vp)
+	if err := e.Set(1, 2, "=A1"); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "the viewport converging", func() {
+		for {
+			cells, mask, _, err := e.ReadRange(vp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if mask == nil {
+				if v := cells[0][0].Value; !v.Equal(sheet.ErrCycle) {
+					t.Errorf("C1 shows %v, computed from a pending cycle member", v)
+				}
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	if err := e.WaitRange(vp); err != nil {
+		t.Fatal(err)
+	}
+	for col := 1; col <= 3; col++ {
+		if v := e.GetCell(1, col).Value; !v.Equal(sheet.ErrCycle) {
+			t.Fatalf("column %d = %v, want #CYCLE!", col, v)
+		}
 	}
 }
 
@@ -239,8 +352,8 @@ func TestRecalcAsyncConverges(t *testing.T) {
 	}
 }
 
-// Async cycle handling matches the synchronous path: poisoned cells
-// converge to #CYCLE!, enter the cycle set, and leave the graph.
+// Async cycle handling matches the synchronous path: the cycle's members and
+// their reader converge to the synchronous engine's values.
 func TestRecalcAsyncCyclePoisoning(t *testing.T) {
 	e := newAsyncEngine(t)
 	if err := e.SetCells([]CellEdit{
@@ -251,8 +364,6 @@ func TestRecalcAsyncCyclePoisoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustDrain(t, e)
-	// B1's install saw the cycle inline; A1 keeps a live registration that
-	// reads a poisoned cell and must surface the error, exactly like sync.
 	sync := newEngine(t)
 	if err := sync.SetCells([]CellEdit{
 		{Row: 1, Col: 1, Input: "=B1"},

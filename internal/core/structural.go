@@ -146,7 +146,7 @@ func (e *Engine) shiftLocked(sh formula.Shift, axis depgraph.Axis, at, delta int
 		extent.Add(-int64(over))
 	}
 	e.cache.Shift(sh.Rows, at, delta)
-	e.applyShift(sh, axis, at, delta)
+	e.applyShift(axis, at, delta)
 	if sh.Delete {
 		seeds = shiftSeeds(seeds, axis, at, sh.Count)
 	} else {
@@ -155,10 +155,9 @@ func (e *Engine) shiftLocked(sh formula.Shift, axis depgraph.Axis, at, delta int
 		// cells.
 		seeds = e.deps.DirectDependents(band)
 	}
-	// The edit may have broken a previously-poisoned cycle (e.g. by deleting
-	// one of its members): those formulas come back to life alongside the
-	// seeds. Never a full recalculation.
-	e.lastEdit.Recomputed = e.mark(append(seeds, e.reviveCycles()...), nil)
+	// A cycle the edit broke (by deleting one of its members, say) is marked
+	// through its members that read the band. Never a full recalculation.
+	e.lastEdit.Recomputed = e.mark(seeds, nil)
 	return e.gen.Add(1), nil
 }
 
@@ -167,94 +166,19 @@ const maxCoord = 1 << 29
 
 // applyShift relocates the engine's formula state under a structural edit:
 // the registry moves its runs and reports which formulas moved, which read
-// across the edit (rewritten there), and which were deleted; cycle-poisoned
-// sources are re-keyed and re-texted alongside. No cell is written: the store
-// holds values only, and its positional maps moved them. Resident tiles get
-// the rewritten text (cache.Retext renders it for them alone); a tile loaded
-// later renders it from the registry. sh is the same edit as (axis, at,
-// delta), in the form the formula rewriter takes.
-func (e *Engine) applyShift(sh formula.Shift, axis depgraph.Axis, at, delta int) {
+// across the edit (rewritten there), and which were deleted. No cell is
+// written: the store holds values only, and its positional maps moved them.
+// Resident tiles get the rewritten text (cache.Retext renders it for them
+// alone); a tile loaded later renders it from the registry.
+func (e *Engine) applyShift(axis depgraph.Axis, at, delta int) {
 	res := e.deps.Shift(axis, at, delta)
-	// Cycle-poisoned formulas live only in e.cycles (no expression, no
-	// registry entry): re-key them in phases — capture, delete every vacated
-	// or deleted key, write the new keys (a dropped cell's old key may be
-	// another's new home) — so their manifest entry tracks the cell their
-	// stored value moved with.
-	var cycleMoves []cellMove
-	var cycleDrops []sheet.Ref
-	retext := res.Rewritten
-	if len(e.cycles) > 0 {
-		refs := make([]sheet.Ref, 0, len(e.cycles))
-		for ref := range e.cycles {
-			refs = append(refs, ref)
-		}
-		cycleMoves, cycleDrops = classifyShift(refs, axis, at, delta)
-		srcs := make([]string, len(cycleMoves))
-		for i, m := range cycleMoves {
-			srcs[i] = e.cycles[m.old]
-			delete(e.cycles, m.old)
-		}
-		for _, old := range cycleDrops {
-			delete(e.cycles, old)
-		}
-		for i, m := range cycleMoves {
-			e.cycles[m.nw] = srcs[i]
-		}
-		// Their source text must track the edit too: a poisoned formula's
-		// references shift exactly like a live formula's, or the persisted
-		// text goes stale and re-registers against unrelated cells after a
-		// later reload. Poisoned sources parsed at install time, so Parse
-		// cannot fail here.
-		for ref, src := range e.cycles {
-			expr, err := formula.Parse(src)
-			if err != nil {
-				continue
-			}
-			if txt := sh.Apply(expr).String(); txt != src {
-				e.cycles[ref] = txt
-				e.formulasDirty = true
-				retext = append(retext, ref)
-			}
-		}
-	}
-	e.lastEdit.Relocated += len(res.MovedNew) + len(cycleMoves)
-	e.lastEdit.Dropped += len(res.Dropped) + len(cycleDrops)
+	e.lastEdit.Relocated += len(res.MovedNew)
+	e.lastEdit.Dropped += len(res.Dropped)
 	e.lastEdit.Rewritten += len(res.Rewritten)
-	if e.lastEdit.Relocated+e.lastEdit.Dropped+len(res.Rewritten) > 0 {
+	if e.lastEdit.Relocated+e.lastEdit.Dropped+e.lastEdit.Rewritten > 0 {
 		e.formulasDirty = true
 	}
-	e.cache.Retext(retext, func(i int) string {
-		if i < len(res.Exprs) {
-			return res.Exprs[i].String()
-		}
-		return e.cycles[retext[i]]
-	})
-}
-
-type cellMove struct{ old, nw sheet.Ref }
-
-// classifyShift maps a set of cell keys through a structural shift,
-// splitting them into movers (with their new positions) and drops.
-func classifyShift(refs []sheet.Ref, axis depgraph.Axis, at, delta int) (moves []cellMove, drops []sheet.Ref) {
-	for _, ref := range refs {
-		idx := ref.Col
-		if axis == depgraph.Rows {
-			idx = ref.Row
-		}
-		switch nwIdx, ok := depgraph.ShiftIndex(idx, at, delta); {
-		case !ok:
-			drops = append(drops, ref)
-		case nwIdx != idx:
-			nw := ref
-			if axis == depgraph.Rows {
-				nw.Row = nwIdx
-			} else {
-				nw.Col = nwIdx
-			}
-			moves = append(moves, cellMove{ref, nw})
-		}
-	}
-	return moves, drops
+	e.cache.Retext(res.Rewritten, func(i int) string { return res.Exprs[i].String() })
 }
 
 // shiftSeeds maps pre-edit recompute seeds through a deletion: seeds inside

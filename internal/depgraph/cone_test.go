@@ -102,8 +102,9 @@ func checkMark(t *testing.T, label string, g *Graph, m refGraph, pending map[she
 }
 
 // levels is the reference layout of members under edge(u, v) ("v reads u"):
-// the members on or downstream of a cycle, sorted, and the others by
-// longest chain of member precedents, each level sorted.
+// the members on a cycle (a chain of edges leads from the member back to
+// it), sorted, and the others by longest chain of member precedents on no
+// cycle, each level sorted.
 func levels(members map[sheet.Ref]bool, edge func(u, v sheet.Ref) bool) (waves [][]sheet.Ref, cycles []sheet.Ref) {
 	var list []sheet.Ref
 	for r := range members {
@@ -126,12 +127,8 @@ func levels(members map[sheet.Ref]bool, edge func(u, v sheet.Ref) bool) (waves [
 		}
 	}
 	cyclic := make([]bool, n)
-	for u := range n {
-		for v := range n {
-			if path[u][u] && (u == v || path[u][v]) {
-				cyclic[v] = true
-			}
-		}
+	for v := range n {
+		cyclic[v] = path[v][v]
 	}
 	level := make([]int, n)
 	var at func(v int) int
@@ -139,7 +136,7 @@ func levels(members map[sheet.Ref]bool, edge func(u, v sheet.Ref) bool) (waves [
 		if level[v] == 0 {
 			level[v] = 1 // 1 + the level, so 0 means "not computed"
 			for u := range n {
-				if edge(list[u], list[v]) {
+				if !cyclic[u] && edge(list[u], list[v]) {
 					level[v] = max(level[v], at(u)+1)
 				}
 			}
@@ -158,6 +155,22 @@ func levels(members map[sheet.Ref]bool, edge func(u, v sheet.Ref) bool) (waves [
 		waves[l] = append(waves[l], list[v])
 	}
 	return waves, cycles
+}
+
+// checkUpstream checks UpstreamCone from seeds over the member set against
+// the reference layout of up, the member closure the caller built.
+func checkUpstream(t *testing.T, label string, g *Graph, m refGraph, up map[sheet.Ref]bool, seeds []sheet.Ref, member map[sheet.Ref]bool) {
+	t.Helper()
+	wantWaves, wantCycles := levels(up, func(u, v sheet.Ref) bool { _, ok := m[u]; return ok && m.reads(v, u) })
+	got := g.UpstreamCone(seeds, func(r sheet.Ref) bool { return member[r] })
+	var gotWaves [][]sheet.Ref
+	var gotCycles []sheet.Ref
+	if got != nil {
+		gotWaves, gotCycles = got.Waves, got.Cycles
+	}
+	if !reflect.DeepEqual(gotWaves, wantWaves) || !slices.Equal(gotCycles, wantCycles) {
+		t.Fatalf("%s: UpstreamCone waves %v cycles %v, reference %v %v", label, gotWaves, gotCycles, wantWaves, wantCycles)
+	}
 }
 
 // randomGraph registers n formulas over rows 1..3000 and columns 1..6: point
@@ -198,12 +211,12 @@ func randomGraph(rng *rand.Rand, n int) (*Graph, refGraph) {
 	return g, m
 }
 
-// TestConeMatchesReference checks ConeFrom, UpstreamWaves and Mark against a
+// TestConeMatchesReference checks ConeFrom, UpstreamCone and Mark against a
 // brute-force scan on random graphs: members, longest-path waves sorted
 // row-major, the cycle tail, the CSR edges, and Mark's stop at pre-marked
-// cells of a closed set.
+// cells of a closed set. Members downstream of a cycle are among them.
 func TestConeMatchesReference(t *testing.T) {
-	sawCycles, sawDeep := false, false
+	sawCycles, sawDeep, sawDownstream := false, false, false
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, m := randomGraph(rng, 120)
@@ -256,6 +269,11 @@ func TestConeMatchesReference(t *testing.T) {
 		}
 		sawCycles = sawCycles || len(wantCycles) > 0
 		sawDeep = sawDeep || len(wantWaves) > 3
+		for _, v := range slices.Concat(wantWaves...) {
+			for _, u := range wantCycles {
+				sawDownstream = sawDownstream || m.reads(v, u)
+			}
+		}
 
 		// A closed pre-marked set, as the pending bits are: Mark adds exactly
 		// the cone of refs and never passes a pre-marked cell.
@@ -264,7 +282,7 @@ func TestConeMatchesReference(t *testing.T) {
 		refs := append(pick(3), ref(rng.Intn(3000)+1, rng.Intn(6)+1))
 		checkMark(t, fmt.Sprintf("seed %d", seed), g, m, pending, refs)
 
-		// UpstreamWaves over that set: the member seeds and their member
+		// UpstreamCone over that set: the member seeds and their member
 		// formula ancestors, laid out by the same rule.
 		up := map[sheet.Ref]bool{}
 		vpSeeds := append(pick(6), refs...)
@@ -286,13 +304,11 @@ func TestConeMatchesReference(t *testing.T) {
 				delete(up, r)
 			}
 		}
-		wantUp, _ := levels(up, func(u, v sheet.Ref) bool { _, ok := m[u]; return ok && m.reads(v, u) })
-		if got := g.UpstreamWaves(vpSeeds, func(r sheet.Ref) bool { return pending[r] }); !reflect.DeepEqual(got, wantUp) {
-			t.Fatalf("seed %d: UpstreamWaves %v, reference %v", seed, got, wantUp)
-		}
+		checkUpstream(t, fmt.Sprintf("seed %d", seed), g, m, up, vpSeeds, pending)
 	}
-	if !sawCycles || !sawDeep {
-		t.Fatalf("random graphs too tame: cycles seen %v, more than 3 waves seen %v", sawCycles, sawDeep)
+	if !sawCycles || !sawDeep || !sawDownstream {
+		t.Fatalf("random graphs too tame: cycles seen %v, more than 3 waves seen %v, a wave member reading a cycle %v",
+			sawCycles, sawDeep, sawDownstream)
 	}
 }
 

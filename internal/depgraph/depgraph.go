@@ -2,7 +2,7 @@
 // execution engine (Section VI): for each formula cell, which cells/ranges
 // it reads, and — inverted — which formula cells must be recomputed when a
 // cell changes. Recomputation order is topological; cycles are detected and
-// reported so the engine can poison the affected cells with #CYCLE!.
+// reported so the engine can poison the cells on a cycle with #CYCLE!.
 //
 // The unit of registration is the fill-down run, the persisted formula set's
 // record: n cells down one column, member k being the run's head moved down k
@@ -524,9 +524,9 @@ func (g *Graph) DirectDependents(changed sheet.Range) []sheet.Ref {
 // cells that must themselves be recomputed, in a valid evaluation order
 // (precedents before dependents): the seeds verbatim — even seeds no longer
 // registered in the graph, such as formulas whose reads all collapsed to
-// #REF! — plus every formula transitively reading them. Cells participating
-// in a dependency cycle (and everything downstream of one) are returned
-// separately. It is ConeFrom without the edge structure.
+// #REF! — plus every formula transitively reading them. Cells on a
+// dependency cycle are returned separately; the cells downstream of one are
+// in order. It is ConeFrom without the edge structure.
 func (g *Graph) AffectedFrom(seeds []sheet.Ref) (order []sheet.Ref, cycles []sheet.Ref) {
 	c := g.ConeFrom(seeds)
 	if c == nil {
@@ -649,15 +649,14 @@ func (j *joiner) add(s sheet.Range) {
 	j.last[b] = int32(len(j.out))
 }
 
-// UpstreamWaves returns the member-filtered transitive precedent closure
-// of seeds (the member seeds themselves plus every member ancestor),
-// partitioned into topological waves: wave k's cells read, within the
-// set, only cells of earlier waves. Set members on dependency cycles are
-// omitted — the caller's full plan poisons them. The background recalc
-// scheduler uses it with member = "is pending" to evaluate a viewport's
-// stale cells and their stale ancestors ahead of everything else, in
-// O(viewport cone), without first paying the full cone's plan.
-func (g *Graph) UpstreamWaves(seeds []sheet.Ref, member func(sheet.Ref) bool) [][]sheet.Ref {
+// UpstreamCone returns the member-filtered transitive precedent closure of
+// seeds (the member seeds themselves plus every member ancestor) laid out as
+// ConeFrom's is — waves, then the members on a cycle — over the edges within
+// the set (nil when empty). The recalc executor uses it with member = "is
+// pending" to settle a viewport's stale cells and their stale ancestors ahead
+// of everything else, in O(viewport cone), without first paying the full
+// cone's plan.
+func (g *Graph) UpstreamCone(seeds []sheet.Ref, member func(sheet.Ref) bool) *Cone {
 	b := newConeBuilder(len(seeds))
 	for _, s := range seeds {
 		if member(s) {
@@ -678,31 +677,30 @@ func (g *Graph) UpstreamWaves(seeds []sheet.Ref, member func(sheet.Ref) bool) []
 			})
 		}
 	}
-	if c := b.cone(); c != nil {
-		return c.Waves
-	}
-	return nil
+	return b.cone()
 }
 
 // Cone is a dependency cone laid out flat for the recalc planner: members are
 // positions in Refs, which lists them in evaluation order, and the dependent
 // edges between them are CSR arrays over those positions.
 type Cone struct {
-	// Refs lists the members: the acyclic ones wave by wave, each wave
+	// Refs lists the members: the ones on no cycle wave by wave, each wave
 	// sorted row-major, then the cycle members, sorted.
 	Refs []sheet.Ref
-	// Waves partitions the acyclic members (sub-slices of Refs) into
+	// Waves partitions the members on no cycle (sub-slices of Refs) into
 	// topological levels: wave k holds the members whose longest chain of
-	// precedents within the cone has length k, so every member's cone-internal
+	// cone-internal precedents on no cycle has length k. A member's other
+	// precedents are on a cycle, so once Cycles is poisoned every member's
 	// precedents complete strictly before its wave runs — the members of one
 	// wave are mutually independent and may evaluate in parallel.
 	Waves [][]sheet.Ref
-	// Cycles is the tail of Refs on or downstream of a dependency cycle; it
-	// has no valid order and must be poisoned.
+	// Cycles is the tail of Refs on a dependency cycle (a strongly connected
+	// component with an edge inside it, a self-read included): it has no
+	// valid order and must be poisoned before the waves run.
 	Cycles []sheet.Ref
 	// Succ[Off[i]:Off[i+1]] are the positions of the members reading member
-	// i (edge i -> j when formula j reads cell i). An acyclic member's
-	// readers all sit after it in Refs.
+	// i (edge i -> j when formula j reads cell i). A member on no cycle has
+	// all its readers after it in Refs.
 	Off, Succ []int32
 }
 
@@ -759,18 +757,18 @@ func (b *coneBuilder) edge(u, v int32) {
 }
 
 // cone lays the members out by Kahn levels over the edges in CSR form, each
-// wave sorted row-major, the members no wave reaches (on or downstream of a
-// cycle) last, and renumbers the edges by position (nil when empty).
+// wave sorted row-major, the members on a cycle last, and renumbers the edges
+// by position (nil when empty). Only when Kahn's pass stalls — some member is
+// on or downstream of a cycle — does it find the cycles (onCycle) and level
+// again, ignoring the edges out of cycle members.
 func (b *coneBuilder) cone() *Cone {
 	n := len(b.refs)
 	if n == 0 {
 		return nil
 	}
 	off := make([]int32, n+1)
-	indeg := make([]int32, n)
-	for i, u := range b.from {
+	for _, u := range b.from {
 		off[u+1]++
-		indeg[b.to[i]]++
 	}
 	for i := range n {
 		off[i+1] += off[i]
@@ -781,32 +779,19 @@ func (b *coneBuilder) cone() *Cone {
 		succ[fill[u]] = b.to[i]
 		fill[u]++
 	}
-	byRef := func(x, y int32) int { return cmpRefs(b.refs[x], b.refs[y]) }
-	order := make([]int32, 0, n)
-	for v, d := range indeg {
-		if d == 0 {
-			order = append(order, int32(v))
-		}
-	}
-	var ends []int
-	for lo := 0; lo < len(order); lo = ends[len(ends)-1] {
-		ends = append(ends, len(order))
-		slices.SortFunc(order[lo:], byRef)
-		for _, v := range order[lo:ends[len(ends)-1]] {
-			for _, w := range succ[off[v]:off[v+1]] {
-				if indeg[w]--; indeg[w] == 0 {
-					order = append(order, w)
-				}
+	order, ends := b.levels(off, succ, nil)
+	acyclic := len(order)
+	if acyclic < n {
+		cyclic := onCycle(off, succ, order)
+		order, ends = b.levels(off, succ, cyclic)
+		acyclic = len(order)
+		for v, c := range cyclic {
+			if c {
+				order = append(order, int32(v))
 			}
 		}
+		slices.SortFunc(order[acyclic:], func(x, y int32) int { return cmpRefs(b.refs[x], b.refs[y]) })
 	}
-	acyclic := len(order)
-	for v, d := range indeg {
-		if d > 0 {
-			order = append(order, int32(v))
-		}
-	}
-	slices.SortFunc(order[acyclic:], byRef)
 
 	pos := fill // id -> position in order
 	for i, v := range order {
@@ -829,60 +814,108 @@ func (b *coneBuilder) cone() *Cone {
 	return c
 }
 
-// HasCycleAt reports whether installing a formula at ref that reads the
-// given ranges would create a dependency cycle (including self-reference).
-// The walk follows precedent edges: from a formula cell to the formula
-// cells located inside the ranges it reads; reaching ref closes a cycle.
-func (g *Graph) HasCycleAt(ref sheet.Ref, reads []sheet.Range) bool {
-	for _, r := range reads {
-		if r.Contains(ref) {
-			return true
-		}
-	}
-	var seen map[sheet.Ref]bool
-	var stack []sheet.Ref
-	seed := func(ranges []sheet.Range) bool {
-		for _, r := range ranges {
-			if g.formulasIn(r, func(dep sheet.Ref) bool {
-				if dep == ref {
-					return true
-				}
-				if !seen[dep] {
-					if seen == nil {
-						seen = make(map[sheet.Ref]bool)
-					}
-					seen[dep] = true
-					stack = append(stack, dep)
-				}
-				return false
-			}) {
-				return true
+// levels is Kahn's pass over the members not in cyclic (nil: none), counting
+// only the edges out of them: the members it reaches in order, each level
+// sorted row-major, and where each level ends.
+func (b *coneBuilder) levels(off, succ []int32, cyclic []bool) (order []int32, ends []int) {
+	n := len(b.refs)
+	out := func(u int) bool { return cyclic == nil || !cyclic[u] }
+	indeg := make([]int32, n)
+	for u := range n {
+		if out(u) {
+			for _, w := range succ[off[u]:off[u+1]] {
+				indeg[w]++
 			}
 		}
-		return false
 	}
-	if seed(reads) {
-		return true
+	order = make([]int32, 0, n)
+	for v, d := range indeg {
+		if d == 0 && out(v) {
+			order = append(order, int32(v))
+		}
 	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, r := range g.Precedents(cur) {
-			if r.Contains(ref) {
-				return true
+	byRef := func(x, y int32) int { return cmpRefs(b.refs[x], b.refs[y]) }
+	for lo := 0; lo < len(order); lo = ends[len(ends)-1] {
+		ends = append(ends, len(order))
+		slices.SortFunc(order[lo:], byRef)
+		for _, v := range order[lo:ends[len(ends)-1]] {
+			for _, w := range succ[off[v]:off[v+1]] {
+				if indeg[w]--; indeg[w] == 0 && out(int(w)) {
+					order = append(order, w)
+				}
 			}
 		}
-		if seed(g.Precedents(cur)) {
-			return true
+	}
+	return order, ends
+}
+
+// onCycle marks the members on a cycle: those of a strongly connected
+// component with an edge inside it, a self-read included (Tarjan's
+// algorithm, iterative). Every cycle lies among the members Kahn's pass did
+// not reach, and so does everything reachable from them, so the search
+// starts only there.
+func onCycle(off, succ []int32, reached []int32) []bool {
+	n := len(off) - 1
+	cyclic := make([]bool, n)
+	index := make([]int32, n) // 1 + discovery order; 0: not yet visited (or reached)
+	for _, v := range reached {
+		index[v] = -1
+	}
+	low := make([]int32, n)
+	next := slices.Clone(off[:n]) // the next successor each member scans
+	onStack := make([]bool, n)
+	var stack, path []int32
+	count := int32(0)
+	visit := func(v int32) {
+		count++
+		index[v], low[v] = count, count
+		stack, path = append(stack, v), append(path, v)
+		onStack[v] = true
+	}
+	for s := range n {
+		if index[s] != 0 {
+			continue
+		}
+		visit(int32(s))
+		for len(path) > 0 {
+			v := path[len(path)-1]
+			if next[v] < off[v+1] {
+				w := succ[next[v]]
+				next[v]++
+				switch {
+				case w == v:
+					cyclic[v] = true
+				case index[w] == 0:
+					visit(w)
+				case onStack[w]:
+					low[v] = min(low[v], index[w])
+				}
+				continue
+			}
+			path = path[:len(path)-1]
+			if len(path) > 0 {
+				u := path[len(path)-1]
+				low[u] = min(low[u], low[v])
+			}
+			if low[v] == index[v] {
+				i := len(stack) - 1
+				for stack[i] != v {
+					i--
+				}
+				for _, w := range stack[i:] {
+					onStack[w] = false
+					cyclic[w] = cyclic[w] || len(stack)-i > 1
+				}
+				stack = stack[:i]
+			}
 		}
 	}
-	return false
+	return cyclic
 }
 
 // formulasIn visits every registered formula cell inside r, early-exiting
-// (and returning true) when visit does. HasCycleAt runs once per formula
-// install, and scanning the whole registry there turns bulk loads quadratic:
-// runsIn keeps the cost to the formulas inside r.
+// (and returning true) when visit does: runsIn keeps the cost to the formulas
+// inside r, not the registry.
 func (g *Graph) formulasIn(r sheet.Range, visit func(sheet.Ref) bool) bool {
 	return g.runsIn(r, func(x *run) bool {
 		for row := max(x.row, r.From.Row); row <= min(x.last(), r.To.Row); row++ {

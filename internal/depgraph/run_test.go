@@ -112,7 +112,7 @@ func maximalRuns(p population) [][2]sheet.Ref {
 
 // checkRegistry compares every query of the run registry with the per-cell
 // reference: each cell's formula and precedents, DirectDependents, ConeFrom,
-// AffectedFrom, Mark, UpstreamWaves and HasCycleAt.
+// AffectedFrom, Mark and UpstreamCone.
 func checkRegistry(t *testing.T, label string, rng *rand.Rand, g *Graph, p population) {
 	t.Helper()
 	m := p.refGraph()
@@ -161,10 +161,6 @@ func checkRegistry(t *testing.T, label string, rng *rand.Rand, g *Graph, p popul
 		}
 		if got := g.DirectDependents(changed); !slices.Equal(got, want) {
 			t.Fatalf("%s: dependents of %v = %v, reference %v", label, changed, got, want)
-		}
-		reads := []sheet.Range{sheet.NewRange(pick().Row, pick().Col, pick().Row, pick().Col)}
-		if got, want := g.HasCycleAt(c, reads), cycleAt(m, c, reads); got != want {
-			t.Fatalf("%s: HasCycleAt(%v, %v) = %v, reference %v", label, c, reads, got, want)
 		}
 		// RunsIn covers exactly the formula cells of a tile-sized box, each
 		// rendering its reference's text.
@@ -231,31 +227,7 @@ func checkRegistry(t *testing.T, label string, rng *rand.Rand, g *Graph, p popul
 		}
 	}
 	maps.DeleteFunc(up, func(_ sheet.Ref, in bool) bool { return !in })
-	wantUp, _ := levels(up, func(u, v sheet.Ref) bool { _, ok := m[u]; return ok && m.reads(v, u) })
-	if got := g.UpstreamWaves(vpSeeds, func(r sheet.Ref) bool { return marked[r] }); !reflect.DeepEqual(got, wantUp) {
-		t.Fatalf("%s: UpstreamWaves %v, reference %v", label, got, wantUp)
-	}
-}
-
-// cycleAt is HasCycleAt by brute force: a formula at ref reading reads closes
-// a cycle when ref is among the cells reads reach through formulas.
-func cycleAt(m refGraph, ref sheet.Ref, reads []sheet.Range) bool {
-	seen := map[sheet.Ref]bool{}
-	queue := slices.Clone(reads)
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		if r.Contains(ref) {
-			return true
-		}
-		for f, fr := range m {
-			if r.Contains(f) && !seen[f] {
-				seen[f] = true
-				queue = append(queue, fr...)
-			}
-		}
-	}
-	return false
+	checkUpstream(t, label, g, m, up, vpSeeds, marked)
 }
 
 // shiftPopulation is Shift on the per-cell reference: cells move by

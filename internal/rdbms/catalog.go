@@ -633,7 +633,7 @@ func (t *Table) Get(rid RID) (Row, bool) { return t.heap.get(rid) }
 // GetMany is the batched, projected read path for range scans: it fetches
 // the rows at rids while pinning each distinct heap page in the buffer pool
 // once per batch, and decodes only the attributes whose indexes appear in
-// proj (sorted ascending; nil decodes all — see decodeRowColsInto).
+// proj (sorted ascending — see decodeRowColsInto).
 //
 // fn is called once per rid — in page-grouped order, not input order — with
 // the rid's position i in the input slice and the projected values (vals[k]

@@ -118,8 +118,6 @@ func decodeRow(buf []byte) (Row, error) {
 // short (pre-AddColumn) tuple decode as NULL, matching the padding the
 // callers apply after a full decode. dst is reused when it has capacity; the
 // returned row has len(proj) entries, vals[k] holding attribute proj[k].
-//
-// A nil proj decodes every attribute (like decodeRow, but into dst).
 func decodeRowColsInto(buf []byte, proj []int, dst Row) (Row, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -129,25 +127,19 @@ func decodeRowColsInto(buf []byte, proj []int, dst Row) (Row, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("rdbms: implausible column count %d", n)
 	}
-	if proj == nil {
-		dst = dst[:0]
-	} else if cap(dst) >= len(proj) {
+	if cap(dst) >= len(proj) {
 		dst = dst[:len(proj)]
 	} else {
 		dst = make(Row, len(proj))
 	}
 	k := 0 // next projection entry to satisfy
-	materialized := 0
-	for i := 0; i < int(n); i++ {
-		if proj != nil && k >= len(proj) {
-			break // everything requested has been decoded
-		}
+	for i := 0; i < int(n) && k < len(proj); i++ {
 		if len(buf) == 0 {
 			return nil, fmt.Errorf("rdbms: truncated tuple at column %d", i)
 		}
 		typ := DType(buf[0])
 		buf = buf[1:]
-		want := proj == nil || proj[k] == i
+		want := proj[k] == i
 		var d Datum
 		switch typ {
 		case DTNull:
@@ -190,24 +182,16 @@ func decodeRowColsInto(buf []byte, proj []int, dst Row) (Row, error) {
 		default:
 			return nil, fmt.Errorf("rdbms: unknown datum type %d at column %d", typ, i)
 		}
-		if !want {
-			continue
-		}
-		materialized++
-		if proj == nil {
-			dst = append(dst, d)
-		} else {
+		if want {
 			dst[k] = d
 			k++
 		}
 	}
+	decodedAttrs.Add(int64(k))
 	// Short tuple: requested attributes beyond the encoding pad with NULL.
-	if proj != nil {
-		for ; k < len(proj); k++ {
-			dst[k] = Null
-		}
+	for ; k < len(proj); k++ {
+		dst[k] = Null
 	}
-	decodedAttrs.Add(int64(materialized))
 	return dst, nil
 }
 

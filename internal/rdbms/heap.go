@@ -205,29 +205,35 @@ func (h *heapFile) readPayload(rid RID) ([]byte, bool) {
 	case tupInline:
 		return buf[1:], true
 	case tupHead:
-		out := append([]byte(nil), buf[1+chunkPtrSize:]...)
-		next := getChunkPtr(buf[1:])
-		for next != endChunk {
-			np := h.pool.fetch(next.Page)
-			if np == nil {
-				return nil, false
-			}
-			nb := np.read(next.Slot)
-			if len(nb) == 0 || nb[0] != tupMid {
-				return nil, false
-			}
-			out = append(out, nb[1+chunkPtrSize:]...)
-			next = getChunkPtr(nb[1:])
-		}
-		return out, true
+		out, err := h.appendChain(nil, buf)
+		return out, err == nil
 	}
 	return nil, false // tupMid: not a row start
+}
+
+// appendChain appends to dst the row encoding of an oversized row whose
+// first chunk is head (a tupHead record), following its chunk chain.
+func (h *heapFile) appendChain(dst, head []byte) ([]byte, error) {
+	dst = append(dst, head[1+chunkPtrSize:]...)
+	for next := getChunkPtr(head[1:]); next != endChunk; {
+		np := h.pool.fetch(next.Page)
+		if np == nil {
+			return dst, pageReadErr("chunk page", next.Page, h.pool.Err())
+		}
+		nb := np.read(next.Slot)
+		if len(nb) == 0 || nb[0] != tupMid {
+			return dst, fmt.Errorf("rdbms: broken chunk chain at %v", next)
+		}
+		dst = append(dst, nb[1+chunkPtrSize:]...)
+		next = getChunkPtr(nb[1:])
+	}
+	return dst, nil
 }
 
 // getMany is the batched read path: it visits every rid of the batch while
 // fetching each distinct heap page from the buffer pool once (the RIDs are
 // processed in page order, not input order), and decodes only the attributes
-// in proj (sorted ascending; nil decodes all). fn receives each rid's
+// in proj (sorted ascending). fn receives each rid's
 // position in the input slice plus the projected values; vals is a scratch
 // row reused between calls, so callers must copy datums they keep. Oversized
 // (chunked) rows fall back to the chained reassembly path. A tombstoned or
@@ -272,19 +278,9 @@ func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) erro
 		case tupInline:
 			payload = buf[1:]
 		case tupHead:
-			chunks = append(chunks[:0], buf[1+chunkPtrSize:]...)
-			next := getChunkPtr(buf[1:])
-			for next != endChunk {
-				np := h.pool.fetch(next.Page)
-				if np == nil {
-					return pageReadErr("chunk page", next.Page, h.pool.Err())
-				}
-				nb := np.read(next.Slot)
-				if len(nb) == 0 || nb[0] != tupMid {
-					return fmt.Errorf("rdbms: broken chunk chain at %v", next)
-				}
-				chunks = append(chunks, nb[1+chunkPtrSize:]...)
-				next = getChunkPtr(nb[1:])
+			var err error
+			if chunks, err = h.appendChain(chunks[:0], buf); err != nil {
+				return err
 			}
 			payload = chunks
 		default:

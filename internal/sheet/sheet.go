@@ -89,7 +89,14 @@ func (s *Sheet) Each(fn func(Ref, Cell)) {
 // rows span at most twice as many rows as there are cells, a counting sort
 // buckets them by row; otherwise (far-apart rows of a sparse sheet) a sort by
 // row does, so memory stays O(cells) either way. Each row's cells are then
-// sorted by column.
+// sorted by column. One comparison sort of the entries by (row, column) is
+// about 3x slower on dense sheets, where core.Open and model.Materialize
+// each call this (BenchmarkEachSorted, 2-CPU VM, 3 alternating runs):
+//
+//	sheet                               this           one sort
+//	dense 100,000x16                    0.41-0.45 s    1.16-1.29 s
+//	dense 30,000x16                     113-119 ms     297-369 ms
+//	sparse 20,000x4, rows 1,000 apart   37-43 ms       50-56 ms
 func (s *Sheet) EachSorted(fn func(Ref, Cell)) {
 	type entry struct {
 		ref  Ref

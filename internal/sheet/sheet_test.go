@@ -248,3 +248,30 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone is not independent")
 	}
 }
+
+// BenchmarkEachSorted orders the cells of three sheet shapes: dense 100,000
+// and 30,000 rows of 16 columns (the counting sort by row), and 20,000 rows
+// of 4 columns 1,000 rows apart (too sparse for it: the comparison sort).
+func BenchmarkEachSorted(b *testing.B) {
+	for _, bc := range []struct {
+		name             string
+		rows, cols, step int
+	}{
+		{"dense-100000x16", 100_000, 16, 1},
+		{"dense-30000x16", 30_000, 16, 1},
+		{"sparse-20000x4", 20_000, 4, 1_000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New("b")
+			for r := range bc.rows {
+				for c := 1; c <= bc.cols; c++ {
+					s.SetValue(1+r*bc.step, c, Number(float64(r*c)))
+				}
+			}
+			n := 0
+			for b.Loop() {
+				s.EachSorted(func(Ref, Cell) { n++ })
+			}
+		})
+	}
+}
