@@ -27,13 +27,15 @@ test:
 # keeps cold block loads out of a batch's store write through its publish —
 # with cold and warm readers beside a bare engine's writers (Concurrent),
 # session lifecycle, the disconnect fuzz, plus the one edit pipeline in both
-# recalc modes (Pipeline), staleness bits and viewport priority, the pending
-# marker's column segments and the sub-segments it reports newly set
-# (Pending), and the recalc graph walks (Cone, Mark: the plan and the
-# edit-time segment walk against a brute-force closure on random fill-down
-# runs, stopping at pre-marked cells), and the fill-down run registry behind
-# them against a per-cell reference, the formula set's runs round trip
-# included (Run), and dependency cycles: #CYCLE! exactly on a cycle, the
+# recalc modes (Pipeline), staleness bits and viewport priority, the kept
+# plan reused only while the registry and the pending set are unchanged, and
+# then equal to a rebuilt one (Recalc), the pending marker's column segments
+# and the sub-segments it reports newly set (Pending), and the recalc graph
+# walks (Cone, Mark: the plan and the edit-time segment walk against a
+# brute-force closure on random fill-down runs, stopping at pre-marked
+# cells), and the fill-down run registry behind them against a per-cell
+# reference, the formula set's runs round trip and the registry's change
+# counter included (Run), and dependency cycles: #CYCLE! exactly on a cycle, the
 # same values however the sheet was built, kept across Save/Load and
 # structural edits, and never read pending by the viewport pass (Cycle).
 # CI runs this as a dedicated step so visibility, latch and executor
@@ -42,9 +44,10 @@ test-serve:
 	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run|Cycle' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
 
 # Bench smoke: every benchmark executes once so perf code paths (including
-# the file-backed pager via BenchmarkDurable*) run on every push.
+# the file-backed pager via BenchmarkDurable*) run on every push, with
+# -benchmem so the log carries each one's bytes and allocations per op.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # bench/ is a module of its own that the driver builds from this checkout:
 # vet it and run its smoke test, so an API change that breaks it fails here

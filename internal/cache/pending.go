@@ -184,7 +184,7 @@ func (c *Cache) PendingInRange(g sheet.Range) int {
 func (c *Cache) PendingRefs() []sheet.Ref {
 	p := &c.pending
 	p.mu.RLock()
-	var out []sheet.Ref
+	out := make([]sheet.Ref, 0, p.count)
 	for k, m := range p.masks {
 		base := sheet.Ref{Row: k.br*BlockRows + 1, Col: k.bc*BlockCols + 1}
 		for bit := 0; bit < BlockRows*BlockCols; bit++ {
@@ -198,6 +198,33 @@ func (c *Cache) PendingRefs() []sheet.Ref {
 	}
 	p.mu.RUnlock()
 	return out
+}
+
+// PendingIs reports whether the pending set is exactly the cells of segs,
+// disjoint ranges of n cells in all: one hold of the sidecar's lock, one mask
+// lookup per tile row a range crosses. The recalc executor's kept plan test.
+func (c *Cache) PendingIs(n int, segs []sheet.Range) bool {
+	p := &c.pending
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.count != n {
+		return false
+	}
+	k, m := blockKey{br: -1}, []uint64(nil)
+	for _, g := range segs {
+		for r := g.From; r.Row <= g.To.Row; r.Row++ {
+			for r.Col = g.From.Col; r.Col <= g.To.Col; r.Col++ {
+				if rk := keyFor(r); rk != k {
+					k, m = rk, p.masks[rk]
+				}
+				row, col := local(k, r)
+				if bit := row*BlockCols + col; m == nil || m[bit/64]&(uint64(1)<<(bit%64)) == 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // PendingRefsIn returns the pending cells inside g, in no particular order —

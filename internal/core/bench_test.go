@@ -191,18 +191,29 @@ func tickerEngine(b *testing.B) *Engine {
 
 // BenchmarkDrain times a full recalculation on a synchronous engine. ticker:
 // one tick of the ticker, whose whole 40,400-cell cone is evaluated and
-// written back before the edit returns.
+// written back before the edit returns, on the plan the tick before kept.
+// ticker-replan: the same tick with the last intermediate's formula
+// re-entered in its batch, a registry change that makes every tick rebuild
+// its plan.
 func BenchmarkDrain(b *testing.B) {
-	b.Run("ticker", func(b *testing.B) {
-		e := tickerEngine(b)
-		b.ReportAllocs()
-		for i := 0; b.Loop(); i++ {
-			tick := workload.Tick(i + 1)
-			if _, err := e.ApplyCells([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		extra []CellEdit
+	}{
+		{"ticker", nil},
+		{"ticker-replan", []CellEdit{{Row: 400, Col: 2, Input: "=A1*400"}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e := tickerEngine(b)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				tick := workload.Tick(i + 1)
+				if _, err := e.ApplyCells(append([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}, c.extra...)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFirstScreenTile times the first screen's tile of the ticker, the

@@ -162,7 +162,7 @@ func New(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 
 // Open loads a sheet into a new engine, choosing the physical layout with
 // the hybrid optimizer (algo: "dp", "greedy", "agg", "rom", "com", "rcv"),
-// and recalculates every formula (RecalcAll).
+// and recalculates every formula (launch).
 func Open(db *rdbms.DB, name string, s *sheet.Sheet, algo string, opts Options) (*Engine, error) {
 	if err := validateSheetName(name); err != nil {
 		return nil, err
@@ -518,10 +518,6 @@ func (e *Engine) dropFormula(ref sheet.Ref) {
 		e.deps.Remove(ref)
 	}
 }
-
-// RecalcAll recalculates every formula in dependency order (the initial
-// load of Open): all of them are marked pending, then settled.
-func (e *Engine) RecalcAll() error { return e.recalc(true) }
 
 // recalc settles whatever is pending, after marking every formula when all
 // is set.

@@ -5,7 +5,10 @@
 // pending bits — the viewport's stale cells and their stale ancestors first,
 // then the whole cone in topological waves cut into bounded chunks —
 // evaluates each chunk, and commits it through the engine's one
-// write-through (Engine.commit). Options.AsyncRecalc decides only who runs
+// write-through (Engine.commit). The last full plan is kept and used again
+// while the registry and the pending set are the ones it was built from, so a
+// ticking feed that marks the same cone tick after tick pays for its values,
+// not for re-planning (buildPlan). Options.AsyncRecalc decides only who runs
 // it:
 //
 //   - AsyncRecalc: the edit returns with its cone marked; a single
@@ -49,7 +52,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,13 +71,12 @@ import (
 const recalcChunkSize = 512
 
 // coldDelay is the dispatcher's quiet window: how long after the latest edit
-// it leaves the cells nobody is looking at alone. It amortizes the full plan
-// (~19 ms for the 40,400-cell ticker cone, BenchmarkConeFrom, 2-CPU VM),
-// which the next edit throws away, and it coalesces a paste burst's
-// recalculation and drain-saves and keeps the cold pass off a tick's and an
-// open's first reads: with it at 0, edit-contended lost paste throughput,
-// WAL bytes and tick latency, and opens got slower (ROADMAP item 17). A
-// variable for tests.
+// it leaves the cells nobody is looking at alone. A repeating cone reuses its
+// plan (buildPlan), so the window no longer amortizes one; it still coalesces
+// a paste burst's recalculation and drain-saves and keeps the cold pass off a
+// tick's and an open's first reads: with it at 0, edit-contended lost paste
+// throughput, WAL bytes and tick latency, and opens got slower (ROADMAP item
+// 17). A variable for tests.
 var coldDelay = 40 * time.Millisecond
 
 var errEngineClosed = fmt.Errorf("core: engine closed")
@@ -107,6 +111,12 @@ type recalcScheduler struct {
 	// blocked in wait: the two ends of the quiet window.
 	edited  time.Time
 	waiters int
+
+	// The last full plan (buildPlan) and commitChunk's scratch, kept for one
+	// process, belong to whoever runs it: the dispatcher, or an inline settle.
+	plan   keptPlan
+	jobs   []recalcJob
+	writes []model.CellWrite
 }
 
 // startRecalc attaches the recalc executor; launch starts the dispatcher when
@@ -375,6 +385,7 @@ func (s *recalcScheduler) process() error {
 	s.mu.Lock()
 	s.restructure = false
 	s.mu.Unlock()
+	defer func() { s.jobs, s.writes = nil, nil }() // chunk scratch: one process
 	if err := s.commitPlan(s.buildHotPlan()); err != nil {
 		return err
 	}
@@ -427,37 +438,21 @@ func (s *recalcScheduler) quiet() bool {
 	return !s.restructure && !s.closed
 }
 
-// planChunks cuts a cone into a plan's commit units: the members on a cycle
-// first — their value is #CYCLE! whatever they read, and the waves may read
-// them — then the waves in order.
+// planChunks cuts a cone into a plan's commit units of at most
+// recalcChunkSize cells: the members on a cycle first — their value is
+// #CYCLE! whatever they read, and the waves may read them — then the waves in
+// order.
 func planChunks(c *depgraph.Cone) []recalcChunk {
 	if c == nil {
 		return nil
 	}
-	chunks := appendChunks(nil, c.Cycles, true)
-	for _, wave := range c.Waves {
-		chunks = appendChunks(chunks, wave, false)
+	var chunks []recalcChunk
+	for i, wave := range append([][]sheet.Ref{c.Cycles}, c.Waves...) {
+		for lo := 0; lo < len(wave); lo += recalcChunkSize {
+			chunks = append(chunks, recalcChunk{refs: wave[lo:min(lo+recalcChunkSize, len(wave))], cycle: i == 0})
+		}
 	}
 	return chunks
-}
-
-// appendChunks cuts one wave into bounded commit units.
-func appendChunks(chunks []recalcChunk, wave []sheet.Ref, cycle bool) []recalcChunk {
-	for lo := 0; lo < len(wave); lo += recalcChunkSize {
-		chunks = append(chunks, recalcChunk{refs: wave[lo:min(lo+recalcChunkSize, len(wave))], cycle: cycle})
-	}
-	return chunks
-}
-
-// viewportList snapshots the registered viewports.
-func (s *recalcScheduler) viewportList() []sheet.Range {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vps := make([]sheet.Range, 0, len(s.viewports))
-	for _, g := range s.viewports {
-		vps = append(vps, g)
-	}
-	return vps
 }
 
 // buildHotPlan is the viewport fast path: pending cells inside registered
@@ -465,7 +460,9 @@ func (s *recalcScheduler) viewportList() []sheet.Range {
 // cut as the full plan is — the ancestors on a cycle poisoned first, so no
 // wave reads a pending one.
 func (s *recalcScheduler) buildHotPlan() []recalcChunk {
-	vps := s.viewportList()
+	s.mu.Lock()
+	vps := slices.Collect(maps.Values(s.viewports))
+	s.mu.Unlock()
 	if len(vps) == 0 {
 		return nil
 	}
@@ -486,19 +483,80 @@ func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 // the pending set, cut by planChunks. It needs no viewport ordering: the hot
 // plan has committed every pending viewport cell and its ancestors before
 // quiet lets this plan start, and an edit or viewport move since then sets
-// restructure, which abandons the plan before it builds or commits.
+// restructure, which abandons the plan before it builds or commits. A plan is
+// a function of the registry and the pending set alone, so the last one is
+// kept and used again while both read the same; nothing pending keeps it too.
 func (s *recalcScheduler) buildPlan() []recalcChunk {
 	e := s.e
 	unlock := s.lock()
-	var cone *depgraph.Cone
+	defer unlock()
 	// An edit that held the lock meanwhile has marked and flagged: a plan
 	// built now would be abandoned at its first chunk, after the O(cone)
 	// sort, and that edit's viewport cells would have waited behind it.
-	if pending := e.cache.PendingRefs(); len(pending) > 0 && !s.interrupted() {
-		cone = e.deps.ConeFrom(pending)
+	if e.cache.PendingCount() == 0 || s.interrupted() {
+		return nil
 	}
-	unlock()
-	return planChunks(cone)
+	if s.plan.gen == e.deps.Gen() && e.cache.PendingIs(s.plan.n, s.plan.rects) {
+		return s.plan.expand()
+	}
+	chunks := planChunks(e.deps.ConeFrom(e.cache.PendingRefs()))
+	s.plan = keepPlan(e.deps.Gen(), chunks)
+	return chunks
+}
+
+// keptPlan is a full plan kept compactly: the registry generation it was
+// built at, its n members in plan order as row-major rectangles, each chunk's
+// size and how many lead on a cycle — no per-member array, no edges. The
+// 40,400-cell ticker cone is a few rectangles.
+type keptPlan struct {
+	gen            uint64
+	n, cycleChunks int
+	rects          []sheet.Range
+	sizes          []int
+}
+
+func keepPlan(gen uint64, chunks []recalcChunk) keptPlan {
+	k := keptPlan{gen: gen}
+	var rows []sheet.Range // runs of columns in one row, then folded
+	for _, ch := range chunks {
+		k.sizes = append(k.sizes, len(ch.refs))
+		k.n += len(ch.refs)
+		if ch.cycle {
+			k.cycleChunks++
+		}
+		for _, r := range ch.refs {
+			if last := len(rows) - 1; last >= 0 && rows[last].To == (sheet.Ref{Row: r.Row, Col: r.Col - 1}) {
+				rows[last].To.Col++
+			} else {
+				rows = append(rows, sheet.Range{From: r, To: r})
+			}
+		}
+	}
+	for _, g := range rows {
+		if last := len(k.rects) - 1; last >= 0 && g.From == (sheet.Ref{Row: k.rects[last].To.Row + 1, Col: k.rects[last].From.Col}) && g.To.Col == k.rects[last].To.Col {
+			k.rects[last].To.Row++
+		} else {
+			k.rects = append(k.rects, g)
+		}
+	}
+	return k
+}
+
+// expand lays out the chunks planChunks cut.
+func (k *keptPlan) expand() []recalcChunk {
+	refs := make([]sheet.Ref, 0, k.n)
+	for _, g := range k.rects {
+		for r := g.From; r.Row <= g.To.Row; r.Row++ {
+			for r.Col = g.From.Col; r.Col <= g.To.Col; r.Col++ {
+				refs = append(refs, r)
+			}
+		}
+	}
+	chunks := make([]recalcChunk, len(k.sizes))
+	for i, n := range k.sizes {
+		chunks[i], refs = recalcChunk{refs: refs[:n:n], cycle: i < k.cycleChunks}, refs[n:]
+	}
+	return chunks
 }
 
 // commitChunk evaluates and commits one chunk under the edit lock: evaluate
@@ -523,12 +581,7 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		}
 		return false
 	}
-	type job struct {
-		ref  sheet.Ref
-		head formula.Expr // of the cell's run, evaluated k rows down
-		k    int
-	}
-	jobs := make([]job, 0, len(ch.refs))
+	jobs := s.jobs[:0]
 	for _, r := range ch.refs {
 		if !e.cache.IsPending(r) {
 			continue // committed or superseded since the plan was built
@@ -542,13 +595,13 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		case stale && readsPending(r):
 			// Stays pending: the rebuilt plan orders it after its reads.
 		default:
-			jobs = append(jobs, job{r, head, k})
+			jobs = append(jobs, recalcJob{ref: r, head: head, k: k})
 		}
 	}
-	vals := make([]sheet.Value, len(jobs))
+	s.jobs = jobs
 	if ch.cycle {
-		for i := range vals {
-			vals[i] = sheet.ErrCycle
+		for i := range jobs {
+			jobs[i].val = sheet.ErrCycle
 		}
 	} else if nw := min(s.workers, len(jobs)); nw > 1 {
 		var next atomic.Int64
@@ -562,27 +615,36 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 					if i >= len(jobs) {
 						return
 					}
-					vals[i] = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
+					jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
 		for i := range jobs {
-			vals[i] = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
+			jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
 		}
 	}
-	writes := make([]model.CellWrite, 0, len(jobs))
-	for i, j := range jobs {
+	writes := s.writes[:0]
+	for _, j := range jobs {
 		old := e.cache.Get(j.ref)
-		if old.Value.Equal(vals[i]) {
+		if old.Value.Equal(j.val) {
 			e.cache.ClearPending(j.ref)
 			continue
 		}
 		writes = append(writes, model.CellWrite{Row: j.ref.Row, Col: j.ref.Col,
-			Cell: sheet.Cell{Value: vals[i], Formula: old.Formula}})
+			Cell: sheet.Cell{Value: j.val, Formula: old.Formula}})
 	}
+	s.writes = writes
 	return e.commit(writes)
+}
+
+// recalcJob is a chunk's cell: its run's head, evaluated k rows down, to val.
+type recalcJob struct {
+	ref  sheet.Ref
+	head formula.Expr
+	k    int
+	val  sheet.Value
 }
 
 // drainSave persists the recomputed values once the pending set is empty:

@@ -11,6 +11,7 @@ import (
 
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
+	"dataspread/internal/workload"
 )
 
 func newAsyncEngine(t *testing.T) *Engine {
@@ -140,10 +141,10 @@ func TestApplyCellsStoreFailureKeepsFormulas(t *testing.T) {
 	}
 }
 
-// A sheet opened with a cycle and a reader of it (RecalcAll discovers the
-// cycle while it plans) keeps every formula registered across Save/Load: the
-// members show #CYCLE!, the reader propagates it, and breaking the cycle
-// evaluates all of them again.
+// A sheet opened with a cycle and a reader of it (Open's recalculation of
+// every formula discovers the cycle while it plans) keeps every formula
+// registered across Save/Load: the members show #CYCLE!, the reader
+// propagates it, and breaking the cycle evaluates all of them again.
 func TestCycleSaveLoadRoundTrip(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	s := sheet.New("cyc")
@@ -729,5 +730,168 @@ func TestMarkStopsAtPendingCells(t *testing.T) {
 				t.Fatalf("(%d,%d): sync %v/%q, async %v/%q", row, col, a.Value, a.Formula, b.Value, b.Formula)
 			}
 		}
+	}
+}
+
+// reuseSheet is a 30 x 20 ticker (630 cells, so its leaf wave takes two
+// chunks) with a two-cell cycle reading the ticker, Y1 = Z1 + A1 and
+// Z1 = Y1, and a reader of the cycle, AA1 = Y1*2: a tick marks all 633
+// formulas.
+func reuseSheet() *sheet.Sheet {
+	s := workload.TickerMarket(workload.TickerSpec{Intermediates: 30, LeavesPer: 20})
+	s.SetFormula(1, 25, "Z1+A1")
+	s.SetFormula(1, 26, "Y1")
+	s.SetFormula(1, 27, "Y1*2")
+	return s
+}
+
+// keptRects identifies the executor's kept plan: a reuse leaves the same
+// rectangle array in place, a rebuild keeps a new one (nil when empty).
+func keptRects(e *Engine) *sheet.Range {
+	if rects := e.sched.plan.rects; len(rects) > 0 {
+		return &rects[0]
+	}
+	return nil
+}
+
+// A reused plan is the plan a rebuild from the pending bits gives, chunk for
+// chunk, cycles included. The executor reuses it while the registry and the
+// pending set are the ones it was built from; a formula re-entered under the
+// same pending set changes the registry, and the plan is rebuilt. The engine
+// is closed, so the test takes the dispatcher's steps itself.
+func TestRecalcPlanReuseMatchesRebuild(t *testing.T) {
+	e, err := Open(rdbms.Open(rdbms.Options{}), "reuse", reuseSheet(), "rom", Options{AsyncRecalc: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := e.sched
+	price := 100
+	tick := func() {
+		t.Helper()
+		price++
+		if err := e.Set(1, 1, fmt.Sprint(price)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build := func() []recalcChunk {
+		s.mu.Lock()
+		s.restructure = false // what process does before it plans
+		s.mu.Unlock()
+		return s.buildPlan()
+	}
+	var last []recalcChunk
+	plan := func(what string, reuse bool) {
+		t.Helper()
+		want := planChunks(e.deps.ConeFrom(e.cache.PendingRefs()))
+		before := keptRects(e)
+		got := build()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: plan of %d chunks differs from the %d a rebuild gives", what, len(got), len(want))
+		}
+		if reused := keptRects(e) == before; reused != reuse {
+			t.Fatalf("%s: plan reused %v, want %v", what, reused, reuse)
+		}
+		// [Y1:Z1], then B1, AA1, [B2:B30] and the leaves [C1:V30] (four
+		// rectangles once C5 reads C4).
+		if rects := s.plan.rects; len(rects) > 8 {
+			t.Fatalf("%s: the plan is kept as %d rectangles %v, want at most 8", what, len(rects), rects)
+		}
+		if len(got) < 3 || !got[0].cycle || got[1].cycle {
+			t.Fatalf("%s: %d chunks, want the cycle's first and then at least two waves", what, len(got))
+		}
+		if err := s.commitPlan(got); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.PendingCount(); n != 0 {
+			t.Fatalf("%s: %d cells pending after the plan", what, n)
+		}
+		if v := e.GetCell(1, 26).Value; !v.Equal(sheet.ErrCycle) {
+			t.Fatalf("%s: Z1 = %v, want %v", what, v, sheet.ErrCycle)
+		}
+		if b30, leaf := cellNum(t, e, 30, 2), cellNum(t, e, 30, 22); b30 != float64(30*price) || leaf != b30+20 {
+			t.Fatalf("%s: B30 = %v and V30 = %v at price %d", what, b30, leaf, price)
+		}
+		last = got
+	}
+	tick()
+	plan("the first tick: Open's plan, over the same cells", true)
+	tick()
+	plan("the next tick", true)
+
+	// C5 now reads B5 and C4: the same cells pending, the waves changed.
+	tick()
+	if err := e.Set(5, 3, "=B5+C4"); err != nil {
+		t.Fatal(err)
+	}
+	prev := last
+	plan("a formula re-entered under the same pending set", false)
+	if reflect.DeepEqual(last, prev) {
+		t.Fatal("the re-entered formula left the plan as it was: the case tests nothing")
+	}
+	tick()
+	plan("the tick after it", true)
+
+	// Nothing pending builds nothing and keeps the plan.
+	if err := e.Set(40, 1, "7"); err != nil {
+		t.Fatal(err)
+	}
+	if got := build(); got != nil {
+		t.Fatalf("a plan of nothing pending = %d chunks", len(got))
+	}
+	tick()
+	plan("a tick after an empty plan", true)
+}
+
+// Which edits make the next tick rebuild its plan and which let it reuse
+// it, on a synchronous engine with a viewport: every registry mutation
+// (a formula entered or removed, a shift that moves runs) and a moved
+// viewport, whose hot pass leaves another pending set, rebuild; a value edit
+// (the tick itself), an empty plan and a shift below every formula reuse.
+// Each rebuild is reused by the tick after it.
+func TestRecalcPlanReuseInvalidation(t *testing.T) {
+	e, err := Open(rdbms.Open(rdbms.Options{}), "reuse", reuseSheet(), "rom", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp := e.RegisterViewport(sheet.NewRange(1, 3, 5, 6))
+	price := 100
+	tick := func(what string, reuse bool) {
+		t.Helper()
+		before := keptRects(e)
+		price++
+		if err := e.Set(1, 1, fmt.Sprint(price)); err != nil {
+			t.Fatal(err)
+		}
+		if reused := keptRects(e) == before; reused != reuse {
+			t.Fatalf("%s: plan reused %v, want %v", what, reused, reuse)
+		}
+	}
+	tick("the first tick after the viewport", false)
+	tick("a value edit", true)
+	for _, c := range []struct {
+		what  string
+		edit  func() error
+		reuse bool
+	}{
+		{"a formula entered", func() error { return e.Set(5, 3, "=B5+C4") }, false},
+		{"a formula removed", func() error { return e.Set(5, 3, "") }, false},
+		{"a cell nothing reads (an empty plan)", func() error { return e.Set(40, 1, "7") }, true},
+		{"rows inserted below every formula", func() error { return e.InsertRowsAfter(100, 2) }, true},
+		{"rows deleted below every formula", func() error { return e.DeleteRows(100, 2) }, true},
+		{"a row inserted above the formulas", func() error { return e.InsertRowsAfter(1, 1) }, false},
+		{"the row deleted again", func() error { return e.DeleteRows(2, 1) }, false},
+		{"the viewport moved", func() error { e.UpdateViewport(vp, sheet.NewRange(10, 3, 20, 8)); return nil }, false},
+	} {
+		if err := c.edit(); err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		tick(c.what, c.reuse)
+		tick("the tick after "+c.what, true)
+	}
+	if b30 := cellNum(t, e, 30, 2); b30 != float64(30*price) {
+		t.Fatalf("B30 = %v at price %d", b30, price)
 	}
 }

@@ -24,7 +24,7 @@ import (
 //   - incremental recalculation: only formulas whose read ranges straddle
 //     or absorb the edited band re-evaluate (inserted blanks and deleted
 //     values change range aggregates; purely-shifted references do not),
-//     plus their transitive dependents — never RecalcAll,
+//     plus their transitive dependents — never every formula,
 //   - targeted cache maintenance: cache.Shift keeps blocks
 //     strictly above/left of the edit resident and renumbers aligned
 //     blocks, instead of invalidating the whole read cache.

@@ -136,6 +136,8 @@ type Graph struct {
 	segments map[uint64][]filing
 	// wide holds the stripe-spanning reads.
 	wide []filing
+	// gen counts registry mutations (add, drop, reshape): see Gen.
+	gen uint64
 }
 
 // filing is one read of a run as the index files it: r.reads[i].
@@ -245,6 +247,7 @@ func (g *Graph) add(r *run) {
 	i, _ := slices.BinarySearchFunc(col, r.row, byRow)
 	g.cols[r.col] = slices.Insert(col, i, r)
 	g.cells += r.n
+	g.gen++
 	g.registerReads(r)
 }
 
@@ -258,6 +261,7 @@ func (g *Graph) drop(r *run) {
 		delete(g.cols, r.col)
 	}
 	g.cells -= r.n
+	g.gen++
 	g.unregisterReads(r)
 }
 
@@ -279,6 +283,7 @@ func (g *Graph) reshape(r *run, row, n int, head formula.Expr) {
 		g.unregisterReads(r)
 	}
 	g.cells += n - r.n
+	g.gen++
 	r.row, r.n, r.head, r.reads = row, n, head, nr.reads
 	if !same {
 		g.registerReads(r)
@@ -370,6 +375,11 @@ func (g *Graph) Remove(ref sheet.Ref) {
 		g.reshape(r, r.row, k, r.head)
 	}
 }
+
+// Gen returns the registry's change counter. It moves on every mutation of
+// the runs and on nothing else: what is derived from the graph alone, a
+// recalc plan, stays valid while it reads the same.
+func (g *Graph) Gen() uint64 { return g.gen }
 
 // Len returns the number of tracked formula cells.
 func (g *Graph) Len() int { return g.cells }

@@ -348,3 +348,55 @@ func TestRunRegistryMatchesReference(t *testing.T) {
 		t.Fatalf("populations too tame: wide %v, runs longer than a cell %v, cycles %v", sawWide, sawSplit, sawCycle)
 	}
 }
+
+// Gen moves on every mutation of the registry — a new run, a member joining
+// the run above, one joining two runs, a replaced or removed member, a run
+// added whole, a Set, a Shift that moves or rewrites runs — and on nothing
+// else: no query, no Remove of a cell no run holds, no Shift that moves no
+// run.
+func TestRunRegistryGenMovesOnMutationsOnly(t *testing.T) {
+	g := New()
+	parse := func(src string) formula.Expr {
+		e, err := formula.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	moves := func(what string, want bool, op func()) {
+		t.Helper()
+		before := g.Gen()
+		op()
+		if moved := g.Gen() != before; moved != want {
+			t.Fatalf("%s: Gen moved %v, want %v", what, moved, want)
+		}
+	}
+	moves("a new run", true, func() { g.SetFormula(ref(1, 2), parse("A1*2")) })
+	moves("a member joining the run above", true, func() { g.SetFormula(ref(2, 2), parse("A2*2")) })
+	moves("a second run", true, func() { g.SetFormula(ref(4, 2), parse("A4*2")) })
+	moves("a member joining two runs", true, func() { g.SetFormula(ref(3, 2), parse("A3*2")) })
+	moves("a member replaced", true, func() { g.SetFormula(ref(2, 2), parse("A2*3")) })
+	moves("a run added whole", true, func() { g.AddRun(ref(1, 3), 10, parse("B1+1")) })
+	moves("a Set", true, func() { g.Set(ref(1, 4), []sheet.Range{spanRange(1, 3, 10, 3)}) })
+	moves("a member removed", true, func() { g.Remove(ref(5, 3)) })
+	moves("a Remove where no run is", false, func() { g.Remove(ref(9, 2)) })
+
+	moves("the queries", false, func() {
+		g.Formula(ref(3, 3))
+		g.Precedents(ref(3, 3))
+		g.DirectDependents(spanRange(1, 1, 4, 1))
+		g.AffectedFrom([]sheet.Ref{ref(1, 2)})
+		g.ConeFrom([]sheet.Ref{ref(1, 2)})
+		g.UpstreamCone([]sheet.Ref{ref(1, 4)}, func(sheet.Ref) bool { return true })
+		g.Mark([]sheet.Ref{ref(1, 1)}, func(seg sheet.Range, fresh []sheet.Range) []sheet.Range { return fresh })
+		g.RunsIn(spanRange(1, 1, 10, 4), func(sheet.Ref, int, int, formula.Expr) {})
+		g.Runs(func(sheet.Ref, int, formula.Expr) {})
+		g.Len()
+	})
+	moves("a Shift of nothing", false, func() { g.Shift(Rows, 3, 0) })
+	moves("rows inserted below every run", false, func() { g.Shift(Rows, 100, 3) })
+	moves("rows deleted below every run", false, func() { g.Shift(Rows, 100, -3) })
+	moves("columns inserted right of every run", false, func() { g.Shift(Cols, 50, 2) })
+	moves("rows inserted above the runs", true, func() { g.Shift(Rows, 1, 1) })
+	moves("a column deleted the runs read", true, func() { g.Shift(Cols, 1, -1) })
+}

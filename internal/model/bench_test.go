@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -70,15 +71,22 @@ func BenchmarkROMInsertRow(b *testing.B) {
 	}
 }
 
+// BenchmarkROMUpdateCell writes one cell of a random row: 10,000 rows of 50
+// columns, and 1,000 of 256 (import-open's wide ROM tuples).
 func BenchmarkROMUpdateCell(b *testing.B) {
-	rom := benchROM(b, 10_000, 50)
-	rng := rand.New(rand.NewSource(1))
-	cell := sheet.Cell{Value: sheet.Number(42)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := setCell(rom, rng.Intn(10_000)+1, rng.Intn(50)+1, cell); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct{ rows, cols int }{{10_000, 50}, {1_000, 256}} {
+		b.Run(fmt.Sprintf("cols=%d", shape.cols), func(b *testing.B) {
+			rom := benchROM(b, shape.rows, shape.cols)
+			rng := rand.New(rand.NewSource(1))
+			cell := sheet.Cell{Value: sheet.Number(42)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := setCell(rom, rng.Intn(shape.rows)+1, rng.Intn(shape.cols)+1, cell); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -273,6 +273,37 @@ func TestROMColumnOps(t *testing.T) {
 	}
 }
 
+// One cell written to a 256-column row decodes the tuple into, and encodes it
+// from, buffers the region and its heap keep: what is left per write is the
+// batch's row grouping (two small slices), not a decoded copy of the row and a
+// fresh encoding of it.
+func TestROMCellWriteReusesRowBuffers(t *testing.T) {
+	rom, err := NewROM(testCfg(t, "wide"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := newCellGrid(4, 256)
+	for i := range cells {
+		for c := range cells[i] {
+			cells[i][c] = num(float64(i*256 + c))
+		}
+	}
+	if err := rom.UpdateCells(blockWrites(1, 1, cells)); err != nil {
+		t.Fatal(err)
+	}
+	ws := []CellWrite{{Row: 2, Col: 100, Cell: num(1.5)}}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := rom.UpdateCells(ws); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Fatalf("one cell write to a 256-column row: %v allocations, want at most 2", n)
+	}
+	if c, err := getCell(rom, 2, 100); err != nil || !c.Value.Equal(sheet.Number(1.5)) {
+		t.Fatalf("the written cell reads %v, %v", c, err)
+	}
+}
+
 func TestROMBoundsErrors(t *testing.T) {
 	rom, _ := NewROM(testCfg(t, "r"), 2)
 	if err := setCell(rom, 1, 5, num(1)); err == nil {

@@ -26,6 +26,9 @@ type ROM struct {
 	// display columns orphan their attribute, like a dropped column in
 	// PostgreSQL).
 	nextCol int
+	// row is writeRow's tuple buffer, reused row after row: only the
+	// region's single writer touches it, and the table copies what it stores.
+	row rdbms.Row
 }
 
 // NewROM creates an empty ROM region of the given width.
@@ -160,19 +163,20 @@ func (r *ROM) refuse(ws []CellWrite) error {
 // extent.
 func (r *ROM) writeRow(row int, ws []CellWrite, group []int32) error {
 	for r.rowMap.Len() < row-1 {
-		if err := r.appendTuple(r.emptyRow()); err != nil {
+		if err := r.appendTuple(make(rdbms.Row, r.table.Schema.Arity())); err != nil {
 			return err
 		}
 	}
-	var tuple rdbms.Row
+	tuple := r.row[:0]
 	rid, exists := r.rowMap.Fetch(row)
-	if !exists {
-		tuple = r.emptyRow()
-	} else if old, ok := r.table.Get(rid); ok {
-		tuple = padRow(old, r.table.Schema.Arity())
-	} else {
-		return fmt.Errorf("model: ROM row %d dangling pointer %v", row, rid)
+	if exists {
+		var ok bool
+		if tuple, ok = r.table.GetInto(rid, tuple); !ok {
+			return fmt.Errorf("model: ROM row %d dangling pointer %v", row, rid)
+		}
 	}
+	tuple = padRow(tuple, r.table.Schema.Arity())
+	r.row = tuple
 	for _, k := range group {
 		tuple[r.colPos[ws[k].Col-1]] = encodeCell(ws[k].Cell)
 	}
@@ -242,10 +246,6 @@ func (r *ROM) StorageBytes() int64 { return r.table.StorageBytes() }
 
 // Drop implements Translator.
 func (r *ROM) Drop() error { return r.cfg.DB.DropTable(r.cfg.TableName) }
-
-func (r *ROM) emptyRow() rdbms.Row {
-	return make(rdbms.Row, r.table.Schema.Arity())
-}
 
 // padRow pads a short (pre-AddColumn) tuple with NULLs to arity.
 func padRow(row rdbms.Row, arity int) rdbms.Row {

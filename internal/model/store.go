@@ -251,22 +251,33 @@ func (h *HybridStore) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 // batch with one DB.FlushWAL (one fsync) — see core.Engine.SetCells.
 func (h *HybridStore) UpdateCells(writes []CellWrite) error {
 	type part struct {
-		tr Translator
-		ws []CellWrite
+		tr     Translator
+		dr, dc int // the region's offset from the sheet's origin
+		n      int
+		ws     []CellWrite
 	}
+	// Route and count every part's writes, then fill each in one allocation.
 	parts := []part{{tr: h.overflow}}
-	for _, w := range writes {
-		var tr Translator = h.overflow
+	which := make([]int32, len(writes))
+	for i, w := range writes {
+		p := part{tr: h.overflow}
 		if reg := h.regionAt(w.Row, w.Col); reg != nil {
-			tr = reg.tr
-			w.Row -= reg.rect.From.Row - 1
-			w.Col -= reg.rect.From.Col - 1
+			p = part{tr: reg.tr, dr: reg.rect.From.Row - 1, dc: reg.rect.From.Col - 1}
 		}
-		i := slices.IndexFunc(parts, func(p part) bool { return p.tr == tr })
-		if i < 0 {
-			i, parts = len(parts), append(parts, part{tr: tr})
+		j := slices.IndexFunc(parts, func(q part) bool { return q.tr == p.tr })
+		if j < 0 {
+			j, parts = len(parts), append(parts, p)
 		}
-		parts[i].ws = append(parts[i].ws, w)
+		which[i] = int32(j)
+		parts[j].n++
+	}
+	for j := range parts {
+		parts[j].ws = make([]CellWrite, 0, parts[j].n)
+	}
+	for i, w := range writes {
+		p := &parts[which[i]]
+		w.Row, w.Col = w.Row-p.dr, w.Col-p.dc
+		p.ws = append(p.ws, w)
 	}
 	parts = append(parts[1:], parts[0]) // the overflow's part last
 	for _, p := range parts {

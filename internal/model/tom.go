@@ -22,6 +22,8 @@ type TOM struct {
 	rowMap *posmap.Tracked
 	// headers reports whether the region's first row shows column names.
 	headers bool
+	// row is UpdateCells' tuple buffer, the region's single writer's alone.
+	row rdbms.Row
 }
 
 // LinkTOM wraps an existing database table as a linked region. Its initial
@@ -154,13 +156,13 @@ func (t *TOM) UpdateCells(ws []CellWrite) error {
 	for k, w := range ws {
 		dataRow := w.Row - t.headerRows()
 		rid, _ := t.rowMap.Fetch(dataRow)
-		tuple, ok := t.db.Get(rid)
+		tuple, ok := t.db.GetInto(rid, t.row)
 		if !ok {
 			return fmt.Errorf("model: TOM dangling pointer %v", rid)
 		}
-		nt := tuple.Clone()
-		nt[w.Col-1] = ds[k]
-		newRID, err := t.db.Update(rid, nt)
+		t.row = tuple
+		tuple[w.Col-1] = ds[k]
+		newRID, err := t.db.Update(rid, tuple)
 		if err != nil {
 			return err
 		}

@@ -64,7 +64,7 @@ func BenchmarkHeapGet(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.get(rids[rng.Intn(len(rids))])
+		h.get(rids[rng.Intn(len(rids))], nil)
 	}
 }
 
@@ -74,7 +74,7 @@ func BenchmarkRowCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = encodeRow(buf[:0], row)
-		if _, err := decodeRow(buf); err != nil {
+		if _, err := decodeRow(buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

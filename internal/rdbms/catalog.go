@@ -628,7 +628,11 @@ func (t *Table) Insert(r Row) (RID, error) {
 }
 
 // Get fetches the row at rid.
-func (t *Table) Get(rid RID) (Row, bool) { return t.heap.get(rid) }
+func (t *Table) Get(rid RID) (Row, bool) { return t.heap.get(rid, nil) }
+
+// GetInto fetches the row at rid into dst, reused when it has the capacity:
+// a writer rewriting row after row decodes them all into one buffer.
+func (t *Table) GetInto(rid RID, dst Row) (Row, bool) { return t.heap.get(rid, dst) }
 
 // GetMany is the batched, projected read path for range scans: it fetches
 // the rows at rids while pinning each distinct heap page in the buffer pool
@@ -661,7 +665,7 @@ func (t *Table) Update(rid RID, r Row) (RID, error) {
 	var old Row
 	if len(t.indexes) > 0 {
 		var ok bool
-		if old, ok = t.heap.get(rid); !ok {
+		if old, ok = t.heap.get(rid, nil); !ok {
 			return RID{}, fmt.Errorf("rdbms: %s: update of missing tuple %v", t.Name, rid)
 		}
 	}
@@ -682,7 +686,7 @@ func (t *Table) Update(rid RID, r Row) (RID, error) {
 func (t *Table) Delete(rid RID) bool {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	old, ok := t.heap.get(rid)
+	old, ok := t.heap.get(rid, nil)
 	if !ok {
 		return false
 	}
@@ -746,7 +750,7 @@ func (t *Table) IndexScan(col string, lo, hi int64, fn func(RID, Row) bool) bool
 		return false
 	}
 	idx.tree.Scan(lo, hi, func(_ int64, rid RID) bool {
-		row, ok := t.heap.get(rid)
+		row, ok := t.heap.get(rid, nil)
 		if !ok {
 			return true
 		}

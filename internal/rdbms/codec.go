@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -56,8 +57,9 @@ func encodeRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// decodeRow parses a row from buf.
-func decodeRow(buf []byte) (Row, error) {
+// decodeRow parses a row from buf into dst, reused when it has the capacity
+// (nil allocates a fresh row).
+func decodeRow(buf []byte, dst Row) (Row, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, fmt.Errorf("rdbms: corrupt tuple header")
@@ -66,7 +68,7 @@ func decodeRow(buf []byte) (Row, error) {
 	if n > 1<<20 {
 		return nil, fmt.Errorf("rdbms: implausible column count %d", n)
 	}
-	row := make(Row, 0, n)
+	row := slices.Grow(dst[:0], int(n))
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
 			return nil, fmt.Errorf("rdbms: truncated tuple at column %d", i)
@@ -248,7 +250,7 @@ func NextRecord(buf []byte) (*RecordReader, []byte, error) {
 		return nil, nil, fmt.Errorf("record frame of %d bytes runs past the %d that remain", n, len(buf))
 	}
 	frame := buf[sz : sz+int(n)]
-	row, err := decodeRow(frame)
+	row, err := decodeRow(frame, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -44,6 +44,9 @@ type heapFile struct {
 	// the first write, and only the table's single writer touches them.
 	free  []int32
 	index map[PageID]int
+	// enc is insert's and update's encoding buffer, the writer's alone like
+	// free and index: the page and insertPayload copy what they keep.
+	enc []byte
 }
 
 func (h *heapFile) sidecars() {
@@ -147,8 +150,8 @@ func getChunkPtr(src []byte) RID {
 // insert stores the row and returns its RID. Rows whose encoding exceeds a
 // page are chunked across pages; the returned RID addresses the head chunk.
 func (h *heapFile) insert(r Row) (RID, error) {
-	payload := encodeRow(nil, r)
-	rid, err := h.insertPayload(payload)
+	h.enc = encodeRow(h.enc[:0], r)
+	rid, err := h.insertPayload(h.enc)
 	if err != nil {
 		return RID{}, err
 	}
@@ -298,13 +301,14 @@ func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) erro
 	return nil
 }
 
-// get decodes the row at rid; ok is false for tombstones and bad RIDs.
-func (h *heapFile) get(rid RID) (Row, bool) {
+// get decodes the row at rid into dst (see decodeRow); ok is false for
+// tombstones and bad RIDs.
+func (h *heapFile) get(rid RID, dst Row) (Row, bool) {
 	buf, ok := h.readPayload(rid)
 	if !ok {
 		return nil, false
 	}
-	row, err := decodeRow(buf)
+	row, err := decodeRow(buf, dst)
 	if err != nil {
 		return nil, false
 	}
@@ -365,12 +369,13 @@ func (h *heapFile) del(rid RID) bool {
 // and its page has room for the new encoding, otherwise by delete+insert
 // (returning the new RID).
 func (h *heapFile) update(rid RID, r Row) (RID, error) {
-	payload := encodeRow(nil, r)
+	h.enc = encodeRow(append(h.enc[:0], tupInline), r)
+	payload := h.enc[1:]
 	p := h.pool.fetch(rid.Page)
 	if p != nil && len(payload)+1 <= maxInline {
 		if buf := p.read(rid.Slot); len(buf) > 0 && buf[0] == tupInline {
 			was := len(buf)
-			if p.replace(rid.Slot, append([]byte{tupInline}, payload...)) {
+			if p.replace(rid.Slot, h.enc) {
 				if was != len(payload)+1 {
 					h.noteFree(rid.Page, p)
 				}
@@ -409,7 +414,7 @@ func (h *heapFile) scan(fn func(RID, Row) bool) {
 			if !ok {
 				continue
 			}
-			row, err := decodeRow(payload)
+			row, err := decodeRow(payload, nil)
 			if err != nil {
 				continue
 			}

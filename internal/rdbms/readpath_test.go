@@ -43,7 +43,7 @@ func TestDecodeRowColsAgainstFullDecode(t *testing.T) {
 		cols := rng.Intn(30) + 1
 		row := projRow(trial, cols)
 		buf := encodeRow(nil, row)
-		full, err := decodeRow(buf)
+		full, err := decodeRow(buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestDecodeRowColsSkipsMaterialization(t *testing.T) {
 		t.Fatalf("decoded %d attrs, want %d", got, len(proj))
 	}
 	ResetDecodedAttrCount()
-	if _, err := decodeRow(buf); err != nil {
+	if _, err := decodeRow(buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := DecodedAttrCount(); got != cols {
@@ -352,7 +352,7 @@ func TestConcurrentReadersFilePagerCold(t *testing.T) {
 func TestDecodeTruncatedBool(t *testing.T) {
 	buf := encodeRow(nil, Row{Bool(true)})
 	trunc := buf[:len(buf)-1] // drop the bool payload byte
-	if _, err := decodeRow(trunc); err == nil {
+	if _, err := decodeRow(trunc, nil); err == nil {
 		t.Fatal("decodeRow accepted a truncated bool")
 	}
 	if _, err := decodeRowColsInto(trunc, []int{0}, nil); err == nil {

@@ -1,8 +1,10 @@
 package rdbms
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +26,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		if len(buf) != encodedSize(r) {
 			t.Errorf("encodedSize(%v) = %d, actual %d", r, encodedSize(r), len(buf))
 		}
-		got, err := decodeRow(buf)
+		got, err := decodeRow(buf, nil)
 		if err != nil {
 			t.Fatalf("decodeRow(%v): %v", r, err)
 		}
@@ -42,7 +44,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 func TestRowCodecProperty(t *testing.T) {
 	f := func(i int64, fl float64, s string, b bool) bool {
 		r := Row{Int(i), Float(fl), Text(s), Bool(b), Null}
-		got, err := decodeRow(encodeRow(nil, r))
+		got, err := decodeRow(encodeRow(nil, r), nil)
 		if err != nil || len(got) != 5 {
 			return false
 		}
@@ -51,6 +53,70 @@ func TestRowCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// decodeRow into a reused row: a destination shorter than the tuple, one
+// longer and holding stale datums, and nil all read what a fresh decode
+// reads, text included, and a destination with the capacity is the one
+// returned.
+func TestDecodeRowIntoReusedRow(t *testing.T) {
+	row := Row{Int(7), Text("alpha"), Null, Float(2.5), Bool(true), Text(""), Int(-3)}
+	buf := encodeRow(nil, row)
+	want, err := decodeRow(buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := Row{Text("stale"), Text("stale"), Int(1), Int(1), Int(1), Int(1), Int(1), Text("past the end"), Int(9)}
+	for _, dst := range []Row{nil, make(Row, 2), stale} {
+		got, err := decodeRow(buf, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("into a %d-datum row: %v, want %v", len(dst), got, want)
+		}
+		if cap(dst) >= len(row) && &got[0] != &dst[0] {
+			t.Fatalf("a %d-capacity destination was not reused", cap(dst))
+		}
+	}
+}
+
+// An update that outgrows inline storage into a chunk chain and shrinks back
+// leaves the stored encoding byte-identical to a fresh encoding of the row at
+// every step, and so does the row beside it that the same encoding buffer
+// serves in between.
+func TestHeapUpdateReusesEncodingBuffer(t *testing.T) {
+	disk := memFilePager(t)
+	h := newHeapFile(disk, newBufferPool(disk, 64))
+	a, b := Row{Int(1), Text("a")}, Row{Int(2), Float(0.5)}
+	ridA, err := h.insert(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ridB, err := h.insert(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, rid RID, want Row) {
+		t.Helper()
+		got, ok := h.readPayload(rid)
+		if !ok || string(got) != string(encodeRow(nil, want)) {
+			t.Fatalf("%s: stored %d bytes (%v), want the %d-byte encoding of %v", when, len(got), ok, encodedSize(want), want)
+		}
+	}
+	for step, text := range []string{strings.Repeat("g", 3*PageSize), "short", strings.Repeat("h", PageSize), "s"} {
+		a = Row{Int(int64(step)), Text(text)}
+		if ridA, err = h.update(ridA, a); err != nil {
+			t.Fatal(err)
+		}
+		b = Row{Int(int64(step)), Float(float64(step))}
+		if ridB, err = h.update(ridB, b); err != nil {
+			t.Fatal(err)
+		}
+		when := fmt.Sprintf("step %d (%d-byte text)", step, len(text))
+		check(when, ridA, a)
+		check(when, ridB, b)
 	}
 }
 
@@ -64,7 +130,7 @@ func TestDecodeRowCorrupt(t *testing.T) {
 		{1, 99},                   // unknown type
 	}
 	for _, b := range bad {
-		if _, err := decodeRow(b); err == nil {
+		if _, err := decodeRow(b, nil); err == nil {
 			t.Errorf("decodeRow(%v) should fail", b)
 		}
 	}
@@ -175,7 +241,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 		t.Fatalf("tupleCount = %d", h.tupleCount())
 	}
 	for i, rid := range rids {
-		r, ok := h.get(rid)
+		r, ok := h.get(rid, nil)
 		if !ok || r[0].Int64() != int64(i) {
 			t.Fatalf("get(%v) = %v ok=%v", rid, r, ok)
 		}
@@ -183,7 +249,7 @@ func TestHeapInsertGetDelete(t *testing.T) {
 	if !h.del(rids[500]) {
 		t.Fatal("del failed")
 	}
-	if _, ok := h.get(rids[500]); ok {
+	if _, ok := h.get(rids[500], nil); ok {
 		t.Fatal("deleted tuple still readable")
 	}
 	count := 0
@@ -214,7 +280,7 @@ func TestHeapUpdateMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := h.get(nrid)
+	r, ok := h.get(nrid, nil)
 	if !ok || len(r[0].Str()) != 500 {
 		t.Fatal("moved tuple unreadable")
 	}
@@ -256,7 +322,7 @@ func TestHeapGrownTupleKeepsSlot(t *testing.T) {
 		t.Fatalf("slots %d -> %d, pages %d -> %d", slots, n, pages, len(h.pages))
 	}
 	for i, r := range rids {
-		if row, ok := h.get(r); !ok || row[0].Int64() != int64(i) {
+		if row, ok := h.get(r, nil); !ok || row[0].Int64() != int64(i) {
 			t.Fatalf("row %d at %v reads %v, %v", i, r, row, ok)
 		}
 	}
@@ -290,7 +356,7 @@ func TestHeapRelocationReadsNoFullPages(t *testing.T) {
 	if misses := h.pool.Stats().PoolMisses - before.PoolMisses; misses > 2 {
 		t.Fatalf("one relocation cost %d pool misses over %d pages, want at most 2", misses, len(h.pages))
 	}
-	if row, ok := h.get(moved); !ok || len(row[1].Str()) != 2000 {
+	if row, ok := h.get(moved, nil); !ok || len(row[1].Str()) != 2000 {
 		t.Fatalf("relocated tuple reads %v, %v", row, ok)
 	}
 	// Entries that read high (a rollback restored the pages under them) are
@@ -358,7 +424,7 @@ func TestHeapOversizedTupleChunks(t *testing.T) {
 	if h.tupleCount() != 2 {
 		t.Fatalf("tupleCount = %d", h.tupleCount())
 	}
-	r, ok := h.get(ridBig)
+	r, ok := h.get(ridBig, nil)
 	if !ok || r[1].Str() != big {
 		t.Fatal("oversized tuple did not round-trip")
 	}
@@ -376,7 +442,7 @@ func TestHeapOversizedTupleChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := h.get(newRID); !ok || r[1].Str() != "tiny" {
+	if r, ok := h.get(newRID, nil); !ok || r[1].Str() != "tiny" {
 		t.Fatal("shrinking update broke the row")
 	}
 	// Update grows an inline row into a chain.
@@ -384,7 +450,7 @@ func TestHeapOversizedTupleChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := h.get(newRID2); !ok || r[1].Str() != big {
+	if r, ok := h.get(newRID2, nil); !ok || r[1].Str() != big {
 		t.Fatal("growing update broke the row")
 	}
 	// Delete removes the whole chain; a follow-up scan sees one row.
@@ -441,7 +507,7 @@ func TestHeapChunkedRandomized(t *testing.T) {
 		t.Fatalf("tupleCount %d != model %d", h.tupleCount(), len(model))
 	}
 	for rid, want := range model {
-		r, ok := h.get(rid)
+		r, ok := h.get(rid, nil)
 		if !ok || r[0].Str() != want {
 			t.Fatalf("get(%v) mismatch (ok=%v)", rid, ok)
 		}
@@ -525,7 +591,7 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 		t.Fatalf("tupleCount %d != model %d", h.tupleCount(), len(model))
 	}
 	for rid, want := range model {
-		r, ok := h.get(rid)
+		r, ok := h.get(rid, nil)
 		if !ok || r[0].Int64() != want {
 			t.Fatalf("get(%v) = %v,%v want %d", rid, r, ok, want)
 		}
