@@ -21,16 +21,20 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzSQL -fuzztime 10s ./internal/rdbms/
 
 # Serving stack and recalc surface alone under the race detector: the cell
-# cache's publish and the generation-stamped reads beside it (Publish), its
-# typed tiles against every read path, a map reference and a per-tile heap
-# bound (Tile), the engine's write-window latch — it, not the serving layer,
-# keeps cold block loads out of a batch's store write through its publish —
-# with cold and warm readers beside a bare engine's writers (Concurrent),
-# session lifecycle, the disconnect fuzz, plus the one edit pipeline in both
-# recalc modes (Pipeline), staleness bits and viewport priority, the kept
-# plan reused only while the registry and the pending set are unchanged, and
-# then equal to a rebuilt one (Recalc), the pending marker's column segments
-# and the sub-segments it reports newly set (Pending), and the recalc graph
+# cache's publish, the pending bits it clears and drops per tile run, and the
+# generation-stamped reads beside it (Publish), its typed tiles against every
+# read path, a map reference and a per-tile heap bound, and the executor's
+# tile reader against Get, evicted tiles and its count of one hit per tile
+# (Tile), the engine's write-window latch — it, not the serving layer, keeps
+# cold block loads out of a batch's store write through its publish — with
+# cold and warm readers beside a bare engine's writers and beside an async
+# cold pass whose held tiles they evict (Concurrent), session lifecycle, the
+# disconnect fuzz, plus the one edit pipeline in both recalc modes
+# (Pipeline), staleness bits and viewport priority, the kept plan reused only
+# while the registry and the pending set are unchanged, and then equal to a
+# rebuilt one, and a ticker tick's cache hits counted per tile (Recalc), the
+# pending marker's column segments and the sub-segments it reports newly
+# set, and a chunk's bits tested in one hold (Pending), and the recalc graph
 # walks (Cone, Mark: the plan and the edit-time segment walk against a
 # brute-force closure on random fill-down runs, stopping at pre-marked
 # cells), and the fill-down run registry behind them against a per-cell

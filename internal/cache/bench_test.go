@@ -62,15 +62,15 @@ func BenchmarkCachePublish(b *testing.B) {
 	c := New(denseNumbers, 16)
 	g := sheet.NewRange(1, 1, 4*BlockRows, BlockCols)
 	c.ReadRange(g)
-	writes := make([]Write, 0, g.Area())
+	writes := make([]sheet.CellWrite, 0, g.Area())
 	for row := g.From.Row; row <= g.To.Row; row++ {
 		for col := g.From.Col; col <= g.To.Col; col++ {
-			writes = append(writes, Write{sheet.Ref{Row: row, Col: col}, sheet.Cell{Value: sheet.Number(float64(row))}})
+			writes = append(writes, write(sheet.Ref{Row: row, Col: col}, sheet.Cell{Value: sheet.Number(float64(row))}))
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Publish(writes, nil, nil)
+		c.Publish(writes, nil, nil, nil)
 	}
 }

@@ -9,12 +9,20 @@
 // A block is typed columns over the columns it holds (about 9 KiB a dense
 // numeric tile, 2 KiB a formula column, none a blank one), composed into
 // sheet.Cells on the way out without per-cell map lookups. The cache is safe
-// for concurrent readers: hits touch only a read lock and per-block reference
-// bits (second-chance eviction instead of exact LRU move-to-front keeps the
-// hit path mutation-free), and misses load from the backing outside the cache
-// lock so cold scans overlap their storage reads. Publish takes the exclusive
-// lock and may run beside Snapshot readers; Invalidate and the shifts run
-// with the engine's structure lock held exclusively, readers out.
+// for concurrent readers: a hit probes the block map under the read lock,
+// sets the block's reference bit and counts one hit (second-chance eviction
+// instead of exact LRU move-to-front keeps the hit path mutation-free), then
+// composes the cells under the read lock; misses load from the backing
+// outside the cache lock so cold scans overlap their storage reads. Publish
+// takes the exclusive lock and may run beside Snapshot readers; Invalidate
+// and the shifts run with the engine's structure lock held exclusively,
+// readers out.
+//
+// The recalc executor reads through a TileReader instead: one map probe and
+// one counted hit per tile it moves to, not per cell, and the tile's columns
+// read without the cache lock under the engine's edit lock, which every
+// writer of a resident tile's columns holds. On the recalc path Stats
+// therefore counts tile visits, not cells.
 package cache
 
 import (
@@ -51,7 +59,8 @@ type block struct {
 	// block-local (r, c) is index r*(hi-lo+1)+c-lo of kind (a sheet.Kind, with
 	// formulaBit for a formula; 0 is blank), num (a number, or a bool as 0/1)
 	// and the text tables str and formula, nil until a cell needs one. Publish
-	// may swap the slices for wider ones: read them only under the cache lock.
+	// may swap the slices for wider ones: read them under the cache lock, or
+	// under the engine's edit lock (TileReader).
 	lo, hi       int
 	kind         []uint8
 	num          []float64
@@ -208,18 +217,55 @@ func local(k blockKey, r sheet.Ref) (row, col int) {
 	return r.Row - 1 - k.br*BlockRows, r.Col - 1 - k.bc*BlockCols
 }
 
+// get composes the cell at r of tile k, held in b.
+func (b *block) get(k blockKey, r sheet.Ref) (cell sheet.Cell) {
+	if row, col := local(k, r); col >= b.lo && col <= b.hi {
+		b.put(row*b.width()+col-b.lo, &cell)
+	}
+	return cell
+}
+
 // Get returns the cell at r, loading its block on a miss. Load failures
 // render the cell blank and are surfaced by TakeErr.
 func (c *Cache) Get(r sheet.Ref) sheet.Cell {
 	k := keyFor(r)
 	b := c.loadOrBlank(k)
-	var cell sheet.Cell
 	c.mu.RLock()
-	if row, col := local(k, r); col >= b.lo && col <= b.hi {
-		b.put(row*b.width()+col-b.lo, &cell)
+	defer c.mu.RUnlock()
+	return b.get(k, r)
+}
+
+// TileReader reads cells for the recalc executor tile by tile: it keeps the
+// last two tiles it touched and reads their columns directly, so it takes the
+// cache lock, probes the block map and counts a hit (or loads on a miss) only
+// when it moves to a tile it does not hold. It reads without the cache lock,
+// which is safe while its owner holds the engine's edit lock: every writer of
+// a resident tile's columns (Publish, Retext, Shift, Invalidate) runs under
+// that lock, loads and evictions change only the map and the atomic used bit,
+// and an evicted tile is never written again, so a tile evicted while held
+// reads as it did. A reader lives for one pass over one recalc chunk, before
+// the chunk's Publish, and is not safe for concurrent use: each evaluation
+// worker takes its own.
+type TileReader struct {
+	c     *Cache
+	keys  [2]blockKey
+	tiles [2]*block // the last tile touched first; nil until one is
+}
+
+// TileReader starts a reader.
+func (c *Cache) TileReader() TileReader { return TileReader{c: c} }
+
+// Get returns the cell at r, as Cache.Get does.
+func (t *TileReader) Get(r sheet.Ref) sheet.Cell {
+	k := keyFor(r)
+	b := t.tiles[0]
+	if b == nil || t.keys[0] != k {
+		if b = t.tiles[1]; b == nil || t.keys[1] != k {
+			b = t.c.loadOrBlank(k)
+		}
+		t.keys[0], t.keys[1], t.tiles[0], t.tiles[1] = k, t.keys[0], b, t.tiles[0]
 	}
-	c.mu.RUnlock()
-	return cell
+	return b.get(k, r)
 }
 
 // newGrid allocates the dense output for g: one flat backing array.

@@ -41,6 +41,11 @@ func (b *sheetBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
 	return out, nil
 }
 
+// write is one cell of a published batch.
+func write(r sheet.Ref, cell sheet.Cell) sheet.CellWrite {
+	return sheet.CellWrite{Row: r.Row, Col: r.Col, Cell: cell}
+}
+
 func TestCacheReadThrough(t *testing.T) {
 	s := sheet.New("t")
 	s.SetValue(1, 1, sheet.Number(42))
@@ -80,7 +85,7 @@ func TestCachePublishKeepsResidentBlocksCoherent(t *testing.T) {
 	c.Get(a1) // make the block resident
 	markOne(c, a1)
 	s.Set(a1, sheet.Cell{Value: sheet.Number(7)})
-	c.Publish([]Write{{a1, sheet.Cell{Value: sheet.Number(7)}}}, []sheet.Ref{b1}, &gen)
+	c.Publish([]sheet.CellWrite{write(a1, sheet.Cell{Value: sheet.Number(7)})}, nil, []sheet.Ref{b1}, &gen)
 	if !c.Get(a1).Value.Equal(sheet.Number(7)) || b.loads != 1 {
 		t.Fatalf("resident publish: cell %v after %d loads, want 7 after 1", c.Get(a1), b.loads)
 	}
@@ -89,20 +94,20 @@ func TestCachePublishKeepsResidentBlocksCoherent(t *testing.T) {
 			c.IsPending(a1), c.IsPending(b1), c.PendingCount(), gen.Load())
 	}
 	// A written cell that is also flagged (an installed formula) ends pending.
-	c.Publish([]Write{{b1, sheet.Cell{Formula: "A1"}}}, []sheet.Ref{b1}, nil)
+	c.Publish([]sheet.CellWrite{write(b1, sheet.Cell{Formula: "A1"})}, nil, []sheet.Ref{b1}, nil)
 	if !c.IsPending(b1) || gen.Load() != 1 {
 		t.Fatalf("written-and-flagged cell pending=%v, gen %d; want true, 1", c.IsPending(b1), gen.Load())
 	}
 	// Blank publish clears.
 	s.Set(a1, sheet.Cell{})
-	c.Publish([]Write{{a1, sheet.Cell{}}}, nil, nil)
+	c.Publish([]sheet.CellWrite{write(a1, sheet.Cell{})}, nil, nil, nil)
 	if !c.Get(a1).IsBlank() {
 		t.Fatal("blank publish did not clear")
 	}
 	// A publish into a block that is not resident neither loads nor caches it.
 	far := sheet.Ref{Row: BlockRows*3 + 1, Col: 1}
 	s.Set(far, sheet.Cell{Value: sheet.Number(9)})
-	c.Publish([]Write{{far, sheet.Cell{Value: sheet.Number(-1)}}}, nil, nil)
+	c.Publish([]sheet.CellWrite{write(far, sheet.Cell{Value: sheet.Number(-1)})}, nil, nil, nil)
 	if b.loads != 1 {
 		t.Fatalf("publish loaded a block: %d loads", b.loads)
 	}
@@ -122,10 +127,10 @@ func TestCachePublishSnapshotAtomic(t *testing.T) {
 	s := sheet.New("t")
 	c := New(&sheetBacking{s: s}, 8)
 	c.ReadRange(g) // all four tiles resident, blank: generation 0 shows value 0
-	writes := make([]Write, 0, g.Area())
+	writes := make([]sheet.CellWrite, 0, g.Area())
 	for row := g.From.Row; row <= g.To.Row; row++ {
 		for col := g.From.Col; col <= g.To.Col; col++ {
-			writes = append(writes, Write{Ref: sheet.Ref{Row: row, Col: col}})
+			writes = append(writes, write(sheet.Ref{Row: row, Col: col}, sheet.Cell{}))
 		}
 	}
 	var gen atomic.Uint64
@@ -171,7 +176,7 @@ func TestCachePublishSnapshotAtomic(t *testing.T) {
 		for i := range writes {
 			writes[i].Cell = sheet.Cell{Value: sheet.Number(float64(v))}
 		}
-		c.Publish(writes, nil, &gen)
+		c.Publish(writes, nil, nil, &gen)
 	}
 	done.Store(true)
 	wg.Wait()

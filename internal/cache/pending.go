@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 
 	"dataspread/internal/sheet"
@@ -14,7 +15,8 @@ import (
 //
 // The engine's recalc executor (internal/core/recalc.go) is the only writer
 // in practice: edits mark the dependency cone pending, committed waves clear
-// their bits in the Publish that pokes the recomputed values, and readers
+// their bits in the Publish that pokes the recomputed values (a cell whose
+// value stands is cleared in the same Publish), and readers
 // surface the bits as staleness flags (Snapshot samples them in the same hold
 // as the cells). All methods are safe for concurrent use; the sidecar's lock
 // nests inside the cache's block lock, never the other way round.
@@ -61,26 +63,36 @@ func (p *pendingSet) set(r sheet.Ref) bool {
 	return true
 }
 
-// clear clears r's bit, reporting whether it was set. The caller holds p.mu.
-func (p *pendingSet) clear(r sheet.Ref) bool {
-	k, bit := p.bitFor(r)
-	m := p.masks[k]
-	if m == nil {
-		return false
+// pendingRun clears bits a run of one tile at a time: one mask lookup per
+// run, and the mask dropped at the run's end when the run emptied it.
+type pendingRun struct {
+	p *pendingSet
+	k blockKey
+	m []uint64 // k's mask, nil when it has none
+}
+
+// clearRun starts clearing. The caller holds p.mu until the run's end.
+func (p *pendingSet) clearRun() pendingRun { return pendingRun{p: p, k: blockKey{-1, -1}} }
+
+// clear clears r's bit.
+func (run *pendingRun) clear(r sheet.Ref) {
+	k, bit := run.p.bitFor(r)
+	if k != run.k {
+		run.end()
+		run.k, run.m = k, run.p.masks[k]
 	}
-	w, b := bit/64, uint64(1)<<(bit%64)
-	if m[w]&b == 0 {
-		return false
+	if w, b := bit/64, uint64(1)<<(bit%64); run.m != nil && run.m[w]&b != 0 {
+		run.m[w] &^= b
+		run.p.count--
 	}
-	m[w] &^= b
-	p.count--
-	for _, word := range m {
-		if word != 0 {
-			return true
-		}
+}
+
+// end drops the current tile's mask if no bit of it is left.
+func (run *pendingRun) end() {
+	if run.m != nil && !slices.ContainsFunc(run.m, func(w uint64) bool { return w != 0 }) {
+		delete(run.p.masks, run.k)
 	}
-	delete(p.masks, k)
-	return true
+	run.m = nil
 }
 
 // pendingHold bounds how many cells a PendingMarker covers in one hold of
@@ -142,27 +154,35 @@ func (m *PendingMarker) Release() int {
 	return m.n
 }
 
-// ClearPending clears the pending bit for r, reporting whether it was set.
-// Only for a cell whose displayed value is already its definitive one; a
-// recomputed value and its bit change together, in Publish.
-func (c *Cache) ClearPending(r sheet.Ref) bool {
-	c.pending.mu.Lock()
-	defer c.pending.mu.Unlock()
-	return c.pending.clear(r)
-}
-
 // IsPending reports whether r's displayed value awaits recalculation.
 func (c *Cache) IsPending(r sheet.Ref) bool {
 	k, bit := c.pending.bitFor(r)
 	p := &c.pending
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	m := p.masks[k]
-	if m == nil {
-		return false
-	}
-	return m[bit/64]&(uint64(1)<<(bit%64)) != 0
+	return has(p.masks[k], bit)
 }
+
+// PendingOf appends to dst whether each of refs is pending, in one hold of the
+// sidecar's lock and one mask lookup per run of a tile: the recalc executor's
+// test of a chunk.
+func (c *Cache) PendingOf(refs []sheet.Ref, dst []bool) []bool {
+	p := &c.pending
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	k, m := blockKey{-1, -1}, []uint64(nil)
+	for _, r := range refs {
+		rk, bit := p.bitFor(r)
+		if rk != k {
+			k, m = rk, p.masks[rk]
+		}
+		dst = append(dst, has(m, bit))
+	}
+	return dst
+}
+
+// has reports whether bit is set in the mask m (nil: none is).
+func has(m []uint64, bit int) bool { return m != nil && m[bit/64]&(uint64(1)<<(bit%64)) != 0 }
 
 // PendingCount returns the number of cells currently marked pending.
 func (c *Cache) PendingCount() int {
@@ -188,7 +208,7 @@ func (c *Cache) PendingRefs() []sheet.Ref {
 	for k, m := range p.masks {
 		base := sheet.Ref{Row: k.br*BlockRows + 1, Col: k.bc*BlockCols + 1}
 		for bit := 0; bit < BlockRows*BlockCols; bit++ {
-			if m[bit/64]&(uint64(1)<<(bit%64)) != 0 {
+			if has(m, bit) {
 				out = append(out, sheet.Ref{
 					Row: base.Row + bit/BlockCols,
 					Col: base.Col + bit%BlockCols,
@@ -210,15 +230,15 @@ func (c *Cache) PendingIs(n int, segs []sheet.Range) bool {
 	if p.count != n {
 		return false
 	}
-	k, m := blockKey{br: -1}, []uint64(nil)
+	k, m := blockKey{-1, -1}, []uint64(nil)
 	for _, g := range segs {
 		for r := g.From; r.Row <= g.To.Row; r.Row++ {
 			for r.Col = g.From.Col; r.Col <= g.To.Col; r.Col++ {
-				if rk := keyFor(r); rk != k {
+				rk, bit := p.bitFor(r)
+				if rk != k {
 					k, m = rk, p.masks[rk]
 				}
-				row, col := local(k, r)
-				if bit := row*BlockCols + col; m == nil || m[bit/64]&(uint64(1)<<(bit%64)) == 0 {
+				if !has(m, bit) {
 					return false
 				}
 			}
@@ -267,7 +287,7 @@ func (c *Cache) visitPending(g sheet.Range, fn func(sheet.Ref)) {
 		}
 		baseRow, baseCol := k.BR*BlockRows+1, k.BC*BlockCols+1
 		for bit := 0; bit < BlockRows*BlockCols; bit++ {
-			if m[bit/64]&(uint64(1)<<(bit%64)) == 0 {
+			if !has(m, bit) {
 				continue
 			}
 			r := sheet.Ref{Row: baseRow + bit/BlockCols, Col: baseCol + bit%BlockCols}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -50,12 +51,8 @@ func TestPendingBits(t *testing.T) {
 		t.Fatalf("PendingRefs = %v, want the set {%v %v}", refs, a, b)
 	}
 
-	if !c.ClearPending(a) {
-		t.Fatal("ClearPending(a) = false, want it was set")
-	}
-	if c.ClearPending(a) {
-		t.Fatal("second ClearPending(a) = true, want already clear")
-	}
+	c.Publish(nil, []sheet.Ref{a}, nil, nil)
+	c.Publish(nil, []sheet.Ref{a}, nil, nil) // already clear: counts nothing
 	if c.IsPending(a) || c.PendingCount() != 1 {
 		t.Fatalf("after clear: IsPending(a)=%v count=%d", c.IsPending(a), c.PendingCount())
 	}
@@ -178,12 +175,89 @@ func TestPendingConcurrentMarkClear(t *testing.T) {
 				r := sheet.Ref{Row: w*perWorker + i + 1, Col: 1}
 				markOne(c, r)
 				c.IsPending(r)
-				c.ClearPending(r)
+				c.Publish(nil, []sheet.Ref{r}, nil, nil)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if n := c.PendingCount(); n != 0 {
 		t.Fatalf("pending after balanced mark/clear = %d, want 0", n)
+	}
+}
+
+// TestPendingOf tests random cells' bits in one call: the answers match a
+// per-cell IsPending, in order, appended to what dst held.
+func TestPendingOf(t *testing.T) {
+	c := New(&sheetBacking{s: sheet.New("t")}, 4)
+	rng := rand.New(rand.NewSource(1))
+	randRef := func() sheet.Ref { return sheet.Ref{Row: rng.Intn(3*BlockRows) + 1, Col: rng.Intn(3*BlockCols) + 1} }
+	for i := 0; i < 300; i++ {
+		markOne(c, randRef())
+	}
+	refs := make([]sheet.Ref, 2000)
+	for i := range refs {
+		refs[i] = randRef()
+		if i > 0 && rng.Intn(2) == 0 { // runs of one tile, as a chunk has
+			refs[i] = sheet.Ref{Row: refs[i-1].Row, Col: refs[i-1].Col%(3*BlockCols) + 1}
+		}
+	}
+	got := c.PendingOf(refs, []bool{true})
+	if len(got) != len(refs)+1 || !got[0] {
+		t.Fatalf("PendingOf returned %d answers after dst's one, want %d", len(got)-1, len(refs))
+	}
+	for i, r := range refs {
+		if got[i+1] != c.IsPending(r) {
+			t.Fatalf("PendingOf %v = %v, IsPending %v", r, got[i+1], c.IsPending(r))
+		}
+	}
+}
+
+// TestPublishClears clears bits through Publish's writes and clear list: the
+// listed bits clear, a mask emptied is dropped (so the mask map, PendingCount
+// and PendingRefs agree), other tiles keep theirs, and flags apply after the
+// clears — a cell both cleared and flagged ends pending.
+func TestPublishClears(t *testing.T) {
+	c := New(&sheetBacking{s: sheet.New("t")}, 4)
+	tile := func(br, bc, n int) []sheet.Ref {
+		var refs []sheet.Ref
+		for i := 0; i < n; i++ {
+			refs = append(refs, sheet.Ref{Row: br*BlockRows + i + 1, Col: bc*BlockCols + i%BlockCols + 1})
+		}
+		return refs
+	}
+	emptied, written, kept := tile(0, 0, 40), tile(0, 1, 30), tile(2, 2, 10)
+	for _, refs := range [][]sheet.Ref{emptied, written, kept} {
+		for _, r := range refs {
+			markOne(c, r)
+		}
+	}
+	var writes []sheet.CellWrite
+	for _, r := range written {
+		writes = append(writes, write(r, sheet.Cell{Value: sheet.Number(1)}))
+	}
+	// The clears interleave two tiles' runs, one of them the written tile.
+	clear := append(append(append([]sheet.Ref{}, emptied[:20]...), kept[:5]...), emptied[20:]...)
+	flag := []sheet.Ref{emptied[3], {Row: 10 * BlockRows, Col: 1}}
+	c.Publish(writes, clear, flag, nil)
+	for _, r := range append(append(append([]sheet.Ref{}, emptied...), written...), kept[:5]...) {
+		if want := r == emptied[3]; c.IsPending(r) != want {
+			t.Fatalf("%v pending %v, want %v", r, !want, want)
+		}
+	}
+	for _, r := range kept[5:] {
+		if !c.IsPending(r) {
+			t.Fatalf("%v cleared, though nothing listed it", r)
+		}
+	}
+	want := 1 + 5 + 1 // emptied[3], kept[5:], the far flag
+	if n, refs := c.PendingCount(), c.PendingRefs(); n != want || len(refs) != want {
+		t.Fatalf("PendingCount %d, PendingRefs %d cells; want %d", n, len(refs), want)
+	}
+	if n := len(c.pending.masks); n != 3 {
+		t.Fatalf("%d masks left, want 3: the re-flagged cell's, kept's and the far flag's", n)
+	}
+	c.Publish(nil, []sheet.Ref{emptied[3]}, nil, nil)
+	if _, ok := c.pending.masks[blockKey{0, 0}]; ok {
+		t.Fatal("a mask emptied by a one-cell clear was kept")
 	}
 }

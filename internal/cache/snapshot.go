@@ -37,36 +37,39 @@ func BlockCover(g sheet.Range) []BlockKey {
 	return out
 }
 
-// Write is one cell of a published batch.
-type Write struct {
-	Ref  sheet.Ref
-	Cell sheet.Cell
-}
-
 // Publish makes one batch, already persisted by the caller, visible: every
 // written cell is poked into its block when the block is resident (a
 // non-resident block reads the batch through on its next load) and its pending
 // bit cleared — what was written is the cell's definitive value until
-// something marks it again — then the flag cells are marked pending, and gen,
-// when not nil, advances.
-func (c *Cache) Publish(writes []Write, flag []sheet.Ref, gen *atomic.Uint64) {
+// something marks it again — as are the bits of the clear cells, whose
+// displayed value already is their definitive one; then the flag cells are
+// marked pending, and gen, when not nil, advances. Writes and clears look a
+// tile up once per run of it, and a mask the run emptied is dropped at the
+// run's end.
+func (c *Cache) Publish(writes []sheet.CellWrite, clear, flag []sheet.Ref, gen *atomic.Uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := &c.pending
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	last, e := blockKey{-1, -1}, (*list.Element)(nil) // one map lookup per run of a tile
+	run := p.clearRun()
+	last, e := blockKey{-1, -1}, (*list.Element)(nil)
 	for i := range writes {
 		w := &writes[i]
-		if k := keyFor(w.Ref); k != last {
+		r := w.Ref()
+		if k := keyFor(r); k != last {
 			last, e = k, c.blocks[k]
 		}
 		if e != nil {
-			row, col := local(last, w.Ref)
+			row, col := local(last, r)
 			e.Value.(*block).set(row, col, &w.Cell)
 		}
-		p.clear(w.Ref)
+		run.clear(r)
 	}
+	for _, r := range clear {
+		run.clear(r)
+	}
+	run.end()
 	for _, r := range flag {
 		p.set(r)
 	}

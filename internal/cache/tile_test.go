@@ -153,12 +153,12 @@ func TestCacheTileRoundTrip(t *testing.T) {
 		g := sheet.NewRange(1, 1, BlockRows, BlockCols)
 		c.Get(g.From)
 		if viaPublish {
-			var writes []Write
+			var writes []sheet.CellWrite
 			for r, cell := range want {
 				s.Set(r, cell)
-				writes = append(writes, Write{r, cell})
+				writes = append(writes, write(r, cell))
 			}
-			c.Publish(writes, nil, nil)
+			c.Publish(writes, nil, nil, nil)
 		}
 		if !checkReads(t, c, g, want) {
 			t.Fatal("tile not resident")
@@ -173,21 +173,21 @@ func TestCacheTileRoundTrip(t *testing.T) {
 		}
 
 		// Widen on both sides, then blank one cell.
-		var writes []Write
+		var writes []sheet.CellWrite
 		for i, cell := range cells {
-			writes = append(writes, Write{sheet.Ref{Row: i + 1, Col: 2}, cell}, Write{sheet.Ref{Row: 40 + i, Col: BlockCols}, cell})
+			writes = append(writes, write(sheet.Ref{Row: i + 1, Col: 2}, cell), write(sheet.Ref{Row: 40 + i, Col: BlockCols}, cell))
 		}
-		writes = append(writes, Write{Ref: sheet.Ref{Row: 2, Col: 5}})
+		writes = append(writes, write(sheet.Ref{Row: 2, Col: 5}, sheet.Cell{}))
 		for _, w := range writes {
-			s.Set(w.Ref, w.Cell)
+			s.Set(w.Ref(), w.Cell)
 			if w.Cell.IsBlank() {
-				delete(want, w.Ref)
+				delete(want, w.Ref())
 			} else {
-				want[w.Ref] = w.Cell
+				want[w.Ref()] = w.Cell
 			}
 		}
 		loads := b.loads
-		c.Publish(writes, nil, nil)
+		c.Publish(writes, nil, nil, nil)
 		checkReads(t, c, g, want)
 
 		// An aligned insert above renumbers the tile without a reload.
@@ -246,21 +246,21 @@ func TestCacheTileDifferential(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			switch n := rng.Intn(10); {
 			case n < 4:
-				writes := make([]Write, rng.Intn(40)+1)
+				writes := make([]sheet.CellWrite, rng.Intn(40)+1)
 				for i := range writes {
-					w := Write{Ref: sheet.Ref{Row: rng.Intn(rows) + 1, Col: rng.Intn(cols) + 1}}
+					w := write(sheet.Ref{Row: rng.Intn(rows) + 1, Col: rng.Intn(cols) + 1}, sheet.Cell{})
 					if rng.Intn(4) > 0 {
 						w.Cell = shapes[rng.Intn(len(shapes))]
 					}
 					writes[i] = w
-					b.s.Set(w.Ref, w.Cell)
+					b.s.Set(w.Ref(), w.Cell)
 					if w.Cell.IsBlank() {
-						delete(want, w.Ref)
+						delete(want, w.Ref())
 					} else {
-						want[w.Ref] = w.Cell
+						want[w.Ref()] = w.Cell
 					}
 				}
-				c.Publish(writes, nil, nil)
+				c.Publish(writes, nil, nil, nil)
 			case n < 8:
 				checkReads(t, c, randRange(), want)
 			case n < 9:
@@ -328,5 +328,96 @@ func TestCacheTileFootprint(t *testing.T) {
 		if per > tc.bound {
 			t.Errorf("%s: %d B per resident tile, want at most %d", tc.name, per, tc.bound)
 		}
+	}
+}
+
+// TestTileReaderMatchesGet reads random cells of random tiles, every cell
+// shape among them and extents widened by Publish on both sides, through one
+// tile reader and through Get: the two agree, also with a cache smaller than
+// the tiles read, which evicts tiles the reader holds.
+func TestTileReaderMatchesGet(t *testing.T) {
+	shapes := tileCells()
+	for _, capacity := range []int{64, 2} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		s := sheet.New("t")
+		const rows, cols = 4 * BlockRows, 4 * BlockCols
+		for i := 0; i < 600; i++ {
+			s.Set(sheet.Ref{Row: rng.Intn(rows) + 1, Col: rng.Intn(cols) + 1}, shapes[rng.Intn(len(shapes))])
+		}
+		c := New(&sheetBacking{s: s}, capacity)
+		var writes []sheet.CellWrite // widen the loaded tiles' extents
+		for i := 0; i < 200; i++ {
+			r := sheet.Ref{Row: rng.Intn(rows) + 1, Col: rng.Intn(cols) + 1}
+			c.Get(r)
+			r.Col = (r.Col-1)/BlockCols*BlockCols + 1 + rng.Intn(2)*(BlockCols-1)
+			writes = append(writes, write(r, shapes[rng.Intn(len(shapes))]))
+			s.Set(r, writes[len(writes)-1].Cell)
+		}
+		c.Publish(writes, nil, nil, nil)
+		tr := c.TileReader()
+		for i := 0; i < 5000; i++ {
+			r := sheet.Ref{Row: rng.Intn(rows) + 1, Col: rng.Intn(cols) + 1}
+			if rng.Intn(4) > 0 { // mostly near the last read, as a chunk's reads are
+				r = sheet.Ref{Row: min(rows, r.Row%BlockRows+1), Col: min(cols, r.Col%3+1)}
+			}
+			if got, want := tr.Get(r), c.Get(r); !sameCell(got, want) || !sameCell(got, s.Get(r)) {
+				t.Fatalf("capacity %d: reader %v = %#v, Get %#v, sheet %#v", capacity, r, got, want, s.Get(r))
+			}
+		}
+	}
+}
+
+// TestTileReaderEvictedTileReadsTheSame evicts the tile a reader holds: the
+// reader goes on reading it, unchanged and without a load, since an evicted
+// tile is never written again.
+func TestTileReaderEvictedTileReadsTheSame(t *testing.T) {
+	s := sheet.New("t")
+	a, far := sheet.Ref{Row: 3, Col: 4}, sheet.Ref{Row: 5*BlockRows + 1, Col: 1}
+	s.Set(a, sheet.Cell{Value: sheet.Number(7), Formula: "B1*7"})
+	b := &sheetBacking{s: s}
+	c := New(b, 1)
+	tr := c.TileReader()
+	before := tr.Get(a)
+	c.Get(far) // the one-tile cache evicts a's tile
+	c.Publish([]sheet.CellWrite{write(a, sheet.Cell{Value: sheet.Number(8)})}, nil, nil, nil)
+	loads := b.loads
+	if got := tr.Get(a); !sameCell(got, before) || b.loads != loads {
+		t.Fatalf("evicted tile read %#v after %d loads, want %#v after none", got, b.loads-loads, before)
+	}
+	if got := c.Get(a); !sameCell(got, sheet.Cell{Value: sheet.Number(7), Formula: "B1*7"}) {
+		t.Fatalf("Get %v = %#v: the store's cell, since the publish met no resident tile", a, got)
+	}
+}
+
+// TestTileReaderCountsPerTile counts a reader's visits: a move to a resident
+// tile counts one hit, a move to a cold one one miss and one load, and reads
+// inside the two tiles it holds count nothing.
+func TestTileReaderCountsPerTile(t *testing.T) {
+	b := &sheetBacking{s: sheet.New("t")}
+	c := New(b, 8)
+	x, y, z := sheet.Ref{Row: 1, Col: 1}, sheet.Ref{Row: 1, Col: BlockCols + 1}, sheet.Ref{Row: BlockRows + 1, Col: 1}
+	c.Get(x)
+	c.ResetStats()
+	tr := c.TileReader()
+	visit := func(base sheet.Ref) {
+		for row := 0; row < BlockRows; row++ {
+			for col := 0; col < BlockCols; col++ {
+				tr.Get(sheet.Ref{Row: base.Row + row, Col: base.Col + col})
+			}
+		}
+	}
+	visit(x) // resident: one hit
+	visit(y) // cold: one miss, one load
+	for i := 0; i < 3; i++ {
+		tr.Get(x)
+		tr.Get(y)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || b.loads != 2 {
+		t.Fatalf("two tiles read whole: %+v, %d loads; want 1 hit, 1 miss, 2 loads", st, b.loads)
+	}
+	visit(z)  // a third tile: one more miss
+	tr.Get(x) // x was the older of the two held: moved to again
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("after a third tile: %+v, want 2 hits, 2 misses", st)
 	}
 }

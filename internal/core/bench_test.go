@@ -178,37 +178,48 @@ func BenchmarkTick(b *testing.B) {
 }
 
 // tickerEngine opens the ticker-recalc cone — workload.TickerMarket(400 x
-// 100), 40,400 formula cells — on a synchronous in-memory engine.
-func tickerEngine(b *testing.B) *Engine {
+// 100), 40,400 formula cells — on an in-memory engine, synchronous unless
+// opts say otherwise.
+func tickerEngine(b *testing.B, opts Options) *Engine {
 	b.Helper()
 	spec := workload.TickerSpec{Intermediates: 400, LeavesPer: 100}
-	e, err := Open(rdbms.Open(rdbms.Options{}), "ticker", workload.TickerMarket(spec), "rom", Options{})
+	e, err := Open(rdbms.Open(rdbms.Options{}), "ticker", workload.TickerMarket(spec), "rom", opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { _ = e.Close() })
 	return e
 }
 
-// BenchmarkDrain times a full recalculation on a synchronous engine. ticker:
-// one tick of the ticker, whose whole 40,400-cell cone is evaluated and
+// BenchmarkDrain times a full recalculation. ticker: one tick of the ticker
+// on a synchronous engine, whose whole 40,400-cell cone is evaluated and
 // written back before the edit returns, on the plan the tick before kept.
 // ticker-replan: the same tick with the last intermediate's formula
 // re-entered in its batch, a registry change that makes every tick rebuild
-// its plan.
+// its plan. ticker-async/workers=W: the tick on an AsyncRecalc engine with W
+// evaluation workers, Drain the waiter — it ends the quiet window at once —
+// so the op is the cold pass over the cone; -cpu cannot vary the synchronous
+// engine's one worker.
 func BenchmarkDrain(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		extra []CellEdit
+		opts  Options
 	}{
-		{"ticker", nil},
-		{"ticker-replan", []CellEdit{{Row: 400, Col: 2, Input: "=A1*400"}}},
+		{"ticker", nil, Options{}},
+		{"ticker-replan", []CellEdit{{Row: 400, Col: 2, Input: "=A1*400"}}, Options{}},
+		{"ticker-async/workers=1", nil, Options{AsyncRecalc: true, RecalcWorkers: 1}},
+		{"ticker-async/workers=2", nil, Options{AsyncRecalc: true, RecalcWorkers: 2}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			e := tickerEngine(b)
+			e := tickerEngine(b, c.opts)
 			b.ReportAllocs()
 			for i := 0; b.Loop(); i++ {
 				tick := workload.Tick(i + 1)
 				if _, err := e.ApplyCells(append([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}, c.extra...)); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Drain(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -220,7 +231,7 @@ func BenchmarkDrain(b *testing.B) {
 // 64 x 16 cells at A1, 960 of them formulas: load is the cache's block load
 // (the store's range read, formula text overlaid), render the overlay alone.
 func BenchmarkFirstScreenTile(b *testing.B) {
-	e := tickerEngine(b)
+	e := tickerEngine(b, Options{})
 	tile := sheet.NewRange(1, 1, 64, 16)
 	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()

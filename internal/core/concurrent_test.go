@@ -11,6 +11,7 @@ import (
 	"dataspread/internal/hybrid"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
+	"dataspread/internal/workload"
 )
 
 // Tests of the engine's own concurrency (latch.go): a bare engine, no server
@@ -111,6 +112,76 @@ func TestConcurrentReadersBesideAsyncRecalc(t *testing.T) {
 	if n, cerr := check(cells, pending); err != nil || cerr != nil || n != rows*(cols-1) {
 		t.Fatalf("drained sheet: %d of %d formula cells right, %v, %v", n, rows*(cols-1), err, cerr)
 	}
+}
+
+// An AsyncRecalc engine's cold pass over a 192 x 40 ticker (9 tiles) on two
+// workers, with a 3-tile cache, beside readers of whole tile bands: their cold
+// loads evict tiles the executor's tile readers hold mid-chunk. Nothing
+// races, every reply is self-consistent — a leaf not flagged pending is its
+// unflagged intermediate plus its offset — and the drained sheet holds what a
+// fresh engine computes.
+func TestConcurrentReadersBesideColdPassEvictingTiles(t *testing.T) {
+	spec := workload.TickerSpec{Intermediates: 3 * 64, LeavesPer: 40}
+	e, err := Open(rdbms.Open(rdbms.Options{}), "c", workload.TickerMarket(spec), "rom",
+		Options{AsyncRecalc: true, RecalcWorkers: 2, CacheBlocks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	cols := 2 + spec.LeavesPer
+	check := func(g sheet.Range, cells [][]sheet.Cell, pending [][]bool) error {
+		for i, row := range cells {
+			if pending != nil && pending[i][1] {
+				continue
+			}
+			b, _ := row[1].Value.Num()
+			for j := 2; j < cols; j++ {
+				if leaf, _ := row[j].Value.Num(); (pending == nil || !pending[i][j]) && leaf != b+float64(j-1) {
+					return fmt.Errorf("row %d: leaf %d = %v unflagged beside B = %v", g.From.Row+i, j-1, leaf, b)
+				}
+			}
+		}
+		return nil
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; !done.Load(); i++ {
+				r := i%(spec.Intermediates-16) + 1
+				g := sheet.NewRange(r, 1, r+15, cols)
+				cells, pending, _, err := e.ReadRange(g)
+				if err == nil {
+					err = check(g, cells, pending)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				e.PeekCells(sheet.NewRange(r, 1, r, 1))
+			}
+		}()
+	}
+	price := ""
+	for n := 1; n <= 8 && !t.Failed(); n++ {
+		tick := workload.Tick(n)
+		if err := e.Set(tick.Row, tick.Col, tick.Input); err != nil {
+			t.Fatal(err)
+		}
+		price = tick.Input
+		mustDrain(t, e)
+	}
+	done.Store(true)
+	wg.Wait()
+	if err := e.ReadErr(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.CacheStats(); st.Evictions == 0 {
+		t.Fatalf("no tile evicted (%+v): the case tests nothing", st)
+	}
+	matchesFresh(t, e, spec, price)
 }
 
 // Cold readers beside a writer whose every batch spans a row-oriented region,

@@ -240,13 +240,18 @@ func (e *Engine) clip(g sheet.Range) (sheet.Range, bool) {
 }
 
 // evalReader is the evaluator's formula.Resolver. It runs under writeMu, so
-// it reads the cache unlatched; ranges stream out block by block (one reused
-// row buffer, no materialized grid): large aggregations stay allocation-light.
-type evalReader struct{ e *Engine }
+// it reads the cache unlatched: cells through a tile reader of its own (one
+// per evaluation worker), ranges streamed out block by block (one reused row
+// buffer, no materialized grid), so large aggregations stay allocation-light.
+// Pass it by pointer: a value converted to the Resolver allocates per cell.
+type evalReader struct {
+	e     *Engine
+	tiles cache.TileReader
+}
 
-func (r evalReader) CellValue(ref sheet.Ref) sheet.Value { return r.e.cache.Get(ref).Value }
+func (r *evalReader) CellValue(ref sheet.Ref) sheet.Value { return r.tiles.Get(ref).Value }
 
-func (r evalReader) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Value) bool) {
+func (r *evalReader) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Value) bool) {
 	if g, ok := r.e.clip(g); ok {
 		r.e.cache.VisitRange(g, func(ref sheet.Ref, c sheet.Cell) bool { return fn(ref, c.Value) })
 	}
@@ -465,15 +470,17 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 	// since they read the edited cell through it; the publish clears the bits
 	// of written cells, so it flags the installed ones.
 	e.mark(nil, refs)
-	e.publish(writes, installed, &e.gen)
+	e.cache.Publish(writes, nil, installed, &e.gen)
 	return e.gen.Load(), nil
 }
 
-// commit is the write-through of a chunk's recomputed values, #CYCLE!
-// included: one store write and a publish without a generation of its own,
-// inside the write window.
-func (e *Engine) commit(writes []model.CellWrite) error {
-	if len(writes) == 0 {
+// commit is the write-through of a chunk: its recomputed values, #CYCLE!
+// included, in one store write, then a publish without a generation of its
+// own that shows them and clears their pending bits together with those of
+// the clear cells, whose value stands, inside the write window. The batch
+// reaches the cache as the store took it, uncopied.
+func (e *Engine) commit(writes []model.CellWrite, clear []sheet.Ref) error {
+	if len(writes)+len(clear) == 0 {
 		return nil
 	}
 	e.latches.window.Lock()
@@ -481,18 +488,8 @@ func (e *Engine) commit(writes []model.CellWrite) error {
 	if err := e.store.UpdateCells(writes); err != nil {
 		return err
 	}
-	e.publish(writes, nil, nil)
+	e.cache.Publish(writes, clear, nil, nil)
 	return nil
-}
-
-// publish makes a batch the store already holds visible in one hold of the
-// cache lock (cache.Publish).
-func (e *Engine) publish(writes []model.CellWrite, flag []sheet.Ref, gen *atomic.Uint64) {
-	pub := make([]cache.Write, len(writes))
-	for i, w := range writes {
-		pub[i] = cache.Write{Ref: sheet.Ref{Row: w.Row, Col: w.Col}, Cell: w.Cell}
-	}
-	e.cache.Publish(pub, flag, gen)
 }
 
 // mark sets the pending bits a mutation owes: the seed formulas themselves

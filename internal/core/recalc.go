@@ -34,9 +34,13 @@
 //   - A chunk is evaluated under writeMu alone (reads only — chunk members
 //     are mutually independent, same topological wave; in parallel on the
 //     dispatcher), then committed in one batch through Engine.commit: one
-//     store write and one publish that pokes the values and clears their
-//     pending bits together, the write-window latch held for just that, so
-//     a reader loading a cold block never waits for an evaluation.
+//     store write and one publish that pokes the values and clears the
+//     chunk's pending bits together, the write-window latch held for just
+//     that, so a reader loading a cold block never waits for an evaluation.
+//     Its reads go through tile readers (cache.TileReader), one per worker:
+//     they read resident tiles' columns without the cache lock, since every
+//     writer of those columns holds writeMu, and pay the lock, the map probe
+//     and the shared hit counter once per tile, not per cell.
 //   - Edits concurrent with a running plan set the restructure flag (under
 //     writeMu); the executor abandons its stale plan at the next chunk
 //     boundary and rebuilds from the pending bits, whose closure property
@@ -114,9 +118,17 @@ type recalcScheduler struct {
 
 	// The last full plan (buildPlan) and commitChunk's scratch, kept for one
 	// process, belong to whoever runs it: the dispatcher, or an inline settle.
-	plan   keptPlan
-	jobs   []recalcJob
-	writes []model.CellWrite
+	plan    keptPlan
+	scratch chunkScratch
+}
+
+// chunkScratch is commitChunk's reused buffers: the members' pending bits,
+// the cells to evaluate, the changed values and the bits to clear.
+type chunkScratch struct {
+	pending []bool
+	jobs    []recalcJob
+	writes  []model.CellWrite
+	clear   []sheet.Ref
 }
 
 // startRecalc attaches the recalc executor; launch starts the dispatcher when
@@ -385,7 +397,7 @@ func (s *recalcScheduler) process() error {
 	s.mu.Lock()
 	s.restructure = false
 	s.mu.Unlock()
-	defer func() { s.jobs, s.writes = nil, nil }() // chunk scratch: one process
+	defer func() { s.scratch = chunkScratch{} }() // one process
 	if err := s.commitPlan(s.buildHotPlan()); err != nil {
 		return err
 	}
@@ -559,14 +571,20 @@ func (k *keptPlan) expand() []recalcChunk {
 	return chunks
 }
 
-// commitChunk evaluates and commits one chunk under the edit lock: evaluate
-// in parallel (reads only; a cycle chunk's value is #CYCLE!), write the
-// changed values through in one batch, clear pending bits. An edit may have
-// slipped in between the plan and the lock (it marks and flags under
-// writeMu, so the flag is exact here): the plan's order is then stale, and
-// only the cells that read no pending cell — right to evaluate under any plan
-// — commit; the rest, and a whole cycle chunk, whose cycle the edit may have
-// broken, stay pending for the rebuilt plan.
+// commitChunk evaluates and commits one chunk under the edit lock: test the
+// members' pending bits in one hold of the sidecar's lock, evaluate (reads
+// only, in parallel on the dispatcher; a cycle chunk's value is #CYCLE!),
+// read the old values, and commit the changed ones in one batch whose publish
+// also clears the bits of the members whose value stands. Every read goes
+// through a tile reader (cache.TileReader), one per worker and one for the
+// old values, so a chunk of about 5 rows by 100 columns visits each tile it
+// touches about once, not once per cell; the old values are read before the
+// chunk's publish changes them. An edit may have slipped in between the plan
+// and the lock (it marks and flags under writeMu, so the flag is exact here):
+// the plan's order is then stale, and only the cells that read no pending
+// cell — right to evaluate under any plan — commit; the rest, and a whole
+// cycle chunk, whose cycle the edit may have broken, stay pending for the
+// rebuilt plan.
 func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 	e := s.e
 	stale := s.interrupted()
@@ -581,24 +599,26 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		}
 		return false
 	}
-	jobs := s.jobs[:0]
-	for _, r := range ch.refs {
-		if !e.cache.IsPending(r) {
+	sc := &s.scratch
+	sc.pending = e.cache.PendingOf(ch.refs, sc.pending[:0])
+	jobs, clear := sc.jobs[:0], sc.clear[:0]
+	for i, r := range ch.refs {
+		if !sc.pending[i] {
 			continue // committed or superseded since the plan was built
 		}
 		head, k, live := e.deps.Formula(r)
 		switch {
 		case !live:
 			// The formula was dropped after planning; the cell's current
-			// contents are definitive.
-			e.cache.ClearPending(r)
+			// contents are definitive. No member of a wave reads another, so
+			// clearing the bit in the chunk's publish keeps nobody waiting.
+			clear = append(clear, r)
 		case stale && readsPending(r):
 			// Stays pending: the rebuilt plan orders it after its reads.
 		default:
 			jobs = append(jobs, recalcJob{ref: r, head: head, k: k})
 		}
 	}
-	s.jobs = jobs
 	if ch.cycle {
 		for i := range jobs {
 			jobs[i].val = sheet.ErrCycle
@@ -610,33 +630,35 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				res := &evalReader{e: e, tiles: e.cache.TileReader()}
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(jobs) {
 						return
 					}
-					jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
+					jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, res)
 				}
 			}()
 		}
 		wg.Wait()
 	} else {
+		res := &evalReader{e: e, tiles: e.cache.TileReader()}
 		for i := range jobs {
-			jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, evalReader{e})
+			jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, res)
 		}
 	}
-	writes := s.writes[:0]
+	writes, olds := sc.writes[:0], e.cache.TileReader()
 	for _, j := range jobs {
-		old := e.cache.Get(j.ref)
+		old := olds.Get(j.ref)
 		if old.Value.Equal(j.val) {
-			e.cache.ClearPending(j.ref)
+			clear = append(clear, j.ref)
 			continue
 		}
 		writes = append(writes, model.CellWrite{Row: j.ref.Row, Col: j.ref.Col,
 			Cell: sheet.Cell{Value: j.val, Formula: old.Formula}})
 	}
-	s.writes = writes
-	return e.commit(writes)
+	sc.jobs, sc.writes, sc.clear = jobs, writes, clear
+	return e.commit(writes, clear)
 }
 
 // recalcJob is a chunk's cell: its run's head, evaluated k rows down, to val.

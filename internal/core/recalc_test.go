@@ -895,3 +895,49 @@ func TestRecalcPlanReuseInvalidation(t *testing.T) {
 		t.Fatalf("B30 = %v at price %d", b30, price)
 	}
 }
+
+// matchesFresh checks that e holds, over the ticker spec's cells, exactly what
+// a fresh synchronous engine opened on the ticker at price computes.
+func matchesFresh(t *testing.T, e *Engine, spec workload.TickerSpec, price string) {
+	t.Helper()
+	s := workload.TickerMarket(spec)
+	s.SetValue(1, 1, sheet.ParseLiteral(price))
+	fresh, err := Open(rdbms.Open(rdbms.Options{}), "fresh", s, "rom", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := sheet.NewRange(1, 1, spec.Intermediates, 2+spec.LeavesPer)
+	got, want := e.GetCells(all), fresh.GetCells(all)
+	for i := range want {
+		for j := range want[i] {
+			if g, w := got[i][j], want[i][j]; g.Formula != w.Formula || !g.Value.Equal(w.Value) {
+				t.Fatalf("(%d,%d) = %v %q, a fresh engine computes %v %q", i+1, j+1, g.Value, g.Formula, w.Value, w.Formula)
+			}
+		}
+	}
+}
+
+// One tick of the ticker-recalc cone (workload.TickerMarket 400 x 100, 40,400
+// formula cells) on a synchronous engine reads the cache a tile at a time: the
+// executor's tile readers count one hit per tile they move to, at most 4,000
+// in all where a read per cell counted 80,800, and the tick yields the values
+// a fresh engine computes.
+func TestRecalcTickReadsByTile(t *testing.T) {
+	spec := workload.TickerSpec{Intermediates: 400, LeavesPer: 100}
+	e, err := Open(rdbms.Open(rdbms.Options{}), "ticker", workload.TickerMarket(spec), "rom", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := workload.Tick(1)
+	before := e.CacheStats()
+	if _, err := e.ApplyCells([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}); err != nil {
+		t.Fatal(err)
+	}
+	st := e.CacheStats()
+	hits, misses := st.Hits-before.Hits, st.Misses-before.Misses
+	t.Logf("one tick: %d cache hits, %d misses", hits, misses)
+	if hits > 4000 || misses != 0 {
+		t.Fatalf("one tick took %d cache hits and %d misses, want at most 4,000 and none", hits, misses)
+	}
+	matchesFresh(t, e, spec, tick.Input)
+}

@@ -38,7 +38,7 @@ func benchRCV(b *testing.B, rows, cols int, density float64) *RCV {
 	for r := 1; r <= rows; r++ {
 		for c := 1; c <= cols; c++ {
 			if density >= 1 || rng.Float64() < density {
-				ws = append(ws, CellWrite{r, c, sheet.Cell{Value: sheet.Number(float64(r))}})
+				ws = append(ws, CellWrite{Row: r, Col: c, Cell: sheet.Cell{Value: sheet.Number(float64(r))}})
 			}
 		}
 	}

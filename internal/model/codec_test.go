@@ -293,7 +293,7 @@ func TestNumericRecalcRelocatesNothing(t *testing.T) {
 				cone := make([]CellWrite, 0, coneRows*(cols-2))
 				for r := 1; r <= coneRows; r++ {
 					for c := 3; c <= cols; c++ {
-						cone = append(cone, CellWrite{r, c, sheet.Cell{Value: result[n%2], Formula: fmt.Sprintf("$A%d*%d", r, c-1)}})
+						cone = append(cone, CellWrite{Row: r, Col: c, Cell: sheet.Cell{Value: result[n%2], Formula: fmt.Sprintf("$A%d*%d", r, c-1)}})
 					}
 				}
 				if err := rom.UpdateCells(cone); err != nil {

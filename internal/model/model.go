@@ -52,11 +52,9 @@ type Translator interface {
 }
 
 // CellWrite is one cell write of a batch: in absolute coordinates at the
-// HybridStore, region-local at a Translator.
-type CellWrite struct {
-	Row, Col int
-	Cell     sheet.Cell
-}
+// HybridStore, region-local at a Translator. It is sheet's type, so a batch
+// passes from the store to the cache's publish as it is.
+type CellWrite = sheet.CellWrite
 
 // refuser is what every translator implements besides Translator: the
 // refusals UpdateCells would meet on ws, decided without writing. The store

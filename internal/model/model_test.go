@@ -237,7 +237,7 @@ func TestROMColumnOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rom.UpdateCells([]CellWrite{{1, 1, num(1)}, {1, 2, num(2)}, {1, 3, num(3)}}); err != nil {
+	if err := rom.UpdateCells([]CellWrite{{Row: 1, Col: 1, Cell: num(1)}, {Row: 1, Col: 2, Cell: num(2)}, {Row: 1, Col: 3, Cell: num(3)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Insert between 1 and 2.
@@ -379,12 +379,12 @@ func TestTOMLinkedTable(t *testing.T) {
 
 	// Type checking, each refusal behind a valid write it must keep out.
 	for _, bad := range []CellWrite{
-		{2, 1, sheet.Cell{Value: sheet.Str("oops")}}, // non-integer into BIGINT
-		{1, 1, num(1)},                         // the header row is read-only
-		{2, 2, sheet.Cell{Formula: "SUM(A1)"}}, // no formulas in linked regions
-		{5, 2, num(1)},                         // past the table's rows
+		{Row: 2, Col: 1, Cell: sheet.Cell{Value: sheet.Str("oops")}}, // non-integer into BIGINT
+		{Row: 1, Col: 1, Cell: num(1)},                               // the header row is read-only
+		{Row: 2, Col: 2, Cell: sheet.Cell{Formula: "SUM(A1)"}},       // no formulas in linked regions
+		{Row: 5, Col: 2, Cell: num(1)},                               // past the table's rows
 	} {
-		if err := tom.UpdateCells([]CellWrite{{3, 2, num(-1)}, bad}); err == nil {
+		if err := tom.UpdateCells([]CellWrite{{Row: 3, Col: 2, Cell: num(-1)}, bad}); err == nil {
 			t.Fatalf("write %+v must be refused", bad)
 		}
 		if c, _ := getCell(tom, 3, 2); !c.Value.Equal(sheet.Number(250.5)) {
@@ -438,7 +438,7 @@ func TestUpdateCellsBlockEquivalence(t *testing.T) {
 		// Bottom row first, each cell after a write it overrides.
 		var ws []CellWrite
 		for _, w := range slices.Backward(blockWrites(g.From.Row, g.From.Col, cells)) {
-			ws = append(ws, CellWrite{w.Row, w.Col, num(-1)}, w)
+			ws = append(ws, CellWrite{Row: w.Row, Col: w.Col, Cell: num(-1)}, w)
 		}
 		if err := tr.UpdateCells(ws); err != nil {
 			t.Fatalf("%s: %v", tr.Kind(), err)

@@ -244,8 +244,10 @@ func (h *HybridStore) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 // overflow column past the RCV's 2^20 surrogate capacity — so a refused batch
 // writes nothing. Each region then takes its part with one
 // Translator.UpdateCells, in first-seen order, the overflow last; from there
-// only I/O can fail, and that poisons the database. Writes to one cell apply
-// in batch order: the last one wins.
+// only I/O can fail, and that poisons the database. A batch that routes whole
+// to one part at the sheet's origin (the overflow, or a region at A1) is that
+// part, uncopied: no translator changes the batch it is given. Writes to one
+// cell apply in batch order: the last one wins.
 //
 // UpdateCells performs no durability work itself; callers commit the whole
 // batch with one DB.FlushWAL (one fsync) — see core.Engine.SetCells.
@@ -271,15 +273,19 @@ func (h *HybridStore) UpdateCells(writes []CellWrite) error {
 		which[i] = int32(j)
 		parts[j].n++
 	}
-	for j := range parts {
-		parts[j].ws = make([]CellWrite, 0, parts[j].n)
+	if j := slices.IndexFunc(parts, func(p part) bool { return p.n == len(writes) }); j >= 0 && parts[j].dr == 0 && parts[j].dc == 0 {
+		parts = []part{{tr: parts[j].tr, ws: writes}}
+	} else {
+		for j := range parts {
+			parts[j].ws = make([]CellWrite, 0, parts[j].n)
+		}
+		for i, w := range writes {
+			p := &parts[which[i]]
+			w.Row, w.Col = w.Row-p.dr, w.Col-p.dc
+			p.ws = append(p.ws, w)
+		}
+		parts = append(parts[1:], parts[0]) // the overflow's part last
 	}
-	for i, w := range writes {
-		p := &parts[which[i]]
-		w.Row, w.Col = w.Row-p.dr, w.Col-p.dc
-		p.ws = append(p.ws, w)
-	}
-	parts = append(parts[1:], parts[0]) // the overflow's part last
 	for _, p := range parts {
 		if err := p.tr.(refuser).refuse(p.ws); err != nil {
 			return err

@@ -344,7 +344,7 @@ func TestHybridStoreRefusedWriteTouchesNothing(t *testing.T) {
 	if _, err := hs.LinkTable(sheet.NewRange(2, 6, 4, 7), db.Table("supp"), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.UpdateCells([]CellWrite{{2, 2, num(22)}, {8, 8, num(88)}}); err != nil {
+	if err := hs.UpdateCells([]CellWrite{{Row: 2, Col: 2, Cell: num(22)}, {Row: 8, Col: 8, Cell: num(88)}}); err != nil {
 		t.Fatal(err)
 	}
 	bounds := sheet.NewRange(1, 1, 10, 10)
@@ -367,18 +367,18 @@ func TestHybridStoreRefusedWriteTouchesNothing(t *testing.T) {
 	cells, meta := state()
 	overflowCols := hs.overflow.Cols()
 	valid := []CellWrite{
-		{2, 2, sheet.Cell{Value: sheet.Str("rom")}},       // a ROM region
-		{8, 8, sheet.Cell{Value: sheet.Str("overflow")}},  // the overflow
-		{3, 7, sheet.Cell{Value: sheet.Str("Acme Corp")}}, // a linked data row
+		{Row: 2, Col: 2, Cell: sheet.Cell{Value: sheet.Str("rom")}},       // a ROM region
+		{Row: 8, Col: 8, Cell: sheet.Cell{Value: sheet.Str("overflow")}},  // the overflow
+		{Row: 3, Col: 7, Cell: sheet.Cell{Value: sheet.Str("Acme Corp")}}, // a linked data row
 	}
 	for _, tc := range []struct {
 		name string
 		bad  CellWrite
 	}{
-		{"header row", CellWrite{2, 6, num(9)}},
-		{"formula", CellWrite{4, 7, sheet.Cell{Value: sheet.Number(1), Formula: "B2+1"}}},
-		{"type", CellWrite{4, 6, sheet.Cell{Value: sheet.Str("oops")}}},
-		{"far column", CellWrite{1, 1 << 20, sheet.Cell{Value: sheet.Str("x")}}},
+		{"header row", CellWrite{Row: 2, Col: 6, Cell: num(9)}},
+		{"formula", CellWrite{Row: 4, Col: 7, Cell: sheet.Cell{Value: sheet.Number(1), Formula: "B2+1"}}},
+		{"type", CellWrite{Row: 4, Col: 6, Cell: sheet.Cell{Value: sheet.Str("oops")}}},
+		{"far column", CellWrite{Row: 1, Col: 1 << 20, Cell: sheet.Cell{Value: sheet.Str("x")}}},
 	} {
 		if err := hs.UpdateCells(append(slices.Clone(valid), tc.bad)); err == nil {
 			t.Fatalf("%s: write %+v accepted", tc.name, tc.bad)

@@ -21,6 +21,17 @@ func (c Cell) HasFormula() bool { return c.Formula != "" }
 // IsBlank reports whether the cell has neither content nor formula.
 func (c Cell) IsBlank() bool { return c.Value.IsEmpty() && c.Formula == "" }
 
+// CellWrite is one cell of a write batch, the one type a batch has from the
+// engine through the store to the cache's publish: absolute coordinates at
+// the store and the cache, region-local at a translator.
+type CellWrite struct {
+	Row, Col int
+	Cell     Cell
+}
+
+// Ref returns the written cell's reference.
+func (w CellWrite) Ref() Ref { return Ref{Row: w.Row, Col: w.Col} }
+
 // Sheet is a sparse in-memory spreadsheet: the ground-truth collection of
 // cells C = {C1..Cm} of Section IV-A. Physical data models are recoverable
 // when they reproduce exactly this collection. Sheet supports the
