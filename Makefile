@@ -41,11 +41,13 @@ test:
 # reference, the formula set's runs round trip and the registry's change
 # counter included (Run), and dependency cycles: #CYCLE! exactly on a cycle, the
 # same values however the sheet was built, kept across Save/Load and
-# structural edits, and never read pending by the viewport pass (Cycle).
+# structural edits, and never read pending by the viewport pass (Cycle), and
+# dsshell's transcripts: one script run on the shell's in-process server and
+# over .connect prints the same bytes, and every command works locally (Shell).
 # CI runs this as a dedicated step so visibility, latch and executor
 # regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run|Cycle' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/...
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run|Cycle|Shell' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/... ./cmd/dsshell/
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push, with

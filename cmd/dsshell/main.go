@@ -9,22 +9,29 @@
 //	> optimize agg
 //	> quit
 //
-// With -db <path> the session is durable: the sheet is reloaded from the
-// data file on start (after WAL crash recovery), `save` commits the current
-// state to the write-ahead log, and quitting checkpoints and closes the
-// database.
+// The shell is a wire client in both of its modes. At start it serves its
+// own database (-db <path>, or in memory) with an in-process serve.Server on
+// a loopback port and connects to it; `.connect host:port [sheet]` swaps that
+// client for one on a dsserver, and `.disconnect` swaps it back. Every
+// command runs as the same requests either way: a `set` commits at once,
+// `save` is a flush, `view` reports the snapshot generation it read, and a
+// structural edit the generation it committed at. Only sql, link and
+// optimize, which have no wire op, reach the in-process server's engine
+// directly, and they refuse while connected elsewhere.
 //
-// With `.connect host:port` the shell switches to a dsserver: set, view,
-// the structural commands, load, save and .stats route over the wire
-// (views report the snapshot generation they were served at), and
-// `.disconnect` returns to the local engine.
+// With -db the session is durable: the sheet is reloaded from the data file
+// on start (after WAL crash recovery), and quitting checkpoints and closes
+// the database.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -44,47 +51,47 @@ func main() {
 	asyncRecalc := flag.Bool("async-recalc", false, "evaluate formula cones in the background; stale cells are flagged * in view until they converge")
 	flag.Parse()
 
-	engOpts := core.Options{AsyncRecalc: *asyncRecalc}
-	var db *rdbms.DB
-	var eng *core.Engine
-	var err error
-	opts := rdbms.Options{AutoCheckpointPages: *checkpointPages}
-	if *dbPath != "" {
-		db, err = rdbms.OpenFile(*dbPath, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dsshell:", err)
-			os.Exit(1)
-		}
-		if hasSheet(db, sheetName) {
-			eng, err = core.Load(db, sheetName, engOpts)
-			if err == nil {
-				rows, cols := eng.Bounds()
-				fmt.Printf("reopened %s (%dx%d used)\n", *dbPath, rows, cols)
-			}
-		} else {
-			eng, err = core.New(db, sheetName, engOpts)
-		}
-	} else {
-		db = rdbms.Open(opts)
-		eng, err = core.New(db, sheetName, engOpts)
-	}
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "dsshell:", err)
 		os.Exit(1)
 	}
-	durable := *dbPath != ""
-	sh := &shell{eng: eng, db: db, engOpts: engOpts}
+	var db *rdbms.DB
+	var err error
+	opts := rdbms.Options{AutoCheckpointPages: *checkpointPages}
+	if *dbPath != "" {
+		if db, err = rdbms.OpenFile(*dbPath, opts); err != nil {
+			fail(err)
+		}
+	} else {
+		db = rdbms.Open(opts)
+	}
+	reopened := slices.Contains(core.SheetNames(db), sheetName)
+	srv := serve.New(db, core.Options{AsyncRecalc: *asyncRecalc})
+	eng, err := srv.Engine(sheetName)
+	if err != nil {
+		fail(err)
+	}
+	if reopened {
+		rows, cols := eng.Bounds()
+		fmt.Printf("reopened %s (%dx%d used)\n", *dbPath, rows, cols)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fail(err)
+	}
+	srv.Listen(ln)
+	serving := make(chan error, 1)
+	go func() { serving <- srv.Serve(ln) }()
+	sh := &shell{srv: srv}
+	if err := sh.dial(srv.Addr(), sheetName); err != nil {
+		fail(err)
+	}
 	defer func() {
-		// Stop the background recalc first (drains pending formulas so the
-		// checkpoint below captures converged values).
-		if err := sh.eng.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "dsshell: recalc:", err)
-		}
-		if !durable {
-			return
-		}
-		if err := sh.eng.Checkpoint(); err != nil {
-			fmt.Fprintln(os.Stderr, "dsshell: checkpoint:", err)
+		sh.c.Close()
+		// Close stops every sheet's background recalc (draining what is
+		// pending) and saves it; closing the database then checkpoints.
+		if err := errors.Join(srv.Close(), <-serving); err != nil {
+			fmt.Fprintln(os.Stderr, "dsshell:", err)
 		}
 		if err := db.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "dsshell: close:", err)
@@ -98,7 +105,6 @@ func main() {
 	fmt.Println(".backup <path>, .restore <backup> <dest> [archive-dir [gen]],")
 	fmt.Println(".connect <host:port> [sheet], .disconnect, quit")
 	sc := bufio.NewScanner(os.Stdin)
-	defer sh.disconnect()
 	var lastIOErr string
 	for {
 		fmt.Print("> ")
@@ -109,19 +115,15 @@ func main() {
 		if line == "" {
 			continue
 		}
-		if err := dispatch(sh, line); err != nil {
+		if err := sh.dispatch(line); err != nil {
 			if err == errQuit {
 				return
 			}
 			fmt.Println("error:", err)
 		}
-		// Page-level I/O failures (e.g. checksum mismatches on a corrupt
-		// data file) render the affected cells blank; surface them so
-		// blank != lost silently. ReadErr catches failures the engine's
-		// read path recorded, Pool().Err anything below it.
-		if err := sh.eng.ReadErr(); err != nil {
-			fmt.Println("warning: read error:", err)
-		}
+		// A page that fails its checksum reads as absent and its cells render
+		// blank; the buffer pool keeps the failure, printed here so that
+		// blank is not taken for empty.
 		if err := db.Pool().Err(); err != nil && err.Error() != lastIOErr {
 			lastIOErr = err.Error()
 			fmt.Println("warning: storage error:", err)
@@ -129,48 +131,48 @@ func main() {
 	}
 }
 
-func hasSheet(db *rdbms.DB, name string) bool {
-	for _, n := range core.SheetNames(db) {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 var errQuit = fmt.Errorf("quit")
 
-// shell is the dispatch state: the local engine, plus the remote session
-// when `.connect` is active (remote routes set/view/structural/load/save
-// and .stats over the wire; everything else needs the local engine).
+// shell is the dispatch state: the in-process server over the shell's own
+// database, and the session every command goes through — a client of that
+// server, or of the one `.connect` named.
 type shell struct {
-	eng         *core.Engine
-	db          *rdbms.DB
-	engOpts     core.Options
-	remote      *serve.Client
-	remoteSheet string
+	srv   *serve.Server
+	c     *serve.Client
+	sheet string
 }
 
-// where tags a maintenance report with who ran the pass.
-func (sh *shell) where() string {
-	if sh.remote != nil {
-		return " (server)"
+// dial makes a client of addr, with sheet name open, the session, closing
+// the one before it.
+func (sh *shell) dial(addr, name string) error {
+	c, err := serve.Dial(addr)
+	if err != nil {
+		return err
 	}
-	return ""
-}
-
-func (sh *shell) disconnect() {
-	if sh.remote != nil {
-		sh.remote.Close()
-		sh.remote = nil
+	if err := c.Open(name); err != nil {
+		c.Close()
+		return err
 	}
+	if sh.c != nil {
+		sh.c.Close()
+	}
+	sh.c, sh.sheet = c, name
+	return nil
 }
 
-func dispatch(sh *shell, line string) error {
-	eng := sh.eng
+// engine is the session sheet's engine on the in-process server, for the
+// commands the wire does not carry; it refuses while connected elsewhere.
+func (sh *shell) engine(cmd string) (*core.Engine, error) {
+	if sh.c.Addr() != sh.srv.Addr() {
+		return nil, fmt.Errorf("%s runs on the local engine; .disconnect first", cmd)
+	}
+	return sh.srv.Engine(sh.sheet)
+}
+
+func (sh *shell) dispatch(line string) error {
 	cmd, rest, _ := strings.Cut(line, " ")
-	rest = strings.TrimSpace(rest)
-	switch strings.ToLower(cmd) {
+	cmd, rest = strings.ToLower(cmd), strings.TrimSpace(rest)
+	switch cmd {
 	case "quit", "exit":
 		return errQuit
 	case ".connect":
@@ -182,32 +184,20 @@ func dispatch(sh *shell, line string) error {
 		if len(fields) == 2 {
 			name = fields[1]
 		}
-		c, err := serve.Dial(fields[0])
-		if err != nil {
+		if err := sh.dial(fields[0], name); err != nil {
 			return err
 		}
-		if err := c.Open(name); err != nil {
-			c.Close()
-			return err
-		}
-		sh.disconnect()
-		sh.remote, sh.remoteSheet = c, name
 		fmt.Printf("connected to %s, sheet %q (local engine parked; .disconnect to return)\n",
-			c.Addr(), name)
+			sh.c.Addr(), name)
 		return nil
 	case ".disconnect":
-		if sh.remote == nil {
-			return fmt.Errorf("not connected")
+		if err := sh.dial(sh.srv.Addr(), sheetName); err != nil {
+			return err
 		}
-		sh.disconnect()
 		fmt.Println("disconnected (back on the local engine)")
 		return nil
 	case ".stats", "stats":
-		if sh.remote != nil {
-			return printRemoteStats(sh)
-		}
-		printStats(eng)
-		return nil
+		return sh.printStats()
 	case ".scrub":
 		rate := 0
 		if rest != "" {
@@ -216,37 +206,23 @@ func dispatch(sh *shell, line string) error {
 				return fmt.Errorf("usage: .scrub [pages/sec]")
 			}
 		}
-		var res rdbms.ScrubResult
-		var err error
-		if sh.remote != nil {
-			res, err = sh.remote.Scrub(rate)
-		} else {
-			res, err = sh.db.Scrub(rdbms.PassOptions{PagesPerSecond: rate})
-		}
+		res, err := sh.c.Scrub(rate)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scrub%s: %d slots clean, %d skipped, %d repaired, %d quarantined\n",
-			sh.where(), res.Scanned, res.Skipped, len(res.Repaired), len(res.Bad))
+		fmt.Printf("scrub: %d slots clean, %d skipped, %d repaired, %d quarantined\n",
+			res.Scanned, res.Skipped, len(res.Repaired), len(res.Bad))
 		if len(res.Bad) > 0 {
 			fmt.Printf("quarantined pages (degraded, reads of them fail): %v\n", res.Bad)
 		}
 		return nil
 	case ".vacuum":
-		var res rdbms.VacuumResult
-		var err error
-		if sh.remote != nil {
-			res, err = sh.remote.Vacuum()
-		} else if err = eng.Save(); err == nil {
-			// Saved first so the durable manifest matches the session state
-			// and the pass can relocate against a current free list.
-			res, err = sh.db.Vacuum()
-		}
+		res, err := sh.c.Vacuum()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("vacuum%s: %d -> %d pages, %d meta pages moved, %d KiB reclaimed\n",
-			sh.where(), res.PagesBefore, res.PagesAfter, res.PagesMoved, res.BytesReclaimed/1024)
+		fmt.Printf("vacuum: %d -> %d pages, %d meta pages moved, %d KiB reclaimed\n",
+			res.PagesBefore, res.PagesAfter, res.PagesMoved, res.BytesReclaimed/1024)
 		return nil
 	case ".backup":
 		if rest == "" {
@@ -256,23 +232,20 @@ func dispatch(sh *shell, line string) error {
 		if err != nil {
 			return err
 		}
-		var res rdbms.BackupResult
-		if sh.remote != nil {
-			res, err = sh.remote.Backup(f, 0)
-		} else if err = eng.Save(); err == nil {
-			// Saved first so the backup pins the session's current state,
-			// not the last explicit save.
-			res, err = sh.db.Backup(f, rdbms.PassOptions{})
+		// Synced before success is reported.
+		res, err := sh.c.Backup(f, 0)
+		if err == nil {
+			err = f.Sync()
 		}
-		if cerr := syncClose(f); err == nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			os.Remove(rest)
 			return err
 		}
-		fmt.Printf("backup%s: %d pages + %d free slots, %d KiB, pinned generation %d\n",
-			sh.where(), res.Pages, res.FreePages, res.Bytes/1024, res.Gen)
+		fmt.Printf("backup: %d pages + %d free slots, %d KiB, pinned generation %d\n",
+			res.Pages, res.FreePages, res.Bytes/1024, res.Gen)
 		return nil
 	case ".restore":
 		fields := strings.Fields(rest)
@@ -297,41 +270,21 @@ func dispatch(sh *shell, line string) error {
 			fields[0], fields[1], fields[1])
 		return nil
 	case ".recover":
-		if sh.remote != nil {
-			if err := sh.remote.Recover(); err != nil {
-				return err
-			}
-			fmt.Println("recovered (server reopened its database; state is the last durable commit)")
-			return nil
-		}
-		// The engine is rebuilt from the recovered catalog: uncommitted
-		// session edits are gone, exactly as a crash would lose them. Stop
-		// the old engine's recalc scheduler first so it does not outlive it.
-		_ = sh.eng.Close()
-		fresh, err := core.Recover(sh.db, sheetName, sh.engOpts)
-		if err != nil {
+		// The server drops every engine and reloads a sheet on its next use;
+		// reopen the session's, which may never have been committed.
+		if err := sh.c.Recover(); err != nil {
 			return err
 		}
-		sh.eng = fresh
-		rows, cols := fresh.Bounds()
-		fmt.Printf("recovered: poison cleared, sheet reloaded from last durable commit (%dx%d used)\n", rows, cols)
+		if err := sh.c.Open(sh.sheet); err != nil {
+			return err
+		}
+		fmt.Println("recovered (server reopened its database; state is the last durable commit)")
 		return nil
 	case "save":
-		if sh.remote != nil {
-			if err := sh.remote.CloseSheet(sh.remoteSheet); err != nil {
-				return err
-			}
-			fmt.Println("saved (server-side WAL commit)")
-			return nil
-		}
-		if err := eng.Save(); err != nil {
+		if err := sh.c.CloseSheet(sh.sheet); err != nil {
 			return err
 		}
-		if eng.DB().Path() == "" {
-			fmt.Println("saved (in-memory database: state will not survive exit; use -db <path>)")
-		} else {
-			fmt.Println("saved (WAL committed)")
-		}
+		fmt.Println("saved (WAL committed)")
 		return nil
 	case "set":
 		refText, val, ok := strings.Cut(rest, " ")
@@ -342,37 +295,29 @@ func dispatch(sh *shell, line string) error {
 		if err != nil {
 			return err
 		}
-		if sh.remote != nil {
-			_, err := sh.remote.Set(sh.remoteSheet, ref.Row, ref.Col, strings.TrimSpace(val))
-			return err
-		}
-		return eng.Set(ref.Row, ref.Col, strings.TrimSpace(val))
+		_, err = sh.c.Set(sh.sheet, ref.Row, ref.Col, strings.TrimSpace(val))
+		return err
 	case "view":
 		g, err := sheet.ParseRange(rest)
 		if err != nil {
 			return err
 		}
-		if sh.remote != nil {
-			// The viewed range IS the session's viewport: tell the server so
-			// an async recalc evaluates these cells ahead of the rest.
-			if err := sh.remote.RegisterViewport(sh.remoteSheet,
-				g.From.Row, g.From.Col, g.To.Row, g.To.Col); err != nil {
-				return err
-			}
-			cells, pending, gen, err := sh.remote.GetRangePending(sh.remoteSheet,
-				g.From.Row, g.From.Col, g.To.Row, g.To.Col)
-			if err != nil {
-				return err
-			}
-			printCells(g, cells, pending)
-			fmt.Printf("(snapshot generation %d%s)\n", gen, pendingNote(pending))
-			return nil
+		// The viewed range IS the session's viewport: tell the server so an
+		// async recalc evaluates these cells ahead of the rest.
+		if err := sh.c.RegisterViewport(sh.sheet, g.From.Row, g.From.Col, g.To.Row, g.To.Col); err != nil {
+			return err
 		}
-		printGrid(eng, g)
+		cells, pending, gen, err := sh.c.GetRangePending(sh.sheet, g.From.Row, g.From.Col, g.To.Row, g.To.Col)
+		if err != nil {
+			return err
+		}
+		printCells(g, cells, pending)
+		fmt.Printf("(snapshot generation %d%s)\n", gen, pendingNote(pending))
 		return nil
 	case "sql":
-		if sh.remote != nil {
-			return fmt.Errorf("sql runs on the local engine; .disconnect first")
+		eng, err := sh.engine(cmd)
+		if err != nil {
+			return err
 		}
 		tv, err := eng.SQL(rest)
 		if err != nil {
@@ -388,8 +333,9 @@ func dispatch(sh *shell, line string) error {
 		}
 		return nil
 	case "link":
-		if sh.remote != nil {
-			return fmt.Errorf("link runs on the local engine; .disconnect first")
+		eng, err := sh.engine(cmd)
+		if err != nil {
+			return err
 		}
 		rangeText, table, ok := strings.Cut(rest, " ")
 		if !ok {
@@ -402,8 +348,9 @@ func dispatch(sh *shell, line string) error {
 		_, err = eng.LinkTable(g, strings.TrimSpace(table))
 		return err
 	case "optimize":
-		if sh.remote != nil {
-			return fmt.Errorf("optimize runs on the local engine; .disconnect first")
+		eng, err := sh.engine(cmd)
+		if err != nil {
+			return err
 		}
 		if rest == "" {
 			rest = "agg"
@@ -425,40 +372,22 @@ func dispatch(sh *shell, line string) error {
 		if err != nil {
 			return err
 		}
-		if sh.remote != nil {
-			// One set-cells batch: the server applies it as a single bulk
-			// write (one WAL commit) while other clients keep reading the
-			// pre-load snapshot.
-			var edits []core.CellEdit
-			s.EachSorted(func(r sheet.Ref, c sheet.Cell) {
-				input := c.Value.Text()
-				if c.HasFormula() {
-					input = "=" + c.Formula
-				}
-				edits = append(edits, core.CellEdit{Row: r.Row, Col: r.Col, Input: input})
-			})
-			gen, err := sh.remote.SetCells(sh.remoteSheet, edits)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("loaded %d cells (committed at generation %d)\n", len(edits), gen)
-			return nil
-		}
-		var loadErr error
+		// One set-cells batch: the server applies it as a single bulk write
+		// (one WAL commit) while other clients keep reading the pre-load
+		// snapshot.
+		var edits []core.CellEdit
 		s.EachSorted(func(r sheet.Ref, c sheet.Cell) {
-			if loadErr != nil {
-				return
-			}
+			input := c.Value.Text()
 			if c.HasFormula() {
-				loadErr = eng.SetFormula(r.Row, r.Col, c.Formula)
-			} else {
-				loadErr = eng.SetValue(r.Row, r.Col, c.Value)
+				input = "=" + c.Formula
 			}
+			edits = append(edits, core.CellEdit{Row: r.Row, Col: r.Col, Input: input})
 		})
-		if loadErr != nil {
-			return loadErr
+		gen, err := sh.c.SetCells(sh.sheet, edits)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("loaded %d cells\n", s.Len())
+		fmt.Printf("loaded %d cells (committed at generation %d)\n", len(edits), gen)
 		return nil
 	case "insrow", "delrow", "inscol", "delcol":
 		fields := strings.Fields(rest)
@@ -478,44 +407,17 @@ func dispatch(sh *shell, line string) error {
 		if count < 1 {
 			return fmt.Errorf("%s: count must be >= 1", cmd)
 		}
+		shift := map[string]func(string, int, int) (uint64, error){
+			"insrow": sh.c.InsertRows, "delrow": sh.c.DeleteRows,
+			"inscol": sh.c.InsertCols, "delcol": sh.c.DeleteCols,
+		}[cmd]
 		start := time.Now()
-		if sh.remote != nil {
-			var gen uint64
-			switch cmd {
-			case "insrow":
-				gen, err = sh.remote.InsertRows(sh.remoteSheet, n, count)
-			case "delrow":
-				gen, err = sh.remote.DeleteRows(sh.remoteSheet, n, count)
-			case "inscol":
-				gen, err = sh.remote.InsertCols(sh.remoteSheet, n, count)
-			default:
-				gen, err = sh.remote.DeleteCols(sh.remoteSheet, n, count)
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%d %s(s) in %v (committed at generation %d)\n",
-				count, map[string]string{"insrow": "row", "delrow": "row", "inscol": "col", "delcol": "col"}[cmd],
-				time.Since(start).Round(time.Microsecond), gen)
-			return nil
-		}
-		switch cmd {
-		case "insrow":
-			err = eng.InsertRowsAfter(n, count)
-		case "delrow":
-			err = eng.DeleteRows(n, count)
-		case "inscol":
-			err = eng.InsertColumnsAfter(n, count)
-		default:
-			err = eng.DeleteColumns(n, count)
-		}
+		gen, err := shift(sh.sheet, n, count)
 		if err != nil {
 			return err
 		}
-		st := eng.LastEditStats()
-		fmt.Printf("%d %s(s) in %v: %d formulas recomputed, %d rewritten, %d relocated, %d dropped\n",
-			count, map[string]string{"insrow": "row", "delrow": "row", "inscol": "col", "delcol": "col"}[cmd],
-			time.Since(start).Round(time.Microsecond), st.Recomputed, st.Rewritten, st.Relocated, st.Dropped)
+		fmt.Printf("%d %s(s) in %v (committed at generation %d)\n",
+			count, cmd[3:], time.Since(start).Round(time.Microsecond), gen)
 		return nil
 	}
 	return fmt.Errorf("unknown command %q", cmd)
@@ -528,29 +430,55 @@ func hitRate(hits, misses int64) float64 {
 	return 100 * float64(hits) / float64(hits+misses)
 }
 
-// printStats reports the read-path counters: cell-cache hit rate, buffer
-// pool hit/miss, and the durable pager's real I/O when file-backed.
-func printStats(eng *core.Engine) {
-	cs := eng.CacheStats()
-	fmt.Printf("cell cache: %d hits, %d misses (%.1f%% hit rate), %d evictions\n",
-		cs.Hits, cs.Misses, hitRate(cs.Hits, cs.Misses), cs.Evictions)
-	if eng.AsyncRecalc() {
-		fmt.Printf("recalc: async, %d cells pending background evaluation\n", eng.PendingCount())
+// printStats reports the session server's counters: connections, in-flight
+// requests, the commit generation, the storage counters, the poisoned flag
+// and injected faults when degraded, and each open sheet's snapshot
+// generation, pending recalc and cell cache.
+func (sh *shell) printStats() error {
+	st, err := sh.c.Stats()
+	if err != nil {
+		return err
 	}
-	printIOStats(eng.DB().Pool().Stats())
-	if err := eng.DB().Poisoned(); err != nil {
-		fmt.Printf("POISONED (read-only): %v (.recover to heal in place)\n", err)
+	fmt.Printf("server %s: %d conns, %d in-flight requests, %d served, commit generation %d\n",
+		sh.c.Addr(), st.Conns, st.InFlight, st.Requests, st.CommitGen)
+	printIOStats(st.IO)
+	if st.Poisoned {
+		fmt.Println("POISONED (read-only): mutations are rejected until recovery (.recover heals in place)")
 	}
-	if fs := eng.DB().Faults(); fs != nil {
-		printInjected(fs.Injected())
-		printFaultRules(fs.RuleStats())
+	if st.InjectedFaults > 0 {
+		fc := st.InjectedByKind
+		fmt.Printf("injected faults: %d (io errors %d, enospc %d, short writes %d, bit flips %d)\n",
+			fc.Total(), fc.IOErrs, fc.NoSpace, fc.ShortWrites, fc.BitFlips)
 	}
+	// Which scheduled failure a degraded store actually hit, rule by rule.
+	for _, fr := range st.Faults {
+		file := fr.Rule.File
+		if file == "" {
+			file = "any"
+		}
+		count := fmt.Sprintf("count %d", fr.Rule.Count)
+		if fr.Rule.Count < 0 {
+			count = "forever"
+		}
+		fmt.Printf("  rule %s/%s %s (after %d, %s): %d matched, %d injected\n",
+			file, fr.Rule.Op, fr.Rule.Kind, fr.Rule.After, count, fr.Matched, fr.Injected)
+	}
+	for _, s := range st.Sheets {
+		marker := ""
+		if s.Name == sh.sheet {
+			marker = " (this session)"
+		}
+		fmt.Printf("  sheet %q: snapshot generation %d, %d cells pending recalc%s\n",
+			s.Name, s.Gen, s.Pending, marker)
+		fmt.Printf("    cell cache: %d hits, %d misses (%.1f%% hit rate), %d evictions\n",
+			s.Cache.Hits, s.Cache.Misses, hitRate(s.Cache.Hits, s.Cache.Misses), s.Cache.Evictions)
+	}
+	return nil
 }
 
-// printIOStats reports the storage counters, the same way for a local
-// engine and a connected server: buffer pool hit/miss, then — on a
-// file-backed database, the only kind with a live WAL segment — the durable
-// pager's real I/O.
+// printIOStats reports the storage counters: buffer pool hit/miss, then — on
+// a file-backed database, the only kind with a live WAL segment — the
+// durable pager's real I/O.
 func printIOStats(ps rdbms.IOStats) {
 	fmt.Printf("buffer pool: %d hits, %d misses (%.1f%% hit rate), %d pages read\n",
 		ps.PoolHits, ps.PoolMisses, hitRate(ps.PoolHits, ps.PoolMisses), ps.PagesRead)
@@ -580,81 +508,9 @@ func printIOStats(ps rdbms.IOStats) {
 	}
 }
 
-func printInjected(fc rdbms.FaultCounts) {
-	fmt.Printf("injected faults: %d (io errors %d, enospc %d, short writes %d, bit flips %d)\n",
-		fc.Total(), fc.IOErrs, fc.NoSpace, fc.ShortWrites, fc.BitFlips)
-}
-
-// printFaultRules renders the per-rule injected-fault breakdown so an
-// operator can see which scheduled failure a degraded store actually hit.
-func printFaultRules(rules []rdbms.FaultRuleStat) {
-	for _, fr := range rules {
-		file := fr.Rule.File
-		if file == "" {
-			file = "any"
-		}
-		count := fmt.Sprintf("count %d", fr.Rule.Count)
-		if fr.Rule.Count < 0 {
-			count = "forever"
-		}
-		fmt.Printf("  rule %s/%s %s (after %d, %s): %d matched, %d injected\n",
-			file, fr.Rule.Op, fr.Rule.Kind, fr.Rule.After, count, fr.Matched, fr.Injected)
-	}
-}
-
-// printRemoteStats reports the connected server's session counters: live
-// connections, in-flight requests, and each open sheet's snapshot
-// generation.
-func printRemoteStats(sh *shell) error {
-	st, err := sh.remote.Stats()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("server %s: %d conns, %d in-flight requests, %d served, commit generation %d\n",
-		sh.remote.Addr(), st.Conns, st.InFlight, st.Requests, st.CommitGen)
-	printIOStats(st.IO)
-	if st.Poisoned {
-		fmt.Println("POISONED (read-only): mutations are rejected until recovery (.recover heals in place)")
-	}
-	if st.InjectedFaults > 0 {
-		printInjected(st.InjectedByKind)
-	}
-	printFaultRules(st.Faults)
-	for _, s := range st.Sheets {
-		marker := ""
-		if s.Name == sh.remoteSheet {
-			marker = " (this session)"
-		}
-		fmt.Printf("  sheet %q: snapshot generation %d, %d cells pending recalc%s\n",
-			s.Name, s.Gen, s.Pending, marker)
-	}
-	return nil
-}
-
-// syncClose flushes a freshly written backup to stable storage before
-// reporting success.
-func syncClose(f *os.File) error {
-	err := f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// printGrid renders one ReadRange: cells and staleness marks from one point
-// in time, also beside a background recalc.
-func printGrid(eng *core.Engine, g sheet.Range) {
-	cells, pending, _, err := eng.ReadRange(g)
-	printCells(g, cells, pending)
-	if err != nil {
-		fmt.Println("warning: read error:", err)
-	}
-	if n := countPending(pending); n > 0 {
-		fmt.Printf("(%d cells pending background recalc; * = stale value)\n", n)
-	}
-}
-
-func countPending(pending [][]bool) int {
+// pendingNote counts the cells a view read stale under an in-flight
+// background recalc.
+func pendingNote(pending [][]bool) string {
 	n := 0
 	for _, row := range pending {
 		for _, p := range row {
@@ -663,11 +519,7 @@ func countPending(pending [][]bool) int {
 			}
 		}
 	}
-	return n
-}
-
-func pendingNote(pending [][]bool) string {
-	if n := countPending(pending); n > 0 {
+	if n > 0 {
 		return fmt.Sprintf(", %d cells pending; * = stale value", n)
 	}
 	return ""

@@ -273,22 +273,3 @@ func loadFormulaSet(db *rdbms.DB, name string, rows, cols int) (formulaSet, erro
 	}
 	return set, err
 }
-
-// Recover heals a poisoned database in place (rdbms.DB.Recover: fresh file
-// handles, WAL redo, full page verification) and reattaches one sheet from
-// the recovered state. Recovery rolls visible state back to the last
-// durably committed batch, so every Engine opened before the call is stale
-// and must be replaced by the returned one. A sheet that had never been
-// flushed before the fault simply does not exist in the recovered catalog;
-// it is recreated empty rather than failing, mirroring an open-or-create.
-func Recover(db *rdbms.DB, name string, opts Options) (*Engine, error) {
-	if err := db.Recover(); err != nil {
-		return nil, err
-	}
-	for _, n := range SheetNames(db) {
-		if n == name {
-			return Load(db, name, opts)
-		}
-	}
-	return New(db, name, opts)
-}

@@ -606,18 +606,14 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		if !sc.pending[i] {
 			continue // committed or superseded since the plan was built
 		}
-		head, k, live := e.deps.Formula(r)
-		switch {
-		case !live:
-			// The formula was dropped after planning; the cell's current
-			// contents are definitive. No member of a wave reads another, so
-			// clearing the bit in the chunk's publish keeps nobody waiting.
-			clear = append(clear, r)
-		case stale && readsPending(r):
-			// Stays pending: the rebuilt plan orders it after its reads.
-		default:
-			jobs = append(jobs, recalcJob{ref: r, head: head, k: k})
+		if stale && readsPending(r) {
+			continue // the rebuilt plan orders it after its reads
 		}
+		// A pending cell holds a live formula: every drop is a write whose
+		// publish clears the cell's bit, and a structural edit starts with
+		// nothing pending.
+		head, k, _ := e.deps.Formula(r)
+		jobs = append(jobs, recalcJob{ref: r, head: head, k: k})
 	}
 	if ch.cycle {
 		for i := range jobs {

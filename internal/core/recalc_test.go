@@ -941,3 +941,63 @@ func TestRecalcTickReadsByTile(t *testing.T) {
 	}
 	matchesFresh(t, e, spec, tick.Input)
 }
+
+// A pending cell always holds a live formula, which is why commitChunk
+// evaluates every pending member without asking: a formula overwritten by a
+// value or cleared under a pending cone loses its bit in the write's publish,
+// and a row delete starts with nothing pending and marks only registered
+// formulas. The quiet window is an hour, so nothing computes the cone before
+// Drain; the drained sheet then equals a synchronous engine's.
+func TestPendingCellsHoldLiveFormulas(t *testing.T) {
+	old := coldDelay
+	coldDelay = time.Hour
+	t.Cleanup(func() { coldDelay = old })
+	setup := []CellEdit{{Row: 1, Col: 3, Input: "=SUM(B1:B6)"}, {Row: 2, Col: 3, Input: "=B5+1"}}
+	var tick []CellEdit
+	for row := 1; row <= 6; row++ {
+		setup = append(setup, CellEdit{Row: row, Col: 1, Input: fmt.Sprint(row)},
+			CellEdit{Row: row, Col: 2, Input: fmt.Sprintf("=A%d*2", row)})
+		tick = append(tick, CellEdit{Row: row, Col: 1, Input: fmt.Sprint(row * 10)})
+	}
+	steps := []struct {
+		name string
+		do   func(e *Engine) error
+	}{
+		{"tick", func(e *Engine) error { return e.SetCells(tick) }},
+		{"overwrite B2 with a value", func(e *Engine) error { return e.Set(2, 2, "7") }},
+		{"clear B4", func(e *Engine) error { return e.Clear(4, 2) }},
+		{"delete row 3", func(e *Engine) error { return e.DeleteRows(3, 1) }},
+		{"tick again", func(e *Engine) error { return e.SetCells(tick) }},
+	}
+	sync, async := newEngine(t), newAsyncEngine(t)
+	for _, e := range []*Engine{sync, async} {
+		if err := e.SetCells(setup); err != nil {
+			t.Fatal(err)
+		}
+		mustDrain(t, e)
+	}
+	for _, st := range steps {
+		for _, e := range []*Engine{sync, async} {
+			if err := st.do(e); err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+		}
+		pending := async.cache.PendingRefs()
+		if len(pending) == 0 {
+			t.Fatalf("after %s nothing is pending", st.name)
+		}
+		for _, r := range pending {
+			if _, _, live := async.deps.Formula(r); !live {
+				t.Fatalf("after %s, %v is pending without a formula", st.name, r)
+			}
+		}
+	}
+	mustDrain(t, async)
+	for row := 1; row <= 6; row++ {
+		for col := 1; col <= 3; col++ {
+			if a, b := sync.GetCell(row, col), async.GetCell(row, col); !a.Value.Equal(b.Value) || a.Formula != b.Formula {
+				t.Fatalf("(%d,%d): sync %v/%q, async %v/%q", row, col, a.Value, a.Formula, b.Value, b.Formula)
+			}
+		}
+	}
+}

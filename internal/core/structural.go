@@ -30,7 +30,7 @@ import (
 //     blocks, instead of invalidating the whole read cache.
 
 // EditStats describes the work done by the most recent structural edit
-// (test hook and dsshell's interactive readout).
+// (test hook and bench/ probe).
 type EditStats struct {
 	// Relocated counts formulas whose cell moved with the edit. Relocation
 	// moves their run in memory only — the stored tuple moved with its

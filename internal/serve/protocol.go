@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 
+	"dataspread/internal/cache"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -338,6 +339,8 @@ type SheetStat struct {
 	// Pending is the number of formula cells awaiting background
 	// re-evaluation (0 on a synchronous server, or once converged).
 	Pending uint64
+	// Cache is the sheet's cell-cache counters (tile visits, not cells).
+	Cache cache.Stats
 }
 
 // Stats is the server-wide counter snapshot returned by OpStats.
@@ -409,6 +412,9 @@ func appendStats(b []byte, st Stats) []byte {
 		b = appendString(b, sh.Name)
 		b = binary.AppendUvarint(b, sh.Gen)
 		b = binary.AppendUvarint(b, sh.Pending)
+		b = binary.AppendUvarint(b, uint64(sh.Cache.Hits))
+		b = binary.AppendUvarint(b, uint64(sh.Cache.Misses))
+		b = binary.AppendUvarint(b, uint64(sh.Cache.Evictions))
 	}
 	return b
 }
@@ -461,7 +467,8 @@ func (d *decoder) stats() Stats {
 	}
 	st.Sheets = make([]SheetStat, n)
 	for i := range st.Sheets {
-		st.Sheets[i] = SheetStat{Name: d.str(), Gen: d.uvarint(), Pending: d.uvarint()}
+		st.Sheets[i] = SheetStat{Name: d.str(), Gen: d.uvarint(), Pending: d.uvarint(), Cache: cache.Stats{
+			Hits: int64(d.uvarint()), Misses: int64(d.uvarint()), Evictions: int64(d.uvarint())}}
 	}
 	return st
 }

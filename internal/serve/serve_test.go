@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,7 +145,7 @@ func TestServeRoundTrip(t *testing.T) {
 
 func TestServeStats(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
-	_, addr := startServer(t, db, core.Options{})
+	s, addr := startServer(t, db, core.Options{})
 	c := dialT(t, addr)
 	c2 := dialT(t, addr)
 	if err := c.Open("a"); err != nil {
@@ -170,7 +171,78 @@ func TestServeStats(t *testing.T) {
 		t.Errorf("requests = %d, want >= 3", st.Requests)
 	}
 	if len(st.Sheets) != 1 || st.Sheets[0].Name != "a" || st.Sheets[0].Gen == 0 {
-		t.Errorf("sheets = %+v, want [{a >0}]", st.Sheets)
+		t.Fatalf("sheets = %+v, want [{a >0}]", st.Sheets)
+	}
+	// The cell cache's counters travel per sheet: equal to the engine's, and
+	// a read moves them.
+	eng, err := s.Engine("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Sheets[0].Cache, eng.CacheStats(); got != want {
+		t.Errorf("sheet cache stats = %+v, engine's = %+v", got, want)
+	}
+	if _, _, err := c.GetRange("a", 1, 1, 2, 2); err != nil {
+		t.Fatalf("get range: %v", err)
+	}
+	after, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if b, a := st.Sheets[0].Cache, after.Sheets[0].Cache; a.Hits+a.Misses <= b.Hits+b.Misses {
+		t.Errorf("cache stats %+v -> %+v across a GetRange, want more visits", b, a)
+	}
+}
+
+// Server.Engine hands in-process callers the engine the wire serves: an edit a
+// client sent is visible to its SQL without a Save, a sheet not yet opened is
+// created as OpOpen creates it, and after Recover it is the reloaded engine,
+// not the dropped one.
+func TestServeEngineAccessor(t *testing.T) {
+	s, addr := startServer(t, rdbms.Open(rdbms.Options{}), core.Options{})
+	c := dialT(t, addr)
+	if err := c.Open("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Set("a", 1, 1, "42"); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := s.Engine("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tv, err := eng.SQL("SELECT * FROM a_overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tv.Rows) != 1 || !slices.ContainsFunc(tv.Rows[0], func(v sheet.Value) bool { return v.Text() == "42" }) {
+		t.Fatalf("SQL over the served engine = %v, want the client's 42", tv.Rows)
+	}
+	fresh, err := s.Engine("b")
+	if err != nil {
+		t.Fatalf("Engine on an unopened sheet: %v", err)
+	}
+	if _, err := c.Set("b", 1, 1, "7"); err != nil {
+		t.Fatalf("a client write to the sheet Engine created: %v", err)
+	}
+	if got := fresh.GetCell(1, 1).Value.Text(); got != "7" {
+		t.Fatalf("Engine(b) reads %q, want the client's 7", got)
+	}
+	if err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Engine("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == eng {
+		t.Fatal("Engine after Recover returned the dropped engine")
+	}
+	if _, err := c.Set("a", 1, 1, "43"); err != nil {
+		t.Fatal(err)
+	}
+	if got := again.GetCell(1, 1).Value.Text(); got != "43" {
+		t.Fatalf("the reloaded engine reads %q, want the client's 43", got)
 	}
 }
 

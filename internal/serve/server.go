@@ -167,6 +167,7 @@ func (s *Server) Stats() Stats {
 			Name:    name,
 			Gen:     eng.Generation(),
 			Pending: uint64(eng.PendingCount()),
+			Cache:   eng.CacheStats(),
 		})
 	}
 	s.mu.Unlock()
@@ -238,6 +239,11 @@ func (s *Server) Recover() error {
 	s.sheets = make(map[string]*core.Engine)
 	return nil
 }
+
+// Engine returns the engine serving the named sheet, opening or creating it
+// as OpOpen does, for in-process callers that need what the wire does not
+// carry (SQL, linked tables, the optimizer).
+func (s *Server) Engine(name string) (*core.Engine, error) { return s.engineFor(name, true) }
 
 // engineFor returns the engine for name, opening (or creating) the sheet on
 // first use.
