@@ -94,7 +94,9 @@ test-faults:
 # formula cell's tuple holds its value and no source text, ten seconds of each
 # manifest decoder's, the cell decoder's and the WAL scanner's fuzz target
 # (whose inputs are segments of tens of KB: without -fuzzminimizetime 1x the
-# ten seconds go to minimizing the first interesting one), and three guards:
+# ten seconds go to minimizing the first interesting one) and of the record
+# reader's, which must accept exactly the frames the whole-row decoder
+# accepts and hand out the same datums, and three guards:
 # no non-test file of internal/core or internal/model imports encoding/json —
 # both persist in the heap's row codec — internal/model does not import
 # strconv — a number is stored as a typed datum, never as its decimal text —
@@ -108,6 +110,7 @@ test-format:
 	$(GO) test -run '^$$' -fuzz FuzzStoreManifestDecode -fuzztime 10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzCellDecode -fuzztime 10s ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzWALScan -fuzztime 10s -fuzzminimizetime 1x ./internal/rdbms/
+	$(GO) test -run '^$$' -fuzz FuzzNextRecord -fuzztime 10s ./internal/rdbms/
 	@if $(GO) list -f '{{.ImportPath}}: {{.Imports}}' ./internal/core ./internal/model | grep encoding/json; then \
 		echo "internal/core and internal/model persist in the row codec: no encoding/json"; exit 1; \
 	fi

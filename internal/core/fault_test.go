@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -99,5 +100,78 @@ func TestEnginePoisonedReadOnly(t *testing.T) {
 	}
 	if n, _ := cells[0][1].Value.Num(); n != 20 {
 		t.Fatalf("recovered B1 = %v, want 20", cells[0][1].Value)
+	}
+}
+
+// TestBitFlipRCVPageFailsLoad: a checksum-corrupt heap page under a sheet's
+// RCV region fails the load with ErrChecksum. Before, the region's key index
+// was rebuilt by a scan that skipped the page, so the sheet opened without
+// its cells and accepted writes over them.
+func TestBitFlipRCVPageFailsLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flip.dsdb")
+	db, err := rdbms.OpenFile(path, rdbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(db, "s", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Set(1, 1, "42"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Set(1, 2, "=A1*2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	// The page holding the region's tuples.
+	page := -1
+	for _, name := range db.TableNames() {
+		if err := db.Table(name).Scan(func(rid rdbms.RID, _ rdbms.Row) bool {
+			page = int(rid.Page)
+			return false
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if page < 0 {
+		t.Fatal("no table holds a tuple")
+	}
+	e.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A data file is a header page, then one slot per page: 8 bytes of
+	// checksum and length, then the page image.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	off := int64(rdbms.PageSize) + int64(page)*(8+rdbms.PageSize) + 8 + 100
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = rdbms.OpenFile(path, rdbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	got, err := Load(db, "s", Options{})
+	if !errors.Is(err, rdbms.ErrChecksum) {
+		t.Fatalf("Load over a corrupt RCV page = %v, want ErrChecksum", err)
+	}
+	if got != nil {
+		t.Fatal("a failed Load returned an engine that takes writes")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"dataspread/internal/rdbms"
@@ -120,6 +121,65 @@ func TestVisitRangeEquivalenceProperty(t *testing.T) {
 		}
 		if err := e.ReadErr(); err != nil {
 			t.Fatalf("%s: unexpected read error: %v", algo, err)
+		}
+	}
+}
+
+// TestReopenedCOMFirstTileReadsOneChunkPerColumn: the first tile of a
+// reopened COM region costs one heap page per column. A column of 5,000
+// numbers is one tuple chained over three chunks; the tile wants its first
+// 64 attributes, all in the head chunk, so the read stops there. Reading
+// whole chains, the same tile cost 16 x 3 = 48 pool misses.
+func TestReopenedCOMFirstTileReadsOneChunkPerColumn(t *testing.T) {
+	const rows, cols = 5000, 16
+	path := filepath.Join(t.TempDir(), "com.dsdb")
+	db, err := rdbms.OpenFile(path, rdbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sheet.New("com")
+	for r := 1; r <= rows; r++ {
+		for c := 1; c <= cols; c++ {
+			s.SetValue(r, c, sheet.Number(float64(r*100+c)))
+		}
+	}
+	e, err := Open(db, "com", s, "com", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = rdbms.OpenFile(path, rdbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if e, err = Load(db, "com", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	before := db.Pool().Stats()
+	cells, _, _, err := e.ReadRange(sheet.NewRange(1, 1, 64, cols))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slack for pages other than the 16 column heads (this layout reads
+	// none today).
+	const slack = 2
+	if misses := db.Pool().Stats().PoolMisses - before.PoolMisses; misses > cols+slack {
+		t.Fatalf("the first tile cost %d pool misses, want at most %d", misses, cols+slack)
+	}
+	for r := 1; r <= 64; r++ {
+		for c := 1; c <= cols; c++ {
+			if v := cells[r-1][c-1].Value; !v.Equal(sheet.Number(float64(r*100 + c))) {
+				t.Fatalf("cell (%d,%d) = %v", r, c, v)
+			}
 		}
 	}
 }

@@ -352,7 +352,10 @@ func TestTOMLinkedTable(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	db.MustExec("CREATE TABLE invoice (invid BIGINT, amount DOUBLE, memo TEXT)")
 	db.MustExec("INSERT INTO invoice VALUES (1, 100.0, 'a'), (2, 250.5, 'b')")
-	tom := LinkTOM(db.Table("invoice"), "", true)
+	tom, err := LinkTOM(db.Table("invoice"), "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if tom.Rows() != 3 || tom.Cols() != 3 {
 		t.Fatalf("dims = %dx%d", tom.Rows(), tom.Cols())
@@ -412,7 +415,9 @@ func TestTOMLinkedTable(t *testing.T) {
 
 	// External DML + Refresh.
 	db.MustExec("INSERT INTO invoice VALUES (9, 9.0, 'ext')")
-	tom.Refresh()
+	if err := tom.Refresh(); err != nil {
+		t.Fatal(err)
+	}
 	if tom.Rows() != 4 {
 		t.Fatalf("Refresh missed external insert: rows = %d", tom.Rows())
 	}

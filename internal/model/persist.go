@@ -501,12 +501,16 @@ func (h *HybridStore) loadSegment(seg int, kind string) (Translator, error) {
 		index:     rdbms.NewBTree(64),
 	}
 	// The table is self-describing (key attribute per tuple): rebuild the
-	// key index and the cell count by scanning the heap.
-	table.Scan(func(rid rdbms.RID, row rdbms.Row) bool {
+	// key index and the cell count by scanning the heap. A heap that cannot
+	// be read whole fails the load: a partial index would show the sheet
+	// with cells missing and accept writes over them.
+	if err := table.Scan(func(rid rdbms.RID, row rdbms.Row) bool {
 		r.index.Insert(row[0].Int64(), rid)
 		r.cells++
 		return true
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("model: store %q segment %d: %w", h.name, seg, err)
+	}
 	return r, nil
 }
 

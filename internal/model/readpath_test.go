@@ -167,7 +167,11 @@ func propTranslator(t *testing.T, db *rdbms.DB, kind, scheme string, seq int) Tr
 				t.Fatal(err)
 			}
 		}
-		return LinkTOM(tab, scheme, seq%2 == 0)
+		tom, err := LinkTOM(tab, scheme, seq%2 == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tom
 	}
 	t.Fatalf("unknown kind %q", kind)
 	return nil

@@ -164,7 +164,10 @@ func (h *HybridStore) LinkTable(rect sheet.Range, table *rdbms.Table, headers bo
 		return nil, fmt.Errorf("model: link range has %d columns, table %q has %d",
 			rect.Cols(), table.Name, table.Schema.Arity())
 	}
-	tom := LinkTOM(table, h.scheme, headers)
+	tom, err := LinkTOM(table, h.scheme, headers)
+	if err != nil {
+		return nil, err
+	}
 	h.regions = append(h.regions, storeRegion{rect: rect, tr: tom, seg: h.allocSeg()})
 	return tom, nil
 }

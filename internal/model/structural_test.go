@@ -55,7 +55,9 @@ func buildTranslator(t *testing.T, db *rdbms.DB, kind, scheme, name string, rows
 				t.Fatal(err)
 			}
 		}
-		tr = LinkTOM(table, scheme, false)
+		if tr, err = LinkTOM(table, scheme, false); err != nil {
+			t.Fatal(err)
+		}
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}

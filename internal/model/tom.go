@@ -28,25 +28,33 @@ type TOM struct {
 
 // LinkTOM wraps an existing database table as a linked region. Its initial
 // row order is heap order, matching what linkTable displays on first load.
-func LinkTOM(table *rdbms.Table, scheme string, headers bool) *TOM {
+// A table whose heap cannot be read whole is not linked.
+func LinkTOM(table *rdbms.Table, scheme string, headers bool) (*TOM, error) {
 	if scheme == "" {
 		scheme = "hierarchical"
 	}
 	t := &TOM{db: table, rowMap: posmap.NewTracked(scheme), headers: headers}
-	t.Refresh()
-	return t
+	if err := t.Refresh(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // Refresh rebuilds the positional map from the current table contents
-// (two-way sync after external DML).
-func (t *TOM) Refresh() {
-	t.rowMap = posmap.NewTracked(t.rowMap.Name())
+// (two-way sync after external DML). A heap that cannot be read whole
+// leaves the map as it was and returns the error.
+func (t *TOM) Refresh() error {
+	rowMap := posmap.NewTracked(t.rowMap.Name())
 	pos := 0
-	t.db.Scan(func(rid rdbms.RID, _ rdbms.Row) bool {
+	if err := t.db.Scan(func(rid rdbms.RID, _ rdbms.Row) bool {
 		pos++
-		t.rowMap.Insert(pos, rid)
+		rowMap.Insert(pos, rid)
 		return true
-	})
+	}); err != nil {
+		return fmt.Errorf("model: link %q: %w", t.db.Name, err)
+	}
+	t.rowMap = rowMap
+	return nil
 }
 
 // Table exposes the linked catalog table.

@@ -699,8 +699,10 @@ func (t *Table) Delete(rid RID) bool {
 	return true
 }
 
-// Scan iterates live rows in heap order. Returning false stops early.
-func (t *Table) Scan(fn func(RID, Row) bool) { t.heap.scan(fn) }
+// Scan iterates live rows in heap order. Returning false stops early. The
+// first unreadable page, broken chunk chain or undecodable tuple ends the
+// scan with its error (a checksum mismatch wraps ErrChecksum).
+func (t *Table) Scan(fn func(RID, Row) bool) error { return t.heap.scan(fn) }
 
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int { return t.heap.tupleCount() }
@@ -733,10 +735,12 @@ func (t *Table) CreateIndex(col string) error {
 		return fmt.Errorf("rdbms: %s: index on %q already exists", t.Name, col)
 	}
 	idx := &tableIndex{col: i, tree: NewBTree(64)}
-	t.heap.scan(func(rid RID, r Row) bool {
+	if err := t.heap.scan(func(rid RID, r Row) bool {
 		idx.tree.Insert(indexKey(r[i]), rid)
 		return true
-	})
+	}); err != nil {
+		return fmt.Errorf("rdbms: %s: index on %q: %w", t.Name, col, err)
+	}
 	t.indexes[key] = idx
 	t.schemaDirty = true
 	return nil

@@ -8,10 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// decodedAttrs counts attribute values materialized by the row decoders. It
-// is the observable signal that projection pushdown works: a k-column read
-// over an n-column table must grow it by O(k), not O(n), per row. Tests
-// assert on it via DecodedAttrCount/ResetDecodedAttrCount.
+// decodedAttrs counts attribute values materialized by the row decoders
+// (heap tuples only: a manifest record's reader is not counted). It is the
+// observable signal that projection pushdown works: a k-column read over an
+// n-column table must grow it by O(k), not O(n), per row. Tests assert on it
+// via DecodedAttrCount/ResetDecodedAttrCount.
 var decodedAttrs atomic.Int64
 
 // DecodedAttrCount returns the cumulative number of attribute values
@@ -57,142 +58,161 @@ func encodeRow(dst []byte, r Row) []byte {
 	return dst
 }
 
+// rowHeader parses a row encoding's attribute count and returns it with the
+// bytes after it.
+func rowHeader(buf []byte) (int, []byte, error) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return 0, nil, fmt.Errorf("rdbms: corrupt tuple header")
+	}
+	if n > 1<<20 {
+		return 0, nil, fmt.Errorf("rdbms: implausible column count %d", n)
+	}
+	return int(n), buf[sz:], nil
+}
+
+// walkAttrs is the one datum-width walk, behind a manifest record's frame
+// check, a chained tuple's stop test and the projected decoder's skipped
+// attributes. It steps over up to n attributes of a row encoding from the
+// front of buf and returns how many it stepped over and the bytes they take,
+// stopping early at a datum buf does not hold whole or whose type is unknown
+// (attrErr says which). loose reports a varint it stepped over that is not
+// minimal, so the encoding is not canonical.
+func walkAttrs(buf []byte, n int) (count, size int, loose bool) {
+	for ; count < n && size < len(buf); count++ {
+		b := buf[size:]
+		w := 0 // the datum's width; 0 while it is not known to be whole
+		switch DType(b[0]) {
+		case DTNull:
+			w = 1
+		case DTInt:
+			if _, sz := binary.Varint(b[1:]); sz > 0 {
+				w, loose = 1+sz, loose || sz > 1 && b[sz] == 0
+			}
+		case DTFloat:
+			w = 9
+		case DTText:
+			if l, sz := binary.Uvarint(b[1:]); sz > 0 && uint64(len(b)-1-sz) >= l {
+				w, loose = 1+sz+int(l), loose || sz > 1 && b[sz] == 0
+			}
+		case DTBool:
+			w = 2
+		}
+		if w == 0 || w > len(b) {
+			break
+		}
+		size += w
+	}
+	return count, size, loose
+}
+
+// attrErr is the error of the datum at the front of buf that walkAttrs
+// stopped at, attribute i of its row — the message the decoders give it.
+func attrErr(buf []byte, i int) error {
+	if len(buf) == 0 {
+		return fmt.Errorf("rdbms: truncated tuple at column %d", i)
+	}
+	if typ := DType(buf[0]); typ > DTNull && typ < DTAny {
+		return fmt.Errorf("rdbms: corrupt %s at column %d", [...]string{DTInt: "int", DTFloat: "float", DTText: "text", DTBool: "bool"}[typ], i)
+	}
+	return fmt.Errorf("rdbms: unknown datum type %d at column %d", buf[0], i)
+}
+
 // decodeRow parses a row from buf into dst, reused when it has the capacity
 // (nil allocates a fresh row).
 func decodeRow(buf []byte, dst Row) (Row, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("rdbms: corrupt tuple header")
+	n, buf, err := rowHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	buf = buf[sz:]
-	if n > 1<<20 {
-		return nil, fmt.Errorf("rdbms: implausible column count %d", n)
+	row, _, err := decodeRun(buf, 0, n, slices.Grow(dst[:0], n))
+	if err != nil {
+		return nil, err
 	}
-	row := slices.Grow(dst[:0], int(n))
-	for i := uint64(0); i < n; i++ {
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("rdbms: truncated tuple at column %d", i)
-		}
-		typ := DType(buf[0])
-		buf = buf[1:]
-		switch typ {
-		case DTNull:
-			row = append(row, Null)
-		case DTInt:
-			v, sz := binary.Varint(buf)
-			if sz <= 0 {
-				return nil, fmt.Errorf("rdbms: corrupt int at column %d", i)
-			}
-			buf = buf[sz:]
-			row = append(row, Int(v))
-		case DTFloat:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("rdbms: corrupt float at column %d", i)
-			}
-			row = append(row, Float(math.Float64frombits(binary.LittleEndian.Uint64(buf))))
-			buf = buf[8:]
-		case DTText:
-			l, sz := binary.Uvarint(buf)
-			if sz <= 0 || uint64(len(buf)-sz) < l {
-				return nil, fmt.Errorf("rdbms: corrupt text at column %d", i)
-			}
-			buf = buf[sz:]
-			row = append(row, Text(string(buf[:l])))
-			buf = buf[l:]
-		case DTBool:
-			if len(buf) < 1 {
-				return nil, fmt.Errorf("rdbms: corrupt bool at column %d", i)
-			}
-			row = append(row, Bool(buf[0] != 0))
-			buf = buf[1:]
-		default:
-			return nil, fmt.Errorf("rdbms: unknown datum type %d at column %d", typ, i)
-		}
-	}
-	decodedAttrs.Add(int64(len(row)))
+	decodedAttrs.Add(int64(n))
 	return row, nil
 }
 
-// decodeRowColsInto is the projection-pushdown decoder: it parses only the
-// attributes whose indexes appear in proj (sorted ascending, no duplicates)
-// and skips the encoded payload of everything else — in particular, skipped
-// text attributes never allocate a string. Attributes past the end of a
-// short (pre-AddColumn) tuple decode as NULL, matching the padding the
+// decodeRun materializes n consecutive attributes of a row encoding, the
+// first of which is attribute i and starts buf, appending them to dst. It
+// returns dst and the bytes after the run.
+func decodeRun(buf []byte, i, n int, dst Row) (Row, []byte, error) {
+	for end := i + n; i < end; i++ {
+		if len(buf) == 0 {
+			return nil, nil, attrErr(buf, i)
+		}
+		b := buf[1:]
+		switch DType(buf[0]) {
+		case DTNull:
+			dst = append(dst, Null)
+		case DTInt:
+			v, sz := binary.Varint(b)
+			if sz <= 0 {
+				return nil, nil, attrErr(buf, i)
+			}
+			dst, b = append(dst, Int(v)), b[sz:]
+		case DTFloat:
+			if len(b) < 8 {
+				return nil, nil, attrErr(buf, i)
+			}
+			dst, b = append(dst, Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))), b[8:]
+		case DTText:
+			l, sz := binary.Uvarint(b)
+			if sz <= 0 || uint64(len(b)-sz) < l {
+				return nil, nil, attrErr(buf, i)
+			}
+			dst, b = append(dst, Text(string(b[sz:sz+int(l)]))), b[sz+int(l):]
+		case DTBool:
+			if len(b) < 1 {
+				return nil, nil, attrErr(buf, i)
+			}
+			dst, b = append(dst, Bool(b[0] != 0)), b[1:]
+		default:
+			return nil, nil, attrErr(buf, i)
+		}
+		buf = b
+	}
+	return dst, buf, nil
+}
+
+// decodeRowColsInto is the projection-pushdown decoder: it materializes only
+// the attributes whose indexes appear in proj (sorted ascending, no
+// duplicates), a run of consecutive ones at a time, and steps over the
+// encoded payload of everything else with walkAttrs — in particular, skipped
+// text attributes never allocate a string. It reads nothing past the last
+// projected attribute, so buf may be a prefix of the encoding that holds it
+// whole (a chained tuple read up to that chunk). Attributes past the end of
+// a short (pre-AddColumn) tuple decode as NULL, matching the padding the
 // callers apply after a full decode. dst is reused when it has capacity; the
 // returned row has len(proj) entries, vals[k] holding attribute proj[k].
 func decodeRowColsInto(buf []byte, proj []int, dst Row) (Row, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("rdbms: corrupt tuple header")
+	n, buf, err := rowHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	buf = buf[sz:]
-	if n > 1<<20 {
-		return nil, fmt.Errorf("rdbms: implausible column count %d", n)
-	}
-	if cap(dst) >= len(proj) {
-		dst = dst[:len(proj)]
-	} else {
-		dst = make(Row, len(proj))
-	}
-	k := 0 // next projection entry to satisfy
-	for i := 0; i < int(n) && k < len(proj); i++ {
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("rdbms: truncated tuple at column %d", i)
+	dst = slices.Grow(dst[:0], len(proj))
+	for i, k := 0, 0; k < len(proj) && proj[k] < n; {
+		if skip := proj[k] - i; skip > 0 {
+			count, size, _ := walkAttrs(buf, skip)
+			if count < skip {
+				return nil, attrErr(buf[size:], i+count)
+			}
+			buf = buf[size:]
 		}
-		typ := DType(buf[0])
-		buf = buf[1:]
-		want := proj[k] == i
-		var d Datum
-		switch typ {
-		case DTNull:
-			d = Null
-		case DTInt:
-			v, sz := binary.Varint(buf)
-			if sz <= 0 {
-				return nil, fmt.Errorf("rdbms: corrupt int at column %d", i)
-			}
-			buf = buf[sz:]
-			if want {
-				d = Int(v)
-			}
-		case DTFloat:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("rdbms: corrupt float at column %d", i)
-			}
-			if want {
-				d = Float(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-			}
-			buf = buf[8:]
-		case DTText:
-			l, sz := binary.Uvarint(buf)
-			if sz <= 0 || uint64(len(buf)-sz) < l {
-				return nil, fmt.Errorf("rdbms: corrupt text at column %d", i)
-			}
-			buf = buf[sz:]
-			if want {
-				d = Text(string(buf[:l]))
-			}
-			buf = buf[l:]
-		case DTBool:
-			if len(buf) < 1 {
-				return nil, fmt.Errorf("rdbms: corrupt bool at column %d", i)
-			}
-			if want {
-				d = Bool(buf[0] != 0)
-			}
-			buf = buf[1:]
-		default:
-			return nil, fmt.Errorf("rdbms: unknown datum type %d at column %d", typ, i)
+		run := 1
+		for k+run < len(proj) && proj[k+run] == proj[k]+run && proj[k+run] < n {
+			run++
 		}
-		if want {
-			dst[k] = d
-			k++
+		if dst, buf, err = decodeRun(buf, proj[k], run, dst); err != nil {
+			return nil, err
 		}
+		k += run
+		i = proj[k-1] + 1
 	}
-	decodedAttrs.Add(int64(k))
+	decodedAttrs.Add(int64(len(dst)))
 	// Short tuple: requested attributes beyond the encoding pad with NULL.
-	for ; k < len(proj); k++ {
-		dst[k] = Null
+	for len(dst) < len(proj) {
+		dst = append(dst, Null)
 	}
 	return dst, nil
 }
@@ -242,55 +262,79 @@ func AppendRecord(dst []byte, r Row) []byte {
 	return encodeRow(dst, r)
 }
 
-// NextRecord decodes the record at the front of buf and returns the bytes
-// after it. The frame must hold exactly one canonically encoded row.
+// NextRecord checks the record at the front of buf and returns a reader over
+// it and the bytes after it. The frame must hold exactly one canonically
+// encoded row; the check is one walk that builds nothing, and the reader
+// parses each datum from the frame as it is asked for.
 func NextRecord(buf []byte) (*RecordReader, []byte, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 || n > uint64(len(buf)-sz) {
 		return nil, nil, fmt.Errorf("record frame of %d bytes runs past the %d that remain", n, len(buf))
 	}
 	frame := buf[sz : sz+int(n)]
-	row, err := decodeRow(frame, nil)
+	count, body, err := rowHeader(frame)
 	if err != nil {
 		return nil, nil, err
 	}
-	if encodedSize(row) != len(frame) {
+	walked, size, loose := walkAttrs(body, count)
+	if walked < count {
+		return nil, nil, attrErr(body[size:], walked)
+	}
+	if loose || size != len(body) || len(frame)-len(body) != uvarintLen(uint64(count)) {
+		row, _ := decodeRow(frame, nil)
 		return nil, nil, fmt.Errorf("record frame of %d bytes holds a %d-byte row", len(frame), encodedSize(row))
 	}
-	return &RecordReader{row: row}, buf[sz+int(n):], nil
+	return &RecordReader{buf: body, n: count}, buf[sz+int(n):], nil
 }
 
-// RecordReader hands out the datums of one decoded record in order. A datum
-// that is missing or of the wrong type sets Err; callers check it (or Done)
-// once they have read what the record must hold.
+// RecordReader hands out the datums of one checked record in order, each
+// parsed from the frame when it is asked for. A datum that is missing or of
+// the wrong type sets Err; callers check it (or Done) once they have read
+// what the record must hold.
 type RecordReader struct {
-	row Row
+	buf []byte // the encoding of the datums not read yet
+	n   int    // datums in the record
 	i   int
 	Err error
 }
 
-func (r *RecordReader) next(want DType) Datum {
-	if r.i >= len(r.row) || r.row[r.i].typ != want {
-		if r.Err == nil {
-			r.Err = fmt.Errorf("datum %d is missing or not %v", r.i, want)
-		}
-		return Datum{}
+// next steps past the type byte of the next datum and returns the bytes
+// after it, if no error is set and the datum is there and of type typ
+// (NextRecord checked that it is whole); else it sets Err and returns nil.
+func (r *RecordReader) next(typ DType) []byte {
+	if r.Err == nil && (r.i >= r.n || DType(r.buf[0]) != typ) {
+		r.Err = fmt.Errorf("datum %d is missing or not %v", r.i, typ)
+	}
+	if r.Err != nil {
+		return nil
 	}
 	r.i++
-	return r.row[r.i-1]
+	return r.buf[1:]
 }
 
-// Int and Text return the next datum, which must be of that type.
-func (r *RecordReader) Int() int64   { return r.next(DTInt).i }
-func (r *RecordReader) Text() string { return r.next(DTText).s }
+// Int and Text return the next datum, which must be of that type, parsed
+// straight from the frame.
+func (r *RecordReader) Int() int64 {
+	b := r.next(DTInt)
+	v, sz := binary.Varint(b)
+	r.buf = b[sz:]
+	return v
+}
+
+func (r *RecordReader) Text() string {
+	b := r.next(DTText)
+	l, sz := binary.Uvarint(b)
+	r.buf = b[sz+int(l):]
+	return string(b[sz : sz+int(l)])
+}
 
 // More reports whether datums remain (false once an error is set).
-func (r *RecordReader) More() bool { return r.Err == nil && r.i < len(r.row) }
+func (r *RecordReader) More() bool { return r.Err == nil && r.i < r.n }
 
 // Done ends a record of fixed length: Err, or an error if datums remain.
 func (r *RecordReader) Done() error {
 	if r.More() {
-		return fmt.Errorf("%d datums where %d belong", len(r.row), r.i)
+		return fmt.Errorf("%d datums where %d belong", r.n, r.i)
 	}
 	return r.Err
 }

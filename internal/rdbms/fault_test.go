@@ -273,7 +273,9 @@ func TestENOSPCConcurrentCommitters(t *testing.T) {
 }
 
 // TestBitFlipSurfacesChecksum: a read that silently corrupts one bit must
-// surface ErrChecksum through the buffer pool, not wrong data.
+// surface ErrChecksum through the buffer pool, not wrong data — and through
+// every reader that walks the heap: a scan, the SQL executor and an index
+// build all fail with it instead of returning what they could read.
 func TestBitFlipSurfacesChecksum(t *testing.T) {
 	path := tempDBPath(t)
 	db := mustOpenFile(t, path)
@@ -309,10 +311,18 @@ func TestBitFlipSurfacesChecksum(t *testing.T) {
 	}
 	defer db.SimulateCrash()
 	seen := 0
-	db.Table("t").Scan(func(_ RID, r Row) bool { seen++; return true })
+	if err := db.Table("t").Scan(func(_ RID, r Row) bool { seen++; return true }); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("bit-flipped scan = %v after %d rows, want ErrChecksum", err, seen)
+	}
 	err = db.Pool().Err()
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("pool error after bit-flipped scan = %v (saw %d rows), want ErrChecksum", err, seen)
+	}
+	if _, err := db.Query("SELECT count(*) FROM t"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("query over a bit-flipped heap = %v, want ErrChecksum", err)
+	}
+	if err := db.Table("t").CreateIndex("id"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("index build over a bit-flipped heap = %v, want ErrChecksum", err)
 	}
 	if fs.Injected().BitFlips == 0 {
 		t.Fatal("no bit flip was injected; calibration off")

@@ -193,32 +193,39 @@ func (h *heapFile) insertPayload(payload []byte) (RID, error) {
 	return rid, nil
 }
 
-// readPayload reassembles the row encoding at rid; ok is false for
-// tombstones, continuation chunks and bad RIDs.
-func (h *heapFile) readPayload(rid RID) ([]byte, bool) {
-	p := h.pool.fetch(rid.Page)
-	if p == nil {
-		return nil, false
+// payload returns the row encoding of the stored record buf, reassembling a
+// chained row whole; a tombstone or a continuation chunk starts no row.
+func (h *heapFile) payload(buf []byte) ([]byte, error) {
+	switch {
+	case len(buf) == 0 || buf[0] > tupHead:
+		return nil, fmt.Errorf("rdbms: no row starts here")
+	case buf[0] == tupHead:
+		return h.appendChain(nil, buf, nil)
 	}
-	buf := p.read(rid.Slot)
-	if len(buf) == 0 {
-		return nil, false
-	}
-	switch buf[0] {
-	case tupInline:
-		return buf[1:], true
-	case tupHead:
-		out, err := h.appendChain(nil, buf)
-		return out, err == nil
-	}
-	return nil, false // tupMid: not a row start
+	return buf[1:], nil
 }
 
 // appendChain appends to dst the row encoding of an oversized row whose
-// first chunk is head (a tupHead record), following its chunk chain.
-func (h *heapFile) appendChain(dst, head []byte) ([]byte, error) {
+// first chunk is head (a tupHead record), following its chunk chain only
+// until the last attribute proj names is whole (an empty proj: to its end).
+// A datum may straddle a chunk boundary; the chunks past the stop go unread,
+// as decodeRowColsInto leaves the attributes past its projection unparsed.
+func (h *heapFile) appendChain(dst, head []byte, proj []int) ([]byte, error) {
+	start := len(dst)
 	dst = append(dst, head[1+chunkPtrSize:]...)
-	for next := getChunkPtr(head[1:]); next != endChunk; {
+	// The chain may stop once its first want attributes are whole: i of them
+	// are, ending at dst[off]. A header that does not parse reads the chain
+	// whole, for the decoder to report.
+	whole := func() bool { return false }
+	if n, rest, err := rowHeader(dst[start:]); err == nil && len(proj) > 0 {
+		want, i, off := min(n, proj[len(proj)-1]+1), 0, len(dst)-len(rest)
+		whole = func() bool {
+			count, size, _ := walkAttrs(dst[off:], want-i)
+			i, off = i+count, off+size
+			return i == want
+		}
+	}
+	for next := getChunkPtr(head[1:]); next != endChunk && !whole(); {
 		np := h.pool.fetch(next.Page)
 		if np == nil {
 			return dst, pageReadErr("chunk page", next.Page, h.pool.Err())
@@ -238,10 +245,11 @@ func (h *heapFile) appendChain(dst, head []byte) ([]byte, error) {
 // processed in page order, not input order), and decodes only the attributes
 // in proj (sorted ascending). fn receives each rid's
 // position in the input slice plus the projected values; vals is a scratch
-// row reused between calls, so callers must copy datums they keep. Oversized
-// (chunked) rows fall back to the chained reassembly path. A tombstoned or
-// unreadable rid aborts with an error — batch callers treat every rid as a
-// live positional-map pointer.
+// row reused between calls, so callers must copy datums they keep. An
+// oversized (chunked) row is reassembled only up to the chunk that holds its
+// last projected attribute: a wide column tuple's first tile reads one chunk,
+// not its whole chain. A tombstoned or unreadable rid aborts with an error —
+// batch callers treat every rid as a live positional-map pointer.
 func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) error) error {
 	if len(rids) == 0 {
 		return nil
@@ -282,7 +290,7 @@ func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) erro
 			payload = buf[1:]
 		case tupHead:
 			var err error
-			if chunks, err = h.appendChain(chunks[:0], buf); err != nil {
+			if chunks, err = h.appendChain(chunks[:0], buf, proj); err != nil {
 				return err
 			}
 			payload = chunks
@@ -302,17 +310,18 @@ func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) erro
 }
 
 // get decodes the row at rid into dst (see decodeRow); ok is false for
-// tombstones and bad RIDs.
+// tombstones, continuation chunks and bad RIDs.
 func (h *heapFile) get(rid RID, dst Row) (Row, bool) {
-	buf, ok := h.readPayload(rid)
-	if !ok {
+	p := h.pool.fetch(rid.Page)
+	if p == nil {
 		return nil, false
 	}
-	row, err := decodeRow(buf, dst)
+	buf, err := h.payload(p.read(rid.Slot))
 	if err != nil {
 		return nil, false
 	}
-	return row, true
+	row, err := decodeRow(buf, dst)
+	return row, err == nil
 }
 
 // delRecord tombstones one stored record and lets the next insert start its
@@ -396,12 +405,14 @@ func (h *heapFile) update(rid RID, r Row) (RID, error) {
 }
 
 // scan calls fn for every live tuple in page order, skipping continuation
-// chunks. Returning false stops the scan.
-func (h *heapFile) scan(fn func(RID, Row) bool) {
+// chunks. Returning false stops the scan. An unreadable page, a broken chunk
+// chain or a tuple that does not decode ends it with an error: a caller that
+// rebuilds state from the heap must not take a partial scan for the whole.
+func (h *heapFile) scan(fn func(RID, Row) bool) error {
 	for _, id := range h.pages {
 		p := h.pool.fetch(id)
 		if p == nil {
-			continue
+			return pageReadErr("heap page", id, h.pool.Err())
 		}
 		n := p.slotCount()
 		for s := 0; s < n; s++ {
@@ -410,19 +421,20 @@ func (h *heapFile) scan(fn func(RID, Row) bool) {
 				continue
 			}
 			rid := RID{Page: id, Slot: uint16(s)}
-			payload, ok := h.readPayload(rid)
-			if !ok {
-				continue
+			payload, err := h.payload(buf)
+			var row Row
+			if err == nil {
+				row, err = decodeRow(payload, nil)
 			}
-			row, err := decodeRow(payload, nil)
 			if err != nil {
-				continue
+				return fmt.Errorf("rdbms: tuple %v: %w", rid, err)
 			}
 			if !fn(rid, row) {
-				return
+				return nil
 			}
 		}
 	}
+	return nil
 }
 
 // storageBytes returns the heap's on-disk footprint: full pages, matching

@@ -2,6 +2,7 @@ package rdbms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -162,6 +163,7 @@ func decodeSchema(blob []byte) (Schema, []string, error) {
 		if rec, rest, err = NextRecord(rest); err != nil {
 			return Schema{}, nil, err
 		}
+		schema.Cols = slices.Grow(schema.Cols, rec.n/2)
 		for rec.More() {
 			schema.Cols = append(schema.Cols, Column{Name: rec.Text(), Type: DType(rec.Int())})
 		}
@@ -241,7 +243,9 @@ func (db *DB) loadManifest(root []byte) error {
 				return fmt.Errorf("rdbms: schema record of table %q indexes unknown column %q", t.Name, col)
 			}
 			idx := &tableIndex{col: i, tree: NewBTree(64)}
-			t.heap.scan(func(rid RID, r Row) bool {
+			// An unreadable page fails no open, so the scrubber can still
+			// repair it: the pool keeps the error (Pool().Err) for it.
+			_ = t.heap.scan(func(rid RID, r Row) bool {
 				idx.tree.Insert(indexKey(attrAt(r, i)), rid)
 				return true
 			})

@@ -1,6 +1,8 @@
 package rdbms
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -152,4 +154,102 @@ func TestCommitCostFollowsDDL(t *testing.T) {
 	if got != want {
 		t.Errorf("AddColumn on one of 40 wide tables cost %+v, want %+v (its %d-byte schema record and the %d-byte root)", got, want, record, root)
 	}
+}
+
+// refNextRecord is the record decoder NextRecord replaced, kept as the
+// reference it must match: decode the frame's row whole, then refuse it
+// unless re-encoding it fills the frame exactly.
+func refNextRecord(buf []byte) (Row, []byte, error) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 || n > uint64(len(buf)-sz) {
+		return nil, nil, fmt.Errorf("record frame of %d bytes runs past the %d that remain", n, len(buf))
+	}
+	frame := buf[sz : sz+int(n)]
+	row, err := decodeRow(frame, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if encodedSize(row) != len(frame) {
+		return nil, nil, fmt.Errorf("record frame of %d bytes holds a %d-byte row", len(frame), encodedSize(row))
+	}
+	return row, buf[sz+int(n):], nil
+}
+
+// framed prefixes body with its length, as AppendRecord frames a row.
+func framed(body ...byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
+// TestNextRecordMatchesDecodeRow: each malformed frame is refused with the
+// message the whole-row decoder gave it, and a schema record with an odd
+// number of pair datums fails decodeSchema.
+func TestNextRecordMatchesDecodeRow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		want string
+	}{
+		{"non-minimal varint", framed(1, byte(DTInt), 0x8a, 0x00), "record frame of 4 bytes holds a 3-byte row"},
+		{"non-minimal count", framed(0x81, 0x00, byte(DTNull)), "record frame of 3 bytes holds a 2-byte row"},
+		{"trailing byte", framed(1, byte(DTInt), 0x0a, 0), "record frame of 4 bytes holds a 3-byte row"},
+		{"truncated text", framed(1, byte(DTText), 5, 'a', 'b'), "rdbms: corrupt text at column 0"},
+		{"truncated row", framed(2, byte(DTNull)), "rdbms: truncated tuple at column 1"},
+		{"unknown type", framed(1, 9), "rdbms: unknown datum type 9 at column 0"},
+		{"count above 1<<20", framed(binary.AppendUvarint(nil, 1<<20+1)...), "rdbms: implausible column count 1048577"},
+		{"frame past the end", []byte{5, 0}, "record frame of 5 bytes runs past the 2 that remain"},
+	} {
+		_, _, want := refNextRecord(c.buf)
+		_, _, got := NextRecord(c.buf)
+		if want == nil || got == nil || got.Error() != want.Error() || got.Error() != c.want {
+			t.Errorf("%s: NextRecord says %v, the row decoder %v, want %q", c.name, got, want, c.want)
+		}
+	}
+	odd := append(AppendRecord(nil, nil), AppendRecord(nil, Row{Text("a"), Int(int64(DTInt)), Text("b")})...)
+	if _, _, err := decodeSchema(odd); err == nil || err.Error() != "datum 3 is missing or not BIGINT" {
+		t.Errorf("schema record of three pair datums: %v", err)
+	}
+}
+
+// FuzzNextRecord: on any bytes, NextRecord accepts exactly the frames the
+// whole-row decoder accepts, returns the same rest, and hands out the same
+// datums through Int and Text.
+func FuzzNextRecord(f *testing.F) {
+	f.Add(AppendRecord(nil, Row{Int(recTable), Text("t"), Int(-3), Int(1 << 40)}))
+	f.Add(AppendRecord(AppendRecord(nil, Row{Text("c0"), Int(1)}), Row{Null, Float(2.5), Bool(true)}))
+	f.Add(framed(1, byte(DTInt), 0x8a, 0x00))
+	f.Add(framed(1, byte(DTText), 5, 'a', 'b'))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		want, wantRest, wantErr := refNextRecord(buf)
+		rec, rest, err := NextRecord(buf)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("NextRecord error %v, the row decoder's %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(rest, wantRest) {
+			t.Fatalf("rest of %d bytes, want %d", len(rest), len(wantRest))
+		}
+		for i, d := range want {
+			switch d.typ {
+			case DTInt:
+				if v := rec.Int(); v != d.i || rec.Err != nil {
+					t.Fatalf("datum %d: Int() = %d, %v, want %d", i, v, rec.Err, d.i)
+				}
+			case DTText:
+				if v := rec.Text(); v != d.s || rec.Err != nil {
+					t.Fatalf("datum %d: Text() = %q, %v, want %q", i, v, rec.Err, d.s)
+				}
+			default:
+				if rec.Int(); rec.Err == nil {
+					t.Fatalf("datum %d of type %v read as an int", i, d.typ)
+				}
+				return
+			}
+		}
+		if err := rec.Done(); err != nil {
+			t.Fatalf("all %d datums read, Done says %v", len(want), err)
+		}
+	})
 }

@@ -228,6 +228,70 @@ func TestGetManyChunkedRows(t *testing.T) {
 	}
 }
 
+// TestGetManyStopsAtLastWantedChunk: a projected read of a chained tuple
+// fetches its chunks only up to the one that holds the last wanted attribute
+// whole — a text datum straddling a chunk boundary included — and returns
+// what a full decode does; a projection past the tuple's end reads the whole
+// chain and pads NULL. Every case reads through a cold pool, so its misses
+// are the chunks it read (each chunk has a page of its own).
+func TestGetManyStopsAtLastWantedChunk(t *testing.T) {
+	const chunkData = maxInline - 1 - chunkPtrSize
+	const n = 3000
+	row := make(Row, n)
+	for i := range row {
+		row[i] = Float(float64(i) + 0.5)
+	}
+	// The straddler starts 50 bytes before the first chunk boundary.
+	s := (chunkData - 50 - uvarintLen(n)) / 9
+	row[s] = Text(strings.Repeat("s", 100))
+	ends := make([]int, n) // ends[i]: the byte offset just past attribute i
+	for i, off := 0, uvarintLen(n); i < n; i++ {
+		off += encodedSize(row[i:i+1]) - 1
+		ends[i] = off
+	}
+	if start := ends[s] - 102; start >= chunkData || ends[s] <= chunkData {
+		t.Fatalf("attribute %d spans bytes %d-%d, not the boundary at %d", s, start, ends[s], chunkData)
+	}
+	chunks := (encodedSize(row) + chunkData - 1) / chunkData
+	disk := memFilePager(t)
+	h := newHeapFile(disk, newBufferPool(disk, 64))
+	rid, err := h.insert(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		proj  []int
+		reads int
+	}{
+		{"start", []int{0, 1}, 1},
+		{"straddler", []int{s}, 2},
+		{"before the straddler", []int{s - 1}, 1},
+		{"middle", []int{3, n / 2}, (ends[n/2]-1)/chunkData + 1},
+		{"end", []int{0, s, n - 1}, chunks},
+		{"past the end", []int{2, n + 4}, chunks},
+	} {
+		if err := h.pool.flushDirty(); err != nil {
+			t.Fatal(err)
+		}
+		h.pool = newBufferPool(disk, 64)
+		err := h.getMany([]RID{rid}, c.proj, func(_ int, vals Row) error {
+			for k, a := range c.proj {
+				if want := attrAt(row, a); !datumEq(vals[k], want) {
+					return fmt.Errorf("attribute %d reads %v, want %v", a, vals[k], want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if misses := h.pool.Stats().PoolMisses; misses != int64(c.reads) {
+			t.Errorf("%s: projection %v read %d of %d chunks, want %d", c.name, c.proj, misses, chunks, c.reads)
+		}
+	}
+}
+
 func TestGetManyMissingTuple(t *testing.T) {
 	db := Open(Options{})
 	tab, rids := scanTable(t, db, "t", 10, 2)

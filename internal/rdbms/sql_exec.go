@@ -232,10 +232,12 @@ func (s *rowSource) scan(fn func(rid RID, row Row) error) error {
 	// The joined tables are read once; the first streams beneath them.
 	inner := make([][]Row, len(s.tables))
 	for i := 1; i < len(s.tables); i++ {
-		s.tables[i].Scan(func(_ RID, r Row) bool {
+		if err := s.tables[i].Scan(func(_ RID, r Row) bool {
 			inner[i] = append(inner[i], r.Clone())
 			return true
-		})
+		}); err != nil {
+			return err
+		}
 	}
 	var rid RID
 	var join func(i int) error
@@ -256,12 +258,14 @@ func (s *rowSource) scan(fn func(rid RID, row Row) error) error {
 		return nil
 	}
 	var err error
-	s.tables[0].Scan(func(r RID, tuple Row) bool {
+	if serr := s.tables[0].Scan(func(r RID, tuple Row) bool {
 		rid = r
 		s.place(row, 0, tuple)
 		err = join(1)
 		return err == nil
-	})
+	}); serr != nil {
+		return serr
+	}
 	return err
 }
 

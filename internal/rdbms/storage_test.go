@@ -100,9 +100,9 @@ func TestHeapUpdateReusesEncodingBuffer(t *testing.T) {
 	}
 	check := func(when string, rid RID, want Row) {
 		t.Helper()
-		got, ok := h.readPayload(rid)
-		if !ok || string(got) != string(encodeRow(nil, want)) {
-			t.Fatalf("%s: stored %d bytes (%v), want the %d-byte encoding of %v", when, len(got), ok, encodedSize(want), want)
+		got, err := h.payload(h.pool.fetch(rid.Page).read(rid.Slot))
+		if err != nil || string(got) != string(encodeRow(nil, want)) {
+			t.Fatalf("%s: stored %d bytes (%v), want the %d-byte encoding of %v", when, len(got), err, encodedSize(want), want)
 		}
 	}
 	for step, text := range []string{strings.Repeat("g", 3*PageSize), "short", strings.Repeat("h", PageSize), "s"} {
