@@ -43,11 +43,16 @@ test:
 # same values however the sheet was built, kept across Save/Load and
 # structural edits, and never read pending by the viewport pass (Cycle), and
 # dsshell's transcripts: one script run on the shell's in-process server and
-# over .connect prints the same bytes, and every command works locally (Shell).
+# over .connect prints the same bytes, and every command works locally (Shell),
+# and the store's range read: ReadCells visits exactly the non-blank cells
+# that grid and 1x1 reads return across regions and the overflow (ReadCells),
+# a tile filled through cache.Tile keeps the extent and bytes of its
+# non-blank columns and a failed load leaves it blank (Tile), and the
+# translators' concurrent range readers (Concurrent).
 # CI runs this as a dedicated step so visibility, latch and executor
 # regressions are named, not buried in ./...
 test-serve:
-	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run|Cycle|Shell' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/... ./cmd/dsshell/
+	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run|Cycle|Shell|ReadCells' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/... ./internal/model/ ./cmd/dsshell/
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push, with

@@ -7,17 +7,18 @@ import (
 )
 
 // funcBacking computes every cell from its position: no map behind it, so a
-// load costs only the grid it returns.
+// load costs only the tile it fills.
 type funcBacking func(sheet.Ref) sheet.Cell
 
-func (f funcBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
-	out := newGrid(g)
-	for i := range out {
-		for j := range out[i] {
-			out[i][j] = f(sheet.Ref{Row: g.From.Row + i, Col: g.From.Col + j})
+func (f funcBacking) LoadBlock(g sheet.Range, t Tile) error {
+	for i := 0; i < g.Rows(); i++ {
+		for j := 0; j < g.Cols(); j++ {
+			cell := f(sheet.Ref{Row: g.From.Row + i, Col: g.From.Col + j})
+			t.Set(i, j, cell.Value)
+			t.SetFormula(i, j, cell.Formula)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // denseNumbers is a sheet with a number in every cell.

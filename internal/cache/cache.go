@@ -8,7 +8,9 @@
 //
 // A block is typed columns over the columns it holds (about 9 KiB a dense
 // numeric tile, 2 KiB a formula column, none a blank one), composed into
-// sheet.Cells on the way out without per-cell map lookups. The cache is safe
+// sheet.Cells on the way out without per-cell map lookups. A miss hands the
+// backing a Tile, into which the store decodes each cell straight: no grid
+// stands between the storage read and the typed columns. The cache is safe
 // for concurrent readers: a hit probes the block map under the read lock,
 // sets the block's reference bit and counts one hit (second-chance eviction
 // instead of exact LRU move-to-front keeps the hit path mutation-free), then
@@ -46,9 +48,11 @@ type Stats struct {
 
 // Backing is the storage layer underneath the cache.
 type Backing interface {
-	// LoadBlock materializes the block range as a dense row-major grid of
-	// exactly g.Rows() x g.Cols() cells, blank cells as zero values.
-	LoadBlock(g sheet.Range) ([][]sheet.Cell, error)
+	// LoadBlock fills t with the cells of the block range g, in coordinates
+	// relative to g: each non-blank value through t.Set, each formula's text
+	// through t.SetFormula. Cells it does not set are blank. After an error
+	// the cache discards t and keeps the tile blank.
+	LoadBlock(g sheet.Range, t Tile) error
 }
 
 type blockKey struct{ br, bc int }
@@ -72,33 +76,82 @@ type block struct {
 
 const formulaBit = 0x80 // set in the kind byte of a cell that carries a formula
 
-// newBlock builds the tile for k from a dense grid of its cells (nil: blank),
-// numbers and bools in line, text through set. kind and num are never nil.
-func newBlock(k blockKey, grid [][]sheet.Cell) *block {
-	lo, hi := BlockCols, -1
-	for _, row := range grid {
-		for c := range row {
-			if !row[c].IsBlank() {
-				lo, hi = min(lo, c), max(hi, c)
-			}
-		}
+// blankBlock is the tile for k with no cells: no columns at all.
+func blankBlock(k blockKey) *block {
+	return &block{key: k, lo: BlockCols, hi: -1, kind: []uint8{}, num: []float64{}}
+}
+
+// Tile is the tile a Backing fills in LoadBlock, at coordinates relative to
+// its range: Set and SetFormula write a cell's kind, number and text straight
+// into the tile's typed columns. The first cell allocates the columns of the
+// tile's span at once, and a load trims them to the non-blank ones. A Tile is
+// a value; its copies share the tile. Its writes take no lock: a backing owns
+// the tile it fills, and Publish holds the cache lock exclusively.
+type Tile struct {
+	b      *block
+	lo, hi int // the span, tile-local
+}
+
+// NewTile returns an empty tile spanning every column, for a backing driven
+// outside the cache.
+func NewTile() Tile { return Tile{b: blankBlock(blockKey{}), hi: BlockCols - 1} }
+
+// Span returns t spanning columns lo..hi, the only ones the backing can hold
+// cells in. A cell outside them still lands, widening the columns.
+func (t Tile) Span(lo, hi int) Tile {
+	t.lo, t.hi = max(lo, 0), min(hi, BlockCols-1)
+	return t
+}
+
+// Set stores value v at (r, c), keeping the cell's formula.
+func (t Tile) Set(r, c int, v sheet.Value) {
+	k, num, str := v.Parts()
+	if b, i := t.at(r, c, k != sheet.KindEmpty); b != nil {
+		b.kind[i], b.num[i] = uint8(k)|b.kind[i]&formulaBit, num
+		setText(&b.str, i, str, len(b.kind))
 	}
-	w := max(0, hi-lo+1)
-	b := &block{key: k, lo: lo, hi: hi, kind: make([]uint8, BlockRows*w), num: make([]float64, BlockRows*w)}
-	for r, row := range grid {
-		row, kind, num := row[lo:max(lo, hi+1)], b.kind[r*w:(r+1)*w], b.num[r*w:(r+1)*w]
-		for c := range row {
-			vk, n, s := row[c].Value.Parts()
-			kind[c], num[c] = uint8(vk), n
-			if s != "" || row[c].Formula != "" {
-				b.set(r, lo+c, &row[c])
-			}
+}
+
+// SetFormula stores the formula text of the cell at (r, c), keeping its value.
+func (t Tile) SetFormula(r, c int, text string) {
+	if b, i := t.at(r, c, text != ""); b != nil {
+		if b.kind[i] &^= formulaBit; text != "" {
+			b.kind[i] |= formulaBit
 		}
+		setText(&b.formula, i, text, len(b.kind))
 	}
-	return b
+}
+
+// Cell composes the cell at (r, c).
+func (t Tile) Cell(r, c int) sheet.Cell { return t.b.cell(r, c) }
+
+// at returns the tile and the index of (r, c) in its columns, allocating the
+// span on the first cell and widening past it, or nil when c lies outside the
+// columns and the cell to store there is blank.
+func (t Tile) at(r, c int, nonBlank bool) (*block, int) {
+	b := t.b
+	if c < b.lo || c > b.hi {
+		if !nonBlank {
+			return nil, 0
+		}
+		lo, hi := b.lo, b.hi
+		if lo > hi {
+			lo, hi = t.lo, t.hi
+		}
+		b.resize(min(lo, c), max(hi, c))
+	}
+	return b, r*b.width() + c - b.lo
 }
 
 func (b *block) width() int { return max(0, b.hi-b.lo+1) }
+
+// cell composes the cell at block-local (r, c).
+func (b *block) cell(r, c int) (cell sheet.Cell) {
+	if c >= b.lo && c <= b.hi {
+		b.put(r*b.width()+c-b.lo, &cell)
+	}
+	return cell
+}
 
 // put composes cell i of the extent into the blank *d field by field (a whole-Cell store costs more).
 func (b *block) put(i int, d *sheet.Cell) {
@@ -112,26 +165,6 @@ func (b *block) put(i int, d *sheet.Cell) {
 	}
 }
 
-// set stores cell at block-local (r, c), widening the extent to c when the
-// cell is not blank. The caller owns b or holds the cache lock exclusively.
-func (b *block) set(r, c int, cell *sheet.Cell) {
-	k, num, str := cell.Value.Parts()
-	kb := uint8(k)
-	if cell.Formula != "" {
-		kb |= formulaBit
-	}
-	if c < b.lo || c > b.hi {
-		if kb == 0 {
-			return
-		}
-		b.widen(min(b.lo, c), max(b.hi, c))
-	}
-	i := r*b.width() + c - b.lo
-	b.kind[i], b.num[i] = kb, num
-	setText(&b.str, i, str, len(b.kind))
-	setText(&b.formula, i, cell.Formula, len(b.kind))
-}
-
 // setText stores s at i of a text table of n cells, allocated for a non-empty s.
 func setText(table *[]string, i int, s string, n int) {
 	if *table == nil && s != "" {
@@ -142,23 +175,52 @@ func setText(table *[]string, i int, s string, n int) {
 	}
 }
 
-// widen reallocates the tile's columns over the extent lo..hi, which covers
-// the current one, and copies the cells across.
-func (b *block) widen(lo, hi int) {
+// trim narrows the tile's columns to its non-blank ones, none for a blank
+// tile: the extent a loaded tile keeps.
+func (b *block) trim() {
+	lo, hi := b.lo, b.hi
+	for lo <= hi && b.blankCol(lo) {
+		lo++
+	}
+	for hi > lo && b.blankCol(hi) {
+		hi--
+	}
+	if lo > hi {
+		b.lo, b.hi, b.kind, b.num, b.str, b.formula = BlockCols, -1, []uint8{}, []float64{}, nil, nil
+	} else if lo != b.lo || hi != b.hi {
+		b.resize(lo, hi)
+	}
+}
+
+// blankCol reports whether block-local column c of the extent holds no cell.
+func (b *block) blankCol(c int) bool {
+	for i := c - b.lo; i < len(b.kind); i += b.width() {
+		if b.kind[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// resize reallocates the tile's columns over the extent lo..hi and copies
+// across the cells of the current extent that it covers: it widens for a
+// write past the extent and narrows in trim.
+func (b *block) resize(lo, hi int) {
 	w, nw, off := b.width(), hi-lo+1, b.lo-lo
 	b.kind, b.num = regrid(b.kind, w, nw, off), regrid(b.num, w, nw, off)
 	b.str, b.formula, b.lo, b.hi = regrid(b.str, w, nw, off), regrid(b.formula, w, nw, off), lo, hi
 }
 
 // regrid copies BlockRows rows of width w into new ones of width nw, each
-// row moved right by off. A nil table stays nil: kind and num never are.
+// row moved right by off (left for a negative off) and cut to the new
+// width. A nil table stays nil: kind and num never are.
 func regrid[T any](old []T, w, nw, off int) []T {
 	if old == nil {
 		return nil
 	}
 	out := make([]T, BlockRows*nw)
 	for r := 0; w > 0 && r < BlockRows; r++ {
-		copy(out[r*nw+off:], old[r*w:(r+1)*w])
+		copy(out[r*nw+max(off, 0):(r+1)*nw], old[r*w+max(-off, 0):(r+1)*w])
 	}
 	return out
 }
@@ -217,14 +279,6 @@ func local(k blockKey, r sheet.Ref) (row, col int) {
 	return r.Row - 1 - k.br*BlockRows, r.Col - 1 - k.bc*BlockCols
 }
 
-// get composes the cell at r of tile k, held in b.
-func (b *block) get(k blockKey, r sheet.Ref) (cell sheet.Cell) {
-	if row, col := local(k, r); col >= b.lo && col <= b.hi {
-		b.put(row*b.width()+col-b.lo, &cell)
-	}
-	return cell
-}
-
 // Get returns the cell at r, loading its block on a miss. Load failures
 // render the cell blank and are surfaced by TakeErr.
 func (c *Cache) Get(r sheet.Ref) sheet.Cell {
@@ -232,7 +286,7 @@ func (c *Cache) Get(r sheet.Ref) sheet.Cell {
 	b := c.loadOrBlank(k)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return b.get(k, r)
+	return b.cell(local(k, r))
 }
 
 // TileReader reads cells for the recalc executor tile by tile: it keeps the
@@ -265,7 +319,7 @@ func (t *TileReader) Get(r sheet.Ref) sheet.Cell {
 		}
 		t.keys[0], t.keys[1], t.tiles[0], t.tiles[1] = k, t.keys[0], b, t.tiles[0]
 	}
-	return b.get(k, r)
+	return b.cell(local(k, r))
 }
 
 // newGrid allocates the dense output for g: one flat backing array.
@@ -542,11 +596,11 @@ func (c *Cache) load(k blockKey) (*block, error) {
 	c.misses.Add(1)
 	// Load outside the lock: the storage read may be slow (disk), and
 	// concurrent cold readers should overlap, not serialize.
-	cells, err := c.backing.LoadBlock(blockRange(k))
-	if err != nil {
-		return newBlock(k, nil), err
+	b := blankBlock(k)
+	if err := c.backing.LoadBlock(blockRange(k), Tile{b: b, hi: BlockCols - 1}); err != nil {
+		return blankBlock(k), err
 	}
-	b := newBlock(k, cells)
+	b.trim()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.blocks[k]; ok {

@@ -20,25 +20,22 @@ type sheetBacking struct {
 	failNext bool
 }
 
-func (b *sheetBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
+func (b *sheetBacking) LoadBlock(g sheet.Range, t Tile) error {
 	b.mu.Lock()
 	b.loads++
 	fail := b.failNext
 	b.failNext = false
 	b.mu.Unlock()
 	if fail {
-		return nil, fmt.Errorf("injected load failure for %v", g)
-	}
-	out := make([][]sheet.Cell, g.Rows())
-	for i := range out {
-		out[i] = make([]sheet.Cell, g.Cols())
+		return fmt.Errorf("injected load failure for %v", g)
 	}
 	b.s.Each(func(r sheet.Ref, c sheet.Cell) {
 		if g.Contains(r) {
-			out[r.Row-g.From.Row][r.Col-g.From.Col] = c
+			t.Set(r.Row-g.From.Row, r.Col-g.From.Col, c.Value)
+			t.SetFormula(r.Row-g.From.Row, r.Col-g.From.Col, c.Formula)
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // write is one cell of a published batch.

@@ -62,7 +62,9 @@ func (c *Cache) Publish(writes []sheet.CellWrite, clear, flag []sheet.Ref, gen *
 		}
 		if e != nil {
 			row, col := local(last, r)
-			e.Value.(*block).set(row, col, &w.Cell)
+			t := Tile{b: e.Value.(*block), lo: BlockCols, hi: -1} // no span: a write widens to its column alone
+			t.Set(row, col, w.Cell.Value)
+			t.SetFormula(row, col, w.Cell.Formula)
 		}
 		run.clear(r)
 	}

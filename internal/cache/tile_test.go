@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -419,5 +421,147 @@ func TestTileReaderCountsPerTile(t *testing.T) {
 	tr.Get(x) // x was the older of the two held: moved to again
 	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("after a third tile: %+v, want 2 hits, 2 misses", st)
+	}
+}
+
+// tileBacking fills a Tile from a sheet the way a store does, in a seeded
+// random order: a cell's value and formula in either order (a formula-only
+// cell sometimes with a blank Set beside it), after narrowing the span to
+// span when it is set. failAfter > 0 fails the load after that many cells.
+type tileBacking struct {
+	s         *sheet.Sheet
+	span      *[2]int
+	rng       *rand.Rand
+	failAfter int
+}
+
+func (b *tileBacking) LoadBlock(g sheet.Range, t Tile) error {
+	if b.span != nil {
+		t = t.Span(b.span[0], b.span[1])
+	}
+	var refs []sheet.Ref
+	b.s.EachSorted(func(r sheet.Ref, _ sheet.Cell) {
+		if g.Contains(r) {
+			refs = append(refs, r)
+		}
+	})
+	b.rng.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
+	for n, r := range refs {
+		if b.failAfter > 0 && n == b.failAfter {
+			return fmt.Errorf("injected failure after %d cells", n)
+		}
+		i, j, cell := r.Row-g.From.Row, r.Col-g.From.Col, b.s.Get(r)
+		setValue := !cell.Value.IsEmpty() || b.rng.Intn(2) == 0
+		if b.rng.Intn(2) == 0 && setValue {
+			t.Set(i, j, cell.Value)
+			setValue = false
+		}
+		if cell.Formula != "" {
+			t.SetFormula(i, j, cell.Formula)
+		}
+		if setValue {
+			t.Set(i, j, cell.Value)
+		}
+	}
+	return nil
+}
+
+// TestTileLoadMatchesCells fills tiles of every shape through Tile — every
+// value kind, formula-only cells, blank edge columns, one column, a dense
+// tile, a blank one — under span hints that are missing, exact, too wide,
+// too narrow and empty, in random order. Every read path returns the cells,
+// and the loaded tile keeps exactly the extent of its non-blank columns with
+// columns of that width and no more capacity, and text tables only where a
+// cell has text.
+func TestTileLoadMatchesCells(t *testing.T) {
+	shapes := tileCells()
+	rng := rand.New(rand.NewSource(45))
+	layouts := []struct {
+		name string
+		cell func(r, c int) sheet.Cell
+	}{
+		{"every kind, blank edges", func(r, c int) sheet.Cell {
+			if c < 3 || c > 12 || rng.Intn(3) == 0 {
+				return sheet.Cell{}
+			}
+			return shapes[rng.Intn(len(shapes))]
+		}},
+		{"formula-only edges", func(r, c int) sheet.Cell {
+			switch {
+			case (c == 1 || c == 14) && r%7 == 0:
+				return sheet.Cell{Formula: "B2*2"}
+			case c > 4 && c < 9:
+				return sheet.Cell{Value: sheet.Number(float64(r * c))}
+			}
+			return sheet.Cell{}
+		}},
+		{"last column", func(r, c int) sheet.Cell {
+			if c != BlockCols-1 {
+				return sheet.Cell{}
+			}
+			return sheet.Cell{Value: sheet.Str("x"), Formula: "A1"}
+		}},
+		{"dense", func(r, c int) sheet.Cell { return sheet.Cell{Value: sheet.Number(float64(r*BlockCols + c))} }},
+		{"blank", func(r, c int) sheet.Cell { return sheet.Cell{} }},
+	}
+	spans := []*[2]int{nil, {0, BlockCols - 1}, {3, 12}, {6, 7}, {0, 0}, {BlockCols, -1}}
+	for _, layout := range layouts {
+		name := layout.name
+		for _, span := range spans {
+			s := sheet.New("t")
+			want := map[sheet.Ref]sheet.Cell{}
+			g := blockRange(blockKey{br: 1, bc: 2})
+			lo, hi, strs, formulas := BlockCols, -1, false, false
+			for r := 0; r < BlockRows; r++ {
+				for c := 0; c < BlockCols; c++ {
+					cell := layout.cell(r, c)
+					if cell.IsBlank() {
+						continue
+					}
+					ref := sheet.Ref{Row: g.From.Row + r, Col: g.From.Col + c}
+					s.Set(ref, cell)
+					want[ref] = cell
+					lo, hi = min(lo, c), max(hi, c)
+					_, _, str := cell.Value.Parts()
+					strs, formulas = strs || str != "", formulas || cell.Formula != ""
+				}
+			}
+			c := New(&tileBacking{s: s, span: span, rng: rng}, 4)
+			if !checkReads(t, c, g, want) {
+				t.Fatalf("%s, span %v: tile not resident", name, span)
+			}
+			b := c.blocks[blockKey{br: 1, bc: 2}].Value.(*block)
+			n := BlockRows * max(0, hi-lo+1)
+			if b.lo != lo || b.hi != hi || cap(b.kind) != n || cap(b.num) != n ||
+				(b.str != nil) != strs || (b.formula != nil) != formulas {
+				t.Fatalf("%s, span %v: extent %d..%d (want %d..%d), capacity %d kinds, %d nums, str table %v (want %v), formula table %v (want %v)",
+					name, span, b.lo, b.hi, lo, hi, cap(b.kind), cap(b.num), b.str != nil, strs, b.formula != nil, formulas)
+			}
+		}
+	}
+}
+
+// TestTileLoadFailureLeavesBlank: a load that fails after filling part of
+// its tile reads blank, reports the failure, and caches nothing, so the next
+// read loads again and sees the cells.
+func TestTileLoadFailureLeavesBlank(t *testing.T) {
+	s := sheet.New("t")
+	for r := 1; r <= BlockRows; r++ {
+		s.SetValue(r, 3, sheet.Number(float64(r)))
+	}
+	b := &tileBacking{s: s, rng: rand.New(rand.NewSource(1)), failAfter: 40}
+	c := New(b, 4)
+	if got := c.Get(sheet.Ref{Row: 5, Col: 3}); !got.IsBlank() {
+		t.Fatalf("a failed load reads %+v", got)
+	}
+	if err := c.TakeErr(); err == nil || !strings.Contains(err.Error(), "injected failure") {
+		t.Fatalf("TakeErr = %v", err)
+	}
+	if _, err := c.ReadRange(sheet.NewRange(1, 1, 2, 2)); err == nil {
+		t.Fatal("the failed tile was cached")
+	}
+	b.failAfter = 0
+	if got := c.Get(sheet.Ref{Row: 5, Col: 3}); !got.Value.Equal(sheet.Number(5)) {
+		t.Fatalf("after the failure, C5 = %+v", got)
 	}
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"dataspread/internal/cache"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 	"dataspread/internal/workload"
@@ -229,26 +233,27 @@ func BenchmarkDrain(b *testing.B) {
 
 // BenchmarkFirstScreenTile times the first screen's tile of the ticker, the
 // 64 x 16 cells at A1, 960 of them formulas: load is the cache's block load
-// (the store's range read, formula text overlaid), render the overlay alone.
+// into a fresh tile (the store's range read, formula text overlaid), render
+// the overlay alone, into a tile that holds the values already.
 func BenchmarkFirstScreenTile(b *testing.B) {
 	e := tickerEngine(b, Options{})
 	tile := sheet.NewRange(1, 1, 64, 16)
 	b.Run("load", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := (storeBacking{e}).LoadBlock(tile); err != nil {
+			if err := (storeBacking{e}).LoadBlock(tile, cache.NewTile()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("render", func(b *testing.B) {
-		cells, err := e.store.GetCells(tile)
-		if err != nil {
+		t := cache.NewTile()
+		if err := e.store.ReadCells(tile, t.Set); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for b.Loop() {
-			e.overlayFormulas(tile, cells)
+			e.overlayFormulas(tile, t)
 		}
 	})
 }
@@ -302,4 +307,59 @@ func BenchmarkEditBesideCycles(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkColdView reads random 50 x 10 views of a 100,000 x 16 ROM sheet
+// on a file database, scroll-large's shape: a cell cache of 5% of the sheet's
+// tiles (78) and a buffer pool of 10% of the checkpointed file's pages, so a
+// view loads about 1.7 tiles from the store and misses some pages.
+func BenchmarkColdView(b *testing.B) {
+	const rows, cols = 100_000, 16
+	path := filepath.Join(b.TempDir(), "cold.dsdb")
+	db, err := rdbms.OpenFile(path, rdbms.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := sheet.New("grid")
+	for r := 1; r <= rows; r++ {
+		for c := 1; c <= cols; c++ {
+			s.SetValue(r, c, sheet.Number(float64(r*cols+c)))
+		}
+	}
+	e, err := Open(db, "grid", s, "rom", Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s = nil
+	if err := e.Save(); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if db, err = rdbms.OpenFile(path, rdbms.Options{BufferPoolPages: int(st.Size() / rdbms.PageSize / 10)}); err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	tiles := rows / cache.BlockRows
+	if e, err = Load(db, "grid", Options{CacheBlocks: tiles / 20}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		r, c := 1+rng.Intn(rows-49), 1+rng.Intn(cols-9)
+		if _, _, _, err := e.ReadRange(sheet.NewRange(r, c, r+49, c+9)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st2 := e.CacheStats()
+	b.ReportMetric(float64(st2.Misses)/float64(b.N), "loads/op")
 }

@@ -81,32 +81,33 @@ type Engine struct {
 }
 
 // storeBacking adapts the engine's current hybrid store (Optimize swaps it)
-// to the cache's Backing interface: block loads are the store's dense range
-// reads (one page pin per heap page, projection pushed down to the viewport's
-// columns) with the formula text overlaid, and load errors flow into the
-// cache where Engine.ReadErr surfaces them.
+// to the cache's Backing interface: a block load is the store's range read
+// (one page pin per heap page, projection pushed down to the tile's columns)
+// decoding each value straight into the tile, then the formula text overlaid;
+// load errors flow into the cache, which keeps the tile blank.
 type storeBacking struct{ e *Engine }
 
-func (b storeBacking) LoadBlock(g sheet.Range) ([][]sheet.Cell, error) {
-	cells, err := b.e.store.GetCells(g)
-	if err == nil {
-		b.e.overlayFormulas(g, cells)
+func (b storeBacking) LoadBlock(g sheet.Range, t cache.Tile) error {
+	lo, hi := b.e.store.ColumnSpan(g)
+	t = t.Span(lo-g.From.Col, hi-g.From.Col)
+	if err := b.e.store.ReadCells(g, t.Set); err != nil {
+		return err
 	}
-	return cells, err
+	b.e.overlayFormulas(g, t)
+	return nil
 }
 
 // renderBufs recycles overlayFormulas' render buffer across tile loads.
 var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // overlayFormulas writes the source text of every formula in g into its cell
-// of the grid the store returned for g, which holds values only: each run
-// member prints its head moved down to its row (formula.AppendAt) into one
-// buffer, one string a tile that the cells' texts slice. The caller keeps the
-// registry still: it holds the edit lock, or the structure and window latches
-// shared, and every registry mutation holds writeMu and one of those
-// exclusively.
-func (e *Engine) overlayFormulas(g sheet.Range, cells [][]sheet.Cell) {
-	type member struct{ row, col, end int32 } // a cell of the grid, where its text ends
+// of the tile loaded for g, which holds values only: each run member prints
+// its head moved down to its row (formula.AppendAt) into one buffer, one
+// string a tile that the cells' texts slice. The caller keeps the registry
+// still: it holds the edit lock, or the structure and window latches shared,
+// and every registry mutation holds writeMu and one of those exclusively.
+func (e *Engine) overlayFormulas(g sheet.Range, t cache.Tile) {
+	type member struct{ row, col, end int32 } // a cell of the tile, where its text ends
 	var stack [cache.BlockRows * cache.BlockCols]member
 	members, buf := stack[:0], renderBufs.Get().(*[]byte)
 	e.deps.RunsIn(g, func(first sheet.Ref, k, n int, head formula.Expr) {
@@ -117,7 +118,8 @@ func (e *Engine) overlayFormulas(g sheet.Range, cells [][]sheet.Cell) {
 	})
 	text, start := string(*buf), int32(0)
 	for _, m := range members {
-		cells[m.row][m.col].Formula, start = text[start:m.end], m.end
+		t.SetFormula(int(m.row), int(m.col), text[start:m.end])
+		start = m.end
 	}
 	*buf = (*buf)[:0]
 	renderBufs.Put(buf)

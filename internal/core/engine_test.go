@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dataspread/internal/cache"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -122,13 +123,16 @@ func TestEngineCycleDetection(t *testing.T) {
 		}
 	}
 	for _, g := range []sheet.Range{sheet.NewRange(1, 1, 5, 5), sheet.NewRange(1, 1, 1, 2), sheet.NewRange(5, 5, 5, 5)} {
-		cells, err := storeBacking{e}.LoadBlock(g)
-		if err != nil {
+		tile := cache.NewTile()
+		if err := (storeBacking{e}).LoadBlock(g, tile); err != nil {
 			t.Fatal(err)
 		}
 		for ref, src := range want {
-			if g.Contains(ref) && cells[ref.Row-g.From.Row][ref.Col-g.From.Col].Formula != src {
-				t.Fatalf("load of %v: %v reads %+v, want formula %q", g, ref, cells[ref.Row-g.From.Row][ref.Col-g.From.Col], src)
+			if !g.Contains(ref) {
+				continue
+			}
+			if cell := tile.Cell(ref.Row-g.From.Row, ref.Col-g.From.Col); cell.Formula != src {
+				t.Fatalf("load of %v: %v reads %+v, want formula %q", g, ref, cell, src)
 			}
 		}
 	}

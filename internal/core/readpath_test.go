@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"dataspread/internal/cache"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -181,5 +183,103 @@ func TestReopenedCOMFirstTileReadsOneChunkPerColumn(t *testing.T) {
 				t.Fatalf("cell (%d,%d) = %v", r, c, v)
 			}
 		}
+	}
+}
+
+// TestColdTileLoadBytes bounds what one cold load of a dense numeric 64 x 16
+// ROM tile allocates, read through the engine with a one-tile cache so that
+// every read loads: the tile's typed columns (9 KiB) and the read's own
+// bookkeeping, with no cell grid between the store and the cache. A load that
+// decoded into grids first allocated about 107 KB.
+func TestColdTileLoadBytes(t *testing.T) {
+	const ceiling = 12 << 10
+	s := sheet.New("t")
+	for r := 1; r <= 2*cache.BlockRows; r++ {
+		for c := 1; c <= cache.BlockCols; c++ {
+			s.SetValue(r, c, sheet.Number(float64(r*100+c)))
+		}
+	}
+	e, err := Open(rdbms.Open(rdbms.Options{}), "t", s, "rom", Options{CacheBlocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			row := 1 + i%2*cache.BlockRows // the other tile: a miss
+			if got := e.GetCell(row, 1); !got.Value.Equal(sheet.Number(float64(row*100 + 1))) {
+				b.Fatalf("A%d = %v", row, got.Value)
+			}
+		}
+	})
+	if misses := e.CacheStats().Misses; misses < int64(res.N) {
+		t.Fatalf("%d reads loaded %d tiles: not every read was cold", res.N, misses)
+	}
+	t.Logf("%d B in %d allocations per cold tile load", res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if got := res.AllocedBytesPerOp(); got > ceiling {
+		t.Errorf("a cold tile load allocates %d B, want at most %d", got, ceiling)
+	}
+}
+
+// TestDamagedDatumFailsTileLoad: a stored datum that is no cell, met halfway
+// through decoding a tile, fails the read with an error naming the table,
+// the tuple and the column; the tile reads blank and is not cached, so once
+// the datum is repaired the next read loads the cells.
+func TestDamagedDatumFailsTileLoad(t *testing.T) {
+	s := sheet.New("t")
+	for r := 1; r <= cache.BlockRows; r++ {
+		for c := 1; c <= cache.BlockCols; c++ {
+			s.SetValue(r, c, sheet.Number(float64(r*100+c)))
+		}
+	}
+	db := rdbms.Open(rdbms.Options{})
+	e, err := Open(db, "t", s, "rom", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := db.Table("t_r1")
+	var damaged rdbms.RID
+	var good rdbms.Datum
+	n := 0
+	if err := tab.Scan(func(rid rdbms.RID, row rdbms.Row) bool { // heap order is row order here
+		if n++; n < 40 {
+			return true
+		}
+		damaged, good = rid, row[4]
+		row[4] = rdbms.Text("Zbogus")
+		if _, err := tab.Update(rid, row); err != nil {
+			t.Fatal(err)
+		}
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g := sheet.NewRange(1, 1, cache.BlockRows, cache.BlockCols)
+	cells, _, _, err := e.ReadRange(g)
+	if err == nil {
+		t.Fatal("a tile holding a damaged datum loaded")
+	}
+	for _, w := range []string{`table "t_r1"`, fmt.Sprintf("rid %v", damaged), "column c4", "unknown cell tag 'Z'"} {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("error %q does not name %q", err, w)
+		}
+	}
+	for i, row := range cells {
+		for j, c := range row {
+			if !c.IsBlank() {
+				t.Fatalf("(%d,%d) of the failed tile reads %+v", i+1, j+1, c)
+			}
+		}
+	}
+	if _, ok := e.PeekCells(g); ok {
+		t.Fatal("the failed tile is resident")
+	}
+	row, _ := tab.Get(damaged)
+	row[4] = good
+	if _, err := tab.Update(damaged, row); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.GetCell(40, 5); !got.Value.Equal(sheet.Number(4005)) {
+		t.Fatalf("E40 after the repair = %+v", got)
 	}
 }

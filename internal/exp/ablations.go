@@ -214,7 +214,7 @@ func VCFScroll(cfg Config) VCFScrollResult {
 	rng := newSeededRand(cfg.Seed)
 	res.ScrollTime = timeIt(cfg.Reps*5, func() {
 		r0 := rng.Intn(rows-50) + 1
-		rom.GetCells(sheet.NewRange(r0, 1, r0+49, cols)) //nolint:errcheck
+		model.GetCells(rom, sheet.NewRange(r0, 1, r0+49, cols)) //nolint:errcheck
 	})
 	cfg.printf("Genomics scale (Example 1): %d x %d VCF, load %s, scroll(50 rows) %s\n",
 		res.Rows, res.Cols, res.LoadTime, res.ScrollTime)

@@ -312,7 +312,7 @@ func Fig24(cfg Config) (byDensity, byCols, byRows []SweepPoint) {
 		}
 		r0 := rng.Intn(maxIntE(tr.Rows()-rows, 1)) + 1
 		c0 := rng.Intn(maxIntE(tr.Cols()-20, 1)) + 1
-		tr.GetCells(sheet.NewRange(r0, c0, r0+rows-1, minIntE(c0+19, tr.Cols()))) //nolint:errcheck
+		model.GetCells(tr, sheet.NewRange(r0, c0, r0+rows-1, minIntE(c0+19, tr.Cols()))) //nolint:errcheck
 	}
 	byDensity = sweep(cfg, "Figure 24(a): select 1000x20 region vs density",
 		[]float64{0.2, 0.4, 0.6, 0.8, 1.0},

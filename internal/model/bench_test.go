@@ -54,7 +54,7 @@ func BenchmarkROMGetCellsViewport(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r0 := rng.Intn(9_900) + 1
-		if _, err := rom.GetCells(sheet.NewRange(r0, 1, r0+49, 20)); err != nil {
+		if _, err := GetCells(rom, sheet.NewRange(r0, 1, r0+49, 20)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func BenchmarkRCVGetCellsViewport(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r0 := rng.Intn(9_900) + 1
-		if _, err := rcv.GetCells(sheet.NewRange(r0, 1, r0+49, 20)); err != nil {
+		if _, err := GetCells(rcv, sheet.NewRange(r0, 1, r0+49, 20)); err != nil {
 			b.Fatal(err)
 		}
 	}

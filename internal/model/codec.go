@@ -64,41 +64,41 @@ func encodeCell(c sheet.Cell) rdbms.Datum {
 
 // cellAt decodes attribute col of the tuple at rid. A datum that is no cell
 // fails the read naming all three: it is damage, never a blank.
-func cellAt(t *rdbms.Table, rid rdbms.RID, col int, d rdbms.Datum) (sheet.Cell, error) {
-	c, err := decodeCell(d)
+func cellAt(t *rdbms.Table, rid rdbms.RID, col int, d rdbms.Datum) (sheet.Value, error) {
+	v, err := decodeCell(d)
 	if err != nil {
 		err = fmt.Errorf("table %q rid %v column %s: %w", t.Name, rid, t.Schema.Cols[col].Name, err)
 	}
-	return c, err
+	return v, err
 }
 
 // decodeCell parses a stored datum back into a cell's value. A text datum
 // encodeCell cannot have produced — no tag, an unknown one — is an error
 // naming the tag.
-func decodeCell(d rdbms.Datum) (sheet.Cell, error) {
+func decodeCell(d rdbms.Datum) (sheet.Value, error) {
 	switch d.Type() {
 	case rdbms.DTNull:
-		return sheet.Cell{}, nil
+		return sheet.Empty, nil
 	case rdbms.DTInt:
-		return sheet.Cell{Value: sheet.Number(d.Float64())}, nil
+		return sheet.Number(d.Float64()), nil
 	case rdbms.DTFloat:
 		if f := d.Float64(); math.Float64bits(f) != unevaluatedBits {
-			return sheet.Cell{Value: sheet.Number(f)}, nil
+			return sheet.Number(f), nil
 		}
-		return sheet.Cell{}, nil
+		return sheet.Empty, nil
 	case rdbms.DTBool:
-		return sheet.Cell{Value: sheet.Bool(d.BoolVal())}, nil
+		return sheet.Bool(d.BoolVal()), nil
 	}
 	s := d.Str()
 	if s == "" {
-		return sheet.Cell{}, fmt.Errorf("model: empty cell encoding")
+		return sheet.Empty, fmt.Errorf("model: empty cell encoding")
 	}
 	switch tag := s[0]; tag {
 	case tagString:
-		return sheet.Cell{Value: sheet.Str(s[1:])}, nil
+		return sheet.Str(s[1:]), nil
 	case tagError:
-		return sheet.Cell{Value: sheet.Errorf(s[1:])}, nil
+		return sheet.Errorf(s[1:]), nil
 	default:
-		return sheet.Cell{}, fmt.Errorf("model: unknown cell tag %q", tag)
+		return sheet.Empty, fmt.Errorf("model: unknown cell tag %q", tag)
 	}
 }

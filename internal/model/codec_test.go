@@ -47,6 +47,12 @@ func sameCell(a, b sheet.Cell) bool {
 		a.Value.Text() == b.Value.Text()
 }
 
+// decoded is decodeCell's value as the cell a read returns of it.
+func decoded(d rdbms.Datum) (sheet.Cell, error) {
+	v, err := decodeCell(d)
+	return sheet.Cell{Value: v}, err
+}
+
 // stored is what a store holds of c and reads back: its value, no formula.
 func stored(c sheet.Cell) sheet.Cell { return sheet.Cell{Value: c.Value} }
 
@@ -59,7 +65,7 @@ func TestCellCodecRoundTripProperty(t *testing.T) {
 	cells := codecCells()
 	for _, c := range cells {
 		d := encodeCell(c)
-		got, err := decodeCell(d)
+		got, err := decoded(d)
 		if err != nil || !sameCell(got, stored(c)) {
 			t.Fatalf("%+v -> %v -> %+v, %v", c, d, got, err)
 		}
@@ -77,7 +83,7 @@ func TestCellCodecRoundTripProperty(t *testing.T) {
 		"Zbogus", // unknown tag
 		"N\x00\x00\x00\x00\x00\x00\x00\x00SUM(A1)", "SSUM(A1)", // a formula tag of format 7
 	} {
-		c, err := decodeCell(rdbms.Text(bad))
+		c, err := decoded(rdbms.Text(bad))
 		if err == nil {
 			t.Fatalf("%q decodes to %+v, want an error", bad, c)
 		}
@@ -157,7 +163,7 @@ func FuzzCellDecode(f *testing.F) {
 		case rdbms.DTBool:
 			d = rdbms.Bool(i != 0)
 		}
-		c, err := decodeCell(d)
+		c, err := decoded(d)
 		if err != nil {
 			if d.Type() != rdbms.DTText {
 				t.Fatalf("%v datum refused: %v", d.Type(), err)
@@ -172,7 +178,7 @@ func FuzzCellDecode(f *testing.F) {
 		if c.IsBlank() != (d.IsNull() || unevaluated) || c.Formula != "" {
 			t.Fatalf("%v datum %q decodes to %+v", d.Type(), s, c)
 		}
-		if again, err := decodeCell(encodeCell(c)); err != nil || !sameCell(again, c) {
+		if again, err := decoded(encodeCell(c)); err != nil || !sameCell(again, c) {
 			t.Fatalf("%+v re-encodes to %+v, %v", c, again, err)
 		}
 	})
@@ -190,7 +196,7 @@ func TestFormulaCellStoresValueOnly(t *testing.T) {
 	// into a formula by =A1, still reads back as a NaN.
 	for _, formula := range []string{"", "A1"} {
 		c := sheet.Cell{Value: sheet.Number(math.Float64frombits(unevaluatedBits)), Formula: formula}
-		got, err := decodeCell(encodeCell(c))
+		got, err := decoded(encodeCell(c))
 		if f, ok := got.Value.Num(); err != nil || !ok || !math.IsNaN(f) {
 			t.Fatalf("%+v reads back %+v, %v; want a NaN", c, got, err)
 		}
@@ -335,7 +341,7 @@ func TestNumericRecalcRelocatesNothing(t *testing.T) {
 			// Projection pushdown is what it was: a 50 x 10 viewport decodes
 			// 500 attributes, whatever their types.
 			rdbms.ResetDecodedAttrCount()
-			view, err := rom.GetCells(sheet.NewRange(176, 2, 225, 11))
+			view, err := GetCells(rom, sheet.NewRange(176, 2, 225, 11))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,19 +33,10 @@ func (c *COM) Rows() int { return c.inner.Cols() }
 // Cols implements Translator (the transposed inner's row count).
 func (c *COM) Cols() int { return c.inner.Rows() }
 
-// GetCells implements Translator.
-func (c *COM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
-	t, err := c.inner.GetCells(transposeRange(g))
-	if err != nil {
-		return nil, err
-	}
-	out := newCellGrid(g.Rows(), g.Cols())
-	for i := range out {
-		for j := range out[i] {
-			out[i][j] = t[j][i]
-		}
-	}
-	return out, nil
+// ReadCells implements Translator: the inner ROM's read of the transposed
+// range, each cell's offsets swapped back.
+func (c *COM) ReadCells(g sheet.Range, fn func(i, j int, v sheet.Value)) error {
+	return c.inner.ReadCells(transposeRange(g), func(i, j int, v sheet.Value) { fn(j, i, v) })
 }
 
 // UpdateCells implements Translator: the inner ROM's write of the transposed

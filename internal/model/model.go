@@ -18,17 +18,18 @@ import (
 
 // Translator is the "collection of cells" abstraction of Section VI: a
 // region of the sheet stored physically in the database, with one read
-// (getCells of Section III) and one write (updateCells). Coordinates are
-// region-local and 1-based.
+// (getCells of Section III, as a visitor) and one write (updateCells).
+// Coordinates are region-local and 1-based.
 type Translator interface {
 	// Kind identifies the physical model.
 	Kind() hybrid.Kind
 	// Rows and Cols return the region's current logical dimensions.
 	Rows() int
 	Cols() int
-	// GetCells materializes a local rectangular range; unfilled cells are
-	// blank. A point read is the 1×1 range.
-	GetCells(g sheet.Range) ([][]sheet.Cell, error)
+	// ReadCells is the range read (CellReader): fn sees each non-blank cell
+	// of the local range g once, at its offset from g's top-left corner. A
+	// point read is the 1×1 range; GetCells builds a grid from it.
+	CellReader
 	// UpdateCells writes a batch of cells, blanks clearing. Writes to one
 	// cell apply in batch order (the last wins), and a write past the extent
 	// on an axis the model grows materializes the region up to it. Every

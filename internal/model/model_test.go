@@ -38,13 +38,25 @@ func num(f float64) sheet.Cell { return sheet.Cell{Value: sheet.Number(f)} }
 // cellStore is what the point helpers read and write through: a Translator
 // (region-local coordinates) or a HybridStore (absolute ones).
 type cellStore interface {
-	GetCells(g sheet.Range) ([][]sheet.Cell, error)
+	CellReader
 	UpdateCells(ws []CellWrite) error
 }
 
+// newCellGrid allocates a rows×cols cell matrix backed by a single flat
+// slice.
+func newCellGrid(rows, cols int) [][]sheet.Cell {
+	cells, _ := GetCells(blankReader{}, sheet.NewRange(1, 1, rows, cols))
+	return cells
+}
+
+// blankReader is a range read that finds no cell.
+type blankReader struct{}
+
+func (blankReader) ReadCells(sheet.Range, func(i, j int, v sheet.Value)) error { return nil }
+
 // getCell is a point read: the 1×1 GetCells.
 func getCell(s cellStore, row, col int) (sheet.Cell, error) {
-	cells, err := s.GetCells(sheet.NewRange(row, col, row, col))
+	cells, err := GetCells(s, sheet.NewRange(row, col, row, col))
 	if err != nil {
 		return sheet.Cell{}, err
 	}
@@ -112,7 +124,7 @@ func TestTranslatorGetCells(t *testing.T) {
 				}
 			}
 		}
-		cells, err := tr.GetCells(sheet.NewRange(2, 2, 3, 4))
+		cells, err := GetCells(tr, sheet.NewRange(2, 2, 3, 4))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -217,7 +229,7 @@ func compareAll(t *testing.T, trs []Translator, ref *sheet.Sheet, rows, cols int
 			}
 		}
 		// A range read agrees with point reads.
-		cells, err := tr.GetCells(sheet.NewRange(1, 1, rows, cols))
+		cells, err := GetCells(tr, sheet.NewRange(1, 1, rows, cols))
 		if err != nil {
 			t.Fatalf("%s: GetCells: %v", tr.Kind(), err)
 		}

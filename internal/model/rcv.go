@@ -106,12 +106,11 @@ func key(rowID, colID int64) int64 { return rowID<<rcvColBits | colID }
 // (or re-materialize) the composite key, which the index scan already knows.
 var rcvValProj = []int{1}
 
-// GetCells implements Translator: one index range scan per row gathers the
+// ReadCells implements Translator: one index range scan per row gathers the
 // range's tuple pointers, then a single batched fetch pins each heap page
-// once and decodes only the value attribute.
-func (r *RCV) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
+// once, decodes only the value attribute and hands it to fn at its cell.
+func (r *RCV) ReadCells(g sheet.Range, fn func(i, j int, v sheet.Value)) error {
 	rows, cols := g.Rows(), g.Cols()
-	out := newCellGrid(rows, cols)
 	// Reverse map: column surrogate -> offset within the requested range.
 	colIDs := r.colIDs.Range(g.From.Col, cols)
 	rev := make(map[int64]int, len(colIDs))
@@ -122,7 +121,7 @@ func (r *RCV) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	bufp := getRIDBuf()
 	defer putRIDBuf(bufp)
 	rids := *bufp
-	// Sized for the viewport, bounded by the region's filled-cell count.
+	// Sized for the range, bounded by the region's filled-cell count.
 	cellPos := make([]int32, 0, min(rows*cols, r.cells))
 	for i, rowID := range rowIDs {
 		lo := key(rowID, 0)
@@ -137,18 +136,19 @@ func (r *RCV) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	}
 	*bufp = rids
 	err := r.table.GetMany(rids, rcvValProj, func(idx int, vals rdbms.Row) error {
-		c, err := cellAt(r.table, rids[idx], 1, vals[0])
+		v, err := cellAt(r.table, rids[idx], 1, vals[0])
 		if err != nil {
 			return err
 		}
-		p := int(cellPos[idx])
-		out[p/cols][p%cols] = c
+		if p := int(cellPos[idx]); !v.IsEmpty() {
+			fn(p/cols, p%cols, v)
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("model: RCV range read: %w", err)
+		return fmt.Errorf("model: RCV range read: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // refuse refuses a batch with a write above the first row or left of the

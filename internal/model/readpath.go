@@ -7,28 +7,39 @@ import (
 	"dataspread/internal/sheet"
 )
 
-// Shared plumbing for the batched read path: every translator's GetCells is
+// Shared plumbing for the batched read path: every translator's ReadCells is
 // built on rdbms.Table.GetMany (one buffer-pool pin per heap page per range,
-// attributes outside the viewport never decoded) with tuple pointers pulled
-// through posmap.FetchRangeInto into a pooled buffer, so a scrolling
-// workload's hot loop allocates only its output grid.
+// attributes outside the range never decoded) with tuple pointers pulled
+// through posmap.FetchRangeInto into a pooled buffer, and hands each decoded
+// value to its caller's visitor, so a scrolling workload's hot loop builds no
+// grid: the cell cache decodes a tile straight into its typed columns.
 
-// newCellGrid allocates a rows×cols cell matrix backed by a single flat
-// slice, so a viewport's worth of rows costs two allocations instead of
-// rows+1.
-func newCellGrid(rows, cols int) [][]sheet.Cell {
+// CellReader is a range read: a Translator or the HybridStore. ReadCells calls
+// fn once for each non-blank cell of g, with coordinates relative to g, and
+// returns the first failure (a damaged datum, an unreadable page).
+type CellReader interface {
+	ReadCells(g sheet.Range, fn func(i, j int, v sheet.Value)) error
+}
+
+// GetCells materializes g from r as a dense row-major grid of g.Rows() x
+// g.Cols() cells, blank cells as zero values, backed by one flat slice. A
+// point read is the 1×1 range.
+func GetCells(r CellReader, g sheet.Range) ([][]sheet.Cell, error) {
+	rows, cols := g.Rows(), g.Cols()
 	if rows <= 0 || cols <= 0 {
-		return make([][]sheet.Cell, 0)
+		rows, cols = 0, 0
 	}
-	flat := make([]sheet.Cell, rows*cols)
-	out := make([][]sheet.Cell, rows)
+	flat, out := make([]sheet.Cell, rows*cols), make([][]sheet.Cell, rows)
 	for i := range out {
 		out[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	return out
+	if err := r.ReadCells(g, func(i, j int, v sheet.Value) { out[i][j].Value = v }); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// ridBufPool recycles tuple-pointer buffers for range reads. GetCells is
+// ridBufPool recycles tuple-pointer buffers for range reads. ReadCells is
 // re-entrant across goroutines (concurrent readers), so the scratch cannot
 // live on the translator.
 var ridBufPool = sync.Pool{New: func() any { return new([]rdbms.RID) }}

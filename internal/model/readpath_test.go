@@ -42,7 +42,7 @@ func TestROMProjectionPushdown(t *testing.T) {
 	g := sheet.NewRange(50, 10, 50+vpRows-1, 10+vpCols-1)
 
 	rdbms.ResetDecodedAttrCount()
-	cells, err := rom.GetCells(g)
+	cells, err := GetCells(rom, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestROMProjectionPushdown(t *testing.T) {
 
 	// The same rows read whole decode all n attributes per row.
 	rdbms.ResetDecodedAttrCount()
-	if _, err := rom.GetCells(sheet.NewRange(g.From.Row, 1, g.To.Row, cols)); err != nil {
+	if _, err := GetCells(rom, sheet.NewRange(g.From.Row, 1, g.To.Row, cols)); err != nil {
 		t.Fatal(err)
 	}
 	if whole := rdbms.DecodedAttrCount(); whole != int64(vpRows*cols) || whole < batched*10 {
@@ -76,7 +76,7 @@ func TestROMGetCellsPinsEachPageOnce(t *testing.T) {
 		distinct[rid.Page] = true
 	}
 	db.Pool().ResetStats()
-	if _, err := rom.GetCells(g); err != nil {
+	if _, err := GetCells(rom, g); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Pool().Stats()
@@ -99,7 +99,7 @@ func TestROMGetCellsAfterColumnChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := sheet.NewRange(1, 1, rom.Rows(), rom.Cols())
-	cells, err := rom.GetCells(g)
+	cells, err := GetCells(rom, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,30 +272,114 @@ func TestRangeReadEquivalenceProperty(t *testing.T) {
 						c1 = cols
 					}
 				}
-				g := sheet.NewRange(r0, c0, r1, c1)
-				cells, err := tr.GetCells(g)
-				if err != nil {
-					t.Fatalf("%s: GetCells(%v): %v", label, g, err)
-				}
-				for i := range cells {
-					for j := range cells[i] {
-						row, col := r0+i, c0+j
-						var want sheet.Cell
-						if row <= tr.Rows() && col <= tr.Cols() {
-							want, err = getCell(tr, row, col)
-							if err != nil {
-								t.Fatalf("%s: 1x1 read (%d,%d): %v", label, row, col, err)
-							}
-						}
-						got := cells[i][j]
-						if !got.Value.Equal(want.Value) || got.Formula != want.Formula {
-							t.Fatalf("%s: rect %v cell (%d,%d): range read %+v != 1x1 read %+v",
-								label, g, row, col, got, want)
-						}
+				checkRangeRead(t, label, tr, sheet.NewRange(r0, c0, r1, c1), func(row, col int) (sheet.Cell, error) {
+					if row > tr.Rows() || col > tr.Cols() {
+						return sheet.Cell{}, nil
 					}
-				}
+					return getCell(tr, row, col)
+				})
 			}
 		}
+	}
+}
+
+// checkRangeRead reads g from r three ways — ReadCells, GetCells and one(row,
+// col), the cell's 1×1 read — and fails unless they agree: ReadCells visits
+// exactly the non-blank cells, each once, at its offset inside g.
+func checkRangeRead(t *testing.T, label string, r CellReader, g sheet.Range, one func(row, col int) (sheet.Cell, error)) {
+	t.Helper()
+	cells, err := GetCells(r, g)
+	if err != nil {
+		t.Fatalf("%s: GetCells(%v): %v", label, g, err)
+	}
+	visited := map[[2]int]sheet.Value{}
+	err = r.ReadCells(g, func(i, j int, v sheet.Value) {
+		switch _, again := visited[[2]int{i, j}]; {
+		case i < 0 || j < 0 || i >= g.Rows() || j >= g.Cols():
+			t.Fatalf("%s: ReadCells(%v) visits (%d,%d), outside the range", label, g, i, j)
+		case v.IsEmpty():
+			t.Fatalf("%s: ReadCells(%v) visits blank (%d,%d)", label, g, i, j)
+		case again:
+			t.Fatalf("%s: ReadCells(%v) visits (%d,%d) twice", label, g, i, j)
+		}
+		visited[[2]int{i, j}] = v
+	})
+	if err != nil {
+		t.Fatalf("%s: ReadCells(%v): %v", label, g, err)
+	}
+	for i := range cells {
+		for j := range cells[i] {
+			row, col := g.From.Row+i, g.From.Col+j
+			want, err := one(row, col)
+			if err != nil {
+				t.Fatalf("%s: 1x1 read (%d,%d): %v", label, row, col, err)
+			}
+			if got := cells[i][j]; !got.Value.Equal(want.Value) || got.Formula != want.Formula {
+				t.Fatalf("%s: rect %v cell (%d,%d): range read %+v != 1x1 read %+v", label, g, row, col, got, want)
+			}
+			if v, ok := visited[[2]int{i, j}]; ok == want.IsBlank() || ok && !v.Equal(want.Value) {
+				t.Fatalf("%s: rect %v cell (%d,%d): ReadCells visited %v (%v), 1x1 read %+v", label, g, row, col, ok, v, want)
+			}
+		}
+	}
+}
+
+// TestReadCellsStoreEquivalence is the property over a whole store: a ROM, a
+// COM and an RCV region, a linked table and overflow cells around them, every
+// value kind, then random rectangles across region edges and the overflow,
+// checked against the reference sheet and 1×1 reads.
+func TestReadCellsStoreEquivalence(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	hs, ref := buildPropStore(t, db)
+	tab, err := db.CreateTable("linked", rdbms.NewSchema(
+		rdbms.Column{Name: "name", Type: rdbms.DTText},
+		rdbms.Column{Name: "flag", Type: rdbms.DTBool},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := tab.Insert(rdbms.Row{rdbms.Text(fmt.Sprintf("n%d", i)), rdbms.Bool(i%2 == 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	linked := sheet.NewRange(180, 3, 185, 4)
+	if _, err := hs.LinkTable(linked, tab, true); err != nil {
+		t.Fatal(err)
+	}
+	for r := linked.From.Row; r <= linked.To.Row; r++ {
+		for c := linked.From.Col; c <= linked.To.Col; c++ {
+			cell, err := getCell(hs, r, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Set(sheet.Ref{Row: r, Col: c}, cell)
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	shapes := []sheet.Value{sheet.Str("s"), sheet.Str(""), sheet.Bool(true), sheet.Bool(false), sheet.ErrDiv0, sheet.Number(-2.5), {}}
+	var writes []CellWrite
+	for n := 0; n < 400; n++ {
+		r := sheet.Ref{Row: rng.Intn(170) + 1, Col: rng.Intn(24) + 1}
+		writes = append(writes, CellWrite{Row: r.Row, Col: r.Col, Cell: sheet.Cell{Value: shapes[rng.Intn(len(shapes))]}})
+		ref.Set(r, writes[len(writes)-1].Cell)
+	}
+	if err := hs.UpdateCells(writes); err != nil {
+		t.Fatal(err)
+	}
+	if hs.overflow.CellCount() == 0 || len(hs.regions) < 4 {
+		t.Fatalf("%d regions and %d overflow cells: the store is not mixed", len(hs.regions), hs.overflow.CellCount())
+	}
+	for trial := 0; trial < 60; trial++ {
+		r0, c0 := rng.Intn(190)+1, rng.Intn(24)+1
+		g := sheet.NewRange(r0, c0, r0+rng.Intn(64), c0+rng.Intn(16))
+		checkRangeRead(t, "store", hs, g, func(row, col int) (sheet.Cell, error) {
+			cell, err := getCell(hs, row, col)
+			if want := ref.GetRC(row, col); err == nil && !cell.Value.Equal(want.Value) {
+				t.Fatalf("store (%d,%d) = %v, reference %v", row, col, cell.Value, want.Value)
+			}
+			return cell, err
+		})
 	}
 }
 

@@ -65,20 +65,19 @@ func (r *ROM) Rows() int { return r.rowMap.Len() }
 // Cols implements Translator.
 func (r *ROM) Cols() int { return len(r.colPos) }
 
-// GetCells implements Translator. This is the scrolling hot path: the
-// viewport's tuple pointers come from one positional-map range walk into a
+// ReadCells implements Translator. This is the scrolling hot path: the
+// range's tuple pointers come from one positional-map range walk into a
 // pooled buffer, the rows are fetched with one buffer-pool pin per heap page
-// (rdbms.Table.GetMany), and only the attributes backing the viewport's
-// columns are decoded — a k-column viewport of an n-column region costs O(k)
-// attribute materializations per row, not O(n).
-func (r *ROM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
-	rows, cols := g.Rows(), g.Cols()
-	out := newCellGrid(rows, cols)
-	// Projection: physical attribute index -> viewport column offset,
-	// sorted by physical index as the partial decoder requires.
-	proj := make([]int, 0, cols)
-	offs := make([]int, 0, cols)
-	for j := 0; j < cols; j++ {
+// (rdbms.Table.GetMany), and only the attributes backing the range's columns
+// are decoded — a k-column range of an n-column region costs O(k) attribute
+// materializations per row, not O(n) — each straight to fn.
+func (r *ROM) ReadCells(g sheet.Range, fn func(i, j int, v sheet.Value)) error {
+	// Projection: physical attribute index -> range column offset, sorted by
+	// physical index as the partial decoder requires; a tile's columns fit
+	// the stack buffers.
+	var projBuf, offsBuf [16]int
+	proj, offs := projBuf[:0], offsBuf[:0]
+	for j := 0; j < g.Cols(); j++ {
 		if col := g.From.Col + j; col >= 1 && col <= len(r.colPos) {
 			proj = append(proj, r.colPos[col-1])
 			offs = append(offs, j)
@@ -87,23 +86,24 @@ func (r *ROM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	sortProjPairs(proj, offs)
 	bufp := getRIDBuf()
 	defer putRIDBuf(bufp)
-	rids := r.rowMap.FetchRangeInto(*bufp, g.From.Row, rows)
+	rids := r.rowMap.FetchRangeInto(*bufp, g.From.Row, g.Rows())
 	*bufp = rids
 	err := r.table.GetMany(rids, proj, func(i int, vals rdbms.Row) error {
-		rowOut := out[i]
 		for k, j := range offs {
-			c, err := cellAt(r.table, rids[i], proj[k], vals[k])
+			v, err := cellAt(r.table, rids[i], proj[k], vals[k])
 			if err != nil {
 				return err
 			}
-			rowOut[j] = c
+			if !v.IsEmpty() {
+				fn(i, j, v)
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("model: ROM range read: %w", err)
+		return fmt.Errorf("model: ROM range read: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // UpdateCells implements Translator. The batch is grouped by row with one

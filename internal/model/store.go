@@ -197,46 +197,54 @@ func (h *HybridStore) regionAt(row, col int) *storeRegion {
 	return nil
 }
 
-// GetCells materializes an absolute rectangular range across regions. The
-// output grid is backed by one flat allocation, and every region fills its
-// overlap through its batched, projection-pushdown GetCells — the seam
-// between the viewport abstraction and the per-region read paths.
-func (h *HybridStore) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
-	out := newCellGrid(g.Rows(), g.Cols())
-	fill := func(rect sheet.Range, tr Translator) error {
-		overlap, ok := g.Intersect(rect)
+// ReadCells is the store's range read, in absolute coordinates: every region
+// visits its overlap with g through its batched, projection-pushdown
+// ReadCells — the seam between the viewport abstraction and the per-region
+// read paths — and then the overflow, each cell moved by the overlap's offset
+// from g. No grid is built.
+func (h *HybridStore) ReadCells(g sheet.Range, fn func(i, j int, v sheet.Value)) error {
+	for r := range h.parts {
+		ov, ok := g.Intersect(r.rect)
 		if !ok {
-			return nil
+			continue
 		}
-		cells, err := tr.GetCells(sheet.NewRange(
-			overlap.From.Row-rect.From.Row+1, overlap.From.Col-rect.From.Col+1,
-			overlap.To.Row-rect.From.Row+1, overlap.To.Col-rect.From.Col+1,
-		))
-		if err != nil {
+		di, dj := ov.From.Row-g.From.Row, ov.From.Col-g.From.Col
+		o := r.rect.From
+		local := sheet.NewRange(ov.From.Row-o.Row+1, ov.From.Col-o.Col+1, ov.To.Row-o.Row+1, ov.To.Col-o.Col+1)
+		if err := r.tr.ReadCells(local, func(i, j int, v sheet.Value) { fn(di+i, dj+j, v) }); err != nil {
 			return err
 		}
-		for i := range cells {
-			for j := range cells[i] {
-				if cells[i][j].IsBlank() {
-					continue
-				}
-				out[overlap.From.Row-g.From.Row+i][overlap.From.Col-g.From.Col+j] = cells[i][j]
-			}
-		}
-		return nil
 	}
+	return nil
+}
+
+// parts yields the regions and then, when it holds cells, the overflow, whose
+// local coordinates are absolute: its rectangle starts at A1.
+func (h *HybridStore) parts(yield func(storeRegion) bool) {
 	for _, r := range h.regions {
-		if err := fill(r.rect, r.tr); err != nil {
-			return nil, err
+		if !yield(r) {
+			return
 		}
 	}
-	// Overflow spans the whole grid: its local coordinates are absolute.
 	if h.overflow.CellCount() > 0 {
-		if err := fill(sheet.NewRange(1, 1, 1<<30, 1<<20-1), h.overflow); err != nil {
-			return nil, err
+		yield(storeRegion{rect: sheet.NewRange(1, 1, 1<<30, h.overflow.Cols()), tr: h.overflow})
+	}
+}
+
+// GetCells materializes an absolute rectangular range as a dense grid.
+func (h *HybridStore) GetCells(g sheet.Range) ([][]sheet.Cell, error) { return GetCells(h, g) }
+
+// ColumnSpan returns the columns of g, absolute, that a region or the
+// overflow covers — the only ones a read of g can find a cell in — with
+// lo > hi when there are none.
+func (h *HybridStore) ColumnSpan(g sheet.Range) (lo, hi int) {
+	lo, hi = g.To.Col+1, g.From.Col-1
+	for r := range h.parts {
+		if ov, ok := g.Intersect(r.rect); ok {
+			lo, hi = min(lo, ov.From.Col), max(hi, ov.To.Col)
 		}
 	}
-	return out, nil
+	return lo, hi
 }
 
 // UpdateCells is the store's one cell write, in absolute coordinates. Each
@@ -425,16 +433,11 @@ func (h *HybridStore) StorageBytes() int64 {
 // tests and by migration).
 func (h *HybridStore) Snapshot(name string, bounds sheet.Range) (*sheet.Sheet, error) {
 	s := sheet.New(name)
-	cells, err := h.GetCells(bounds)
+	err := h.ReadCells(bounds, func(i, j int, v sheet.Value) {
+		s.Set(sheet.Ref{Row: bounds.From.Row + i, Col: bounds.From.Col + j}, sheet.Cell{Value: v})
+	})
 	if err != nil {
 		return nil, err
-	}
-	for i := range cells {
-		for j := range cells[i] {
-			if !cells[i][j].IsBlank() {
-				s.Set(sheet.Ref{Row: bounds.From.Row + i, Col: bounds.From.Col + j}, cells[i][j])
-			}
-		}
 	}
 	return s, nil
 }

@@ -78,7 +78,7 @@ func translatorSnapshot(t *testing.T, tr Translator) [][]sheet.Cell {
 	if tr.Rows() == 0 || tr.Cols() == 0 {
 		return nil
 	}
-	cells, err := tr.GetCells(sheet.NewRange(1, 1, tr.Rows(), tr.Cols()))
+	cells, err := GetCells(tr, sheet.NewRange(1, 1, tr.Rows(), tr.Cols()))
 	if err != nil {
 		t.Fatal(err)
 	}

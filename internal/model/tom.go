@@ -76,30 +76,25 @@ func (t *TOM) headerRows() int {
 	return 0
 }
 
-// GetCells implements Translator: the header row renders from the schema,
+// ReadCells implements Translator: the header row renders from the schema,
 // and the data rows flow through the batched read path — one positional-map
 // range walk, one buffer-pool pin per heap page, only the covered attributes
 // decoded.
-func (t *TOM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
+func (t *TOM) ReadCells(g sheet.Range, fn func(i, j int, v sheet.Value)) error {
 	if g.From.Col < 1 || g.To.Col > t.Cols() {
-		return nil, fmt.Errorf("model: TOM columns %d..%d out of range", g.From.Col, g.To.Col)
+		return fmt.Errorf("model: TOM columns %d..%d out of range", g.From.Col, g.To.Col)
 	}
-	rows, cols := g.Rows(), g.Cols()
-	out := newCellGrid(rows, cols)
+	cols := g.Cols()
 	hdr := t.headerRows()
 	if t.headers && g.From.Row <= 1 && g.To.Row >= 1 {
-		hdrOut := out[1-g.From.Row]
 		for j := 0; j < cols; j++ {
-			hdrOut[j] = sheet.Cell{Value: sheet.Str(t.db.Schema.Cols[g.From.Col+j-1].Name)}
+			fn(1-g.From.Row, j, sheet.Str(t.db.Schema.Cols[g.From.Col+j-1].Name))
 		}
 	}
-	startData := g.From.Row - hdr
-	if startData < 1 {
-		startData = 1
-	}
+	startData := max(g.From.Row-hdr, 1)
 	count := g.To.Row - hdr - startData + 1
 	if count <= 0 {
-		return out, nil
+		return nil
 	}
 	proj := make([]int, cols)
 	for j := range proj {
@@ -111,16 +106,17 @@ func (t *TOM) GetCells(g sheet.Range) ([][]sheet.Cell, error) {
 	*bufp = rids
 	rowOff := startData + hdr - g.From.Row
 	err := t.db.GetMany(rids, proj, func(i int, vals rdbms.Row) error {
-		rowOut := out[rowOff+i]
 		for j, d := range vals {
-			rowOut[j] = sheet.Cell{Value: DatumToValue(d)}
+			if v := DatumToValue(d); !v.IsEmpty() {
+				fn(rowOff+i, j, v)
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("model: TOM range read: %w", err)
+		return fmt.Errorf("model: TOM range read: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // datums converts a batch into the linked relation's types, refusing a write

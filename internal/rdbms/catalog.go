@@ -674,8 +674,8 @@ func (t *Table) Update(rid RID, r Row) (RID, error) {
 		return RID{}, err
 	}
 	for _, idx := range t.indexes {
-		if !old[idx.col].Equal(r[idx.col]) || newRID != rid {
-			idx.tree.Delete(indexKey(old[idx.col]), rid)
+		if was := attrAt(old, idx.col); !was.Equal(r[idx.col]) || newRID != rid {
+			idx.tree.Delete(indexKey(was), rid)
 			idx.tree.Insert(indexKey(r[idx.col]), newRID)
 		}
 	}
@@ -694,7 +694,7 @@ func (t *Table) Delete(rid RID) bool {
 		return false
 	}
 	for _, idx := range t.indexes {
-		idx.tree.Delete(indexKey(old[idx.col]), rid)
+		idx.tree.Delete(indexKey(attrAt(old, idx.col)), rid)
 	}
 	return true
 }
@@ -736,7 +736,7 @@ func (t *Table) CreateIndex(col string) error {
 	}
 	idx := &tableIndex{col: i, tree: NewBTree(64)}
 	if err := t.heap.scan(func(rid RID, r Row) bool {
-		idx.tree.Insert(indexKey(r[i]), rid)
+		idx.tree.Insert(indexKey(attrAt(r, i)), rid)
 		return true
 	}); err != nil {
 		return fmt.Errorf("rdbms: %s: index on %q: %w", t.Name, col, err)

@@ -1,8 +1,9 @@
 package rdbms
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Tuple storage prefixes every stored record with a one-byte kind so rows
@@ -258,12 +259,9 @@ func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) erro
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := rids[order[a]], rids[order[b]]
-		if ra.Page != rb.Page {
-			return ra.Page < rb.Page
-		}
-		return ra.Slot < rb.Slot
+	slices.SortFunc(order, func(a, b int32) int {
+		ra, rb := rids[a], rids[b]
+		return cmp.Or(cmp.Compare(ra.Page, rb.Page), cmp.Compare(ra.Slot, rb.Slot))
 	})
 	var (
 		cur    *page
