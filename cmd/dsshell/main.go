@@ -105,7 +105,6 @@ func main() {
 	fmt.Println(".backup <path>, .restore <backup> <dest> [archive-dir [gen]],")
 	fmt.Println(".connect <host:port> [sheet], .disconnect, quit")
 	sc := bufio.NewScanner(os.Stdin)
-	var lastIOErr string
 	for {
 		fmt.Print("> ")
 		if !sc.Scan() {
@@ -120,13 +119,6 @@ func main() {
 				return
 			}
 			fmt.Println("error:", err)
-		}
-		// A page that fails its checksum reads as absent and its cells render
-		// blank; the buffer pool keeps the failure, printed here so that
-		// blank is not taken for empty.
-		if err := db.Pool().Err(); err != nil && err.Error() != lastIOErr {
-			lastIOErr = err.Error()
-			fmt.Println("warning: storage error:", err)
 		}
 	}
 }

@@ -215,7 +215,10 @@ func assertGolden(t *testing.T, db *dataspread.DB, eng *dataspread.Engine) {
 		t.Fatalf("fixture regions = %v, want two ROM and one TOM", eng.Store().Regions())
 	}
 	// Segment 0 is the overflow RCV; it holds the diagonal and the cycle.
-	blob, _ := db.GetMeta("sheet:fix:seg:0:order")
+	blob, _, err := db.MetaValue("sheet:fix:seg:0:order")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := rdbms.EachRecord(blob, func(_ int, rec *rdbms.RecordReader) error {
 		rec.Int()
 		rec.Int()
@@ -325,7 +328,10 @@ func rewriteMeta(key string, edit func(t *testing.T, blob []byte) []byte) func(*
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, ok := db.GetMeta(key)
+		blob, ok, err := db.MetaValue(key)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			t.Fatalf("no meta key %q", key)
 		}

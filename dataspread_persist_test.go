@@ -114,12 +114,12 @@ func TestPersistReopenRoundTrip(t *testing.T) {
 		t.Fatal("linked table lost")
 	}
 	hits := 0
-	ok := people.IndexScan("id", 7, 7, func(_ dataspread.RID, r dataspread.Row) bool {
+	ok, err := people.IndexScan("id", 7, 7, func(_ dataspread.RID, r dataspread.Row) bool {
 		hits++
 		return true
 	})
-	if !ok || hits != 1 {
-		t.Fatalf("IndexScan ok=%v hits=%d", ok, hits)
+	if err != nil || !ok || hits != 1 {
+		t.Fatalf("IndexScan ok=%v hits=%d err=%v", ok, hits, err)
 	}
 	// Linked TOM region renders from the table.
 	if got := eng2.GetCell(41, 6).Value.Text(); got != "grace" {

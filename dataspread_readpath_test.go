@@ -1,6 +1,7 @@
 package dataspread_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,5 +117,79 @@ func TestReadErrSurfacesCorruptPage(t *testing.T) {
 	_ = eng2.GetCells(dataspread.MustRange("A1:B2"))
 	if rerr := eng2.ReadErr(); rerr != nil {
 		t.Logf("note: intact-region read reported %v (pool may have re-touched a corrupt page)", rerr)
+	}
+}
+
+// TestFaultFormulaOverCorruptPage: the recalc executor reads a formula's
+// inputs through the cache, where an unreadable tile reads blank. A formula
+// over a checksum-corrupt page must fail its edit with the page's cause, not
+// sum the blanks and commit the wrong value as if it were right.
+func TestFaultFormulaOverCorruptPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "formulacorrupt.dsdb")
+	s := dataspread.NewSheet("s")
+	const rows, cols = 2000, 10
+	for r := 1; r <= rows; r++ {
+		for c := 1; c <= cols; c++ {
+			s.SetValue(r, c, dataspread.Number(float64(r*100+c)))
+		}
+	}
+	db, err := dataspread.OpenFileDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := dataspread.OpenSheet(db, "s", s, "rom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := dataspread.OpenFileDB(path, dataspread.WithBufferPoolPages(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	eng2, err := dataspread.LoadEngine(db2, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Data file layout: 8 KiB header block, then per-page slots of
+	// 4-byte CRC + 4-byte page id + 8 KiB image (see the read-path test).
+	const headerSize, slotSize, slotHeader = 8192, 8 + 8192, 8
+	for _, page := range []int64{2, 3} {
+		if _, err := f.WriteAt([]byte("CORRUPTION"), headerSize+page*slotSize+slotHeader+512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The formula's own tile, far down the sheet, reads; its input range
+	// crosses the corrupt pages.
+	err = eng2.Set(rows, cols+2, fmt.Sprintf("=SUM(A1:A%d)", rows))
+	if !errors.Is(err, dataspread.ErrChecksum) {
+		t.Fatalf("formula over a corrupt page: err = %v, want ErrChecksum", err)
+	}
+	t.Logf("surfaced: %v", err)
+	if v := eng2.GetCell(rows, cols+2).Value; !v.IsEmpty() {
+		t.Fatalf("a formula over a corrupt page committed %v", v)
+	}
+	// Once the failing formula is cleared, a formula over intact rows computes.
+	if err := eng2.Set(rows, cols+2, ""); err != nil {
+		t.Fatalf("clearing the failed formula: %v", err)
+	}
+	if err := eng2.Set(rows, cols+3, fmt.Sprintf("=SUM(A%d:A%d)", rows-1, rows)); err != nil {
+		t.Fatalf("formula over intact rows: %v", err)
+	}
+	if got, want := eng2.GetCell(rows, cols+3).Value, dataspread.Number(float64((rows-1)*100+1+rows*100+1)); !got.Equal(want) {
+		t.Fatalf("formula over intact rows = %v, want %v", got, want)
 	}
 }

@@ -283,7 +283,10 @@ func local(k blockKey, r sheet.Ref) (row, col int) {
 // render the cell blank and are surfaced by TakeErr.
 func (c *Cache) Get(r sheet.Ref) sheet.Cell {
 	k := keyFor(r)
-	b := c.loadOrBlank(k)
+	b, err := c.load(k)
+	if err != nil {
+		c.NoteErr(err)
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return b.cell(local(k, r))
@@ -299,11 +302,13 @@ func (c *Cache) Get(r sheet.Ref) sheet.Cell {
 // and an evicted tile is never written again, so a tile evicted while held
 // reads as it did. A reader lives for one pass over one recalc chunk, before
 // the chunk's Publish, and is not safe for concurrent use: each evaluation
-// worker takes its own.
+// worker takes its own. An unreadable tile reads blank, and Err returns the
+// first such failure, so the executor commits nothing computed from it.
 type TileReader struct {
 	c     *Cache
 	keys  [2]blockKey
 	tiles [2]*block // the last tile touched first; nil until one is
+	err   error
 }
 
 // TileReader starts a reader.
@@ -315,12 +320,25 @@ func (t *TileReader) Get(r sheet.Ref) sheet.Cell {
 	b := t.tiles[0]
 	if b == nil || t.keys[0] != k {
 		if b = t.tiles[1]; b == nil || t.keys[1] != k {
-			b = t.c.loadOrBlank(k)
+			var err error
+			if b, err = t.c.load(k); err != nil && t.err == nil {
+				t.err = err
+			}
 		}
 		t.keys[0], t.keys[1], t.tiles[0], t.tiles[1] = k, t.keys[0], b, t.tiles[0]
 	}
 	return b.cell(local(k, r))
 }
+
+// VisitRange is Cache.VisitRange with a load failure kept for Err.
+func (t *TileReader) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
+	if err := t.c.VisitRange(g, fn); err != nil && t.err == nil {
+		t.err = err
+	}
+}
+
+// Err returns the first tile load that failed through this reader.
+func (t *TileReader) Err() error { return t.err }
 
 // newGrid allocates the dense output for g: one flat backing array.
 func newGrid(g sheet.Range) [][]sheet.Cell {
@@ -377,16 +395,22 @@ func (c *Cache) ReadRange(g sheet.Range) ([][]sheet.Cell, error) {
 // band's blocks once, then walks each sheet row across the band, composing
 // the row's non-blank cells (a blank is skipped by its kind byte) into a
 // reused row buffer under the cache lock. fn runs outside the lock, so it may
-// re-enter the cache. Returning false stops the walk.
-func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
+// re-enter the cache. Returning false stops the walk. It returns the first
+// failure among its loads; the failed tiles read blank.
+func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) error {
 	var buf [BlockCols]sheet.Cell // a row of one tile needs no heap buffer
 	rowBuf := append(buf[:0], make([]sheet.Cell, g.Cols())...)
 	k1 := keyFor(g.From)
 	k2 := keyFor(g.To)
 	band := make([]*block, k2.bc-k1.bc+1)
+	var first error
 	for br := k1.br; br <= k2.br; br++ {
 		for bc := k1.bc; bc <= k2.bc; bc++ {
-			band[bc-k1.bc] = c.loadOrBlank(blockKey{br, bc})
+			b, err := c.load(blockKey{br, bc})
+			if err != nil && first == nil {
+				first = err
+			}
+			band[bc-k1.bc] = b
 		}
 		loRow := max(g.From.Row, br*BlockRows+1)
 		hiRow := min(g.To.Row, (br+1)*BlockRows)
@@ -410,11 +434,12 @@ func (c *Cache) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Cell) bool) {
 					continue
 				}
 				if !fn(sheet.Ref{Row: row, Col: g.From.Col + j}, rowBuf[j]) {
-					return
+					return first
 				}
 			}
 		}
 	}
+	return first
 }
 
 // Invalidate drops every cached block intersecting g (used after
@@ -568,16 +593,6 @@ func (c *Cache) ResetStats() {
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
-}
-
-// loadOrBlank is load for the readers that render an unreadable block blank
-// and leave the failure to TakeErr.
-func (c *Cache) loadOrBlank(k blockKey) *block {
-	b, err := c.load(k)
-	if err != nil {
-		c.NoteErr(err)
-	}
-	return b
 }
 
 // load returns the block for k, reading it through from the backing on a

@@ -245,7 +245,9 @@ func (e *Engine) clip(g sheet.Range) (sheet.Range, bool) {
 // it reads the cache unlatched: cells through a tile reader of its own (one
 // per evaluation worker), ranges streamed out block by block (one reused row
 // buffer, no materialized grid), so large aggregations stay allocation-light.
-// Pass it by pointer: a value converted to the Resolver allocates per cell.
+// An unreadable tile reads blank and is kept for tiles.Err, which the
+// executor checks before it commits. Pass it by pointer: a value converted to
+// the Resolver allocates per cell.
 type evalReader struct {
 	e     *Engine
 	tiles cache.TileReader
@@ -255,7 +257,7 @@ func (r *evalReader) CellValue(ref sheet.Ref) sheet.Value { return r.tiles.Get(r
 
 func (r *evalReader) VisitRange(g sheet.Range, fn func(sheet.Ref, sheet.Value) bool) {
 	if g, ok := r.e.clip(g); ok {
-		r.e.cache.VisitRange(g, func(ref sheet.Ref, c sheet.Cell) bool { return fn(ref, c.Value) })
+		r.tiles.VisitRange(g, func(ref sheet.Ref, c sheet.Cell) bool { return fn(ref, c.Value) })
 	}
 }
 
@@ -431,6 +433,7 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 	kept := make([]cellWrite, 0, len(last))
 	refs := make([]sheet.Ref, 0, len(last))
 	writes := make([]model.CellWrite, 0, len(last))
+	shown := e.cache.TileReader()
 	for i, w := range batch {
 		if last[w.ref] != i {
 			continue
@@ -439,11 +442,14 @@ func (e *Engine) applyLocked(batch []cellWrite) (uint64, error) {
 		if w.expr != nil {
 			// LazyBrowsing: a formula cell keeps the value it was showing
 			// until the executor computes it.
-			cell = sheet.Cell{Value: e.cache.Get(w.ref).Value, Formula: w.src}
+			cell = sheet.Cell{Value: shown.Get(w.ref).Value, Formula: w.src}
 		}
 		kept = append(kept, w)
 		refs = append(refs, w.ref)
 		writes = append(writes, model.CellWrite{Row: w.ref.Row, Col: w.ref.Col, Cell: cell})
+	}
+	if err := shown.Err(); err != nil {
+		return 0, err
 	}
 	e.latches.window.Lock()
 	defer e.latches.window.Unlock()

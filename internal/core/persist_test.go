@@ -205,9 +205,9 @@ func TestFailedLoadAndOpenLeaveNoDispatcher(t *testing.T) {
 	if err := e.Save(); err != nil {
 		t.Fatal(err)
 	}
-	blob, ok := db.GetMeta(formulasKey("s"))
-	if !ok || len(blob) < 16 {
-		t.Fatalf("formula set value: %d bytes, %v", len(blob), ok)
+	blob, ok, err := db.MetaValue(formulasKey("s"))
+	if err != nil || !ok || len(blob) < 16 {
+		t.Fatalf("formula set value: %d bytes, %v, %v", len(blob), ok, err)
 	}
 	db.PutMeta(formulasKey("s"), blob[:len(blob)-5])
 	before := runtime.NumGoroutine()
@@ -312,9 +312,9 @@ func TestFormulaRunsRoundTripProperty(t *testing.T) {
 		if err := e.Save(); err != nil {
 			t.Fatal(err)
 		}
-		blob, ok := db.GetMeta(formulasKey("p"))
-		if !ok {
-			t.Fatalf("seed %d: no formula set saved", seed)
+		blob, ok, err := db.MetaValue(formulasKey("p"))
+		if err != nil || !ok {
+			t.Fatalf("seed %d: no formula set saved: %v", seed, err)
 		}
 		poisoned := 0
 		for ref := range exprsOf(e) {

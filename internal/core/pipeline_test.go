@@ -204,7 +204,10 @@ func TestRefusedFarColumnWriteGrowsNothing(t *testing.T) {
 		}
 		out := make(map[string]string)
 		for _, k := range db.MetaKeys("sheet:") {
-			blob, _ := db.GetMeta(k)
+			blob, _, err := db.MetaValue(k)
+			if err != nil {
+				t.Fatal(err)
+			}
 			out[k] = string(blob)
 		}
 		return out

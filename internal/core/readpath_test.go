@@ -274,7 +274,10 @@ func TestDamagedDatumFailsTileLoad(t *testing.T) {
 	if _, ok := e.PeekCells(g); ok {
 		t.Fatal("the failed tile is resident")
 	}
-	row, _ := tab.Get(damaged)
+	row, err := tab.Get(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
 	row[4] = good
 	if _, err := tab.Update(damaged, row); err != nil {
 		t.Fatal(err)

@@ -584,7 +584,8 @@ func (k *keptPlan) expand() []recalcChunk {
 // the plan's order is then stale, and only the cells that read no pending
 // cell — right to evaluate under any plan — commit; the rest, and a whole
 // cycle chunk, whose cycle the edit may have broken, stay pending for the
-// rebuilt plan.
+// rebuilt plan. A tile that fails to load fails the chunk with its cause
+// before anything commits: a value computed from its blank would be wrong.
 func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 	e := s.e
 	stale := s.interrupted()
@@ -622,11 +623,13 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 	} else if nw := min(s.workers, len(jobs)); nw > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
+		readers := make([]evalReader, nw)
+		for w := range readers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res := &evalReader{e: e, tiles: e.cache.TileReader()}
+				res := &readers[w]
+				*res = evalReader{e: e, tiles: e.cache.TileReader()}
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(jobs) {
@@ -637,10 +640,18 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 			}()
 		}
 		wg.Wait()
+		for w := range readers {
+			if err := readers[w].tiles.Err(); err != nil {
+				return err
+			}
+		}
 	} else {
 		res := &evalReader{e: e, tiles: e.cache.TileReader()}
 		for i := range jobs {
 			jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, res)
+		}
+		if err := res.tiles.Err(); err != nil {
+			return err
 		}
 	}
 	writes, olds := sc.writes[:0], e.cache.TileReader()
@@ -654,6 +665,9 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 			Cell: sheet.Cell{Value: j.val, Formula: old.Formula}})
 	}
 	sc.jobs, sc.writes, sc.clear = jobs, writes, clear
+	if err := olds.Err(); err != nil {
+		return err
+	}
 	return e.commit(writes, clear)
 }
 

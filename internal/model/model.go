@@ -108,8 +108,8 @@ func checkShift(kind hybrid.Kind, rows bool, at, delta, extent int) error {
 func shiftTuples(table *rdbms.Table, rowMap *posmap.Tracked, at, delta int) error {
 	if delta < 0 {
 		for _, rid := range rowMap.DeleteMany(at, -delta) {
-			if !table.Delete(rid) {
-				return fmt.Errorf("model: %s: dangling pointer %v on delete", table.Name, rid)
+			if err := table.Delete(rid); err != nil {
+				return fmt.Errorf("model: row delete: %w", err)
 			}
 		}
 		return nil

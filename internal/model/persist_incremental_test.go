@@ -225,8 +225,8 @@ func TestIncrementalManifestDeltaBytes(t *testing.T) {
 	}
 	// The delta key must exist after the incremental save, and vanish after
 	// the full rewrite... the full rewrite above already deleted it.
-	if _, ok := db.GetMeta(hs.segKey(1, "delta")); ok {
-		t.Error("delta key survived a full rewrite")
+	if _, ok, err := db.MetaValue(hs.segKey(1, "delta")); ok || err != nil {
+		t.Errorf("delta key survived a full rewrite (err %v)", err)
 	}
 }
 
@@ -257,8 +257,8 @@ func TestDeltaRatioTriggersFullRewrite(t *testing.T) {
 	if err := hs.SaveManifest(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.GetMeta(hs.segKey(1, "delta")); !ok {
-		t.Fatal("small edit did not persist a delta")
+	if _, ok, err := db.MetaValue(hs.segKey(1, "delta")); !ok || err != nil {
+		t.Fatalf("small edit did not persist a delta (err %v)", err)
 	}
 	// Outgrow the ratio bound (len/8 + 64 units) one row at a time.
 	for i := 0; i < 200; i++ {
@@ -269,8 +269,8 @@ func TestDeltaRatioTriggersFullRewrite(t *testing.T) {
 	if err := hs.SaveManifest(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := db.GetMeta(hs.segKey(1, "delta")); ok {
-		t.Fatal("outgrown op log still persisted as a delta (want full rewrite)")
+	if _, ok, err := db.MetaValue(hs.segKey(1, "delta")); ok || err != nil {
+		t.Fatalf("outgrown op log still persisted as a delta (want full rewrite; err %v)", err)
 	}
 	// And the rewritten store still reloads correctly.
 	if err := db.FlushWAL(); err != nil {

@@ -234,7 +234,10 @@ func FuzzStoreManifestDecode(f *testing.F) {
 	keys := db.MetaKeys(storeMetaKey + "hs")
 	deltas := 0
 	for i, k := range keys {
-		blob, _ := db.GetMeta(k)
+		blob, _, err := db.MetaValue(k)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(uint8(i), blob)
 		if strings.HasSuffix(k, ":delta") {
 			deltas++

@@ -193,7 +193,9 @@ func (r *RCV) UpdateCells(ws []CellWrite) error {
 		rid, exists := r.index.Search(k)
 		if w.Cell.IsBlank() {
 			if exists {
-				r.table.Delete(rid)
+				if err := r.table.Delete(rid); err != nil {
+					return fmt.Errorf("model: RCV clear of %v: %w", sheet.Ref{Row: w.Row, Col: w.Col}, err)
+				}
 				r.index.DeleteKey(k)
 				r.cells--
 			}
@@ -274,7 +276,9 @@ func (r *RCV) Shift(rows bool, at, delta int) error {
 		})
 	}
 	for _, v := range victims {
-		r.table.Delete(v.rid)
+		if err := r.table.Delete(v.rid); err != nil {
+			return fmt.Errorf("model: RCV shift: %w", err)
+		}
 		r.index.Delete(v.k, v.rid)
 		r.cells--
 	}

@@ -490,7 +490,4 @@ func TestStoreConcurrentReadersFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	concurrentStoreRead(t, hs2, ref)
-	if err := db2.Pool().Err(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -170,9 +170,9 @@ func (r *ROM) writeRow(row int, ws []CellWrite, group []int32) error {
 	tuple := r.row[:0]
 	rid, exists := r.rowMap.Fetch(row)
 	if exists {
-		var ok bool
-		if tuple, ok = r.table.GetInto(rid, tuple); !ok {
-			return fmt.Errorf("model: ROM row %d dangling pointer %v", row, rid)
+		var err error
+		if tuple, err = r.table.GetInto(rid, tuple); err != nil {
+			return fmt.Errorf("model: ROM row %d: %w", row, err)
 		}
 	}
 	tuple = padRow(tuple, r.table.Schema.Arity())

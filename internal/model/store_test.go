@@ -359,7 +359,10 @@ func TestHybridStoreRefusedWriteTouchesNothing(t *testing.T) {
 		}
 		meta := make(map[string]string)
 		for _, k := range db.MetaKeys(storeMetaKey) {
-			blob, _ := db.GetMeta(k)
+			blob, _, err := db.MetaValue(k)
+			if err != nil {
+				t.Fatal(err)
+			}
 			meta[k] = string(blob)
 		}
 		return cells, meta

@@ -160,9 +160,9 @@ func (t *TOM) UpdateCells(ws []CellWrite) error {
 	for k, w := range ws {
 		dataRow := w.Row - t.headerRows()
 		rid, _ := t.rowMap.Fetch(dataRow)
-		tuple, ok := t.db.GetInto(rid, t.row)
-		if !ok {
-			return fmt.Errorf("model: TOM dangling pointer %v", rid)
+		tuple, err := t.db.GetInto(rid, t.row)
+		if err != nil {
+			return fmt.Errorf("model: TOM row %d: %w", w.Row, err)
 		}
 		t.row = tuple
 		tuple[w.Col-1] = ds[k]

@@ -387,7 +387,9 @@ func TestPITRRestoreToExactGeneration(t *testing.T) {
 	}
 	fillTable(t, tab, 600, 300)
 	for i := 0; i < 100; i++ {
-		tab.Delete(rids[i])
+		if err := tab.Delete(rids[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	retouch("first")
 	s3 := commit()

@@ -37,6 +37,9 @@ type Table struct {
 type tableIndex struct {
 	col  int
 	tree *BTree
+	// err is the failure of the heap scan that rebuilt the tree on open (an
+	// unreadable page): the tree may miss rows, and IndexScan returns it.
+	err error
 }
 
 // DB is the database: a pager, a buffer pool and a catalog of tables.
@@ -49,7 +52,7 @@ type DB struct {
 	// catalog manifest. Upper layers use it to store their own manifests
 	// (sheet region maps, engine state) so a whole session round-trips.
 	// It is a cache: values live out-of-line in per-key page chains
-	// (metaLoc) and are read in on first GetMeta; commits restage only the
+	// (metaLoc) and are read in on first MetaValue; commits restage only the
 	// chains of dirty keys.
 	meta map[string][]byte
 	// metaDirty marks keys whose cached value diverged from the staged
@@ -210,11 +213,8 @@ func (db *DB) FlushWAL() error {
 	// batch that a Recover in between discarded.
 	db.mu.Lock()
 	epoch := db.disk.epoch
-	err := db.stageLocked()
+	db.stageLocked()
 	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	if err := db.disk.commitWAL(epoch); err != nil {
 		return err
 	}
@@ -251,12 +251,12 @@ func (db *DB) Checkpoint() error {
 // list this root records, not unlisted until the next commit. (Pages the
 // root chain itself gives up are known only once the root is encoded; they
 // wait for the next staging.) db.mu must be held exclusively.
-func (db *DB) stageLocked() error {
+func (db *DB) stageLocked() {
 	db.disk.promotePendingFree()
 	db.stageMetaLocked()
 	db.disk.promotePendingFree()
 	db.disk.writeMeta(db.manifestLocked())
-	return db.pool.flushDirty()
+	db.pool.flushDirty()
 }
 
 // loadCatalog rebuilds the catalog, from empty, out of the meta chain of a
@@ -279,9 +279,7 @@ func (db *DB) loadCatalog() error {
 // checkpoint the pager — for callers already holding db.mu exclusively
 // (Checkpoint, Vacuum).
 func (db *DB) commitCheckpointLocked() error {
-	if err := db.stageLocked(); err != nil {
-		return err
-	}
+	db.stageLocked()
 	if err := db.disk.checkpoint(); err != nil {
 		return err
 	}
@@ -365,22 +363,10 @@ func (db *DB) deleteMetaLocked(key string) {
 	db.metaDirty[key] = true
 }
 
-// GetMeta fetches a metadata entry, reading its out-of-line value chain on
-// first access. A chain read failure (torn or corrupt manifest pages)
-// reports the key as missing and surfaces the error through Pool().Err;
-// callers that must distinguish absent from unreadable use MetaValue.
-func (db *DB) GetMeta(key string) ([]byte, bool) {
-	v, ok, err := db.MetaValue(key)
-	if err != nil {
-		db.pool.setErr(err)
-		return nil, false
-	}
-	return v, ok
-}
-
-// MetaValue is GetMeta with the chain read error surfaced: (nil, false,
-// nil) means the key does not exist; a non-nil error means the key exists
-// but its value chain could not be read (torn or corrupt manifest pages).
+// MetaValue fetches a metadata entry, reading its out-of-line value chain
+// on first access: (nil, false, nil) means the key does not exist; a
+// non-nil error means the key exists but its value chain could not be read
+// (torn or corrupt manifest pages).
 // Cached hits (and misses) stay on a shared lock; only the one-time chain
 // read that populates the cache takes the exclusive lock.
 func (db *DB) MetaValue(key string) ([]byte, bool, error) {
@@ -593,7 +579,7 @@ func (t *Table) Truncate() {
 	t.heap.free, t.heap.index = nil, nil
 	t.heap.pages = append(t.heap.pages, t.db.disk.alloc())
 	for _, idx := range t.indexes {
-		idx.tree = NewBTree(64)
+		idx.tree, idx.err = NewBTree(64), nil
 	}
 }
 
@@ -627,12 +613,14 @@ func (t *Table) Insert(r Row) (RID, error) {
 	return rid, nil
 }
 
-// Get fetches the row at rid.
-func (t *Table) Get(rid RID) (Row, bool) { return t.heap.get(rid, nil) }
+// Get fetches the row at rid. A rid that addresses no row and a page that
+// cannot be read are both errors, the latter wrapping the page's own cause
+// (ErrChecksum for a corrupt page).
+func (t *Table) Get(rid RID) (Row, error) { return t.heap.get(rid, nil) }
 
 // GetInto fetches the row at rid into dst, reused when it has the capacity:
 // a writer rewriting row after row decodes them all into one buffer.
-func (t *Table) GetInto(rid RID, dst Row) (Row, bool) { return t.heap.get(rid, dst) }
+func (t *Table) GetInto(rid RID, dst Row) (Row, error) { return t.heap.get(rid, dst) }
 
 // GetMany is the batched, projected read path for range scans: it fetches
 // the rows at rids while pinning each distinct heap page in the buffer pool
@@ -664,9 +652,9 @@ func (t *Table) Update(rid RID, r Row) (RID, error) {
 	// missing tuple is reported by the heap's own update.
 	var old Row
 	if len(t.indexes) > 0 {
-		var ok bool
-		if old, ok = t.heap.get(rid, nil); !ok {
-			return RID{}, fmt.Errorf("rdbms: %s: update of missing tuple %v", t.Name, rid)
+		var err error
+		if old, err = t.heap.get(rid, nil); err != nil {
+			return RID{}, fmt.Errorf("rdbms: %s: update: %w", t.Name, err)
 		}
 	}
 	newRID, err := t.heap.update(rid, r)
@@ -682,21 +670,25 @@ func (t *Table) Update(rid RID, r Row) (RID, error) {
 	return newRID, nil
 }
 
-// Delete tombstones the row at rid.
-func (t *Table) Delete(rid RID) bool {
+// Delete tombstones the row at rid. A rid that addresses no row and a page
+// of the row that cannot be read are errors, and leave the table unchanged.
+func (t *Table) Delete(rid RID) error {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
-	old, ok := t.heap.get(rid, nil)
-	if !ok {
-		return false
+	var old Row
+	if len(t.indexes) > 0 {
+		var err error
+		if old, err = t.heap.get(rid, nil); err != nil {
+			return fmt.Errorf("rdbms: %s: delete: %w", t.Name, err)
+		}
 	}
-	if !t.heap.del(rid) {
-		return false
+	if err := t.heap.del(rid); err != nil {
+		return fmt.Errorf("rdbms: %s: delete: %w", t.Name, err)
 	}
 	for _, idx := range t.indexes {
 		idx.tree.Delete(indexKey(attrAt(old, idx.col)), rid)
 	}
-	return true
+	return nil
 }
 
 // Scan iterates live rows in heap order. Returning false stops early. The
@@ -747,20 +739,26 @@ func (t *Table) CreateIndex(col string) error {
 }
 
 // IndexScan iterates rows with lo <= col value <= hi using the index.
-// It returns false when no index exists on the column.
-func (t *Table) IndexScan(col string, lo, hi int64, fn func(RID, Row) bool) bool {
+// It returns false when no index exists on the column. A row it cannot read
+// ends the scan with that read's error, and an index whose rebuild on open
+// met an unreadable page returns that failure before it scans.
+func (t *Table) IndexScan(col string, lo, hi int64, fn func(RID, Row) bool) (bool, error) {
 	idx, ok := t.indexes[strings.ToLower(col)]
 	if !ok {
-		return false
+		return false, nil
 	}
+	if idx.err != nil {
+		return true, fmt.Errorf("rdbms: %s: index on %q: %w", t.Name, col, idx.err)
+	}
+	var err error
 	idx.tree.Scan(lo, hi, func(_ int64, rid RID) bool {
-		row, ok := t.heap.get(rid, nil)
-		if !ok {
-			return true
+		var row Row
+		if row, err = t.heap.get(rid, nil); err != nil {
+			return false
 		}
 		return fn(rid, row)
 	})
-	return true
+	return true, err
 }
 
 // StorageBytes returns the table footprint: heap pages + catalog entries +

@@ -67,26 +67,28 @@ func TestTableCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := tab.Get(rid)
-	if !ok || r[1].Str() != "alice" {
-		t.Fatalf("Get = %v,%v", r, ok)
+	r, err := tab.Get(rid)
+	if err != nil || r[1].Str() != "alice" {
+		t.Fatalf("Get = %v,%v", r, err)
 	}
 	nrid, err := tab.Update(rid, Row{Int(1), Text("bob")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ = tab.Get(nrid)
-	if r[1].Str() != "bob" {
-		t.Fatalf("after update: %v", r)
+	if r, err = tab.Get(nrid); err != nil || r[1].Str() != "bob" {
+		t.Fatalf("after update: %v, %v", r, err)
 	}
-	if !tab.Delete(nrid) {
-		t.Fatal("Delete failed")
+	if err := tab.Delete(nrid); err != nil {
+		t.Fatal(err)
 	}
 	if tab.RowCount() != 0 {
 		t.Fatalf("RowCount = %d", tab.RowCount())
 	}
-	if tab.Delete(nrid) {
+	if err := tab.Delete(nrid); err == nil {
 		t.Fatal("double delete must fail")
+	}
+	if _, err := tab.Get(nrid); err == nil {
+		t.Fatal("Get of a deleted tuple must fail")
 	}
 	if _, err := tab.Update(nrid, Row{Int(1), Text("carol")}); err == nil {
 		t.Fatal("update of a deleted tuple must fail")
@@ -111,15 +113,15 @@ func TestTableIndex(t *testing.T) {
 		t.Fatal("index on missing column must fail")
 	}
 	var got []int64
-	ok := tab.IndexScan("id", 10, 14, func(_ RID, r Row) bool {
+	ok, err := tab.IndexScan("id", 10, 14, func(_ RID, r Row) bool {
 		got = append(got, r[0].Int64())
 		return true
 	})
-	if !ok || len(got) != 5 || got[0] != 10 || got[4] != 14 {
-		t.Fatalf("IndexScan = %v ok=%v", got, ok)
+	if err != nil || !ok || len(got) != 5 || got[0] != 10 || got[4] != 14 {
+		t.Fatalf("IndexScan = %v ok=%v err=%v", got, ok, err)
 	}
-	if tab.IndexScan("v", 0, 1, func(RID, Row) bool { return true }) {
-		t.Fatal("IndexScan on unindexed column must report false")
+	if ok, err := tab.IndexScan("v", 0, 1, func(RID, Row) bool { return true }); ok || err != nil {
+		t.Fatalf("IndexScan on unindexed column = %v, %v, want false", ok, err)
 	}
 	// Index maintenance on update/delete.
 	var rid RID
@@ -134,13 +136,11 @@ func TestTableIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = got[:0]
-	tab.IndexScan("id", 10, 10, func(_ RID, r Row) bool { got = append(got, r[0].Int64()); return true })
-	if len(got) != 0 {
-		t.Fatalf("index still finds old key after update: %v", got)
+	if _, err := tab.IndexScan("id", 10, 10, func(_ RID, r Row) bool { got = append(got, r[0].Int64()); return true }); err != nil || len(got) != 0 {
+		t.Fatalf("index still finds old key after update: %v, %v", got, err)
 	}
-	tab.IndexScan("id", 1000, 1000, func(_ RID, r Row) bool { got = append(got, r[0].Int64()); return true })
-	if len(got) != 1 {
-		t.Fatalf("index does not find new key: %v", got)
+	if _, err := tab.IndexScan("id", 1000, 1000, func(_ RID, r Row) bool { got = append(got, r[0].Int64()); return true }); err != nil || len(got) != 1 {
+		t.Fatalf("index does not find new key: %v, %v", got, err)
 	}
 }
 
@@ -203,11 +203,11 @@ func TestIndexOnColumnAddedOverOlderTuples(t *testing.T) {
 	}
 	entries := func(tab *Table) []string {
 		var out []string
-		if !tab.IndexScan("b", math.MinInt64, math.MaxInt64, func(rid RID, r Row) bool {
+		if ok, err := tab.IndexScan("b", math.MinInt64, math.MaxInt64, func(rid RID, r Row) bool {
 			out = append(out, fmt.Sprintf("%v a=%v b=%v", rid, attrAt(r, 0), attrAt(r, 1)))
 			return true
-		}) {
-			t.Fatal("no index on b")
+		}); !ok || err != nil {
+			t.Fatalf("no index on b: %v", err)
 		}
 		sort.Strings(out)
 		return out
@@ -246,16 +246,15 @@ func TestIndexOnColumnAddedOverOlderTuples(t *testing.T) {
 	}
 	check("a short tuple updated to b=5", 2)
 	var hits int
-	tab.IndexScan("b", 5, 5, func(RID, Row) bool { hits++; return true })
-	if hits != 1 {
-		t.Fatalf("IndexScan(b=5) finds %d rows, want 1", hits)
+	if _, err := tab.IndexScan("b", 5, 5, func(RID, Row) bool { hits++; return true }); err != nil || hits != 1 {
+		t.Fatalf("IndexScan(b=5) finds %d rows (%v), want 1", hits, err)
 	}
-	if !tab.Delete(updated) {
-		t.Fatal("delete of the updated tuple failed")
+	if err := tab.Delete(updated); err != nil {
+		t.Fatalf("delete of the updated tuple: %v", err)
 	}
 	check("the updated tuple deleted", 1)
-	if !tab.Delete(short) {
-		t.Fatal("delete of the short tuple failed")
+	if err := tab.Delete(short); err != nil {
+		t.Fatalf("delete of the short tuple: %v", err)
 	}
 	check("the short tuple deleted", 0)
 }

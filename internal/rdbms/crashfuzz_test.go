@@ -244,9 +244,9 @@ func TestCrashFuzzSegmentedManifests(t *testing.T) {
 			k := rows / rowsPerBatch
 			want := expect[k]
 			for key, val := range want {
-				got, ok := db.GetMeta(key)
-				if !ok {
-					t.Fatalf("prefix %d: meta %q missing after recovery", k, key)
+				got, ok, err := db.MetaValue(key)
+				if err != nil || !ok {
+					t.Fatalf("prefix %d: meta %q missing after recovery: %v", k, key, err)
 				}
 				if !bytes.Equal(got, val) {
 					t.Fatalf("prefix %d: meta %q = %q, want %q (torn manifest state)", k, key, got, val)
@@ -401,9 +401,9 @@ func TestCrashFuzzCatalogDDL(t *testing.T) {
 				}
 				if st.indexed {
 					n := 0
-					tab.IndexScan("id", 0, rowsPerBatch, func(RID, Row) bool { n++; return true })
-					if n != st.rows {
-						t.Fatalf("prefix %d: index of %s reaches %d rows, want %d", k, tname, n, st.rows)
+					_, err := tab.IndexScan("id", 0, rowsPerBatch, func(RID, Row) bool { n++; return true })
+					if err != nil || n != st.rows {
+						t.Fatalf("prefix %d: index of %s reaches %d rows (%v), want %d", k, tname, n, err, st.rows)
 					}
 				}
 			}

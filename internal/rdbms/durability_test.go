@@ -2,6 +2,7 @@ package rdbms
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,16 +89,16 @@ func TestOpenFileReopenRoundTrip(t *testing.T) {
 	}
 	// The rebuilt B+ tree index answers range queries.
 	found := 0
-	ok := tab2.IndexScan("id", 100, 109, func(_ RID, r Row) bool {
+	ok, err := tab2.IndexScan("id", 100, 109, func(_ RID, r Row) bool {
 		found++
 		return true
 	})
-	if !ok || found != 10 {
-		t.Fatalf("IndexScan ok=%v found=%d", ok, found)
+	if err != nil || !ok || found != 10 {
+		t.Fatalf("IndexScan ok=%v found=%d err=%v", ok, found, err)
 	}
 	// Metadata KV survives.
-	if v, ok := db2.GetMeta("app:k"); !ok || string(v) != "v1" {
-		t.Fatalf("GetMeta = %q, %v", v, ok)
+	if v, ok, err := db2.MetaValue("app:k"); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("MetaValue = %q, %v, %v", v, ok, err)
 	}
 	if err := db2.VerifyChecksums(); err != nil {
 		t.Fatalf("VerifyChecksums: %v", err)
@@ -118,8 +119,8 @@ func TestReopenThenMutateReusesHeap(t *testing.T) {
 	// Delete some reopened rows, update others, insert more; then reopen
 	// again and verify the final state.
 	for _, rid := range rids[:100] {
-		if !tab2.Delete(rid) {
-			t.Fatalf("delete %v failed after reopen", rid)
+		if err := tab2.Delete(rid); err != nil {
+			t.Fatalf("delete %v failed after reopen: %v", rid, err)
 		}
 	}
 	if _, err := tab2.Update(rids[200], Row{Int(-1)}); err != nil {
@@ -325,13 +326,9 @@ func TestChecksumDetectsCorruptPage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("VerifyChecksums = %v, want checksum mismatch", err)
 	}
-	// Reads through the pool surface the corruption as a missing tuple plus
-	// a retained error.
-	if _, ok := db2.Table("t").Get(rids[0]); ok {
-		t.Fatal("read of corrupt page succeeded")
-	}
-	if err := db2.Pool().Err(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("Pool().Err() = %v, want checksum mismatch", err)
+	// A read through the pool fails with the corruption as its own error.
+	if _, err := db2.Table("t").Get(rids[0]); !errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), "page 0") {
+		t.Fatalf("Get on the corrupt page = %v, want ErrChecksum naming page 0", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -262,8 +263,8 @@ func TestENOSPCConcurrentCommitters(t *testing.T) {
 	defer db2.Close()
 	for g, keys := range acked {
 		for _, key := range keys {
-			if _, ok := db2.GetMeta(key); !ok {
-				t.Fatalf("acked key %s (goroutine %d) lost in recovery", key, g)
+			if _, ok, err := db2.MetaValue(key); err != nil || !ok {
+				t.Fatalf("acked key %s (goroutine %d) lost in recovery: %v", key, g, err)
 			}
 		}
 	}
@@ -273,9 +274,10 @@ func TestENOSPCConcurrentCommitters(t *testing.T) {
 }
 
 // TestBitFlipSurfacesChecksum: a read that silently corrupts one bit must
-// surface ErrChecksum through the buffer pool, not wrong data — and through
-// every reader that walks the heap: a scan, the SQL executor and an index
-// build all fail with it instead of returning what they could read.
+// fail with ErrChecksum as its own error, not return wrong data — a point
+// read naming its own page, and every reader that walks the heap: a scan,
+// the SQL executor and an index build all fail with it instead of returning
+// what they could read.
 func TestBitFlipSurfacesChecksum(t *testing.T) {
 	path := tempDBPath(t)
 	db := mustOpenFile(t, path)
@@ -283,7 +285,7 @@ func TestBitFlipSurfacesChecksum(t *testing.T) {
 		Column{Name: "id", Type: DTInt},
 		Column{Name: "name", Type: DTText},
 	))
-	fillTable(t, tab, 0, 3000) // spans many pages
+	rids := fillTable(t, tab, 0, 3000) // spans many pages
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,9 +316,9 @@ func TestBitFlipSurfacesChecksum(t *testing.T) {
 	if err := db.Table("t").Scan(func(_ RID, r Row) bool { seen++; return true }); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("bit-flipped scan = %v after %d rows, want ErrChecksum", err, seen)
 	}
-	err = db.Pool().Err()
-	if !errors.Is(err, ErrChecksum) {
-		t.Fatalf("pool error after bit-flipped scan = %v (saw %d rows), want ErrChecksum", err, seen)
+	last := rids[len(rids)-1]
+	if _, err := db.Table("t").Get(last); !errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), fmt.Sprintf("page %d:", last.Page)) {
+		t.Fatalf("point read of %v over a bit-flipped heap = %v, want ErrChecksum naming its page", last, err)
 	}
 	if _, err := db.Query("SELECT count(*) FROM t"); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("query over a bit-flipped heap = %v, want ErrChecksum", err)

@@ -25,8 +25,9 @@ var (
 	// already poisoned".
 	ErrReadOnly = errors.New("rdbms: database is read-only")
 	// ErrChecksum marks a page whose stored CRC does not match its
-	// contents (torn write, bit rot, or a misplaced write). It surfaces
-	// through BufferPool.Err and Engine.ReadErr.
+	// contents (torn write, bit rot, or a misplaced write). It is wrapped
+	// by the error of the read that met the page, naming that page, and
+	// surfaces through Engine.ReadErr for a cell read.
 	ErrChecksum = errors.New("rdbms: page checksum mismatch")
 	// ErrInjected tags every failure produced by a FaultSchedule, so tests
 	// can tell injected faults from real ones.

@@ -528,8 +528,9 @@ func (fp *FilePager) setFreePages(ids []PageID) {
 	fp.freeList = ids
 }
 
-// fetch returns the newest image of a page, or (nil, nil) for an unknown
-// id: the shadow overlay wins over the data file. The caller receives a copy, never the shadow page itself: buffer-pool frames
+// fetch returns the newest image of a page: the shadow overlay wins over the
+// data file, and an id past the last allocated page is an error. The caller
+// receives a copy, never the shadow page itself: buffer-pool frames
 // are mutated in place by writers, and the shadow must stay a stable
 // snapshot of *staged* state for the (possibly concurrent) WAL commit to
 // read. Write-backs copy in the other direction. Holding mu shared lets
@@ -543,20 +544,19 @@ func (fp *FilePager) fetch(id PageID) (*page, error) {
 		return cp, nil
 	}
 	if int(id) >= fp.pages {
-		return nil, nil
+		return nil, fmt.Errorf("rdbms: page %d not allocated (%d pages)", id, fp.pages)
 	}
 	return fp.readPageFromFile(id)
 }
 
 // writeBack stages a buffer-pool frame: a copy joins the shadow overlay and
 // is staged for the next WAL commit. No file I/O happens here.
-func (fp *FilePager) writeBack(id PageID, p *page) error {
+func (fp *FilePager) writeBack(id PageID, p *page) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
 	cp := &page{}
 	*cp = *p
 	fp.stageLocked(id, cp)
-	return nil
 }
 
 // pageCount returns the number of allocated pages.

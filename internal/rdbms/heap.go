@@ -77,14 +77,11 @@ func newHeapFile(disk *FilePager, pool *BufferPool) *heapFile {
 	return &heapFile{disk: disk, pool: pool}
 }
 
-// pageReadErr formats an unreadable-page failure, wrapping the pool's
-// retained error (a checksum mismatch, an injected read fault) so callers
-// can errors.Is against sentinels like ErrChecksum.
+// pageReadErr formats an unreadable-page failure, wrapping the fetch's own
+// error (a checksum mismatch, an injected read fault) so callers can
+// errors.Is against sentinels like ErrChecksum.
 func pageReadErr(what string, id PageID, cause error) error {
-	if cause != nil {
-		return fmt.Errorf("rdbms: cannot read %s %d: %w", what, id, cause)
-	}
-	return fmt.Errorf("rdbms: cannot read %s %d", what, id)
+	return fmt.Errorf("rdbms: cannot read %s %d: %w", what, id, cause)
 }
 
 // insertRaw places one already-framed record and returns its RID.
@@ -96,11 +93,11 @@ func (h *heapFile) insertRaw(payload []byte) (RID, error) {
 			continue
 		}
 		id := h.pages[i]
-		p := h.pool.fetch(id)
-		if p == nil {
-			// Unreadable page (e.g. a checksum mismatch; the error is
-			// retained in pool.Err()): skip it rather
-			// than crash — the insert lands on a later or fresh page.
+		p, err := h.pool.fetch(id)
+		if err != nil {
+			// An unreadable page (e.g. a checksum mismatch) takes no
+			// insert: it lands on a later or fresh page, and the page's
+			// own reads report the failure.
 			continue
 		}
 		if h.free[i] < 0 {
@@ -120,9 +117,9 @@ func (h *heapFile) insertRaw(payload []byte) (RID, error) {
 	h.pages = append(h.pages, id)
 	h.free = append(h.free, PageSize-pageHeaderSize-need)
 	h.freeHint = len(h.pages) - 1
-	p := h.pool.fetch(id)
-	if p == nil {
-		return RID{}, fmt.Errorf("rdbms: cannot load freshly allocated page %d: %v", id, h.pool.Err())
+	p, err := h.pool.fetch(id)
+	if err != nil {
+		return RID{}, pageReadErr("freshly allocated page", id, err)
 	}
 	slot, ok := p.insert(payload)
 	if !ok {
@@ -227,9 +224,9 @@ func (h *heapFile) appendChain(dst, head []byte, proj []int) ([]byte, error) {
 		}
 	}
 	for next := getChunkPtr(head[1:]); next != endChunk && !whole(); {
-		np := h.pool.fetch(next.Page)
-		if np == nil {
-			return dst, pageReadErr("chunk page", next.Page, h.pool.Err())
+		np, err := h.pool.fetch(next.Page)
+		if err != nil {
+			return dst, pageReadErr("chunk page", next.Page, err)
 		}
 		nb := np.read(next.Slot)
 		if len(nb) == 0 || nb[0] != tupMid {
@@ -272,11 +269,11 @@ func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) erro
 	for _, oi := range order {
 		rid := rids[oi]
 		if cur == nil || rid.Page != curID {
-			cur = h.pool.fetch(rid.Page)
-			curID = rid.Page
-			if cur == nil {
-				return pageReadErr("page", rid.Page, h.pool.Err())
+			var err error
+			if cur, err = h.pool.fetch(rid.Page); err != nil {
+				return pageReadErr("page", rid.Page, err)
 			}
+			curID = rid.Page
 		}
 		buf := cur.read(rid.Slot)
 		if len(buf) == 0 {
@@ -307,69 +304,67 @@ func (h *heapFile) getMany(rids []RID, proj []int, fn func(i int, vals Row) erro
 	return nil
 }
 
-// get decodes the row at rid into dst (see decodeRow); ok is false for
-// tombstones, continuation chunks and bad RIDs.
-func (h *heapFile) get(rid RID, dst Row) (Row, bool) {
-	p := h.pool.fetch(rid.Page)
-	if p == nil {
-		return nil, false
+// get decodes the row at rid into dst (see decodeRow). A rid that starts no
+// row (a tombstone, a continuation chunk, a bad slot) is an error, and so is
+// an unreadable page, with that page's own cause.
+func (h *heapFile) get(rid RID, dst Row) (Row, error) {
+	p, err := h.pool.fetch(rid.Page)
+	if err != nil {
+		return nil, pageReadErr("page", rid.Page, err)
 	}
 	buf, err := h.payload(p.read(rid.Slot))
 	if err != nil {
-		return nil, false
+		return nil, fmt.Errorf("rdbms: tuple %v: %w", rid, err)
 	}
-	row, err := decodeRow(buf, dst)
-	return row, err == nil
-}
-
-// delRecord tombstones one stored record and lets the next insert start its
-// search no later than the page it left room on.
-func (h *heapFile) delRecord(rid RID) bool {
-	p := h.pool.fetch(rid.Page)
-	if p == nil || !p.del(rid.Slot) {
-		return false
-	}
-	h.pool.markDirty(rid.Page, p)
-	h.freeHint = min(h.freeHint, h.noteFree(rid.Page, p))
-	return true
+	return decodeRow(buf, dst)
 }
 
 // del tombstones the tuple at rid, including every chunk of an oversized
-// row.
-func (h *heapFile) del(rid RID) bool {
-	p := h.pool.fetch(rid.Page)
-	if p == nil {
-		return false
+// row. It reads the whole chain before it tombstones anything, so a chunk
+// page it cannot read fails the delete with nothing changed.
+func (h *heapFile) del(rid RID) error {
+	p, err := h.pool.fetch(rid.Page)
+	if err != nil {
+		return pageReadErr("page", rid.Page, err)
 	}
 	buf := p.read(rid.Slot)
-	if len(buf) == 0 || buf[0] == tupMid {
-		return false
+	if len(buf) == 0 || buf[0] > tupHead {
+		return fmt.Errorf("rdbms: no tuple at %v", rid)
 	}
-	next := endChunk
-	if buf[0] == tupHead {
-		next = getChunkPtr(buf[1:])
-	}
-	if !h.delRecord(rid) {
-		return false
-	}
-	for next != endChunk {
-		np := h.pool.fetch(next.Page)
-		if np == nil {
+	chain, pages := []RID{rid}, []*page{p}
+	for buf[0] != tupInline {
+		next := getChunkPtr(buf[1:])
+		if next == endChunk {
 			break
 		}
-		nb := np.read(next.Slot)
-		if len(nb) == 0 {
-			break
+		if p, err = h.pool.fetch(next.Page); err != nil {
+			return pageReadErr("chunk page", next.Page, err)
 		}
-		following := endChunk
-		if nb[0] == tupMid {
-			following = getChunkPtr(nb[1:])
+		if buf = p.read(next.Slot); len(buf) == 0 || buf[0] != tupMid {
+			return fmt.Errorf("rdbms: broken chunk chain at %v", next)
 		}
-		h.delRecord(next)
-		next = following
+		chain, pages = append(chain, next), append(pages, p)
+	}
+	// Each page is fetched again as it is changed: a long chain may have
+	// evicted the frame the walk above read. Should that re-read fail, the
+	// page the walk read is still current, since only this loop has changed
+	// the chain's pages since and it hands each change on to pages, so the
+	// delete never stops halfway.
+	for i, c := range chain {
+		if p, err = h.pool.fetch(c.Page); err != nil {
+			p = pages[i]
+		}
+		p.del(c.Slot)
+		h.pool.markDirty(c.Page, p)
+		h.freeHint = min(h.freeHint, h.noteFree(c.Page, p))
+		for j := i + 1; j < len(chain); j++ {
+			if chain[j].Page == c.Page {
+				pages[j] = p
+			}
+		}
 	}
 	h.tuples--
-	return true
+	return nil
 }
 
 // update rewrites the tuple under its RID when the existing record is inline
@@ -378,8 +373,11 @@ func (h *heapFile) del(rid RID) bool {
 func (h *heapFile) update(rid RID, r Row) (RID, error) {
 	h.enc = encodeRow(append(h.enc[:0], tupInline), r)
 	payload := h.enc[1:]
-	p := h.pool.fetch(rid.Page)
-	if p != nil && len(payload)+1 <= maxInline {
+	p, err := h.pool.fetch(rid.Page)
+	if err != nil {
+		return RID{}, pageReadErr("page", rid.Page, err)
+	}
+	if len(payload)+1 <= maxInline {
 		if buf := p.read(rid.Slot); len(buf) > 0 && buf[0] == tupInline {
 			was := len(buf)
 			if p.replace(rid.Slot, h.enc) {
@@ -391,8 +389,8 @@ func (h *heapFile) update(rid RID, r Row) (RID, error) {
 			}
 		}
 	}
-	if !h.del(rid) {
-		return RID{}, fmt.Errorf("rdbms: update of missing tuple %v", rid)
+	if err := h.del(rid); err != nil {
+		return RID{}, fmt.Errorf("rdbms: update of %v: %w", rid, err)
 	}
 	newRID, err := h.insertPayload(payload)
 	if err != nil {
@@ -408,9 +406,9 @@ func (h *heapFile) update(rid RID, r Row) (RID, error) {
 // rebuilds state from the heap must not take a partial scan for the whole.
 func (h *heapFile) scan(fn func(RID, Row) bool) error {
 	for _, id := range h.pages {
-		p := h.pool.fetch(id)
-		if p == nil {
-			return pageReadErr("heap page", id, h.pool.Err())
+		p, err := h.pool.fetch(id)
+		if err != nil {
+			return pageReadErr("heap page", id, err)
 		}
 		n := p.slotCount()
 		for s := 0; s < n; s++ {
@@ -446,7 +444,7 @@ func (h *heapFile) storageBytes() int64 {
 func (h *heapFile) liveBytes() int64 {
 	var n int64
 	for _, id := range h.pages {
-		if p := h.pool.fetch(id); p != nil {
+		if p, err := h.pool.fetch(id); err == nil {
 			n += int64(p.liveBytes())
 		}
 	}

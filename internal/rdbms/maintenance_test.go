@@ -434,9 +434,9 @@ func TestVacuumTruncatesAfterDrop(t *testing.T) {
 		if got := d.Table("keep").RowCount(); got != 50 {
 			t.Fatalf("%s: keep.RowCount = %d, want 50", label, got)
 		}
-		v, ok := d.GetMeta("app:cfg")
-		if !ok || len(v) != 3*PageSize || v[0] != 'x' {
-			t.Fatalf("%s: meta value lost (ok=%v len=%d)", label, ok, len(v))
+		v, ok, err := d.MetaValue("app:cfg")
+		if err != nil || !ok || len(v) != 3*PageSize || v[0] != 'x' {
+			t.Fatalf("%s: meta value lost (ok=%v len=%d err=%v)", label, ok, len(v), err)
 		}
 	}
 	check(db, "post-vacuum")
@@ -622,8 +622,8 @@ func TestVacuumRelocatesRootChain(t *testing.T) {
 	defer db.Close()
 	accountPages(t, db)
 	for k, v := range want {
-		if got, ok := db.GetMeta(k); !ok || !bytes.Equal(got, v) {
-			t.Fatalf("meta %q = %v, %v after vacuum and reopen", k[:4], got, ok)
+		if got, ok, err := db.MetaValue(k); err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("meta %q = %v, %v, %v after vacuum and reopen", k[:4], got, ok, err)
 		}
 	}
 }

@@ -174,7 +174,7 @@ func decodeSchema(blob []byte) (Schema, []string, error) {
 // loadManifest rebuilds the catalog from the root read off the meta chain:
 // heap extents, the metadata directory and the free list come from the
 // root, each table's schema from its schema record, and B+ tree indexes by
-// scanning the heaps. Other metadata values stay on disk until GetMeta asks
+// scanning the heaps. Other metadata values stay on disk until MetaValue asks
 // for them. A table without a schema record, or a schema record without its
 // table, fails the open.
 func (db *DB) loadManifest(root []byte) error {
@@ -244,8 +244,8 @@ func (db *DB) loadManifest(root []byte) error {
 			}
 			idx := &tableIndex{col: i, tree: NewBTree(64)}
 			// An unreadable page fails no open, so the scrubber can still
-			// repair it: the pool keeps the error (Pool().Err) for it.
-			_ = t.heap.scan(func(rid RID, r Row) bool {
+			// repair it; the index keeps the failure for IndexScan.
+			idx.err = t.heap.scan(func(rid RID, r Row) bool {
 				idx.tree.Insert(indexKey(attrAt(r, i)), rid)
 				return true
 			})

@@ -45,16 +45,16 @@ func TestMetaOutOfLineRoundTrip(t *testing.T) {
 	}
 	defer db2.Close()
 	for k, v := range vals {
-		got, ok := db2.GetMeta(k)
-		if !ok {
-			t.Fatalf("meta %q missing after reopen", k)
+		got, ok, err := db2.MetaValue(k)
+		if err != nil || !ok {
+			t.Fatalf("meta %q missing after reopen: %v", k, err)
 		}
 		if !bytes.Equal(got, v) {
 			t.Fatalf("meta %q: got %d bytes, want %d", k, len(got), len(v))
 		}
 	}
-	if _, ok := db2.GetMeta("doomed"); ok {
-		t.Fatal("deleted meta key resurrected after reopen")
+	if _, ok, err := db2.MetaValue("doomed"); ok || err != nil {
+		t.Fatalf("deleted meta key resurrected after reopen (err %v)", err)
 	}
 	keys := db2.MetaKeys("sheet:x")
 	if len(keys) != 2 {
@@ -131,8 +131,7 @@ func TestMetaChainPagesReclaimed(t *testing.T) {
 }
 
 // TestMetaValueSurfacesChainErrors: MetaValue distinguishes a missing key
-// (ok=false, no error) from an unreadable chain (error), and GetMeta
-// reports the latter through Pool().Err rather than as silently absent.
+// (ok=false, no error) from an unreadable chain (error).
 func TestMetaValueSurfacesChainErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metaerr.dsdb")
 	db, err := OpenFile(path, Options{})
@@ -149,11 +148,5 @@ func TestMetaValueSurfacesChainErrors(t *testing.T) {
 	db.mu.Unlock()
 	if _, ok, err := db.MetaValue("broken"); ok || err == nil {
 		t.Fatalf("broken chain: ok=%v err=%v, want false/non-nil", ok, err)
-	}
-	if _, ok := db.GetMeta("broken"); ok {
-		t.Fatal("GetMeta reported a broken chain as present")
-	}
-	if err := db.Pool().Err(); err == nil {
-		t.Fatal("GetMeta swallowed the chain error (want it via Pool().Err)")
 	}
 }

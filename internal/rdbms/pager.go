@@ -113,9 +113,6 @@ type BufferPool struct {
 	misses    atomic.Int64
 	pagesRead atomic.Int64
 	writes    atomic.Int64
-
-	errMu   sync.Mutex
-	lastErr error
 }
 
 type frame struct {
@@ -140,17 +137,17 @@ func newBufferPool(disk *FilePager, capacity int) *BufferPool {
 	}
 }
 
-// fetch returns the page, loading it into the pool if absent. It returns
-// nil for unknown ids and for I/O or checksum failures; the failure is
-// retained and surfaced by Err. Safe for concurrent readers.
-func (b *BufferPool) fetch(id PageID) *page {
+// fetch returns the page, loading it into the pool if absent. An unknown id,
+// an I/O failure or a checksum mismatch is this fetch's own error, naming
+// the page; nothing of it outlives the call. Safe for concurrent readers.
+func (b *BufferPool) fetch(id PageID) (*page, error) {
 	b.mu.RLock()
 	if e, ok := b.frames[id]; ok {
 		f := e.Value.(*frame)
 		f.used.Store(true)
 		b.mu.RUnlock()
 		b.hits.Add(1)
-		return f.page
+		return f.page, nil
 	}
 	b.mu.RUnlock()
 	b.misses.Add(1)
@@ -158,11 +155,7 @@ func (b *BufferPool) fetch(id PageID) *page {
 	// concurrent cold scans overlap their file I/O instead of serializing.
 	p, err := b.disk.fetch(id)
 	if err != nil {
-		b.setErr(err)
-		return nil
-	}
-	if p == nil {
-		return nil
+		return nil, err
 	}
 	b.pagesRead.Add(1)
 	b.mu.Lock()
@@ -171,12 +164,12 @@ func (b *BufferPool) fetch(id PageID) *page {
 		// A concurrent loader won the race; use its frame.
 		f := e.Value.(*frame)
 		f.used.Store(true)
-		return f.page
+		return f.page, nil
 	}
 	b.evictLocked()
 	e := b.lru.PushFront(&frame{id: id, page: p})
 	b.frames[id] = e
-	return p
+	return p, nil
 }
 
 // evictLocked makes room for one more frame with a second-chance sweep from
@@ -196,9 +189,7 @@ func (b *BufferPool) evictLocked() {
 		}
 		if f.dirty {
 			b.writes.Add(1)
-			if err := b.disk.writeBack(f.id, f.page); err != nil {
-				b.setErr(err)
-			}
+			b.disk.writeBack(f.id, f.page)
 		}
 		delete(b.frames, f.id)
 		b.lru.Remove(tail)
@@ -215,28 +206,21 @@ func (b *BufferPool) markDirty(id PageID, p *page) {
 	}
 	// Write-through for uncached pages.
 	b.writes.Add(1)
-	if err := b.disk.writeBack(id, p); err != nil {
-		b.setErr(err)
-	}
+	b.disk.writeBack(id, p)
 }
 
 // flushDirty writes every dirty frame back to the pager and marks it clean.
 // Frames stay cached. Used by the durability paths (WAL commit, checkpoint).
-func (b *BufferPool) flushDirty() error {
+func (b *BufferPool) flushDirty() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for e := b.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*frame)
-		if !f.dirty {
-			continue
+		if f := e.Value.(*frame); f.dirty {
+			b.disk.writeBack(f.id, f.page)
+			f.dirty = false
+			b.writes.Add(1)
 		}
-		if err := b.disk.writeBack(f.id, f.page); err != nil {
-			return err
-		}
-		f.dirty = false
-		b.writes.Add(1)
 	}
-	return nil
 }
 
 // hasDirty reports whether any frame awaits write-back.
@@ -285,33 +269,14 @@ func (b *BufferPool) peek(id PageID) *page {
 	return cp
 }
 
-// reset drops every frame (without write-back) and clears the sticky error.
-// The recovery path uses it: cached frames may hold pre-fault staged state
-// that the reopen just discarded.
+// reset drops every frame without write-back. The recovery path uses it:
+// cached frames may hold pre-fault staged state that the reopen just
+// discarded.
 func (b *BufferPool) reset() {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.frames = make(map[PageID]*list.Element)
 	b.lru = list.New()
-	b.mu.Unlock()
-	b.errMu.Lock()
-	b.lastErr = nil
-	b.errMu.Unlock()
-}
-
-func (b *BufferPool) setErr(err error) {
-	b.errMu.Lock()
-	if b.lastErr == nil {
-		b.lastErr = err
-	}
-	b.errMu.Unlock()
-}
-
-// Err returns the first fetch or write-back failure (nil when none).
-// Checksum mismatches surface here.
-func (b *BufferPool) Err() error {
-	b.errMu.Lock()
-	defer b.errMu.Unlock()
-	return b.lastErr
 }
 
 // Stats returns a snapshot of the I/O counters.

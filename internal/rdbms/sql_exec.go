@@ -575,7 +575,9 @@ func (db *DB) execChange(s *changeStmt, params []Datum) (*Result, error) {
 	}
 	for i, rid := range rids {
 		if s.Delete {
-			t.Delete(rid)
+			if err := t.Delete(rid); err != nil {
+				return nil, err
+			}
 		} else if _, err := t.Update(rid, rows[i]); err != nil {
 			return nil, err
 		}

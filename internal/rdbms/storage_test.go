@@ -100,7 +100,7 @@ func TestHeapUpdateReusesEncodingBuffer(t *testing.T) {
 	}
 	check := func(when string, rid RID, want Row) {
 		t.Helper()
-		got, err := h.payload(h.pool.fetch(rid.Page).read(rid.Slot))
+		got, err := h.payload(mustFetch(t, h.pool, rid.Page).read(rid.Slot))
 		if err != nil || string(got) != string(encodeRow(nil, want)) {
 			t.Fatalf("%s: stored %d bytes (%v), want the %d-byte encoding of %v", when, len(got), err, encodedSize(want), want)
 		}
@@ -241,15 +241,15 @@ func TestHeapInsertGetDelete(t *testing.T) {
 		t.Fatalf("tupleCount = %d", h.tupleCount())
 	}
 	for i, rid := range rids {
-		r, ok := h.get(rid, nil)
-		if !ok || r[0].Int64() != int64(i) {
-			t.Fatalf("get(%v) = %v ok=%v", rid, r, ok)
+		r, err := h.get(rid, nil)
+		if err != nil || r[0].Int64() != int64(i) {
+			t.Fatalf("get(%v) = %v err=%v", rid, r, err)
 		}
 	}
-	if !h.del(rids[500]) {
+	if err := h.del(rids[500]); err != nil {
 		t.Fatal("del failed")
 	}
-	if _, ok := h.get(rids[500], nil); ok {
+	if _, err := h.get(rids[500], nil); err == nil {
 		t.Fatal("deleted tuple still readable")
 	}
 	count := 0
@@ -280,8 +280,8 @@ func TestHeapUpdateMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := h.get(nrid, nil)
-	if !ok || len(r[0].Str()) != 500 {
+	r, err := h.get(nrid, nil)
+	if err != nil || len(r[0].Str()) != 500 {
 		t.Fatal("moved tuple unreadable")
 	}
 	if h.tupleCount() != 1 {
@@ -304,7 +304,7 @@ func TestHeapGrownTupleKeepsSlot(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	rid := rids[7]
-	slots, pages := h.pool.fetch(rid.Page).slotCount(), len(h.pages)
+	slots, pages := mustFetch(t, h.pool, rid.Page).slotCount(), len(h.pages)
 	for i := 0; i < 10000; i++ {
 		text := "s"
 		if i%2 == 1 {
@@ -318,12 +318,12 @@ func TestHeapGrownTupleKeepsSlot(t *testing.T) {
 			t.Fatalf("update %d moved the tuple from %v to %v", i, rid, got)
 		}
 	}
-	if n := h.pool.fetch(rid.Page).slotCount(); n != slots || len(h.pages) != pages {
+	if n := mustFetch(t, h.pool, rid.Page).slotCount(); n != slots || len(h.pages) != pages {
 		t.Fatalf("slots %d -> %d, pages %d -> %d", slots, n, pages, len(h.pages))
 	}
 	for i, r := range rids {
-		if row, ok := h.get(r, nil); !ok || row[0].Int64() != int64(i) {
-			t.Fatalf("row %d at %v reads %v, %v", i, r, row, ok)
+		if row, err := h.get(r, nil); err != nil || row[0].Int64() != int64(i) {
+			t.Fatalf("row %d at %v reads %v, %v", i, r, row, err)
 		}
 	}
 }
@@ -356,8 +356,8 @@ func TestHeapRelocationReadsNoFullPages(t *testing.T) {
 	if misses := h.pool.Stats().PoolMisses - before.PoolMisses; misses > 2 {
 		t.Fatalf("one relocation cost %d pool misses over %d pages, want at most 2", misses, len(h.pages))
 	}
-	if row, ok := h.get(moved, nil); !ok || len(row[1].Str()) != 2000 {
-		t.Fatalf("relocated tuple reads %v, %v", row, ok)
+	if row, err := h.get(moved, nil); err != nil || len(row[1].Str()) != 2000 {
+		t.Fatalf("relocated tuple reads %v, %v", row, err)
 	}
 	// Entries that read high (a rollback restored the pages under them) are
 	// corrected by the insert they mislead; the next search over the same
@@ -424,8 +424,8 @@ func TestHeapOversizedTupleChunks(t *testing.T) {
 	if h.tupleCount() != 2 {
 		t.Fatalf("tupleCount = %d", h.tupleCount())
 	}
-	r, ok := h.get(ridBig, nil)
-	if !ok || r[1].Str() != big {
+	r, err := h.get(ridBig, nil)
+	if err != nil || r[1].Str() != big {
 		t.Fatal("oversized tuple did not round-trip")
 	}
 	// Scan sees exactly two rows (continuation chunks skipped).
@@ -442,7 +442,7 @@ func TestHeapOversizedTupleChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := h.get(newRID, nil); !ok || r[1].Str() != "tiny" {
+	if r, err := h.get(newRID, nil); err != nil || r[1].Str() != "tiny" {
 		t.Fatal("shrinking update broke the row")
 	}
 	// Update grows an inline row into a chain.
@@ -450,11 +450,11 @@ func TestHeapOversizedTupleChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := h.get(newRID2, nil); !ok || r[1].Str() != big {
+	if r, err := h.get(newRID2, nil); err != nil || r[1].Str() != big {
 		t.Fatal("growing update broke the row")
 	}
 	// Delete removes the whole chain; a follow-up scan sees one row.
-	if !h.del(newRID2) {
+	if err := h.del(newRID2); err != nil {
 		t.Fatal("delete of chunked row failed")
 	}
 	n := 0
@@ -484,7 +484,7 @@ func TestHeapChunkedRandomized(t *testing.T) {
 			model[rid] = v
 		case rng.Float64() < 0.5:
 			for rid := range model {
-				if !h.del(rid) {
+				if err := h.del(rid); err != nil {
 					t.Fatalf("del(%v) failed", rid)
 				}
 				delete(model, rid)
@@ -507,9 +507,9 @@ func TestHeapChunkedRandomized(t *testing.T) {
 		t.Fatalf("tupleCount %d != model %d", h.tupleCount(), len(model))
 	}
 	for rid, want := range model {
-		r, ok := h.get(rid, nil)
-		if !ok || r[0].Str() != want {
-			t.Fatalf("get(%v) mismatch (ok=%v)", rid, ok)
+		r, err := h.get(rid, nil)
+		if err != nil || r[0].Str() != want {
+			t.Fatalf("get(%v) mismatch (err=%v)", rid, err)
 		}
 	}
 	seen := 0
@@ -525,23 +525,33 @@ func TestHeapChunkedRandomized(t *testing.T) {
 	}
 }
 
+// mustFetch returns page id through the pool, failing the test on a read error.
+func mustFetch(t *testing.T, pool *BufferPool, id PageID) *page {
+	t.Helper()
+	p, err := pool.fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestBufferPoolLRU(t *testing.T) {
 	disk := memFilePager(t)
 	pool := newBufferPool(disk, 2)
 	a, b, c := disk.alloc(), disk.alloc(), disk.alloc()
-	pool.fetch(a)
-	pool.fetch(b)
-	pool.fetch(a) // a is now MRU
-	pool.fetch(c) // evicts b
+	mustFetch(t, pool, a)
+	mustFetch(t, pool, b)
+	mustFetch(t, pool, a) // a is now MRU
+	mustFetch(t, pool, c) // evicts b
 	st := pool.Stats()
 	if st.PoolMisses != 3 || st.PoolHits != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	pool.fetch(b) // miss again
+	mustFetch(t, pool, b) // miss again
 	if pool.Stats().PoolMisses != 4 {
 		t.Fatalf("b should have been evicted: %+v", pool.Stats())
 	}
-	pa := pool.fetch(a) // a evicted when b came back? lru: [b,c] -> fetch(a) evicts c
+	pa := mustFetch(t, pool, a) // a evicted when b came back? lru: [b,c] -> fetch(a) evicts c
 	pool.markDirty(a, pa)
 	pool.ResetStats()
 	if s := pool.Stats(); s.PoolMisses != 0 || s.PoolHits != 0 {
@@ -568,7 +578,7 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 			model[rid] = v
 		case rng.Float64() < 0.5:
 			for rid := range model {
-				if !h.del(rid) {
+				if err := h.del(rid); err != nil {
 					t.Fatalf("del(%v) failed", rid)
 				}
 				delete(model, rid)
@@ -591,9 +601,9 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 		t.Fatalf("tupleCount %d != model %d", h.tupleCount(), len(model))
 	}
 	for rid, want := range model {
-		r, ok := h.get(rid, nil)
-		if !ok || r[0].Int64() != want {
-			t.Fatalf("get(%v) = %v,%v want %d", rid, r, ok, want)
+		r, err := h.get(rid, nil)
+		if err != nil || r[0].Int64() != want {
+			t.Fatalf("get(%v) = %v,%v want %d", rid, r, err, want)
 		}
 	}
 	seen := 0
