@@ -22,7 +22,6 @@ import (
 	"dataspread/internal/core"
 	"dataspread/internal/hybrid"
 	"dataspread/internal/rdbms"
-	"dataspread/internal/rel"
 	"dataspread/internal/sheet"
 )
 
@@ -52,8 +51,9 @@ type (
 	Ref = sheet.Ref
 	// Range is a rectangular region.
 	Range = sheet.Range
-	// TableValue is a composite relational result.
-	TableValue = rel.TableValue
+	// TableValue is a composite relational result: Engine.SQL's columns
+	// and rows, placed on the grid by Engine.PlaceTable.
+	TableValue = core.TableValue
 	// CostParams carries the hybrid optimizer's cost constants.
 	CostParams = hybrid.CostParams
 	// Decomposition is a chosen physical layout.

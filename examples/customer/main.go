@@ -1,7 +1,7 @@
 // Customer management (Example 2 / Section VII-D.b): link spreadsheet
 // regions to database tables with two-way synchronization, run SQL with
-// joins and aggregation from the grid, and use the relational spreadsheet
-// functions (select/project) — without writing a database application.
+// joins and aggregation from the grid, and select and project over a linked
+// table — all as SQL, without writing a database application.
 package main
 
 import (
@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"dataspread"
-	"dataspread/internal/rel"
 )
 
 func main() {
@@ -61,18 +60,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Relational spreadsheet functions over a grid range: top supplier by
-	// city using select + project.
-	supp := eng.RangeTable(dataspread.MustRange("A1:C4"), true)
-	pred, err := rel.ParsePredicate("city = Champaign")
-	if err != nil {
-		log.Fatal(err)
-	}
-	local, err := rel.Select(supp, pred)
-	if err != nil {
-		log.Fatal(err)
-	}
-	names, err := rel.Project(local, "name")
+	// Select + project over the linked supp range: suppliers by city.
+	names, err := eng.SQL("SELECT name FROM supp WHERE city = 'Champaign'")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"dataspread/internal/hybrid"
 	"dataspread/internal/model"
 	"dataspread/internal/rdbms"
-	"dataspread/internal/rel"
 	"dataspread/internal/sheet"
 )
 
@@ -119,11 +118,20 @@ func inferType(rows [][]sheet.Cell, col int) rdbms.DType {
 	return rdbms.DTText
 }
 
+// TableValue is a composite table value: the result of the sql(...)
+// spreadsheet function, placed on the grid by PlaceTable. The grid's
+// relational operations (select, project, join, aggregate) are SQL over
+// linked tables; there is no second algebra.
+type TableValue struct {
+	Cols []string
+	Rows [][]sheet.Value
+}
+
 // SQL runs the sql(query, params...) spreadsheet function (Appendix B),
 // returning a composite table value. It only reads: a write would go behind
 // the grid of a linked region, which would show stale cells or none. It
 // holds the edit lock, so its scan never races an edit of a linked region.
-func (e *Engine) SQL(query string, params ...sheet.Value) (*rel.TableValue, error) {
+func (e *Engine) SQL(query string, params ...sheet.Value) (*TableValue, error) {
 	datums := make([]rdbms.Datum, len(params))
 	for i, p := range params {
 		// A parameter's type is the one a column holding only it would get.
@@ -139,20 +147,21 @@ func (e *Engine) SQL(query string, params ...sheet.Value) (*rel.TableValue, erro
 	if err != nil {
 		return nil, err
 	}
-	return rel.FromResult(res), nil
-}
-
-// RangeTable converts a grid range into a composite table value (headers
-// from the first row).
-func (e *Engine) RangeTable(g sheet.Range, headers bool) *rel.TableValue {
-	return rel.FromCells(e.GetCells(g), headers)
+	tv := &TableValue{Cols: res.Columns, Rows: make([][]sheet.Value, len(res.Rows))}
+	for i, row := range res.Rows {
+		tv.Rows[i] = make([]sheet.Value, len(row))
+		for j, d := range row {
+			tv.Rows[i][j] = model.DatumToValue(d)
+		}
+	}
+	return tv, nil
 }
 
 // PlaceTable writes a composite table value onto the grid at anchor —
 // the expansion step of the index(...) function family — and returns the
 // covered range (including the header row).
-func (e *Engine) PlaceTable(tv *rel.TableValue, anchor sheet.Ref) (sheet.Range, error) {
-	batch := make([]cellWrite, 0, (tv.Len()+1)*tv.Arity())
+func (e *Engine) PlaceTable(tv *TableValue, anchor sheet.Ref) (sheet.Range, error) {
+	batch := make([]cellWrite, 0, (len(tv.Rows)+1)*len(tv.Cols))
 	for j, name := range tv.Cols {
 		batch = append(batch, cellWrite{ref: sheet.Ref{Row: anchor.Row, Col: anchor.Col + j}, value: sheet.Str(name)})
 	}
@@ -165,7 +174,7 @@ func (e *Engine) PlaceTable(tv *rel.TableValue, anchor sheet.Ref) (sheet.Range, 
 		return sheet.Range{}, err
 	}
 	return sheet.NewRange(anchor.Row, anchor.Col,
-		anchor.Row+tv.Len(), anchor.Col+tv.Arity()-1), nil
+		anchor.Row+len(tv.Rows), anchor.Col+len(tv.Cols)-1), nil
 }
 
 // Optimize re-runs the hybrid optimizer over the current contents and

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dataspread/internal/rdbms"
-	"dataspread/internal/rel"
 	"dataspread/internal/sheet"
 	"dataspread/internal/workload"
 )
@@ -114,10 +113,7 @@ func TestLinkTableCreateFromRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := tv.Index(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := tv.Rows[0][0]
 	if f, _ := v.Num(); f != 350 { // 150 (edited) + 200
 		t.Fatalf("SUM = %v", v)
 	}
@@ -154,8 +150,8 @@ func TestSQLWithParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tv.Len() != 2 {
-		t.Fatalf("rows = %d", tv.Len())
+	if len(tv.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tv.Rows))
 	}
 	if _, err := e.SQL("SELECT nope FROM nums"); err == nil {
 		t.Fatal("bad SQL must error")
@@ -281,24 +277,16 @@ func TestRangeTableAndRelationalOps(t *testing.T) {
 			}
 		}
 	}
-	tv := e.RangeTable(sheet.NewRange(1, 1, 4, 2), true)
-	if tv.Arity() != 2 || tv.Len() != 3 {
-		t.Fatalf("table value %dx%d", tv.Arity(), tv.Len())
+	// Select + project over the linked range is SQL.
+	if _, err := e.LinkTable(sheet.NewRange(1, 1, 4, 2), "supp"); err != nil {
+		t.Fatal(err)
 	}
-	pred, err := rel.ParsePredicate("city = Champaign")
+	proj, err := e.SQL("SELECT name FROM supp WHERE city = 'Champaign'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := rel.Select(tv, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filtered.Len() != 2 {
-		t.Fatalf("filtered rows = %d", filtered.Len())
-	}
-	proj, err := rel.Project(filtered, "name")
-	if err != nil {
-		t.Fatal(err)
+	if len(proj.Cols) != 1 || len(proj.Rows) != 2 {
+		t.Fatalf("select+project = %d x %d", len(proj.Rows), len(proj.Cols))
 	}
 	// Place the result back on the grid (index function family).
 	placed, err := e.PlaceTable(proj, sheet.Ref{Row: 10, Col: 1})

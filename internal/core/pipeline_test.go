@@ -12,7 +12,6 @@ import (
 	"dataspread/internal/depgraph"
 	"dataspread/internal/formula"
 	"dataspread/internal/rdbms"
-	"dataspread/internal/rel"
 	"dataspread/internal/sheet"
 )
 
@@ -503,7 +502,7 @@ func TestPipelinePlaceTableIsOneBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustDrain(t, e)
-		tv := &rel.TableValue{Cols: []string{"a", "b", "c"}}
+		tv := &TableValue{Cols: []string{"a", "b", "c"}}
 		for i := 0; i < 4; i++ {
 			tv.Rows = append(tv.Rows, []sheet.Value{sheet.Number(float64(i)), sheet.Number(1), sheet.Str("x")})
 		}

@@ -102,16 +102,22 @@ func checkShift(kind hybrid.Kind, rows bool, at, delta, extent int) error {
 
 // shiftTuples is the row shift of a tuple-per-row region (ROM, TOM): an
 // insert writes delta empty tuples and splices their pointers in with one
-// positional-map shift; a delete removes the band from the map in one pass
-// and deletes the freed tuples. No other tuple is touched — no cascading
-// updates (Section V).
+// positional-map shift; a delete reads every tuple of the band, deletes
+// them, and only then removes the band from the map in one pass, so an
+// unreadable page refuses the delete with the map and the heap unchanged.
+// No other tuple is touched — no cascading updates (Section V).
 func shiftTuples(table *rdbms.Table, rowMap *posmap.Tracked, at, delta int) error {
 	if delta < 0 {
-		for _, rid := range rowMap.DeleteMany(at, -delta) {
+		rids := rowMap.FetchRange(at, -delta)
+		if err := readAll(table, rids); err != nil {
+			return fmt.Errorf("model: row delete: %w", err)
+		}
+		for _, rid := range rids {
 			if err := table.Delete(rid); err != nil {
 				return fmt.Errorf("model: row delete: %w", err)
 			}
 		}
+		rowMap.DeleteMany(at, -delta)
 		return nil
 	}
 	rids := make([]rdbms.RID, delta)
@@ -124,6 +130,19 @@ func shiftTuples(table *rdbms.Table, rowMap *posmap.Tracked, at, delta int) erro
 	}
 	if !rowMap.InsertMany(at, rids) {
 		return fmt.Errorf("model: %s: positional insert failed", table.Name)
+	}
+	return nil
+}
+
+// readAll reads every tuple at rids, so a delete can refuse an unreadable
+// one before it changes anything.
+func readAll(table *rdbms.Table, rids []rdbms.RID) error {
+	var row rdbms.Row
+	for _, rid := range rids {
+		var err error
+		if row, err = table.GetInto(rid, row); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -181,11 +200,4 @@ func (im idMap) InsertMany(pos int, ids []int64) bool {
 	return im.m.InsertMany(pos, rids)
 }
 
-func (im idMap) DeleteMany(pos, count int) []int64 {
-	rids := im.m.DeleteMany(pos, count)
-	out := make([]int64, len(rids))
-	for i, r := range rids {
-		out[i] = ridToID(r)
-	}
-	return out
-}
+func (im idMap) DeleteMany(pos, count int) { im.m.DeleteMany(pos, count) }

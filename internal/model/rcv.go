@@ -249,14 +249,14 @@ func (r *RCV) Shift(rows bool, at, delta int) error {
 		ids.InsertMany(at, fresh)
 		return nil
 	}
-	doomed := ids.DeleteMany(at, -delta)
-	type ent struct {
-		k   int64
-		rid rdbms.RID
-	}
-	var victims []ent
+	// The band's tuples are read, then deleted, and only then is the band
+	// dropped from the map: an unreadable page refuses with nothing changed.
+	doomed := ids.Range(at, -delta)
+	var keys []int64
+	var rids []rdbms.RID
 	collect := func(k int64, rid rdbms.RID) bool {
-		victims = append(victims, ent{k, rid})
+		keys = append(keys, k)
+		rids = append(rids, rid)
 		return true
 	}
 	if rows {
@@ -275,13 +275,17 @@ func (r *RCV) Shift(rows bool, at, delta int) error {
 			return true
 		})
 	}
-	for _, v := range victims {
-		if err := r.table.Delete(v.rid); err != nil {
+	if err := readAll(r.table, rids); err != nil {
+		return fmt.Errorf("model: RCV shift: %w", err)
+	}
+	for i, rid := range rids {
+		if err := r.table.Delete(rid); err != nil {
 			return fmt.Errorf("model: RCV shift: %w", err)
 		}
-		r.index.Delete(v.k, v.rid)
+		r.index.Delete(keys[i], rid)
 		r.cells--
 	}
+	ids.DeleteMany(at, -delta)
 	return nil
 }
 

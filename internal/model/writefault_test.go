@@ -81,6 +81,11 @@ func TestFaultCorruptPageFailsWrites(t *testing.T) {
 		if err := hs.DeleteRows(1, 2); !errors.Is(err, rdbms.ErrChecksum) {
 			t.Fatalf("delete of rows on a corrupt page = %v, want ErrChecksum", err)
 		}
+		r := hs.regions[0]
+		rom := r.tr.(*ROM)
+		if rom.rowMap.Len() != rows || r.rect != sheet.NewRange(1, 1, rows, 4) || rom.table.RowCount() != rows {
+			t.Fatalf("the refused delete left rowMap %d, rect %v, %d tuples", rom.rowMap.Len(), r.rect, rom.table.RowCount())
+		}
 	})
 	t.Run("TOM write", func(t *testing.T) {
 		hs := reopenCorrupting(t, func(db *rdbms.DB, hs *HybridStore) {
@@ -133,6 +138,9 @@ func TestFaultCorruptPageFailsWrites(t *testing.T) {
 		}
 		if rcv := hs.overflow; rcv.cells != rcv.index.Len() {
 			t.Fatalf("the failed delete left %d cells counted, %d indexed", rcv.cells, rcv.index.Len())
+		}
+		if n := hs.overflow.rowIDs.Len(); n != cells {
+			t.Fatalf("the refused delete left %d rows mapped, want %d", n, cells)
 		}
 	})
 }
