@@ -101,14 +101,17 @@ test-faults:
 # (whose inputs are segments of tens of KB: without -fuzzminimizetime 1x the
 # ten seconds go to minimizing the first interesting one) and of the record
 # reader's, which must accept exactly the frames the whole-row decoder
-# accepts and hand out the same datums, and three guards:
+# accepts and hand out the same datums, and four guards:
 # no non-test file of internal/core or internal/model imports encoding/json —
 # both persist in the heap's row codec — internal/model does not import
 # strconv — a number is stored as a typed datum, never as its decimal text —
-# and the pager (filepager.go, wal.go) calls no os.OpenFile, os.Remove,
+# the pager (filepager.go, wal.go) calls no os.OpenFile, os.Remove,
 # os.ReadFile or filepath.Glob: its files go through the fileSystem seam, so
-# an in-memory database and a file-backed one run the same code. The format
-# must not drift back by accident.
+# an in-memory database and a file-backed one run the same code — and no
+# non-test file of internal/core or internal/model builds a positional map by
+# scheme or a baseline (posmap.New, posmap.Schemes, NewPositionAsIs,
+# NewMonotonic): every ordering is a posmap.Tracked, whose root record names
+# one scheme. The format must not drift back by accident.
 test-format:
 	$(GO) test -run 'Golden|FormatVersion|FormulaCellStoresValueOnly' -v . ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzFormulaSetDecode -fuzztime 10s ./internal/core/
@@ -124,6 +127,9 @@ test-format:
 	fi
 	@if grep -nE 'os\.(OpenFile|Remove|ReadFile)\b|filepath\.Glob\b' internal/rdbms/filepager.go internal/rdbms/wal.go; then \
 		echo "the pager opens, reads, removes and lists its files through its fileSystem seam (fsys.go)"; exit 1; \
+	fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' 'posmap\.(New|Schemes)\(|NewPositionAsIs|NewMonotonic' internal/core internal/model; then \
+		echo "the engine keeps every ordering in posmap.Tracked; the baselines are internal/exp's"; exit 1; \
 	fi
 
 # Crash-fuzz soak (~60-90s at the default SOAK_ROUNDS): mixed edits over a

@@ -201,7 +201,7 @@ func (e *Engine) Optimize(algo string, eta float64) (*hybrid.IncrementalResult, 
 	}
 	// Rebuild the store under the new decomposition.
 	e.seq++
-	hs, err := model.Materialize(e.db, fmt.Sprintf("%s_v%d", e.name, e.seq), e.store.Scheme(), snap, res.Decomposition)
+	hs, err := model.Materialize(e.db, fmt.Sprintf("%s_v%d", e.name, e.seq), "", snap, res.Decomposition)
 	if err != nil {
 		return nil, err
 	}

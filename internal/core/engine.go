@@ -22,9 +22,6 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Scheme selects the positional mapping ("hierarchical" default;
-	// "position-as-is" and "monotonic" reproduce the paper's baselines).
-	Scheme string
 	// CacheBlocks caps the LRU cell cache in 64x16 tiles (0: 256); ~9 KiB a dense numeric tile.
 	CacheBlocks int
 	// CostParams drives the hybrid optimizer (zero value: PostgresCost).
@@ -155,7 +152,7 @@ func New(db *rdbms.DB, name string, opts Options) (*Engine, error) {
 	if err := validateSheetName(name); err != nil {
 		return nil, err
 	}
-	hs, err := model.NewHybridStore(db, name, opts.Scheme)
+	hs, err := model.NewHybridStore(db, name)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +170,7 @@ func Open(db *rdbms.DB, name string, s *sheet.Sheet, algo string, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	hs, err := model.Materialize(db, name, opts.Scheme, s, d)
+	hs, err := model.Materialize(db, name, "", s, d)
 	if err != nil {
 		return nil, err
 	}

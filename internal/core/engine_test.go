@@ -290,30 +290,3 @@ func TestEngineVisitRangeClipsToBounds(t *testing.T) {
 		t.Fatalf("huge-range SUM = %v", got)
 	}
 }
-
-func TestEngineAcrossPositionalSchemes(t *testing.T) {
-	// The engine behaves identically under all three positional mapping
-	// schemes; only performance differs (Figure 18).
-	for _, scheme := range []string{"hierarchical", "position-as-is", "monotonic"} {
-		e, err := New(rdbms.Open(rdbms.Options{}), "s_"+scheme, Options{Scheme: scheme})
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		figure7(t, e)
-		if got := cellNum(t, e, 2, 6); got != 75 {
-			t.Fatalf("%s: F2 = %v", scheme, got)
-		}
-		if err := e.InsertRowsAfter(2, 1); err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if got := cellNum(t, e, 4, 6); got != 63.5 {
-			t.Fatalf("%s: shifted Bob total = %v", scheme, got)
-		}
-		if err := e.DeleteRows(3, 1); err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if got := cellNum(t, e, 3, 6); got != 63.5 {
-			t.Fatalf("%s: Bob total after delete = %v", scheme, got)
-		}
-	}
-}

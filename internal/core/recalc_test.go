@@ -603,16 +603,15 @@ func TestRecalcPendingStallSurfacesError(t *testing.T) {
 func colA(col int) string { return string(rune('A' + col - 1)) }
 
 // Property (satellite): applying a batch per-cell via Set must leave the
-// same final values and formulas as one SetCells call, across positional
-// schemes and in both recalc modes — including same-cell overwrites,
-// clears, and cycle churn. (TestPipelineEquivalenceProperty compares the
+// same final values and formulas as one SetCells call, in both recalc modes
+// — including same-cell overwrites, clears, and cycle churn. (TestPipelineEquivalenceProperty compares the
 // formula registry, cycle set and bounds too, across layouts and structural
 // edits.)
 func TestRecalcPropertySetVsSetCells(t *testing.T) {
 	const (
 		maxRow = 10
 		maxCol = 6
-		rounds = 8
+		rounds = 24
 		batch  = 14
 	)
 	genInput := func(rng *rand.Rand, row, col int) string {
@@ -632,53 +631,51 @@ func TestRecalcPropertySetVsSetCells(t *testing.T) {
 			return fmt.Sprintf("%d", rng.Intn(100))
 		}
 	}
-	for _, scheme := range []string{"hierarchical", "position-as-is", "monotonic"} {
-		for _, async := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s_async=%v", scheme, async), func(t *testing.T) {
-				opts := Options{Scheme: scheme, AsyncRecalc: async}
-				ea, err := New(rdbms.Open(rdbms.Options{}), "percell", opts)
-				if err != nil {
-					t.Fatal(err)
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hierarchical_async=%v", async), func(t *testing.T) {
+			opts := Options{AsyncRecalc: async}
+			ea, err := New(rdbms.Open(rdbms.Options{}), "percell", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eb, err := New(rdbms.Open(rdbms.Options{}), "batched", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ea.Close()
+			defer eb.Close()
+			rng := rand.New(rand.NewSource(84))
+			for round := 0; round < rounds; round++ {
+				edits := make([]CellEdit, 0, batch)
+				for i := 0; i < batch; i++ {
+					row, col := rng.Intn(maxRow)+1, rng.Intn(maxCol)+1
+					edits = append(edits, CellEdit{Row: row, Col: col, Input: genInput(rng, row, col)})
 				}
-				eb, err := New(rdbms.Open(rdbms.Options{}), "batched", opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ea.Close()
-				defer eb.Close()
-				rng := rand.New(rand.NewSource(int64(len(scheme)) * 7))
-				for round := 0; round < rounds; round++ {
-					edits := make([]CellEdit, 0, batch)
-					for i := 0; i < batch; i++ {
-						row, col := rng.Intn(maxRow)+1, rng.Intn(maxCol)+1
-						edits = append(edits, CellEdit{Row: row, Col: col, Input: genInput(rng, row, col)})
-					}
-					// Force same-cell churn: repeat one target with a
-					// different final kind.
-					dup := edits[rng.Intn(len(edits))]
-					edits = append(edits, CellEdit{Row: dup.Row, Col: dup.Col, Input: genInput(rng, dup.Row, dup.Col)})
-					for _, ed := range edits {
-						if err := ea.Set(ed.Row, ed.Col, ed.Input); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := eb.SetCells(edits); err != nil {
+				// Force same-cell churn: repeat one target with a
+				// different final kind.
+				dup := edits[rng.Intn(len(edits))]
+				edits = append(edits, CellEdit{Row: dup.Row, Col: dup.Col, Input: genInput(rng, dup.Row, dup.Col)})
+				for _, ed := range edits {
+					if err := ea.Set(ed.Row, ed.Col, ed.Input); err != nil {
 						t.Fatal(err)
 					}
-					mustDrain(t, ea)
-					mustDrain(t, eb)
-					for row := 1; row <= maxRow; row++ {
-						for col := 1; col <= maxCol; col++ {
-							ca, cb := ea.GetCell(row, col), eb.GetCell(row, col)
-							if !ca.Value.Equal(cb.Value) || ca.Formula != cb.Formula {
-								t.Fatalf("round %d (%s,%d): per-cell %+v != batched %+v at (%d,%d)",
-									round, colA(col), row, ca, cb, row, col)
-							}
+				}
+				if err := eb.SetCells(edits); err != nil {
+					t.Fatal(err)
+				}
+				mustDrain(t, ea)
+				mustDrain(t, eb)
+				for row := 1; row <= maxRow; row++ {
+					for col := 1; col <= maxCol; col++ {
+						ca, cb := ea.GetCell(row, col), eb.GetCell(row, col)
+						if !ca.Value.Equal(cb.Value) || ca.Formula != cb.Formula {
+							t.Fatalf("round %d (%s,%d): per-cell %+v != batched %+v at (%d,%d)",
+								round, colA(col), row, ca, cb, row, col)
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

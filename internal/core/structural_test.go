@@ -81,81 +81,79 @@ func seedStructuralSheet(t *testing.T, e *Engine, rng *rand.Rand) {
 
 // TestBatchedInsertEquivalence: InsertRowsAfter(r, k) must be observably
 // identical (cells, formula texts, recalculated values) to k times
-// InsertRowsAfter(r, 1), across all positional schemes; same for columns and
-// for deletes, including an insert-then-delete round trip.
+// InsertRowsAfter(r, 1); same for columns and for deletes, including an
+// insert-then-delete round trip.
 func TestBatchedStructuralEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, scheme := range []string{"hierarchical", "position-as-is", "monotonic"} {
-		for trial := 0; trial < 4; trial++ {
-			at := rng.Intn(21) // 0..20
-			k := rng.Intn(4) + 1
-			batched, err := New(rdbms.Open(rdbms.Options{}), "b", Options{Scheme: scheme})
-			if err != nil {
-				t.Fatal(err)
-			}
-			looped, err := New(rdbms.Open(rdbms.Options{}), "l", Options{Scheme: scheme})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seedStructuralSheet(t, batched, rng)
-			seedStructuralSheet(t, looped, rng)
-
-			if err := batched.InsertRowsAfter(at, k); err != nil {
-				t.Fatalf("%s: batched insert: %v", scheme, err)
-			}
-			for i := 0; i < k; i++ {
-				if err := looped.InsertRowsAfter(at, 1); err != nil {
-					t.Fatalf("%s: single insert: %v", scheme, err)
-				}
-			}
-			label := fmt.Sprintf("%s insert rows at %d x%d", scheme, at, k)
-			assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
-
-			// Round trip: deleting the inserted band restores the sheet.
-			before := snapshotEngine(t, looped)
-			if err := batched.DeleteRows(at+1, k); err != nil {
-				t.Fatal(err)
-			}
-			if err := batched.InsertRowsAfter(at, k); err != nil {
-				t.Fatal(err)
-			}
-			assertSameContent(t, label+" round-trip", snapshotEngine(t, batched), before)
-
-			// Column axis.
-			atC := rng.Intn(10)
-			if err := batched.InsertColumnsAfter(atC, k); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < k; i++ {
-				if err := looped.InsertColumnsAfter(atC, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			label = fmt.Sprintf("%s insert cols at %d x%d", scheme, atC, k)
-			assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
-
-			// Batched delete vs k single deletes at the same position.
-			delAt := rng.Intn(10) + 1
-			if err := batched.DeleteRows(delAt, k); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < k; i++ {
-				if err := looped.DeleteRows(delAt, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			label = fmt.Sprintf("%s delete rows at %d x%d", scheme, delAt, k)
-			assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
-
-			if err := batched.DeleteColumns(delAt, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := looped.DeleteColumns(delAt, 1); err != nil {
-				t.Fatal(err)
-			}
-			label = fmt.Sprintf("%s delete col at %d", scheme, delAt)
-			assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
+	for trial := 0; trial < 12; trial++ {
+		at := rng.Intn(21) // 0..20
+		k := rng.Intn(4) + 1
+		batched, err := New(rdbms.Open(rdbms.Options{}), "b", Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		looped, err := New(rdbms.Open(rdbms.Options{}), "l", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedStructuralSheet(t, batched, rng)
+		seedStructuralSheet(t, looped, rng)
+
+		if err := batched.InsertRowsAfter(at, k); err != nil {
+			t.Fatalf("batched insert: %v", err)
+		}
+		for i := 0; i < k; i++ {
+			if err := looped.InsertRowsAfter(at, 1); err != nil {
+				t.Fatalf("single insert: %v", err)
+			}
+		}
+		label := fmt.Sprintf("insert rows at %d x%d", at, k)
+		assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
+
+		// Round trip: deleting the inserted band restores the sheet.
+		before := snapshotEngine(t, looped)
+		if err := batched.DeleteRows(at+1, k); err != nil {
+			t.Fatal(err)
+		}
+		if err := batched.InsertRowsAfter(at, k); err != nil {
+			t.Fatal(err)
+		}
+		assertSameContent(t, label+" round-trip", snapshotEngine(t, batched), before)
+
+		// Column axis.
+		atC := rng.Intn(10)
+		if err := batched.InsertColumnsAfter(atC, k); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if err := looped.InsertColumnsAfter(atC, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		label = fmt.Sprintf("insert cols at %d x%d", atC, k)
+		assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
+
+		// Batched delete vs k single deletes at the same position.
+		delAt := rng.Intn(10) + 1
+		if err := batched.DeleteRows(delAt, k); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if err := looped.DeleteRows(delAt, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		label = fmt.Sprintf("delete rows at %d x%d", delAt, k)
+		assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
+
+		if err := batched.DeleteColumns(delAt, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := looped.DeleteColumns(delAt, 1); err != nil {
+			t.Fatal(err)
+		}
+		label = fmt.Sprintf("delete col at %d", delAt)
+		assertSameContent(t, label, snapshotEngine(t, batched), snapshotEngine(t, looped))
 	}
 }
 

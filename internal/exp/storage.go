@@ -198,7 +198,7 @@ func replayAccess(cfg Config, s *sheet.Sheet, algo string, ranges []sheet.Range)
 	}
 	mark := diskMark()
 	defer closeDiskSince(mark) //nolint:errcheck // release this sheet's disk DB
-	hs, err := model.Materialize(cfg.openDB(0), "f15b", "hierarchical", s, d)
+	hs, err := model.Materialize(cfg.openDB(0), "f15b", "", s, d)
 	if err != nil {
 		return 0
 	}
@@ -258,7 +258,7 @@ func Fig17(cfg Config) []Fig17Row {
 			}
 			row.AnalyticCost[m] = d.Cost
 			mark := diskMark()
-			hs, err := model.Materialize(cfg.openDB(0), "f17", "hierarchical", s, d)
+			hs, err := model.Materialize(cfg.openDB(0), "f17", "", s, d)
 			if err != nil {
 				cfg.printf("fig17: %s materialize: %v\n", m, err)
 				continue

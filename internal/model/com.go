@@ -58,6 +58,10 @@ func transpose(ws []CellWrite) []CellWrite {
 // Shift implements Translator: the inner ROM's shift on the other axis.
 func (c *COM) Shift(rows bool, at, delta int) error { return c.inner.Shift(!rows, at, delta) }
 
+func (c *COM) refuseShift(rows bool, at, delta int) error {
+	return c.inner.refuseShift(!rows, at, delta)
+}
+
 // StorageBytes implements Translator.
 func (c *COM) StorageBytes() int64 { return c.inner.StorageBytes() }
 

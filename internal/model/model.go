@@ -58,27 +58,21 @@ type Translator interface {
 type CellWrite = sheet.CellWrite
 
 // refuser is what every translator implements besides Translator: the
-// refusals UpdateCells would meet on ws, decided without writing. The store
-// asks each region of a batch before it writes to any.
+// refusals UpdateCells would meet on ws and Shift on its edit (a tuple the
+// delete removes that cannot be read whole among them), decided without
+// writing. The store asks every part of a batch or an edit before it
+// changes any.
 type refuser interface {
 	refuse(ws []CellWrite) error
+	refuseShift(rows bool, at, delta int) error
 }
 
 // Config carries construction parameters shared by the translators.
 type Config struct {
 	DB *rdbms.DB
-	// Scheme selects the positional mapping ("hierarchical" by default).
-	Scheme string
 	// TableName is the backing table's name; it must be unique per
 	// translator instance.
 	TableName string
-}
-
-func (c Config) scheme() string {
-	if c.Scheme == "" {
-		return "hierarchical"
-	}
-	return c.Scheme
 }
 
 // checkShift validates a Shift against the region's extent on its axis: an
@@ -100,19 +94,14 @@ func checkShift(kind hybrid.Kind, rows bool, at, delta, extent int) error {
 	return nil
 }
 
-// shiftTuples is the row shift of a tuple-per-row region (ROM, TOM): an
-// insert writes delta empty tuples and splices their pointers in with one
-// positional-map shift; a delete reads every tuple of the band, deletes
-// them, and only then removes the band from the map in one pass, so an
-// unreadable page refuses the delete with the map and the heap unchanged.
-// No other tuple is touched — no cascading updates (Section V).
+// shiftTuples is the row shift of a tuple-per-row region (ROM, TOM), once
+// refuseRows has read the band: an insert writes delta empty tuples and
+// splices their pointers in with one positional-map shift; a delete deletes
+// the band's tuples and then removes the band from the map in one pass. No
+// other tuple is touched — no cascading updates (Section V).
 func shiftTuples(table *rdbms.Table, rowMap *posmap.Tracked, at, delta int) error {
 	if delta < 0 {
-		rids := rowMap.FetchRange(at, -delta)
-		if err := readAll(table, rids); err != nil {
-			return fmt.Errorf("model: row delete: %w", err)
-		}
-		for _, rid := range rids {
+		for _, rid := range rowMap.FetchRange(at, -delta) {
 			if err := table.Delete(rid); err != nil {
 				return fmt.Errorf("model: row delete: %w", err)
 			}
@@ -134,14 +123,23 @@ func shiftTuples(table *rdbms.Table, rowMap *posmap.Tracked, at, delta int) erro
 	return nil
 }
 
+// refuseRows is refuseShift's row half for a tuple-per-row region: the
+// shift must fit the extent, and a delete reads every tuple of its band
+// whole, so an unreadable page refuses it before anything changes.
+func refuseRows(kind hybrid.Kind, table *rdbms.Table, rowMap *posmap.Tracked, at, delta int) error {
+	if err := checkShift(kind, true, at, delta, rowMap.Len()); err != nil || delta > 0 {
+		return err
+	}
+	return readAll(table, rowMap.FetchRange(at, -delta), "row delete")
+}
+
 // readAll reads every tuple at rids, so a delete can refuse an unreadable
-// one before it changes anything.
-func readAll(table *rdbms.Table, rids []rdbms.RID) error {
+// one, naming what it refuses, before it changes anything.
+func readAll(table *rdbms.Table, rids []rdbms.RID, what string) (err error) {
 	var row rdbms.Row
 	for _, rid := range rids {
-		var err error
 		if row, err = table.GetInto(rid, row); err != nil {
-			return err
+			return fmt.Errorf("model: %s: %w", what, err)
 		}
 	}
 	return nil
@@ -157,13 +155,11 @@ func (c Config) validate() error {
 	return nil
 }
 
-// idMap adapts posmap.Map (which stores tuple pointers) to carry stable
+// idMap adapts posmap.Tracked (which stores tuple pointers) to carry stable
 // 48-bit surrogate identifiers, used by RCV where one ordered position
 // (a row or column) corresponds to many tuples rather than one. The
 // surrogate is packed into the RID's 32-bit page and 16-bit slot fields.
 type idMap struct{ m *posmap.Tracked }
-
-func newIDMap(scheme string) idMap { return idMap{m: posmap.NewTracked(scheme)} }
 
 func idToRID(id int64) rdbms.RID {
 	return rdbms.RID{Page: rdbms.PageID(uint32(id >> 16)), Slot: uint16(id & 0xFFFF)}

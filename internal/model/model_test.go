@@ -364,7 +364,7 @@ func TestTOMLinkedTable(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	db.MustExec("CREATE TABLE invoice (invid BIGINT, amount DOUBLE, memo TEXT)")
 	db.MustExec("INSERT INTO invoice VALUES (1, 100.0, 'a'), (2, 250.5, 'b')")
-	tom, err := LinkTOM(db.Table("invoice"), "", true)
+	tom, err := LinkTOM(db.Table("invoice"), true)
 	if err != nil {
 		t.Fatal(err)
 	}

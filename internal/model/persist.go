@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 
 	"dataspread/internal/posmap"
@@ -40,8 +39,9 @@ import (
 // Every value is length-framed rows of the heap's own row codec
 // (rdbms.AppendRecord / rdbms.EachRecord), the catalog root's encoding:
 //
-//	root    (name, scheme, seq, next segment, overflow segment, regions),
-//	        then per region (from row, from col, to row, to col, kind, segment)
+//	root    (name, positional scheme — always "hierarchical", the counted
+//	        tree every ordering is kept in — seq, next segment, overflow
+//	        segment, regions), then per region (from row, from col, to row, to col, kind, segment)
 //	header  (kind, table, next column, headers, next row id, next column id,
 //	        column indirection)
 //	order   (generation, column generation, rows, columns)
@@ -64,6 +64,10 @@ import (
 
 // storeMetaKey is the metadata KV key prefix for store manifests.
 const storeMetaKey = "sheet:"
+
+// positionalScheme is the root record's scheme name: every ordering is a
+// posmap.Tracked, and a root naming another scheme fails the load.
+const positionalScheme = "hierarchical"
 
 // segHeader is a segment's non-positional state (O(cols), rewritten freely
 // — the meta KV's byte-equality check skips unchanged headers at commit).
@@ -167,7 +171,7 @@ func (h *HybridStore) saveManifest(full bool) error {
 	if _, err := h.saveSegment(overflowSeg, h.overflow, full); err != nil {
 		return err
 	}
-	root := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Text(h.name), rdbms.Text(h.scheme), rdbms.Int(int64(h.seq)),
+	root := rdbms.AppendRecord(nil, rdbms.Row{rdbms.Text(h.name), rdbms.Text(positionalScheme), rdbms.Int(int64(h.seq)),
 		rdbms.Int(int64(h.nextSeg)), rdbms.Int(overflowSeg), rdbms.Int(int64(len(h.regions)))})
 	for _, reg := range h.regions {
 		kind, err := h.saveSegment(reg.seg, reg.tr, full)
@@ -261,25 +265,11 @@ func (h *HybridStore) deleteSegment(seg int) {
 // stores whose names happen to share a prefix are never touched.
 func isSegKeyTail(tail string) bool {
 	rest, ok := strings.CutPrefix(tail, "seg:")
-	if !ok {
+	digits, suf, hasSuf := strings.Cut(rest, ":")
+	if !ok || digits == "" || hasSuf && suf != "order" && suf != "delta" {
 		return false
 	}
-	digits := rest
-	if i := strings.IndexByte(rest, ':'); i >= 0 {
-		digits = rest[:i]
-		if suf := rest[i+1:]; suf != "order" && suf != "delta" {
-			return false
-		}
-	}
-	if digits == "" {
-		return false
-	}
-	for i := 0; i < len(digits); i++ {
-		if digits[i] < '0' || digits[i] > '9' {
-			return false
-		}
-	}
-	return true
+	return strings.Trim(digits, "0123456789") == ""
 }
 
 // DropManifest removes the store's persisted manifest — the root and every
@@ -360,10 +350,11 @@ func LoadHybridStore(db *rdbms.DB, name string) (*HybridStore, error) {
 	found, err := loadValue(db, name, storeMetaKey+name, "root", func(blob []byte) error {
 		n, err := rdbms.EachRecord(blob, func(i int, rec *rdbms.RecordReader) error {
 			if i == 0 {
-				h.name, h.scheme, h.seq, h.nextSeg = rec.Text(), rec.Text(), int(rec.Int()), int(rec.Int())
+				var scheme string
+				h.name, scheme, h.seq, h.nextSeg = rec.Text(), rec.Text(), int(rec.Int()), int(rec.Int())
 				overflow, declared = int(rec.Int()), int(rec.Int())
-				if !slices.Contains(posmap.Schemes(), h.scheme) {
-					return fmt.Errorf("unknown positional scheme %q", h.scheme)
+				if scheme != positionalScheme {
+					return fmt.Errorf("unknown positional scheme %q", scheme)
 				}
 				return nil
 			}
@@ -471,14 +462,14 @@ func (h *HybridStore) loadSegment(seg int, kind string) (Translator, error) {
 	}, func() int { return 1 + nOps + nColOps }); err != nil {
 		return nil, err
 	}
-	rows, err := rebuildTracked(h.scheme, base, uint64(gen), ops)
+	rows, err := rebuildTracked(base, uint64(gen), ops)
 	if err != nil {
 		return nil, fmt.Errorf("model: store %q segment %d: %w", h.name, seg, err)
 	}
 	if kind != "rcv" && len(colBase)+len(colOps) > 0 {
 		return nil, fmt.Errorf("model: store %q segment %d: a column ordering in a %q segment", h.name, seg, kind)
 	}
-	cfg := Config{DB: h.db, Scheme: h.scheme, TableName: hdr.Table}
+	cfg := Config{DB: h.db, TableName: hdr.Table}
 	switch kind {
 	case "rom":
 		return &ROM{cfg: cfg, table: table, rowMap: rows, colPos: hdr.ColPos, nextCol: hdr.NextCol}, nil
@@ -487,7 +478,7 @@ func (h *HybridStore) loadSegment(seg int, kind string) (Translator, error) {
 	case "tom":
 		return &TOM{db: table, rowMap: rows, headers: hdr.Headers}, nil
 	}
-	cols, err := rebuildTracked(h.scheme, colBase, uint64(colGen), colOps)
+	cols, err := rebuildTracked(colBase, uint64(colGen), colOps)
 	if err != nil {
 		return nil, fmt.Errorf("model: store %q segment %d: %w", h.name, seg, err)
 	}
@@ -516,8 +507,8 @@ func (h *HybridStore) loadSegment(seg int, kind string) (Translator, error) {
 
 // rebuildTracked reconstructs one ordering from its base, generation and
 // replay ops.
-func rebuildTracked(scheme string, base []rdbms.RID, gen uint64, ops []posmap.Op) (*posmap.Tracked, error) {
-	t := posmap.NewTracked(scheme)
+func rebuildTracked(base []rdbms.RID, gen uint64, ops []posmap.Op) (*posmap.Tracked, error) {
+	t := posmap.NewTracked()
 	if len(base) > 0 && !t.InsertMany(1, base) {
 		return nil, fmt.Errorf("positional map rejected %d base entries", len(base))
 	}

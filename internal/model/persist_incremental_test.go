@@ -7,20 +7,19 @@ import (
 	"testing"
 
 	"dataspread/internal/hybrid"
-	"dataspread/internal/posmap"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
 
 // makePropStore opens a file-backed database with one region of the given
 // kind (rows 3..14 × cols 2..7) plus a few overflow cells.
-func makePropStore(t *testing.T, path, kind, scheme string) (*rdbms.DB, *HybridStore) {
+func makePropStore(t *testing.T, path, kind string) (*rdbms.DB, *HybridStore) {
 	t.Helper()
 	db, err := rdbms.OpenFile(path, rdbms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := NewHybridStore(db, "hs", scheme)
+	hs, err := NewHybridStore(db, "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,109 +63,106 @@ func makePropStore(t *testing.T, path, kind, scheme string) (*rdbms.DB, *HybridS
 }
 
 // TestIncrementalManifestProperty is the randomized persistence property:
-// for every translator kind × positional scheme, the same edit sequence —
-// cell writes, batched structural edits, saves at random points — applied
-// to one store persisted incrementally (dirty segments + deltas) and one
-// persisted with full rewrites must reload to cell-for-cell identical
-// sheets. Dirty tracking can never skip a changed segment.
+// for every translator kind, the same edit sequence — cell writes, batched
+// structural edits, saves at random points — applied to one store persisted
+// incrementally (dirty segments + deltas) and one persisted with full
+// rewrites must reload to cell-for-cell identical sheets. Dirty tracking can never skip a changed segment.
 func TestIncrementalManifestProperty(t *testing.T) {
-	const steps = 70
+	const steps = 210
 	bounds := sheet.NewRange(1, 1, 32, 16)
-	for _, scheme := range posmap.Schemes() {
-		for _, kind := range []string{"rom", "com", "rcv", "tom"} {
-			t.Run(kind+"/"+scheme, func(t *testing.T) {
-				dir := t.TempDir()
-				pathA := filepath.Join(dir, "inc.dsdb")
-				pathB := filepath.Join(dir, "full.dsdb")
-				dbA, hsA := makePropStore(t, pathA, kind, scheme)
-				dbB, hsB := makePropStore(t, pathB, kind, scheme)
-				rng := rand.New(rand.NewSource(int64(len(kind))*1000 + int64(len(scheme))))
+	for _, kind := range []string{"rom", "com", "rcv", "tom"} {
+		t.Run(kind+"/hierarchical", func(t *testing.T) {
+			dir := t.TempDir()
+			pathA := filepath.Join(dir, "inc.dsdb")
+			pathB := filepath.Join(dir, "full.dsdb")
+			dbA, hsA := makePropStore(t, pathA, kind)
+			dbB, hsB := makePropStore(t, pathB, kind)
+			rng := rand.New(rand.NewSource(int64(len(kind))*1000 + 12))
 
-				apply := func(step int, fn func(h *HybridStore) error) {
-					errA := fn(hsA)
-					errB := fn(hsB)
-					if (errA == nil) != (errB == nil) {
-						t.Fatalf("step %d: divergent outcome: inc=%v full=%v", step, errA, errB)
+			apply := func(step int, fn func(h *HybridStore) error) {
+				errA := fn(hsA)
+				errB := fn(hsB)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("step %d: divergent outcome: inc=%v full=%v", step, errA, errB)
+				}
+			}
+			for step := 0; step < steps; step++ {
+				switch op := rng.Intn(10); {
+				case op < 4: // cell write
+					r, c := rng.Intn(20)+1, rng.Intn(10)+1
+					cell := sheet.Cell{Value: sheet.Str(fmt.Sprintf("s%d", step))}
+					if rng.Intn(6) == 0 {
+						cell = sheet.Cell{} // blank
+					}
+					apply(step, func(h *HybridStore) error { return setCell(h, r, c, cell) })
+				case op < 6: // batched row insert
+					at, n := rng.Intn(20), rng.Intn(3)+1
+					apply(step, func(h *HybridStore) error { return h.InsertRowsAfter(at, n) })
+				case op < 7: // batched row delete
+					at, n := rng.Intn(18)+1, rng.Intn(2)+1
+					apply(step, func(h *HybridStore) error { return h.DeleteRows(at, n) })
+				case op < 8 && kind != "tom": // column insert (fixed-arity TOM excluded)
+					at, n := rng.Intn(10), rng.Intn(2)+1
+					apply(step, func(h *HybridStore) error { return h.InsertColumnsAfter(at, n) })
+				case op < 9 && kind != "tom": // column delete
+					at := rng.Intn(8) + 1
+					apply(step, func(h *HybridStore) error { return h.DeleteColumns(at, 1) })
+				default: // save at a random point
+					if err := hsA.SaveManifest(); err != nil {
+						t.Fatal(err)
+					}
+					if err := dbA.FlushWAL(); err != nil {
+						t.Fatal(err)
+					}
+					if err := hsB.SaveManifestFull(); err != nil {
+						t.Fatal(err)
+					}
+					if err := dbB.FlushWAL(); err != nil {
+						t.Fatal(err)
 					}
 				}
-				for step := 0; step < steps; step++ {
-					switch op := rng.Intn(10); {
-					case op < 4: // cell write
-						r, c := rng.Intn(20)+1, rng.Intn(10)+1
-						cell := sheet.Cell{Value: sheet.Str(fmt.Sprintf("s%d", step))}
-						if rng.Intn(6) == 0 {
-							cell = sheet.Cell{} // blank
-						}
-						apply(step, func(h *HybridStore) error { return setCell(h, r, c, cell) })
-					case op < 6: // batched row insert
-						at, n := rng.Intn(20), rng.Intn(3)+1
-						apply(step, func(h *HybridStore) error { return h.InsertRowsAfter(at, n) })
-					case op < 7: // batched row delete
-						at, n := rng.Intn(18)+1, rng.Intn(2)+1
-						apply(step, func(h *HybridStore) error { return h.DeleteRows(at, n) })
-					case op < 8 && kind != "tom": // column insert (fixed-arity TOM excluded)
-						at, n := rng.Intn(10), rng.Intn(2)+1
-						apply(step, func(h *HybridStore) error { return h.InsertColumnsAfter(at, n) })
-					case op < 9 && kind != "tom": // column delete
-						at := rng.Intn(8) + 1
-						apply(step, func(h *HybridStore) error { return h.DeleteColumns(at, 1) })
-					default: // save at a random point
-						if err := hsA.SaveManifest(); err != nil {
-							t.Fatal(err)
-						}
-						if err := dbA.FlushWAL(); err != nil {
-							t.Fatal(err)
-						}
-						if err := hsB.SaveManifestFull(); err != nil {
-							t.Fatal(err)
-						}
-						if err := dbB.FlushWAL(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if err := hsA.SaveManifest(); err != nil {
-					t.Fatal(err)
-				}
-				if err := dbA.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if err := hsB.SaveManifestFull(); err != nil {
-					t.Fatal(err)
-				}
-				if err := dbB.Close(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := hsA.SaveManifest(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dbA.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := hsB.SaveManifestFull(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dbB.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-				dbA2, err := rdbms.OpenFile(pathA, rdbms.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer dbA2.Close()
-				dbB2, err := rdbms.OpenFile(pathB, rdbms.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer dbB2.Close()
-				loadedA, err := LoadHybridStore(dbA2, "hs")
-				if err != nil {
-					t.Fatalf("incremental load: %v", err)
-				}
-				loadedB, err := LoadHybridStore(dbB2, "hs")
-				if err != nil {
-					t.Fatalf("full load: %v", err)
-				}
-				gridA, err := loadedA.GetCells(bounds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gridB, err := loadedB.GetCells(bounds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameGrid(t, kind+"/"+scheme, gridA, gridB)
-			})
-		}
+			dbA2, err := rdbms.OpenFile(pathA, rdbms.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dbA2.Close()
+			dbB2, err := rdbms.OpenFile(pathB, rdbms.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dbB2.Close()
+			loadedA, err := LoadHybridStore(dbA2, "hs")
+			if err != nil {
+				t.Fatalf("incremental load: %v", err)
+			}
+			loadedB, err := LoadHybridStore(dbB2, "hs")
+			if err != nil {
+				t.Fatalf("full load: %v", err)
+			}
+			gridA, err := loadedA.GetCells(bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gridB, err := loadedB.GetCells(bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameGrid(t, kind, gridA, gridB)
+		})
 	}
 }
 
@@ -180,7 +176,7 @@ func TestIncrementalManifestDeltaBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	hs, err := NewHybridStore(db, "hs", "hierarchical")
+	hs, err := NewHybridStore(db, "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +236,7 @@ func TestDeltaRatioTriggersFullRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	hs, err := NewHybridStore(db, "hs", "hierarchical")
+	hs, err := NewHybridStore(db, "hs")
 	if err != nil {
 		t.Fatal(err)
 	}

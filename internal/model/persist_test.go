@@ -26,7 +26,7 @@ func persistRoundTrip(t *testing.T, s *sheet.Sheet, algo string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Materialize(db, "hs", "hierarchical", s, d)
+	hs, err := Materialize(db, "hs", "", s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestLinkedTOMRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hs, err := NewHybridStore(db, "hs", "")
+	hs, err := NewHybridStore(db, "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestLinkedTOMRoundTrip(t *testing.T) {
 
 func TestStoreNames(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
-	hs, err := NewHybridStore(db, "alpha", "")
+	hs, err := NewHybridStore(db, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +196,63 @@ func TestStoreNames(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesOtherPositionalScheme: every ordering is a counted tree,
+// so a root record naming another positional scheme fails the load by name.
+func TestLoadRefusesOtherPositionalScheme(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	s := buildSheet()
+	d, err := hybrid.Decompose(s, "rom", hybrid.Options{Params: hybrid.PostgresCost, Models: hybrid.AllModels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := Materialize(db, "hs", "", s, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.SaveManifest(); err != nil {
+		t.Fatal(err)
+	}
+	blob, _, err := db.MetaValue(hs.rootKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root []byte
+	if _, err := rdbms.EachRecord(blob, func(i int, rec *rdbms.RecordReader) error {
+		if i == 0 {
+			name, _ := rec.Text(), rec.Text()
+			root = rdbms.AppendRecord(root, rdbms.Row{rdbms.Text(name), rdbms.Text("monotonic"),
+				rdbms.Int(rec.Int()), rdbms.Int(rec.Int()), rdbms.Int(rec.Int()), rdbms.Int(rec.Int())})
+			return nil
+		}
+		root = rdbms.AppendRecord(root, rdbms.Row{rdbms.Int(rec.Int()), rdbms.Int(rec.Int()),
+			rdbms.Int(rec.Int()), rdbms.Int(rec.Int()), rdbms.Text(rec.Text()), rdbms.Int(rec.Int())})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db.PutMeta(hs.rootKey(), root)
+	if _, err := LoadHybridStore(db, "hs"); err == nil || !strings.Contains(err.Error(), `unknown positional scheme "monotonic"`) {
+		t.Fatalf("load of a root naming monotonic = %v", err)
+	}
+}
+
+// TestMaterializeRefusesOtherScheme: Materialize's scheme is "" or
+// "hierarchical"; a baseline's name is refused before any table is made.
+func TestMaterializeRefusesOtherScheme(t *testing.T) {
+	db := rdbms.Open(rdbms.Options{})
+	s := buildSheet()
+	d, err := hybrid.Decompose(s, "rom", hybrid.Options{Params: hybrid.PostgresCost, Models: hybrid.AllModels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Materialize(db, "hs", "monotonic", s, d); err == nil {
+		t.Fatal("Materialize under the monotonic scheme succeeded")
+	}
+	if _, err := Materialize(db, "hs", "hierarchical", s, d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fuzzStore builds the saved store FuzzStoreManifestDecode damages: buildSheet
 // in one row-oriented region, a cell outside it in the overflow RCV, and one
 // row inserted after the first save, so order and delta values both exist.
@@ -207,7 +264,7 @@ func fuzzStore(t testing.TB) (*rdbms.DB, *HybridStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Materialize(db, "hs", "hierarchical", s, d)
+	hs, err := Materialize(db, "hs", "", s, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dataspread/internal/hybrid"
+	"dataspread/internal/posmap"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
@@ -52,8 +53,8 @@ func NewRCV(cfg Config, rows, cols int) (*RCV, error) {
 	r := &RCV{
 		cfg:       cfg,
 		table:     t,
-		rowIDs:    newIDMap(cfg.scheme()),
-		colIDs:    newIDMap(cfg.scheme()),
+		rowIDs:    idMap{posmap.NewTracked()},
+		colIDs:    idMap{posmap.NewTracked()},
 		nextRowID: 1,
 		nextColID: 1,
 		index:     rdbms.NewBTree(64),
@@ -224,36 +225,63 @@ func (r *RCV) UpdateCells(ws []CellWrite) error {
 }
 
 // Shift implements Translator. An insert places fresh surrogates with one
-// positional-map shift and touches no tuple at all. A row delete sweeps one
-// key range per deleted row; a column delete scans the whole index once
-// (cells of a column are scattered across row key ranges), so count columns
-// cost the same sweep as one. The surrogates leave in one positional pass.
+// positional-map shift and touches no tuple at all. A delete removes the
+// band's tuples (band) and then its surrogates in one positional pass.
 func (r *RCV) Shift(rows bool, at, delta int) error {
-	ids := r.colIDs
-	if rows {
-		ids = r.rowIDs
-	}
-	if err := checkShift(hybrid.RCV, rows, at, delta, ids.Len()); err != nil {
+	keys, rids, err := r.band(rows, at, delta)
+	if err != nil {
 		return err
 	}
+	ids := r.axis(rows)
 	if delta > 0 {
 		fresh := make([]int64, delta)
 		for i := range fresh {
-			var err error
 			if rows {
 				fresh[i] = r.allocRow()
-			} else if fresh[i], err = r.allocCol(); err != nil {
-				return err
+			} else {
+				fresh[i], _ = r.allocCol() // band checked the capacity
 			}
 		}
 		ids.InsertMany(at, fresh)
 		return nil
 	}
-	// The band's tuples are read, then deleted, and only then is the band
-	// dropped from the map: an unreadable page refuses with nothing changed.
-	doomed := ids.Range(at, -delta)
-	var keys []int64
-	var rids []rdbms.RID
+	for i, rid := range rids {
+		if err := r.table.Delete(rid); err != nil {
+			return fmt.Errorf("model: RCV shift: %w", err)
+		}
+		r.index.Delete(keys[i], rid)
+		r.cells--
+	}
+	ids.DeleteMany(at, -delta)
+	return nil
+}
+
+func (r *RCV) refuseShift(rows bool, at, delta int) error {
+	_, _, err := r.band(rows, at, delta)
+	return err
+}
+
+func (r *RCV) axis(rows bool) idMap {
+	if rows {
+		return r.rowIDs
+	}
+	return r.colIDs
+}
+
+// band decides a shift's refusals — outside the axis's extent, a column
+// insert past the surrogate capacity, a delete of a tuple that cannot be
+// read whole — and returns a delete's index entries. A row delete sweeps one
+// key range per deleted row; a column delete scans the whole index once
+// (cells of a column are scattered across row key ranges), so count columns
+// cost the same sweep as one.
+func (r *RCV) band(rows bool, at, delta int) (keys []int64, rids []rdbms.RID, err error) {
+	if err := checkShift(hybrid.RCV, rows, at, delta, r.axis(rows).Len()); err != nil || delta > 0 {
+		if err == nil && !rows && r.nextColID+int64(delta) > 1<<rcvColBits {
+			err = errColCapacity
+		}
+		return nil, nil, err
+	}
+	doomed := r.axis(rows).Range(at, -delta)
 	collect := func(k int64, rid rdbms.RID) bool {
 		keys = append(keys, k)
 		rids = append(rids, rid)
@@ -269,24 +297,10 @@ func (r *RCV) Shift(rows bool, at, delta int) error {
 			cols[id] = true
 		}
 		r.index.Scan(0, 1<<62, func(k int64, rid rdbms.RID) bool {
-			if cols[k&(1<<rcvColBits-1)] {
-				collect(k, rid)
-			}
-			return true
+			return !cols[k&(1<<rcvColBits-1)] || collect(k, rid)
 		})
 	}
-	if err := readAll(r.table, rids); err != nil {
-		return fmt.Errorf("model: RCV shift: %w", err)
-	}
-	for i, rid := range rids {
-		if err := r.table.Delete(rid); err != nil {
-			return fmt.Errorf("model: RCV shift: %w", err)
-		}
-		r.index.Delete(keys[i], rid)
-		r.cells--
-	}
-	ids.DeleteMany(at, -delta)
-	return nil
+	return keys, rids, readAll(r.table, rids, "RCV shift")
 }
 
 // StorageBytes implements Translator (index entries are costed by the

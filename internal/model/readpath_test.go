@@ -7,15 +7,14 @@ import (
 	"testing"
 
 	"dataspread/internal/hybrid"
-	"dataspread/internal/posmap"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
 
 // fillROM builds a ROM region of rows×cols with deterministic numbers.
-func fillROM(t testing.TB, db *rdbms.DB, scheme string, rows, cols int) *ROM {
+func fillROM(t testing.TB, db *rdbms.DB, rows, cols int) *ROM {
 	t.Helper()
-	rom, err := NewROM(Config{DB: db, Scheme: scheme, TableName: "rp"}, cols)
+	rom, err := NewROM(Config{DB: db, TableName: "rp"}, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func fillROM(t testing.TB, db *rdbms.DB, scheme string, rows, cols int) *ROM {
 func TestROMProjectionPushdown(t *testing.T) {
 	const rows, cols = 300, 64
 	const vpRows, vpCols = 200, 4
-	rom := fillROM(t, rdbms.Open(rdbms.Options{}), "hierarchical", rows, cols)
+	rom := fillROM(t, rdbms.Open(rdbms.Options{}), rows, cols)
 	g := sheet.NewRange(50, 10, 50+vpRows-1, 10+vpCols-1)
 
 	rdbms.ResetDecodedAttrCount()
@@ -69,7 +68,7 @@ func TestROMProjectionPushdown(t *testing.T) {
 // page per range read.
 func TestROMGetCellsPinsEachPageOnce(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{BufferPoolPages: 1 << 12})
-	rom := fillROM(t, db, "hierarchical", 2000, 20)
+	rom := fillROM(t, db, 2000, 20)
 	g := sheet.NewRange(101, 1, 900, 20)
 	distinct := make(map[rdbms.PageID]bool)
 	for _, rid := range rom.rowMap.FetchRange(101, 800) {
@@ -88,7 +87,7 @@ func TestROMGetCellsPinsEachPageOnce(t *testing.T) {
 // TestROMGetCellsAfterColumnChurn exercises the projection map when colPos
 // is no longer the identity (inserted + deleted display columns).
 func TestROMGetCellsAfterColumnChurn(t *testing.T) {
-	rom := fillROM(t, rdbms.Open(rdbms.Options{}), "hierarchical", 10, 6)
+	rom := fillROM(t, rdbms.Open(rdbms.Options{}), 10, 6)
 	if err := rom.Shift(false, 3, 1); err != nil { // new blank display col 3
 		t.Fatal(err)
 	}
@@ -124,9 +123,9 @@ func TestROMGetCellsAfterColumnChurn(t *testing.T) {
 
 // propTranslator builds one translator of the given kind for the property
 // test, returning it plus the set of ops it supports.
-func propTranslator(t *testing.T, db *rdbms.DB, kind, scheme string, seq int) Translator {
+func propTranslator(t *testing.T, db *rdbms.DB, kind string, seq int) Translator {
 	t.Helper()
-	cfg := Config{DB: db, Scheme: scheme, TableName: fmt.Sprintf("p%s%d", kind, seq)}
+	cfg := Config{DB: db, TableName: fmt.Sprintf("p%s%d", kind, seq)}
 	switch kind {
 	case "rom":
 		tr, err := NewROM(cfg, 6)
@@ -167,7 +166,7 @@ func propTranslator(t *testing.T, db *rdbms.DB, kind, scheme string, seq int) Tr
 				t.Fatal(err)
 			}
 		}
-		tom, err := LinkTOM(tab, scheme, seq%2 == 0)
+		tom, err := LinkTOM(tab, seq%2 == 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,108 +176,105 @@ func propTranslator(t *testing.T, db *rdbms.DB, kind, scheme string, seq int) Tr
 	return nil
 }
 
-// TestRangeReadEquivalenceProperty drives every translator kind under every
-// positional-mapping scheme through random edits and structural churn, then
-// checks GetCells over random rectangles against 1×1 reads of each cell — a
-// range read must be observationally identical to reading its cells one by
-// one.
+// TestRangeReadEquivalenceProperty drives every translator kind through
+// random edits and structural churn, then checks GetCells over random
+// rectangles against 1×1 reads of each cell — a range read must be
+// observationally identical to reading its cells one by one.
 func TestRangeReadEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	seq := 0
-	for _, scheme := range posmap.Schemes() {
-		for _, kind := range []string{"rom", "com", "rcv", "tom"} {
-			seq++
-			db := rdbms.Open(rdbms.Options{})
-			tr := propTranslator(t, db, kind, scheme, seq)
-			label := fmt.Sprintf("%s/%s", scheme, kind)
-			isTOM := kind == "tom"
-			hdr := 0
-			if isTOM && tr.Rows() == 7 {
-				hdr = 1
-			}
-			// Random edit churn.
-			for op := 0; op < 120; op++ {
-				rows, cols := tr.Rows(), tr.Cols()
-				r := rng.Float64()
-				switch {
-				case r < 0.55 || isTOM && r < 0.8:
-					// Stay inside the extent: which axes auto-grow differs
-					// by model (ROM rows, COM cols, RCV both) and growth
-					// semantics are covered elsewhere.
-					if rows == 0 || cols == 0 {
-						continue
-					}
-					row := rng.Intn(rows) + 1
-					col := rng.Intn(cols) + 1
-					if isTOM {
-						if rows == hdr {
-							continue
-						}
-						row = rng.Intn(rows-hdr) + 1 + hdr // headers read-only; no auto-grow
-						if err := setCell(tr, row, col, sheet.Cell{Value: sheet.Number(float64(op))}); err != nil {
-							t.Fatalf("%s: update: %v", label, err)
-						}
-						continue
-					}
-					var c sheet.Cell
-					switch rng.Intn(4) {
-					case 0:
-						c = sheet.Cell{Value: sheet.Str(fmt.Sprintf("s%d\x1f\x1b", op))}
-					case 1:
-						c = sheet.Cell{Value: sheet.Number(float64(op)), Formula: "A1+1"}
-					case 2:
-						c = sheet.Cell{} // blank (delete for RCV)
-					default:
-						c = sheet.Cell{Value: sheet.Bool(op%2 == 0)}
-					}
-					if err := setCell(tr, row, col, c); err != nil {
-						t.Fatalf("%s: update(%d,%d): %v", label, row, col, err)
-					}
-				case r < 0.7:
-					at := rng.Intn(rows + 1)
-					if isTOM && at < hdr {
-						continue
-					}
-					if err := tr.Shift(true, at+1, 1); err != nil {
-						t.Fatalf("%s: insert row: %v", label, err)
-					}
-				case r < 0.8 && rows > hdr+2:
-					at := rng.Intn(rows-hdr) + 1 + hdr
-					if err := tr.Shift(true, at, -1); err != nil {
-						t.Fatalf("%s: delete row %d: %v", label, at, err)
-					}
-				case r < 0.9 && !isTOM:
-					if err := tr.Shift(false, rng.Intn(cols+1)+1, 1); err != nil {
-						t.Fatalf("%s: insert col: %v", label, err)
-					}
-				case !isTOM && cols > 2:
-					if err := tr.Shift(false, rng.Intn(cols)+1, -1); err != nil {
-						t.Fatalf("%s: delete col: %v", label, err)
-					}
-				}
-			}
-			// Random rectangles, including ones poking past the extent.
-			for trial := 0; trial < 12; trial++ {
-				rows, cols := tr.Rows(), tr.Cols()
+	for _, kind := range []string{"rom", "com", "rcv", "tom"} {
+		seq++
+		db := rdbms.Open(rdbms.Options{})
+		tr := propTranslator(t, db, kind, seq)
+		label := kind
+		isTOM := kind == "tom"
+		hdr := 0
+		if isTOM && tr.Rows() == 7 {
+			hdr = 1
+		}
+		// Random edit churn.
+		for op := 0; op < 360; op++ {
+			rows, cols := tr.Rows(), tr.Cols()
+			r := rng.Float64()
+			switch {
+			case r < 0.55 || isTOM && r < 0.8:
+				// Stay inside the extent: which axes auto-grow differs
+				// by model (ROM rows, COM cols, RCV both) and growth
+				// semantics are covered elsewhere.
 				if rows == 0 || cols == 0 {
-					break
+					continue
 				}
-				r0 := rng.Intn(rows) + 1
-				c0 := rng.Intn(cols) + 1
-				r1 := r0 + rng.Intn(rows)
-				c1 := c0 + rng.Intn(cols)
+				row := rng.Intn(rows) + 1
+				col := rng.Intn(cols) + 1
 				if isTOM {
-					if c1 > cols {
-						c1 = cols
+					if rows == hdr {
+						continue
 					}
+					row = rng.Intn(rows-hdr) + 1 + hdr // headers read-only; no auto-grow
+					if err := setCell(tr, row, col, sheet.Cell{Value: sheet.Number(float64(op))}); err != nil {
+						t.Fatalf("%s: update: %v", label, err)
+					}
+					continue
 				}
-				checkRangeRead(t, label, tr, sheet.NewRange(r0, c0, r1, c1), func(row, col int) (sheet.Cell, error) {
-					if row > tr.Rows() || col > tr.Cols() {
-						return sheet.Cell{}, nil
-					}
-					return getCell(tr, row, col)
-				})
+				var c sheet.Cell
+				switch rng.Intn(4) {
+				case 0:
+					c = sheet.Cell{Value: sheet.Str(fmt.Sprintf("s%d\x1f\x1b", op))}
+				case 1:
+					c = sheet.Cell{Value: sheet.Number(float64(op)), Formula: "A1+1"}
+				case 2:
+					c = sheet.Cell{} // blank (delete for RCV)
+				default:
+					c = sheet.Cell{Value: sheet.Bool(op%2 == 0)}
+				}
+				if err := setCell(tr, row, col, c); err != nil {
+					t.Fatalf("%s: update(%d,%d): %v", label, row, col, err)
+				}
+			case r < 0.7:
+				at := rng.Intn(rows + 1)
+				if isTOM && at < hdr {
+					continue
+				}
+				if err := tr.Shift(true, at+1, 1); err != nil {
+					t.Fatalf("%s: insert row: %v", label, err)
+				}
+			case r < 0.8 && rows > hdr+2:
+				at := rng.Intn(rows-hdr) + 1 + hdr
+				if err := tr.Shift(true, at, -1); err != nil {
+					t.Fatalf("%s: delete row %d: %v", label, at, err)
+				}
+			case r < 0.9 && !isTOM:
+				if err := tr.Shift(false, rng.Intn(cols+1)+1, 1); err != nil {
+					t.Fatalf("%s: insert col: %v", label, err)
+				}
+			case !isTOM && cols > 2:
+				if err := tr.Shift(false, rng.Intn(cols)+1, -1); err != nil {
+					t.Fatalf("%s: delete col: %v", label, err)
+				}
 			}
+		}
+		// Random rectangles, including ones poking past the extent.
+		for trial := 0; trial < 12; trial++ {
+			rows, cols := tr.Rows(), tr.Cols()
+			if rows == 0 || cols == 0 {
+				break
+			}
+			r0 := rng.Intn(rows) + 1
+			c0 := rng.Intn(cols) + 1
+			r1 := r0 + rng.Intn(rows)
+			c1 := c0 + rng.Intn(cols)
+			if isTOM {
+				if c1 > cols {
+					c1 = cols
+				}
+			}
+			checkRangeRead(t, label, tr, sheet.NewRange(r0, c0, r1, c1), func(row, col int) (sheet.Cell, error) {
+				if row > tr.Rows() || col > tr.Cols() {
+					return sheet.Cell{}, nil
+				}
+				return getCell(tr, row, col)
+			})
 		}
 	}
 }
@@ -387,7 +383,7 @@ func TestReadCellsStoreEquivalence(t *testing.T) {
 // overflow cells, mirroring every write into a reference sheet.
 func buildPropStore(t testing.TB, db *rdbms.DB) (*HybridStore, *sheet.Sheet) {
 	t.Helper()
-	hs, err := NewHybridStore(db, "conc", "hierarchical")
+	hs, err := NewHybridStore(db, "conc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func NewROM(cfg Config, cols int) (*ROM, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ROM{cfg: cfg, table: t, rowMap: posmap.NewTracked(cfg.scheme()), nextCol: cols}
+	r := &ROM{cfg: cfg, table: t, rowMap: posmap.NewTracked(), nextCol: cols}
 	for i := 0; i < cols; i++ {
 		r.colPos = append(r.colPos, i)
 	}
@@ -212,20 +212,14 @@ func (r *ROM) appendTuple(tuple rdbms.Row) error {
 // store). Either way no existing tuple is rewritten: reads pad missing
 // attributes with NULL.
 func (r *ROM) Shift(rows bool, at, delta int) error {
-	if rows {
-		if err := checkShift(hybrid.ROM, rows, at, delta, r.rowMap.Len()); err != nil {
-			return err
-		}
-		return shiftTuples(r.table, r.rowMap, at, delta)
-	}
-	if err := checkShift(hybrid.ROM, rows, at, delta, len(r.colPos)); err != nil {
+	if err := r.refuseShift(rows, at, delta); err != nil {
 		return err
+	}
+	if rows {
+		return shiftTuples(r.table, r.rowMap, at, delta)
 	}
 	at--
 	if delta < 0 {
-		if -delta == len(r.colPos) {
-			return fmt.Errorf("model: ROM cannot delete its last column")
-		}
 		r.colPos = append(r.colPos[:at], r.colPos[at-delta:]...)
 		return nil
 	}
@@ -239,6 +233,16 @@ func (r *ROM) Shift(rows bool, at, delta int) error {
 	}
 	r.colPos = slices.Insert(r.colPos, at, phys...)
 	return nil
+}
+
+func (r *ROM) refuseShift(rows bool, at, delta int) error {
+	if rows {
+		return refuseRows(hybrid.ROM, r.table, r.rowMap, at, delta)
+	}
+	if -delta == len(r.colPos) {
+		return fmt.Errorf("model: ROM cannot delete its last column")
+	}
+	return checkShift(hybrid.ROM, rows, at, delta, len(r.colPos))
 }
 
 // StorageBytes implements Translator.

@@ -17,7 +17,6 @@ import (
 // covers the whole grid.
 type HybridStore struct {
 	db      *rdbms.DB
-	scheme  string
 	name    string
 	regions []storeRegion
 	// overflow holds cells outside all regions.
@@ -52,18 +51,15 @@ func (h *HybridStore) allocSeg() int {
 
 // NewHybridStore creates an empty store whose backing tables are prefixed
 // with name.
-func NewHybridStore(db *rdbms.DB, name, scheme string) (*HybridStore, error) {
+func NewHybridStore(db *rdbms.DB, name string) (*HybridStore, error) {
 	if name == "" || strings.Contains(name, ":") {
 		return nil, fmt.Errorf("model: store name %q must be non-empty and must not contain ':'", name)
 	}
-	if scheme == "" {
-		scheme = "hierarchical"
-	}
-	ov, err := NewRCV(Config{DB: db, Scheme: scheme, TableName: name + "_overflow"}, 0, 0)
+	ov, err := NewRCV(Config{DB: db, TableName: name + "_overflow"}, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &HybridStore{db: db, scheme: scheme, name: name, overflow: ov, nextSeg: overflowSeg + 1}, nil
+	return &HybridStore{db: db, name: name, overflow: ov, nextSeg: overflowSeg + 1}, nil
 }
 
 // Materialize builds a store from a sheet and its decomposition, loading
@@ -71,9 +67,13 @@ func NewHybridStore(db *rdbms.DB, name, scheme string) (*HybridStore, error) {
 // regions are not given dedicated tables: their cells land in the store's
 // shared overflow RCV table, matching the cost model's single-RCV-table
 // assumption (Appendix A-C1). The decomposition must be recoverable with
-// respect to the sheet.
+// respect to the sheet. scheme names the positional map: "" or
+// "hierarchical", the one every ordering is kept in.
 func Materialize(db *rdbms.DB, name, scheme string, s *sheet.Sheet, d *hybrid.Decomposition) (*HybridStore, error) {
-	hs, err := NewHybridStore(db, name, scheme)
+	if scheme != "" && scheme != positionalScheme {
+		return nil, fmt.Errorf("model: unknown positional scheme %q", scheme)
+	}
+	hs, err := NewHybridStore(db, name)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func (h *HybridStore) addRegion(rect sheet.Range, kind hybrid.Kind, load []CellW
 		}
 	}
 	h.seq++
-	cfg := Config{DB: h.db, Scheme: h.scheme, TableName: fmt.Sprintf("%s_r%d", h.name, h.seq)}
+	cfg := Config{DB: h.db, TableName: fmt.Sprintf("%s_r%d", h.name, h.seq)}
 	var tr Translator
 	var err error
 	switch kind {
@@ -164,7 +164,7 @@ func (h *HybridStore) LinkTable(rect sheet.Range, table *rdbms.Table, headers bo
 		return nil, fmt.Errorf("model: link range has %d columns, table %q has %d",
 			rect.Cols(), table.Name, table.Schema.Arity())
 	}
-	tom, err := LinkTOM(table, h.scheme, headers)
+	tom, err := LinkTOM(table, headers)
 	if err != nil {
 		return nil, err
 	}
@@ -174,9 +174,6 @@ func (h *HybridStore) LinkTable(rect sheet.Range, table *rdbms.Table, headers bo
 
 // Name returns the store's table-name prefix (its manifest key).
 func (h *HybridStore) Name() string { return h.name }
-
-// Scheme returns the positional-mapping scheme of the store's regions.
-func (h *HybridStore) Scheme() string { return h.scheme }
 
 // Regions returns the current region rectangles and kinds.
 func (h *HybridStore) Regions() []hybrid.Region {
@@ -321,7 +318,9 @@ func (h *HybridStore) UpdateCells(writes []CellWrite) error {
 //
 // Every refusal is decided before the first mutation — a linked region
 // refuses a column edit that crosses it and a row delete that covers its
-// header row — so a refused edit leaves the store exactly as it was.
+// header row, and every crossed region and the overflow read each tuple a
+// delete removes (refuseShift) — so a refused edit leaves the store exactly
+// as it was.
 func (h *HybridStore) Shift(rows bool, at, delta int) error {
 	if delta == 0 || at < 1 {
 		return fmt.Errorf("model: structural edit of %d at index %d", delta, at)
@@ -332,18 +331,40 @@ func (h *HybridStore) Shift(rows bool, at, delta int) error {
 	if delta > 0 {
 		last = at - 1
 	}
+	// crossing is a crossed region's local shift: an insert as it is, a
+	// delete of the region's overlap with the band.
+	crossing := func(f, t int) (int, int) {
+		if delta > 0 {
+			return at - f + 1, delta
+		}
+		lo := max(at, f)
+		return lo - f + 1, lo - min(t, last) - 1
+	}
+	ext := h.overflow.Cols()
+	if rows {
+		ext = h.overflow.Rows()
+	}
 	drops := 0
 	for _, r := range h.regions {
-		tom, linked := r.tr.(*TOM)
 		f, t := axisSpan(&r.rect, rows)
 		switch {
 		case *t < at || *f > last: // the edit does not meet it
-		case linked && !rows:
-			return errFixedSchema
-		case linked && delta < 0 && tom.headers && at <= *f:
-			return errHeaderRow
-		case delta < 0 && at <= *f && *t <= last:
+		case delta < 0 && at <= *f && *t <= last: // covered: dropped
+			// A link still refuses a column delete and one of its header row.
+			if tom, linked := r.tr.(*TOM); linked && (!rows || tom.headers) {
+				return tom.refuseShift(rows, 1, delta)
+			}
 			drops++
+		default:
+			lo, d := crossing(*f, *t)
+			if err := r.tr.(refuser).refuseShift(rows, lo, d); err != nil {
+				return err
+			}
+		}
+	}
+	if at <= ext {
+		if err := h.overflow.refuseShift(rows, at, max(delta, at-ext-1)); err != nil {
+			return err
 		}
 	}
 	// Rectangles move in place. A drop rebuilds the list into a fresh slice
@@ -368,12 +389,8 @@ func (h *HybridStore) Shift(rows bool, at, delta int) error {
 			h.deadSegs = append(h.deadSegs, r.seg)
 			continue
 		default: // crossed: grows, or shrinks by its overlap with the band
-			lo, d := at, delta
-			if delta < 0 {
-				lo = max(at, *f)
-				d = lo - min(*t, last) - 1
-			}
-			if err := r.tr.Shift(rows, lo-*f+1, d); err != nil {
+			lo, d := crossing(*f, *t)
+			if err := r.tr.Shift(rows, lo, d); err != nil {
 				return err
 			}
 			size := *t - *f + 1 + d
@@ -385,10 +402,6 @@ func (h *HybridStore) Shift(rows bool, at, delta int) error {
 		}
 	}
 	h.regions = regions
-	ext := h.overflow.Cols()
-	if rows {
-		ext = h.overflow.Rows()
-	}
 	if at > ext {
 		return nil // past the overflow's extent: none of its cells move
 	}

@@ -38,7 +38,7 @@ func materialized(t *testing.T, s *sheet.Sheet, algo string) *HybridStore {
 	if err := d.Verify(s); err != nil {
 		t.Fatal(err)
 	}
-	hs, err := Materialize(rdbms.Open(rdbms.Options{}), "hs", "hierarchical", s, d)
+	hs, err := Materialize(rdbms.Open(rdbms.Options{}), "hs", "", s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func linkTestTable(t *testing.T, hs *HybridStore, s *sheet.Sheet, rect sheet.Ran
 }
 
 func TestAddRegionOverlapRejected(t *testing.T) {
-	hs, err := NewHybridStore(rdbms.Open(rdbms.Options{}), "hs", "")
+	hs, err := NewHybridStore(rdbms.Open(rdbms.Options{}), "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestAddRegionOverlapRejected(t *testing.T) {
 // compacted in place, held one translator twice.
 func TestHybridStoreRefusedShiftLeavesStoreIntact(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
-	hs, err := NewHybridStore(db, "hs", "")
+	hs, err := NewHybridStore(db, "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,16 +311,24 @@ func TestHybridStoreRefusedShiftLeavesStoreIntact(t *testing.T) {
 		return cells
 	}
 	regions, tables, cells := hs.Regions(), db.TableNames(), read()
-	if err := hs.DeleteRows(1, 2); err == nil {
-		t.Fatal("a row delete covering a linked header row must be refused")
+	intact := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s must be refused", what)
+		}
+		if got := hs.Regions(); !reflect.DeepEqual(got, regions) {
+			t.Fatalf("regions after refusing %s: %v, want %v", what, got, regions)
+		}
+		if got := db.TableNames(); !reflect.DeepEqual(got, tables) {
+			t.Fatalf("tables after refusing %s: %v, want %v", what, got, tables)
+		}
+		assertSameGrid(t, "after refusing "+what, read(), cells)
 	}
-	if got := hs.Regions(); !reflect.DeepEqual(got, regions) {
-		t.Fatalf("regions after refusal %v, want %v", got, regions)
-	}
-	if got := db.TableNames(); !reflect.DeepEqual(got, tables) {
-		t.Fatalf("tables after refusal %v, want %v", got, tables)
-	}
-	assertSameGrid(t, "after refusal", read(), cells)
+	intact("a row delete covering a linked header row", hs.DeleteRows(1, 2))
+	// The overflow, shifted after every region, refuses a column insert past
+	// its surrogate capacity before the regions move.
+	hs.overflow.nextColID = 1<<rcvColBits - 1
+	intact("an overflow column insert past capacity", hs.InsertColumnsAfter(0, 2))
 }
 
 // TestHybridStoreRefusedWriteTouchesNothing: a batch the store refuses writes
@@ -334,7 +342,7 @@ func TestHybridStoreRefusedWriteTouchesNothing(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	db.MustExec("CREATE TABLE supp (suppid BIGINT, name TEXT)")
 	db.MustExec("INSERT INTO supp VALUES (1,'Acme'),(2,'Globex')")
-	hs, err := NewHybridStore(db, "hs", "")
+	hs, err := NewHybridStore(db, "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +418,7 @@ func TestHybridStoreLinkTable(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
 	db.MustExec("CREATE TABLE supp (suppid BIGINT, name TEXT)")
 	db.MustExec("INSERT INTO supp VALUES (1,'Acme'),(2,'Globex')")
-	hs, err := NewHybridStore(db, "hs", "")
+	hs, err := NewHybridStore(db, "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +466,7 @@ func TestStorageBytesDenseVsSparse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs, err := Materialize(rdbms.Open(rdbms.Options{}), "m", "hierarchical", s, d)
+		hs, err := Materialize(rdbms.Open(rdbms.Options{}), "m", "", s, d)
 		if err != nil {
 			t.Fatal(err)
 		}

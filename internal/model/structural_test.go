@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"dataspread/internal/hybrid"
-	"dataspread/internal/posmap"
 	"dataspread/internal/rdbms"
 	"dataspread/internal/sheet"
 )
 
 // buildTranslator materializes a rows×cols region of the given kind filled
 // with distinguishable values.
-func buildTranslator(t *testing.T, db *rdbms.DB, kind, scheme, name string, rows, cols int) Translator {
+func buildTranslator(t *testing.T, db *rdbms.DB, kind, name string, rows, cols int) Translator {
 	t.Helper()
-	cfg := Config{DB: db, Scheme: scheme, TableName: name}
+	cfg := Config{DB: db, TableName: name}
 	var tr Translator
 	switch kind {
 	case "rom":
@@ -55,7 +54,7 @@ func buildTranslator(t *testing.T, db *rdbms.DB, kind, scheme, name string, rows
 				t.Fatal(err)
 			}
 		}
-		if tr, err = LinkTOM(table, scheme, false); err != nil {
+		if tr, err = LinkTOM(table, false); err != nil {
 			t.Fatal(err)
 		}
 	default:
@@ -113,54 +112,52 @@ func shiftOnes(t *testing.T, label string, tr interface{ Shift(bool, int, int) e
 	}
 }
 
-// TestTranslatorBatchedEquivalence: for every translator kind × positional
-// scheme, Shift(rows, at, ±k) must equal k× Shift(rows, at, ±1), on the row
-// axis and (where supported) the column axis.
+// TestTranslatorBatchedEquivalence: for every translator kind, Shift(rows,
+// at, ±k) must equal k× Shift(rows, at, ±1), on the row axis and (where
+// supported) the column axis.
 func TestTranslatorBatchedEquivalence(t *testing.T) {
 	const rows, cols, k = 9, 4, 3
-	for _, scheme := range posmap.Schemes() {
-		for _, kind := range []string{"rom", "com", "rcv", "tom"} {
-			for _, at := range []int{1, 5, rows + 1} {
-				db := rdbms.Open(rdbms.Options{})
-				batched := buildTranslator(t, db, kind, scheme, "b", rows, cols)
-				looped := buildTranslator(t, db, kind, scheme, "l", rows, cols)
-				label := fmt.Sprintf("%s/%s insert before %d", kind, scheme, at)
+	for _, kind := range []string{"rom", "com", "rcv", "tom"} {
+		for _, at := range []int{1, 5, rows + 1} {
+			db := rdbms.Open(rdbms.Options{})
+			batched := buildTranslator(t, db, kind, "b", rows, cols)
+			looped := buildTranslator(t, db, kind, "l", rows, cols)
+			label := fmt.Sprintf("%s insert before %d", kind, at)
 
-				if err := batched.Shift(true, at, k); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				shiftOnes(t, label, looped, true, at, 1, k)
-				assertSameGrid(t, label, translatorSnapshot(t, batched), translatorSnapshot(t, looped))
-
-				// Round trip: delete the inserted band, back to the start.
-				if err := batched.Shift(true, at, -k); err != nil {
-					t.Fatalf("%s: round-trip delete: %v", label, err)
-				}
-				fresh := buildTranslator(t, db, kind, scheme, fmt.Sprintf("f%d", at), rows, cols)
-				assertSameGrid(t, label+" round-trip", translatorSnapshot(t, batched), translatorSnapshot(t, fresh))
-
-				// Batched delete vs k single deletes of interior rows.
-				if err := batched.Shift(true, 2, -k); err != nil {
-					t.Fatalf("%s: batched delete: %v", label, err)
-				}
-				shiftOnes(t, label, looped, true, at, -1, k) // remove the inserted band first
-				shiftOnes(t, label, looped, true, 2, -1, k)
-				assertSameGrid(t, label+" delete", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
-
-				if kind == "tom" {
-					continue // fixed schema: no column edits
-				}
-				if err := batched.Shift(false, 2, 2); err != nil {
-					t.Fatalf("%s: cols: %v", label, err)
-				}
-				shiftOnes(t, label+" cols", looped, false, 2, 1, 2)
-				assertSameGrid(t, label+" inscols", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
-				if err := batched.Shift(false, 2, -2); err != nil {
-					t.Fatalf("%s: delcols: %v", label, err)
-				}
-				shiftOnes(t, label+" delcols", looped, false, 2, -1, 2)
-				assertSameGrid(t, label+" delcols", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
+			if err := batched.Shift(true, at, k); err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			shiftOnes(t, label, looped, true, at, 1, k)
+			assertSameGrid(t, label, translatorSnapshot(t, batched), translatorSnapshot(t, looped))
+
+			// Round trip: delete the inserted band, back to the start.
+			if err := batched.Shift(true, at, -k); err != nil {
+				t.Fatalf("%s: round-trip delete: %v", label, err)
+			}
+			fresh := buildTranslator(t, db, kind, fmt.Sprintf("f%d", at), rows, cols)
+			assertSameGrid(t, label+" round-trip", translatorSnapshot(t, batched), translatorSnapshot(t, fresh))
+
+			// Batched delete vs k single deletes of interior rows.
+			if err := batched.Shift(true, 2, -k); err != nil {
+				t.Fatalf("%s: batched delete: %v", label, err)
+			}
+			shiftOnes(t, label, looped, true, at, -1, k) // remove the inserted band first
+			shiftOnes(t, label, looped, true, 2, -1, k)
+			assertSameGrid(t, label+" delete", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
+
+			if kind == "tom" {
+				continue // fixed schema: no column edits
+			}
+			if err := batched.Shift(false, 2, 2); err != nil {
+				t.Fatalf("%s: cols: %v", label, err)
+			}
+			shiftOnes(t, label+" cols", looped, false, 2, 1, 2)
+			assertSameGrid(t, label+" inscols", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
+			if err := batched.Shift(false, 2, -2); err != nil {
+				t.Fatalf("%s: delcols: %v", label, err)
+			}
+			shiftOnes(t, label+" delcols", looped, false, 2, -1, 2)
+			assertSameGrid(t, label+" delcols", translatorSnapshot(t, batched), translatorSnapshot(t, looped))
 		}
 	}
 }
@@ -170,7 +167,7 @@ func TestTranslatorBatchedEquivalence(t *testing.T) {
 // the equivalent loop of single-row Shifts.
 func TestHybridStoreBatchedBandArithmetic(t *testing.T) {
 	build := func(name string, db *rdbms.DB) *HybridStore {
-		hs, err := NewHybridStore(db, name, "hierarchical")
+		hs, err := NewHybridStore(db, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +221,7 @@ func TestHybridStoreBatchedBandArithmetic(t *testing.T) {
 // (regression: DeleteMany used to clip and mutate before the error).
 func TestTOMDeleteRowsOutOfRangeLeavesStateIntact(t *testing.T) {
 	db := rdbms.Open(rdbms.Options{})
-	tr := buildTranslator(t, db, "tom", "hierarchical", "tomrange", 10, 3)
+	tr := buildTranslator(t, db, "tom", "tomrange", 10, 3)
 	before := translatorSnapshot(t, tr)
 	if err := tr.Shift(true, 5, -100); err == nil {
 		t.Fatal("out-of-range row delete must error")

@@ -29,11 +29,8 @@ type TOM struct {
 // LinkTOM wraps an existing database table as a linked region. Its initial
 // row order is heap order, matching what linkTable displays on first load.
 // A table whose heap cannot be read whole is not linked.
-func LinkTOM(table *rdbms.Table, scheme string, headers bool) (*TOM, error) {
-	if scheme == "" {
-		scheme = "hierarchical"
-	}
-	t := &TOM{db: table, rowMap: posmap.NewTracked(scheme), headers: headers}
+func LinkTOM(table *rdbms.Table, headers bool) (*TOM, error) {
+	t := &TOM{db: table, rowMap: posmap.NewTracked(), headers: headers}
 	if err := t.Refresh(); err != nil {
 		return nil, err
 	}
@@ -44,11 +41,9 @@ func LinkTOM(table *rdbms.Table, scheme string, headers bool) (*TOM, error) {
 // (two-way sync after external DML). A heap that cannot be read whole
 // leaves the map as it was and returns the error.
 func (t *TOM) Refresh() error {
-	rowMap := posmap.NewTracked(t.rowMap.Name())
-	pos := 0
+	rowMap := posmap.NewTracked()
 	if err := t.db.Scan(func(rid rdbms.RID, _ rdbms.Row) bool {
-		pos++
-		rowMap.Insert(pos, rid)
+		rowMap.Insert(rowMap.Len()+1, rid)
 		return true
 	}); err != nil {
 		return fmt.Errorf("model: link %q: %w", t.db.Name, err)
@@ -189,17 +184,20 @@ var (
 // tuples deleted from, the linked table (shiftTuples). The header row, when
 // shown, cannot be deleted or displaced, and columns do not shift at all.
 func (t *TOM) Shift(rows bool, at, delta int) error {
-	if !rows {
-		return errFixedSchema
-	}
-	if t.headers && delta < 0 && at <= 1 {
-		return errHeaderRow
-	}
-	at -= t.headerRows()
-	if err := checkShift(hybrid.TOM, rows, at, delta, t.rowMap.Len()); err != nil {
+	if err := t.refuseShift(rows, at, delta); err != nil {
 		return err
 	}
-	return shiftTuples(t.db, t.rowMap, at, delta)
+	return shiftTuples(t.db, t.rowMap, at-t.headerRows(), delta)
+}
+
+func (t *TOM) refuseShift(rows bool, at, delta int) error {
+	switch {
+	case !rows:
+		return errFixedSchema
+	case t.headers && delta < 0 && at <= 1:
+		return errHeaderRow
+	}
+	return refuseRows(hybrid.TOM, t.db, t.rowMap, at-t.headerRows(), delta)
 }
 
 // StorageBytes implements Translator.

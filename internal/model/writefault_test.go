@@ -21,7 +21,7 @@ func reopenCorrupting(t *testing.T, build func(db *rdbms.DB, hs *HybridStore), w
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := NewHybridStore(db, "f", "")
+	hs, err := NewHybridStore(db, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +85,25 @@ func TestFaultCorruptPageFailsWrites(t *testing.T) {
 		rom := r.tr.(*ROM)
 		if rom.rowMap.Len() != rows || r.rect != sheet.NewRange(1, 1, rows, 4) || rom.table.RowCount() != rows {
 			t.Fatalf("the refused delete left rowMap %d, rect %v, %d tuples", rom.rowMap.Len(), r.rect, rom.table.RowCount())
+		}
+	})
+	t.Run("cross-region row delete", func(t *testing.T) {
+		hs := reopenCorrupting(t, func(db *rdbms.DB, hs *HybridStore) {
+			romSheet(db, hs)
+			if _, err := hs.AddRegion(sheet.NewRange(1, 6, rows, 9), hybrid.ROM); err != nil {
+				t.Fatal(err)
+			}
+		}, sheet.NewRange(1, 1, 2, 4))
+		// Region 0's band is on the pool's one page; region 1's is not.
+		if err := hs.DeleteRows(1, 2); !errors.Is(err, rdbms.ErrChecksum) {
+			t.Fatalf("delete of rows crossing a corrupt page = %v, want ErrChecksum", err)
+		}
+		for i, want := range []sheet.Range{sheet.NewRange(1, 1, rows, 4), sheet.NewRange(1, 6, rows, 9)} {
+			r := hs.regions[i]
+			rom := r.tr.(*ROM)
+			if rom.rowMap.Len() != rows || r.rect != want || rom.table.RowCount() != rows {
+				t.Fatalf("the refused delete left region %d with rowMap %d, rect %v, %d tuples", i, rom.rowMap.Len(), r.rect, rom.table.RowCount())
+			}
 		}
 	})
 	t.Run("TOM write", func(t *testing.T) {

@@ -42,7 +42,7 @@ func BenchmarkHierarchicalDelete1M(b *testing.B) {
 
 func BenchmarkHierarchicalFetchRange1M(b *testing.B) {
 	benchMap(b, "hierarchical", 1_000_000, func(m Map, rng *rand.Rand) {
-		m.FetchRange(rng.Intn(m.Len()-100)+1, 100)
+		m.(*Hierarchical).FetchRangeInto(nil, rng.Intn(m.Len()-100)+1, 100)
 	})
 }
 
@@ -72,11 +72,11 @@ func BenchmarkMonotonicInsert100k(b *testing.B) {
 }
 
 // BenchmarkFetchRangeAllocs quantifies the read-path allocation win of
-// FetchRangeInto: FetchRange allocates a fresh slice per call, while the
-// viewport hot loop hands Into the same buffer every time — allocs/op drops
+// FetchRangeInto: a nil buffer allocates a fresh slice per call, while the
+// viewport hot loop hands it the same buffer every time — allocs/op drops
 // to zero.
 func BenchmarkFetchRangeAllocs(b *testing.B) {
-	m := New("hierarchical")
+	m := NewHierarchical(DefaultOrder)
 	for i := 1; i <= 1_000_000; i++ {
 		m.Insert(i, rdbms.RID{Page: rdbms.PageID(i)})
 	}
@@ -84,7 +84,7 @@ func BenchmarkFetchRangeAllocs(b *testing.B) {
 	b.Run("FetchRange", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.FetchRange(rng.Intn(m.Len()-100)+1, 100)
+			m.FetchRangeInto(nil, rng.Intn(m.Len()-100)+1, 100)
 		}
 	})
 	b.Run("FetchRangeInto", func(b *testing.B) {

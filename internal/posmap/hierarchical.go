@@ -12,7 +12,6 @@ const DefaultOrder = 64
 // child counts left-to-right while descending, so fetch, insert and delete
 // are all O(log N) and no stored position ever needs cascading updates.
 type Hierarchical struct {
-	verCounter
 	order int
 	root  hnode
 	size  int
@@ -29,8 +28,6 @@ type hnode interface {
 	delete(pos int) rdbms.RID
 	// update replaces the rid at offset pos.
 	update(pos int, rid rdbms.RID)
-	// walk visits rids from offset pos while fn returns true.
-	walk(pos int, fn func(rdbms.RID) bool) bool
 }
 
 type hleaf struct {
@@ -67,14 +64,10 @@ func (h *Hierarchical) Fetch(pos int) (rdbms.RID, bool) {
 	return h.root.fetch(pos), true
 }
 
-// FetchRange implements Map.
-func (h *Hierarchical) FetchRange(pos, count int) []rdbms.RID {
-	return h.FetchRangeInto(nil, pos, count)
-}
-
-// FetchRangeInto implements Map: one tree descent to the leaf holding pos,
-// then a closure-free leaf-chain walk appending into the caller's buffer —
-// zero allocations when dst has capacity.
+// FetchRangeInto appends the pointers for positions [pos, pos+count),
+// clipped to the sequence, to dst and returns the extended slice: one tree
+// descent to the leaf holding pos, then a leaf-chain walk — zero allocations
+// when dst has capacity, so the viewport's hot loop reuses one buffer.
 func (h *Hierarchical) FetchRangeInto(dst []rdbms.RID, pos, count int) []rdbms.RID {
 	if pos < 1 {
 		count += pos - 1
@@ -123,15 +116,15 @@ func (h *Hierarchical) Insert(pos int, rid rdbms.RID) bool {
 		}
 	}
 	h.size++
-	h.bump()
 	return true
 }
 
-// InsertMany implements Map: each insert lands in the already-located
-// region of the tree, so a k-row shift costs O(k log N) with no cascading
-// updates — the count only pays tree maintenance, never renumbering. Into an
-// empty map (a store reloading its ordering, a bulk import) the tree is built
-// bottom-up instead, in O(N).
+// InsertMany places rids consecutively starting at pos (Len()+1 appends),
+// shifting subsequent tuples up by len(rids). Each insert lands in the
+// already-located region of the tree, so a k-row shift costs O(k log N) with
+// no cascading updates — the count only pays tree maintenance, never
+// renumbering. Into an empty map (a store reloading its ordering, a bulk
+// import) the tree is built bottom-up instead, in O(N).
 func (h *Hierarchical) InsertMany(pos int, rids []rdbms.RID) bool {
 	if pos < 1 || pos > h.size+1 {
 		return false
@@ -177,18 +170,21 @@ func (h *Hierarchical) build(rids []rdbms.RID) {
 		level = up
 	}
 	h.root, h.size = level[0], len(rids)
-	h.bump()
 }
 
-// DeleteMany implements Map.
+// DeleteMany removes positions [pos, pos+count), clipped to the sequence,
+// and returns the removed pointers in order.
 func (h *Hierarchical) DeleteMany(pos, count int) []rdbms.RID {
-	out := clipMany(&pos, &count, h.size)
-	for i := 0; i < count; i++ {
-		rid, ok := h.Delete(pos)
-		if !ok {
-			break
-		}
-		out = append(out, rid)
+	if pos < 1 {
+		count += pos - 1
+		pos = 1
+	}
+	if count = min(count, h.size-pos+1); count <= 0 {
+		return nil
+	}
+	out := make([]rdbms.RID, count)
+	for i := range out {
+		out[i], _ = h.Delete(pos)
 	}
 	return out
 }
@@ -208,17 +204,16 @@ func (h *Hierarchical) Delete(pos int) (rdbms.RID, bool) {
 		}
 		h.root = inner.children[0]
 	}
-	h.bump()
 	return rid, true
 }
 
-// Update implements Map.
+// Update replaces the pointer at the position (a tuple moved in the heap)
+// without disturbing the ordering.
 func (h *Hierarchical) Update(pos int, rid rdbms.RID) bool {
 	if pos < 1 || pos > h.size {
 		return false
 	}
 	h.root.update(pos, rid)
-	h.bump()
 	return true
 }
 
@@ -252,18 +247,6 @@ func (l *hleaf) delete(pos int) rdbms.RID {
 }
 
 func (l *hleaf) update(pos int, rid rdbms.RID) { l.rids[pos-1] = rid }
-
-func (l *hleaf) walk(pos int, fn func(rdbms.RID) bool) bool {
-	for node := l; node != nil; node = node.next {
-		for i := pos - 1; i < len(node.rids); i++ {
-			if !fn(node.rids[i]) {
-				return false
-			}
-		}
-		pos = 1
-	}
-	return true
-}
 
 func (n *hinner) count() int { return n.total }
 
@@ -343,13 +326,6 @@ func (n *hinner) delete(pos int) rdbms.RID {
 func (n *hinner) update(pos int, rid rdbms.RID) {
 	i, off := n.child(pos)
 	n.children[i].update(off, rid)
-}
-
-func (n *hinner) walk(pos int, fn func(rdbms.RID) bool) bool {
-	i, off := n.child(pos)
-	// Descend once; leaves chain across the whole tree, so the leaf-level
-	// walk continues past this subtree automatically.
-	return n.children[i].walk(off, fn)
 }
 
 func rightmostLeaf(n hnode) *hleaf {

@@ -12,7 +12,6 @@ import "dataspread/internal/rdbms"
 // structure is ordered by key, not position — which is the O(n) fetch cost
 // the paper's Figure 18 shows.
 type Monotonic struct {
-	verCounter
 	// tree is the persistent structure: gapped key -> tuple pointer.
 	tree *rdbms.BTree
 	// keys mirrors the key sequence in order; it is the session-side
@@ -55,35 +54,6 @@ func (m *Monotonic) Fetch(pos int) (rdbms.RID, bool) {
 	return out, found
 }
 
-// FetchRange implements Map: one scan discarding the pos-1 prefix.
-func (m *Monotonic) FetchRange(pos, count int) []rdbms.RID {
-	return m.FetchRangeInto(nil, pos, count)
-}
-
-// FetchRangeInto implements Map.
-func (m *Monotonic) FetchRangeInto(dst []rdbms.RID, pos, count int) []rdbms.RID {
-	if pos < 1 {
-		count += pos - 1
-		pos = 1
-	}
-	if pos > len(m.keys) || count <= 0 {
-		return dst
-	}
-	if pos+count-1 > len(m.keys) {
-		count = len(m.keys) - pos + 1
-	}
-	want := len(dst) + count
-	n := 0
-	m.tree.Scan(-1<<62, 1<<62, func(_ int64, rid rdbms.RID) bool {
-		n++
-		if n >= pos {
-			dst = append(dst, rid)
-		}
-		return len(dst) < want
-	})
-	return dst
-}
-
 // Insert implements Map, assigning the midpoint of the neighbour keys.
 func (m *Monotonic) Insert(pos int, rid rdbms.RID) bool {
 	if pos < 1 || pos > len(m.keys)+1 {
@@ -109,35 +79,7 @@ func (m *Monotonic) Insert(pos int, rid rdbms.RID) bool {
 	m.keys = append(m.keys, 0)
 	copy(m.keys[pos:], m.keys[pos-1:])
 	m.keys[pos-1] = key
-	m.bump()
 	return true
-}
-
-// InsertMany implements Map: each insert takes a fresh midpoint key, so a
-// batched shift is k cheap inserts (renumbering only when a gap exhausts).
-func (m *Monotonic) InsertMany(pos int, rids []rdbms.RID) bool {
-	if pos < 1 || pos > len(m.keys)+1 {
-		return false
-	}
-	for i, rid := range rids {
-		if !m.Insert(pos+i, rid) {
-			return false
-		}
-	}
-	return true
-}
-
-// DeleteMany implements Map.
-func (m *Monotonic) DeleteMany(pos, count int) []rdbms.RID {
-	out := clipMany(&pos, &count, len(m.keys))
-	for i := 0; i < count; i++ {
-		rid, ok := m.Delete(pos)
-		if !ok {
-			break
-		}
-		out = append(out, rid)
-	}
-	return out
 }
 
 // Delete implements Map.
@@ -152,23 +94,7 @@ func (m *Monotonic) Delete(pos int) (rdbms.RID, bool) {
 	}
 	m.tree.DeleteKey(key)
 	m.keys = append(m.keys[:pos-1], m.keys[pos:]...)
-	m.bump()
 	return rid, true
-}
-
-// Update implements Map.
-func (m *Monotonic) Update(pos int, rid rdbms.RID) bool {
-	if pos < 1 || pos > len(m.keys) {
-		return false
-	}
-	key := m.keys[pos-1]
-	if _, ok := m.tree.Search(key); !ok {
-		return false
-	}
-	m.tree.DeleteKey(key)
-	m.tree.Insert(key, rid)
-	m.bump()
-	return true
 }
 
 // renumber rebuilds the key space with fresh gaps — the amortized cost of

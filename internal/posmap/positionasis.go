@@ -8,7 +8,6 @@ import "dataspread/internal/rdbms"
 // however, must renumber every subsequent entry — the cascading update the
 // paper's Table II quantifies — costing O(N log N).
 type PositionAsIs struct {
-	verCounter
 	tree *rdbms.BTree
 	size int
 }
@@ -30,27 +29,6 @@ func (p *PositionAsIs) Fetch(pos int) (rdbms.RID, bool) {
 		return rdbms.RID{}, false
 	}
 	return p.tree.Search(int64(pos))
-}
-
-// FetchRange implements Map.
-func (p *PositionAsIs) FetchRange(pos, count int) []rdbms.RID {
-	return p.FetchRangeInto(nil, pos, count)
-}
-
-// FetchRangeInto implements Map.
-func (p *PositionAsIs) FetchRangeInto(dst []rdbms.RID, pos, count int) []rdbms.RID {
-	if pos < 1 {
-		count += pos - 1
-		pos = 1
-	}
-	if pos > p.size || count <= 0 {
-		return dst
-	}
-	p.tree.Scan(int64(pos), int64(pos+count-1), func(_ int64, rid rdbms.RID) bool {
-		dst = append(dst, rid)
-		return true
-	})
-	return dst
 }
 
 // Insert implements Map. Every entry at or above pos is renumbered: the
@@ -77,80 +55,7 @@ func (p *PositionAsIs) Insert(pos int, rid rdbms.RID) bool {
 	}
 	p.tree.Insert(int64(pos), rid)
 	p.size++
-	p.bump()
 	return true
-}
-
-// InsertMany implements Map. The whole tail is renumbered once by +k
-// instead of once per inserted position: a batched k-row shift costs one
-// cascading pass, O((N+k) log N), rather than k of them.
-func (p *PositionAsIs) InsertMany(pos int, rids []rdbms.RID) bool {
-	if pos < 1 || pos > p.size+1 {
-		return false
-	}
-	k := len(rids)
-	if k == 0 {
-		return true
-	}
-	type ent struct {
-		key int64
-		rid rdbms.RID
-	}
-	var tail []ent
-	p.tree.Scan(int64(pos), int64(p.size), func(key int64, r rdbms.RID) bool {
-		tail = append(tail, ent{key, r})
-		return true
-	})
-	for i := len(tail) - 1; i >= 0; i-- {
-		p.tree.Delete(tail[i].key, tail[i].rid)
-		p.tree.Insert(tail[i].key+int64(k), tail[i].rid)
-	}
-	for i, rid := range rids {
-		p.tree.Insert(int64(pos+i), rid)
-	}
-	p.size += k
-	p.bump()
-	return true
-}
-
-// DeleteMany implements Map, renumbering the tail downward by the clipped
-// count in a single pass.
-func (p *PositionAsIs) DeleteMany(pos, count int) []rdbms.RID {
-	out := clipMany(&pos, &count, p.size)
-	if count == 0 {
-		return out
-	}
-	// Bump only when entries were actually removed (every other mutator
-	// bumps per successful mutation; an unconditional bump would falsely
-	// trip Tracked's bypass detector on a no-op delete).
-	defer func() {
-		if len(out) > 0 {
-			p.bump()
-		}
-	}()
-	for i := 0; i < count; i++ {
-		rid, ok := p.tree.Search(int64(pos + i))
-		if !ok {
-			return out
-		}
-		p.tree.DeleteKey(int64(pos + i))
-		out = append(out, rid)
-	}
-	type ent struct {
-		key int64
-		rid rdbms.RID
-	}
-	var tail []ent
-	p.tree.Scan(int64(pos+count), int64(p.size), func(key int64, r rdbms.RID) bool {
-		tail = append(tail, ent{key, r})
-		return true
-	})
-	for _, e := range tail {
-		p.tree.Delete(e.key, e.rid)
-		p.tree.Insert(e.key-int64(count), e.rid)
-	}
-	p.size -= count
-	return out
 }
 
 // Delete implements Map, renumbering the tail downward.
@@ -177,20 +82,5 @@ func (p *PositionAsIs) Delete(pos int) (rdbms.RID, bool) {
 		p.tree.Insert(e.key-1, e.rid)
 	}
 	p.size--
-	p.bump()
 	return rid, true
-}
-
-// Update implements Map.
-func (p *PositionAsIs) Update(pos int, rid rdbms.RID) bool {
-	if pos < 1 || pos > p.size {
-		return false
-	}
-	if _, ok := p.tree.Search(int64(pos)); !ok {
-		return false
-	}
-	p.tree.DeleteKey(int64(pos))
-	p.tree.Insert(int64(pos), rid)
-	p.bump()
-	return true
 }

@@ -3,23 +3,28 @@
 // fetch-by-position, insert-at-position and delete-at-position are
 // efficient, without cascading updates of stored row numbers.
 //
-// Three schemes are provided, matching the paper's evaluation (Figure 18,
-// Table II):
+// The storage engine keeps every ordering in one scheme, the paper's
+// contribution: Hierarchical, an order-statistic (counted) B+ tree storing
+// subtree sizes in inner nodes and tuple pointers in leaves, so fetch,
+// insert and delete are all O(log N). Tracked wraps one with the op log
+// that persistence replays.
 //
-//   - PositionAsIs — the naive baseline: explicit positions kept in a B+
-//     tree. Fetch is O(log N); insert/delete must renumber every subsequent
-//     tuple, O(N log N).
+// The two baselines of the paper's evaluation (Figure 18, Table II) are
+// kept for internal/exp, with only the operations that evaluation times —
+// Fetch, Insert and Delete behind the Map interface:
+//
+//   - PositionAsIs — explicit positions kept in a B+ tree. Fetch is
+//     O(log N); insert/delete must renumber every subsequent tuple,
+//     O(N log N).
 //   - Monotonic — online-dynamic-reordering style (Raman et al.): gapped,
 //     monotonically increasing keys. Inserts take a midpoint key (cheap);
 //     fetch must discard n-1 tuples to reach the nth, O(n).
-//   - Hierarchical — the paper's contribution: an order-statistic (counted)
-//     B+ tree storing subtree sizes in inner nodes and tuple pointers in
-//     leaves. Fetch, insert and delete are all O(log N).
 package posmap
 
 import "dataspread/internal/rdbms"
 
-// Map maintains a dense 1-based ordering of tuple pointers.
+// Map is what Figure 18 measures of each scheme: a dense 1-based ordering
+// of tuple pointers.
 type Map interface {
 	// Name identifies the scheme ("position-as-is", "monotonic",
 	// "hierarchical").
@@ -28,45 +33,12 @@ type Map interface {
 	Len() int
 	// Fetch returns the tuple pointer at the 1-based position.
 	Fetch(pos int) (rdbms.RID, bool)
-	// FetchRange returns pointers for positions [pos, pos+count), clipped
-	// to the sequence end.
-	FetchRange(pos, count int) []rdbms.RID
-	// FetchRangeInto appends the pointers for positions [pos, pos+count),
-	// clipped to the sequence end, to dst and returns the extended slice.
-	// It allocates nothing when dst has sufficient capacity — the hot
-	// viewport loop reuses one buffer per scan instead of allocating a
-	// fresh slice per range.
-	FetchRangeInto(dst []rdbms.RID, pos, count int) []rdbms.RID
 	// Insert places rid at the position, shifting subsequent tuples up.
 	// pos may be Len()+1 to append.
 	Insert(pos int, rid rdbms.RID) bool
-	// InsertMany places rids consecutively starting at pos, shifting
-	// subsequent tuples up by len(rids) — the count-aware shift behind
-	// batched structural edits (one pass instead of len(rids) passes for
-	// schemes with cascading updates). pos may be Len()+1 to append.
-	InsertMany(pos int, rids []rdbms.RID) bool
 	// Delete removes the position, shifting subsequent tuples down.
 	Delete(pos int) (rdbms.RID, bool)
-	// DeleteMany removes positions [pos, pos+count), clipped to the
-	// sequence end, returning the removed pointers in order. Subsequent
-	// tuples shift down by the number removed, in a single pass.
-	DeleteMany(pos, count int) []rdbms.RID
-	// Update replaces the pointer at the position (a tuple moved in the
-	// heap) without disturbing the ordering.
-	Update(pos int, rid rdbms.RID) bool
-	// Version returns a counter incremented by every successful mutation
-	// (Insert/InsertMany/Delete/DeleteMany/Update). Persistence layers use
-	// it as a dirty check: equal versions guarantee the ordering is
-	// byte-identical to the last serialization.
-	Version() uint64
 }
-
-// verCounter implements Version for the concrete schemes; each successful
-// mutation calls bump.
-type verCounter struct{ ver uint64 }
-
-func (v *verCounter) bump()           { v.ver++ }
-func (v *verCounter) Version() uint64 { return v.ver }
 
 // New constructs a map by scheme name; it panics on an unknown scheme.
 // Valid names: "position-as-is", "monotonic", "hierarchical".
@@ -84,21 +56,3 @@ func New(scheme string) Map {
 
 // Schemes lists the available scheme names in the paper's order.
 func Schemes() []string { return []string{"position-as-is", "monotonic", "hierarchical"} }
-
-// clipMany normalizes a DeleteMany request of [pos, pos+count) against a
-// sequence of size elements (adjusting pos and count in place) and returns
-// a result buffer sized for the clipped count (nil when it is empty).
-func clipMany(pos, count *int, size int) []rdbms.RID {
-	if *pos < 1 {
-		*count += *pos - 1
-		*pos = 1
-	}
-	if *pos > size || *count <= 0 {
-		*count = 0
-		return nil
-	}
-	if *pos+*count-1 > size {
-		*count = size - *pos + 1
-	}
-	return make([]rdbms.RID, 0, *count)
-}

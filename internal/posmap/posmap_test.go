@@ -15,6 +15,12 @@ func allMaps() []Map {
 	return []Map{NewPositionAsIs(), NewMonotonic(), NewHierarchical(8), NewHierarchical(DefaultOrder)}
 }
 
+// hierarchicals is the maps the engine's Tracked is built on: the two tree
+// orders allMaps tests.
+func hierarchicals() []*Hierarchical {
+	return []*Hierarchical{NewHierarchical(8), NewHierarchical(DefaultOrder)}
+}
+
 func TestMapBasicSequence(t *testing.T) {
 	for _, m := range allMaps() {
 		for i := 1; i <= 100; i++ {
@@ -98,7 +104,7 @@ func TestMapDeleteShifts(t *testing.T) {
 }
 
 func TestMapUpdate(t *testing.T) {
-	for _, m := range allMaps() {
+	for _, m := range hierarchicals() {
 		for i := 1; i <= 5; i++ {
 			m.Insert(i, rid(i))
 		}
@@ -115,35 +121,38 @@ func TestMapUpdate(t *testing.T) {
 }
 
 func TestMapFetchRange(t *testing.T) {
-	for _, m := range allMaps() {
+	for _, m := range hierarchicals() {
 		for i := 1; i <= 50; i++ {
 			m.Insert(i, rid(i))
 		}
-		got := m.FetchRange(10, 5)
+		got := m.FetchRangeInto(nil, 10, 5)
 		if len(got) != 5 || got[0] != rid(10) || got[4] != rid(14) {
 			t.Fatalf("%s: FetchRange(10,5) = %v", m.Name(), got)
 		}
 		// Clipped at the end.
-		got = m.FetchRange(48, 10)
+		got = m.FetchRangeInto(nil, 48, 10)
 		if len(got) != 3 || got[2] != rid(50) {
 			t.Fatalf("%s: clipped range = %v", m.Name(), got)
 		}
 		// Clipped at the start.
-		got = m.FetchRange(-2, 5)
+		got = m.FetchRangeInto(nil, -2, 5)
 		if len(got) != 2 || got[0] != rid(1) {
 			t.Fatalf("%s: negative start range = %v", m.Name(), got)
 		}
-		if m.FetchRange(51, 5) != nil {
+		if m.FetchRangeInto(nil, 51, 5) != nil {
 			t.Fatalf("%s: out-of-range fetch must be nil", m.Name())
 		}
-		if m.FetchRange(10, 0) != nil {
+		if m.FetchRangeInto(nil, 10, 0) != nil {
 			t.Fatalf("%s: zero-count fetch must be nil", m.Name())
 		}
 	}
 }
 
 // TestMapEquivalence drives all schemes through the same random operation
-// sequence and checks them against a plain-slice reference model.
+// sequence and checks them against a plain-slice reference model. An update
+// is Hierarchical's Update, and a delete and an insert at the position on
+// the baselines, which have no Update; Hierarchical's range read is checked
+// beside every map's Fetch.
 func TestMapEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	maps := allMaps()
@@ -179,7 +188,13 @@ func TestMapEquivalence(t *testing.T) {
 			r := rid(next)
 			model[pos-1] = r
 			for _, m := range maps {
-				if !m.Update(pos, r) {
+				ok := false
+				if h, tree := m.(*Hierarchical); tree {
+					ok = h.Update(pos, r)
+				} else if _, ok = m.Delete(pos); ok {
+					ok = m.Insert(pos, r)
+				}
+				if !ok {
 					t.Fatalf("%s: update at %d failed", m.Name(), pos)
 				}
 			}
@@ -198,13 +213,14 @@ func TestMapEquivalence(t *testing.T) {
 				if m.Len() != len(model) {
 					t.Fatalf("%s: Len %d != model %d", m.Name(), m.Len(), len(model))
 				}
-				got := m.FetchRange(pos, count)
-				if len(got) != wantLen {
-					t.Fatalf("%s: FetchRange(%d,%d) len %d want %d", m.Name(), pos, count, len(got), wantLen)
+				for i := 0; i < wantLen; i++ {
+					if got, _ := m.Fetch(pos + i); got != model[pos-1+i] {
+						t.Fatalf("%s: Fetch mismatch at %d", m.Name(), pos+i)
+					}
 				}
-				for i := range got {
-					if got[i] != model[pos-1+i] {
-						t.Fatalf("%s: FetchRange mismatch at %d", m.Name(), pos+i)
+				if h, tree := m.(*Hierarchical); tree {
+					if got := h.FetchRangeInto(nil, pos, count); !slices.Equal(got, model[pos-1:pos-1+wantLen]) {
+						t.Fatalf("%s: FetchRangeInto(%d,%d) = %v", m.Name(), pos, count, got)
 					}
 				}
 			}
@@ -377,43 +393,39 @@ func TestNewByName(t *testing.T) {
 	New("nope")
 }
 
-// TestFetchRangeInto checks the buffer-reusing range fetch agrees with
-// FetchRange across every scheme, including clipped and out-of-range
-// requests, and that it appends after an existing prefix.
+// TestFetchRangeInto checks the buffer-reusing range fetch against Fetch,
+// including clipped and out-of-range requests, and that it appends after an
+// existing prefix.
 func TestFetchRangeInto(t *testing.T) {
-	for _, scheme := range Schemes() {
-		m := New(scheme)
-		const n = 300
-		for i := 1; i <= n; i++ {
-			m.Insert(i, rdbms.RID{Page: rdbms.PageID(i), Slot: uint16(i % 7)})
+	m := NewHierarchical(DefaultOrder)
+	const n = 300
+	for i := 1; i <= n; i++ {
+		m.Insert(i, rdbms.RID{Page: rdbms.PageID(i), Slot: uint16(i % 7)})
+	}
+	cases := []struct{ pos, count int }{
+		{1, 10}, {50, 100}, {n - 5, 50}, {-3, 10}, {n + 1, 4}, {10, 0}, {1, n},
+	}
+	buf := make([]rdbms.RID, 0, 8)
+	for _, c := range cases {
+		var want []rdbms.RID
+		for pos := max(c.pos, 1); pos < c.pos+c.count && pos <= n; pos++ {
+			r, _ := m.Fetch(pos)
+			want = append(want, r)
 		}
-		cases := []struct{ pos, count int }{
-			{1, 10}, {50, 100}, {n - 5, 50}, {-3, 10}, {n + 1, 4}, {10, 0}, {1, n},
+		if buf = m.FetchRangeInto(buf[:0], c.pos, c.count); !slices.Equal(buf, want) {
+			t.Fatalf("FetchRangeInto(%d,%d) = %v, want %v", c.pos, c.count, buf, want)
 		}
-		buf := make([]rdbms.RID, 0, 8)
-		for _, c := range cases {
-			want := m.FetchRange(c.pos, c.count)
-			buf = m.FetchRangeInto(buf[:0], c.pos, c.count)
-			if len(buf) != len(want) {
-				t.Fatalf("%s: FetchRangeInto(%d,%d) len %d, want %d", scheme, c.pos, c.count, len(buf), len(want))
-			}
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("%s: FetchRangeInto(%d,%d)[%d] = %v, want %v", scheme, c.pos, c.count, i, buf[i], want[i])
-				}
-			}
-		}
-		// Appends after a prefix instead of overwriting it.
-		prefix := []rdbms.RID{{Page: 999}}
-		got := m.FetchRangeInto(prefix, 1, 3)
-		if len(got) != 4 || got[0] != (rdbms.RID{Page: 999}) {
-			t.Fatalf("%s: prefix not preserved: %v", scheme, got)
-		}
+	}
+	// Appends after a prefix instead of overwriting it.
+	prefix := []rdbms.RID{{Page: 999}}
+	got := m.FetchRangeInto(prefix, 1, 3)
+	if len(got) != 4 || got[0] != (rdbms.RID{Page: 999}) {
+		t.Fatalf("prefix not preserved: %v", got)
 	}
 }
 
 // TestMapInsertManyEquivalence: InsertMany(pos, rids) must observably equal
-// len(rids) single inserts at successive positions, for every scheme.
+// len(rids) single inserts at successive positions.
 func TestMapInsertManyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -424,21 +436,21 @@ func TestMapInsertManyEquivalence(t *testing.T) {
 		for i := range rids {
 			rids[i] = rid(1000 + trial*100 + i)
 		}
-		for _, scheme := range Schemes() {
-			batched, looped := New(scheme), New(scheme)
+		for _, order := range []int{4, DefaultOrder} {
+			batched, looped := NewHierarchical(order), NewHierarchical(order)
 			for i := 1; i <= n; i++ {
 				batched.Insert(i, rid(i))
 				looped.Insert(i, rid(i))
 			}
 			if !batched.InsertMany(pos, rids) {
-				t.Fatalf("%s: InsertMany(%d, %d rids) failed at n=%d", scheme, pos, k, n)
+				t.Fatalf("order %d: InsertMany(%d, %d rids) failed at n=%d", order, pos, k, n)
 			}
 			for i, r := range rids {
 				if !looped.Insert(pos+i, r) {
-					t.Fatalf("%s: loop insert failed", scheme)
+					t.Fatalf("order %d: loop insert failed", order)
 				}
 			}
-			assertSameOrder(t, scheme, batched, looped)
+			assertSameOrder(t, batched, looped)
 		}
 	}
 }
@@ -451,8 +463,8 @@ func TestMapDeleteManyEquivalence(t *testing.T) {
 		n := rng.Intn(200) + 1
 		pos := rng.Intn(n) + 1
 		count := rng.Intn(25) // may overrun the end: DeleteMany clips
-		for _, scheme := range Schemes() {
-			batched, looped := New(scheme), New(scheme)
+		for _, order := range []int{4, DefaultOrder} {
+			batched, looped := NewHierarchical(order), NewHierarchical(order)
 			for i := 1; i <= n; i++ {
 				batched.Insert(i, rid(i))
 				looped.Insert(i, rid(i))
@@ -466,15 +478,10 @@ func TestMapDeleteManyEquivalence(t *testing.T) {
 				}
 				want = append(want, r)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: DeleteMany removed %d, loop removed %d", scheme, len(got), len(want))
+			if !slices.Equal(got, want) {
+				t.Fatalf("order %d: DeleteMany removed %v, loop removed %v", order, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: removed[%d] = %v want %v", scheme, i, got[i], want[i])
-				}
-			}
-			assertSameOrder(t, scheme, batched, looped)
+			assertSameOrder(t, batched, looped)
 		}
 	}
 }
@@ -482,47 +489,37 @@ func TestMapDeleteManyEquivalence(t *testing.T) {
 // TestMapInsertDeleteManyRoundTrip: inserting k then deleting the same span
 // restores the original order exactly.
 func TestMapInsertDeleteManyRoundTrip(t *testing.T) {
-	for _, scheme := range Schemes() {
-		m := New(scheme)
-		for i := 1; i <= 50; i++ {
-			m.Insert(i, rid(i))
-		}
-		fresh := make([]rdbms.RID, 7)
-		for i := range fresh {
-			fresh[i] = rid(900 + i)
-		}
-		if !m.InsertMany(20, fresh) {
-			t.Fatalf("%s: InsertMany failed", scheme)
-		}
-		removed := m.DeleteMany(20, 7)
-		if len(removed) != 7 {
-			t.Fatalf("%s: round-trip removed %d", scheme, len(removed))
-		}
-		for i := 1; i <= 50; i++ {
-			got, ok := m.Fetch(i)
-			if !ok || got != rid(i) {
-				t.Fatalf("%s: position %d = %v after round trip", scheme, i, got)
-			}
+	m := NewHierarchical(DefaultOrder)
+	for i := 1; i <= 50; i++ {
+		m.Insert(i, rid(i))
+	}
+	fresh := make([]rdbms.RID, 7)
+	for i := range fresh {
+		fresh[i] = rid(900 + i)
+	}
+	if !m.InsertMany(20, fresh) {
+		t.Fatal("InsertMany failed")
+	}
+	if removed := m.DeleteMany(20, 7); !slices.Equal(removed, fresh) {
+		t.Fatalf("round trip removed %v", removed)
+	}
+	for i := 1; i <= 50; i++ {
+		got, ok := m.Fetch(i)
+		if !ok || got != rid(i) {
+			t.Fatalf("position %d = %v after round trip", i, got)
 		}
 	}
 }
 
-func assertSameOrder(t *testing.T, scheme string, a, b Map) {
+func assertSameOrder(t *testing.T, a, b *Hierarchical) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("%s: Len %d vs %d", scheme, a.Len(), b.Len())
-	}
-	ga := a.FetchRange(1, a.Len())
-	gb := b.FetchRange(1, b.Len())
-	for i := range ga {
-		if ga[i] != gb[i] {
-			t.Fatalf("%s: position %d: %v vs %v", scheme, i+1, ga[i], gb[i])
-		}
+	if ga, gb := a.FetchRangeInto(nil, 1, a.Len()), b.FetchRangeInto(nil, 1, b.Len()); !slices.Equal(ga, gb) {
+		t.Fatalf("order %d: %v vs %v", a.order, ga, gb)
 	}
 }
 
 // TestBulkBuildEqualsInserts: a hierarchical map built bottom-up by one
-// InsertMany into an empty map answers FetchRange over every position like
+// InsertMany into an empty map answers FetchRangeInto over every position like
 // the one built an insert at a time, and stays equal to it under 1,000 random
 // single inserts and deletes.
 func TestBulkBuildEqualsInserts(t *testing.T) {
@@ -548,10 +545,10 @@ func TestBulkBuildEqualsInserts(t *testing.T) {
 				}
 				for pos := 1; pos <= slow.Len(); pos += 1 + rng.Intn(3) {
 					count := 1 + rng.Intn(2*order)
-					if got, want := bulk.FetchRange(pos, count), slow.FetchRange(pos, count); !slices.Equal(got, want) {
-						t.Fatalf("n=%d order=%d %s: FetchRange(%d,%d) = %v, want %v", n, order, when, pos, count, got, want)
+					if got, want := bulk.FetchRangeInto(nil, pos, count), slow.FetchRangeInto(nil, pos, count); !slices.Equal(got, want) {
+						t.Fatalf("n=%d order=%d %s: FetchRangeInto(%d,%d) = %v, want %v", n, order, when, pos, count, got, want)
 					}
-					if got, _ := bulk.Fetch(pos); got != slow.FetchRange(pos, 1)[0] {
+					if got, _ := bulk.Fetch(pos); got != slow.FetchRangeInto(nil, pos, 1)[0] {
 						t.Fatalf("n=%d order=%d %s: Fetch(%d) = %v", n, order, when, pos, got)
 					}
 				}

@@ -37,69 +37,75 @@ const (
 	deltaSlack = 64
 )
 
-// Tracked wraps a Map with persistence bookkeeping: a generation counter
-// naming the last fully serialized ordering (the "base"), and a bounded log
-// of the mutations applied since. A saver with an up-to-date base persists
-// O(ops) delta records per commit instead of re-emitting the O(n) ordering;
-// a loader rebuilds the map from base + replay. All Map reads and writes
-// pass through (writes are intercepted to feed the log), so translators use
-// a *Tracked exactly like the map it wraps.
+// Tracked is the storage engine's positional map: a hierarchical map with
+// persistence bookkeeping — a generation counter naming the last fully
+// serialized ordering (the "base"), and a bounded log of the mutations
+// applied since. A saver with an up-to-date base persists O(ops) delta
+// records per commit instead of re-emitting the O(n) ordering; a loader
+// rebuilds the map from base + replay. The tree is unexported, so every
+// mutation passes through the log.
 type Tracked struct {
-	Map
+	h *Hierarchical
 	// gen names the persisted base this log is relative to.
 	gen uint64
 	// ops is the replay log since the base; opUnits counts logged RIDs and
 	// deleted positions (the size signal the ratio trigger uses).
 	ops     []Op
 	opUnits int
-	// needFull forces a full rewrite on the next save: fresh maps, logs
-	// that outgrew the ratio bound, and mutations that bypassed the wrapper
-	// (detected via the inner map's version counter) all set it.
+	// needFull forces a full rewrite on the next save: fresh maps and logs
+	// that outgrew the ratio bound set it.
 	needFull bool
-	// loggedVer is the inner version after the last intercepted mutation;
-	// a mismatch at save time means someone mutated the inner map directly.
-	loggedVer uint64
 	// savedOps counts the log prefix already persisted in the delta record,
 	// so an unchanged log skips the delta rewrite entirely.
 	savedOps int
 }
 
-// NewTracked builds a tracked map of the given scheme. A fresh map needs a
-// full serialization first, so it starts with an empty log and needFull.
-func NewTracked(scheme string) *Tracked { return Track(New(scheme)) }
-
-// Track wraps an existing map. The wrapper must intercept every subsequent
-// mutation: callers hand over ownership.
-func Track(m Map) *Tracked { return &Tracked{Map: m, needFull: true} }
+// NewTracked builds an empty tracked map. A fresh map needs a full
+// serialization first, so it starts with an empty log and needFull.
+func NewTracked() *Tracked { return &Tracked{h: NewHierarchical(DefaultOrder), needFull: true} }
 
 func (t *Tracked) log(op Op, units int) {
-	t.loggedVer = t.Map.Version()
 	if t.needFull {
 		return
 	}
 	t.opUnits += units
 	if t.opUnits > t.Len()/deltaRatio+deltaSlack {
+		t.BeginDelta(t.gen)
 		t.needFull = true
-		t.ops = nil
-		t.opUnits = 0
-		t.savedOps = 0
 		return
 	}
 	t.ops = append(t.ops, op)
 }
 
-// Insert implements Map.
+// Len returns the number of tracked tuples.
+func (t *Tracked) Len() int { return t.h.Len() }
+
+// Fetch returns the tuple pointer at the 1-based position.
+func (t *Tracked) Fetch(pos int) (rdbms.RID, bool) { return t.h.Fetch(pos) }
+
+// FetchRange returns the pointers for positions [pos, pos+count), clipped to
+// the sequence.
+func (t *Tracked) FetchRange(pos, count int) []rdbms.RID { return t.h.FetchRangeInto(nil, pos, count) }
+
+// FetchRangeInto is FetchRange appending to dst (Hierarchical.FetchRangeInto).
+func (t *Tracked) FetchRangeInto(dst []rdbms.RID, pos, count int) []rdbms.RID {
+	return t.h.FetchRangeInto(dst, pos, count)
+}
+
+// Insert places rid at the position (Len()+1 appends), shifting subsequent
+// tuples up.
 func (t *Tracked) Insert(pos int, rid rdbms.RID) bool {
-	if !t.Map.Insert(pos, rid) {
+	if !t.h.Insert(pos, rid) {
 		return false
 	}
 	t.log(Op{Kind: OpInsert, Pos: pos, RIDs: []rdbms.RID{rid}}, 1)
 	return true
 }
 
-// InsertMany implements Map.
+// InsertMany places rids consecutively starting at pos, shifting subsequent
+// tuples up by len(rids).
 func (t *Tracked) InsertMany(pos int, rids []rdbms.RID) bool {
-	if !t.Map.InsertMany(pos, rids) {
+	if !t.h.InsertMany(pos, rids) {
 		return false
 	}
 	if len(rids) > 0 {
@@ -108,27 +114,19 @@ func (t *Tracked) InsertMany(pos int, rids []rdbms.RID) bool {
 	return true
 }
 
-// Delete implements Map.
-func (t *Tracked) Delete(pos int) (rdbms.RID, bool) {
-	rid, ok := t.Map.Delete(pos)
-	if ok {
-		t.log(Op{Kind: OpDelete, Pos: pos, N: 1}, 1)
-	}
-	return rid, ok
-}
-
-// DeleteMany implements Map.
+// DeleteMany removes positions [pos, pos+count), clipped to the sequence,
+// returning the removed pointers in order.
 func (t *Tracked) DeleteMany(pos, count int) []rdbms.RID {
-	out := t.Map.DeleteMany(pos, count)
+	out := t.h.DeleteMany(pos, count)
 	if len(out) > 0 {
 		t.log(Op{Kind: OpDelete, Pos: max(pos, 1), N: len(out)}, len(out))
 	}
 	return out
 }
 
-// Update implements Map.
+// Update replaces the pointer at the position (a tuple moved in the heap).
 func (t *Tracked) Update(pos int, rid rdbms.RID) bool {
-	if !t.Map.Update(pos, rid) {
+	if !t.h.Update(pos, rid) {
 		return false
 	}
 	t.log(Op{Kind: OpUpdate, Pos: pos, RIDs: []rdbms.RID{rid}}, 1)
@@ -139,11 +137,8 @@ func (t *Tracked) Update(pos int, rid rdbms.RID) bool {
 func (t *Tracked) Gen() uint64 { return t.gen }
 
 // NeedsFull reports whether the next save must rewrite the full ordering:
-// no base yet, an outgrown log, or an inner mutation that bypassed the
-// wrapper.
-func (t *Tracked) NeedsFull() bool {
-	return t.needFull || t.loggedVer != t.Map.Version()
-}
+// no base yet, or an outgrown log.
+func (t *Tracked) NeedsFull() bool { return t.needFull }
 
 // Ops returns the replay log accumulated since the base. The slice is owned
 // by the wrapper; callers serialize it without holding on to it.
@@ -155,12 +150,7 @@ func (t *Tracked) DeltaDirty() bool { return len(t.ops) != t.savedOps }
 // MarkBase records that the full ordering was just persisted under a new
 // generation (returned), resetting the log.
 func (t *Tracked) MarkBase() uint64 {
-	t.gen++
-	t.ops = nil
-	t.opUnits = 0
-	t.savedOps = 0
-	t.needFull = false
-	t.loggedVer = t.Map.Version()
+	t.BeginDelta(t.gen + 1)
 	return t.gen
 }
 
@@ -168,16 +158,15 @@ func (t *Tracked) MarkBase() uint64 {
 func (t *Tracked) MarkDeltaSaved() { t.savedOps = len(t.ops) }
 
 // BeginDelta is the load-side counterpart of MarkBase: the caller has just
-// rebuilt the inner map to the persisted base of generation gen and is
-// about to replay the persisted delta ops through the wrapper (re-logging
-// them), after which MarkDeltaSaved restores the saved-prefix mark.
+// rebuilt the map to the persisted base of generation gen and is about to
+// replay the persisted delta ops through Apply (re-logging them), after
+// which MarkDeltaSaved restores the saved-prefix mark.
 func (t *Tracked) BeginDelta(gen uint64) {
 	t.gen = gen
 	t.ops = nil
 	t.opUnits = 0
 	t.savedOps = 0
 	t.needFull = false
-	t.loggedVer = t.Map.Version()
 }
 
 // Apply replays one logged op through the wrapper, erroring when the op no
@@ -201,7 +190,3 @@ func (t *Tracked) Apply(op Op) error {
 	}
 	return nil
 }
-
-// Version implements Map, delegating to the inner counter so wrapper users
-// observe the same dirtiness signal.
-func (t *Tracked) Version() uint64 { return t.Map.Version() }

@@ -2,72 +2,60 @@ package posmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dataspread/internal/rdbms"
 )
 
 // TestTrackedReplayEquivalence: replaying the op log over the base dump
-// reproduces the live ordering exactly, for every scheme, across random
-// mutation mixes.
+// reproduces the live ordering exactly, across random mutation mixes.
 func TestTrackedReplayEquivalence(t *testing.T) {
-	for _, scheme := range Schemes() {
-		t.Run(scheme, func(t *testing.T) {
-			live := NewTracked(scheme)
-			rng := rand.New(rand.NewSource(7))
-			seed := make([]rdbms.RID, 500)
-			for i := range seed {
-				seed[i] = rid(i + 1)
-			}
-			if !live.InsertMany(1, seed) {
-				t.Fatal("seed insert failed")
-			}
-			base := live.FetchRange(1, live.Len())
-			gen := live.MarkBase()
+	live := NewTracked()
+	rng := rand.New(rand.NewSource(7))
+	seed := make([]rdbms.RID, 500)
+	for i := range seed {
+		seed[i] = rid(i + 1)
+	}
+	if !live.InsertMany(1, seed) {
+		t.Fatal("seed insert failed")
+	}
+	base := live.FetchRange(1, live.Len())
+	gen := live.MarkBase()
 
-			for i := 0; i < 40; i++ {
-				switch rng.Intn(3) {
-				case 0:
-					live.Insert(rng.Intn(live.Len()+1)+1, rid(1000+i))
-				case 1:
-					if live.Len() > 2 {
-						live.DeleteMany(rng.Intn(live.Len()-1)+1, rng.Intn(2)+1)
-					}
-				case 2:
-					live.Update(rng.Intn(live.Len())+1, rid(2000+i))
-				}
+	for i := 0; i < 40; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			live.Insert(rng.Intn(live.Len()+1)+1, rid(1000+i))
+		case 1:
+			if live.Len() > 2 {
+				live.DeleteMany(rng.Intn(live.Len()-1)+1, rng.Intn(2)+1)
 			}
-			if live.NeedsFull() {
-				t.Fatal("40 ops on 500 entries should stay within the delta ratio")
-			}
+		case 2:
+			live.Update(rng.Intn(live.Len())+1, rid(2000+i))
+		}
+	}
+	if live.NeedsFull() {
+		t.Fatal("40 ops on 500 entries should stay within the delta ratio")
+	}
 
-			replayed := NewTracked(scheme)
-			replayed.InsertMany(1, base)
-			replayed.BeginDelta(gen)
-			for _, op := range live.Ops() {
-				if err := replayed.Apply(op); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := replayed.FetchRange(1, replayed.Len())
-			want := live.FetchRange(1, live.Len())
-			if len(got) != len(want) {
-				t.Fatalf("replayed %d entries, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("pos %d: %v != %v", i+1, got[i], want[i])
-				}
-			}
-		})
+	replayed := NewTracked()
+	replayed.InsertMany(1, base)
+	replayed.BeginDelta(gen)
+	for _, op := range live.Ops() {
+		if err := replayed.Apply(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := replayed.FetchRange(1, replayed.Len()), live.FetchRange(1, live.Len()); !slices.Equal(got, want) {
+		t.Fatalf("replayed %v, want %v", got, want)
 	}
 }
 
 // TestTrackedDirtinessProtocol: fresh maps need a full write, MarkBase
-// clears it, the ratio bound trips it again, and mutations that bypass the
-// wrapper are detected through the inner version counter.
+// clears it, and the ratio bound trips it again.
 func TestTrackedDirtinessProtocol(t *testing.T) {
-	tr := NewTracked("hierarchical")
+	tr := NewTracked()
 	if !tr.NeedsFull() {
 		t.Fatal("fresh map must need a full write")
 	}
@@ -97,36 +85,23 @@ func TestTrackedDirtinessProtocol(t *testing.T) {
 	if len(tr.Ops()) != 0 {
 		t.Fatal("outgrown op log must be discarded")
 	}
-
-	// Bypass detection: mutate the inner map directly.
-	inner := New("hierarchical")
-	wrapped := Track(inner)
-	wrapped.Insert(1, rid(1))
-	wrapped.MarkBase()
-	inner.Insert(1, rid(2)) // behind the wrapper's back
-	if !wrapped.NeedsFull() {
-		t.Fatal("bypassed mutation must force a full write")
-	}
 }
 
-// TestTrackedNoOpDeleteStaysClean: a delete that removes nothing must not
-// trip the bypass detector (regression: PositionAsIs bumped its version
-// before confirming any removal, forcing spurious full rewrites).
+// TestTrackedNoOpDeleteStaysClean: a delete that removes nothing logs
+// nothing, so it neither forces a full rewrite nor dirties the delta.
 func TestTrackedNoOpDeleteStaysClean(t *testing.T) {
-	for _, scheme := range Schemes() {
-		tr := NewTracked(scheme)
-		for i := 1; i <= 10; i++ {
-			tr.Insert(i, rid(i))
-		}
-		tr.MarkBase()
-		if got := tr.DeleteMany(50, 3); len(got) != 0 {
-			t.Fatalf("%s: out-of-range delete removed %d", scheme, len(got))
-		}
-		if tr.NeedsFull() {
-			t.Errorf("%s: no-op delete tripped NeedsFull", scheme)
-		}
-		if tr.DeltaDirty() {
-			t.Errorf("%s: no-op delete dirtied the delta", scheme)
-		}
+	tr := NewTracked()
+	for i := 1; i <= 10; i++ {
+		tr.Insert(i, rid(i))
+	}
+	tr.MarkBase()
+	if got := tr.DeleteMany(50, 3); len(got) != 0 {
+		t.Fatalf("out-of-range delete removed %d", len(got))
+	}
+	if tr.NeedsFull() {
+		t.Error("no-op delete tripped NeedsFull")
+	}
+	if tr.DeltaDirty() {
+		t.Error("no-op delete dirtied the delta")
 	}
 }
