@@ -226,34 +226,38 @@ func TestRefusedFarColumnWriteGrowsNothing(t *testing.T) {
 	}
 }
 
-// Optimize re-materializes the sheet into new regions, and a Save/Load of
-// the optimized store reads the same cells back.
-func TestPipelineOptimizeThenReload(t *testing.T) {
-	db := rdbms.Open(rdbms.Options{})
-	e, err := New(db, "s", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 1; r <= 12; r++ {
-		for c := 1; c <= 4; c++ {
-			if err := e.SetValue(r, c, sheet.Number(float64(r*10+c))); err != nil {
-				t.Fatal(err)
+// Regression: Optimize re-materialized every sheet under a positional
+// scheme of its own choosing, and the store manifest then persisted that.
+// The store keeps one scheme, "hierarchical", and Load fails on a root that
+// names another, so the reload below checks the scheme survived Optimize.
+func TestPipelineOptimizeKeepsScheme(t *testing.T) {
+	t.Run("hierarchical", func(t *testing.T) {
+		db := rdbms.Open(rdbms.Options{})
+		e, err := New(db, "s", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 1; r <= 12; r++ {
+			for c := 1; c <= 4; c++ {
+				if err := e.SetValue(r, c, sheet.Number(float64(r*10+c))); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if _, err := e.Optimize("agg", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Save(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Load(db, "s", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cellNum(t, e2, 7, 3); got != 73 {
-		t.Fatalf("C7 after Optimize and reload = %v, want 73", got)
-	}
+		if _, err := e.Optimize("agg", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Save(); err != nil {
+			t.Fatal(err)
+		}
+		e2, err := Load(db, "s", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cellNum(t, e2, 7, 3); got != 73 {
+			t.Fatalf("C7 after Optimize and reload = %v, want 73", got)
+		}
+	})
 }
 
 // Regression: LinkTable cleared the linked range with raw cache writes, so a

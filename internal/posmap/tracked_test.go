@@ -11,45 +11,47 @@ import (
 // TestTrackedReplayEquivalence: replaying the op log over the base dump
 // reproduces the live ordering exactly, across random mutation mixes.
 func TestTrackedReplayEquivalence(t *testing.T) {
-	live := NewTracked()
-	rng := rand.New(rand.NewSource(7))
-	seed := make([]rdbms.RID, 500)
-	for i := range seed {
-		seed[i] = rid(i + 1)
-	}
-	if !live.InsertMany(1, seed) {
-		t.Fatal("seed insert failed")
-	}
-	base := live.FetchRange(1, live.Len())
-	gen := live.MarkBase()
+	t.Run("hierarchical", func(t *testing.T) {
+		live := NewTracked()
+		rng := rand.New(rand.NewSource(7))
+		seed := make([]rdbms.RID, 500)
+		for i := range seed {
+			seed[i] = rid(i + 1)
+		}
+		if !live.InsertMany(1, seed) {
+			t.Fatal("seed insert failed")
+		}
+		base := live.FetchRange(1, live.Len())
+		gen := live.MarkBase()
 
-	for i := 0; i < 40; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			live.Insert(rng.Intn(live.Len()+1)+1, rid(1000+i))
-		case 1:
-			if live.Len() > 2 {
-				live.DeleteMany(rng.Intn(live.Len()-1)+1, rng.Intn(2)+1)
+		for i := 0; i < 40; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				live.Insert(rng.Intn(live.Len()+1)+1, rid(1000+i))
+			case 1:
+				if live.Len() > 2 {
+					live.DeleteMany(rng.Intn(live.Len()-1)+1, rng.Intn(2)+1)
+				}
+			case 2:
+				live.Update(rng.Intn(live.Len())+1, rid(2000+i))
 			}
-		case 2:
-			live.Update(rng.Intn(live.Len())+1, rid(2000+i))
 		}
-	}
-	if live.NeedsFull() {
-		t.Fatal("40 ops on 500 entries should stay within the delta ratio")
-	}
+		if live.NeedsFull() {
+			t.Fatal("40 ops on 500 entries should stay within the delta ratio")
+		}
 
-	replayed := NewTracked()
-	replayed.InsertMany(1, base)
-	replayed.BeginDelta(gen)
-	for _, op := range live.Ops() {
-		if err := replayed.Apply(op); err != nil {
-			t.Fatal(err)
+		replayed := NewTracked()
+		replayed.InsertMany(1, base)
+		replayed.BeginDelta(gen)
+		for _, op := range live.Ops() {
+			if err := replayed.Apply(op); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got, want := replayed.FetchRange(1, replayed.Len()), live.FetchRange(1, live.Len()); !slices.Equal(got, want) {
-		t.Fatalf("replayed %v, want %v", got, want)
-	}
+		if got, want := replayed.FetchRange(1, replayed.Len()), live.FetchRange(1, live.Len()); !slices.Equal(got, want) {
+			t.Fatalf("replayed %v, want %v", got, want)
+		}
+	})
 }
 
 // TestTrackedDirtinessProtocol: fresh maps need a full write, MarkBase
