@@ -32,9 +32,10 @@ test:
 # disconnect fuzz, plus the one edit pipeline in both recalc modes
 # (Pipeline), staleness bits and viewport priority, the kept plan reused only
 # while the registry and the pending set are unchanged, and then equal to a
-# rebuilt one, and a ticker tick's cache hits counted per tile (Recalc), the
-# pending marker's column segments and the sub-segments it reports newly
-# set, and a chunk's bits tested in one hold (Pending), and the recalc graph
+# rebuilt one, a ticker tick's cache hits counted per tile and its bytes
+# bounded on the kept plan (Recalc), the pending marker's column segments and
+# the sub-segments it reports newly set, and a chunk's bits tested in one
+# hold (Pending), and the recalc graph
 # walks (Cone, Mark: the plan and the edit-time segment walk against a
 # brute-force closure on random fill-down runs, stopping at pre-marked
 # cells), and the fill-down run registry behind them against a per-cell
@@ -48,11 +49,17 @@ test:
 # that grid and 1x1 reads return across regions and the overflow (ReadCells),
 # a tile filled through cache.Tile keeps the extent and bytes of its
 # non-blank columns and a failed load leaves it blank (Tile), and the
-# translators' concurrent range readers (Concurrent).
+# translators' concurrent range readers (Concurrent), and one recalc
+# evaluator: a guard that internal/core/recalc.go starts no worker goroutine
+# and waits on no WaitGroup, so every chunk evaluates on the goroutine that
+# commits it.
 # CI runs this as a dedicated step so visibility, latch and executor
 # regressions are named, not buried in ./...
 test-serve:
 	$(GO) test -race -run 'Serve|Recalc|Pending|Viewport|Pipeline|Publish|Concurrent|Cone|Mark|Tile|Run|Cycle|Shell|ReadCells' -timeout 10m -v ./internal/serve/... ./internal/core/... ./internal/cache/... ./internal/depgraph/... ./internal/model/ ./cmd/dsshell/
+	@if grep -nE 'sync\.WaitGroup|go func' internal/core/recalc.go; then \
+		echo "the recalc executor evaluates each chunk on the goroutine that commits it"; exit 1; \
+	fi
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push, with

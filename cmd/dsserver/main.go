@@ -35,7 +35,6 @@ func main() {
 	poolPages := flag.Int("pool-pages", 0, "buffer pool size in pages (0: default 1024)")
 	cacheBlocks := flag.Int("cache-blocks", 2048, "cell cache size in 64x16 blocks, per sheet (~9 KiB a dense numeric block, ~2 KiB a formula column)")
 	asyncRecalc := flag.Bool("async-recalc", true, "evaluate formula cones in the background, viewport-first; edits return immediately with dependents flagged pending")
-	recalcWorkers := flag.Int("recalc-workers", 0, "background recalc worker goroutines per sheet (0: GOMAXPROCS capped at 4)")
 	checkpointPages := flag.Int("checkpoint-pages", 0, "auto-checkpoint when this many pages are dirty since the last checkpoint (0: default, negative: disable)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate the WAL into a new segment at this size (0: default 4MiB, negative: disable rotation)")
 	walMaxSegs := flag.Int("wal-max-segments", 0, "checkpoint-compact the WAL when more than this many segments are live (0: default 4, negative: disable)")
@@ -67,11 +66,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	srv := serve.New(db, core.Options{
-		CacheBlocks:   *cacheBlocks,
-		AsyncRecalc:   *asyncRecalc,
-		RecalcWorkers: *recalcWorkers,
-	})
+	srv := serve.New(db, core.Options{CacheBlocks: *cacheBlocks, AsyncRecalc: *asyncRecalc})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)

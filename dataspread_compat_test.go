@@ -317,6 +317,34 @@ func TestGoldenCurrentFormat(t *testing.T) {
 	assertGolden(t, db2, eng2)
 }
 
+// TestGoldenWriterMatchesFixture is the writer's half of the fixture check:
+// writeGolden run now produces the checked-in files byte for byte, so a change
+// to what the engine writes updates testdata/golden-v8 in the same change,
+// where its diff is read, instead of leaving a fixture no writer produces.
+func TestGoldenWriterMatchesFixture(t *testing.T) {
+	dir := t.TempDir()
+	writeGolden(t, dir)
+	for _, f := range goldenFiles {
+		want, err := os.ReadFile(filepath.Join(goldenDir, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, want) {
+			continue
+		}
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		t.Errorf("%s: the writer wrote %d bytes, the fixture holds %d, and they differ first at offset %d; after an intended change run GOLDEN_REGEN=1 go test -run TestGoldenCurrentFormat . and review the diff",
+			f, len(got), len(want), i)
+	}
+}
+
 // castagnoli is the checksum polynomial of every on-disk structure.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 

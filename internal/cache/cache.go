@@ -301,8 +301,9 @@ func (c *Cache) Get(r sheet.Ref) sheet.Cell {
 // that lock, loads and evictions change only the map and the atomic used bit,
 // and an evicted tile is never written again, so a tile evicted while held
 // reads as it did. A reader lives for one pass over one recalc chunk, before
-// the chunk's Publish, and is not safe for concurrent use: each evaluation
-// worker takes its own. An unreadable tile reads blank, and Err returns the
+// the chunk's Publish, and is not safe for concurrent use: the executor takes
+// one for a chunk's evaluation and one for its old values, on the goroutine
+// that commits it. An unreadable tile reads blank, and Err returns the
 // first such failure, so the executor commits nothing computed from it.
 type TileReader struct {
 	c     *Cache

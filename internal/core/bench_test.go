@@ -184,14 +184,14 @@ func BenchmarkTick(b *testing.B) {
 // tickerEngine opens the ticker-recalc cone — workload.TickerMarket(400 x
 // 100), 40,400 formula cells — on an in-memory engine, synchronous unless
 // opts say otherwise.
-func tickerEngine(b *testing.B, opts Options) *Engine {
-	b.Helper()
+func tickerEngine(tb testing.TB, opts Options) *Engine {
+	tb.Helper()
 	spec := workload.TickerSpec{Intermediates: 400, LeavesPer: 100}
 	e, err := Open(rdbms.Open(rdbms.Options{}), "ticker", workload.TickerMarket(spec), "rom", opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { _ = e.Close() })
+	tb.Cleanup(func() { _ = e.Close() })
 	return e
 }
 
@@ -200,10 +200,9 @@ func tickerEngine(b *testing.B, opts Options) *Engine {
 // written back before the edit returns, on the plan the tick before kept.
 // ticker-replan: the same tick with the last intermediate's formula
 // re-entered in its batch, a registry change that makes every tick rebuild
-// its plan. ticker-async/workers=W: the tick on an AsyncRecalc engine with W
-// evaluation workers, Drain the waiter — it ends the quiet window at once —
-// so the op is the cold pass over the cone; -cpu cannot vary the synchronous
-// engine's one worker.
+// its plan. ticker-async: the tick on an AsyncRecalc engine, Drain the
+// waiter — it ends the quiet window at once — so the op is the cold pass over
+// the cone on the dispatcher.
 func BenchmarkDrain(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -212,8 +211,7 @@ func BenchmarkDrain(b *testing.B) {
 	}{
 		{"ticker", nil, Options{}},
 		{"ticker-replan", []CellEdit{{Row: 400, Col: 2, Input: "=A1*400"}}, Options{}},
-		{"ticker-async/workers=1", nil, Options{AsyncRecalc: true, RecalcWorkers: 1}},
-		{"ticker-async/workers=2", nil, Options{AsyncRecalc: true, RecalcWorkers: 2}},
+		{"ticker-async", nil, Options{AsyncRecalc: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			e := tickerEngine(b, c.opts)

@@ -114,16 +114,16 @@ func TestConcurrentReadersBesideAsyncRecalc(t *testing.T) {
 	}
 }
 
-// An AsyncRecalc engine's cold pass over a 192 x 40 ticker (9 tiles) on two
-// workers, with a 3-tile cache, beside readers of whole tile bands: their cold
-// loads evict tiles the executor's tile readers hold mid-chunk. Nothing
+// An AsyncRecalc engine's cold pass over a 192 x 40 ticker (9 tiles), with a
+// 3-tile cache, beside readers of whole tile bands: their cold loads evict
+// tiles the executor's tile readers hold mid-chunk. Nothing
 // races, every reply is self-consistent — a leaf not flagged pending is its
 // unflagged intermediate plus its offset — and the drained sheet holds what a
 // fresh engine computes.
 func TestConcurrentReadersBesideColdPassEvictingTiles(t *testing.T) {
 	spec := workload.TickerSpec{Intermediates: 3 * 64, LeavesPer: 40}
 	e, err := Open(rdbms.Open(rdbms.Options{}), "c", workload.TickerMarket(spec), "rom",
-		Options{AsyncRecalc: true, RecalcWorkers: 2, CacheBlocks: 3})
+		Options{AsyncRecalc: true, CacheBlocks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

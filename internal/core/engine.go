@@ -29,13 +29,13 @@ type Options struct {
 	// AsyncRecalc decides who runs the one recalc executor (recalc.go) — the
 	// paper's LazyBrowsing direction. True: edits mark their dependency cone
 	// pending and return immediately; a background dispatcher evaluates the
-	// cone in topological waves on a bounded worker pool, cells inside
-	// registered viewports first. False (default; tests, single-user CLI):
-	// the edit runs the same plan on the calling goroutine and returns with
-	// nothing pending.
+	// cone in topological waves, cells inside registered viewports first.
+	// False (default; tests, single-user CLI): the edit runs the same plan on
+	// the calling goroutine and returns with nothing pending.
 	AsyncRecalc bool
-	// RecalcWorkers bounds the scheduler's evaluation worker pool (0:
-	// GOMAXPROCS capped at 4). Meaningful only with AsyncRecalc.
+	// RecalcWorkers is ignored: every chunk evaluates on the goroutine that
+	// commits it. The field stays only until the benchmark harness stops
+	// setting it (ROADMAP item 1(j)).
 	RecalcWorkers int
 }
 
@@ -240,8 +240,8 @@ func (e *Engine) clip(g sheet.Range) (sheet.Range, bool) {
 
 // evalReader is the evaluator's formula.Resolver. It runs under writeMu, so
 // it reads the cache unlatched: cells through a tile reader of its own (one
-// per evaluation worker), ranges streamed out block by block (one reused row
-// buffer, no materialized grid), so large aggregations stay allocation-light.
+// per chunk), ranges streamed out block by block (one reused row buffer, no
+// materialized grid), so large aggregations stay allocation-light.
 // An unreadable tile reads blank and is kept for tiles.Err, which the
 // executor checks before it commits. Pass it by pointer: a value converted to
 // the Resolver allocates per cell.

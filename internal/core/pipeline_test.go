@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -414,7 +415,7 @@ func TestPipelineStaleChunkKeepsCellsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.sched
-	plan := func() []recalcChunk { // what process does before it plans
+	plan := func() recalcPlan { // what process does before it plans
 		s.mu.Lock()
 		s.restructure = false
 		s.mu.Unlock()
@@ -423,15 +424,19 @@ func TestPipelineStaleChunkKeepsCellsPending(t *testing.T) {
 	if err := e.Set(1, 2, "3"); err != nil {
 		t.Fatal(err)
 	}
-	chunks := plan()
-	if len(chunks) != 1 || len(chunks[0].refs) != 1 || chunks[0].refs[0] != (sheet.Ref{Row: 1, Col: 4}) {
-		t.Fatalf("plan = %+v, want [D1]", chunks)
+	var chunks [][]sheet.Ref
+	var cycle bool
+	for refs, c := range plan().chunks() {
+		chunks, cycle = append(chunks, slices.Clone(refs)), cycle || c
+	}
+	if len(chunks) != 1 || len(chunks[0]) != 1 || chunks[0][0] != (sheet.Ref{Row: 1, Col: 4}) || cycle {
+		t.Fatalf("plan = %+v (cycle %v), want [D1]", chunks, cycle)
 	}
 	if err := e.Set(1, 1, "5"); err != nil { // marks C1; D1's chunk is stale
 		t.Fatal(err)
 	}
 	unlock := s.lock()
-	err = s.commitChunk(chunks[0])
+	err = s.commitChunk(chunks[0], false)
 	unlock()
 	if err != nil {
 		t.Fatal(err)

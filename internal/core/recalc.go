@@ -12,11 +12,11 @@
 // it:
 //
 //   - AsyncRecalc: the edit returns with its cone marked; a single
-//     dispatcher goroutine runs the plan, evaluating each chunk on a bounded
-//     worker pool, so what the user can see converges first and the edit
-//     never waits for a 100k-cell cone. Between the viewport pass and the
-//     rest of the cone it waits until edits have paused for coldDelay, or
-//     until somebody waits on it (Drain, WaitRange, Close).
+//     dispatcher goroutine runs the plan, evaluating each chunk itself, so
+//     what the user can see converges first and the edit never waits for a
+//     100k-cell cone. Between the viewport pass and the rest of the cone it
+//     waits until edits have paused for coldDelay, or until somebody waits
+//     on it (Drain, WaitRange, Close).
 //   - otherwise: the edit runs the plan itself, serially, before it returns.
 //     On return nothing is pending and every recomputed value is in the
 //     store; durability stays the caller's Save. An error leaves the
@@ -32,15 +32,15 @@
 //     (recalcScheduler.lock is the one place the two differ). An inline
 //     settle starts no goroutine.
 //   - A chunk is evaluated under writeMu alone (reads only — chunk members
-//     are mutually independent, same topological wave; in parallel on the
-//     dispatcher), then committed in one batch through Engine.commit: one
+//     are mutually independent, same topological wave) on the goroutine that
+//     commits it, then committed in one batch through Engine.commit: one
 //     store write and one publish that pokes the values and clears the
 //     chunk's pending bits together, the write-window latch held for just
 //     that, so a reader loading a cold block never waits for an evaluation.
-//     Its reads go through tile readers (cache.TileReader), one per worker:
-//     they read resident tiles' columns without the cache lock, since every
-//     writer of those columns holds writeMu, and pay the lock, the map probe
-//     and the shared hit counter once per tile, not per cell.
+//     Its reads go through a tile reader (cache.TileReader), which reads
+//     resident tiles' columns without the cache lock, since every writer of
+//     those columns holds writeMu, and pays the lock, the map probe and the
+//     shared hit counter once per tile, not per cell.
 //   - Edits concurrent with a running plan set the restructure flag (under
 //     writeMu); the executor abandons its stale plan at the next chunk
 //     boundary and rebuilds from the pending bits, whose closure property
@@ -56,11 +56,10 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"maps"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dataspread/internal/depgraph"
@@ -70,8 +69,8 @@ import (
 )
 
 // recalcChunkSize bounds how many cells one executor step holds the edit lock
-// for: large enough to amortize lock churn and fan work to the pool, small
-// enough that an edit never waits behind a long evaluation.
+// for: large enough to amortize lock churn, small enough that an edit never
+// waits behind a long evaluation.
 const recalcChunkSize = 512
 
 // coldDelay is the dispatcher's quiet window: how long after the latest edit
@@ -88,8 +87,7 @@ var errEngineClosed = fmt.Errorf("core: engine closed")
 type recalcScheduler struct {
 	e *Engine
 	// async is Options.AsyncRecalc: a dispatcher goroutine runs the plans.
-	async   bool
-	workers int
+	async bool
 	// done closes when the dispatcher has exited (at once when there is
 	// none).
 	done chan struct{}
@@ -116,14 +114,15 @@ type recalcScheduler struct {
 	edited  time.Time
 	waiters int
 
-	// The last full plan (buildPlan) and commitChunk's scratch, kept for one
-	// process, belong to whoever runs it: the dispatcher, or an inline settle.
-	plan    keptPlan
+	// The last full plan (buildPlan) and commitChunk's scratch belong to
+	// whoever runs the executor: the dispatcher, or an inline settle.
+	plan    recalcPlan
 	scratch chunkScratch
 }
 
 // chunkScratch is commitChunk's reused buffers: the members' pending bits,
-// the cells to evaluate, the changed values and the bits to clear.
+// the cells to evaluate, the changed values and the bits to clear. Each holds
+// at most one chunk, so it is kept from process to process.
 type chunkScratch struct {
 	pending []bool
 	jobs    []recalcJob
@@ -136,7 +135,6 @@ type chunkScratch struct {
 func (e *Engine) startRecalc(opts Options) {
 	s := &recalcScheduler{
 		e:         e,
-		workers:   1,
 		done:      make(chan struct{}),
 		viewports: make(map[int]sheet.Range),
 	}
@@ -147,9 +145,6 @@ func (e *Engine) startRecalc(opts Options) {
 		return
 	}
 	s.async = true
-	if s.workers = opts.RecalcWorkers; s.workers <= 0 {
-		s.workers = min(runtime.GOMAXPROCS(0), 4)
-	}
 }
 
 // launch is the last step of New, Open and Load: it starts the dispatcher of
@@ -169,10 +164,6 @@ func (e *Engine) launch(recalc bool) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// AsyncRecalc reports whether this engine evaluates formulas in the
-// background (Options.AsyncRecalc).
-func (e *Engine) AsyncRecalc() bool { return e.sched.async }
 
 // PendingCount returns how many cells await recalculation (0 whenever a
 // synchronous engine's edit has returned without error).
@@ -381,13 +372,6 @@ func (s *recalcScheduler) run() {
 	}
 }
 
-// recalcChunk is one commit unit: refs are mutually independent (same
-// topological wave), or members of a cycle to poison.
-type recalcChunk struct {
-	refs  []sheet.Ref
-	cycle bool
-}
-
 // process runs one plan, rebuilt from the pending bits, until it completes
 // or is interrupted. The viewport fast path goes first: the pending cells a
 // user is looking at (plus their pending ancestors) commit before the full
@@ -397,7 +381,6 @@ func (s *recalcScheduler) process() error {
 	s.mu.Lock()
 	s.restructure = false
 	s.mu.Unlock()
-	defer func() { s.scratch = chunkScratch{} }() // one process
 	if err := s.commitPlan(s.buildHotPlan()); err != nil {
 		return err
 	}
@@ -409,13 +392,13 @@ func (s *recalcScheduler) process() error {
 
 // commitPlan commits a plan's chunks in order, each under its own hold of the
 // edit lock, stopping at the first chunk boundary after the plan went stale.
-func (s *recalcScheduler) commitPlan(chunks []recalcChunk) error {
-	for _, chunk := range chunks {
+func (s *recalcScheduler) commitPlan(p recalcPlan) error {
+	for refs, cycle := range p.chunks() {
 		if s.interrupted() {
 			return nil
 		}
 		unlock := s.lock()
-		err := s.commitChunk(chunk)
+		err := s.commitChunk(refs, cycle)
 		unlock()
 		if err != nil {
 			return err
@@ -450,33 +433,16 @@ func (s *recalcScheduler) quiet() bool {
 	return !s.restructure && !s.closed
 }
 
-// planChunks cuts a cone into a plan's commit units of at most
-// recalcChunkSize cells: the members on a cycle first — their value is
-// #CYCLE! whatever they read, and the waves may read them — then the waves in
-// order.
-func planChunks(c *depgraph.Cone) []recalcChunk {
-	if c == nil {
-		return nil
-	}
-	var chunks []recalcChunk
-	for i, wave := range append([][]sheet.Ref{c.Cycles}, c.Waves...) {
-		for lo := 0; lo < len(wave); lo += recalcChunkSize {
-			chunks = append(chunks, recalcChunk{refs: wave[lo:min(lo+recalcChunkSize, len(wave))], cycle: i == 0})
-		}
-	}
-	return chunks
-}
-
 // buildHotPlan is the viewport fast path: pending cells inside registered
 // viewports plus their pending ancestors, computed in O(viewport cone) and
 // cut as the full plan is — the ancestors on a cycle poisoned first, so no
-// wave reads a pending one.
-func (s *recalcScheduler) buildHotPlan() []recalcChunk {
+// wave reads a pending one. It is never kept.
+func (s *recalcScheduler) buildHotPlan() recalcPlan {
 	s.mu.Lock()
 	vps := slices.Collect(maps.Values(s.viewports))
 	s.mu.Unlock()
 	if len(vps) == 0 {
-		return nil
+		return recalcPlan{}
 	}
 	e := s.e
 	unlock := s.lock()
@@ -486,19 +452,19 @@ func (s *recalcScheduler) buildHotPlan() []recalcChunk {
 		seeds = append(seeds, e.cache.PendingRefsIn(g)...)
 	}
 	if len(seeds) == 0 {
-		return nil
+		return recalcPlan{}
 	}
-	return planChunks(e.deps.UpstreamCone(seeds, e.cache.IsPending))
+	return newPlan(0, e.deps.UpstreamCone(seeds, e.cache.IsPending))
 }
 
 // buildPlan derives the evaluation plan from the pending bits: the cone over
-// the pending set, cut by planChunks. It needs no viewport ordering: the hot
+// the pending set, cut by newPlan. It needs no viewport ordering: the hot
 // plan has committed every pending viewport cell and its ancestors before
 // quiet lets this plan start, and an edit or viewport move since then sets
 // restructure, which abandons the plan before it builds or commits. A plan is
 // a function of the registry and the pending set alone, so the last one is
 // kept and used again while both read the same; nothing pending keeps it too.
-func (s *recalcScheduler) buildPlan() []recalcChunk {
+func (s *recalcScheduler) buildPlan() recalcPlan {
 	e := s.e
 	unlock := s.lock()
 	defer unlock()
@@ -506,37 +472,44 @@ func (s *recalcScheduler) buildPlan() []recalcChunk {
 	// built now would be abandoned at its first chunk, after the O(cone)
 	// sort, and that edit's viewport cells would have waited behind it.
 	if e.cache.PendingCount() == 0 || s.interrupted() {
-		return nil
+		return recalcPlan{}
 	}
-	if s.plan.gen == e.deps.Gen() && e.cache.PendingIs(s.plan.n, s.plan.rects) {
-		return s.plan.expand()
+	if s.plan.gen != e.deps.Gen() || !e.cache.PendingIs(s.plan.n, s.plan.rects) {
+		s.plan = newPlan(e.deps.Gen(), e.deps.ConeFrom(e.cache.PendingRefs()))
 	}
-	chunks := planChunks(e.deps.ConeFrom(e.cache.PendingRefs()))
-	s.plan = keepPlan(e.deps.Gen(), chunks)
-	return chunks
+	return s.plan
 }
 
-// keptPlan is a full plan kept compactly: the registry generation it was
-// built at, its n members in plan order as row-major rectangles, each chunk's
-// size and how many lead on a cycle — no per-member array, no edges. The
+// recalcPlan is a plan kept compactly: the registry generation it was built
+// at, its n members in plan order as row-major rectangles, each chunk's size
+// and how many lead on a cycle — no per-member array, no edges. The
 // 40,400-cell ticker cone is a few rectangles.
-type keptPlan struct {
+type recalcPlan struct {
 	gen            uint64
 	n, cycleChunks int
 	rects          []sheet.Range
 	sizes          []int
 }
 
-func keepPlan(gen uint64, chunks []recalcChunk) keptPlan {
-	k := keptPlan{gen: gen}
-	var rows []sheet.Range // runs of columns in one row, then folded
-	for _, ch := range chunks {
-		k.sizes = append(k.sizes, len(ch.refs))
-		k.n += len(ch.refs)
-		if ch.cycle {
-			k.cycleChunks++
+// newPlan cuts a cone into commit units of at most recalcChunkSize cells —
+// the members on a cycle first (their value is #CYCLE! whatever they read,
+// and the waves may read them), then the waves in order — and keeps the
+// members as runs of columns in one row, folded into rectangles.
+func newPlan(gen uint64, c *depgraph.Cone) recalcPlan {
+	p := recalcPlan{gen: gen}
+	if c == nil {
+		return p
+	}
+	var rows []sheet.Range
+	for i, wave := range append([][]sheet.Ref{c.Cycles}, c.Waves...) {
+		for lo := 0; lo < len(wave); lo += recalcChunkSize {
+			p.sizes = append(p.sizes, min(recalcChunkSize, len(wave)-lo))
+			if i == 0 {
+				p.cycleChunks++
+			}
 		}
-		for _, r := range ch.refs {
+		p.n += len(wave)
+		for _, r := range wave {
 			if last := len(rows) - 1; last >= 0 && rows[last].To == (sheet.Ref{Row: r.Row, Col: r.Col - 1}) {
 				rows[last].To.Col++
 			} else {
@@ -545,51 +518,56 @@ func keepPlan(gen uint64, chunks []recalcChunk) keptPlan {
 		}
 	}
 	for _, g := range rows {
-		if last := len(k.rects) - 1; last >= 0 && g.From == (sheet.Ref{Row: k.rects[last].To.Row + 1, Col: k.rects[last].From.Col}) && g.To.Col == k.rects[last].To.Col {
-			k.rects[last].To.Row++
+		if last := len(p.rects) - 1; last >= 0 && g.From == (sheet.Ref{Row: p.rects[last].To.Row + 1, Col: p.rects[last].From.Col}) && g.To.Col == p.rects[last].To.Col {
+			p.rects[last].To.Row++
 		} else {
-			k.rects = append(k.rects, g)
+			p.rects = append(p.rects, g)
 		}
 	}
-	return k
+	return p
 }
 
-// expand lays out the chunks planChunks cut.
-func (k *keptPlan) expand() []recalcChunk {
-	refs := make([]sheet.Ref, 0, k.n)
-	for _, g := range k.rects {
-		for r := g.From; r.Row <= g.To.Row; r.Row++ {
-			for r.Col = g.From.Col; r.Col <= g.To.Col; r.Col++ {
-				refs = append(refs, r)
+// chunks lays the plan's chunks out in order, each into the one reused
+// buffer, and yields it with its cycle flag; a chunk is good until the next.
+func (p recalcPlan) chunks() iter.Seq2[[]sheet.Ref, bool] {
+	return func(yield func([]sheet.Ref, bool) bool) {
+		buf := make([]sheet.Ref, 0, min(p.n, recalcChunkSize))
+		i := 0
+		for _, g := range p.rects {
+			for r := g.From; r.Row <= g.To.Row; r.Row++ {
+				for r.Col = g.From.Col; r.Col <= g.To.Col; r.Col++ {
+					if buf = append(buf, r); len(buf) < p.sizes[i] {
+						continue
+					}
+					if !yield(buf, i < p.cycleChunks) {
+						return
+					}
+					buf, i = buf[:0], i+1
+				}
 			}
 		}
 	}
-	chunks := make([]recalcChunk, len(k.sizes))
-	for i, n := range k.sizes {
-		chunks[i], refs = recalcChunk{refs: refs[:n:n], cycle: i < k.cycleChunks}, refs[n:]
-	}
-	return chunks
 }
 
 // commitChunk evaluates and commits one chunk under the edit lock: test the
 // members' pending bits in one hold of the sidecar's lock, evaluate (reads
-// only, in parallel on the dispatcher; a cycle chunk's value is #CYCLE!),
-// read the old values, and commit the changed ones in one batch whose publish
-// also clears the bits of the members whose value stands. Every read goes
-// through a tile reader (cache.TileReader), one per worker and one for the
-// old values, so a chunk of about 5 rows by 100 columns visits each tile it
-// touches about once, not once per cell; the old values are read before the
-// chunk's publish changes them. An edit may have slipped in between the plan
+// only; a cycle chunk's value is #CYCLE!), read the old values, and commit the
+// changed ones in one batch whose publish also clears the bits of the members
+// whose value stands. Every read goes through a tile reader
+// (cache.TileReader), one for the evaluation and one for the old values, so a
+// chunk of about 5 rows by 100 columns visits each tile it touches about
+// once, not once per cell; the old values are read before the chunk's publish
+// changes them. An edit may have slipped in between the plan
 // and the lock (it marks and flags under writeMu, so the flag is exact here):
 // the plan's order is then stale, and only the cells that read no pending
 // cell — right to evaluate under any plan — commit; the rest, and a whole
 // cycle chunk, whose cycle the edit may have broken, stay pending for the
 // rebuilt plan. A tile that fails to load fails the chunk with its cause
 // before anything commits: a value computed from its blank would be wrong.
-func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
+func (s *recalcScheduler) commitChunk(refs []sheet.Ref, cycle bool) error {
 	e := s.e
 	stale := s.interrupted()
-	if stale && ch.cycle {
+	if stale && cycle {
 		return nil
 	}
 	readsPending := func(r sheet.Ref) bool {
@@ -601,9 +579,9 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		return false
 	}
 	sc := &s.scratch
-	sc.pending = e.cache.PendingOf(ch.refs, sc.pending[:0])
+	sc.pending = e.cache.PendingOf(refs, sc.pending[:0])
 	jobs, clear := sc.jobs[:0], sc.clear[:0]
-	for i, r := range ch.refs {
+	for i, r := range refs {
 		if !sc.pending[i] {
 			continue // committed or superseded since the plan was built
 		}
@@ -616,43 +594,16 @@ func (s *recalcScheduler) commitChunk(ch recalcChunk) error {
 		head, k, _ := e.deps.Formula(r)
 		jobs = append(jobs, recalcJob{ref: r, head: head, k: k})
 	}
-	if ch.cycle {
-		for i := range jobs {
+	res := &evalReader{e: e, tiles: e.cache.TileReader()}
+	for i := range jobs {
+		if cycle {
 			jobs[i].val = sheet.ErrCycle
-		}
-	} else if nw := min(s.workers, len(jobs)); nw > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		readers := make([]evalReader, nw)
-		for w := range readers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res := &readers[w]
-				*res = evalReader{e: e, tiles: e.cache.TileReader()}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, res)
-				}
-			}()
-		}
-		wg.Wait()
-		for w := range readers {
-			if err := readers[w].tiles.Err(); err != nil {
-				return err
-			}
-		}
-	} else {
-		res := &evalReader{e: e, tiles: e.cache.TileReader()}
-		for i := range jobs {
+		} else {
 			jobs[i].val = formula.EvalAt(jobs[i].head, jobs[i].k, res)
 		}
-		if err := res.tiles.Err(); err != nil {
-			return err
-		}
+	}
+	if err := res.tiles.Err(); err != nil {
+		return err
 	}
 	writes, olds := sc.writes[:0], e.cache.TileReader()
 	for _, j := range jobs {

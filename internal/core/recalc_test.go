@@ -752,10 +752,11 @@ func keptRects(e *Engine) *sheet.Range {
 }
 
 // A reused plan is the plan a rebuild from the pending bits gives, chunk for
-// chunk, cycles included. The executor reuses it while the registry and the
-// pending set are the ones it was built from; a formula re-entered under the
-// same pending set changes the registry, and the plan is rebuilt. The engine
-// is closed, so the test takes the dispatcher's steps itself.
+// chunk, cycles included, at the registry generation it was kept at. The
+// executor reuses it while the registry and the pending set are the ones it
+// was built from; a formula re-entered under the same pending set changes the
+// registry, and the plan is rebuilt. The engine is closed, so the test takes
+// the dispatcher's steps itself.
 func TestRecalcPlanReuseMatchesRebuild(t *testing.T) {
 	e, err := Open(rdbms.Open(rdbms.Options{}), "reuse", reuseSheet(), "rom", Options{AsyncRecalc: true})
 	if err != nil {
@@ -773,20 +774,20 @@ func TestRecalcPlanReuseMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	build := func() []recalcChunk {
+	build := func() recalcPlan {
 		s.mu.Lock()
 		s.restructure = false // what process does before it plans
 		s.mu.Unlock()
 		return s.buildPlan()
 	}
-	var last []recalcChunk
+	var last recalcPlan
 	plan := func(what string, reuse bool) {
 		t.Helper()
-		want := planChunks(e.deps.ConeFrom(e.cache.PendingRefs()))
+		want := newPlan(e.deps.Gen(), e.deps.ConeFrom(e.cache.PendingRefs()))
 		before := keptRects(e)
 		got := build()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: plan of %d chunks differs from the %d a rebuild gives", what, len(got), len(want))
+			t.Fatalf("%s: plan of %d chunks differs from the %d a rebuild gives", what, len(got.sizes), len(want.sizes))
 		}
 		if reused := keptRects(e) == before; reused != reuse {
 			t.Fatalf("%s: plan reused %v, want %v", what, reused, reuse)
@@ -796,8 +797,8 @@ func TestRecalcPlanReuseMatchesRebuild(t *testing.T) {
 		if rects := s.plan.rects; len(rects) > 8 {
 			t.Fatalf("%s: the plan is kept as %d rectangles %v, want at most 8", what, len(rects), rects)
 		}
-		if len(got) < 3 || !got[0].cycle || got[1].cycle {
-			t.Fatalf("%s: %d chunks, want the cycle's first and then at least two waves", what, len(got))
+		if len(got.sizes) < 3 || got.cycleChunks != 1 {
+			t.Fatalf("%s: %d chunks, %d on a cycle, want the cycle's first and then at least two waves", what, len(got.sizes), got.cycleChunks)
 		}
 		if err := s.commitPlan(got); err != nil {
 			t.Fatal(err)
@@ -825,7 +826,7 @@ func TestRecalcPlanReuseMatchesRebuild(t *testing.T) {
 	}
 	prev := last
 	plan("a formula re-entered under the same pending set", false)
-	if reflect.DeepEqual(last, prev) {
+	if reflect.DeepEqual(last.rects, prev.rects) && reflect.DeepEqual(last.sizes, prev.sizes) {
 		t.Fatal("the re-entered formula left the plan as it was: the case tests nothing")
 	}
 	tick()
@@ -835,8 +836,8 @@ func TestRecalcPlanReuseMatchesRebuild(t *testing.T) {
 	if err := e.Set(40, 1, "7"); err != nil {
 		t.Fatal(err)
 	}
-	if got := build(); got != nil {
-		t.Fatalf("a plan of nothing pending = %d chunks", len(got))
+	if got := build(); got.n != 0 || got.sizes != nil {
+		t.Fatalf("a plan of nothing pending = %d chunks", len(got.sizes))
 	}
 	tick()
 	plan("a tick after an empty plan", true)
@@ -937,6 +938,37 @@ func TestRecalcTickReadsByTile(t *testing.T) {
 		t.Fatalf("one tick took %d cache hits and %d misses, want at most 4,000 and none", hits, misses)
 	}
 	matchesFresh(t, e, spec, tick.Input)
+}
+
+// TestRecalcTickBytes bounds what one tick of the ticker-recalc cone
+// allocates on a synchronous engine, on the plan the tick before kept: the
+// plan is walked from its rectangles a chunk at a time into one reused
+// buffer, and commitChunk's scratch is kept from tick to tick. Laying the
+// kept plan out as 40,400 refs per tick, and regrowing the scratch, cost
+// about 1,185 KB.
+func TestRecalcTickBytes(t *testing.T) {
+	const ceiling = 600 << 10
+	e := tickerEngine(t, Options{})
+	kept := keptRects(e)
+	price := ""
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			tick := workload.Tick(i + 1)
+			if _, err := e.ApplyCells([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}); err != nil {
+				b.Fatal(err)
+			}
+			price = tick.Input
+		}
+	})
+	if kept == nil || keptRects(e) != kept {
+		t.Fatal("the ticks rebuilt the plan: the case measures no kept plan")
+	}
+	t.Logf("%d B in %d allocations per tick (%d ticks)", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N)
+	if got := res.AllocedBytesPerOp(); got > ceiling {
+		t.Errorf("a tick allocates %d B, want at most %d", got, ceiling)
+	}
+	matchesFresh(t, e, workload.TickerSpec{Intermediates: 400, LeavesPer: 100}, price)
 }
 
 // A pending cell always holds a live formula, which is why commitChunk
