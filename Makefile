@@ -52,7 +52,10 @@ test:
 # translators' concurrent range readers (Concurrent), and one recalc
 # evaluator: a guard that internal/core/recalc.go starts no worker goroutine
 # and waits on no WaitGroup, so every chunk evaluates on the goroutine that
-# commits it.
+# commits it; then the tests that pin the dispatcher's quiet window (a
+# repeated cone starts at once, a new cone, a paste burst and a load's
+# revalidation wait), twenty times each, since they race the dispatcher if
+# their setup is wrong.
 # CI runs this as a dedicated step so visibility, latch and executor
 # regressions are named, not buried in ./...
 test-serve:
@@ -60,6 +63,7 @@ test-serve:
 	@if grep -nE 'sync\.WaitGroup|go func' internal/core/recalc.go; then \
 		echo "the recalc executor evaluates each chunk on the goroutine that commits it"; exit 1; \
 	fi
+	$(GO) test -race -count=20 -run 'QuietWindow|RepeatedCone|NewCone|PendingCellsHold|MarkStops|CycleViewport' ./internal/core/
 
 # Bench smoke: every benchmark executes once so perf code paths (including
 # the file-backed pager via BenchmarkDurable*) run on every push, with
@@ -114,11 +118,14 @@ test-faults:
 # strconv — a number is stored as a typed datum, never as its decimal text —
 # the pager (filepager.go, wal.go) calls no os.OpenFile, os.Remove,
 # os.ReadFile or filepath.Glob: its files go through the fileSystem seam, so
-# an in-memory database and a file-backed one run the same code — and no
+# an in-memory database and a file-backed one run the same code — no
 # non-test file of internal/core or internal/model builds a positional map by
 # scheme or a baseline (posmap.New, posmap.Schemes, NewPositionAsIs,
 # NewMonotonic): every ordering is a posmap.Tracked, whose root record names
-# one scheme. The format must not drift back by accident.
+# one scheme — and the row decoders and the heap (internal/rdbms/codec.go,
+# heap.go) use no atomic: no package-level counter is written per tuple on a
+# read path, so readers on different cores share no cache line. The format
+# must not drift back by accident.
 test-format:
 	$(GO) test -run 'Golden|FormatVersion|FormulaCellStoresValueOnly' -v . ./internal/model/
 	$(GO) test -run '^$$' -fuzz FuzzFormulaSetDecode -fuzztime 10s ./internal/core/
@@ -137,6 +144,9 @@ test-format:
 	fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' 'posmap\.(New|Schemes)\(|NewPositionAsIs|NewMonotonic' internal/core internal/model; then \
 		echo "the engine keeps every ordering in posmap.Tracked; the baselines are internal/exp's"; exit 1; \
+	fi
+	@if grep -n 'atomic' internal/rdbms/codec.go internal/rdbms/heap.go; then \
+		echo "no package-level counter is written per tuple on a read path"; exit 1; \
 	fi
 
 # Crash-fuzz soak (~60-90s at the default SOAK_ROUNDS): mixed edits over a

@@ -457,9 +457,7 @@ func TestPipelineStaleChunkKeepsCellsPending(t *testing.T) {
 // here) ends the window. With the delay at an hour the test is the logic
 // alone: nothing but the waiter can have computed the cold cell.
 func TestPipelineQuietWindowEndsForAWaiter(t *testing.T) {
-	old := coldDelay
-	coldDelay = time.Hour
-	t.Cleanup(func() { coldDelay = old })
+	holdQuietWindow(t)
 	e := newAsyncEngine(t)
 	if err := e.SetCells([]CellEdit{
 		{Row: 1, Col: 1, Input: "1"}, {Row: 1, Col: 2, Input: "=A1+1"}, {Row: 9, Col: 9, Input: "=A1*2"},
@@ -524,8 +522,10 @@ func TestPipelinePlaceTableIsOneBatch(t *testing.T) {
 
 // A 1 x 100 wave in one row of a row-oriented region (and the transposed
 // wave in a column-oriented one) is written back with O(1) tuple rewrites:
-// the executor commits a wave as one batch. The per-cell write path decoded
-// the row's whole tuple once per result.
+// the executor commits a wave as one batch. The per-cell write path fetched
+// and rewrote the row's whole tuple once per result. A rewrite is counted by
+// the database's own buffer pool: two page fetches, the translator's read of
+// the tuple and the table's update.
 func TestPipelineWaveRewritesTupleOnce(t *testing.T) {
 	const wave = 100
 	for _, layout := range []string{"rom", "com"} {
@@ -544,7 +544,8 @@ func TestPipelineWaveRewritesTupleOnce(t *testing.T) {
 					r, c := at(k)
 					s.SetFormula(r, c, fmt.Sprintf("A1*%d", k))
 				}
-				e, err := Open(rdbms.Open(rdbms.Options{}), "w", s, layout, Options{AsyncRecalc: async})
+				db := rdbms.Open(rdbms.Options{})
+				e, err := Open(db, "w", s, layout, Options{AsyncRecalc: async})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -552,27 +553,25 @@ func TestPipelineWaveRewritesTupleOnce(t *testing.T) {
 				mustDrain(t, e)
 				rows, cols := e.Bounds()
 				e.GetCells(sheet.NewRange(1, 1, rows, cols)) // resident: no block load below
-				arity := int64(wave + 1)
-
-				rdbms.ResetDecodedAttrCount()
+				before := db.Pool().Stats()
 				if err := e.Set(1, 1, "3"); err != nil {
 					t.Fatal(err)
 				}
 				mustDrain(t, e)
-				decoded := rdbms.DecodedAttrCount()
+				after := db.Pool().Stats()
+				fetches := after.PoolHits + after.PoolMisses - before.PoolHits - before.PoolMisses
 				for k := 1; k <= wave; k++ {
 					r, c := at(k)
 					if got := cellNum(t, e, r, c); got != float64(3*k) {
 						t.Fatalf("(%d,%d) = %v, want %d", r, c, got, 3*k)
 					}
 				}
-				// One rewrite for the edit and one for the wave, each decoding
-				// the tuple twice (the translator's fetch, the table's update);
-				// the bound leaves room for a third rewrite, far from the
-				// hundred of a per-cell path.
-				if rewrites := decoded / (2 * arity); rewrites > 3 {
-					t.Fatalf("recalculating one %d-cell wave decoded %d attributes (%d tuple rewrites), want at most 3",
-						wave, decoded, rewrites)
+				// One rewrite for the edit and one for the wave; the bound
+				// leaves room for a third rewrite, far from the hundred of a
+				// per-cell path.
+				if rewrites := fetches / 2; rewrites > 3 {
+					t.Fatalf("recalculating one %d-cell wave fetched %d pages (%d tuple rewrites), want at most 3",
+						wave, fetches, rewrites)
 				}
 			})
 		}

@@ -15,8 +15,10 @@
 //     dispatcher goroutine runs the plan, evaluating each chunk itself, so
 //     what the user can see converges first and the edit never waits for a
 //     100k-cell cone. Between the viewport pass and the rest of the cone it
-//     waits until edits have paused for coldDelay, or until somebody waits
-//     on it (Drain, WaitRange, Close).
+//     goes straight on when the pending set is the kept plan's, a repeated
+//     cone with nothing to coalesce; otherwise it waits until edits have
+//     paused for coldDelay, or until somebody waits on it (Drain, WaitRange,
+//     Close).
 //   - otherwise: the edit runs the plan itself, serially, before it returns.
 //     On return nothing is pending and every recomputed value is in the
 //     store; durability stays the caller's Save. An error leaves the
@@ -74,12 +76,12 @@ import (
 const recalcChunkSize = 512
 
 // coldDelay is the dispatcher's quiet window: how long after the latest edit
-// it leaves the cells nobody is looking at alone. A repeating cone reuses its
-// plan (buildPlan), so the window no longer amortizes one; it still coalesces
-// a paste burst's recalculation and drain-saves and keeps the cold pass off a
-// tick's and an open's first reads: with it at 0, edit-contended lost paste
-// throughput, WAL bytes and tick latency, and opens got slower (ROADMAP item
-// 17). A variable for tests.
+// it leaves the cells nobody is looking at alone, unless they are the kept
+// plan's (process). It coalesces a paste burst's recalculation and
+// drain-saves and keeps a load's revalidation off an open's first reads: with
+// it at 0 for every edit, edit-contended lost paste throughput and WAL bytes,
+// and opens got slower. A repeated cone, a ticking feed's, has nothing to
+// coalesce and does not wait. A variable for tests.
 var coldDelay = 40 * time.Millisecond
 
 var errEngineClosed = fmt.Errorf("core: engine closed")
@@ -376,7 +378,9 @@ func (s *recalcScheduler) run() {
 // or is interrupted. The viewport fast path goes first: the pending cells a
 // user is looking at (plus their pending ancestors) commit before the full
 // plan's cone-wide topological sort even starts — on a 100k-cell cone the
-// sort alone costs more than the whole hot pass.
+// sort alone costs more than the whole hot pass. The rest starts at once on
+// the kept plan while it is current, since waiting would coalesce nothing,
+// and after quiet otherwise (a paste burst, a new cone, a load).
 func (s *recalcScheduler) process() error {
 	s.mu.Lock()
 	s.restructure = false
@@ -384,10 +388,16 @@ func (s *recalcScheduler) process() error {
 	if err := s.commitPlan(s.buildHotPlan()); err != nil {
 		return err
 	}
-	if !s.quiet() {
-		return nil // a new edit, or Close: the dispatcher plans again from the top
+	unlock := s.lock()
+	p, current := s.keptPlan()
+	unlock()
+	if !current {
+		if !s.quiet() {
+			return nil // a new edit, or Close: the dispatcher plans again from the top
+		}
+		p = s.buildPlan()
 	}
-	return s.commitPlan(s.buildPlan())
+	return s.commitPlan(p)
 }
 
 // commitPlan commits a plan's chunks in order, each under its own hold of the
@@ -410,11 +420,11 @@ func (s *recalcScheduler) commitPlan(p recalcPlan) error {
 	return nil
 }
 
-// quiet stands between the viewport pass and the full plan: the dispatcher
-// blocks until coldDelay has passed since the latest edit, or somebody waits
-// (Drain, WaitRange, Close, a structural edit), and learns whether the full
-// plan is still worth building — not after a new edit or Close. An inline
-// settle has its caller waiting and goes straight on.
+// quiet stands between the viewport pass and a full plan that is not the kept
+// one: the dispatcher blocks until coldDelay has passed since the latest edit,
+// or somebody waits (Drain, WaitRange, Close, a structural edit), and learns
+// whether the full plan is still worth building — not after a new edit or
+// Close. An inline settle has its caller waiting and goes straight on.
 func (s *recalcScheduler) quiet() bool {
 	if !s.async {
 		return true
@@ -460,10 +470,10 @@ func (s *recalcScheduler) buildHotPlan() recalcPlan {
 // buildPlan derives the evaluation plan from the pending bits: the cone over
 // the pending set, cut by newPlan. It needs no viewport ordering: the hot
 // plan has committed every pending viewport cell and its ancestors before
-// quiet lets this plan start, and an edit or viewport move since then sets
+// this plan starts, and an edit or viewport move since then sets
 // restructure, which abandons the plan before it builds or commits. A plan is
 // a function of the registry and the pending set alone, so the last one is
-// kept and used again while both read the same; nothing pending keeps it too.
+// kept and reused while both read the same (keptPlan), or nothing is pending.
 func (s *recalcScheduler) buildPlan() recalcPlan {
 	e := s.e
 	unlock := s.lock()
@@ -474,10 +484,19 @@ func (s *recalcScheduler) buildPlan() recalcPlan {
 	if e.cache.PendingCount() == 0 || s.interrupted() {
 		return recalcPlan{}
 	}
-	if s.plan.gen != e.deps.Gen() || !e.cache.PendingIs(s.plan.n, s.plan.rects) {
-		s.plan = newPlan(e.deps.Gen(), e.deps.ConeFrom(e.cache.PendingRefs()))
+	if p, current := s.keptPlan(); current {
+		return p
 	}
+	s.plan = newPlan(e.deps.Gen(), e.deps.ConeFrom(e.cache.PendingRefs()))
 	return s.plan
+}
+
+// keptPlan returns the kept plan and whether it is current: built at the
+// registry's generation over exactly the pending set, so a rebuild would give
+// the same plan. Callers hold the edit lock.
+func (s *recalcScheduler) keptPlan() (recalcPlan, bool) {
+	e := s.e
+	return s.plan, s.plan.gen == e.deps.Gen() && e.cache.PendingIs(s.plan.n, s.plan.rects)
 }
 
 // recalcPlan is a plan kept compactly: the registry generation it was built

@@ -24,6 +24,15 @@ func newAsyncEngine(t *testing.T) *Engine {
 	return e
 }
 
+// holdQuietWindow sets the dispatcher's quiet window to an hour for one test:
+// cells outside the viewports are then computed only by a waiter, or at once
+// when the pending set is the kept plan's.
+func holdQuietWindow(t *testing.T) {
+	old := coldDelay
+	coldDelay = time.Hour
+	t.Cleanup(func() { coldDelay = old })
+}
+
 func mustDrain(t *testing.T, e *Engine) {
 	t.Helper()
 	if err := e.Drain(); err != nil {
@@ -277,9 +286,7 @@ func TestCycleValuesIndependentOfEditOrder(t *testing.T) {
 // with A1 = B1. It poisons the pending members first, so C1 never shows a
 // value computed from A1's stale 5 — and converges to #CYCLE!.
 func TestCycleViewportNeverReadsPendingMember(t *testing.T) {
-	old := coldDelay
-	coldDelay = time.Hour
-	t.Cleanup(func() { coldDelay = old })
+	holdQuietWindow(t)
 	e := newAsyncEngine(t)
 	if err := e.SetCells([]CellEdit{{Row: 1, Col: 1, Input: "=B1"}, {Row: 1, Col: 2, Input: "5"}, {Row: 1, Col: 3, Input: "=A1+1"}}); err != nil {
 		t.Fatal(err)
@@ -682,17 +689,17 @@ func TestRecalcPropertySetVsSetCells(t *testing.T) {
 // Marking stops at cells already pending and is exact by the pending set's
 // closure: two edits whose cones overlap but differ leave exactly their union
 // pending (the quiet window at an hour and no viewport, so nothing computes
-// before Drain), and the drained cells equal a synchronous engine's.
+// before Drain), and the drained cells equal a synchronous engine's. G3 reads
+// neither edited cell, so the union is not the plan the setup's drain kept,
+// and the dispatcher waits the window out instead of starting at once.
 func TestMarkStopsAtPendingCells(t *testing.T) {
-	old := coldDelay
-	coldDelay = time.Hour
-	t.Cleanup(func() { coldDelay = old })
+	holdQuietWindow(t)
 	setup := []CellEdit{
 		{Row: 1, Col: 1, Input: "1"}, {Row: 2, Col: 1, Input: "2"},
 		{Row: 1, Col: 2, Input: "=A1*2"}, {Row: 2, Col: 2, Input: "=A2+B1"},
 		{Row: 1, Col: 3, Input: "=B1+1"}, {Row: 2, Col: 3, Input: "=B2*3"},
 		{Row: 1, Col: 4, Input: "=SUM(B1:C2)"}, {Row: 2, Col: 5, Input: "=A2*10"},
-		{Row: 1, Col: 6, Input: "=SUM(E1:E5)"},
+		{Row: 1, Col: 6, Input: "=SUM(E1:E5)"}, {Row: 3, Col: 7, Input: "=A3+1"},
 	}
 	sync, async := newEngine(t), newAsyncEngine(t)
 	for _, e := range []*Engine{sync, async} {
@@ -894,6 +901,136 @@ func TestRecalcPlanReuseInvalidation(t *testing.T) {
 	}
 }
 
+// keptTickerPlan opens the 30 x 20 ticker (630 formulas) on an async engine
+// with the quiet window at an hour and a viewport over leaf columns C to L,
+// drains the open's revalidation, then ticks and drains: the kept plan is a
+// tick's cells outside the viewport, leaf columns M to V. AD1 = AC2*2 reads no
+// cell of the ticker's cone.
+func keptTickerPlan(t *testing.T) (*Engine, workload.TickerSpec) {
+	holdQuietWindow(t)
+	spec := workload.TickerSpec{Intermediates: 30, LeavesPer: 20}
+	s := workload.TickerMarket(spec)
+	s.SetFormula(1, 30, "AC2*2")
+	e, err := Open(rdbms.Open(rdbms.Options{}), "ticker", s, "rom", Options{AsyncRecalc: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	e.RegisterViewport(spec.Viewport())
+	mustDrain(t, e)
+	tickAndDrain(t, e, 1)
+	return e, spec
+}
+
+// tickAndDrain applies ticker tick n and drains it.
+func tickAndDrain(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	tick := workload.Tick(n)
+	if _, err := e.ApplyCells([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}); err != nil {
+		t.Fatal(err)
+	}
+	mustDrain(t, e)
+}
+
+// A tick that marks exactly the kept plan's cells at the kept plan's registry
+// generation has nothing to coalesce: the dispatcher commits the plan right
+// after the viewport pass, and the cone drains with nobody waiting, to the
+// values a synchronous engine computes.
+func TestRecalcRepeatedConeSkipsQuietWindow(t *testing.T) {
+	e, spec := keptTickerPlan(t)
+	e.writeMu.Lock()
+	kept := keptRects(e)
+	e.writeMu.Unlock()
+	tick := workload.Tick(2)
+	if _, err := e.ApplyCells([]CellEdit{{Row: tick.Row, Col: tick.Col, Input: tick.Input}}); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "the repeated cone draining with nobody waiting", func() {
+		for e.PendingCount() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	e.writeMu.Lock()
+	reused := kept != nil && keptRects(e) == kept
+	e.writeMu.Unlock()
+	if !reused {
+		t.Fatal("the repeated tick rebuilt the plan")
+	}
+	matchesFresh(t, e, spec, tick.Input)
+}
+
+// Everything but a repeated cone waits the quiet window out: an edit whose
+// cone is not the kept plan's, and a tick that marks the kept plan's cells
+// after a formula was entered (the registry moved on). 50 ms after the edits,
+// with nobody waiting, their cells outside the viewport are still pending;
+// Drain then computes what a synchronous engine does.
+func TestRecalcNewConeKeepsQuietWindow(t *testing.T) {
+	e, spec := keptTickerPlan(t)
+	cold := sheet.NewRange(1, 13, spec.Intermediates, 2+spec.LeavesPer)
+	for i, c := range []struct {
+		what  string
+		edits []CellEdit
+		g     sheet.Range
+		n     int
+	}{
+		{"a cell outside the ticker's cone", []CellEdit{{Row: 2, Col: 29, Input: "4"}}, sheet.NewRange(1, 30, 1, 30), 1},
+		{"a tick after a formula was entered", []CellEdit{{Row: 5, Col: 2, Input: "=A1*5"}, {Row: 1, Col: 1, Input: "150"}}, cold, cold.Area()},
+	} {
+		tickAndDrain(t, e, 2+i) // the kept plan is the tick's again
+		for _, ed := range c.edits {
+			if _, err := e.ApplyCells([]CellEdit{ed}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		if n := e.PendingInRange(c.g); n != c.n {
+			t.Fatalf("after %s: %d cells outside the viewport pending 50 ms later, want %d", c.what, n, c.n)
+		}
+		mustDrain(t, e)
+	}
+	if ad1 := cellNum(t, e, 1, 30); ad1 != 8 {
+		t.Fatalf("AD1 = %v, want AC2*2 = 8", ad1)
+	}
+	matchesFresh(t, e, spec, "150")
+}
+
+// A Load revalidates every formula and keeps no plan yet: the viewport's
+// cells converge at once, and the rest stay pending until somebody waits.
+func TestRecalcLoadKeepsQuietWindow(t *testing.T) {
+	holdQuietWindow(t)
+	spec := workload.TickerSpec{Intermediates: 30, LeavesPer: 20}
+	db := rdbms.Open(rdbms.Options{})
+	e, err := Open(db, "ticker", workload.TickerMarket(spec), "rom", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Load(db, "ticker", Options{AsyncRecalc: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	vp := spec.Viewport()
+	e.RegisterViewport(vp)
+	within(t, "the viewport converging", func() {
+		for e.PendingInRange(vp) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	time.Sleep(50 * time.Millisecond)
+	cold := sheet.NewRange(1, 13, spec.Intermediates, 2+spec.LeavesPer)
+	if n := e.PendingInRange(cold); n != cold.Area() {
+		t.Fatalf("%d of the %d cells outside the viewport pending 50 ms after the load, want all", n, cold.Area())
+	}
+	mustDrain(t, e)
+	matchesFresh(t, e, spec, "100")
+}
+
 // matchesFresh checks that e holds, over the ticker spec's cells, exactly what
 // a fresh synchronous engine opened on the ticker at price computes.
 func matchesFresh(t *testing.T, e *Engine, spec workload.TickerSpec, price string) {
@@ -976,12 +1113,12 @@ func TestRecalcTickBytes(t *testing.T) {
 // value or cleared under a pending cone loses its bit in the write's publish,
 // and a row delete starts with nothing pending and marks only registered
 // formulas. The quiet window is an hour, so nothing computes the cone before
-// Drain; the drained sheet then equals a synchronous engine's.
+// Drain; the drained sheet then equals a synchronous engine's. D1 reads no
+// ticked cell, so the first tick's cone is not the plan the setup's drain
+// kept, and the dispatcher waits the window out instead of starting at once.
 func TestPendingCellsHoldLiveFormulas(t *testing.T) {
-	old := coldDelay
-	coldDelay = time.Hour
-	t.Cleanup(func() { coldDelay = old })
-	setup := []CellEdit{{Row: 1, Col: 3, Input: "=SUM(B1:B6)"}, {Row: 2, Col: 3, Input: "=B5+1"}}
+	holdQuietWindow(t)
+	setup := []CellEdit{{Row: 1, Col: 3, Input: "=SUM(B1:B6)"}, {Row: 2, Col: 3, Input: "=B5+1"}, {Row: 1, Col: 4, Input: "=A8+1"}}
 	var tick []CellEdit
 	for row := 1; row <= 6; row++ {
 		setup = append(setup, CellEdit{Row: row, Col: 1, Input: fmt.Sprint(row)},

@@ -340,12 +340,12 @@ func TestNumericRecalcRelocatesNothing(t *testing.T) {
 			}
 			// Projection pushdown is what it was: a 50 x 10 viewport decodes
 			// 500 attributes, whatever their types.
-			rdbms.ResetDecodedAttrCount()
-			view, err := GetCells(rom, sheet.NewRange(176, 2, 225, 11))
+			vp := sheet.NewRange(176, 2, 225, 11)
+			view, err := GetCells(rom, vp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := rdbms.DecodedAttrCount(); n != 500 {
+			if n := readCount(t, rom, vp); n != 500 {
 				t.Fatalf("a 50 x 10 viewport decoded %d attributes, want 500", n)
 			}
 			if got := view[0][1]; !sameCell(got, sheet.Cell{Value: result[49%2]}) {

@@ -5,22 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 )
-
-// decodedAttrs counts attribute values materialized by the row decoders
-// (heap tuples only: a manifest record's reader is not counted). It is the
-// observable signal that projection pushdown works: a k-column read over an
-// n-column table must grow it by O(k), not O(n), per row. Tests assert on it
-// via DecodedAttrCount/ResetDecodedAttrCount.
-var decodedAttrs atomic.Int64
-
-// DecodedAttrCount returns the cumulative number of attribute values
-// materialized by decodeRow/decodeRowColsInto since the last reset.
-func DecodedAttrCount() int64 { return decodedAttrs.Load() }
-
-// ResetDecodedAttrCount zeroes the decode counter (test/bench hook).
-func ResetDecodedAttrCount() { decodedAttrs.Store(0) }
 
 // Row wire format (within a page tuple):
 //
@@ -126,11 +111,7 @@ func decodeRow(buf []byte, dst Row) (Row, error) {
 		return nil, err
 	}
 	row, _, err := decodeRun(buf, 0, n, slices.Grow(dst[:0], n))
-	if err != nil {
-		return nil, err
-	}
-	decodedAttrs.Add(int64(n))
-	return row, nil
+	return row, err
 }
 
 // decodeRun materializes n consecutive attributes of a row encoding, the
@@ -209,7 +190,6 @@ func decodeRowColsInto(buf []byte, proj []int, dst Row) (Row, error) {
 		k += run
 		i = proj[k-1] + 1
 	}
-	decodedAttrs.Add(int64(len(dst)))
 	// Short tuple: requested attributes beyond the encoding pad with NULL.
 	for len(dst) < len(proj) {
 		dst = append(dst, Null)
